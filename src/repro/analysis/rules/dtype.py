@@ -22,7 +22,9 @@ else clears the mark), and flags:
 The tracking is linear and path-insensitive -- branch assignments are
 treated as having happened -- which is exactly the discipline the
 fixed kernels follow: ceil-to-int64 *before* the probe, on every path.
-``exact_range_cuts`` itself is exempt by name.
+``exact_range_cuts`` itself is exempt by name, as are its scalar
+routine ``_exact_scalar_cut`` and ``_range_cut_pair``: their needles are
+keys ``_scalar_key`` already made exact for the store's dtype.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 RULE_ID = "dtype-promotion"
 
-#: Functions allowed to mix: the sanctioned conversion helper.
-SANCTIONED_FUNCTIONS = frozenset({"exact_range_cuts", "_range_cut_pair"})
+#: Functions allowed to mix: the sanctioned conversion helpers.
+SANCTIONED_FUNCTIONS = frozenset(
+    {"exact_range_cuts", "_exact_scalar_cut", "_range_cut_pair"}
+)
 
 _FLOAT_RETURNING = frozenset(
     {"float", "numpy.float64", "numpy.ceil", "numpy.floor", "numpy.trunc"}

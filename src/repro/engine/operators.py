@@ -13,7 +13,11 @@ import numpy as np
 
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock
-from repro.storage.updates import PendingUpdates, exact_range_cuts
+from repro.storage.updates import (
+    PendingUpdates,
+    cuts_at_keys,
+    exact_search_keys,
+)
 from repro.storage.views import (
     MaterializedResult,
     PositionsView,
@@ -68,9 +72,7 @@ def multiset_difference(
             counts[removal] = counts.get(removal, 0) + 1
         keep = np.ones(len(values), dtype=bool)
         for removal, count in counts.items():
-            hits = np.flatnonzero(values == removal)
-            if len(hits):
-                keep[hits[:count]] = False
+            keep[(values == removal).nonzero()[0][:count]] = False
         return values[keep]
     order = np.argsort(values, kind="stable")
     values_sorted = values[order]
@@ -138,8 +140,9 @@ class PendingWindow:
 
     Sequential execution probes the delta store four times per query
     (two ``searchsorted`` each for inserts and deletes); a window
-    precomputes all slice bounds with four vectorized calls and hands
-    each query its ready-made slices.  Charges are emitted per query
+    normalises its bounds to exact search keys once, precomputes all
+    slice bounds with four vectorized probes and hands each query its
+    ready-made slices.  Charges are emitted per query
     through :meth:`apply` and are identical to sequential
     :func:`apply_pending` calls.
     """
@@ -170,13 +173,16 @@ class PendingWindow:
         deletes = pending.deleted_values
         self._inserts = inserts
         self._deletes = deletes
-        # exact_range_cuts, not raw searchsorted: integer stores need
-        # exact int64 keys so the window agrees with the sequential
-        # path at float bounds beyond 2^53.
-        self._ins_lo = exact_range_cuts(inserts, lows)
-        self._ins_hi = exact_range_cuts(inserts, highs)
-        self._del_lo = exact_range_cuts(deletes, lows)
-        self._del_hi = exact_range_cuts(deletes, highs)
+        # Exact keys, not raw searchsorted: integer stores need int64
+        # keys so the window agrees with the sequential path at float
+        # bounds beyond 2^53.  Both stores hold the column's dtype, so
+        # each bound is normalised once and probed twice.
+        low_keys = exact_search_keys(inserts.dtype, np.asarray(lows))
+        high_keys = exact_search_keys(inserts.dtype, np.asarray(highs))
+        self._ins_lo = cuts_at_keys(inserts, *low_keys)
+        self._ins_hi = cuts_at_keys(inserts, *high_keys)
+        self._del_lo = cuts_at_keys(deletes, *low_keys)
+        self._del_hi = cuts_at_keys(deletes, *high_keys)
         # A NaN bound maps to len(store) ("first element >= NaN"),
         # which is correct as a low cut but would select the whole
         # tail as a high cut; low <= v < high is false for every v

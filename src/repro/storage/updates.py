@@ -14,18 +14,128 @@ pending deletes in range).
 
 from __future__ import annotations
 
+import math
+from operator import index
+
 import numpy as np
 
 from repro.errors import SchemaError
 from repro.storage.dtypes import ColumnType, coerce_array
 
-#: First float at/above any int64 (2^63 is exactly representable).
-_INT64_MAX_F = 2.0**63
-#: int64 min, exactly representable as a float.
-_INT64_MIN_F = -(2.0**63)
+_INT64 = np.dtype(np.int64)
+#: int64 holds [-2^63, 2^63); both ends are exactly representable as
+#: floats, so comparing a float bound against them is exact.  The float
+#: twin saves numpy converting a 64-bit Python int per array comparison.
+_INT64_TOP = 2**63
+_INT64_TOP_F = 2.0**63
 
 
-def exact_range_cuts(store: np.ndarray, bounds: object) -> np.ndarray:
+def _scalar_key(dtype: np.dtype, bound: float) -> float | None:
+    """Exact search key for one scalar ``bound`` into a ``dtype`` store.
+
+    The key ``k`` has ``v >= bound`` iff ``v >= k`` for every value
+    ``v`` the store can hold, and searches without promoting the
+    store; ``None`` means no storable value reaches the bound (NaN, or
+    a bound above an integer dtype's range).  Pure Python on purpose:
+    a converged select probes a delta of a few dozen rows four times,
+    and wrapping each scalar in arrays and masks cost ten times the
+    binary search itself.
+    """
+    # np.float64 is a float; the second test is for the narrower ones.
+    is_float = isinstance(bound, float) or isinstance(bound, np.floating)
+    if dtype.kind != "i":
+        if is_float:
+            return bound
+        # An integer bound beyond 2^53 may round down on conversion:
+        # take the first float at/above it.
+        exact = index(bound)
+        try:
+            key = float(exact)
+        except OverflowError:
+            key = math.inf if exact > 0 else -math.inf
+        return math.nextafter(key, math.inf) if key < exact else key
+    wide = dtype.itemsize == 8
+    top = _INT64_TOP if wide else 1 << (8 * dtype.itemsize - 1)
+    if is_float:
+        # An integer v has v >= b iff v >= ceil(b).  NaN and +inf have
+        # no ceiling; -inf falls to the clamp below.
+        if bound != bound or bound >= top:
+            return None
+        key = math.ceil(bound) if bound >= -top else -top
+    else:
+        key = index(bound)
+    # After the ceil: 2^31 - 0.5 is below an int32 store's top, its
+    # ceiling is not.
+    if key >= top:
+        return None
+    if key < -top:
+        key = -top
+    # A Python int needle would promote a narrower store to int64 -- a
+    # copy of the whole store per probe.
+    return key if wide else dtype.type(key)
+
+
+def _exact_scalar_cut(store: np.ndarray, bound: float) -> int:
+    """:func:`exact_range_cuts` for one scalar bound: one
+    ``searchsorted`` call, no temporaries."""
+    key = _scalar_key(store.dtype, bound)
+    return len(store) if key is None else int(store.searchsorted(key))
+
+
+def exact_search_keys(
+    dtype: np.dtype, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Search keys for ``bounds`` into any sorted store of ``dtype``.
+
+    Returns ``(keys, above)``: ``keys`` compare exactly against the
+    store's values, and ``above`` masks the bounds no storable value
+    reaches (``None`` when there are none) -- their cut is
+    ``len(store)`` whatever the store holds.  Split from the probe so a
+    window normalises its bounds once for every store of a column
+    (:func:`cuts_at_keys`).
+    """
+    kind = bounds.dtype.kind
+    if dtype.kind != "i":
+        if kind == "f":
+            return bounds.astype(np.float64, copy=False), None
+        floats = [_scalar_key(dtype, bound) for bound in bounds.tolist()]
+        return np.array(floats, dtype=np.float64), None
+    if kind == "f":
+        keys = np.ceil(bounds.astype(np.float64, copy=False))
+        # NaN fails the comparison too, as it should.
+        above = ~(keys < _INT64_TOP_F)
+        # Below-range bounds clamp to int64 min: every value is >= it.
+        np.maximum(keys, -_INT64_TOP_F, out=keys)
+        if not np.count_nonzero(above):
+            return keys.astype(np.int64), None
+        keys[above] = 0.0
+        return keys.astype(np.int64), above
+    if kind == "i" or (kind in "ub" and bounds.dtype.itemsize < 8):
+        # Signed (or narrower unsigned) bounds compare exactly as they
+        # are; widening them would make searchsorted copy a narrower
+        # store per probe.
+        return bounds, None
+    # uint64 / Python-int object bounds: int64_store.searchsorted would
+    # promote both sides to float64, so clamp into int64 one by one.
+    exact = [_scalar_key(_INT64, bound) for bound in bounds.tolist()]
+    above = np.array([key is None for key in exact], dtype=bool)
+    keys = np.array(
+        [0 if key is None else key for key in exact], dtype=np.int64
+    )
+    return keys, (above if above.any() else None)
+
+
+def cuts_at_keys(
+    store: np.ndarray, keys: np.ndarray, above: np.ndarray | None
+) -> np.ndarray:
+    """Probe ``store`` with keys from :func:`exact_search_keys`."""
+    cuts = store.searchsorted(keys, side="left")
+    if above is not None:
+        cuts[above] = len(store)
+    return cuts
+
+
+def exact_range_cuts(store: np.ndarray, bounds: object) -> np.ndarray | int:
     """Index of the first element ``>= bound`` per bound, exactly.
 
     ``np.searchsorted(int_store, float_bound)`` promotes the *store* to
@@ -35,31 +145,20 @@ def exact_range_cuts(store: np.ndarray, bounds: object) -> np.ndarray:
     int64 search keys instead (an integer ``v`` satisfies ``v >= b``
     iff ``v >= ceil(b)``); float stores compare float-to-float, which
     is already exact.  NaN bounds match nothing; bounds beyond the
-    int64 range clamp to the store's ends.
+    int64 range (floats, unsigned or Python ints) clamp to the store's
+    ends.
+
+    A scalar bound (Python or numpy scalar) returns a plain ``int``
+    through :func:`_exact_scalar_cut`; anything else is probed as an
+    array.
     """
+    if isinstance(bounds, (float, int, np.number)):
+        return _exact_scalar_cut(store, bounds)
     keys = np.asarray(bounds)
-    scalar = keys.ndim == 0
-    keys = np.atleast_1d(keys)
-    if store.dtype.kind != "i":
-        cuts = store.searchsorted(
-            keys.astype(np.float64, copy=False), side="left"
-        )
-    elif keys.dtype.kind in "iu":
-        # Integer bounds against an integer store: already exact.
-        cuts = store.searchsorted(keys, side="left")
-    else:
-        keys = np.ceil(keys.astype(np.float64, copy=False))
-        cuts = np.empty(len(keys), dtype=np.int64)
-        above = np.isnan(keys) | (keys >= _INT64_MAX_F)
-        below = keys < _INT64_MIN_F
-        mid = ~(above | below)
-        cuts[above] = len(store)
-        cuts[below] = 0
-        if mid.any():
-            cuts[mid] = store.searchsorted(
-                keys[mid].astype(np.int64), side="left"
-            )
-    return cuts[0] if scalar else cuts
+    cuts = cuts_at_keys(
+        store, *exact_search_keys(store.dtype, np.atleast_1d(keys))
+    )
+    return cuts[0] if keys.ndim == 0 else cuts
 
 
 def _range_cut_pair(
@@ -72,21 +171,22 @@ def _range_cut_pair(
     NaN arrives as the *low* bound but would select the whole tail if
     used verbatim as the *high* cut.  ``low <= v < high`` is false for
     every ``v`` when either bound is NaN, so the pair degenerates to
-    empty here before the cuts are composed into a slice.
+    empty here before the cuts are composed into a slice.  Scalar
+    bounds only (Python or numpy numbers).
     """
     if low != low or high != high:
         return 0, 0
-    lo = int(exact_range_cuts(store, low))
-    hi = int(exact_range_cuts(store, high))
-    return lo, hi
+    return _exact_scalar_cut(store, low), _exact_scalar_cut(store, high)
 
 
 class PendingUpdates:
     """Pending inserts and deletes for a single column.
 
     Inserts are (value) records appended to the column; deletes are
-    base-array positions.  Both are kept sorted by value (inserts) /
-    position (deletes) so range lookups are logarithmic.
+    base-array positions with their values.  Both are kept sorted by
+    value so range lookups are logarithmic; the staged positions are
+    also kept sorted on their own, so staging can tell a position that
+    is already staged without re-sorting the store.
     """
 
     def __init__(self, ctype: ColumnType) -> None:
@@ -94,6 +194,8 @@ class PendingUpdates:
         self._insert_values = np.empty(0, dtype=ctype.numpy_dtype)
         self._delete_positions = np.empty(0, dtype=np.int64)
         self._deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
+        #: ``_delete_positions`` in ascending order (membership probes).
+        self._staged_positions = np.empty(0, dtype=np.int64)
 
     # -- staging -------------------------------------------------------
 
@@ -144,18 +246,25 @@ class PendingUpdates:
             )
         if len(pos) == 0:
             return 0
-        _, first_seen = np.unique(pos, return_index=True)
-        if len(first_seen) != len(pos):
+        # Both sides are unique by invariant, so a batch costs its own
+        # sort plus one binary search per position -- not a re-sort of
+        # everything staged so far.
+        fresh, first_seen = np.unique(pos, return_index=True)
+        staged = self._staged_positions
+        slots = staged.searchsorted(fresh)
+        if len(staged):
+            unstaged = staged.take(slots, mode="clip") != fresh
+            if not unstaged.all():
+                fresh = fresh[unstaged]
+                first_seen = first_seen[unstaged]
+                slots = slots[unstaged]
+                if len(fresh) == 0:
+                    return 0
+        if len(fresh) != len(pos):
             keep = np.sort(first_seen)
             pos = pos[keep]
             vals = vals[keep]
-        if len(self._delete_positions):
-            fresh = ~np.isin(pos, self._delete_positions)
-            if not fresh.all():
-                pos = pos[fresh]
-                vals = vals[fresh]
-                if len(pos) == 0:
-                    return 0
+        self._staged_positions = np.insert(staged, slots, fresh)
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         pos = pos[order]
@@ -226,6 +335,7 @@ class PendingUpdates:
         self._deleted_values = np.asarray(
             deleted_values, dtype=self._ctype.numpy_dtype
         )
+        self._staged_positions = np.sort(self._delete_positions)
 
     def has_pending(self) -> bool:
         return self.pending_insert_count > 0 or self.pending_delete_count > 0
@@ -263,9 +373,13 @@ class PendingUpdates:
         self._deleted_values = np.delete(
             self._deleted_values, np.s_[lo:hi]
         )
-        mask = np.ones(len(self._delete_positions), dtype=bool)
-        mask[lo:hi] = False
-        self._delete_positions = self._delete_positions[mask]
+        gone = self._delete_positions[lo:hi]
+        self._staged_positions = np.delete(
+            self._staged_positions, self._staged_positions.searchsorted(gone)
+        )
+        self._delete_positions = np.delete(
+            self._delete_positions, np.s_[lo:hi]
+        )
         return taken
 
     def clear(self) -> None:
@@ -273,6 +387,7 @@ class PendingUpdates:
         self._insert_values = np.empty(0, dtype=self._ctype.numpy_dtype)
         self._delete_positions = np.empty(0, dtype=np.int64)
         self._deleted_values = np.empty(0, dtype=self._ctype.numpy_dtype)
+        self._staged_positions = np.empty(0, dtype=np.int64)
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,13 @@ from typing import Iterator
 from repro.errors import QueryError
 
 
+#: :meth:`IntervalSet.add_many` re-sorts the whole set only when the
+#: batch is more than 1/_SWEEP_RATIO of it: one bisect splice costs
+#: about what sorting and sweeping six stored intervals does (measured
+#: 0.75 us against 0.1 us an interval).
+_SWEEP_RATIO = 6
+
+
 class IntervalSet:
     """A set of disjoint, sorted, half-open intervals ``[low, high)``.
 
@@ -62,21 +69,27 @@ class IntervalSet:
         self._highs.insert(first, high)
 
     def add_many(self, ranges: list[tuple[float, float]]) -> None:
-        """Insert many intervals in one merge sweep.
+        """Insert many intervals at once.
 
         Equivalent to calling :meth:`add` per range (set union is
-        order-independent and the representation is canonical), but a
-        batch of k ranges costs one sort plus one linear sweep instead
-        of k list splices.
+        order-independent and the representation is canonical).  A
+        batch that rivals the set in size is merged in one sort plus
+        one linear sweep instead of k list splices; a batch small
+        against the set takes the k bisect splices, which cost the
+        batch and not a rebuild of everything accumulated so far.
 
         Raises:
-            QueryError: if any range is inverted.
+            QueryError: if any range is inverted (nothing is added).
         """
         for low, high in ranges:
             if low > high:
                 raise QueryError(f"interval inverted: [{low}, {high})")
         fresh = [r for r in ranges if r[0] < r[1]]
         if not fresh:
+            return
+        if _SWEEP_RATIO * len(fresh) <= len(self._lows):
+            for low, high in fresh:
+                self.add(low, high)
             return
         merged = sorted(
             [*zip(self._lows, self._highs), *fresh]

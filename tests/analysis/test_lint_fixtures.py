@@ -21,6 +21,7 @@ EXPECTED = {
     "bad_determinism_time.py": "determinism",
     "bad_determinism_random.py": "determinism",
     "bad_dtype_promotion.py": "dtype-promotion",
+    "bad_dtype_scalar_probe.py": "dtype-promotion",
     "bad_fault_unregistered.py": "fault-coverage",
     "bad_waiver_reasonless.py": "waiver",
 }

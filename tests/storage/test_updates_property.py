@@ -128,6 +128,10 @@ def _replay(ctype, dtype, ops) -> None:
             assert list(got) == want, (kind, low, high)
         assert real.pending_insert_count == naive.pending_insert_count
         assert real.pending_delete_count == naive.pending_delete_count
+        # The membership index is the staged positions, sorted.
+        assert real._staged_positions.tolist() == sorted(
+            real.delete_positions.tolist()
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,3 +302,337 @@ def test_pending_window_agrees_with_sequential_beyond_2_53() -> None:
         assert bool(window.overlapping_slots()[i]) == bool(
             len(seq_ins) or len(seq_del)
         )
+
+
+# -- exact_range_cuts: scalar == vector == exact Python comparison ------
+#
+# The scalar path normalises the key in pure Python, the vector path in
+# numpy; both must land where exact ``v >= bound`` comparisons do, for
+# every bound type a caller can hand over.
+
+_CUT_BOUNDS = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    2.0**63,
+    -(2.0**63),
+    float(np.nextafter(2.0**63, 0.0)),
+    2.0**53,
+    float(2**53 + 2),
+    0.5,
+    -0.5,
+    2.0**31,
+    # Below 2^31 but ceiling onto it: above every int32.
+    2.0**31 - 0.5,
+    float(2**31 - 1) + 0.25,
+    -(2.0**31) - 0.5,
+    1e308,
+    -1e308,
+    # Python ints, inside and beyond int64 (and beyond float range).
+    0,
+    2**31 - 1,
+    2**31,
+    -(2**31) - 1,
+    2**53 - 1,
+    2**53 + 1,
+    -(2**53) - 1,
+    2**63 - 1,
+    2**63,
+    -(2**63),
+    -(2**63) - 1,
+    2**64,
+    -(2**70),
+    10**400,
+    -(10**400),
+    True,
+    # numpy scalars of every kind.
+    np.int32(-1),
+    np.int64(2**53 + 1),
+    np.int64(np.iinfo(np.int64).max),
+    np.uint8(200),
+    np.uint64(2**53 + 1),
+    np.uint64(2**63 - 1),
+    np.uint64(2**63),
+    np.uint64(2**64 - 1),
+    np.float32(1.5),
+    np.float64(2.0**53),
+    np.float64("nan"),
+]
+
+_FLOAT_STORE_POOL = _FLOAT_POOL + [
+    2.0**53,
+    float(2**53 + 2),
+    2.0**63,
+    -(2.0**63),
+    float("inf"),
+    float("-inf"),
+]
+
+
+def _exact_cut(store: np.ndarray, bound) -> int:
+    """First index whose value is >= bound, by exact Python comparison."""
+    if isinstance(bound, np.floating):
+        bound = float(bound)
+    elif isinstance(bound, (np.integer, bool)):
+        bound = int(bound)
+    return sum(1 for v in store.tolist() if not v >= bound)
+
+
+def _check_cut_forms(store: np.ndarray, bound) -> None:
+    want = _exact_cut(store, bound)
+    scalar = exact_range_cuts(store, bound)
+    assert isinstance(scalar, int)
+    assert scalar == want, ("scalar", bound)
+    assert list(exact_range_cuts(store, np.asarray([bound]))) == [want], (
+        "vector",
+        bound,
+    )
+    assert int(exact_range_cuts(store, np.asarray(bound))) == want, (
+        "0-d",
+        bound,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from(_INT64_POOL), max_size=8),
+    bound=st.sampled_from(_CUT_BOUNDS),
+)
+def test_cut_forms_agree_int64(values, bound) -> None:
+    _check_cut_forms(np.sort(np.asarray(values, dtype=np.int64)), bound)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    values=st.lists(st.sampled_from(_INT32_POOL), max_size=8),
+    bound=st.sampled_from(_CUT_BOUNDS),
+)
+def test_cut_forms_agree_int32(values, bound) -> None:
+    _check_cut_forms(np.sort(np.asarray(values, dtype=np.int32)), bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from(_FLOAT_STORE_POOL), max_size=8),
+    bound=st.sampled_from(_CUT_BOUNDS),
+)
+def test_cut_forms_agree_float64(values, bound) -> None:
+    _check_cut_forms(np.sort(np.asarray(values, dtype=np.float64)), bound)
+
+
+def test_float_bound_arrays_match_scalar_cuts() -> None:
+    floats = np.array(
+        [b for b in _CUT_BOUNDS if type(b) is float], dtype=np.float64
+    )
+    for pool, dtype in (
+        (_INT64_POOL, np.int64),
+        (_INT32_POOL, np.int32),
+        (_FLOAT_STORE_POOL, np.float64),
+    ):
+        store = np.sort(np.asarray(pool, dtype=dtype))
+        assert list(exact_range_cuts(store, floats)) == [
+            exact_range_cuts(store, float(b)) for b in floats
+        ]
+
+
+def test_narrow_store_is_probed_without_promotion() -> None:
+    """A Python-int key would make searchsorted copy an int32 store
+    into int64 per probe; the scalar key carries the store's dtype."""
+    from repro.storage.updates import _scalar_key
+
+    key = _scalar_key(np.dtype(np.int32), 7.5)
+    assert type(key) is np.int32 and key == 8
+    assert _scalar_key(np.dtype(np.int32), 2.0**31) is None
+    assert _scalar_key(np.dtype(np.int32), 2.0**31 - 0.5) is None
+    assert _scalar_key(np.dtype(np.int32), -(2.0**40)) == -(2**31)
+
+
+# -- regression anchors for unsigned / out-of-range integer bounds ------
+#
+# ``int64_store.searchsorted(uint64_key)`` promotes both sides to
+# float64, and a Python int >= 2^63 arrives as uint64 the same way; the
+# old "integer bounds are already exact" shortcut let them through.
+
+
+def test_uint64_bound_beyond_2_53_stays_exact() -> None:
+    store = np.array([2**53, 2**53 + 1, 2**53 + 2], dtype=np.int64)
+    bound = np.uint64(2**53 + 1)
+    assert exact_range_cuts(store, bound) == 1
+    assert list(exact_range_cuts(store, np.array([bound]))) == [1]
+
+
+def test_integer_bounds_at_int64_max_clamp_exactly() -> None:
+    store = np.array([2**62, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+    assert exact_range_cuts(store, 2**63) == 3
+    assert exact_range_cuts(store, np.uint64(2**63 - 1)) == 2
+    assert list(
+        exact_range_cuts(
+            store, np.array([2**63, 2**63 - 1], dtype=np.uint64)
+        )
+    ) == [3, 2]
+    pending = PendingUpdates(INT64)
+    pending.stage_inserts(store)
+    assert list(pending.inserts_in_range(2**63 - 1, 2**63)) == [2**63 - 1]
+    assert list(pending.inserts_in_range(np.uint64(2**63 - 1), 2**64)) == [
+        2**63 - 1
+    ]
+
+
+def test_float_bound_ceiling_past_int32_max_clamps_to_the_end() -> None:
+    """2147483647.5 is below 2^31 but its ceiling is not an int32: the
+    range check belongs after the ceil, or the key overflows (numpy 2)
+    or wraps to -2^31 (numpy 1)."""
+    top = 2**31 - 1
+    store = np.array([-5, 0, top - 1, top], dtype=np.int32)
+    assert exact_range_cuts(store, 2147483647.5) == 4
+    assert list(exact_range_cuts(store, np.array([2147483647.5]))) == [4]
+    pending = PendingUpdates(INT32)
+    pending.stage_inserts(store)
+    assert list(pending.inserts_in_range(0, 2147483647.5)) == [0, top - 1, top]
+    assert list(pending.inserts_in_range(2147483646.5, 2147483647.5)) == [top]
+    assert list(pending.inserts_in_range(2147483647.5, 2.0**31)) == []
+
+
+def test_signed_bound_arrays_probe_a_narrow_store_without_promotion() -> None:
+    """int32 keys into an int32 store (a cracker piece probed with fresh
+    values) must stay int32: widening the keys makes searchsorted copy
+    the whole store slice per call."""
+    from repro.storage.updates import exact_search_keys
+
+    bounds = np.array([-3, 7, 2**31 - 1], dtype=np.int32)
+    keys, above = exact_search_keys(np.dtype(np.int32), bounds)
+    assert keys is bounds and above is None
+    store = np.array([-3, 0, 7, 7, 2**31 - 1], dtype=np.int32)
+    assert list(exact_range_cuts(store, bounds)) == [0, 2, 4]
+    wide = np.array([-(2**40), 7, 2**40], dtype=np.int64)
+    assert list(exact_range_cuts(store, wide)) == [0, 2, 5]
+
+
+# -- stage_deletes dedup vs the np.isin model ---------------------------
+
+
+class _IsinDeletes:
+    """The dedup stage_deletes used to do: first-seen ``np.unique``
+    inside the batch, ``np.isin`` against everything staged."""
+
+    def __init__(self) -> None:
+        self.positions = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.int64)
+
+    def stage(self, pos: np.ndarray, vals: np.ndarray) -> int:
+        _, first_seen = np.unique(pos, return_index=True)
+        keep = np.sort(first_seen)
+        pos, vals = pos[keep], vals[keep]
+        fresh = ~np.isin(pos, self.positions)
+        pos, vals = pos[fresh], vals[fresh]
+        order = np.argsort(vals, kind="stable")
+        pos, vals = pos[order], vals[order]
+        slots = np.searchsorted(self.values, vals, side="left")
+        self.values = np.insert(self.values, slots, vals)
+        self.positions = np.insert(self.positions, slots, pos)
+        return len(pos)
+
+
+def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
+    rng = np.random.default_rng(16)
+    pending = PendingUpdates(INT64)
+    model = _IsinDeletes()
+    # Few distinct values, so equal-value runs exercise the stable order.
+    first = rng.permutation(50_000)[:10_000].astype(np.int64)
+    values = rng.integers(0, 500, size=len(first))
+    assert pending.stage_deletes(first, values) == model.stage(first, values)
+    for size in (1, 2, 6, 16, 16, 300, 5_000, 20_000, 3, 16):
+        fresh = rng.integers(0, 60_000, size=size)
+        staged = rng.choice(model.positions, size=max(1, size // 3))
+        batch = np.concatenate([fresh, staged, fresh[: size // 2]])
+        rng.shuffle(batch)
+        values = rng.integers(0, 500, size=len(batch))
+        assert pending.stage_deletes(batch, values) == model.stage(
+            batch, values
+        )
+        assert np.array_equal(pending.delete_positions, model.positions)
+        assert np.array_equal(pending.deleted_values, model.values)
+        if size == 300:
+            # Consumed positions become stageable again.
+            taken = pending.take_deletes_in_range(100, 200)
+            keep = (model.values < 100) | (model.values >= 200)
+            assert len(taken) == np.count_nonzero(~keep)
+            model.positions = model.positions[keep]
+            model.values = model.values[keep]
+    assert pending.stage_deletes(model.positions[:16], values[:16]) == 0
+
+
+# -- PendingWindow (shared keys) vs per-query apply_pending -------------
+
+
+def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
+    from repro.engine.operators import PendingWindow, apply_pending
+    from repro.simtime.accounting import WindowAccountant
+    from repro.simtime.clock import SimClock
+    from repro.storage.views import MaterializedResult
+
+    pending = PendingUpdates(ctype)
+    pending.stage_inserts(np.asarray(inserts, dtype=dtype))
+    deletes = np.asarray(deletes, dtype=dtype)
+    pending.stage_deletes(np.arange(len(deletes)), deletes)
+    lows = np.array([low for low, _ in bounds], dtype=np.float64)
+    highs = np.array([high for _, high in bounds], dtype=np.float64)
+    window = PendingWindow(pending, lows, highs)
+    assert window.active == pending.has_pending()
+    sequential_clock, batch_clock = SimClock(), SimClock()
+    accountant = WindowAccountant(batch_clock)
+    for slot, (low, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+        # Every delete is a base row, as the engine guarantees.
+        base = MaterializedResult(deletes.copy())
+        want = apply_pending(base, pending, low, high, sequential_clock)
+        got = base
+        if window.active and window.overlapping_slots()[slot]:
+            got = window.apply(slot, base, accountant)
+        assert (got is base) == (want is base), (low, high)
+        assert got.values().tolist() == want.values().tolist(), (low, high)
+    accountant.finish()
+    assert repr(batch_clock.now()) == repr(sequential_clock.now())
+    assert batch_clock.total_charge == sequential_clock.total_charge
+
+
+_WINDOW_BOUNDS = st.lists(
+    st.tuples(st.sampled_from(_BOUND_POOL), st.sampled_from(_BOUND_POOL)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inserts=_values(_INT64_POOL),
+    deletes=_values(_INT64_POOL),
+    bounds=_WINDOW_BOUNDS,
+)
+def test_pending_window_matches_apply_pending_int64(
+    inserts, deletes, bounds
+) -> None:
+    _window_vs_sequential(INT64, np.int64, inserts, deletes, bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inserts=_values(_INT32_POOL),
+    deletes=_values(_INT32_POOL),
+    bounds=_WINDOW_BOUNDS,
+)
+def test_pending_window_matches_apply_pending_int32(
+    inserts, deletes, bounds
+) -> None:
+    _window_vs_sequential(INT32, np.int32, inserts, deletes, bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inserts=_values(_FLOAT_POOL),
+    deletes=_values(_FLOAT_POOL),
+    bounds=_WINDOW_BOUNDS,
+)
+def test_pending_window_matches_apply_pending_float64(
+    inserts, deletes, bounds
+) -> None:
+    _window_vs_sequential(FLOAT64, np.float64, inserts, deletes, bounds)

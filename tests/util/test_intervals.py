@@ -143,3 +143,50 @@ def test_add_many_rejects_inverted_and_skips_empty():
     assert intervals.intervals() == []
     with pytest.raises(QueryError):
         intervals.add_many([(3.0, 2.0)])
+
+
+def _random_set(rng, size: int) -> list[tuple[float, float]]:
+    ranges = []
+    for low in rng.uniform(0, 1000, size=size).tolist():
+        ranges.append((low, low + float(rng.uniform(0, 0.4))))
+    return ranges
+
+
+@pytest.mark.parametrize(
+    "stored,batch",
+    [(0, 5), (3, 40), (40, 3), (400, 1), (400, 8), (400, 60), (400, 400)],
+)
+def test_add_many_equals_sequential_adds_on_both_sides_of_the_split(
+    stored, batch
+):
+    """Small batches into a large set take bisect splices, batches that
+    rival the set take the merge sweep; both must leave the canonical
+    representation that one ``add`` per range leaves."""
+    import numpy as np
+
+    rng = np.random.default_rng(stored * 1000 + batch)
+    for _ in range(10):
+        base = _random_set(rng, stored)
+        ranges = _random_set(rng, batch)
+        # Touching, nested, empty and bridging ranges ride along.
+        ranges += [(r[1], r[1] + 0.1) for r in base[:3]]
+        ranges += [(5.0, 5.0), (200.0, 260.0), (210.0, 220.0)]
+        one_by_one, batched = IntervalSet(), IntervalSet()
+        one_by_one.add_many(base)
+        batched.add_many(base)
+        for low, high in ranges:
+            one_by_one.add(low, high)
+        batched.add_many(ranges)
+        assert batched.intervals() == one_by_one.intervals()
+
+
+@pytest.mark.parametrize("stored", [0, 2, 400])
+def test_add_many_raises_before_mutating(stored):
+    import numpy as np
+
+    intervals = IntervalSet()
+    intervals.add_many(_random_set(np.random.default_rng(stored), stored))
+    before = intervals.intervals()
+    with pytest.raises(QueryError):
+        intervals.add_many([(2000.0, 2001.0), (3.0, 2.0), (4.0, 5.0)])
+    assert intervals.intervals() == before
