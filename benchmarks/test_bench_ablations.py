@@ -1,4 +1,4 @@
-"""Bench: the ablation studies A1-A3 (DESIGN.md §5)."""
+"""Bench: the ablation studies A1-A4 (``repro.bench.ablations``)."""
 
 import pytest
 

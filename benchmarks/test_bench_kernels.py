@@ -1,8 +1,8 @@
 """Wall-clock microbenchmarks of the physical kernels.
 
 These measure the numpy kernels on *this* machine -- the numbers a
-re-calibration of the cost model would start from (DESIGN.md §3 holds
-the paper-testbed equivalents).
+re-calibration of the cost model would start from (``simtime/costs.py``
+holds the paper-testbed equivalents).
 """
 
 import numpy as np

@@ -1,7 +1,10 @@
 """Bench harness: regenerates every table and figure of the paper.
 
-See DESIGN.md §5 for the experiment index.  Each artefact has a
-dedicated module and a CLI entry (``python -m repro.bench <command>``).
+See PAPER.md ("Evaluation shape") for the experiment index.  Each
+artefact has a dedicated module and a CLI entry (``python -m
+repro.bench <command>``); the six wall-clock suites share
+:mod:`repro.bench.harness` and the trace driver of
+:mod:`repro.bench.oracle`.
 """
 
 from repro.bench.ablations import (

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the kernel's design choices.
 
 A1 -- *resource-spreading policies*: round-robin (the paper's
 baseline) vs the ranked scheme ("a more sophisticated approach can

@@ -43,23 +43,23 @@ equality against the committed baseline.
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from repro.bench.oracle import (
-    OracleError,
-    TraceFingerprint,
-    _stage,
-    reference_results,
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    oracle_scenario,
+    record_best,
 )
-from repro.bench.snapshot import _stage as _persist_stage
-from repro.bench.snapshot import chain_digest
-from repro.engine.query import RangeQuery
+from repro.bench.oracle import reference_results, replay_serving
+from repro.bench.snapshot import (
+    WRITE_RATIO,
+    fresh_db,
+    mixed_trace,
+    replay_digest,
+)
 from repro.engine.session import make_strategy
 from repro.errors import PersistError
 from repro.faults import FAULT_POINTS, FaultPlan, engaged
@@ -70,15 +70,9 @@ from repro.persist import (
     restore_snapshot,
 )
 from repro.serving import ServingFrontend
-from repro.serving.window import WindowEntry
-from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
-from repro.storage.database import Database
-from repro.storage.loader import build_paper_table
 from repro.util.retry import BackoffPolicy
-from repro.workload.patterns import MixedPattern
 
-REGRESSION_LIMIT = 2.0
 #: A faulted scenario may run this many times slower than its family's
 #: fault-free baseline before the gate fails.
 DEGRADATION_LIMIT = 8.0
@@ -91,9 +85,6 @@ QUICK_OPS = 240
 #: Three columns so the quarantine scenario can dead-letter two and
 #: keep the pool alive on the third.
 _COLUMNS = ("A1", "A2", "A3")
-_VALUE_LOW = 1.0
-_VALUE_HIGH = 100_000_000.0
-_WRITE_RATIO = 0.2
 _WINDOW = 24
 _CLIENTS = 2
 #: Tuning actions submitted per served window while workers race, plus
@@ -110,67 +101,15 @@ _MALFORM_EVERY = 3
 _CKPT_DIVISOR = 8
 
 
-def _fresh_db(rows: int, seed: int) -> Database:
-    db = Database(clock=SimClock())
-    db.add_table(build_paper_table(rows=rows, columns=len(_COLUMNS), seed=seed))
-    return db
-
-
 def _trace(rows: int, ops: int, seed: int):
-    pattern = MixedPattern(
-        columns=list(_COLUMNS),
-        domain_low=_VALUE_LOW,
-        domain_high=_VALUE_HIGH,
-        op_count=ops,
-        write_ratio=_WRITE_RATIO,
-        batch_size=8,
-        seed=seed,
+    """``bench snapshot``'s trace shape over this suite's columns, with
+    the reference engine's answers."""
+    trace = mixed_trace(rows, ops, seed, _COLUMNS)
+    refs = [ColumnRef("R", column) for column in _COLUMNS]
+    expected, reference = reference_results(
+        fresh_db(rows, seed, _COLUMNS), refs, trace
     )
-    db0 = _fresh_db(rows, seed)
-    trace = pattern.ops(db0.table("R"))
-    expected, reference = reference_results(db0, pattern.refs(), trace)
     return trace, expected, reference
-
-
-def _malformed_query(ref: ColumnRef) -> RangeQuery:
-    """An inverted-range query smuggled past ``RangeQuery`` validation
-    -- what a buggy or hostile client driver would hand the wire."""
-    query = RangeQuery.__new__(RangeQuery)
-    object.__setattr__(query, "ref", ref)
-    object.__setattr__(query, "low", 9.0)
-    object.__setattr__(query, "high", 1.0)
-    return query
-
-
-@dataclass(slots=True)
-class ScenarioResult:
-    """One chaos measurement."""
-
-    name: str
-    wall_s: float
-    ops: int
-    fingerprint: dict[str, object]
-    matches_reference: bool
-    faults: dict[str, object] = field(default_factory=dict)
-    detail: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": "trace ops",
-            "throughput": round(self.throughput, 3),
-            "fingerprint": self.fingerprint,
-            "matches_reference": self.matches_reference,
-            "faults": self.faults,
-            "detail": self.detail,
-        }
 
 
 def _fault_summary(plan: FaultPlan, expected_injected: int) -> dict:
@@ -188,103 +127,6 @@ def _fault_summary(plan: FaultPlan, expected_injected: int) -> dict:
 # -- the serving family -------------------------------------------------------
 
 
-def _drive_serving(
-    db: Database,
-    frontend: ServingFrontend,
-    trace,
-    expected,
-    label: str,
-    clients: int = _CLIENTS,
-    window: int = _WINDOW,
-    malform_every: int = 0,
-    pump=None,
-) -> TraceFingerprint:
-    """Replay the trace through ``serve_window`` on oracle lanes,
-    asserting every real entry's result against the reference.
-
-    ``malform_every`` appends a malformed entry from a separate
-    ``chaos`` client to every Nth window (its result must come back
-    empty); ``pump`` is called once per flushed window (used to keep
-    tuning workers fed).
-    """
-    for i in range(clients):
-        name = f"oracle-{i}"
-        if name not in frontend.lanes:
-            frontend.add_client(name)
-    if malform_every:
-        frontend.add_client("chaos")
-    fingerprint = TraceFingerprint()
-    sequences = [0] * clients
-    state = {"cursor": 0, "windows": 0, "chaos_seq": 0, "malformed": 0}
-    buffer: list = []
-
-    def flush() -> None:
-        if not buffer:
-            return
-        entries = []
-        for i, op in enumerate(buffer):
-            lane = i % clients
-            entries.append(
-                WindowEntry(
-                    f"oracle-{lane}",
-                    sequences[lane],
-                    RangeQuery(op.ref, op.low, op.high),
-                )
-            )
-            sequences[lane] += 1
-        if malform_every and state["windows"] % malform_every == 0:
-            entries.append(
-                WindowEntry(
-                    "chaos",
-                    state["chaos_seq"],
-                    _malformed_query(buffer[0].ref),
-                )
-            )
-            state["chaos_seq"] += 1
-            state["malformed"] += 1
-        results = frontend.serve_window(entries)
-        for op, result in zip(buffer, results):
-            got = fingerprint.note_query(result.values())
-            want = expected[state["cursor"]]
-            state["cursor"] += 1
-            if len(got) != len(want) or not np.array_equal(
-                got.astype(np.float64), want.astype(np.float64)
-            ):
-                raise OracleError(
-                    f"{label}: query #{state['cursor']} on "
-                    f"{op.ref.table}.{op.ref.column} [{op.low}, {op.high}) "
-                    f"returned {len(got)} rows, reference has {len(want)}"
-                )
-        for result in results[len(buffer):]:
-            if result.count:
-                raise OracleError(
-                    f"{label}: malformed entry returned {result.count} "
-                    "rows; expected an empty rejection"
-                )
-        state["windows"] += 1
-        buffer.clear()
-        if pump is not None:
-            pump()
-
-    for op in trace:
-        if op.is_query:
-            buffer.append(op)
-            if len(buffer) >= window:
-                flush()
-        else:
-            flush()
-            _stage(db, op, fingerprint)
-    flush()
-    if state["cursor"] != len(expected):
-        raise OracleError(
-            f"{label}: answered {state['cursor']} of "
-            f"{len(expected)} reference queries"
-        )
-    for index in frontend.strategy.indexes.values():
-        index.check_invariants()
-    return fingerprint
-
-
 def _serving_scenario(
     name: str,
     rows: int,
@@ -299,7 +141,7 @@ def _serving_scenario(
     malform_every: int = 0,
 ) -> ScenarioResult:
     trace, expected, reference = case
-    db = _fresh_db(rows, seed)
+    db = fresh_db(rows, seed, _COLUMNS)
     options: dict[str, object] = {"seed": seed}
     if policy is not None:
         options["policy"] = policy
@@ -324,12 +166,15 @@ def _serving_scenario(
         if workers:
             kernel.start_workers()
         try:
-            fingerprint = _drive_serving(
+            run = replay_serving(
                 db,
                 frontend,
                 trace,
                 expected,
-                name,
+                reference,
+                clients=_CLIENTS,
+                window=_WINDOW,
+                label=name,
                 malform_every=malform_every,
                 pump=pump,
             )
@@ -339,7 +184,6 @@ def _serving_scenario(
                 kernel.drain_workers()
                 kernel.stop_workers()
     wall = time.perf_counter() - started
-    run_fp = fingerprint.as_dict()
     detail: dict[str, object] = {
         "client_faults": [
             {
@@ -352,31 +196,18 @@ def _serving_scenario(
     }
     if pool is not None:
         detail["supervisor"] = pool.supervisor_summary()
-    return ScenarioResult(
-        name=name,
-        wall_s=wall,
-        ops=len(trace),
-        fingerprint=run_fp,
-        matches_reference=(
-            run_fp["result_sha256"] == reference["result_sha256"]
-        ),
+    return oracle_scenario(
+        name,
+        wall,
+        len(trace),
+        run.fingerprint,
+        run.matches_reference,
         faults=_fault_summary(plan, expected_injected),
         detail=detail,
     )
 
 
 # -- the persist family -------------------------------------------------------
-
-
-def _persist_replay(db, session, trace, start, stop, digest: str) -> str:
-    for i in range(start, stop):
-        op = trace[i]
-        if op.is_query:
-            result = session.run_query(RangeQuery(op.ref, op.low, op.high))
-            digest = chain_digest(digest, i, result.values())
-        else:
-            _persist_stage(db, op)
-    return digest
 
 
 def _persist_scenario(
@@ -403,7 +234,7 @@ def _persist_scenario(
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="chaos-persist-") as tmp:
         root = Path(tmp) / "snap"
-        db = _fresh_db(rows, seed)
+        db = fresh_db(rows, seed, _COLUMNS)
         session = db.session("holistic", seed=seed)
         manager = SnapshotManager(
             root,
@@ -412,18 +243,23 @@ def _persist_scenario(
             session=session,
             keep_history=True,
         )
-        digest = ""
-        for i in range(cut):
-            digest = _persist_replay(db, session, trace, i, i + 1, digest)
+
+        def maybe_checkpoint(i: int, digest_now: str) -> None:
             if (i + 1) % ckpt_every == 0:
-                manager.checkpoint(extra={"cursor": i + 1, "digest": digest})
+                manager.checkpoint(
+                    extra={"cursor": i + 1, "digest": digest_now}
+                )
+
+        digest = replay_digest(
+            db, session, trace, stop=cut, after_op=maybe_checkpoint
+        )
         # The generation walk-back falls back to: published clean, at
         # the phase-one cursor.
         manager.checkpoint(extra={"cursor": cut, "digest": digest})
         # A little more progress so the next generation writes fresh
         # (crackable) index arrays and carries a strictly later cursor.
         late = cut + extra_ops
-        digest_late = _persist_replay(db, session, trace, cut, late, digest)
+        digest_late = replay_digest(db, session, trace, cut, late, digest)
 
         plan = FaultPlan(seed=seed)
         expected_injected = 0
@@ -468,13 +304,12 @@ def _persist_scenario(
         detail["verification"] = restored.verification
         cursor = int(restored.extra["cursor"])
         detail["resumed_from_cursor"] = cursor
-        final = _persist_replay(
+        final = replay_digest(
             restored.db,
             restored.session,
             trace,
-            cursor,
-            len(trace),
-            str(restored.extra["digest"]),
+            start=cursor,
+            digest=str(restored.extra["digest"]),
         )
     wall = time.perf_counter() - started
     queries = sum(1 for op in trace if op.is_query)
@@ -483,12 +318,12 @@ def _persist_scenario(
         "updates": len(trace) - queries,
         "result_sha256": final,
     }
-    return ScenarioResult(
-        name=name,
-        wall_s=wall,
-        ops=len(trace),
-        fingerprint=run_fp,
-        matches_reference=(final == baseline_digest),
+    return oracle_scenario(
+        name,
+        wall,
+        len(trace),
+        run_fp,
+        final == baseline_digest,
         faults=_fault_summary(plan, expected_injected),
         detail=detail,
     )
@@ -513,22 +348,6 @@ def run_chaos(
     trace = case[0]
 
     scenarios: dict[str, ScenarioResult] = {}
-
-    def record(result: ScenarioResult) -> None:
-        best = scenarios.get(result.name)
-        if best is None:
-            scenarios[result.name] = result
-        else:
-            if (
-                best.fingerprint["result_sha256"]
-                != result.fingerprint["result_sha256"]
-            ):
-                raise AssertionError(
-                    f"{result.name}: non-deterministic fingerprint "
-                    "across repeats"
-                )
-            if result.wall_s < best.wall_s:
-                scenarios[result.name] = result
 
     quarantine_policy = SupervisorPolicy(
         max_restarts_per_worker=16,
@@ -595,13 +414,14 @@ def run_chaos(
     ]
     for _ in range(max(1, repeats)):
         for name, kwargs in serving_plans:
-            record(_serving_scenario(name, rows, ops, seed, case, **kwargs))
+            record_best(
+                scenarios,
+                _serving_scenario(name, rows, ops, seed, case, **kwargs),
+            )
 
-    baseline_db = _fresh_db(rows, seed)
+    baseline_db = fresh_db(rows, seed, _COLUMNS)
     baseline_session = baseline_db.session("holistic", seed=seed)
-    baseline_digest = _persist_replay(
-        baseline_db, baseline_session, trace, 0, len(trace), ""
-    )
+    baseline_digest = replay_digest(baseline_db, baseline_session, trace)
     persist_plans = [
         ("persist/faultfree", None),
         ("persist/torn_snapshot", "persist.publish.torn"),
@@ -610,24 +430,26 @@ def run_chaos(
         ("persist/restore_fault", "persist.restore"),
     ]
     for name, point in persist_plans:
-        record(
+        record_best(
+            scenarios,
             _persist_scenario(
                 name, rows, ops, seed, trace, baseline_digest, point
-            )
+            ),
         )
 
     matches = {
-        name: result.matches_reference
+        name: result.extra["matches_reference"]
         for name, result in sorted(scenarios.items())
     }
     injected_points: set[str] = set()
     recovery = {}
     for name, result in sorted(scenarios.items()):
-        injected_points.update(result.faults.get("per_point", {}))
+        faults = result.extra["faults"]
+        injected_points.update(faults.get("per_point", {}))
         recovery[name] = {
-            "expected": result.faults.get("expected", 0),
-            "injected": result.faults.get("injected", 0),
-            "unrecovered": result.faults.get("unrecovered", 0),
+            "expected": faults.get("expected", 0),
+            "injected": faults.get("injected", 0),
+            "unrecovered": faults.get("unrecovered", 0),
         }
     degradation = {}
     for family in ("serving", "persist"):
@@ -650,7 +472,7 @@ def run_chaos(
             "mode": mode,
             "window": _WINDOW,
             "clients": _CLIENTS,
-            "write_ratio": _WRITE_RATIO,
+            "write_ratio": WRITE_RATIO,
             "degradation_limit": DEGRADATION_LIMIT,
         },
         "scenarios": {
@@ -704,44 +526,6 @@ def _gate(result: dict[str, object]) -> list[str]:
     return failures
 
 
-_SEMANTIC_KEYS = ("queries", "updates", "result_rows", "result_sha256")
-
-
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Gate a fresh run against a committed baseline document."""
-    failures = _gate(current)
-    committed_scenarios = committed.get("scenarios", {})
-    same_config = committed.get("config", {}) == current.get("config", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"ops/s, limit {REGRESSION_LIMIT}x)"
-            )
-        if not same_config:
-            continue
-        base_fp = base.get("fingerprint", {})
-        fingerprint = data.get("fingerprint", {})
-        for fp_key in _SEMANTIC_KEYS:
-            if fp_key in base_fp and base_fp.get(fp_key) != fingerprint.get(
-                fp_key
-            ):
-                failures.append(
-                    f"{name}.{fp_key}: fingerprint diverged from "
-                    f"committed baseline (expected {base_fp[fp_key]!r}, "
-                    f"got {fingerprint.get(fp_key)!r})"
-                )
-    return failures
-
-
 def chaos_text(result: dict[str, object]) -> str:
     """Human-readable rendering of a chaos run."""
     config = result["config"]
@@ -781,43 +565,12 @@ def chaos_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def run_chaos_command(
-    rows: int | None,
-    ops: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    check_path: str | None,
-    repeats: int = 2,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench chaos``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    ops = ops if ops is not None else (QUICK_OPS if quick else DEFAULT_OPS)
-    result = run_chaos(
-        rows=rows, ops=ops, seed=seed, mode=mode, repeats=repeats
-    )
-    exit_code = 0
-    check_lines: list[str] = []
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "CHAOS GATE FAILURES:", *failures]
-        else:
-            check_lines = ["", "chaos gate passed"]
-    else:
-        failures = _gate(result)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "CHAOS GATE FAILURES:", *failures]
-    out_path = Path(out) if out else Path("BENCH_chaos.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = chaos_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code
+SUITE = Suite(
+    name="chaos",
+    run=run_chaos,
+    text=chaos_text,
+    gate=_gate,
+    semantic_keys=("queries", "updates", "result_rows", "result_sha256"),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_OPS),
+    quick_sizes=(QUICK_ROWS, QUICK_OPS),
+)

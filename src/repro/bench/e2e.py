@@ -29,24 +29,22 @@ throughput regression or any fingerprint divergence.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    piece_map_sha256,
+    record_best,
+)
 from repro.engine.query import RangeQuery
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
 from repro.workload.stream import IdleEvent, QueryEvent, QueryStream
-
-#: A scenario fails the ``--check`` gate when the committed baseline's
-#: throughput exceeds the fresh run's by more than this factor.
-REGRESSION_LIMIT = 2.0
 
 DEFAULT_ROWS = 200_000
 DEFAULT_QUERIES = 16_000
@@ -81,34 +79,7 @@ _WORKER_IDLE_EVERY = 256
 _WORKER_IDLE_ACTIONS = 64
 
 
-@dataclass(slots=True)
-class ScenarioResult:
-    """One (strategy, window) measurement with its fingerprint."""
-
-    name: str
-    wall_s: float
-    ops: int
-    fingerprint: dict[str, object] | None = field(default=None)
-
-    @property
-    def throughput(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": "queries",
-            "throughput": round(self.throughput, 3),
-        }
-        if self.fingerprint is not None:
-            data["fingerprint"] = self.fingerprint
-        return data
-
-
-def _strategy_options(key: str, seed: int) -> tuple[str, dict[str, object]]:
+def strategy_options(key: str, seed: int) -> tuple[str, dict[str, object]]:
     if key == "scan":
         return "scan", {}
     if key == "adaptive":
@@ -117,7 +88,7 @@ def _strategy_options(key: str, seed: int) -> tuple[str, dict[str, object]]:
         return "holistic", {"seed": seed}
     if key == "holistic_workers":
         return "holistic", {"seed": seed, "num_workers": 2}
-    raise ValueError(f"unknown e2e strategy {key!r}")
+    raise ValueError(f"unknown bench strategy {key!r}")
 
 
 def _build_events(key: str, rows: int, queries: int, seed: int) -> QueryStream:
@@ -143,15 +114,17 @@ def _build_events(key: str, rows: int, queries: int, seed: int) -> QueryStream:
     return QueryStream(events)
 
 
-def _stage_trickle_updates(db: Database, rows: int, seed: int) -> None:
-    """Fill each column's delta store with a steady pending set.
+def fresh_trickle_db(rows: int, seed: int) -> Database:
+    """The paper table with a steady pending set in each delta store.
 
     Models the paper's trickle-update scenario in steady state: the
     delta store holds updates that have not been merged yet, so every
     query pays a pending-updates consultation (and in-range queries a
     merge) -- the path the batched pipeline consults once per column
-    per window.
+    per window.  ``bench serve`` measures over the same database.
     """
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=rows, columns=_COLUMNS, seed=seed))
     rng = np.random.default_rng(seed + 2)
     table = db.table("R")
     for c in range(1, _COLUMNS + 1):
@@ -165,6 +138,7 @@ def _stage_trickle_updates(db: Database, rows: int, seed: int) -> None:
         values = db.column("R", column).values
         positions = rng.integers(0, rows, size=_PENDING_DELETES)
         pending.stage_deletes(positions, values[positions])
+    return db
 
 
 def _session_fingerprint(session) -> dict[str, object]:
@@ -176,24 +150,13 @@ def _session_fingerprint(session) -> dict[str, object]:
     bit-for-bit identical to sequential execution.
     """
     report = session.report
-    state = hashlib.sha256()
-    crack_count = 0
-    tape_records = 0
-    indexes = getattr(session.strategy, "indexes", None)
-    if indexes:
-        for ref in sorted(indexes, key=repr):
-            index = indexes[ref]
-            state.update(repr(ref).encode())
-            state.update(
-                np.asarray(index.piece_map.cuts(), dtype=np.int64).tobytes()
-            )
-            state.update(
-                np.asarray(
-                    index.piece_map.pivots(), dtype=np.float64
-                ).tobytes()
-            )
-            crack_count += index.crack_count
-            tape_records += len(index.tape)
+    indexes = getattr(session.strategy, "indexes", None) or {}
+    state = piece_map_sha256(
+        (repr(ref), index.piece_map.cuts(), index.piece_map.pivots())
+        for ref, index in sorted(indexes.items(), key=lambda kv: repr(kv[0]))
+    )
+    crack_count = sum(index.crack_count for index in indexes.values())
+    tape_records = sum(len(index.tape) for index in indexes.values())
     return {
         "queries": report.query_count,
         "result_rows": int(
@@ -210,12 +173,8 @@ def _session_fingerprint(session) -> dict[str, object]:
 def _run_scenario(
     key: str, batch: int, rows: int, queries: int, seed: int
 ) -> ScenarioResult:
-    strategy, options = _strategy_options(key, seed)
-    db = Database(clock=SimClock())
-    db.add_table(
-        build_paper_table(rows=rows, columns=_COLUMNS, seed=seed)
-    )
-    _stage_trickle_updates(db, rows, seed)
+    strategy, options = strategy_options(key, seed)
+    db = fresh_trickle_db(rows, seed)
     stream = _build_events(key, rows, queries, seed)
     session = db.session(strategy, **options)
     started = time.perf_counter()
@@ -224,12 +183,15 @@ def _run_scenario(
     else:
         stream.run_windowed(session, batch)
     wall = time.perf_counter() - started
-    result = ScenarioResult(f"{key}/batch{batch}", wall, queries)
-    if key != "holistic_workers":
-        # Worker scheduling is thread-timing dependent; no stable
-        # fingerprint exists for that scenario (as in bench hotpath).
-        result.fingerprint = _session_fingerprint(session)
-    return result
+    # Worker scheduling is thread-timing dependent; no stable
+    # fingerprint exists for that scenario (as in bench hotpath).
+    return ScenarioResult(
+        f"{key}/batch{batch}",
+        wall,
+        queries,
+        "queries",
+        None if key == "holistic_workers" else _session_fingerprint(session),
+    )
 
 
 def run_e2e(
@@ -259,18 +221,9 @@ def run_e2e(
     for _ in range(max(1, repeats)):
         for key in strategies:
             for batch in batch_sizes:
-                result = _run_scenario(key, batch, rows, queries, seed)
-                best = scenarios.get(result.name)
-                if best is None:
-                    scenarios[result.name] = result
-                else:
-                    if best.fingerprint != result.fingerprint:
-                        raise AssertionError(
-                            f"{result.name}: non-deterministic "
-                            "fingerprint across repeats"
-                        )
-                    if result.wall_s < best.wall_s:
-                        scenarios[result.name] = result
+                record_best(
+                    scenarios, _run_scenario(key, batch, rows, queries, seed)
+                )
     speedups: dict[str, dict[str, float]] = {}
     equivalence: dict[str, bool] = {}
     for key in strategies:
@@ -336,99 +289,30 @@ def e2e_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-_SEMANTIC_KEYS = (
-    "queries",
-    "result_rows",
-    "virtual_now",
-    "total_response_s",
-    "crack_count",
-    "tape_records",
-    "state_sha256",
+def _gate(document: dict[str, object]) -> list[str]:
+    """In-run correctness: batched must fingerprint like sequential."""
+    return [
+        f"{key}: batched fingerprint diverged from sequential "
+        "within this run"
+        for key, ok in document.get("batch_equals_sequential", {}).items()
+        if not ok
+    ]
+
+
+SUITE = Suite(
+    name="e2e",
+    run=run_e2e,
+    text=e2e_text,
+    gate=_gate,
+    semantic_keys=(
+        "queries",
+        "result_rows",
+        "virtual_now",
+        "total_response_s",
+        "crack_count",
+        "tape_records",
+        "state_sha256",
+    ),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_QUERIES),
+    quick_sizes=(QUICK_ROWS, QUICK_QUERIES),
 )
-
-
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Gate a fresh run against a committed baseline document.
-
-    Returns failure messages (empty when the gate passes): any
-    in-run batch/sequential fingerprint divergence, any >2x
-    throughput regression, and -- when configs match -- any semantic
-    fingerprint drift from the committed document.
-    """
-    failures: list[str] = []
-    for key, ok in current.get("batch_equals_sequential", {}).items():
-        if not ok:
-            failures.append(
-                f"{key}: batched fingerprint diverged from sequential "
-                "within this run"
-            )
-    committed_scenarios = committed.get("scenarios", {})
-    same_config = committed.get("config", {}) == current.get("config", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"queries/s, limit {REGRESSION_LIMIT}x)"
-            )
-        base_fp = base.get("fingerprint")
-        cur_fp = data.get("fingerprint")
-        if same_config and base_fp and cur_fp:
-            for fp_key in _SEMANTIC_KEYS:
-                if fp_key in base_fp and base_fp.get(fp_key) != cur_fp.get(
-                    fp_key
-                ):
-                    failures.append(
-                        f"{name}.{fp_key}: fingerprint diverged from "
-                        f"committed baseline (expected "
-                        f"{base_fp[fp_key]!r}, got {cur_fp.get(fp_key)!r})"
-                    )
-    return failures
-
-
-def run_e2e_command(
-    rows: int | None,
-    queries: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    check_path: str | None,
-    repeats: int = 3,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench e2e``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    queries = (
-        queries
-        if queries is not None
-        else (QUICK_QUERIES if quick else DEFAULT_QUERIES)
-    )
-    result = run_e2e(
-        rows=rows, queries=queries, seed=seed, mode=mode, repeats=repeats
-    )
-    exit_code = 0
-    check_lines: list[str] = []
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "E2E PERF-SMOKE FAILURES:", *failures]
-        else:
-            check_lines = ["", "e2e perf-smoke gate passed"]
-    out_path = Path(out) if out else Path("BENCH_e2e.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = e2e_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code

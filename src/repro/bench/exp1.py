@@ -10,9 +10,9 @@ a-priori; queries wait if the sort outruns the a-priori idle time),
 database cracking (adaptive), and holistic indexing (cracking plus
 idle-window auxiliary refinements).
 
-Run at a reduced scale; the virtual clock projects every cost onto the
-paper's 10^8-row testbed (DESIGN.md §2-3), so the printed seconds are
-comparable with the paper's.
+Run at a reduced scale; the virtual clock (:mod:`repro.simtime`)
+projects every cost onto the paper's 10^8-row testbed, so the printed
+seconds are comparable with the paper's.
 """
 
 from __future__ import annotations

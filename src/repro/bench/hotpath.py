@@ -23,27 +23,25 @@ Usage::
 The result is written to ``BENCH_hotpath.json`` (``--out`` to change).
 ``--check`` compares the fresh run against a committed baseline file
 and exits non-zero when any scenario regressed by more than
-``REGRESSION_LIMIT`` in throughput, or when a fingerprint diverged.
+``harness.REGRESSION_LIMIT`` in throughput, or when a fingerprint
+diverged.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    piece_map_sha256,
+    record_best,
+)
 from repro.cracking.index import CrackerIndex
-from repro.cracking.piece import CrackOrigin
 from repro.simtime.clock import SimClock
 from repro.storage.loader import generate_uniform_column
-
-#: A scenario fails the ``--check`` gate when the committed baseline's
-#: throughput exceeds the fresh run's by more than this factor.
-REGRESSION_LIMIT = 2.0
 
 #: Default sweep sizes (the acceptance sweep of ISSUE 3).
 DEFAULT_ROWS = 1_000_000
@@ -53,33 +51,6 @@ QUICK_QUERIES = 1_000
 
 _VALUE_LOW = 0
 _VALUE_HIGH = 100_000_000
-
-
-@dataclass(slots=True)
-class ScenarioResult:
-    """One scenario's wall-clock measurement and identity fingerprint."""
-
-    name: str
-    wall_s: float
-    ops: int
-    unit: str
-    fingerprint: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Operations per wall-clock second."""
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": self.unit,
-            "throughput": round(self.throughput, 3),
-            "fingerprint": self.fingerprint,
-        }
 
 
 def _fingerprint(index: CrackerIndex) -> dict[str, object]:
@@ -93,9 +64,7 @@ def _fingerprint(index: CrackerIndex) -> dict[str, object]:
     is excluded from cross-environment regression checks.
     """
     pieces = index.piece_map
-    state = hashlib.sha256()
-    state.update(np.asarray(pieces.cuts(), dtype=np.int64).tobytes())
-    state.update(np.asarray(pieces.pivots(), dtype=np.float64).tobytes())
+    state = piece_map_sha256([("", pieces.cuts(), pieces.pivots())])
     layout = state.copy()
     layout.update(index.values.tobytes())
     return {
@@ -117,32 +86,6 @@ def _query_bounds(
     return [(float(low), float(low + width)) for low in lows]
 
 
-def _best_of(repeats: int, one_run) -> ScenarioResult:
-    """Run ``one_run`` ``repeats`` times; keep the fastest wall clock.
-
-    Wall-clock noise (allocator warmth, CPU scheduling) easily swamps
-    a single run, so every scenario reports its best-of-N time -- the
-    standard microbenchmark practice.  Fingerprints must be identical
-    across repeats (the runs are deterministic); a mismatch is a bug
-    and raises.
-    """
-    best: ScenarioResult | None = None
-    for _ in range(max(1, repeats)):
-        result = one_run()
-        if best is None:
-            best = result
-        else:
-            if best.fingerprint != result.fingerprint:
-                raise AssertionError(
-                    f"{result.name}: non-deterministic fingerprint "
-                    f"across repeats: {best.fingerprint} != "
-                    f"{result.fingerprint}"
-                )
-            if result.wall_s < best.wall_s:
-                best = result
-    return best
-
-
 def _bench_serial_select(
     rows: int, queries: int, seed: int, track_rowids: bool
 ) -> ScenarioResult:
@@ -160,10 +103,9 @@ def _bench_serial_select(
         total += view.count
     wall = time.perf_counter() - started
     name = "serial_select_rowids" if track_rowids else "serial_select"
-    result = ScenarioResult(name, wall, queries, "queries")
-    result.fingerprint = _fingerprint(index)
-    result.fingerprint["result_rows"] = total
-    return result
+    fingerprint = _fingerprint(index)
+    fingerprint["result_rows"] = total
+    return ScenarioResult(name, wall, queries, "queries", fingerprint)
 
 
 def _bench_batch_tuning(
@@ -183,9 +125,9 @@ def _bench_batch_tuning(
         tuner.perform_batch(index, min(batch, remaining))
         remaining -= batch
     wall = time.perf_counter() - started
-    result = ScenarioResult("batch_tuning", wall, cracks, "crack attempts")
-    result.fingerprint = _fingerprint(index)
-    return result
+    return ScenarioResult(
+        "batch_tuning", wall, cracks, "crack attempts", _fingerprint(index)
+    )
 
 
 def _bench_worker_pool(
@@ -201,9 +143,9 @@ def _bench_worker_pool(
     session.idle(actions=actions)
     wall = time.perf_counter() - started
     # Wall-clock throughput only: worker scheduling is thread-timing
-    # dependent, so no cross-run identity fingerprint is recorded.
+    # dependent, so the identity fingerprint stays empty.
     return ScenarioResult(
-        f"worker_pool_{workers}", wall, actions, "tuning actions"
+        f"worker_pool_{workers}", wall, actions, "tuning actions", {}
     )
 
 
@@ -215,26 +157,16 @@ def run_hotpath(
     repeats: int = 3,
 ) -> dict[str, object]:
     """Run every hot-path scenario; return the JSON-ready document."""
-    scenarios = [
-        _best_of(
-            repeats,
-            lambda: _bench_serial_select(
-                rows, queries, seed, track_rowids=False
-            ),
-        ),
-        _best_of(
-            repeats,
-            lambda: _bench_serial_select(
-                rows, queries, seed, track_rowids=True
-            ),
-        ),
-        _best_of(
-            repeats, lambda: _bench_batch_tuning(rows, queries, seed)
-        ),
-        _best_of(
-            repeats, lambda: _bench_worker_pool(rows, queries, seed)
-        ),
-    ]
+    scenarios: dict[str, ScenarioResult] = {}
+    for _ in range(max(1, repeats)):
+        record_best(
+            scenarios, _bench_serial_select(rows, queries, seed, False)
+        )
+        record_best(
+            scenarios, _bench_serial_select(rows, queries, seed, True)
+        )
+        record_best(scenarios, _bench_batch_tuning(rows, queries, seed))
+        record_best(scenarios, _bench_worker_pool(rows, queries, seed))
     return {
         "schema": "hotpath-v1",
         "config": {
@@ -243,7 +175,9 @@ def run_hotpath(
             "seed": seed,
             "mode": mode,
         },
-        "scenarios": {s.name: s.as_dict() for s in scenarios},
+        "scenarios": {
+            name: result.as_dict() for name, result in scenarios.items()
+        },
     }
 
 
@@ -269,112 +203,20 @@ def hotpath_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def attach_baseline(
-    result: dict[str, object], baseline: dict[str, object]
-) -> None:
-    """Embed ``baseline`` and per-scenario speedups into ``result``."""
-    result["baseline"] = {
-        "config": baseline.get("config", {}),
-        "scenarios": baseline.get("scenarios", {}),
-    }
-    speedups: dict[str, float] = {}
-    for name, data in result["scenarios"].items():
-        base = baseline.get("scenarios", {}).get(name)
-        if not base or not base.get("throughput"):
-            continue
-        speedups[name] = round(
-            data["throughput"] / base["throughput"], 3
-        )
-    result["speedup_vs_baseline"] = speedups
-
-
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Compare a fresh run against a committed baseline document.
-
-    Returns a list of failure messages (empty when the gate passes).
-    Throughput may regress up to ``REGRESSION_LIMIT``x (CI machines
-    vary); serial fingerprints must match exactly when the committed
-    document was produced with the same config.
-    """
-    failures: list[str] = []
-    committed_scenarios = committed.get("scenarios", {})
-    same_config = committed.get("config", {}) == current.get("config", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"ops/s, limit {REGRESSION_LIMIT}x)"
-            )
-        base_fp = base.get("fingerprint", {})
-        cur_fp = data.get("fingerprint", {})
-        if same_config and base_fp and cur_fp:
-            # layout_sha256 depends on numpy's introselect internals,
-            # so only the semantic keys gate across environments.
-            semantic = (
-                "crack_count",
-                "virtual_now",
-                "tape_records",
-                "state_sha256",
-                "result_rows",
-            )
-            for key in semantic:
-                if key in base_fp and base_fp.get(key) != cur_fp.get(key):
-                    failures.append(
-                        f"{name}.{key}: fingerprint diverged from "
-                        f"committed baseline (expected {base_fp[key]!r}, "
-                        f"got {cur_fp.get(key)!r})"
-                    )
-    return failures
-
-
-def run_hotpath_command(
-    rows: int | None,
-    queries: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    baseline_path: str | None,
-    check_path: str | None,
-    repeats: int = 3,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench hotpath``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    queries = (
-        queries
-        if queries is not None
-        else (QUICK_QUERIES if quick else DEFAULT_QUERIES)
-    )
-    result = run_hotpath(
-        rows=rows, queries=queries, seed=seed, mode=mode, repeats=repeats
-    )
-    if baseline_path:
-        baseline = json.loads(Path(baseline_path).read_text())
-        attach_baseline(result, baseline)
-    exit_code = 0
-    check_lines: list[str] = []
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "PERF-SMOKE FAILURES:", *failures]
-        else:
-            check_lines = ["", "perf-smoke gate passed"]
-    out_path = Path(out) if out else Path("BENCH_hotpath.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = hotpath_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code
+SUITE = Suite(
+    name="hotpath",
+    run=run_hotpath,
+    text=hotpath_text,
+    gate=lambda document: [],
+    # layout_sha256 depends on numpy's introselect internals, so only
+    # the semantic keys gate across environments.
+    semantic_keys=(
+        "crack_count",
+        "virtual_now",
+        "tape_records",
+        "state_sha256",
+        "result_rows",
+    ),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_QUERIES),
+    quick_sizes=(QUICK_ROWS, QUICK_QUERIES),
+)

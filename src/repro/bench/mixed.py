@@ -38,15 +38,17 @@ throughput regression or any fingerprint divergence.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass
-from pathlib import Path
 
-import numpy as np
-
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    oracle_scenario,
+    record_best,
+)
 from repro.bench.oracle import (
+    OracleRun,
+    TraceFingerprint,
     reference_results,
     replay_batched,
     replay_maintained,
@@ -65,8 +67,6 @@ from repro.storage.loader import (
 )
 from repro.workload.generators import UniformRangeGenerator
 from repro.workload.patterns import MixedPattern
-
-REGRESSION_LIMIT = 2.0
 
 DEFAULT_ROWS = 120_000
 DEFAULT_OPS = 1_200
@@ -123,33 +123,6 @@ def _pattern(mix: float, ops: int, seed: int, drift: float = 0.0) -> MixedPatter
     )
 
 
-@dataclass(slots=True)
-class ScenarioResult:
-    """One (mix, engine path) measurement."""
-
-    name: str
-    wall_s: float
-    ops: int
-    fingerprint: dict[str, object]
-    matches_reference: bool
-
-    @property
-    def throughput(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": "trace ops",
-            "throughput": round(self.throughput, 3),
-            "fingerprint": self.fingerprint,
-            "matches_reference": self.matches_reference,
-        }
-
-
 def _run_mode(
     mode: str,
     mix_name: str,
@@ -167,12 +140,11 @@ def _run_mode(
         _, fingerprint = reference_results(
             db, [ColumnRef("R", c) for c in _COLUMNS], trace
         )
-        run_fp, matches = fingerprint, True
+        run = OracleRun(fingerprint, reference)
     elif mode == "adaptive/sequential":
         run = replay_sequential(
             db, db.session("adaptive"), trace, expected, reference, name
         )
-        run_fp, matches = run.fingerprint, run.matches_reference
     elif mode == "adaptive/batched":
         run = replay_batched(
             db,
@@ -183,10 +155,8 @@ def _run_mode(
             window=_WINDOW,
             label=name,
         )
-        run_fp, matches = run.fingerprint, run.matches_reference
     elif mode == "maintained/ripple":
         run = replay_maintained(db, trace, expected, reference, name)
-        run_fp, matches = run.fingerprint, run.matches_reference
     elif mode in ("holistic/serving", "holistic_workers/serving"):
         workers = mode == "holistic_workers/serving"
         options: dict[str, object] = {"seed": seed}
@@ -212,11 +182,12 @@ def _run_mode(
             if workers:
                 kernel.drain_workers()
                 kernel.stop_workers()
-        run_fp, matches = run.fingerprint, run.matches_reference
     else:
         raise ValueError(f"unknown mixed mode {mode!r}")
     wall = time.perf_counter() - started
-    return ScenarioResult(name, wall, len(trace), run_fp, matches)
+    return oracle_scenario(
+        name, wall, len(trace), run.fingerprint, run.matches_reference
+    )
 
 
 _MODES = (
@@ -240,7 +211,7 @@ def _run_shootout(
     started = time.perf_counter()
     run = replay_sequential(db, session, trace, expected, reference, name)
     wall = time.perf_counter() - started
-    result = ScenarioResult(
+    result = oracle_scenario(
         name, wall, len(trace), run.fingerprint, run.matches_reference
     )
     return result, session.report.total_response_s, db.clock.now()
@@ -268,46 +239,27 @@ def _sideways_scenarios(
     head = table.column("A1").values
     tail = table.column("A2").values
 
-    scan_state = hashlib.sha256()
-    scan_rows = 0
+    scan = TraceFingerprint()
     started = time.perf_counter()
-    for i, (low, high) in enumerate(bounds):
-        projected = np.sort(tail[(head >= low) & (head < high)])
-        scan_state.update(np.int64(i).tobytes())
-        scan_state.update(projected.astype(np.float64).tobytes())
-        scan_rows += len(projected)
+    for low, high in bounds:
+        scan.note_query(tail[(head >= low) & (head < high)])
     scan_wall = time.perf_counter() - started
 
     index = SidewaysCrackerIndex(table, "A1", clock=SimClock())
-    side_state = hashlib.sha256()
-    side_rows = 0
+    side = TraceFingerprint()
     started = time.perf_counter()
-    for i, (low, high) in enumerate(bounds):
-        projected = np.sort(index.select_project(low, high, "A2").values())
-        side_state.update(np.int64(i).tobytes())
-        side_state.update(projected.astype(np.float64).tobytes())
-        side_rows += len(projected)
+    for low, high in bounds:
+        side.note_query(index.select_project(low, high, "A2").values())
     side_wall = time.perf_counter() - started
     index.check_invariants()
 
-    scan_fp = {
-        "queries": queries,
-        "updates": 0,
-        "result_rows": scan_rows,
-        "result_sha256": scan_state.hexdigest(),
-    }
-    side_fp = {
-        "queries": queries,
-        "updates": 0,
-        "result_rows": side_rows,
-        "result_sha256": side_state.hexdigest(),
-    }
+    scan_fp, side_fp = scan.as_dict(), side.as_dict()
     agree = scan_fp["result_sha256"] == side_fp["result_sha256"]
     return (
-        ScenarioResult(
+        oracle_scenario(
             "sideways/scan/select_project", scan_wall, queries, scan_fp, agree
         ),
-        ScenarioResult(
+        oracle_scenario(
             "sideways/cracked/select_project",
             side_wall,
             queries,
@@ -339,59 +291,31 @@ def run_mixed(
     mix_names = {mix: f"mix{int(round(mix * 100)):02d}" for mix in mixes}
     # Traces and expected results are deterministic per seed: compute
     # once, reuse across modes and repeats.
-    cases = {}
-    for mix in mixes:
-        pattern = _pattern(mix, ops, seed)
+    def case(pattern: MixedPattern) -> tuple:
         db0 = _fresh_db(rows, seed)
         trace = pattern.ops(db0.table("R"))
-        expected, reference = reference_results(
-            db0, pattern.refs(), trace
-        )
-        cases[mix] = (trace, expected, reference)
-    drift_pattern = _pattern(0.2, ops, seed, drift=1.0)
-    db0 = _fresh_db(rows, seed)
-    drift_trace = drift_pattern.ops(db0.table("R"))
-    drift_expected, drift_reference = reference_results(
-        db0, drift_pattern.refs(), drift_trace
-    )
+        return (trace, *reference_results(db0, pattern.refs(), trace))
+
+    cases = {mix: case(_pattern(mix, ops, seed)) for mix in mixes}
+    drift_case = case(_pattern(0.2, ops, seed, drift=1.0))
 
     scenarios: dict[str, ScenarioResult] = {}
     shootout_virtual: dict[str, dict[str, float]] = {}
 
-    def record(result: ScenarioResult) -> None:
-        best = scenarios.get(result.name)
-        if best is None:
-            scenarios[result.name] = result
-        else:
-            if best.fingerprint != result.fingerprint:
-                raise AssertionError(
-                    f"{result.name}: non-deterministic fingerprint "
-                    "across repeats"
-                )
-            if result.wall_s < best.wall_s:
-                scenarios[result.name] = result
-
     for _ in range(max(1, repeats)):
         for mix in mixes:
-            trace, expected, reference = cases[mix]
             for engine_mode in _MODES:
-                record(
+                record_best(
+                    scenarios,
                     _run_mode(
-                        engine_mode,
-                        mix_names[mix],
-                        rows,
-                        seed,
-                        trace,
-                        expected,
-                        reference,
-                    )
+                        engine_mode, mix_names[mix], rows, seed, *cases[mix]
+                    ),
                 )
         for strategy in ("online", "holistic"):
             result, response_s, now = _run_shootout(
-                strategy, rows, ops, seed, drift_trace, drift_expected,
-                drift_reference,
+                strategy, rows, ops, seed, *drift_case
             )
-            record(result)
+            record_best(scenarios, result)
             shootout_virtual[strategy] = {
                 "virtual_total_response_s": response_s,
                 "virtual_now": now,
@@ -399,11 +323,11 @@ def run_mixed(
         scan_result, side_result, sideways_ok = _sideways_scenarios(
             rows, max(ops // 2, 20), seed
         )
-        record(scan_result)
-        record(side_result)
+        record_best(scenarios, scan_result)
+        record_best(scenarios, side_result)
 
     matches = {
-        name: result.matches_reference
+        name: result.extra["matches_reference"]
         for name, result in sorted(scenarios.items())
     }
     online = shootout_virtual["online"]["virtual_total_response_s"]
@@ -479,103 +403,29 @@ def mixed_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-_SEMANTIC_KEYS = ("queries", "updates", "result_rows", "result_sha256")
-
-
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Gate a fresh run against a committed baseline document."""
-    failures: list[str] = []
-    for name, ok in current.get("oracle_matches_reference", {}).items():
-        if not ok:
-            failures.append(
-                f"{name}: result fingerprint diverged from the serial "
-                "reference engine within this run"
-            )
-    if not current.get("sideways_equals_scan", True):
+def _gate(document: dict[str, object]) -> list[str]:
+    """In-run correctness: every engine path must reproduce the serial
+    reference, and sideways must agree with the positional join."""
+    failures = [
+        f"{name}: result fingerprint diverged from the serial "
+        "reference engine within this run"
+        for name, ok in document.get("oracle_matches_reference", {}).items()
+        if not ok
+    ]
+    if not document.get("sideways_equals_scan", True):
         failures.append(
             "sideways/cracked/select_project: fingerprint diverged from "
             "the scan positional join"
         )
-    committed_scenarios = committed.get("scenarios", {})
-    same_config = committed.get("config", {}) == current.get("config", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"ops/s, limit {REGRESSION_LIMIT}x)"
-            )
-        if not same_config:
-            continue
-        base_fp = base.get("fingerprint", {})
-        fingerprint = data.get("fingerprint", {})
-        for fp_key in _SEMANTIC_KEYS:
-            if fp_key in base_fp and base_fp.get(fp_key) != fingerprint.get(
-                fp_key
-            ):
-                failures.append(
-                    f"{name}.{fp_key}: fingerprint diverged from "
-                    f"committed baseline (expected {base_fp[fp_key]!r}, "
-                    f"got {fingerprint.get(fp_key)!r})"
-                )
     return failures
 
 
-def run_mixed_command(
-    rows: int | None,
-    ops: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    check_path: str | None,
-    repeats: int = 3,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench mixed``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    ops = ops if ops is not None else (QUICK_OPS if quick else DEFAULT_OPS)
-    result = run_mixed(
-        rows=rows, ops=ops, seed=seed, mode=mode, repeats=repeats
-    )
-    exit_code = 0
-    check_lines: list[str] = []
-    diverged = [
-        name
-        for name, ok in result.get("oracle_matches_reference", {}).items()
-        if not ok
-    ]
-    if not result.get("sideways_equals_scan", True):
-        diverged.append("sideways/cracked/select_project")
-    if diverged and not check_path:
-        # Oracle equality is a correctness claim, not a perf one: fail
-        # even without a committed baseline to compare against.
-        exit_code = 1
-        check_lines = [
-            "",
-            "MIXED ORACLE FAILURES:",
-            *[f"{name}: engine != reference" for name in diverged],
-        ]
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "MIXED PERF-SMOKE FAILURES:", *failures]
-        else:
-            check_lines = ["", "mixed perf-smoke gate passed"]
-    out_path = Path(out) if out else Path("BENCH_mixed.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = mixed_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code
+SUITE = Suite(
+    name="mixed",
+    run=run_mixed,
+    text=mixed_text,
+    gate=_gate,
+    semantic_keys=("queries", "updates", "result_rows", "result_sha256"),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_OPS),
+    quick_sizes=(QUICK_ROWS, QUICK_OPS),
+)

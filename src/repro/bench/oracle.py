@@ -11,28 +11,38 @@ execution paths, asserting per query that the result multisets are
 bit-identical and, at the end of every run, that the touched indexes'
 piece-map invariants still hold.
 
-Four engine drivers cover every path a query can take today:
+One loop, :func:`drive_trace`, walks a trace for every caller: it
+buffers consecutive queries into windows, flushes the open window
+before every update (so each query sees exactly the updates staged
+before it in trace order), stages updates through
+:func:`stage_update`, hands each window to an *executor* and each
+result to an *observer*.  Four executors cover every path a query can
+take today:
 
 * :func:`replay_sequential` -- ``Session.run_query`` (per-query
   ``apply_pending`` consultation);
 * :func:`replay_batched` -- ``Session.run_batch`` windows (the shared
   physical pass + ``CrackSelectBatch`` replay of ``cracking/batch``);
 * :func:`replay_serving` -- ``ServingFrontend.serve_window`` with the
-  trace's queries split across client lanes (``DetachedCrackReplay``);
+  window's queries dealt across client lanes (``DetachedCrackReplay``);
   tuning workers may race the loop, started by the caller;
 * :func:`replay_maintained` -- ``MaintainedCrackerIndex``, the ripple
   merge path that physically consumes the delta stores
   (``take_*_in_range`` + ``merge_inserts``/``merge_deletes``).
 
-Every driver produces a :class:`TraceFingerprint`; a run is correct
-iff its digest equals the reference digest, which turns the bench's
-speedup table into a machine-checkable correctness proof.
+Each of them observes with a differ against the reference and
+produces a :class:`TraceFingerprint`; a run is correct iff its digest
+equals the reference digest, which turns the bench's speedup table
+into a machine-checkable correctness proof.  ``bench snapshot`` and
+``bench chaos`` drive the same loop with a resumable chained digest
+as the observer (:func:`repro.bench.snapshot.replay_digest`).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -162,7 +172,7 @@ class OracleRun:
 
 
 class _Differ:
-    """Shared per-query comparison and bookkeeping for the drivers."""
+    """The oracle's observer: per-query comparison and bookkeeping."""
 
     __slots__ = ("expected", "reference", "fingerprint", "label", "cursor")
 
@@ -178,7 +188,12 @@ class _Differ:
         self.label = label
         self.cursor = 0
 
-    def observe(self, op: TraceOp, values: np.ndarray) -> None:
+    def observe(
+        self, slot: int, op: TraceOp, values: np.ndarray | None
+    ) -> None:
+        if values is None:
+            self.fingerprint.note_update()
+            return
         got = self.fingerprint.note_query(values)
         want = self.expected[self.cursor]
         self.cursor += 1
@@ -194,19 +209,21 @@ class _Differ:
                 f"want {want[:5].tolist()})"
             )
 
-    def finish(self, indexes) -> OracleRun:
+    def finish(self, indexes: Iterable) -> OracleRun:
         if self.cursor != len(self.expected):
             raise OracleError(
                 f"{self.label}: answered {self.cursor} of "
                 f"{len(self.expected)} reference queries"
             )
+        # Tuning workers may still be cracking (callers drain them
+        # afterwards); check_invariants takes each index's lock.
         for index in indexes:
             index.check_invariants()
         return OracleRun(self.fingerprint.as_dict(), self.reference)
 
 
-def _stage(db: Database, op: TraceOp, fingerprint: TraceFingerprint) -> None:
-    """Stage one update op into the real engine's delta store."""
+def stage_update(db: Database, op: TraceOp) -> None:
+    """Stage one insert/delete op into its column's delta store."""
     pending = db.catalog.table(op.ref.table).updates_for(op.ref.column)
     if op.kind == "insert":
         pending.stage_inserts(np.asarray(op.values))
@@ -215,7 +232,119 @@ def _stage(db: Database, op: TraceOp, fingerprint: TraceFingerprint) -> None:
             np.asarray(op.positions, dtype=np.int64),
             np.asarray(op.values),
         )
-    fingerprint.note_update()
+
+
+def drive_trace(
+    db: Database,
+    trace: Sequence[TraceOp],
+    execute: Callable[[list[TraceOp]], Sequence],
+    observe: Callable[[int, TraceOp, np.ndarray | None], None],
+    window: int = 1,
+    start: int = 0,
+    stop: int | None = None,
+    after_window: Callable[[], None] | None = None,
+) -> None:
+    """Walk ``trace[start:stop]`` through one execution path.
+
+    Consecutive queries coalesce into windows of up to ``window``
+    entries (1 = one at a time); ``execute`` answers a window with one
+    result per query, in order.  An update flushes the open window
+    first and is staged between windows -- the serving loop requires
+    delta stores unmutated for the duration of a window -- which still
+    interleaves it at its exact trace position.  ``observe(slot, op,
+    values)`` sees every op once it has taken effect, ``values`` being
+    the query's result values or ``None`` for an update;
+    ``after_window`` runs after each executed window.
+    """
+    buffered: list[int] = []
+
+    def flush() -> None:
+        if not buffered:
+            return
+        results = execute([trace[slot] for slot in buffered])
+        for slot, result in zip(buffered, results):
+            observe(slot, trace[slot], result.values())
+        buffered.clear()
+        if after_window is not None:
+            after_window()
+
+    for slot in range(start, len(trace) if stop is None else stop):
+        op = trace[slot]
+        if op.is_query:
+            buffered.append(slot)
+            if len(buffered) >= window:
+                flush()
+        else:
+            flush()
+            stage_update(db, op)
+            observe(slot, op, None)
+    flush()
+
+
+# -- executors ----------------------------------------------------------------
+
+
+def _range_query(op: TraceOp) -> RangeQuery:
+    return RangeQuery(op.ref, op.low, op.high)
+
+
+def sequential_executor(session) -> Callable[[list[TraceOp]], list]:
+    """``Session.run_query``, one query at a time."""
+    return lambda ops: [session.run_query(_range_query(op)) for op in ops]
+
+
+def _malformed_query(ref: ColumnRef) -> RangeQuery:
+    """An inverted-range query smuggled past ``RangeQuery`` validation
+    -- what a buggy or hostile client driver would hand the wire."""
+    query = RangeQuery.__new__(RangeQuery)
+    object.__setattr__(query, "ref", ref)
+    object.__setattr__(query, "low", 9.0)
+    object.__setattr__(query, "high", 1.0)
+    return query
+
+
+def _serving_executor(
+    frontend, clients: int, malform_every: int, label: str
+) -> Callable[[list[TraceOp]], list]:
+    """``ServingFrontend.serve_window`` with the window's queries dealt
+    round-robin over ``clients`` oracle lanes (each lane's own order
+    preserved, as the window former guarantees)."""
+    for i in range(clients):
+        if f"oracle-{i}" not in frontend.lanes:
+            frontend.add_client(f"oracle-{i}")
+    if malform_every:
+        frontend.add_client("chaos")
+    sequences = [0] * clients
+    windows = 0
+
+    def execute(ops: list[TraceOp]) -> list:
+        nonlocal windows
+        entries = []
+        for i, op in enumerate(ops):
+            lane = i % clients
+            entries.append(
+                WindowEntry(f"oracle-{lane}", sequences[lane], _range_query(op))
+            )
+            sequences[lane] += 1
+        if malform_every and windows % malform_every == 0:
+            entries.append(
+                WindowEntry(
+                    "chaos",
+                    windows // malform_every,
+                    _malformed_query(ops[0].ref),
+                )
+            )
+        windows += 1
+        results = frontend.serve_window(entries)
+        for rejected in results[len(ops):]:
+            if rejected.count:
+                raise OracleError(
+                    f"{label}: malformed entry returned {rejected.count} "
+                    "rows; expected an empty rejection"
+                )
+        return results[: len(ops)]
+
+    return execute
 
 
 def _strategy_indexes(strategy) -> list:
@@ -232,14 +361,7 @@ def replay_sequential(
 ) -> OracleRun:
     """Drive the trace through ``Session.run_query``, one op at a time."""
     differ = _Differ(expected, reference, label)
-    for op in trace:
-        if op.is_query:
-            result = session.run_query(
-                RangeQuery(op.ref, op.low, op.high)
-            )
-            differ.observe(op, result.values())
-        else:
-            _stage(db, op, differ.fingerprint)
+    drive_trace(db, trace, sequential_executor(session), differ.observe)
     return differ.finish(_strategy_indexes(session.strategy))
 
 
@@ -252,32 +374,13 @@ def replay_batched(
     window: int = 24,
     label: str = "batched",
 ) -> OracleRun:
-    """Drive the trace through ``Session.run_batch`` windows.
+    """Drive the trace through ``Session.run_batch`` windows."""
 
-    Consecutive queries coalesce into windows of up to ``window``
-    entries; an update op flushes the open window first, so every
-    query sees exactly the updates staged before it in trace order.
-    """
+    def execute(ops: list[TraceOp]) -> list:
+        return session.run_batch([_range_query(op) for op in ops])
+
     differ = _Differ(expected, reference, label)
-    buffer: list[TraceOp] = []
-
-    def flush() -> None:
-        if not buffer:
-            return
-        queries = [RangeQuery(op.ref, op.low, op.high) for op in buffer]
-        for op, result in zip(buffer, session.run_batch(queries)):
-            differ.observe(op, result.values())
-        buffer.clear()
-
-    for op in trace:
-        if op.is_query:
-            buffer.append(op)
-            if len(buffer) >= window:
-                flush()
-        else:
-            flush()
-            _stage(db, op, differ.fingerprint)
-    flush()
+    drive_trace(db, trace, execute, differ.observe, window=window)
     return differ.finish(_strategy_indexes(session.strategy))
 
 
@@ -290,51 +393,27 @@ def replay_serving(
     clients: int = 2,
     window: int = 24,
     label: str = "serving",
+    malform_every: int = 0,
+    pump: Callable[[], None] | None = None,
 ) -> OracleRun:
     """Drive the trace through ``ServingFrontend.serve_window``.
 
-    Runs of consecutive queries become cross-session windows with the
-    entries dealt round-robin over ``clients`` lanes (each lane's own
-    order preserved, as the window former guarantees).  Updates are
-    staged *between* windows -- the serving loop requires delta stores
-    unmutated for the duration of a window -- which still interleaves
-    them at exact trace positions because an update op flushes first.
+    Runs of consecutive queries become cross-session windows over
+    ``clients`` lanes.  Two hooks serve ``bench chaos``:
+    ``malform_every`` appends a malformed entry from a separate
+    ``chaos`` client to every Nth window (its result must come back
+    empty); ``pump`` is called once per served window (used to keep
+    tuning workers fed).
     """
-    for i in range(clients):
-        name = f"oracle-{i}"
-        if name not in frontend.lanes:
-            frontend.add_client(name)
     differ = _Differ(expected, reference, label)
-    sequences = [0] * clients
-    buffer: list[TraceOp] = []
-
-    def flush() -> None:
-        if not buffer:
-            return
-        entries = []
-        for i, op in enumerate(buffer):
-            lane = i % clients
-            entries.append(
-                WindowEntry(
-                    f"oracle-{lane}",
-                    sequences[lane],
-                    RangeQuery(op.ref, op.low, op.high),
-                )
-            )
-            sequences[lane] += 1
-        for op, result in zip(buffer, frontend.serve_window(entries)):
-            differ.observe(op, result.values())
-        buffer.clear()
-
-    for op in trace:
-        if op.is_query:
-            buffer.append(op)
-            if len(buffer) >= window:
-                flush()
-        else:
-            flush()
-            _stage(db, op, differ.fingerprint)
-    flush()
+    drive_trace(
+        db,
+        trace,
+        _serving_executor(frontend, clients, malform_every, label),
+        differ.observe,
+        window=window,
+        after_window=pump,
+    )
     return differ.finish(_strategy_indexes(frontend.strategy))
 
 
@@ -353,7 +432,6 @@ def replay_maintained(
     pending entries flow through ``merge_inserts``/``merge_deletes``
     instead of being consulted read-only.
     """
-    differ = _Differ(expected, reference, label)
     indexes: dict[ColumnRef, MaintainedCrackerIndex] = {}
 
     def index_for(ref: ColumnRef) -> MaintainedCrackerIndex:
@@ -368,10 +446,9 @@ def replay_maintained(
             indexes[ref] = index
         return index
 
-    for op in trace:
-        if op.is_query:
-            view = index_for(op.ref).select_range(op.low, op.high)
-            differ.observe(op, view.values())
-        else:
-            _stage(db, op, differ.fingerprint)
+    def execute(ops: list[TraceOp]) -> list:
+        return [index_for(op.ref).select_range(op.low, op.high) for op in ops]
+
+    differ = _Differ(expected, reference, label)
+    drive_trace(db, trace, execute, differ.observe)
     return differ.finish(indexes.values())

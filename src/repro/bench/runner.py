@@ -14,18 +14,23 @@ Usage::
     python -m repro.bench ablation-cache
     python -m repro.bench ablation-batch
     python -m repro.bench hotpath --quick
+    python -m repro.bench e2e --quick
+    python -m repro.bench serve --quick
     python -m repro.bench mixed --quick
     python -m repro.bench snapshot --quick
     python -m repro.bench chaos --quick
     python -m repro.bench all
 
-Every command prints the rows/series of the corresponding paper
-artefact, with costs projected to the paper's 10^8-row testbed.
+The paper-artefact commands print the rows/series of the corresponding
+table or figure, with costs projected to the paper's 10^8-row testbed;
+``all`` prints every one of them.  The six wall-clock suites go
+through :func:`repro.bench.harness.run_command`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 
 from repro.config import available_scales, scale_by_name
 from repro.bench.ablations import (
@@ -44,7 +49,33 @@ from repro.bench.exp_parallel import (
     run_parallel_sweep,
 )
 from repro.bench.features import table1_text
+from repro.bench.harness import run_command
 from repro.bench.timeline import figure1_text
+
+#: Ablation commands in ``all`` order: title and sweep function.
+_ABLATIONS = {
+    "ablation-policies": (
+        "Ablation A1: resource-spreading policies",
+        ablation_policies,
+    ),
+    "ablation-stochastic": (
+        "Ablation A2: plain vs stochastic cracking on a sequential sweep",
+        ablation_stochastic,
+    ),
+    "ablation-batch": (
+        "Ablation A4: sequential vs batched idle tuning",
+        ablation_batch_tuning,
+    ),
+    "ablation-cache": (
+        "Ablation A3: cache-fit stopping criterion",
+        ablation_cache_target,
+    ),
+}
+
+#: The wall-clock suites: each is ``repro.bench.<name>`` and exposes a
+#: ``SUITE``; imported on demand (chaos and snapshot pull in the whole
+#: persist and fault planes).
+_SUITES = ("hotpath", "e2e", "serve", "mixed", "snapshot", "chaos")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,12 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "ablation-stochastic",
             "ablation-cache",
             "ablation-batch",
-            "hotpath",
-            "e2e",
-            "serve",
-            "mixed",
-            "snapshot",
-            "chaos",
+            *_SUITES,
             "all",
         ],
         help="which artefact to regenerate",
@@ -102,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker counts for the parallel sweep (default: 0 1 2 4)",
     )
-    parser.add_argument(
-        "--csv-dir",
-        default=None,
-        help="also write exp1/exp2 series as CSV into this directory",
-    )
     wallclock = parser.add_argument_group("hotpath / e2e options")
     wallclock.add_argument(
         "--quick",
@@ -131,10 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     wallclock.add_argument(
         "--out",
         default=None,
-        help=(
-            "JSON output path (default: BENCH_hotpath.json / "
-            "BENCH_e2e.json)"
-        ),
+        help="JSON output path (default: BENCH_<command>.json)",
     )
     wallclock.add_argument(
         "--baseline-json",
@@ -162,103 +180,20 @@ def main(argv: list[str] | None = None) -> int:
     scale = scale_by_name(args.scale)
     outputs: list[str] = []
 
-    if args.command == "hotpath":
-        from repro.bench.hotpath import run_hotpath_command
-
-        text, exit_code = run_hotpath_command(
+    if args.command in _SUITES:
+        if args.baseline_json and args.command != "hotpath":
+            parser.error("--baseline-json only applies to hotpath")
+        suite = importlib.import_module(f"repro.bench.{args.command}").SUITE
+        text, exit_code = run_command(
+            suite,
             rows=args.rows,
-            queries=args.queries,
+            ops=args.queries,
             seed=args.seed,
             quick=args.quick,
             out=args.out,
+            check_path=args.check,
+            repeats=args.repeats,
             baseline_path=args.baseline_json,
-            check_path=args.check,
-            repeats=args.repeats,
-        )
-        print(text)
-        return exit_code
-
-    if args.command == "serve":
-        from repro.bench.serve import run_serve_command
-
-        if args.baseline_json:
-            parser.error("--baseline-json only applies to hotpath")
-        text, exit_code = run_serve_command(
-            rows=args.rows,
-            queries=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-            out=args.out,
-            check_path=args.check,
-            repeats=args.repeats,
-        )
-        print(text)
-        return exit_code
-
-    if args.command == "mixed":
-        from repro.bench.mixed import run_mixed_command
-
-        if args.baseline_json:
-            parser.error("--baseline-json only applies to hotpath")
-        text, exit_code = run_mixed_command(
-            rows=args.rows,
-            ops=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-            out=args.out,
-            check_path=args.check,
-            repeats=args.repeats,
-        )
-        print(text)
-        return exit_code
-
-    if args.command == "snapshot":
-        from repro.bench.snapshot import run_snapshot_command
-
-        if args.baseline_json:
-            parser.error("--baseline-json only applies to hotpath")
-        text, exit_code = run_snapshot_command(
-            rows=args.rows,
-            ops=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-            out=args.out,
-            check_path=args.check,
-            repeats=args.repeats,
-        )
-        print(text)
-        return exit_code
-
-    if args.command == "chaos":
-        from repro.bench.chaos import run_chaos_command
-
-        if args.baseline_json:
-            parser.error("--baseline-json only applies to hotpath")
-        text, exit_code = run_chaos_command(
-            rows=args.rows,
-            ops=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-            out=args.out,
-            check_path=args.check,
-            repeats=args.repeats,
-        )
-        print(text)
-        return exit_code
-
-    if args.command == "e2e":
-        from repro.bench.e2e import run_e2e_command
-
-        if args.baseline_json:
-            parser.error("--baseline-json only applies to hotpath")
-        text, exit_code = run_e2e_command(
-            rows=args.rows,
-            queries=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-            out=args.out,
-            check_path=args.check,
-            repeats=args.repeats,
         )
         print(text)
         return exit_code
@@ -272,21 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             outputs.append(figure3_text(result))
         if want("table2"):
             outputs.append(table2_text(result))
-        if args.csv_dir:
-            from repro.bench.export import export_exp1_csv
-
-            written = export_exp1_csv(result, args.csv_dir)
-            outputs.append(
-                "wrote " + ", ".join(str(p) for p in written)
-            )
     if want("exp2"):
         exp2_result = run_exp2(scale, seed=args.seed)
         outputs.append(figure4_text(exp2_result))
-        if args.csv_dir:
-            from repro.bench.export import export_exp2_csv
-
-            path = export_exp2_csv(exp2_result, args.csv_dir)
-            outputs.append(f"wrote {path}")
     if want("parallel"):
         counts = (
             tuple(args.workers)
@@ -306,38 +229,14 @@ def main(argv: list[str] | None = None) -> int:
         outputs.append(figure1_text(seed=args.seed))
     if want("figure2"):
         outputs.append(figure2_text())
-    if want("ablation-policies"):
-        outputs.append(
-            ablation_text(
-                "Ablation A1: resource-spreading policies "
-                f"({scale.name} scale)",
-                ablation_policies(scale, seed=args.seed),
+    for command, (title, ablation) in _ABLATIONS.items():
+        if want(command):
+            outputs.append(
+                ablation_text(
+                    f"{title} ({scale.name} scale)",
+                    ablation(scale, seed=args.seed),
+                )
             )
-        )
-    if want("ablation-stochastic"):
-        outputs.append(
-            ablation_text(
-                "Ablation A2: plain vs stochastic cracking on a "
-                f"sequential sweep ({scale.name} scale)",
-                ablation_stochastic(scale, seed=args.seed),
-            )
-        )
-    if want("ablation-batch"):
-        outputs.append(
-            ablation_text(
-                "Ablation A4: sequential vs batched idle tuning "
-                f"({scale.name} scale)",
-                ablation_batch_tuning(scale, seed=args.seed),
-            )
-        )
-    if want("ablation-cache"):
-        outputs.append(
-            ablation_text(
-                "Ablation A3: cache-fit stopping criterion "
-                f"({scale.name} scale)",
-                ablation_cache_target(scale, seed=args.seed),
-            )
-        )
     print("\n\n".join(outputs))
     return 0
 

@@ -30,23 +30,21 @@ throughput regression or any fingerprint divergence.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from repro.bench.e2e import fresh_trickle_db, strategy_options
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    piece_map_sha256,
+    record_best,
+)
 from repro.engine.session import make_strategy
 from repro.serving import ServingFrontend
-from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
-from repro.storage.database import Database
-from repro.storage.loader import build_paper_table
 from repro.workload.multiclient import ClientWorkload, make_closed_loop_clients
-
-REGRESSION_LIMIT = 2.0
 
 DEFAULT_ROWS = 200_000
 DEFAULT_QUERIES_PER_CLIENT = 2_000
@@ -67,39 +65,8 @@ _VALUE_HIGH = 100_000_000
 _SELECTIVITY = 0.001
 _GRID_POINTS = 320
 _GRID_FRACTION = 0.95
-_PENDING_INSERTS = 50
-_PENDING_DELETES = 25
 
 _STRATEGIES = ("adaptive", "holistic", "holistic_workers")
-
-
-def _strategy_options(key: str, seed: int) -> tuple[str, dict[str, object]]:
-    if key == "adaptive":
-        return "adaptive", {}
-    if key == "holistic":
-        return "holistic", {"seed": seed}
-    if key == "holistic_workers":
-        return "holistic", {"seed": seed, "num_workers": 2}
-    raise ValueError(f"unknown serve strategy {key!r}")
-
-
-def _fresh_db(rows: int, seed: int) -> Database:
-    db = Database(clock=SimClock())
-    db.add_table(
-        build_paper_table(rows=rows, columns=_COLUMNS, seed=seed)
-    )
-    rng = np.random.default_rng(seed + 2)
-    table = db.table("R")
-    for c in range(1, _COLUMNS + 1):
-        column = f"A{c}"
-        pending = table.updates_for(column)
-        pending.stage_inserts(
-            rng.integers(_VALUE_LOW, _VALUE_HIGH + 1, size=_PENDING_INSERTS)
-        )
-        values = db.column("R", column).values
-        positions = rng.integers(0, rows, size=_PENDING_DELETES)
-        pending.stage_deletes(positions, values[positions])
-    return db
 
 
 def _workloads(clients: int, queries: int, seed: int) -> list[ClientWorkload]:
@@ -124,12 +91,14 @@ def _fingerprint(
     result_rows: int,
     piece_maps: dict[tuple[str, str], tuple[list, list]],
 ) -> dict[str, object]:
-    state = hashlib.sha256()
-    for (table, column) in sorted(piece_maps):
-        pivots, cuts = piece_maps[(table, column)]
-        state.update(f"{table}.{column}".encode())
-        state.update(np.asarray(pivots, dtype=np.float64).tobytes())
-        state.update(np.asarray(cuts, dtype=np.int64).tobytes())
+    # Keys are unique, so sorting the items never compares the maps.
+    state = piece_map_sha256(
+        (
+            (f"{table}.{column}", cuts, pivots)
+            for (table, column), (pivots, cuts) in sorted(piece_maps.items())
+        ),
+        pivots_first=True,
+    )
     return {
         "queries": queries,
         "result_rows": result_rows,
@@ -169,49 +138,16 @@ def _lane_fingerprint(lane) -> dict[str, object]:
     )
 
 
-@dataclass(slots=True)
-class ScenarioResult:
-    """One (strategy, mode, client count) measurement."""
-
-    name: str
-    wall_s: float
-    ops: int
-    fingerprints: dict[str, dict[str, object]] = field(default_factory=dict)
-    latency_p50_ms: float | None = None
-    latency_p99_ms: float | None = None
-    windows: int | None = None
-
-    @property
-    def throughput(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": "queries",
-            "throughput": round(self.throughput, 3),
-            "fingerprints": self.fingerprints,
-        }
-        if self.latency_p50_ms is not None:
-            data["latency_p50_ms"] = self.latency_p50_ms
-            data["latency_p99_ms"] = self.latency_p99_ms
-            data["windows"] = self.windows
-        return data
-
-
 def _run_solo(
     key: str, clients: int, rows: int, queries: int, seed: int
 ) -> ScenarioResult:
     """N sequential solo sessions, each on its own fresh kernel."""
-    strategy, options = _strategy_options(key, seed)
+    strategy, options = strategy_options(key, seed)
     workloads = _workloads(clients, queries, seed)
     fingerprints: dict[str, dict[str, object]] = {}
     wall = 0.0
     for workload in workloads:
-        db = _fresh_db(rows, seed)
+        db = fresh_trickle_db(rows, seed)
         session = db.session(strategy, **options)
         run_query = session.run_query
         started = time.perf_counter()
@@ -223,7 +159,8 @@ def _run_solo(
         f"{key}/solo/clients{clients}",
         wall,
         clients * queries,
-        fingerprints,
+        "queries",
+        extra={"fingerprints": fingerprints},
     )
 
 
@@ -231,9 +168,9 @@ def _run_serve(
     key: str, clients: int, rows: int, queries: int, seed: int
 ) -> ScenarioResult:
     """One shared kernel serving all N clients concurrently."""
-    strategy, options = _strategy_options(key, seed)
+    strategy, options = strategy_options(key, seed)
     workloads = _workloads(clients, queries, seed)
-    db = _fresh_db(rows, seed)
+    db = fresh_trickle_db(rows, seed)
     kernel = make_strategy(strategy, db, **options)
     frontend = ServingFrontend(db, kernel, depth=WINDOW_DEPTH)
     lanes = {
@@ -253,16 +190,24 @@ def _run_serve(
         kernel.stop_workers()
     wall = time.perf_counter() - started
     latencies = np.asarray(report.query_latencies_s())
-    result = ScenarioResult(
+    return ScenarioResult(
         f"{key}/serve/clients{clients}",
         wall,
         clients * queries,
-        {name: _lane_fingerprint(lane) for name, lane in lanes.items()},
-        latency_p50_ms=round(float(np.percentile(latencies, 50)) * 1e3, 4),
-        latency_p99_ms=round(float(np.percentile(latencies, 99)) * 1e3, 4),
-        windows=report.windows,
+        "queries",
+        extra={
+            "fingerprints": {
+                name: _lane_fingerprint(lane) for name, lane in lanes.items()
+            },
+            "latency_p50_ms": round(
+                float(np.percentile(latencies, 50)) * 1e3, 4
+            ),
+            "latency_p99_ms": round(
+                float(np.percentile(latencies, 99)) * 1e3, 4
+            ),
+            "windows": report.windows,
+        },
     )
-    return result
 
 
 def run_serve(
@@ -302,20 +247,12 @@ def run_serve(
                     runs.append((_run_solo, solo_key))
                 runs.append((_run_serve, key))
                 for runner, run_key in runs:
-                    result = runner(
-                        run_key, clients, rows, queries_per_client, seed
+                    record_best(
+                        scenarios,
+                        runner(
+                            run_key, clients, rows, queries_per_client, seed
+                        ),
                     )
-                    best = scenarios.get(result.name)
-                    if best is None:
-                        scenarios[result.name] = result
-                    else:
-                        if best.fingerprints != result.fingerprints:
-                            raise AssertionError(
-                                f"{result.name}: non-deterministic "
-                                "fingerprint across repeats"
-                            )
-                        if result.wall_s < best.wall_s:
-                            scenarios[result.name] = result
     speedups: dict[str, dict[str, float]] = {}
     equivalence: dict[str, bool] = {}
     for key in strategies:
@@ -328,7 +265,7 @@ def run_serve(
                 serve.throughput / solo.throughput, 3
             )
             equivalence[serve.name] = (
-                serve.fingerprints == solo.fingerprints
+                serve.extra["fingerprints"] == solo.extra["fingerprints"]
             )
         speedups[key] = per_count
     return {
@@ -389,115 +326,29 @@ def serve_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-_SEMANTIC_KEYS = (
-    "queries",
-    "result_rows",
-    "total_response_s",
-    "lane_now",
-    "state_sha256",
-)
-
-
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Gate a fresh run against a committed baseline document."""
-    failures: list[str] = []
-    for name, ok in current.get("serve_equals_solo", {}).items():
-        if not ok:
-            failures.append(
-                f"{name}: per-client fingerprints diverged from the "
-                "solo baselines within this run"
-            )
-    committed_scenarios = committed.get("scenarios", {})
-    same_config = committed.get("config", {}) == current.get("config", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"queries/s, limit {REGRESSION_LIMIT}x)"
-            )
-        if not same_config:
-            continue
-        for client, fingerprint in data.get("fingerprints", {}).items():
-            base_fp = base.get("fingerprints", {}).get(client)
-            if not base_fp:
-                continue
-            for fp_key in _SEMANTIC_KEYS:
-                if fp_key in base_fp and base_fp.get(
-                    fp_key
-                ) != fingerprint.get(fp_key):
-                    failures.append(
-                        f"{name}.{client}.{fp_key}: fingerprint diverged "
-                        f"from committed baseline (expected "
-                        f"{base_fp[fp_key]!r}, got "
-                        f"{fingerprint.get(fp_key)!r})"
-                    )
-    return failures
-
-
-def run_serve_command(
-    rows: int | None,
-    queries: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    check_path: str | None,
-    repeats: int = 3,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench serve``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    queries = (
-        queries
-        if queries is not None
-        else (
-            QUICK_QUERIES_PER_CLIENT if quick else DEFAULT_QUERIES_PER_CLIENT
-        )
-    )
-    result = run_serve(
-        rows=rows,
-        queries_per_client=queries,
-        seed=seed,
-        mode=mode,
-        repeats=repeats,
-    )
-    exit_code = 0
-    check_lines: list[str] = []
-    diverged = [
-        name
-        for name, ok in result.get("serve_equals_solo", {}).items()
+def _gate(document: dict[str, object]) -> list[str]:
+    """In-run correctness: every served client must fingerprint like
+    its solo run."""
+    return [
+        f"{name}: per-client fingerprints diverged from the solo "
+        "baselines within this run"
+        for name, ok in document.get("serve_equals_solo", {}).items()
         if not ok
     ]
-    if diverged and not check_path:
-        # Fingerprint equality is a correctness claim, not a perf one:
-        # fail even without a committed baseline to compare against.
-        exit_code = 1
-        check_lines = [
-            "",
-            "SERVE FINGERPRINT FAILURES:",
-            *[f"{name}: serve != solo" for name in diverged],
-        ]
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "SERVE PERF-SMOKE FAILURES:", *failures]
-        else:
-            check_lines = ["", "serve perf-smoke gate passed"]
-    out_path = Path(out) if out else Path("BENCH_serve.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = serve_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code
+
+
+SUITE = Suite(
+    name="serve",
+    run=run_serve,
+    text=serve_text,
+    gate=_gate,
+    semantic_keys=(
+        "queries",
+        "result_rows",
+        "total_response_s",
+        "lane_now",
+        "state_sha256",
+    ),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_QUERIES_PER_CLIENT),
+    quick_sizes=(QUICK_ROWS, QUICK_QUERIES_PER_CLIENT),
+)

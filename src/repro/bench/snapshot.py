@@ -41,12 +41,17 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.engine.query import RangeQuery
+from repro.bench.harness import (
+    ScenarioResult,
+    Suite,
+    oracle_scenario,
+    record_best,
+)
+from repro.bench.oracle import drive_trace, sequential_executor
 from repro.persist import (
     IncrementalCheckpointer,
     SnapshotManager,
@@ -56,9 +61,8 @@ from repro.persist import (
 from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
+from repro.workload.generators import TraceOp
 from repro.workload.patterns import MixedPattern
-
-REGRESSION_LIMIT = 2.0
 
 DEFAULT_ROWS = 120_000
 DEFAULT_OPS = 600
@@ -68,7 +72,8 @@ QUICK_OPS = 240
 _COLUMNS = ("A1", "A2")
 _VALUE_LOW = 1.0
 _VALUE_HIGH = 100_000_000.0
-_WRITE_RATIO = 0.2
+#: ``bench chaos`` replays the same trace shape over three columns.
+WRITE_RATIO = 0.2
 _IDLE_EVERY = 25
 _IDLE_ACTIONS = 8
 _CHECKPOINT_INTERVAL = 64
@@ -81,23 +86,30 @@ _CHILD_CHECKPOINT_EVERY = 20
 _KILL_AFTER_GENERATIONS = 3
 
 
-def _fresh_db(rows: int, seed: int) -> Database:
+def fresh_db(
+    rows: int, seed: int, columns: tuple[str, ...] = _COLUMNS
+) -> Database:
     db = Database(clock=SimClock())
-    db.add_table(build_paper_table(rows=rows, columns=2, seed=seed))
+    db.add_table(
+        build_paper_table(rows=rows, columns=len(columns), seed=seed)
+    )
     return db
 
 
-def _trace(rows: int, ops: int, seed: int):
+def mixed_trace(
+    rows: int, ops: int, seed: int, columns: tuple[str, ...] = _COLUMNS
+) -> list[TraceOp]:
+    """The 80/20 read/write trace the durability scenarios replay."""
     pattern = MixedPattern(
-        columns=list(_COLUMNS),
+        columns=list(columns),
         domain_low=_VALUE_LOW,
         domain_high=_VALUE_HIGH,
         op_count=ops,
-        write_ratio=_WRITE_RATIO,
+        write_ratio=WRITE_RATIO,
         batch_size=8,
         seed=seed,
     )
-    return pattern.ops(_fresh_db(rows, seed).table("R"))
+    return pattern.ops(fresh_db(rows, seed, columns).table("R"))
 
 
 def chain_digest(digest_hex: str, slot: int, values: np.ndarray) -> str:
@@ -116,71 +128,33 @@ def chain_digest(digest_hex: str, slot: int, values: np.ndarray) -> str:
     return state.hexdigest()
 
 
-def _stage(db: Database, op) -> None:
-    pending = db.catalog.table(op.ref.table).updates_for(op.ref.column)
-    if op.kind == "insert":
-        pending.stage_inserts(np.asarray(op.values))
-    else:
-        pending.stage_deletes(
-            np.asarray(op.positions, dtype=np.int64),
-            np.asarray(op.values),
-        )
-
-
-def _replay(
+def replay_digest(
     db: Database,
     session,
     trace,
     start: int = 0,
+    stop: int | None = None,
     digest: str = "",
-    idle: bool = True,
-    throttle_s: float = 0.0,
+    idle_every: int = 0,
     after_op=None,
 ) -> str:
-    """Replay ``trace[start:]`` sequentially; returns the final digest."""
-    for i in range(start, len(trace)):
-        op = trace[i]
-        if op.is_query:
-            result = session.run_query(
-                RangeQuery(op.ref, op.low, op.high)
-            )
-            digest = chain_digest(digest, i, result.values())
-        else:
-            _stage(db, op)
-        if idle and (i + 1) % _IDLE_EVERY == 0:
+    """Replay ``trace[start:stop]`` sequentially; returns the chained
+    digest.  Every ``idle_every`` ops the session gets an idle window;
+    ``after_op(slot, digest)`` runs after each op."""
+
+    def observe(slot: int, op, values) -> None:
+        nonlocal digest
+        if values is not None:
+            digest = chain_digest(digest, slot, values)
+        if idle_every and (slot + 1) % idle_every == 0:
             session.idle(actions=_IDLE_ACTIONS)
-        if throttle_s:
-            time.sleep(throttle_s)
         if after_op is not None:
-            after_op(i, digest)
+            after_op(slot, digest)
+
+    drive_trace(
+        db, trace, sequential_executor(session), observe, start=start, stop=stop
+    )
     return digest
-
-
-@dataclass(slots=True)
-class ScenarioResult:
-    """One durability measurement."""
-
-    name: str
-    wall_s: float
-    ops: int
-    fingerprint: dict[str, object]
-    matches_reference: bool
-
-    @property
-    def throughput(self) -> float:
-        if self.wall_s <= 0:
-            return float("inf")
-        return self.ops / self.wall_s
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 6),
-            "ops": self.ops,
-            "unit": "trace ops",
-            "throughput": round(self.throughput, 3),
-            "fingerprint": self.fingerprint,
-            "matches_reference": self.matches_reference,
-        }
 
 
 # -- the kill -9 child --------------------------------------------------------
@@ -200,7 +174,7 @@ def run_child(
     ops with the trace cursor + chained digest as ``extra``; write the
     final digest to ``out``.
     """
-    trace = _trace(rows, ops, seed)
+    trace = mixed_trace(rows, ops, seed)
     root_path = Path(root)
     resumed = current_generation(root_path) is not None
     if resumed:
@@ -209,7 +183,7 @@ def run_child(
         cursor = int(restored.extra["cursor"])
         digest = str(restored.extra["digest"])
     else:
-        db = _fresh_db(rows, seed)
+        db = fresh_db(rows, seed)
         session = db.session("holistic", seed=seed)
         cursor, digest = 0, ""
     manager = SnapshotManager(
@@ -217,18 +191,20 @@ def run_child(
     )
 
     def maybe_checkpoint(i: int, digest_now: str) -> None:
+        if throttle_ms:
+            time.sleep(throttle_ms / 1000.0)
         if (i + 1) % checkpoint_every == 0:
             manager.checkpoint(
                 extra={"cursor": i + 1, "digest": digest_now}
             )
 
-    digest = _replay(
+    digest = replay_digest(
         db,
         session,
         trace,
         start=cursor,
         digest=digest,
-        throttle_s=throttle_ms / 1000.0,
+        idle_every=_IDLE_EVERY,
         after_op=maybe_checkpoint,
     )
     manager.checkpoint(extra={"cursor": len(trace), "digest": digest})
@@ -356,23 +332,13 @@ def run_snapshot(
     crash: bool = True,
 ) -> dict[str, object]:
     """Run the durability suite; return the JSON-ready document."""
-    trace = _trace(rows, ops, seed)
+    trace = mixed_trace(rows, ops, seed)
     query_ops = sum(1 for op in trace if op.is_query)
 
     scenarios: dict[str, ScenarioResult] = {}
 
-    def record(result: ScenarioResult) -> None:
-        best = scenarios.get(result.name)
-        if best is None:
-            scenarios[result.name] = result
-        else:
-            if best.fingerprint != result.fingerprint:
-                raise AssertionError(
-                    f"{result.name}: non-deterministic fingerprint "
-                    "across repeats"
-                )
-            if result.wall_s < best.wall_s:
-                scenarios[result.name] = result
+    def record(*scenario) -> None:
+        record_best(scenarios, oracle_scenario(*scenario))
 
     reference_digest = ""
     incremental: dict[str, object] = {}
@@ -381,25 +347,25 @@ def run_snapshot(
 
     for _ in range(max(1, repeats)):
         # Baseline: the trace with no durability work at all.
-        db = _fresh_db(rows, seed)
+        db = fresh_db(rows, seed)
         session = db.session("holistic", seed=seed)
         started = time.perf_counter()
-        reference_digest = _replay(db, session, trace)
+        reference_digest = replay_digest(
+            db, session, trace, idle_every=_IDLE_EVERY
+        )
         wall = time.perf_counter() - started
         record(
-            ScenarioResult(
-                "lifecycle/no_checkpoint",
-                wall,
-                len(trace),
-                {"digest": reference_digest},
-                True,
-            )
+            "lifecycle/no_checkpoint",
+            wall,
+            len(trace),
+            {"digest": reference_digest},
+            True,
         )
 
         # The same trace with checkpointing competing for idle cycles.
         with tempfile.TemporaryDirectory(prefix="snap-bench-") as tmp:
             root = Path(tmp)
-            db = _fresh_db(rows, seed)
+            db = fresh_db(rows, seed)
             session = db.session("holistic", seed=seed)
             kernel = session.strategy
             manager = SnapshotManager(
@@ -418,19 +384,19 @@ def run_snapshot(
                 cursor_digest["digest"] = digest_now
 
             started = time.perf_counter()
-            digest = _replay(db, session, trace, after_op=track)
+            digest = replay_digest(
+                db, session, trace, idle_every=_IDLE_EVERY, after_op=track
+            )
             wall = time.perf_counter() - started
             record(
-                ScenarioResult(
-                    "lifecycle/with_checkpointer",
-                    wall,
-                    len(trace),
-                    {
-                        "digest": digest,
-                        "generations": checkpointer.generations_written,
-                    },
-                    digest == reference_digest,
-                )
+                "lifecycle/with_checkpointer",
+                wall,
+                len(trace),
+                {
+                    "digest": digest,
+                    "generations": checkpointer.generations_written,
+                },
+                digest == reference_digest,
             )
 
             # Full-vs-delta checkpoint cost.  A fresh manager has no
@@ -470,29 +436,27 @@ def run_snapshot(
             for index in restored_kernel.indexes.values():
                 index.check_invariants()
             record(
-                ScenarioResult(
-                    "restart/warm_memmap_restore",
-                    warm_wall,
-                    query_ops,
-                    {"digest": reference_digest},
-                    True,
-                )
+                "restart/warm_memmap_restore",
+                warm_wall,
+                query_ops,
+                {"digest": reference_digest},
+                True,
             )
 
         # Cold restart: no snapshot, re-crack by replaying everything.
-        db = _fresh_db(rows, seed)
+        db = fresh_db(rows, seed)
         session = db.session("holistic", seed=seed)
         started = time.perf_counter()
-        cold_digest = _replay(db, session, trace)
+        cold_digest = replay_digest(
+            db, session, trace, idle_every=_IDLE_EVERY
+        )
         cold_wall = time.perf_counter() - started
         record(
-            ScenarioResult(
-                "restart/cold_recrack",
-                cold_wall,
-                query_ops,
-                {"digest": cold_digest},
-                cold_digest == reference_digest,
-            )
+            "restart/cold_recrack",
+            cold_wall,
+            query_ops,
+            {"digest": cold_digest},
+            cold_digest == reference_digest,
         )
 
     warm = scenarios["restart/warm_memmap_restore"].wall_s
@@ -516,7 +480,7 @@ def run_snapshot(
             "columns": list(_COLUMNS),
             "seed": seed,
             "mode": mode,
-            "write_ratio": _WRITE_RATIO,
+            "write_ratio": WRITE_RATIO,
             "idle_every": _IDLE_EVERY,
             "checkpoint_interval": _CHECKPOINT_INTERVAL,
             "child_checkpoint_every": _CHILD_CHECKPOINT_EVERY,
@@ -529,7 +493,7 @@ def run_snapshot(
         "restart": restart,
         "crash": crash_section,
         "oracle_matches_reference": {
-            name: result.matches_reference
+            name: result.extra["matches_reference"]
             for name, result in sorted(scenarios.items())
         },
     }
@@ -579,22 +543,19 @@ def snapshot_text(result: dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def check_regression(
-    current: dict[str, object], committed: dict[str, object]
-) -> list[str]:
-    """Gate a fresh run against a committed baseline document."""
-    failures: list[str] = []
-    for name, ok in current.get("oracle_matches_reference", {}).items():
-        if not ok:
-            failures.append(
-                f"{name}: digest diverged from the uncheckpointed run"
-            )
-    if not current.get("restart", {}).get("zero_recrack", False):
+def _gate(document: dict[str, object]) -> list[str]:
+    """In-run correctness: digest equality, zero re-crack, kill -9."""
+    failures = [
+        f"{name}: digest diverged from the uncheckpointed run"
+        for name, ok in document.get("oracle_matches_reference", {}).items()
+        if not ok
+    ]
+    if not document.get("restart", {}).get("zero_recrack", False):
         failures.append(
             "restart/warm_memmap_restore: restore re-cracked pieces "
             "(piece maps or tape moved)"
         )
-    crash = current.get("crash")
+    crash = document.get("crash")
     if crash is not None:
         if not crash.get("digest_matches_uninterrupted", False):
             failures.append(
@@ -606,61 +567,20 @@ def check_regression(
                 "crash/kill9: restarted child exited "
                 f"{crash.get('restart_exit_code')}"
             )
-    committed_scenarios = committed.get("scenarios", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        base_tp = float(base.get("throughput", 0.0))
-        cur_tp = float(data.get("throughput", 0.0))
-        if base_tp > 0 and cur_tp > 0 and base_tp / cur_tp > REGRESSION_LIMIT:
-            failures.append(
-                f"{name}: throughput regressed "
-                f"{base_tp / cur_tp:.2f}x ({base_tp:.1f} -> {cur_tp:.1f} "
-                f"ops/s, limit {REGRESSION_LIMIT}x)"
-            )
     return failures
 
 
-def run_snapshot_command(
-    rows: int | None,
-    ops: int | None,
-    seed: int,
-    quick: bool,
-    out: str | None,
-    check_path: str | None,
-    repeats: int = 3,
-) -> tuple[str, int]:
-    """CLI driver for ``python -m repro.bench snapshot``.
-
-    Returns ``(text_output, exit_code)``.
-    """
-    mode = "quick" if quick else "full"
-    rows = rows if rows is not None else (QUICK_ROWS if quick else DEFAULT_ROWS)
-    ops = ops if ops is not None else (QUICK_OPS if quick else DEFAULT_OPS)
-    result = run_snapshot(
-        rows=rows, ops=ops, seed=seed, mode=mode, repeats=repeats
-    )
-    exit_code = 0
-    check_lines: list[str] = []
-    correctness = check_regression(result, {})
-    if correctness and not check_path:
-        exit_code = 1
-        check_lines = ["", "SNAPSHOT ORACLE FAILURES:", *correctness]
-    if check_path:
-        committed = json.loads(Path(check_path).read_text())
-        failures = check_regression(result, committed)
-        if failures:
-            exit_code = 1
-            check_lines = ["", "SNAPSHOT PERF-SMOKE FAILURES:", *failures]
-        else:
-            check_lines = ["", "snapshot perf-smoke gate passed"]
-    out_path = Path(out) if out else Path("BENCH_snapshot.json")
-    out_path.write_text(json.dumps(result, indent=2) + "\n")
-    text = snapshot_text(result) + "\n" + f"wrote {out_path}"
-    if check_lines:
-        text += "\n" + "\n".join(check_lines)
-    return text, exit_code
+SUITE = Suite(
+    name="snapshot",
+    run=run_snapshot,
+    text=snapshot_text,
+    gate=_gate,
+    # Digests are gated within the run (against the uncheckpointed
+    # replay), not against the committed document.
+    semantic_keys=(),
+    full_sizes=(DEFAULT_ROWS, DEFAULT_OPS),
+    quick_sizes=(QUICK_ROWS, QUICK_OPS),
+)
 
 
 def _child_main(argv: list[str]) -> int:

@@ -3,7 +3,8 @@
 The paper runs at 10^8 rows per column; pure Python cannot do that
 interactively, so experiments run at a reduced ``rows`` while the
 virtual clock projects costs back to paper scale (``paper_rows``).
-DESIGN.md §6 documents why the projection is sound for uniform data.
+tests/simtime/test_projection.py checks that the projection is sound
+for uniform data.
 """
 
 from __future__ import annotations

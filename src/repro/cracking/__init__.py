@@ -2,8 +2,8 @@
 
 Reproduces the MonetDB cracking module the paper builds on [12], plus
 the cited extensions that define the adaptive-indexing design space:
-stochastic cracking [10], hybrid crack-sort (adaptive merging) [14],
-update merging [11] and piece-level concurrency control [7].
+stochastic cracking [10], update merging [11] and piece-level
+concurrency control [7].
 """
 
 from repro.cracking.concurrency import (
@@ -25,7 +25,6 @@ from repro.cracking.engine import (
     sort_piece,
     split_sorted_piece,
 )
-from repro.cracking.hybrid import HybridCrackSortIndex, merge_sorted_into
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin, Piece
 from repro.cracking.piecemap import PieceMap
@@ -45,7 +44,6 @@ __all__ = [
     "CrackScratch",
     "CrackTape",
     "CrackerIndex",
-    "HybridCrackSortIndex",
     "LatchMode",
     "LatchedCrackerAccess",
     "MaintainedCrackerIndex",
@@ -64,7 +62,6 @@ __all__ = [
     "crack_multi",
     "merge_deletes",
     "merge_inserts",
-    "merge_sorted_into",
     "sort_piece",
     "split_sorted_piece",
 ]

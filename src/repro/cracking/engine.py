@@ -620,9 +620,8 @@ def sort_piece(
 ) -> CostCharge:
     """Fully sort ``array[start:end]`` in place.
 
-    Used by refinement actions that finish small pieces off, and by the
-    hybrid crack-sort strategy.  Charged as a sort of ``end - start``
-    elements.
+    Used by refinement actions that finish small pieces off.  Charged
+    as a sort of ``end - start`` elements.
 
     Raises:
         CrackerError: on invalid bounds or misaligned row ids.

@@ -895,11 +895,15 @@ class CrackerIndex:
         if rows:
             self.clock.charge(CostCharge(elements_materialized=rows))
 
+    @_synchronized
     def check_invariants(self) -> None:
         """Verify the physical partitioning matches the piece map.
 
         O(n); used by tests and the property-based suite, never on the
-        hot path.
+        hot path.  Takes the monitor lock like every other structural
+        reader: a crack shifts the piece map's tail before it writes
+        the new slot, so an unlocked check racing a tuning worker sees
+        a duplicated pivot and reports corruption that is not there.
 
         Raises:
             CrackerError: on any violation.

@@ -15,20 +15,10 @@ counts per-worker *contention stalls* -- latch acquisitions that had
 to wait for another worker or a foreground query.  Appends are guarded
 by a lock so worker threads can share one tape.
 
-Hot-path design (ISSUE 3).  Recording is a ring-buffer append of a raw
-tuple; :class:`TapeRecord` objects are materialized lazily on read, so
-the steady state pays one tuple and one deque append per crack instead
-of a dataclass construction.  Two optional knobs bound the
-instrumentation tax further:
-
-* ``capacity`` -- keep only the newest N records (the deque ring
-  buffer drops the oldest); per-origin counters stay exact.
-* ``sample_every`` -- store every k-th record only.  Counters still
-  see every action, so :meth:`count` is exact while ``len(tape)``
-  reflects what was retained.
-
-Both default to full recording, which is byte-identical to the
-original tape.
+Hot-path design.  Recording is an append of a raw tuple;
+:class:`TapeRecord` objects are materialized lazily on read, so the
+steady state pays one tuple and one deque append per crack instead of
+a dataclass construction.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.cracking.piece import CrackOrigin
-from repro.errors import ConfigError
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,31 +53,12 @@ class TapeRecord:
 
 
 class CrackTape:
-    """Append-only refinement log with per-origin counters.
+    """Append-only refinement log with per-origin counters."""
 
-    Args:
-        capacity: retain at most this many records (ring buffer);
-            ``None`` retains everything.
-        sample_every: store every k-th action only (>= 1).  Counters
-            remain exact regardless.
-    """
-
-    def __init__(
-        self, capacity: int | None = None, sample_every: int = 1
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise ConfigError(
-                f"tape capacity must be >= 1 or None, got {capacity}"
-            )
-        if sample_every < 1:
-            raise ConfigError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
-        self.capacity = capacity
-        self.sample_every = sample_every
+    def __init__(self) -> None:
         #: Raw (timestamp, origin, pivot, position, piece_size, worker)
         #: tuples; TapeRecord objects are built lazily on read.
-        self._records: deque[tuple] = deque(maxlen=capacity)
+        self._records: deque[tuple] = deque()
         #: Keyed by ``CrackOrigin.value`` -- string hashing is cheaper
         #: than enum hashing on the per-crack path.
         self._counts: dict[str, int] = {o.value: 0 for o in CrackOrigin}
@@ -147,10 +117,7 @@ class CrackTape:
             return self._stalls.get(worker, 0)
 
     def records_by_worker(self) -> dict[int | None, int]:
-        """Record counts keyed by worker id (None = foreground).
-
-        Counts *retained* records (after any capacity/sampling drops).
-        """
+        """Record counts keyed by worker id (None = foreground)."""
         with self._lock:
             counts: dict[int | None, int] = {}
             for raw in self._records:
@@ -167,13 +134,12 @@ class CrackTape:
         position: int,
         piece_size: int,
         worker: int | None = None,
-    ) -> tuple | None:
+    ) -> tuple:
         """Append one action without materializing a :class:`TapeRecord`.
 
         The hot-path variant of :meth:`record`: the index logs every
         crack but never reads the record back, so the dataclass is not
-        constructed.  Returns the raw stored tuple, or ``None`` when
-        the sampling mode dropped it (counters are updated regardless).
+        constructed.  Returns the raw stored tuple.
         """
         if not self._concurrent:
             # Single-threaded fast path: no attribution is possible
@@ -182,11 +148,6 @@ class CrackTape:
             raw = (timestamp, origin, pivot, position, piece_size, worker)
             self._counts[origin.value] += 1
             self._seen += 1
-            if (
-                self.sample_every != 1
-                and (self._seen - 1) % self.sample_every
-            ):
-                return None
             self._records.append(raw)
             return raw
         if worker is None:
@@ -195,11 +156,6 @@ class CrackTape:
         with self._lock:
             self._counts[origin.value] += 1
             self._seen += 1
-            if (
-                self.sample_every != 1
-                and (self._seen - 1) % self.sample_every
-            ):
-                return None
             self._records.append(raw)
         return raw
 
@@ -211,47 +167,42 @@ class CrackTape:
         position: int,
         piece_size: int,
         worker: int | None = None,
-    ) -> TapeRecord | None:
-        """Append one action; return its record (None when sampled out).
+    ) -> TapeRecord:
+        """Append one action; return its record.
 
         ``worker`` defaults to the calling thread's attribution (see
         :meth:`attribution`); foreground/serial work records ``None``.
         """
-        raw = self.log(
-            timestamp, origin, pivot, position, piece_size, worker
+        return TapeRecord(
+            *self.log(timestamp, origin, pivot, position, piece_size, worker)
         )
-        return None if raw is None else TapeRecord(*raw)
 
     def __len__(self) -> int:
-        """Number of *retained* records (== actions when unsampled)."""
         return len(self._records)
 
     def __iter__(self) -> Iterator[TapeRecord]:
         return iter(self.records())
 
     def records(self) -> list[TapeRecord]:
-        """All retained records, oldest first (materialized copies)."""
+        """All records, oldest first (materialized copies)."""
         with self._lock:
             return [TapeRecord(*raw) for raw in self._records]
 
     def count(self, origin: CrackOrigin | None = None) -> int:
-        """Number of actions seen, optionally filtered by origin.
-
-        Exact even under ``capacity``/``sample_every`` limits.
-        """
+        """Number of actions seen, optionally filtered by origin."""
         if origin is None:
             return self._seen
         return self._counts[origin.value]
 
     def last(self) -> TapeRecord | None:
-        """The most recent retained record, or None when empty."""
+        """The most recent record, or None when empty."""
         with self._lock:
             if not self._records:
                 return None
             return TapeRecord(*self._records[-1])
 
     def since(self, timestamp: float) -> list[TapeRecord]:
-        """Retained records strictly newer than ``timestamp``."""
+        """Records strictly newer than ``timestamp``."""
         return [r for r in self.records() if r.timestamp > timestamp]
 
     def clear(self) -> None:
@@ -264,7 +215,7 @@ class CrackTape:
     # -- persistence -----------------------------------------------------
 
     def export_state(self) -> dict:
-        """Plain-structure dump of the retained ring buffer + counters.
+        """Plain-structure dump of the records + counters.
 
         Records come out as parallel lists (the snapshot layer packs
         them into typed arrays); ``worker`` is encoded as ``-1`` for
@@ -288,14 +239,9 @@ class CrackTape:
             }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a previously-exported tape state (snapshot restore).
-
-        Capacity and sampling knobs stay as configured on this tape;
-        the restored records refill the ring buffer oldest-first (a
-        smaller capacity keeps the newest, as a live tape would).
-        """
+        """Adopt a previously-exported tape state (snapshot restore)."""
         with self._lock:
-            self._records = deque(maxlen=self.capacity)
+            self._records = deque()
             origins = {o.value: o for o in CrackOrigin}
             for ts, origin, pivot, pos, size, worker in zip(
                 state["timestamps"],

@@ -25,7 +25,6 @@ class AccessPath(Enum):
     SCAN = "scan"
     FULL_INDEX = "full-index"
     CRACKER = "cracker"
-    HYBRID = "hybrid"
     WAIT_FOR_BUILD = "wait-for-build"
 
 

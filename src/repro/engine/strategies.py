@@ -17,7 +17,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.cracking.index import CrackerIndex
-from repro.cracking.hybrid import HybridCrackSortIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
 from repro.engine.operators import scan_select
 from repro.engine.plan import AccessPath, ColumnWindow
@@ -29,7 +28,6 @@ from repro.offline.whatif import WhatIfOptimizer, WorkloadStatement
 from repro.online.colt import ColtConfig, ColtTuner
 from repro.online.epoch import EpochManager
 from repro.online.monitor import WorkloadMonitor
-from repro.online.soft_index import SoftIndexManager
 from repro.storage.database import Database
 from repro.storage.updates import exact_range_cuts
 from repro.storage.views import PositionsView, SelectionResult
@@ -269,7 +267,7 @@ class ScanStrategy(IndexingStrategy):
         )
 
 
-_ADAPTIVE_VARIANTS = ("standard", "ddc", "ddr", "mdd1r", "hybrid")
+_ADAPTIVE_VARIANTS = ("standard", "ddc", "ddr", "mdd1r")
 
 
 class AdaptiveStrategy(IndexingStrategy):
@@ -277,9 +275,8 @@ class AdaptiveStrategy(IndexingStrategy):
 
     Args:
         db: the database.
-        variant: ``standard`` (plain cracking), ``ddc``/``ddr``/
-            ``mdd1r`` (stochastic cracking [10]) or ``hybrid``
-            (crack-sort adaptive merging [14]).
+        variant: ``standard`` (plain cracking) or ``ddc``/``ddr``/
+            ``mdd1r`` (stochastic cracking [10]).
         track_rowids: maintain cracker maps for tuple reconstruction.
         seed: seed for stochastic variants.
     """
@@ -325,8 +322,6 @@ class AdaptiveStrategy(IndexingStrategy):
                     clock=self.clock,
                     track_rowids=self.track_rowids,
                 )
-            elif self.variant == "hybrid":
-                index = HybridCrackSortIndex(column, clock=self.clock)
             else:
                 index = StochasticCrackerIndex(
                     column,
@@ -351,10 +346,9 @@ class AdaptiveStrategy(IndexingStrategy):
     ) -> BatchExecution | None:
         """Shared cracking per column; ``standard`` cracking only.
 
-        Stochastic and hybrid variants keep their own per-query
-        refinement decisions (random auxiliary cracks, merge steps)
-        that depend on execution order, so they fall back to the
-        sequential path.
+        Stochastic variants keep their own per-query refinement
+        decisions (random auxiliary cracks) that depend on execution
+        order, so they fall back to the sequential path.
         """
         if self.variant != "standard":
             return None
@@ -365,8 +359,6 @@ class AdaptiveStrategy(IndexingStrategy):
         )
 
     def access_path(self, query: RangeQuery) -> AccessPath:
-        if self.variant == "hybrid":
-            return AccessPath.HYBRID
         return AccessPath.CRACKER
 
     def features(self) -> StrategyFeatures:
@@ -478,15 +470,12 @@ class OfflineStrategy(IndexingStrategy):
 
 
 class OnlineStrategy(IndexingStrategy):
-    """COLT-style online tuning [16] with optional soft indexes [15].
+    """COLT-style online tuning [16].
 
     Args:
         db: the database.
         epoch_queries: reevaluation cadence.
         colt_config: tuner knobs; defaults to :class:`ColtConfig`.
-        soft: share query scans with index construction; implies
-            deferred builds satisfied by the next scan of the
-            candidate column.
     """
 
     name = "online"
@@ -496,7 +485,6 @@ class OnlineStrategy(IndexingStrategy):
         db: Database,
         epoch_queries: int = 100,
         colt_config: ColtConfig | None = None,
-        soft: bool = False,
     ) -> None:
         super().__init__(db)
         self.monitor = WorkloadMonitor(db.catalog)
@@ -504,21 +492,13 @@ class OnlineStrategy(IndexingStrategy):
         self.optimizer = WhatIfOptimizer(db.catalog, db.cost_model)
         self.builder = IndexBuilder(db.catalog, db.clock)
         config = colt_config if colt_config is not None else ColtConfig()
-        if soft:
-            config.defer_builds = True
         self.colt = ColtTuner(self.monitor, self.optimizer, self.builder, config)
-        self.soft = soft
-        self.soft_indexes = (
-            SoftIndexManager(db.catalog, db.clock) if soft else None
-        )
         self.epochs.on_epoch(self.colt.reevaluate)
 
     def select(self, query: RangeQuery) -> SelectionResult:
         now = self.clock.now()
         self.monitor.record(query.ref, query.low, query.high, now)
         index = self.colt.index_for(query.ref)
-        if index is None and self.soft_indexes is not None:
-            index = self.soft_indexes.index_for(query.ref)
         if index is not None:
             self.colt.note_index_use(query.ref)
             result = index.select_range(query.low, query.high)
@@ -527,14 +507,6 @@ class OnlineStrategy(IndexingStrategy):
             result = scan_select(
                 column.values, query.low, query.high, self.clock
             )
-            if self.soft_indexes is not None:
-                if query.ref in self.colt.pending_builds:
-                    self.soft_indexes.nominate(query.ref)
-                promoted = self.soft_indexes.note_scan(query.ref)
-                if promoted is not None and (
-                    query.ref in self.colt.pending_builds
-                ):
-                    self.colt.pending_builds.remove(query.ref)
         # Epoch bookkeeping happens inside the query window: inline
         # builds delay the triggering query -- the online-indexing
         # penalty the paper describes.

@@ -1,9 +1,8 @@
-"""Online indexing substrate: monitoring, epochs, COLT, soft indexes.
+"""Online indexing substrate: monitoring, epochs, COLT.
 
 Reproduces the online auto-tuning stack the paper contrasts with
-([4, 15, 16]): a continuous workload monitor, epoch-based design
-reevaluation, benefit-amortized index creation/dropping, and
-scan-shared (soft) index builds.
+([4, 16]): a continuous workload monitor, epoch-based design
+reevaluation and benefit-amortized index creation/dropping.
 """
 
 from repro.online.colt import ColtConfig, ColtTuner, EpochDecision
@@ -13,7 +12,6 @@ from repro.online.monitor import (
     QueryObservation,
     WorkloadMonitor,
 )
-from repro.online.soft_index import SoftCandidate, SoftIndexManager
 
 __all__ = [
     "ColtConfig",
@@ -22,7 +20,5 @@ __all__ = [
     "EpochDecision",
     "EpochManager",
     "QueryObservation",
-    "SoftCandidate",
-    "SoftIndexManager",
     "WorkloadMonitor",
 ]

@@ -99,8 +99,8 @@ def _strategy_meta(strategy) -> dict:
         if strategy.variant != "standard":
             raise PersistError(
                 f"adaptive variant {strategy.variant!r} is not "
-                "snapshot-supported (stochastic/hybrid refinement "
-                "state is not serializable); use 'standard'"
+                "snapshot-supported (stochastic refinement state is "
+                "not serializable); use 'standard'"
             )
         return {
             "name": "adaptive",

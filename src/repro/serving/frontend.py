@@ -152,7 +152,7 @@ class ServingFrontend:
     Args:
         db: the shared database.
         strategy: the shared kernel -- standard adaptive cracking or a
-            holistic kernel.  Stochastic/hybrid adaptive variants make
+            holistic kernel.  Stochastic adaptive variants make
             order-dependent refinement decisions, and the holistic
             no-idle hot boost mutates the index mid-query from shared
             statistics; neither can keep per-client accounting

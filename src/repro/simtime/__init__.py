@@ -1,7 +1,7 @@
 """Virtual time: cost charges, calibrated cost model, and clocks.
 
-This package is the substitution layer documented in DESIGN.md §2-3:
-the paper measured wall-clock time inside the MonetDB kernel on a 2011
+This package is the substitution layer (docs/ARCHITECTURE.md,
+"``repro.simtime`` -- virtual time"): the paper measured wall-clock time inside the MonetDB kernel on a 2011
 i7; we count logical work (:class:`CostCharge`) and price it with a
 :class:`CostModel` calibrated against the paper's published anchors,
 driving a deterministic :class:`SimClock`.  A :class:`WallClock` is

@@ -37,7 +37,7 @@ class CostCharge:
         elements_scanned: elements read sequentially (full/partial scans).
         elements_cracked: elements read+written by crack partitioning.
         elements_sorted: elements fully sorted (priced N*log2(N)).
-        elements_merged: elements moved by merge steps (hybrid cracking).
+        elements_merged: elements moved by merge steps (update merging).
         elements_materialized: result elements copied out (not views).
         comparisons: individual comparison steps (binary search, piece
             map navigation).

@@ -1,8 +1,6 @@
 """Half-open interval sets.
 
-Used by the hybrid crack-sort index to track which value ranges have
-already been merged into its final store, and by the workload monitor
-to summarize queried ranges.
+Used by the workload monitor to summarize queried ranges.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def test_latch_timeout_chaos_is_witness_clean():
             expected_injected=2,
             workers=2,
         )
-    assert result.matches_reference
-    assert result.faults["injected"] == 2
+    assert result.extra["matches_reference"]
+    assert result.extra["faults"]["injected"] == 2
     assert w.violations == [], [v.detail for v in w.violations]
     assert w.acquires == w.releases > 0

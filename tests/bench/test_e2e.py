@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.e2e import (
-    check_regression,
-    e2e_text,
-    run_e2e,
-    run_e2e_command,
-)
+from repro.bench.e2e import SUITE, e2e_text, run_e2e
+from repro.bench.harness import check_regression, run_command
 
 _TINY = dict(rows=2000, queries=48, repeats=1)
 
@@ -55,30 +51,31 @@ def test_fingerprints_identical_across_batch_sizes():
 
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
-    assert check_regression(doc, doc) == []
+    assert check_regression(SUITE, doc, doc) == []
     slowed = json.loads(json.dumps(doc))
     slowed["scenarios"]["adaptive/batch8"]["throughput"] = (
         doc["scenarios"]["adaptive/batch8"]["throughput"] * 3
     )
-    failures = check_regression(doc, slowed)
+    failures = check_regression(SUITE, doc, slowed)
     assert any("throughput regressed" in f for f in failures)
     diverged = json.loads(json.dumps(doc))
     diverged["scenarios"]["adaptive/batch1"]["fingerprint"][
         "state_sha256"
     ] = "bogus"
-    failures = check_regression(doc, diverged)
+    failures = check_regression(SUITE, doc, diverged)
     assert any("fingerprint diverged" in f for f in failures)
     broken = json.loads(json.dumps(doc))
     broken["batch_equals_sequential"]["adaptive"] = False
-    failures = check_regression(broken, doc)
+    failures = check_regression(SUITE, broken, doc)
     assert any("diverged from sequential" in f for f in failures)
 
 
 def test_run_e2e_command_writes_output(tmp_path):
     out = tmp_path / "bench.json"
-    text, exit_code = run_e2e_command(
+    text, exit_code = run_command(
+        SUITE,
         rows=2000,
-        queries=32,
+        ops=32,
         seed=7,
         quick=True,
         out=str(out),
@@ -95,9 +92,10 @@ def test_run_e2e_command_writes_output(tmp_path):
     # only the deterministic fingerprint half of the gate is asserted
     # (the pass path is covered by
     # test_check_regression_passes_against_self_and_detects_drift).
-    text, exit_code = run_e2e_command(
+    text, exit_code = run_command(
+        SUITE,
         rows=2000,
-        queries=32,
+        ops=32,
         seed=7,
         quick=True,
         out=str(tmp_path / "again.json"),

@@ -1,9 +1,8 @@
 """Acceptance tests for Exp1 (Figure 3 / Table 2).
 
-These pin the paper's qualitative claims at tiny scale (DESIGN.md §5):
-the orderings, the idle-time monotonicity, and the shape of the
-curves.  Absolute projected magnitudes are recorded in EXPERIMENTS.md
-from the medium-scale run.
+These pin the paper's qualitative claims at tiny scale (PAPER.md,
+"Evaluation shape"): the orderings, the idle-time monotonicity, and
+the shape of the curves.
 """
 
 import pytest
@@ -69,7 +68,7 @@ def test_holistic_t_init_grows_with_x(result):
 
 
 def test_offline_total_is_sort_time_minus_credit(result):
-    """Offline ~ Time_sort - T_init + probes (DESIGN.md divergence)."""
+    """Offline ~ Time_sort - T_init + probes."""
     run = result.run_for("offline", 10)
     expected = result.sort_time_s - run.t_init_s
     assert run.total_s == pytest.approx(expected, rel=0.05)

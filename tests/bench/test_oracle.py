@@ -14,18 +14,19 @@ from repro.storage.loader import (
     build_paper_table,
     generate_uniform_float_column,
 )
-from repro.workload.generators import TraceOp
-from repro.workload.patterns import MixedPattern
-from util.oracle import (
+from repro.bench.oracle import (
     OracleError,
     ReferenceEngine,
     TraceFingerprint,
+    drive_trace,
     reference_results,
     replay_batched,
     replay_maintained,
     replay_sequential,
     replay_serving,
 )
+from repro.workload.generators import TraceOp
+from repro.workload.patterns import MixedPattern
 
 A1 = ColumnRef("R", "A1")
 F1 = ColumnRef("R", "F1")
@@ -145,4 +146,121 @@ def test_short_run_is_rejected() -> None:
     with pytest.raises(OracleError, match="answered"):
         replay_sequential(
             db, db.session("adaptive"), trace[:-1], expected, reference
+        )
+
+
+class _Answer:
+    """A stub result: what ``drive_trace`` reads off an executor."""
+
+    def __init__(self, values) -> None:
+        self._values = np.asarray(values)
+        self.count = len(self._values)
+
+    def values(self) -> np.ndarray:
+        return self._values
+
+
+def _flush_trace() -> list[TraceOp]:
+    query = TraceOp("query", A1, 0.0, 1e9)
+    insert = TraceOp("insert", A1, values=(7,))
+    return [query, query, insert, query, query, query, insert, query]
+
+
+def test_update_flushes_the_open_window_first() -> None:
+    db = _db(rows=300)
+    pending = db.table("R").updates_for("A1")
+    trace = _flush_trace()
+    windows: list[tuple[int, int]] = []  # (queries, inserts staged so far)
+    observed: list[tuple[int, bool]] = []
+
+    def execute(ops):
+        windows.append((len(ops), pending.pending_insert_count))
+        return [_Answer([slot]) for slot in range(len(ops))]
+
+    drive_trace(
+        db,
+        trace,
+        execute,
+        lambda slot, op, values: observed.append((slot, values is None)),
+        window=3,
+    )
+    # The window of two is cut short by the insert, and every window
+    # runs with exactly the updates that precede it in the trace.
+    assert windows == [(2, 0), (3, 1), (1, 2)]
+    assert observed == [(i, not op.is_query) for i, op in enumerate(trace)]
+
+
+def test_drive_trace_honours_start_and_stop() -> None:
+    db = _db(rows=300)
+    observed: list[int] = []
+    drive_trace(
+        db,
+        _flush_trace(),
+        lambda ops: [_Answer([]) for _ in ops],
+        lambda slot, op, values: observed.append(slot),
+        window=2,
+        start=1,
+        stop=5,
+    )
+    assert observed == [1, 2, 3, 4]
+    assert db.table("R").updates_for("A1").pending_insert_count == 1
+
+
+def test_serving_hooks_run_through_the_shared_loop() -> None:
+    """The chaos hooks: a malformed entry every Nth window that must
+    come back empty, and a pump called once per served window."""
+    db0 = _db()
+    trace = _trace(db0)
+    refs = [ColumnRef("R", c) for c in ("A1", "A2", "F1")]
+    expected, reference = reference_results(db0, refs, trace)
+    db = _db()
+    frontend = ServingFrontend(db, make_strategy("holistic", db, seed=5))
+    served: list[list[str]] = []
+    serve_window = frontend.serve_window
+
+    def spy(entries):
+        served.append([entry.client for entry in entries])
+        return serve_window(entries)
+
+    frontend.serve_window = spy
+    pumps: list[int] = []
+    run = replay_serving(
+        db,
+        frontend,
+        trace,
+        expected,
+        reference,
+        clients=2,
+        window=8,
+        malform_every=3,
+        pump=lambda: pumps.append(len(served)),
+    )
+    assert run.fingerprint == reference
+    assert len(served) > 3
+    assert pumps == list(range(1, len(served) + 1))
+    for number, clients in enumerate(served):
+        assert ("chaos" in clients) == (number % 3 == 0)
+        assert clients.count("chaos") <= 1
+
+
+def test_malformed_entry_that_returns_rows_is_an_oracle_error() -> None:
+    db = _db(rows=300)
+    trace = [TraceOp("query", A1, 0.0, 1e9)]
+    expected, reference = reference_results(db, [A1], trace)
+
+    class LeakyFrontend:
+        """Answers every entry, the malformed one included, in full."""
+
+        strategy = None
+        lanes: dict = {}
+
+        def add_client(self, name: str) -> None:
+            self.lanes[name] = None
+
+        def serve_window(self, entries):
+            return [_Answer(expected[0]) for _ in entries]
+
+    with pytest.raises(OracleError, match="malformed entry returned"):
+        replay_serving(
+            db, LeakyFrontend(), trace, expected, reference, malform_every=1
         )

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.serve import (
-    check_regression,
-    run_serve,
-    run_serve_command,
-    serve_text,
-)
+from repro.bench.harness import check_regression, run_command
+from repro.bench.serve import SUITE, run_serve, serve_text
 
 _TINY = dict(rows=2_000, queries_per_client=24, repeats=1)
 
@@ -81,30 +77,31 @@ def test_workers_scenario_alone_still_measures_its_solo_baseline():
 
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
-    assert check_regression(doc, doc) == []
+    assert check_regression(SUITE, doc, doc) == []
     slowed = json.loads(json.dumps(doc))
     slowed["scenarios"]["adaptive/serve/clients3"]["throughput"] = (
         doc["scenarios"]["adaptive/serve/clients3"]["throughput"] * 3
     )
-    failures = check_regression(doc, slowed)
+    failures = check_regression(SUITE, doc, slowed)
     assert any("throughput regressed" in f for f in failures)
     diverged = json.loads(json.dumps(doc))
     diverged["scenarios"]["adaptive/serve/clients3"]["fingerprints"][
         "client-0"
     ]["state_sha256"] = "bogus"
-    failures = check_regression(doc, diverged)
+    failures = check_regression(SUITE, doc, diverged)
     assert any("fingerprint diverged" in f for f in failures)
     broken = json.loads(json.dumps(doc))
     broken["serve_equals_solo"]["adaptive/serve/clients3"] = False
-    failures = check_regression(broken, doc)
+    failures = check_regression(SUITE, broken, doc)
     assert any("diverged from the solo baselines" in f for f in failures)
 
 
 def test_run_serve_command_writes_output_and_gates(tmp_path):
     out = tmp_path / "bench.json"
-    text, exit_code = run_serve_command(
+    text, exit_code = run_command(
+        SUITE,
         rows=2_000,
-        queries=16,
+        ops=16,
         seed=7,
         quick=True,
         out=str(out),
@@ -121,9 +118,10 @@ def test_run_serve_command_writes_output_and_gates(tmp_path):
     # throughput limit, so only the deterministic fingerprint half of
     # the gate is asserted here (the pass path is covered by
     # test_check_regression_passes_against_self_and_detects_drift).
-    text, exit_code = run_serve_command(
+    text, exit_code = run_command(
+        SUITE,
         rows=2_000,
-        queries=16,
+        ops=16,
         seed=7,
         quick=True,
         out=str(tmp_path / "again.json"),

@@ -1,5 +1,6 @@
 """Unit tests for piece latching and the concurrent crack scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.cracking.concurrency import (
@@ -128,3 +129,55 @@ def test_scheduler_livelock_guard(small_column):
     ]
     with pytest.raises(ConcurrencyError):
         scheduler.run(queries, max_rounds=0)
+
+
+def test_check_invariants_beside_a_cracking_thread(small_column):
+    """Regression: ``check_invariants`` was the one structural reader
+    that skipped the index's monitor lock, so a check racing a crack
+    saw the piece map mid-shift (``pivots[i] == pivots[i + 1]``) and
+    reported corruption that was not there."""
+    import sys
+    import threading
+    import time
+
+    index = CrackerIndex(small_column, clock=SimClock())
+    values = np.random.default_rng(11).permutation(small_column.values)
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def crack() -> None:
+        try:
+            for value in values:
+                if stop.is_set():
+                    return
+                index.ensure_cut(float(value))
+        except BaseException as exc:  # surfaced through ``errors``
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def check() -> None:
+        try:
+            while not stop.is_set():
+                index.check_invariants()
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=crack), threading.Thread(target=check)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 1.0
+        while not stop.is_set() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert index.piece_count > 1

@@ -1,5 +1,5 @@
-"""Additional property-based tests: merge kernels, multiset algebra,
-sideways alignment and the hybrid index."""
+"""Additional property-based tests: multiset algebra and sideways
+alignment."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cracking.hybrid import HybridCrackSortIndex, merge_sorted_into
 from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.engine.operators import multiset_difference
 from repro.simtime.clock import SimClock
@@ -15,16 +14,6 @@ from repro.storage.column import Column
 from repro.storage.table import Table
 
 ints = st.integers(min_value=-1_000, max_value=1_000)
-
-
-@given(st.lists(ints, max_size=200), st.lists(ints, max_size=200))
-@settings(max_examples=80, deadline=None)
-def test_merge_sorted_into_equals_sort_of_concat(left, right):
-    a = np.sort(np.array(left, dtype=np.int64))
-    b = np.sort(np.array(right, dtype=np.int64))
-    out = np.empty(len(a) + len(b), dtype=np.int64)
-    merge_sorted_into(a, b, out)
-    assert np.array_equal(out, np.sort(np.concatenate([a, b])))
 
 
 @given(st.lists(ints, max_size=100), st.lists(ints, max_size=30))
@@ -86,28 +75,3 @@ def test_sideways_projection_matches_positional_join(data):
             expected.tolist()
         )
     index.check_invariants()
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=10_000), max_size=300),
-    st.lists(
-        st.tuples(
-            st.integers(min_value=-100, max_value=10_100),
-            st.integers(min_value=0, max_value=3_000),
-        ),
-        min_size=1,
-        max_size=12,
-    ),
-)
-@settings(max_examples=40, deadline=None)
-def test_hybrid_index_matches_naive_filter(values, ranges):
-    column = Column("A", np.array(values, dtype=np.int64))
-    index = HybridCrackSortIndex(
-        column, clock=SimClock(), chunk_rows=64
-    )
-    base = column.values
-    for low, span in ranges:
-        high = low + span
-        view = index.select_range(float(low), float(high))
-        expected = int(np.count_nonzero((base >= low) & (base < high)))
-        assert view.count == expected

@@ -78,34 +78,6 @@ def test_worker_repr_only_when_attributed():
     assert "worker=2" in repr(attributed)
 
 
-def test_ring_buffer_capacity_keeps_newest():
-    tape = CrackTape(capacity=3)
-    for i in range(7):
-        tape.record(float(i), CrackOrigin.QUERY, float(i), i, 10)
-    assert len(tape) == 3
-    assert [r.position for r in tape.records()] == [4, 5, 6]
-    # Counters stay exact despite the drop.
-    assert tape.count() == 7
-    assert tape.count(CrackOrigin.QUERY) == 7
-    assert tape.last().position == 6
-
-
-def test_sampling_mode_keeps_every_kth_record():
-    tape = CrackTape(sample_every=3)
-    returned = [
-        tape.record(float(i), CrackOrigin.TUNING, float(i), i, 10)
-        for i in range(7)
-    ]
-    # Records 0, 3 and 6 are retained; the rest are sampled out.
-    assert [r.position for r in tape.records()] == [0, 3, 6]
-    assert [r.position if r else None for r in returned] == [
-        0, None, None, 3, None, None, 6,
-    ]
-    assert len(tape) == 3
-    assert tape.count() == 7
-    assert tape.count(CrackOrigin.TUNING) == 7
-
-
 def test_default_tape_retains_everything():
     tape = CrackTape()
     for i in range(5):
@@ -119,17 +91,6 @@ def test_log_is_equivalent_to_record():
     assert raw == (0.5, CrackOrigin.QUERY, 10.0, 4, 100, None)
     assert tape.count(CrackOrigin.QUERY) == 1
     assert tape.records()[0].pivot == 10.0
-
-
-def test_invalid_tape_config_rejected():
-    import pytest
-
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        CrackTape(capacity=0)
-    with pytest.raises(ConfigError):
-        CrackTape(sample_every=0)
 
 
 def test_stall_counters_per_worker_and_total():

@@ -131,7 +131,7 @@ def test_run_batch_matches_sequential(strategy, options, pending, window):
     "strategy,options",
     [
         ("adaptive", {"variant": "mdd1r", "seed": 2}),
-        ("adaptive", {"variant": "hybrid"}),
+        ("adaptive", {"variant": "ddr", "seed": 2}),
         ("online", {}),
         ("offline", {}),
     ],

@@ -11,6 +11,7 @@ from repro.engine.strategies import (
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
+from repro.online.colt import ColtConfig
 from repro.storage.catalog import ColumnRef
 
 from tests.conftest import ground_truth_count
@@ -38,7 +39,7 @@ def test_scan_strategy_correct_and_flat(tiny_db):
 
 
 @pytest.mark.parametrize(
-    "variant", ["standard", "ddc", "ddr", "mdd1r", "hybrid"]
+    "variant", ["standard", "ddc", "ddr", "mdd1r"]
 )
 def test_adaptive_variants_correct(tiny_db, variant):
     strategy = AdaptiveStrategy(tiny_db, variant=variant, seed=3)
@@ -125,21 +126,25 @@ def test_online_epoch_build_delays_triggering_query(tiny_db):
     assert costs[4] > 5 * max(costs[:4])
 
 
-def test_online_soft_defers_build_to_scan(tiny_db):
-    strategy = OnlineStrategy(tiny_db, epoch_queries=5, soft=True)
+def test_removed_options_are_rejected(tiny_db):
+    """The hybrid variant and soft indexes are gone; asking for them
+    must fail loudly rather than silently run something else."""
+    with pytest.raises(ConfigError, match="hybrid"):
+        AdaptiveStrategy(tiny_db, variant="hybrid")
+    with pytest.raises(TypeError, match="soft"):
+        OnlineStrategy(tiny_db, soft=True)
+    with pytest.raises(TypeError, match="soft"):
+        tiny_db.session("online", soft=True)
+
+
+def test_online_idle_drains_deferred_builds(tiny_db):
+    strategy = OnlineStrategy(
+        tiny_db, epoch_queries=5, colt_config=ColtConfig(defer_builds=True)
+    )
     for i in range(5):
         strategy.select(_query(1e6, 2e6))
     # Build deferred, not inline.
     assert strategy.colt.pending_builds
-    # The next scan of the candidate column promotes it.
-    strategy.select(_query(2e6, 3e6))
-    assert strategy.soft_indexes.index_for(ColumnRef("R", "A1"))
-
-
-def test_online_idle_drains_deferred_builds(tiny_db):
-    strategy = OnlineStrategy(tiny_db, epoch_queries=5, soft=True)
-    for i in range(5):
-        strategy.select(_query(1e6, 2e6))
     outcome = strategy.exploit_idle(budget_s=100.0)
     assert outcome.actions_done == 1
     assert strategy.colt.index_for(ColumnRef("R", "A1")) is not None

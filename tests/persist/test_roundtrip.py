@@ -18,7 +18,13 @@ zero-re-crack restart claim).
 import numpy as np
 import pytest
 
-from repro.bench.oracle import TraceFingerprint, reference_results
+from repro.bench.oracle import (
+    TraceFingerprint,
+    drive_trace,
+    reference_results,
+    sequential_executor,
+    stage_update,
+)
 from repro.engine.query import RangeQuery
 from repro.errors import PersistError
 from repro.persist import SnapshotManager, restore_snapshot
@@ -59,25 +65,16 @@ def _trace():
     return trace, reference
 
 
-def _stage(db, op, fingerprint) -> None:
-    pending = db.catalog.table(op.ref.table).updates_for(op.ref.column)
-    if op.kind == "insert":
-        pending.stage_inserts(np.asarray(op.values))
-    else:
-        pending.stage_deletes(
-            np.asarray(op.positions, dtype=np.int64),
-            np.asarray(op.values),
-        )
-    fingerprint.note_update()
-
-
 def _replay_span(db, session, trace, fingerprint, start, stop) -> None:
-    for op in trace[start:stop]:
-        if op.is_query:
-            result = session.run_query(RangeQuery(op.ref, op.low, op.high))
-            fingerprint.note_query(result.values())
+    def observe(slot, op, values) -> None:
+        if values is None:
+            fingerprint.note_update()
         else:
-            _stage(db, op, fingerprint)
+            fingerprint.note_query(values)
+
+    drive_trace(
+        db, trace, sequential_executor(session), observe, start=start, stop=stop
+    )
 
 
 def _assert_digest(fingerprint: TraceFingerprint, reference: dict) -> None:
@@ -210,7 +207,8 @@ class TestServingWindows:
                         flush()
                 else:
                     flush()
-                    _stage(frontend.db, op, differ)
+                    stage_update(frontend.db, op)
+                    differ.note_update()
             flush()
 
         cut = len(trace) // 2

@@ -1,8 +1,8 @@
 """Calibration tests: the paper's anchor numbers are model fixed points.
 
-DESIGN.md §3 derives each cost constant from a published number; these
-tests pin the derivations so a constant change that breaks the
-reproduction fails loudly.
+``simtime/costs.py`` derives each cost constant from a published
+number; these tests pin the derivations so a constant change that
+breaks the reproduction fails loudly.
 """
 
 import pytest

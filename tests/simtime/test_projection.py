@@ -1,9 +1,9 @@
 """Projection soundness: reduced-scale runs predict paper-scale runs.
 
-DESIGN.md §2 claims that cracking's piece dynamics on uniform data are
-scale-invariant in relative terms, so running the real algorithms at a
-reduced size while multiplying element counts by ``N_paper/N_actual``
-projects the paper's numbers faithfully.  These tests verify the claim
+The virtual clock assumes that cracking's piece dynamics on uniform
+data are scale-invariant in relative terms, so running the real
+algorithms at a reduced size while multiplying element counts by
+``N_paper/N_actual`` projects the paper's numbers faithfully.  These tests verify the claim
 empirically: the *same* experiment at two different physical scales
 must produce near-identical projected timings.
 """

@@ -5,27 +5,14 @@
 scalars and range predicates are evaluated with Python's exact
 int/float comparisons, so there is no searchsorted, no dtype promotion,
 and nothing clever to get wrong.  The hypothesis property suite replays
-arbitrary stage/peek/take interleavings against it.
-
-The bench-side differential oracle is re-exported here so tests import
-every oracle piece from one place (``from util.oracle import ...``).
+arbitrary stage/peek/take interleavings against it.  (The bench-side
+differential oracle lives in :mod:`repro.bench.oracle`.)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.oracle import (  # noqa: F401  (re-exports for tests)
-    OracleError,
-    OracleRun,
-    ReferenceEngine,
-    TraceFingerprint,
-    reference_results,
-    replay_batched,
-    replay_maintained,
-    replay_sequential,
-    replay_serving,
-)
 from repro.storage.dtypes import ColumnType, coerce_array
 
 
