@@ -368,13 +368,14 @@ def run_chaos(
         ),
         (
             "serving/worker_quarantine",
-            # Five consecutive crash-performs under round-robin spread
-            # 2/2/1 over the three columns: two columns hit the
-            # quarantine threshold and are dead-lettered, the third
-            # keeps the pool alive (the ranked policy would re-offer a
-            # dead-lettered best column forever, which is by design
-            # fatal).  Indices start late enough that every column has
-            # been queried and registered.
+            # Five consecutive batch crashes over the three columns of
+            # a round-robin plan, each crashed batch retried: typically
+            # 2/2/1, so two columns hit the quarantine threshold and
+            # are dead-lettered; five crashes cannot take all three
+            # there, so the pool stays alive (the ranked policy would
+            # re-offer a dead-lettered best column forever, which is by
+            # design fatal).  Indices start late enough that every
+            # column has been queried and registered.
             dict(
                 arm=lambda p: p.arm(
                     "workers.perform", at=[10, 11, 12, 13, 14]

@@ -183,8 +183,8 @@ def _run_scenario(
     else:
         stream.run_windowed(session, batch)
     wall = time.perf_counter() - started
-    # Worker scheduling is thread-timing dependent; no stable
-    # fingerprint exists for that scenario (as in bench hotpath).
+    # The committed baselines predate reproducible worker windows and
+    # carry no fingerprint for that scenario (as in bench hotpath).
     return ScenarioResult(
         f"{key}/batch{batch}",
         wall,

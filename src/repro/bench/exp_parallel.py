@@ -8,12 +8,17 @@ workers.  This experiment sweeps the holistic kernel's ``num_workers``
 knob over the same workload and measures the virtual idle time needed
 to refine every candidate column to the cache target:
 
-* ``workers = 0`` is the serial scheduler (the pre-worker kernel);
+* ``workers = 0`` is the serial scheduler with ``batch_tuning=True``:
+  one multi-pivot pass per column and window, which is what a worker
+  lane is charged for too (k pivots in a piece cost one pass, not k),
+  so "one worker ~ serial" compares like with like;
 * ``workers >= 1`` drain each idle window through the
-  :class:`~repro.holistic.workers.TuningWorkerPool` with piece-level
-  latches; the virtual clock charges each worker on its own lane and
-  advances wall-clock by the slowest lane, so elapsed idle time drops
-  toward ``busy / workers`` as the latch protocol allows.
+  :class:`~repro.holistic.workers.TuningWorkerPool` as planned
+  per-column batches under piece-level latches; the virtual clock
+  charges each worker on its own lane and advances wall-clock by the
+  slowest lane, so elapsed idle time drops toward ``busy / workers``.
+  Plans are static and pivots are drawn per column at plan time, so
+  every row of the sweep is a deterministic function of the seed.
 
 Reported per worker count: idle windows and virtual seconds until
 convergence, aggregate busy seconds, achieved speedup over one worker,
@@ -120,6 +125,7 @@ def run_parallel_sweep(
         session = db.session(
             "holistic",
             num_workers=workers,
+            batch_tuning=workers == 0,
             cache_target_elements=cache_target_elements,
             seed=seed,
         )

@@ -142,8 +142,9 @@ def _bench_worker_pool(
     started = time.perf_counter()
     session.idle(actions=actions)
     wall = time.perf_counter() - started
-    # Wall-clock throughput only: worker scheduling is thread-timing
-    # dependent, so the identity fingerprint stays empty.
+    # Wall-clock throughput only: the committed baselines predate
+    # reproducible worker windows and carry no fingerprint to hold
+    # this scenario to.
     return ScenarioResult(
         f"worker_pool_{workers}", wall, actions, "tuning actions", {}
     )

@@ -28,12 +28,20 @@ the *blocking* half of this module:
   (cracks move piece boundaries, so a latch taken on a stale key is
   released and re-acquired on the fresh one).
 
-Under CPython's GIL the latches cannot buy real parallel speedup --
-memory safety comes from the index's monitor lock -- but they exercise
-the published protocol for real: conflicting piece accesses wait,
-non-conflicting ones do not, and every wait is counted as a stall on
-the crack tape.  The virtual clock's parallel lanes translate the
-latch-level concurrency into the paper's multi-core time accounting.
+The latch is the conflict granule of one *structural step*, not of one
+pivot (Graefe et al. only require the former): a tuning worker applies
+a whole batch of pivots as one multi-pivot pass under the write
+latches of exactly the pieces it splits
+(:meth:`LatchedCrackerAccess.crack_value`), so the protocol's cost is
+paid per batch -- the partition-first chunking Alvarez et al. measure
+winning over latch-per-crack "parallel standard cracking".  Conflicting
+piece accesses wait, non-conflicting ones do not, and every wait is
+counted as a stall on the crack tape.  Memory safety still comes from
+the index's monitor lock, which serialises the physical passes of one
+column in wall-clock time (the kernels release the GIL inside numpy,
+so passes on *different* columns can overlap); the virtual clock's
+parallel lanes translate the latch-level concurrency into the paper's
+multi-core time accounting.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro import faults
 from repro.analysis import witness
@@ -377,7 +385,7 @@ class PieceLatchTable:
         return stalled
 
     @contextmanager
-    def write_pieces(self, keys: list[int]) -> Iterator[bool]:
+    def write_pieces(self, keys: Iterable[int]) -> Iterator[bool]:
         """Write-latch the buckets in ``keys``; yields True if stalled.
 
         Keys are acquired in sorted order so concurrent multi-piece
@@ -500,45 +508,78 @@ class LatchedCrackerAccess:
             f"latches after {self.MAX_RETRIES} retries"
         )
 
-    def crack_value(
-        self,
-        value: float,
-        min_piece_size: int = 1,
-        origin: CrackOrigin = CrackOrigin.TUNING,
-    ) -> bool:
-        """One latched crack at ``value``; False if it degenerated.
+    def _crackable(
+        self, values: Sequence[float], min_piece_size: int
+    ) -> tuple[list[float], set[int]]:
+        """The ``values`` a crack would still split, and the latch keys
+        of the pieces they fall in.  Caller holds the index lock.
 
-        Degenerate means the value is already a pivot or its piece is
-        at/below ``min_piece_size`` -- same contract as
+        A value that is already a pivot, or whose piece is at/below
+        ``min_piece_size``, is degenerate -- same contract as
         :meth:`CrackerIndex.random_crack`.
         """
+        locate = self.index.piece_map.locate
+        key_for = self.table.key_for
+        targets: list[float] = []
+        keys: set[int] = set()
+        for value in values:
+            _, start, end, _, at_pivot = locate(value)
+            if not at_pivot and end - start > min_piece_size:
+                targets.append(value)
+                keys.add(key_for(start))
+        return targets, keys
+
+    def crack_value(
+        self,
+        value: float | Sequence[float],
+        min_piece_size: int = 1,
+        origin: CrackOrigin = CrackOrigin.TUNING,
+    ) -> bool | int:
+        """Latched cracks at one value, or at a batch of them in one pass.
+
+        A list or tuple of values is a worker batch: the degenerate
+        ones (see :meth:`_crackable`, judged as the pieces stand once
+        the batch is latched) are dropped and the rest go to a single
+        :meth:`CrackerIndex.ensure_cuts` under the write latches of
+        exactly the pieces they split -- one latched multi-pivot pass
+        instead of one latch round trip per pivot.  A scalar is the
+        one-key case of the same protocol.  Revalidation after the
+        grant compares latch keys, not ``PieceMap.version``: sibling
+        batches cracking *other* pieces of this column bump the version
+        legitimately, and only a target that moved under a key we do
+        not hold forces a re-latch.
+
+        Returns whether the crack happened for a scalar (``False`` when
+        it degenerated), and the number of new cuts for a batch.
+        """
+        scalar = not isinstance(value, (list, tuple))
+        values = (value,) if scalar else value
+        index = self.index
         for _ in range(self.MAX_RETRIES):
-            with self.index.lock:
-                pieces = self.index.piece_map
-                if pieces.has_pivot(value):
-                    return False
-                piece = pieces.piece_for_value(value)
-                key = self.table.key_for(piece.start)
+            with index.lock:
+                targets, keys = self._crackable(values, min_piece_size)
+            if not targets:
+                return False if scalar else 0
             try:
-                with self.table.write_pieces([key]) as stalled:
+                with self.table.write_pieces(keys) as stalled:
                     if stalled:
                         self._note_stall()
-                    with self.index.lock:
-                        if pieces.has_pivot(value):
-                            return False
-                        piece = pieces.piece_for_value(value)
-                        if self.table.key_for(piece.start) != key:
-                            continue  # re-latch on the fresh key
-                        if piece.size <= min_piece_size:
-                            return False
-                        self.index.ensure_cut(value, origin)
-                        return True
+                    with index.lock:
+                        targets, fresh = self._crackable(
+                            values, min_piece_size
+                        )
+                        if not fresh <= keys:
+                            continue  # re-latch on the fresh keys
+                        before = index.crack_count
+                        index.ensure_cuts(targets, origin)
+                        cracked = index.crack_count - before
+                        return cracked > 0 if scalar else cracked
             except LatchTimeout:
                 self._note_stall()
                 faults.recovered("latch.acquire", "crack re-acquired")
                 continue
         raise ConcurrencyError(
-            f"crack at {value} could not stabilise its piece latch "
+            f"crack at {value} could not stabilise its piece latches "
             f"after {self.MAX_RETRIES} retries"
         )
 

@@ -65,18 +65,21 @@ class HolisticConfig:
         bootstrap_from_catalog: with no hints and no observed queries,
             spread tuning over every column in the catalog (the
             "no knowledge" case).
-        batch_tuning: apply each idle window's actions as per-column
-            multi-pivot crack passes instead of one-at-a-time cracks
-            (the paper's "multiple tuning actions in one go"); ignored
-            when parallel workers drain the window (each worker is its
-            own "batch").
+        batch_tuning: apply each *serial* idle window's actions as
+            per-column multi-pivot crack passes instead of
+            one-at-a-time cracks (the paper's "multiple tuning actions
+            in one go"), the budget split evenly over the unrefined
+            columns.  Has no effect with ``num_workers >= 1``: worker
+            windows are always planned as per-column batches, spread
+            by the policy.
         seed: seed for the tuner's random generator.
         num_workers: parallel tuning workers draining idle windows
             (the paper's idle-core claim).  ``0`` -- the default --
             keeps the serial scheduler and reproduces pre-worker
             behaviour bit-for-bit; ``>= 1`` routes idle windows
-            through a :class:`repro.holistic.workers.TuningWorkerPool`
-            with piece-level latching.
+            through a :class:`repro.holistic.workers.TuningWorkerPool`:
+            each window is planned as per-column batches that the
+            workers apply as latched multi-pivot passes.
         latch_granularity: rows per piece-latch bucket when workers
             are enabled (1 = one latch per piece).
     """

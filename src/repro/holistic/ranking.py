@@ -12,7 +12,8 @@ combines two continuously-maintained signals:
   rank when knowledge says they matter).
 
 The ranking is updated in O(1) per query and per crack; reading the
-best column is O(columns), which is tiny next to any crack action.
+best column is one scalar pass over the columns, which is tiny next to
+any crack action.
 """
 
 from __future__ import annotations
@@ -35,9 +36,15 @@ class ColumnTuningState:
     queries_seen: int = 0
     tuning_actions: int = 0
     workload_weight: float = 1.0
+    #: Cracks a worker-pool window plan has promised this column and
+    #: not applied yet.  Each counts as one more piece, so the policy
+    #: plans a whole window against the *projected* ranking; released
+    #: when the batch completes.  Always zero on the serial path.
+    planned: int = 0
 
     def average_piece_size(self) -> float:
-        return self.index.average_piece_size()
+        pieces = self.index.piece_map
+        return pieces.row_count / (pieces.piece_count + self.planned)
 
 
 class ColumnRanking:
@@ -105,10 +112,10 @@ class ColumnRanking:
         if state is not None:
             state.queries_seen += count
 
-    def note_tuning_action(self, ref: ColumnRef) -> None:
+    def note_tuning_action(self, ref: ColumnRef, count: int = 1) -> None:
         state = self._states.get(ref)
         if state is not None:
-            state.tuning_actions += 1
+            state.tuning_actions += count
 
     # -- ranking -----------------------------------------------------------
 
@@ -135,9 +142,11 @@ class ColumnRanking:
 
         Vectorized (ISSUE 4): the per-column signals are gathered into
         numpy score arrays and ranked with one ``argsort`` instead of
-        a Python tuple sort -- one re-rank per idle decision stays
-        cheap even with thousands of candidate columns.  Scores and
-        tie order match the scalar :meth:`score` path exactly.
+        a Python tuple sort.  The full ranking is what
+        ``weighted_random`` samples from and what reports print; an
+        idle decision that only needs its head calls :meth:`best`.
+        Scores and tie order match the scalar :meth:`score` path
+        exactly.
         """
         states = list(self._states.values())
         if not states:
@@ -171,9 +180,19 @@ class ColumnRanking:
         ]
 
     def best(self) -> ColumnTuningState | None:
-        """The most deserving column, or None when all are refined."""
-        ranked = self.ranked()
-        return ranked[0][0] if ranked else None
+        """The most deserving column, or None when all are refined.
+
+        A scalar maximum over :meth:`score` -- the head of
+        :meth:`ranked` without building and sorting the ranking.  The
+        strict ``>`` keeps registration order among ties, like the
+        stable sort there.
+        """
+        best, best_score = None, 0.0
+        for state in self._states.values():
+            score = self.score(state)
+            if score > best_score:
+                best, best_score = state, score
+        return best
 
     def unrefined_states(self) -> list[ColumnTuningState]:
         """Candidates still short of the cache-fit optimum, in

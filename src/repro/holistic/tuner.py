@@ -1,14 +1,18 @@
 """Auxiliary tuning actions: the unit of idle-time refinement.
 
 The paper's proof-of-concept uses *random cracking actions*; the
-research-space discussion also suggests data-driven variants.  The
-tuner performs exactly one action per call so the scheduler can check
-the idle budget between actions.
+research-space discussion also suggests data-driven variants.
+:meth:`AuxiliaryTuner.perform` runs exactly one action per call so the
+serial scheduler can check the idle budget between actions;
+:meth:`AuxiliaryTuner.perform_batch` and
+:meth:`AuxiliaryTuner.perform_latched` apply many in one pass (the
+paper's "multiple tuning actions in one go").
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +29,26 @@ class ActionKind(Enum):
     SORT_SMALLEST_UNSORTED = "sort_smallest_unsorted"
 
 
+def random_pivots(
+    rng: np.random.Generator, index: CrackerIndex, count: int
+) -> list[float]:
+    """``count`` uniform random pivots over ``index``'s value range.
+
+    Empty when the column has no rows or no value span (nothing a
+    random crack could split).
+    """
+    if count <= 0 or index.row_count == 0:
+        return []
+    stats = index.column.stats
+    if stats.value_span <= 0:
+        return []
+    return rng.uniform(
+        stats.min_value, stats.max_value, size=count
+    ).tolist()
+
+
 class AuxiliaryTuner:
-    """Performs single refinement actions on cracker indexes.
+    """Performs refinement actions on cracker indexes.
 
     Args:
         kind: the default action type.
@@ -80,36 +102,40 @@ class AuxiliaryTuner:
             self.actions_degenerate += 1
         return success
 
-    def perform_latched(self, access, kind: ActionKind | None = None) -> bool:
-        """Run one action through a latched access facade.
+    def perform_latched(
+        self,
+        access,
+        count: int = 1,
+        pivots: Sequence[float] | None = None,
+        kind: ActionKind | None = None,
+    ) -> int:
+        """Run ``count`` actions through a latched access facade.
 
-        The worker-thread counterpart of :meth:`perform`: random
-        cracks latch only the target piece
+        The worker-thread counterpart of :meth:`perform`, for one batch
+        of a window plan; returns how many actions refined anything.
+        Random cracks take their ``pivots`` from the plan (drawn from
+        this tuner's generator when not given) and apply them as one
+        multi-pivot pass that latches only the target pieces
         (:meth:`LatchedCrackerAccess.crack_value`); data-driven kinds
-        scan the whole piece map, so they take the table-level latch.
-        Counters update exactly as in the serial path.
+        scan the whole piece map, so they loop under the table-level
+        latch.  Counters update exactly as in the serial path.
         """
         kind = kind if kind is not None else self.kind
         if kind is ActionKind.RANDOM_CRACK:
-            index = access.index
-            success = False
-            stats = index.column.stats
-            if index.row_count > 0 and stats.value_span > 0:
-                value = float(
-                    self.rng.uniform(stats.min_value, stats.max_value)
-                )
-                success = access.crack_value(
-                    value, min_piece_size=self.min_piece_size
-                )
-            if success:
-                self.actions_performed += 1
-            else:
-                self.actions_degenerate += 1
-            return success
+            if pivots is None:
+                pivots = random_pivots(self.rng, access.index, count)
+            effective = access.crack_value(
+                pivots, min_piece_size=self.min_piece_size
+            )
+            self.actions_performed += effective
+            self.actions_degenerate += count - effective
+            return effective
         with access.exclusive() as stalled:
             if stalled:
                 access.index.tape.note_stall()
-            return self.perform(access.index, kind)
+            return sum(
+                self.perform(access.index, kind) for _ in range(count)
+            )
 
     def perform_batch(self, index: CrackerIndex, count: int) -> int:
         """Apply ``count`` random cracks to ``index`` in one go.
@@ -120,17 +146,9 @@ class AuxiliaryTuner:
         the paper's "multiple tuning actions in one go".  Returns how
         many pivots were genuinely new.
         """
-        if count <= 0 or index.row_count == 0:
+        values = random_pivots(self.rng, index, count)
+        if not values:
             return 0
-        stats = index.column.stats
-        if stats.value_span <= 0:
-            return 0
-        values = [
-            float(v)
-            for v in self.rng.uniform(
-                stats.min_value, stats.max_value, size=count
-            )
-        ]
         before = index.crack_count
         index.ensure_cuts(values, CrackOrigin.TUNING)
         effective = index.crack_count - before

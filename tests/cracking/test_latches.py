@@ -11,7 +11,9 @@ from repro.cracking.concurrency import (
 )
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.errors import ConfigError
+from repro.errors import ConfigError, LatchTimeout
+from repro.faults import FaultPlan, engaged
+from repro.simtime.clock import SimClock
 
 from tests.conftest import ground_truth_count
 
@@ -203,3 +205,109 @@ def test_latched_crack_value_contract(small_column):
     )
     assert index.piece_map.has_pivot(5e7)
     index.check_invariants()
+
+
+def test_latched_batch_filters_degenerate_pivots(small_column):
+    """A batch is one ensure_cuts over the pivots worth cracking:
+    duplicates, hits on existing cuts and pivots in pieces at/below
+    ``min_piece_size`` are dropped, and the count is what was cut."""
+    index = CrackerIndex(small_column)
+    access = LatchedCrackerAccess(index, PieceLatchTable())
+    assert access.crack_value([]) == 0
+    assert access.crack_value([5e7, 2e7, 5e7, 8e7]) == 3  # one duplicate
+    assert index.piece_map.pivots() == [2e7, 5e7, 8e7]
+    # Two hits and one fresh pivot.
+    assert access.crack_value([2e7, 3e7, 8e7]) == 1
+    # Pieces are ~1-3k rows now: a 5k floor filters everything ...
+    assert access.crack_value([1e7, 4e7, 9e7], min_piece_size=5_000) == 0
+    assert index.piece_count == 5
+    # ... and judged per piece: only [5e7, 8e7) (3k rows) is above 2.5k.
+    sizes = index.piece_map.piece_sizes()
+    assert [size > 2_500 for size in sizes] == [
+        False, False, False, True, False
+    ]
+    assert access.crack_value([1e7, 4e7, 6e7, 9e7], min_piece_size=2_500) == 1
+    assert index.piece_map.has_pivot(6e7)
+    # Several pivots in one piece above the floor all cut, whatever
+    # the sub-pieces come to: the floor is judged when the batch is
+    # latched.
+    assert access.crack_value([6.5e7, 7e7, 7.5e7], min_piece_size=1_500) == 3
+    index.check_invariants()
+    # One grant per latched pass, one release per latched piece.
+    assert access.table.stats.grants == 4
+
+
+def test_latched_batch_matches_unlatched_ensure_cuts(small_column):
+    """Same cuts, same charges, same tape as the serial batch path."""
+    pivots = [float(v) for v in range(5_000_000, 100_000_000, 7_000_000)]
+    plain = CrackerIndex(small_column, clock=SimClock())
+    plain.ensure_cuts(pivots, CrackOrigin.TUNING)
+    latched = CrackerIndex(small_column, clock=SimClock())
+    access = LatchedCrackerAccess(latched, PieceLatchTable())
+    assert access.crack_value(pivots[:6]) == 6
+    assert access.crack_value(pivots) == len(pivots) - 6
+    assert latched.piece_map.pivots() == plain.piece_map.pivots()
+    assert latched.piece_map.cuts() == plain.piece_map.cuts()
+    assert len(latched.tape) == len(plain.tape)
+
+
+def test_latch_timeout_mid_batch_holds_nothing_and_retries(small_column):
+    """A piece latch that times out while earlier ones of the batch are
+    already held must release them all; the batch completes once the
+    holder lets go, and is counted as stalled, not failed."""
+    index = CrackerIndex(small_column)
+    table = PieceLatchTable(acquire_timeout_s=0.002)
+    access = LatchedCrackerAccess(index, table)
+    assert access.crack_value(5e7) is True
+    right = index.piece_map.position_of_pivot(5e7)
+    entered = threading.Event()
+    release = threading.Event()
+
+    def hold_right_piece():
+        with table.write_pieces([table.key_for(right)]):
+            entered.set()
+            release.wait(timeout=5)
+
+    holder = threading.Thread(target=hold_right_piece)
+    holder.start()
+    assert entered.wait(timeout=5)
+    outcome = []
+    batch = threading.Thread(
+        target=lambda: outcome.append(access.crack_value([2e7, 8e7]))
+    )
+    batch.start()
+    batch.join(timeout=0.05)
+    assert batch.is_alive()  # timing out and retrying behind the holder
+    # Between its retries the batch lets go of the left piece too.
+    for _ in range(500):
+        try:
+            with table.write_pieces([table.key_for(0)]):
+                break
+        except LatchTimeout:
+            continue
+    else:
+        pytest.fail("the batch never released its first latch")
+    release.set()
+    holder.join(timeout=5)
+    batch.join(timeout=5)
+    assert not batch.is_alive() and not holder.is_alive()
+    assert outcome == [2]
+    assert index.tape.stall_count() >= 1
+    assert table.stats.releases >= table.stats.grants
+    with table.exclusive() as stalled:  # nothing left held
+        assert stalled is False
+    index.check_invariants()
+
+
+def test_injected_latch_timeout_is_retried_by_the_batch(small_column):
+    index = CrackerIndex(small_column)
+    access = LatchedCrackerAccess(index, PieceLatchTable())
+    plan = FaultPlan()
+    plan.arm("latch.acquire", at=0)
+    with engaged(plan):
+        assert access.crack_value([2e7, 5e7, 8e7]) == 3
+    assert plan.injected == 1
+    assert plan.unrecovered() == []
+    assert index.tape.stall_count() == 1
+    with access.table.exclusive() as stalled:
+        assert stalled is False

@@ -1,6 +1,8 @@
 """Unit tests for the continuous column ranking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
 from repro.errors import ConfigError
@@ -97,3 +99,41 @@ def test_note_query_on_unknown_ref_is_noop():
     ranking = ColumnRanking(cache_target_elements=100)
     ranking.note_query(ColumnRef("R", "missing"))  # must not raise
     ranking.note_tuning_action(ColumnRef("R", "missing"))
+
+
+# -- best() is the head of ranked() ---------------------------------------
+
+_COLUMN = st.tuples(
+    st.sampled_from([8, 64, 256]),  # rows
+    st.integers(0, 12),  # cracks
+    st.integers(0, 3),  # queries seen
+    st.sampled_from([0.5, 1.0, 2.0]),  # workload weight
+    st.integers(0, 4),  # cracks a worker plan has promised
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=st.lists(_COLUMN, min_size=0, max_size=6),
+    target=st.sampled_from([1, 4, 16, 64, 10_000]),
+)
+def test_best_is_the_head_of_ranked(columns, target):
+    """The scalar maximum must pick exactly what the sorted ranking
+    puts first: same scores, and registration order among ties (the
+    small value sets above make ties and all-refined rankings common).
+    """
+    ranking = ColumnRanking(cache_target_elements=target)
+    for i, (rows, cracks, queries, weight, planned) in enumerate(columns):
+        ref = ColumnRef("R", f"A{i}")
+        column = generate_uniform_column(
+            ref.column, rows=rows, low=1, high=1_000, seed=i
+        )
+        index = CrackerIndex(column, clock=SimClock())
+        index.ensure_cuts([pivot + 0.5 for pivot in range(cracks)])
+        state = ranking.register(ref, index, workload_weight=weight)
+        ranking.note_queries(ref, queries)
+        state.planned = planned
+    ranked = ranking.ranked()
+    assert ranking.best() is (ranked[0][0] if ranked else None)
+    for state, score in ranked:
+        assert score == ranking.score(state)

@@ -1,13 +1,17 @@
 """Tests for the supervised crash handling of the tuning worker pool.
 
-Covers the self-healing ladder of ISSUE 8: a crashed worker is
-restarted with backoff and the fault is credited as recovered; a
-column that repeatedly kills workers is quarantined while the rest of
-the pool keeps refining; quarantining *every* candidate -- or running
-a worker slot out of restarts -- is a fatal, sticky failure that every
-``drain()``/``stop()`` keeps reporting until it is acknowledged; and
-the pool distinguishes "all live work is done" (clean exhaustion) from
-"the policy refuses to rotate off a quarantined column" (stuck).
+The supervised unit is the *batch* -- one column's share of a window
+plan.  Covers the self-healing ladder of ISSUE 8 at that grain: a
+worker that crashes mid-batch is restarted with backoff, handed the
+same batch (same pivots) again and the fault is credited as recovered;
+a column whose batches repeatedly kill workers is quarantined -- only
+its batches are dropped, their attempts re-planned on live columns --
+while the rest of the pool keeps refining; quarantining *every*
+candidate -- or running a worker slot out of restarts -- is a fatal,
+sticky failure that every ``drain()``/``stop()`` keeps reporting until
+it is acknowledged; and the pool distinguishes "all live work is done"
+(clean exhaustion) from "the policy refuses to rotate off a quarantined
+column" (stuck).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 
 from repro import faults
 from repro.config import TINY
+from repro.cracking.index import CrackerIndex
 from repro.engine.query import RangeQuery
 from repro.errors import ConcurrencyError
 from repro.faults import FaultPlan, engaged
@@ -61,11 +66,26 @@ def _kernel(db, **overrides) -> HolisticKernel:
 # -- restart ------------------------------------------------------------
 
 
+def _record_batches(pool) -> list:
+    """Log every batch handed to ``_apply_batch`` (before its fault
+    point), in application order."""
+    applied = []
+    apply_batch = pool._apply_batch
+
+    def recording(worker_id, batch, access):
+        applied.append(batch)
+        return apply_batch(worker_id, batch, access)
+
+    pool._apply_batch = recording
+    return applied
+
+
 def test_injected_crash_restarts_worker_and_recovers():
     db = _db()
     kernel = _kernel(db)
     pool = kernel.worker_pool
     pool.supervisor = FAST
+    applied = _record_batches(pool)
     column = db.column("R", "A1")
     plan = FaultPlan()
     plan.arm("workers.perform", at=0)
@@ -84,10 +104,50 @@ def test_injected_crash_restarts_worker_and_recovers():
     assert summary["restarts"] == 1
     assert summary["dead_letter"] == []
     assert any("restart #1" in line for line in summary["log"])
+    # The crashed batch -- the very object, so the very pivots -- was
+    # applied again by the replacement worker; every other batch once.
+    ids = [id(batch) for batch in applied]
+    (retried,) = {b for b in ids if ids.count(b) == 2}
+    assert len(ids) == len(set(ids)) + 1
+    assert ids[0] == retried  # hit 0 is the first batch applied
+    assert sum(b.count for b in applied) - applied[0].count == 16
+    assert all(s.planned == 0 for s in kernel.ranking.states())
     # The fault-free answer path resumes after the repair.
     result = kernel.select(_query(1e7, 3e7))
     assert result.count == ground_truth_count(column, 1e7, 3e7)
     kernel.index_for(ColumnRef("R", "A1")).check_invariants()
+
+
+def test_crash_mid_batch_is_repaired_and_the_retry_completes_it(monkeypatch):
+    """A worker dying *inside* the multi-pivot pass (some pivots cut,
+    the rest not) must leave a verified column, and the retry of the
+    same batch finishes the job: what the first attempt cut is a pivot
+    hit the second time."""
+    db = _db(columns=1)
+    kernel = _kernel(db, num_workers=1)
+    pool = kernel.worker_pool
+    pool.supervisor = FAST
+    applied = _record_batches(pool)
+    ensure_cuts = CrackerIndex.ensure_cuts
+    crashed = []
+
+    def half_then_die(self, values, origin):
+        if not crashed:
+            crashed.append(list(values))
+            ensure_cuts(self, values[: len(values) // 2], origin)
+            raise RuntimeError("died mid-batch")
+        return ensure_cuts(self, values, origin)
+
+    monkeypatch.setattr(CrackerIndex, "ensure_cuts", half_then_die)
+    outcome = kernel.exploit_idle(actions=12)
+    (index,) = kernel.indexes.values()
+    index.check_invariants()
+    assert len(applied) == 2 and applied[0] is applied[1]
+    assert all(index.piece_map.has_pivot(v) for v in crashed[0])
+    # The retry reports only what *it* cut; nothing is counted twice.
+    assert outcome.actions_done == 12 - len(crashed[0]) // 2
+    assert pool.supervisor_summary()["restarts"] == 1
+    assert pool.supervisor_summary()["rebuilds"] == 0
 
 
 # -- quarantine ---------------------------------------------------------
@@ -132,6 +192,40 @@ def test_repeated_crashes_quarantine_the_column():
     assert result.count == ground_truth_count(column, 1e7, 3e7)
 
 
+def test_quarantine_drops_only_the_columns_own_batches():
+    """Threshold crashes on one column dead-letter it mid-window: its
+    batch is dropped, its attempts are re-planned on the live columns
+    and every reservation is returned."""
+    db = _db(columns=3)
+    kernel = _kernel(db)
+    pool = kernel.worker_pool
+    pool.supervisor = SupervisorPolicy(
+        max_restarts_per_worker=16,
+        quarantine_threshold=2,
+        backoff=FAST.backoff,
+    )
+    a1 = ColumnRef("R", "A1")
+    apply_batch = pool._apply_batch
+
+    def a1_explodes(worker_id, batch, access):
+        if batch.state.ref == a1:
+            raise RuntimeError("A1 kills its worker")
+        return apply_batch(worker_id, batch, access)
+
+    pool._apply_batch = a1_explodes
+    outcome = kernel.exploit_idle(actions=30)
+    summary = pool.supervisor_summary()
+    assert summary["dead_letter"] == ["R.A1"]
+    assert summary["crashes_per_column"] == {"R.A1": 2}
+    assert summary["restarts"] == 2
+    report = kernel.tuning_summary()
+    assert report.actions_attempted == 30  # A1's share went elsewhere
+    assert set(report.per_column) == {ColumnRef("R", "A2"), ColumnRef("R", "A3")}
+    assert outcome.actions_done == sum(report.per_column.values())
+    assert [s.planned for s in kernel.ranking.states()] == [0, 0, 0]
+    assert kernel.index_for(a1).piece_count == 1
+
+
 def test_quarantining_every_candidate_is_fatal():
     db = _db(columns=1)
     kernel = _kernel(db)
@@ -171,10 +265,10 @@ def test_failure_is_sticky_until_cleared():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, state, access):
+    def explode(worker_id, batch, access):
         raise RuntimeError("genuine worker bug")
 
-    pool._perform_action = explode
+    pool._apply_batch = explode
     kernel.start_workers()
     kernel.submit_tuning(8)
     with pytest.raises(ConcurrencyError, match="tuning worker died"):
@@ -199,17 +293,17 @@ def test_failure_is_sticky_but_next_lifecycle_is_clean():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, state, access):
+    def explode(worker_id, batch, access):
         raise RuntimeError("genuine worker bug")
 
-    pool._perform_action = explode
+    pool._apply_batch = explode
     kernel.start_workers()
     kernel.submit_tuning(4)
     with pytest.raises(ConcurrencyError):
         pool.stop()
     assert isinstance(pool.clear_failure(), RuntimeError)
     # With the crashing action gone, a fresh lifecycle drains cleanly.
-    del pool._perform_action
+    del pool._apply_batch
     kernel.start_workers()
     try:
         kernel.submit_tuning(4)
@@ -231,12 +325,12 @@ def test_genuine_crashes_are_not_credited_to_the_fault_plan():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, state, access):
+    def explode(worker_id, batch, access):
         raise RuntimeError("genuine worker bug")
 
     plan = FaultPlan()  # engaged but with nothing armed
     with engaged(plan):
-        pool._perform_action = explode
+        pool._apply_batch = explode
         kernel.start_workers()
         kernel.submit_tuning(2)
         with pytest.raises(ConcurrencyError):

@@ -14,7 +14,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.bench.harness import piece_map_sha256
 from repro.config import TINY
+from repro.cracking.index import CrackerIndex
 from repro.engine.query import RangeQuery
 from repro.errors import ConcurrencyError, ConfigError
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
@@ -175,6 +177,191 @@ def test_session_integration_via_strategy_options():
     assert "2 workers" in record.note
 
 
+# -- window plans --------------------------------------------------------
+
+
+def _converged_kernel(workers: int) -> HolisticKernel:
+    kernel = HolisticKernel(
+        _db(columns=8, rows=2_000),
+        HolisticConfig(
+            num_workers=workers, policy="ranked", cache_target_elements=64
+        ),
+    )
+    while kernel.exploit_idle(actions=256).actions_done:
+        pass
+    return kernel
+
+
+def test_exhausted_window_asks_the_policy_once_not_per_action(monkeypatch):
+    """Regression: every token of a window used to be processed even
+    after the ranking was found exhausted (5.5 ms for actions=128 on a
+    converged kernel, against 49 us serially).  A plan finds that out
+    with one policy choice, whatever the window's size, and spawns no
+    thread for it."""
+    kernel = _converged_kernel(workers=2)
+    calls = []
+    choose = kernel.policy.choose
+    monkeypatch.setattr(
+        kernel.policy,
+        "choose",
+        lambda ranking: calls.append(1) or choose(ranking),
+    )
+    per_window = []
+    for actions in (1, 16, 128):
+        calls.clear()
+        outcome = kernel.exploit_idle(actions=actions)
+        assert outcome.actions_done == 0
+        assert "all candidates refined" in outcome.note
+        per_window.append(len(calls))
+    assert per_window == [1, 1, 1]
+    assert kernel.worker_pool._threads == {}
+
+
+def test_window_cost_is_per_batch_not_per_action(monkeypatch):
+    """A structural cost guard: a 128-action window over 8 columns is
+    at most one latched multi-pivot pass per column and planning round,
+    with at most two policy-lock round trips per batch."""
+    kernel = HolisticKernel(
+        _db(columns=8), HolisticConfig(num_workers=2, policy="ranked")
+    )
+    pool = kernel.worker_pool
+    passes = []
+    ensure_cuts = CrackerIndex.ensure_cuts
+    monkeypatch.setattr(
+        CrackerIndex,
+        "ensure_cuts",
+        lambda self, *args: passes.append(1) or ensure_cuts(self, *args),
+    )
+
+    class CountingLock:
+        def __init__(self, lock):
+            self.lock, self.acquired = lock, 0
+
+        def __enter__(self):
+            self.acquired += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc_info):
+            return self.lock.__exit__(*exc_info)
+
+    pool._policy_lock = CountingLock(pool._policy_lock)
+    outcome = kernel.exploit_idle(actions=128)
+    assert outcome.actions_done > 100
+    assert kernel.tuning_summary().actions_attempted == 128
+    assert 8 <= len(passes) <= 8 + pool.num_workers
+    assert pool._policy_lock.acquired <= 2 * len(passes)
+
+
+def test_ranked_window_is_planned_against_projected_piece_counts():
+    """Each planned crack counts as one more piece of its column, so
+    one window of the ranked policy spreads over equally deserving
+    columns instead of spending itself on the first; the reservations
+    are all returned when the window is done."""
+    kernel = HolisticKernel(
+        _db(columns=3), HolisticConfig(num_workers=2, policy="ranked")
+    )
+    kernel.exploit_idle(actions=60)
+    summary = kernel.tuning_summary()
+    assert len(summary.per_column) == 3
+    assert max(summary.per_column.values()) <= 20
+    assert [s.planned for s in kernel.ranking.states()] == [0, 0, 0]
+
+
+def test_a_split_column_never_shares_a_piece_between_batches():
+    """Fewer columns than workers: the column's pivots are cut into
+    runs at piece boundaries, so sibling batches latch disjoint
+    pieces."""
+    kernel = HolisticKernel(
+        _db(columns=1),
+        HolisticConfig(num_workers=4, cache_target_elements=16),
+    )
+    kernel.exploit_idle(actions=24)
+    pool = kernel.worker_pool
+    (state,) = kernel.ranking.states()
+    pieces = state.index.piece_map
+    pivots = sorted(
+        np.random.default_rng(5).uniform(1, 1e8, size=40).tolist()
+    )
+    batches = pool._batches_for(state, len(pivots), pivots, runs=4)
+    assert 2 <= len(batches) <= 4
+    assert [p for batch in batches for p in batch.pivots] == pivots
+    assert sum(batch.count for batch in batches) == len(pivots)
+    targets = [
+        {pieces.locate(pivot)[1] for pivot in batch.pivots}
+        for batch in batches
+    ]
+    for i, mine in enumerate(targets):
+        for theirs in targets[i + 1 :]:
+            assert not mine & theirs
+    # Balanced by rows touched: no run carries most of the column.
+    assert max(b.weight for b in batches) < 0.6 * sum(
+        b.weight for b in batches
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_same_seed_worker_windows_are_reproducible(workers):
+    """Plan-time pivots from per-column streams and a static deal make
+    a run_window-only run a function of the seed: two fresh kernels
+    agree on the cut set, the virtual time, the tape and the report,
+    whatever the thread timing."""
+    runs = []
+    for _ in range(2):
+        db = _db(columns=2)
+        kernel = HolisticKernel(
+            db,
+            HolisticConfig(
+                num_workers=workers, cache_target_elements=64, seed=11
+            ),
+        )
+        consumed = [
+            kernel.exploit_idle(actions=48).consumed_s for _ in range(4)
+        ]
+        sha = piece_map_sha256(
+            (str(ref), index.piece_map.cuts(), index.piece_map.pivots())
+            for ref, index in sorted(
+                kernel.indexes.items(), key=lambda kv: str(kv[0])
+            )
+        ).hexdigest()
+        summary = kernel.tuning_summary()
+        runs.append(
+            (
+                sha,
+                consumed,
+                db.clock.now(),
+                len(kernel.tape),
+                summary.per_column,
+                summary.per_worker,
+                summary.stalls,
+            )
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][6] == 0  # within a plan workers never contend
+
+
+def test_cut_set_does_not_depend_on_the_worker_count():
+    """A column's pivot stream is keyed by (seed, column), not by the
+    worker that applies it: action-count windows cut the same places
+    on 1, 2 or 4 workers."""
+    cut_sets = []
+    for workers in (1, 2, 4):
+        kernel = HolisticKernel(
+            _db(columns=2),
+            HolisticConfig(
+                num_workers=workers, cache_target_elements=64, seed=11
+            ),
+        )
+        for _ in range(3):
+            kernel.exploit_idle(actions=48)
+        cut_sets.append(
+            {
+                str(ref): index.piece_map.pivots()
+                for ref, index in kernel.indexes.items()
+            }
+        )
+    assert cut_sets[0] == cut_sets[1] == cut_sets[2]
+
+
 # -- queries racing workers ---------------------------------------------
 
 
@@ -228,7 +415,11 @@ def test_stress_contended_single_column_counts_stalls():
             num_workers=4, latch_granularity=1_000, cache_target_elements=2
         ),
     )
-    kernel.exploit_idle(actions=400)
+    # The first window finds one piece (one batch); the second splits
+    # the column's pivots over all four workers, whose pieces share
+    # <= 2 latch buckets.
+    kernel.exploit_idle(actions=200)
+    kernel.exploit_idle(actions=200)
     index = kernel.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
     summary = kernel.tuning_summary()
@@ -236,6 +427,7 @@ def test_stress_contended_single_column_counts_stalls():
     # With 4 workers on <= 2 buckets, contention is essentially
     # guaranteed; tolerate zero only if almost nothing overlapped.
     assert summary.actions_attempted == 400
+    assert len(summary.per_worker) > 1
 
 
 def test_explicit_lifecycle_folds_worker_time_into_clock():
@@ -302,10 +494,10 @@ def test_stop_preserves_settled_account_when_worker_died():
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
     pool = kernel.worker_pool
 
-    def explode(worker_id, state, access):
+    def explode(worker_id, batch, access):
         raise RuntimeError("injected worker crash")
 
-    pool._perform_action = explode
+    pool._apply_batch = explode
     kernel.start_workers()
     kernel.submit_tuning(8)
     with pytest.raises(ConcurrencyError) as excinfo:
@@ -325,10 +517,10 @@ def test_drain_failure_reports_stats_without_account():
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
     pool = kernel.worker_pool
 
-    def explode(worker_id, state, access):
+    def explode(worker_id, batch, access):
         raise RuntimeError("injected worker crash")
 
-    pool._perform_action = explode
+    pool._apply_batch = explode
     kernel.start_workers()
     try:
         kernel.submit_tuning(4)
