@@ -7,7 +7,6 @@ no-knowledge catalog bootstrap and the no-idle hot-range boost of the
 paper's Section 3.
 """
 
-from repro.holistic.cost_model import PlannedAction, TuningCostModel
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
 from repro.holistic.policies import (
     RankedPolicy,
@@ -29,10 +28,8 @@ __all__ = [
     "HolisticConfig",
     "HolisticKernel",
     "IdleScheduler",
-    "PlannedAction",
     "RankedPolicy",
     "RoundRobinPolicy",
-    "TuningCostModel",
     "TuningPolicy",
     "TuningReport",
     "TuningWorkerPool",

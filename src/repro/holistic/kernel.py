@@ -33,7 +33,6 @@ from repro.engine.strategies import (
     StrategyFeatures,
 )
 from repro.errors import ConfigError
-from repro.holistic.cost_model import TuningCostModel
 from repro.holistic.policies import TuningPolicy, make_policy
 from repro.holistic.ranking import ColumnRanking
 from repro.holistic.scheduler import IdleScheduler, TuningReport
@@ -147,7 +146,6 @@ class HolisticKernel(IndexingStrategy):
         self.scheduler = IdleScheduler(
             self.clock, self.ranking, self.policy, self.tuner
         )
-        self.tuning_model = TuningCostModel(model, self.ranking)
         self.tape = CrackTape()
         self.indexes: dict[ColumnRef, CrackerIndex] = {}
         self._hints: list[WorkloadStatement] = []
@@ -419,9 +417,9 @@ class _HolisticBatchExecution:
     The crack replay is the shared :class:`CrackerBatchExecution`; the
     kernel's continuous statistics -- monitor observations and ranking
     query counts -- are collected with their exact sequential
-    timestamps during the replay and applied in one vectorized
+    timestamps during the replay and applied in one
     :meth:`WorkloadMonitor.note_many` / :meth:`ColumnRanking.note_queries`
-    pass per column at window end.  Nothing reads them mid-window
+    call per column at window end.  Nothing reads them mid-window
     (the hot boost, the only mid-query reader, disables batching), so
     the deferred state is indistinguishable from sequential updates.
     """
@@ -479,6 +477,9 @@ class _HolisticBatchExecution:
         kernel = self._kernel
         for window, timestamps in zip(self._windows, self._timestamps):
             kernel.monitor.note_many(
-                window.ref, window.lows, window.highs, timestamps
+                window.ref,
+                window.lows.tolist(),
+                window.highs.tolist(),
+                timestamps,
             )
             kernel.ranking.note_queries(window.ref, len(timestamps))

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cracking.index import CrackerIndex
 from repro.errors import ConfigError
 from repro.storage.catalog import ColumnRef
@@ -140,44 +138,18 @@ class ColumnRanking:
     def ranked(self) -> list[tuple[ColumnTuningState, float]]:
         """All candidates with positive score, best first.
 
-        Vectorized (ISSUE 4): the per-column signals are gathered into
-        numpy score arrays and ranked with one ``argsort`` instead of
-        a Python tuple sort.  The full ranking is what
-        ``weighted_random`` samples from and what reports print; an
-        idle decision that only needs its head calls :meth:`best`.
-        Scores and tie order match the scalar :meth:`score` path
-        exactly.
+        The full ranking is what ``weighted_random`` samples from and
+        what reports print; an idle decision that only needs its head
+        calls :meth:`best`.  The sort is stable, so ties keep
+        registration order.
         """
-        states = list(self._states.values())
-        if not states:
-            return []
-        count = len(states)
-        averages = np.fromiter(
-            (state.average_piece_size() for state in states),
-            dtype=np.float64,
-            count=count,
-        )
-        frequency = np.fromiter(
-            (
-                state.queries_seen + state.workload_weight
-                for state in states
-            ),
-            dtype=np.float64,
-            count=count,
-        )
-        scores = np.where(
-            averages <= self.cache_target_elements,
-            0.0,
-            frequency * averages,
-        )
-        # Stable descending sort keeps registration order among ties,
-        # like the Python sort it replaces.
-        order = np.argsort(-scores, kind="stable")
-        return [
-            (states[i], float(scores[i]))
-            for i in order
-            if scores[i] > 0
+        scored = [
+            (state, score)
+            for state in self._states.values()
+            if (score := self.score(state)) > 0
         ]
+        scored.sort(key=lambda pair: pair[1], reverse=True)
+        return scored
 
     def best(self) -> ColumnTuningState | None:
         """The most deserving column, or None when all are refined.

@@ -7,11 +7,7 @@ reevaluation and benefit-amortized index creation/dropping.
 
 from repro.online.colt import ColtConfig, ColtTuner, EpochDecision
 from repro.online.epoch import EpochManager
-from repro.online.monitor import (
-    ColumnActivity,
-    QueryObservation,
-    WorkloadMonitor,
-)
+from repro.online.monitor import ColumnActivity, WorkloadMonitor
 
 __all__ = [
     "ColtConfig",
@@ -19,6 +15,5 @@ __all__ = [
     "ColumnActivity",
     "EpochDecision",
     "EpochManager",
-    "QueryObservation",
     "WorkloadMonitor",
 ]

@@ -2,12 +2,14 @@
 
 Online indexing's defining feature (COLT [16]) is that statistics are
 collected *while the workload runs*.  The monitor records every range
-query with its virtual timestamp and maintains, per column:
+query with its virtual timestamp and keeps, per column, exactly what a
+tuning decision reads:
 
-* total and recent query counts (frequency estimation);
+* the query count (the holistic candidate order and the hot-column
+  trigger);
+* the most recent timestamps (COLT's per-epoch activity);
 * an equi-width histogram of requested value ranges (hot-range
-  detection for the holistic "no idle time" boost);
-* the union of queried intervals (coverage of the explored region).
+  detection for the holistic "no idle time" boost).
 
 Holistic indexing reuses this exact monitor -- the paper's point is
 that monitoring, idle-time exploitation and adaptive refinement live
@@ -17,38 +19,54 @@ in one kernel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import PersistError
 from repro.storage.catalog import Catalog, ColumnRef
-from repro.util.intervals import IntervalSet
+
+#: Resolution of the per-column range histograms.  A power of two, so
+#: ``histogram_width * HISTOGRAM_BINS`` is exact and any offset below it
+#: floor-divides to a valid bin.
+HISTOGRAM_BINS = 64
+#: Recent timestamps kept per column; the most an epoch count can see.
+RECENT_WINDOW = 256
 
 
-@dataclass(frozen=True, slots=True)
-class QueryObservation:
-    """One observed range query."""
+def _bin(offset: float, width: float) -> int:
+    """Histogram bin of a bound ``offset`` above the domain's low end.
 
-    ref: ColumnRef
-    low: float
-    high: float
-    timestamp: float
+    The bound is clamped to the domain *before* the floor division, so
+    an infinite one never reaches it.
+    """
+    if offset <= 0.0:
+        return 0
+    if offset >= width * HISTOGRAM_BINS:
+        return HISTOGRAM_BINS - 1
+    return int(offset // width)
 
 
 @dataclass(slots=True)
 class ColumnActivity:
-    """Per-column monitoring state."""
+    """Per-column monitoring state.
 
-    ref: ColumnRef
-    query_count: int = 0
-    first_seen: float = 0.0
-    last_seen: float = 0.0
-    recent: deque[float] = field(default_factory=lambda: deque(maxlen=256))
-    coverage: IntervalSet = field(default_factory=IntervalSet)
-    histogram: np.ndarray | None = None
-    histogram_low: float = 0.0
-    histogram_width: float = 1.0
+    The histogram is stored as a difference array: ``steps[b]`` is the
+    count of bin ``b`` minus the count of bin ``b - 1``, so a query
+    over any number of bins is two increments.  The last entry only
+    absorbs the decrement of ranges that reach the top bin.
+    """
+
+    query_count: int
+    recent: deque[float]
+    steps: list[int]
+    histogram_low: float
+    histogram_width: float
+
+    def histogram(self) -> np.ndarray:
+        """Queries per bin, materialised from the difference array."""
+        return np.cumsum(self.steps[:-1], dtype=np.int64)
 
 
 class WorkloadMonitor:
@@ -56,119 +74,76 @@ class WorkloadMonitor:
 
     Args:
         catalog: used to initialize histogram domains from column stats.
-        histogram_bins: resolution of the per-column range histograms.
-        recent_window: how many recent timestamps to keep per column
-            for frequency estimation.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        histogram_bins: int = 64,
-        recent_window: int = 256,
-    ) -> None:
-        if histogram_bins <= 0:
-            raise ConfigError(
-                f"histogram_bins must be positive: {histogram_bins}"
-            )
-        if recent_window <= 0:
-            raise ConfigError(
-                f"recent_window must be positive: {recent_window}"
-            )
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.histogram_bins = histogram_bins
-        self.recent_window = recent_window
         self._activity: dict[ColumnRef, ColumnActivity] = {}
         self.total_queries = 0
 
     # -- recording -------------------------------------------------------
 
-    def _activity_for(self, ref: ColumnRef, timestamp: float) -> ColumnActivity:
+    def _activity_for(self, ref: ColumnRef) -> ColumnActivity:
         activity = self._activity.get(ref)
         if activity is None:
-            column = self.catalog.column(ref)
-            stats = column.stats
-            width = max(stats.value_span, 1.0) / self.histogram_bins
-            activity = ColumnActivity(
-                ref=ref,
-                first_seen=timestamp,
-                recent=deque(maxlen=self.recent_window),
-                histogram=np.zeros(self.histogram_bins, dtype=np.int64),
+            stats = self.catalog.column(ref).stats
+            activity = self._activity[ref] = ColumnActivity(
+                query_count=0,
+                recent=deque(maxlen=RECENT_WINDOW),
+                steps=[0] * (HISTOGRAM_BINS + 1),
                 histogram_low=stats.min_value,
-                histogram_width=width,
+                histogram_width=max(stats.value_span, 1.0) / HISTOGRAM_BINS,
             )
-            self._activity[ref] = activity
         return activity
+
+    def _note(
+        self,
+        activity: ColumnActivity,
+        low: float,
+        high: float,
+        timestamp: float,
+    ) -> None:
+        """The one update rule: count one query on ``activity``.
+
+        A non-empty range increments every histogram bin it touches:
+        ``[x, +inf)`` reaches the top bin and ``(-inf, x)`` starts at
+        the bottom one.  A NaN bound fails ``high > low`` and, like an
+        empty range, is counted without touching a bin.
+        """
+        self.total_queries += 1
+        activity.query_count += 1
+        activity.recent.append(timestamp)
+        if high > low:
+            origin = activity.histogram_low
+            width = activity.histogram_width
+            steps = activity.steps
+            steps[_bin(low - origin, width)] += 1
+            steps[_bin(high - origin, width) + 1] -= 1
 
     def record(
         self, ref: ColumnRef, low: float, high: float, timestamp: float
-    ) -> QueryObservation:
-        """Record one range query and return its observation."""
-        activity = self._activity_for(ref, timestamp)
-        activity.query_count += 1
-        activity.last_seen = timestamp
-        activity.recent.append(timestamp)
-        activity.coverage.add(low, high)
-        if activity.histogram is not None and high > low:
-            first_bin = int(
-                (low - activity.histogram_low) // activity.histogram_width
-            )
-            last_bin = int(
-                (high - activity.histogram_low) // activity.histogram_width
-            )
-            first_bin = min(max(first_bin, 0), self.histogram_bins - 1)
-            last_bin = min(max(last_bin, 0), self.histogram_bins - 1)
-            activity.histogram[first_bin : last_bin + 1] += 1
-        self.total_queries += 1
-        return QueryObservation(ref, low, high, timestamp)
+    ) -> None:
+        """Record one range query."""
+        self._note(self._activity_for(ref), low, high, timestamp)
 
     def note_many(
         self,
         ref: ColumnRef,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        timestamps: list[float],
+        lows: Sequence[float],
+        highs: Sequence[float],
+        timestamps: Sequence[float],
     ) -> None:
-        """Record a window of observations on one column at once.
+        """Record a window of queries on one column, in order.
 
         ``lows``/``highs`` are the window's predicate bounds aligned
-        with ``timestamps``.  The batched form of :meth:`record`
-        (ISSUE 4): counters, the recency window and coverage are
-        updated in order, and all histogram range increments land in
-        one vectorized difference-array pass instead of one slice add
-        per query.  The resulting monitor state is identical to
-        ``len(timestamps)`` sequential :meth:`record` calls.
+        with ``timestamps``; the column is looked up once and every
+        query goes through the same rule as :meth:`record`.
         """
         if not len(timestamps):
             return
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        activity = self._activity_for(ref, timestamps[0])
-        activity.query_count += len(timestamps)
-        activity.last_seen = timestamps[-1]
-        activity.recent.extend(timestamps)
-        activity.coverage.add_many(
-            list(zip(lows.tolist(), highs.tolist()))
-        )
-        if activity.histogram is not None:
-            mask = highs > lows
-            if np.any(mask):
-                bins = self.histogram_bins
-                first = (
-                    (lows[mask] - activity.histogram_low)
-                    // activity.histogram_width
-                ).astype(np.int64)
-                last = (
-                    (highs[mask] - activity.histogram_low)
-                    // activity.histogram_width
-                ).astype(np.int64)
-                np.clip(first, 0, bins - 1, out=first)
-                np.clip(last, 0, bins - 1, out=last)
-                deltas = np.zeros(bins + 1, dtype=np.int64)
-                np.add.at(deltas, first, 1)
-                np.add.at(deltas, last + 1, -1)
-                activity.histogram += np.cumsum(deltas[:-1])
-        self.total_queries += len(timestamps)
+        activity = self._activity_for(ref)
+        for low, high, timestamp in zip(lows, highs, timestamps):
+            self._note(activity, low, high, timestamp)
 
     # -- statistics ------------------------------------------------------
 
@@ -184,37 +159,6 @@ class WorkloadMonitor:
             reverse=True,
         )
 
-    def frequency(self, ref: ColumnRef, now: float) -> float:
-        """Recent queries per second on ``ref`` (0.0 when unseen).
-
-        A window that has not advanced yet (``now`` equal to -- or,
-        with an out-of-order clock, before -- the first observation's
-        timestamp) has no elapsed time to divide by; the recent count
-        itself is returned as the rate, as if the degenerate window
-        were one second wide.  The old ``max(elapsed, 1e-9)`` clamp
-        turned such windows into absurd ~1e11 rates that drowned every
-        real column in a frequency comparison.
-        """
-        activity = self._activity.get(ref)
-        if activity is None or not activity.recent:
-            return 0.0
-        window_start = activity.recent[0]
-        elapsed = now - window_start
-        if elapsed <= 0.0:
-            return float(len(activity.recent))
-        return len(activity.recent) / elapsed
-
-    def relative_weight(self, ref: ColumnRef) -> float:
-        """Fraction of all observed queries that hit ``ref``."""
-        if self.total_queries == 0:
-            return 0.0
-        return self.query_count(ref) / self.total_queries
-
-    def coverage(self, ref: ColumnRef) -> IntervalSet:
-        """Union of value ranges queried on ``ref``."""
-        activity = self._activity.get(ref)
-        return activity.coverage if activity else IntervalSet()
-
     def hot_ranges(
         self, ref: ColumnRef, min_queries: int
     ) -> list[tuple[float, float, int]]:
@@ -225,31 +169,26 @@ class WorkloadMonitor:
         than n queries cracked this column/range" trigger.
         """
         activity = self._activity.get(ref)
-        if activity is None or activity.histogram is None:
+        if activity is None:
             return []
-        hot = activity.histogram >= min_queries
+        counts = activity.histogram()
+        origin = activity.histogram_low
+        width = activity.histogram_width
         ranges: list[tuple[float, float, int]] = []
         start: int | None = None
-        for i, flag in enumerate(hot):
+        for i, flag in enumerate([*(counts >= min_queries), False]):
             if flag and start is None:
                 start = i
             elif not flag and start is not None:
-                ranges.append(self._bins_to_range(activity, start, i))
+                ranges.append(
+                    (
+                        origin + start * width,
+                        origin + i * width,
+                        int(counts[start:i].max()),
+                    )
+                )
                 start = None
-        if start is not None:
-            ranges.append(
-                self._bins_to_range(activity, start, len(hot))
-            )
         return ranges
-
-    @staticmethod
-    def _bins_to_range(
-        activity: ColumnActivity, first: int, last: int
-    ) -> tuple[float, float, int]:
-        low = activity.histogram_low + first * activity.histogram_width
-        high = activity.histogram_low + last * activity.histogram_width
-        count = int(activity.histogram[first:last].max())
-        return (low, high, count)
 
     def is_column_hot(self, ref: ColumnRef, min_queries: int) -> bool:
         """Whether ``ref`` has absorbed at least ``min_queries`` queries."""
@@ -275,18 +214,8 @@ class WorkloadMonitor:
                     "table": ref.table,
                     "column": ref.column,
                     "query_count": activity.query_count,
-                    "first_seen": activity.first_seen,
-                    "last_seen": activity.last_seen,
                     "recent": [float(t) for t in activity.recent],
-                    "coverage": [
-                        [float(lo), float(hi)]
-                        for lo, hi in activity.coverage.intervals()
-                    ],
-                    "histogram": (
-                        activity.histogram.tolist()
-                        if activity.histogram is not None
-                        else None
-                    ),
+                    "histogram": activity.histogram().tolist(),
                     "histogram_low": activity.histogram_low,
                     "histogram_width": activity.histogram_width,
                 }
@@ -294,31 +223,26 @@ class WorkloadMonitor:
         return {"total_queries": self.total_queries, "columns": columns}
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a previously-exported monitor state (snapshot restore)."""
+        """Adopt a previously-exported monitor state (snapshot restore).
+
+        Entries written before the monitor stopped keeping them also
+        carry ``coverage``, ``first_seen`` and ``last_seen``; they are
+        ignored.
+        """
         self._activity = {}
         self.total_queries = int(state["total_queries"])
         for entry in state["columns"]:
             ref = ColumnRef(entry["table"], entry["column"])
-            coverage = IntervalSet()
-            if entry["coverage"]:
-                coverage.add_many(
-                    [(lo, hi) for lo, hi in entry["coverage"]]
+            histogram = entry["histogram"]
+            if len(histogram) != HISTOGRAM_BINS:
+                raise PersistError(
+                    f"monitor histogram of {ref} has {len(histogram)} "
+                    f"bins, expected {HISTOGRAM_BINS}"
                 )
-            recent: deque[float] = deque(maxlen=self.recent_window)
-            recent.extend(entry["recent"])
-            histogram = (
-                np.asarray(entry["histogram"], dtype=np.int64)
-                if entry["histogram"] is not None
-                else None
-            )
             self._activity[ref] = ColumnActivity(
-                ref=ref,
                 query_count=int(entry["query_count"]),
-                first_seen=float(entry["first_seen"]),
-                last_seen=float(entry["last_seen"]),
-                recent=recent,
-                coverage=coverage,
-                histogram=histogram,
+                recent=deque(entry["recent"], maxlen=RECENT_WINDOW),
+                steps=np.diff(histogram, prepend=0, append=0).tolist(),
                 histogram_low=float(entry["histogram_low"]),
                 histogram_width=float(entry["histogram_width"]),
             )

@@ -537,13 +537,8 @@ class ServingFrontend:
             accountant.finish()
         if holistic:
             kernel: HolisticKernel = self.strategy  # type: ignore[assignment]
-            for (table, column), noted in observations.items():
+            for (table, column), (lows, highs, stamps) in observations.items():
                 ref = ColumnRef(table, column)
-                kernel.monitor.note_many(
-                    ref,
-                    np.asarray(noted[0], dtype=np.float64),
-                    np.asarray(noted[1], dtype=np.float64),
-                    noted[2],
-                )
-                kernel.ranking.note_queries(ref, len(noted[2]))
+                kernel.monitor.note_many(ref, lows, highs, stamps)
+                kernel.ranking.note_queries(ref, len(stamps))
         return results  # type: ignore[return-value]

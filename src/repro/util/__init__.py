@@ -1,6 +1,5 @@
-"""Shared utilities (interval sets, retry/backoff, misc helpers)."""
+"""Shared utilities (retry/backoff)."""
 
-from repro.util.intervals import IntervalSet
 from repro.util.retry import BackoffPolicy, retry_call
 
-__all__ = ["BackoffPolicy", "IntervalSet", "retry_call"]
+__all__ = ["BackoffPolicy", "retry_call"]

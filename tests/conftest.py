@@ -2,17 +2,8 @@
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-# Make non-test helpers under tests/ importable as e.g.
-# ``from util.oracle import NaivePending`` without packaging tests/.
-_TESTS_DIR = str(Path(__file__).resolve().parent)
-if _TESTS_DIR not in sys.path:
-    sys.path.insert(0, _TESTS_DIR)
 
 from repro.config import TINY
 from repro.simtime.clock import SimClock

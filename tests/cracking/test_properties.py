@@ -6,8 +6,7 @@ These pin the load-bearing invariants:
   filter over the base column;
 * the physical partitioning always matches the piece map;
 * the piece map's structural invariants survive arbitrary crack
-  sequences;
-* interval sets behave like a set-of-points model.
+  sequences.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.cracking.index import CrackerIndex
 from repro.cracking.piecemap import PieceMap
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
-from repro.util.intervals import IntervalSet
 
 
 @st.composite
@@ -105,69 +103,3 @@ def test_piecemap_invariants_under_value_ordered_cracks(n, pivots):
         pieces.check_invariants()
     assert pieces.piece_count == pieces.crack_count + 1
     assert sum(pieces.piece_sizes()) == n
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=1_000),
-            st.integers(min_value=0, max_value=200),
-        ),
-        max_size=40,
-    ),
-    st.lists(
-        st.integers(min_value=-100, max_value=1_300),
-        min_size=1,
-        max_size=40,
-    ),
-)
-@settings(max_examples=80, deadline=None)
-def test_interval_set_matches_point_model(intervals, probes):
-    model: set[int] = set()
-    iset = IntervalSet()
-    for low, span in intervals:
-        iset.add(float(low), float(low + span))
-        model.update(range(low, low + span))
-    for probe in probes:
-        assert iset.contains_point(float(probe)) == (probe in model)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=500),
-            st.integers(min_value=0, max_value=100),
-        ),
-        max_size=20,
-    ),
-    st.tuples(
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=100),
-    ),
-)
-@settings(max_examples=80, deadline=None)
-def test_uncovered_parts_partition_the_query(intervals, probe):
-    iset = IntervalSet()
-    for low, span in intervals:
-        iset.add(float(low), float(low + span))
-    low, span = probe
-    high = low + span
-    gaps = iset.uncovered_parts(float(low), float(high))
-    # Gaps are disjoint, ordered, inside the probe, and exactly cover
-    # the uncovered points.
-    cursor = float(low)
-    for gap_low, gap_high in gaps:
-        assert gap_low >= cursor
-        assert gap_high > gap_low
-        assert gap_high <= high
-        cursor = gap_high
-    gap_points = set()
-    for gap_low, gap_high in gaps:
-        gap_points.update(
-            p
-            for p in range(int(gap_low), int(np.ceil(gap_high)))
-            if gap_low <= p < gap_high
-        )
-    for point in range(low, high):
-        expected_uncovered = not iset.contains_point(float(point))
-        assert (point in gap_points) == expected_uncovered

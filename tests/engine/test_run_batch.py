@@ -177,13 +177,7 @@ def test_holistic_monitor_and_ranking_state_match():
     batch_session, _ = _run("holistic", 8, 77, count=50, seed=1)
     base = base_session.strategy
     batch = batch_session.strategy
-    assert batch.monitor.total_queries == base.monitor.total_queries
-    for ref in base.monitor._activity:
-        a, b = base.monitor._activity[ref], batch.monitor._activity[ref]
-        assert b.query_count == a.query_count
-        assert list(b.recent) == list(a.recent)
-        assert np.array_equal(b.histogram, a.histogram)
-        assert b.coverage.intervals() == a.coverage.intervals()
+    assert batch.monitor.export_state() == base.monitor.export_state()
     for state in base.ranking.states():
         other = batch.ranking.state(state.ref)
         assert other.queries_seen == state.queries_seen

@@ -83,6 +83,15 @@ def test_ranked_sorts_descending():
     assert ranking.ranked()[0][0].ref == refs[-1]
 
 
+def test_ranked_ties_keep_registration_order():
+    ranking = ColumnRanking(cache_target_elements=100)
+    refs = [_register(ranking, name)[0] for name in ("A3", "A1", "A2")]
+    late, _ = _register(ranking, "A0", weight=2.0)
+    ranked = ranking.ranked()
+    assert len({score for _, score in ranked[1:]}) == 1
+    assert [state.ref for state, _ in ranked] == [late, *refs]
+
+
 def test_refined_count():
     ranking = ColumnRanking(cache_target_elements=1_000)
     _register(ranking, "A1", rows=100)  # refined immediately

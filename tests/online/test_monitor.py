@@ -1,15 +1,18 @@
 """Unit tests for the workload monitor."""
 
-import pytest
+import math
 
-from repro.errors import ConfigError
-from repro.online.monitor import WorkloadMonitor
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.online.monitor import HISTOGRAM_BINS, WorkloadMonitor
 from repro.storage.catalog import ColumnRef
 
 
 @pytest.fixture
 def monitor(tiny_db) -> WorkloadMonitor:
-    return WorkloadMonitor(tiny_db.catalog, histogram_bins=10)
+    return WorkloadMonitor(tiny_db.catalog)
 
 
 def test_record_counts_queries(monitor, a1):
@@ -21,7 +24,6 @@ def test_record_counts_queries(monitor, a1):
 
 def test_unknown_column_has_zero_activity(monitor):
     assert monitor.query_count(ColumnRef("R", "A2")) == 0
-    assert monitor.frequency(ColumnRef("R", "A2"), now=1.0) == 0.0
 
 
 def test_observed_columns_sorted_by_popularity(monitor):
@@ -32,32 +34,9 @@ def test_observed_columns_sorted_by_popularity(monitor):
     assert monitor.observed_columns() == [a1, a2]
 
 
-def test_relative_weight(monitor):
-    a1, a2 = ColumnRef("R", "A1"), ColumnRef("R", "A2")
-    for _ in range(3):
-        monitor.record(a1, 0, 1, 0.1)
-    monitor.record(a2, 0, 1, 0.1)
-    assert monitor.relative_weight(a1) == pytest.approx(0.75)
-    assert monitor.relative_weight(a2) == pytest.approx(0.25)
-
-
-def test_frequency_uses_recent_window(monitor, a1):
-    for i in range(10):
-        monitor.record(a1, 0, 1, float(i))
-    # 10 queries across 9 seconds, measured at t=9.
-    assert monitor.frequency(a1, now=9.0) == pytest.approx(10 / 9)
-
-
-def test_coverage_accumulates_ranges(monitor, a1):
-    monitor.record(a1, 100, 200, 0.1)
-    monitor.record(a1, 150, 300, 0.2)
-    assert monitor.coverage(a1).covers(120, 280)
-    assert not monitor.coverage(a1).covers(0, 50)
-
-
 def test_hot_ranges_from_histogram(monitor, a1, tiny_db):
     stats = tiny_db.column("R", "A1").stats
-    width = stats.value_span / 10
+    width = stats.value_span / HISTOGRAM_BINS
     hot_low = stats.min_value + 2 * width
     for _ in range(5):
         monitor.record(a1, hot_low, hot_low + width / 2, 0.1)
@@ -84,72 +63,90 @@ def test_epoch_counts_filters_by_time(monitor, a1):
     assert counts[a1] == 2
 
 
-def test_invalid_configuration_rejected(tiny_db):
-    with pytest.raises(ConfigError):
-        WorkloadMonitor(tiny_db.catalog, histogram_bins=0)
-    with pytest.raises(ConfigError):
-        WorkloadMonitor(tiny_db.catalog, recent_window=0)
+# Bounds around the paper domain [1, 1e8]: inside it, beyond both ends,
+# the exact ends, open-ended and NaN.  The small pool makes empty
+# (``low == high``) and inverted pairs common.
+_BOUND = st.one_of(
+    st.sampled_from(
+        [-math.inf, -5e7, 0.0, 1.0, 3e7, 1e8, 2e8, math.inf, math.nan]
+    ),
+    st.floats(min_value=-1e8, max_value=3e8, allow_nan=False),
+)
+_QUERY = st.tuples(_BOUND, _BOUND)
+# ``tiny_db`` is only read (column statistics), so sharing it between
+# the examples of one property is safe.
+_PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
-def test_note_many_equals_sequential_records(tiny_db, a1):
-    import numpy as np
+@_PROPERTY
+@given(
+    queries=st.lists(_QUERY, max_size=40),
+    cuts=st.lists(st.integers(0, 40), max_size=6),
+)
+def test_note_many_equals_sequential_records(tiny_db, a1, queries, cuts):
+    """Any split of a query list into windows -- empty windows
+    included -- leaves the state one-by-one ``record`` calls leave."""
+    timestamps = [0.25 * i for i in range(len(queries))]
+    sequential = WorkloadMonitor(tiny_db.catalog)
+    for (low, high), timestamp in zip(queries, timestamps):
+        sequential.record(a1, low, high, timestamp)
+    batched = WorkloadMonitor(tiny_db.catalog)
+    edges = [0, *sorted(cuts), len(queries)]
+    for start, stop in zip(edges, edges[1:]):
+        window = queries[start:stop]
+        batched.note_many(
+            a1,
+            [low for low, _ in window],
+            [high for _, high in window],
+            timestamps[start:stop],
+        )
+    assert batched.export_state() == sequential.export_state()
 
-    catalog = tiny_db.catalog
-    ref = a1
-    rng = np.random.default_rng(7)
-    lows = rng.uniform(0, 9e7, size=30)
-    highs = lows + rng.uniform(0, 1e7, size=30)
-    highs[5] = lows[5]  # empty range: histogram untouched, still counted
-    timestamps = np.cumsum(rng.uniform(0, 1, size=30)).tolist()
 
-    sequential = WorkloadMonitor(catalog)
-    for low, high, ts in zip(lows, highs, timestamps):
-        sequential.record(ref, float(low), float(high), float(ts))
-    batched = WorkloadMonitor(catalog)
-    batched.note_many(ref, lows, highs, [float(t) for t in timestamps])
+@_PROPERTY
+@given(queries=st.lists(_QUERY, min_size=1, max_size=40))
+def test_histogram_equals_naive_per_bin_count(tiny_db, a1, queries):
+    """The materialised difference array counts, per bin, the non-empty
+    queries whose range -- clamped to the domain -- touches the bin."""
+    monitor = WorkloadMonitor(tiny_db.catalog)
+    for low, high in queries:
+        monitor.record(a1, low, high, 0.0)
+    stats = tiny_db.column("R", "A1").stats
+    width = stats.value_span / HISTOGRAM_BINS
+    top = HISTOGRAM_BINS - 1
 
-    a = sequential._activity[ref]
-    b = batched._activity[ref]
-    assert b.query_count == a.query_count
-    assert list(b.recent) == list(a.recent)
-    assert np.array_equal(b.histogram, a.histogram)
-    assert b.coverage.intervals() == a.coverage.intervals()
-    assert (b.first_seen, b.last_seen) == (a.first_seen, a.last_seen)
-    assert batched.total_queries == sequential.total_queries
+    def bin_of(bound: float) -> int:
+        if bound == math.inf:
+            return top
+        if bound == -math.inf:
+            return 0
+        return min(max(int((bound - stats.min_value) // width), 0), top)
+
+    expected = [0] * HISTOGRAM_BINS
+    for low, high in queries:
+        if high > low:
+            for b in range(bin_of(low), bin_of(high) + 1):
+                expected[b] += 1
+    (entry,) = monitor.export_state()["columns"]
+    assert entry["histogram"] == expected
 
 
 def test_note_many_empty_window_is_noop(tiny_db, a1):
-    import numpy as np
-
     monitor = WorkloadMonitor(tiny_db.catalog)
-    monitor.note_many(a1, np.array([]), np.array([]), [])
+    monitor.note_many(a1, [], [], [])
     assert monitor.total_queries == 0
-
-
-def test_frequency_zero_elapsed_window_is_finite(monitor, a1):
-    """Regression: ``now`` equal to the first observation's timestamp.
-
-    The old ``max(elapsed, 1e-9)`` clamp returned len(recent)/1e-9 --
-    an absurd ~1e9-per-observation rate that drowned every real column
-    in a frequency comparison.  The degenerate window reports its
-    recent count as the rate instead.
-    """
-    for _ in range(5):
-        monitor.record(a1, 0, 1, 2.5)
-    rate = monitor.frequency(a1, now=2.5)
-    assert rate == 5.0
-    # An out-of-order clock (now before the window start) is equally
-    # degenerate and must not go negative.
-    assert monitor.frequency(a1, now=2.0) == 5.0
-    # A real window still divides by real elapsed time.
-    assert monitor.frequency(a1, now=7.5) == pytest.approx(1.0)
+    assert monitor.observed_columns() == []
 
 
 def test_hot_ranges_tolerates_single_timestamp_column(monitor, a1, tiny_db):
     """Every observation sharing one timestamp must not break the
-    hot-range trigger (nor frequency, which feeds the same boost)."""
+    hot-range trigger."""
     stats = tiny_db.column("R", "A1").stats
-    width = stats.value_span / 10
+    width = stats.value_span / HISTOGRAM_BINS
     hot_low = stats.min_value + 3 * width
     for _ in range(6):
         monitor.record(a1, hot_low, hot_low + width / 2, 1.0)
@@ -158,23 +155,36 @@ def test_hot_ranges_tolerates_single_timestamp_column(monitor, a1, tiny_db):
     low, high, count = hot[0]
     assert count >= 6
     assert low <= hot_low < high
-    assert monitor.frequency(a1, now=1.0) == 6.0
 
 
 def test_monitor_state_round_trip(monitor, a1, tiny_db):
-    import numpy as np
-
     monitor.record(a1, 100, 200, 0.1)
-    monitor.record(a1, 150, 300, 0.2)
-    a2 = ColumnRef("R", "A1")
+    monitor.record(a1, 150, 3e7, 0.2)
     state = monitor.export_state()
-    clone = WorkloadMonitor(tiny_db.catalog, histogram_bins=10)
+    clone = WorkloadMonitor(tiny_db.catalog)
     clone.restore_state(state)
-    assert clone.total_queries == monitor.total_queries
-    assert clone.query_count(a2) == monitor.query_count(a2)
-    original = monitor._activity[a1]
-    restored = clone._activity[a1]
-    assert list(restored.recent) == list(original.recent)
-    assert np.array_equal(restored.histogram, original.histogram)
-    assert restored.coverage.intervals() == original.coverage.intervals()
-    assert restored.histogram_width == original.histogram_width
+    assert clone.export_state() == state
+    # The restored difference array keeps counting where it left off.
+    for each in (monitor, clone):
+        each.record(a1, 2e7, 5e7, 0.3)
+    assert clone.export_state() == monitor.export_state()
+
+
+def test_restore_ignores_keys_the_monitor_no_longer_keeps(
+    monitor, a1, tiny_db
+):
+    """A snapshot entry written before ``coverage``/``first_seen``/
+    ``last_seen`` were dropped restores to the same counts, recent
+    timestamps and histogram."""
+    monitor.record(a1, 100, 2e7, 0.1)
+    monitor.record(a1, 1e7, 9e7, 0.2)
+    state = monitor.export_state()
+    old_entry = dict(
+        state["columns"][0],
+        first_seen=0.1,
+        last_seen=0.2,
+        coverage=[[100.0, 9e7]],
+    )
+    clone = WorkloadMonitor(tiny_db.catalog)
+    clone.restore_state({**state, "columns": [old_entry]})
+    assert clone.export_state() == state

@@ -5,15 +5,23 @@ downstream user will: non-integer columns, missing objects reached
 through the session API, and degenerate (empty) tables.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.bench.oracle import ReferenceEngine
 from repro.cracking.index import CrackerIndex
+from repro.engine.query import RangeQuery
+from repro.engine.session import make_strategy
 from repro.errors import UnknownColumnError, UnknownTableError
+from repro.serving import ServingFrontend
 from repro.simtime.clock import SimClock
+from repro.storage.catalog import ColumnRef
 from repro.storage.column import Column
 from repro.storage.database import Database
 from repro.storage.dtypes import FLOAT64
+from repro.storage.loader import build_paper_table
 from repro.storage.table import Table
 
 
@@ -102,8 +110,6 @@ def test_single_value_column_cracks_cleanly():
 
 def test_mixed_strategies_share_one_database():
     """Two sessions with different strategies can coexist on one DB."""
-    from repro.storage.loader import build_paper_table
-
     db = Database()
     db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
     scan = db.session("scan")
@@ -113,3 +119,61 @@ def test_mixed_strategies_share_one_database():
     assert a.count == b.count
     # The adaptive session's cracking never mutates the base column.
     assert db.column("R", "A1").values.flags.writeable is False
+
+
+_OPEN_ENDED = [(-math.inf, 3e7), (3e7, math.inf), (-math.inf, math.inf)]
+
+
+def _run_query(strategy):
+    def drive(db, queries):
+        session = db.session(strategy)
+        return session.strategy, [session.run_query(q) for q in queries]
+
+    return drive
+
+
+def _run_batch(db, queries):
+    session = db.session("holistic")
+    return session.strategy, session.run_batch(queries)
+
+
+def _serve_window(db, queries):
+    frontend = ServingFrontend(db, make_strategy("holistic", db))
+    frontend.add_client("solo", queries)
+    results = frontend.serve_window(frontend.former.next_window())
+    return frontend.strategy, results
+
+
+def _open_ended_monitor_state(drive) -> dict:
+    """Answer the open-ended shapes through ``drive``, check the rows
+    against the reference engine, return the monitor's state."""
+    ref = ColumnRef("R", "A1")
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
+    reference = ReferenceEngine(db, [ref])
+    queries = [RangeQuery(ref, low, high) for low, high in _OPEN_ENDED]
+    strategy, results = drive(db, queries)
+    for query, result in zip(queries, results):
+        assert np.array_equal(
+            np.sort(result.values()),
+            reference.query(ref, query.low, query.high),
+        )
+    return strategy.monitor.export_state()
+
+
+def test_open_ended_ranges_count_alike_on_every_path():
+    """Regression: ``-inf // width`` is NaN, so an open-ended range
+    raised from ``WorkloadMonitor.record`` under ``run_query`` while
+    ``run_batch`` and ``serve_window`` cast the NaN to a bin (numpy
+    ``RuntimeWarning``) and counted ``[x, +inf)`` in bin 0.  Every path
+    must answer like the reference engine and leave one monitor state.
+    """
+    sequential = _open_ended_monitor_state(_run_query("holistic"))
+    (entry,) = sequential["columns"]
+    histogram = entry["histogram"]
+    assert histogram[0] == histogram[-1] == 2
+    assert max(histogram) == 3  # the bin of 3e7 is in all three ranges
+    assert _open_ended_monitor_state(_run_batch) == sequential
+    assert _open_ended_monitor_state(_serve_window) == sequential
+    online = _open_ended_monitor_state(_run_query("online"))
+    assert online["columns"][0]["histogram"] == histogram
