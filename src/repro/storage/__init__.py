@@ -30,6 +30,7 @@ from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
     MaterializedResult,
+    PendingOverlay,
     PositionsView,
     RangeView,
     SelectionResult,
@@ -48,6 +49,7 @@ __all__ = [
     "INT32",
     "INT64",
     "MaterializedResult",
+    "PendingOverlay",
     "PendingUpdates",
     "PositionsView",
     "RangeView",

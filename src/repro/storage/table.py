@@ -50,7 +50,9 @@ class Table:
                 f"table {self.name!r} has {self.row_count}"
             )
         self._columns[column.name] = column
-        self._updates[column.name] = PendingUpdates(column.ctype)
+        self._updates[column.name] = PendingUpdates(
+            column.ctype, base=column.values
+        )
         return column
 
     def column(self, name: str) -> Column:

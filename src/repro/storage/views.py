@@ -120,6 +120,111 @@ class MaterializedResult:
         return f"MaterializedResult(count={self.count})"
 
 
+def _tally(items: list[float]) -> dict[float, int]:
+    """How often each item occurs, in first-seen order."""
+    counts: dict[float, int] = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
+    return counts
+
+
+def _earliest_hits(
+    values: np.ndarray, wanted: dict[float, int]
+) -> tuple[list[int], list[float]]:
+    """Indices of the first ``wanted[value]`` occurrences of each
+    wanted value in ``values`` (fewer when it occurs less often), and
+    the value found at each."""
+    spots: list[int] = []
+    found: list[float] = []
+    if len(values) == 0:
+        return spots, found
+    for value, count in wanted.items():
+        equal = values == value
+        if count == 1:
+            # The usual count; argmax stops at the first hit where
+            # nonzero finishes the scan and builds an array.
+            first = int(equal.argmax())
+            hits = [first] if equal[first] else []
+        else:
+            hits = equal.nonzero()[0][:count].tolist()
+        spots += hits
+        found += [value] * len(hits)
+    return spots, found
+
+
+class PendingOverlay:
+    """A select result seen through its column's pending updates.
+
+    Select time computes only the exact :attr:`count` -- base count,
+    minus the pending deletes that match a base value, plus the pending
+    inserts -- from one scan per distinct deleted value; :meth:`values`
+    makes the corrected copy on first use: the surviving runs of the
+    base values and the inserts in one ``np.concatenate``, survivors in
+    base order, one occurrence dropped per matched removal (the
+    earliest, as of the select), unmatched removals ignored.
+
+    What the view answers with is held as *values*: the base result,
+    the store's in-range insert slice and the matched removals.
+    Cracking permutes the rows of a cut-aligned range and never changes
+    what the range holds, so a later crack leaves that multiset intact
+    where a row position goes stale.  The hit indices of the select's
+    scans are kept as hints only: :meth:`values` uses them if each
+    still holds its removal's value and scans again otherwise, so the
+    answer never rests on one.  The insert slice stays valid because
+    :class:`~repro.storage.updates.PendingUpdates` is copy-on-write.
+
+    One scan per removal only pays for trickle-sized delete sets; the
+    caller subtracts larger ones up front (``engine.operators``).
+    """
+
+    __slots__ = (
+        "_base", "_inserts", "_spots", "_removed", "_values", "count"
+    )
+
+    def __init__(
+        self, base: SelectionResult, inserts: np.ndarray, deletes: np.ndarray
+    ) -> None:
+        self._base = base
+        self._inserts = inserts
+        self._values: np.ndarray | None = None
+        #: The removals that match a base value, one entry per dropped
+        #: occurrence, and where the select saw each (a hint).
+        self._spots, self._removed = (
+            _earliest_hits(base.values(), _tally(deletes.tolist()))
+            if len(deletes)
+            else ([], [])  # a scan's values() is a gather: not for nothing
+        )
+        self.count = base.count - len(self._removed) + len(inserts)
+
+    def values(self) -> np.ndarray:
+        """The corrected values, in the wider of the base's and the
+        column's dtype (a narrowed cracker column holds int32 where the
+        column, and so a pending insert, is int64)."""
+        if self._values is None:
+            values = self._base.values()
+            spots = self._spots
+            for spot, removal in zip(spots, self._removed):
+                if values[spot] != removal:
+                    # A crack has permuted the range since the select.
+                    spots, _ = _earliest_hits(values, _tally(self._removed))
+                    break
+            parts = []
+            start = 0
+            for drop in sorted(spots):
+                parts.append(values[start:drop])
+                start = drop + 1
+            parts.append(values[start:])
+            parts.append(self._inserts)
+            self._values = np.concatenate(parts)
+        return self._values
+
+    def positions(self) -> None:
+        return None
+
+    def __repr__(self) -> str:
+        return f"PendingOverlay(count={self.count})"
+
+
 def concat_results(
     first: SelectionResult, second: SelectionResult
 ) -> MaterializedResult:

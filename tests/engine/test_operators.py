@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cracking.index import CrackerIndex
 from repro.engine.operators import (
     apply_pending,
     multiset_difference,
@@ -10,9 +13,9 @@ from repro.engine.operators import (
     scan_select,
 )
 from repro.simtime.clock import SimClock
-from repro.storage.dtypes import INT64
+from repro.storage.dtypes import FLOAT64, INT32, INT64
 from repro.storage.updates import PendingUpdates
-from repro.storage.views import MaterializedResult
+from repro.storage.views import PendingOverlay, RangeView
 
 from tests.conftest import ground_truth_count
 
@@ -76,8 +79,9 @@ def test_apply_pending_adds_inserts_in_range(small_column, pending):
     pending.stage_inserts([15_000_000, 95_000_000])
     view = scan_select(small_column.values, 1e7, 3e7, clock)
     corrected = apply_pending(view, pending, 1e7, 3e7, clock)
-    assert isinstance(corrected, MaterializedResult)
+    assert isinstance(corrected, PendingOverlay)
     assert corrected.count == view.count + 1  # only the in-range insert
+    assert len(corrected.values()) == corrected.count
 
 
 def test_apply_pending_subtracts_deletes(small_column, pending):
@@ -169,3 +173,105 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
     accountant.finish()
     assert repr(batch_clock.now()) == repr(sequential_clock.now())
     assert batch_clock.total_charge == sequential_clock.total_charge
+
+
+# -- the pending overlay is a view (ISSUE 21) ----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # past the threshold, whatever the search finds
+    kind=(INT64, np.int64),
+    values=list(range(13)) * 5,
+    removals=[i % 15 for i in range(40)],
+    inserts=[3],
+)
+@given(
+    kind=st.sampled_from(
+        [(INT32, np.int32), (INT64, np.int64), (FLOAT64, np.float64)]
+    ),
+    values=st.lists(st.integers(0, 12), max_size=300),
+    removals=st.lists(st.integers(0, 14), max_size=80),
+    inserts=st.lists(st.integers(0, 14), max_size=6),
+)
+def test_pending_overlay_matches_reference_multiset(
+    kind, values, removals, inserts
+):
+    """Count and values of the overlay equal the dict-loop reference
+    plus the inserts -- duplicates, unmatched removals (13 and 14 are
+    never base values), empty sides, and removal sets on both sides of
+    the trickle threshold (32)."""
+    ctype, dtype = kind
+    base = RangeView(np.array(values, dtype=dtype), 0, len(values))
+    pending = PendingUpdates(ctype)
+    pending.stage_inserts(np.array(inserts, dtype=dtype))
+    pending.stage_deletes(
+        np.arange(len(removals)), np.array(removals, dtype=dtype)
+    )
+    clock = SimClock()
+    corrected = apply_pending(base, pending, 0, 15, clock)
+    if not removals and not inserts:
+        assert corrected is base
+        return
+    survivors = _reference_multiset_difference(
+        base.values(), pending.deleted_values
+    )
+    assert corrected.count == len(survivors) + len(inserts)
+    assert corrected.values().dtype == dtype
+    assert corrected.values().tolist() == (
+        survivors.tolist() + sorted(np.array(inserts, dtype=dtype).tolist())
+    )
+    assert corrected.values() is corrected.values()  # one copy, kept
+    assert clock.total_charge.elements_materialized == corrected.count
+    assert clock.total_charge.comparisons == max(1, len(removals))
+    # The same select read only after the rows under it moved (what a
+    # crack inside the range does): the multiset is the one selected.
+    moved = apply_pending(base, pending, 0, 15, SimClock())
+    base.values()[:] = base.values()[::-1].copy()
+    assert moved.count == corrected.count
+    assert sorted(moved.values().tolist()) == sorted(
+        corrected.values().tolist()
+    )
+
+
+def test_pending_overlay_survives_a_crack_inside_its_range(small_column):
+    """The view answers with values, and trusts a row position only
+    while it still holds the value it was noted for: a later query
+    that cracks inside the view's range permutes the rows under it and
+    the view still answers with the multiset it was taken for."""
+    index = CrackerIndex(small_column, clock=SimClock())
+    base = index.select_range(2e7, 6e7)
+    victims = base.values()[[0, 5, base.count // 2, base.count - 1]].copy()
+    pending = PendingUpdates(INT64)
+    pending.stage_inserts([25_000_000, 25_000_000, 59_999_999])
+    pending.stage_deletes(np.arange(len(victims)), victims)
+    view = apply_pending(base, pending, 2e7, 6e7, SimClock())
+    expected = np.sort(
+        np.concatenate([
+            _reference_multiset_difference(
+                base.values(), pending.deleted_values
+            ),
+            pending.insert_values,
+        ])
+    )
+    before = base.values().copy()
+    index.select_range(3e7, 4e7)
+    index.select_range(4.5e7, 5e7)
+    # The rows did move, victims included: where the select saw one,
+    # another value sits now.
+    first_seen = [int(np.flatnonzero(before == v)[0]) for v in victims]
+    assert (base.values()[first_seen] != victims).any()
+    assert view.count == len(expected)
+    assert np.array_equal(np.sort(view.values()), expected)
+
+
+def test_pending_overlay_widens_to_the_column_dtype():
+    """A narrowed cracker column answers in int32; a pending insert of
+    the int64 column need not fit there."""
+    base = RangeView(np.array([7, 8, 9], dtype=np.int32), 0, 3)
+    pending = PendingUpdates(INT64)
+    pending.stage_inserts([5_000_000_000])
+    pending.stage_deletes([0, 1], [8, 6_000_000_000])
+    view = apply_pending(base, pending, 0, 1e10, SimClock())
+    assert view.count == 3
+    assert view.values().dtype == np.int64
+    assert view.values().tolist() == [7, 9, 5_000_000_000]

@@ -9,7 +9,9 @@ from repro.errors import (
     UnknownColumnError,
 )
 from repro.storage.column import Column
+from repro.storage.dtypes import INT64
 from repro.storage.table import Table
+from repro.storage.updates import PendingUpdates
 
 
 def _column(name: str, values: list[int]) -> Column:
@@ -91,3 +93,30 @@ def test_nbytes_sums_columns():
     table.add_column(_column("A1", [1, 2]))
     table.add_column(_column("A2", [3, 4]))
     assert table.nbytes == 32
+
+
+def test_table_store_checks_a_delete_against_the_base_column():
+    """A table's delta store knows its base column: a delete has to
+    name a row inside it and that row's value.  (It used to stage
+    ``(0, 40)`` -- and every select then dropped the row *holding* 40,
+    position 3 -- and to accept position 99 of 5.)"""
+    table = Table("R")
+    table.add_column(_column("A1", [10, 20, 30, 40, 50]))
+    store = table.updates_for("A1")
+    for positions, values in (
+        ([0], [40]),  # the value of another row
+        ([99], [10]),  # past the end
+        ([-1], [50]),  # numpy would wrap it to the last row
+        ([1, 2, 0], [20, 30, 40]),  # one bad entry spoils the batch
+    ):
+        with pytest.raises(SchemaError):
+            store.stage_deletes(positions, values)
+        assert not store.has_pending()  # nothing staged before the raise
+    assert store.stage_deletes([3, 0], [40, 10]) == 2
+    assert store.deleted_values.tolist() == [10, 40]
+    assert store.delete_positions.tolist() == [0, 3]
+
+
+def test_standalone_store_takes_deletes_on_trust():
+    store = PendingUpdates(INT64)
+    assert store.stage_deletes([0, 99], [40, 7]) == 2

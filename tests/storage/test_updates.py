@@ -134,3 +134,53 @@ def test_stage_deletes_dedupes_double_staged_positions():
     taken = pending.take_deletes_in_range(0, 100)
     assert taken.tolist() == [40, 60]
     assert pending.pending_delete_count == 0
+
+
+def test_store_arrays_are_copy_on_write(pending):
+    """A slice of the store taken before a write keeps its values: a
+    select result's pending overlay holds such slices, so staging,
+    consuming and clearing replace the store's arrays and never write
+    into them."""
+    pending.stage_inserts(np.arange(0, 200, 2))
+    pending.stage_deletes(np.arange(50), np.arange(1, 101, 2))
+    held = [
+        pending.insert_values,
+        pending.deleted_values,
+        pending.delete_positions,
+        pending.inserts_in_range(20, 120),
+        pending.deletes_in_range(20, 80),
+    ]
+    frozen = [array.copy() for array in held]
+    pending.stage_inserts([-5, 30, 30, 31, 500])
+    pending.stage_deletes([50, 51, 52], [0, 41, 999])
+    pending.take_inserts_in_range(25, 60)
+    pending.take_deletes_in_range(25, 60)
+    pending.stage_inserts([40])
+    pending.clear()
+    pending.stage_deletes([1], [3])
+    for array, before in zip(held, frozen):
+        assert np.array_equal(array, before)
+
+
+@pytest.mark.parametrize(
+    "store, slots",
+    [
+        ([10, 20, 30, 40], [0, 0, 2, 2, 2, 4, 4]),  # ties, both ends
+        ([10, 20, 30, 40], [0]),
+        ([10, 20, 30, 40], [4]),
+        ([10, 20, 30, 40], []),
+        ([], [0, 0, 0]),  # into an empty store
+        ([], []),
+    ],
+)
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_splice_equals_np_insert(store, slots, dtype):
+    from repro.storage.updates import _splice
+
+    store = np.array(store, dtype=dtype)
+    slots = np.array(slots, dtype=np.intp)
+    fresh = np.arange(100, 100 + len(slots)).astype(dtype)
+    merged = _splice(store, slots, fresh)
+    assert merged.dtype == dtype
+    assert merged.tolist() == np.insert(store, slots, fresh).tolist()
+    assert not np.shares_memory(merged, store)

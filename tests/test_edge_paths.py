@@ -23,6 +23,7 @@ from repro.storage.database import Database
 from repro.storage.dtypes import FLOAT64
 from repro.storage.loader import build_paper_table
 from repro.storage.table import Table
+from repro.workload.generators import TraceOp
 
 
 def _float_column(n: int = 5_000, seed: int = 9) -> Column:
@@ -132,16 +133,22 @@ def _run_query(strategy):
     return drive
 
 
-def _run_batch(db, queries):
-    session = db.session("holistic")
-    return session.strategy, session.run_batch(queries)
+def _run_batch(strategy):
+    def drive(db, queries):
+        session = db.session(strategy)
+        return session.strategy, session.run_batch(queries)
+
+    return drive
 
 
-def _serve_window(db, queries):
-    frontend = ServingFrontend(db, make_strategy("holistic", db))
-    frontend.add_client("solo", queries)
-    results = frontend.serve_window(frontend.former.next_window())
-    return frontend.strategy, results
+def _serve_window(strategy):
+    def drive(db, queries):
+        frontend = ServingFrontend(db, make_strategy(strategy, db))
+        frontend.add_client("solo", queries)
+        results = frontend.serve_window(frontend.former.next_window())
+        return frontend.strategy, results
+
+    return drive
 
 
 def _open_ended_monitor_state(drive) -> dict:
@@ -173,7 +180,50 @@ def test_open_ended_ranges_count_alike_on_every_path():
     histogram = entry["histogram"]
     assert histogram[0] == histogram[-1] == 2
     assert max(histogram) == 3  # the bin of 3e7 is in all three ranges
-    assert _open_ended_monitor_state(_run_batch) == sequential
-    assert _open_ended_monitor_state(_serve_window) == sequential
+    assert _open_ended_monitor_state(_run_batch("holistic")) == sequential
+    assert _open_ended_monitor_state(_serve_window("holistic")) == sequential
     online = _open_ended_monitor_state(_run_query("online"))
     assert online["columns"][0]["histogram"] == histogram
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        pytest.param(path(strategy), id=f"{strategy}-{path.__name__[1:]}")
+        for strategy in ("scan", "offline", "adaptive", "holistic")
+        for path in (_run_query, _run_batch, _serve_window)
+        # The front-end refuses strategies without a serving path.
+        if path is not _serve_window or strategy in ("adaptive", "holistic")
+    ],
+)
+def test_pending_insert_wider_than_the_cracker_dtype_keeps_its_value(drive):
+    """Regression: an int64 column whose base fits int32 is cracked in
+    int32, and the pending overlay cast a pending insert *down* to the
+    result's dtype -- 5 000 000 000 came back as 705 032 704 from
+    ``adaptive`` and ``holistic`` (count right, value wrong)."""
+    wide = 5_000_000_000  # beyond int32, inside the column's int64
+    ref = ColumnRef("R", "A1")
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
+    assert db.column("R", "A1").values.dtype == np.int64
+    store = db.table("R").updates_for("A1")
+    store.stage_inserts([wide, 31_000_000])
+    store.stage_deletes([3], db.column("R", "A1").values[[3]])
+    reference = ReferenceEngine(db, [ref])
+    reference.apply(
+        TraceOp("insert", ref, values=(wide, 31_000_000))
+    )
+    reference.apply(TraceOp("delete", ref, positions=(3,)))
+    queries = [
+        RangeQuery(ref, 3e7, math.inf),
+        RangeQuery(ref, -math.inf, math.inf),
+        RangeQuery(ref, 3e7, 6e7),
+    ]
+    _, results = drive(db, queries)
+    for query, result in zip(queries, results):
+        values = result.values()
+        assert result.count == len(values)
+        assert np.array_equal(
+            np.sort(values), reference.query(ref, query.low, query.high)
+        )
+    assert int(results[0].values().max()) == wide
