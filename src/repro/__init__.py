@@ -39,7 +39,6 @@ from repro.errors import ReproError
 from repro.holistic import HolisticConfig, HolisticKernel
 from repro.serving import (
     CrossSessionWindowFormer,
-    OpenLoopWindowFormer,
     ServingFrontend,
     ServingReport,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "Database",
     "HolisticConfig",
     "HolisticKernel",
-    "OpenLoopWindowFormer",
     "MEDIUM",
     "PAPER",
     "RangeQuery",

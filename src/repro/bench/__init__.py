@@ -2,7 +2,8 @@
 
 See PAPER.md ("Evaluation shape") for the experiment index.  Each
 artefact has a dedicated module and a CLI entry (``python -m
-repro.bench <command>``); the six wall-clock suites share
+repro.bench <command>``); the five correctness-gate suites (``e2e``,
+``serve``, ``mixed``, ``snapshot``, ``chaos``) share
 :mod:`repro.bench.harness` and the trace driver of
 :mod:`repro.bench.oracle`.
 """

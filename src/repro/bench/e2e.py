@@ -1,44 +1,35 @@
-"""End-to-end wall-clock queries-per-second benchmark (ISSUE 4).
+"""End-to-end correctness gate: batched == sequential (ISSUE 4).
 
-Where ``hotpath`` measures isolated kernel primitives, this harness
-measures the **whole session loop**: strategy dispatch, cracking,
-pending-update consultation, per-query accounting.  Each scenario runs
-the same query stream through a strategy at several window sizes --
-``1`` is the classic one-query-at-a-time loop, larger windows go
-through :meth:`Session.run_batch`'s shared-work pipeline -- and
-reports genuine wall-clock queries per second.
+Each scenario runs the same query stream through the **whole session
+loop** -- strategy dispatch, cracking, pending-update consultation,
+per-query accounting -- at several window sizes: ``1`` is the classic
+one-query-at-a-time loop, larger windows go through
+:meth:`Session.run_batch`'s shared-work pipeline.
 
 Every scenario emits a *semantic fingerprint* (final virtual clock
 reading, cumulative response time, result-row total, crack counts and
 a hash of all piece maps).  Batched execution is accounting-replay
 equivalent to sequential execution, so fingerprints must be identical
-across window sizes of one strategy; the harness verifies that on
-every run, turning the headline speedup table into a correctness proof
-at the same time.
+across window sizes of one strategy -- ``holistic_workers`` included,
+whose idle windows the tuning worker pool drains; the suite verifies
+that on every run.  How fast the loop is, is ``perfbench``'s question
+(``warm_steady``, ``burst_idle_workers``).
 
 Usage::
 
     python -m repro.bench e2e             # 200k rows, 16k queries
     python -m repro.bench e2e --quick     # CI-sized run
-    python -m repro.bench e2e --check BENCH_e2e_quick.json
+    python -m repro.bench e2e --quick --check BENCH_e2e_quick.json
 
-Results land in ``BENCH_e2e.json`` (``--out`` to change); ``--check``
-compares against a committed baseline and exits non-zero on a >2x
-throughput regression or any fingerprint divergence.
+``--out`` writes the JSON document; ``--check`` compares it with a
+committed one and exits non-zero on any fingerprint divergence.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.bench.harness import (
-    ScenarioResult,
-    Suite,
-    piece_map_sha256,
-    record_best,
-)
+from repro.bench.harness import ScenarioResult, Suite, piece_map_sha256
 from repro.engine.query import RangeQuery
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
@@ -121,7 +112,7 @@ def fresh_trickle_db(rows: int, seed: int) -> Database:
     delta store holds updates that have not been merged yet, so every
     query pays a pending-updates consultation (and in-range queries a
     merge) -- the path the batched pipeline consults once per column
-    per window.  ``bench serve`` measures over the same database.
+    per window.  ``bench serve`` runs over the same database.
     """
     db = Database(clock=SimClock())
     db.add_table(build_paper_table(rows=rows, columns=_COLUMNS, seed=seed))
@@ -166,7 +157,7 @@ def _session_fingerprint(session) -> dict[str, object]:
         "total_response_s": repr(float(report.total_response_s)),
         "crack_count": crack_count,
         "tape_records": tape_records,
-        "state_sha256": state.hexdigest(),
+        "state_sha256": state,
     }
 
 
@@ -177,20 +168,15 @@ def _run_scenario(
     db = fresh_trickle_db(rows, seed)
     stream = _build_events(key, rows, queries, seed)
     session = db.session(strategy, **options)
-    started = time.perf_counter()
     if batch == 1:
         stream.run(session)
     else:
         stream.run_windowed(session, batch)
-    wall = time.perf_counter() - started
-    # The committed baselines predate reproducible worker windows and
-    # carry no fingerprint for that scenario (as in bench hotpath).
     return ScenarioResult(
         f"{key}/batch{batch}",
-        wall,
         queries,
         "queries",
-        None if key == "holistic_workers" else _session_fingerprint(session),
+        _session_fingerprint(session),
     )
 
 
@@ -199,7 +185,6 @@ def run_e2e(
     queries: int = DEFAULT_QUERIES,
     seed: int = 42,
     mode: str = "full",
-    repeats: int = 3,
     batch_sizes: tuple[int, ...] = BATCH_SIZES,
     strategies: tuple[str, ...] = (
         "scan",
@@ -208,42 +193,23 @@ def run_e2e(
         "holistic_workers",
     ),
 ) -> dict[str, object]:
-    """Run the full sweep; return the JSON-ready document.
-
-    Repeats are interleaved across the whole scenario matrix (run the
-    matrix N times, keep each scenario's best wall clock) so slow
-    machine drift -- thermal throttling, background load -- hits every
-    scenario equally instead of skewing whichever block it lands on.
-    Fingerprints must agree across repeats; a mismatch means the
-    engine went non-deterministic and raises.
-    """
-    scenarios: dict[str, ScenarioResult] = {}
-    for _ in range(max(1, repeats)):
-        for key in strategies:
-            for batch in batch_sizes:
-                record_best(
-                    scenarios, _run_scenario(key, batch, rows, queries, seed)
-                )
-    speedups: dict[str, dict[str, float]] = {}
-    equivalence: dict[str, bool] = {}
-    for key in strategies:
-        base = scenarios[f"{key}/batch{batch_sizes[0]}"]
-        speedups[key] = {
-            f"batch{batch}": round(
-                scenarios[f"{key}/batch{batch}"].throughput
-                / base.throughput,
-                3,
-            )
-            for batch in batch_sizes[1:]
-        }
-        fingerprints = [
+    """Run the full sweep once; return the JSON-ready document."""
+    scenarios = {
+        f"{key}/batch{batch}": _run_scenario(key, batch, rows, queries, seed)
+        for key in strategies
+        for batch in batch_sizes
+    }
+    sequential = batch_sizes[0]
+    equivalence = {
+        key: all(
             scenarios[f"{key}/batch{batch}"].fingerprint
+            == scenarios[f"{key}/batch{sequential}"].fingerprint
             for batch in batch_sizes
-        ]
-        if any(fp is not None for fp in fingerprints):
-            equivalence[key] = all(fp == fingerprints[0] for fp in fingerprints)
+        )
+        for key in strategies
+    }
     return {
-        "schema": "e2e-v1",
+        "schema": "e2e-v2",
         "config": {
             "rows": rows,
             "queries": queries,
@@ -255,7 +221,6 @@ def run_e2e(
         "scenarios": {
             name: result.as_dict() for name, result in scenarios.items()
         },
-        "speedup_vs_batch1": speedups,
         "batch_equals_sequential": equivalence,
     }
 
@@ -264,19 +229,18 @@ def e2e_text(result: dict[str, object]) -> str:
     """Human-readable rendering of an e2e run."""
     config = result["config"]
     lines = [
-        "End-to-end queries-per-second benchmark "
+        "End-to-end batch == sequential gate "
         f"({config['rows']:,} rows x {config['columns']} columns, "
         f"{config['queries']:,} queries, mode={config['mode']})",
-        f"{'scenario':<26} {'wall s':>10} {'queries/s':>12} {'vs batch1':>10}",
+        f"{'scenario':<26} {'result rows':>12} {'cracks':>8} "
+        f"{'virtual response s':>20}",
     ]
-    speedups = result.get("speedup_vs_batch1", {})
     for name, data in result["scenarios"].items():
-        strategy, _, batch = name.partition("/batch")
-        ratio = speedups.get(strategy, {}).get(f"batch{batch}")
-        ratio_text = f"{ratio:.2f}x" if ratio is not None else "--"
+        fingerprint = data["fingerprint"]
         lines.append(
-            f"{name:<26} {data['wall_s']:>10.3f} "
-            f"{data['throughput']:>12.1f} {ratio_text:>10}"
+            f"{name:<26} {fingerprint['result_rows']:>12,} "
+            f"{fingerprint['crack_count']:>8,} "
+            f"{float(fingerprint['total_response_s']):>20.6f}"
         )
     lines.append("")
     lines.append(
@@ -304,15 +268,6 @@ SUITE = Suite(
     run=run_e2e,
     text=e2e_text,
     gate=_gate,
-    semantic_keys=(
-        "queries",
-        "result_rows",
-        "virtual_now",
-        "total_response_s",
-        "crack_count",
-        "tape_records",
-        "state_sha256",
-    ),
     full_sizes=(DEFAULT_ROWS, DEFAULT_QUERIES),
     quick_sizes=(QUICK_ROWS, QUICK_QUERIES),
 )

@@ -1,11 +1,8 @@
-"""Mixed read/write wall-clock benchmark with a differential oracle.
+"""Mixed read/write correctness gate with a differential oracle.
 
-Every committed bench before this one (hotpath, e2e, serve) measured a
-read-mostly integer scan workload -- ROADMAP open item 5 calls updates
-the biggest untested surface.  This harness sweeps read/write mixes
-from 95/5 to 50/50 and pushes every mix through **all** of the
-kernel's execution paths, with sustained inserts/deletes interleaved
-into the stream:
+This suite sweeps read/write mixes from 95/5 to 50/50 and pushes every
+mix through **all** of the kernel's execution paths, with sustained
+inserts/deletes interleaved into the stream:
 
 * ``adaptive/sequential`` -- per-query cracking + ``apply_pending``;
 * ``adaptive/batched``   -- the shared-work batch loop (ISSUE 4);
@@ -18,34 +15,27 @@ into the stream:
 
 Each mix also runs the naive sorted-array reference engine, and every
 engine run must reproduce the reference's per-query result multisets
-bit for bit (:mod:`repro.bench.oracle`) -- the throughput table doubles
-as a correctness proof.  Two dormant scenarios ride along: a
-``float64`` column (F1) flows through the vectorized crack kernels in
-every mix, and a first wall-clock measurement of sideways cracking's
-multi-column select-project against the scan positional join.  A
-COLT-vs-holistic shootout under workload drift closes the suite.
+bit for bit (:mod:`repro.bench.oracle`).  Two more scenarios ride
+along: a ``float64`` column (F1) flows through the vectorized crack
+kernels in every mix, and sideways cracking's multi-column
+select-project must agree with the scan positional join.  A
+COLT-vs-holistic shootout under workload drift (virtual time) closes
+the suite.  How fast the mixed path is, is ``perfbench``'s question
+(``mixed_rw``).
 
 Usage::
 
     python -m repro.bench mixed            # 120k rows, 1.2k ops/mix
     python -m repro.bench mixed --quick    # CI-sized run
-    python -m repro.bench mixed --check BENCH_mixed_quick.json
+    python -m repro.bench mixed --quick --check BENCH_mixed_quick.json
 
-Results land in ``BENCH_mixed.json`` (``--out`` to change); ``--check``
-compares against a committed baseline and exits non-zero on a >2x
-throughput regression or any fingerprint divergence.
+``--out`` writes the JSON document; ``--check`` compares it with a
+committed one and exits non-zero on any fingerprint divergence.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.bench.harness import (
-    ScenarioResult,
-    Suite,
-    oracle_scenario,
-    record_best,
-)
+from repro.bench.harness import ScenarioResult, Suite, oracle_scenario
 from repro.bench.oracle import (
     OracleRun,
     TraceFingerprint,
@@ -135,7 +125,6 @@ def _run_mode(
     """Execute one engine path over the trace, oracle-checked."""
     name = f"{mix_name}/{mode}"
     db = _fresh_db(rows, seed)
-    started = time.perf_counter()
     if mode == "reference/naive":
         _, fingerprint = reference_results(
             db, [ColumnRef("R", c) for c in _COLUMNS], trace
@@ -184,9 +173,8 @@ def _run_mode(
                 kernel.stop_workers()
     else:
         raise ValueError(f"unknown mixed mode {mode!r}")
-    wall = time.perf_counter() - started
     return oracle_scenario(
-        name, wall, len(trace), run.fingerprint, run.matches_reference
+        name, len(trace), run.fingerprint, run.matches_reference
     )
 
 
@@ -208,11 +196,9 @@ def _run_shootout(
     name = f"drift/{strategy}/sequential"
     db = _fresh_db(rows, seed)
     session = db.session(strategy, **({"seed": seed} if strategy == "holistic" else {}))
-    started = time.perf_counter()
     run = replay_sequential(db, session, trace, expected, reference, name)
-    wall = time.perf_counter() - started
     result = oracle_scenario(
-        name, wall, len(trace), run.fingerprint, run.matches_reference
+        name, len(trace), run.fingerprint, run.matches_reference
     )
     return result, session.report.total_response_s, db.clock.now()
 
@@ -220,12 +206,13 @@ def _run_shootout(
 def _sideways_scenarios(
     rows: int, queries: int, seed: int
 ) -> tuple[ScenarioResult, ScenarioResult, bool]:
-    """First wall-clock numbers for sideways select-project.
+    """Sideways select-project against the positional join.
 
-    ``sideways/select_project`` answers ``SELECT A2 WHERE low <= A1 <
-    high`` from a cracker map; ``scan/select_project`` is the baseline
-    positional join (full predicate scan + gather).  Both fingerprints
-    must agree -- the multi-column analogue of the oracle gate.
+    ``sideways/cracked/select_project`` answers ``SELECT A2 WHERE low
+    <= A1 < high`` from a cracker map; ``sideways/scan/select_project``
+    is the baseline positional join (full predicate scan + gather).
+    Both fingerprints must agree -- the multi-column analogue of the
+    oracle gate.
     """
     table = build_paper_table(rows=rows, columns=2, seed=seed + 3)
     generator = UniformRangeGenerator(
@@ -240,31 +227,23 @@ def _sideways_scenarios(
     tail = table.column("A2").values
 
     scan = TraceFingerprint()
-    started = time.perf_counter()
     for low, high in bounds:
         scan.note_query(tail[(head >= low) & (head < high)])
-    scan_wall = time.perf_counter() - started
 
     index = SidewaysCrackerIndex(table, "A1", clock=SimClock())
     side = TraceFingerprint()
-    started = time.perf_counter()
     for low, high in bounds:
         side.note_query(index.select_project(low, high, "A2").values())
-    side_wall = time.perf_counter() - started
     index.check_invariants()
 
     scan_fp, side_fp = scan.as_dict(), side.as_dict()
     agree = scan_fp["result_sha256"] == side_fp["result_sha256"]
     return (
         oracle_scenario(
-            "sideways/scan/select_project", scan_wall, queries, scan_fp, agree
+            "sideways/scan/select_project", queries, scan_fp, agree
         ),
         oracle_scenario(
-            "sideways/cracked/select_project",
-            side_wall,
-            queries,
-            side_fp,
-            agree,
+            "sideways/cracked/select_project", queries, side_fp, agree
         ),
         agree,
     )
@@ -275,22 +254,19 @@ def run_mixed(
     ops: int = DEFAULT_OPS,
     seed: int = 42,
     mode: str = "full",
-    repeats: int = 3,
     mixes: tuple[float, ...] | None = None,
 ) -> dict[str, object]:
-    """Run the sweep; return the JSON-ready document.
+    """Run the sweep once; return the JSON-ready document.
 
-    Repeats are interleaved across the whole matrix (best wall clock
-    per scenario; fingerprints must agree across repeats).  Every
-    engine scenario is oracle-checked against the serial reference --
-    a divergence raises immediately inside the driver and is also
-    recorded as ``matches_reference`` for the CI gate.
+    Every engine scenario is oracle-checked against the serial
+    reference -- a divergence raises immediately inside the driver and
+    is also recorded as ``matches_reference`` for the CI gate.
     """
     if mixes is None:
         mixes = QUICK_MIXES if mode == "quick" else MIXES
     mix_names = {mix: f"mix{int(round(mix * 100)):02d}" for mix in mixes}
     # Traces and expected results are deterministic per seed: compute
-    # once, reuse across modes and repeats.
+    # once, reuse across modes.
     def case(pattern: MixedPattern) -> tuple:
         db0 = _fresh_db(rows, seed)
         trace = pattern.ops(db0.table("R"))
@@ -299,32 +275,26 @@ def run_mixed(
     cases = {mix: case(_pattern(mix, ops, seed)) for mix in mixes}
     drift_case = case(_pattern(0.2, ops, seed, drift=1.0))
 
-    scenarios: dict[str, ScenarioResult] = {}
+    results = [
+        _run_mode(engine_mode, mix_names[mix], rows, seed, *cases[mix])
+        for mix in mixes
+        for engine_mode in _MODES
+    ]
     shootout_virtual: dict[str, dict[str, float]] = {}
-
-    for _ in range(max(1, repeats)):
-        for mix in mixes:
-            for engine_mode in _MODES:
-                record_best(
-                    scenarios,
-                    _run_mode(
-                        engine_mode, mix_names[mix], rows, seed, *cases[mix]
-                    ),
-                )
-        for strategy in ("online", "holistic"):
-            result, response_s, now = _run_shootout(
-                strategy, rows, ops, seed, *drift_case
-            )
-            record_best(scenarios, result)
-            shootout_virtual[strategy] = {
-                "virtual_total_response_s": response_s,
-                "virtual_now": now,
-            }
-        scan_result, side_result, sideways_ok = _sideways_scenarios(
-            rows, max(ops // 2, 20), seed
+    for strategy in ("online", "holistic"):
+        result, response_s, now = _run_shootout(
+            strategy, rows, ops, seed, *drift_case
         )
-        record_best(scenarios, scan_result)
-        record_best(scenarios, side_result)
+        results.append(result)
+        shootout_virtual[strategy] = {
+            "virtual_total_response_s": response_s,
+            "virtual_now": now,
+        }
+    scan_result, side_result, sideways_ok = _sideways_scenarios(
+        rows, max(ops // 2, 20), seed
+    )
+    results += [scan_result, side_result]
+    scenarios = {result.name: result for result in results}
 
     matches = {
         name: result.extra["matches_reference"]
@@ -333,7 +303,7 @@ def run_mixed(
     online = shootout_virtual["online"]["virtual_total_response_s"]
     holistic = shootout_virtual["holistic"]["virtual_total_response_s"]
     return {
-        "schema": "mixed-v1",
+        "schema": "mixed-v2",
         "config": {
             "rows": rows,
             "ops_per_mix": ops,
@@ -376,17 +346,17 @@ def mixed_text(result: dict[str, object]) -> str:
     """Human-readable rendering of a mixed run."""
     config = result["config"]
     lines = [
-        "Mixed read/write benchmark "
+        "Mixed read/write oracle gate "
         f"({config['rows']:,} rows x {len(config['columns'])} columns "
         f"(incl. float64 F1), {config['ops_per_mix']:,} ops/mix, "
         f"mode={config['mode']})",
-        f"{'scenario':<36} {'wall s':>9} {'ops/s':>10} {'oracle':>7}",
+        f"{'scenario':<36} {'ops':>7} {'result rows':>12} {'oracle':>9}",
     ]
     for name, data in result["scenarios"].items():
         ok = "ok" if data["matches_reference"] else "DIVERGED"
         lines.append(
-            f"{name:<36} {data['wall_s']:>9.3f} "
-            f"{data['throughput']:>10.1f} {ok:>7}"
+            f"{name:<36} {data['ops']:>7,} "
+            f"{data['fingerprint']['result_rows']:>12,} {ok:>9}"
         )
     shootout = result.get("shootout", {})
     ratio = shootout.get("virtual_response_ratio_online_vs_holistic")
@@ -425,7 +395,6 @@ SUITE = Suite(
     run=run_mixed,
     text=mixed_text,
     gate=_gate,
-    semantic_keys=("queries", "updates", "result_rows", "result_sha256"),
     full_sizes=(DEFAULT_ROWS, DEFAULT_OPS),
     quick_sizes=(QUICK_ROWS, QUICK_OPS),
 )

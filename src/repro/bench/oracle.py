@@ -32,8 +32,8 @@ take today:
 
 Each of them observes with a differ against the reference and
 produces a :class:`TraceFingerprint`; a run is correct iff its digest
-equals the reference digest, which turns the bench's speedup table
-into a machine-checkable correctness proof.  ``bench snapshot`` and
+equals the reference digest, which makes ``bench mixed`` a
+machine-checkable correctness proof.  ``bench snapshot`` and
 ``bench chaos`` drive the same loop with a resumable chained digest
 as the observer (:func:`repro.bench.snapshot.replay_digest`).
 """

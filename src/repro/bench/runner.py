@@ -13,7 +13,6 @@ Usage::
     python -m repro.bench ablation-stochastic
     python -m repro.bench ablation-cache
     python -m repro.bench ablation-batch
-    python -m repro.bench hotpath --quick
     python -m repro.bench e2e --quick
     python -m repro.bench serve --quick
     python -m repro.bench mixed --quick
@@ -23,8 +22,11 @@ Usage::
 
 The paper-artefact commands print the rows/series of the corresponding
 table or figure, with costs projected to the paper's 10^8-row testbed;
-``all`` prints every one of them.  The six wall-clock suites go
-through :func:`repro.bench.harness.run_command`.
+``all`` prints every one of them.  ``e2e``, ``serve``, ``mixed``,
+``snapshot`` and ``chaos`` are correctness gates (fingerprints, digests
+and oracle verdicts, no wall clock) and go through
+:func:`repro.bench.harness.run_command`; wall-clock time is measured
+by ``python3 -m perfbench``.
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ _ABLATIONS = {
     ),
 }
 
-#: The wall-clock suites: each is ``repro.bench.<name>`` and exposes a
-#: ``SUITE``; imported on demand (chaos and snapshot pull in the whole
-#: persist and fault planes).
-_SUITES = ("hotpath", "e2e", "serve", "mixed", "snapshot", "chaos")
+#: The correctness-gate suites: each is ``repro.bench.<name>`` and
+#: exposes a ``SUITE``; imported on demand (chaos and snapshot pull in
+#: the whole persist and fault planes).
+_SUITES = ("e2e", "serve", "mixed", "snapshot", "chaos")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,47 +130,35 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker counts for the parallel sweep (default: 0 1 2 4)",
     )
-    wallclock = parser.add_argument_group("hotpath / e2e options")
-    wallclock.add_argument(
+    gates = parser.add_argument_group("correctness-gate suite options")
+    gates.add_argument(
         "--quick",
         action="store_true",
-        help="CI-sized run (100k rows; 1k hotpath ops / 400 e2e queries)",
+        help="CI-sized run, the size of the committed BENCH_*_quick.json",
     )
-    wallclock.add_argument(
-        "--rows", type=int, default=None, help="benchmark row count"
+    gates.add_argument(
+        "--rows", type=int, default=None, help="suite row count"
     )
-    wallclock.add_argument(
+    gates.add_argument(
         "--queries",
         type=int,
         default=None,
-        help="benchmark query count (mixed: trace ops per mix)",
-    )
-    wallclock.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of-N repeats per wall-clock scenario (default: 3)",
-    )
-    wallclock.add_argument(
-        "--out",
-        default=None,
-        help="JSON output path (default: BENCH_<command>.json)",
-    )
-    wallclock.add_argument(
-        "--baseline-json",
-        default=None,
         help=(
-            "embed this earlier hotpath JSON as the run's baseline "
-            "(hotpath only)"
+            "suite query count (serve: per client; mixed, snapshot, "
+            "chaos: trace ops)"
         ),
     )
-    wallclock.add_argument(
+    gates.add_argument(
+        "--out",
+        default=None,
+        help="write the JSON document here (default: not written)",
+    )
+    gates.add_argument(
         "--check",
         default=None,
         help=(
-            "compare against this committed benchmark JSON; exit "
-            "non-zero on a >2x throughput regression or fingerprint "
-            "divergence"
+            "compare fingerprints with this committed JSON document; "
+            "exit non-zero on any divergence"
         ),
     )
     return parser
@@ -181,8 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     outputs: list[str] = []
 
     if args.command in _SUITES:
-        if args.baseline_json and args.command != "hotpath":
-            parser.error("--baseline-json only applies to hotpath")
         suite = importlib.import_module(f"repro.bench.{args.command}").SUITE
         text, exit_code = run_command(
             suite,
@@ -192,8 +180,6 @@ def main(argv: list[str] | None = None) -> int:
             quick=args.quick,
             out=args.out,
             check_path=args.check,
-            repeats=args.repeats,
-            baseline_path=args.baseline_json,
         )
         print(text)
         return exit_code

@@ -1,34 +1,33 @@
-"""Durability benchmark: checkpoint cost, memmap restore, kill -9.
+"""Durability correctness gate: checkpointing, memmap restore, kill -9.
 
-Four claims of the persist layer (:mod:`repro.persist`), measured:
+Four claims of the persist layer (:mod:`repro.persist`), checked:
 
-* **Checkpointing is cheap and non-perturbing** -- a mixed read/write
-  trace replayed with an :class:`IncrementalCheckpointer` attached
-  produces bit-identical query results to an uncheckpointed run, and
-  steady-state generations carry unchanged arrays forward instead of
-  rewriting them (``incremental`` section: full vs delta bytes).
-* **Restore is O(metadata)** -- restoring the final snapshot memmaps
-  the cracked columns back and is compared, wall clock to wall clock,
-  against the cold alternative: replaying the whole trace to rebuild
-  index state.
-* **Restart re-cracks nothing** -- after restore, the piece maps are
-  exactly as refined as at checkpoint and the crack tape does not
-  move until genuinely new bounds arrive (``zero_recrack_restart``).
+* **Checkpointing is non-perturbing** -- a mixed read/write trace
+  replayed with an :class:`IncrementalCheckpointer` attached produces
+  bit-identical query results to an uncheckpointed run.
+* **Steady-state checkpoints are incremental** -- generations carry
+  unchanged arrays forward instead of rewriting them (``incremental``
+  section: full vs delta bytes and array counts).
+* **Restart re-cracks nothing** -- after a memmap restore of the final
+  generation, the piece maps are exactly as refined as at checkpoint
+  and the crack tape has not moved (``restart.zero_recrack``).
 * **kill -9 loses nothing committed** -- a child process replays the
   trace with periodic checkpoints carrying a *chained* result digest
   (``fp_i = sha256(fp_{i-1} || slot || sorted result bytes)``) plus
   its trace cursor; the parent SIGKILLs it mid-run, restarts it, and
   the resumed run's final digest must equal an uninterrupted run's.
 
+What checkpointing and restore cost in wall-clock time is
+``perfbench``'s question (``durable_cycle``).
+
 Usage::
 
     python -m repro.bench snapshot            # full sizes
     python -m repro.bench snapshot --quick    # CI-sized run
-    python -m repro.bench snapshot --check BENCH_snapshot_quick.json
+    python -m repro.bench snapshot --quick --check BENCH_snapshot_quick.json
 
-Results land in ``BENCH_snapshot.json`` (``--out`` to change);
-``--check`` gates on digest equality, the zero-re-crack property and
-a >2x wall-clock regression against the committed baseline.
+``--out`` writes the JSON document; ``--check`` compares its digests
+and generation counts with a committed one.
 """
 
 from __future__ import annotations
@@ -45,12 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.harness import (
-    ScenarioResult,
-    Suite,
-    oracle_scenario,
-    record_best,
-)
+from repro.bench.harness import Suite, oracle_scenario
 from repro.bench.oracle import drive_trace, sequential_executor
 from repro.persist import (
     IncrementalCheckpointer,
@@ -268,7 +262,6 @@ def run_crash_demo(
         root = Path(tmp) / "snapshots"
         out = Path(tmp) / "child.json"
         env = _child_env()
-        started = time.perf_counter()
         child = subprocess.Popen(
             _child_command(root, rows, ops, seed, out),
             env=env,
@@ -303,7 +296,6 @@ def run_crash_demo(
             stderr=subprocess.DEVNULL,
             timeout=600,
         )
-        wall = time.perf_counter() - started
         report = json.loads(out.read_text())
         return {
             "killed_mid_trace": killed,
@@ -316,7 +308,6 @@ def run_crash_demo(
             "digest_matches_uninterrupted": (
                 report["digest"] == expected_digest
             ),
-            "wall_s": round(wall, 6),
         }
 
 
@@ -328,69 +319,51 @@ def run_snapshot(
     ops: int = DEFAULT_OPS,
     seed: int = 42,
     mode: str = "full",
-    repeats: int = 3,
     crash: bool = True,
 ) -> dict[str, object]:
-    """Run the durability suite; return the JSON-ready document."""
+    """Run the durability suite once; return the JSON-ready document."""
     trace = mixed_trace(rows, ops, seed)
-    query_ops = sum(1 for op in trace if op.is_query)
 
-    scenarios: dict[str, ScenarioResult] = {}
-
-    def record(*scenario) -> None:
-        record_best(scenarios, oracle_scenario(*scenario))
-
-    reference_digest = ""
-    incremental: dict[str, object] = {}
-    restart: dict[str, object] = {}
-    zero_recrack = True
-
-    for _ in range(max(1, repeats)):
-        # Baseline: the trace with no durability work at all.
-        db = fresh_db(rows, seed)
-        session = db.session("holistic", seed=seed)
-        started = time.perf_counter()
-        reference_digest = replay_digest(
-            db, session, trace, idle_every=_IDLE_EVERY
-        )
-        wall = time.perf_counter() - started
-        record(
+    # Baseline: the trace with no durability work at all.
+    db = fresh_db(rows, seed)
+    session = db.session("holistic", seed=seed)
+    reference_digest = replay_digest(
+        db, session, trace, idle_every=_IDLE_EVERY
+    )
+    scenarios = [
+        oracle_scenario(
             "lifecycle/no_checkpoint",
-            wall,
             len(trace),
             {"digest": reference_digest},
             True,
         )
+    ]
 
-        # The same trace with checkpointing competing for idle cycles.
-        with tempfile.TemporaryDirectory(prefix="snap-bench-") as tmp:
-            root = Path(tmp)
-            db = fresh_db(rows, seed)
-            session = db.session("holistic", seed=seed)
-            kernel = session.strategy
-            manager = SnapshotManager(
-                root, db, strategy=kernel, session=session
-            )
-            cursor_digest: dict[str, object] = {"cursor": 0, "digest": ""}
-            checkpointer = IncrementalCheckpointer(
-                manager,
-                interval_actions=_CHECKPOINT_INTERVAL,
-                extra_provider=lambda: dict(cursor_digest),
-            )
-            kernel.attach_checkpointer(checkpointer)
+    # The same trace with checkpointing competing for idle cycles.
+    with tempfile.TemporaryDirectory(prefix="snap-bench-") as tmp:
+        root = Path(tmp)
+        db = fresh_db(rows, seed)
+        session = db.session("holistic", seed=seed)
+        kernel = session.strategy
+        manager = SnapshotManager(root, db, strategy=kernel, session=session)
+        cursor_digest: dict[str, object] = {"cursor": 0, "digest": ""}
+        checkpointer = IncrementalCheckpointer(
+            manager,
+            interval_actions=_CHECKPOINT_INTERVAL,
+            extra_provider=lambda: dict(cursor_digest),
+        )
+        kernel.attach_checkpointer(checkpointer)
 
-            def track(i: int, digest_now: str) -> None:
-                cursor_digest["cursor"] = i + 1
-                cursor_digest["digest"] = digest_now
+        def track(i: int, digest_now: str) -> None:
+            cursor_digest["cursor"] = i + 1
+            cursor_digest["digest"] = digest_now
 
-            started = time.perf_counter()
-            digest = replay_digest(
-                db, session, trace, idle_every=_IDLE_EVERY, after_op=track
-            )
-            wall = time.perf_counter() - started
-            record(
+        digest = replay_digest(
+            db, session, trace, idle_every=_IDLE_EVERY, after_op=track
+        )
+        scenarios.append(
+            oracle_scenario(
                 "lifecycle/with_checkpointer",
-                wall,
                 len(trace),
                 {
                     "digest": digest,
@@ -398,82 +371,43 @@ def run_snapshot(
                 },
                 digest == reference_digest,
             )
+        )
 
-            # Full-vs-delta checkpoint cost.  A fresh manager has no
-            # carry-forward history, so its first checkpoint writes the
-            # whole state; the live manager's next checkpoint rewrites
-            # only what moved since the checkpointer's last generation.
-            full = SnapshotManager(
-                root / "full-cost", db, strategy=kernel, session=session
-            ).checkpoint(extra={"cursor": len(trace)})
-            delta = manager.checkpoint(extra={"cursor": len(trace)})
-            incremental = {
-                "full_arrays": full.arrays_written + full.arrays_carried,
-                "full_bytes": full.bytes_written,
-                "delta_arrays_written": delta.arrays_written,
-                "delta_arrays_carried": delta.arrays_carried,
-                "delta_bytes": delta.bytes_written,
-            }
+        # Full-vs-delta checkpoint cost.  A fresh manager has no
+        # carry-forward history, so its first checkpoint writes the
+        # whole state; the live manager's next checkpoint rewrites
+        # only what moved since the checkpointer's last generation.
+        full = SnapshotManager(
+            root / "full-cost", db, strategy=kernel, session=session
+        ).checkpoint(extra={"cursor": len(trace)})
+        delta = manager.checkpoint(extra={"cursor": len(trace)})
+        incremental = {
+            "full_arrays": full.arrays_written + full.arrays_carried,
+            "full_bytes": full.bytes_written,
+            "delta_arrays_written": delta.arrays_written,
+            "delta_arrays_carried": delta.arrays_carried,
+            "delta_bytes": delta.bytes_written,
+        }
 
-            # Warm restart: memmap restore of the final generation.
-            tape_seen = kernel.tape.count()
-            pieces = {
-                ref: index.piece_count
+        # Warm restart: memmap restore of the final generation must
+        # bring back every piece and leave the tape where it was.
+        restored_kernel = restore_snapshot(root).strategy
+        zero_recrack = (
+            restored_kernel.tape.count() == kernel.tape.count()
+            and all(
+                restored_kernel.indexes[ref].piece_count == index.piece_count
                 for ref, index in kernel.indexes.items()
-            }
-            started = time.perf_counter()
-            restored = restore_snapshot(root)
-            warm_wall = time.perf_counter() - started
-            restored_kernel = restored.strategy
-            zero_recrack = (
-                restored_kernel.tape.count() == tape_seen
-                and all(
-                    restored_kernel.indexes[ref].piece_count == count
-                    for ref, count in pieces.items()
-                )
-                and zero_recrack
             )
-            for index in restored_kernel.indexes.values():
-                index.check_invariants()
-            record(
-                "restart/warm_memmap_restore",
-                warm_wall,
-                query_ops,
-                {"digest": reference_digest},
-                True,
-            )
-
-        # Cold restart: no snapshot, re-crack by replaying everything.
-        db = fresh_db(rows, seed)
-        session = db.session("holistic", seed=seed)
-        started = time.perf_counter()
-        cold_digest = replay_digest(
-            db, session, trace, idle_every=_IDLE_EVERY
         )
-        cold_wall = time.perf_counter() - started
-        record(
-            "restart/cold_recrack",
-            cold_wall,
-            query_ops,
-            {"digest": cold_digest},
-            cold_digest == reference_digest,
-        )
-
-    warm = scenarios["restart/warm_memmap_restore"].wall_s
-    cold = scenarios["restart/cold_recrack"].wall_s
-    restart = {
-        "warm_restore_s": round(warm, 6),
-        "cold_replay_s": round(cold, 6),
-        "speedup": round(cold / warm, 3) if warm > 0 else None,
-        "zero_recrack": zero_recrack,
-    }
+        for index in restored_kernel.indexes.values():
+            index.check_invariants()
 
     crash_section: dict[str, object] | None = None
     if crash:
         crash_section = run_crash_demo(rows, ops, seed, reference_digest)
 
     return {
-        "schema": "snapshot-v1",
+        "schema": "snapshot-v2",
         "config": {
             "rows": rows,
             "ops": ops,
@@ -485,16 +419,13 @@ def run_snapshot(
             "checkpoint_interval": _CHECKPOINT_INTERVAL,
             "child_checkpoint_every": _CHILD_CHECKPOINT_EVERY,
         },
-        "scenarios": {
-            name: result.as_dict()
-            for name, result in sorted(scenarios.items())
-        },
+        "scenarios": {result.name: result.as_dict() for result in scenarios},
         "incremental": incremental,
-        "restart": restart,
+        "restart": {"zero_recrack": zero_recrack},
         "crash": crash_section,
         "oracle_matches_reference": {
-            name: result.extra["matches_reference"]
-            for name, result in sorted(scenarios.items())
+            result.name: result.extra["matches_reference"]
+            for result in scenarios
         },
     }
 
@@ -503,16 +434,15 @@ def snapshot_text(result: dict[str, object]) -> str:
     """Human-readable rendering of a snapshot run."""
     config = result["config"]
     lines = [
-        "Durability benchmark "
+        "Durability gate "
         f"({config['rows']:,} rows x {len(config['columns'])} columns, "
         f"{config['ops']:,} trace ops, mode={config['mode']})",
-        f"{'scenario':<34} {'wall s':>9} {'ops/s':>10} {'oracle':>7}",
+        f"{'scenario':<34} {'result digest':>14} {'oracle':>9}",
     ]
     for name, data in result["scenarios"].items():
         ok = "ok" if data["matches_reference"] else "DIVERGED"
         lines.append(
-            f"{name:<34} {data['wall_s']:>9.3f} "
-            f"{data['throughput']:>10.1f} {ok:>7}"
+            f"{name:<34} {data['fingerprint']['digest'][:12]:>14} {ok:>9}"
         )
     inc = result["incremental"]
     lines.append("")
@@ -521,12 +451,9 @@ def snapshot_text(result: dict[str, object]) -> str:
         f"{inc['full_bytes']:,} B full "
         f"({inc['delta_arrays_carried']} arrays carried forward)"
     )
-    restart = result["restart"]
     lines.append(
-        f"restart: memmap restore {restart['warm_restore_s']*1000:.1f} ms "
-        f"vs cold replay {restart['cold_replay_s']:.3f} s "
-        f"({restart['speedup']}x); re-cracks on restore: "
-        + ("0" if restart["zero_recrack"] else "NONZERO")
+        "re-cracks on memmap restore: "
+        + ("0" if result["restart"]["zero_recrack"] else "NONZERO")
     )
     crash = result.get("crash")
     if crash:
@@ -552,7 +479,7 @@ def _gate(document: dict[str, object]) -> list[str]:
     ]
     if not document.get("restart", {}).get("zero_recrack", False):
         failures.append(
-            "restart/warm_memmap_restore: restore re-cracked pieces "
+            "restart: memmap restore re-cracked pieces "
             "(piece maps or tape moved)"
         )
     crash = document.get("crash")
@@ -575,9 +502,6 @@ SUITE = Suite(
     run=run_snapshot,
     text=snapshot_text,
     gate=_gate,
-    # Digests are gated within the run (against the uncheckpointed
-    # replay), not against the committed document.
-    semantic_keys=(),
     full_sizes=(DEFAULT_ROWS, DEFAULT_OPS),
     quick_sizes=(QUICK_ROWS, QUICK_OPS),
 )

@@ -13,17 +13,12 @@ from repro.serving.frontend import (
     ServingFrontend,
     ServingReport,
 )
-from repro.serving.window import (
-    CrossSessionWindowFormer,
-    OpenLoopWindowFormer,
-    WindowEntry,
-)
+from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 
 __all__ = [
     "ClientFault",
     "ClientLane",
     "CrossSessionWindowFormer",
-    "OpenLoopWindowFormer",
     "ServingFrontend",
     "ServingReport",
     "WindowEntry",

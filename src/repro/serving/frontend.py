@@ -55,7 +55,7 @@ from repro.errors import ConfigError
 from repro.holistic.kernel import HolisticKernel
 from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 from repro.simtime.accounting import make_accountant
-from repro.simtime.clock import SimClock, wall_now
+from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.views import (
@@ -126,9 +126,6 @@ class ServingReport:
     clients: dict[str, SessionReport]
     windows: int = 0
     window_sizes: list[int] = field(default_factory=list)
-    #: Wall seconds per window, aligned with ``window_sizes`` (only
-    #: populated by :meth:`ServingFrontend.run`).
-    window_wall_s: list[float] = field(default_factory=list)
     #: Client failures isolated in degraded mode (aliases the
     #: front-end's cumulative list).
     faults: list[ClientFault] = field(default_factory=list)
@@ -136,14 +133,6 @@ class ServingReport:
     @property
     def total_queries(self) -> int:
         return sum(len(r.queries) for r in self.clients.values())
-
-    def query_latencies_s(self) -> list[float]:
-        """Per-query wall latency under the batch-service model: every
-        query in a window waits for the whole window to complete."""
-        latencies: list[float] = []
-        for size, wall in zip(self.window_sizes, self.window_wall_s):
-            latencies.extend([wall] * size)
-        return latencies
 
 
 class ServingFrontend:
@@ -157,9 +146,8 @@ class ServingFrontend:
             no-idle hot boost mutates the index mid-query from shared
             statistics; neither can keep per-client accounting
             solo-identical, so they are rejected.
-        former: window former; defaults to a closed-loop
-            :class:`CrossSessionWindowFormer` with ``depth``.
-        depth: per-client window depth of the default former.
+        depth: per-client depth of the closed-loop
+            :class:`CrossSessionWindowFormer` that forms the windows.
 
     Raises:
         ConfigError: for a strategy that cannot serve concurrently.
@@ -169,7 +157,6 @@ class ServingFrontend:
         self,
         db: Database,
         strategy: IndexingStrategy,
-        former=None,
         depth: int = 8,
     ) -> None:
         self.db = db
@@ -199,9 +186,7 @@ class ServingFrontend:
                 "path; use standard adaptive cracking or the holistic "
                 "kernel"
             )
-        self.former = (
-            former if former is not None else CrossSessionWindowFormer(depth)
-        )
+        self.former = CrossSessionWindowFormer(depth)
         self.lanes: dict[str, ClientLane] = {}
         #: Per-column order-independent cut positions accumulated over
         #: every window's physical pass; each lane's replays resolve
@@ -218,7 +203,6 @@ class ServingFrontend:
         self,
         name: str,
         queries: Sequence[RangeQuery] = (),
-        arrivals: Sequence[float] | None = None,
     ) -> ClientLane:
         """Register a client lane and admit its queries.
 
@@ -233,15 +217,14 @@ class ServingFrontend:
             strategy_name=self.strategy.name,
         )
         self.lanes[name] = lane
-        if len(queries) or arrivals is not None:
-            self.former.admit(name, queries, arrivals)
+        if len(queries):
+            self.former.admit(name, queries)
         return lane
 
     def submit(
         self,
         name: str,
         queries: Sequence[RangeQuery],
-        arrivals: Sequence[float] | None = None,
     ) -> None:
         """Admit more queries for an existing client.
 
@@ -250,7 +233,7 @@ class ServingFrontend:
         """
         if name not in self.lanes:
             raise ConfigError(f"unknown client {name!r}; add_client first")
-        self.former.admit(name, queries, arrivals)
+        self.former.admit(name, queries)
 
     def _fork_clock(self) -> SimClock:
         clock = self.db.clock
@@ -273,9 +256,7 @@ class ServingFrontend:
             entries = self.former.next_window()
             if not entries:
                 break
-            started = wall_now()
             self.serve_window(entries)
-            report.window_wall_s.append(wall_now() - started)
             report.window_sizes.append(len(entries))
             report.windows += 1
         return report

@@ -7,32 +7,22 @@ in flight together; the front-end then executes the formed window
 through the shared-work path and replays each client's accounting on
 its own lane.
 
-Two formers model the two classic traffic shapes:
-
-* :class:`CrossSessionWindowFormer` -- closed loop: every client with
-  pending work contributes up to ``depth`` queries per window (a
-  connection pool issuing back-to-back requests);
-* :class:`OpenLoopWindowFormer` -- open loop: queries carry virtual
-  arrival times and a window takes everything that arrived within one
-  ``quantum_s`` of the earliest pending arrival (Poisson traffic
-  coalescing in the server's accept queue).
-
-Both are deterministic given the admission order, and both are
-thread-safe on admit/next_window so producer threads can feed a
-serving loop.  Per-client query order is always preserved -- only the
-interleaving *across* clients is the former's choice, and per-client
-accounting is interleaving-independent (the serving front-end's core
-invariant).
+:class:`CrossSessionWindowFormer` models closed-loop traffic: every
+client with pending work contributes up to ``depth`` queries per window
+(a connection pool issuing back-to-back requests).  It is deterministic
+given the admission order and thread-safe on admit/next_window, so
+producer threads can feed a serving loop.  Per-client query order is
+always preserved -- only the interleaving *across* clients is the
+former's choice, and per-client accounting is interleaving-independent
+(the serving front-end's core invariant).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.engine.query import RangeQuery
 from repro.errors import ConfigError
@@ -69,13 +59,8 @@ class CrossSessionWindowFormer:
         self._resume_from: str | None = None
         self._lock = threading.Lock()
 
-    def admit(
-        self,
-        client: str,
-        queries: Iterable[RangeQuery],
-        arrivals: Sequence[float] | None = None,
-    ) -> None:
-        """Append ``queries`` to ``client``'s stream (arrivals ignored)."""
+    def admit(self, client: str, queries: Iterable[RangeQuery]) -> None:
+        """Append ``queries`` to ``client``'s stream."""
         with self._lock:
             queue = self._queues.get(client)
             if queue is None:
@@ -119,95 +104,4 @@ class CrossSessionWindowFormer:
             if last_served is not None:
                 index = clients.index(last_served)
                 self._resume_from = clients[(index + 1) % len(clients)]
-            return entries
-
-
-class OpenLoopWindowFormer:
-    """Open-loop former: arrival-ordered windows of one time quantum."""
-
-    def __init__(
-        self, quantum_s: float = 0.01, max_window: int | None = None
-    ) -> None:
-        if quantum_s <= 0:
-            raise ConfigError(f"quantum must be positive, got {quantum_s}")
-        if max_window is not None and max_window < 1:
-            raise ConfigError(f"max_window must be >= 1, got {max_window}")
-        self.quantum_s = quantum_s
-        self.max_window = max_window
-        #: (arrival, admission tiebreak, entry) min-heap.
-        self._heap: list[tuple[float, int, WindowEntry]] = []
-        self._tiebreak = itertools.count()
-        self._taken: dict[str, int] = {}
-        #: Last admitted arrival per client: a later batch must not
-        #: arrive before it, or the heap would serve the client's
-        #: stream out of order.
-        self._last_arrival: dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def admit(
-        self,
-        client: str,
-        queries: Iterable[RangeQuery],
-        arrivals: Sequence[float] | None = None,
-    ) -> None:
-        """Admit ``queries`` with their virtual ``arrivals``.
-
-        Raises:
-            ConfigError: if arrivals are missing, misaligned, or not
-                non-decreasing per client -- including across admission
-                batches (a client's stream order is its arrival order,
-                and serving replays streams in served order).
-        """
-        queries = list(queries)
-        if arrivals is None or len(arrivals) != len(queries):
-            raise ConfigError(
-                "open-loop admission needs one arrival time per query"
-            )
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise ConfigError(
-                f"client {client!r} arrivals must be non-decreasing"
-            )
-        with self._lock:
-            if queries:
-                floor = self._last_arrival.get(client)
-                if floor is not None and arrivals[0] < floor:
-                    raise ConfigError(
-                        f"client {client!r} admitted an arrival "
-                        f"({arrivals[0]}) earlier than its last one "
-                        f"({floor}); streams must arrive in order"
-                    )
-                self._last_arrival[client] = float(arrivals[-1])
-            sequence = self._taken.get(client, 0)
-            for query, arrival in zip(queries, arrivals):
-                heapq.heappush(
-                    self._heap,
-                    (
-                        float(arrival),
-                        next(self._tiebreak),
-                        WindowEntry(client, sequence, query),
-                    ),
-                )
-                sequence += 1
-            self._taken[client] = sequence
-
-    @property
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._heap)
-
-    def next_window(self) -> list[WindowEntry]:
-        """Everything that arrived within one quantum of the earliest
-        pending query, in arrival order."""
-        with self._lock:
-            if not self._heap:
-                return []
-            horizon = self._heap[0][0] + self.quantum_s
-            entries: list[WindowEntry] = []
-            while self._heap and self._heap[0][0] < horizon:
-                entries.append(heapq.heappop(self._heap)[2])
-                if (
-                    self.max_window is not None
-                    and len(entries) >= self.max_window
-                ):
-                    break
             return entries

@@ -9,7 +9,6 @@ from repro.workload.generators import (
 from repro.workload.multiclient import (
     ClientWorkload,
     make_closed_loop_clients,
-    make_open_loop_clients,
     parameterized_queries,
 )
 from repro.workload.patterns import (
@@ -38,7 +37,6 @@ __all__ = [
     "WorkloadEvent",
     "interleave_idle",
     "make_closed_loop_clients",
-    "make_open_loop_clients",
     "parameterized_queries",
     "run_stream",
     "verify_table_matches",

@@ -1,16 +1,10 @@
 """Multi-client traffic generation for the serving front-end.
 
 The concurrent serving scenario (ISSUE 5) needs N clients with
-independent query streams over a shared database.  Two arrival models
-are supported, mirroring the classic load-testing dichotomy:
-
-* **closed loop** -- every client always has its next query ready
-  (think a connection pool issuing back-to-back requests); the window
-  former takes up to ``depth`` in-flight queries per client per window;
-* **open loop** -- queries arrive on a virtual arrival clock with
-  per-client exponential inter-arrival times (Poisson traffic); an
-  arrival-rate *mix* gives heavy and light clients, and the window
-  former coalesces whatever arrived within one quantum.
+independent query streams over a shared database.  Clients are
+**closed loop**: every client always has its next query ready (think a
+connection pool issuing back-to-back requests), and the window former
+takes up to ``depth`` in-flight queries per client per window.
 
 Each client's predicate stream follows the production mix of the e2e
 benchmark: mostly *parameterized* queries snapped to a finite grid of
@@ -21,7 +15,7 @@ overlap shared-work batching feeds on), with a uniform-random remainder
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,22 +27,10 @@ from repro.storage.catalog import ColumnRef
 
 @dataclass(slots=True)
 class ClientWorkload:
-    """One client's query stream, optionally with arrival times."""
+    """One client's query stream."""
 
     client: str
     queries: list[RangeQuery]
-    #: Virtual arrival seconds per query (open loop); ``None`` for
-    #: closed-loop clients, which always have their next query ready.
-    arrivals: list[float] | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.arrivals is not None and len(self.arrivals) != len(
-            self.queries
-        ):
-            raise WorkloadError(
-                f"client {self.client!r}: {len(self.arrivals)} arrivals "
-                f"for {len(self.queries)} queries"
-            )
 
     @property
     def query_count(self) -> int:
@@ -147,48 +129,3 @@ def make_closed_loop_clients(
         )
         for i in range(clients)
     ]
-
-
-def make_open_loop_clients(
-    columns: Sequence[ColumnRef],
-    domain_low: float,
-    domain_high: float,
-    clients: int,
-    queries_per_client: int,
-    arrival_rates: Sequence[float],
-    selectivity: float = 0.001,
-    grid_points: int = 320,
-    grid_fraction: float = 0.95,
-    seed: int = 0,
-) -> list[ClientWorkload]:
-    """N open-loop clients with Poisson arrivals at mixed rates.
-
-    ``arrival_rates`` (queries per virtual second) is cycled over the
-    clients, so ``[100.0, 10.0]`` alternates heavy and light clients --
-    the arrival-rate mix of a real multi-tenant front-end.
-
-    Raises:
-        WorkloadError: on empty or non-positive rates (or any invalid
-            closed-loop parameter).
-    """
-    if not arrival_rates:
-        raise WorkloadError("need at least one arrival rate")
-    if any(rate <= 0 for rate in arrival_rates):
-        raise WorkloadError(f"arrival rates must be positive: {arrival_rates}")
-    workloads = make_closed_loop_clients(
-        columns,
-        domain_low,
-        domain_high,
-        clients,
-        queries_per_client,
-        selectivity=selectivity,
-        grid_points=grid_points,
-        grid_fraction=grid_fraction,
-        seed=seed,
-    )
-    for i, workload in enumerate(workloads):
-        rate = float(arrival_rates[i % len(arrival_rates)])
-        rng = np.random.default_rng(seed + 10_000 + i)
-        gaps = rng.exponential(1.0 / rate, size=workload.query_count)
-        workload.arrivals = np.cumsum(gaps).tolist()
-    return workloads

@@ -1,4 +1,4 @@
-"""The end-to-end queries-per-second bench harness."""
+"""The end-to-end batch == sequential gate."""
 
 from __future__ import annotations
 
@@ -7,43 +7,46 @@ import json
 from repro.bench.e2e import SUITE, e2e_text, run_e2e
 from repro.bench.harness import check_regression, run_command
 
-_TINY = dict(rows=2000, queries=48, repeats=1)
+_TINY = dict(rows=2000, queries=48)
 
 
 def _tiny_doc(**overrides):
     config = {**_TINY, **overrides}
     return run_e2e(
         batch_sizes=(1, 8),
-        strategies=("adaptive", "holistic"),
+        strategies=("adaptive", "holistic", "holistic_workers"),
         **config,
     )
 
 
 def test_run_e2e_document_shape_and_equivalence():
     doc = _tiny_doc()
-    assert doc["schema"] == "e2e-v1"
+    assert doc["schema"] == "e2e-v2"
     assert set(doc["scenarios"]) == {
         "adaptive/batch1",
         "adaptive/batch8",
         "holistic/batch1",
         "holistic/batch8",
+        "holistic_workers/batch1",
+        "holistic_workers/batch8",
     }
     for data in doc["scenarios"].values():
+        assert set(data) == {"ops", "unit", "fingerprint"}
         assert data["ops"] == 48
-        assert data["throughput"] > 0
         assert data["fingerprint"]["queries"] == 48
-    # The headline correctness proof: batch == sequential fingerprints.
+    # The headline correctness proof: batch == sequential fingerprints,
+    # idle windows drained by the worker pool included.
     assert doc["batch_equals_sequential"] == {
         "adaptive": True,
         "holistic": True,
+        "holistic_workers": True,
     }
-    assert "batch8" in doc["speedup_vs_batch1"]["adaptive"]
-    assert "batch1" in e2e_text(doc)
+    assert "holistic_workers/batch1" in e2e_text(doc)
 
 
 def test_fingerprints_identical_across_batch_sizes():
     doc = _tiny_doc()
-    for strategy in ("adaptive", "holistic"):
+    for strategy in ("adaptive", "holistic", "holistic_workers"):
         batch1 = doc["scenarios"][f"{strategy}/batch1"]["fingerprint"]
         batch8 = doc["scenarios"][f"{strategy}/batch8"]["fingerprint"]
         assert batch8 == batch1
@@ -52,12 +55,6 @@ def test_fingerprints_identical_across_batch_sizes():
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
     assert check_regression(SUITE, doc, doc) == []
-    slowed = json.loads(json.dumps(doc))
-    slowed["scenarios"]["adaptive/batch8"]["throughput"] = (
-        doc["scenarios"]["adaptive/batch8"]["throughput"] * 3
-    )
-    failures = check_regression(SUITE, doc, slowed)
-    assert any("throughput regressed" in f for f in failures)
     diverged = json.loads(json.dumps(doc))
     diverged["scenarios"]["adaptive/batch1"]["fingerprint"][
         "state_sha256"
@@ -80,18 +77,12 @@ def test_run_e2e_command_writes_output(tmp_path):
         quick=True,
         out=str(out),
         check_path=None,
-        repeats=1,
     )
     assert exit_code == 0
-    assert "queries-per-second" in text
+    assert "batch == sequential" in text
     document = json.loads(out.read_text())
     assert document["config"]["rows"] == 2000
-    # Round-trip the check gate against the file it just wrote.  At
-    # this tiny scale wall-clock noise alone can trip the 2x
-    # throughput limit (an intermittent tier-1 failure under load), so
-    # only the deterministic fingerprint half of the gate is asserted
-    # (the pass path is covered by
-    # test_check_regression_passes_against_self_and_detects_drift).
+    # Round-trip the check gate against the file it just wrote.
     text, exit_code = run_command(
         SUITE,
         rows=2000,
@@ -100,7 +91,6 @@ def test_run_e2e_command_writes_output(tmp_path):
         quick=True,
         out=str(tmp_path / "again.json"),
         check_path=str(out),
-        repeats=1,
     )
-    assert "fingerprint diverged" not in text
-    assert "diverged from sequential" not in text
+    assert exit_code == 0
+    assert text.endswith("e2e gate passed")

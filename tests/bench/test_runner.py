@@ -1,5 +1,7 @@
 """Unit tests for the bench CLI."""
 
+import json
+
 import pytest
 
 from repro.bench.runner import main
@@ -47,6 +49,25 @@ def test_figure1_command(capsys):
     out = capsys.readouterr().out
     assert "Figure 1" in out
     assert "[holistic]" in out
+
+
+def test_suite_command_writes_checks_and_exits_nonzero_on_drift(
+    tmp_path, capsys
+):
+    committed = tmp_path / "committed.json"
+    sizes = ["e2e", "--rows", "2000", "--queries", "32"]
+    assert main([*sizes, "--out", str(committed)]) == 0
+    document = json.loads(committed.read_text())
+    assert document["config"]["rows"] == 2_000
+    assert document["config"]["queries"] == 32
+    assert main([*sizes, "--check", str(committed)]) == 0
+    assert capsys.readouterr().out.endswith("e2e gate passed\n")
+    document["scenarios"]["scan/batch1"]["fingerprint"]["result_rows"] += 1
+    committed.write_text(json.dumps(document))
+    assert main([*sizes, "--check", str(committed)]) == 1
+    assert "scan/batch1.result_rows: fingerprint diverged" in (
+        capsys.readouterr().out
+    )
 
 
 def test_unknown_command_rejected():

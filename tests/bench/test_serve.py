@@ -1,4 +1,4 @@
-"""The concurrent-serving bench harness."""
+"""The concurrent-serving serve == solo gate."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 from repro.bench.harness import check_regression, run_command
 from repro.bench.serve import SUITE, run_serve, serve_text
 
-_TINY = dict(rows=2_000, queries_per_client=24, repeats=1)
+_TINY = dict(rows=2_000, queries_per_client=24)
 
 
 def _tiny_doc(**overrides):
@@ -21,7 +21,7 @@ def _tiny_doc(**overrides):
 
 def test_run_serve_document_shape_and_equivalence():
     doc = _tiny_doc()
-    assert doc["schema"] == "serve-v1"
+    assert doc["schema"] == "serve-v2"
     assert set(doc["scenarios"]) == {
         "adaptive/solo/clients1",
         "adaptive/solo/clients3",
@@ -35,16 +35,16 @@ def test_run_serve_document_shape_and_equivalence():
     for name, data in doc["scenarios"].items():
         clients = int(name.rsplit("clients", 1)[1])
         assert data["ops"] == clients * 24
-        assert data["throughput"] > 0
         assert len(data["fingerprints"]) == clients
         if "/serve/" in name:
-            assert data["latency_p99_ms"] >= data["latency_p50_ms"] >= 0
+            assert set(data) == {"ops", "unit", "fingerprints", "windows"}
             assert data["windows"] >= 1
+        else:
+            assert set(data) == {"ops", "unit", "fingerprints"}
     # The headline correctness proof: every serving client's
     # fingerprint equals its solo run's.
     assert all(doc["serve_equals_solo"].values())
-    assert "clients3" in doc["speedup_serve_vs_solo"]["adaptive"]
-    assert "serve == solo fingerprints" in serve_text(doc)
+    assert "adaptive/serve/clients3" in serve_text(doc)
 
 
 def test_workers_scenario_compares_against_plain_holistic_solo():
@@ -62,9 +62,8 @@ def test_workers_scenario_compares_against_plain_holistic_solo():
 
 
 def test_workers_scenario_alone_still_measures_its_solo_baseline():
-    """Regression: sweeping only holistic_workers used to crash at the
-    speedup computation because its plain-holistic solo baseline was
-    never measured."""
+    """Regression: sweeping only holistic_workers used to crash because
+    its plain-holistic solo baseline was never run."""
     doc = run_serve(
         client_counts=(2,),
         strategies=("holistic_workers",),
@@ -72,18 +71,11 @@ def test_workers_scenario_alone_still_measures_its_solo_baseline():
     )
     assert "holistic/solo/clients2" in doc["scenarios"]
     assert doc["serve_equals_solo"]["holistic_workers/serve/clients2"]
-    assert "clients2" in doc["speedup_serve_vs_solo"]["holistic_workers"]
 
 
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
     assert check_regression(SUITE, doc, doc) == []
-    slowed = json.loads(json.dumps(doc))
-    slowed["scenarios"]["adaptive/serve/clients3"]["throughput"] = (
-        doc["scenarios"]["adaptive/serve/clients3"]["throughput"] * 3
-    )
-    failures = check_regression(SUITE, doc, slowed)
-    assert any("throughput regressed" in f for f in failures)
     diverged = json.loads(json.dumps(doc))
     diverged["scenarios"]["adaptive/serve/clients3"]["fingerprints"][
         "client-0"
@@ -106,18 +98,13 @@ def test_run_serve_command_writes_output_and_gates(tmp_path):
         quick=True,
         out=str(out),
         check_path=None,
-        repeats=1,
     )
     assert exit_code == 0
-    assert "Concurrent serving benchmark" in text
+    assert "Concurrent serving" in text
     document = json.loads(out.read_text())
     assert document["config"]["rows"] == 2_000
     assert document["config"]["client_counts"] == [1, 8]
-    # Round-trip the check gate against the file it just wrote.  At
-    # this tiny scale wall-clock noise alone can trip the 2x
-    # throughput limit, so only the deterministic fingerprint half of
-    # the gate is asserted here (the pass path is covered by
-    # test_check_regression_passes_against_self_and_detects_drift).
+    # Round-trip the check gate against the file it just wrote.
     text, exit_code = run_command(
         SUITE,
         rows=2_000,
@@ -126,7 +113,6 @@ def test_run_serve_command_writes_output_and_gates(tmp_path):
         quick=True,
         out=str(tmp_path / "again.json"),
         check_path=str(out),
-        repeats=1,
     )
-    assert "fingerprint diverged" not in text
-    assert "solo baselines" not in text
+    assert exit_code == 0
+    assert text.endswith("serve gate passed")

@@ -322,7 +322,7 @@ def test_same_seed_worker_windows_are_reproducible(workers):
             for ref, index in sorted(
                 kernel.indexes.items(), key=lambda kv: str(kv[0])
             )
-        ).hexdigest()
+        )
         summary = kernel.tuning_summary()
         runs.append(
             (

@@ -13,16 +13,9 @@ import pytest
 from repro.engine.query import RangeQuery
 from repro.engine.session import make_strategy
 from repro.errors import ConfigError
-from repro.serving import (
-    CrossSessionWindowFormer,
-    OpenLoopWindowFormer,
-    ServingFrontend,
-)
+from repro.serving import CrossSessionWindowFormer, ServingFrontend
 from repro.storage.catalog import ColumnRef
-from repro.workload.multiclient import (
-    make_closed_loop_clients,
-    make_open_loop_clients,
-)
+from repro.workload.multiclient import make_closed_loop_clients
 from tests.serving.conftest import (
     DOMAIN_HIGH,
     DOMAIN_LOW,
@@ -71,33 +64,7 @@ def test_every_client_matches_its_solo_run(strategy, pending):
         assert served == solo
 
 
-@pytest.mark.parametrize("strategy", ["adaptive", "holistic"])
-def test_open_loop_arrivals_match_solo(strategy):
-    workloads = make_open_loop_clients(
-        COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,
-        clients=3, queries_per_client=40,
-        arrival_rates=[500.0, 20.0], seed=23,
-    )
-    db = fresh_db()
-    frontend = ServingFrontend(
-        db,
-        make_strategy(strategy, db),
-        former=OpenLoopWindowFormer(quantum_s=0.05, max_window=64),
-    )
-    lanes = {
-        w.client: frontend.add_client(w.client, w.queries, w.arrivals)
-        for w in workloads
-    }
-    collected = _serve_collecting(frontend)
-    for workload in workloads:
-        solo = solo_baseline(strategy, workload.queries)
-        served = lane_state(
-            lanes[workload.client], collected[workload.client]
-        )
-        assert served == solo
-
-
-def test_run_reports_windows_and_latencies():
+def test_run_reports_windows():
     workloads = make_closed_loop_clients(
         COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,
         clients=3, queries_per_client=20, seed=5,
@@ -108,13 +75,8 @@ def test_run_reports_windows_and_latencies():
         frontend.add_client(workload.client, workload.queries)
     report = frontend.run()
     assert report.total_queries == 60
-    assert report.windows == len(report.window_sizes) == len(
-        report.window_wall_s
-    )
+    assert report.windows == len(report.window_sizes)
     assert sum(report.window_sizes) == 60
-    latencies = report.query_latencies_s()
-    assert len(latencies) == 60
-    assert all(latency >= 0 for latency in latencies)
     # Every record is tagged with its lane's client.
     for name, session_report in report.clients.items():
         assert session_report.client == name

@@ -1,13 +1,10 @@
-"""Unit tests for the cross-session window formers."""
+"""Unit tests for the cross-session window former."""
 
 import pytest
 
 from repro.engine.query import RangeQuery
 from repro.errors import ConfigError
-from repro.serving.window import (
-    CrossSessionWindowFormer,
-    OpenLoopWindowFormer,
-)
+from repro.serving.window import CrossSessionWindowFormer
 from repro.storage.catalog import ColumnRef
 
 A1 = ColumnRef("R", "A1")
@@ -90,48 +87,3 @@ def test_closed_loop_validates_depth():
         CrossSessionWindowFormer(depth=0)
     with pytest.raises(ConfigError):
         CrossSessionWindowFormer(max_window=0)
-
-
-def test_open_loop_windows_follow_arrival_quanta():
-    former = OpenLoopWindowFormer(quantum_s=1.0)
-    former.admit("a", _queries(3), arrivals=[0.0, 0.5, 5.0])
-    former.admit("b", _queries(2, base=10), arrivals=[0.2, 0.7])
-    first = former.next_window()
-    # Everything arriving in [0.0, 1.0), in arrival order.
-    assert [(e.client, e.sequence) for e in first] == [
-        ("a", 0), ("b", 0), ("a", 1), ("b", 1),
-    ]
-    second = former.next_window()
-    assert [(e.client, e.sequence) for e in second] == [("a", 2)]
-    assert former.next_window() == []
-
-
-def test_open_loop_requires_aligned_monotone_arrivals():
-    former = OpenLoopWindowFormer()
-    with pytest.raises(ConfigError):
-        former.admit("a", _queries(2), arrivals=None)
-    with pytest.raises(ConfigError):
-        former.admit("a", _queries(2), arrivals=[1.0])
-    with pytest.raises(ConfigError):
-        former.admit("a", _queries(2), arrivals=[2.0, 1.0])
-
-
-def test_open_loop_rejects_out_of_order_cross_batch_arrivals():
-    """Regression: a later admission batch arriving before the
-    client's last admitted query would serve its stream out of order,
-    silently breaking the solo-identical accounting invariant."""
-    former = OpenLoopWindowFormer()
-    former.admit("a", _queries(1), arrivals=[5.0])
-    with pytest.raises(ConfigError, match="arrive in order"):
-        former.admit("a", _queries(1, base=10), arrivals=[1.0])
-    # Equal or later arrivals are fine, and other clients are
-    # unaffected.
-    former.admit("a", _queries(1, base=20), arrivals=[5.0])
-    former.admit("b", _queries(1, base=30), arrivals=[0.5])
-
-
-def test_open_loop_max_window_bounds_burst():
-    former = OpenLoopWindowFormer(quantum_s=10.0, max_window=3)
-    former.admit("a", _queries(5), arrivals=[0.0] * 5)
-    assert len(former.next_window()) == 3
-    assert len(former.next_window()) == 2

@@ -5,9 +5,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.storage.catalog import ColumnRef
 from repro.workload.multiclient import (
-    ClientWorkload,
     make_closed_loop_clients,
-    make_open_loop_clients,
     parameterized_queries,
 )
 
@@ -57,7 +55,6 @@ def test_closed_loop_clients_are_independent_of_client_count():
     assert [w.client for w in four] == [w.client for w in eight[:4]]
     for a, b in zip(four, eight[:4]):
         assert a.queries == b.queries
-        assert a.arrivals is None
 
 
 def test_closed_loop_validates_counts():
@@ -65,37 +62,3 @@ def test_closed_loop_validates_counts():
         make_closed_loop_clients(COLUMNS, 0, 1, clients=0, queries_per_client=1)
     with pytest.raises(WorkloadError):
         make_closed_loop_clients(COLUMNS, 0, 1, clients=1, queries_per_client=0)
-
-
-def test_open_loop_arrivals_are_increasing_and_rate_mixed():
-    workloads = make_open_loop_clients(
-        COLUMNS, 1, 1_000_000, clients=4, queries_per_client=100,
-        arrival_rates=[1_000.0, 10.0], seed=5,
-    )
-    for workload in workloads:
-        arrivals = workload.arrivals
-        assert arrivals is not None and len(arrivals) == 100
-        assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
-    # The heavy clients (rate 1000/s) finish arriving far earlier than
-    # the light ones (rate 10/s).
-    heavy = workloads[0].arrivals[-1]
-    light = workloads[1].arrivals[-1]
-    assert heavy < light / 10
-
-
-def test_open_loop_validates_rates():
-    with pytest.raises(WorkloadError):
-        make_open_loop_clients(
-            COLUMNS, 0, 1, clients=1, queries_per_client=1, arrival_rates=[]
-        )
-    with pytest.raises(WorkloadError):
-        make_open_loop_clients(
-            COLUMNS, 0, 1, clients=1, queries_per_client=1,
-            arrival_rates=[0.0],
-        )
-
-
-def test_client_workload_validates_arrival_alignment():
-    queries = parameterized_queries(COLUMNS, 0, 100, count=3, seed=0)
-    with pytest.raises(WorkloadError):
-        ClientWorkload("c", queries, arrivals=[0.1])
