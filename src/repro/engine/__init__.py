@@ -1,11 +1,6 @@
 """Query engine: queries, operators, plans, strategies and sessions."""
 
-from repro.engine.operators import (
-    apply_pending,
-    multiset_difference,
-    project,
-    scan_select,
-)
+from repro.engine.operators import apply_pending, project, scan_select
 from repro.engine.plan import AccessPath, PlannedQuery, estimate_path_cost
 from repro.engine.query import RangeQuery
 from repro.engine.session import (
@@ -24,6 +19,7 @@ from repro.engine.strategies import (
     ScanStrategy,
     StrategyFeatures,
 )
+from repro.storage.views import multiset_difference
 
 __all__ = [
     "AccessPath",

@@ -196,11 +196,9 @@ class Session:
         execution = self.strategy.begin_batch(queries, windows)
         if execution is None:
             return [self.run_query(query) for query in queries]
-        # One pending-updates consultation per column: slice bounds
-        # for every window entry come from four vectorized searches,
-        # and entries outside every pending range skip the per-query
-        # merge entirely (the sequential path's has_pending() early
-        # return).
+        # One pending-updates consultation per column; entries outside
+        # every pending range skip the per-query merge entirely (the
+        # sequential path's has_pending() early return).
         pending_slots: list[tuple[PendingWindow, int] | None] = (
             [None] * len(queries)
         )

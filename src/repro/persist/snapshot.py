@@ -33,7 +33,7 @@ import numpy as np
 from repro import faults
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piecemap import PieceMap
-from repro.errors import PersistError
+from repro.errors import PersistError, SchemaError
 from repro.persist.format import load_array
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
@@ -342,11 +342,18 @@ def restore_state(
             )
             table.add_column(column)
             base = f"pending/{table.name}/{name}"
-            table.updates_for(name).restore_state(
-                load_array(root, entries[f"{base}/ins"]),
-                load_array(root, entries[f"{base}/delpos"]),
-                load_array(root, entries[f"{base}/delval"]),
-            )
+            try:
+                table.updates_for(name).restore_state(
+                    load_array(root, entries[f"{base}/ins"]),
+                    load_array(root, entries[f"{base}/delpos"]),
+                    load_array(root, entries[f"{base}/delval"]),
+                )
+            except SchemaError as error:
+                # Selects compute on the store unchecked: one that
+                # fails its own checks sends the restore back a generation.
+                raise PersistError(
+                    f"snapshot arrays {base!r} are corrupt: {error}"
+                ) from None
         db.add_table(table)
 
     strategy = None

@@ -89,17 +89,22 @@ def exact_search_keys(
 
     Returns ``(keys, above)``: ``keys`` compare exactly against the
     store's values, and ``above`` masks the bounds no storable value
-    reaches (``None`` when there are none) -- their cut is
-    ``len(store)`` whatever the store holds.  Split from the probe so a
-    window normalises its bounds once for every store of a column
-    (:func:`cuts_at_keys`).
+    reaches (``None`` when there are none; a NaN bound is always one
+    of them) -- their cut is ``len(store)`` whatever the store holds.
+    Split from the probe so a window normalises its bounds once for
+    every store of a column (:func:`cuts_at_keys`).
     """
     kind = bounds.dtype.kind
     if dtype.kind != "i":
         if kind == "f":
-            return bounds.astype(np.float64, copy=False), None
-        floats = [_scalar_key(dtype, bound) for bound in bounds.tolist()]
-        return np.array(floats, dtype=np.float64), None
+            keys = bounds.astype(np.float64, copy=False)
+        else:
+            keys = np.array(
+                [_scalar_key(dtype, bound) for bound in bounds.tolist()],
+                dtype=np.float64,
+            )
+        nan = np.isnan(keys)
+        return keys, (nan if nan.any() else None)
     if kind == "f":
         keys = np.ceil(bounds.astype(np.float64, copy=False))
         # NaN fails the comparison too, as it should.
@@ -217,8 +222,11 @@ class PendingUpdates:
     had.  That rules out an in-place append buffer, on purpose.
 
     A store owned by a :class:`~repro.storage.table.Table` is handed
-    the column's ``base`` values and checks every staged delete against
-    them; a standalone store takes deletes on trust.
+    the column's ``base`` values and checks every delete it is given
+    against them (:attr:`verifies_deletes`), so each pending delete is
+    a distinct base row holding exactly that value -- what lets a
+    select subtract the in-range deletes without looking for them in
+    its result.  A standalone store takes deletes on trust.
     """
 
     def __init__(
@@ -226,6 +234,8 @@ class PendingUpdates:
     ) -> None:
         self._ctype = ctype
         self._base = base
+        #: Whether every pending delete is a checked row of the base.
+        self.verifies_deletes = base is not None
         self._insert_values = np.empty(0, dtype=ctype.numpy_dtype)
         self._delete_positions = np.empty(0, dtype=np.int64)
         self._deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
@@ -281,14 +291,7 @@ class PendingUpdates:
             )
         if len(pos) == 0:
             return 0
-        base = self._base
-        if base is not None:
-            inside = (pos >= 0) & (pos < len(base))
-            if not (inside.all() and (base[pos] == vals).all()):
-                raise SchemaError(
-                    "every delete must name a row of the base column "
-                    f"({len(base)} rows) and the value that row holds"
-                )
+        self._check_base_rows(pos, vals)
         # Both sides are unique by invariant, so a batch costs its own
         # sort plus one binary search per position -- not a re-sort of
         # everything staged so far.
@@ -316,6 +319,20 @@ class PendingUpdates:
             self._delete_positions, slots, pos[order]
         )
         return len(pos)
+
+    def _check_base_rows(self, pos: np.ndarray, vals: np.ndarray) -> None:
+        """Raise unless every ``(pos, val)`` is a row of the base column
+        and the value it holds (a standalone store has no base to ask)."""
+        base = self._base
+        if base is None:
+            return
+        inside = (pos >= 0) & (pos < len(base))
+        if not (inside.all() and (base[pos] == vals).all()):
+            raise SchemaError(
+                "every delete must name a row of the base column "
+                f"({len(base)} rows) and the value that row holds "
+                "(a NaN row equals nothing and cannot be deleted)"
+            )
 
     # -- inspection ----------------------------------------------------
 
@@ -350,28 +367,36 @@ class PendingUpdates:
     ) -> None:
         """Adopt previously-exported store arrays (snapshot restore).
 
-        The arrays must already satisfy the store's invariants: inserts
-        sorted by value, delete positions/values aligned and sorted by
-        value.
+        They are held to what staging establishes, because selects
+        compute on it unchecked: inserts sorted by value, delete
+        positions/values aligned, sorted by value and naming distinct
+        rows -- rows of the base column holding those values, in a
+        table's store.
 
         Raises:
-            SchemaError: if the delete arrays differ in length.
+            SchemaError: if the arrays break any of that -- before
+                anything is adopted.
         """
-        if len(delete_positions) != len(deleted_values):
+        inserts = np.asarray(insert_values, dtype=self._ctype.numpy_dtype)
+        pos = np.asarray(delete_positions, dtype=np.int64)
+        vals = np.asarray(deleted_values, dtype=self._ctype.numpy_dtype)
+        staged = np.sort(pos)
+        if (
+            len(pos) != len(vals)
+            or (inserts[1:] < inserts[:-1]).any()
+            or (vals[1:] < vals[:-1]).any()
+            or (staged[1:] == staged[:-1]).any()
+        ):
             raise SchemaError(
-                f"delete positions ({len(delete_positions)}) and values "
-                f"({len(deleted_values)}) must align"
+                f"restored pending arrays ({len(pos)} delete positions, "
+                f"{len(vals)} values) must align, be sorted by value "
+                "and name each deleted row once"
             )
-        self._insert_values = np.asarray(
-            insert_values, dtype=self._ctype.numpy_dtype
-        )
-        self._delete_positions = np.asarray(
-            delete_positions, dtype=np.int64
-        )
-        self._deleted_values = np.asarray(
-            deleted_values, dtype=self._ctype.numpy_dtype
-        )
-        self._staged_positions = np.sort(self._delete_positions)
+        self._check_base_rows(pos, vals)
+        self._insert_values = inserts
+        self._delete_positions = pos
+        self._deleted_values = vals
+        self._staged_positions = staged
 
     def has_pending(self) -> bool:
         return self.pending_insert_count > 0 or self.pending_delete_count > 0

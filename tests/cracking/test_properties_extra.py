@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cracking.sideways import SidewaysCrackerIndex
-from repro.engine.operators import multiset_difference
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
 from repro.storage.table import Table
+from repro.storage.views import multiset_difference
 
 ints = st.integers(min_value=-1_000, max_value=1_000)
 

@@ -9,9 +9,11 @@ from repro.cracking.updates import (
     merge_deletes,
     merge_inserts,
 )
+from repro.engine.operators import apply_pending
 from repro.errors import CrackerError
 from repro.simtime.clock import SimClock
 from repro.storage.dtypes import INT64
+from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
 
 from tests.conftest import ground_truth_count
@@ -103,6 +105,35 @@ def test_maintained_index_leaves_out_of_range_pending(small_column):
     pending.stage_inserts([99_000_000])
     index.select_range(1_000, 2_000)
     assert pending.pending_insert_count == 1
+
+
+def test_restaged_consumed_position_never_reaches_the_overlay(small_column):
+    """A table's store lets a consumed position be staged again, and
+    the row it names is then no longer in the cracker column -- the one
+    pending delete that would not match a row of the result.  The
+    overlay's arithmetic never meets it: the ripple select takes every
+    in-range entry before it answers, so the store is empty over the
+    range by the time ``apply_pending`` looks.  (The victim's value is
+    unique, so the second merge finds nothing to remove.)"""
+    table = Table("R")
+    table.add_column(small_column)
+    pending = table.updates_for("A1")
+    assert pending.verifies_deletes
+    index = MaintainedCrackerIndex(small_column, pending, clock=SimClock())
+    values, counts = np.unique(small_column.values, return_counts=True)
+    unique = values[counts == 1]
+    victim = int(unique[len(unique) // 2])
+    row = int(np.flatnonzero(small_column.values == victim)[0])
+    low, high = victim - 5_000_000, victim + 5_000_000
+    reference = np.sort(np.delete(small_column.values, row))
+    reference = reference[(reference >= low) & (reference < high)]
+    for _ in range(2):
+        assert pending.stage_deletes([row], [victim]) == 1
+        view = index.select_range(low, high)
+        assert not pending.has_pending()
+        assert apply_pending(view, pending, low, high, SimClock()) is view
+        assert np.array_equal(np.sort(view.values()), reference)
+    index.check_invariants()
 
 
 def test_maintained_index_rejects_rowids(small_column):

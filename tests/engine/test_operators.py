@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
 from repro.engine.operators import (
+    PendingWindow,
     apply_pending,
-    multiset_difference,
     project,
     scan_select,
 )
+from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
+from repro.storage.column import Column
 from repro.storage.dtypes import FLOAT64, INT32, INT64
+from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
-from repro.storage.views import PendingOverlay, RangeView
+from repro.storage.views import (
+    PendingOverlay,
+    RangeView,
+    multiset_difference,
+)
 
 from tests.conftest import ground_truth_count
 
@@ -136,12 +143,6 @@ def test_multiset_difference_matches_reference_semantics():
 
 
 def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
-    import numpy as np
-
-    from repro.engine.operators import PendingWindow
-    from repro.simtime.accounting import WindowAccountant
-    from repro.simtime.clock import SimClock
-
     pending = tiny_db.table("R").updates_for("A1")
     rng = np.random.default_rng(23)
     pending.stage_inserts(rng.integers(0, 100_000_000, size=30))
@@ -233,6 +234,94 @@ def test_pending_overlay_matches_reference_multiset(
     )
 
 
+_TWIN_BOUNDS = [
+    float("-inf"), float("inf"), float("nan"), -(2.0**63), 2.0**63,
+    0, 3.5, 7, 12.5, 15, float(2**53 + 4), float(2**53 + 8), 2**53 + 7,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # past the threshold, every delete of one value
+    kind=(INT64, np.int64, 2**53),
+    values=[5] * 60 + [9],
+    victims=list(range(40)),
+    inserts=[5, 14],
+    bounds=[(0, 15), (float(2**53 + 4), float("inf")), (3.5, float("nan"))],
+)
+@given(
+    kind=st.sampled_from([
+        (INT32, np.int32, 0),
+        (INT64, np.int64, 0),
+        (INT64, np.int64, 2**53),  # odd values no float bound can name
+        (FLOAT64, np.float64, 0),
+    ]),
+    values=st.lists(st.integers(0, 12), min_size=1, max_size=300),
+    victims=st.lists(st.integers(0, 299), max_size=80),
+    inserts=st.lists(st.integers(0, 14), max_size=6),
+    bounds=st.lists(
+        st.tuples(st.sampled_from(_TWIN_BOUNDS), st.sampled_from(_TWIN_BOUNDS)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_table_store_overlay_matches_reference_multiset(
+    kind, values, victims, inserts, bounds
+):
+    """The property above behind a table's store, where the count is
+    arithmetic: duplicated base values, several deletes of one value at
+    distinct rows, on both sides of the trickle threshold, at bounds
+    that are infinite, NaN or beyond 2^53.  Count, values read at once
+    and values read after the rows moved all equal the exact Python
+    reference, and a window hands every slot what the sequential path
+    hands it, charges included."""
+    ctype, dtype, offset = kind
+    column = Column("A1", np.array(values, dtype=dtype) + dtype(offset))
+    table = Table("R")
+    table.add_column(column)
+    pending = table.updates_for("A1")
+    rows = sorted({victim % len(values) for victim in victims})
+    pending.stage_deletes(rows, column.values[rows])
+    pending.stage_inserts(np.array(inserts, dtype=dtype) + dtype(offset))
+    alive = [
+        value for row, value in enumerate(column.values.tolist())
+        if row not in set(rows)
+    ] + pending.insert_values.tolist()
+    lows, highs = (
+        # float64 as the engine passes them, unless that would round
+        # an integer bound.
+        np.array(side, dtype=np.float64)
+        if all(isinstance(bound, float) for bound in side)
+        else np.array(side, dtype=object)
+        for side in zip(*bounds)
+    )
+    window = PendingWindow(pending, lows, highs)
+    sequential_clock, batch_clock = SimClock(), SimClock()
+    accountant = WindowAccountant(batch_clock)
+    for slot, (low, high) in enumerate(bounds):
+        reference = sorted(v for v in alive if low <= v < high)
+        selected = np.array(
+            [v for v in column.values.tolist() if low <= v < high],
+            dtype=dtype,
+        )
+        base = RangeView(selected, 0, len(selected))
+        view = apply_pending(base, pending, low, high, sequential_clock)
+        moved = apply_pending(base, pending, low, high, SimClock())
+        batched = base
+        if window.active and window.overlapping_slots()[slot]:
+            batched = window.apply(slot, base, accountant)
+        assert (batched is base) == (view is base), (low, high)
+        assert view.count == len(reference), (low, high)
+        assert sorted(view.values().tolist()) == reference, (low, high)
+        assert batched.count == view.count
+        assert batched.values().tolist() == view.values().tolist()
+        selected[:] = selected[::-1].copy()  # what a crack inside does
+        assert moved.count == len(reference)
+        assert sorted(moved.values().tolist()) == reference, (low, high)
+    accountant.finish()
+    assert repr(batch_clock.now()) == repr(sequential_clock.now())
+    assert batch_clock.total_charge == sequential_clock.total_charge
+
+
 def test_pending_overlay_survives_a_crack_inside_its_range(small_column):
     """The view answers with values, and trusts a row position only
     while it still holds the value it was noted for: a later query
@@ -275,3 +364,85 @@ def test_pending_overlay_widens_to_the_column_dtype():
     assert view.count == 3
     assert view.values().dtype == np.int64
     assert view.values().tolist() == [7, 9, 5_000_000_000]
+
+
+# -- a verified delete needs no scan (ISSUE 23) --------------------------
+
+
+class _UnreadableResult:
+    """A select result that counts and refuses to be read."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+    def values(self) -> np.ndarray:
+        raise AssertionError("the select read its result")
+
+    def positions(self) -> None:
+        return None
+
+
+@pytest.mark.parametrize("removals", [1, 32, 33, 200])
+def test_select_behind_a_table_store_does_not_read_the_result(
+    small_column, removals
+):
+    """A table's store verified every delete against the base column,
+    so each one in range is a row of the result: the count is
+    arithmetic on both sides of the trickle threshold, through
+    ``apply_pending`` and ``PendingWindow.apply`` alike."""
+    table = Table("R")
+    table.add_column(small_column)
+    pending = table.updates_for("A1")
+    low, high = 2e7, 6e7
+    in_range = np.flatnonzero(
+        (small_column.values >= low) & (small_column.values < high)
+    )
+    victims = in_range[:: len(in_range) // removals][:removals]
+    pending.stage_deletes(victims, small_column.values[victims])
+    pending.stage_deletes([0], small_column.values[[0]])  # maybe outside
+    pending.stage_inserts([25_000_000, 25_000_000, 70_000_000])
+    outside = not low <= small_column.values[0] < high
+    expected = len(in_range) - removals - (0 if outside else 1) + 2
+    spy = _UnreadableResult(len(in_range))
+    clock = SimClock()
+    assert apply_pending(spy, pending, low, high, clock).count == expected
+    window = PendingWindow(pending, np.array([low]), np.array([high]))
+    batch_clock = SimClock()
+    accountant = WindowAccountant(batch_clock)
+    assert window.apply(0, spy, accountant).count == expected
+    accountant.finish()
+    assert batch_clock.total_charge == clock.total_charge
+    # The reader pays the one scan, and gets the reference multiset.
+    base = scan_select(small_column.values, low, high, SimClock())
+    view = apply_pending(base, pending, low, high, SimClock())
+    assert view.count == expected == len(view.values())
+    assert np.array_equal(
+        np.sort(view.values()),
+        np.sort(np.concatenate([
+            _reference_multiset_difference(
+                base.values(), pending.deletes_in_range(low, high)
+            ),
+            [25_000_000, 25_000_000],
+        ])),
+    )
+
+
+def test_select_behind_a_standalone_store_reads_the_result():
+    """A standalone store takes deletes on trust; one that matches no
+    row of the result is ignored, which only a look at the result can
+    tell -- so that select still reads."""
+    pending = PendingUpdates(INT64)
+    pending.stage_deletes([0, 1], [8, 13])
+    with pytest.raises(AssertionError, match="read its result"):
+        apply_pending(_UnreadableResult(3), pending, 0, 15, SimClock())
+    window = PendingWindow(pending, np.array([0.0]), np.array([15.0]))
+    with pytest.raises(AssertionError, match="read its result"):
+        window.apply(0, _UnreadableResult(3), WindowAccountant(SimClock()))
+    base = RangeView(np.array([7, 8, 9], dtype=np.int64), 0, 3)
+    assert apply_pending(base, pending, 0, 15, SimClock()).count == 2
+    # Inserts alone need no look at the result on any store.
+    pending = PendingUpdates(INT64)
+    pending.stage_inserts([5])
+    assert apply_pending(
+        _UnreadableResult(3), pending, 0, 15, SimClock()
+    ).count == 4

@@ -151,6 +151,44 @@ def test_eager_verify_walks_past_the_bitflip(tmp_path):
     assert plan.unrecovered() == []
 
 
+def test_corrupt_pending_deletes_walk_back(tmp_path):
+    """A select subtracts the pending deletes in range without looking
+    for them in its result, so the store re-checks them against the
+    base column on restore.  A ``delval`` file whose values are not
+    the rows' (bit rot the structural check cannot see) fails that
+    check and the restore falls back a generation instead of answering
+    with a wrong count."""
+    db, session = _fresh_session()
+    manager = SnapshotManager(
+        tmp_path, db, strategy=session.strategy, session=session,
+        keep_history=True,
+    )
+    column = db.column("R", "A1")
+    store = db.table("R").updates_for("A1")
+    _run_queries(session, 4)
+    store.stage_deletes([3, 5], column.values[[3, 5]])
+    clean = manager.checkpoint(extra={"mark": "clean"}).generation
+    store.stage_deletes([8], column.values[[8]])
+    newest = manager.checkpoint(extra={"mark": "newest"}).generation
+    entry = read_manifest(tmp_path, newest)["arrays"]["pending/R/A1/delval"]
+    assert int(entry["generation"]) == newest
+    path = tmp_path / entry["file"]
+    rotted = np.load(path) + 1
+    with path.open("wb") as handle:
+        np.save(handle, rotted)
+    restored = restore_snapshot(tmp_path)
+    assert restored.generation == clean
+    assert restored.fallback_generations == [newest]
+    assert restored.extra == {"mark": "clean"}
+    restored_store = restored.db.table("R").updates_for("A1")
+    assert sorted(restored_store.delete_positions.tolist()) == [3, 5]
+    values = np.delete(column.values, [3, 5])
+    result = restored.session.run_query(RangeQuery(REF, 2e7, 5e7))
+    assert result.count == np.count_nonzero((values >= 2e7) & (values < 5e7))
+    with pytest.raises(PersistError, match="pending/R/A1"):
+        restore_snapshot(tmp_path, fallback=False)
+
+
 def test_background_verifier_passes_on_a_clean_snapshot(tmp_path):
     clean, newest = _two_generations(tmp_path, None)
     restored = restore_snapshot(tmp_path, verify="lazy")

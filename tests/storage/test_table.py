@@ -120,3 +120,55 @@ def test_table_store_checks_a_delete_against_the_base_column():
 def test_standalone_store_takes_deletes_on_trust():
     store = PendingUpdates(INT64)
     assert store.stage_deletes([0, 99], [40, 7]) == 2
+    assert not store.verifies_deletes
+
+
+def test_table_store_refuses_to_delete_a_nan_row():
+    """``count = base - deletes + inserts`` needs every pending delete
+    to match a row of the result; a NaN row never compares equal, so
+    ``values()`` could not drop it -- the store refuses it, and says
+    why."""
+    table = Table("R")
+    table.add_column(Column("F", np.array([1.5, np.nan, 3.0])))
+    store = table.updates_for("F")
+    with pytest.raises(SchemaError, match="NaN"):
+        store.stage_deletes([1], [np.nan])
+    with pytest.raises(SchemaError, match="NaN"):
+        store.stage_deletes([0, 1], [1.5, np.nan])
+    assert not store.has_pending()
+    assert store.stage_deletes([0], [1.5]) == 1
+
+
+def test_restore_state_holds_arrays_to_what_staging_establishes():
+    """A restored store is computed on unchecked, like a staged one:
+    ``restore_state`` re-checks what ``stage_deletes`` checked and
+    adopts nothing when it fails."""
+    table = Table("R")
+    table.add_column(_column("A1", [10, 20, 30, 40, 50]))
+    store = table.updates_for("A1")
+    store.stage_inserts([7])
+    store.stage_deletes([4], [50])
+    for inserts, positions, values in (
+        ([1, 2], [3, 0], [40]),  # not aligned
+        ([2, 1], [0, 3], [10, 40]),  # inserts unsorted
+        ([1, 2], [3, 0], [40, 10]),  # deletes not sorted by value
+        ([1, 2], [0, 0], [10, 10]),  # one row twice
+        ([1, 2], [0, 3], [10, 41]),  # not the value that row holds
+        ([1, 2], [0, 5], [10, 60]),  # past the end
+        ([1, 2], [-1, 0], [5, 10]),  # numpy would wrap it
+    ):
+        with pytest.raises(SchemaError):
+            store.restore_state(
+                np.array(inserts), np.array(positions), np.array(values)
+            )
+        assert store.insert_values.tolist() == [7]
+        assert store.delete_positions.tolist() == [4]
+    store.restore_state(np.array([1, 2]), np.array([0, 3]), np.array([10, 40]))
+    assert store.deleted_values.tolist() == [10, 40]
+    # Restaging a restored position is a no-op, a fresh one is staged.
+    assert store.stage_deletes([3, 1], [40, 20]) == 1
+    # A standalone store has no base to ask, but sorts and aligns.
+    loose = PendingUpdates(INT64)
+    loose.restore_state(np.array([1]), np.array([9, 2]), np.array([5, 77]))
+    with pytest.raises(SchemaError):
+        loose.restore_state(np.array([1]), np.array([9, 2]), np.array([77, 5]))
