@@ -209,7 +209,7 @@ class _FunctionScan:
                     node,
                     f"{resolved} mixes a float operand with a "
                     "non-float one; ceil the key to an exact int64 "
-                    "first (see cracking.engine._less_mask)",
+                    "first (see cracking.engine._count_below)",
                 )
 
     def inspect_compare(self, node: ast.Compare) -> None:

@@ -284,6 +284,12 @@ class CrackSelectBatch:
         """The cracking replay for queries with at least one fresh
         bound (charges and tape records replicate sequential
         :meth:`CrackerIndex.select_range` exactly)."""
+        if low != low or high != high:
+            # A NaN bound (never a pivot, so it always lands here):
+            # empty, and the shadow map stays as it is -- the replay of
+            # :meth:`CrackerIndex.select_range`'s NaN answer.
+            self._done += 1
+            return RangeView(self._values, 0, 0, self._rowids)
         sim = self._sim
         cuts = sim.cuts
         k = len(sim.pivots)

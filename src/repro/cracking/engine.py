@@ -30,9 +30,10 @@ Split positions, cost charges, tape records and the per-piece value
 multisets are identical to the original kernel; only the (deliberately
 unspecified) element order inside a piece differs.
 
-``crack_in_two_batch`` cracks many disjoint (piece, pivot) pairs with
-one vectorized comparison dispatch over all of them -- the physical
-half of the paper's "multiple tuning actions in one go".
+``crack_in_two_batch`` and ``crack_spans_batch`` crack many disjoint
+pieces in one call -- the physical half of the paper's "multiple
+tuning actions in one go" -- by validating the batch once and looping
+over the single-piece partitions above.
 """
 
 from __future__ import annotations
@@ -53,13 +54,6 @@ _INT64_MIN_F = -(2.0**63)
 #: Pieces at/above this many rows evaluate their classification mask
 #: into a reusable scratch buffer instead of allocating a fresh one.
 CHUNK_THRESHOLD = 16_384
-
-#: ``crack_spans_batch`` gathers only pieces below this many rows into
-#: its shared classification buffer; larger pieces are partitioned
-#: directly (three-way), where the extra gather/scatter traffic of the
-#: batched classification would cost more than the per-call dispatch
-#: it saves.
-SPAN_GATHER_LIMIT = 4_096
 
 
 class CrackScratch:
@@ -108,6 +102,23 @@ def _check_bounds(array: np.ndarray, start: int, end: int) -> None:
         )
 
 
+def _check_disjoint(array: np.ndarray, tasks: list, kernel: str) -> None:
+    """Raise unless the ``(start, end, ...)`` pieces of a batch lie in
+    ``array`` and are pairwise disjoint."""
+    previous_end = 0
+    for task in sorted(tasks, key=lambda t: (t[0], t[1])):
+        start, end = task[0], task[1]
+        _check_bounds(array, start, end)
+        if end == start:
+            continue  # empty pieces cannot overlap anything
+        if start < previous_end:
+            raise CrackerError(
+                f"{kernel} pieces overlap: "
+                f"[{start}, {end}) begins before {previous_end}"
+            )
+        previous_end = end
+
+
 def _count_below(
     view: np.ndarray, pivot: float, scratch: CrackScratch
 ) -> int:
@@ -130,29 +141,6 @@ def _count_below(
         np.less(view, pivot, out=mask)
         return int(np.count_nonzero(mask))
     return int(np.count_nonzero(view < pivot))
-
-
-def _less_mask(
-    view: np.ndarray,
-    keys: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Elementwise ``view < keys`` with exact integer semantics.
-
-    ``keys`` is float64, element-aligned with ``view``.  Integer views
-    compare against ``ceil(keys)`` as int64 (see :func:`_count_below`);
-    NaN keys match nothing and keys beyond the int64 range saturate.
-    """
-    if view.dtype.kind != "i":
-        return np.less(view, keys, out=out)
-    keys = np.ceil(keys)
-    none = ~(keys > _INT64_MIN_F)  # NaN keys land here too
-    alln = keys >= _INT64_MAX_F
-    safe = np.where(none | alln, 0.0, keys).astype(np.int64)
-    mask = np.less(view, safe, out=out)
-    mask[none] = False
-    mask[alln] = True
-    return mask
 
 
 def _apply_permutation(
@@ -242,9 +230,8 @@ def _partition_three(
     Selects at the low split, then at the mid/high split of the right
     remainder; with row ids each selection derives one argpartition
     permutation applied to both arrays.  Shared by
-    :func:`crack_in_three` (which counts first) and
-    :func:`crack_spans_batch` (which counts all its pieces in one
-    vectorized pass).
+    :func:`crack_in_three` and :func:`crack_spans_batch`, which both
+    count first.
     """
     size = view.size
     if rview is None:
@@ -314,11 +301,8 @@ def crack_in_two_batch(
     """Crack many disjoint pieces, each around its own pivot.
 
     ``tasks`` is a list of ``(start, end, pivot)`` triples describing
-    pairwise-disjoint pieces of ``array``.  All pieces are classified
-    with **one** vectorized comparison dispatch (elements gathered into
-    scratch against a per-element pivot vector), then scattered back
-    piece by piece -- many small cracks pay one numpy dispatch for the
-    data-dependent part instead of one each.
+    pairwise-disjoint pieces of ``array``; each is partitioned exactly
+    as :func:`crack_in_two` would, in task order.
 
     Returns ``(splits, charges)`` aligned with ``tasks``: the absolute
     position of the first element ``>= pivot`` of each piece, and the
@@ -334,75 +318,25 @@ def crack_in_two_batch(
     if not tasks:
         return [], []
     if validate:
-        previous_end = None
-        for start, end, _ in sorted(tasks, key=lambda t: (t[0], t[1])):
-            _check_bounds(array, start, end)
-            if end == start:
-                continue  # empty pieces cannot overlap anything
-            if previous_end is not None and start < previous_end:
-                raise CrackerError(
-                    "crack_in_two_batch pieces overlap: "
-                    f"[{start}, {end}) begins before {previous_end}"
-                )
-            previous_end = end
+        _check_disjoint(array, tasks, "crack_in_two_batch")
     if scratch is None:
         scratch = default_scratch()
-    splits = [0] * len(tasks)
-    charges = [
-        CostCharge(cracks=1)
-        if end == start
-        else CostCharge.for_crack(end - start)
-        for start, end, _ in tasks
-    ]
-    # Large pieces are partitioned directly (gathering them into the
-    # classification buffer would double their traffic); small pieces
-    # -- where per-call dispatch dominates -- share one vectorized
-    # comparison over a gathered pivot vector.
-    small: list[int] = []
-    for task_index, (start, end, pivot) in enumerate(tasks):
+    splits: list[int] = []
+    charges: list[CostCharge] = []
+    for start, end, pivot in tasks:
         size = end - start
         if size == 0:
-            splits[task_index] = start
-        elif size >= CHUNK_THRESHOLD:
-            n_left = _partition_two(
-                array[start:end],
-                pivot,
-                None if rowids is None else rowids[start:end],
-                scratch,
-            )
-            splits[task_index] = start + n_left
-        else:
-            small.append(task_index)
-    if not small:
-        return splits, charges
-    sizes = np.array(
-        [tasks[t][1] - tasks[t][0] for t in small], dtype=np.int64
-    )
-    total = int(sizes.sum())
-    gathered = scratch.get("batch_values", total, array.dtype)
-    offsets = np.zeros(len(small) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    for slot, task_index in enumerate(small):
-        start, end, _ = tasks[task_index]
-        gathered[offsets[slot] : offsets[slot + 1]] = array[start:end]
-    pivot_vector = np.repeat(
-        np.array([tasks[t][2] for t in small], dtype=np.float64), sizes
-    )
-    mask_all = _less_mask(gathered[:total], pivot_vector)
-    for slot, task_index in enumerate(small):
-        start, end, pivot = tasks[task_index]
-        size = end - start
-        mask = mask_all[offsets[slot] : offsets[slot + 1]]
-        n_left = int(np.count_nonzero(mask))
-        splits[task_index] = start + n_left
-        if n_left == 0 or n_left == size:
+            splits.append(start)
+            charges.append(CostCharge(cracks=1))
             continue
-        view = array[start:end]
-        if rowids is None:
-            view.partition(n_left - 1)
-        else:
-            order = np.argpartition(view, n_left - 1)
-            _apply_permutation(view, rowids[start:end], order, scratch)
+        n_left = _partition_two(
+            array[start:end],
+            pivot,
+            None if rowids is None else rowids[start:end],
+            scratch,
+        )
+        splits.append(start + n_left)
+        charges.append(CostCharge.for_crack(size))
     return splits, charges
 
 
@@ -418,13 +352,9 @@ def crack_spans_batch(
     ``tasks`` is a list of ``(start, end, low, high)`` with
     ``low <= high`` describing pairwise-disjoint pieces; a
     single-pivot task simply passes ``low == high``.  The physical
-    backbone of a batched select window: every small piece's elements
-    are classified against both of its pivots with **two** vectorized
-    comparison dispatches over one gathered buffer (per-piece counts
-    via ``add.reduceat``), then partitioned in place -- replacing one
-    ``crack_in_three`` kernel call per piece with a couple of numpy
-    micro-partitions each.  Large pieces are partitioned directly, as
-    gathering them would double their traffic.
+    backbone of a batched select window: each piece is partitioned in
+    place, in task order, around its one pivot or -- three ways --
+    around its two.
 
     Returns ``(split_low, split_high)`` per task: the absolute
     positions of the first element ``>= low`` and ``>= high``.  No
@@ -440,82 +370,25 @@ def crack_spans_batch(
     if not tasks:
         return []
     if validate:
-        previous_end = None
-        for start, end, low, high in sorted(tasks):
-            _check_bounds(array, start, end)
+        _check_disjoint(array, tasks, "crack_spans_batch")
+        for _, _, low, high in tasks:
             if low > high:
                 raise CrackerError(
                     f"crack range inverted: low={low} > high={high}"
                 )
-            if end == start:
-                continue
-            if previous_end is not None and start < previous_end:
-                raise CrackerError(
-                    "crack_spans_batch pieces overlap: "
-                    f"[{start}, {end}) begins before {previous_end}"
-                )
-            previous_end = end
     if scratch is None:
         scratch = default_scratch()
-    splits: list[tuple[int, int]] = [(0, 0)] * len(tasks)
-    small: list[int] = []
-    for task_index, (start, end, low, high) in enumerate(tasks):
-        size = end - start
-        if size == 0:
-            splits[task_index] = (start, start)
-        elif size >= SPAN_GATHER_LIMIT:
-            if low == high:
-                n_left = _partition_two(
-                    array[start:end],
-                    low,
-                    None if rowids is None else rowids[start:end],
-                    scratch,
-                )
-                splits[task_index] = (start + n_left, start + n_left)
-            else:
-                pos_low, pos_high, _charge = crack_in_three(
-                    array, start, end, low, high, rowids, scratch
-                )
-                splits[task_index] = (pos_low, pos_high)
+    splits: list[tuple[int, int]] = []
+    for start, end, low, high in tasks:
+        view = array[start:end]
+        rview = None if rowids is None else rowids[start:end]
+        if low == high:
+            n_low = n_high = _partition_two(view, low, rview, scratch)
         else:
-            small.append(task_index)
-    if not small:
-        return splits
-    sizes = np.array(
-        [tasks[t][1] - tasks[t][0] for t in small], dtype=np.int64
-    )
-    total = int(sizes.sum())
-    gathered = scratch.get("spans_values", total, array.dtype)
-    offsets = np.zeros(len(small) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    for slot, task_index in enumerate(small):
-        start, end, _, _ = tasks[task_index]
-        gathered[offsets[slot] : offsets[slot + 1]] = array[start:end]
-    view = gathered[:total]
-    low_vector = np.repeat(
-        np.array([tasks[t][2] for t in small], dtype=np.float64), sizes
-    )
-    high_vector = np.repeat(
-        np.array([tasks[t][3] for t in small], dtype=np.float64), sizes
-    )
-    below_low = _less_mask(view, low_vector)
-    below_high = _less_mask(view, high_vector)
-    # dtype matters: np.add over booleans is logical-or, so the counts
-    # must accumulate into an integer type.
-    n_low = np.add.reduceat(below_low, offsets[:-1], dtype=np.int64)
-    n_high = np.add.reduceat(below_high, offsets[:-1], dtype=np.int64)
-    for slot, task_index in enumerate(small):
-        start, end, low, high = tasks[task_index]
-        lo_count = int(n_low[slot])
-        hi_count = int(n_high[slot])
-        splits[task_index] = (start + lo_count, start + hi_count)
-        _partition_three(
-            array[start:end],
-            None if rowids is None else rowids[start:end],
-            lo_count,
-            hi_count - lo_count,
-            scratch,
-        )
+            n_low = _count_below(view, low, scratch)
+            n_high = _count_below(view, high, scratch)
+            _partition_three(view, rview, n_low, n_high - n_low, scratch)
+        splits.append((start + n_low, start + n_high))
     return splits
 
 

@@ -271,6 +271,16 @@ class CrackerIndex:
                 CostCharge(elements_materialized=self.row_count)
             )
 
+    def _charge_pivot_hits(self, count: int) -> None:
+        """Price ``count`` piece-map probes that found their value
+        already a cut: one binary search over the pieces each."""
+        clock = self.clock
+        if isinstance(clock, SimClock):
+            clock.charge_probes(self.piece_count, count)
+        else:
+            for _ in range(count):
+                clock.charge(CostCharge.for_binary_search(self.piece_count))
+
     def _cut_located(
         self,
         value: float,
@@ -287,9 +297,7 @@ class CrackerIndex:
         from :meth:`PieceMap.locate` with no intervening mutation.
         """
         if at_pivot:
-            self.clock.charge(
-                CostCharge.for_binary_search(self.piece_count)
-            )
+            self._charge_pivot_hits(1)
             return start
         self._charge_copy_if_needed()
         if is_sorted:
@@ -372,8 +380,7 @@ class CrackerIndex:
         New pivots are grouped by containing piece; unsorted pieces
         receiving two or more get a single counting-partition pass
         (:func:`crack_multi`), unsorted pieces receiving exactly one
-        are partitioned together by :func:`crack_in_two_batch` (one
-        vectorized classification dispatch for all of them), and
+        are partitioned by one :func:`crack_in_two_batch` call, and
         sorted pieces take all their cuts via one vectorized
         ``np.searchsorted`` call.  Charges and tape records are
         identical to sequential :meth:`ensure_cut` calls.  Returns the
@@ -505,24 +512,30 @@ class CrackerIndex:
         crack-in-three pass handles them together (one pass instead of
         two), exactly as MonetDB's select operator does.
 
+        A NaN bound answers empty and leaves the index untouched.
+
         Raises:
             QueryError: if ``low > high``.
         """
-        if low > high:
-            raise QueryError(f"range inverted: low={low} > high={high}")
+        if not low <= high:
+            if low > high:
+                raise QueryError(f"range inverted: low={low} > high={high}")
+            # A NaN bound: ``low <= v < high`` holds for no v, and NaN
+            # must never become a pivot -- no probe, no crack, no charge.
+            return RangeView(self._array, 0, 0, self._rowids)
         pieces = self._pieces
-        low_loc = pieces.locate(low)
-        high_loc = pieces.locate(high)
+        low_loc, high_loc = pieces.locate_pair(low, high)
         witness.mutation_check(
             self,
             lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[4]],
             "select_range",
         )
         low_index, start, end, low_sorted, low_pivot = low_loc
+        high_pivot = high_loc[4]
         if (
             low_index == high_loc[0]
             and not low_pivot
-            and not high_loc[4]
+            and not high_pivot
             and not low_sorted
             and low < high
             and end > start
@@ -544,11 +557,16 @@ class CrackerIndex:
             size = end - start
             self.tape.log(now, origin, low, pos_low, size)
             self.tape.log(now, origin, high, pos_high, size)
+        elif low_pivot and high_pivot:
+            # The converged select: nothing to crack, two probe charges.
+            self._charge_pivot_hits(2)
+            pos_low, pos_high = start, high_loc[1]
         else:
             pos_low = self._cut_located(low, *low_loc, origin)
-            pos_high = self._cut_located(
-                high, *pieces.locate(high), origin
-            )
+            if not low_pivot:
+                # The low step inserted a cut: high's piece has moved.
+                high_loc = pieces.locate(high)
+            pos_high = self._cut_located(high, *high_loc, origin)
         return RangeView(self._array, pos_low, pos_high, self._rowids)
 
     # -- batched selects (ISSUE 4) ---------------------------------------
@@ -578,13 +596,7 @@ class CrackerIndex:
         """
         from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
 
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if np.any(lows > highs):
-            slot = int(np.argmax(lows > highs))
-            raise QueryError(
-                f"range inverted: low={lows[slot]} > high={highs[slot]}"
-            )
+        values = self._window_bounds(lows, highs)
         # A fully-replayed previous window leaves its shadow map equal
         # to the real map; reuse it when nothing else has mutated the
         # map since (version check), saving the O(pieces) snapshot.
@@ -608,10 +620,6 @@ class CrackerIndex:
             self._span_views = {}
             self._span_views_arrays = (self._array, self._rowids)
         copy_charged = self._copy_charged
-        # No dedup up front: locate_many tolerates duplicates, and
-        # fully-warm windows (every bound already a pivot) then skip
-        # the unique-sort entirely; only fresh values get deduped.
-        values = np.concatenate([lows, highs])
         positions = self._crack_values_silent(values)
         context = CrackSelectBatch(
             self, sim, positions, copy_charged, origin, len(lows)
@@ -639,14 +647,7 @@ class CrackerIndex:
         Raises:
             QueryError: if any range is inverted.
         """
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if np.any(lows > highs):
-            slot = int(np.argmax(lows > highs))
-            raise QueryError(
-                f"range inverted: low={lows[slot]} > high={highs[slot]}"
-            )
-        values = np.concatenate([lows, highs])
+        values = self._window_bounds(lows, highs)
         if len(values) == 0:
             return {}
         positions = self._crack_values_silent(values)
@@ -664,6 +665,28 @@ class CrackerIndex:
             for value, start in zip(warm, starts.tolist()):
                 positions[value] = int(start)
         return positions
+
+    @staticmethod
+    def _window_bounds(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Every bound a window's physical pass must see cut, as one
+        float64 array.  Duplicates stay: ``locate_many`` tolerates
+        them, and a fully-warm window then skips the unique-sort (only
+        fresh values get deduped).
+        """
+        lows = np.asarray(lows, dtype=np.float64)
+        highs = np.asarray(highs, dtype=np.float64)
+        ordered = lows <= highs
+        if not ordered.all():
+            inverted = lows > highs
+            if inverted.any():
+                slot = int(np.argmax(inverted))
+                raise QueryError(
+                    f"range inverted: low={lows[slot]} > high={highs[slot]}"
+                )
+            # The rest have a NaN bound: they answer empty and crack
+            # nothing, as in select_range.
+            lows, highs = lows[ordered], highs[ordered]
+        return np.concatenate([lows, highs])
 
     def _crack_values_silent(
         self, values: np.ndarray
@@ -744,8 +767,7 @@ class CrackerIndex:
                 fresh_positions[lo:hi] = splits
         if span_tasks:
             # Pieces taking one pivot or one query's bound pair --
-            # the bulk of a converged window -- share a single
-            # three-way classification dispatch.
+            # the bulk of a converged window.
             span_splits = crack_spans_batch(
                 self._array,
                 span_tasks,

@@ -17,12 +17,14 @@ when the last maximum-sized piece is itself split (dirty flag).
 
 The single-value navigation path used by every crack is fused into
 :meth:`locate`: one binary search yields the piece index, bounds,
-sorted flag and whether the value is already a pivot.
+sorted flag and whether the value is already a pivot.  A range select
+asks for both of its bounds at once (:meth:`locate_pair`): one
+``searchsorted`` dispatch over a two-key buffer the map owns.
 
 Invariants (checked by :meth:`PieceMap.check_invariants` and the
 property tests):
 
-* ``pivots`` is strictly increasing;
+* ``pivots`` is strictly increasing (so none of them is NaN);
 * ``cuts`` is non-decreasing, each within ``[0, n]``;
 * piece ``i`` spans positions ``[cuts[i-1], cuts[i])`` (sentinels 0 and
   ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf);
@@ -58,6 +60,7 @@ class PieceMap:
         "_pivots_addr",
         "_cuts_addr",
         "_sorted_addr",
+        "_pair",
         "_max_size",
         "_max_count",
         "_max_dirty",
@@ -74,6 +77,9 @@ class PieceMap:
         self._sorted = np.zeros(_INITIAL_CAPACITY + 1, dtype=bool)
         self._sorted[0] = sorted_initially
         self._cache_addresses()
+        #: Key buffer of :meth:`locate_pair` (callers hold the index's
+        #: monitor lock, so one per map suffices).
+        self._pair = np.empty(2, dtype=np.float64)
         self._max_size = n
         self._max_count = 1
         self._max_dirty = False
@@ -165,14 +171,6 @@ class PieceMap:
         """Per-piece sorted flags, in piece order (copy)."""
         return self._sorted[: self._k + 1].tolist()
 
-    def cut_position(self, crack_index: int) -> int:
-        """The position of the ``crack_index``-th cut (0-based)."""
-        if crack_index < 0 or crack_index >= self._k:
-            raise CrackerError(
-                f"crack index {crack_index} out of range [0, {self._k})"
-            )
-        return int(self._cuts[crack_index])
-
     def piece_at_index(self, index: int) -> Piece:
         """The ``index``-th piece, in position/value order.
 
@@ -191,6 +189,20 @@ class PieceMap:
         high = float(self._pivots[index]) if index < k else math.inf
         return Piece(start, end, low, high, bool(self._sorted[index]))
 
+    def _located(
+        self, i: int, value: float
+    ) -> tuple[int, int, int, bool, bool]:
+        """What :meth:`locate` reports for ``value`` (a ``float``) once
+        its binary search has answered ``i``; plain Python scalars."""
+        cuts = self._cuts
+        return (
+            i,
+            cuts.item(i - 1) if i > 0 else 0,
+            cuts.item(i) if i < self._k else self._n,
+            self._sorted.item(i),
+            i > 0 and self._pivots.item(i - 1) == value,
+        )
+
     def locate(
         self, value: float
     ) -> tuple[int, int, int, bool, bool]:
@@ -203,13 +215,32 @@ class PieceMap:
         returned is then the one *at or right of* the pivot, whose
         ``start`` is exactly the pivot's cut position.
         """
-        k = self._k
-        pivots = self._pivots
-        i = int(pivots[:k].searchsorted(value, side="right"))
-        at_pivot = i > 0 and pivots[i - 1] == value
-        start = int(self._cuts[i - 1]) if i > 0 else 0
-        end = int(self._cuts[i]) if i < k else self._n
-        return i, start, end, bool(self._sorted[i]), at_pivot
+        # The float64 the search compares: an integer beyond 2^53 must
+        # not test unequal to the pivot it was searched as.
+        value = float(value)
+        i = self._pivots[: self._k].searchsorted(value, side="right")
+        return self._located(int(i), value)
+
+    def locate_pair(
+        self, low: float, high: float
+    ) -> tuple[
+        tuple[int, int, int, bool, bool], tuple[int, int, int, bool, bool]
+    ]:
+        """``(locate(low), locate(high))`` from one binary-search
+        dispatch -- both bounds of a range select.
+
+        Not re-entrant: the two keys travel in a buffer the map owns,
+        so callers serialise (the cracker index's monitor lock does).
+        """
+        low = float(low)
+        high = float(high)
+        keys = self._pair
+        keys[0] = low
+        keys[1] = high
+        i, j = (
+            self._pivots[: self._k].searchsorted(keys, side="right").tolist()
+        )
+        return self._located(i, low), self._located(j, high)
 
     def locate_many(
         self, values: np.ndarray
@@ -268,7 +299,12 @@ class PieceMap:
         flags = self._sorted[: k + 1]
         new_flags = np.insert(flags, slots, flags[slots])
         total = k + fresh
-        if np.any(new_pivots[:-1] >= new_pivots[1:]):
+        # Not ``any(>=)``: NaN compares false both ways, and a lone NaN
+        # has no neighbour to compare with.
+        if (
+            np.isnan(pivots).any()
+            or not (new_pivots[:-1] < new_pivots[1:]).all()
+        ):
             raise CrackerError(
                 "bulk crack insert breaks pivot ordering"
             )
@@ -483,12 +519,14 @@ class PieceMap:
         skipping the second binary search of :meth:`add_crack`.
 
         Raises:
-            CrackerError: if the pivot or position violates the
-                piece-ordering invariants.
+            CrackerError: if the pivot (NaN included) or position
+                violates the piece-ordering invariants.
         """
         k = self._k
-        if (i > 0 and self._pivots[i - 1] >= pivot) or (
-            i < k and pivot >= self._pivots[i]
+        if (
+            pivot != pivot  # NaN orders with nothing
+            or (i > 0 and self._pivots[i - 1] >= pivot)
+            or (i < k and pivot >= self._pivots[i])
         ):
             raise CrackerError(
                 f"pivot {pivot!r} out of order for insertion slot {i}"
@@ -618,7 +656,9 @@ class PieceMap:
         k = self._k
         pivots = self._pivots[:k]
         cuts = self._cuts[:k]
-        if np.any(pivots[:-1] >= pivots[1:]):
+        # Not ``any(>=)``: NaN compares false both ways, and a lone NaN
+        # has no neighbour to compare with.
+        if np.isnan(pivots).any() or not (pivots[:-1] < pivots[1:]).all():
             raise CrackerError("pivots not strictly increasing")
         if np.any(cuts[:-1] > cuts[1:]):
             raise CrackerError("cuts not non-decreasing")

@@ -110,6 +110,9 @@ class StochasticCrackerIndex(CrackerIndex):
         """
         if low > high:
             raise QueryError(f"range inverted: low={low} > high={high}")
+        if low != low or high != high:
+            # A NaN bound answers empty; no auxiliary crack either.
+            return super().select_range(low, high, origin)
         if self.variant == "mdd1r":
             return self._select_mdd1r(low, high)
         self._shrink_piece_around(low)

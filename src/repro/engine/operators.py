@@ -31,7 +31,12 @@ def scan_select(
     high: float,
     clock: Clock,
 ) -> PositionsView:
-    """Full-column predicate scan; returns qualifying positions."""
+    """Full-column predicate scan; returns qualifying positions.
+
+    A NaN bound qualifies no row, so none is read (or charged).
+    """
+    if low != low or high != high:
+        return PositionsView(values, np.empty(0, dtype=np.intp))
     mask = (values >= low) & (values < high)
     positions = np.flatnonzero(mask)
     clock.charge(
@@ -66,8 +71,7 @@ def apply_pending(
     """
     if not pending.has_pending():
         return result
-    inserts = pending.inserts_in_range(low, high)
-    deletes = pending.deletes_in_range(low, high)
+    inserts, deletes = pending.in_range(low, high)
     if len(inserts) == 0 and len(deletes) == 0:
         return result
     view = PendingOverlay(result, inserts, deletes, pending.verifies_deletes)
@@ -78,14 +82,13 @@ def apply_pending(
 class PendingWindow:
     """One column's pending-update consultation for a query window.
 
-    Sequential execution probes the delta store four times per query
-    (two ``searchsorted`` each for inserts and deletes); a window
-    normalises all its bounds, lows and highs together, to exact search
-    keys once, probes each store once with them (two vectorized
-    ``searchsorted`` calls a window) and hands each query its
-    ready-made slices.  Charges are emitted per query
-    through :meth:`apply` and are identical to sequential
-    :func:`apply_pending` calls.
+    Sequential execution probes each delta store once per query
+    (:meth:`PendingUpdates.in_range`); a window normalises all its
+    bounds, lows and highs together, to exact search keys once, probes
+    each store once with them (two vectorized ``searchsorted`` calls a
+    window) and hands each query its ready-made slices.  Charges are
+    emitted per query through :meth:`apply` and are identical to
+    sequential :func:`apply_pending` calls.
     """
 
     __slots__ = (

@@ -173,6 +173,10 @@ class _ScanBatchExecution:
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
         values, order, lo, hi = self._contexts[slot]
+        if query.low != query.low or query.high != query.high:
+            # A NaN bound: sequential scan_select reads no row for it.
+            self._acc.charge_query()
+            return PositionsView(values, order[:0])
         positions = np.sort(order[lo:hi])
         self._acc.charge_scan_query(len(values), len(positions))
         return PositionsView(values, positions)

@@ -99,6 +99,9 @@ class FullIndex:
         if low > high:
             raise QueryError(f"range inverted: low={low} > high={high}")
         values = self.sorted_values
+        if low != low or high != high:
+            # A NaN bound qualifies no row: no probe, no charge.
+            return RangeView(values, 0, 0, self._rowids)
         start = int(exact_range_cuts(values, low))
         end = int(exact_range_cuts(values, high))
         # Price the probes at the *projected* index depth: a reduced-

@@ -25,7 +25,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
-from repro.simtime.model import CostModel
+from repro.simtime.model import _NS_PER_S, CostModel
 
 
 def wall_now() -> float:
@@ -160,6 +160,29 @@ class SimClock:
             self.total_charge += charge
         return seconds
 
+    def charge_probes(self, n: int, count: int) -> None:
+        """``count`` consecutive ``charge(CostCharge.for_binary_search(n))``
+        events -- the piece-map probes of a converged select -- without
+        building the charges, bit-identically: the event is priced as
+        :meth:`CostModel.nanoseconds` prices it (same terms, same order,
+        the model read now, not remembered), time advances by ``count``
+        separate additions, never by ``count * seconds``, and the
+        counters land on whatever ``total_charge`` is at this moment.
+        """
+        if self._parallel:
+            for _ in range(count):
+                self.charge(CostCharge.for_binary_search(n))
+            return
+        steps = max(1, int(n).bit_length())
+        constants = self.model.constants
+        seconds = (
+            constants.probe_ns_per_comparison * steps + constants.seek_ns * 1
+        ) / _NS_PER_S
+        for _ in range(count):
+            self._now += seconds
+        self.total_charge.comparisons += steps * count
+        self.total_charge.seeks += count
+
     def settle_batch(self, now: float, charge: CostCharge) -> None:
         """Apply a window accountant's amortized settlement.
 
@@ -192,10 +215,6 @@ class SimClock:
                 self._lanes[lane] = self._lanes.get(lane, 0.0) + seconds
         else:
             self._now += seconds
-
-    def advance(self, seconds: float) -> None:
-        """Alias of :meth:`sleep` for non-idle administrative jumps."""
-        self.sleep(seconds)
 
     # -- parallel phases (idle-core tuning) -----------------------------
 

@@ -37,15 +37,15 @@ def _scalar_key(dtype: np.dtype, bound: float) -> float | None:
     ``v`` the store can hold, and searches without promoting the
     store; ``None`` means no storable value reaches the bound (NaN, or
     a bound above an integer dtype's range).  Pure Python on purpose:
-    a converged select probes a delta of a few dozen rows four times,
-    and wrapping each scalar in arrays and masks cost ten times the
-    binary search itself.
+    a converged select probes a delta of a few dozen rows, and
+    wrapping each scalar in arrays and masks cost ten times the binary
+    search itself.
     """
     # np.float64 is a float; the second test is for the narrower ones.
     is_float = isinstance(bound, float) or isinstance(bound, np.floating)
     if dtype.kind != "i":
         if is_float:
-            return bound
+            return None if bound != bound else bound
         # An integer bound beyond 2^53 may round down on conversion:
         # take the first float at/above it.
         exact = index(bound)
@@ -410,6 +410,32 @@ class PendingUpdates:
         """Pending deleted values v with ``low <= v < high`` (sorted)."""
         lo, hi = _range_cut_pair(self._deleted_values, low, high)
         return self._deleted_values[lo:hi]
+
+    def in_range(
+        self, low: float, high: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(inserts_in_range(low, high), deletes_in_range(low, high))``
+        -- what a select overlays.
+
+        Both stores hold the column's dtype, so the two bounds are made
+        exact search keys once and each store is probed once with both.
+        A bound without a key (NaN, or above the dtype) takes the
+        per-store probes, which know its answer.
+        """
+        inserts = self._insert_values
+        deletes = self._deleted_values
+        low_key = _scalar_key(inserts.dtype, low)
+        high_key = _scalar_key(inserts.dtype, high)
+        if low_key is None or high_key is None:
+            return (
+                self.inserts_in_range(low, high),
+                self.deletes_in_range(low, high),
+            )
+        # In the stores' dtype: a wider needle would copy a narrow store.
+        keys = np.array((low_key, high_key), dtype=inserts.dtype)
+        ins_lo, ins_hi = inserts.searchsorted(keys).tolist()
+        del_lo, del_hi = deletes.searchsorted(keys).tolist()
+        return inserts[ins_lo:ins_hi], deletes[del_lo:del_hi]
 
     # -- consumption ---------------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
 from repro.errors import QueryError
+from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 
 from tests.conftest import ground_truth_count
@@ -188,3 +189,63 @@ def test_remaining_cracks_estimate_monotone(index, rng):
     assert before > 0
     assert index.is_refined_to(index.row_count)
     assert not index.is_refined_to(1)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        pytest.param(10_000_000.0, 20_000_000.0, id="low-pivot-high-fresh"),
+        pytest.param(20_000_000.0, 30_000_000.0, id="low-fresh-high-pivot"),
+        pytest.param(10_000_000.0, 30_000_000.0, id="both-pivots"),
+        pytest.param(20_000_000.0, 20_000_000.0, id="equal-fresh"),
+    ],
+)
+def test_select_with_a_pivot_bound_is_two_ensure_cuts(
+    small_column, low, high
+):
+    """One pair probe serves both bounds, and ``high`` is located again
+    only when the ``low`` step cut the map; the tape, the clock and the
+    charge totals cannot tell that from two ``ensure_cut`` calls."""
+
+    def warmed() -> CrackerIndex:
+        index = CrackerIndex(small_column, clock=SimClock())
+        index.select_range(10_000_000.0, 30_000_000.0)
+        return index
+
+    selected, cut_twice = warmed(), warmed()
+    view = selected.select_range(low, high)
+    positions = (cut_twice.ensure_cut(low), cut_twice.ensure_cut(high))
+    assert (view.start, view.end) == positions
+    assert selected.tape.records() == cut_twice.tape.records()
+    assert selected.clock.now() == cut_twice.clock.now()
+    assert selected.clock.total_charge == cut_twice.clock.total_charge
+    assert selected.piece_map.pivots() == cut_twice.piece_map.pivots()
+    selected.check_invariants()
+
+
+def test_pivot_hits_reach_a_plain_clock_as_charges(small_column):
+    """Only ``SimClock`` prices probes in place; any other clock sees
+    the same events through ``charge()``."""
+
+    class Recorder:
+        def __init__(self) -> None:
+            self.charges: list[CostCharge] = []
+
+        def now(self) -> float:
+            return 0.0
+
+        def charge(self, charge: CostCharge) -> float:
+            self.charges.append(charge)
+            return 0.0
+
+        def sleep(self, seconds: float) -> None:
+            raise AssertionError("an index never sleeps")
+
+    clock = Recorder()
+    index = CrackerIndex(small_column, clock=clock)
+    index.select_range(10_000_000.0, 30_000_000.0)
+    del clock.charges[:]
+    index.select_range(10_000_000.0, 30_000_000.0)
+    index.ensure_cut(10_000_000.0)
+    probe = CostCharge.for_binary_search(index.piece_count)
+    assert clock.charges == [probe, probe, probe]

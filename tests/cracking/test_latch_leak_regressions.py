@@ -23,8 +23,9 @@ from repro.cracking.concurrency import (
 )
 from repro.cracking.engine import (
     _count_below,
-    _less_mask,
+    crack_in_two_batch,
     crack_multi,
+    crack_spans_batch,
     default_scratch,
     split_sorted_piece,
 )
@@ -103,17 +104,28 @@ def test_count_below_is_exact_beyond_2_53():
     assert _count_below(view, float("nan"), default_scratch()) == 0
 
 
-def test_less_mask_is_exact_beyond_2_53():
-    view = np.array([B + 3, B + 5], dtype=np.int64)
-    keys = np.array([float(B + 4), float(B + 4)])
-    np.testing.assert_array_equal(
-        _less_mask(view, keys), np.array([True, False])
+def test_batch_kernels_are_exact_beyond_2_53():
+    """The batch kernels compare integer pieces against ``ceil(pivot)``
+    as an exact integer, never against the float pivot."""
+    values = [B + 3, B + 5, B + 5, B + 3]
+    array = np.array(values, dtype=np.int64)
+    # Promoted, B+3 rounds to B+4 and would not count below it.
+    splits, _ = crack_in_two_batch(
+        array, [(0, 2, float(B + 4)), (2, 4, float(B + 4))]
     )
-    # NaN keys match nothing; huge keys match everything.
-    keys = np.array([float("nan"), float(2**80)])
-    np.testing.assert_array_equal(
-        _less_mask(view, keys), np.array([False, True])
+    assert splits == [1, 3]
+    assert array.tolist() == [B + 3, B + 5, B + 3, B + 5]
+    # NaN pivots match nothing; huge pivots match everything.
+    splits, _ = crack_in_two_batch(
+        array, [(0, 2, float("nan")), (2, 4, float(2**80))]
     )
+    assert splits == [0, 4]
+    array = np.array(values, dtype=np.int64)
+    assert crack_spans_batch(
+        array,
+        [(0, 2, float(B + 4), float(B + 4)), (2, 4, float(B + 4), 2.0**80)],
+    ) == [(1, 1), (3, 4)]
+    assert array.tolist() == [B + 3, B + 5, B + 3, B + 5]
 
 
 def test_split_sorted_piece_is_exact_beyond_2_53():

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cracking.piecemap import PieceMap
 from repro.errors import CrackerError
@@ -206,3 +209,100 @@ def test_smallest_unsorted_index_skips_sorted_and_tiny():
     pieces.mark_sorted(2)
     assert pieces.smallest_unsorted_index() is None
     assert pieces.smallest_unsorted_index(min_size=1) == 1
+
+
+# -- locate_pair == (locate(low), locate(high)) --------------------------
+
+_PIVOT_POOL = [
+    -1e300,
+    -(2.0**63),
+    -float(2**53 + 2),
+    -1.5,
+    -0.0,
+    0.5,
+    1.0,
+    float(np.nextafter(1.0, 2.0)),
+    1e7,
+    2.0**53,
+    float(2**53 + 2),
+    2.0**63,
+    1e300,
+]
+
+
+@st.composite
+def _maps_and_bounds(draw):
+    pivots = sorted(draw(st.sets(st.sampled_from(_PIVOT_POOL))))
+    n = draw(st.integers(0, 50))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(0, n),
+                min_size=len(pivots),
+                max_size=len(pivots),
+            )
+        )
+    )
+    flags = draw(
+        st.lists(
+            st.booleans(),
+            min_size=len(pivots) + 1,
+            max_size=len(pivots) + 1,
+        )
+    )
+    pieces = PieceMap.from_state(
+        n,
+        np.array(pivots, dtype=np.float64),
+        np.array(cuts, dtype=np.int64),
+        np.array(flags, dtype=bool),
+    )
+    between = [
+        (a + b) / 2 for a, b in zip(pivots, pivots[1:]) if a < (a + b) / 2 < b
+    ]
+    # Python ints too: one beyond 2^53 is searched as the float it
+    # rounds to and must report ``at_pivot`` for that float.
+    bound = st.sampled_from(
+        _PIVOT_POOL + between + [-math.inf, math.inf, 2**53 + 1, 7]
+    )
+    low = draw(bound)
+    high = draw(st.one_of(st.just(low), bound))
+    return pieces, low, high
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps_and_bounds())
+def test_locate_pair_is_two_locates(case):
+    pieces, low, high = case
+    pair = pieces.locate_pair(low, high)
+    assert pair == (pieces.locate(low), pieces.locate(high))
+    for located in pair:
+        assert [type(field) for field in located] == [
+            int, int, int, bool, bool
+        ]
+
+
+def test_nan_is_never_a_pivot():
+    """NaN compares false with everything, so ``any(a >= b)`` let it
+    through every ordering check and ``check_invariants`` passed."""
+    empty, cut = PieceMap(100), PieceMap(100)
+    cut.add_crack(50.0, 40)
+    for pieces in (empty, cut):
+        before = (pieces.pivots(), pieces.cuts())
+        with pytest.raises(CrackerError, match="out of order"):
+            pieces.add_crack(math.nan, 60)
+        with pytest.raises(CrackerError, match="out of order"):
+            pieces.add_crack_at(pieces.crack_count, math.nan, 60)
+        with pytest.raises(CrackerError, match="pivot ordering"):
+            pieces.insert_cracks_bulk(
+                np.array([math.nan]), np.array([60])
+            )
+        assert (pieces.pivots(), pieces.cuts()) == before
+        pieces.check_invariants()
+    for pivots, cuts in (([math.nan], [60]), ([50.0, math.nan], [40, 60])):
+        with pytest.raises(CrackerError, match="strictly increasing"):
+            PieceMap.from_state(
+                100,
+                np.array(pivots),
+                np.array(cuts),
+                np.zeros(len(pivots) + 1, dtype=bool),
+            )

@@ -515,6 +515,65 @@ def test_cut_forms_agree_float64(values, bound) -> None:
     _check_cut_forms(np.sort(np.asarray(values, dtype=np.float64)), bound)
 
 
+# -- in_range: the once-normalised two-store probe == the two probes ---
+
+
+def _check_in_range(ctype, dtype, inserts, deletes, low, high) -> None:
+    store = PendingUpdates(ctype)
+    store.stage_inserts(np.asarray(inserts, dtype=dtype))
+    store.stage_deletes(
+        np.arange(len(deletes)), np.asarray(deletes, dtype=dtype)
+    )
+    got_inserts, got_deletes = store.in_range(low, high)
+    assert got_inserts.dtype == got_deletes.dtype == dtype
+    assert (got_inserts.tolist(), got_deletes.tolist()) == (
+        store.inserts_in_range(low, high).tolist(),
+        store.deletes_in_range(low, high).tolist(),
+    ), (low, high)
+
+
+_RANGE_BOUND = st.sampled_from(_CUT_BOUNDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inserts=st.lists(st.sampled_from(_INT64_POOL), max_size=8),
+    deletes=st.lists(st.sampled_from(_INT64_POOL), max_size=8),
+    low=_RANGE_BOUND,
+    high=_RANGE_BOUND,
+)
+def test_in_range_is_both_range_probes_int64(
+    inserts, deletes, low, high
+) -> None:
+    _check_in_range(INT64, np.int64, inserts, deletes, low, high)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    inserts=st.lists(st.sampled_from(_INT32_POOL), max_size=8),
+    deletes=st.lists(st.sampled_from(_INT32_POOL), max_size=8),
+    low=_RANGE_BOUND,
+    high=_RANGE_BOUND,
+)
+def test_in_range_is_both_range_probes_int32(
+    inserts, deletes, low, high
+) -> None:
+    _check_in_range(INT32, np.int32, inserts, deletes, low, high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inserts=st.lists(st.sampled_from(_FLOAT_STORE_POOL), max_size=8),
+    deletes=st.lists(st.sampled_from(_FLOAT_STORE_POOL), max_size=8),
+    low=_RANGE_BOUND,
+    high=_RANGE_BOUND,
+)
+def test_in_range_is_both_range_probes_float64(
+    inserts, deletes, low, high
+) -> None:
+    _check_in_range(FLOAT64, np.float64, inserts, deletes, low, high)
+
+
 def test_float_bound_arrays_match_scalar_cuts() -> None:
     floats = np.array(
         [b for b in _CUT_BOUNDS if type(b) is float], dtype=np.float64

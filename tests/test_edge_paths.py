@@ -16,6 +16,7 @@ from repro.engine.query import RangeQuery
 from repro.engine.session import make_strategy
 from repro.errors import UnknownColumnError, UnknownTableError
 from repro.serving import ServingFrontend
+from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.column import Column
@@ -128,7 +129,8 @@ _OPEN_ENDED = [(-math.inf, 3e7), (3e7, math.inf), (-math.inf, math.inf)]
 def _run_query(strategy):
     def drive(db, queries):
         session = db.session(strategy)
-        return session.strategy, [session.run_query(q) for q in queries]
+        results = [session.run_query(q) for q in queries]
+        return session.strategy, results, session.clock
 
     return drive
 
@@ -136,7 +138,7 @@ def _run_query(strategy):
 def _run_batch(strategy):
     def drive(db, queries):
         session = db.session(strategy)
-        return session.strategy, session.run_batch(queries)
+        return session.strategy, session.run_batch(queries), session.clock
 
     return drive
 
@@ -146,7 +148,7 @@ def _serve_window(strategy):
         frontend = ServingFrontend(db, make_strategy(strategy, db))
         frontend.add_client("solo", queries)
         results = frontend.serve_window(frontend.former.next_window())
-        return frontend.strategy, results
+        return frontend.strategy, results, frontend.lanes["solo"].clock
 
     return drive
 
@@ -159,7 +161,7 @@ def _open_ended_monitor_state(drive) -> dict:
     db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
     reference = ReferenceEngine(db, [ref])
     queries = [RangeQuery(ref, low, high) for low, high in _OPEN_ENDED]
-    strategy, results = drive(db, queries)
+    strategy, results, _ = drive(db, queries)
     for query, result in zip(queries, results):
         assert np.array_equal(
             np.sort(result.values()),
@@ -219,7 +221,7 @@ def test_pending_insert_wider_than_the_cracker_dtype_keeps_its_value(drive):
         RangeQuery(ref, -math.inf, math.inf),
         RangeQuery(ref, 3e7, 6e7),
     ]
-    _, results = drive(db, queries)
+    _, results, _ = drive(db, queries)
     for query, result in zip(queries, results):
         values = result.values()
         assert result.count == len(values)
@@ -227,3 +229,58 @@ def test_pending_insert_wider_than_the_cracker_dtype_keeps_its_value(drive):
             np.sort(values), reference.query(ref, query.low, query.high)
         )
     assert int(results[0].values().max()) == wide
+
+
+_NAN_SHAPES = [(3e7, math.nan), (math.nan, 3e7), (math.nan, math.nan)]
+
+
+def _nan_trace(drive, shapes):
+    """Warm one range, then answer ``shapes`` through ``drive`` and
+    check the rows against the reference engine.  Returns the strategy,
+    the results and what the clock that answered was charged."""
+    ref = ColumnRef("R", "A1")
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
+    reference = ReferenceEngine(db, [ref])
+    queries = [RangeQuery(ref, 1e7, 5e7)] + [
+        RangeQuery(ref, low, high) for low, high in shapes
+    ]
+    strategy, results, clock = drive(db, queries)
+    for query, result in zip(queries, results):
+        assert np.array_equal(
+            np.sort(result.values()),
+            reference.query(ref, query.low, query.high),
+        )
+    return strategy, results, clock.total_charge
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        pytest.param(path(strategy), id=f"{strategy}-{path.__name__[1:]}")
+        for strategy in ("scan", "offline", "online", "adaptive", "holistic")
+        for path in (_run_query, _run_batch, _serve_window)
+        if path is not _serve_window or strategy in ("adaptive", "holistic")
+    ],
+)
+def test_nan_bound_answers_empty_on_every_path(drive):
+    """Regression: ``low <= v < nan`` holds for no ``v``, yet on a
+    warmed index ``CrackerIndex.select_range(x, nan)`` answered
+    ``[x, last cut)`` and recorded NaN as a pivot (``check_invariants``
+    passed: NaN compares false), ``(nan, x)`` raised ``invalid view
+    bounds``, ``run_batch``/``serve_window`` raised after the physical
+    pass, and ``scan``'s ``run_batch`` answered ``[x, nan)`` with the
+    tail of the column.  Every path answers empty for the query
+    overhead alone and leaves the index as the warming query left it.
+    """
+    _, _, warming_charge = _nan_trace(drive, [])
+    strategy, results, charge = _nan_trace(drive, _NAN_SHAPES)
+    assert [result.count for result in results[1:]] == [0, 0, 0]
+    assert charge == warming_charge + CostCharge(queries=len(_NAN_SHAPES))
+    for index in getattr(strategy, "indexes", {}).values():
+        index.check_invariants()
+        assert not np.isnan(index.piece_map.pivots()).any()
+        assert index.crack_count == 2  # the warming query's two bounds
+    monitor = getattr(strategy, "monitor", None)
+    if monitor is not None:  # counted, as every answered query is
+        assert monitor.total_queries == 1 + len(_NAN_SHAPES)
