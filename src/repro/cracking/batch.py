@@ -23,10 +23,11 @@ queries can therefore be executed in two decoupled halves:
 Because the replay reproduces the sequential charge stream verbatim,
 per-query response times, cumulative clock totals and tape contents
 are bit-for-bit identical to one-at-a-time execution; only wall-clock
-time changes.  The replay must be driven to completion, one
-:meth:`CrackSelectBatch.replay_query` call per window entry in window
-order, before the index is used again -- the session's ``run_batch``
-loop is the only intended caller.
+time changes.  The replay must be bound to a window accountant and
+driven to completion, one :meth:`CrackSelectBatch.replay_query` call
+per window entry in window order, before the index is used again --
+the session's window loop (:meth:`Session.run_window`) is the only
+intended caller.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from bisect import bisect_right
 
 from repro.cracking.piece import CrackOrigin
 from repro.errors import CrackerError
-from repro.simtime.accounting import DirectAccountant
 from repro.storage.views import RangeView
 
 
@@ -133,10 +133,9 @@ class CrackSelectBatch:
         self._positions = positions
         self._copy_charged = copy_charged
         self._origin = origin
-        #: Replaced by the session's window accountant via bind();
-        #: the default forwards each event to the clock immediately,
-        #: which direct (index-level) users rely on.
-        self._acc = DirectAccountant(index.clock)
+        #: The window accountant; callers :meth:`bind` one before the
+        #: first replay.
+        self._acc = None
         # Detached replays (one client of a shared kernel) log onto
         # their own tape instead of the index's shared one.
         self._tape = tape if tape is not None else index.tape

@@ -650,20 +650,14 @@ class CrackerIndex:
         values = self._window_bounds(lows, highs)
         if len(values) == 0:
             return {}
-        positions = self._crack_values_silent(values)
-        # After the silent pass every requested value is a pivot;
-        # resolve the already-warm ones from the piece map.
-        warm = [
-            value
-            for value in np.unique(values).tolist()
-            if value not in positions
-        ]
-        if warm:
-            _, starts, _, _, _ = self._pieces.locate_many(
-                np.asarray(warm, dtype=np.float64)
-            )
-            for value, start in zip(warm, starts.tolist()):
-                positions[value] = int(start)
+        # A bound that is already a pivot answers from this one locate:
+        # cracking the fresh bounds moves no existing cut.
+        _, starts, _, _, at_pivot = self._pieces.locate_many(values)
+        positions = dict(
+            zip(values[at_pivot].tolist(), starts[at_pivot].tolist())
+        )
+        if not at_pivot.all():
+            positions.update(self._crack_values_silent(values))
         return positions
 
     @staticmethod

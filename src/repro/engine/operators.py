@@ -175,3 +175,28 @@ class PendingWindow:
         view = PendingOverlay(result, inserts, deletes, self._verified)
         accountant.charge_pending_merge(len(deletes), view.count)
         return view
+
+
+def pending_slots(
+    catalog, windows, count: int
+) -> list[tuple[PendingWindow, int] | None]:
+    """Per slot of a ``count``-query window, its pending-update overlay.
+
+    One :class:`PendingWindow` per column of ``windows`` (each a
+    :class:`~repro.engine.plan.ColumnWindow`); a slot gets
+    ``(window, slot within the column)``, or ``None`` when no pending
+    entry is in its range -- it then skips the merge entirely, like
+    the sequential path's early return.
+    """
+    slots: list[tuple[PendingWindow, int] | None] = [None] * count
+    for window in windows:
+        pending = catalog.table(window.ref.table).updates_for(
+            window.ref.column
+        )
+        consulted = PendingWindow(pending, window.lows, window.highs)
+        if consulted.active:
+            overlaps = consulted.overlapping_slots()
+            for slot, i in enumerate(window.indices):
+                if overlaps[slot]:
+                    slots[i] = (consulted, slot)
+    return slots

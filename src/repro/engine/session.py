@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 
 from typing import Sequence
 
-from repro.engine.operators import PendingWindow, apply_pending
+from repro.engine.operators import PendingWindow, apply_pending, pending_slots
 from repro.engine.plan import PlannedQuery, group_by_column
 from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
     AdaptiveStrategy,
+    BatchExecution,
     IndexingStrategy,
     OfflineStrategy,
     OnlineStrategy,
@@ -32,8 +33,9 @@ from repro.engine.strategies import (
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
-from repro.simtime.accounting import make_accountant
+from repro.simtime.accounting import WindowAccountant
 from repro.simtime.charge import CostCharge
+from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.views import SelectionResult
@@ -175,12 +177,14 @@ class Session:
         The window is grouped by column and planned once per group;
         strategies that support it (scan, standard adaptive cracking,
         the holistic kernel) execute each group's physical work in one
-        batched pass and *replay* the per-query accounting, so every
-        query still gets its own :class:`QueryRecord` and the results,
-        response times, cumulative clock totals and tape contents are
-        identical to calling :meth:`run_query` one query at a time.
-        Strategies without a batch path fall back to exactly that
-        sequential loop.
+        batched pass and *replay* the per-query accounting through
+        :meth:`run_window`, so every query still gets its own
+        :class:`QueryRecord` and the results, response times,
+        cumulative clock totals and tape contents are identical to
+        calling :meth:`run_query` one query at a time.  Strategies
+        without a batch path, and clocks a :class:`WindowAccountant`
+        cannot price (a wall clock, a :class:`SimClock` inside a
+        parallel phase), fall back to exactly that sequential loop.
         """
         queries = list(queries)
         if not queries:
@@ -193,74 +197,70 @@ class Session:
         # batch==sequential equivalence for the rest of the session.
         for window in windows:
             self.db.catalog.column(window.ref)
-        execution = self.strategy.begin_batch(queries, windows)
+        clock = self.clock
+        execution = None
+        if isinstance(clock, SimClock) and not clock.in_parallel:
+            execution = self.strategy.begin_batch(queries, windows)
         if execution is None:
             return [self.run_query(query) for query in queries]
-        # One pending-updates consultation per column; entries outside
-        # every pending range skip the per-query merge entirely (the
-        # sequential path's has_pending() early return).
-        pending_slots: list[tuple[PendingWindow, int] | None] = (
-            [None] * len(queries)
+        return self.run_window(
+            queries,
+            execution,
+            pending_slots(self.db.catalog, windows, len(queries)),
         )
-        for window in windows:
-            pending = self.db.catalog.table(window.ref.table).updates_for(
-                window.ref.column
-            )
-            pending_window = PendingWindow(
-                pending, window.lows, window.highs
-            )
-            if pending_window.active:
-                overlaps = pending_window.overlapping_slots()
-                for slot, i in enumerate(window.indices):
-                    if overlaps[slot]:
-                        pending_slots[i] = (pending_window, slot)
-        # The window accountant prices every charge inline (same
-        # arithmetic, same left-fold order as per-event clock charges,
-        # so all timestamps stay bit-identical) and settles time plus
-        # work counters on the clock once at window end.
-        accountant = make_accountant(self.clock)
+
+    def run_window(
+        self,
+        queries: Sequence[RangeQuery],
+        execution: BatchExecution,
+        pending: Sequence[tuple[PendingWindow, int] | None],
+    ) -> list[SelectionResult]:
+        """The window loop: replay ``execution`` query by query.
+
+        ``execution`` did the window's physical work (a strategy's
+        :meth:`~IndexingStrategy.begin_batch`, or a serving lane's
+        replays over the shared index) and owns each query's whole
+        charge stream, ``CostCharge(queries=1)`` overhead included;
+        ``pending`` is :func:`~repro.engine.operators.pending_slots`.
+        A :class:`WindowAccountant` prices every charge inline (same
+        arithmetic, same left-fold order as per-event clock charges, so
+        all timestamps stay bit-identical) and settles time plus work
+        counters on this session's clock once at window end.
+        """
+        accountant = WindowAccountant(self.clock)
         execution.bind(accountant)
-        # Executions with no per-query bookkeeping of their own expose
-        # bound per-slot callables; calling them directly skips one
-        # dispatch frame per query.  Either way the execution owns the
-        # whole per-query charge stream, including the
-        # CostCharge(queries=1) overhead run_query charges up front.
-        fast_dispatch = getattr(execution, "fast_dispatch", None)
         replay = execution.replay
-        records = self.report.queries
-        append_record = records.append
+        append_record = self.report.queries.append
         results: list[SelectionResult] = []
         append_result = results.append
-        sequence = len(records)
+        sequence = len(self.report.queries)
         client = self.client
+        # Blocking-idle debt is waiting time of the window's first
+        # query only.
+        wait = self._pending_wait_s
+        self._pending_wait_s = 0.0
+        cumulative = self._cumulative_s
         for i, query in enumerate(queries):
             started = accountant.now
-            if fast_dispatch is not None:
-                result = fast_dispatch[i](query.low, query.high)
-            else:
-                result = replay(i, query)
-            slotted = pending_slots[i]
+            result = replay(i, query)
+            slotted = pending[i]
             if slotted is not None:
                 result = slotted[0].apply(slotted[1], result, accountant)
             finished = accountant.now
-            wait = self._pending_wait_s
-            self._pending_wait_s = 0.0
             response = (finished - started) + wait
-            self._cumulative_s += response
+            cumulative += response
             sequence += 1
+            # Positional: keyword arguments cost a slots dataclass's
+            # __init__ more than twice as much.
             append_record(
                 QueryRecord(
-                    sequence=sequence,
-                    query=query,
-                    response_s=response,
-                    wait_s=wait,
-                    result_count=result.count,
-                    cumulative_response_s=self._cumulative_s,
-                    finished_at=finished,
-                    client=client,
+                    sequence, query, response, wait, result.count,
+                    cumulative, finished, client,
                 )
             )
             append_result(result)
+            wait = 0.0
+        self._cumulative_s = cumulative
         accountant.finish()
         execution.finish()
         return results

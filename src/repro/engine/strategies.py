@@ -63,7 +63,8 @@ class IdleOutcome:
 class BatchExecution(Protocol):
     """A strategy's shared-work plan for one window of queries.
 
-    The session drives it one query at a time, in window order: each
+    The session's window loop (:meth:`Session.run_window`) drives it
+    one query at a time, in window order: each
     :meth:`replay` call must emit exactly the clock charges (and tape
     records, where applicable) that a sequential ``select`` of that
     query would have produced at that point, so per-query accounting
@@ -185,43 +186,48 @@ class _ScanBatchExecution:
         return None
 
 
+def crack_windows(
+    index_for, windows: list[ColumnWindow], count: int
+) -> list:
+    """One session window's physical passes, one per column.
+
+    Returns, per slot of the ``count``-query window, the
+    :meth:`CrackerIndex.begin_select_batch` replay context of its
+    column's index (``index_for(ref)``) -- the contexts a cracker
+    :class:`BatchExecution` is built from.
+    """
+    contexts: list = [None] * count
+    for window in windows:
+        context = index_for(window.ref).begin_select_batch(
+            window.lows, window.highs
+        )
+        for i in window.indices:
+            contexts[i] = context
+    return contexts
+
+
 class CrackerBatchExecution:
     """Shared cracking for a window over plain cracker indexes.
 
-    One :meth:`CrackerIndex.begin_select_batch` physical pass per
-    column cracks every bound of the window up front; per-query
-    replays then emit the sequential charge/tape stream (see
-    :mod:`repro.cracking.batch`).  Used by the adaptive strategy and,
-    with monitor/ranking deferral on top, by the holistic kernel.
+    Built from one crack replay context per query -- a
+    :meth:`CrackerIndex.begin_select_batch` context for one session's
+    window (see :func:`crack_windows`), or a served client's
+    :class:`~repro.cracking.batch.DetachedCrackReplay` -- each query's
+    replay emitting the sequential charge/tape stream on its column's
+    context (see :mod:`repro.cracking.batch`).
     """
 
-    __slots__ = ("fast_dispatch", "_contexts")
+    __slots__ = ("_contexts",)
 
-    def __init__(
-        self,
-        indexes,
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> None:
-        #: Per-slot bound replay callables taking ``(low, high)``;
-        #: sessions may call these directly, skipping one frame per
-        #: query (see :meth:`Session.run_batch`).  Each owns the
-        #: per-query overhead charge.
-        self.fast_dispatch: list = [None] * len(queries)
-        self._contexts: list = []
-        for index, window in zip(indexes, windows):
-            context = index.begin_select_batch(window.lows, window.highs)
-            self._contexts.append(context)
-            replay = context.replay_query  # bound once; called per query
-            for i in window.indices:
-                self.fast_dispatch[i] = replay
+    def __init__(self, contexts: list) -> None:
+        self._contexts = contexts
 
     def bind(self, accountant) -> None:
-        for context in self._contexts:
+        for context in dict.fromkeys(self._contexts):
             context.bind(accountant)
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        return self.fast_dispatch[slot](query.low, query.high)
+        return self._contexts[slot].replay_query(query.low, query.high)
 
     def finish(self) -> None:
         return None
@@ -316,7 +322,8 @@ class AdaptiveStrategy(IndexingStrategy):
         self.stop_piece_size = stop_piece_size
         self.indexes: dict[object, object] = {}
 
-    def _index_for(self, ref):
+    def index_for(self, ref):
+        """Get or lazily create the cracker index on ``ref``."""
         index = self.indexes.get(ref)
         if index is None:
             column = self.db.catalog.column(ref)
@@ -339,7 +346,7 @@ class AdaptiveStrategy(IndexingStrategy):
         return index
 
     def select(self, query: RangeQuery) -> SelectionResult:
-        return self._index_for(query.ref).select_range(
+        return self.index_for(query.ref).select_range(
             query.low, query.high
         )
 
@@ -356,11 +363,15 @@ class AdaptiveStrategy(IndexingStrategy):
         """
         if self.variant != "standard":
             return None
-        return CrackerBatchExecution(
-            (self._index_for(window.ref) for window in windows),
-            queries,
-            windows,
+        return self.batch_execution(
+            crack_windows(self.index_for, windows, len(queries))
         )
+
+    def batch_execution(self, contexts: list) -> BatchExecution:
+        """The window execution replaying query ``i`` of a window on
+        ``contexts[i]``, its column's crack replay context (see
+        :class:`CrackerBatchExecution`)."""
+        return CrackerBatchExecution(contexts)
 
     def access_path(self, query: RangeQuery) -> AccessPath:
         return AccessPath.CRACKER

@@ -27,10 +27,10 @@ from repro.engine.query import RangeQuery
 from repro.engine.plan import ColumnWindow
 from repro.engine.strategies import (
     BatchExecution,
-    CrackerBatchExecution,
     IdleOutcome,
     IndexingStrategy,
     StrategyFeatures,
+    crack_windows,
 )
 from repro.errors import ConfigError
 from repro.holistic.policies import TuningPolicy, make_policy
@@ -254,7 +254,16 @@ class HolisticKernel(IndexingStrategy):
             and self.config.hot_boost_cracks > 0
         ):
             return None
-        return _HolisticBatchExecution(self, queries, windows)
+        return self.batch_execution(
+            crack_windows(self.index_for, windows, len(queries))
+        )
+
+    def batch_execution(self, contexts: list) -> BatchExecution:
+        """The window execution replaying query ``i`` of a window on
+        ``contexts[i]``, its column's crack replay context, with the
+        kernel's statistics deferred to the window's end (see
+        :class:`_HolisticBatchExecution`)."""
+        return _HolisticBatchExecution(self, contexts)
 
     def _maybe_boost_hot_range(
         self, query: RangeQuery, index: CrackerIndex
@@ -414,7 +423,8 @@ class HolisticKernel(IndexingStrategy):
 class _HolisticBatchExecution:
     """Window execution for the kernel: shared cracks, deferred stats.
 
-    The crack replay is the shared :class:`CrackerBatchExecution`; the
+    Each query replays on its column's crack context, as in
+    :class:`~repro.engine.strategies.CrackerBatchExecution`; the
     kernel's continuous statistics -- monitor observations and ranking
     query counts -- are collected with their exact sequential
     timestamps during the replay and applied in one
@@ -424,62 +434,40 @@ class _HolisticBatchExecution:
     the deferred state is indistinguishable from sequential updates.
     """
 
-    __slots__ = (
-        "_kernel",
-        "_windows",
-        "_cracks",
-        "_dispatch",
-        "_timestamps",
-        "_acc",
-    )
+    __slots__ = ("_kernel", "_contexts", "_noted", "_acc")
 
-    def __init__(
-        self,
-        kernel: HolisticKernel,
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> None:
+    def __init__(self, kernel: HolisticKernel, contexts: list) -> None:
         self._kernel = kernel
-        self._windows = windows
-        cracks = CrackerBatchExecution(
-            (kernel.index_for(window.ref) for window in windows),
-            queries,
-            windows,
-        )
-        # Fuse the timestamp capture with the crack replay: per slot,
-        # (post-overhead crack replay, this column's timestamp
-        # appender).  The wrapper charges the per-query overhead
-        # itself, *before* the timestamp -- the sequential order
-        # (session charges, then the kernel records the observation).
-        self._dispatch: list = [None] * len(queries)
-        self._timestamps: list[list[float]] = []
-        for window, context in zip(windows, cracks._contexts):
-            timestamps: list[float] = []
-            self._timestamps.append(timestamps)
-            note_timestamp = timestamps.append
-            for i in window.indices:
-                self._dispatch[i] = (context.replay, note_timestamp)
-        self._cracks = cracks
+        self._contexts = contexts
+        #: Per context (column), in first-replay order: the column's
+        #: ref and its observed (low, high, timestamp) triples.
+        self._noted: dict = {}
         self._acc = None
 
     def bind(self, accountant) -> None:
         self._acc = accountant
-        self._cracks.bind(accountant)
+        for context in dict.fromkeys(self._contexts):
+            context.bind(accountant)
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
+        # The per-query overhead is charged *before* the timestamp --
+        # the sequential order (session charges, then the kernel
+        # records the observation).
         acc = self._acc
         acc.charge_query()
-        crack_replay, note_timestamp = self._dispatch[slot]
-        note_timestamp(acc.now)
-        return crack_replay(query.low, query.high)
+        context = self._contexts[slot]
+        low = query.low
+        high = query.high
+        noted = self._noted.get(context)
+        if noted is None:
+            noted = self._noted[context] = (query.ref, [])
+        noted[1].append((low, high, acc.now))
+        return context.replay(low, high)
 
     def finish(self) -> None:
-        kernel = self._kernel
-        for window, timestamps in zip(self._windows, self._timestamps):
-            kernel.monitor.note_many(
-                window.ref,
-                window.lows.tolist(),
-                window.highs.tolist(),
-                timestamps,
-            )
-            kernel.ranking.note_queries(window.ref, len(timestamps))
+        monitor = self._kernel.monitor
+        ranking = self._kernel.ranking
+        for ref, observed in self._noted.values():
+            lows, highs, stamps = zip(*observed)
+            monitor.note_many(ref, lows, highs, stamps)
+            ranking.note_queries(ref, len(stamps))

@@ -4,9 +4,11 @@ N clients submit range queries against **one** shared kernel; a window
 former coalesces their in-flight queries into cross-session windows;
 each window runs one silent physical cracking pass per column
 (:meth:`CrackerIndex.crack_bounds_batch`) and then replays every
-client's accounting on that client's own *lane* -- a private
-:class:`~repro.simtime.clock.SimClock` fork plus a detached shadow
-replay per column (:class:`~repro.cracking.batch.DetachedCrackReplay`).
+client's accounting on that client's own *lane* -- a
+:class:`~repro.engine.session.Session` on a private
+:class:`~repro.simtime.clock.SimClock` fork, replaying through the
+strategy's own batch execution over a detached shadow replay per
+column (:class:`~repro.cracking.batch.DetachedCrackReplay`).
 
 The core invariant, the multi-tenant generalization of ISSUE 4's
 batch==sequential guarantee:
@@ -46,15 +48,14 @@ import numpy as np
 from repro import faults
 from repro.cracking.batch import DetachedCrackReplay
 from repro.cracking.tape import CrackTape
-from repro.engine.operators import PendingWindow
-from repro.engine.plan import ColumnWindow, group_by_column
+from repro.engine.operators import pending_slots
+from repro.engine.plan import group_by_column
 from repro.engine.query import RangeQuery
-from repro.engine.session import QueryRecord, SessionReport
+from repro.engine.session import Session, SessionReport
 from repro.engine.strategies import AdaptiveStrategy, IndexingStrategy
 from repro.errors import ConfigError
 from repro.holistic.kernel import HolisticKernel
 from repro.serving.window import CrossSessionWindowFormer, WindowEntry
-from repro.simtime.accounting import make_accountant
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
@@ -65,24 +66,28 @@ from repro.storage.views import (
 )
 
 
-class ClientLane:
-    """One client's serial accounting lane.
+class ClientLane(Session):
+    """One client of a shared kernel: a :class:`Session` on its own
+    clock fork.
 
-    Owns the client's clock fork, its solo-trajectory shadow replays
-    (one per column, created on first touch), its crack tape and its
-    :class:`SessionReport` of client-tagged query records -- everything
-    a solo session would have produced, kept bit-identical under
-    serving.
+    Besides the session's report (client-tagged query records) and
+    clock, a lane owns its solo-trajectory shadow replays (one per
+    column, created on first touch) and its crack tape -- everything a
+    solo session would have produced, kept bit-identical under
+    serving.  The front-end drives it window by window through
+    :meth:`Session.run_window`.
     """
 
-    __slots__ = ("name", "clock", "tape", "report", "_cumulative_s", "replays")
-
-    def __init__(self, name: str, clock: SimClock, strategy_name: str) -> None:
-        self.name = name
+    def __init__(
+        self,
+        name: str,
+        db: Database,
+        strategy: IndexingStrategy,
+        clock: SimClock,
+    ) -> None:
+        super().__init__(db, strategy, client=name)
         self.clock = clock
         self.tape = CrackTape()
-        self.report = SessionReport(strategy=strategy_name, client=name)
-        self._cumulative_s = 0.0
         self.replays: dict[tuple[str, str], DetachedCrackReplay] = {}
 
     @property
@@ -96,6 +101,61 @@ class ClientLane:
             key: (list(replay.sim.pivots), list(replay.sim.cuts))
             for key, replay in sorted(self.replays.items())
         }
+
+
+class _ServedReplay(DetachedCrackReplay):
+    """A client's column replay behind the ``serving.replay`` fault
+    ladder: a failed replay is retried once solo, and if the retry
+    also blows up the query is answered by a base-column scan.  Either
+    way the incident is recorded as a :class:`ClientFault` and only
+    this client's accounting can deviate -- the injected trip fires
+    *before* the replay touches any state, so healthy clients (and the
+    clean path) stay bit-identical to solo."""
+
+    __slots__ = ("_frontend", "_client", "_ref")
+
+    def replay(self, low: float, high: float) -> SelectionResult:
+        try:
+            faults.trip("serving.replay")
+            return DetachedCrackReplay.replay(self, low, high)
+        except Exception as exc:
+            return self._recover(DetachedCrackReplay.replay, low, high, exc)
+
+    def replay_query(self, low: float, high: float) -> SelectionResult:
+        try:
+            faults.trip("serving.replay")
+            return DetachedCrackReplay.replay_query(self, low, high)
+        except Exception as exc:
+            return self._recover(
+                DetachedCrackReplay.replay_query, low, high, exc
+            )
+
+    def _recover(self, replay, low, high, error) -> SelectionResult:
+        try:
+            faults.trip("serving.replay")
+            result = replay(self, low, high)
+            action = "retried_solo"
+        except Exception as exc:
+            # The last resort bypasses the index entirely; pending
+            # updates are merged by the caller as for a crack result.
+            values = self._frontend.db.catalog.column(self._ref).values
+            mask = (values >= low) & (values < high)
+            result = PositionsView(values, np.flatnonzero(mask))
+            action = "scan_fallback"
+            error = exc
+        self._frontend.faults.append(
+            ClientFault(
+                client=self._client,
+                query=RangeQuery(self._ref, low, high),
+                kind="poison",
+                action=action,
+                error=str(error),
+            )
+        )
+        faults.recovered_matching(
+            "serving.replay", f"client {self._client!r}: {action}"
+        )
+        return result
 
 
 @dataclass(slots=True)
@@ -161,8 +221,7 @@ class ServingFrontend:
     ) -> None:
         self.db = db
         self.strategy = strategy
-        self._holistic = isinstance(strategy, HolisticKernel)
-        if self._holistic:
+        if isinstance(strategy, HolisticKernel):
             config = strategy.config
             if (
                 config.hot_column_threshold > 0
@@ -211,11 +270,7 @@ class ServingFrontend:
         """
         if name in self.lanes:
             raise ConfigError(f"client {name!r} already registered")
-        lane = ClientLane(
-            name,
-            clock=self._fork_clock(),
-            strategy_name=self.strategy.name,
-        )
+        lane = ClientLane(name, self.db, self.strategy, self._fork_clock())
         self.lanes[name] = lane
         if len(queries):
             self.former.admit(name, queries)
@@ -321,7 +376,8 @@ class ServingFrontend:
     def _serve_entries(
         self, entries: list[WindowEntry]
     ) -> list[SelectionResult]:
-        """The physical pass + replay for a window's valid entries."""
+        """The physical pass + per-lane replay of a window's valid
+        entries."""
         queries = [entry.query for entry in entries]
         windows = group_by_column(queries)
         # Resolve every column before the first crack: an unknown
@@ -332,11 +388,10 @@ class ServingFrontend:
         if pool is not None and not pool.is_running:
             pool = None
         with ExitStack() as latches:
-            indexes = {}
-            for window in windows:
-                indexes[(window.ref.table, window.ref.column)] = (
-                    self._index_for(window.ref)
-                )
+            indexes = {
+                (w.ref.table, w.ref.column): self.strategy.index_for(w.ref)
+                for w in windows
+            }
             if pool is not None:
                 # Workers are racing: exclude them from every one of
                 # this window's columns for the whole window, so their
@@ -354,172 +409,50 @@ class ServingFrontend:
                     window.lows, window.highs
                 )
                 self._positions.setdefault(key, {}).update(fresh)
-            results = self._replay_window(entries, windows, indexes)
-        return results
+            # One pending-updates consultation per column, shared by
+            # every client; each lane's overlays charge its own clock.
+            pending = pending_slots(self.db.catalog, windows, len(entries))
+            by_client: dict[str, list[int]] = {}
+            for i, entry in enumerate(entries):
+                by_client.setdefault(entry.client, []).append(i)
+            results: list[SelectionResult | None] = [None] * len(entries)
+            for name, slots in by_client.items():
+                served = self._serve_lane(
+                    name,
+                    [queries[i] for i in slots],
+                    [pending[i] for i in slots],
+                    indexes,
+                )
+                for i, result in zip(slots, served):
+                    results[i] = result
+        return results  # type: ignore[return-value]
 
-    def _index_for(self, ref: ColumnRef):
-        if self._holistic:
-            return self.strategy.index_for(ref)
-        return self.strategy._index_for(ref)
-
-    # -- degraded mode ---------------------------------------------------
-
-    @staticmethod
-    def _replay_once(
-        replay: DetachedCrackReplay, query: RangeQuery, holistic: bool
-    ) -> SelectionResult:
-        faults.trip("serving.replay")
-        if holistic:
-            return replay.replay(query.low, query.high)
-        return replay.replay_query(query.low, query.high)
-
-    def _replay_entry(
+    def _serve_lane(
         self,
-        client: str,
-        key: tuple[str, str],
-        query: RangeQuery,
-        replay: DetachedCrackReplay,
-        holistic: bool,
-    ) -> SelectionResult:
-        """Replay one entry, surviving a poison query.
-
-        A failed replay is retried once solo; if the retry also blows
-        up, the query is answered by :meth:`_scan_fallback` off the
-        base column.  Either way the incident is recorded as a
-        :class:`ClientFault` and only this client's accounting can
-        deviate -- the injected trip fires *before* the replay touches
-        any state, so healthy clients (and the clean path) stay
-        bit-identical to solo.
-        """
-        try:
-            return self._replay_once(replay, query, holistic)
-        except Exception as exc:
-            error = exc
-        try:
-            result = self._replay_once(replay, query, holistic)
-            action = "retried_solo"
-        except Exception as exc:
-            result = self._scan_fallback(key, query)
-            action = "scan_fallback"
-            error = exc
-        self.faults.append(
-            ClientFault(
-                client=client,
-                query=query,
-                kind="poison",
-                action=action,
-                error=str(error),
-            )
-        )
-        faults.recovered_matching(
-            "serving.replay", f"client {client!r}: {action}"
-        )
-        return result
-
-    def _scan_fallback(
-        self, key: tuple[str, str], query: RangeQuery
-    ) -> SelectionResult:
-        """Answer a query straight off the base column, bypassing the
-        index -- the degraded-mode path of last resort.  Pending
-        updates are merged by the caller exactly as for a crack
-        result."""
-        column = self.db.catalog.column(ColumnRef(key[0], key[1]))
-        values = column.values
-        mask = (values >= query.low) & (values < query.high)
-        return PositionsView(values, np.flatnonzero(mask))
-
-    def _replay_window(
-        self,
-        entries: list[WindowEntry],
-        windows: list[ColumnWindow],
+        name: str,
+        queries: list[RangeQuery],
+        overlays: list,
         indexes: dict[tuple[str, str], object],
     ) -> list[SelectionResult]:
-        # One pending-updates consultation per column, shared across
-        # clients; charges are emitted per query on the owning lane.
-        pending_slots: list[tuple[PendingWindow, int] | None] = (
-            [None] * len(entries)
-        )
-        ref_of: list[tuple[str, str]] = [None] * len(entries)  # type: ignore[list-item]
-        for window in windows:
-            key = (window.ref.table, window.ref.column)
-            pending = self.db.catalog.table(window.ref.table).updates_for(
-                window.ref.column
-            )
-            pending_window = PendingWindow(pending, window.lows, window.highs)
-            overlaps = (
-                pending_window.overlapping_slots()
-                if pending_window.active
-                else None
-            )
-            for slot, i in enumerate(window.indices):
-                ref_of[i] = key
-                if overlaps is not None and overlaps[slot]:
-                    pending_slots[i] = (pending_window, slot)
-        by_client: dict[str, list[int]] = {}
-        for i, entry in enumerate(entries):
-            by_client.setdefault(entry.client, []).append(i)
-        results: list[SelectionResult | None] = [None] * len(entries)
-        holistic = self._holistic
-        # Deferred shared-kernel statistics: (lows, highs, timestamps)
-        # per column, applied once at window end like the one-session
-        # batch path does.
-        observations: dict[tuple[str, str], tuple[list, list, list]] = {}
-        for name, slots in by_client.items():
-            lane = self.lanes[name]
-            accountant = make_accountant(lane.clock)
-            bound: set[tuple[str, str]] = set()
-            records = lane.report.queries
-            cumulative = lane._cumulative_s
-            for i in slots:
-                entry = entries[i]
-                query = entry.query
-                key = ref_of[i]
-                replay = lane.replays.get(key)
-                if replay is None:
-                    replay = DetachedCrackReplay.solo(
-                        indexes[key], self._positions[key], lane.tape
-                    )
-                    lane.replays[key] = replay
-                if key not in bound:
-                    replay.bind(accountant)
-                    bound.add(key)
-                started = accountant.now
-                if holistic:
-                    accountant.charge_query()
-                    noted = observations.get(key)
-                    if noted is None:
-                        noted = observations[key] = ([], [], [])
-                    noted[0].append(query.low)
-                    noted[1].append(query.high)
-                    noted[2].append(accountant.now)
-                result = self._replay_entry(
-                    name, key, query, replay, holistic
+        """Replay one client's share of the window on its lane: the
+        strategy's batch execution over the lane's replay of each
+        query's column (created on the client's first touch of it,
+        from the virgin column state), through the lane's window
+        loop."""
+        lane = self.lanes[name]
+        replays = lane.replays
+        contexts = []
+        for query in queries:
+            ref = query.ref
+            key = (ref.table, ref.column)
+            replay = replays.get(key)
+            if replay is None:
+                replay = replays[key] = _ServedReplay.solo(
+                    indexes[key], self._positions[key], lane.tape
                 )
-                slotted = pending_slots[i]
-                if slotted is not None:
-                    result = slotted[0].apply(slotted[1], result, accountant)
-                finished = accountant.now
-                response = finished - started
-                cumulative += response
-                records.append(
-                    QueryRecord(
-                        sequence=len(records) + 1,
-                        query=query,
-                        response_s=response,
-                        wait_s=0.0,
-                        result_count=result.count,
-                        cumulative_response_s=cumulative,
-                        finished_at=finished,
-                        client=name,
-                    )
-                )
-                results[i] = result
-            lane._cumulative_s = cumulative
-            accountant.finish()
-        if holistic:
-            kernel: HolisticKernel = self.strategy  # type: ignore[assignment]
-            for (table, column), (lows, highs, stamps) in observations.items():
-                ref = ColumnRef(table, column)
-                kernel.monitor.note_many(ref, lows, highs, stamps)
-                kernel.ranking.note_queries(ref, len(stamps))
-        return results  # type: ignore[return-value]
+                replay._frontend = self
+                replay._client = name
+                replay._ref = ref
+            contexts.append(replay)
+        execution = self.strategy.batch_execution(contexts)
+        return lane.run_window(queries, execution, overlays)

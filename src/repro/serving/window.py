@@ -40,19 +40,13 @@ class WindowEntry:
 class CrossSessionWindowFormer:
     """Closed-loop former: round-robin, up to ``depth`` per client.
 
-    Each window starts from the client after the last one served, so a
-    bounded window (``max_window``) rotates fairly over the clients
-    instead of draining early-admitted ones first -- no client starves
-    while producers keep other queues non-empty.
+    Each window starts from the client after the last one served.
     """
 
-    def __init__(self, depth: int = 8, max_window: int | None = None) -> None:
+    def __init__(self, depth: int = 8) -> None:
         if depth < 1:
             raise ConfigError(f"window depth must be >= 1, got {depth}")
-        if max_window is not None and max_window < 1:
-            raise ConfigError(f"max_window must be >= 1, got {max_window}")
         self.depth = depth
-        self.max_window = max_window
         self._queues: dict[str, deque[RangeQuery]] = {}
         self._taken: dict[str, int] = {}
         #: Client to start the next window from (fair rotation).
@@ -83,14 +77,11 @@ class CrossSessionWindowFormer:
             if self._resume_from in self._queues:
                 start = clients.index(self._resume_from)
             entries: list[WindowEntry] = []
-            budget = self.max_window
             last_served: str | None = None
             for offset in range(len(clients)):
                 client = clients[(start + offset) % len(clients)]
                 queue = self._queues[client]
                 take = min(self.depth, len(queue))
-                if budget is not None:
-                    take = min(take, budget - len(entries))
                 if take > 0:
                     last_served = client
                 for _ in range(take):
@@ -99,8 +90,6 @@ class CrossSessionWindowFormer:
                     entries.append(
                         WindowEntry(client, sequence, queue.popleft())
                     )
-                if budget is not None and len(entries) >= budget:
-                    break
             if last_served is not None:
                 index = clients.index(last_served)
                 self._resume_from = clients[(index + 1) % len(clients)]

@@ -17,11 +17,9 @@ routes its charges through a :class:`WindowAccountant`, which
   (:meth:`WindowAccountant.finish`), integer sums being exact in any
   order.
 
-:class:`DirectAccountant` is the drop-in fallback for clocks without
-a cost model (wall clocks): it forwards every event to
-``clock.charge`` immediately, preserving today's behaviour.  Both
-expose the same event vocabulary, so the batched execution code has a
-single code path.
+A clock the accountant cannot price -- a wall clock, or a
+:class:`SimClock` inside a parallel phase -- gets no window at all:
+``Session.run_batch`` answers such a window one query at a time.
 
 The accountant's :attr:`now` is the session's clock reading for the
 duration of a window; the real clock must not be consulted (or
@@ -31,7 +29,7 @@ advanced by others) until :meth:`finish` has synced it.
 from __future__ import annotations
 
 from repro.simtime.charge import CostCharge
-from repro.simtime.clock import Clock, SimClock
+from repro.simtime.clock import SimClock
 
 _NS_PER_S = 1e9
 
@@ -215,81 +213,3 @@ class WindowAccountant:
             cracks=self._cracks,
         )
         self.clock.settle_batch(self.now, total)
-
-
-class DirectAccountant:
-    """Per-event fallback for clocks without a cost model.
-
-    Forwards every event to ``clock.charge`` immediately -- identical
-    to the sequential path on wall clocks, where time flows by itself
-    and charges are only tallied.
-    """
-
-    __slots__ = ("clock",)
-
-    def __init__(self, clock: Clock) -> None:
-        self.clock = clock
-
-    @property
-    def now(self) -> float:
-        return self.clock.now()
-
-    def charge_query(self) -> None:
-        self.clock.charge(CostCharge(queries=1))
-
-    def charge_binary(self, n: int) -> None:
-        self.clock.charge(CostCharge.for_binary_search(n))
-
-    def charge_binary_pair(self, n: int) -> None:
-        self.clock.charge(CostCharge.for_binary_search(n))
-        self.clock.charge(CostCharge.for_binary_search(n))
-
-    def charge_warm_select(self, n: int) -> None:
-        self.clock.charge(CostCharge(queries=1))
-        self.clock.charge(CostCharge.for_binary_search(n))
-        self.clock.charge(CostCharge.for_binary_search(n))
-
-    def charge_scan_query(self, scanned: int, materialized: int) -> None:
-        self.clock.charge(CostCharge(queries=1))
-        self.clock.charge(
-            CostCharge(
-                elements_scanned=scanned,
-                elements_materialized=materialized,
-            )
-        )
-
-    def charge_crack(self, size: int, cracks: int) -> None:
-        self.clock.charge(
-            CostCharge(
-                elements_cracked=size, pieces_touched=1, cracks=cracks
-            )
-        )
-
-    def charge_empty_crack(self) -> None:
-        self.clock.charge(CostCharge(cracks=1))
-
-    def charge_materialize(self, rows: int) -> None:
-        self.clock.charge(CostCharge(elements_materialized=rows))
-
-    def charge_scan(self, scanned: int, materialized: int) -> None:
-        self.clock.charge(
-            CostCharge(
-                elements_scanned=scanned,
-                elements_materialized=materialized,
-            )
-        )
-
-    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
-        self.clock.charge(
-            CostCharge.for_pending_merge(deletes, materialized)
-        )
-
-    def finish(self) -> None:
-        return None
-
-
-def make_accountant(clock: Clock) -> WindowAccountant | DirectAccountant:
-    """The cheapest exact accountant for ``clock``."""
-    if isinstance(clock, SimClock) and not clock.in_parallel:
-        return WindowAccountant(clock)
-    return DirectAccountant(clock)

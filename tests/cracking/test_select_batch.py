@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cracking.engine import crack_in_three, crack_spans_batch
 from repro.cracking.index import CrackerIndex
 from repro.errors import CrackerError, QueryError
+from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.loader import generate_uniform_column
 
@@ -25,6 +26,15 @@ def _pair(track_rowids: bool = False, rows: int = 1500, seed: int = 0):
         column, clock=SimClock(), track_rowids=track_rowids
     )
     return sequential, batched
+
+
+def _begin(index: CrackerIndex, lows, highs):
+    """A window's replay context, bound to a fresh window accountant
+    on the index's clock; returns ``(context, accountant)``."""
+    context = index.begin_select_batch(np.asarray(lows), np.asarray(highs))
+    accountant = WindowAccountant(index.clock)
+    context.bind(accountant)
+    return context, accountant
 
 
 def _assert_identical(sequential: CrackerIndex, batched: CrackerIndex):
@@ -83,8 +93,9 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows, track):
             expected.append(sequential.select_range(low, high))
         lows = np.array([r[0] for r in ranges])
         highs = np.array([r[1] for r in ranges])
-        context = batched.begin_select_batch(lows, highs)
+        context, accountant = _begin(batched, lows, highs)
         got = [context.replay_query(low, high) for low, high in ranges]
+        accountant.finish()
         context.check_consistent()
         for view_a, view_b in zip(expected, got):
             assert (view_a.start, view_a.end) == (view_b.start, view_b.end)
@@ -104,21 +115,17 @@ def test_replay_cache_reuse_and_invalidation():
     ranges = [(100.0, 900.0), (2000.0, 2600.0)]
     lows = np.array([r[0] for r in ranges])
     highs = np.array([r[1] for r in ranges])
-    context = batched.begin_select_batch(lows, highs)
+    context, _ = _begin(batched, lows, highs)
     for low, high in ranges:
         context.replay_query(low, high)
     assert context.is_complete
     cached_sim = context.sim
-    follow_up = batched.begin_select_batch(
-        np.array([3000.0]), np.array([3500.0])
-    )
+    follow_up, _ = _begin(batched, [3000.0], [3500.0])
     assert follow_up.sim is cached_sim  # reused, no snapshot
     follow_up.replay_query(3000.0, 3500.0)
     # A foreground crack invalidates the cached shadow map.
     batched.ensure_cut(4321.0)
-    third = batched.begin_select_batch(
-        np.array([4500.0]), np.array([4600.0])
-    )
+    third, _ = _begin(batched, [4500.0], [4600.0])
     assert third.sim is not cached_sim
     third.replay_query(4500.0, 4600.0)
     third.check_consistent()
@@ -126,14 +133,10 @@ def test_replay_cache_reuse_and_invalidation():
 
 def test_incomplete_replay_is_not_reused():
     _, batched = _pair(rows=800, seed=5)
-    context = batched.begin_select_batch(
-        np.array([100.0, 300.0]), np.array([200.0, 400.0])
-    )
+    context, _ = _begin(batched, [100.0, 300.0], [200.0, 400.0])
     context.replay_query(100.0, 200.0)  # second entry never replayed
     assert not context.is_complete
-    fresh = batched.begin_select_batch(
-        np.array([500.0]), np.array([600.0])
-    )
+    fresh, _ = _begin(batched, [500.0], [600.0])
     assert fresh.sim is not context.sim
 
 
@@ -141,14 +144,12 @@ def test_warm_view_cache_shares_objects_and_survives_windows():
     _, batched = _pair(rows=1000, seed=9)
     lows = np.array([100.0, 100.0, 100.0])
     highs = np.array([700.0, 700.0, 700.0])
-    context = batched.begin_select_batch(lows, highs)
+    context, _ = _begin(batched, lows, highs)
     context.replay_query(100.0, 700.0)  # cracks: fresh bounds
     second = context.replay_query(100.0, 700.0)  # warm: both pivots
     third = context.replay_query(100.0, 700.0)
     assert third is second  # identical warm slice -> one view object
-    again = batched.begin_select_batch(
-        np.array([100.0]), np.array([700.0])
-    )
+    again, _ = _begin(batched, [100.0], [700.0])
     assert again.replay_query(100.0, 700.0) is second
 
 

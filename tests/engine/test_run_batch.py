@@ -243,8 +243,9 @@ def test_empty_batch_is_a_noop():
 
 
 def test_run_batch_on_wall_clock_counts_charges():
-    """The direct accountant path (no cost model) still tallies the
-    same work counters as sequential execution."""
+    """A wall clock has no cost model to price a window with, so the
+    window runs query by query and tallies the same work counters as
+    sequential execution."""
     queries = _workload(9, 12)
 
     def run(window: int):
@@ -263,6 +264,34 @@ def test_run_batch_on_wall_clock_counts_charges():
     assert batched.clock.total_charge == base.clock.total_charge
     assert [r.result_count for r in batched.report.queries] == [
         r.result_count for r in base.report.queries
+    ]
+
+
+def test_run_batch_in_a_parallel_phase_runs_sequentially():
+    """Inside a parallel phase a SimClock charges per-thread lanes, which
+    a window accountant cannot settle: the window runs as sequential
+    ``run_query`` calls, charge for charge."""
+    queries = _workload(9, 12)
+
+    def run(window: int):
+        db = _database(9)
+        session = db.session("adaptive")
+        db.clock.begin_parallel()
+        if window == 1:
+            for query in queries:
+                session.run_query(query)
+        else:
+            session.run_batch(queries)
+        now = db.clock.now()
+        db.clock.end_parallel()
+        return session, now
+
+    base, base_now = run(1)
+    batched, batched_now = run(12)
+    assert repr(batched_now) == repr(base_now)
+    assert batched.clock.total_charge == base.clock.total_charge
+    assert [repr(r.response_s) for r in batched.report.queries] == [
+        repr(r.response_s) for r in base.report.queries
     ]
 
 

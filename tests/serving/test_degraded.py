@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.cracking.batch import DetachedCrackReplay
 from repro.engine.query import RangeQuery
 from repro.engine.session import make_strategy
 from repro.faults import FaultPlan, engaged
@@ -176,22 +177,22 @@ def test_healthy_clients_stay_solo_identical_under_poison():
     )
 
 
-def test_genuine_replay_errors_are_not_credited_as_recovered():
+def test_genuine_replay_errors_are_not_credited_as_recovered(monkeypatch):
     db = fresh_db()
     column = db.column("R", "A1")
     frontend = _frontend(db)
     queries = _queries(2)
     frontend.add_client("a", queries)
     calls = {"n": 0}
-    real_replay = ServingFrontend._replay_once
+    real_replay = DetachedCrackReplay.replay
 
-    def flaky(replay, query, holistic):
+    def flaky(replay, low, high):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("genuine replay bug")
-        return real_replay(replay, query, holistic)
+        return real_replay(replay, low, high)
 
-    frontend._replay_once = flaky
+    monkeypatch.setattr(DetachedCrackReplay, "replay", flaky)
     plan = FaultPlan()  # engaged, but nothing armed
     with engaged(plan):
         collected = _serve_collecting(frontend)

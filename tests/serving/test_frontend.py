@@ -64,6 +64,71 @@ def test_every_client_matches_its_solo_run(strategy, pending):
         assert served == solo
 
 
+def _solo_tape(strategy) -> list:
+    """A solo kernel's crack log in time order: the holistic kernel
+    shares one tape, adaptive indexes each keep their own (a query
+    charges before it cracks, so no two columns share a timestamp)."""
+    tape = getattr(strategy, "tape", None)
+    if tape is not None:
+        return tape.records()
+    records = [
+        record
+        for index in strategy.indexes.values()
+        for record in index.tape.records()
+    ]
+    return sorted(records, key=lambda record: record.timestamp)
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "holistic"])
+def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
+    """What a lane promises beyond responses and piece maps: its crack
+    tape is its solo kernel's, record for record; its clock's work
+    counters are the solo clock's; and the shared kernel's statistics
+    count exactly the queries the solo kernels counted."""
+    workloads = make_closed_loop_clients(
+        COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,
+        clients=3, queries_per_client=40, seed=23,
+    )
+    db = fresh_db(pending=True)
+    kernel = make_strategy(strategy, db)
+    frontend = ServingFrontend(db, kernel, depth=4)
+    lanes = {
+        w.client: frontend.add_client(w.client, w.queries)
+        for w in workloads
+    }
+    frontend.run()
+    solos = []
+    for workload in workloads:
+        solo_db = fresh_db(pending=True)
+        session = solo_db.session(strategy)
+        for query in workload.queries:
+            session.run_query(query)
+        solos.append(session.strategy)
+        lane = lanes[workload.client]
+        assert lane.tape.records() == _solo_tape(session.strategy)
+        assert lane.clock.total_charge == solo_db.clock.total_charge
+    if strategy != "holistic":
+        return
+
+    def activity(monitor) -> dict:
+        return {
+            (c["table"], c["column"]): (c["query_count"], c["histogram"])
+            for c in monitor.export_state()["columns"]
+        }
+
+    served = activity(kernel.monitor)
+    solo_activity = [activity(solo.monitor) for solo in solos]
+    for ref in COLUMN_REFS:
+        key = (ref.table, ref.column)
+        assert served[key][0] == sum(a[key][0] for a in solo_activity)
+        assert served[key][1] == [
+            sum(column) for column in zip(*(a[key][1] for a in solo_activity))
+        ]
+        assert kernel.ranking.state(ref).queries_seen == sum(
+            solo.ranking.state(ref).queries_seen for solo in solos
+        )
+
+
 def test_run_reports_windows():
     workloads = make_closed_loop_clients(
         COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,

@@ -32,16 +32,6 @@ def test_closed_loop_takes_depth_per_client_round_robin():
     assert former.pending_count == 0
 
 
-def test_closed_loop_max_window_caps_total():
-    former = CrossSessionWindowFormer(depth=4, max_window=5)
-    former.admit("a", _queries(4))
-    former.admit("b", _queries(4, base=50))
-    former.admit("c", _queries(4, base=90))
-    window = former.next_window()
-    assert len(window) == 5
-    assert [e.client for e in window] == ["a", "a", "a", "a", "b"]
-
-
 def test_closed_loop_preserves_per_client_order():
     former = CrossSessionWindowFormer(depth=3)
     queries = _queries(7)
@@ -55,35 +45,6 @@ def test_closed_loop_preserves_per_client_order():
     assert served == queries
 
 
-def test_closed_loop_bounded_windows_rotate_fairly():
-    """Regression: with max_window set, every window used to restart
-    from the first-admitted client, starving later ones while earlier
-    queues stayed non-empty."""
-    former = CrossSessionWindowFormer(depth=4, max_window=4)
-    former.admit("a", _queries(8))
-    former.admit("b", _queries(8, base=50))
-    former.admit("c", _queries(8, base=90))
-    served_by = [
-        {e.client for e in former.next_window()} for _ in range(3)
-    ]
-    # Three bounded windows must reach all three clients.
-    assert set().union(*served_by) == {"a", "b", "c"}
-    # And per-client order is still intact after the rotation.
-    drained = []
-    while True:
-        window = former.next_window()
-        if not window:
-            break
-        drained.extend(window)
-    sequences: dict[str, list[int]] = {}
-    for entry in drained:
-        sequences.setdefault(entry.client, []).append(entry.sequence)
-    for client, seen in sequences.items():
-        assert seen == sorted(seen)
-
-
 def test_closed_loop_validates_depth():
     with pytest.raises(ConfigError):
         CrossSessionWindowFormer(depth=0)
-    with pytest.raises(ConfigError):
-        CrossSessionWindowFormer(max_window=0)

@@ -5,13 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.simtime.accounting import (
-    DirectAccountant,
-    WindowAccountant,
-    make_accountant,
-)
+from repro.simtime.accounting import WindowAccountant
 from repro.simtime.charge import CostCharge
-from repro.simtime.clock import SimClock, WallClock
+from repro.simtime.clock import SimClock
 
 
 def _charged_clock() -> SimClock:
@@ -77,17 +73,6 @@ def test_window_accountant_is_bit_identical_to_per_event_charging():
     assert clock.total_charge == reference.total_charge
 
 
-def test_direct_accountant_matches_too():
-    reference = _charged_clock()
-    _sequential_reference(reference)
-    clock = _charged_clock()
-    accountant = DirectAccountant(clock)
-    _drive(accountant)
-    accountant.finish()
-    assert repr(clock.now()) == repr(reference.now())
-    assert clock.total_charge == reference.total_charge
-
-
 def test_accountant_now_tracks_mid_window():
     clock = SimClock()
     accountant = WindowAccountant(clock)
@@ -98,15 +83,6 @@ def test_accountant_now_tracks_mid_window():
     assert clock.now() == 0.0
     accountant.finish()
     assert clock.now() == accountant.now
-
-
-def test_make_accountant_picks_by_clock_type():
-    assert isinstance(make_accountant(SimClock()), WindowAccountant)
-    assert isinstance(make_accountant(WallClock()), DirectAccountant)
-    parallel = SimClock()
-    parallel.begin_parallel()
-    assert isinstance(make_accountant(parallel), DirectAccountant)
-    parallel.end_parallel()
 
 
 def test_settle_batch_rejects_backwards_time_and_parallel_phases():
