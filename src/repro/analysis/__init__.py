@@ -4,10 +4,11 @@ The kernel's headline claims rest on invariants that ordinary tests
 only sample: bit-identical fingerprints require wall-clock- and
 randomness-free charged paths (SimClock determinism), the worker and
 serving planes require every latch acquisition to be release-protected
-on every path, the ``exact_range_cuts`` fix of ISSUE 6 exists because
-one silent int64->float64 ``searchsorted`` promotion produced wrong
-answers, and the fault plane's recovery audit is only as good as its
-trip/tamper call-site coverage.  This package checks those invariants
+on every path, range bounds change domain only in
+``storage.dtypes.normalise_range`` because one silent int64->float64
+``searchsorted`` promotion produces wrong answers, and the fault
+plane's recovery audit is only as good as its trip/tamper call-site
+coverage.  This package checks those invariants
 mechanically:
 
 * :mod:`repro.analysis.lint` -- an AST lint engine with pluggable

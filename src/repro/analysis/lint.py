@@ -49,8 +49,9 @@ def run_lint(
     ``root`` defaults to the installed ``repro`` package directory, so
     ``run_lint()`` with no arguments checks the whole source tree.
     Waivers are applied here: a finding whose rule is waived on its
-    line (with a reason) is dropped; reasonless waivers surface as
-    rule ``waiver`` findings and cannot themselves be waived.
+    line (with a reason) is dropped; reasonless waivers, and waivers
+    that dropped nothing, surface as rule ``waiver`` findings and
+    cannot themselves be waived.
     """
     if root is None:
         root = Path(__file__).resolve().parent.parent
@@ -75,4 +76,6 @@ def run_lint(
             if src is not None and src.is_waived(finding.rule, finding.line):
                 continue
             findings.append(finding)
+    for src in sources:
+        findings.extend(src.stale_waiver_findings())
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))

@@ -2,9 +2,10 @@
 
 ``np.searchsorted(int64_store, float_needle)`` silently promotes the
 store to float64, which rounds integers beyond 2**53 -- range bounds
-land on the wrong row.  The sanctioned pattern is
-``repro.storage.updates.exact_range_cuts``, which ceils the needle to
-an exact int64 key (with NaN and +/-2**63 saturation) before probing.
+land on the wrong row.  A bound changes domain in one place,
+``repro.storage.dtypes.normalise_range``; below it every layer takes
+keys already in the column's domain (typed ``Key``), so a ``float``
+reaching a probe is a bound that skipped the normaliser.
 
 The rule walks each function in source order, tracking which local
 names are float-typed (float parameter annotations, ``float(...)`` /
@@ -20,11 +21,8 @@ else clears the mark), and flags:
   ``.astype(int64)`` result or ``dtype=int64`` construction).
 
 The tracking is linear and path-insensitive -- branch assignments are
-treated as having happened -- which is exactly the discipline the
-fixed kernels follow: ceil-to-int64 *before* the probe, on every path.
-``exact_range_cuts`` itself is exempt by name, as are its scalar
-routine ``_exact_scalar_cut`` and ``_range_cut_pair``: their needles are
-keys ``_scalar_key`` already made exact for the store's dtype.
+treated as having happened: a conversion *before* the probe, on every
+path, clears the mark.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.source import SourceFile
 
 RULE_ID = "dtype-promotion"
-
-#: Functions allowed to mix: the sanctioned conversion helpers.
-SANCTIONED_FUNCTIONS = frozenset(
-    {"exact_range_cuts", "_exact_scalar_cut", "_range_cut_pair"}
-)
 
 _FLOAT_RETURNING = frozenset(
     {"float", "numpy.float64", "numpy.ceil", "numpy.floor", "numpy.trunc"}
@@ -198,8 +191,8 @@ class _FunctionScan:
                     node,
                     "searchsorted with a float needle into a haystack "
                     "not provably float promotes int64 stores to "
-                    "float64 (lossy beyond 2**53); use "
-                    "storage.updates.exact_range_cuts",
+                    "float64 (lossy beyond 2**53); normalise the bound "
+                    "with storage.dtypes.normalise_range",
                 )
             return
         if resolved in _COMPARE_CALLS and len(node.args) >= 2:
@@ -208,8 +201,8 @@ class _FunctionScan:
                 self._flag(
                     node,
                     f"{resolved} mixes a float operand with a "
-                    "non-float one; ceil the key to an exact int64 "
-                    "first (see cracking.engine._count_below)",
+                    "non-float one; normalise the key first "
+                    "(storage.dtypes.normalise_bound)",
                 )
 
     def inspect_compare(self, node: ast.Compare) -> None:
@@ -224,7 +217,7 @@ class _FunctionScan:
                     node,
                     "comparison between a float value and an int64 "
                     "array promotes the array to float64 (lossy beyond "
-                    "2**53); ceil the key to int64 first",
+                    "2**53); normalise the key first",
                 )
                 return
 
@@ -304,8 +297,6 @@ def check(src: "SourceFile", ctx: "LintContext") -> list[Finding]:
     findings: list[Finding] = []
     for node in ast.walk(src.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if node.name in SANCTIONED_FUNCTIONS:
             continue
         scan = _FunctionScan(node, aliases, src, findings)
         scan.run_block(node.body)

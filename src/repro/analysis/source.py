@@ -7,13 +7,17 @@ Waivers are per-line pragmas of the form::
 The reason after ``--`` is mandatory: a waiver is an audit record, not
 an off switch, and a reasonless one is itself reported as a finding
 (rule ``waiver``).  A finding is suppressed when a matching waiver sits
-on the line of the flagged node.
+on the line of the flagged node; a waiver that suppresses nothing is
+stale, and reported (rule ``waiver``) so it is deleted with the code
+that needed it.  Only comments that start with the pragma count.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +42,8 @@ class SourceFile:
     waivers: dict[int, set[str]] = field(default_factory=dict)
     #: waivers missing their mandatory reason
     reasonless: list[tuple[int, str]] = field(default_factory=list)
+    #: (line, rule) of the waivers that suppressed a finding
+    used: set[tuple[int, str]] = field(default_factory=set)
 
     @classmethod
     def parse(cls, path: Path, text: str | None = None) -> "SourceFile":
@@ -51,17 +57,39 @@ class SourceFile:
             text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
         src = cls(path=path, text=text, tree=tree)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _WAIVER_RE.search(line)
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _WAIVER_RE.match(token.string)
             if match is None:
                 continue
+            lineno = token.start[0]
             src.waivers.setdefault(lineno, set()).add(match.group("rule"))
             if not match.group("reason"):
                 src.reasonless.append((lineno, match.group("rule")))
         return src
 
     def is_waived(self, rule: str, line: int) -> bool:
-        return rule in self.waivers.get(line, set())
+        """Whether a waiver suppresses ``rule`` on ``line`` (and, if
+        so, that waiver is in use)."""
+        if rule not in self.waivers.get(line, ()):
+            return False
+        self.used.add((line, rule))
+        return True
+
+    def stale_waiver_findings(self) -> list[Finding]:
+        """A finding per waiver that suppressed nothing."""
+        return [
+            Finding(
+                rule="waiver",
+                path=str(self.path),
+                line=line,
+                message=f"waiver for [{rule}] suppresses no finding",
+            )
+            for line, rules in sorted(self.waivers.items())
+            for rule in sorted(rules)
+            if (line, rule) not in self.used
+        ]
 
     def waiver_findings(self) -> list[Finding]:
         return [

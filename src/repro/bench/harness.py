@@ -85,8 +85,9 @@ def piece_map_sha256(
     """Hash labelled piece maps into a suite's ``state_sha256``.
 
     ``maps`` yields ``(label, cuts, pivots)`` in hash order.  Cuts hash
-    as int64 and pivots as float64 -- the semantic state, stable across
-    machines, numpy versions and cracker-column narrowing.
+    as int64 and pivots exactly, as the integers (int64) or floats
+    (float64) they are -- the semantic state, stable across machines,
+    numpy versions and cracker-column narrowing.
     ``pivots_first`` is the byte order the committed
     ``BENCH_serve_quick.json`` fingerprints were produced with.
     """
@@ -95,7 +96,7 @@ def piece_map_sha256(
         state.update(label.encode())
         parts = [
             np.asarray(cuts, dtype=np.int64).tobytes(),
-            np.asarray(pivots, dtype=np.float64).tobytes(),
+            np.asarray(pivots).tobytes(),
         ]
         for part in reversed(parts) if pivots_first else parts:
             state.update(part)

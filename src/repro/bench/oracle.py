@@ -131,12 +131,15 @@ class ReferenceEngine:
             return None
         raise BenchmarkError(f"unknown trace op kind {op.kind!r}")
 
-    def query(self, ref: ColumnRef, low: float, high: float) -> np.ndarray:
-        base = self._base[ref][self._live[ref]]
-        parts = [base[(base >= low) & (base < high)]]
-        for extra in self._extra[ref]:
-            parts.append(extra[(extra >= low) & (extra < high)])
-        return np.sort(np.concatenate(parts))
+    def query(self, ref: ColumnRef, low: object, high: object) -> np.ndarray:
+        values = np.concatenate(
+            [self._base[ref][self._live[ref]], *self._extra[ref]]
+        )
+        # Compared as Python objects: an int against a float bound is
+        # exact, where numpy rounds an int64 beyond 2^53 to float64.
+        exact = values.astype(object)
+        with np.errstate(invalid="ignore"):  # a NaN bound matches nothing
+            return np.sort(values[(exact >= low) & (exact < high)])
 
 
 def reference_results(

@@ -36,6 +36,7 @@ from bisect import bisect_right
 
 from repro.cracking.piece import CrackOrigin
 from repro.errors import CrackerError
+from repro.storage.dtypes import Key
 from repro.storage.views import RangeView
 
 
@@ -54,7 +55,7 @@ class ReplayPieceMap:
     def __init__(
         self,
         n: int,
-        pivots: list[float],
+        pivots: list[Key],
         cuts: list[int],
         flags: list[bool],
     ) -> None:
@@ -76,7 +77,7 @@ class ReplayPieceMap:
     def piece_count(self) -> int:
         return len(self.pivots) + 1
 
-    def locate(self, value: float) -> tuple[int, int, int, bool, bool]:
+    def locate(self, value: Key) -> tuple[int, int, int, bool, bool]:
         """``(piece_index, start, end, is_sorted, at_pivot)``."""
         pivots = self.pivots
         i = bisect_right(pivots, value)
@@ -86,7 +87,7 @@ class ReplayPieceMap:
         end = cuts[i] if i < len(pivots) else self.n
         return i, start, end, self.flags[i], at_pivot
 
-    def add_crack_at(self, i: int, value: float, position: int) -> None:
+    def add_crack_at(self, i: int, value: Key, position: int) -> None:
         self.pivots.insert(i, value)
         self.cuts.insert(i, position)
         # Both halves inherit the split piece's sorted flag.
@@ -103,6 +104,7 @@ class CrackSelectBatch:
 
     __slots__ = (
         "_index",
+        "_largest",
         "_values",
         "_rowids",
         "_sim",
@@ -120,13 +122,14 @@ class CrackSelectBatch:
         self,
         index,
         sim: ReplayPieceMap,
-        positions: dict[float, int],
+        positions: dict[Key, int],
         copy_charged: bool,
         origin: CrackOrigin,
         expected: int,
         tape=None,
     ) -> None:
         self._index = index
+        self._largest = index._largest
         self._values = index.values
         self._rowids = index.rowids
         self._sim = sim
@@ -180,7 +183,7 @@ class CrackSelectBatch:
             self._acc.charge_materialize(rows)
 
     def _cut(
-        self, value: float, i: int, start: int, end: int,
+        self, value: Key, i: int, start: int, end: int,
         is_sorted: bool, at_pivot: bool,
     ) -> int:
         """Replay of :meth:`CrackerIndex._cut_located` for one bound."""
@@ -201,51 +204,29 @@ class CrackSelectBatch:
         self._tape.log(acc.now, self._origin, value, position, size)
         return position
 
-    def replay_query(self, low: float, high: float) -> RangeView:
+    def replay_query(self, low: Key, high: Key) -> RangeView:
         """Account for one window query; return its result view.
 
-        Owns the whole per-query charge stream -- the
-        ``CostCharge(queries=1)`` overhead first, then exactly the
-        charges and tape records a sequential :meth:`Session.run_query`
-        /:meth:`CrackerIndex.select_range` pair would have produced at
-        this point of the window, including the crack-in-three fusion
-        when both bounds fall into the same unsorted piece.  The piece
-        lookups inline :meth:`ReplayPieceMap.locate` -- this path runs
-        twice per query of every batched window.
+        Owns the whole per-query charge stream: the
+        ``CostCharge(queries=1)`` overhead, then :meth:`replay`.
         """
-        sim = self._sim
-        pivots = sim.pivots
-        cuts = sim.cuts
-        low_index = bisect_right(pivots, low)
-        low_pivot = low_index > 0 and pivots[low_index - 1] == low
-        high_index = bisect_right(pivots, high)
-        high_pivot = high_index > 0 and pivots[high_index - 1] == high
-        if low_pivot and high_pivot:
-            # Warm path: both bounds are existing cuts -- per-query
-            # overhead and two pivot probes in one fused fold; no
-            # cracking, no tape.
-            self._acc.charge_warm_select(len(pivots) + 1)
-            self._done += 1
-            span = (
-                cuts[low_index - 1] if low_index > 0 else 0,
-                cuts[high_index - 1],
-            )
-            view = self._view_cache.get(span)
-            if view is None:
-                view = RangeView(
-                    self._values, span[0], span[1], self._rowids
-                )
-                self._view_cache[span] = view
-            return view
         self._acc.charge_query()
-        return self._replay_located(
-            low, high, low_index, low_pivot, high_index, high_pivot
-        )
+        return self.replay(low, high)
 
-    def replay(self, low: float, high: float) -> RangeView:
-        """Like :meth:`replay_query`, for callers that have already
-        charged the per-query overhead (the holistic wrapper charges
-        it before capturing its monitor timestamp)."""
+    def replay(self, low: Key, high: Key) -> RangeView:
+        """Account for one window query whose per-query overhead the
+        caller already charged (the holistic wrapper charges it before
+        capturing its monitor timestamp); return its result view.
+
+        ``low``/``high`` are the query's range normalised into the
+        column's domain, as :meth:`CrackerIndex.begin_select_batch`
+        took them.  The charges and tape records are exactly those a
+        sequential :meth:`CrackerIndex.select_keys` would have produced
+        at this point of the window, including the crack-in-three
+        fusion when both bounds fall into the same unsorted piece.  The
+        piece lookups inline :meth:`ReplayPieceMap.locate` -- this path
+        runs twice per query of every batched window.
+        """
         sim = self._sim
         pivots = sim.pivots
         cuts = sim.cuts
@@ -271,10 +252,16 @@ class CrackSelectBatch:
             low, high, low_index, low_pivot, high_index, high_pivot
         )
 
+    def empty(self) -> RangeView:
+        """The answer to a window query whose range is empty: no probe,
+        no charge, no tape, and no replay slot (the physical pass never
+        saw it)."""
+        return RangeView(self._values, 0, 0, self._rowids)
+
     def _replay_located(
         self,
-        low: float,
-        high: float,
+        low: Key,
+        high: Key,
         low_index: int,
         low_pivot: bool,
         high_index: int,
@@ -282,25 +269,25 @@ class CrackSelectBatch:
     ) -> RangeView:
         """The cracking replay for queries with at least one fresh
         bound (charges and tape records replicate sequential
-        :meth:`CrackerIndex.select_range` exactly)."""
-        if low != low or high != high:
-            # A NaN bound (never a pivot, so it always lands here):
-            # empty, and the shadow map stays as it is -- the replay of
-            # :meth:`CrackerIndex.select_range`'s NaN answer.
-            self._done += 1
-            return RangeView(self._values, 0, 0, self._rowids)
+        :meth:`CrackerIndex.select_keys` exactly)."""
         sim = self._sim
         cuts = sim.cuts
         k = len(sim.pivots)
         start = cuts[low_index - 1] if low_index > 0 else 0
         end = cuts[low_index] if low_index < k else sim.n
         low_sorted = sim.flags[low_index]
-        if (
+        if high > self._largest:
+            # A top (never a pivot, so it always lands here) is the end
+            # of the column, as in select_keys: one cut, at low.
+            pos_low = self._cut(
+                low, low_index, start, end, low_sorted, low_pivot
+            )
+            pos_high = len(self._values)
+        elif (
             low_index == high_index
             and not low_pivot
             and not high_pivot
             and not low_sorted
-            and low < high
             and end > start
         ):
             self._charge_copy_if_needed()
@@ -398,7 +385,7 @@ class DetachedCrackReplay(CrackSelectBatch):
     def solo(
         cls,
         index,
-        positions: dict[float, int],
+        positions: dict[Key, int],
         tape,
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> "DetachedCrackReplay":

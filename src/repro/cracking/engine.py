@@ -38,18 +38,13 @@ over the single-piece partitions above.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
 
 from repro.errors import CrackerError
 from repro.simtime.charge import CostCharge
-
-#: First float at/above any int64 (2^63 is exactly representable).
-_INT64_MAX_F = 2.0**63
-#: int64 min, exactly representable as a float.
-_INT64_MIN_F = -(2.0**63)
+from repro.storage.dtypes import Key
 
 #: Pieces at/above this many rows evaluate their classification mask
 #: into a reusable scratch buffer instead of allocating a fresh one.
@@ -120,22 +115,15 @@ def _check_disjoint(array: np.ndarray, tasks: list, kernel: str) -> None:
 
 
 def _count_below(
-    view: np.ndarray, pivot: float, scratch: CrackScratch
+    view: np.ndarray, pivot: Key, scratch: CrackScratch
 ) -> int:
     """Number of elements ``< pivot`` (scratch mask above the threshold
-    so large pieces never allocate a fresh mask)."""
-    if view.dtype.kind == "i":
-        # Exact integer key: an integer v satisfies ``v < pivot`` iff
-        # ``v < ceil(pivot)``.  Comparing against the float pivot
-        # directly would promote the piece to float64, rounding values
-        # beyond 2^53 onto the pivot and miscounting the split.
-        if pivot != pivot:  # NaN compares below nothing
-            return 0
-        if pivot >= _INT64_MAX_F:
-            return view.size
-        if pivot < _INT64_MIN_F:
-            return 0
-        pivot = math.ceil(pivot)
+    so large pieces never allocate a fresh mask).
+
+    ``pivot`` is a key in the column's domain (a Python int for an
+    integer column): numpy compares it with the piece exactly and
+    without widening a narrowed piece.
+    """
     if view.size >= CHUNK_THRESHOLD:
         mask = scratch.get("mask", view.size, np.dtype(bool))[: view.size]
         np.less(view, pivot, out=mask)
@@ -162,7 +150,7 @@ def _apply_permutation(
 
 def _partition_two(
     view: np.ndarray,
-    pivot: float,
+    pivot: Key,
     rview: np.ndarray | None,
     scratch: CrackScratch,
 ) -> int:
@@ -190,7 +178,7 @@ def crack_in_two(
     array: np.ndarray,
     start: int,
     end: int,
-    pivot: float,
+    pivot: Key,
     rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[int, CostCharge]:
@@ -254,8 +242,8 @@ def crack_in_three(
     array: np.ndarray,
     start: int,
     end: int,
-    low: float,
-    high: float,
+    low: Key,
+    high: Key,
     rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[int, int, CostCharge]:
@@ -293,7 +281,7 @@ def crack_in_three(
 
 def crack_in_two_batch(
     array: np.ndarray,
-    tasks: list[tuple[int, int, float]],
+    tasks: list[tuple[int, int, Key]],
     rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
     validate: bool = True,
@@ -342,7 +330,7 @@ def crack_in_two_batch(
 
 def crack_spans_batch(
     array: np.ndarray,
-    tasks: list[tuple[int, int, float, float]],
+    tasks: list[tuple[int, int, Key, Key]],
     rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
     validate: bool = True,
@@ -396,7 +384,7 @@ def crack_multi(
     array: np.ndarray,
     start: int,
     end: int,
-    pivots: list[float],
+    pivots: list[Key],
     rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[list[int], CostCharge]:
@@ -418,9 +406,7 @@ def crack_multi(
     _check_bounds(array, start, end)
     if not pivots:
         return [], CostCharge()
-    if any(p != p for p in pivots) or any(
-        a >= b for a, b in zip(pivots, pivots[1:])
-    ):
+    if not all(a < b for a, b in zip(pivots, pivots[1:])):
         raise CrackerError(
             f"pivots must be strictly increasing: {pivots}"
         )
@@ -457,21 +443,7 @@ def crack_multi(
             stack.append((lo, cut, first, mid))
             stack.append((cut, hi, mid + 1, last))
         return splits, charge
-    keys = np.asarray(pivots, dtype=np.float64)
-    if view.dtype.kind == "i":
-        # Exact integer search keys (see _count_below): searching the
-        # float pivots directly would promote the piece to float64 and
-        # round values beyond 2^53 onto the pivots.  A pivot above the
-        # int64 range owns an empty segment at the end; one below sits
-        # ahead of every element.
-        ceiled = np.ceil(keys)
-        low_saturated = int(np.count_nonzero(ceiled <= _INT64_MIN_F))
-        mid = ceiled[(ceiled > _INT64_MIN_F) & (ceiled < _INT64_MAX_F)]
-        bins = low_saturated + np.searchsorted(
-            mid.astype(np.int64), view, side="right"
-        )
-    else:
-        bins = np.searchsorted(keys, view, side="right")
+    bins = np.searchsorted(np.asarray(pivots), view, side="right")
     order = np.argsort(bins, kind="stable")
     permuted = scratch.get("multi_values", size, view.dtype)
     np.take(view, order, out=permuted[:size])
@@ -515,7 +487,7 @@ def sort_piece(
 
 
 def split_sorted_piece(
-    array: np.ndarray, start: int, end: int, pivot: float
+    array: np.ndarray, start: int, end: int, pivot: Key
 ) -> tuple[int, CostCharge]:
     """Find the crack position inside an already-sorted piece.
 
@@ -526,20 +498,6 @@ def split_sorted_piece(
         CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    view = array[start:end]
-    if array.dtype.kind == "i":
-        # Exact integer key (see _count_below): ``v >= pivot`` iff
-        # ``v >= ceil(pivot)`` for integer v; NaN and out-of-range
-        # pivots resolve without touching the data.
-        if pivot != pivot or pivot >= _INT64_MAX_F:
-            offset = end - start
-        elif pivot < _INT64_MIN_F:
-            offset = 0
-        else:
-            offset = int(
-                np.searchsorted(view, math.ceil(pivot), side="left")
-            )
-    else:
-        offset = int(np.searchsorted(view, pivot, side="left"))  # repro: allow[dtype-promotion] -- this branch is the non-integer store; float-vs-float probes are exact
+    offset = int(array[start:end].searchsorted(pivot, side="left"))
     charge = CostCharge.for_binary_search(max(1, end - start))
     return start + offset, charge

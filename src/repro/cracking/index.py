@@ -53,7 +53,7 @@ from repro.errors import CrackerError, QueryError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock, SimClock
 from repro.storage.column import Column
-from repro.storage.updates import exact_range_cuts
+from repro.storage.dtypes import Key, largest, normalise_bound, normalise_range
 from repro.storage.views import RangeView
 
 _INT32_MIN = -(2**31)
@@ -117,7 +117,9 @@ class CrackerIndex:
             if track_rowids
             else None
         )
-        self._pieces = PieceMap(rows)
+        self._pieces = PieceMap(rows, dtype=column.ctype.numpy_dtype)
+        #: Range bounds above this run to the end of the column.
+        self._largest = largest(column.ctype.numpy_dtype)
         self._scratch = CrackScratch()
         #: (piece-map version, last batch context) -- lets consecutive
         #: windows reuse the replay shadow map (see begin_select_batch).
@@ -181,6 +183,7 @@ class CrackerIndex:
         index._array = values
         index._rowids = rowids
         index._pieces = piece_map
+        index._largest = largest(column.ctype.numpy_dtype)
         index._scratch = CrackScratch()
         index._replay_cache = None
         index._span_views = {}
@@ -281,9 +284,22 @@ class CrackerIndex:
             for _ in range(count):
                 clock.charge(CostCharge.for_binary_search(self.piece_count))
 
+    def _pivot_key(self, value: object) -> Key:
+        """``value`` as a pivot of this column (see
+        :func:`~repro.storage.dtypes.normalise_bound`).
+
+        Raises:
+            CrackerError: for NaN, or a value past the column's top --
+                neither is a pivot.
+        """
+        key = normalise_bound(self._pieces.dtype, value)
+        if key is None or key > self._largest:
+            raise CrackerError(f"{value!r} is not a pivot of this column")
+        return key
+
     def _cut_located(
         self,
-        value: float,
+        value: Key,
         index: int,
         start: int,
         end: int,
@@ -322,14 +338,16 @@ class CrackerIndex:
 
     @_synchronized
     def ensure_cut(
-        self, value: float, origin: CrackOrigin = CrackOrigin.QUERY
+        self, value: object, origin: CrackOrigin = CrackOrigin.QUERY
     ) -> int:
         """Crack at ``value`` if needed; return its cut position.
 
         The position is that of the first element ``>= value`` in the
         cracker column.  Existing pivots are located with a piece-map
-        lookup only.
+        lookup only.  ``value`` is normalised into the column's domain
+        first (an integer column cracks at its ceiling).
         """
+        value = self._pivot_key(value)
         index, start, end, is_sorted, at_pivot = self._pieces.locate(value)
         if not at_pivot:
             witness.mutation_check(self, (start,), "ensure_cut")
@@ -338,8 +356,8 @@ class CrackerIndex:
         )
 
     def _locate_fresh(
-        self, values: list[float]
-    ) -> tuple[dict[float, int], dict[int, list[float]]]:
+        self, values: list[Key]
+    ) -> tuple[dict[Key, int], dict[int, list[Key]]]:
         """Split ``values`` into known pivots and fresh cracks.
 
         Caller holds the lock.  Returns ``(positions, by_piece)``:
@@ -349,9 +367,9 @@ class CrackerIndex:
         index.
         """
         pieces = self._pieces
-        positions: dict[float, int] = {}
-        fresh: list[float] = []
-        fresh_piece: dict[float, int] = {}
+        positions: dict[Key, int] = {}
+        fresh: list[Key] = []
+        fresh_piece: dict[Key, int] = {}
         for value in values:
             if value in positions:
                 continue
@@ -362,7 +380,7 @@ class CrackerIndex:
                 positions[value] = -1
                 fresh.append(value)
                 fresh_piece[value] = index
-        by_piece: dict[int, list[float]] = {}
+        by_piece: dict[int, list[Key]] = {}
         if fresh:
             fresh.sort()
             for value in fresh:
@@ -372,7 +390,7 @@ class CrackerIndex:
     @_synchronized
     def ensure_cuts(
         self,
-        values: list[float],
+        values: list[object],
         origin: CrackOrigin = CrackOrigin.TUNING,
     ) -> list[int]:
         """Crack at many values in one go (paper §3's batch question).
@@ -384,9 +402,11 @@ class CrackerIndex:
         sorted pieces take all their cuts via one vectorized
         ``np.searchsorted`` call.  Charges and tape records are
         identical to sequential :meth:`ensure_cut` calls.  Returns the
-        cut position of every requested value, in input order.
+        cut position of every requested value (normalised as there), in
+        input order.
         """
         pieces = self._pieces
+        values = [self._pivot_key(value) for value in values]
         positions, by_piece = self._locate_fresh(values)
         if by_piece:
             witness.mutation_check(
@@ -406,7 +426,7 @@ class CrackerIndex:
             # sequential processing.
             sweep = sorted(by_piece, reverse=True)
             batch_members: list[int] = []
-            batch_tasks: list[tuple[int, int, float]] = []
+            batch_tasks: list[tuple[int, int, Key]] = []
             for piece_index in sweep:
                 group = by_piece[piece_index]
                 if len(group) == 1 and not pieces.is_piece_sorted(
@@ -465,8 +485,8 @@ class CrackerIndex:
     def _cuts_in_sorted_piece(
         self,
         piece: Piece,
-        group: list[float],
-        positions: dict[float, int],
+        group: list[Key],
+        positions: dict[Key, int],
         origin: CrackOrigin,
     ) -> None:
         """All cuts of one sorted piece via a single vectorized search.
@@ -478,10 +498,7 @@ class CrackerIndex:
         remainder ``[previous_cut, end)``, so the i-th charge prices a
         search over that remainder, not the whole piece.
         """
-        offsets = exact_range_cuts(
-            self._array[piece.start : piece.end],
-            np.asarray(group, dtype=np.float64),
-        )
+        offsets = self._array[piece.start : piece.end].searchsorted(group)
         previous = piece.start
         for value, offset in zip(group, offsets):
             position = piece.start + int(offset)
@@ -502,27 +519,50 @@ class CrackerIndex:
     @_synchronized
     def select_range(
         self,
-        low: float,
-        high: float,
+        low: object,
+        high: object,
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> RangeView:
         """Answer ``low <= value < high``, refining the index on the way.
 
-        When both bounds fall in the same unsorted piece a single
-        crack-in-three pass handles them together (one pass instead of
-        two), exactly as MonetDB's select operator does.
-
-        A NaN bound answers empty and leaves the index untouched.
+        The bounds are normalised into the column's domain first
+        (:func:`~repro.storage.dtypes.normalise_range`: ``10.5`` on an
+        integer column is ``11``); a range no value can lie in answers
+        empty and leaves the index untouched.
 
         Raises:
             QueryError: if ``low > high``.
         """
-        if not low <= high:
-            if low > high:
-                raise QueryError(f"range inverted: low={low} > high={high}")
-            # A NaN bound: ``low <= v < high`` holds for no v, and NaN
-            # must never become a pivot -- no probe, no crack, no charge.
+        if low > high:  # type: ignore[operator]
+            raise QueryError(f"range inverted: low={low} > high={high}")
+        bounds = normalise_range(self._pieces.dtype, low, high)
+        if bounds is None:
             return RangeView(self._array, 0, 0, self._rowids)
+        return self.select_keys(*bounds, origin)
+
+    @_synchronized
+    def select_keys(
+        self,
+        low: Key,
+        high: Key,
+        origin: CrackOrigin = CrackOrigin.QUERY,
+    ) -> RangeView:
+        """:meth:`select_range` of a range already normalised into the
+        column's domain (``low < high``) -- what a session passes.
+
+        When both bounds fall in the same unsorted piece a single
+        crack-in-three pass handles them together (one pass instead of
+        two), exactly as MonetDB's select operator does.  A ``high``
+        past the column's top cuts at ``low`` only: the range runs to
+        the end of the column.
+        """
+        if high > self._largest:
+            return RangeView(
+                self._array,
+                self.ensure_cut(low, origin),
+                len(self._array),
+                self._rowids,
+            )
         pieces = self._pieces
         low_loc, high_loc = pieces.locate_pair(low, high)
         witness.mutation_check(
@@ -537,7 +577,6 @@ class CrackerIndex:
             and not low_pivot
             and not high_pivot
             and not low_sorted
-            and low < high
             and end > start
         ):
             self._charge_copy_if_needed()
@@ -574,14 +613,15 @@ class CrackerIndex:
     @_synchronized
     def begin_select_batch(
         self,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        bounds: list[tuple[Key, Key]],
         origin: CrackOrigin = CrackOrigin.QUERY,
     ):
         """Physically crack a whole window of range selects in one pass.
 
-        ``lows``/``highs`` are the aligned predicate bounds of the
-        window.  Every bound is cracked immediately -- grouped by
+        ``bounds`` are the window's ranges, normalised into the
+        column's domain (:func:`~repro.storage.dtypes.normalise_range`;
+        a window replays its empty ranges without the index).  Every
+        bound is cracked immediately -- grouped by
         piece, with one kernel pass per piece -- but **nothing is
         charged or logged**; the returned
         :class:`~repro.cracking.batch.CrackSelectBatch` replays the
@@ -596,7 +636,7 @@ class CrackerIndex:
         """
         from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
 
-        values = self._window_bounds(lows, highs)
+        values = self._window_bounds(bounds)
         # A fully-replayed previous window leaves its shadow map equal
         # to the real map; reuse it when nothing else has mutated the
         # map since (version check), saving the O(pieces) snapshot.
@@ -622,15 +662,15 @@ class CrackerIndex:
         copy_charged = self._copy_charged
         positions = self._crack_values_silent(values)
         context = CrackSelectBatch(
-            self, sim, positions, copy_charged, origin, len(lows)
+            self, sim, positions, copy_charged, origin, len(bounds)
         )
         self._replay_cache = (self._pieces.version, context)
         return context
 
     @_synchronized
     def crack_bounds_batch(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> dict[float, int]:
+        self, bounds: list[tuple[Key, Key]]
+    ) -> dict[Key, int]:
         """Silently crack a window's bounds; return every cut position.
 
         The re-entrant physical half of a cross-session serving window
@@ -647,7 +687,7 @@ class CrackerIndex:
         Raises:
             QueryError: if any range is inverted.
         """
-        values = self._window_bounds(lows, highs)
+        values = self._window_bounds(bounds)
         if len(values) == 0:
             return {}
         # A bound that is already a pivot answers from this one locate:
@@ -660,31 +700,27 @@ class CrackerIndex:
             positions.update(self._crack_values_silent(values))
         return positions
 
-    @staticmethod
-    def _window_bounds(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Every bound a window's physical pass must see cut, as one
-        float64 array.  Duplicates stay: ``locate_many`` tolerates
-        them, and a fully-warm window then skips the unique-sort (only
-        fresh values get deduped).
+    def _window_bounds(self, bounds: list[tuple[Key, Key]]) -> np.ndarray:
+        """Every bound a window's physical pass must see cut, in the
+        column's dtype.  A top is left out -- the end of the column is
+        no pivot -- and duplicates stay: ``locate_many`` tolerates them,
+        and a fully-warm window then skips the unique-sort (only fresh
+        values get deduped).
+
+        Raises:
+            QueryError: if a range is not ascending.
         """
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        ordered = lows <= highs
-        if not ordered.all():
-            inverted = lows > highs
-            if inverted.any():
-                slot = int(np.argmax(inverted))
-                raise QueryError(
-                    f"range inverted: low={lows[slot]} > high={highs[slot]}"
-                )
-            # The rest have a NaN bound: they answer empty and crack
-            # nothing, as in select_range.
-            lows, highs = lows[ordered], highs[ordered]
-        return np.concatenate([lows, highs])
+        values = [low for low, _ in bounds]
+        for low, high in bounds:
+            if not low < high:
+                raise QueryError(f"range inverted: low={low} > high={high}")
+            if high <= self._largest:
+                values.append(high)
+        return np.array(values, dtype=self._pieces.dtype)
 
     def _crack_values_silent(
         self, values: np.ndarray
-    ) -> dict[float, int]:
+    ) -> dict[Key, int]:
         """Crack at every fresh value with no clock/tape side effects.
 
         Caller holds the lock; ``values`` may repeat (the window's raw
@@ -701,7 +737,7 @@ class CrackerIndex:
         """
         pieces = self._pieces
         _, _, _, _, at_pivot = pieces.locate_many(values)
-        positions: dict[float, int] = {}
+        positions: dict[Key, int] = {}
         fresh_mask = ~at_pivot
         if not np.any(fresh_mask):
             return positions
@@ -729,15 +765,14 @@ class CrackerIndex:
         fresh_list = fresh_values.tolist()
         span_slots: list[int] = []
         span_pairs: list[bool] = []
-        span_tasks: list[tuple[int, int, float, float]] = []
+        span_tasks: list[tuple[int, int, Key, Key]] = []
         for g in range(len(group_bounds) - 1):
             lo, hi = group_bounds[g], group_bounds[g + 1]
             start, end = fresh_starts[lo], fresh_ends[lo]
             if fresh_sorted[lo]:
-                offsets = exact_range_cuts(
-                    self._array[start:end], fresh_values[lo:hi]
-                )
-                fresh_positions[lo:hi] = start + offsets
+                fresh_positions[lo:hi] = start + self._array[
+                    start:end
+                ].searchsorted(fresh_values[lo:hi])
             elif hi - lo == 1:
                 span_slots.append(lo)
                 span_pairs.append(False)
@@ -820,7 +855,9 @@ class CrackerIndex:
         stats = self.column.stats
         if stats.value_span <= 0:
             return None
-        value = float(rng.uniform(stats.min_value, stats.max_value))
+        value = self._pivot_key(
+            rng.uniform(stats.min_value, stats.max_value)
+        )
         location = self._pieces.locate(value)
         index, start, end, is_sorted, at_pivot = location
         if at_pivot:
@@ -850,7 +887,7 @@ class CrackerIndex:
         if piece is None or piece.size <= min_piece_size:
             return None
         offset = int(rng.integers(piece.start, piece.end))
-        value = float(self._array[offset])
+        value = self._array.item(offset)
         if self._pieces.has_pivot(value):
             return None
         return self.ensure_cut(value, origin)
@@ -903,7 +940,7 @@ class CrackerIndex:
                 rows,
                 dtype=np.int32 if rows <= _INT32_MAX else np.int64,
             )
-        self._pieces = PieceMap(rows)
+        self._pieces = PieceMap(rows, dtype=self._pieces.dtype)
         self._scratch = CrackScratch()
         self._replay_cache = None
         self._span_views = {}

@@ -30,8 +30,11 @@ property tests):
   ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf);
 * the sorted-flag column has exactly ``len(pivots) + 1`` entries.
 
-Pivots are stored as ``float64``; integer pivots beyond 2^53 would
-lose precision (query predicates are floats throughout this library).
+Pivots are stored in the column's own dtype and compared exactly:
+they are range bounds the session normalised into the column's domain
+(:func:`repro.storage.dtypes.normalise_range`), so an int64 pivot
+beyond 2^53 is the integer it was asked for.  The top of an integer
+dtype (``max + 1``, the end of the column) is never a pivot.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 
 from repro.errors import CrackerError
 from repro.cracking.piece import Piece
+from repro.storage.dtypes import Key
 
 _INITIAL_CAPACITY = 16
 
@@ -67,19 +71,24 @@ class PieceMap:
         "_version",
     )
 
-    def __init__(self, n: int, sorted_initially: bool = False) -> None:
+    def __init__(
+        self,
+        n: int,
+        sorted_initially: bool = False,
+        dtype: np.dtype = np.dtype(np.float64),
+    ) -> None:
         if n < 0:
             raise CrackerError(f"row count must be >= 0, got {n}")
         self._n = n
         self._k = 0  # number of cracks (pivots/cuts in use)
-        self._pivots = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._pivots = np.empty(_INITIAL_CAPACITY, dtype=dtype)
         self._cuts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._sorted = np.zeros(_INITIAL_CAPACITY + 1, dtype=bool)
         self._sorted[0] = sorted_initially
         self._cache_addresses()
         #: Key buffer of :meth:`locate_pair` (callers hold the index's
         #: monitor lock, so one per map suffices).
-        self._pair = np.empty(2, dtype=np.float64)
+        self._pair = np.empty(2, dtype=dtype)
         self._max_size = n
         self._max_count = 1
         self._max_dirty = False
@@ -102,12 +111,14 @@ class PieceMap:
         pivots: np.ndarray,
         cuts: np.ndarray,
         sorted_flags: np.ndarray,
+        dtype: np.dtype = np.dtype(np.float64),
     ) -> "PieceMap":
         """Rebuild a piece map from exported compact arrays (snapshots).
 
         ``pivots``/``cuts`` are the ``k`` crack boundaries and
         ``sorted_flags`` the ``k + 1`` per-piece flags, exactly as
-        :meth:`pivots`/:meth:`cuts`/:meth:`sorted_flags` export them.
+        :meth:`pivots`/:meth:`cuts`/:meth:`sorted_flags` export them,
+        with ``pivots`` in the map's ``dtype``.
         Buffers are reallocated with growth headroom, addresses
         recached, and the max-piece cache recomputed; the version
         counter restarts at 0 (it orders mutations within one process
@@ -116,7 +127,7 @@ class PieceMap:
         Raises:
             CrackerError: when the arrays violate the map invariants.
         """
-        pivots = np.asarray(pivots, dtype=np.float64)
+        pivots = np.asarray(pivots)
         cuts = np.asarray(cuts, dtype=np.int64)
         sorted_flags = np.asarray(sorted_flags, dtype=bool)
         k = len(pivots)
@@ -125,10 +136,10 @@ class PieceMap:
                 f"piece-map state misaligned: {k} pivots, {len(cuts)} "
                 f"cuts, {len(sorted_flags)} sorted flags"
             )
-        piece_map = cls(n)
+        piece_map = cls(n, dtype=dtype)
         capacity = max(_INITIAL_CAPACITY, k)
         piece_map._k = k
-        piece_map._pivots = np.empty(capacity, dtype=np.float64)
+        piece_map._pivots = np.empty(capacity, dtype=dtype)
         piece_map._pivots[:k] = pivots
         piece_map._cuts = np.empty(capacity, dtype=np.int64)
         piece_map._cuts[:k] = cuts
@@ -137,6 +148,8 @@ class PieceMap:
         piece_map._cache_addresses()
         piece_map._recompute_max()
         piece_map.check_invariants()
+        if not (piece_map._pivots[:k] == pivots).all():
+            raise CrackerError(f"pivots are not all {dtype} values")
         return piece_map
 
     # -- inspection ----------------------------------------------------
@@ -159,7 +172,12 @@ class PieceMap:
         change); lets callers cache derived views of the map."""
         return self._version
 
-    def pivots(self) -> list[float]:
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the pivots are stored (and compared) in."""
+        return self._pivots.dtype
+
+    def pivots(self) -> list[Key]:
         """The pivot values, in increasing order (copy)."""
         return self._pivots[: self._k].tolist()
 
@@ -185,15 +203,15 @@ class PieceMap:
             )
         start = int(self._cuts[index - 1]) if index > 0 else 0
         end = int(self._cuts[index]) if index < k else self._n
-        low = float(self._pivots[index - 1]) if index > 0 else -math.inf
-        high = float(self._pivots[index]) if index < k else math.inf
+        low = self._pivots.item(index - 1) if index > 0 else -math.inf
+        high = self._pivots.item(index) if index < k else math.inf
         return Piece(start, end, low, high, bool(self._sorted[index]))
 
     def _located(
-        self, i: int, value: float
+        self, i: int, value: Key
     ) -> tuple[int, int, int, bool, bool]:
-        """What :meth:`locate` reports for ``value`` (a ``float``) once
-        its binary search has answered ``i``; plain Python scalars."""
+        """What :meth:`locate` reports for ``value`` once its binary
+        search has answered ``i``; plain Python scalars."""
         cuts = self._cuts
         return (
             i,
@@ -204,7 +222,7 @@ class PieceMap:
         )
 
     def locate(
-        self, value: float
+        self, value: Key
     ) -> tuple[int, int, int, bool, bool]:
         """One-binary-search lookup of the piece containing ``value``.
 
@@ -215,14 +233,11 @@ class PieceMap:
         returned is then the one *at or right of* the pivot, whose
         ``start`` is exactly the pivot's cut position.
         """
-        # The float64 the search compares: an integer beyond 2^53 must
-        # not test unequal to the pivot it was searched as.
-        value = float(value)
         i = self._pivots[: self._k].searchsorted(value, side="right")
         return self._located(int(i), value)
 
     def locate_pair(
-        self, low: float, high: float
+        self, low: Key, high: Key
     ) -> tuple[
         tuple[int, int, int, bool, bool], tuple[int, int, int, bool, bool]
     ]:
@@ -232,8 +247,6 @@ class PieceMap:
         Not re-entrant: the two keys travel in a buffer the map owns,
         so callers serialise (the cracker index's monitor lock does).
         """
-        low = float(low)
-        high = float(high)
         keys = self._pair
         keys[0] = low
         keys[1] = high
@@ -255,7 +268,6 @@ class PieceMap:
         as in :meth:`locate`).
         """
         k = self._k
-        values = np.asarray(values, dtype=np.float64)
         indices = self._pivots[:k].searchsorted(values, side="right")
         if k:
             left = np.maximum(indices - 1, 0)
@@ -291,7 +303,6 @@ class PieceMap:
         if fresh == 0:
             return
         k = self._k
-        pivots = np.asarray(pivots, dtype=np.float64)
         positions = np.asarray(positions, dtype=np.int64)
         slots = self._pivots[:k].searchsorted(pivots, side="left")
         new_pivots = np.insert(self._pivots[:k], slots, pivots)
@@ -317,7 +328,7 @@ class PieceMap:
         capacity = self._pivots.size
         while capacity < total:
             capacity *= 2
-        pivot_buf = np.empty(capacity, dtype=np.float64)
+        pivot_buf = np.empty(capacity, dtype=self._pivots.dtype)
         cut_buf = np.empty(capacity, dtype=np.int64)
         flag_buf = np.zeros(capacity + 1, dtype=bool)
         pivot_buf[:total] = new_pivots
@@ -331,31 +342,28 @@ class PieceMap:
         self._max_dirty = True
         self._version += 1
 
-    def piece_index_for_value(self, value: float) -> int:
+    def piece_index_for_value(self, value: Key) -> int:
         """Index of the piece whose value interval contains ``value``."""
-        return int(
-            self._pivots[: self._k].searchsorted(value, side="right")
-        )
+        return self.locate(value)[0]
 
-    def piece_for_value(self, value: float) -> Piece:
+    def piece_for_value(self, value: Key) -> Piece:
         """The piece whose value interval contains ``value``."""
         return self.piece_at_index(self.piece_index_for_value(value))
 
-    def has_pivot(self, value: float) -> bool:
+    def has_pivot(self, value: Key) -> bool:
         """Whether ``value`` is already a crack boundary."""
-        i = int(self._pivots[: self._k].searchsorted(value, side="right"))
-        return i > 0 and self._pivots[i - 1] == value
+        return self.locate(value)[4]
 
-    def position_of_pivot(self, value: float) -> int:
+    def position_of_pivot(self, value: Key) -> int:
         """Cut position of an existing pivot.
 
         Raises:
             CrackerError: if ``value`` is not a pivot.
         """
-        i = int(self._pivots[: self._k].searchsorted(value, side="right"))
-        if i == 0 or self._pivots[i - 1] != value:
+        _, start, _, _, at_pivot = self.locate(value)
+        if not at_pivot:
             raise CrackerError(f"{value!r} is not a crack boundary")
-        return int(self._cuts[i - 1])
+        return start
 
     def pieces(self) -> Iterator[Piece]:
         """All pieces in order."""
@@ -429,7 +437,7 @@ class PieceMap:
 
     def _grow(self) -> None:
         capacity = 2 * self._pivots.size
-        pivots = np.empty(capacity, dtype=np.float64)
+        pivots = np.empty(capacity, dtype=self._pivots.dtype)
         cuts = np.empty(capacity, dtype=np.int64)
         flags = np.zeros(capacity + 1, dtype=bool)
         k = self._k
@@ -444,7 +452,7 @@ class PieceMap:
     def _insert_crack(
         self,
         i: int,
-        pivot: float,
+        pivot: Key,
         position: int,
         left_bound: int,
         right_bound: int,
@@ -494,7 +502,7 @@ class PieceMap:
         if self._max_count == 0:
             self._max_dirty = True
 
-    def add_crack(self, pivot: float, position: int) -> None:
+    def add_crack(self, pivot: Key, position: int) -> None:
         """Record that the column was cracked at ``pivot``/``position``.
 
         Splits the containing piece; both halves inherit its sorted
@@ -506,12 +514,12 @@ class PieceMap:
                 violates the piece-ordering invariants.
         """
         k = self._k
-        i = int(np.searchsorted(self._pivots[:k], pivot, side="left"))  # repro: allow[dtype-promotion] -- the pivot ledger is float64 by construction; no int64 haystack here
+        i = int(self._pivots[:k].searchsorted(pivot, side="left"))
         if i < k and self._pivots[i] == pivot:
             raise CrackerError(f"pivot {pivot!r} already recorded")
         self.add_crack_at(i, pivot, position)
 
-    def add_crack_at(self, i: int, pivot: float, position: int) -> None:
+    def add_crack_at(self, i: int, pivot: Key, position: int) -> None:
         """Record a crack whose insertion slot ``i`` is already known.
 
         The fast path for callers that just called :meth:`locate` (the
@@ -519,12 +527,13 @@ class PieceMap:
         skipping the second binary search of :meth:`add_crack`.
 
         Raises:
-            CrackerError: if the pivot (NaN included) or position
-                violates the piece-ordering invariants.
+            CrackerError: if the pivot is not a value of the map's
+                dtype (a fraction on an integer map, NaN), or it or the
+                position violates the piece-ordering invariants.
         """
         k = self._k
         if (
-            pivot != pivot  # NaN orders with nothing
+            self._pivots.dtype.type(pivot) != pivot
             or (i > 0 and self._pivots[i - 1] >= pivot)
             or (i < k and pivot >= self._pivots[i])
         ):

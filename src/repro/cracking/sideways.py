@@ -24,6 +24,7 @@ from repro.errors import CrackerError, QueryError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock, SimClock
 from repro.storage.column import Column
+from repro.storage.dtypes import Key, largest, normalise_range
 from repro.storage.table import Table
 from repro.storage.views import RangeView
 
@@ -31,43 +32,40 @@ from repro.storage.views import RangeView
 class _MapPair:
     """One cracker map: head values aligned with one tail column."""
 
-    __slots__ = ("head", "tail", "pieces")
+    __slots__ = ("head", "tail", "pieces", "largest")
 
     def __init__(self, head: np.ndarray, tail: np.ndarray) -> None:
         self.head = head
         self.tail = tail
-        self.pieces = PieceMap(len(head))
+        self.pieces = PieceMap(len(head), dtype=head.dtype)
+        #: Bounds above this run to the end of the map.
+        self.largest = largest(head.dtype)
 
-    def ensure_cut(self, value: float) -> tuple[int, CostCharge]:
-        if self.pieces.has_pivot(value):
-            charge = CostCharge.for_binary_search(
-                self.pieces.piece_count
-            )
-            return self.pieces.position_of_pivot(value), charge
-        piece = self.pieces.piece_for_value(value)
+    def ensure_cut(self, value: Key) -> tuple[int, CostCharge]:
+        _, start, end, _, at_pivot = self.pieces.locate(value)
+        if at_pivot:
+            charge = CostCharge.for_binary_search(self.pieces.piece_count)
+            return start, charge
         position, charge = crack_in_two(
-            self.head, piece.start, piece.end, value, self.tail
+            self.head, start, end, value, self.tail
         )
         self.pieces.add_crack(value, position)
         return position, charge
 
-    def select(
-        self, low: float, high: float
-    ) -> tuple[int, int, CostCharge]:
-        low_index = self.pieces.piece_index_for_value(low)
-        high_index = self.pieces.piece_index_for_value(high)
-        fresh_bounds = not (
-            self.pieces.has_pivot(low) or self.pieces.has_pivot(high)
-        )
-        piece = self.pieces.piece_at_index(low_index)
+    def select(self, low: Key, high: Key) -> tuple[int, int, CostCharge]:
+        """Cut positions of a normalised range (``low < high``)."""
+        if high > self.largest:
+            pos_low, charge = self.ensure_cut(low)
+            return pos_low, len(self.head), charge
+        low_loc, high_loc = self.pieces.locate_pair(low, high)
+        low_index, start, end, _, low_pivot = low_loc
         if (
-            low_index == high_index
-            and fresh_bounds
-            and low < high
-            and piece.size > 0
+            low_index == high_loc[0]
+            and not (low_pivot or high_loc[4])
+            and end > start
         ):
             pos_low, pos_high, charge = crack_in_three(
-                self.head, piece.start, piece.end, low, high, self.tail
+                self.head, start, end, low, high, self.tail
             )
             self.pieces.add_crack(low, pos_low)
             self.pieces.add_crack(high, pos_high)
@@ -130,8 +128,27 @@ class SidewaysCrackerIndex:
             )
         return pair
 
+    def _select(
+        self, low: object, high: object, tail: str
+    ) -> tuple[_MapPair, int, int]:
+        """The ``tail`` map and the cut positions of ``low <= head <
+        high``, its bounds normalised into the head's domain first.
+
+        Raises:
+            QueryError: if ``low > high``.
+        """
+        if low > high:  # type: ignore[operator]
+            raise QueryError(f"range inverted: low={low} > high={high}")
+        pair = self.map_for(tail)
+        bounds = normalise_range(pair.head.dtype, low, high)
+        if bounds is None:
+            return pair, 0, 0
+        pos_low, pos_high, charge = pair.select(*bounds)
+        self.clock.charge(charge)
+        return pair, pos_low, pos_high
+
     def select_project(
-        self, low: float, high: float, tail: str
+        self, low: object, high: object, tail: str
     ) -> RangeView:
         """``SELECT tail FROM t WHERE low <= head < high``.
 
@@ -141,20 +158,12 @@ class SidewaysCrackerIndex:
         Raises:
             QueryError: if ``low > high``.
         """
-        if low > high:
-            raise QueryError(f"range inverted: low={low} > high={high}")
-        pair = self.map_for(tail)
-        pos_low, pos_high, charge = pair.select(low, high)
-        self.clock.charge(charge)
+        pair, pos_low, pos_high = self._select(low, high, tail)
         return RangeView(pair.tail, pos_low, pos_high)
 
-    def select_head(self, low: float, high: float, tail: str) -> RangeView:
+    def select_head(self, low: object, high: object, tail: str) -> RangeView:
         """The qualifying *head* values from the ``tail`` map."""
-        if low > high:
-            raise QueryError(f"range inverted: low={low} > high={high}")
-        pair = self.map_for(tail)
-        pos_low, pos_high, charge = pair.select(low, high)
-        self.clock.charge(charge)
+        pair, pos_low, pos_high = self._select(low, high, tail)
         return RangeView(pair.head, pos_low, pos_high)
 
     def check_invariants(self) -> None:

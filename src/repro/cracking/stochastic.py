@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin, Piece
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
+from repro.storage.dtypes import Key
 from repro.storage.views import MaterializedResult, SelectionResult
 
 _VARIANTS = ("ddc", "ddr", "mdd1r")
@@ -69,14 +70,14 @@ class StochasticCrackerIndex(CrackerIndex):
 
     # -- helpers ---------------------------------------------------------
 
-    def _clamped_bounds(self, piece: Piece) -> tuple[float, float]:
+    def _clamped_bounds(self, piece: Piece) -> tuple[Key, Key]:
         """Piece value bounds with infinities clamped to column stats."""
         stats = self.column.stats
         low = piece.low if piece.low != -math.inf else stats.min_value
         high = piece.high if piece.high != math.inf else stats.max_value
         return low, high
 
-    def _shrink_piece_around(self, value: float) -> None:
+    def _shrink_piece_around(self, value: Key) -> None:
         """Recursively crack the piece containing ``value`` until small."""
         guard = 0
         while guard < 64:
@@ -87,39 +88,31 @@ class StochasticCrackerIndex(CrackerIndex):
             low, high = self._clamped_bounds(piece)
             if high <= low:
                 return
-            if self.variant == "ddc":
-                pivot = (low + high) / 2.0
-            else:
-                pivot = float(self._rng.uniform(low, high))
+            pivot = self._pivot_key(
+                (low + high) / 2.0
+                if self.variant == "ddc"
+                else self._rng.uniform(low, high)
+            )
             if self.piece_map.has_pivot(pivot) or not (low < pivot < high):
                 return
             self.ensure_cut(pivot, CrackOrigin.TUNING)
 
     # -- select ----------------------------------------------------------
 
-    def select_range(
+    def select_keys(
         self,
-        low: float,
-        high: float,
+        low: Key,
+        high: Key,
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> SelectionResult:
-        """Stochastic select; semantics match the plain index.
-
-        Raises:
-            QueryError: if ``low > high``.
-        """
-        if low > high:
-            raise QueryError(f"range inverted: low={low} > high={high}")
-        if low != low or high != high:
-            # A NaN bound answers empty; no auxiliary crack either.
-            return super().select_range(low, high, origin)
+        """Stochastic select; semantics match the plain index."""
         if self.variant == "mdd1r":
             return self._select_mdd1r(low, high)
         self._shrink_piece_around(low)
         self._shrink_piece_around(high)
-        return super().select_range(low, high, origin)
+        return super().select_keys(low, high, origin)
 
-    def _select_mdd1r(self, low: float, high: float) -> SelectionResult:
+    def _select_mdd1r(self, low: Key, high: Key) -> SelectionResult:
         """MDD1R: one random crack per touched piece, filtered result."""
         first = self.piece_map.piece_index_for_value(low)
         last = self.piece_map.piece_index_for_value(high)
@@ -154,7 +147,7 @@ class StochasticCrackerIndex(CrackerIndex):
             if piece.size > self.stop_piece_size and not piece.is_sorted:
                 piece_low, piece_high = self._clamped_bounds(piece)
                 if piece_high > piece_low:
-                    pivot = float(
+                    pivot = self._pivot_key(
                         self._rng.uniform(piece_low, piece_high)
                     )
                     if not self.piece_map.has_pivot(pivot):

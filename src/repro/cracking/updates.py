@@ -17,6 +17,7 @@ from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
 from repro.errors import CrackerError
 from repro.simtime.charge import CostCharge
+from repro.storage.dtypes import Key
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import RangeView
 
@@ -43,7 +44,7 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
     if len(values) == 0:
         return 0
     pieces = index.piece_map
-    pivots = np.asarray(pieces.pivots(), dtype=np.float64)
+    pivots = np.asarray(pieces.pivots(), dtype=pieces.dtype)
     destinations = np.searchsorted(pivots, values, side="right")
     counts = np.bincount(destinations, minlength=pieces.piece_count)
 
@@ -71,7 +72,7 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
     index.tape.record(
         index.clock.now(),
         CrackOrigin.MERGE,
-        float(values[0]),
+        values.item(0),
         0,
         len(values),
     )
@@ -100,7 +101,7 @@ def merge_deletes(index: CrackerIndex, values: np.ndarray) -> int:
     if len(values) == 0:
         return 0
     pieces = index.piece_map
-    pivots = np.asarray(pieces.pivots(), dtype=np.float64)
+    pivots = np.asarray(pieces.pivots(), dtype=pieces.dtype)
     destinations = np.searchsorted(pivots, values, side="right")
 
     segments: list[np.ndarray] = []
@@ -137,7 +138,7 @@ def merge_deletes(index: CrackerIndex, values: np.ndarray) -> int:
     index.tape.record(
         index.clock.now(),
         CrackOrigin.MERGE,
-        float(values[0]),
+        values.item(0),
         0,
         removed_total,
     )
@@ -162,10 +163,10 @@ class MaintainedCrackerIndex(CrackerIndex):
         super().__init__(column, **kwargs)
         self._pending = pending
 
-    def select_range(
+    def select_keys(
         self,
-        low: float,
-        high: float,
+        low: Key,
+        high: Key,
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> RangeView:
         """Merge pending updates overlapping the range, then select."""
@@ -175,4 +176,4 @@ class MaintainedCrackerIndex(CrackerIndex):
         deletes = self._pending.take_deletes_in_range(low, high)
         if len(deletes):
             merge_deletes(self, deletes)
-        return super().select_range(low, high, origin)
+        return super().select_keys(low, high, origin)

@@ -13,11 +13,8 @@ import numpy as np
 
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock
-from repro.storage.updates import (
-    PendingUpdates,
-    cuts_at_keys,
-    exact_search_keys,
-)
+from repro.storage.dtypes import Key, largest
+from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
     PendingOverlay,
     PositionsView,
@@ -27,16 +24,15 @@ from repro.storage.views import (
 
 def scan_select(
     values: np.ndarray,
-    low: float,
-    high: float,
+    low: Key,
+    high: Key,
     clock: Clock,
 ) -> PositionsView:
     """Full-column predicate scan; returns qualifying positions.
 
-    A NaN bound qualifies no row, so none is read (or charged).
+    ``low``/``high`` are keys in the column's domain: numpy compares a
+    Python int with the column exactly, a top included.
     """
-    if low != low or high != high:
-        return PositionsView(values, np.empty(0, dtype=np.intp))
     mask = (values >= low) & (values < high)
     positions = np.flatnonzero(mask)
     clock.charge(
@@ -58,8 +54,8 @@ def project(result: SelectionResult, clock: Clock) -> np.ndarray:
 def apply_pending(
     result: SelectionResult,
     pending: PendingUpdates,
-    low: float,
-    high: float,
+    low: Key,
+    high: Key,
     clock: Clock,
 ) -> SelectionResult:
     """Correct ``result`` for pending inserts/deletes in ``[low, high)``.
@@ -83,12 +79,12 @@ class PendingWindow:
     """One column's pending-update consultation for a query window.
 
     Sequential execution probes each delta store once per query
-    (:meth:`PendingUpdates.in_range`); a window normalises all its
-    bounds, lows and highs together, to exact search keys once, probes
-    each store once with them (two vectorized ``searchsorted`` calls a
-    window) and hands each query its ready-made slices.  Charges are
-    emitted per query through :meth:`apply` and are identical to
-    sequential :func:`apply_pending` calls.
+    (:meth:`PendingUpdates.in_range`); a window probes each store once
+    with all its normalised bounds, lows and highs together (two
+    vectorized ``searchsorted`` calls a window), and hands each query
+    its ready-made slices.  Charges are emitted per query through
+    :meth:`apply` and are identical to sequential
+    :func:`apply_pending` calls.
     """
 
     __slots__ = (
@@ -106,9 +102,10 @@ class PendingWindow:
     def __init__(
         self,
         pending: PendingUpdates,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        bounds: list[tuple[Key, Key] | None],
     ) -> None:
+        """``bounds`` are a column window's normalised ranges
+        (:attr:`~repro.engine.plan.ColumnWindow.bounds`)."""
         self._verified = pending.verifies_deletes
         #: Whether this column has any pending entries to consult.
         self.active = pending.has_pending()
@@ -118,30 +115,22 @@ class PendingWindow:
         deletes = pending.deleted_values
         self._inserts = inserts
         self._deletes = deletes
-        lows, highs = np.asarray(lows), np.asarray(highs)
-        if lows.dtype != highs.dtype:
-            # Joined as they are, numpy would round an integer bound
-            # beyond 2^53 into the other side's floats.
-            lows, highs = lows.astype(object), highs.astype(object)
-        bounds = np.concatenate([lows, highs])
-        # Exact keys, not raw searchsorted: integer stores need int64
-        # keys so the window agrees with the sequential path at float
-        # bounds beyond 2^53.  Both stores hold the column's dtype, so
-        # the keys serve both.
-        keys, above = exact_search_keys(inserts.dtype, bounds)
-        ins_cuts = cuts_at_keys(inserts, keys, above)
-        del_cuts = cuts_at_keys(deletes, keys, above)
-        size = len(lows)
-        if above is not None:
-            # A NaN bound is among those: it maps to len(store) ("first
-            # element >= NaN"), which is correct as a low cut but would
-            # select the whole tail as a high cut; low <= v < high is
-            # false for every v when either bound is NaN, so such slots
-            # get empty slices.
-            nan = np.isnan(bounds.astype(np.float64))
-            nan_slots = nan[:size] | nan[size:]
-            for cuts in (ins_cuts, del_cuts):
-                cuts[size:][nan_slots] = cuts[:size][nan_slots]
+        # An empty range probes as [0, 0); a top probes as the largest
+        # value and then takes the whole tail.
+        top = largest(inserts.dtype)
+        pairs = [(0, 0) if pair is None else pair for pair in bounds]
+        ends = [slot for slot, pair in enumerate(pairs) if pair[1] > top]
+        keys = np.array(
+            [low for low, _ in pairs]
+            + [min(high, top) for _, high in pairs],
+            dtype=inserts.dtype,
+        )
+        ins_cuts = inserts.searchsorted(keys)
+        del_cuts = deletes.searchsorted(keys)
+        size = len(pairs)
+        for slot in ends:
+            ins_cuts[size + slot] = len(inserts)
+            del_cuts[size + slot] = len(deletes)
         # A cut only grows with its bound, so a slot's two slices are
         # both forward or both backward (empty): the summed lengths are
         # positive iff either store has an entry in range.
@@ -193,7 +182,7 @@ def pending_slots(
         pending = catalog.table(window.ref.table).updates_for(
             window.ref.column
         )
-        consulted = PendingWindow(pending, window.lows, window.highs)
+        consulted = PendingWindow(pending, window.bounds)
         if consulted.active:
             overlaps = consulted.overlapping_slots()
             for slot, i in enumerate(window.indices):

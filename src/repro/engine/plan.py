@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
 from repro.engine.query import RangeQuery
 from repro.simtime.model import CostModel
-from repro.storage.catalog import ColumnRef
+from repro.storage.catalog import Catalog, ColumnRef
+from repro.storage.dtypes import Key, normalise_ranges
 
 
 class AccessPath(Enum):
@@ -52,29 +51,33 @@ class ColumnWindow:
 
     The group plan of ISSUE 4: a window of range queries is planned
     once per column -- ``indices`` are the window slots (positions in
-    the original query list, in order) and ``lows``/``highs`` the
-    predicate bounds aligned with them, ready for vectorized
-    consumption (shared cracking passes, batched pending-update
-    probes).
+    the original query list, in order) and ``bounds`` each query's
+    range normalised into the column's domain
+    (:func:`~repro.storage.dtypes.normalise_range`; ``None`` for a
+    range no value can lie in), ready for the shared cracking pass and
+    the batched pending-update probes.
     """
 
     ref: ColumnRef
     indices: list[int]
-    lows: np.ndarray
-    highs: np.ndarray
+    bounds: list[tuple[Key, Key] | None]
 
     @property
-    def query_count(self) -> int:
-        return len(self.indices)
+    def ranges(self) -> list[tuple[Key, Key]]:
+        """The window's non-empty ranges, in window order."""
+        return [bounds for bounds in self.bounds if bounds is not None]
 
 
-def group_by_column(queries: Sequence[RangeQuery]) -> list[ColumnWindow]:
+def group_by_column(
+    queries: Sequence[RangeQuery], catalog: Catalog
+) -> list[ColumnWindow]:
     """Group a query window by column, preserving window order.
 
     Returns one :class:`ColumnWindow` per distinct column, in order of
     first appearance; each window's entries keep their original
     relative order, so per-column replays interleave back into the
-    sequential execution order exactly.
+    sequential execution order exactly.  Every column is resolved in
+    ``catalog`` here, so an unknown one fails before anything cracks.
     """
     # Keyed by the raw (table, column) pair: hashing the tuple of
     # interned strings skips the generated ColumnRef.__hash__ frame on
@@ -93,8 +96,7 @@ def group_by_column(queries: Sequence[RangeQuery]) -> list[ColumnWindow]:
         ColumnWindow(
             ref,
             indices,
-            np.array(lows, dtype=np.float64),
-            np.array(highs, dtype=np.float64),
+            normalise_ranges(catalog.column(ref).values.dtype, lows, highs),
         )
         for ref, indices, lows, highs in grouped.values()
     ]

@@ -20,11 +20,19 @@ from repro.storage.column import ColumnStats
 
 @dataclass(frozen=True, slots=True)
 class RangeQuery:
-    """A half-open range select ``low <= value < high`` on one column."""
+    """A half-open range select ``low <= value < high`` on one column.
+
+    The bounds are any Python or numpy numbers, compared with the
+    column's values exactly: the session normalises them into the
+    column's own domain once, when it resolves the column
+    (:func:`~repro.storage.dtypes.normalise_range`), so ``10.5`` on an
+    integer column means ``11`` and an int64 bound beyond 2^53 is the
+    integer it names.  A NaN bound selects nothing.
+    """
 
     ref: ColumnRef
-    low: float
-    high: float
+    low: int | float
+    high: int | float
 
     def __post_init__(self) -> None:
         if self.low > self.high:

@@ -38,6 +38,7 @@ from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
+from repro.storage.dtypes import normalise_range
 from repro.storage.views import SelectionResult
 
 
@@ -141,15 +142,24 @@ class Session:
         return self.run_query(query)
 
     def run_query(self, query: RangeQuery) -> SelectionResult:
+        """Answer one range query, normalising its bounds once, here,
+        where its column is resolved."""
         started = self.clock.now()
         self.clock.charge(CostCharge(queries=1))
-        result = self.strategy.select(query)
-        pending = self.db.catalog.table(query.ref.table).updates_for(
-            query.ref.column
+        ref = query.ref
+        table = self.db.catalog.table(ref.table)
+        bounds = normalise_range(
+            table.column(ref.column).ctype.numpy_dtype, query.low, query.high
         )
-        result = apply_pending(
-            result, pending, query.low, query.high, self.clock
-        )
+        if bounds is None:
+            result = self.strategy.select_empty(query)
+        else:
+            result = apply_pending(
+                self.strategy.select_keys(query, *bounds),
+                table.updates_for(ref.column),
+                *bounds,
+                self.clock,
+            )
         finished = self.clock.now()
         wait = self._pending_wait_s
         self._pending_wait_s = 0.0
@@ -175,8 +185,8 @@ class Session:
         """Answer a window of range queries with shared work.
 
         The window is grouped by column and planned once per group;
-        strategies that support it (scan, standard adaptive cracking,
-        the holistic kernel) execute each group's physical work in one
+        strategies that support it (standard adaptive cracking, the
+        holistic kernel) execute each group's physical work in one
         batched pass and *replay* the per-query accounting through
         :meth:`run_window`, so every query still gets its own
         :class:`QueryRecord` and the results, response times,
@@ -189,14 +199,12 @@ class Session:
         queries = list(queries)
         if not queries:
             return []
-        windows = group_by_column(queries)
-        # Resolve every window's column BEFORE the strategy's physical
+        # Resolves every window's column BEFORE the strategy's physical
         # pass: an unknown table/column must fail here, while nothing
         # has been cracked yet, or the already-processed columns would
         # carry silent (uncharged, unlogged) cracks and break
         # batch==sequential equivalence for the rest of the session.
-        for window in windows:
-            self.db.catalog.column(window.ref)
+        windows = group_by_column(queries, self.db.catalog)
         clock = self.clock
         execution = None
         if isinstance(clock, SimClock) and not clock.in_parallel:

@@ -14,8 +14,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from repro.cracking.index import CrackerIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
 from repro.engine.operators import scan_select
@@ -29,8 +27,8 @@ from repro.online.colt import ColtConfig, ColtTuner
 from repro.online.epoch import EpochManager
 from repro.online.monitor import WorkloadMonitor
 from repro.storage.database import Database
-from repro.storage.updates import exact_range_cuts
-from repro.storage.views import PositionsView, SelectionResult
+from repro.storage.dtypes import Key, normalise_range
+from repro.storage.views import MaterializedResult, SelectionResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +98,29 @@ class IndexingStrategy(ABC):
         self.db = db
         self.clock = db.clock
 
-    @abstractmethod
     def select(self, query: RangeQuery) -> SelectionResult:
-        """Answer one range query (refining indexes if applicable)."""
+        """Answer one range query given with raw bounds (refining
+        indexes if applicable); the session normalises them itself, once,
+        and calls :meth:`select_keys` or :meth:`select_empty`."""
+        column = self.db.catalog.column(query.ref)
+        bounds = normalise_range(column.values.dtype, query.low, query.high)
+        if bounds is None:
+            return self.select_empty(query)
+        return self.select_keys(query, *bounds)
+
+    @abstractmethod
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
+        """Answer ``query`` over its non-empty range normalised to
+        ``[low, high)`` (:func:`~repro.storage.dtypes.normalise_range`),
+        refining indexes if applicable."""
+
+    def select_empty(self, query: RangeQuery) -> SelectionResult:
+        """Answer ``query``, whose range holds no storable value: no
+        probe, no crack, no charge -- only the bookkeeping a strategy
+        keeps for every query (none here)."""
+        return MaterializedResult(self.db.catalog.column(query.ref).values[:0])
 
     def begin_batch(
         self,
@@ -138,96 +156,53 @@ class IndexingStrategy(ABC):
         return IdleOutcome(note="idle time not exploitable")
 
 
-class _ScanBatchExecution:
-    """Shared scan pass: one sorted projection answers every predicate.
-
-    Sequential scanning compares every element against every query; a
-    window shares one sorted projection of the column (cached on the
-    strategy across windows -- base columns are immutable) and answers
-    each predicate with two binary searches.  Positions come back
-    ascending, exactly like the sequential ``flatnonzero`` mask, and
-    each replay emits the sequential scan charge verbatim.
-    """
-
-    __slots__ = ("_acc", "_contexts")
-
-    def __init__(
-        self,
-        strategy: "ScanStrategy",
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> None:
-        self._acc = None
-        self._contexts: list[tuple] = [None] * len(queries)
-        for window in windows:
-            column = strategy.db.catalog.column(window.ref)
-            values, order, sorted_values = strategy._sorted_projection(
-                window.ref, column
-            )
-            lo = exact_range_cuts(sorted_values, window.lows)
-            hi = exact_range_cuts(sorted_values, window.highs)
-            for slot, i in enumerate(window.indices):
-                self._contexts[i] = (values, order, int(lo[slot]), int(hi[slot]))
-
-    def bind(self, accountant) -> None:
-        self._acc = accountant
-
-    def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        values, order, lo, hi = self._contexts[slot]
-        if query.low != query.low or query.high != query.high:
-            # A NaN bound: sequential scan_select reads no row for it.
-            self._acc.charge_query()
-            return PositionsView(values, order[:0])
-        positions = np.sort(order[lo:hi])
-        self._acc.charge_scan_query(len(values), len(positions))
-        return PositionsView(values, positions)
-
-    def finish(self) -> None:
-        return None
-
-
 def crack_windows(
     index_for, windows: list[ColumnWindow], count: int
 ) -> list:
     """One session window's physical passes, one per column.
 
-    Returns, per slot of the ``count``-query window, the
-    :meth:`CrackerIndex.begin_select_batch` replay context of its
-    column's index (``index_for(ref)``) -- the contexts a cracker
-    :class:`BatchExecution` is built from.
+    Returns, per slot of the ``count``-query window, its column's
+    :meth:`CrackerIndex.begin_select_batch` replay context (of index
+    ``index_for(ref)``) and the slot's normalised bounds -- the slots a
+    cracker :class:`BatchExecution` is built from.
     """
-    contexts: list = [None] * count
+    slots: list = [None] * count
     for window in windows:
-        context = index_for(window.ref).begin_select_batch(
-            window.lows, window.highs
-        )
-        for i in window.indices:
-            contexts[i] = context
-    return contexts
+        context = index_for(window.ref).begin_select_batch(window.ranges)
+        for i, bounds in zip(window.indices, window.bounds):
+            slots[i] = (context, bounds)
+    return slots
 
 
 class CrackerBatchExecution:
     """Shared cracking for a window over plain cracker indexes.
 
-    Built from one crack replay context per query -- a
-    :meth:`CrackerIndex.begin_select_batch` context for one session's
-    window (see :func:`crack_windows`), or a served client's
-    :class:`~repro.cracking.batch.DetachedCrackReplay` -- each query's
-    replay emitting the sequential charge/tape stream on its column's
-    context (see :mod:`repro.cracking.batch`).
+    Built from one ``(crack replay context, normalised bounds)`` pair
+    per query -- a :meth:`CrackerIndex.begin_select_batch` context for
+    one session's window (see :func:`crack_windows`), or a served
+    client's :class:`~repro.cracking.batch.DetachedCrackReplay` -- each
+    query's replay emitting the sequential charge/tape stream on its
+    column's context (see :mod:`repro.cracking.batch`).
     """
 
-    __slots__ = ("_contexts",)
+    __slots__ = ("_slots", "_acc")
 
-    def __init__(self, contexts: list) -> None:
-        self._contexts = contexts
+    def __init__(self, slots: list) -> None:
+        self._slots = slots
+        self._acc = None
 
     def bind(self, accountant) -> None:
-        for context in dict.fromkeys(self._contexts):
+        self._acc = accountant
+        for context in dict.fromkeys(context for context, _ in self._slots):
             context.bind(accountant)
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        return self._contexts[slot].replay_query(query.low, query.high)
+        context, bounds = self._slots[slot]
+        if bounds is None:
+            # An empty range: the per-query overhead alone.
+            self._acc.charge_query()
+            return context.empty()
+        return context.replay_query(*bounds)
 
     def finish(self) -> None:
         return None
@@ -238,33 +213,11 @@ class ScanStrategy(IndexingStrategy):
 
     name = "scan"
 
-    def __init__(self, db: Database) -> None:
-        super().__init__(db)
-        # ref -> (values array, argsort order, sorted values); rebuilt
-        # when a column's value array is replaced (arrays themselves
-        # are immutable -- Column marks them read-only).
-        self._projections: dict[object, tuple] = {}
-
-    def select(self, query: RangeQuery) -> SelectionResult:
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
         column = self.db.catalog.column(query.ref)
-        return scan_select(column.values, query.low, query.high, self.clock)
-
-    def _sorted_projection(self, ref, column) -> tuple:
-        cached = self._projections.get(ref)
-        if cached is not None and cached[0] is column.values:
-            return cached
-        values = column.values
-        order = np.argsort(values, kind="stable")
-        projection = (values, order, values[order])
-        self._projections[ref] = projection
-        return projection
-
-    def begin_batch(
-        self,
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> BatchExecution | None:
-        return _ScanBatchExecution(self, queries, windows)
+        return scan_select(column.values, low, high, self.clock)
 
     def features(self) -> StrategyFeatures:
         return StrategyFeatures(
@@ -345,10 +298,10 @@ class AdaptiveStrategy(IndexingStrategy):
             self.indexes[ref] = index
         return index
 
-    def select(self, query: RangeQuery) -> SelectionResult:
-        return self.index_for(query.ref).select_range(
-            query.low, query.high
-        )
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
+        return self.index_for(query.ref).select_keys(low, high)
 
     def begin_batch(
         self,
@@ -367,11 +320,11 @@ class AdaptiveStrategy(IndexingStrategy):
             crack_windows(self.index_for, windows, len(queries))
         )
 
-    def batch_execution(self, contexts: list) -> BatchExecution:
+    def batch_execution(self, slots: list) -> BatchExecution:
         """The window execution replaying query ``i`` of a window on
-        ``contexts[i]``, its column's crack replay context (see
-        :class:`CrackerBatchExecution`)."""
-        return CrackerBatchExecution(contexts)
+        ``slots[i]``, its column's crack replay context and its
+        normalised bounds (see :class:`CrackerBatchExecution`)."""
+        return CrackerBatchExecution(slots)
 
     def access_path(self, query: RangeQuery) -> AccessPath:
         return AccessPath.CRACKER
@@ -461,12 +414,14 @@ class OfflineStrategy(IndexingStrategy):
             ),
         )
 
-    def select(self, query: RangeQuery) -> SelectionResult:
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
         index = self.builder.index_for(query.ref)
         if index is not None:
-            return index.select_range(query.low, query.high)
+            return index.select_range(low, high)
         column = self.db.catalog.column(query.ref)
-        return scan_select(column.values, query.low, query.high, self.clock)
+        return scan_select(column.values, low, high, self.clock)
 
     def access_path(self, query: RangeQuery) -> AccessPath:
         if self.builder.index_for(query.ref) is not None:
@@ -510,23 +465,29 @@ class OnlineStrategy(IndexingStrategy):
         self.colt = ColtTuner(self.monitor, self.optimizer, self.builder, config)
         self.epochs.on_epoch(self.colt.reevaluate)
 
-    def select(self, query: RangeQuery) -> SelectionResult:
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
         now = self.clock.now()
         self.monitor.record(query.ref, query.low, query.high, now)
         index = self.colt.index_for(query.ref)
         if index is not None:
             self.colt.note_index_use(query.ref)
-            result = index.select_range(query.low, query.high)
+            result = index.select_range(low, high)
         else:
             column = self.db.catalog.column(query.ref)
-            result = scan_select(
-                column.values, query.low, query.high, self.clock
-            )
+            result = scan_select(column.values, low, high, self.clock)
         # Epoch bookkeeping happens inside the query window: inline
         # builds delay the triggering query -- the online-indexing
         # penalty the paper describes.
         self.epochs.observe_query(self.clock.now())
         return result
+
+    def select_empty(self, query: RangeQuery) -> SelectionResult:
+        now = self.clock.now()
+        self.monitor.record(query.ref, query.low, query.high, now)
+        self.epochs.observe_query(now)
+        return super().select_empty(query)
 
     def exploit_idle(
         self,

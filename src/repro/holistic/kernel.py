@@ -41,6 +41,7 @@ from repro.offline.whatif import WorkloadStatement
 from repro.online.monitor import WorkloadMonitor
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
+from repro.storage.dtypes import Key
 from repro.storage.views import SelectionResult
 
 
@@ -219,20 +220,37 @@ class HolisticKernel(IndexingStrategy):
         self._hints = list(statements)
 
     def select(self, query: RangeQuery) -> SelectionResult:
+        # Not inherited: perfbench/layers.py wraps HolisticKernel.select
+        # by name.
+        return super().select(query)
+
+    def select_keys(
+        self, query: RangeQuery, low: Key, high: Key
+    ) -> SelectionResult:
+        index = self.index_for(query.ref)
         self.monitor.record(
             query.ref, query.low, query.high, self.clock.now()
         )
-        index = self.index_for(query.ref)
+        self.ranking.note_query(query.ref)
         if self.worker_pool is not None and self.worker_pool.is_running:
             # Workers are racing us: take piece latches for the pieces
             # this select may crack, exactly like the workers do.
             access = self.worker_pool.register_index(query.ref, index)
-            result = access.select_range(query.low, query.high)
+            result = access.select_range(low, high)
         else:
-            result = index.select_range(query.low, query.high)
-        self.ranking.note_query(query.ref)
+            result = index.select_keys(low, high)
         self._maybe_boost_hot_range(query, index)
         return result
+
+    def select_empty(self, query: RangeQuery) -> SelectionResult:
+        # What select_keys notes; the index first, as there: it
+        # registers the column with the ranking.
+        self.index_for(query.ref)
+        self.monitor.record(
+            query.ref, query.low, query.high, self.clock.now()
+        )
+        self.ranking.note_query(query.ref)
+        return super().select_empty(query)
 
     def begin_batch(
         self,
@@ -258,12 +276,12 @@ class HolisticKernel(IndexingStrategy):
             crack_windows(self.index_for, windows, len(queries))
         )
 
-    def batch_execution(self, contexts: list) -> BatchExecution:
+    def batch_execution(self, slots: list) -> BatchExecution:
         """The window execution replaying query ``i`` of a window on
-        ``contexts[i]``, its column's crack replay context, with the
-        kernel's statistics deferred to the window's end (see
-        :class:`_HolisticBatchExecution`)."""
-        return _HolisticBatchExecution(self, contexts)
+        ``slots[i]``, its column's crack replay context and its
+        normalised bounds, with the kernel's statistics deferred to the
+        window's end (see :class:`_HolisticBatchExecution`)."""
+        return _HolisticBatchExecution(self, slots)
 
     def _maybe_boost_hot_range(
         self, query: RangeQuery, index: CrackerIndex
@@ -434,11 +452,11 @@ class _HolisticBatchExecution:
     the deferred state is indistinguishable from sequential updates.
     """
 
-    __slots__ = ("_kernel", "_contexts", "_noted", "_acc")
+    __slots__ = ("_kernel", "_slots", "_noted", "_acc")
 
-    def __init__(self, kernel: HolisticKernel, contexts: list) -> None:
+    def __init__(self, kernel: HolisticKernel, slots: list) -> None:
         self._kernel = kernel
-        self._contexts = contexts
+        self._slots = slots
         #: Per context (column), in first-replay order: the column's
         #: ref and its observed (low, high, timestamp) triples.
         self._noted: dict = {}
@@ -446,7 +464,7 @@ class _HolisticBatchExecution:
 
     def bind(self, accountant) -> None:
         self._acc = accountant
-        for context in dict.fromkeys(self._contexts):
+        for context in dict.fromkeys(context for context, _ in self._slots):
             context.bind(accountant)
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
@@ -455,14 +473,14 @@ class _HolisticBatchExecution:
         # records the observation).
         acc = self._acc
         acc.charge_query()
-        context = self._contexts[slot]
-        low = query.low
-        high = query.high
+        context, bounds = self._slots[slot]
         noted = self._noted.get(context)
         if noted is None:
             noted = self._noted[context] = (query.ref, [])
-        noted[1].append((low, high, acc.now))
-        return context.replay(low, high)
+        noted[1].append((query.low, query.high, acc.now))
+        if bounds is None:
+            return context.empty()
+        return context.replay(*bounds)
 
     def finish(self) -> None:
         monitor = self._kernel.monitor

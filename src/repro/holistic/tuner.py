@@ -19,6 +19,7 @@ import numpy as np
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
 from repro.errors import ConfigError
+from repro.storage.dtypes import Key, normalise_bound
 
 
 class ActionKind(Enum):
@@ -31,8 +32,9 @@ class ActionKind(Enum):
 
 def random_pivots(
     rng: np.random.Generator, index: CrackerIndex, count: int
-) -> list[float]:
-    """``count`` uniform random pivots over ``index``'s value range.
+) -> list[Key]:
+    """``count`` uniform random pivots over ``index``'s value range,
+    normalised into the column's domain.
 
     Empty when the column has no rows or no value span (nothing a
     random crack could split).
@@ -42,9 +44,13 @@ def random_pivots(
     stats = index.column.stats
     if stats.value_span <= 0:
         return []
-    return rng.uniform(
-        stats.min_value, stats.max_value, size=count
-    ).tolist()
+    dtype = index.piece_map.dtype
+    return [
+        normalise_bound(dtype, value)
+        for value in rng.uniform(
+            stats.min_value, stats.max_value, size=count
+        ).tolist()
+    ]
 
 
 class AuxiliaryTuner:
@@ -106,7 +112,7 @@ class AuxiliaryTuner:
         self,
         access,
         count: int = 1,
-        pivots: Sequence[float] | None = None,
+        pivots: Sequence[Key] | None = None,
         kind: ActionKind | None = None,
     ) -> int:
         """Run ``count`` actions through a latched access facade.
@@ -174,7 +180,9 @@ class AuxiliaryTuner:
         """
         if high <= low:
             return False
-        value = float(self.rng.uniform(low, high))
+        value = normalise_bound(
+            index.piece_map.dtype, self.rng.uniform(low, high)
+        )
         if access is not None:
             success = access.crack_value(
                 value, min_piece_size=self.min_piece_size

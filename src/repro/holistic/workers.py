@@ -66,6 +66,7 @@ from repro.holistic.scheduler import TuningReport
 from repro.holistic.tuner import ActionKind, AuxiliaryTuner, random_pivots
 from repro.simtime.clock import Clock, wall_sleep
 from repro.storage.catalog import ColumnRef
+from repro.storage.dtypes import Key
 from repro.util.retry import BackoffPolicy
 
 #: Queue sentinel that tells a worker thread to exit its loop.
@@ -124,7 +125,7 @@ class _Batch:
     count: int
     #: Ascending random-crack pivots drawn at plan time (``None`` for
     #: data-driven kinds, which pick their targets under the latch).
-    pivots: list[float] | None
+    pivots: list[Key] | None
     #: Estimated rows the pass touches: what the static deal balances.
     weight: int
 
@@ -592,7 +593,7 @@ class TuningWorkerPool:
         self,
         state: ColumnTuningState,
         count: int,
-        pivots: list[float] | None,
+        pivots: list[Key] | None,
         runs: int,
     ) -> list[_Batch]:
         """One column's ``count`` planned attempts as up to ``runs``
@@ -639,7 +640,7 @@ class TuningWorkerPool:
 
     def _draw_pivots(
         self, state: ColumnTuningState, count: int
-    ) -> list[float] | None:
+    ) -> list[Key] | None:
         """``count`` ascending random pivots from the column's own
         stream; ``None`` for data-driven kinds, which pick their
         targets under the latch.  Caller holds the policy lock."""

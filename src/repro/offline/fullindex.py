@@ -14,7 +14,8 @@ from repro.errors import IndexingError, QueryError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock, SimClock
 from repro.storage.column import Column
-from repro.storage.updates import exact_range_cuts
+from repro.storage.dtypes import Key
+from repro.storage.updates import cut_at
 from repro.storage.views import RangeView
 
 
@@ -89,8 +90,11 @@ class FullIndex:
             model = CostModel()
         return model.sort_seconds(self.column.row_count)
 
-    def select_range(self, low: float, high: float) -> RangeView:
+    def select_range(self, low: Key, high: Key) -> RangeView:
         """Answer ``low <= value < high`` with two binary searches.
+
+        ``low``/``high`` are keys in the column's domain
+        (:func:`~repro.storage.dtypes.normalise_range`).
 
         Raises:
             IndexingError: if the index has not been built.
@@ -99,11 +103,8 @@ class FullIndex:
         if low > high:
             raise QueryError(f"range inverted: low={low} > high={high}")
         values = self.sorted_values
-        if low != low or high != high:
-            # A NaN bound qualifies no row: no probe, no charge.
-            return RangeView(values, 0, 0, self._rowids)
-        start = int(exact_range_cuts(values, low))
-        end = int(exact_range_cuts(values, high))
+        start = cut_at(values, low)
+        end = cut_at(values, high)
         # Price the probes at the *projected* index depth: a reduced-
         # scale run stands in for a paper-scale index, and log2(n)
         # would otherwise leak the physical scale into the timings.

@@ -39,7 +39,7 @@ from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.column import Column, ColumnStats
 from repro.storage.database import Database
-from repro.storage.dtypes import type_by_name
+from repro.storage.dtypes import largest, normalise_bound, type_by_name
 from repro.storage.table import Table
 
 #: Typed columns a crack tape flattens into (origins ride separately
@@ -202,7 +202,7 @@ def capture_state(
                 if rowids is not None:
                     arrays[f"{base}/rowids"] = rowids
                 arrays[f"{base}/pivots"] = np.asarray(
-                    piece_map.pivots(), dtype=np.float64
+                    piece_map.pivots(), dtype=piece_map.dtype
                 )
                 arrays[f"{base}/cuts"] = np.asarray(
                     piece_map.cuts(), dtype=np.int64
@@ -383,6 +383,35 @@ def restore_state(
     )
 
 
+def _pivots_in(
+    dtype: np.dtype,
+    pivots: np.ndarray,
+    cuts: np.ndarray,
+    flags: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A piece map's exported arrays with its pivots in ``dtype``.
+
+    Generations written before pivots kept the column's dtype stored
+    them as float64; they are normalised on load like any bound.  A
+    pivot that lands on its predecessor's key, or past the column's
+    top, opened an empty piece: it is dropped, and the pieces it split
+    merge (sorted only if all were).
+    """
+    if pivots.dtype == dtype:
+        return pivots, cuts, flags
+    keys = [normalise_bound(dtype, pivot) for pivot in pivots.tolist()]
+    keep = [
+        i
+        for i, key in enumerate(keys)
+        if key <= largest(dtype) and (i == 0 or key != keys[i - 1])
+    ]
+    return (
+        np.array([keys[i] for i in keep], dtype=dtype),
+        cuts[keep],
+        np.logical_and.reduceat(flags, [0] + [i + 1 for i in keep]),
+    )
+
+
 def _restore_index(
     root,
     manifest: dict,
@@ -401,12 +430,14 @@ def _restore_index(
         rowids = load_array(
             root, entries[f"{base}/rowids"], mmap_mode=mmap_mode
         )
-    piece_map = PieceMap.from_state(
-        len(values),
+    dtype = column.values.dtype
+    pivots, cuts, flags = _pivots_in(
+        dtype,
         load_array(root, entries[f"{base}/pivots"]),
         load_array(root, entries[f"{base}/cuts"]),
         load_array(root, entries[f"{base}/flags"]),
     )
+    piece_map = PieceMap.from_state(len(values), pivots, cuts, flags, dtype)
     index = CrackerIndex.from_state(
         column,
         values,

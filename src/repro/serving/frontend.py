@@ -59,6 +59,7 @@ from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
+from repro.storage.dtypes import Key
 from repro.storage.views import (
     MaterializedResult,
     PositionsView,
@@ -114,21 +115,12 @@ class _ServedReplay(DetachedCrackReplay):
 
     __slots__ = ("_frontend", "_client", "_ref")
 
-    def replay(self, low: float, high: float) -> SelectionResult:
+    def replay(self, low: Key, high: Key) -> SelectionResult:
         try:
             faults.trip("serving.replay")
             return DetachedCrackReplay.replay(self, low, high)
         except Exception as exc:
             return self._recover(DetachedCrackReplay.replay, low, high, exc)
-
-    def replay_query(self, low: float, high: float) -> SelectionResult:
-        try:
-            faults.trip("serving.replay")
-            return DetachedCrackReplay.replay_query(self, low, high)
-        except Exception as exc:
-            return self._recover(
-                DetachedCrackReplay.replay_query, low, high, exc
-            )
 
     def _recover(self, replay, low, high, error) -> SelectionResult:
         try:
@@ -250,7 +242,7 @@ class ServingFrontend:
         #: Per-column order-independent cut positions accumulated over
         #: every window's physical pass; each lane's replays resolve
         #: their fresh bounds here.
-        self._positions: dict[tuple[str, str], dict[float, int]] = {}
+        self._positions: dict[tuple[str, str], dict[Key, int]] = {}
         self.windows_served = 0
         #: Client failures isolated in degraded mode, across every
         #: window this front-end has served.
@@ -379,11 +371,13 @@ class ServingFrontend:
         """The physical pass + per-lane replay of a window's valid
         entries."""
         queries = [entry.query for entry in entries]
-        windows = group_by_column(queries)
-        # Resolve every column before the first crack: an unknown
+        # Resolves every column before the first crack: an unknown
         # column must fail with the shared index untouched.
+        windows = group_by_column(queries, self.db.catalog)
+        bounds: list = [None] * len(entries)
         for window in windows:
-            self.db.catalog.column(window.ref)
+            for i, pair in zip(window.indices, window.bounds):
+                bounds[i] = pair
         pool = getattr(self.strategy, "worker_pool", None)
         if pool is not None and not pool.is_running:
             pool = None
@@ -405,9 +399,7 @@ class ServingFrontend:
                     latches.enter_context(access.exclusive())
             for window in windows:
                 key = (window.ref.table, window.ref.column)
-                fresh = indexes[key].crack_bounds_batch(
-                    window.lows, window.highs
-                )
+                fresh = indexes[key].crack_bounds_batch(window.ranges)
                 self._positions.setdefault(key, {}).update(fresh)
             # One pending-updates consultation per column, shared by
             # every client; each lane's overlays charge its own clock.
@@ -420,6 +412,7 @@ class ServingFrontend:
                 served = self._serve_lane(
                     name,
                     [queries[i] for i in slots],
+                    [bounds[i] for i in slots],
                     [pending[i] for i in slots],
                     indexes,
                 )
@@ -431,6 +424,7 @@ class ServingFrontend:
         self,
         name: str,
         queries: list[RangeQuery],
+        bounds: list,
         overlays: list,
         indexes: dict[tuple[str, str], object],
     ) -> list[SelectionResult]:
@@ -441,8 +435,8 @@ class ServingFrontend:
         loop."""
         lane = self.lanes[name]
         replays = lane.replays
-        contexts = []
-        for query in queries:
+        slots = []
+        for query, pair in zip(queries, bounds):
             ref = query.ref
             key = (ref.table, ref.column)
             replay = replays.get(key)
@@ -453,6 +447,6 @@ class ServingFrontend:
                 replay._frontend = self
                 replay._client = name
                 replay._ref = ref
-            contexts.append(replay)
-        execution = self.strategy.batch_execution(contexts)
+            slots.append((replay, pair))
+        execution = self.strategy.batch_execution(slots)
         return lane.run_window(queries, execution, overlays)

@@ -14,174 +14,19 @@ pending deletes in range).
 
 from __future__ import annotations
 
-import math
-from operator import index
-
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.storage.dtypes import ColumnType, coerce_array
-
-_INT64 = np.dtype(np.int64)
-#: int64 holds [-2^63, 2^63); both ends are exactly representable as
-#: floats, so comparing a float bound against them is exact.  The float
-#: twin saves numpy converting a 64-bit Python int per array comparison.
-_INT64_TOP = 2**63
-_INT64_TOP_F = 2.0**63
+from repro.storage.dtypes import ColumnType, Key, coerce_array, largest
 
 
-def _scalar_key(dtype: np.dtype, bound: float) -> float | None:
-    """Exact search key for one scalar ``bound`` into a ``dtype`` store.
-
-    The key ``k`` has ``v >= bound`` iff ``v >= k`` for every value
-    ``v`` the store can hold, and searches without promoting the
-    store; ``None`` means no storable value reaches the bound (NaN, or
-    a bound above an integer dtype's range).  Pure Python on purpose:
-    a converged select probes a delta of a few dozen rows, and
-    wrapping each scalar in arrays and masks cost ten times the binary
-    search itself.
-    """
-    # np.float64 is a float; the second test is for the narrower ones.
-    is_float = isinstance(bound, float) or isinstance(bound, np.floating)
-    if dtype.kind != "i":
-        if is_float:
-            return None if bound != bound else bound
-        # An integer bound beyond 2^53 may round down on conversion:
-        # take the first float at/above it.
-        exact = index(bound)
-        try:
-            key = float(exact)
-        except OverflowError:
-            key = math.inf if exact > 0 else -math.inf
-        return math.nextafter(key, math.inf) if key < exact else key
-    wide = dtype.itemsize == 8
-    top = _INT64_TOP if wide else 1 << (8 * dtype.itemsize - 1)
-    if is_float:
-        # An integer v has v >= b iff v >= ceil(b).  NaN and +inf have
-        # no ceiling; -inf falls to the clamp below.
-        if bound != bound or bound >= top:
-            return None
-        key = math.ceil(bound) if bound >= -top else -top
-    else:
-        key = index(bound)
-    # After the ceil: 2^31 - 0.5 is below an int32 store's top, its
-    # ceiling is not.
-    if key >= top:
-        return None
-    if key < -top:
-        key = -top
-    # A Python int needle would promote a narrower store to int64 -- a
-    # copy of the whole store per probe.
-    return key if wide else dtype.type(key)
-
-
-def _exact_scalar_cut(store: np.ndarray, bound: float) -> int:
-    """:func:`exact_range_cuts` for one scalar bound: one
-    ``searchsorted`` call, no temporaries."""
-    key = _scalar_key(store.dtype, bound)
-    return len(store) if key is None else int(store.searchsorted(key))
-
-
-def exact_search_keys(
-    dtype: np.dtype, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Search keys for ``bounds`` into any sorted store of ``dtype``.
-
-    Returns ``(keys, above)``: ``keys`` compare exactly against the
-    store's values, and ``above`` masks the bounds no storable value
-    reaches (``None`` when there are none; a NaN bound is always one
-    of them) -- their cut is ``len(store)`` whatever the store holds.
-    Split from the probe so a window normalises its bounds once for
-    every store of a column (:func:`cuts_at_keys`).
-    """
-    kind = bounds.dtype.kind
-    if dtype.kind != "i":
-        if kind == "f":
-            keys = bounds.astype(np.float64, copy=False)
-        else:
-            keys = np.array(
-                [_scalar_key(dtype, bound) for bound in bounds.tolist()],
-                dtype=np.float64,
-            )
-        nan = np.isnan(keys)
-        return keys, (nan if nan.any() else None)
-    if kind == "f":
-        keys = np.ceil(bounds.astype(np.float64, copy=False))
-        # NaN fails the comparison too, as it should.
-        above = ~(keys < _INT64_TOP_F)
-        # Below-range bounds clamp to int64 min: every value is >= it.
-        np.maximum(keys, -_INT64_TOP_F, out=keys)
-        if not np.count_nonzero(above):
-            return keys.astype(np.int64), None
-        keys[above] = 0.0
-        return keys.astype(np.int64), above
-    if kind == "i" or (kind in "ub" and bounds.dtype.itemsize < 8):
-        # Signed (or narrower unsigned) bounds compare exactly as they
-        # are; widening them would make searchsorted copy a narrower
-        # store per probe.
-        return bounds, None
-    # uint64 / Python-int object bounds: int64_store.searchsorted would
-    # promote both sides to float64, so clamp into int64 one by one.
-    exact = [_scalar_key(_INT64, bound) for bound in bounds.tolist()]
-    above = np.array([key is None for key in exact], dtype=bool)
-    keys = np.array(
-        [0 if key is None else key for key in exact], dtype=np.int64
-    )
-    return keys, (above if above.any() else None)
-
-
-def cuts_at_keys(
-    store: np.ndarray, keys: np.ndarray, above: np.ndarray | None
-) -> np.ndarray:
-    """Probe ``store`` with keys from :func:`exact_search_keys`."""
-    cuts = store.searchsorted(keys, side="left")
-    if above is not None:
-        cuts[above] = len(store)
-    return cuts
-
-
-def exact_range_cuts(store: np.ndarray, bounds: object) -> np.ndarray | int:
-    """Index of the first element ``>= bound`` per bound, exactly.
-
-    ``np.searchsorted(int_store, float_bound)`` promotes the *store* to
-    float64, which rounds stored values beyond 2^53 onto the bound and
-    makes the binary search disagree with exact ``low <= v < high``
-    comparisons.  For integer stores the bounds are converted to exact
-    int64 search keys instead (an integer ``v`` satisfies ``v >= b``
-    iff ``v >= ceil(b)``); float stores compare float-to-float, which
-    is already exact.  NaN bounds match nothing; bounds beyond the
-    int64 range (floats, unsigned or Python ints) clamp to the store's
-    ends.
-
-    A scalar bound (Python or numpy scalar) returns a plain ``int``
-    through :func:`_exact_scalar_cut`; anything else is probed as an
-    array.
-    """
-    if isinstance(bounds, (float, int, np.number)):
-        return _exact_scalar_cut(store, bounds)
-    keys = np.asarray(bounds)
-    cuts = cuts_at_keys(
-        store, *exact_search_keys(store.dtype, np.atleast_1d(keys))
-    )
-    return cuts[0] if keys.ndim == 0 else cuts
-
-
-def _range_cut_pair(
-    store: np.ndarray, low: float, high: float
-) -> tuple[int, int]:
-    """Slice bounds ``[lo, hi)`` of store entries with ``low <= v < high``.
-
-    :func:`exact_range_cuts` maps a NaN bound to ``len(store)`` ("first
-    element >= NaN" -- nothing is), which yields the empty range when
-    NaN arrives as the *low* bound but would select the whole tail if
-    used verbatim as the *high* cut.  ``low <= v < high`` is false for
-    every ``v`` when either bound is NaN, so the pair degenerates to
-    empty here before the cuts are composed into a slice.  Scalar
-    bounds only (Python or numpy numbers).
-    """
-    if low != low or high != high:
-        return 0, 0
-    return _exact_scalar_cut(store, low), _exact_scalar_cut(store, high)
+def cut_at(store: np.ndarray, key: Key) -> int:
+    """Index of the first entry of the sorted ``store`` at or above
+    ``key``, a bound in the store's domain: all of them for a top (see
+    :func:`~repro.storage.dtypes.largest`), which no store dtype holds."""
+    if key > largest(store.dtype):
+        return len(store)
+    return int(store.searchsorted(key))
 
 
 def _splice(
@@ -233,6 +78,7 @@ class PendingUpdates:
         self, ctype: ColumnType, base: np.ndarray | None = None
     ) -> None:
         self._ctype = ctype
+        self._largest = largest(ctype.numpy_dtype)
         self._base = base
         #: Whether every pending delete is a checked row of the base.
         self.verifies_deletes = base is not None
@@ -401,61 +247,57 @@ class PendingUpdates:
     def has_pending(self) -> bool:
         return self.pending_insert_count > 0 or self.pending_delete_count > 0
 
-    def inserts_in_range(self, low: float, high: float) -> np.ndarray:
+    # The probes take a range already normalised to the column's domain
+    # (``storage.dtypes.normalise_range``): keys the stores compare
+    # exactly, in their own dtype, so no probe copies a store.
+
+    def inserts_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Pending inserted values v with ``low <= v < high`` (sorted)."""
-        lo, hi = _range_cut_pair(self._insert_values, low, high)
-        return self._insert_values[lo:hi]
+        store = self._insert_values
+        return store[cut_at(store, low) : cut_at(store, high)]
 
-    def deletes_in_range(self, low: float, high: float) -> np.ndarray:
+    def deletes_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Pending deleted values v with ``low <= v < high`` (sorted)."""
-        lo, hi = _range_cut_pair(self._deleted_values, low, high)
-        return self._deleted_values[lo:hi]
+        store = self._deleted_values
+        return store[cut_at(store, low) : cut_at(store, high)]
 
-    def in_range(
-        self, low: float, high: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def in_range(self, low: Key, high: Key) -> tuple[np.ndarray, np.ndarray]:
         """``(inserts_in_range(low, high), deletes_in_range(low, high))``
-        -- what a select overlays.
-
-        Both stores hold the column's dtype, so the two bounds are made
-        exact search keys once and each store is probed once with both.
-        A bound without a key (NaN, or above the dtype) takes the
-        per-store probes, which know its answer.
-        """
-        inserts = self._insert_values
-        deletes = self._deleted_values
-        low_key = _scalar_key(inserts.dtype, low)
-        high_key = _scalar_key(inserts.dtype, high)
-        if low_key is None or high_key is None:
+        -- what a select overlays, with each store probed once for both
+        keys."""
+        if high > self._largest:
             return (
                 self.inserts_in_range(low, high),
                 self.deletes_in_range(low, high),
             )
-        # In the stores' dtype: a wider needle would copy a narrow store.
-        keys = np.array((low_key, high_key), dtype=inserts.dtype)
+        inserts = self._insert_values
+        deletes = self._deleted_values
+        keys = np.array((low, high), dtype=inserts.dtype)
         ins_lo, ins_hi = inserts.searchsorted(keys).tolist()
         del_lo, del_hi = deletes.searchsorted(keys).tolist()
         return inserts[ins_lo:ins_hi], deletes[del_lo:del_hi]
 
     # -- consumption ---------------------------------------------------
 
-    def take_inserts_in_range(self, low: float, high: float) -> np.ndarray:
+    def take_inserts_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Remove and return pending inserts in ``[low, high)``.
 
         This is the ripple-merge consumption path: an adaptive index
         merging a value range takes exactly the pending entries it is
         about to absorb.
         """
-        lo, hi = _range_cut_pair(self._insert_values, low, high)
+        lo = cut_at(self._insert_values, low)
+        hi = cut_at(self._insert_values, high)
         taken = self._insert_values[lo:hi].copy()
         self._insert_values = np.delete(
             self._insert_values, np.s_[lo:hi]
         )
         return taken
 
-    def take_deletes_in_range(self, low: float, high: float) -> np.ndarray:
+    def take_deletes_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Remove and return pending deleted values in ``[low, high)``."""
-        lo, hi = _range_cut_pair(self._deleted_values, low, high)
+        lo = cut_at(self._deleted_values, low)
+        hi = cut_at(self._deleted_values, high)
         taken = self._deleted_values[lo:hi].copy()
         self._deleted_values = np.delete(
             self._deleted_values, np.s_[lo:hi]

@@ -1,6 +1,5 @@
-"""Known-bad: a look-alike of ``storage.updates._exact_scalar_cut``
-under a name the rule does not sanction -- the float bound reaches the
-store as it came, with no exact key in between."""
+"""Known-bad: a store probe that takes a float bound as it came, with
+no normalised key (``storage.dtypes.normalise_range``) in between."""
 
 
 def scalar_cut(store, bound: float) -> int:

@@ -24,6 +24,7 @@ EXPECTED = {
     "bad_dtype_scalar_probe.py": "dtype-promotion",
     "bad_fault_unregistered.py": "fault-coverage",
     "bad_waiver_reasonless.py": "waiver",
+    "bad_waiver_stale.py": "waiver",
 }
 
 

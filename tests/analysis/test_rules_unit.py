@@ -256,18 +256,6 @@ def test_dtype_compare_requires_int_array_evidence():
     assert findings[0].line < 8  # the evidence-backed compare only
 
 
-def test_dtype_exempts_the_sanctioned_helper():
-    src = _src(
-        """
-        import numpy as np
-
-        def exact_range_cuts(store, bounds):
-            return np.searchsorted(store, np.asarray(bounds, dtype=np.float64))
-        """
-    )
-    assert dtype.check(src, _ctx()) == []
-
-
 # -- fault-coverage ------------------------------------------------------
 
 
@@ -337,6 +325,8 @@ def test_reasoned_waiver_suppresses_the_finding():
 
 
 def test_waiver_for_the_wrong_rule_does_not_suppress():
+    """The finding stands, and the waiver, suppressing nothing, is
+    reported as stale."""
     findings = run_lint_on_snippet(
         """
         import time
@@ -345,7 +335,8 @@ def test_waiver_for_the_wrong_rule_does_not_suppress():
             return time.time()  # repro: allow[dtype-promotion] -- wrong rule
         """
     )
-    assert [f.rule for f in findings] == ["determinism"]
+    assert [f.rule for f in findings] == ["determinism", "waiver"]
+    assert "suppresses no finding" in findings[1].message
 
 
 def run_lint_on_snippet(code: str):

@@ -214,7 +214,13 @@ def test_select_with_a_pivot_bound_is_two_ensure_cuts(
 
     selected, cut_twice = warmed(), warmed()
     view = selected.select_range(low, high)
-    positions = (cut_twice.ensure_cut(low), cut_twice.ensure_cut(high))
+    # An empty range (equal bounds) is answered without a probe or a
+    # crack: the same as no cut at all.
+    positions = (
+        (cut_twice.ensure_cut(low), cut_twice.ensure_cut(high))
+        if low < high
+        else (0, 0)
+    )
     assert (view.start, view.end) == positions
     assert selected.tape.records() == cut_twice.tape.records()
     assert selected.clock.now() == cut_twice.clock.now()

@@ -32,7 +32,6 @@ from repro.cracking.engine import (
 from repro.cracking.index import CrackerIndex
 from repro.simtime.clock import SimClock, wall_sleep
 from repro.storage.column import Column
-from repro.storage.updates import exact_range_cuts
 from repro.util.retry import retry_call
 
 # -- latch leaks ---------------------------------------------------------
@@ -92,6 +91,9 @@ def test_retry_default_sleep_is_the_audited_helper():
 
 
 # -- exact int64 semantics beyond 2^53 -----------------------------------
+#
+# The kernels take keys in the column's domain -- Python ints for an
+# integer column -- and compare them with the piece exactly.
 
 B = 2**53  # float64 spacing becomes 2 here: odd ints are unrepresentable
 
@@ -99,38 +101,29 @@ B = 2**53  # float64 spacing becomes 2 here: odd ints are unrepresentable
 def test_count_below_is_exact_beyond_2_53():
     view = np.array([B + 3], dtype=np.int64)
     # Promoted, B+3 rounds (half-to-even) to B+4 and stops counting.
-    assert _count_below(view, float(B + 4), default_scratch()) == 1
-    assert _count_below(view, float(B + 2), default_scratch()) == 0
-    assert _count_below(view, float("nan"), default_scratch()) == 0
+    assert _count_below(view, B + 4, default_scratch()) == 1
+    assert _count_below(view, B + 3, default_scratch()) == 0
 
 
 def test_batch_kernels_are_exact_beyond_2_53():
-    """The batch kernels compare integer pieces against ``ceil(pivot)``
-    as an exact integer, never against the float pivot."""
+    """The batch kernels compare integer pieces against integer keys
+    exactly, never through float64."""
     values = [B + 3, B + 5, B + 5, B + 3]
     array = np.array(values, dtype=np.int64)
     # Promoted, B+3 rounds to B+4 and would not count below it.
-    splits, _ = crack_in_two_batch(
-        array, [(0, 2, float(B + 4)), (2, 4, float(B + 4))]
-    )
+    splits, _ = crack_in_two_batch(array, [(0, 2, B + 4), (2, 4, B + 4)])
     assert splits == [1, 3]
     assert array.tolist() == [B + 3, B + 5, B + 3, B + 5]
-    # NaN pivots match nothing; huge pivots match everything.
-    splits, _ = crack_in_two_batch(
-        array, [(0, 2, float("nan")), (2, 4, float(2**80))]
-    )
-    assert splits == [0, 4]
     array = np.array(values, dtype=np.int64)
     assert crack_spans_batch(
-        array,
-        [(0, 2, float(B + 4), float(B + 4)), (2, 4, float(B + 4), 2.0**80)],
+        array, [(0, 2, B + 4, B + 4), (2, 4, B + 4, B + 6)]
     ) == [(1, 1), (3, 4)]
     assert array.tolist() == [B + 3, B + 5, B + 3, B + 5]
 
 
 def test_split_sorted_piece_is_exact_beyond_2_53():
     array = np.array([B + 1, B + 3, B + 5], dtype=np.int64)
-    split, _ = split_sorted_piece(array, 0, 3, float(B + 4))
+    split, _ = split_sorted_piece(array, 0, 3, B + 4)
     # First element >= B+4 is B+5 at index 2.  The promoted search saw
     # [B, B+4, B+4] and answered 1.
     assert split == 2
@@ -138,21 +131,10 @@ def test_split_sorted_piece_is_exact_beyond_2_53():
 
 def test_crack_multi_is_exact_beyond_2_53():
     array = np.array([B + 5, B + 1, B + 3, B - 2], dtype=np.int64)
-    splits, _ = crack_multi(array, 0, 4, [float(B + 4)])
+    splits, _ = crack_multi(array, 0, 4, [B + 4])
     assert splits == [3]
     assert sorted(array[: splits[0]].tolist()) == [B - 2, B + 1, B + 3]
     assert array[splits[0]] == B + 5
-
-
-def test_exact_range_cuts_beyond_2_53():
-    store = np.array([B - 1, B + 1, B + 3, B + 5], dtype=np.int64)
-    assert int(exact_range_cuts(store, float(B + 4))) == 3
-    assert int(exact_range_cuts(store, float(B - 1))) == 0
-    # NaN matches nothing, out-of-range bounds clamp to the ends.
-    cuts = exact_range_cuts(
-        store, np.array([float("nan"), -float(2**80), float(2**80)])
-    )
-    assert cuts.tolist() == [4, 0, 4]
 
 
 def test_index_select_is_exact_beyond_2_53():

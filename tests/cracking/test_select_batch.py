@@ -12,6 +12,7 @@ from repro.cracking.index import CrackerIndex
 from repro.errors import CrackerError, QueryError
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
+from repro.storage.dtypes import normalise_ranges
 from repro.storage.loader import generate_uniform_column
 
 
@@ -28,10 +29,11 @@ def _pair(track_rowids: bool = False, rows: int = 1500, seed: int = 0):
     return sequential, batched
 
 
-def _begin(index: CrackerIndex, lows, highs):
-    """A window's replay context, bound to a fresh window accountant
-    on the index's clock; returns ``(context, accountant)``."""
-    context = index.begin_select_batch(np.asarray(lows), np.asarray(highs))
+def _begin(index: CrackerIndex, bounds):
+    """A window's replay context over normalised ``bounds``, bound to a
+    fresh window accountant on the index's clock; returns ``(context,
+    accountant)``."""
+    context = index.begin_select_batch(bounds)
     accountant = WindowAccountant(index.clock)
     context.bind(accountant)
     return context, accountant
@@ -91,10 +93,22 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows, track):
         for low, high in ranges:
             sequential.clock.charge(CostCharge(queries=1))
             expected.append(sequential.select_range(low, high))
-        lows = np.array([r[0] for r in ranges])
-        highs = np.array([r[1] for r in ranges])
-        context, accountant = _begin(batched, lows, highs)
-        got = [context.replay_query(low, high) for low, high in ranges]
+        keys = normalise_ranges(
+            batched.piece_map.dtype,
+            [r[0] for r in ranges],
+            [r[1] for r in ranges],
+        )
+        context, accountant = _begin(
+            batched, [pair for pair in keys if pair is not None]
+        )
+        got = []
+        for pair in keys:
+            if pair is None:
+                # An empty range: the per-query overhead alone.
+                accountant.charge_query()
+                got.append(context.empty())
+            else:
+                got.append(context.replay_query(*pair))
         accountant.finish()
         context.check_consistent()
         for view_a, view_b in zip(expected, got):
@@ -105,52 +119,48 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows, track):
 def test_begin_select_batch_rejects_inverted_ranges():
     index, _ = _pair()
     with pytest.raises(QueryError):
-        index.begin_select_batch(np.array([10.0]), np.array([5.0]))
+        index.begin_select_batch([(10, 5)])
 
 
 def test_replay_cache_reuse_and_invalidation():
     """Consecutive fully-replayed windows reuse the shadow map; a
     foreground crack between windows forces a fresh snapshot."""
     sequential, batched = _pair(rows=1200, seed=3)
-    ranges = [(100.0, 900.0), (2000.0, 2600.0)]
-    lows = np.array([r[0] for r in ranges])
-    highs = np.array([r[1] for r in ranges])
-    context, _ = _begin(batched, lows, highs)
+    ranges = [(100, 900), (2000, 2600)]
+    context, _ = _begin(batched, ranges)
     for low, high in ranges:
         context.replay_query(low, high)
     assert context.is_complete
     cached_sim = context.sim
-    follow_up, _ = _begin(batched, [3000.0], [3500.0])
+    follow_up, _ = _begin(batched, [(3000, 3500)])
     assert follow_up.sim is cached_sim  # reused, no snapshot
-    follow_up.replay_query(3000.0, 3500.0)
+    follow_up.replay_query(3000, 3500)
     # A foreground crack invalidates the cached shadow map.
-    batched.ensure_cut(4321.0)
-    third, _ = _begin(batched, [4500.0], [4600.0])
+    batched.ensure_cut(4321)
+    third, _ = _begin(batched, [(4500, 4600)])
     assert third.sim is not cached_sim
-    third.replay_query(4500.0, 4600.0)
+    third.replay_query(4500, 4600)
     third.check_consistent()
 
 
 def test_incomplete_replay_is_not_reused():
     _, batched = _pair(rows=800, seed=5)
-    context, _ = _begin(batched, [100.0, 300.0], [200.0, 400.0])
-    context.replay_query(100.0, 200.0)  # second entry never replayed
+    context, _ = _begin(batched, [(100, 200), (300, 400)])
+    context.replay_query(100, 200)  # second entry never replayed
     assert not context.is_complete
-    fresh, _ = _begin(batched, [500.0], [600.0])
+    fresh, _ = _begin(batched, [(500, 600)])
     assert fresh.sim is not context.sim
 
 
 def test_warm_view_cache_shares_objects_and_survives_windows():
     _, batched = _pair(rows=1000, seed=9)
-    lows = np.array([100.0, 100.0, 100.0])
-    highs = np.array([700.0, 700.0, 700.0])
-    context, _ = _begin(batched, lows, highs)
-    context.replay_query(100.0, 700.0)  # cracks: fresh bounds
-    second = context.replay_query(100.0, 700.0)  # warm: both pivots
-    third = context.replay_query(100.0, 700.0)
+    context, _ = _begin(batched, [(100, 700)] * 3)
+    context.replay_query(100, 700)  # cracks: fresh bounds
+    second = context.replay_query(100, 700)  # warm: both pivots
+    third = context.replay_query(100, 700)
     assert third is second  # identical warm slice -> one view object
-    again, _ = _begin(batched, [100.0], [700.0])
-    assert again.replay_query(100.0, 700.0) is second
+    again, _ = _begin(batched, [(100, 700)])
+    assert again.replay_query(100, 700) is second
 
 
 def test_crack_spans_batch_matches_crack_in_three():

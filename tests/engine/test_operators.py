@@ -15,7 +15,7 @@ from repro.engine.operators import (
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
-from repro.storage.dtypes import FLOAT64, INT32, INT64
+from repro.storage.dtypes import FLOAT64, INT32, INT64, normalise_ranges
 from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
@@ -151,15 +151,16 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
     pending.stage_deletes(positions, values[positions])
 
     lows = rng.uniform(0, 9e7, size=12)
-    highs = lows + rng.uniform(0, 2e7, size=12)
-    window = PendingWindow(pending, lows, highs)
+    highs = lows + rng.uniform(1, 2e7, size=12)
+    bounds = normalise_ranges(values.dtype, lows, highs)
+    window = PendingWindow(pending, bounds)
     assert window.active
 
     sequential_clock = SimClock()
     batch_clock = SimClock()
     accountant = WindowAccountant(batch_clock)
     overlaps = window.overlapping_slots()
-    for slot, (low, high) in enumerate(zip(lows, highs)):
+    for slot, (low, high) in enumerate(bounds):
         base = scan_select(values, low, high, SimClock())
         expected = apply_pending(
             base, pending, low, high, sequential_clock
@@ -286,26 +287,25 @@ def test_table_store_overlay_matches_reference_multiset(
         value for row, value in enumerate(column.values.tolist())
         if row not in set(rows)
     ] + pending.insert_values.tolist()
-    lows, highs = (
-        # float64 as the engine passes them, unless that would round
-        # an integer bound.
-        np.array(side, dtype=np.float64)
-        if all(isinstance(bound, float) for bound in side)
-        else np.array(side, dtype=object)
-        for side in zip(*bounds)
+    # Normalised as the engine passes them; an empty range never
+    # reaches the overlay.
+    keys = normalise_ranges(
+        column.values.dtype, *(list(side) for side in zip(*bounds))
     )
-    window = PendingWindow(pending, lows, highs)
+    window = PendingWindow(pending, keys)
     sequential_clock, batch_clock = SimClock(), SimClock()
     accountant = WindowAccountant(batch_clock)
-    for slot, (low, high) in enumerate(bounds):
+    for slot, ((low, high), pair) in enumerate(zip(bounds, keys)):
         reference = sorted(v for v in alive if low <= v < high)
         selected = np.array(
             [v for v in column.values.tolist() if low <= v < high],
             dtype=dtype,
         )
         base = RangeView(selected, 0, len(selected))
-        view = apply_pending(base, pending, low, high, sequential_clock)
-        moved = apply_pending(base, pending, low, high, SimClock())
+        view = moved = base
+        if pair is not None:
+            view = apply_pending(base, pending, *pair, sequential_clock)
+            moved = apply_pending(base, pending, *pair, SimClock())
         batched = base
         if window.active and window.overlapping_slots()[slot]:
             batched = window.apply(slot, base, accountant)
@@ -393,7 +393,7 @@ def test_select_behind_a_table_store_does_not_read_the_result(
     table = Table("R")
     table.add_column(small_column)
     pending = table.updates_for("A1")
-    low, high = 2e7, 6e7
+    low, high = 20_000_000, 60_000_000
     in_range = np.flatnonzero(
         (small_column.values >= low) & (small_column.values < high)
     )
@@ -406,7 +406,7 @@ def test_select_behind_a_table_store_does_not_read_the_result(
     spy = _UnreadableResult(len(in_range))
     clock = SimClock()
     assert apply_pending(spy, pending, low, high, clock).count == expected
-    window = PendingWindow(pending, np.array([low]), np.array([high]))
+    window = PendingWindow(pending, [(low, high)])
     batch_clock = SimClock()
     accountant = WindowAccountant(batch_clock)
     assert window.apply(0, spy, accountant).count == expected
@@ -435,7 +435,7 @@ def test_select_behind_a_standalone_store_reads_the_result():
     pending.stage_deletes([0, 1], [8, 13])
     with pytest.raises(AssertionError, match="read its result"):
         apply_pending(_UnreadableResult(3), pending, 0, 15, SimClock())
-    window = PendingWindow(pending, np.array([0.0]), np.array([15.0]))
+    window = PendingWindow(pending, [(0, 15)])
     with pytest.raises(AssertionError, match="read its result"):
         window.apply(0, _UnreadableResult(3), WindowAccountant(SimClock()))
     base = RangeView(np.array([7, 8, 9], dtype=np.int64), 0, 3)

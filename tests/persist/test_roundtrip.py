@@ -307,3 +307,76 @@ class TestLearnedState:
         manager = SnapshotManager(tmp_path, db, strategy=session.strategy)
         with pytest.raises(PersistError, match="not .*supported"):
             manager.checkpoint()
+
+
+def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
+    """Regression: pivots were written as float64, so a pivot beyond
+    2^53 came back rounded.  On an int64 column of 2^60 +- 600 a
+    checkpoint restores the very same pivots, answers like the
+    reference and re-cracks nothing."""
+    from repro.bench.oracle import ReferenceEngine
+    from repro.storage.column import Column
+    from repro.storage.table import Table
+
+    big = 2**60
+    table = Table("R")
+    table.add_column(
+        Column(
+            "B",
+            np.random.default_rng(7).permutation(
+                np.arange(big - 600, big + 601)
+            ),
+        )
+    )
+    db = Database(clock=SimClock())
+    db.add_table(table)
+    ref = ColumnRef("R", "B")
+    queries = [
+        RangeQuery(ref, big + 1, big + 7),
+        RangeQuery(ref, float(big), float(big + 512)),
+        RangeQuery(ref, big - 299, big + 3),
+    ]
+    session = db.session("adaptive")
+    for query in queries:
+        session.run_query(query)
+    piece_map = session.strategy.indexes[ref].piece_map
+    pivots, cuts = piece_map.pivots(), piece_map.cuts()
+    assert pivots[0] == big - 299  # not a float64's rounding of it
+    SnapshotManager(
+        tmp_path, db, strategy=session.strategy, session=session
+    ).checkpoint()
+
+    restored = restore_snapshot(tmp_path)
+    index = restored.strategy.indexes[ref]
+    assert index.piece_map.pivots() == pivots
+    assert index.piece_map.cuts() == cuts
+    reference = ReferenceEngine(restored.db, [ref])
+    for query in queries:
+        result = restored.session.run_query(query)
+        assert np.array_equal(
+            np.sort(result.values()),
+            reference.query(ref, query.low, query.high),
+        )
+    assert index.piece_map.pivots() == pivots  # zero re-cracks
+    index.check_invariants()
+
+
+def test_float64_pivots_of_an_older_generation_restore_normalised():
+    """A generation written when pivots were float64 restores with its
+    pivots normalised like any bound; one that lands on its
+    predecessor's key, or past the top, opened an empty piece and is
+    dropped, its two pieces merged."""
+    from repro.cracking.piecemap import PieceMap
+    from repro.persist.snapshot import _pivots_in
+
+    pivots, cuts, flags = _pivots_in(
+        np.dtype(np.int64),
+        np.array([-np.inf, 3.2, 3.7, 10.0, np.inf]),
+        np.array([0, 4, 4, 9, 12]),
+        np.array([False, True, False, True, True, False]),
+    )
+    assert pivots.dtype == np.int64
+    assert pivots.tolist() == [-(2**63), 4, 10]
+    assert cuts.tolist() == [0, 4, 9]
+    assert flags.tolist() == [False, True, False, False]
+    PieceMap.from_state(12, pivots, cuts, flags, np.dtype(np.int64))

@@ -147,7 +147,9 @@ def _serve_window(strategy):
     def drive(db, queries):
         frontend = ServingFrontend(db, make_strategy(strategy, db))
         frontend.add_client("solo", queries)
-        results = frontend.serve_window(frontend.former.next_window())
+        results = []
+        while entries := frontend.former.next_window():
+            results += frontend.serve_window(entries)
         return frontend.strategy, results, frontend.lanes["solo"].clock
 
     return drive
@@ -231,27 +233,73 @@ def test_pending_insert_wider_than_the_cracker_dtype_keeps_its_value(drive):
     assert int(results[0].values().max()) == wide
 
 
-_NAN_SHAPES = [(3e7, math.nan), (math.nan, 3e7), (math.nan, math.nan)]
+#: 2^60 +- 600: float64 spaces its values 256 apart, so a float bound
+#: or a float pivot names almost none of them.
+_BIG = 2**60
 
 
-def _nan_trace(drive, shapes):
-    """Warm one range, then answer ``shapes`` through ``drive`` and
-    check the rows against the reference engine.  Returns the strategy,
-    the results and what the clock that answered was charged."""
-    ref = ColumnRef("R", "A1")
+def _two_column_db() -> Database:
+    """``R.A1``: a paper-style int64 column cracked as int32; ``R.B``:
+    the int64 values ``2^60 - 600 .. 2^60 + 600``."""
+    rng = np.random.default_rng(26)
+    table = Table("R")
+    table.add_column(
+        Column("A1", rng.integers(0, 100_000_000, 1_201, dtype=np.int64))
+    )
+    table.add_column(
+        Column("B", rng.permutation(np.arange(_BIG - 600, _BIG + 601)))
+    )
     db = Database(clock=SimClock())
-    db.add_table(build_paper_table(rows=2_000, columns=1, seed=1))
-    reference = ReferenceEngine(db, [ref])
-    queries = [RangeQuery(ref, 1e7, 5e7)] + [
-        RangeQuery(ref, low, high) for low, high in shapes
+    db.add_table(table)
+    return db
+
+
+#: ``(column, low, high)`` shapes, after a warming query on each column.
+_SHAPES = [
+    ("B", _BIG + 1, _BIG + 7),  # raised "pivot out of order"
+    ("B", _BIG, _BIG + 100),  # answered 0 rows after the warming query
+    ("B", float(_BIG), float(_BIG + 512)),  # 448 rows, reference included
+    ("B", _BIG - 299.5, float(_BIG)),
+    ("A1", 1e7 + 0.5, 3e7),
+    ("B", _BIG + 500, math.inf),
+    ("A1", -math.inf, 2.5e7),
+]
+#: Shapes no value lies in: each costs the per-query overhead alone.
+_EMPTY_SHAPES = [
+    ("A1", 3e7, math.nan),
+    ("A1", math.nan, 3e7),
+    ("B", math.nan, math.nan),
+    ("B", _BIG + 7.25, _BIG + 7.75),
+    ("B", 2.0**63, math.inf),
+]
+_WARMING = [("A1", 1e7, 5e7), ("B", _BIG - 100.5, _BIG + 3)]
+
+
+def _bounds_trace(drive, shapes):
+    """Warm both columns, then answer ``shapes`` through ``drive`` and
+    check the rows against the reference engine.  Returns the strategy
+    and what the clock that answered was charged."""
+    db = _two_column_db()
+    refs = [ColumnRef("R", "A1"), ColumnRef("R", "B")]
+    reference = ReferenceEngine(db, refs)
+    queries = [
+        RangeQuery(ColumnRef("R", column), low, high)
+        for column, low, high in _WARMING + shapes
     ]
     strategy, results, clock = drive(db, queries)
     for query, result in zip(queries, results):
         assert np.array_equal(
             np.sort(result.values()),
-            reference.query(ref, query.low, query.high),
-        )
-    return strategy, results, clock.total_charge
+            reference.query(query.ref, query.low, query.high),
+        ), query
+    for index in getattr(strategy, "indexes", {}).values():
+        index.check_invariants()
+    return strategy, clock.total_charge
+
+
+def _crack_count(strategy) -> int:
+    indexes = getattr(strategy, "indexes", {}).values()
+    return sum(index.crack_count for index in indexes)
 
 
 @pytest.mark.parametrize(
@@ -263,24 +311,51 @@ def _nan_trace(drive, shapes):
         if path is not _serve_window or strategy in ("adaptive", "holistic")
     ],
 )
-def test_nan_bound_answers_empty_on_every_path(drive):
-    """Regression: ``low <= v < nan`` holds for no ``v``, yet on a
-    warmed index ``CrackerIndex.select_range(x, nan)`` answered
-    ``[x, last cut)`` and recorded NaN as a pivot (``check_invariants``
-    passed: NaN compares false), ``(nan, x)`` raised ``invalid view
-    bounds``, ``run_batch``/``serve_window`` raised after the physical
-    pass, and ``scan``'s ``run_batch`` answered ``[x, nan)`` with the
-    tail of the column.  Every path answers empty for the query
-    overhead alone and leaves the index as the warming query left it.
+def test_bounds_answer_like_the_reference_on_every_path(drive):
+    """Regression: on an int64 column of 2^60 +- 600, adaptive and
+    holistic ``run_query([2^60+1, 2^60+7))`` raised ``CrackerError:
+    pivot ... out of order`` and ``run_batch`` a ``KeyError``; after a
+    warming query ``[2^60, 2^60+100)`` answered 0 rows; scan's
+    ``run_batch`` answered 0 of 6; and ``[float(2^60),
+    float(2^60+512))`` answered 448 of 512 rows -- in the reference
+    engine too.  Every path answers like the (exact) reference.
+
+    A range no value lies in -- a NaN bound, or no integer between
+    the bounds -- is answered for the query overhead alone and leaves
+    every index as it was; the monitor still counts it.
     """
-    _, _, warming_charge = _nan_trace(drive, [])
-    strategy, results, charge = _nan_trace(drive, _NAN_SHAPES)
-    assert [result.count for result in results[1:]] == [0, 0, 0]
-    assert charge == warming_charge + CostCharge(queries=len(_NAN_SHAPES))
-    for index in getattr(strategy, "indexes", {}).values():
-        index.check_invariants()
+    strategy, charge = _bounds_trace(drive, _SHAPES)
+    both, both_charge = _bounds_trace(drive, _SHAPES + _EMPTY_SHAPES)
+    assert both_charge == charge + CostCharge(queries=len(_EMPTY_SHAPES))
+    assert _crack_count(both) == _crack_count(strategy)
+    for index in getattr(both, "indexes", {}).values():
         assert not np.isnan(index.piece_map.pivots()).any()
-        assert index.crack_count == 2  # the warming query's two bounds
-    monitor = getattr(strategy, "monitor", None)
+    monitor = getattr(both, "monitor", None)
     if monitor is not None:  # counted, as every answered query is
-        assert monitor.total_queries == 1 + len(_NAN_SHAPES)
+        assert monitor.total_queries == len(
+            _WARMING + _SHAPES + _EMPTY_SHAPES
+        )
+
+
+def test_select_range_normalises_a_raw_bound():
+    """A fractional bound handed straight to the index is normalised,
+    never truncated into an integer pivot: ``10.5`` on an int column
+    selects the rows of ``[11, ...)`` and cracks at 11."""
+    column = Column("A", np.arange(30, dtype=np.int64))
+    index = CrackerIndex(column, clock=SimClock())
+    assert sorted(index.select_range(10.5, 20).values().tolist()) == list(
+        range(11, 20)
+    )
+    assert index.piece_map.pivots() == [11, 20]
+    index.check_invariants()
+
+
+def test_reference_engine_compares_exactly():
+    """Regression: ``base >= low`` promoted the int64 column to float64,
+    so ``[float(2^60), float(2^60+512))`` answered 448 of 512 rows."""
+    db = _two_column_db()
+    ref = ColumnRef("R", "B")
+    rows = ReferenceEngine(db, [ref]).query(
+        ref, float(_BIG), float(_BIG + 512)
+    )
+    assert rows.tolist() == list(range(_BIG, _BIG + 512))
