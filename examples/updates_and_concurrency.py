@@ -4,10 +4,12 @@
 Two extensions the paper's related work ([11], [7]) calls out, both
 implemented in this library:
 
-* trickle inserts/deletes staged in delta stores and ripple-merged
-  into the cracker column only when a query touches their value range;
-* piece-level latching for concurrent cracking selects, with a
-  deterministic round-based scheduler.
+* trickle inserts/deletes staged in delta stores and overlaid on a
+  query's result when it touches their value range -- the cracker
+  column itself is never rebuilt;
+* piece-level latching for concurrent cracking: background tuning
+  workers crack the column while foreground queries read and crack
+  it, each under the latches of the pieces it restructures.
 
 Run:  python examples/updates_and_concurrency.py
 """
@@ -15,18 +17,13 @@ Run:  python examples/updates_and_concurrency.py
 import numpy as np
 
 from repro import Database, SimClock, scale_by_name
-from repro.cracking import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    CrackerIndex,
-)
-from repro.storage import build_paper_table
+from repro.storage import ColumnRef, build_paper_table
 
 SCALE = scale_by_name("small")
 
 
 def updates_demo() -> None:
-    print("=== updates: ripple-merging the delta store ===")
+    print("=== updates: overlaying the delta store ===")
     db = Database(clock=SimClock(SCALE.cost_model()))
     db.add_table(build_paper_table(rows=SCALE.rows, columns=2, seed=3))
     session = db.session("adaptive")
@@ -57,32 +54,31 @@ def updates_demo() -> None:
 
 
 def concurrency_demo() -> None:
-    print("\n=== concurrency: piece latches, round-based schedule ===")
+    print("\n=== concurrency: tuning workers racing live queries ===")
     db = Database(clock=SimClock(SCALE.cost_model()))
     db.add_table(build_paper_table(rows=SCALE.rows, columns=1, seed=3))
-    index = CrackerIndex(db.column("R", "A1"), clock=db.clock)
-    scheduler = ConcurrentCrackScheduler(index)
+    session = db.session("holistic", num_workers=2)
+    values = db.column("R", "A1").values
 
+    # The workers crack A1 in the background while queries crack it
+    # in the foreground; both sides latch the pieces they split.
+    session.start_background_tuning(200)
     rng = np.random.default_rng(0)
-    clients = []
-    for i in range(12):
+    wrong = 0
+    for _ in range(50):
         low = float(rng.uniform(1, 9e7))
-        clients.append(ClientQuery(f"client-{i}", low, low + 1e6))
-    report = scheduler.run(clients)
-    print(
-        f"executed {report.executed} concurrent selects in "
-        f"{report.rounds} rounds with {report.deferrals} deferrals"
-    )
-    print(
-        f"latch stats: {scheduler.latches.stats.grants} grants, "
-        f"{scheduler.latches.stats.conflicts} conflicts"
-    )
-    waits = {
-        c.client: c.rounds_waited for c in clients if c.rounds_waited
-    }
-    print(f"clients that had to wait at least one round: {waits}")
+        result = session.select("R", "A1", low, low + 1e6)
+        expected = np.count_nonzero((values >= low) & (values < low + 1e6))
+        wrong += result.count != expected
+    session.finish_background_tuning()
+
+    index = session.strategy.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
-    print(f"index ended consistent with {index.piece_count} pieces")
+    print(f"50 queries raced 200 background cracks, {wrong} wrong answers")
+    print(
+        f"index ended consistent with {index.piece_count} pieces; "
+        f"{index.tape.stall_count()} latch stalls recorded"
+    )
 
 
 if __name__ == "__main__":

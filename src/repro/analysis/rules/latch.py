@@ -13,8 +13,8 @@ at some enclosing statement level inside the same function, either
 ``try_acquire*`` calls are conditional (the caller may not hold
 anything afterwards), so for those the rule only requires that the
 enclosing function has a matching release inside *some* ``finally``:
-the cooperative scheduler's grant/defer protocol releases via
-``release_all`` at the end of each phase.
+a grant/defer protocol may release via ``release_all`` at the end
+of each phase.
 
 A matching release is ``release_read``/``release_write`` agreeing with
 the acquisition mode, or any bulk release (a callee whose name starts

@@ -7,14 +7,9 @@ concurrency control [7].
 """
 
 from repro.cracking.concurrency import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    LatchMode,
     LatchedCrackerAccess,
-    PieceLatchManager,
     PieceLatchTable,
     ReadWriteLatch,
-    ScheduleReport,
 )
 from repro.cracking.engine import (
     CrackScratch,
@@ -38,21 +33,16 @@ from repro.cracking.updates import (
 )
 
 __all__ = [
-    "ClientQuery",
-    "ConcurrentCrackScheduler",
     "CrackOrigin",
     "CrackScratch",
     "CrackTape",
     "CrackerIndex",
-    "LatchMode",
     "LatchedCrackerAccess",
     "MaintainedCrackerIndex",
     "Piece",
-    "PieceLatchManager",
     "PieceLatchTable",
     "PieceMap",
     "ReadWriteLatch",
-    "ScheduleReport",
     "SidewaysCrackerIndex",
     "StochasticCrackerIndex",
     "TapeRecord",

@@ -3,18 +3,9 @@
 "Concurrency control for adaptive indexing" (Graefe et al., PVLDB 2012
 -- the paper's [7]) observes that cracking turns read-only selects into
 structural writers, and resolves it with short-lived latches on the
-pieces a select is about to crack.  This module reproduces the protocol
-in a deterministic, cooperatively-scheduled simulator:
-
-* :class:`PieceLatchManager` grants shared/exclusive latches keyed by
-  piece start position and counts conflicts;
-* :class:`ConcurrentCrackScheduler` interleaves a batch of logical
-  clients round-by-round; a client whose latch request conflicts with
-  one granted earlier in the same round is deferred to the next round.
-
-The cooperative scheduler has no OS threads -- but the parallel tuning
-workers of :mod:`repro.holistic.workers` are real threads, and they use
-the *blocking* half of this module:
+pieces a select is about to crack.  This module is that protocol, used
+by real threads -- the parallel tuning workers of
+:mod:`repro.holistic.workers` and the queries racing them:
 
 * :class:`ReadWriteLatch` -- a condition-variable read/write latch that
   reports whether an acquisition had to wait (a *contention stall*);
@@ -48,8 +39,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from repro import faults
@@ -58,12 +48,7 @@ from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
 from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
 from repro.simtime.clock import wall_now
-from repro.storage.views import RangeView, SelectionResult
-
-
-class LatchMode(Enum):
-    SHARED = "shared"
-    EXCLUSIVE = "exclusive"
+from repro.storage.views import RangeView
 
 
 @dataclass(slots=True)
@@ -71,165 +56,6 @@ class LatchStats:
     grants: int = 0
     conflicts: int = 0
     releases: int = 0
-
-
-class PieceLatchManager:
-    """Shared/exclusive latches keyed by piece start position."""
-
-    def __init__(self) -> None:
-        self._holders: dict[int, tuple[LatchMode, set[str]]] = {}
-        self.stats = LatchStats()
-
-    def try_acquire(self, owner: str, piece_start: int, mode: LatchMode) -> bool:
-        """Attempt to latch a piece; returns False on conflict."""
-        current = self._holders.get(piece_start)
-        if current is None:
-            self._holders[piece_start] = (mode, {owner})
-            self.stats.grants += 1
-            return True
-        held_mode, holders = current
-        if owner in holders:
-            if held_mode is mode:
-                return True
-            if held_mode is LatchMode.EXCLUSIVE:
-                return True  # exclusive already implies shared access
-            if len(holders) == 1:
-                self._holders[piece_start] = (LatchMode.EXCLUSIVE, holders)
-                return True  # lone shared holder may upgrade
-            self.stats.conflicts += 1
-            return False
-        if held_mode is LatchMode.SHARED and mode is LatchMode.SHARED:
-            holders.add(owner)
-            self.stats.grants += 1
-            return True
-        self.stats.conflicts += 1
-        return False
-
-    def release_all(self, owner: str) -> int:
-        """Release every latch held by ``owner``; returns the count."""
-        released = 0
-        for start in list(self._holders):
-            mode, holders = self._holders[start]
-            if owner in holders:
-                holders.discard(owner)
-                released += 1
-                if not holders:
-                    del self._holders[start]
-        self.stats.releases += released
-        return released
-
-    def holders_of(self, piece_start: int) -> set[str]:
-        entry = self._holders.get(piece_start)
-        return set(entry[1]) if entry else set()
-
-    def held_count(self) -> int:
-        return len(self._holders)
-
-
-@dataclass(slots=True)
-class ClientQuery:
-    """One client's pending range query."""
-
-    client: str
-    low: float
-    high: float
-    result: SelectionResult | None = None
-    rounds_waited: int = 0
-
-
-@dataclass(slots=True)
-class ScheduleReport:
-    """Outcome of a scheduler run."""
-
-    rounds: int = 0
-    executed: int = 0
-    deferrals: int = 0
-    per_client_waits: dict[str, int] = field(default_factory=dict)
-
-
-class ConcurrentCrackScheduler:
-    """Deterministic round-based executor of concurrent cracking selects.
-
-    Each round, every still-pending query tries to exclusively latch
-    the pieces containing its two bounds (those are the pieces a
-    cracking select may restructure).  Conflicting queries wait for the
-    next round.  Latches are dropped at the end of each round, as in
-    the published protocol where latches live only for the duration of
-    the structural change.
-    """
-
-    def __init__(
-        self, index: CrackerIndex, latches: PieceLatchManager | None = None
-    ) -> None:
-        self.index = index
-        self.latches = latches if latches is not None else PieceLatchManager()
-
-    def _pieces_for(self, query: ClientQuery) -> list[int]:
-        pieces = self.index.piece_map
-        starts = {
-            pieces.piece_for_value(query.low).start,
-            pieces.piece_for_value(query.high).start,
-        }
-        return sorted(starts)
-
-    def run(self, queries: list[ClientQuery], max_rounds: int = 10_000) -> ScheduleReport:
-        """Execute all queries; returns scheduling statistics.
-
-        Raises:
-            ConcurrencyError: if ``max_rounds`` elapse without draining
-                the queue (indicates a livelock in the protocol).
-        """
-        report = ScheduleReport()
-        pending = list(queries)
-        while pending:
-            report.rounds += 1
-            if report.rounds > max_rounds:
-                raise ConcurrencyError(
-                    f"scheduler livelock: {len(pending)} queries still "
-                    f"pending after {max_rounds} rounds"
-                )
-            # Phase 1: every pending query requests latches against the
-            # *current* piece map, before anyone restructures it --
-            # acquisition precedes cracking, as in the published
-            # protocol.  Conflicting queries wait for the next round.
-            deferred: list[ClientQuery] = []
-            granted: list[ClientQuery] = []
-            for query in pending:
-                wanted = self._pieces_for(query)
-                acquired = all(
-                    self.latches.try_acquire(
-                        query.client, start, LatchMode.EXCLUSIVE
-                    )
-                    for start in wanted
-                )
-                if acquired:
-                    granted.append(query)
-                else:
-                    self.latches.release_all(query.client)
-                    query.rounds_waited += 1
-                    report.deferrals += 1
-                    deferred.append(query)
-            # Phase 2: granted queries execute (and restructure).  The
-            # latches drop in a finally so a select that raises (e.g.
-            # an injected fault) cannot strand its grants and wedge
-            # every later round.
-            try:
-                for query in granted:
-                    query.result = self.index.select_range(query.low, query.high)
-                    report.executed += 1
-            finally:
-                for query in granted:
-                    self.latches.release_all(query.client)
-            pending = deferred
-        for query in queries:
-            report.per_client_waits[query.client] = (
-                report.per_client_waits.get(query.client, 0)
-                + query.rounds_waited
-            )
-        return report
-
-
-# -- blocking latches for real worker threads ---------------------------
 
 
 class ReadWriteLatch:

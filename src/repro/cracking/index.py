@@ -11,20 +11,17 @@ contiguous :class:`RangeView` -- each query refines the index a little,
 each refinement is priced through the shared clock and logged on the
 :class:`CrackTape`.
 
-Auxiliary refinements -- the extra, non-query-driven cracks holistic
-indexing injects during idle time -- use the same machinery with
-``CrackOrigin.TUNING``.
+Auxiliary refinements -- the cracks holistic indexing injects during
+idle time -- use the same machinery with ``CrackOrigin.TUNING``.  A
+window of selects, a served window and a tuning batch share one
+physical multi-pivot pass (:meth:`CrackerIndex._crack_pass`) and
+differ only in how they price its record.
 
-Hot-path design (ISSUE 3): each index owns a :class:`CrackScratch` the
-kernels partition through (all structural operations run under the
-index's monitor lock, so one scratch per index suffices); piece
-navigation is a single fused :meth:`PieceMap.locate` per crack; and the
-cracker column is stored in the narrowest lossless dtype -- an ``int64``
-column whose values fit ``int32`` is cracked as ``int32`` (and row ids
-as ``int32`` up to 2^31 rows), halving kernel memory traffic.  Splits,
-charges, tape contents and reconstructed values are identical either
-way; update merging widens the column back if out-of-range values ever
-arrive (see :meth:`ensure_values_fit`).
+Each index partitions through its own :class:`CrackScratch` (structural
+operations run under the monitor lock) and stores the cracker column in
+the narrowest lossless dtype: an ``int64`` column that fits ``int32``
+is cracked as ``int32``, and update merging widens it back if
+out-of-range values arrive (:meth:`ensure_values_fit`).
 """
 
 from __future__ import annotations
@@ -32,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from repro.cracking.engine import (
     CrackScratch,
     crack_in_three,
     crack_in_two,
-    crack_in_two_batch,
     crack_multi,
     crack_spans_batch,
     sort_piece,
@@ -71,6 +69,42 @@ def _synchronized(method):
     return wrapper
 
 
+def _row_ids(rows: int) -> np.ndarray:
+    """A fresh cracker map: int32 row ids up to 2^31 rows."""
+    return np.arange(rows, dtype=np.int32 if rows <= _INT32_MAX else np.int64)
+
+
+class CrackPass(NamedTuple):
+    """The record of one physical multi-pivot pass
+    (:meth:`CrackerIndex._crack_pass`).
+
+    ``values``, ``starts`` and ``at_pivot`` are the pass's locate of
+    every value it was given: a value already a pivot has its cut
+    position in ``starts``.  The other fields describe each distinct
+    fresh value, ascending: its pre-pass piece index, start, end and
+    sorted flag, and the position the pass cut it at.
+    """
+
+    values: np.ndarray
+    starts: np.ndarray
+    at_pivot: np.ndarray
+    fresh: list[Key]
+    pieces: list[int]
+    piece_starts: list[int]
+    piece_ends: list[int]
+    sorted: list[bool]
+    positions: list[int]
+
+    def cut_positions(self) -> dict[Key, int]:
+        """The cut position of every distinct value, hits included."""
+        hits = self.at_pivot
+        positions = dict(
+            zip(self.values[hits].tolist(), self.starts[hits].tolist())
+        )
+        positions.update(zip(self.fresh, self.positions))
+        return positions
+
+
 class CrackerIndex:
     """A cracked copy of one column, refined by queries and tuning.
 
@@ -81,12 +115,10 @@ class CrackerIndex:
         track_rowids: maintain the cracker map (base positions aligned
             with cracked values) for tuple reconstruction.
         tape: refinement log to append to; a fresh one by default.
-        copy_on_first_touch: when True (default, MonetDB behaviour) the
-            cost of copying the base column is charged to the first
-            refinement instead of index creation.
-        narrow_values: store the cracker column in the narrowest
-            lossless integer dtype (default True; disable to force the
-            base column's dtype).
+
+    The cost of copying the base column is charged to the first
+    refinement, not to index creation (MonetDB behaviour), and the
+    copy is stored in the narrowest lossless dtype.
     """
 
     def __init__(
@@ -95,8 +127,6 @@ class CrackerIndex:
         clock: Clock | None = None,
         track_rowids: bool = False,
         tape: CrackTape | None = None,
-        copy_on_first_touch: bool = True,
-        narrow_values: bool = True,
     ) -> None:
         self.column = column
         self.clock: Clock = clock if clock is not None else SimClock()
@@ -107,16 +137,9 @@ class CrackerIndex:
         #: Piece-level concurrency semantics live one layer up, in
         #: :class:`repro.cracking.concurrency.PieceLatchTable`.
         self.lock = threading.RLock()
-        self._array = self._materialize_values(column, narrow_values)
+        self._array = self._materialize_values(column)
         rows = column.row_count
-        self._rowids = (
-            np.arange(
-                rows,
-                dtype=np.int32 if rows <= _INT32_MAX else np.int64,
-            )
-            if track_rowids
-            else None
-        )
+        self._rowids = _row_ids(rows) if track_rowids else None
         self._pieces = PieceMap(rows, dtype=column.ctype.numpy_dtype)
         #: Range bounds above this run to the end of the column.
         self._largest = largest(column.ctype.numpy_dtype)
@@ -132,9 +155,7 @@ class CrackerIndex:
         # arrays the cached views slice.
         self._span_views_arrays = (self._array, self._rowids)
         self.tape = tape if tape is not None else CrackTape()
-        self._copy_charged = not copy_on_first_touch
-        if not copy_on_first_touch and rows:
-            self.clock.charge(CostCharge(elements_materialized=rows))
+        self._copy_charged = False
 
     @classmethod
     def from_state(
@@ -193,14 +214,11 @@ class CrackerIndex:
         return index
 
     @staticmethod
-    def _materialize_values(
-        column: Column, narrow_values: bool
-    ) -> np.ndarray:
+    def _materialize_values(column: Column) -> np.ndarray:
         """Copy the column, narrowed to int32 when lossless."""
         values = column.values
         if (
-            narrow_values
-            and values.dtype == np.int64
+            values.dtype == np.int64
             and len(values)
             and _INT32_MIN <= column.stats.min_value
             and column.stats.max_value <= _INT32_MAX
@@ -355,38 +373,6 @@ class CrackerIndex:
             value, index, start, end, is_sorted, at_pivot, origin
         )
 
-    def _locate_fresh(
-        self, values: list[Key]
-    ) -> tuple[dict[Key, int], dict[int, list[Key]]]:
-        """Split ``values`` into known pivots and fresh cracks.
-
-        Caller holds the lock.  Returns ``(positions, by_piece)``:
-        ``positions`` maps every distinct value to its cut position
-        (``-1`` for values still to be cracked), ``by_piece`` groups
-        the fresh values -- sorted ascending -- by containing piece
-        index.
-        """
-        pieces = self._pieces
-        positions: dict[Key, int] = {}
-        fresh: list[Key] = []
-        fresh_piece: dict[Key, int] = {}
-        for value in values:
-            if value in positions:
-                continue
-            index, start, _, _, at_pivot = pieces.locate(value)
-            if at_pivot:
-                positions[value] = start
-            else:
-                positions[value] = -1
-                fresh.append(value)
-                fresh_piece[value] = index
-        by_piece: dict[int, list[Key]] = {}
-        if fresh:
-            fresh.sort()
-            for value in fresh:
-                by_piece.setdefault(fresh_piece[value], []).append(value)
-        return positions, by_piece
-
     @_synchronized
     def ensure_cuts(
         self,
@@ -395,126 +381,63 @@ class CrackerIndex:
     ) -> list[int]:
         """Crack at many values in one go (paper §3's batch question).
 
-        New pivots are grouped by containing piece; unsorted pieces
-        receiving two or more get a single counting-partition pass
-        (:func:`crack_multi`), unsorted pieces receiving exactly one
-        are partitioned by one :func:`crack_in_two_batch` call, and
-        sorted pieces take all their cuts via one vectorized
-        ``np.searchsorted`` call.  Charges and tape records are
-        identical to sequential :meth:`ensure_cut` calls.  Returns the
-        cut position of every requested value (normalised as there), in
-        input order.
-        """
-        pieces = self._pieces
-        values = [self._pivot_key(value) for value in values]
-        positions, by_piece = self._locate_fresh(values)
-        if by_piece:
-            witness.mutation_check(
-                self,
-                lambda: [
-                    pieces.piece_at_index(i).start for i in by_piece
-                ],
-                "ensure_cuts",
-            )
-            self._charge_copy_if_needed()
-            # Physically partition every single-pivot unsorted piece in
-            # one batched kernel call.  The pieces are pairwise
-            # disjoint, so this commutes with the sweep below, which
-            # performs all accounting (and the remaining physical work)
-            # in the original right-to-left piece order -- keeping
-            # charges, timestamps and tape records byte-identical to
-            # sequential processing.
-            sweep = sorted(by_piece, reverse=True)
-            batch_members: list[int] = []
-            batch_tasks: list[tuple[int, int, Key]] = []
-            for piece_index in sweep:
-                group = by_piece[piece_index]
-                if len(group) == 1 and not pieces.is_piece_sorted(
-                    piece_index
-                ):
-                    piece = pieces.piece_at_index(piece_index)
-                    batch_members.append(piece_index)
-                    batch_tasks.append((piece.start, piece.end, group[0]))
-            batch_splits: dict[int, tuple[int, CostCharge]] = {}
-            if batch_tasks:
-                splits, charges = crack_in_two_batch(
-                    self._array,
-                    batch_tasks,
-                    self._rowids,
-                    self._scratch,
-                )
-                for piece_index, split, charge in zip(
-                    batch_members, splits, charges
-                ):
-                    batch_splits[piece_index] = (split, charge)
-            for piece_index in sweep:
-                group = by_piece[piece_index]
-                if piece_index in batch_splits:
-                    value = group[0]
-                    split, charge = batch_splits[piece_index]
-                    piece = pieces.piece_at_index(piece_index)
-                    pieces.add_crack(value, split)
-                    self.clock.charge(charge)
-                    self.tape.log(
-                        self.clock.now(), origin, value, split, piece.size
-                    )
-                    positions[value] = split
-                    continue
-                piece = pieces.piece_at_index(piece_index)
-                if piece.is_sorted:
-                    self._cuts_in_sorted_piece(
-                        piece, group, positions, origin
-                    )
-                    continue
-                splits, charge = crack_multi(
-                    self._array,
-                    piece.start,
-                    piece.end,
-                    group,
-                    self._rowids,
-                    self._scratch,
-                )
-                self.clock.charge(charge)
-                now = self.clock.now()
-                for value, split in zip(group, splits):
-                    pieces.add_crack(value, split)
-                    positions[value] = split
-                    self.tape.log(now, origin, value, split, piece.size)
-        return [positions[value] for value in values]
+        :meth:`_crack_pass` -- a window's physical pass -- cuts every
+        fresh value; its record is priced piece by piece, right to
+        left, each piece's cuts logged in ascending order:
 
-    def _cuts_in_sorted_piece(
-        self,
-        piece: Piece,
-        group: list[Key],
-        positions: dict[Key, int],
-        origin: CrackOrigin,
-    ) -> None:
-        """All cuts of one sorted piece via a single vectorized search.
+        * an unsorted piece taking one pivot: one crack of the piece
+          (``CostCharge.for_crack``; an empty piece, the crack alone);
+        * an unsorted piece taking ``k >= 2``: one counting partition,
+          ``CostCharge(2 * size, 1, k)`` -- a classify and a scatter
+          pass, cheaper than ``k`` sequential :meth:`ensure_cut` calls;
+        * a sorted piece: one binary search per cut, over the shrinking
+          remainder ``[previous cut, end)``.
 
-        A sorted piece needs no data movement: every pivot's position
-        comes from one ``np.searchsorted`` over the piece.  Charges and
-        tape records replicate sequential :meth:`ensure_cut` calls
-        exactly -- each successive cut binary-searches the shrinking
-        remainder ``[previous_cut, end)``, so the i-th charge prices a
-        search over that remainder, not the whole piece.
+        Pivot hits are free.  Returns the cut position of every value
+        (normalised as in :meth:`ensure_cut`), in input order.
         """
-        offsets = self._array[piece.start : piece.end].searchsorted(group)
-        previous = piece.start
-        for value, offset in zip(group, offsets):
-            position = piece.start + int(offset)
-            self._pieces.add_crack(value, position)
-            self.clock.charge(
-                CostCharge.for_binary_search(max(1, piece.end - previous))
-            )
-            self.tape.log(
-                self.clock.now(),
-                origin,
-                value,
-                position,
-                piece.end - previous,
-            )
-            positions[value] = position
-            previous = position
+        keys = [self._pivot_key(value) for value in values]
+        copy_charged = self._copy_charged
+        record = self._crack_pass(
+            np.array(keys, dtype=self._pieces.dtype),
+            "ensure_cuts",
+            piece_latched=True,
+        )
+        clock, tape = self.clock, self.tape
+        if record.fresh and not copy_charged and self.row_count:
+            clock.charge(CostCharge(elements_materialized=self.row_count))
+        pieces = record.pieces
+        hi = len(pieces)
+        while hi:
+            lo = bisect_left(pieces, pieces[hi - 1], 0, hi)
+            start, end = record.piece_starts[lo], record.piece_ends[lo]
+            cuts = zip(record.fresh[lo:hi], record.positions[lo:hi])
+            if record.sorted[lo]:
+                previous = start
+                for value, position in cuts:
+                    rest = end - previous
+                    clock.charge(CostCharge.for_binary_search(max(1, rest)))
+                    tape.log(clock.now(), origin, value, position, rest)
+                    previous = position
+            else:
+                size = end - start
+                if hi - lo > 1:
+                    charge = CostCharge(
+                        elements_cracked=2 * size,
+                        pieces_touched=1,
+                        cracks=hi - lo,
+                    )
+                elif size:
+                    charge = CostCharge.for_crack(size)
+                else:
+                    charge = CostCharge(cracks=1)
+                clock.charge(charge)
+                now = clock.now()
+                for value, position in cuts:
+                    tape.log(now, origin, value, position, size)
+            hi = lo
+        positions = record.cut_positions()
+        return [positions[key] for key in keys]
 
     @_synchronized
     def select_range(
@@ -619,17 +542,13 @@ class CrackerIndex:
         """Physically crack a whole window of range selects in one pass.
 
         ``bounds`` are the window's ranges, normalised into the
-        column's domain (:func:`~repro.storage.dtypes.normalise_range`;
-        a window replays its empty ranges without the index).  Every
-        bound is cracked immediately -- grouped by
-        piece, with one kernel pass per piece -- but **nothing is
-        charged or logged**; the returned
-        :class:`~repro.cracking.batch.CrackSelectBatch` replays the
-        accounting query by query, reproducing sequential
+        column's domain (a window replays its empty ranges without the
+        index).  :meth:`_crack_pass` cuts every bound now, silently;
+        the returned :class:`~repro.cracking.batch.CrackSelectBatch`
+        replays the accounting query by query, reproducing sequential
         :meth:`select_range` charges, timestamps and tape records
         exactly.  The caller must drive one ``replay`` per window
-        entry, in order, before issuing other operations on this
-        index.
+        entry, in order, before issuing other operations on this index.
 
         Raises:
             QueryError: if any range is inverted.
@@ -660,7 +579,8 @@ class CrackerIndex:
             self._span_views = {}
             self._span_views_arrays = (self._array, self._rowids)
         copy_charged = self._copy_charged
-        positions = self._crack_values_silent(values)
+        record = self._crack_pass(values, "batched crack pass", False)
+        positions = dict(zip(record.fresh, record.positions))
         context = CrackSelectBatch(
             self, sim, positions, copy_charged, origin, len(bounds)
         )
@@ -673,16 +593,12 @@ class CrackerIndex:
     ) -> dict[Key, int]:
         """Silently crack a window's bounds; return every cut position.
 
-        The re-entrant physical half of a cross-session serving window
-        (ISSUE 5).  Like :meth:`begin_select_batch` it cracks every
-        fresh bound in one grouped pass with **no** clock or tape side
-        effects, but it constructs no replay context -- accounting is
-        driven externally, by per-client
-        :class:`~repro.cracking.batch.DetachedCrackReplay` shadows --
-        and the returned mapping covers **every** distinct bound,
-        including values that were already pivots: a bound warm in the
-        shared physical index can still be fresh in a client's shadow
-        map, whose replay then needs its (order-independent) position.
+        The physical half of a cross-session serving window: the pass
+        of :meth:`begin_select_batch` without a replay context -- per-
+        client :class:`~repro.cracking.batch.DetachedCrackReplay`
+        shadows account for it.  The mapping covers **every** distinct
+        bound, pivots included: a bound warm in the shared index can
+        still be fresh in a client's shadow map.
 
         Raises:
             QueryError: if any range is inverted.
@@ -690,15 +606,10 @@ class CrackerIndex:
         values = self._window_bounds(bounds)
         if len(values) == 0:
             return {}
-        # A bound that is already a pivot answers from this one locate:
-        # cracking the fresh bounds moves no existing cut.
-        _, starts, _, _, at_pivot = self._pieces.locate_many(values)
-        positions = dict(
-            zip(values[at_pivot].tolist(), starts[at_pivot].tolist())
-        )
-        if not at_pivot.all():
-            positions.update(self._crack_values_silent(values))
-        return positions
+        # Cracking the fresh bounds moves no existing cut, so a bound
+        # that was already a pivot answers from the pass's own locate.
+        record = self._crack_pass(values, "batched crack pass", False)
+        return record.cut_positions()
 
     def _window_bounds(self, bounds: list[tuple[Key, Key]]) -> np.ndarray:
         """Every bound a window's physical pass must see cut, in the
@@ -718,53 +629,53 @@ class CrackerIndex:
                 values.append(high)
         return np.array(values, dtype=self._pieces.dtype)
 
-    def _crack_values_silent(
-        self, values: np.ndarray
-    ) -> dict[Key, int]:
-        """Crack at every fresh value with no clock/tape side effects.
+    def _crack_pass(
+        self, values: np.ndarray, what: str, piece_latched: bool
+    ) -> "CrackPass":
+        """Crack at every fresh value in ``values``, silently.
 
-        Caller holds the lock; ``values`` may repeat (the window's raw
-        bound list).  The physical half of a batched select, fully
-        vectorized: one :meth:`PieceMap.locate_many` classifies every
-        value, shared kernel dispatches partition the data
-        (``crack_spans_batch`` for pieces taking one pivot or one
-        query's bound pair, ``crack_multi`` for denser pieces,
-        ``searchsorted`` for sorted ones), and one
-        :meth:`PieceMap.insert_cracks_bulk` splice records every new
-        cut.  All accounting is left to the replay.  Returns the cut
-        position of every *fresh* value (existing pivots answer their
-        replays from the shadow map directly).
+        Caller holds the lock; ``values`` are keys in the column's
+        dtype and may repeat.  The index's one physical multi-pivot
+        pass: one :meth:`PieceMap.locate_many` classifies every value,
+        the fresh ones are grouped by piece, one ``crack_spans_batch``
+        partitions the pieces taking one or two pivots, ``crack_multi``
+        the denser ones and ``searchsorted`` the sorted ones, and one
+        :meth:`PieceMap.insert_cracks_bulk` splice records every cut.
+        Nothing is charged or logged; the first crack marks the base
+        copy as made (the caller's accounting charges it).
+
+        ``piece_latched`` is the concurrency contract the witness
+        checks: a worker batch holds the write latches of exactly the
+        pieces it splits; a window (``False``) cracks across the whole
+        column under the table-level exclusive latch.
         """
         pieces = self._pieces
-        _, _, _, _, at_pivot = pieces.locate_many(values)
-        positions: dict[Key, int] = {}
-        fresh_mask = ~at_pivot
-        if not np.any(fresh_mask):
-            return positions
-        # Batched passes crack many pieces across the whole column, so
-        # their concurrency contract is the table-level exclusive latch
-        # (what the serving front-end holds), not per-piece latches.
-        witness.mutation_check(self, None, "batched crack pass")
-        # The replay emits the one-off copy charge at its first crack
-        # event, exactly where sequential execution would have; the
-        # flag flips here so later foreground cracks do not re-charge.
-        self._copy_charged = True
-        fresh_values = np.unique(values[fresh_mask])
-        fresh_pieces, f_starts, f_ends, f_flags, _ = pieces.locate_many(
-            fresh_values
-        )
-        fresh_starts = f_starts.tolist()
-        fresh_ends = f_ends.tolist()
-        fresh_sorted = f_flags.tolist()
+        indices, starts, ends, flags, at_pivot = pieces.locate_many(values)
+        fresh_at = np.flatnonzero(~at_pivot)
+        if not len(fresh_at):
+            return CrackPass(values, starts, at_pivot, [], [], [], [], [], [])
+        fresh_values, first = np.unique(values[fresh_at], return_index=True)
+        fresh_at = fresh_at[first]
+        fresh_pieces = indices[fresh_at]
+        fresh_starts = starts[fresh_at].tolist()
+        fresh_ends = ends[fresh_at].tolist()
+        fresh_sorted = flags[fresh_at].tolist()
         # Pieces are value-ordered, so value-sorted fresh cracks have
         # non-decreasing piece indices; group boundaries come from one
         # diff instead of a Python dict of lists.
         cut_points = np.flatnonzero(np.diff(fresh_pieces)) + 1
         group_bounds = [0, *cut_points.tolist(), len(fresh_values)]
+        witness.mutation_check(
+            self,
+            (lambda: [fresh_starts[lo] for lo in group_bounds[:-1]])
+            if piece_latched
+            else None,
+            what,
+        )
+        self._copy_charged = True
         fresh_positions = np.empty(len(fresh_values), dtype=np.int64)
         fresh_list = fresh_values.tolist()
-        span_slots: list[int] = []
-        span_pairs: list[bool] = []
+        span_slots: list[tuple[int, int]] = []
         span_tasks: list[tuple[int, int, Key, Key]] = []
         for g in range(len(group_bounds) - 1):
             lo, hi = group_bounds[g], group_bounds[g + 1]
@@ -773,16 +684,10 @@ class CrackerIndex:
                 fresh_positions[lo:hi] = start + self._array[
                     start:end
                 ].searchsorted(fresh_values[lo:hi])
-            elif hi - lo == 1:
-                span_slots.append(lo)
-                span_pairs.append(False)
-                value = fresh_list[lo]
-                span_tasks.append((start, end, value, value))
-            elif hi - lo == 2:
-                span_slots.append(lo)
-                span_pairs.append(True)
+            elif hi - lo <= 2:
+                span_slots.append((lo, hi - 1))
                 span_tasks.append(
-                    (start, end, fresh_list[lo], fresh_list[lo + 1])
+                    (start, end, fresh_list[lo], fresh_list[hi - 1])
                 )
             else:
                 splits, _charge = crack_multi(
@@ -804,16 +709,21 @@ class CrackerIndex:
                 self._scratch,
                 validate=False,
             )
-            for lo, pair, (pos_low, pos_high) in zip(
-                span_slots, span_pairs, span_splits
-            ):
-                fresh_positions[lo] = pos_low
-                if pair:
-                    fresh_positions[lo + 1] = pos_high
+            for (lo, last), (low, high) in zip(span_slots, span_splits):
+                fresh_positions[lo] = low
+                fresh_positions[last] = high
         pieces.insert_cracks_bulk(fresh_values, fresh_positions)
-        for value, position in zip(fresh_list, fresh_positions.tolist()):
-            positions[value] = position
-        return positions
+        return CrackPass(
+            values,
+            starts,
+            at_pivot,
+            fresh_list,
+            fresh_pieces.tolist(),
+            fresh_starts,
+            fresh_ends,
+            fresh_sorted,
+            fresh_positions.tolist(),
+        )
 
     # -- update support --------------------------------------------------
 
@@ -933,13 +843,10 @@ class CrackerIndex:
         materialization.
         """
         witness.mutation_check(self, None, "rebuild")
-        self._array = self._materialize_values(self.column, True)
+        self._array = self._materialize_values(self.column)
         rows = self.column.row_count
         if self._rowids is not None:
-            self._rowids = np.arange(
-                rows,
-                dtype=np.int32 if rows <= _INT32_MAX else np.int64,
-            )
+            self._rowids = _row_ids(rows)
         self._pieces = PieceMap(rows, dtype=self._pieces.dtype)
         self._scratch = CrackScratch()
         self._replay_cache = None

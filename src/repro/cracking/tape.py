@@ -6,7 +6,7 @@ of the piece it refined.  The tape powers:
 
 * the Figure-1 style timeline reproduction (`repro.bench.timeline`);
 * the workload monitor's view of *who* refined *what* and *when*;
-* debugging and the concurrency simulator's conflict analysis.
+* debugging, and the latch protocol's contention accounting.
 
 When parallel tuning workers are active each record also carries the
 id of the worker that performed it (``None`` for foreground/serial

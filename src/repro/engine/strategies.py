@@ -489,21 +489,6 @@ class OnlineStrategy(IndexingStrategy):
         self.epochs.observe_query(now)
         return super().select_empty(query)
 
-    def exploit_idle(
-        self,
-        budget_s: float | None = None,
-        actions: int | None = None,
-    ) -> IdleOutcome:
-        """Drain deferred builds into the idle window."""
-        start = self.clock.now()
-        built = self.colt.drain_pending(budget_s)
-        return IdleOutcome(
-            consumed_s=self.clock.now() - start,
-            actions_done=len(built),
-            blocking=False,
-            note=f"drained {len(built)} deferred build(s)",
-        )
-
     def access_path(self, query: RangeQuery) -> AccessPath:
         if self.colt.index_for(query.ref) is not None:
             return AccessPath.FULL_INDEX
@@ -514,6 +499,9 @@ class OnlineStrategy(IndexingStrategy):
             name=self.name,
             statistical_analysis=True,
             idle_a_priori=False,
+            # Table 1's row: COLT may reorganise during idle time.  This
+            # reproduction builds inline at epoch boundaries only, so
+            # an idle window passes unused.
             idle_during_workload=True,
             incremental_indexing=False,
             workload="dynamic",

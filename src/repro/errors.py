@@ -63,7 +63,7 @@ class CrackerError(IndexingError):
 
 
 class ConcurrencyError(IndexingError):
-    """A latch/lock protocol violation in the concurrency simulator."""
+    """A latch protocol violation (:mod:`repro.cracking.concurrency`)."""
 
 
 class LatchTimeout(ConcurrencyError):

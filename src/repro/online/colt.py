@@ -7,11 +7,8 @@ optimizer-style estimates, builds the most promising one if its
 amortized benefit over a planning horizon beats its build cost, and
 drops indexes that have gone cold.
 
-Builds normally happen *inline*, delaying in-flight queries -- the
-online-indexing overhead the paper's Section 2 criticizes.  When the
-host strategy receives idle time it can drain the pending-build queue
-there instead (see ``OnlineStrategy``), which is the "reorganized
-on-the-fly or during idle time" behaviour of Table 1.
+Builds happen *inline*, delaying in-flight queries -- the
+online-indexing overhead the paper's Section 2 criticizes.
 """
 
 from __future__ import annotations
@@ -38,14 +35,11 @@ class ColtConfig:
             (a storage budget stand-in).
         drop_after_epochs: drop an index untouched for this many
             epochs.
-        defer_builds: queue builds for idle time instead of building
-            inline at the epoch boundary.
     """
 
     horizon_queries: int = 1_000
     max_indexes: int = 8
     drop_after_epochs: int = 10
-    defer_builds: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon_queries <= 0:
@@ -69,7 +63,6 @@ class EpochDecision:
 
     epoch: int
     built: list[ColumnRef] = field(default_factory=list)
-    queued: list[ColumnRef] = field(default_factory=list)
     dropped: list[ColumnRef] = field(default_factory=list)
 
 
@@ -87,7 +80,6 @@ class ColtTuner:
         self.optimizer = optimizer
         self.builder = builder
         self.config = config if config is not None else ColtConfig()
-        self.pending_builds: list[ColumnRef] = []
         self.decisions: list[EpochDecision] = []
         self._last_used_epoch: dict[ColumnRef, int] = {}
         self._dropped: set[ColumnRef] = set()
@@ -120,32 +112,11 @@ class ColtTuner:
         self._last_eval_time = now
         candidate = self._best_candidate(fresh_counts)
         if candidate is not None:
-            if self.config.defer_builds:
-                if candidate not in self.pending_builds:
-                    self.pending_builds.append(candidate)
-                    decision.queued.append(candidate)
-            else:
-                self.builder.build_now(candidate)
-                self._dropped.discard(candidate)
-                decision.built.append(candidate)
+            self.builder.build_now(candidate)
+            self._dropped.discard(candidate)
+            decision.built.append(candidate)
         self.decisions.append(decision)
         return decision
-
-    def drain_pending(self, budget_s: float | None = None) -> list[ColumnRef]:
-        """Build queued indexes (idle-time path); returns what was built."""
-        built: list[ColumnRef] = []
-        remaining = float("inf") if budget_s is None else float(budget_s)
-        while self.pending_builds:
-            ref = self.pending_builds[0]
-            estimate = self.optimizer.build_cost(ref)
-            if estimate > remaining:
-                break
-            self.pending_builds.pop(0)
-            self.builder.build_now(ref)
-            self._dropped.discard(ref)
-            built.append(ref)
-            remaining -= estimate
-        return built
 
     def _built_count(self) -> int:
         return sum(
@@ -176,8 +147,6 @@ class ColtTuner:
         best_gain = 0.0
         for ref, count in fresh_counts.items():
             if self.index_for(ref) is not None:
-                continue
-            if ref in self.pending_builds:
                 continue
             rows = self.optimizer.catalog.column(ref).row_count
             per_query_gain = self.optimizer.model.scan_seconds(

@@ -188,6 +188,20 @@ def test_latched_access_passes_mutation_checks(small_column):
     assert w.mutation_checks > 0
 
 
+def test_worker_batch_is_checked_against_its_piece_latches(small_column):
+    """A tuning batch runs the window's physical pass under the piece
+    contract, not the table latch a window holds: it passes under the
+    write latches of the pieces it splits and trips without them."""
+    with witness.enabled() as w:
+        index, table = _armed_index(small_column)
+        access = LatchedCrackerAccess(index, table)
+        assert access.crack_value([2e7, 5e7, 5.5e7, 8e7]) == 4
+        assert w.violations == []
+        index.ensure_cuts([3e7, 6e7])
+    assert [v.kind for v in w.violations] == ["unlatched-mutation"]
+    assert "without its write latch" in w.violations[0].detail
+
+
 def test_table_exclusive_covers_whole_index_mutations(small_column):
     with witness.enabled() as w:
         index, table = _armed_index(small_column)

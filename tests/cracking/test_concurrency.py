@@ -1,134 +1,80 @@
-"""Unit tests for piece latching and the concurrent crack scheduler."""
+"""The one latch protocol's shared/exclusive semantics, and the index's
+monitor lock under a racing thread."""
+
+import threading
 
 import numpy as np
-import pytest
 
-from repro.cracking.concurrency import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    LatchMode,
-    PieceLatchManager,
-)
+from repro.cracking.concurrency import PieceLatchTable, ReadWriteLatch
 from repro.cracking.index import CrackerIndex
+from repro.errors import LatchTimeout
 from repro.simtime.clock import SimClock
 
-from tests.conftest import ground_truth_count
+
+def _in_thread(fn):
+    """Run ``fn`` on another thread; return what it returned or raised."""
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except LatchTimeout as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=5)
+    return outcome[0]
 
 
 def test_shared_latches_coexist():
-    latches = PieceLatchManager()
-    assert latches.try_acquire("a", 0, LatchMode.SHARED)
-    assert latches.try_acquire("b", 0, LatchMode.SHARED)
-    assert latches.holders_of(0) == {"a", "b"}
-    assert latches.stats.grants == 2
+    table = PieceLatchTable()
+    with table.read_piece(0) as first:
+
+        def second_reader():
+            with table.read_piece(0) as stalled:
+                return stalled
+
+        assert first is False
+        assert _in_thread(second_reader) is False
+    assert table.stats.grants == 2
+    assert table.stats.conflicts == 0
 
 
 def test_exclusive_excludes_everyone():
-    latches = PieceLatchManager()
-    assert latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
-    assert not latches.try_acquire("b", 0, LatchMode.SHARED)
-    assert not latches.try_acquire("b", 0, LatchMode.EXCLUSIVE)
-    assert latches.stats.conflicts == 2
+    latch = ReadWriteLatch()
+    latch.acquire_write()
+    try:
+        for acquire in (latch.acquire_read, latch.acquire_write):
+            got = _in_thread(lambda: acquire(timeout_s=0.01))
+            assert isinstance(got, LatchTimeout)
+    finally:
+        latch.release_write()
 
 
 def test_shared_blocks_exclusive_from_others():
-    latches = PieceLatchManager()
-    assert latches.try_acquire("a", 0, LatchMode.SHARED)
-    assert not latches.try_acquire("b", 0, LatchMode.EXCLUSIVE)
-
-
-def test_lone_shared_holder_upgrades():
-    latches = PieceLatchManager()
-    assert latches.try_acquire("a", 0, LatchMode.SHARED)
-    assert latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
-    assert not latches.try_acquire("b", 0, LatchMode.SHARED)
-
-
-def test_shared_holder_cannot_upgrade_among_peers():
-    latches = PieceLatchManager()
-    latches.try_acquire("a", 0, LatchMode.SHARED)
-    latches.try_acquire("b", 0, LatchMode.SHARED)
-    assert not latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
+    latch = ReadWriteLatch()
+    latch.acquire_read()
+    try:
+        got = _in_thread(lambda: latch.acquire_write(timeout_s=0.01))
+        assert isinstance(got, LatchTimeout)
+    finally:
+        latch.release_read()
 
 
 def test_release_all_frees_pieces():
-    latches = PieceLatchManager()
-    latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
-    latches.try_acquire("a", 10, LatchMode.EXCLUSIVE)
-    released = latches.release_all("a")
-    assert released == 2
-    assert latches.held_count() == 0
-    assert latches.try_acquire("b", 0, LatchMode.EXCLUSIVE)
+    table = PieceLatchTable()
+    with table.write_pieces([0, 10]):
+        pass
+    assert table.stats.releases == 2
 
+    def retake():
+        with table.write_pieces([0, 10]) as stalled:
+            return stalled
 
-def test_reacquire_same_mode_is_idempotent():
-    latches = PieceLatchManager()
-    assert latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
-    assert latches.try_acquire("a", 0, LatchMode.EXCLUSIVE)
-    assert latches.try_acquire("a", 0, LatchMode.SHARED)
-
-
-def test_scheduler_runs_all_queries(small_column):
-    index = CrackerIndex(small_column, clock=SimClock())
-    scheduler = ConcurrentCrackScheduler(index)
-    queries = [
-        ClientQuery("c1", 10_000_000, 20_000_000),
-        ClientQuery("c2", 30_000_000, 40_000_000),
-        ClientQuery("c3", 15_000_000, 35_000_000),
-        ClientQuery("c4", 70_000_000, 80_000_000),
-    ]
-    report = scheduler.run(queries)
-    assert report.executed == 4
-    for query in queries:
-        assert query.result is not None
-        assert query.result.count == ground_truth_count(
-            small_column, query.low, query.high
-        )
-    index.check_invariants()
-
-
-def test_scheduler_defers_conflicting_queries(small_column):
-    index = CrackerIndex(small_column, clock=SimClock())
-    scheduler = ConcurrentCrackScheduler(index)
-    # All four queries hit the same initial (single) piece: only the
-    # first proceeds in round one, the rest wait.
-    queries = [
-        ClientQuery(f"c{i}", 10_000_000 * i, 10_000_000 * i + 5_000_000)
-        for i in range(1, 5)
-    ]
-    report = scheduler.run(queries)
-    assert report.executed == 4
-    assert report.deferrals > 0
-    assert report.rounds > 1
-
-
-def test_scheduler_disjoint_pieces_run_same_round(small_column):
-    index = CrackerIndex(small_column, clock=SimClock())
-    # Pre-crack so the queries land in different pieces.
-    index.select_range(25_000_000, 50_000_000)
-    index.select_range(75_000_000, 90_000_000)
-    scheduler = ConcurrentCrackScheduler(index)
-    queries = [
-        ClientQuery("c1", 1_000_000, 2_000_000),
-        ClientQuery("c2", 30_000_000, 31_000_000),
-        ClientQuery("c3", 80_000_000, 81_000_000),
-    ]
-    report = scheduler.run(queries)
-    assert report.rounds == 1
-    assert report.deferrals == 0
-
-
-def test_scheduler_livelock_guard(small_column):
-    from repro.errors import ConcurrencyError
-
-    index = CrackerIndex(small_column, clock=SimClock())
-    scheduler = ConcurrentCrackScheduler(index)
-    queries = [
-        ClientQuery("c1", 10_000_000, 20_000_000),
-        ClientQuery("c2", 10_000_000, 20_000_000),
-    ]
-    with pytest.raises(ConcurrencyError):
-        scheduler.run(queries, max_rounds=0)
+    assert _in_thread(retake) is False
+    with table.exclusive() as stalled:
+        assert stalled is False
 
 
 def test_check_invariants_beside_a_cracking_thread(small_column):
@@ -137,7 +83,6 @@ def test_check_invariants_beside_a_cracking_thread(small_column):
     saw the piece map mid-shift (``pivots[i] == pivots[i + 1]``) and
     reported corruption that was not there."""
     import sys
-    import threading
     import time
 
     index = CrackerIndex(small_column, clock=SimClock())

@@ -180,7 +180,7 @@ def test_ensure_cuts_bit_identical_to_sequential(values, cut_values):
     accounting exactly.
 
     The index is pre-cracked into coarse pieces, then every piece gets
-    at most one new pivot -- the ``crack_in_two_batch`` path.
+    at most one new pivot, each charged as one crack of its piece.
     ``ensure_cuts`` processes pieces right-to-left, so the sequential
     reference issues its ``ensure_cut`` calls in descending value
     order; positions, virtual-clock totals and tape contents

@@ -162,15 +162,6 @@ def test_copy_charged_once_on_first_touch(small_column):
     )
 
 
-def test_copy_charged_eagerly_when_requested(small_column):
-    clock = SimClock()
-    CrackerIndex(small_column, clock=clock, copy_on_first_touch=False)
-    assert (
-        clock.total_charge.elements_materialized
-        == small_column.row_count
-    )
-
-
 def test_empty_column_index(sim_clock):
     from repro.storage.column import Column
 

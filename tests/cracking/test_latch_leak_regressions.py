@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 import repro.cracking.concurrency as concurrency
-from repro.cracking.concurrency import (
-    ClientQuery,
-    ConcurrentCrackScheduler,
-    LatchMode,
-    PieceLatchTable,
-)
+from repro.cracking.concurrency import PieceLatchTable
 from repro.cracking.engine import (
     _count_below,
     crack_in_two_batch,
@@ -54,23 +49,6 @@ def test_read_piece_releases_table_latch_when_lookup_raises():
     # table-level writer forever.
     assert table._table.acquire_write(timeout_s=0.5) is False
     table._table.release_write()
-
-
-def test_scheduler_releases_grants_when_select_raises(small_column):
-    """Phase 2 of the scheduler drops its piece latches in a finally;
-    a select that raises (an injected fault, say) must not wedge the
-    next round's acquisitions."""
-    index = CrackerIndex(small_column, clock=SimClock())
-    scheduler = ConcurrentCrackScheduler(index)
-    index.select_range = lambda low, high: (_ for _ in ()).throw(
-        RuntimeError("injected select failure")
-    )
-    with pytest.raises(RuntimeError):
-        scheduler.run([ClientQuery("c1", 2e7, 6e7)])
-    # The failed client's exclusive grants are gone: a fresh client can
-    # take the same piece immediately.
-    assert scheduler.latches.try_acquire("probe", 0, LatchMode.EXCLUSIVE)
-    scheduler.latches.release_all("probe")
 
 
 # -- wall-clock routing --------------------------------------------------
@@ -143,9 +121,7 @@ def test_index_select_is_exact_beyond_2_53():
     values = np.arange(B - 8, B + 8, dtype=np.int64)
     rng = np.random.default_rng(11)
     rng.shuffle(values)
-    index = CrackerIndex(
-        Column("big", values), clock=SimClock(), narrow_values=False
-    )
+    index = CrackerIndex(Column("big", values), clock=SimClock())
     low, high = float(B + 2), float(B + 6)  # both exactly representable
     result = index.select_range(low, high)
     # Exact oracle in integer space (a float-compare oracle would carry

@@ -11,7 +11,7 @@ from repro.cracking.concurrency import (
 )
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.errors import ConfigError, LatchTimeout
+from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
 from repro.faults import FaultPlan, engaged
 from repro.simtime.clock import SimClock
 
@@ -311,3 +311,60 @@ def test_injected_latch_timeout_is_retried_by_the_batch(small_column):
     assert index.tape.stall_count() == 1
     with access.table.exclusive() as stalled:
         assert stalled is False
+
+
+def test_latched_select_releases_latches_when_select_raises(small_column):
+    """The piece latches of a select drop in a finally: a select that
+    raises (an injected fault, say) must not strand them."""
+    index = CrackerIndex(small_column, clock=SimClock())
+    access = LatchedCrackerAccess(index, PieceLatchTable())
+    index.select_range = lambda low, high, origin: (_ for _ in ()).throw(
+        RuntimeError("injected select failure")
+    )
+    with pytest.raises(RuntimeError):
+        access.select_range(2e7, 6e7)
+    with access.table.exclusive() as stalled:
+        assert stalled is False
+    assert access.table.stats.releases == access.table.stats.grants
+
+
+def test_latched_selects_from_threads_answer_exactly(small_column):
+    """Clients racing on one index through the facade -- overlapping
+    ranges, shared pieces -- all get exact answers."""
+    index = CrackerIndex(small_column, clock=SimClock())
+    access = LatchedCrackerAccess(index, PieceLatchTable())
+    bounds = [
+        (10_000_000, 20_000_000),
+        (30_000_000, 40_000_000),
+        (15_000_000, 35_000_000),
+        (70_000_000, 80_000_000),
+    ]
+    counts: dict = {}
+    threads = [
+        threading.Thread(
+            target=lambda b=b: counts.__setitem__(
+                b, access.select_range(*b).count
+            )
+        )
+        for b in bounds
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    for low, high in bounds:
+        assert counts[low, high] == ground_truth_count(small_column, low, high)
+    index.check_invariants()
+
+
+def test_latched_access_gives_up_after_max_retries(small_column):
+    """The retry bound guards the revalidate loop against protocol
+    bugs: exhausting it raises instead of spinning forever."""
+    access = LatchedCrackerAccess(
+        CrackerIndex(small_column, clock=SimClock()), PieceLatchTable()
+    )
+    access.MAX_RETRIES = 0
+    with pytest.raises(ConcurrencyError):
+        access.select_range(1e7, 2e7)
+    with pytest.raises(ConcurrencyError):
+        access.crack_value([3e7, 4e7])

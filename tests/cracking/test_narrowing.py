@@ -27,12 +27,6 @@ def test_out_of_range_column_keeps_int64():
     assert index.values.dtype == np.int64
 
 
-def test_narrowing_can_be_disabled():
-    column = _column([1, 2, 3])
-    index = CrackerIndex(column, narrow_values=False)
-    assert index.values.dtype == np.int64
-
-
 def test_narrowed_index_answers_queries_exactly(small_column):
     index = CrackerIndex(small_column, clock=SimClock())
     assert index.values.dtype == np.int32

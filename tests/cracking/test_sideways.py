@@ -119,9 +119,7 @@ def test_map_cracks_match_standalone_cracker(table, rng):
     preserved."""
     index = SidewaysCrackerIndex(table, "A1", clock=SimClock())
     standalones = {
-        tail: CrackerIndex(
-            table.column("A1"), clock=SimClock(), narrow_values=False
-        )
+        tail: CrackerIndex(table.column("A1"), clock=SimClock())
         for tail in ("A2", "A3")
     }
     for _ in range(25):

@@ -11,7 +11,6 @@ from repro.engine.strategies import (
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
-from repro.online.colt import ColtConfig
 from repro.storage.catalog import ColumnRef
 
 from tests.conftest import ground_truth_count
@@ -135,19 +134,6 @@ def test_removed_options_are_rejected(tiny_db):
         OnlineStrategy(tiny_db, soft=True)
     with pytest.raises(TypeError, match="soft"):
         tiny_db.session("online", soft=True)
-
-
-def test_online_idle_drains_deferred_builds(tiny_db):
-    strategy = OnlineStrategy(
-        tiny_db, epoch_queries=5, colt_config=ColtConfig(defer_builds=True)
-    )
-    for i in range(5):
-        strategy.select(_query(1e6, 2e6))
-    # Build deferred, not inline.
-    assert strategy.colt.pending_builds
-    outcome = strategy.exploit_idle(budget_s=100.0)
-    assert outcome.actions_done == 1
-    assert strategy.colt.index_for(ColumnRef("R", "A1")) is not None
 
 
 def test_feature_rows_match_paper_table1(tiny_db):

@@ -77,35 +77,6 @@ def test_max_indexes_cap(tiny_db):
     assert tuner.index_for(a2) is None
 
 
-def test_deferred_builds_queue_and_drain(tiny_db, a1):
-    monitor = WorkloadMonitor(tiny_db.catalog)
-    optimizer = WhatIfOptimizer(tiny_db.catalog, tiny_db.cost_model)
-    builder = IndexBuilder(tiny_db.catalog, tiny_db.clock)
-    tuner = ColtTuner(
-        monitor, optimizer, builder, ColtConfig(defer_builds=True)
-    )
-    _hammer(tuner, a1, 50)
-    decision = tuner.reevaluate(epoch=1, now=1.0)
-    assert decision.queued == [a1]
-    assert tuner.index_for(a1) is None
-    built = tuner.drain_pending()
-    assert built == [a1]
-    assert tuner.index_for(a1) is not None
-
-
-def test_drain_respects_budget(tiny_db, a1):
-    monitor = WorkloadMonitor(tiny_db.catalog)
-    optimizer = WhatIfOptimizer(tiny_db.catalog, tiny_db.cost_model)
-    builder = IndexBuilder(tiny_db.catalog, tiny_db.clock)
-    tuner = ColtTuner(
-        monitor, optimizer, builder, ColtConfig(defer_builds=True)
-    )
-    _hammer(tuner, a1, 50)
-    tuner.reevaluate(epoch=1, now=1.0)
-    assert tuner.drain_pending(budget_s=0.0) == []
-    assert tuner.pending_builds == [a1]
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         ColtConfig(horizon_queries=0)
