@@ -77,6 +77,69 @@ def test_release_all_frees_pieces():
         assert stalled is False
 
 
+def test_reacquire_same_mode_is_idempotent():
+    """A key named twice is one grant of one latch, and the latch is
+    free again afterwards: nothing is left held by the repeat."""
+    table = PieceLatchTable()
+    with table.write_pieces([4, 4]) as stalled:
+        assert stalled is False
+    assert table.stats.grants == 1
+    assert table.stats.releases == 1
+
+    def retake():
+        with table.write_pieces([4]) as stalled:
+            return stalled
+
+    assert _in_thread(retake) is False
+    with table.read_piece(4) as first:
+        with table.read_piece(4) as second:
+            assert (first, second) == (False, False)
+
+
+def test_scheduler_defers_conflicting_queries():
+    """A writer on a piece a reader holds waits, runs only after the
+    reader leaves, and counts one conflict."""
+    table = PieceLatchTable()
+    order: list[str] = []
+    with table.read_piece(5):
+
+        def writer():
+            with table.write_pieces([5]) as stalled:
+                order.append("writer")
+                return stalled
+
+        thread = threading.Thread(target=lambda: order.append(writer()))
+        thread.start()
+        thread.join(timeout=0.05)
+        assert thread.is_alive()  # deferred behind the reader
+        order.append("reader done")
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert order == ["reader done", "writer", True]
+    assert table.stats.conflicts == 1
+
+
+def test_scheduler_disjoint_pieces_run_same_round():
+    """Writers on disjoint pieces hold their latches at the same time."""
+    table = PieceLatchTable()
+    both_inside = threading.Barrier(2, timeout=5)
+    stalls: list[bool] = []
+
+    def writer(key: int) -> None:
+        with table.write_pieces([key]) as stalled:
+            both_inside.wait()  # breaks unless both hold at once
+            stalls.append(stalled)
+
+    threads = [threading.Thread(target=writer, args=(k,)) for k in (1, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5)
+    assert not any(thread.is_alive() for thread in threads)
+    assert stalls == [False, False]
+    assert table.stats.conflicts == 0
+
+
 def test_check_invariants_beside_a_cracking_thread(small_column):
     """Regression: ``check_invariants`` was the one structural reader
     that skipped the index's monitor lock, so a check racing a crack
