@@ -7,12 +7,14 @@ matter how many other cracks happen before or after.  A window of
 queries can therefore be executed in two decoupled halves:
 
 * a **physical pass** (:meth:`CrackerIndex.begin_select_batch`) cracks
-  every bound of the window in one grouped sweep -- one shared
+  every *fresh* bound of the window -- one not yet a pivot of the
+  shadow map below -- in one grouped sweep: one shared
   ``crack_spans_batch`` dispatch for pieces taking one pivot or one
   query's bound pair, ``crack_multi`` counting partitions for denser
   pieces, vectorized ``searchsorted`` for sorted pieces, one
   ``insert_cracks_bulk`` piece-map splice -- touching each piece once
-  instead of once per query, with **no** clock or tape side effects;
+  instead of once per query, with **no** clock or tape side effects.
+  A converged window has no fresh bound and skips the pass;
 * an **accounting replay** (:class:`CrackSelectBatch`) that steps
   query by query over a lightweight pure-Python shadow of the
   pre-window piece map, emitting exactly the charges and tape records
@@ -86,6 +88,12 @@ class ReplayPieceMap:
         start = cuts[i - 1] if i > 0 else 0
         end = cuts[i] if i < len(pivots) else self.n
         return i, start, end, self.flags[i], at_pivot
+
+    def has_pivot(self, value: Key) -> bool:
+        """:meth:`locate`'s ``at_pivot`` alone."""
+        pivots = self.pivots
+        i = bisect_right(pivots, value)
+        return i > 0 and pivots[i - 1] == value
 
     def add_crack_at(self, i: int, value: Key, position: int) -> None:
         self.pivots.insert(i, value)

@@ -543,19 +543,23 @@ class CrackerIndex:
 
         ``bounds`` are the window's ranges, normalised into the
         column's domain (a window replays its empty ranges without the
-        index).  :meth:`_crack_pass` cuts every bound now, silently;
-        the returned :class:`~repro.cracking.batch.CrackSelectBatch`
-        replays the accounting query by query, reproducing sequential
+        index).  Every bound is first located on the replay's shadow of
+        the pre-window piece map; :meth:`_crack_pass` cuts the *fresh*
+        bounds -- those not yet a pivot -- now, silently, and a window
+        with none (a converged window) skips the pass.  The returned
+        :class:`~repro.cracking.batch.CrackSelectBatch` replays the
+        accounting query by query, reproducing sequential
         :meth:`select_range` charges, timestamps and tape records
-        exactly.  The caller must drive one ``replay`` per window
-        entry, in order, before issuing other operations on this index.
+        exactly; it reads a cut position only for a fresh bound.  The
+        caller must drive one ``replay`` per window entry, in order,
+        before issuing other operations on this index.
 
         Raises:
             QueryError: if any range is inverted.
         """
         from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
 
-        values = self._window_bounds(bounds)
+        self._check_ascending(bounds)
         # A fully-replayed previous window leaves its shadow map equal
         # to the real map; reuse it when nothing else has mutated the
         # map since (version check), saving the O(pieces) snapshot.
@@ -579,8 +583,21 @@ class CrackerIndex:
             self._span_views = {}
             self._span_views_arrays = (self._array, self._rowids)
         copy_charged = self._copy_charged
-        record = self._crack_pass(values, "batched crack pass", False)
-        positions = dict(zip(record.fresh, record.positions))
+        largest = self._largest
+        fresh = [
+            value
+            for pair in bounds
+            for value in pair
+            if value <= largest and not sim.has_pivot(value)
+        ]
+        positions: dict[Key, int] = {}
+        if fresh:
+            record = self._crack_pass(
+                np.array(fresh, dtype=self._pieces.dtype),
+                "batched crack pass",
+                False,
+            )
+            positions = dict(zip(record.fresh, record.positions))
         context = CrackSelectBatch(
             self, sim, positions, copy_charged, origin, len(bounds)
         )
@@ -621,13 +638,17 @@ class CrackerIndex:
         Raises:
             QueryError: if a range is not ascending.
         """
+        self._check_ascending(bounds)
         values = [low for low, _ in bounds]
+        values += [high for _, high in bounds if high <= self._largest]
+        return np.array(values, dtype=self._pieces.dtype)
+
+    @staticmethod
+    def _check_ascending(bounds: list[tuple[Key, Key]]) -> None:
+        """Raise :class:`QueryError` unless every range is ascending."""
         for low, high in bounds:
             if not low < high:
                 raise QueryError(f"range inverted: low={low} > high={high}")
-            if high <= self._largest:
-                values.append(high)
-        return np.array(values, dtype=self._pieces.dtype)
 
     def _crack_pass(
         self, values: np.ndarray, what: str, piece_latched: bool

@@ -23,6 +23,7 @@ a dataclass construction.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -38,7 +39,7 @@ class TapeRecord:
 
     timestamp: float
     origin: CrackOrigin
-    pivot: float
+    pivot: int | float
     position: int
     piece_size: int
     worker: int | None = None
@@ -130,7 +131,7 @@ class CrackTape:
         self,
         timestamp: float,
         origin: CrackOrigin,
-        pivot: float,
+        pivot: int | float,
         position: int,
         piece_size: int,
         worker: int | None = None,
@@ -163,7 +164,7 @@ class CrackTape:
         self,
         timestamp: float,
         origin: CrackOrigin,
-        pivot: float,
+        pivot: int | float,
         position: int,
         piece_size: int,
         worker: int | None = None,
@@ -219,14 +220,22 @@ class CrackTape:
 
         Records come out as parallel lists (the snapshot layer packs
         them into typed arrays); ``worker`` is encoded as ``-1`` for
-        foreground/serial records so the columns stay numeric.
+        foreground/serial records so the columns stay numeric.  One
+        tape spans columns of every dtype, so an integer pivot goes to
+        ``int_pivots`` exactly, with NaN -- never a pivot -- in its
+        ``pivots`` slot; a float pivot has ``0`` in ``int_pivots``.
         """
         with self._lock:
             raw = list(self._records)
+            pivots = [r[2] for r in raw]
             return {
                 "timestamps": [r[0] for r in raw],
                 "origins": [r[1].value for r in raw],
-                "pivots": [float(r[2]) for r in raw],
+                "pivots": [
+                    math.nan if isinstance(p, int) else float(p)
+                    for p in pivots
+                ],
+                "int_pivots": [p if isinstance(p, int) else 0 for p in pivots],
                 "positions": [int(r[3]) for r in raw],
                 "piece_sizes": [int(r[4]) for r in raw],
                 "workers": [-1 if r[5] is None else int(r[5]) for r in raw],
@@ -239,14 +248,24 @@ class CrackTape:
             }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a previously-exported tape state (snapshot restore)."""
+        """Adopt a previously-exported tape state (snapshot restore).
+
+        A state without ``int_pivots`` (written before integer pivots
+        were kept exactly) restores every pivot as the float it holds.
+        """
+        pivots = state["pivots"]
+        if "int_pivots" in state:
+            pivots = [
+                int(exact) if p != p else p
+                for p, exact in zip(pivots, state["int_pivots"])
+            ]
         with self._lock:
             self._records = deque()
             origins = {o.value: o for o in CrackOrigin}
             for ts, origin, pivot, pos, size, worker in zip(
                 state["timestamps"],
                 state["origins"],
-                state["pivots"],
+                pivots,
                 state["positions"],
                 state["piece_sizes"],
                 state["workers"],
@@ -255,7 +274,7 @@ class CrackTape:
                     (
                         float(ts),
                         origins[origin],
-                        float(pivot),
+                        pivot,
                         int(pos),
                         int(size),
                         None if int(worker) < 0 else int(worker),

@@ -43,10 +43,12 @@ from repro.storage.dtypes import largest, normalise_bound, type_by_name
 from repro.storage.table import Table
 
 #: Typed columns a crack tape flattens into (origins ride separately
-#: as a unicode array).
+#: as a unicode array).  Generations written before ``int_pivots``
+#: lack it and restore their pivots as floats.
 _TAPE_NUMERIC = (
     ("timestamps", np.float64),
     ("pivots", np.float64),
+    ("int_pivots", np.int64),
     ("positions", np.int64),
     ("piece_sizes", np.int64),
     ("workers", np.int64),
@@ -76,8 +78,9 @@ def _tape_from_arrays(
     """Reassemble a tape state dict from snapshot arrays + meta."""
     entries = manifest["arrays"]
     state = {
-        key: load_array(root, entries[f"{prefix}/{key}"]).tolist()
+        key: load_array(root, entries[name]).tolist()
         for key, _ in _TAPE_NUMERIC
+        if (name := f"{prefix}/{key}") in entries
     }
     state["origins"] = [
         str(o) for o in load_array(root, entries[f"{prefix}/origins"])

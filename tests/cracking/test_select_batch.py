@@ -122,6 +122,93 @@ def test_begin_select_batch_rejects_inverted_ranges():
         index.begin_select_batch([(10, 5)])
 
 
+def _replayed(index: CrackerIndex, bounds):
+    context, accountant = _begin(index, bounds)
+    for pair in bounds:
+        context.replay_query(*pair)
+    accountant.finish()
+    return context
+
+
+@pytest.fixture
+def pass_spy(monkeypatch):
+    """Records the values of every ``_crack_pass`` and counts every
+    ``PieceMap.locate_many``."""
+    from repro.cracking.piecemap import PieceMap
+
+    calls = {"passes": [], "locate_many": 0}
+    crack_pass = CrackerIndex._crack_pass
+    locate_many = PieceMap.locate_many
+
+    def spy_pass(self, values, *args):
+        calls["passes"].append(sorted(values.tolist()))
+        return crack_pass(self, values, *args)
+
+    def spy_locate(self, values):
+        calls["locate_many"] += 1
+        return locate_many(self, values)
+
+    monkeypatch.setattr(CrackerIndex, "_crack_pass", spy_pass)
+    monkeypatch.setattr(PieceMap, "locate_many", spy_locate)
+    return calls
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_warm_window_skips_the_physical_pass(pass_spy, cached):
+    """A window whose bounds are all pivots -- on the cached shadow map
+    or on a fresh snapshot of the piece map -- never enters the pass."""
+    from repro.simtime.charge import CostCharge
+
+    sequential, batched = _pair(rows=1200, seed=4)
+
+    def run_sequential(window):
+        for low, high in window:
+            sequential.clock.charge(CostCharge(queries=1))
+            sequential.select_keys(low, high)
+
+    cold = [(100, 900), (900, 2000), (100, 900)]
+    _replayed(batched, cold)
+    run_sequential(cold)
+    assert len(pass_spy["passes"]) == 1
+    if not cached:
+        for index in (sequential, batched):
+            index.ensure_cut(3000)  # invalidates the cached shadow
+    pass_spy["passes"].clear()
+    pass_spy["locate_many"] = 0
+    warm = [(900, 2000), (100, 2000), (100, 900)]
+    context = _replayed(batched, warm)
+    assert pass_spy == {"passes": [], "locate_many": 0}
+    context.check_consistent()
+    run_sequential(warm)
+    _assert_identical(sequential, batched)
+
+
+def test_partly_warm_window_passes_only_its_fresh_bounds(pass_spy):
+    _, batched = _pair(rows=1200, seed=6)
+    _replayed(batched, [(100, 900)])
+    pass_spy["passes"].clear()
+    # 100 and 900 are pivots and a top is never cut; repeats of a
+    # fresh bound are the pass's to dedupe.
+    top = batched._largest + 1
+    context = _replayed(
+        batched, [(100, 1500), (900, 1500), (2500, top), (1500, 2000)]
+    )
+    (values,) = pass_spy["passes"]
+    assert set(values) == {1500, 2000, 2500}
+    context.check_consistent()
+
+
+def test_inverted_range_leaves_the_replay_cache_untouched():
+    _, batched = _pair(rows=800, seed=8)
+    _replayed(batched, [(100, 200)])
+    cache, version = batched._replay_cache, batched.piece_map.version
+    with pytest.raises(QueryError):
+        batched.begin_select_batch([(300, 400), (10, 5)])
+    assert batched._replay_cache is cache
+    assert batched.piece_map.version == version
+    assert batched.piece_map.pivots() == [100, 200]
+
+
 def test_replay_cache_reuse_and_invalidation():
     """Consecutive fully-replayed windows reuse the shadow map; a
     foreground crack between windows forces a fresh snapshot."""

@@ -127,6 +127,86 @@ def test_run_batch_matches_sequential(strategy, options, pending, window):
     )
 
 
+def _run_mixed_rw(strategy: str, window: int, **options):
+    """The ``mixed_rw`` shape: converged indexes, reads in windows of
+    at most 8 with writes staged between them, and windows after an
+    ``ensure_cut``, after ``idle()`` and after a widening
+    ``ensure_values_fit``.  ``window == 1`` runs every read alone."""
+    db = _database(41)
+    session = db.session(strategy, **options)
+    refs = [ColumnRef("R", "A1"), ColumnRef("R", "A2")]
+    grid = np.linspace(0, SPAN * 0.99, 17).tolist()
+    for ref in refs:
+        for low, high in zip(grid, grid[1:]):
+            session.run_query(RangeQuery(ref, low, high))
+    rng = np.random.default_rng(41)
+    results = []
+
+    def reads(count: int, extra=()) -> None:
+        queries = list(extra)
+        while len(queries) < count:
+            i, j = sorted(rng.choice(len(grid), size=2, replace=False))
+            ref = refs[int(rng.integers(0, 2))]
+            queries.append(RangeQuery(ref, grid[i], grid[j]))
+        if window == 1:
+            results.extend(session.run_query(query) for query in queries)
+        else:
+            results.extend(session.run_batch(queries))
+
+    def write() -> None:
+        column = refs[int(rng.integers(0, 2))].column
+        pending = db.table("R").updates_for(column)
+        pending.stage_inserts(rng.integers(0, SPAN, size=16))
+        values = db.column("R", column).values
+        positions = rng.choice(len(values), size=4, replace=False)
+        pending.stage_deletes(positions, values[positions])
+
+    for count in (8, 3, 1, 5):
+        reads(count)
+        write()
+    index = session.strategy.indexes[refs[0]]
+    cut = float(grid[3] + 12_345)
+    index.ensure_cut(cut)
+    reads(4, [RangeQuery(refs[0], grid[2], cut)])
+    write()
+    session.idle(actions=6)
+    reads(8, [RangeQuery(refs[1], grid[3] + 777, grid[10])])  # one fresh
+    index.ensure_values_fit(np.array([2**40]))
+    assert index.values.dtype == np.int64
+    reads(6)
+    write()
+    duplicate = RangeQuery(refs[1], grid[4], grid[9])
+    reads(
+        8,
+        [
+            RangeQuery(refs[0], grid[5], 2.0**70),  # a top
+            RangeQuery(refs[1], grid[1], float("inf")),
+            duplicate,
+            duplicate,
+            RangeQuery(refs[0], grid[6], grid[6]),  # empty
+            RangeQuery(refs[1], grid[7], float("nan")),
+            RangeQuery(refs[0], grid[8] + 0.2, grid[8] + 0.7),  # no int
+        ],
+    )
+    return session, results
+
+
+@pytest.mark.parametrize(
+    "strategy,options",
+    [
+        ("adaptive", {}),
+        ("adaptive", {"track_rowids": True}),
+        ("holistic", {"seed": 5, "cache_target_elements": 16}),
+    ],
+)
+def test_mixed_rw_windows_match_sequential(strategy, options):
+    base_session, base_results = _run_mixed_rw(strategy, 1, **options)
+    batch_session, batch_results = _run_mixed_rw(strategy, 8, **options)
+    assert _fingerprint(batch_session, batch_results) == _fingerprint(
+        base_session, base_results
+    )
+
+
 @pytest.mark.parametrize(
     "strategy,options",
     [

@@ -310,10 +310,11 @@ class TestLearnedState:
 
 
 def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
-    """Regression: pivots were written as float64, so a pivot beyond
-    2^53 came back rounded.  On an int64 column of 2^60 +- 600 a
-    checkpoint restores the very same pivots, answers like the
-    reference and re-cracks nothing."""
+    """Regression: pivots -- the piece map's and the crack tape's --
+    were written as float64, so a pivot beyond 2^53 came back rounded
+    and every tape pivot came back a float.  On an int64 column of
+    2^60 +- 600 a checkpoint restores the very same pivots and tape
+    records, answers like the reference and re-cracks nothing."""
     from repro.bench.oracle import ReferenceEngine
     from repro.storage.column import Column
     from repro.storage.table import Table
@@ -350,6 +351,13 @@ def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
     index = restored.strategy.indexes[ref]
     assert index.piece_map.pivots() == pivots
     assert index.piece_map.cuts() == cuts
+
+    def typed(records):
+        return [(record, type(record.pivot)) for record in records]
+
+    live_records = session.strategy.indexes[ref].tape.records()
+    assert {type(record.pivot) for record in live_records} == {int}
+    assert typed(index.tape.records()) == typed(live_records)
     reference = ReferenceEngine(restored.db, [ref])
     for query in queries:
         result = restored.session.run_query(query)
@@ -359,6 +367,48 @@ def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
         )
     assert index.piece_map.pivots() == pivots  # zero re-cracks
     index.check_invariants()
+
+
+def test_tape_of_an_older_generation_restores_float_pivots(
+    tmp_path, monkeypatch
+):
+    """A generation written before integer tape pivots were kept
+    exactly has no ``int_pivots`` array: it restores, its pivots the
+    floats it stored."""
+    from repro.cracking.tape import CrackTape
+    from repro.persist import snapshot
+
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=2000, columns=1, seed=3))
+    session = db.session("adaptive")
+    ref = ColumnRef("R", "A1")
+    for low in (1e6, 4e7, 7e7):
+        session.run_query(RangeQuery(ref, low, low + 9e6))
+    export = CrackTape.export_state
+
+    def export_as_before(tape):
+        state = export(tape)
+        del state["int_pivots"]
+        state["pivots"] = [float(r.pivot) for r in tape.records()]
+        return state
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CrackTape, "export_state", export_as_before)
+        patch.setattr(
+            snapshot,
+            "_TAPE_NUMERIC",
+            tuple(e for e in snapshot._TAPE_NUMERIC if e[0] != "int_pivots"),
+        )
+        SnapshotManager(
+            tmp_path, db, strategy=session.strategy, session=session
+        ).checkpoint()
+
+    restored = restore_snapshot(tmp_path)
+    live = session.strategy.indexes[ref].tape.records()
+    back = restored.strategy.indexes[ref].tape.records()
+    assert len(back) == len(live) == 6
+    assert [type(r.pivot) for r in back] == [float] * 6
+    assert [r.pivot for r in back] == [float(r.pivot) for r in live]
 
 
 def test_float64_pivots_of_an_older_generation_restore_normalised():
