@@ -158,9 +158,9 @@ class CrackSelectBatch:
         # immutable, so identical slices share one view object.  The
         # dict lives on the index (it stays valid across windows) and
         # is reset whenever the cracker column is replaced (update
-        # merges, widening) -- see begin_select_batch.
+        # merges, widening, rebuild) -- see CrackerIndex.span_views.
         self._view_cache: dict[tuple[int, int], RangeView] = (
-            index._span_views
+            index.span_views()
         )
 
     def bind(self, accountant) -> None:
@@ -330,7 +330,7 @@ class CrackSelectBatch:
         """
         self._values = self._index.values
         self._rowids = self._index.rowids
-        self._view_cache = self._index._span_views
+        self._view_cache = self._index.span_views()
 
     def check_consistent(self) -> None:
         """Verify the replay converged onto the physical state.

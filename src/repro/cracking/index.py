@@ -150,7 +150,7 @@ class CrackerIndex:
         #: Shared warm-path result views for batched selects, keyed by
         #: (pos_low, pos_high); valid for one physical array/rowids
         #: generation (cut positions never move under pure cracking).
-        self._span_views: dict[tuple[int, int], object] = {}
+        self._span_views: dict[tuple[int, int], RangeView] = {}
         # Strong references (not ids -- those can be recycled) to the
         # arrays the cached views slice.
         self._span_views_arrays = (self._array, self._rowids)
@@ -241,6 +241,20 @@ class CrackerIndex:
     @property
     def piece_map(self) -> PieceMap:
         return self._pieces
+
+    def span_views(self) -> dict[tuple[int, int], RangeView]:
+        """The warm-path result views shared by every window replay,
+        keyed by ``(pos_low, pos_high)`` -- emptied first if update
+        merges, a widening or a rebuild replaced the physical arrays
+        (cut positions may have shifted, cached views slice the old
+        arrays)."""
+        if (
+            self._span_views_arrays[0] is not self._array
+            or self._span_views_arrays[1] is not self._rowids
+        ):
+            self._span_views = {}
+            self._span_views_arrays = (self._array, self._rowids)
+        return self._span_views
 
     @property
     def row_count(self) -> int:
@@ -573,15 +587,6 @@ class CrackerIndex:
         else:
             sim = ReplayPieceMap.snapshot(self._pieces)
         self._replay_cache = None
-        cached_arrays = self._span_views_arrays
-        if (
-            cached_arrays[0] is not self._array
-            or cached_arrays[1] is not self._rowids
-        ):
-            # Update merges / widening replaced the physical arrays:
-            # cut positions may have shifted, cached views are stale.
-            self._span_views = {}
-            self._span_views_arrays = (self._array, self._rowids)
         copy_charged = self._copy_charged
         largest = self._largest
         fresh = [
@@ -871,8 +876,6 @@ class CrackerIndex:
         self._pieces = PieceMap(rows, dtype=self._pieces.dtype)
         self._scratch = CrackScratch()
         self._replay_cache = None
-        self._span_views = {}
-        self._span_views_arrays = (self._array, self._rowids)
         if rows:
             self.clock.charge(CostCharge(elements_materialized=rows))
 

@@ -2,8 +2,10 @@
 
 N clients submit range queries against **one** shared kernel; a window
 former coalesces their in-flight queries into cross-session windows;
-each window runs one silent physical cracking pass per column
-(:meth:`CrackerIndex.crack_bounds_batch`) and then replays every
+each window cracks, in one silent physical pass per column
+(:meth:`CrackerIndex.crack_bounds_batch`), the ranges with a bound
+whose cut position the front-end has not yet seen -- a converged
+window has none and skips the pass -- and then replays every
 client's accounting on that client's own *lane* -- a
 :class:`~repro.engine.session.Session` on a private
 :class:`~repro.simtime.clock.SimClock` fork, replaying through the
@@ -47,6 +49,7 @@ import numpy as np
 
 from repro import faults
 from repro.cracking.batch import DetachedCrackReplay
+from repro.cracking.piecemap import PieceMap
 from repro.cracking.tape import CrackTape
 from repro.engine.operators import pending_slots
 from repro.engine.plan import group_by_column
@@ -59,7 +62,7 @@ from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
-from repro.storage.dtypes import Key
+from repro.storage.dtypes import Key, largest
 from repro.storage.views import (
     MaterializedResult,
     PositionsView,
@@ -241,8 +244,13 @@ class ServingFrontend:
         self.lanes: dict[str, ClientLane] = {}
         #: Per-column order-independent cut positions accumulated over
         #: every window's physical pass; each lane's replays resolve
-        #: their fresh bounds here.
+        #: their fresh bounds here.  A bound found here is already a
+        #: cut of the piece map in ``_mapped`` (a piece map never drops
+        #: a pivot), so its window skips the physical pass.
         self._positions: dict[tuple[str, str], dict[Key, int]] = {}
+        #: Per column, the :class:`PieceMap` whose cuts ``_positions``
+        #: holds.
+        self._mapped: dict[tuple[str, str], PieceMap] = {}
         self.windows_served = 0
         #: Client failures isolated in degraded mode, across every
         #: window this front-end has served.
@@ -314,9 +322,9 @@ class ServingFrontend:
         """Execute one formed window; results align with ``entries``.
 
         One silent physical pass per column cracks the union of every
-        client's bounds (under the columns' table latches while tuning
-        workers race), then each client's slice of the window replays
-        on its own lane in stream order.
+        client's bounds not cut yet (under the columns' table latches
+        while tuning workers race), then each client's slice of the
+        window replays on its own lane in stream order.
 
         Degraded mode: a malformed entry (inverted range smuggled past
         :class:`RangeQuery` validation) is rejected *per entry* -- it
@@ -399,8 +407,23 @@ class ServingFrontend:
                     latches.enter_context(access.exclusive())
             for window in windows:
                 key = (window.ref.table, window.ref.column)
-                fresh = indexes[key].crack_bounds_batch(window.ranges)
-                self._positions.setdefault(key, {}).update(fresh)
+                index = indexes[key]
+                positions = self._positions.setdefault(key, {})
+                if self._mapped.get(key) is not index.piece_map:
+                    # A rebuilt, repaired or restored index: the cuts
+                    # the map remembers are not in its array.  Cleared
+                    # in place -- the lanes' replays hold this dict.
+                    positions.clear()
+                    self._mapped[key] = index.piece_map
+                top = largest(index.piece_map.dtype)
+                unknown = [
+                    (low, high)
+                    for low, high in window.ranges
+                    if low not in positions
+                    or (high <= top and high not in positions)
+                ]
+                if unknown:
+                    positions.update(index.crack_bounds_batch(unknown))
             # One pending-updates consultation per column, shared by
             # every client; each lane's overlays charge its own clock.
             pending = pending_slots(self.db.catalog, windows, len(entries))
