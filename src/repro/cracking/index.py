@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
 from repro.cracking.engine import (
     CrackScratch,
     crack_in_three,
@@ -145,8 +146,9 @@ class CrackerIndex:
         self._largest = largest(column.ctype.numpy_dtype)
         self._scratch = CrackScratch()
         #: (piece-map version, last batch context) -- lets consecutive
-        #: windows reuse the replay shadow map (see begin_select_batch).
-        self._replay_cache: tuple[int, object] | None = None
+        #: windows reuse its shadow map, or re-arm the context itself
+        #: (see begin_select_batch).
+        self._replay_cache: tuple[int, CrackSelectBatch] | None = None
         #: Shared warm-path result views for batched selects, keyed by
         #: (pos_low, pos_high); valid for one physical array/rowids
         #: generation (cut positions never move under pure cracking).
@@ -552,7 +554,7 @@ class CrackerIndex:
         self,
         bounds: list[tuple[Key, Key]],
         origin: CrackOrigin = CrackOrigin.QUERY,
-    ):
+    ) -> CrackSelectBatch:
         """Physically crack a whole window of range selects in one pass.
 
         ``bounds`` are the window's ranges, normalised into the
@@ -568,33 +570,45 @@ class CrackerIndex:
         caller must drive one ``replay`` per window entry, in order,
         before issuing other operations on this index.
 
+        A converged window -- no fresh bound, same ``origin`` -- after a
+        completely replayed one, with the piece map unchanged since,
+        gets that window's context back, re-armed; any other window
+        gets a new one.
+
         Raises:
             QueryError: if any range is inverted.
         """
-        from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
-
-        self._check_ascending(bounds)
         # A fully-replayed previous window leaves its shadow map equal
         # to the real map; reuse it when nothing else has mutated the
         # map since (version check), saving the O(pieces) snapshot.
         cached = self._replay_cache
+        previous = None
         if (
             cached is not None
             and cached[0] == self._pieces.version
             and cached[1].is_complete
         ):
-            sim = cached[1].sim
+            previous = cached[1]
+            sim = previous.sim
         else:
             sim = ReplayPieceMap.snapshot(self._pieces)
+        # One scan checks every range and collects the fresh bounds
+        # (a top is never a pivot), before the cache is touched.
+        has_pivot = sim.has_pivot
+        largest = self._largest
+        fresh = []
+        for low, high in bounds:
+            if not low < high:
+                raise QueryError(f"range inverted: low={low} > high={high}")
+            if not has_pivot(low):
+                fresh.append(low)
+            if high <= largest and not has_pivot(high):
+                fresh.append(high)
+        if previous is not None and not fresh and previous._origin is origin:
+            previous.rearm(self._copy_charged, len(bounds))
+            return previous
         self._replay_cache = None
         copy_charged = self._copy_charged
-        largest = self._largest
-        fresh = [
-            value
-            for pair in bounds
-            for value in pair
-            if value <= largest and not sim.has_pivot(value)
-        ]
         positions: dict[Key, int] = {}
         if fresh:
             record = self._crack_pass(
@@ -643,17 +657,12 @@ class CrackerIndex:
         Raises:
             QueryError: if a range is not ascending.
         """
-        self._check_ascending(bounds)
-        values = [low for low, _ in bounds]
-        values += [high for _, high in bounds if high <= self._largest]
-        return np.array(values, dtype=self._pieces.dtype)
-
-    @staticmethod
-    def _check_ascending(bounds: list[tuple[Key, Key]]) -> None:
-        """Raise :class:`QueryError` unless every range is ascending."""
         for low, high in bounds:
             if not low < high:
                 raise QueryError(f"range inverted: low={low} > high={high}")
+        values = [low for low, _ in bounds]
+        values += [high for _, high in bounds if high <= self._largest]
+        return np.array(values, dtype=self._pieces.dtype)
 
     def _crack_pass(
         self, values: np.ndarray, what: str, piece_latched: bool

@@ -96,7 +96,7 @@ class PendingWindow:
         "_del_hi",
         "_inserts",
         "_deletes",
-        "_overlaps",
+        "overlaps",
     )
 
     def __init__(
@@ -118,36 +118,35 @@ class PendingWindow:
         # An empty range probes as [0, 0); a top probes as the largest
         # value and then takes the whole tail.
         top = largest(inserts.dtype)
-        pairs = [(0, 0) if pair is None else pair for pair in bounds]
-        ends = [slot for slot, pair in enumerate(pairs) if pair[1] > top]
-        keys = np.array(
-            [low for low, _ in pairs]
-            + [min(high, top) for _, high in pairs],
-            dtype=inserts.dtype,
-        )
-        ins_cuts = inserts.searchsorted(keys)
-        del_cuts = deletes.searchsorted(keys)
-        size = len(pairs)
-        for slot in ends:
-            ins_cuts[size + slot] = len(inserts)
-            del_cuts[size + slot] = len(deletes)
-        # A cut only grows with its bound, so a slot's two slices are
-        # both forward or both backward (empty): the summed lengths are
-        # positive iff either store has an entry in range.
-        both = ins_cuts + del_cuts
-        self._overlaps = both[size:] > both[:size]
+        lows: list[Key] = []
+        highs: list[Key] = []
+        ends = []
+        for slot, pair in enumerate(bounds):
+            low, high = (0, 0) if pair is None else pair
+            if high > top:
+                ends.append(slot)
+                high = top
+            lows.append(low)
+            highs.append(high)
+        keys = np.array(lows + highs, dtype=inserts.dtype)
         # Plain ints slice faster than numpy scalars, once per read.
-        ins, dels = ins_cuts.tolist(), del_cuts.tolist()
+        ins = inserts.searchsorted(keys).tolist()
+        dels = deletes.searchsorted(keys).tolist()
+        size = len(bounds)
+        for slot in ends:
+            ins[size + slot] = len(inserts)
+            dels[size + slot] = len(deletes)
         self._ins_lo, self._ins_hi = ins[:size], ins[size:]
         self._del_lo, self._del_hi = dels[:size], dels[size:]
-
-    def overlapping_slots(self) -> np.ndarray:
-        """Boolean mask: which window entries touch a pending entry.
-
-        Entries outside every pending value range skip :meth:`apply`
-        entirely, like the sequential path's empty-slice early return.
-        """
-        return self._overlaps
+        #: Per window entry, whether a pending entry is in its range;
+        #: the others skip :meth:`apply`, like the sequential path's
+        #: empty-slice early return.
+        self.overlaps = [
+            a < b or c < d
+            for a, b, c, d in zip(
+                self._ins_lo, self._ins_hi, self._del_lo, self._del_hi
+            )
+        ]
 
     def apply(
         self, slot: int, result: SelectionResult, accountant
@@ -184,8 +183,9 @@ def pending_slots(
         )
         consulted = PendingWindow(pending, window.bounds)
         if consulted.active:
-            overlaps = consulted.overlapping_slots()
-            for slot, i in enumerate(window.indices):
-                if overlaps[slot]:
+            for slot, (i, overlaps) in enumerate(
+                zip(window.indices, consulted.overlaps)
+            ):
+                if overlaps:
                     slots[i] = (consulted, slot)
     return slots

@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.engine.query import RangeQuery
 from repro.simtime.model import CostModel
 from repro.storage.catalog import Catalog, ColumnRef
-from repro.storage.dtypes import Key, normalise_ranges
+from repro.storage.dtypes import Key, normalise_range
 
 
 class AccessPath(Enum):
@@ -51,21 +51,18 @@ class ColumnWindow:
 
     The group plan of ISSUE 4: a window of range queries is planned
     once per column -- ``indices`` are the window slots (positions in
-    the original query list, in order) and ``bounds`` each query's
+    the original query list, in order), ``bounds`` each query's
     range normalised into the column's domain
     (:func:`~repro.storage.dtypes.normalise_range`; ``None`` for a
-    range no value can lie in), ready for the shared cracking pass and
-    the batched pending-update probes.
+    range no value can lie in) and ``ranges`` the non-empty ones, in
+    window order -- ready for the shared cracking pass and the batched
+    pending-update probes.
     """
 
     ref: ColumnRef
     indices: list[int]
     bounds: list[tuple[Key, Key] | None]
-
-    @property
-    def ranges(self) -> list[tuple[Key, Key]]:
-        """The window's non-empty ranges, in window order."""
-        return [bounds for bounds in self.bounds if bounds is not None]
+    ranges: list[tuple[Key, Key]]
 
 
 def group_by_column(
@@ -77,7 +74,8 @@ def group_by_column(
     first appearance; each window's entries keep their original
     relative order, so per-column replays interleave back into the
     sequential execution order exactly.  Every column is resolved in
-    ``catalog`` here, so an unknown one fails before anything cracks.
+    ``catalog`` here, once, so an unknown one fails before anything
+    cracks; each query is normalised as it is grouped.
     """
     # Keyed by the raw (table, column) pair: hashing the tuple of
     # interned strings skips the generated ColumnRef.__hash__ frame on
@@ -88,18 +86,17 @@ def group_by_column(
         key = (ref.table, ref.column)
         group = grouped.get(key)
         if group is None:
-            group = grouped[key] = (ref, [], [], [])
-        group[1].append(i)
-        group[2].append(query.low)
-        group[3].append(query.high)
-    return [
-        ColumnWindow(
-            ref,
-            indices,
-            normalise_ranges(catalog.column(ref).values.dtype, lows, highs),
-        )
-        for ref, indices, lows, highs in grouped.values()
-    ]
+            group = grouped[key] = (
+                ColumnWindow(ref, [], [], []),
+                catalog.column(ref).values.dtype,
+            )
+        window, dtype = group
+        pair = normalise_range(dtype, query.low, query.high)
+        window.indices.append(i)
+        window.bounds.append(pair)
+        if pair is not None:
+            window.ranges.append(pair)
+    return [window for window, _ in grouped.values()]
 
 
 def estimate_path_cost(

@@ -125,6 +125,7 @@ class Session:
         self.report = SessionReport(strategy=strategy.name, client=client)
         self._cumulative_s = 0.0
         self._pending_wait_s = 0.0
+        self._accountant: WindowAccountant | None = None
 
     # -- workload knowledge -------------------------------------------------
 
@@ -230,12 +231,20 @@ class Session:
         replays over the shared index) and owns each query's whole
         charge stream, ``CostCharge(queries=1)`` overhead included;
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
-        A :class:`WindowAccountant` prices every charge inline (same
-        arithmetic, same left-fold order as per-event clock charges, so
-        all timestamps stay bit-identical) and settles time plus work
-        counters on this session's clock once at window end.
+        The session's one :class:`WindowAccountant` (rebuilt only for
+        another clock) prices every charge inline (same arithmetic,
+        same left-fold order as per-event clock charges, so all
+        timestamps stay bit-identical) and settles time plus work
+        counters on this session's clock once at window end -- also
+        when a replay raises, leaving what sequential :meth:`run_query`
+        calls failing at that query would: the records before it, and
+        its overhead charge and strategy bookkeeping.
         """
-        accountant = WindowAccountant(self.clock)
+        accountant = self._accountant
+        if accountant is None or accountant.clock is not self.clock:
+            accountant = self._accountant = WindowAccountant(self.clock)
+        else:
+            accountant.rearm()
         execution.bind(accountant)
         replay = execution.replay
         append_record = self.report.queries.append
@@ -244,33 +253,35 @@ class Session:
         sequence = len(self.report.queries)
         client = self.client
         # Blocking-idle debt is waiting time of the window's first
-        # query only.
+        # query only (and still owed if that query fails).
         wait = self._pending_wait_s
-        self._pending_wait_s = 0.0
         cumulative = self._cumulative_s
-        for i, query in enumerate(queries):
-            started = accountant.now
-            result = replay(i, query)
-            slotted = pending[i]
-            if slotted is not None:
-                result = slotted[0].apply(slotted[1], result, accountant)
-            finished = accountant.now
-            response = (finished - started) + wait
-            cumulative += response
-            sequence += 1
-            # Positional: keyword arguments cost a slots dataclass's
-            # __init__ more than twice as much.
-            append_record(
-                QueryRecord(
-                    sequence, query, response, wait, result.count,
-                    cumulative, finished, client,
+        try:
+            for i, query in enumerate(queries):
+                started = accountant.now
+                result = replay(i, query)
+                slotted = pending[i]
+                if slotted is not None:
+                    result = slotted[0].apply(slotted[1], result, accountant)
+                finished = accountant.now
+                response = (finished - started) + wait
+                cumulative += response
+                sequence += 1
+                # Positional: keyword arguments cost a slots dataclass's
+                # __init__ more than twice as much.
+                append_record(
+                    QueryRecord(
+                        sequence, query, response, wait, result.count,
+                        cumulative, finished, client,
+                    )
                 )
-            )
-            append_result(result)
-            wait = 0.0
-        self._cumulative_s = cumulative
-        accountant.finish()
-        execution.finish()
+                append_result(result)
+                wait = 0.0
+        finally:
+            self._pending_wait_s = wait
+            self._cumulative_s = cumulative
+            accountant.finish()
+            execution.finish()
         return results
 
     def explain(

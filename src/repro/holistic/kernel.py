@@ -458,7 +458,7 @@ class _HolisticBatchExecution:
         self._kernel = kernel
         self._slots = slots
         #: Per context (column), in first-replay order: the column's
-        #: ref and its observed (low, high, timestamp) triples.
+        #: ref and its observed lows, highs and timestamps.
         self._noted: dict = {}
         self._acc = None
 
@@ -476,8 +476,10 @@ class _HolisticBatchExecution:
         context, bounds = self._slots[slot]
         noted = self._noted.get(context)
         if noted is None:
-            noted = self._noted[context] = (query.ref, [])
-        noted[1].append((query.low, query.high, acc.now))
+            noted = self._noted[context] = (query.ref, [], [], [])
+        noted[1].append(query.low)
+        noted[2].append(query.high)
+        noted[3].append(acc.now)
         if bounds is None:
             return context.empty()
         return context.replay(*bounds)
@@ -485,7 +487,6 @@ class _HolisticBatchExecution:
     def finish(self) -> None:
         monitor = self._kernel.monitor
         ranking = self._kernel.ranking
-        for ref, observed in self._noted.values():
-            lows, highs, stamps = zip(*observed)
+        for ref, lows, highs, stamps in self._noted.values():
             monitor.note_many(ref, lows, highs, stamps)
             ranking.note_queries(ref, len(stamps))

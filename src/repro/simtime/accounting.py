@@ -35,10 +35,11 @@ _NS_PER_S = 1e9
 
 
 class WindowAccountant:
-    """Amortized charge accounting over one batched query window.
+    """Amortized charge accounting over batched query windows.
 
     Prices events inline with a :class:`SimClock`'s cost model and
-    syncs clock time and counters once per window.
+    syncs clock time and counters once per window; a session keeps one
+    per clock, :meth:`rearm`-ed at every window's start.
     """
 
     __slots__ = (
@@ -78,19 +79,20 @@ class WindowAccountant:
         self._query_ns = constants.query_overhead_ns
         self._crack_overhead_ns = constants.crack_overhead_ns
         self._scale = model.scale
-        self.now = clock.now()
         self._query_seconds = (self._query_ns * 1) / _NS_PER_S
         #: Memoized binary-search pricing keyed by step count -- the
         #: same few depths recur thousands of times per run.
         self._binary_seconds: dict[int, float] = {}
-        self._scanned = 0
-        self._cracked = 0
-        self._materialized = 0
-        self._comparisons = 0
-        self._seeks = 0
-        self._pieces = 0
-        self._queries = 0
-        self._cracks = 0
+        self.rearm()
+
+    def rearm(self) -> None:
+        """Start a window at the clock's current reading with zeroed
+        counters.  The prices and their memo stay: a clock's cost
+        model is fixed."""
+        self.now = self.clock.now()
+        self._scanned = self._cracked = self._materialized = 0
+        self._comparisons = self._seeks = self._pieces = 0
+        self._queries = self._cracks = 0
 
     # -- events --------------------------------------------------------
     # Each method mirrors one hot-path charge shape; term order and

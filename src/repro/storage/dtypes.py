@@ -12,7 +12,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -128,15 +127,6 @@ def normalise_range(
     if lo is None or hi is None or not lo < hi:
         return None
     return lo, hi
-
-
-def normalise_ranges(
-    dtype: np.dtype, lows: Iterable[object], highs: Iterable[object]
-) -> list[tuple[Key, Key] | None]:
-    """:func:`normalise_range` of every ``(low, high)`` pair."""
-    return [
-        normalise_range(dtype, low, high) for low, high in zip(lows, highs)
-    ]
 
 
 def type_by_name(name: str) -> ColumnType:

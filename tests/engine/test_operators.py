@@ -15,7 +15,7 @@ from repro.engine.operators import (
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
-from repro.storage.dtypes import FLOAT64, INT32, INT64, normalise_ranges
+from repro.storage.dtypes import FLOAT64, INT32, INT64, normalise_range
 from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
@@ -152,14 +152,17 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
 
     lows = rng.uniform(0, 9e7, size=12)
     highs = lows + rng.uniform(1, 2e7, size=12)
-    bounds = normalise_ranges(values.dtype, lows, highs)
+    bounds = [
+        normalise_range(values.dtype, low, high)
+        for low, high in zip(lows, highs)
+    ]
     window = PendingWindow(pending, bounds)
     assert window.active
 
     sequential_clock = SimClock()
     batch_clock = SimClock()
     accountant = WindowAccountant(batch_clock)
-    overlaps = window.overlapping_slots()
+    overlaps = window.overlaps
     for slot, (low, high) in enumerate(bounds):
         base = scan_select(values, low, high, SimClock())
         expected = apply_pending(
@@ -289,9 +292,10 @@ def test_table_store_overlay_matches_reference_multiset(
     ] + pending.insert_values.tolist()
     # Normalised as the engine passes them; an empty range never
     # reaches the overlay.
-    keys = normalise_ranges(
-        column.values.dtype, *(list(side) for side in zip(*bounds))
-    )
+    keys = [
+        normalise_range(column.values.dtype, low, high)
+        for low, high in bounds
+    ]
     window = PendingWindow(pending, keys)
     sequential_clock, batch_clock = SimClock(), SimClock()
     accountant = WindowAccountant(batch_clock)
@@ -307,7 +311,7 @@ def test_table_store_overlay_matches_reference_multiset(
             view = apply_pending(base, pending, *pair, sequential_clock)
             moved = apply_pending(base, pending, *pair, SimClock())
         batched = base
-        if window.active and window.overlapping_slots()[slot]:
+        if window.active and window.overlaps[slot]:
             batched = window.apply(slot, base, accountant)
         assert (batched is base) == (view is base), (low, high)
         assert view.count == len(reference), (low, high)

@@ -56,19 +56,35 @@ def _workload(seed: int, count: int, columns: int = 2) -> list[RangeQuery]:
     return queries
 
 
+def _stage_writes(db: Database, rng: np.random.Generator) -> None:
+    """One ``mixed_rw``-style write batch on a random column."""
+    column = f"A{int(rng.integers(1, 3))}"
+    pending = db.table("R").updates_for(column)
+    pending.stage_inserts(rng.integers(0, SPAN, size=16))
+    values = db.column("R", column).values
+    positions = rng.choice(len(values), size=4, replace=False)
+    pending.stage_deletes(positions, values[positions])
+
+
 def _run(
     strategy: str,
     window: int,
     data_seed: int,
     pending: bool = False,
     count: int = 40,
+    writes: int = 0,
+    passes: int = 1,
     **options,
 ):
+    """``passes`` times the same ``count`` queries, in windows of
+    ``window`` (``1``: one by one), with a write batch staged after
+    every ``writes`` queries."""
     db = _database(data_seed)
     if pending:
         _stage_pending(db, data_seed + 7)
     session = db.session(strategy, **options)
-    queries = _workload(data_seed, count)
+    queries = _workload(data_seed, count) * passes
+    rng = np.random.default_rng(data_seed + 11)
     results = []
     for start in range(0, len(queries), window):
         chunk = queries[start : start + window]
@@ -76,6 +92,8 @@ def _run(
             results.append(session.run_query(chunk[0]))
         else:
             results.extend(session.run_batch(chunk))
+        if writes and (start + len(chunk)) % writes == 0:
+            _stage_writes(db, rng)
     return session, results
 
 
@@ -153,28 +171,20 @@ def _run_mixed_rw(strategy: str, window: int, **options):
         else:
             results.extend(session.run_batch(queries))
 
-    def write() -> None:
-        column = refs[int(rng.integers(0, 2))].column
-        pending = db.table("R").updates_for(column)
-        pending.stage_inserts(rng.integers(0, SPAN, size=16))
-        values = db.column("R", column).values
-        positions = rng.choice(len(values), size=4, replace=False)
-        pending.stage_deletes(positions, values[positions])
-
     for count in (8, 3, 1, 5):
         reads(count)
-        write()
+        _stage_writes(db, rng)
     index = session.strategy.indexes[refs[0]]
     cut = float(grid[3] + 12_345)
     index.ensure_cut(cut)
     reads(4, [RangeQuery(refs[0], grid[2], cut)])
-    write()
+    _stage_writes(db, rng)
     session.idle(actions=6)
     reads(8, [RangeQuery(refs[1], grid[3] + 777, grid[10])])  # one fresh
     index.ensure_values_fit(np.array([2**40]))
     assert index.values.dtype == np.int64
     reads(6)
-    write()
+    _stage_writes(db, rng)
     duplicate = RangeQuery(refs[1], grid[4], grid[9])
     reads(
         8,
@@ -238,14 +248,19 @@ def test_fallback_strategies_match_sequential(strategy, options):
     window=st.integers(2, 33),
     strategy=st.sampled_from(["adaptive", "holistic", "scan"]),
     pending=st.booleans(),
+    writes=st.booleans(),
 )
-def test_property_batch_equals_sequential(seed, window, strategy, pending):
+def test_property_batch_equals_sequential(
+    seed, window, strategy, pending, writes
+):
+    """Also with writes staged between windows: the second pass's
+    converged windows re-arm their contexts against a changing delta
+    store."""
     options = {"seed": 3} if strategy == "holistic" else {}
-    base_session, base_results = _run(
-        strategy, 1, seed, pending, count=30, **options
-    )
+    options.update(count=15, passes=2, writes=window if writes else 0)
+    base_session, base_results = _run(strategy, 1, seed, pending, **options)
     batch_session, batch_results = _run(
-        strategy, window, seed, pending, count=30, **options
+        strategy, window, seed, pending, **options
     )
     assert _fingerprint(batch_session, batch_results) == _fingerprint(
         base_session, base_results
@@ -419,3 +434,156 @@ def test_failed_batch_setup_leaves_no_silent_cracks():
     reference = _database(3).session("adaptive")
     reference.run_query(good)
     assert repr(session.clock.now()) == repr(reference.clock.now())
+
+
+def _converged(strategy: str, rows: int = 3000, **options):
+    """A session whose indexes have every ``_GRID`` bound cut already,
+    each of the two columns queried once per grid cell."""
+    db = _database(17, rows=rows)
+    session = db.session(strategy, **options)
+    for column in ("A1", "A2"):
+        for low, high in zip(_GRID, _GRID[1:]):
+            session.select("R", column, low, high)
+    return session
+
+
+_GRID = np.linspace(0, SPAN * 0.99, 9).tolist()
+
+
+def _grid_window(rng, count: int) -> list[RangeQuery]:
+    queries = []
+    for _ in range(count):
+        i, j = sorted(rng.choice(len(_GRID), size=2, replace=False))
+        ref = ColumnRef("R", f"A{int(rng.integers(1, 3))}")
+        queries.append(RangeQuery(ref, _GRID[i], _GRID[j]))
+    return queries
+
+
+@pytest.mark.parametrize(
+    "strategy,options", [("adaptive", {}), ("holistic", {"seed": 5})]
+)
+def test_converged_windows_reuse_their_setup(monkeypatch, strategy, options):
+    """After a session's first window, converged windows construct no
+    replay context and no accountant, and answer as sequential."""
+    from repro.cracking.batch import CrackSelectBatch
+    from repro.simtime.accounting import WindowAccountant
+
+    built = {"contexts": 0, "accountants": 0}
+    for cls, key in (
+        (CrackSelectBatch, "contexts"),
+        (WindowAccountant, "accountants"),
+    ):
+
+        def spy(self, *args, _init=cls.__init__, _key=key, **kwargs):
+            built[_key] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    windows = [_grid_window(np.random.default_rng(i), 6) for i in range(6)]
+    session = _converged(strategy, **options)
+    base = _converged(strategy, **options)
+    results, base_results = [], []
+    for number, window in enumerate(windows):
+        results.extend(session.run_batch(window))
+        base_results.extend(base.run_query(query) for query in window)
+        if number == 0:
+            first = dict(built)
+            assert first == {"contexts": 2, "accountants": 1}
+    assert built == first
+    assert _fingerprint(session, results) == _fingerprint(base, base_results)
+
+
+def test_rearmed_accountant_starts_from_the_clock():
+    """The one accountant of a session is re-armed, not rebuilt, after
+    an idle window and after a sequential query, and each window then
+    starts from the clock's reading."""
+    rng = np.random.default_rng(23)
+    session = _converged("holistic", seed=5)
+    base = _converged("holistic", seed=5)
+    results, base_results = [], []
+
+    def both(window) -> None:
+        results.extend(session.run_batch(window))
+        base_results.extend(base.run_query(query) for query in window)
+
+    both(_grid_window(rng, 5))
+    accountant = session._accountant
+    for step in ("idle", "query", "idle"):
+        if step == "idle":
+            session.idle(actions=4)
+            base.idle(actions=4)
+        else:
+            query = _grid_window(rng, 1)[0]
+            results.append(session.run_query(query))
+            base_results.append(base.run_query(query))
+        started = session.clock.now()
+        both(_grid_window(rng, 5))
+        assert session._accountant is accountant
+        first = session.report.queries[-5]
+        assert first.finished_at - first.response_s == started
+        assert accountant.now == session.clock.now()
+    assert _fingerprint(session, results) == _fingerprint(base, base_results)
+
+
+@pytest.mark.parametrize(
+    "strategy,options", [("adaptive", {}), ("holistic", {"seed": 5})]
+)
+def test_replay_raising_mid_window_settles_like_sequential(
+    monkeypatch, strategy, options
+):
+    """A window whose third replay raises leaves the clock, records,
+    cumulative total, monitor and ranking exactly as a sequential
+    session failing at the same query -- and so does the next query."""
+    from repro.cracking.batch import CrackSelectBatch
+    from repro.cracking.index import CrackerIndex
+
+    window = _grid_window(np.random.default_rng(29), 4)
+    session = _converged(strategy, rows=50_000, **options)
+    base = _converged(strategy, rows=50_000, **options)
+
+    def fail_third(cls, name):
+        calls = []
+        method = getattr(cls, name)
+
+        def failing(self, *args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("injected replay failure")
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, failing)
+
+    fail_third(CrackSelectBatch, "replay")
+    with pytest.raises(RuntimeError):
+        session.run_batch(window)
+    monkeypatch.undo()
+    fail_third(CrackerIndex, "select_keys")
+    with pytest.raises(RuntimeError):
+        for query in window:
+            base.run_query(query)
+    monkeypatch.undo()
+    assert len(session.report.queries) == len(base.report.queries)
+    after = _grid_window(np.random.default_rng(31), 1)[0]
+    for subject in (session, base):
+        subject.run_query(after)
+    assert repr(session.clock.now()) == repr(base.clock.now())
+    assert session.clock.total_charge == base.clock.total_charge
+    records = [
+        (repr(r.finished_at), repr(r.response_s), r.result_count)
+        for r in session.report.queries
+    ]
+    assert records == [
+        (repr(r.finished_at), repr(r.response_s), r.result_count)
+        for r in base.report.queries
+    ]
+    assert repr(session.report.total_response_s) == repr(
+        base.report.total_response_s
+    )
+    if strategy == "holistic":
+        kernel, reference = session.strategy, base.strategy
+        assert kernel.monitor.export_state() == (
+            reference.monitor.export_state()
+        )
+        for state in reference.ranking.states():
+            other = kernel.ranking.state(state.ref)
+            assert other.queries_seen == state.queries_seen

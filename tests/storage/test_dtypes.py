@@ -15,7 +15,6 @@ from repro.storage.dtypes import (
     coerce_array,
     largest,
     normalise_range,
-    normalise_ranges,
     type_by_name,
     type_for_array,
 )
@@ -168,4 +167,3 @@ def test_normalise_range_keeps_exactly_the_values_in_range(
         if kind is int:
             info = np.iinfo(dtype)
             assert info.min <= lo and hi <= info.max + 1
-    assert normalise_ranges(dtype, [low], [high]) == [keys]

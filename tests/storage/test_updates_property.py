@@ -24,7 +24,6 @@ from repro.storage.dtypes import (
     coerce_array,
     normalise_bound,
     normalise_range,
-    normalise_ranges,
 )
 from repro.storage.updates import PendingUpdates, cut_at
 
@@ -356,14 +355,18 @@ def test_pending_window_nan_bounds_match_sequential() -> None:
     lows = [0.0, float("nan"), 15.0]
     highs = [float("nan"), 100.0, 100.0]
     window = PendingWindow(
-        pending, normalise_ranges(INT64.numpy_dtype, lows, highs)
+        pending,
+        [
+            normalise_range(INT64.numpy_dtype, low, high)
+            for low, high in zip(lows, highs)
+        ],
     )
     for i, (low, high) in enumerate(zip(lows, highs)):
         seq_ins = _probe(pending.inserts_in_range, low, high)
         seq_del = _probe(pending.deletes_in_range, low, high)
         assert window._ins_hi[i] - window._ins_lo[i] == len(seq_ins)
         assert window._del_hi[i] - window._del_lo[i] == len(seq_del)
-    assert list(window.overlapping_slots()) == [False, False, True]
+    assert window.overlaps == [False, False, True]
 
 
 def test_clear_makes_consumed_positions_restageable() -> None:
@@ -394,14 +397,18 @@ def test_pending_window_agrees_with_sequential_beyond_2_53() -> None:
     lows = [-6.291317555680974e17, 0.0, 6.291317555680974e17]
     highs = [1.649365601384583e17, 1e18, 6.29131755568097472e17]
     window = PendingWindow(
-        pending, normalise_ranges(INT64.numpy_dtype, lows, highs)
+        pending,
+        [
+            normalise_range(INT64.numpy_dtype, low, high)
+            for low, high in zip(lows, highs)
+        ],
     )
     for i, (low, high) in enumerate(zip(lows, highs)):
         seq_ins = _probe(pending.inserts_in_range, low, high)
         seq_del = _probe(pending.deletes_in_range, low, high)
         assert window._ins_hi[i] - window._ins_lo[i] == len(seq_ins)
         assert window._del_hi[i] - window._del_lo[i] == len(seq_del)
-        assert bool(window.overlapping_slots()[i]) == bool(
+        assert bool(window.overlaps[i]) == bool(
             len(seq_ins) or len(seq_del)
         )
 
@@ -710,11 +717,9 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
     pending.stage_inserts(np.asarray(inserts, dtype=dtype))
     deletes = np.asarray(deletes, dtype=dtype)
     pending.stage_deletes(np.arange(len(deletes)), deletes)
-    keys = normalise_ranges(
-        np.dtype(dtype),
-        [low for low, _ in bounds],
-        [high for _, high in bounds],
-    )
+    keys = [
+        normalise_range(np.dtype(dtype), low, high) for low, high in bounds
+    ]
     window = PendingWindow(pending, keys)
     assert window.active == pending.has_pending()
     sequential_clock, batch_clock = SimClock(), SimClock()
@@ -729,7 +734,7 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
             else apply_pending(base, pending, *pair, sequential_clock)
         )
         got = base
-        if window.active and window.overlapping_slots()[slot]:
+        if window.active and window.overlaps[slot]:
             got = window.apply(slot, base, accountant)
         assert (got is base) == (want is base), pair
         assert got.values().tolist() == want.values().tolist(), pair
