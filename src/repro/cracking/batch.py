@@ -106,9 +106,8 @@ class CrackSelectBatch:
     """Replay handle for one column's window of range selects.
 
     Created by :meth:`CrackerIndex.begin_select_batch` after the
-    physical pass, and :meth:`rearm`-ed by it for a later converged
-    window; :meth:`replay` must then be called once per window entry,
-    in window order.
+    physical pass; :meth:`replay` must then be called once per window
+    entry, in window order.
     """
 
     __slots__ = (
@@ -167,18 +166,6 @@ class CrackSelectBatch:
     def bind(self, accountant) -> None:
         """Route this context's charges through ``accountant``."""
         self._acc = accountant
-
-    def rearm(self, copy_charged: bool, expected: int) -> None:
-        """Start a converged window of ``expected`` replays on this
-        complete context (see :meth:`CrackerIndex.begin_select_batch`):
-        the shadow map already equals the piece map and no bound needs
-        a position, so only the counters, the accountant and the arrays
-        are renewed."""
-        self._copy_charged = copy_charged
-        self._expected = expected
-        self._done = 0
-        self._acc = None
-        self.refresh_arrays()
 
     @property
     def is_complete(self) -> bool:

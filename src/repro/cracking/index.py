@@ -146,8 +146,7 @@ class CrackerIndex:
         self._largest = largest(column.ctype.numpy_dtype)
         self._scratch = CrackScratch()
         #: (piece-map version, last batch context) -- lets consecutive
-        #: windows reuse its shadow map, or re-arm the context itself
-        #: (see begin_select_batch).
+        #: windows reuse its shadow map (see begin_select_batch).
         self._replay_cache: tuple[int, CrackSelectBatch] | None = None
         #: Shared warm-path result views for batched selects, keyed by
         #: (pos_low, pos_high); valid for one physical array/rowids
@@ -570,11 +569,6 @@ class CrackerIndex:
         caller must drive one ``replay`` per window entry, in order,
         before issuing other operations on this index.
 
-        A converged window -- no fresh bound, same ``origin`` -- after a
-        completely replayed one, with the piece map unchanged since,
-        gets that window's context back, re-armed; any other window
-        gets a new one.
-
         Raises:
             QueryError: if any range is inverted.
         """
@@ -582,14 +576,12 @@ class CrackerIndex:
         # to the real map; reuse it when nothing else has mutated the
         # map since (version check), saving the O(pieces) snapshot.
         cached = self._replay_cache
-        previous = None
         if (
             cached is not None
             and cached[0] == self._pieces.version
             and cached[1].is_complete
         ):
-            previous = cached[1]
-            sim = previous.sim
+            sim = cached[1].sim
         else:
             sim = ReplayPieceMap.snapshot(self._pieces)
         # One scan checks every range and collects the fresh bounds
@@ -604,9 +596,6 @@ class CrackerIndex:
                 fresh.append(low)
             if high <= largest and not has_pivot(high):
                 fresh.append(high)
-        if previous is not None and not fresh and previous._origin is origin:
-            previous.rearm(self._copy_charged, len(bounds))
-            return previous
         self._replay_cache = None
         copy_charged = self._copy_charged
         positions: dict[Key, int] = {}
@@ -657,12 +646,17 @@ class CrackerIndex:
         Raises:
             QueryError: if a range is not ascending.
         """
-        for low, high in bounds:
-            if not low < high:
-                raise QueryError(f"range inverted: low={low} > high={high}")
+        self._check_ascending(bounds)
         values = [low for low, _ in bounds]
         values += [high for _, high in bounds if high <= self._largest]
         return np.array(values, dtype=self._pieces.dtype)
+
+    @staticmethod
+    def _check_ascending(bounds: list[tuple[Key, Key]]) -> None:
+        """Raise :class:`QueryError` unless every range is ascending."""
+        for low, high in bounds:
+            if not low < high:
+                raise QueryError(f"range inverted: low={low} > high={high}")
 
     def _crack_pass(
         self, values: np.ndarray, what: str, piece_latched: bool

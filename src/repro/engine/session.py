@@ -231,17 +231,18 @@ class Session:
         replays over the shared index) and owns each query's whole
         charge stream, ``CostCharge(queries=1)`` overhead included;
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
-        The session's one :class:`WindowAccountant` (rebuilt only for
-        another clock) prices every charge inline (same arithmetic,
-        same left-fold order as per-event clock charges, so all
-        timestamps stay bit-identical) and settles time plus work
-        counters on this session's clock once at window end -- also
-        when a replay raises, leaving what sequential :meth:`run_query`
-        calls failing at that query would: the records before it, and
-        its overhead charge and strategy bookkeeping.
+        The session's one :class:`WindowAccountant` prices every
+        charge inline (same arithmetic, same left-fold order as
+        per-event clock charges, so all timestamps stay bit-identical)
+        and settles time plus work counters on this session's clock
+        once at window end.  A replay that raises settles too: the
+        clock, the records before it, the cumulative total and the
+        strategy's notes are what sequential :meth:`run_query` calls
+        failing at that query leave.  Cracks the physical pass made for
+        fresh bounds of later queries stay in the index uncharged.
         """
         accountant = self._accountant
-        if accountant is None or accountant.clock is not self.clock:
+        if accountant is None:
             accountant = self._accountant = WindowAccountant(self.clock)
         else:
             accountant.rearm()

@@ -209,10 +209,10 @@ def test_inverted_range_leaves_the_replay_cache_untouched():
 
 
 def test_replay_cache_reuse_and_invalidation():
-    """Consecutive fully-replayed windows reuse the shadow map, and a
-    converged one re-arms the previous context itself; a fresh bound,
-    another origin, an incomplete previous replay and a foreground
-    crack between windows each get a new context."""
+    """Consecutive fully-replayed windows reuse the shadow map -- with
+    a fresh bound, without one, and under another origin; an
+    incomplete previous replay and a foreground crack between windows
+    each force a new snapshot."""
     from repro.cracking.piece import CrackOrigin
 
     _, batched = _pair(rows=1200, seed=3)
@@ -222,24 +222,17 @@ def test_replay_cache_reuse_and_invalidation():
         context.replay_query(low, high)
     assert context.is_complete
     cached_sim = context.sim
-    # A fresh bound: a new context on the cached shadow map.
-    follow_up, _ = _begin(batched, [(3000, 3500)])
-    assert follow_up is not context
+    follow_up, _ = _begin(batched, [(3000, 3500)])  # a fresh bound
     assert follow_up.sim is cached_sim  # reused, no snapshot
     follow_up.replay_query(3000, 3500)
-    # Converged after a complete window: the same context, re-armed.
     converged = [(100, 3000), (900, 3500)]
-    rearmed = _replayed(batched, converged)
-    assert rearmed is follow_up and rearmed.is_complete
-    # Another origin.
+    assert _replayed(batched, converged).sim is cached_sim
+    # Another origin; its context replays none, so it stays incomplete.
     tuning = batched.begin_select_batch(converged, CrackOrigin.TUNING)
-    assert tuning is not follow_up and tuning.sim is cached_sim
-    # An incomplete previous replay: the tuning context replays none.
-    again, _ = _begin(batched, converged)
-    assert again is not tuning and again.sim is not cached_sim
-    for pair in converged:
-        again.replay_query(*pair)
-    assert _replayed(batched, converged) is again
+    assert tuning.sim is cached_sim
+    again = _replayed(batched, converged)
+    assert again.sim is not cached_sim
+    again.check_consistent()
     # A foreground crack invalidates the cached shadow map.
     batched.ensure_cut(4321)
     third, _ = _begin(batched, [(4500, 4600)])
@@ -247,44 +240,19 @@ def test_replay_cache_reuse_and_invalidation():
     third.replay_query(4500, 4600)
     third.check_consistent()
     batched.ensure_cut(4400)
-    fourth, _ = _begin(batched, [(4500, 4600)])  # converged, new map
-    assert fourth is not third
-    fourth.replay_query(4500, 4600)
+    fourth = _replayed(batched, [(4500, 4600)])  # converged, new map
+    assert fourth.sim is not third.sim
     fourth.check_consistent()
 
 
-def test_converged_windows_construct_no_context(monkeypatch):
-    from repro.cracking.batch import CrackSelectBatch
-    from repro.simtime.charge import CostCharge
-
-    sequential, batched = _pair(rows=1200, seed=12)
-    built = []
-    init = CrackSelectBatch.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CrackSelectBatch, "__init__", spy)
-    windows = [[(100, 900), (900, 2000)], [(100, 2000)], [(900, 2000)] * 3]
-    for window in windows:
-        _replayed(batched, window)
-        for low, high in window:
-            sequential.clock.charge(CostCharge(queries=1))
-            sequential.select_keys(low, high)
-    assert len(built) == 1
-    _assert_identical(sequential, batched)
-
-
-def test_rearmed_context_answers_views_of_a_widened_array():
+def test_converged_window_answers_views_of_a_widened_array():
     _, batched = _pair(rows=1000, seed=13)
-    context = _replayed(batched, [(100, 700)])
+    _replayed(batched, [(100, 700)])
     assert batched.values.dtype == np.int32
     batched.ensure_values_fit(np.array([2**40]))
     assert batched.values.dtype == np.int64
-    rearmed, accountant = _begin(batched, [(100, 700)])
-    assert rearmed is context
-    view = rearmed.replay_query(100, 700)
+    context, accountant = _begin(batched, [(100, 700)])
+    view = context.replay_query(100, 700)
     accountant.finish()
     assert view.values().dtype == np.int64
     assert np.shares_memory(view.values(), batched.values)

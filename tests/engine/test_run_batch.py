@@ -254,10 +254,10 @@ def test_property_batch_equals_sequential(
     seed, window, strategy, pending, writes
 ):
     """Also with writes staged between windows: the second pass's
-    converged windows re-arm their contexts against a changing delta
-    store."""
+    converged windows replay on cached shadow maps and a re-armed
+    accountant against a changing delta store."""
     options = {"seed": 3} if strategy == "holistic" else {}
-    options.update(count=15, passes=2, writes=window if writes else 0)
+    options.update(count=30, passes=2, writes=window if writes else 0)
     base_session, base_results = _run(strategy, 1, seed, pending, **options)
     batch_session, batch_results = _run(
         strategy, window, seed, pending, **options
@@ -462,34 +462,29 @@ def _grid_window(rng, count: int) -> list[RangeQuery]:
 @pytest.mark.parametrize(
     "strategy,options", [("adaptive", {}), ("holistic", {"seed": 5})]
 )
-def test_converged_windows_reuse_their_setup(monkeypatch, strategy, options):
-    """After a session's first window, converged windows construct no
-    replay context and no accountant, and answer as sequential."""
-    from repro.cracking.batch import CrackSelectBatch
+def test_converged_windows_reuse_their_accountant(
+    monkeypatch, strategy, options
+):
+    """A session builds one accountant, on its first window; converged
+    windows after it re-arm that one and answer as sequential."""
     from repro.simtime.accounting import WindowAccountant
 
-    built = {"contexts": 0, "accountants": 0}
-    for cls, key in (
-        (CrackSelectBatch, "contexts"),
-        (WindowAccountant, "accountants"),
-    ):
+    built = []
+    init = WindowAccountant.__init__
 
-        def spy(self, *args, _init=cls.__init__, _key=key, **kwargs):
-            built[_key] += 1
-            _init(self, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", spy)
+    monkeypatch.setattr(WindowAccountant, "__init__", spy)
     windows = [_grid_window(np.random.default_rng(i), 6) for i in range(6)]
     session = _converged(strategy, **options)
     base = _converged(strategy, **options)
     results, base_results = [], []
-    for number, window in enumerate(windows):
+    for window in windows:
         results.extend(session.run_batch(window))
         base_results.extend(base.run_query(query) for query in window)
-        if number == 0:
-            first = dict(built)
-            assert first == {"contexts": 2, "accountants": 1}
-    assert built == first
+    assert built == [session._accountant]
     assert _fingerprint(session, results) == _fingerprint(base, base_results)
 
 
