@@ -10,21 +10,30 @@ permute an aligned row-id array (the cracker map of sideways cracking
 The kernels return the split position(s) plus a :class:`CostCharge`
 counting every element touched, which the clock prices.
 
-Hot-path design (ISSUE 3).  The kernels are *selection*-based: a
-cracked piece is an unordered bag -- only the split position is
-semantically meaningful -- so instead of the original stable
-mask/fancy-index shuffle (two boolean gathers plus two write-backs per
-crack) they count the left side and run introselect at that split.
+Hot-path design.  The kernels are *selection*-based: a cracked piece
+is an unordered bag -- only the split position is semantically
+meaningful -- so instead of the original stable mask/fancy-index
+shuffle (two boolean gathers plus two write-backs per crack) they find
+each split's rank and run introselect there.
 
 * **value-only cracks**: ``ndarray.partition`` in place -- no
   temporaries, no write-back; ~3x faster than any gather-based stable
-  partition.  The classification mask for large pieces lives in a
-  reusable :class:`CrackScratch` buffer, so big cracks allocate
-  nothing.
-* **row-id-tracking cracks** (sideways cracking): one
-  ``argpartition`` produces a single permutation applied to the value
-  and row-id arrays together through scratch buffers -- the fused
-  cracker-map update; alignment between the two arrays is exact.
+  partition.  A piece below ``SAMPLE_THRESHOLD`` rows counts its left
+  side (``< pivot``) and selects at that split.  A bigger piece does
+  not count the whole piece, because that pass is the one that pulls
+  it in from memory: a strided sample of ``SAMPLE_SIZE`` elements
+  estimates each pivot's rank, a band of six standard deviations plus
+  one stride brackets the split(s), the piece is selected at both band
+  edges, two guard elements prove that the band holds every split, and
+  only the band is counted and selected.  A band that reaches a piece
+  edge or fails a guard falls back to counting first, so no split
+  depends on the sample.  Counts stream through a ``MASK_CHUNK``-sized
+  :class:`CrackScratch` mask, so no crack allocates a mask and no
+  index keeps one the size of its largest piece.
+* **row-id-tracking cracks** (sideways cracking) always count first:
+  one ``argpartition`` produces a single permutation applied to the
+  value and row-id arrays together through scratch buffers -- the
+  fused cracker-map update; alignment between the two arrays is exact.
 
 Split positions, cost charges, tape records and the per-piece value
 multisets are identical to the original kernel; only the (deliberately
@@ -38,6 +47,7 @@ over the single-piece partitions above.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -49,6 +59,16 @@ from repro.storage.dtypes import Key
 #: Pieces at/above this many rows evaluate their classification mask
 #: into a reusable scratch buffer instead of allocating a fresh one.
 CHUNK_THRESHOLD = 16_384
+#: The scratch mask's size: a larger piece is counted in chunks of this
+#: many rows, so no index keeps a mask the size of its largest piece.
+MASK_CHUNK = 262_144
+#: Value-only pieces at/above this many rows find their splits by
+#: sampled rank (:func:`_rank_band`) instead of counting first.
+SAMPLE_THRESHOLD = 262_144
+#: Elements in the strided sample that estimates a pivot's rank.
+SAMPLE_SIZE = 4_096
+
+_BOOL = np.dtype(bool)
 
 
 class CrackScratch:
@@ -58,8 +78,8 @@ class CrackScratch:
     :class:`~repro.cracking.index.CrackerIndex` run under its monitor
     lock) or one thread (the module keeps a thread-local default for
     callers that pass none).  Buffers are keyed by name and dtype so
-    value and row-id lanes, and the three-way kernel's extra lane, can
-    coexist.
+    value and row-id lanes can coexist; the classification mask never
+    grows beyond ``MASK_CHUNK`` elements.
     """
 
     __slots__ = ("_buffers",)
@@ -117,18 +137,24 @@ def _check_disjoint(array: np.ndarray, tasks: list, kernel: str) -> None:
 def _count_below(
     view: np.ndarray, pivot: Key, scratch: CrackScratch
 ) -> int:
-    """Number of elements ``< pivot`` (scratch mask above the threshold
-    so large pieces never allocate a fresh mask).
+    """Number of elements ``< pivot`` (above the threshold the piece
+    streams through a ``MASK_CHUNK``-sized scratch mask, so large
+    pieces never allocate a mask and never grow the scratch one).
 
     ``pivot`` is a key in the column's domain (a Python int for an
     integer column): numpy compares it with the piece exactly and
     without widening a narrowed piece.
     """
-    if view.size >= CHUNK_THRESHOLD:
-        mask = scratch.get("mask", view.size, np.dtype(bool))[: view.size]
-        np.less(view, pivot, out=mask)
-        return int(np.count_nonzero(mask))
-    return int(np.count_nonzero(view < pivot))
+    if view.size < CHUNK_THRESHOLD:
+        return int(np.count_nonzero(view < pivot))
+    mask = scratch.get("mask", MASK_CHUNK, _BOOL)
+    count = 0
+    for lo in range(0, view.size, MASK_CHUNK):
+        chunk = view[lo : lo + MASK_CHUNK]
+        part = mask[: chunk.size]
+        np.less(chunk, pivot, out=part)
+        count += int(np.count_nonzero(part))
+    return count
 
 
 def _apply_permutation(
@@ -148,30 +174,87 @@ def _apply_permutation(
         rview[:] = rbuf[:size]
 
 
-def _partition_two(
-    view: np.ndarray,
-    pivot: Key,
-    rview: np.ndarray | None,
-    scratch: CrackScratch,
-) -> int:
-    """In-place partition of ``view`` around ``pivot``.
+def _rank_band(
+    view: np.ndarray, pivots: tuple[Key, ...]
+) -> tuple[int, int] | None:
+    """Positions ``(a, b)`` that bracket every split of ``view``.
 
-    Returns the number of elements ``< pivot``.  Without row ids this
-    is ``ndarray.partition`` (in-place introselect); with row ids one
-    ``argpartition`` produces a single permutation that is applied to
-    the value and row-id arrays together (the fused cracker-map
-    update), keeping both exactly aligned.
+    Each pivot's rank is estimated from a strided sample of about
+    ``SAMPLE_SIZE`` elements and widened by six standard deviations of
+    the estimate plus one stride; ``a`` is the lowest pivot's lower
+    edge, ``b`` the highest's upper edge.  ``None`` when the band
+    reaches an edge of the piece.  The band is only a guess: the caller
+    checks it before trusting it.
     """
     size = view.size
-    n_left = _count_below(view, pivot, scratch)
-    if n_left == 0 or n_left == size:
-        return n_left
-    if rview is None:
-        view.partition(n_left - 1)
-    else:
-        order = np.argpartition(view, n_left - 1)
-        _apply_permutation(view, rview, order, scratch)
-    return n_left
+    stride = size // SAMPLE_SIZE
+    sample = view[::stride]
+    taken = sample.size
+
+    def edge(pivot: Key, side: int) -> int:
+        below = int(np.count_nonzero(sample < pivot))
+        share = below / taken
+        sigma = size * math.sqrt(share * (1.0 - share) / taken)
+        return below * size // taken + side * (int(6 * sigma) + stride)
+
+    a, b = edge(pivots[0], -1), edge(pivots[-1], 1)
+    return (a, b) if 0 < a and b < size else None
+
+
+def _partition(
+    view: np.ndarray,
+    pivots: tuple[Key, ...],
+    rview: np.ndarray | None,
+    scratch: CrackScratch,
+) -> list[int]:
+    """In-place partition of ``view`` around ascending ``pivots``.
+
+    Returns the number of elements ``< pivot`` for each pivot; the
+    elements between two consecutive counts are the ones between the
+    two pivots.  Without row ids this is ``ndarray.partition``
+    (in-place introselect); a piece of at least ``SAMPLE_THRESHOLD``
+    rows first tries the sampled band of :func:`_rank_band`: select
+    the whole piece at the band edge that leaves the smaller remainder
+    and the remainder at the other, check the guard elements
+    ``view[a] < pivots[0]`` and ``view[b] >= pivots[-1]``, then
+    partition inside the band only (a band of at least the threshold
+    samples again).  A band that reaches an edge or fails a guard
+    falls back to counting the whole piece first, so no result depends
+    on the sample.  With row ids each selection derives one
+    ``argpartition`` permutation applied to the value and row-id arrays
+    together (the fused cracker-map update), keeping both exactly
+    aligned.
+    """
+    size = view.size
+    if rview is None and size >= SAMPLE_THRESHOLD:
+        band = _rank_band(view, pivots)
+        if band is not None:
+            a, b = band
+            if b < size - a:
+                view.partition(b)
+                view[:b].partition(a)
+            else:
+                view.partition(a)
+                view[a + 1 :].partition(b - a - 1)
+            if view[a] < pivots[0] and view[b] >= pivots[-1]:
+                inner = _partition(view[a + 1 : b], pivots, None, scratch)
+                return [a + 1 + n for n in inner]
+    # Count first.  Everything left of a split is below the next pivot
+    # too, so each later pivot is counted in the remainder only.
+    counts = []
+    done = 0
+    for pivot in pivots:
+        rest = view[done:] if done else view
+        n = done + _count_below(rest, pivot, scratch)
+        if done < n < size:
+            if rview is None:
+                rest.partition(n - done - 1)
+            else:
+                order = np.argpartition(rest, n - done - 1)
+                _apply_permutation(rest, rview[done:], order, scratch)
+        counts.append(n)
+        done = n
+    return counts
 
 
 def crack_in_two(
@@ -197,45 +280,13 @@ def crack_in_two(
     size = end - start
     if size == 0:
         return start, CostCharge(cracks=1)
-    n_left = _partition_two(
+    (n_left,) = _partition(
         array[start:end],
-        pivot,
+        (pivot,),
         None if rowids is None else rowids[start:end],
         scratch if scratch is not None else default_scratch(),
     )
     return start + n_left, CostCharge.for_crack(size)
-
-
-def _partition_three(
-    view: np.ndarray,
-    rview: np.ndarray | None,
-    n_lo: int,
-    n_mid: int,
-    scratch: CrackScratch,
-) -> None:
-    """Three-way in-place partition from precomputed band counts.
-
-    Selects at the low split, then at the mid/high split of the right
-    remainder; with row ids each selection derives one argpartition
-    permutation applied to both arrays.  Shared by
-    :func:`crack_in_three` and :func:`crack_spans_batch`, which both
-    count first.
-    """
-    size = view.size
-    if rview is None:
-        if 0 < n_lo < size:
-            view.partition(n_lo - 1)
-        right = view[n_lo:]
-        if 0 < n_mid < right.size:
-            right.partition(n_mid - 1)
-        return
-    if 0 < n_lo < size:
-        order = np.argpartition(view, n_lo - 1)
-        _apply_permutation(view, rview, order, scratch)
-    right = view[n_lo:]
-    if 0 < n_mid < right.size:
-        order = np.argpartition(right, n_mid - 1)
-        _apply_permutation(right, rview[n_lo:], order, scratch)
 
 
 def crack_in_three(
@@ -267,15 +318,15 @@ def crack_in_three(
     charge = CostCharge(elements_cracked=size, pieces_touched=1, cracks=2)
     if scratch is None:
         scratch = default_scratch()
-    view = array[start:end]
-    rview = None if rowids is None else rowids[start:end]
-    # Three-way selection: count both splits, select at the low split,
-    # then at the mid/high split of the right remainder.  Splits and
-    # per-band multisets match the original three-mask kernel; element
-    # order inside each band is unspecified.
-    n_lo = _count_below(view, low, scratch)
-    n_below_high = _count_below(view, high, scratch)
-    _partition_three(view, rview, n_lo, n_below_high - n_lo, scratch)
+    # Three-way selection: splits and per-band multisets match the
+    # original three-mask kernel; element order inside each band is
+    # unspecified.
+    n_lo, n_below_high = _partition(
+        array[start:end],
+        (low, high),
+        None if rowids is None else rowids[start:end],
+        scratch,
+    )
     return start + n_lo, start + n_below_high, charge
 
 
@@ -317,9 +368,9 @@ def crack_in_two_batch(
             splits.append(start)
             charges.append(CostCharge(cracks=1))
             continue
-        n_left = _partition_two(
+        (n_left,) = _partition(
             array[start:end],
-            pivot,
+            (pivot,),
             None if rowids is None else rowids[start:end],
             scratch,
         )
@@ -368,15 +419,13 @@ def crack_spans_batch(
         scratch = default_scratch()
     splits: list[tuple[int, int]] = []
     for start, end, low, high in tasks:
-        view = array[start:end]
-        rview = None if rowids is None else rowids[start:end]
-        if low == high:
-            n_low = n_high = _partition_two(view, low, rview, scratch)
-        else:
-            n_low = _count_below(view, low, scratch)
-            n_high = _count_below(view, high, scratch)
-            _partition_three(view, rview, n_low, n_high - n_low, scratch)
-        splits.append((start + n_low, start + n_high))
+        counts = _partition(
+            array[start:end],
+            (low,) if low == high else (low, high),
+            None if rowids is None else rowids[start:end],
+            scratch,
+        )
+        splits.append((start + counts[0], start + counts[-1]))
     return splits
 
 
@@ -391,9 +440,13 @@ def crack_multi(
     """Partition ``array[start:end]`` around many pivots in one go.
 
     The batch optimization the paper's §3 asks for ("apply multiple
-    tuning actions in one go over a single index"): a counting
+    tuning actions in one go over a single index").  Value-only pieces
+    run a recursive selection: each step splits its segment at the
+    median remaining pivot (sampled rank on a big segment, see
+    :func:`_partition`), O(n log k) in place.  With row ids a counting
     partition classifies every element once and scatters it once, so k
-    pivots cost two passes instead of k shrinking crack passes.
+    pivots cost two passes instead of k shrinking crack passes.  Both
+    are charged as that two-pass counting partition, ``2 * size``.
 
     Returns:
         ``(splits, charge)`` -- ``splits[i]`` is the absolute position
@@ -433,11 +486,7 @@ def crack_multi(
             if first >= last:
                 continue
             mid = (first + last) // 2
-            pivot = pivots[mid]
-            segment = view[lo:hi]
-            n_left = _count_below(segment, pivot, scratch)
-            if 0 < n_left < segment.size:
-                segment.partition(n_left - 1)
+            (n_left,) = _partition(view[lo:hi], (pivots[mid],), None, scratch)
             cut = lo + n_left
             splits[mid] = start + cut
             stack.append((lo, cut, first, mid))
