@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def build_parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
@@ -71,31 +70,6 @@ def resolve_call_name(
     if origin is None:
         return name
     return f"{origin}.{rest}" if rest else origin
-
-
-def statement_blocks(tree: ast.AST) -> Iterator[list[ast.stmt]]:
-    """Every list of statements in the tree (bodies, orelse, finally)."""
-    for node in ast.walk(tree):
-        for attr in ("body", "orelse", "finalbody"):
-            block = getattr(node, attr, None)
-            if (
-                isinstance(block, list)
-                and block
-                and isinstance(block[0], ast.stmt)
-            ):
-                yield block
-
-
-def enclosing_function(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """The nearest function definition containing ``node``."""
-    current = parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = parents.get(current)
-    return None
 
 
 def call_has_no_side_effects(stmt: ast.stmt) -> bool:

@@ -12,7 +12,7 @@ witness is enabled:
   held, the edge ``A -> B`` is recorded; a later acquisition of A
   while B is held -- or any longer inversion cycle -- is an
   :class:`OrderViolation`;
-* same-group multi-acquisitions must take bucket keys in ascending
+* same-group multi-acquisitions must take piece keys in ascending
   order (the sorted-key protocol of
   :meth:`~repro.cracking.concurrency.PieceLatchTable.write_pieces`);
 * :class:`~repro.cracking.index.CrackerIndex` mutation entry points
@@ -265,12 +265,11 @@ class LatchWitness:
             and getattr(held, "key", None) is not None
         }
         for start in piece_starts:
-            key = table.key_for(start)
-            if key not in held_keys:
+            if start not in held_keys:
                 self._violate(
                     "unlatched-mutation",
-                    f"{what} mutates the piece at {start} (bucket "
-                    f"{key}) without its write latch",
+                    f"{what} mutates the piece at {start} without its "
+                    "write latch",
                     state.holds,
                 )
                 return

@@ -53,14 +53,6 @@ class ParallelRun:
     stalls: int = 0
     converged: bool = False
 
-    @property
-    def speedup_vs_serial_work(self) -> float:
-        """Elapsed-vs-busy ratio: how much the lanes overlapped."""
-        if self.idle_consumed_s <= 0:
-            return 1.0
-        busy = self.busy_s if self.busy_s > 0 else self.idle_consumed_s
-        return busy / self.idle_consumed_s
-
 
 @dataclass(slots=True)
 class ParallelSweepResult:

@@ -10,9 +10,8 @@ by real threads -- the parallel tuning workers of
 * :class:`ReadWriteLatch` -- a condition-variable read/write latch that
   reports whether an acquisition had to wait (a *contention stall*);
 * :class:`PieceLatchTable` -- blocking read/write latches keyed by a
-  position bucket (``piece_start // granularity``), plus a table-level
-  latch so whole-index actions (piece scans, sorts) can exclude
-  piece-level traffic;
+  piece's start position, plus a table-level latch so whole-index
+  actions (rebuilds, served windows) can exclude piece-level traffic;
 * :class:`LatchedCrackerAccess` -- a facade over one
   :class:`CrackerIndex` that latches the pieces an operation will
   restructure before running it, revalidating after acquisition
@@ -145,32 +144,23 @@ class ReadWriteLatch:
 
 
 class PieceLatchTable:
-    """Blocking piece latches for one cracker index, bucketed by position.
+    """Blocking piece latches for one cracker index.
 
-    The latch for a piece is keyed by ``piece.start // granularity``:
-    granularity 1 gives one latch per piece (finest, most latches),
-    larger granularities trade latch count for contention, as in the
-    partition-level schemes of the multi-core adaptive-indexing
-    literature.  A table-level read/write latch layers on top so
-    whole-index operations (piece scans, sorts) can exclude all
-    piece-level traffic without enumerating keys.
+    The latch for a piece is keyed by the piece's start position, so
+    each piece has its own.  A table-level read/write latch layers on
+    top so whole-index operations (rebuilds, served windows) can
+    exclude all piece-level traffic without enumerating keys.
     """
 
     def __init__(
         self,
-        granularity: int = 1,
         acquire_timeout_s: float | None = None,
         witness_key: int | str | None = None,
     ) -> None:
-        if granularity < 1:
-            raise ConfigError(
-                f"latch granularity must be >= 1, got {granularity}"
-            )
         if acquire_timeout_s is not None and acquire_timeout_s <= 0:
             raise ConfigError(
                 f"acquire_timeout_s must be > 0, got {acquire_timeout_s}"
             )
-        self.granularity = granularity
         #: Optional bound on piece-latch write waits; ``None`` waits
         #: forever.  A timeout raises LatchTimeout, which the access
         #: facade treats as transient (release nothing was held,
@@ -188,10 +178,6 @@ class PieceLatchTable:
             witness_group="latch.table", witness_key=witness_key
         )
         self.stats = LatchStats()
-
-    def key_for(self, position: int) -> int:
-        """The latch bucket guarding a piece starting at ``position``."""
-        return position // self.granularity
 
     def _latch(self, key: int) -> ReadWriteLatch:
         with self._mutex:
@@ -212,7 +198,7 @@ class PieceLatchTable:
 
     @contextmanager
     def write_pieces(self, keys: Iterable[int]) -> Iterator[bool]:
-        """Write-latch the buckets in ``keys``; yields True if stalled.
+        """Write-latch the pieces in ``keys``; yields True if stalled.
 
         Keys are acquired in sorted order so concurrent multi-piece
         acquirers (a select latching both of its bound pieces) cannot
@@ -243,7 +229,7 @@ class PieceLatchTable:
 
     @contextmanager
     def read_piece(self, key: int) -> Iterator[bool]:
-        """Read-latch one bucket; yields True if the acquisition stalled."""
+        """Read-latch one piece; yields True if the acquisition stalled."""
         stalled = self._table.acquire_read()
         try:
             latch = self._latch(key)
@@ -273,8 +259,8 @@ class LatchedCrackerAccess:
     """Piece-latched access to one :class:`CrackerIndex` for threads.
 
     Foreground queries and tuning workers go through this facade while
-    a worker pool is active: each operation latches the bucket(s) of
-    the piece(s) it may restructure, revalidates the piece location
+    a worker pool is active: each operation latches the piece(s) it
+    may restructure, revalidates the piece location
     after acquisition (another thread's crack can move a value into a
     newly created piece with a different latch key) and only then runs
     the underlying index operation.  Stalls are reported to the index's
@@ -299,8 +285,7 @@ class LatchedCrackerAccess:
             pieces = self.index.piece_map
             return sorted(
                 {
-                    self.table.key_for(pieces.piece_for_value(v).start)
-                    for v in values
+                    pieces.piece_for_value(v).start for v in values
                 }
             )
 
@@ -345,14 +330,13 @@ class LatchedCrackerAccess:
         :meth:`CrackerIndex.random_crack`.
         """
         locate = self.index.piece_map.locate
-        key_for = self.table.key_for
         targets: list[float] = []
         keys: set[int] = set()
         for value in values:
             _, start, end, _, at_pivot = locate(value)
             if not at_pivot and end - start > min_piece_size:
                 targets.append(value)
-                keys.add(key_for(start))
+                keys.add(start)
         return targets, keys
 
     def crack_value(

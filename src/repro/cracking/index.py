@@ -272,30 +272,6 @@ class CrackerIndex:
     def average_piece_size(self) -> float:
         return self._pieces.average_piece_size()
 
-    def max_piece_size(self) -> int:
-        return self._pieces.max_piece_size()
-
-    def is_refined_to(self, target_piece_size: int) -> bool:
-        """True when every piece is at most ``target_piece_size`` rows.
-
-        The paper's stopping criterion: once pieces fit in the CPU
-        cache, further refinement stops paying off.
-        """
-        return self.max_piece_size() <= max(1, target_piece_size)
-
-    def remaining_cracks_estimate(self, target_piece_size: int) -> float:
-        """Estimated refinements still useful before cache-fit.
-
-        Splitting halves the average piece, so the distance from
-        optimal is ~``pieces * log2(avg / target)`` -- the quantity the
-        holistic ranking scheme keeps per column (paper §3, Modeling).
-        """
-        target = max(1, target_piece_size)
-        avg = self.average_piece_size()
-        if avg <= target:
-            return 0.0
-        return self.piece_count * math.log2(avg / target)
-
     # -- core refinement -----------------------------------------------
 
     def _charge_copy_if_needed(self) -> None:

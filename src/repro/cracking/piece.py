@@ -55,14 +55,6 @@ class Piece:
     def size(self) -> int:
         return self.end - self.start
 
-    @property
-    def is_empty(self) -> bool:
-        return self.end <= self.start
-
-    def contains_value(self, value: float) -> bool:
-        """Whether ``value`` falls in this piece's value interval."""
-        return self.low <= value < self.high
-
     def __repr__(self) -> str:
         flag = ", sorted" if self.is_sorted else ""
         return (

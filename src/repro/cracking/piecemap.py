@@ -8,12 +8,10 @@ navigation with much better constants.
 
 Representation (ISSUE 3): the pivot/cut/sorted-flag columns are
 amortized-growth **numpy buffers** navigated by ``np.searchsorted``.
-Bulk operations (``piece_sizes``, ``shift_from``, ``apply_deltas``,
-``check_invariants``, the unsorted-piece selectors) are vectorized,
-and the maximum piece size is maintained incrementally: a split never
-grows a piece, so the cached maximum only needs a vectorized rescan
-when the last maximum-sized piece is itself split (dirty flag).
-``max_piece_size`` is O(1) on the clean path instead of O(k) per call.
+Bulk operations (``piece_sizes``, ``apply_deltas``,
+``check_invariants``, the unsorted-piece selector) are vectorized.
+A crack keeps no statistic beside the boundaries: nothing on the
+query path reads one.
 
 The single-value navigation path used by every crack is fused into
 :meth:`locate`: one binary search yields the piece index, bounds,
@@ -65,16 +63,12 @@ class PieceMap:
         "_cuts_addr",
         "_sorted_addr",
         "_pair",
-        "_max_size",
-        "_max_count",
-        "_max_dirty",
         "_version",
     )
 
     def __init__(
         self,
         n: int,
-        sorted_initially: bool = False,
         dtype: np.dtype = np.dtype(np.float64),
     ) -> None:
         if n < 0:
@@ -84,14 +78,10 @@ class PieceMap:
         self._pivots = np.empty(_INITIAL_CAPACITY, dtype=dtype)
         self._cuts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._sorted = np.zeros(_INITIAL_CAPACITY + 1, dtype=bool)
-        self._sorted[0] = sorted_initially
         self._cache_addresses()
         #: Key buffer of :meth:`locate_pair` (callers hold the index's
         #: monitor lock, so one per map suffices).
         self._pair = np.empty(2, dtype=dtype)
-        self._max_size = n
-        self._max_count = 1
-        self._max_dirty = False
         self._version = 0
 
     def _cache_addresses(self) -> None:
@@ -119,8 +109,8 @@ class PieceMap:
         ``sorted_flags`` the ``k + 1`` per-piece flags, exactly as
         :meth:`pivots`/:meth:`cuts`/:meth:`sorted_flags` export them,
         with ``pivots`` in the map's ``dtype``.
-        Buffers are reallocated with growth headroom, addresses
-        recached, and the max-piece cache recomputed; the version
+        Buffers are reallocated with growth headroom and addresses
+        recached; the version
         counter restarts at 0 (it orders mutations within one process
         lifetime only).
 
@@ -146,7 +136,6 @@ class PieceMap:
         piece_map._sorted = np.zeros(capacity + 1, dtype=bool)
         piece_map._sorted[: k + 1] = sorted_flags
         piece_map._cache_addresses()
-        piece_map._recompute_max()
         piece_map.check_invariants()
         if not (piece_map._pivots[:k] == pivots).all():
             raise CrackerError(f"pivots are not all {dtype} values")
@@ -339,7 +328,6 @@ class PieceMap:
         self._sorted = flag_buf
         self._k = total
         self._cache_addresses()
-        self._max_dirty = True
         self._version += 1
 
     def piece_index_for_value(self, value: Key) -> int:
@@ -353,17 +341,6 @@ class PieceMap:
     def has_pivot(self, value: Key) -> bool:
         """Whether ``value`` is already a crack boundary."""
         return self.locate(value)[4]
-
-    def position_of_pivot(self, value: Key) -> int:
-        """Cut position of an existing pivot.
-
-        Raises:
-            CrackerError: if ``value`` is not a pivot.
-        """
-        _, start, _, _, at_pivot = self.locate(value)
-        if not at_pivot:
-            raise CrackerError(f"{value!r} is not a crack boundary")
-        return start
 
     def pieces(self) -> Iterator[Piece]:
         """All pieces in order."""
@@ -380,32 +357,6 @@ class PieceMap:
         """Sizes of all pieces, in order."""
         return self._sizes_array().tolist()
 
-    def _recompute_max(self) -> None:
-        sizes = self._sizes_array()
-        self._max_size = int(sizes.max())
-        self._max_count = int(np.count_nonzero(sizes == self._max_size))
-        self._max_dirty = False
-
-    def max_piece_size(self) -> int:
-        """The largest piece's row count (O(1) amortized)."""
-        if self._max_dirty:
-            self._recompute_max()
-        return self._max_size
-
-    def _max_track_resize(self, old_size: int, new_size: int) -> None:
-        """Maintain the cached maximum across one piece's size change."""
-        if self._max_dirty:
-            return
-        if old_size == self._max_size:
-            self._max_count -= 1
-        if new_size > self._max_size:
-            self._max_size = new_size
-            self._max_count = 1
-        elif new_size == self._max_size:
-            self._max_count += 1
-        if self._max_count <= 0:
-            self._max_dirty = True
-
     def average_piece_size(self) -> float:
         return self._n / self.piece_count if self.piece_count else 0.0
 
@@ -417,21 +368,6 @@ class PieceMap:
         if masked[index] < 0:
             return None
         return self.piece_at_index(index)
-
-    def smallest_unsorted_index(self, min_size: int = 2) -> int | None:
-        """Index of the first smallest unsorted piece of >= ``min_size``
-        rows, or ``None`` when every such piece is sorted."""
-        sizes = self._sizes_array()
-        sentinel = self._n + 1
-        masked = np.where(
-            self._sorted[: self._k + 1] | (sizes < min_size),
-            sentinel,
-            sizes,
-        )
-        index = int(np.argmin(masked))
-        if masked[index] == sentinel:
-            return None
-        return index
 
     # -- mutation ------------------------------------------------------
 
@@ -449,14 +385,7 @@ class PieceMap:
         self._sorted = flags
         self._cache_addresses()
 
-    def _insert_crack(
-        self,
-        i: int,
-        pivot: Key,
-        position: int,
-        left_bound: int,
-        right_bound: int,
-    ) -> None:
+    def _insert_crack(self, i: int, pivot: Key, position: int) -> None:
         """Insert a validated crack at slot ``i`` (buffer shifts)."""
         k = self._k
         if k == self._pivots.size:
@@ -487,20 +416,6 @@ class PieceMap:
         self._cuts[i] = position
         self._k = k + 1
         self._version += 1
-        self._max_track_split(
-            right_bound - left_bound, position - left_bound
-        )
-
-    def _max_track_split(self, size: int, left_size: int) -> None:
-        """Maintain the cached maximum across one piece split."""
-        if self._max_dirty or size < self._max_size:
-            return
-        # size == max (a split can never grow a piece).
-        if left_size == size or left_size == 0:
-            return  # degenerate split keeps a max-sized piece
-        self._max_count -= 1
-        if self._max_count == 0:
-            self._max_dirty = True
 
     def add_crack(self, pivot: Key, position: int) -> None:
         """Record that the column was cracked at ``pivot``/``position``.
@@ -547,7 +462,7 @@ class PieceMap:
                 f"cut position {position} for pivot {pivot!r} outside "
                 f"containing piece [{left_bound}, {right_bound}]"
             )
-        self._insert_crack(i, pivot, position, left_bound, right_bound)
+        self._insert_crack(i, pivot, position)
 
     def mark_sorted(self, piece_index: int) -> None:
         """Flag a piece as fully sorted.
@@ -585,43 +500,6 @@ class PieceMap:
             )
         return bool(self._sorted[piece_index])
 
-    def shift_from(self, position: int, delta: int) -> None:
-        """Shift all cuts at or beyond ``position`` by ``delta`` rows.
-
-        Used by update merging: inserting rows into a piece moves every
-        later piece.  ``row_count`` grows by ``delta``.  The first
-        affected cut is found by binary search; cuts left of
-        ``position`` are never touched (a ``position`` past all cuts
-        only grows the last piece).
-
-        Raises:
-            CrackerError: if ``delta`` would make the map inconsistent.
-        """
-        if self._n + delta < 0:
-            raise CrackerError(
-                f"shift by {delta} would make row count negative"
-            )
-        k = self._k
-        i = int(np.searchsorted(self._cuts[:k], position, side="left"))
-        if i < k:
-            first = int(self._cuts[i])
-            if first + delta < 0:
-                raise CrackerError(
-                    f"shift by {delta} drives cut {first} negative"
-                )
-        if delta != 0:
-            # Piece i is the one whose end moves; later pieces shift
-            # wholesale and keep their sizes.
-            old_end = int(self._cuts[i]) if i < k else self._n
-            start = int(self._cuts[i - 1]) if i > 0 else 0
-            self._max_track_resize(
-                old_end - start, old_end + delta - start
-            )
-            if i < k:
-                self._cuts[i:k] += delta
-        self._n += delta
-        self._version += 1
-
     def apply_deltas(self, deltas: list[int]) -> None:
         """Grow/shrink each piece by ``deltas[i]`` rows, shifting cuts.
 
@@ -651,7 +529,6 @@ class PieceMap:
         if k:
             self._cuts[:k] += shifts[:k]
         self._n += int(shifts[-1])
-        self._max_dirty = True
         self._version += 1
 
     # -- validation ----------------------------------------------------
@@ -673,14 +550,6 @@ class PieceMap:
             raise CrackerError("cuts not non-decreasing")
         if k and (cuts[0] < 0 or cuts[-1] > self._n):
             raise CrackerError("cut positions outside [0, n]")
-        if not self._max_dirty:
-            sizes = self._sizes_array()
-            true_max = int(sizes.max())
-            if true_max != self._max_size:
-                raise CrackerError(
-                    f"cached max piece size {self._max_size} != "
-                    f"actual {true_max}"
-                )
 
     def __repr__(self) -> str:
         return (

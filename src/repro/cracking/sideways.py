@@ -93,11 +93,6 @@ class SidewaysCrackerIndex:
         self.clock: Clock = clock if clock is not None else SimClock()
         self._maps: dict[str, _MapPair] = {}
 
-    @property
-    def map_count(self) -> int:
-        """How many (head, tail) cracker maps exist so far."""
-        return len(self._maps)
-
     def map_for(self, tail: str) -> _MapPair:
         """Get or lazily build the cracker map for ``tail``.
 
@@ -160,11 +155,6 @@ class SidewaysCrackerIndex:
         """
         pair, pos_low, pos_high = self._select(low, high, tail)
         return RangeView(pair.tail, pos_low, pos_high)
-
-    def select_head(self, low: object, high: object, tail: str) -> RangeView:
-        """The qualifying *head* values from the ``tail`` map."""
-        pair, pos_low, pos_high = self._select(low, high, tail)
-        return RangeView(pair.head, pos_low, pos_high)
 
     def check_invariants(self) -> None:
         """Verify head/tail alignment on every map (O(n) per map).

@@ -117,14 +117,6 @@ class CrackTape:
                 return sum(self._stalls.values())
             return self._stalls.get(worker, 0)
 
-    def records_by_worker(self) -> dict[int | None, int]:
-        """Record counts keyed by worker id (None = foreground)."""
-        with self._lock:
-            counts: dict[int | None, int] = {}
-            for raw in self._records:
-                counts[raw[5]] = counts.get(raw[5], 0) + 1
-            return counts
-
     # -- recording ------------------------------------------------------
 
     def log(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.errors import QueryError
 from repro.storage.catalog import ColumnRef
-from repro.storage.column import ColumnStats
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,19 +43,6 @@ class RangeQuery:
     @property
     def span(self) -> float:
         return self.high - self.low
-
-    def selectivity(self, stats: ColumnStats) -> float:
-        """Estimated fraction of rows qualifying, from catalog stats.
-
-        Assumes a uniform value distribution (true for the paper's
-        data); clamped to [0, 1].
-        """
-        if stats.value_span <= 0 or stats.row_count == 0:
-            return 0.0
-        clipped_low = max(self.low, stats.min_value)
-        clipped_high = min(self.high, stats.max_value + 1)
-        overlap = max(0.0, clipped_high - clipped_low)
-        return min(1.0, overlap / (stats.value_span + 1))
 
     def __str__(self) -> str:
         return (

@@ -97,16 +97,9 @@ class SessionReport:
     def total_response_s(self) -> float:
         return self.queries[-1].cumulative_response_s if self.queries else 0.0
 
-    @property
-    def total_idle_nominal_s(self) -> float:
-        return sum(idle.nominal_s for idle in self.idles)
-
     def cumulative_curve(self) -> list[float]:
         """Cumulative response seconds per query rank (Figure 3/4 y-axis)."""
         return [record.cumulative_response_s for record in self.queries]
-
-    def response_times(self) -> list[float]:
-        return [record.response_s for record in self.queries]
 
 
 class Session:

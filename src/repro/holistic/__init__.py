@@ -17,11 +17,10 @@ from repro.holistic.policies import (
 )
 from repro.holistic.ranking import ColumnRanking, ColumnTuningState
 from repro.holistic.scheduler import IdleScheduler, TuningReport
-from repro.holistic.tuner import ActionKind, AuxiliaryTuner
+from repro.holistic.tuner import AuxiliaryTuner
 from repro.holistic.workers import TuningWorkerPool, WorkerStats
 
 __all__ = [
-    "ActionKind",
     "AuxiliaryTuner",
     "ColumnRanking",
     "ColumnTuningState",

@@ -36,7 +36,7 @@ from repro.errors import ConfigError
 from repro.holistic.policies import TuningPolicy, make_policy
 from repro.holistic.ranking import ColumnRanking
 from repro.holistic.scheduler import IdleScheduler, TuningReport
-from repro.holistic.tuner import ActionKind, AuxiliaryTuner
+from repro.holistic.tuner import AuxiliaryTuner
 from repro.offline.whatif import WorkloadStatement
 from repro.online.monitor import WorkloadMonitor
 from repro.storage.catalog import ColumnRef
@@ -52,8 +52,6 @@ class HolisticConfig:
     Attributes:
         policy: resource-spreading policy (``round_robin``, ``ranked``,
             ``weighted_random``).
-        action: auxiliary action kind (``random_crack``,
-            ``crack_largest``, ``sort_smallest_unsorted``).
         cache_target_elements: explicit cache-fit piece size in rows;
             ``None`` derives it from the cost model (cache bytes /
             element bytes, de-projected by the model's scale so reduced
@@ -80,12 +78,9 @@ class HolisticConfig:
             through a :class:`repro.holistic.workers.TuningWorkerPool`:
             each window is planned as per-column batches that the
             workers apply as latched multi-pivot passes.
-        latch_granularity: rows per piece-latch bucket when workers
-            are enabled (1 = one latch per piece).
     """
 
     policy: str = "round_robin"
-    action: str = "random_crack"
     cache_target_elements: int | None = None
     hot_column_threshold: int = 0
     hot_boost_cracks: int = 1
@@ -93,7 +88,6 @@ class HolisticConfig:
     batch_tuning: bool = False
     seed: int | None = 42
     num_workers: int = 0
-    latch_granularity: int = 1
 
     def __post_init__(self) -> None:
         if self.hot_column_threshold < 0:
@@ -108,11 +102,6 @@ class HolisticConfig:
         if self.num_workers < 0:
             raise ConfigError(
                 f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.latch_granularity < 1:
-            raise ConfigError(
-                "latch_granularity must be >= 1, got "
-                f"{self.latch_granularity}"
             )
 
 
@@ -140,7 +129,6 @@ class HolisticKernel(IndexingStrategy):
             self.config.policy, seed=self.config.seed
         )
         self.tuner = AuxiliaryTuner(
-            kind=ActionKind(self.config.action),
             seed=self.config.seed,
             min_piece_size=target,
         )
@@ -161,8 +149,6 @@ class HolisticKernel(IndexingStrategy):
                 ranking=self.ranking,
                 policy=self.policy,
                 num_workers=self.config.num_workers,
-                latch_granularity=self.config.latch_granularity,
-                action=ActionKind(self.config.action),
                 min_piece_size=target,
                 seed=self.config.seed,
             )

@@ -1,7 +1,7 @@
 """Auxiliary tuning actions: the unit of idle-time refinement.
 
-The paper's proof-of-concept uses *random cracking actions*; the
-research-space discussion also suggests data-driven variants.
+The paper's proof-of-concept uses *random cracking actions*, and so
+does this kernel: an action is one crack at a uniform random pivot.
 :meth:`AuxiliaryTuner.perform` runs exactly one action per call so the
 serial scheduler can check the idle budget between actions;
 :meth:`AuxiliaryTuner.perform_batch` and
@@ -11,7 +11,6 @@ paper's "multiple tuning actions in one go").
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +19,6 @@ from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
 from repro.errors import ConfigError
 from repro.storage.dtypes import Key, normalise_bound
-
-
-class ActionKind(Enum):
-    """Available auxiliary refinement actions."""
-
-    RANDOM_CRACK = "random_crack"
-    CRACK_LARGEST = "crack_largest"
-    SORT_SMALLEST_UNSORTED = "sort_smallest_unsorted"
 
 
 def random_pivots(
@@ -54,10 +45,9 @@ def random_pivots(
 
 
 class AuxiliaryTuner:
-    """Performs refinement actions on cracker indexes.
+    """Performs random-crack refinement actions on cracker indexes.
 
     Args:
-        kind: the default action type.
         seed: seed for the tuner's random generator.
         min_piece_size: pieces at/below this size are left alone
             (the cache-fit stopping criterion, in rows).
@@ -65,7 +55,6 @@ class AuxiliaryTuner:
 
     def __init__(
         self,
-        kind: ActionKind = ActionKind.RANDOM_CRACK,
         seed: int | None = None,
         min_piece_size: int = 2,
     ) -> None:
@@ -73,35 +62,18 @@ class AuxiliaryTuner:
             raise ConfigError(
                 f"min_piece_size must be >= 1: {min_piece_size}"
             )
-        self.kind = kind
         self.rng = np.random.default_rng(seed)
         self.min_piece_size = min_piece_size
         self.actions_performed = 0
         self.actions_degenerate = 0
 
-    def perform(
-        self, index: CrackerIndex, kind: ActionKind | None = None
-    ) -> bool:
+    def perform(self, index: CrackerIndex) -> bool:
         """Run one action on ``index``; True if it refined anything."""
-        kind = kind if kind is not None else self.kind
-        if kind is ActionKind.RANDOM_CRACK:
-            outcome = index.random_crack(
-                self.rng,
-                origin=CrackOrigin.TUNING,
-                min_piece_size=self.min_piece_size,
-            )
-            success = outcome is not None
-        elif kind is ActionKind.CRACK_LARGEST:
-            outcome = index.crack_largest_piece(
-                self.rng,
-                origin=CrackOrigin.TUNING,
-                min_piece_size=self.min_piece_size,
-            )
-            success = outcome is not None
-        elif kind is ActionKind.SORT_SMALLEST_UNSORTED:
-            success = self._sort_smallest_unsorted(index)
-        else:  # pragma: no cover - exhaustive enum
-            raise ConfigError(f"unknown action kind: {kind}")
+        success = index.random_crack(
+            self.rng,
+            origin=CrackOrigin.TUNING,
+            min_piece_size=self.min_piece_size,
+        ) is not None
         if success:
             self.actions_performed += 1
         else:
@@ -111,37 +83,24 @@ class AuxiliaryTuner:
     def perform_latched(
         self,
         access,
-        count: int = 1,
-        pivots: Sequence[Key] | None = None,
-        kind: ActionKind | None = None,
+        count: int,
+        pivots: Sequence[Key],
     ) -> int:
         """Run ``count`` actions through a latched access facade.
 
         The worker-thread counterpart of :meth:`perform`, for one batch
         of a window plan; returns how many actions refined anything.
-        Random cracks take their ``pivots`` from the plan (drawn from
-        this tuner's generator when not given) and apply them as one
-        multi-pivot pass that latches only the target pieces
-        (:meth:`LatchedCrackerAccess.crack_value`); data-driven kinds
-        scan the whole piece map, so they loop under the table-level
-        latch.  Counters update exactly as in the serial path.
+        The plan's ``pivots`` are applied as one multi-pivot pass that
+        latches only the target pieces
+        (:meth:`LatchedCrackerAccess.crack_value`).  Counters update
+        exactly as in the serial path.
         """
-        kind = kind if kind is not None else self.kind
-        if kind is ActionKind.RANDOM_CRACK:
-            if pivots is None:
-                pivots = random_pivots(self.rng, access.index, count)
-            effective = access.crack_value(
-                pivots, min_piece_size=self.min_piece_size
-            )
-            self.actions_performed += effective
-            self.actions_degenerate += count - effective
-            return effective
-        with access.exclusive() as stalled:
-            if stalled:
-                access.index.tape.note_stall()
-            return sum(
-                self.perform(access.index, kind) for _ in range(count)
-            )
+        effective = access.crack_value(
+            pivots, min_piece_size=self.min_piece_size
+        )
+        self.actions_performed += effective
+        self.actions_degenerate += count - effective
+        return effective
 
     def perform_batch(self, index: CrackerIndex, count: int) -> int:
         """Apply ``count`` random cracks to ``index`` in one go.
@@ -201,12 +160,4 @@ class AuxiliaryTuner:
             return False
         index.ensure_cut(value, CrackOrigin.TUNING)
         self.actions_performed += 1
-        return True
-
-    def _sort_smallest_unsorted(self, index: CrackerIndex) -> bool:
-        """Finish off the smallest unsorted piece by sorting it."""
-        best_index = index.piece_map.smallest_unsorted_index(min_size=2)
-        if best_index is None:
-            return False
-        index.sort_piece_at(best_index)
         return True

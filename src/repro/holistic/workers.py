@@ -63,7 +63,7 @@ from repro.errors import ConcurrencyError, ConfigError, CrackerError
 from repro.holistic.policies import TuningPolicy
 from repro.holistic.ranking import ColumnRanking, ColumnTuningState
 from repro.holistic.scheduler import TuningReport
-from repro.holistic.tuner import ActionKind, AuxiliaryTuner, random_pivots
+from repro.holistic.tuner import AuxiliaryTuner, random_pivots
 from repro.simtime.clock import Clock, wall_sleep
 from repro.storage.catalog import ColumnRef
 from repro.storage.dtypes import Key
@@ -123,9 +123,8 @@ class _Batch:
     #: Attempts the batch stands for; reserved as ``state.planned``
     #: until it completes or is dropped.
     count: int
-    #: Ascending random-crack pivots drawn at plan time (``None`` for
-    #: data-driven kinds, which pick their targets under the latch).
-    pivots: list[Key] | None
+    #: Ascending random-crack pivots drawn at plan time.
+    pivots: list[Key]
     #: Estimated rows the pass touches: what the static deal balances.
     weight: int
 
@@ -142,16 +141,11 @@ class TuningWorkerPool:
         ranking: the continuous column ranking plans are made against.
         policy: resource-spreading policy (shared, guarded by a lock).
         num_workers: worker thread count (>= 1).
-        latch_granularity: rows per piece-latch bucket (>= 1; 1 gives
-            one latch per piece).
-        action: auxiliary action kind each worker performs.
         min_piece_size: cache-fit stopping criterion, in rows.
         seed: base seed.  Random pivots come from one stream per
             *column*, keyed by ``(seed, column name)`` and consumed in
             plan order, so a column's k-th pivot does not depend on the
-            worker count or on which worker applies it; worker ``i``'s
-            own generator (data-driven kinds only) is seeded
-            ``seed + i + 1``.
+            worker count or on which worker applies it.
     """
 
     def __init__(
@@ -161,18 +155,12 @@ class TuningWorkerPool:
         ranking: ColumnRanking,
         policy: TuningPolicy,
         num_workers: int,
-        latch_granularity: int = 1,
-        action: ActionKind = ActionKind.RANDOM_CRACK,
         min_piece_size: int = 2,
         seed: int | None = None,
     ) -> None:
         if num_workers < 1:
             raise ConfigError(
                 f"a worker pool needs num_workers >= 1, got {num_workers}"
-            )
-        if latch_granularity < 1:
-            raise ConfigError(
-                f"latch_granularity must be >= 1, got {latch_granularity}"
             )
         self.clock = clock
         self.tape = tape
@@ -181,20 +169,14 @@ class TuningWorkerPool:
         self.ranking = ranking
         self.policy = policy
         self.num_workers = num_workers
-        self.latch_granularity = latch_granularity
-        self.action = action
         self.min_piece_size = min_piece_size
         self.seed = seed
         self.stats: dict[int, WorkerStats] = {
             i: WorkerStats(worker_id=i) for i in range(num_workers)
         }
         self._tuners = [
-            AuxiliaryTuner(
-                kind=action,
-                seed=None if seed is None else seed + i + 1,
-                min_piece_size=min_piece_size,
-            )
-            for i in range(num_workers)
+            AuxiliaryTuner(min_piece_size=min_piece_size)
+            for _ in range(num_workers)
         ]
         self._pivot_rngs: dict[ColumnRef, np.random.Generator] = {}
         self._accesses: dict[ColumnRef, LatchedCrackerAccess] = {}
@@ -245,18 +227,13 @@ class TuningWorkerPool:
             access = self._accesses.get(ref)
             if access is None:
                 table = PieceLatchTable(
-                    self.latch_granularity,
-                    witness_key=f"{ref.table}.{ref.column}",
+                    witness_key=f"{ref.table}.{ref.column}"
                 )
                 access = LatchedCrackerAccess(index, table)
                 self._accesses[ref] = access
             if self._running:
                 witness.arm(access.index, access.table)
             return access
-
-    def access_for(self, ref: ColumnRef) -> LatchedCrackerAccess | None:
-        """The latched facade for ``ref``, if registered."""
-        return self._accesses.get(ref)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -593,7 +570,7 @@ class TuningWorkerPool:
         self,
         state: ColumnTuningState,
         count: int,
-        pivots: list[Key] | None,
+        pivots: list[Key],
         runs: int,
     ) -> list[_Batch]:
         """One column's ``count`` planned attempts as up to ``runs``
@@ -603,12 +580,8 @@ class TuningWorkerPool:
         stands: that prices each batch (rows of the pieces its pass
         will partition) and, when the column is split, puts the cuts
         between runs of pivots *at piece boundaries*, so sibling
-        batches never target the same piece.  Data-driven kinds
-        (``pivots`` is ``None``) pick their targets under the latch;
-        their one batch weighs its attempt count.
+        batches never target the same piece.
         """
-        if pivots is None:
-            return [_Batch(state, count, None, count)]
         # [piece start, rows a pass partitions there, slot of its first pivot]
         spans: list[list[int]] = []
         with state.index.lock:
@@ -640,12 +613,9 @@ class TuningWorkerPool:
 
     def _draw_pivots(
         self, state: ColumnTuningState, count: int
-    ) -> list[Key] | None:
+    ) -> list[Key]:
         """``count`` ascending random pivots from the column's own
-        stream; ``None`` for data-driven kinds, which pick their
-        targets under the latch.  Caller holds the policy lock."""
-        if self.action is not ActionKind.RANDOM_CRACK:
-            return None
+        stream.  Caller holds the policy lock."""
         ref = state.ref
         rng = self._pivot_rngs.get(ref)
         if rng is None:

@@ -50,14 +50,6 @@ class AdvisorReport:
     budget_s: float | None
     whatif_calls: int
 
-    @property
-    def total_build_cost_s(self) -> float:
-        return sum(r.build_cost_s for r in self.recommended)
-
-    @property
-    def total_expected_benefit_s(self) -> float:
-        return sum(r.expected_benefit_s for r in self.recommended)
-
 
 class OfflineAdvisor:
     """Greedy benefit-per-cost index selection under a time budget."""

@@ -36,10 +36,6 @@ class BuildReport:
     budget_s: float | None = None
     overrun_s: float = 0.0
 
-    @property
-    def total_cost_s(self) -> float:
-        return sum(record.cost_s for record in self.built)
-
 
 class IndexBuilder:
     """Builds full indexes under a time budget.
@@ -60,13 +56,6 @@ class IndexBuilder:
         if index is not None and index.is_built:
             return index
         return None
-
-    def ready_time(self, ref: ColumnRef) -> float | None:
-        """When the index on ``ref`` became usable, or None."""
-        index = self.indexes.get(ref)
-        if index is None:
-            return None
-        return index.built_at
 
     def build_now(self, ref: ColumnRef) -> BuildRecord:
         """Build one index immediately, regardless of budget."""

@@ -43,11 +43,6 @@ class EpochManager:
             callback(self.epochs_completed, timestamp)
         return True
 
-    @property
-    def queries_into_epoch(self) -> int:
-        """Queries observed since the last boundary."""
-        return self.queries_seen % self.epoch_queries
-
     def __repr__(self) -> str:
         return (
             f"EpochManager(every={self.epoch_queries}, "

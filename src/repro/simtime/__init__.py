@@ -8,12 +8,11 @@ driving a deterministic :class:`SimClock`.  A :class:`WallClock` is
 provided for genuine measurements of the numpy kernels.
 """
 
-from repro.simtime.charge import ChargeBatch, CostCharge
+from repro.simtime.charge import CostCharge
 from repro.simtime.clock import (
     Clock,
     ParallelAccount,
     SimClock,
-    Stopwatch,
     WallClock,
 )
 from repro.simtime.costs import (
@@ -34,7 +33,6 @@ from repro.simtime.costs import (
 from repro.simtime.model import CostModel, projection_scale
 
 __all__ = [
-    "ChargeBatch",
     "Clock",
     "CostCharge",
     "CostConstants",
@@ -53,7 +51,6 @@ __all__ = [
     "PAPER_VALUE_LOW",
     "ParallelAccount",
     "SimClock",
-    "Stopwatch",
     "WallClock",
     "projection_scale",
 ]

@@ -15,18 +15,12 @@ onto the paper's 10^8-row, 2011-i7 scale.
 Charges sit on the refinement hot path (one or more per crack), so the
 arithmetic below is hand-unrolled rather than driven by
 ``dataclasses.fields`` reflection -- the reflective version dominated
-kernel profiles once pieces became cache-sized.  :class:`ChargeBatch`
-collects many charges and settles them against a clock in one call,
-for batch drivers that do not need a timestamp per action.
+kernel profiles once pieces became cache-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - circular at runtime only
-    from repro.simtime.clock import Clock
 
 
 @dataclass(slots=True)
@@ -125,20 +119,6 @@ class CostCharge:
             **{k: int(v) for k, v in state.items() if k in known}
         )
 
-    def is_zero(self) -> bool:
-        """True when no work at all has been recorded."""
-        return all(getattr(self, field.name) == 0 for field in fields(self))
-
-    def total_elements(self) -> int:
-        """Total element-level touches (scan + crack + sort + merge)."""
-        return (
-            self.elements_scanned
-            + self.elements_cracked
-            + self.elements_sorted
-            + self.elements_merged
-            + self.elements_materialized
-        )
-
     @classmethod
     def for_scan(cls, n: int, materialized: int = 0) -> "CostCharge":
         """Charge for a sequential scan of ``n`` elements."""
@@ -173,48 +153,3 @@ class CostCharge:
             comparisons=max(1, deletes),
             elements_materialized=materialized,
         )
-
-
-class ChargeBatch:
-    """Accumulates charges and settles them against a clock in one call.
-
-    Batch drivers (multi-crack tuning passes, bulk merges) often charge
-    the clock dozens of times between any two points where virtual time
-    is actually observed.  Collecting those charges and flushing once
-    replaces N pricing calls with one.
-
-    Only use where no tape record or other timestamp is taken between
-    the batched charges: flushing prices the *sum*, so intermediate
-    ``clock.now()`` readings would differ from per-charge accounting.
-    Linear counters sum exactly (totals can differ from eager
-    accounting only in the last floating-point ulp); the
-    N*log2(N)-priced sort counter is superlinear, so charges that carry
-    ``elements_sorted`` bypass the batch and hit the clock eagerly.
-    """
-
-    __slots__ = ("clock", "_pending")
-
-    def __init__(self, clock: Clock) -> None:
-        self.clock: Clock = clock
-        self._pending = CostCharge()
-
-    def add(self, charge: CostCharge) -> None:
-        """Queue one charge for the next :meth:`flush`."""
-        if charge.elements_sorted:
-            self.flush()
-            self.clock.charge(charge)
-            return
-        self._pending += charge
-
-    @property
-    def pending(self) -> CostCharge:
-        """The accumulated, not-yet-flushed charge."""
-        return self._pending
-
-    def flush(self) -> float:
-        """Charge the accumulated total to the clock; return seconds."""
-        if self._pending.is_zero():
-            return 0.0
-        batched = self._pending
-        self._pending = CostCharge()
-        return self.clock.charge(batched)

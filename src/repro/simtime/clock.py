@@ -71,13 +71,6 @@ class ParallelAccount:
     busy_s: float = 0.0
     lanes: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def speedup(self) -> float:
-        """Busy-to-elapsed ratio; 1.0 for an empty phase."""
-        if self.elapsed_s <= 0:
-            return 1.0
-        return self.busy_s / self.elapsed_s
-
 
 @runtime_checkable
 class Clock(Protocol):
@@ -353,36 +346,3 @@ class WallClock:
         elapsed = self.now() - self._parallel_start
         self._parallel_start = None
         return ParallelAccount(elapsed_s=elapsed, busy_s=elapsed)
-
-
-class Stopwatch:
-    """Measures elapsed time on any clock between :meth:`start`/``stop``.
-
-    Usable as a context manager::
-
-        with Stopwatch(clock) as watch:
-            ...work...
-        elapsed = watch.elapsed
-    """
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._started_at: float | None = None
-        self.elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._started_at = self._clock.now()
-        return self
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise ConfigError("stopwatch stopped before being started")
-        self.elapsed = self._clock.now() - self._started_at
-        self._started_at = None
-        return self.elapsed
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -124,10 +124,6 @@ class CostModel:
         probes += CostCharge(queries=1)
         return self.seconds(probes)
 
-    def with_scale(self, scale: float) -> "CostModel":
-        """Return a copy of this model with a different projection scale."""
-        return CostModel(constants=self.constants, scale=scale)
-
 
 def projection_scale(actual_rows: int, paper_rows: int) -> float:
     """Scale factor projecting ``actual_rows`` onto ``paper_rows``.

@@ -20,11 +20,7 @@ from repro.storage.dtypes import (
 )
 from repro.storage.loader import (
     build_paper_table,
-    generate_clustered_column,
     generate_uniform_column,
-    generate_zipf_column,
-    infer_int_type,
-    load_csv,
 )
 from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
@@ -34,7 +30,6 @@ from repro.storage.views import (
     PositionsView,
     RangeView,
     SelectionResult,
-    concat_results,
 )
 
 __all__ = [
@@ -57,12 +52,7 @@ __all__ = [
     "Table",
     "build_paper_table",
     "coerce_array",
-    "concat_results",
-    "generate_clustered_column",
     "generate_uniform_column",
-    "generate_zipf_column",
-    "infer_int_type",
-    "load_csv",
     "type_by_name",
     "type_for_array",
 ]

@@ -69,16 +69,6 @@ class Catalog:
         self._tables[table.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table.
-
-        Raises:
-            UnknownTableError: if no such table exists.
-        """
-        if name not in self._tables:
-            raise UnknownTableError(name)
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name.
 

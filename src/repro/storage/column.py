@@ -103,17 +103,6 @@ class Column:
         """A writable copy of the base array (for index construction)."""
         return self._values.copy()
 
-    def with_appended(self, values: object) -> "Column":
-        """A new column with ``values`` appended (bulk load path).
-
-        The delta-store path for trickle inserts is
-        :class:`repro.storage.updates.PendingUpdates`; this method is
-        the heavy-weight rebuild used when deltas are consolidated.
-        """
-        extra = coerce_array(np.asarray(values), self.ctype)
-        merged = np.concatenate([self._values, extra])
-        return Column(self.name, merged, self.ctype)
-
     def __len__(self) -> int:
         return self.row_count
 

@@ -1,28 +1,19 @@
-"""Data generation and loading.
+"""Data generation.
 
 The paper's table is ``R(A1..A10)`` with 10^8 uniform integers in
 [1, 10^8] per column.  :func:`generate_uniform_column` reproduces that
-distribution at any scale; skewed and clustered generators support the
-extension studies; :func:`load_csv` exists so the library is usable on
-real data.
+distribution at any scale and :func:`build_paper_table` assembles the
+relation; :func:`generate_uniform_float_column` feeds the float64
+scenario of the mixed-workload bench.
 """
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
-from repro.errors import SchemaError, WorkloadError
+from repro.errors import WorkloadError
 from repro.storage.column import Column
-from repro.storage.dtypes import (
-    FLOAT64,
-    INT32,
-    INT64,
-    ColumnType,
-    type_by_name,
-)
+from repro.storage.dtypes import FLOAT64, INT64, ColumnType
 from repro.storage.table import Table
 
 
@@ -77,64 +68,6 @@ def generate_uniform_float_column(
     return Column(name, values, FLOAT64)
 
 
-def generate_zipf_column(
-    name: str,
-    rows: int,
-    domain: int = 1_000_000,
-    exponent: float = 1.2,
-    seed: int | None = None,
-    ctype: ColumnType = INT64,
-) -> Column:
-    """A column of Zipf-distributed integers in ``[1, domain]``.
-
-    Used by the skewed-workload extension benches: hot values cluster
-    at the low end of the domain.
-
-    Raises:
-        WorkloadError: if parameters are out of range.
-    """
-    if rows < 0:
-        raise WorkloadError(f"rows must be >= 0, got {rows}")
-    if domain <= 0:
-        raise WorkloadError(f"domain must be positive, got {domain}")
-    if exponent <= 1.0:
-        raise WorkloadError(f"zipf exponent must be > 1, got {exponent}")
-    rng = np.random.default_rng(seed)
-    raw = rng.zipf(exponent, size=rows)
-    values = np.minimum(raw, domain).astype(np.int64)
-    return Column(name, values, ctype)
-
-
-def generate_clustered_column(
-    name: str,
-    rows: int,
-    clusters: int = 10,
-    cluster_width: int = 1_000,
-    seed: int | None = None,
-    ctype: ColumnType = INT64,
-) -> Column:
-    """A column whose values concentrate around ``clusters`` centers.
-
-    Models time-ordered log data where bursts of similar values arrive
-    together (the paper's web-log motivation).
-
-    Raises:
-        WorkloadError: if parameters are out of range.
-    """
-    if rows < 0:
-        raise WorkloadError(f"rows must be >= 0, got {rows}")
-    if clusters <= 0 or cluster_width <= 0:
-        raise WorkloadError("clusters and cluster_width must be positive")
-    rng = np.random.default_rng(seed)
-    centers = rng.integers(
-        cluster_width, clusters * cluster_width * 10, size=clusters
-    )
-    assignment = rng.integers(0, clusters, size=rows)
-    noise = rng.integers(-cluster_width, cluster_width + 1, size=rows)
-    values = np.maximum(1, centers[assignment] + noise).astype(np.int64)
-    return Column(name, values, ctype)
-
-
 def build_paper_table(
     rows: int,
     columns: int = 10,
@@ -160,58 +93,3 @@ def build_paper_table(
         )
         table.add_column(column)
     return table
-
-
-def load_csv(
-    path: str | Path,
-    table_name: str,
-    column_types: dict[str, str] | None = None,
-) -> Table:
-    """Load a headed CSV file into a new table.
-
-    Args:
-        path: CSV file with a header row.
-        table_name: name for the created table.
-        column_types: optional ``{column: type-name}`` overrides; any
-            column not listed is parsed as ``int64``.
-
-    Raises:
-        SchemaError: on an empty file or unparsable values.
-    """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty CSV file") from None
-        raw_columns: list[list[str]] = [[] for _ in header]
-        for row in reader:
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: ragged row with {len(row)} fields, "
-                    f"expected {len(header)}"
-                )
-            for i, field in enumerate(row):
-                raw_columns[i].append(field)
-
-    overrides = column_types or {}
-    table = Table(table_name)
-    for name, raw in zip(header, raw_columns):
-        ctype = type_by_name(overrides.get(name, INT64.name))
-        try:
-            if ctype.is_integer:
-                parsed = np.array([int(v) for v in raw], dtype=np.int64)
-            else:
-                parsed = np.array([float(v) for v in raw])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: column {name!r}: {exc}") from None
-        table.add_column(Column(name, parsed, ctype))
-    return table
-
-
-def infer_int_type(low: int, high: int) -> ColumnType:
-    """Smallest supported integer type covering ``[low, high]``."""
-    if low >= np.iinfo(np.int32).min and high <= np.iinfo(np.int32).max:
-        return INT32
-    return INT64

@@ -251,19 +251,3 @@ class PendingOverlay:
 
     def __repr__(self) -> str:
         return f"PendingOverlay(count={self.count})"
-
-
-def concat_results(
-    first: SelectionResult, second: SelectionResult
-) -> MaterializedResult:
-    """Concatenate two selection results into one materialized result.
-
-    Positions are preserved only if both inputs carry them.
-    """
-    values = np.concatenate([first.values(), second.values()])
-    pos_a = first.positions()
-    pos_b = second.positions()
-    positions = None
-    if pos_a is not None and pos_b is not None:
-        positions = np.concatenate([pos_a, pos_b])
-    return MaterializedResult(values, positions)

@@ -20,7 +20,6 @@ from repro.workload.stream import (
     IdleEvent,
     QueryEvent,
     WorkloadEvent,
-    interleave_idle,
     run_stream,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "SkewedRangeGenerator",
     "UniformRangeGenerator",
     "WorkloadEvent",
-    "interleave_idle",
     "make_closed_loop_clients",
     "parameterized_queries",
     "run_stream",

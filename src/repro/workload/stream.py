@@ -9,7 +9,7 @@ onto idle events carrying either a duration or an action count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from repro.engine.query import RangeQuery
 from repro.engine.session import Session, SessionReport
@@ -133,10 +133,6 @@ class QueryStream:
     def __init__(self, events: Iterable[WorkloadEvent]) -> None:
         self.events: list[WorkloadEvent] = list(events)
 
-    @classmethod
-    def of_queries(cls, queries: Iterable[RangeQuery]) -> "QueryStream":
-        return cls(QueryEvent(query) for query in queries)
-
     @property
     def query_count(self) -> int:
         return sum(
@@ -151,27 +147,3 @@ class QueryStream:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def interleave_idle(
-    queries: Iterable[RangeQuery],
-    idle_every: int,
-    idle: IdleEvent,
-    idle_first: bool = True,
-) -> Iterator[WorkloadEvent]:
-    """Insert ``idle`` before the stream and after every ``idle_every``
-    queries -- the paper's Exp1 schedule.
-
-    Raises:
-        WorkloadError: if ``idle_every`` is not positive.
-    """
-    if idle_every <= 0:
-        raise WorkloadError(f"idle_every must be positive: {idle_every}")
-    if idle_first:
-        yield idle
-    count = 0
-    for query in queries:
-        yield QueryEvent(query)
-        count += 1
-        if count % idle_every == 0:
-            yield idle

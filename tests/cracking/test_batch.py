@@ -6,6 +6,7 @@ import pytest
 from repro.cracking.engine import crack_multi
 from repro.cracking.index import CrackerIndex
 from repro.errors import CrackerError
+from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 
 
@@ -70,7 +71,7 @@ def test_crack_multi_empty_inputs():
     array = _values()
     splits, charge = crack_multi(array, 0, len(array), [])
     assert splits == []
-    assert charge.is_zero()
+    assert charge == CostCharge()
     splits, _ = crack_multi(array, 10, 10, [5.0])
     assert splits == [10]
 
@@ -104,7 +105,7 @@ def test_ensure_cuts_handles_existing_and_duplicate_pivots(small_column):
     index = CrackerIndex(small_column, clock=SimClock())
     index.ensure_cut(5e7)
     positions = index.ensure_cuts([5e7, 2e7, 2e7, 8e7])
-    assert positions[0] == index.piece_map.position_of_pivot(5e7)
+    assert positions[0] == index.piece_map.locate(5e7)[1]
     assert positions[1] == positions[2]
     index.check_invariants()
 

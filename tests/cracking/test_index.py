@@ -171,17 +171,6 @@ def test_empty_column_index(sim_clock):
     assert index.random_crack(np.random.default_rng(0)) is None
 
 
-def test_remaining_cracks_estimate_monotone(index, rng):
-    before = index.remaining_cracks_estimate(1_000)
-    for _ in range(20):
-        index.random_crack(rng)
-    # Refinement reduces average piece size and piece count grows;
-    # the estimate must never report "done" while pieces are huge.
-    assert before > 0
-    assert index.is_refined_to(index.row_count)
-    assert not index.is_refined_to(1)
-
-
 @pytest.mark.parametrize(
     "low, high",
     [

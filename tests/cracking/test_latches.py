@@ -11,7 +11,7 @@ from repro.cracking.concurrency import (
 )
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
+from repro.errors import ConcurrencyError, LatchTimeout
 from repro.faults import FaultPlan, engaged
 from repro.simtime.clock import SimClock
 
@@ -67,16 +67,6 @@ def test_reader_waits_for_writer():
 
 
 # -- PieceLatchTable -----------------------------------------------------
-
-
-def test_granularity_buckets_positions():
-    table = PieceLatchTable(granularity=100)
-    assert table.key_for(0) == 0
-    assert table.key_for(99) == 0
-    assert table.key_for(100) == 1
-    assert table.key_for(250) == 2
-    with pytest.raises(ConfigError):
-        PieceLatchTable(granularity=0)
 
 
 def test_disjoint_buckets_do_not_conflict():
@@ -259,12 +249,12 @@ def test_latch_timeout_mid_batch_holds_nothing_and_retries(small_column):
     table = PieceLatchTable(acquire_timeout_s=0.002)
     access = LatchedCrackerAccess(index, table)
     assert access.crack_value(5e7) is True
-    right = index.piece_map.position_of_pivot(5e7)
+    right = index.piece_map.locate(5e7)[1]
     entered = threading.Event()
     release = threading.Event()
 
     def hold_right_piece():
-        with table.write_pieces([table.key_for(right)]):
+        with table.write_pieces([right]):
             entered.set()
             release.wait(timeout=5)
 
@@ -281,7 +271,7 @@ def test_latch_timeout_mid_batch_holds_nothing_and_retries(small_column):
     # Between its retries the batch lets go of the left piece too.
     for _ in range(500):
         try:
-            with table.write_pieces([table.key_for(0)]):
+            with table.write_pieces([0]):
                 break
         except LatchTimeout:
             continue

@@ -7,24 +7,13 @@ from repro.cracking.piece import CrackOrigin, Piece
 
 def test_piece_size_and_emptiness():
     assert Piece(10, 25).size == 15
-    assert not Piece(10, 25).is_empty
-    assert Piece(10, 10).is_empty
-
-
-def test_contains_value_half_open():
-    piece = Piece(0, 10, low=5.0, high=15.0)
-    assert piece.contains_value(5.0)
-    assert piece.contains_value(14.9)
-    assert not piece.contains_value(15.0)
-    assert not piece.contains_value(4.9)
+    assert Piece(10, 10).size == 0
 
 
 def test_unbounded_piece_contains_everything():
     piece = Piece(0, 10)
     assert piece.low == -math.inf
     assert piece.high == math.inf
-    assert piece.contains_value(-1e18)
-    assert piece.contains_value(1e18)
 
 
 def test_origin_enum_values():

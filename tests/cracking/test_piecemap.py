@@ -71,9 +71,7 @@ def test_has_pivot_and_position_of_pivot():
     pieces.add_crack(50.0, 40)
     assert pieces.has_pivot(50.0)
     assert not pieces.has_pivot(49.0)
-    assert pieces.position_of_pivot(50.0) == 40
-    with pytest.raises(CrackerError):
-        pieces.position_of_pivot(49.0)
+    assert pieces.locate(50.0)[1] == 40
 
 
 def test_piece_sizes_and_aggregates():
@@ -81,12 +79,12 @@ def test_piece_sizes_and_aggregates():
     pieces.add_crack(50.0, 40)
     pieces.add_crack(75.0, 70)
     assert pieces.piece_sizes() == [40, 30, 30]
-    assert pieces.max_piece_size() == 40
     assert pieces.average_piece_size() == pytest.approx(100 / 3)
 
 
 def test_sorted_flags_inherit_on_split():
-    pieces = PieceMap(100, sorted_initially=True)
+    pieces = PieceMap(100)
+    pieces.mark_sorted(0)
     pieces.add_crack(50.0, 40)
     assert pieces.is_piece_sorted(0)
     assert pieces.is_piece_sorted(1)
@@ -142,73 +140,6 @@ def test_empty_map_handles_queries():
     assert pieces.piece_count == 1
     assert pieces.piece_sizes() == [0]
     assert pieces.average_piece_size() == 0.0
-
-
-def test_shift_from_moves_only_later_cuts():
-    pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.add_crack(75.0, 70)
-    pieces.shift_from(50, 5)
-    assert pieces.cuts() == [40, 75]
-    assert pieces.row_count == 105
-    pieces.check_invariants()
-
-
-def test_shift_from_past_all_cuts_grows_last_piece():
-    pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.shift_from(90, 7)
-    assert pieces.cuts() == [40]
-    assert pieces.row_count == 107
-    assert pieces.max_piece_size() == 67
-    pieces.check_invariants()
-
-
-def test_shift_from_on_boundary_shifts_that_cut():
-    pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.shift_from(40, 3)
-    assert pieces.cuts() == [43]
-    assert pieces.row_count == 103
-    pieces.check_invariants()
-
-
-def test_shift_from_validates_negative_outcomes():
-    pieces = PieceMap(100)
-    pieces.add_crack(50.0, 10)
-    with pytest.raises(CrackerError, match="row count negative"):
-        pieces.shift_from(0, -101)
-    with pytest.raises(CrackerError, match="negative"):
-        pieces.shift_from(5, -11)
-    # Failed shifts must leave the map untouched.
-    assert pieces.cuts() == [10]
-    assert pieces.row_count == 100
-    pieces.check_invariants()
-
-
-def test_max_piece_size_tracks_splits_incrementally():
-    pieces = PieceMap(100)
-    assert pieces.max_piece_size() == 100
-    pieces.add_crack(50.0, 40)
-    assert pieces.max_piece_size() == 60
-    pieces.add_crack(75.0, 70)
-    assert pieces.max_piece_size() == 40
-    pieces.add_crack(10.0, 40)  # empty split keeps the 40-row piece
-    assert pieces.max_piece_size() == 40
-    pieces.apply_deltas([5, 0, 0, -3])
-    assert pieces.max_piece_size() == 45
-    pieces.check_invariants()
-
-
-def test_smallest_unsorted_index_skips_sorted_and_tiny():
-    pieces = PieceMap(100)
-    pieces.add_crack(30.0, 30)
-    pieces.add_crack(60.0, 31)  # 1-row piece: too small to sort
-    pieces.mark_sorted(0)
-    assert pieces.smallest_unsorted_index() == 2
-    pieces.mark_sorted(2)
-    assert pieces.smallest_unsorted_index() is None
-    assert pieces.smallest_unsorted_index(min_size=1) == 1
 
 
 # -- locate_pair == (locate(low), locate(high)) --------------------------

@@ -34,13 +34,6 @@ def test_select_project_matches_positional_join(index, table):
     index.check_invariants()
 
 
-def test_head_view_matches_predicate(index, table):
-    low, high = 20_000_000, 60_000_000
-    view = index.select_head(low, high, "A2")
-    values = view.values()
-    assert np.all((values >= low) & (values < high))
-
-
 def test_repeated_queries_stay_correct(index, table, rng):
     for _ in range(30):
         low = float(rng.uniform(1, 9e7))
@@ -52,13 +45,13 @@ def test_repeated_queries_stay_correct(index, table, rng):
 
 
 def test_maps_are_per_tail_and_lazy(index):
-    assert index.map_count == 0
+    assert len(index._maps) == 0
     index.select_project(1e6, 2e6, "A2")
-    assert index.map_count == 1
+    assert len(index._maps) == 1
     index.select_project(1e6, 2e6, "A3")
-    assert index.map_count == 2
+    assert len(index._maps) == 2
     index.select_project(3e6, 4e6, "A2")  # reuses the A2 map
-    assert index.map_count == 2
+    assert len(index._maps) == 2
 
 
 def test_maps_refine_independently(index):

@@ -67,7 +67,6 @@ def test_worker_attribution_context():
     assert tape.current_worker() is None
     workers = [r.worker for r in tape.records()]
     assert workers == [None, 3, None]
-    assert tape.records_by_worker() == {None: 2, 3: 1}
 
 
 def test_worker_repr_only_when_attributed():

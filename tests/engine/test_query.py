@@ -5,7 +5,6 @@ import pytest
 from repro.engine.query import RangeQuery
 from repro.errors import QueryError
 from repro.storage.catalog import ColumnRef
-from repro.storage.column import ColumnStats
 
 
 def _query(low: float, high: float) -> RangeQuery:
@@ -23,24 +22,6 @@ def test_inverted_range_rejected():
 
 def test_empty_range_allowed():
     assert _query(10, 10).span == 0
-
-
-def test_selectivity_uniform_estimate():
-    stats = ColumnStats(row_count=1_000, min_value=0, max_value=999)
-    assert _query(0, 100).selectivity(stats) == pytest.approx(
-        0.1, rel=0.05
-    )
-
-
-def test_selectivity_clamps_to_domain():
-    stats = ColumnStats(row_count=1_000, min_value=0, max_value=999)
-    assert _query(-1e9, 1e9).selectivity(stats) == 1.0
-    assert _query(5_000, 6_000).selectivity(stats) == 0.0
-
-
-def test_selectivity_of_empty_column():
-    stats = ColumnStats(row_count=0, min_value=0, max_value=0)
-    assert _query(0, 10).selectivity(stats) == 0.0
 
 
 def test_sql_rendering():

@@ -1,11 +1,10 @@
 """Unit tests for auxiliary tuning actions."""
 
-import numpy as np
 import pytest
 
 from repro.cracking.index import CrackerIndex
 from repro.errors import ConfigError
-from repro.holistic.tuner import ActionKind, AuxiliaryTuner
+from repro.holistic.tuner import AuxiliaryTuner
 from repro.simtime.clock import SimClock
 
 
@@ -19,36 +18,6 @@ def test_random_crack_action(index):
     assert tuner.perform(index)
     assert index.crack_count == 1
     assert tuner.actions_performed == 1
-
-
-def test_crack_largest_action(index):
-    tuner = AuxiliaryTuner(kind=ActionKind.CRACK_LARGEST, seed=1)
-    index.select_range(1e6, 2e6)
-    biggest_before = index.max_piece_size()
-    assert tuner.perform(index)
-    assert index.max_piece_size() < biggest_before
-
-
-def test_sort_smallest_action(index):
-    index.select_range(4e7, 6e7)
-    tuner = AuxiliaryTuner(
-        kind=ActionKind.SORT_SMALLEST_UNSORTED, seed=1
-    )
-    assert tuner.perform(index)
-    sorted_pieces = [
-        p for p in index.piece_map.pieces() if p.is_sorted
-    ]
-    assert len(sorted_pieces) == 1
-    index.check_invariants()
-
-
-def test_sort_smallest_exhausts(index):
-    tuner = AuxiliaryTuner(
-        kind=ActionKind.SORT_SMALLEST_UNSORTED, seed=1
-    )
-    assert tuner.perform(index)  # sorts the single piece
-    assert not tuner.perform(index)  # nothing unsorted left
-    assert tuner.actions_degenerate == 1
 
 
 def test_min_piece_size_blocks_tiny_cracks(small_column):

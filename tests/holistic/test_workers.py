@@ -45,8 +45,6 @@ def _query(low, high, column="A1"):
 def test_config_validates_worker_knobs():
     with pytest.raises(ConfigError):
         HolisticConfig(num_workers=-1)
-    with pytest.raises(ConfigError):
-        HolisticConfig(latch_granularity=0)
     assert HolisticConfig().num_workers == 0
 
 
@@ -408,24 +406,16 @@ def test_stress_contended_single_column_counts_stalls():
     detected (stalls counted), never corrupting the index."""
     db = _db(columns=1, rows=2_000)
     kernel = HolisticKernel(
-        db,
-        # Coarse granularity: every piece maps to few latch buckets,
-        # so worker collisions are frequent.
-        HolisticConfig(
-            num_workers=4, latch_granularity=1_000, cache_target_elements=2
-        ),
+        db, HolisticConfig(num_workers=4, cache_target_elements=2)
     )
     # The first window finds one piece (one batch); the second splits
-    # the column's pivots over all four workers, whose pieces share
-    # <= 2 latch buckets.
+    # the column's pivots over all four workers.
     kernel.exploit_idle(actions=200)
     kernel.exploit_idle(actions=200)
     index = kernel.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
     summary = kernel.tuning_summary()
     assert summary.stalls == kernel.tape.stall_count()
-    # With 4 workers on <= 2 buckets, contention is essentially
-    # guaranteed; tolerate zero only if almost nothing overlapped.
     assert summary.actions_attempted == 400
     assert len(summary.per_worker) > 1
 

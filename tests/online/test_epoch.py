@@ -14,7 +14,6 @@ def test_epoch_fires_every_n_queries():
     assert results == [False, False, True, False, False, True, False]
     assert fired == [(1, 2.0), (2, 5.0)]
     assert epochs.epochs_completed == 2
-    assert epochs.queries_into_epoch == 1
 
 
 def test_multiple_callbacks_all_fire():

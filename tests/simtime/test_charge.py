@@ -6,7 +6,7 @@ from repro.simtime.charge import CostCharge
 
 
 def test_default_charge_is_zero():
-    assert CostCharge().is_zero()
+    assert not any(CostCharge().as_dict().values())
 
 
 def test_addition_merges_every_field():
@@ -46,18 +46,6 @@ def test_copy_is_independent():
     clone.seeks += 1
     assert original.seeks == 2
     assert clone.seeks == 3
-
-
-def test_total_elements_sums_element_level_work():
-    charge = CostCharge(
-        elements_scanned=1,
-        elements_cracked=2,
-        elements_sorted=3,
-        elements_merged=4,
-        elements_materialized=5,
-        comparisons=100,
-    )
-    assert charge.total_elements() == 15
 
 
 def test_for_scan_factory():

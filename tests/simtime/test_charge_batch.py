@@ -1,10 +1,6 @@
-"""Unit tests for :class:`ChargeBatch` and the unrolled charge ops."""
+"""Unit tests for the unrolled charge ops."""
 
-import pytest
-
-from repro.simtime.charge import ChargeBatch, CostCharge
-from repro.simtime.clock import SimClock
-from repro.simtime.model import CostModel
+from repro.simtime.charge import CostCharge
 
 
 def test_add_and_iadd_match_fieldwise_sum():
@@ -17,44 +13,3 @@ def test_add_and_iadd_match_fieldwise_sum():
     assert total.seeks == 2
     a += b
     assert a == total
-
-
-def test_batch_flushes_linear_charges_in_one_call():
-    eager = SimClock(CostModel())
-    batched = SimClock(CostModel())
-    batch = ChargeBatch(batched)
-    charges = [
-        CostCharge.for_crack(1_000),
-        CostCharge.for_scan(5_000),
-        CostCharge.for_binary_search(1_000),
-    ]
-    for charge in charges:
-        eager.charge(charge)
-        batch.add(charge)
-    assert batched.now() == 0.0  # nothing settled yet
-    batch.flush()
-    assert batched.now() == pytest.approx(eager.now())
-    assert batched.total_charge == eager.total_charge
-
-
-def test_batch_passes_sorts_through_eagerly():
-    clock = SimClock(CostModel())
-    batch = ChargeBatch(clock)
-    batch.add(CostCharge.for_crack(100))
-    before_sort = clock.now()
-    batch.add(CostCharge.for_sort(10_000))
-    # The sort (superlinear pricing) settles immediately, flushing the
-    # pending linear charges first to preserve ordering.
-    assert clock.now() > before_sort
-    assert batch.pending.is_zero()
-    reference = SimClock(CostModel())
-    reference.charge(CostCharge.for_crack(100))
-    reference.charge(CostCharge.for_sort(10_000))
-    assert clock.now() == pytest.approx(reference.now())
-
-
-def test_empty_flush_is_free():
-    clock = SimClock(CostModel())
-    batch = ChargeBatch(clock)
-    assert batch.flush() == 0.0
-    assert clock.now() == 0.0

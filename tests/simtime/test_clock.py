@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
-from repro.simtime.clock import SimClock, Stopwatch, WallClock
+from repro.simtime.clock import SimClock, WallClock
 from repro.simtime.model import CostModel
 
 
@@ -31,7 +31,7 @@ def test_sim_clock_sleep_moves_time_without_charges():
     clock = SimClock()
     clock.sleep(2.5)
     assert clock.now() == pytest.approx(2.5)
-    assert clock.total_charge.is_zero()
+    assert clock.total_charge == CostCharge()
 
 
 def test_sim_clock_rejects_negative_sleep():
@@ -50,15 +50,3 @@ def test_wall_clock_charge_returns_zero_but_tallies():
     clock = WallClock()
     assert clock.charge(CostCharge(elements_scanned=7)) == 0.0
     assert clock.total_charge.elements_scanned == 7
-
-
-def test_stopwatch_measures_virtual_time():
-    clock = SimClock()
-    with Stopwatch(clock) as watch:
-        clock.sleep(1.25)
-    assert watch.elapsed == pytest.approx(1.25)
-
-
-def test_stopwatch_requires_start():
-    with pytest.raises(ConfigError):
-        Stopwatch(SimClock()).stop()

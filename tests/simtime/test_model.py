@@ -84,11 +84,3 @@ def test_crack_estimate_is_linear_in_piece():
     large = model.crack_seconds(100_000)
     # Linear term dominates; overheads add a constant.
     assert large > 50 * small / 2
-
-
-def test_with_scale_returns_new_model():
-    model = CostModel()
-    scaled = model.with_scale(10.0)
-    assert scaled.scale == 10.0
-    assert model.scale == 1.0
-    assert scaled.constants is model.constants

@@ -43,15 +43,6 @@ def test_unknown_table_lookup():
         catalog.table("missing")
 
 
-def test_drop_table():
-    catalog = Catalog()
-    catalog.create_table("R")
-    catalog.drop_table("R")
-    assert not catalog.has_table("R")
-    with pytest.raises(UnknownTableError):
-        catalog.drop_table("R")
-
-
 def test_column_resolution_via_ref():
     catalog = Catalog()
     catalog.register_table(_table("S"))

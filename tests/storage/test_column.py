@@ -43,14 +43,6 @@ def test_copy_values_is_writable_and_independent():
     assert column.values[0] == 1
 
 
-def test_with_appended_builds_new_column():
-    column = Column("A", np.array([1, 2], dtype=np.int64))
-    grown = column.with_appended([3, 4])
-    assert grown.row_count == 4
-    assert column.row_count == 2
-    assert grown.stats.max_value == 4
-
-
 def test_explicit_ctype_coerces():
     column = Column("A", np.array([1, 2], dtype=np.int64), INT32)
     assert column.ctype is INT32

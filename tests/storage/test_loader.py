@@ -1,17 +1,10 @@
-"""Unit tests for data generation and CSV loading."""
+"""Unit tests for data generation."""
 
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, WorkloadError
-from repro.storage.loader import (
-    build_paper_table,
-    generate_clustered_column,
-    generate_uniform_column,
-    generate_zipf_column,
-    infer_int_type,
-    load_csv,
-)
+from repro.errors import WorkloadError
+from repro.storage.loader import build_paper_table, generate_uniform_column
 
 
 def test_uniform_column_domain_and_size():
@@ -41,31 +34,6 @@ def test_uniform_rejects_bad_parameters():
         generate_uniform_column("A", rows=10, low=5, high=4)
 
 
-def test_zipf_column_is_skewed():
-    column = generate_zipf_column("A", rows=20_000, seed=3)
-    values = column.values
-    # Zipf(1.2): value 1 draws ~1/zeta(1.2) ~ 18% of the mass, far
-    # more than any uniform distribution over the domain would give.
-    ones = int(np.count_nonzero(values == 1))
-    assert ones > len(values) * 0.1
-    counts = np.bincount(values[values < 100].astype(np.int64))
-    assert int(np.argmax(counts)) == 1
-
-
-def test_zipf_rejects_bad_exponent():
-    with pytest.raises(WorkloadError):
-        generate_zipf_column("A", rows=10, exponent=1.0)
-
-
-def test_clustered_column_concentrates_values():
-    column = generate_clustered_column(
-        "A", rows=10_000, clusters=3, cluster_width=100, seed=4
-    )
-    unique = np.unique(column.values)
-    # 3 clusters of width ~200 -> far fewer distinct values than rows.
-    assert len(unique) < 1_000
-
-
 def test_build_paper_table_schema():
     table = build_paper_table(rows=1_000, columns=4, seed=5)
     assert table.name == "R"
@@ -80,37 +48,3 @@ def test_build_paper_table_schema():
 def test_build_paper_table_rejects_zero_columns():
     with pytest.raises(WorkloadError):
         build_paper_table(rows=10, columns=0)
-
-
-def test_load_csv_roundtrip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("a,b\n1,2.5\n3,4.5\n")
-    table = load_csv(path, "T", column_types={"b": "float64"})
-    assert table.column("a").values.tolist() == [1, 3]
-    assert table.column("b").values.tolist() == [2.5, 4.5]
-
-
-def test_load_csv_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(SchemaError, match="empty"):
-        load_csv(path, "T")
-
-
-def test_load_csv_rejects_ragged_rows(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("a,b\n1,2\n3\n")
-    with pytest.raises(SchemaError, match="ragged"):
-        load_csv(path, "T")
-
-
-def test_load_csv_rejects_unparsable_values(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a\nnot_a_number\n")
-    with pytest.raises(SchemaError):
-        load_csv(path, "T")
-
-
-def test_infer_int_type():
-    assert infer_int_type(0, 1_000).name == "int32"
-    assert infer_int_type(0, 2**40).name == "int64"

@@ -8,7 +8,6 @@ from repro.storage.views import (
     MaterializedResult,
     PositionsView,
     RangeView,
-    concat_results,
 )
 
 
@@ -56,21 +55,3 @@ def test_materialized_result():
     result = MaterializedResult(np.array([1, 2], dtype=np.int64))
     assert result.count == 2
     assert result.positions() is None
-
-
-def test_concat_results_merges_values(array):
-    a = RangeView(array, 0, 2)
-    b = PositionsView(array, np.array([4]))
-    merged = concat_results(a, b)
-    assert merged.count == 3
-    assert merged.values().tolist() == [10, 20, 50]
-    # RangeView without rowids has no positions -> merged has none.
-    assert merged.positions() is None
-
-
-def test_concat_results_keeps_positions_when_both_have_them(array):
-    rowids = np.arange(5, dtype=np.int64)
-    a = RangeView(array, 0, 2, rowids)
-    b = PositionsView(array, np.array([4]))
-    merged = concat_results(a, b)
-    assert merged.positions().tolist() == [0, 1, 4]

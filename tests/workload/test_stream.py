@@ -8,7 +8,6 @@ from repro.storage.catalog import ColumnRef
 from repro.workload.stream import (
     IdleEvent,
     QueryEvent,
-    interleave_idle,
     run_stream,
 )
 
@@ -18,6 +17,16 @@ def _queries(n: int) -> list[RangeQuery]:
         RangeQuery(ColumnRef("R", "A1"), i * 1e5, (i + 1) * 1e5)
         for i in range(n)
     ]
+
+
+def _with_idles(queries, every, idle):
+    """``idle`` first and after every ``every`` queries (Exp1's shape)."""
+    events = [idle]
+    for i, query in enumerate(queries, 1):
+        events.append(QueryEvent(query))
+        if i % every == 0:
+            events.append(idle)
+    return events
 
 
 def test_idle_event_validation():
@@ -31,51 +40,9 @@ def test_idle_event_validation():
     assert IdleEvent(actions=3).actions == 3
 
 
-def test_interleave_idle_schedule():
-    events = list(
-        interleave_idle(_queries(5), idle_every=2, idle=IdleEvent(actions=1))
-    )
-    kinds = [
-        "idle" if isinstance(e, IdleEvent) else "query" for e in events
-    ]
-    assert kinds == [
-        "idle",
-        "query",
-        "query",
-        "idle",
-        "query",
-        "query",
-        "idle",
-        "query",
-    ]
-
-
-def test_interleave_idle_without_leading_window():
-    events = list(
-        interleave_idle(
-            _queries(2),
-            idle_every=1,
-            idle=IdleEvent(actions=1),
-            idle_first=False,
-        )
-    )
-    assert isinstance(events[0], QueryEvent)
-
-
-def test_interleave_idle_validation():
-    with pytest.raises(WorkloadError):
-        list(
-            interleave_idle(
-                _queries(1), idle_every=0, idle=IdleEvent(actions=1)
-            )
-        )
-
-
 def test_run_stream_executes_everything(tiny_db):
     session = tiny_db.session("holistic")
-    events = list(
-        interleave_idle(_queries(4), idle_every=2, idle=IdleEvent(actions=2))
-    )
+    events = _with_idles(_queries(4), 2, IdleEvent(actions=2))
     report = run_stream(session, events)
     assert report.query_count == 4
     assert len(report.idles) == 3
@@ -116,9 +83,7 @@ def test_run_stream_batched_matches_run_stream():
         return db.session("holistic", seed=2)
 
     queries = _grid_queries(20)
-    events = list(
-        interleave_idle(queries, idle_every=7, idle=IdleEvent(actions=3))
-    )
+    events = _with_idles(queries, 7, IdleEvent(actions=3))
     base = run_stream(fresh_session(), events)
     batched = run_stream_batched(fresh_session(), events, window=6)
     assert [repr(r.response_s) for r in batched.queries] == [
@@ -149,7 +114,7 @@ def test_run_stream_batched_rejects_bad_window(tiny_db):
 def test_query_stream_runs_and_counts(tiny_db):
     from repro.workload.stream import QueryStream
 
-    stream = QueryStream.of_queries(_grid_queries(9))
+    stream = QueryStream(QueryEvent(q) for q in _grid_queries(9))
     assert stream.query_count == 9
     assert len(stream) == 9
     base = stream.run(tiny_db.session("adaptive"))
