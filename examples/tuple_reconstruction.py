@@ -11,8 +11,9 @@ comes out as a contiguous view.
 The demo compares three ways to answer select-project queries:
 
 1. full scan with positional access (always correct, always slow);
-2. a plain cracker index with row-id tracking (cracker map lookups
-   materialize the projection through scattered reads);
+2. a row-id map -- a cracker map whose tail is the row-id column --
+   whose row ids then materialize the projection through scattered
+   reads;
 3. sideways cracker maps (projection is a contiguous view).
 
 Run:  python examples/tuple_reconstruction.py
@@ -21,9 +22,11 @@ Run:  python examples/tuple_reconstruction.py
 import numpy as np
 
 from repro import Database, SimClock, scale_by_name
-from repro.cracking import CrackerIndex, SidewaysCrackerIndex
+from repro.cracking import SidewaysCrackerIndex
 from repro.simtime.charge import CostCharge
 from repro.storage import build_paper_table
+from repro.storage.column import Column
+from repro.storage.table import Table
 
 SCALE = scale_by_name("small")
 QUERIES = 40
@@ -55,16 +58,18 @@ def main() -> None:
         checksum_scan += int(projected.sum())
     scan_s = clock.now()
 
-    # -- 2. cracker index + row-id reconstruction ---------------------
+    # -- 2. row-id map + reconstruction -------------------------------
     clock = SimClock(SCALE.cost_model())
-    index = CrackerIndex(head, clock=clock, track_rowids=True)
+    keyed = Table("R_rowids")
+    keyed.add_column(head)
+    keyed.add_column(Column("rowid", np.arange(head.row_count)))
+    rowid_map = SidewaysCrackerIndex(keyed, "A1", clock=clock)
 
     def rowid_batch() -> int:
         checksum = 0
         for low, high in ranges:
-            view = index.select_range(low, high)
-            positions = view.positions()
-            projected = tail.values[positions]  # scattered reads
+            rowids = rowid_map.select_project(low, high, "rowid").values()
+            projected = tail.values[rowids]  # scattered reads
             clock.charge(
                 CostCharge(
                     seeks=len(projected),
@@ -76,7 +81,7 @@ def main() -> None:
 
     checksum_rowids = rowid_batch()
     rowid_cold_s = clock.now()
-    rowid_batch()  # the index is refined now: probes + scattered reads
+    rowid_batch()  # the map is refined now: probes + scattered reads
     rowid_warm_s = clock.now() - rowid_cold_s
 
     # -- 3. sideways cracker maps --------------------------------------
@@ -112,6 +117,7 @@ def main() -> None:
         "than row-id reconstruction: the projection never leaves its "
         "piece, so there are no scattered reads"
     )
+    rowid_map.check_invariants()
     sideways.check_invariants()
 
 

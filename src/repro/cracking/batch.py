@@ -11,16 +11,16 @@ queries can therefore be executed in two decoupled halves:
   shadow map below -- in one grouped sweep: one shared
   ``crack_spans_batch`` dispatch for pieces taking one pivot or one
   query's bound pair, ``crack_multi`` counting partitions for denser
-  pieces, vectorized ``searchsorted`` for sorted pieces, one
-  ``insert_cracks_bulk`` piece-map splice -- touching each piece once
-  instead of once per query, with **no** clock or tape side effects.
-  A converged window has no fresh bound and skips the pass;
+  pieces, one ``insert_cracks_bulk`` piece-map splice -- touching each
+  piece once instead of once per query, with **no** clock or tape side
+  effects.  A converged window has no fresh bound and skips the pass;
 * an **accounting replay** (:class:`CrackSelectBatch`) that steps
   query by query over a lightweight pure-Python shadow of the
-  pre-window piece map, emitting exactly the charges and tape records
-  sequential :meth:`CrackerIndex.select_range` calls would have
-  produced -- the same crack-in-three fusion, the same binary-search
-  charges for pivot hits, the same piece sizes, the same timestamps.
+  pre-window piece map (its pivots and cuts), emitting exactly the
+  charges and tape records sequential :meth:`CrackerIndex.select_range`
+  calls would have produced -- the same crack-in-three fusion, the same
+  binary-search charges for pivot hits, the same piece sizes, the same
+  timestamps.
 
 Because the replay reproduces the sequential charge stream verbatim,
 per-query response times, cumulative clock totals and tape contents
@@ -52,42 +52,30 @@ class ReplayPieceMap:
     already advanced to its end-of-window state.
     """
 
-    __slots__ = ("n", "pivots", "cuts", "flags")
+    __slots__ = ("n", "pivots", "cuts")
 
-    def __init__(
-        self,
-        n: int,
-        pivots: list[Key],
-        cuts: list[int],
-        flags: list[bool],
-    ) -> None:
+    def __init__(self, n: int, pivots: list[Key], cuts: list[int]) -> None:
         self.n = n
         self.pivots = pivots
         self.cuts = cuts
-        self.flags = flags
 
     @classmethod
     def snapshot(cls, piece_map) -> "ReplayPieceMap":
-        return cls(
-            piece_map.row_count,
-            piece_map.pivots(),
-            piece_map.cuts(),
-            piece_map.sorted_flags(),
-        )
+        return cls(piece_map.row_count, piece_map.pivots(), piece_map.cuts())
 
     @property
     def piece_count(self) -> int:
         return len(self.pivots) + 1
 
-    def locate(self, value: Key) -> tuple[int, int, int, bool, bool]:
-        """``(piece_index, start, end, is_sorted, at_pivot)``."""
+    def locate(self, value: Key) -> tuple[int, int, int, bool]:
+        """``(piece_index, start, end, at_pivot)``."""
         pivots = self.pivots
         i = bisect_right(pivots, value)
         at_pivot = i > 0 and pivots[i - 1] == value
         cuts = self.cuts
         start = cuts[i - 1] if i > 0 else 0
         end = cuts[i] if i < len(pivots) else self.n
-        return i, start, end, self.flags[i], at_pivot
+        return i, start, end, at_pivot
 
     def has_pivot(self, value: Key) -> bool:
         """:meth:`locate`'s ``at_pivot`` alone."""
@@ -98,8 +86,6 @@ class ReplayPieceMap:
     def add_crack_at(self, i: int, value: Key, position: int) -> None:
         self.pivots.insert(i, value)
         self.cuts.insert(i, position)
-        # Both halves inherit the split piece's sorted flag.
-        self.flags.insert(i, self.flags[i])
 
 
 class CrackSelectBatch:
@@ -114,7 +100,6 @@ class CrackSelectBatch:
         "_index",
         "_largest",
         "_values",
-        "_rowids",
         "_sim",
         "_positions",
         "_copy_charged",
@@ -139,7 +124,6 @@ class CrackSelectBatch:
         self._index = index
         self._largest = index._largest
         self._values = index.values
-        self._rowids = index.rowids
         self._sim = sim
         self._positions = positions
         self._copy_charged = copy_charged
@@ -191,8 +175,7 @@ class CrackSelectBatch:
             self._acc.charge_materialize(rows)
 
     def _cut(
-        self, value: Key, i: int, start: int, end: int,
-        is_sorted: bool, at_pivot: bool,
+        self, value: Key, i: int, start: int, end: int, at_pivot: bool
     ) -> int:
         """Replay of :meth:`CrackerIndex._cut_located` for one bound."""
         acc = self._acc
@@ -203,9 +186,7 @@ class CrackSelectBatch:
         position = self._positions[value]
         self._sim.add_crack_at(i, value, position)
         size = end - start
-        if is_sorted:
-            acc.charge_binary(max(1, size))
-        elif size == 0:
+        if size == 0:
             acc.charge_empty_crack()
         else:
             acc.charge_crack(size, 1)
@@ -231,7 +212,7 @@ class CrackSelectBatch:
         took them.  The charges and tape records are exactly those a
         sequential :meth:`CrackerIndex.select_keys` would have produced
         at this point of the window, including the crack-in-three
-        fusion when both bounds fall into the same unsorted piece.  The
+        fusion when both bounds fall into the same piece.  The
         piece lookups inline :meth:`ReplayPieceMap.locate` -- this path
         runs twice per query of every batched window.
         """
@@ -251,9 +232,7 @@ class CrackSelectBatch:
             )
             view = self._view_cache.get(span)
             if view is None:
-                view = RangeView(
-                    self._values, span[0], span[1], self._rowids
-                )
+                view = RangeView(self._values, span[0], span[1])
                 self._view_cache[span] = view
             return view
         return self._replay_located(
@@ -264,7 +243,7 @@ class CrackSelectBatch:
         """The answer to a window query whose range is empty: no probe,
         no charge, no tape, and no replay slot (the physical pass never
         saw it)."""
-        return RangeView(self._values, 0, 0, self._rowids)
+        return RangeView(self._values, 0, 0)
 
     def _replay_located(
         self,
@@ -283,19 +262,15 @@ class CrackSelectBatch:
         k = len(sim.pivots)
         start = cuts[low_index - 1] if low_index > 0 else 0
         end = cuts[low_index] if low_index < k else sim.n
-        low_sorted = sim.flags[low_index]
         if high > self._largest:
             # A top (never a pivot, so it always lands here) is the end
             # of the column, as in select_keys: one cut, at low.
-            pos_low = self._cut(
-                low, low_index, start, end, low_sorted, low_pivot
-            )
+            pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = len(self._values)
         elif (
             low_index == high_index
             and not low_pivot
             and not high_pivot
-            and not low_sorted
             and end > start
         ):
             self._charge_copy_if_needed()
@@ -311,15 +286,13 @@ class CrackSelectBatch:
             tape_log(now, self._origin, low, pos_low, size)
             tape_log(now, self._origin, high, pos_high, size)
         else:
-            pos_low = self._cut(
-                low, low_index, start, end, low_sorted, low_pivot
-            )
+            pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = self._cut(high, *sim.locate(high))
         self._done += 1
-        return RangeView(self._values, pos_low, pos_high, self._rowids)
+        return RangeView(self._values, pos_low, pos_high)
 
     def refresh_arrays(self) -> None:
-        """Re-capture the index's physical arrays and view cache.
+        """Re-capture the index's physical array and view cache.
 
         Defensive re-sync for long-lived (detached) replays: result
         views must always slice the index's *current* arrays.  Note
@@ -329,7 +302,6 @@ class CrackSelectBatch:
         never merge mid-run (see :mod:`repro.serving`).
         """
         self._values = self._index.values
-        self._rowids = self._index.rowids
         self._view_cache = self._index.span_views()
 
     def check_consistent(self) -> None:
@@ -343,11 +315,7 @@ class CrackSelectBatch:
                 disagree -- an accounting bug.
         """
         real = self._index.piece_map
-        if (
-            self._sim.pivots != real.pivots()
-            or self._sim.cuts != real.cuts()
-            or self._sim.flags != real.sorted_flags()
-        ):
+        if self._sim.pivots != real.pivots() or self._sim.cuts != real.cuts():
             raise CrackerError(
                 "batched select replay diverged from the physical pass"
             )
@@ -398,7 +366,7 @@ class DetachedCrackReplay(CrackSelectBatch):
         origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> "DetachedCrackReplay":
         """A replay starting from the virgin (uncracked) column state."""
-        sim = ReplayPieceMap(index.row_count, [], [], [False])
+        sim = ReplayPieceMap(index.row_count, [], [])
         return cls(
             index,
             sim,

@@ -333,7 +333,7 @@ class LatchedCrackerAccess:
         targets: list[float] = []
         keys: set[int] = set()
         for value in values:
-            _, start, end, _, at_pivot = locate(value)
+            _, start, end, at_pivot = locate(value)
             if not at_pivot and end - start > min_piece_size:
                 targets.append(value)
                 keys.add(start)

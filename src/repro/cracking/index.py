@@ -1,10 +1,12 @@
 """The cracker index: a self-organizing partial index on one column.
 
 This reproduces MonetDB's database-cracking module [12], the substrate
-the paper's holistic prototype was hand-tuned from.  The index owns a
-physical copy of the column (the *cracker column*), an optional aligned
-row-id array (the cracker map, enabling tuple reconstruction as in
-sideways cracking [13]), and a :class:`PieceMap` of crack boundaries.
+the paper's holistic prototype was hand-tuned from.  The index is a
+physical copy of the column (the *cracker column*) plus a
+:class:`PieceMap` of its pivots and cuts, and nothing else.  Tuple
+reconstruction drags a tail column along with the cracks: that is a
+:class:`~repro.cracking.sideways.SidewaysCrackerIndex` map, whose tail
+may be a row-id column.
 
 Range selects crack the pieces containing the query bounds and return a
 contiguous :class:`RangeView` -- each query refines the index a little,
@@ -42,7 +44,6 @@ from repro.cracking.engine import (
     crack_multi,
     crack_spans_batch,
     sort_piece,
-    split_sorted_piece,
 )
 from repro.analysis import witness
 from repro.cracking.piece import CrackOrigin, Piece
@@ -70,11 +71,6 @@ def _synchronized(method):
     return wrapper
 
 
-def _row_ids(rows: int) -> np.ndarray:
-    """A fresh cracker map: int32 row ids up to 2^31 rows."""
-    return np.arange(rows, dtype=np.int32 if rows <= _INT32_MAX else np.int64)
-
-
 class CrackPass(NamedTuple):
     """The record of one physical multi-pivot pass
     (:meth:`CrackerIndex._crack_pass`).
@@ -82,8 +78,8 @@ class CrackPass(NamedTuple):
     ``values``, ``starts`` and ``at_pivot`` are the pass's locate of
     every value it was given: a value already a pivot has its cut
     position in ``starts``.  The other fields describe each distinct
-    fresh value, ascending: its pre-pass piece index, start, end and
-    sorted flag, and the position the pass cut it at.
+    fresh value, ascending: its pre-pass piece index, start and end,
+    and the position the pass cut it at.
     """
 
     values: np.ndarray
@@ -93,7 +89,6 @@ class CrackPass(NamedTuple):
     pieces: list[int]
     piece_starts: list[int]
     piece_ends: list[int]
-    sorted: list[bool]
     positions: list[int]
 
     def cut_positions(self) -> dict[Key, int]:
@@ -113,8 +108,6 @@ class CrackerIndex:
         column: the base column to index.
         clock: time source charged for every refinement; defaults to a
             private :class:`SimClock` (useful for unit tests).
-        track_rowids: maintain the cracker map (base positions aligned
-            with cracked values) for tuple reconstruction.
         tape: refinement log to append to; a fresh one by default.
 
     The cost of copying the base column is charged to the first
@@ -126,7 +119,6 @@ class CrackerIndex:
         self,
         column: Column,
         clock: Clock | None = None,
-        track_rowids: bool = False,
         tape: CrackTape | None = None,
     ) -> None:
         self.column = column
@@ -139,9 +131,9 @@ class CrackerIndex:
         #: :class:`repro.cracking.concurrency.PieceLatchTable`.
         self.lock = threading.RLock()
         self._array = self._materialize_values(column)
-        rows = column.row_count
-        self._rowids = _row_ids(rows) if track_rowids else None
-        self._pieces = PieceMap(rows, dtype=column.ctype.numpy_dtype)
+        self._pieces = PieceMap(
+            column.row_count, dtype=column.ctype.numpy_dtype
+        )
         #: Range bounds above this run to the end of the column.
         self._largest = largest(column.ctype.numpy_dtype)
         self._scratch = CrackScratch()
@@ -149,12 +141,12 @@ class CrackerIndex:
         #: windows reuse its shadow map (see begin_select_batch).
         self._replay_cache: tuple[int, CrackSelectBatch] | None = None
         #: Shared warm-path result views for batched selects, keyed by
-        #: (pos_low, pos_high); valid for one physical array/rowids
+        #: (pos_low, pos_high); valid for one physical array
         #: generation (cut positions never move under pure cracking).
         self._span_views: dict[tuple[int, int], RangeView] = {}
-        # Strong references (not ids -- those can be recycled) to the
-        # arrays the cached views slice.
-        self._span_views_arrays = (self._array, self._rowids)
+        # A strong reference (not an id -- those can be recycled) to
+        # the array the cached views slice.
+        self._span_views_array = self._array
         self.tape = tape if tape is not None else CrackTape()
         self._copy_charged = False
 
@@ -163,7 +155,6 @@ class CrackerIndex:
         cls,
         column: Column,
         values: np.ndarray,
-        rowids: np.ndarray | None,
         piece_map: PieceMap,
         clock: Clock | None = None,
         tape: CrackTape | None = None,
@@ -171,11 +162,11 @@ class CrackerIndex:
     ) -> "CrackerIndex":
         """Rebuild an index around restored buffers (snapshot restore).
 
-        ``values``/``rowids`` are adopted as-is -- typically ``np.memmap``
-        views in copy-on-write mode, so restoring is O(metadata) and
-        later cracks fault pages in lazily.  The narrowing decision
-        (int32 cracker column / rowids) was made when the snapshot was
-        written and rides along in the array dtypes.  ``copy_charged``
+        ``values`` is adopted as-is -- typically an ``np.memmap`` view
+        in copy-on-write mode, so restoring is O(metadata) and later
+        cracks fault pages in lazily.  The narrowing decision (int32
+        cracker column) was made when the snapshot was written and
+        rides along in the array dtype.  ``copy_charged``
         preserves whether the base-copy materialization charge was
         already paid (it is part of the restored clock totals).
 
@@ -193,23 +184,17 @@ class CrackerIndex:
                 f"piece map covers {piece_map.row_count} rows, cracker "
                 f"column {len(values)}"
             )
-        if rowids is not None and len(rowids) != len(values):
-            raise CrackerError(
-                f"cracker map has {len(rowids)} rows, cracker column "
-                f"{len(values)}"
-            )
         index = cls.__new__(cls)
         index.column = column
         index.clock = clock if clock is not None else SimClock()
         index.lock = threading.RLock()
         index._array = values
-        index._rowids = rowids
         index._pieces = piece_map
         index._largest = largest(column.ctype.numpy_dtype)
         index._scratch = CrackScratch()
         index._replay_cache = None
         index._span_views = {}
-        index._span_views_arrays = (values, rowids)
+        index._span_views_array = values
         index.tape = tape if tape is not None else CrackTape()
         index._copy_charged = copy_charged
         return index
@@ -235,26 +220,18 @@ class CrackerIndex:
         return self._array
 
     @property
-    def rowids(self) -> np.ndarray | None:
-        """The cracker map, if row ids are tracked."""
-        return self._rowids
-
-    @property
     def piece_map(self) -> PieceMap:
         return self._pieces
 
     def span_views(self) -> dict[tuple[int, int], RangeView]:
         """The warm-path result views shared by every window replay,
         keyed by ``(pos_low, pos_high)`` -- emptied first if update
-        merges, a widening or a rebuild replaced the physical arrays
+        merges, a widening or a rebuild replaced the physical array
         (cut positions may have shifted, cached views slice the old
-        arrays)."""
-        if (
-            self._span_views_arrays[0] is not self._array
-            or self._span_views_arrays[1] is not self._rowids
-        ):
+        array)."""
+        if self._span_views_array is not self._array:
             self._span_views = {}
-            self._span_views_arrays = (self._array, self._rowids)
+            self._span_views_array = self._array
         return self._span_views
 
     @property
@@ -312,32 +289,21 @@ class CrackerIndex:
         index: int,
         start: int,
         end: int,
-        is_sorted: bool,
         at_pivot: bool,
         origin: CrackOrigin,
     ) -> int:
         """Crack at an already-located ``value``; caller holds the lock.
 
-        ``index``/``start``/``end``/``is_sorted``/``at_pivot`` come
-        from :meth:`PieceMap.locate` with no intervening mutation.
+        ``index``/``start``/``end``/``at_pivot`` come from
+        :meth:`PieceMap.locate` with no intervening mutation.
         """
         if at_pivot:
             self._charge_pivot_hits(1)
             return start
         self._charge_copy_if_needed()
-        if is_sorted:
-            position, charge = split_sorted_piece(
-                self._array, start, end, value
-            )
-        else:
-            position, charge = crack_in_two(
-                self._array,
-                start,
-                end,
-                value,
-                self._rowids,
-                self._scratch,
-            )
+        position, charge = crack_in_two(
+            self._array, start, end, value, scratch=self._scratch
+        )
         self._pieces.add_crack_at(index, value, position)
         self.clock.charge(charge)
         self.tape.log(
@@ -357,12 +323,10 @@ class CrackerIndex:
         first (an integer column cracks at its ceiling).
         """
         value = self._pivot_key(value)
-        index, start, end, is_sorted, at_pivot = self._pieces.locate(value)
+        index, start, end, at_pivot = self._pieces.locate(value)
         if not at_pivot:
             witness.mutation_check(self, (start,), "ensure_cut")
-        return self._cut_located(
-            value, index, start, end, is_sorted, at_pivot, origin
-        )
+        return self._cut_located(value, index, start, end, at_pivot, origin)
 
     @_synchronized
     def ensure_cuts(
@@ -376,13 +340,11 @@ class CrackerIndex:
         fresh value; its record is priced piece by piece, right to
         left, each piece's cuts logged in ascending order:
 
-        * an unsorted piece taking one pivot: one crack of the piece
+        * a piece taking one pivot: one crack of the piece
           (``CostCharge.for_crack``; an empty piece, the crack alone);
-        * an unsorted piece taking ``k >= 2``: one counting partition,
+        * a piece taking ``k >= 2``: one counting partition,
           ``CostCharge(2 * size, 1, k)`` -- a classify and a scatter
-          pass, cheaper than ``k`` sequential :meth:`ensure_cut` calls;
-        * a sorted piece: one binary search per cut, over the shrinking
-          remainder ``[previous cut, end)``.
+          pass, cheaper than ``k`` sequential :meth:`ensure_cut` calls.
 
         Pivot hits are free.  Returns the cut position of every value
         (normalised as in :meth:`ensure_cut`), in input order.
@@ -402,30 +364,23 @@ class CrackerIndex:
         while hi:
             lo = bisect_left(pieces, pieces[hi - 1], 0, hi)
             start, end = record.piece_starts[lo], record.piece_ends[lo]
-            cuts = zip(record.fresh[lo:hi], record.positions[lo:hi])
-            if record.sorted[lo]:
-                previous = start
-                for value, position in cuts:
-                    rest = end - previous
-                    clock.charge(CostCharge.for_binary_search(max(1, rest)))
-                    tape.log(clock.now(), origin, value, position, rest)
-                    previous = position
+            size = end - start
+            if hi - lo > 1:
+                charge = CostCharge(
+                    elements_cracked=2 * size,
+                    pieces_touched=1,
+                    cracks=hi - lo,
+                )
+            elif size:
+                charge = CostCharge.for_crack(size)
             else:
-                size = end - start
-                if hi - lo > 1:
-                    charge = CostCharge(
-                        elements_cracked=2 * size,
-                        pieces_touched=1,
-                        cracks=hi - lo,
-                    )
-                elif size:
-                    charge = CostCharge.for_crack(size)
-                else:
-                    charge = CostCharge(cracks=1)
-                clock.charge(charge)
-                now = clock.now()
-                for value, position in cuts:
-                    tape.log(now, origin, value, position, size)
+                charge = CostCharge(cracks=1)
+            clock.charge(charge)
+            now = clock.now()
+            for value, position in zip(
+                record.fresh[lo:hi], record.positions[lo:hi]
+            ):
+                tape.log(now, origin, value, position, size)
             hi = lo
         positions = record.cut_positions()
         return [positions[key] for key in keys]
@@ -451,7 +406,7 @@ class CrackerIndex:
             raise QueryError(f"range inverted: low={low} > high={high}")
         bounds = normalise_range(self._pieces.dtype, low, high)
         if bounds is None:
-            return RangeView(self._array, 0, 0, self._rowids)
+            return RangeView(self._array, 0, 0)
         return self.select_keys(*bounds, origin)
 
     @_synchronized
@@ -464,7 +419,7 @@ class CrackerIndex:
         """:meth:`select_range` of a range already normalised into the
         column's domain (``low < high``) -- what a session passes.
 
-        When both bounds fall in the same unsorted piece a single
+        When both bounds fall in the same piece a single
         crack-in-three pass handles them together (one pass instead of
         two), exactly as MonetDB's select operator does.  A ``high``
         past the column's top cuts at ``low`` only: the range runs to
@@ -475,33 +430,25 @@ class CrackerIndex:
                 self._array,
                 self.ensure_cut(low, origin),
                 len(self._array),
-                self._rowids,
             )
         pieces = self._pieces
         low_loc, high_loc = pieces.locate_pair(low, high)
         witness.mutation_check(
             self,
-            lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[4]],
+            lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[3]],
             "select_range",
         )
-        low_index, start, end, low_sorted, low_pivot = low_loc
-        high_pivot = high_loc[4]
+        low_index, start, end, low_pivot = low_loc
+        high_pivot = high_loc[3]
         if (
             low_index == high_loc[0]
             and not low_pivot
             and not high_pivot
-            and not low_sorted
             and end > start
         ):
             self._charge_copy_if_needed()
             pos_low, pos_high, charge = crack_in_three(
-                self._array,
-                start,
-                end,
-                low,
-                high,
-                self._rowids,
-                self._scratch,
+                self._array, start, end, low, high, scratch=self._scratch
             )
             pieces.add_crack_at(low_index, low, pos_low)
             pieces.add_crack_at(low_index + 1, high, pos_high)
@@ -520,7 +467,7 @@ class CrackerIndex:
                 # The low step inserted a cut: high's piece has moved.
                 high_loc = pieces.locate(high)
             pos_high = self._cut_located(high, *high_loc, origin)
-        return RangeView(self._array, pos_low, pos_high, self._rowids)
+        return RangeView(self._array, pos_low, pos_high)
 
     # -- batched selects (ISSUE 4) ---------------------------------------
 
@@ -643,8 +590,8 @@ class CrackerIndex:
         dtype and may repeat.  The index's one physical multi-pivot
         pass: one :meth:`PieceMap.locate_many` classifies every value,
         the fresh ones are grouped by piece, one ``crack_spans_batch``
-        partitions the pieces taking one or two pivots, ``crack_multi``
-        the denser ones and ``searchsorted`` the sorted ones, and one
+        partitions the pieces taking one or two pivots and
+        ``crack_multi`` the denser ones, and one
         :meth:`PieceMap.insert_cracks_bulk` splice records every cut.
         Nothing is charged or logged; the first crack marks the base
         copy as made (the caller's accounting charges it).
@@ -655,16 +602,15 @@ class CrackerIndex:
         column under the table-level exclusive latch.
         """
         pieces = self._pieces
-        indices, starts, ends, flags, at_pivot = pieces.locate_many(values)
+        indices, starts, ends, at_pivot = pieces.locate_many(values)
         fresh_at = np.flatnonzero(~at_pivot)
         if not len(fresh_at):
-            return CrackPass(values, starts, at_pivot, [], [], [], [], [], [])
+            return CrackPass(values, starts, at_pivot, [], [], [], [], [])
         fresh_values, first = np.unique(values[fresh_at], return_index=True)
         fresh_at = fresh_at[first]
         fresh_pieces = indices[fresh_at]
         fresh_starts = starts[fresh_at].tolist()
         fresh_ends = ends[fresh_at].tolist()
-        fresh_sorted = flags[fresh_at].tolist()
         # Pieces are value-ordered, so value-sorted fresh cracks have
         # non-decreasing piece indices; group boundaries come from one
         # diff instead of a Python dict of lists.
@@ -685,11 +631,7 @@ class CrackerIndex:
         for g in range(len(group_bounds) - 1):
             lo, hi = group_bounds[g], group_bounds[g + 1]
             start, end = fresh_starts[lo], fresh_ends[lo]
-            if fresh_sorted[lo]:
-                fresh_positions[lo:hi] = start + self._array[
-                    start:end
-                ].searchsorted(fresh_values[lo:hi])
-            elif hi - lo <= 2:
+            if hi - lo <= 2:
                 span_slots.append((lo, hi - 1))
                 span_tasks.append(
                     (start, end, fresh_list[lo], fresh_list[hi - 1])
@@ -700,19 +642,14 @@ class CrackerIndex:
                     start,
                     end,
                     fresh_list[lo:hi],
-                    self._rowids,
-                    self._scratch,
+                    scratch=self._scratch,
                 )
                 fresh_positions[lo:hi] = splits
         if span_tasks:
             # Pieces taking one pivot or one query's bound pair --
             # the bulk of a converged window.
             span_splits = crack_spans_batch(
-                self._array,
-                span_tasks,
-                self._rowids,
-                self._scratch,
-                validate=False,
+                self._array, span_tasks, scratch=self._scratch, validate=False
             )
             for (lo, last), (low, high) in zip(span_slots, span_splits):
                 fresh_positions[lo] = low
@@ -726,7 +663,6 @@ class CrackerIndex:
             fresh_pieces.tolist(),
             fresh_starts,
             fresh_ends,
-            fresh_sorted,
             fresh_positions.tolist(),
         )
 
@@ -773,16 +709,13 @@ class CrackerIndex:
         value = self._pivot_key(
             rng.uniform(stats.min_value, stats.max_value)
         )
-        location = self._pieces.locate(value)
-        index, start, end, is_sorted, at_pivot = location
+        index, start, end, at_pivot = self._pieces.locate(value)
         if at_pivot:
             return None
         if end - start <= min_piece_size:
             return None
         witness.mutation_check(self, (start,), "random_crack")
-        return self._cut_located(
-            value, index, start, end, is_sorted, at_pivot, origin
-        )
+        return self._cut_located(value, index, start, end, at_pivot, origin)
 
     @_synchronized
     def crack_largest_piece(
@@ -791,15 +724,15 @@ class CrackerIndex:
         origin: CrackOrigin = CrackOrigin.TUNING,
         min_piece_size: int = 2,
     ) -> int | None:
-        """Crack the largest unsorted piece at one of its elements.
+        """Crack the largest piece at one of its elements.
 
         A data-driven refinement (in the spirit of stochastic
         cracking's DDC/DDR [10]): pivoting on an actual element
         guarantees progress even under skew.  Returns the cut position
         or ``None`` if no piece is large enough.
         """
-        piece = self._pieces.largest_unsorted_piece()
-        if piece is None or piece.size <= min_piece_size:
+        piece = self._pieces.largest_piece()
+        if piece.size <= min_piece_size:
             return None
         offset = int(rng.integers(piece.start, piece.end))
         value = self._array.item(offset)
@@ -809,28 +742,24 @@ class CrackerIndex:
 
     @_synchronized
     def sort_piece_at(self, piece_index: int) -> Piece:
-        """Fully sort one piece and mark it sorted.
+        """Fully sort one piece.  The piece map records nothing: a
+        sorted piece is still a piece, cracked like any other.
 
         Raises:
             CrackerError: if the index is out of range.
         """
         piece = self._pieces.piece_at_index(piece_index)
-        if not piece.is_sorted:
-            witness.mutation_check(self, (piece.start,), "sort_piece_at")
-            self._charge_copy_if_needed()
-            charge = sort_piece(
-                self._array, piece.start, piece.end, self._rowids
-            )
-            self.clock.charge(charge)
-            self._pieces.mark_sorted(piece_index)
-            self.tape.log(
-                self.clock.now(),
-                CrackOrigin.SORT,
-                piece.low,
-                piece.start,
-                piece.size,
-            )
-        return self._pieces.piece_at_index(piece_index)
+        witness.mutation_check(self, (piece.start,), "sort_piece_at")
+        self._charge_copy_if_needed()
+        self.clock.charge(sort_piece(self._array, piece.start, piece.end))
+        self.tape.log(
+            self.clock.now(),
+            CrackOrigin.SORT,
+            piece.low,
+            piece.start,
+            piece.size,
+        )
+        return piece
 
     # -- validation ------------------------------------------------------
 
@@ -841,7 +770,7 @@ class CrackerIndex:
         The recovery path of last resort: when a crashed tuning action
         leaves the physical partitioning inconsistent with the piece
         map (:meth:`check_invariants` fails), the supervisor re-copies
-        the base column and starts over from one unsorted piece.  All
+        the base column and starts over from one piece.  All
         refinement on this column is lost -- cracking will re-converge
         from queries -- but every answer is correct immediately.  The
         copy is charged to the clock like any first-touch
@@ -850,8 +779,6 @@ class CrackerIndex:
         witness.mutation_check(self, None, "rebuild")
         self._array = self._materialize_values(self.column)
         rows = self.column.row_count
-        if self._rowids is not None:
-            self._rowids = _row_ids(rows)
         self._pieces = PieceMap(rows, dtype=self._pieces.dtype)
         self._scratch = CrackScratch()
         self._replay_cache = None
@@ -885,14 +812,6 @@ class CrackerIndex:
                 raise CrackerError(
                     f"{piece} contains value {chunk.max()} at/above its "
                     "upper bound"
-                )
-            if piece.is_sorted and not np.all(chunk[:-1] <= chunk[1:]):
-                raise CrackerError(f"{piece} marked sorted but is not")
-        if self._rowids is not None:
-            reconstructed = self.column.values[self._rowids]
-            if not np.array_equal(reconstructed, self._array):
-                raise CrackerError(
-                    "cracker map does not reconstruct the cracker column"
                 )
 
     def __repr__(self) -> str:

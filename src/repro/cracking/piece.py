@@ -41,23 +41,19 @@ class Piece:
             ``-inf`` for the leftmost piece.
         high: upper bound on values (exclusive); ``+inf`` for the
             rightmost piece.
-        is_sorted: True when the piece's elements are fully sorted, so
-            further cracks are positional binary searches.
     """
 
     start: int
     end: int
     low: float = -math.inf
     high: float = math.inf
-    is_sorted: bool = False
 
     @property
     def size(self) -> int:
         return self.end - self.start
 
     def __repr__(self) -> str:
-        flag = ", sorted" if self.is_sorted else ""
         return (
             f"Piece([{self.start}, {self.end}), "
-            f"values=[{self.low}, {self.high}){flag})"
+            f"values=[{self.low}, {self.high}))"
         )

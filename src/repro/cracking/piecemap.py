@@ -6,16 +6,16 @@ is range-partitioned, pivot order and position order coincide, so two
 parallel sorted arrays with binary search give the same O(log k)
 navigation with much better constants.
 
-Representation (ISSUE 3): the pivot/cut/sorted-flag columns are
+Representation (ISSUE 3): the pivot and cut columns are
 amortized-growth **numpy buffers** navigated by ``np.searchsorted``.
 Bulk operations (``piece_sizes``, ``apply_deltas``,
-``check_invariants``, the unsorted-piece selector) are vectorized.
-A crack keeps no statistic beside the boundaries: nothing on the
-query path reads one.
+``check_invariants``, the largest-piece selector) are vectorized.
+A piece is its value range and its cuts and nothing else: a crack
+keeps no per-piece flag or statistic, because nothing reads one.
 
 The single-value navigation path used by every crack is fused into
-:meth:`locate`: one binary search yields the piece index, bounds,
-sorted flag and whether the value is already a pivot.  A range select
+:meth:`locate`: one binary search yields the piece index, bounds and
+whether the value is already a pivot.  A range select
 asks for both of its bounds at once (:meth:`locate_pair`): one
 ``searchsorted`` dispatch over a two-key buffer the map owns.
 
@@ -25,8 +25,7 @@ property tests):
 * ``pivots`` is strictly increasing (so none of them is NaN);
 * ``cuts`` is non-decreasing, each within ``[0, n]``;
 * piece ``i`` spans positions ``[cuts[i-1], cuts[i])`` (sentinels 0 and
-  ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf);
-* the sorted-flag column has exactly ``len(pivots) + 1`` entries.
+  ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf).
 
 Pivots are stored in the column's own dtype and compared exactly:
 they are range bounds the session normalised into the column's domain
@@ -58,10 +57,8 @@ class PieceMap:
         "_k",
         "_pivots",
         "_cuts",
-        "_sorted",
         "_pivots_addr",
         "_cuts_addr",
-        "_sorted_addr",
         "_pair",
         "_version",
     )
@@ -77,7 +74,6 @@ class PieceMap:
         self._k = 0  # number of cracks (pivots/cuts in use)
         self._pivots = np.empty(_INITIAL_CAPACITY, dtype=dtype)
         self._cuts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._sorted = np.zeros(_INITIAL_CAPACITY + 1, dtype=bool)
         self._cache_addresses()
         #: Key buffer of :meth:`locate_pair` (callers hold the index's
         #: monitor lock, so one per map suffices).
@@ -92,7 +88,6 @@ class PieceMap:
         """
         self._pivots_addr = self._pivots.ctypes.data
         self._cuts_addr = self._cuts.ctypes.data
-        self._sorted_addr = self._sorted.ctypes.data
 
     @classmethod
     def from_state(
@@ -100,15 +95,13 @@ class PieceMap:
         n: int,
         pivots: np.ndarray,
         cuts: np.ndarray,
-        sorted_flags: np.ndarray,
         dtype: np.dtype = np.dtype(np.float64),
     ) -> "PieceMap":
         """Rebuild a piece map from exported compact arrays (snapshots).
 
-        ``pivots``/``cuts`` are the ``k`` crack boundaries and
-        ``sorted_flags`` the ``k + 1`` per-piece flags, exactly as
-        :meth:`pivots`/:meth:`cuts`/:meth:`sorted_flags` export them,
-        with ``pivots`` in the map's ``dtype``.
+        ``pivots``/``cuts`` are the ``k`` crack boundaries, exactly as
+        :meth:`pivots`/:meth:`cuts` export them, with ``pivots`` in the
+        map's ``dtype``.
         Buffers are reallocated with growth headroom and addresses
         recached; the version
         counter restarts at 0 (it orders mutations within one process
@@ -119,12 +112,10 @@ class PieceMap:
         """
         pivots = np.asarray(pivots)
         cuts = np.asarray(cuts, dtype=np.int64)
-        sorted_flags = np.asarray(sorted_flags, dtype=bool)
         k = len(pivots)
-        if len(cuts) != k or len(sorted_flags) != k + 1:
+        if len(cuts) != k:
             raise CrackerError(
-                f"piece-map state misaligned: {k} pivots, {len(cuts)} "
-                f"cuts, {len(sorted_flags)} sorted flags"
+                f"piece-map state misaligned: {k} pivots, {len(cuts)} cuts"
             )
         piece_map = cls(n, dtype=dtype)
         capacity = max(_INITIAL_CAPACITY, k)
@@ -133,8 +124,6 @@ class PieceMap:
         piece_map._pivots[:k] = pivots
         piece_map._cuts = np.empty(capacity, dtype=np.int64)
         piece_map._cuts[:k] = cuts
-        piece_map._sorted = np.zeros(capacity + 1, dtype=bool)
-        piece_map._sorted[: k + 1] = sorted_flags
         piece_map._cache_addresses()
         piece_map.check_invariants()
         if not (piece_map._pivots[:k] == pivots).all():
@@ -174,10 +163,6 @@ class PieceMap:
         """The cut positions aligned with :meth:`pivots` (copy)."""
         return self._cuts[: self._k].tolist()
 
-    def sorted_flags(self) -> list[bool]:
-        """Per-piece sorted flags, in piece order (copy)."""
-        return self._sorted[: self._k + 1].tolist()
-
     def piece_at_index(self, index: int) -> Piece:
         """The ``index``-th piece, in position/value order.
 
@@ -194,11 +179,9 @@ class PieceMap:
         end = int(self._cuts[index]) if index < k else self._n
         low = self._pivots.item(index - 1) if index > 0 else -math.inf
         high = self._pivots.item(index) if index < k else math.inf
-        return Piece(start, end, low, high, bool(self._sorted[index]))
+        return Piece(start, end, low, high)
 
-    def _located(
-        self, i: int, value: Key
-    ) -> tuple[int, int, int, bool, bool]:
+    def _located(self, i: int, value: Key) -> tuple[int, int, int, bool]:
         """What :meth:`locate` reports for ``value`` once its binary
         search has answered ``i``; plain Python scalars."""
         cuts = self._cuts
@@ -206,16 +189,13 @@ class PieceMap:
             i,
             cuts.item(i - 1) if i > 0 else 0,
             cuts.item(i) if i < self._k else self._n,
-            self._sorted.item(i),
             i > 0 and self._pivots.item(i - 1) == value,
         )
 
-    def locate(
-        self, value: Key
-    ) -> tuple[int, int, int, bool, bool]:
+    def locate(self, value: Key) -> tuple[int, int, int, bool]:
         """One-binary-search lookup of the piece containing ``value``.
 
-        Returns ``(piece_index, start, end, is_sorted, at_pivot)`` --
+        Returns ``(piece_index, start, end, at_pivot)`` --
         everything a crack needs, without constructing a
         :class:`Piece` or re-searching for the pivot.  ``at_pivot`` is
         True when ``value`` is already a crack boundary; the piece
@@ -227,9 +207,7 @@ class PieceMap:
 
     def locate_pair(
         self, low: Key, high: Key
-    ) -> tuple[
-        tuple[int, int, int, bool, bool], tuple[int, int, int, bool, bool]
-    ]:
+    ) -> tuple[tuple[int, int, int, bool], tuple[int, int, int, bool]]:
         """``(locate(low), locate(high))`` from one binary-search
         dispatch -- both bounds of a range select.
 
@@ -246,10 +224,10 @@ class PieceMap:
 
     def locate_many(
         self, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`locate` for many values at once.
 
-        Returns ``(piece_indices, starts, ends, is_sorted, at_pivot)``
+        Returns ``(piece_indices, starts, ends, at_pivot)``
         arrays aligned with ``values`` -- one ``searchsorted`` over
         the pivot column instead of one binary search per value.
         ``starts`` is each containing piece's start position (for
@@ -269,8 +247,7 @@ class PieceMap:
             at_pivot = np.zeros(len(values), dtype=bool)
             starts = np.zeros(len(values), dtype=np.int64)
             ends = np.full(len(values), self._n, dtype=np.int64)
-        flags = self._sorted[indices]
-        return indices, starts, ends, flags, at_pivot
+        return indices, starts, ends, at_pivot
 
     def insert_cracks_bulk(
         self, pivots: np.ndarray, positions: np.ndarray
@@ -278,8 +255,7 @@ class PieceMap:
         """Record many cracks in one vectorized splice.
 
         ``pivots`` must be strictly increasing, none of them already
-        recorded, with ``positions`` aligned; every new piece inherits
-        its containing piece's sorted flag, exactly as repeated
+        recorded, with ``positions`` aligned, exactly as repeated
         :meth:`add_crack` calls would arrange.  One ``np.insert`` per
         column replaces per-crack binary searches and tail shifts --
         the piece-map half of a batched physical pass.
@@ -296,8 +272,6 @@ class PieceMap:
         slots = self._pivots[:k].searchsorted(pivots, side="left")
         new_pivots = np.insert(self._pivots[:k], slots, pivots)
         new_cuts = np.insert(self._cuts[:k], slots, positions)
-        flags = self._sorted[: k + 1]
-        new_flags = np.insert(flags, slots, flags[slots])
         total = k + fresh
         # Not ``any(>=)``: NaN compares false both ways, and a lone NaN
         # has no neighbour to compare with.
@@ -319,13 +293,10 @@ class PieceMap:
             capacity *= 2
         pivot_buf = np.empty(capacity, dtype=self._pivots.dtype)
         cut_buf = np.empty(capacity, dtype=np.int64)
-        flag_buf = np.zeros(capacity + 1, dtype=bool)
         pivot_buf[:total] = new_pivots
         cut_buf[:total] = new_cuts
-        flag_buf[: total + 1] = new_flags
         self._pivots = pivot_buf
         self._cuts = cut_buf
-        self._sorted = flag_buf
         self._k = total
         self._cache_addresses()
         self._version += 1
@@ -340,7 +311,7 @@ class PieceMap:
 
     def has_pivot(self, value: Key) -> bool:
         """Whether ``value`` is already a crack boundary."""
-        return self.locate(value)[4]
+        return self.locate(value)[3]
 
     def pieces(self) -> Iterator[Piece]:
         """All pieces in order."""
@@ -360,14 +331,9 @@ class PieceMap:
     def average_piece_size(self) -> float:
         return self._n / self.piece_count if self.piece_count else 0.0
 
-    def largest_unsorted_piece(self) -> Piece | None:
-        """The first biggest piece that is not yet sorted, or ``None``."""
-        sizes = self._sizes_array()
-        masked = np.where(self._sorted[: self._k + 1], -1, sizes)
-        index = int(np.argmax(masked))
-        if masked[index] < 0:
-            return None
-        return self.piece_at_index(index)
+    def largest_piece(self) -> Piece:
+        """The first biggest piece."""
+        return self.piece_at_index(int(np.argmax(self._sizes_array())))
 
     # -- mutation ------------------------------------------------------
 
@@ -375,14 +341,11 @@ class PieceMap:
         capacity = 2 * self._pivots.size
         pivots = np.empty(capacity, dtype=self._pivots.dtype)
         cuts = np.empty(capacity, dtype=np.int64)
-        flags = np.zeros(capacity + 1, dtype=bool)
         k = self._k
         pivots[:k] = self._pivots[:k]
         cuts[:k] = self._cuts[:k]
-        flags[: k + 1] = self._sorted[: k + 1]
         self._pivots = pivots
         self._cuts = cuts
-        self._sorted = flags
         self._cache_addresses()
 
     def _insert_crack(self, i: int, pivot: Key, position: int) -> None:
@@ -407,11 +370,6 @@ class PieceMap:
                 self._cuts_addr + offset8,
                 tail8,
             )
-        ctypes.memmove(
-            self._sorted_addr + i + 1,
-            self._sorted_addr + i,
-            k + 1 - i,
-        )
         self._pivots[i] = pivot
         self._cuts[i] = position
         self._k = k + 1
@@ -420,9 +378,7 @@ class PieceMap:
     def add_crack(self, pivot: Key, position: int) -> None:
         """Record that the column was cracked at ``pivot``/``position``.
 
-        Splits the containing piece; both halves inherit its sorted
-        flag (cracking a sorted piece is a positional split that keeps
-        both halves sorted).
+        Splits the containing piece in two.
 
         Raises:
             CrackerError: if the pivot already exists or the position
@@ -463,42 +419,6 @@ class PieceMap:
                 f"containing piece [{left_bound}, {right_bound}]"
             )
         self._insert_crack(i, pivot, position)
-
-    def mark_sorted(self, piece_index: int) -> None:
-        """Flag a piece as fully sorted.
-
-        Raises:
-            CrackerError: if the index is out of range.
-        """
-        if piece_index < 0 or piece_index >= self.piece_count:
-            raise CrackerError(
-                f"piece index {piece_index} out of range "
-                f"[0, {self.piece_count})"
-            )
-        self._sorted[piece_index] = True
-        self._version += 1
-
-    def mark_unsorted(self, piece_index: int) -> None:
-        """Clear a piece's sorted flag (after in-piece insertions).
-
-        Raises:
-            CrackerError: if the index is out of range.
-        """
-        if piece_index < 0 or piece_index >= self.piece_count:
-            raise CrackerError(
-                f"piece index {piece_index} out of range "
-                f"[0, {self.piece_count})"
-            )
-        self._sorted[piece_index] = False
-        self._version += 1
-
-    def is_piece_sorted(self, piece_index: int) -> bool:
-        if piece_index < 0 or piece_index >= self.piece_count:
-            raise CrackerError(
-                f"piece index {piece_index} out of range "
-                f"[0, {self.piece_count})"
-            )
-        return bool(self._sorted[piece_index])
 
     def apply_deltas(self, deltas: list[int]) -> None:
         """Grow/shrink each piece by ``deltas[i]`` rows, shifting cuts.

@@ -42,7 +42,7 @@ class _MapPair:
         self.largest = largest(head.dtype)
 
     def ensure_cut(self, value: Key) -> tuple[int, CostCharge]:
-        _, start, end, _, at_pivot = self.pieces.locate(value)
+        _, start, end, at_pivot = self.pieces.locate(value)
         if at_pivot:
             charge = CostCharge.for_binary_search(self.pieces.piece_count)
             return start, charge
@@ -58,10 +58,10 @@ class _MapPair:
             pos_low, charge = self.ensure_cut(low)
             return pos_low, len(self.head), charge
         low_loc, high_loc = self.pieces.locate_pair(low, high)
-        low_index, start, end, _, low_pivot = low_loc
+        low_index, start, end, low_pivot = low_loc
         if (
             low_index == high_loc[0]
-            and not (low_pivot or high_loc[4])
+            and not (low_pivot or high_loc[3])
             and end > start
         ):
             pos_low, pos_high, charge = crack_in_three(

@@ -83,7 +83,7 @@ class StochasticCrackerIndex(CrackerIndex):
         while guard < 64:
             guard += 1
             piece = self.piece_map.piece_for_value(value)
-            if piece.size <= self.stop_piece_size or piece.is_sorted:
+            if piece.size <= self.stop_piece_size:
                 return
             low, high = self._clamped_bounds(piece)
             if high <= low:
@@ -144,7 +144,7 @@ class StochasticCrackerIndex(CrackerIndex):
             piece = self.piece_map.piece_at_index(
                 min(index, self.piece_count - 1)
             )
-            if piece.size > self.stop_piece_size and not piece.is_sorted:
+            if piece.size > self.stop_piece_size:
                 piece_low, piece_high = self._clamped_bounds(piece)
                 if piece_high > piece_low:
                     pivot = self._pivot_key(

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.errors import CrackerError
 from repro.simtime.charge import CostCharge
 from repro.storage.dtypes import Key
 from repro.storage.updates import PendingUpdates
@@ -26,19 +25,10 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
     """Physically insert ``values`` into the cracker column.
 
     Each value lands at the end of the piece owning its value range
-    (pieces are unsorted internally, so any in-piece slot is valid;
-    sorted pieces lose their flag).  Cuts shift by the per-piece
-    insertion counts.  Returns the number of rows inserted.
-
-    Raises:
-        CrackerError: if the index tracks row ids (the base column
-            cannot grow, so the cracker map would dangle).
+    (pieces are unordered internally, so any in-piece slot is valid).
+    Cuts shift by the per-piece insertion counts.  Returns the number
+    of rows inserted.
     """
-    if index.rowids is not None:
-        raise CrackerError(
-            "cannot merge inserts into a row-id-tracking index; "
-            "rebuild the column instead"
-        )
     index.ensure_values_fit(np.asarray(values))
     values = np.sort(np.asarray(values, dtype=index.values.dtype))
     if len(values) == 0:
@@ -58,8 +48,6 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
         if take:
             segments.append(values[cursor : cursor + take])
             cursor += take
-            if piece.is_sorted:
-                pieces.mark_unsorted(piece_index)
     merged = np.concatenate(segments)
     index._array = merged  # noqa: SLF001 - deliberate kernel-internal move
     pieces.apply_deltas([int(c) for c in counts])
@@ -85,15 +73,7 @@ def merge_deletes(index: CrackerIndex, values: np.ndarray) -> int:
     Values are matched inside the piece owning their range; missing
     values are ignored (they may have been superseded).  Returns the
     number of rows actually removed.
-
-    Raises:
-        CrackerError: if the index tracks row ids.
     """
-    if index.rowids is not None:
-        raise CrackerError(
-            "cannot merge deletes into a row-id-tracking index; "
-            "rebuild the column instead"
-        )
     # Out-of-range targets must not wrap into deletable in-range values
     # on a narrowed column; widening first keeps the match exact.
     index.ensure_values_fit(np.asarray(values))
@@ -151,15 +131,10 @@ class MaintainedCrackerIndex(CrackerIndex):
     Args:
         column: base column.
         pending: the column's delta store; consulted on every select.
-        **kwargs: forwarded to :class:`CrackerIndex` (row-id tracking
-            is rejected, see :func:`merge_inserts`).
+        **kwargs: forwarded to :class:`CrackerIndex`.
     """
 
     def __init__(self, column, pending: PendingUpdates, **kwargs) -> None:
-        if kwargs.get("track_rowids"):
-            raise CrackerError(
-                "MaintainedCrackerIndex does not support row-id tracking"
-            )
         super().__init__(column, **kwargs)
         self._pending = pending
 

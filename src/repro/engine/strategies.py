@@ -240,7 +240,6 @@ class AdaptiveStrategy(IndexingStrategy):
         db: the database.
         variant: ``standard`` (plain cracking) or ``ddc``/``ddr``/
             ``mdd1r`` (stochastic cracking [10]).
-        track_rowids: maintain cracker maps for tuple reconstruction.
         seed: seed for stochastic variants.
     """
 
@@ -250,7 +249,6 @@ class AdaptiveStrategy(IndexingStrategy):
         self,
         db: Database,
         variant: str = "standard",
-        track_rowids: bool = False,
         seed: int | None = None,
         stop_piece_size: int | None = None,
     ) -> None:
@@ -262,7 +260,6 @@ class AdaptiveStrategy(IndexingStrategy):
                 f"{', '.join(_ADAPTIVE_VARIANTS)}"
             )
         self.variant = variant
-        self.track_rowids = track_rowids
         self.seed = seed
         if stop_piece_size is None:
             # Stochastic recursion stops at cache-resident pieces; at a
@@ -281,11 +278,7 @@ class AdaptiveStrategy(IndexingStrategy):
         if index is None:
             column = self.db.catalog.column(ref)
             if self.variant == "standard":
-                index = CrackerIndex(
-                    column,
-                    clock=self.clock,
-                    track_rowids=self.track_rowids,
-                )
+                index = CrackerIndex(column, clock=self.clock)
             else:
                 index = StochasticCrackerIndex(
                     column,
@@ -293,7 +286,6 @@ class AdaptiveStrategy(IndexingStrategy):
                     seed=self.seed,
                     stop_piece_size=self.stop_piece_size,
                     clock=self.clock,
-                    track_rowids=self.track_rowids,
                 )
             self.indexes[ref] = index
         return index

@@ -60,9 +60,6 @@ class HolisticConfig:
             boost kicks in; ``0`` disables the boost.
         hot_boost_cracks: extra random cracks injected per boosted
             query.
-        bootstrap_from_catalog: with no hints and no observed queries,
-            spread tuning over every column in the catalog (the
-            "no knowledge" case).
         batch_tuning: apply each *serial* idle window's actions as
             per-column multi-pivot crack passes instead of
             one-at-a-time cracks (the paper's "multiple tuning actions
@@ -84,7 +81,6 @@ class HolisticConfig:
     cache_target_elements: int | None = None
     hot_column_threshold: int = 0
     hot_boost_cracks: int = 1
-    bootstrap_from_catalog: bool = True
     batch_tuning: bool = False
     seed: int | None = 42
     num_workers: int = 0
@@ -184,9 +180,7 @@ class HolisticKernel(IndexingStrategy):
         observed = self.monitor.observed_columns()
         if observed:
             return observed
-        if self.config.bootstrap_from_catalog:
-            return [entry.ref for entry in self.db.catalog.entries()]
-        return []
+        return [entry.ref for entry in self.db.catalog.entries()]
 
     def _register_candidates(self) -> None:
         for ref in self._candidate_refs():

@@ -587,7 +587,7 @@ class TuningWorkerPool:
         with state.index.lock:
             locate = state.index.piece_map.locate
             for slot, value in enumerate(pivots):
-                _, start, end, _, at_pivot = locate(value)
+                _, start, end, at_pivot = locate(value)
                 if not spans or spans[-1][0] != start:
                     spans.append([start, 0, slot])
                 if not at_pivot and end - start > self.min_piece_size:

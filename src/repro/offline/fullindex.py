@@ -25,8 +25,6 @@ class FullIndex:
     Args:
         column: the base column.
         clock: time source charged for the build and probes.
-        track_rowids: keep the sort permutation for tuple
-            reconstruction (doubles build memory traffic).
 
     The index starts *unbuilt*; call :meth:`build` (typically from the
     offline builder, inside an idle window) before probing.
@@ -36,13 +34,10 @@ class FullIndex:
         self,
         column: Column,
         clock: Clock | None = None,
-        track_rowids: bool = False,
     ) -> None:
         self.column = column
         self.clock: Clock = clock if clock is not None else SimClock()
-        self._track_rowids = track_rowids
         self._sorted: np.ndarray | None = None
-        self._rowids: np.ndarray | None = None
         self.built_at: float | None = None
 
     @property
@@ -69,12 +64,7 @@ class FullIndex:
         """
         if self._sorted is not None:
             return 0.0
-        if self._track_rowids:
-            order = np.argsort(self.column.values, kind="stable")
-            self._rowids = order.astype(np.int64)
-            self._sorted = self.column.values[order]
-        else:
-            self._sorted = np.sort(self.column.values, kind="quicksort")
+        self._sorted = np.sort(self.column.values, kind="quicksort")
         seconds = self.clock.charge(
             CostCharge.for_sort(self.column.row_count)
         )
@@ -114,7 +104,7 @@ class FullIndex:
         self.clock.charge(
             CostCharge.for_binary_search(n) + CostCharge.for_binary_search(n)
         )
-        return RangeView(values, start, end, self._rowids)
+        return RangeView(values, start, end)
 
     def __repr__(self) -> str:
         state = "built" if self.is_built else "unbuilt"

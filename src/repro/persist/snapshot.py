@@ -5,15 +5,15 @@ plus (optionally) its indexing strategy and session and flattens
 everything the engine learned into
 
 * a dict of named numpy arrays -- base columns, pending-update stores,
-  cracker columns / cracker maps (in their narrowed dtypes), piece-map
-  pivot/cut/sorted-flag buffers, crack-tape record columns -- and
+  cracker columns (in their narrowed dtypes), piece-map pivot/cut
+  buffers, crack-tape record columns -- and
 * a JSON-serializable ``meta`` dict -- catalog schema and statistics,
   clock totals, monitor/ranking/session counters, strategy config.
 
 The *restore* half rebuilds the same objects around ``np.memmap`` views
 of the snapshot files: base columns open read-only (``mmap_mode='r'``;
 their catalog statistics come from the manifest, so nothing scans
-them), cracker columns and maps open copy-on-write (``mmap_mode='c'``;
+them), cracker columns open copy-on-write (``mmap_mode='c'``;
 later cracks fault pages in lazily and never touch the snapshot).
 Restart cost is therefore O(metadata), and no crack ever re-runs: the
 piece maps come back exactly as refined as they were at checkpoint.
@@ -21,6 +21,10 @@ piece maps come back exactly as refined as they were at checkpoint.
 Supported strategies: the holistic kernel and standard adaptive
 cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
+
+Older generations restore too: their per-piece sorted flags and
+``has_rowids`` marks are ignored, and a retired option that holds the
+only value it ever allowed is dropped (:data:`_RETIRED_OPTIONS`).
 """
 
 from __future__ import annotations
@@ -56,6 +60,16 @@ _TAPE_NUMERIC = (
 
 #: Tape scope name for the holistic kernel's shared tape.
 SHARED_TAPE = "__shared__"
+
+#: Options older generations name that no longer exist, each with the
+#: only value it allowed.  A restore drops them; any other value, like
+#: any unknown option, fails the generation.
+_RETIRED_OPTIONS = {
+    "action": "random_crack",
+    "latch_granularity": 1,
+    "track_rowids": False,
+    "bootstrap_from_catalog": True,
+}
 
 
 def _tape_to_arrays(
@@ -109,7 +123,6 @@ def _strategy_meta(strategy) -> dict:
             "name": "adaptive",
             "config": {
                 "variant": strategy.variant,
-                "track_rowids": strategy.track_rowids,
                 "seed": strategy.seed,
                 "stop_piece_size": strategy.stop_piece_size,
             },
@@ -201,33 +214,19 @@ def capture_state(
             piece_map = index.piece_map
             with index.lock:
                 arrays[f"{base}/values"] = index.values
-                rowids = index.rowids
-                if rowids is not None:
-                    arrays[f"{base}/rowids"] = rowids
                 arrays[f"{base}/pivots"] = np.asarray(
                     piece_map.pivots(), dtype=piece_map.dtype
                 )
                 arrays[f"{base}/cuts"] = np.asarray(
                     piece_map.cuts(), dtype=np.int64
                 )
-                arrays[f"{base}/flags"] = np.asarray(
-                    piece_map.sorted_flags(), dtype=np.bool_
-                )
-                token = (
-                    "idx",
-                    piece_map.version,
-                    id(index.values),
-                    id(rowids),
-                )
-                for suffix in ("values", "rowids", "pivots", "cuts", "flags"):
-                    key = f"{base}/{suffix}"
-                    if key in arrays:
-                        tokens[key] = token
+                token = ("idx", piece_map.version, id(index.values))
+                for suffix in ("values", "pivots", "cuts"):
+                    tokens[f"{base}/{suffix}"] = token
                 meta["indexes"].append(
                     {
                         "table": ref.table,
                         "column": ref.column,
-                        "has_rowids": rowids is not None,
                         "copy_charged": index._copy_charged,
                     }
                 )
@@ -387,32 +386,25 @@ def restore_state(
 
 
 def _pivots_in(
-    dtype: np.dtype,
-    pivots: np.ndarray,
-    cuts: np.ndarray,
-    flags: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    dtype: np.dtype, pivots: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """A piece map's exported arrays with its pivots in ``dtype``.
 
     Generations written before pivots kept the column's dtype stored
     them as float64; they are normalised on load like any bound.  A
     pivot that lands on its predecessor's key, or past the column's
     top, opened an empty piece: it is dropped, and the pieces it split
-    merge (sorted only if all were).
+    merge.
     """
     if pivots.dtype == dtype:
-        return pivots, cuts, flags
+        return pivots, cuts
     keys = [normalise_bound(dtype, pivot) for pivot in pivots.tolist()]
     keep = [
         i
         for i, key in enumerate(keys)
         if key <= largest(dtype) and (i == 0 or key != keys[i - 1])
     ]
-    return (
-        np.array([keys[i] for i in keep], dtype=dtype),
-        cuts[keep],
-        np.logical_and.reduceat(flags, [0] + [i + 1 for i in keep]),
-    )
+    return np.array([keys[i] for i in keep], dtype=dtype), cuts[keep]
 
 
 def _restore_index(
@@ -428,29 +420,48 @@ def _restore_index(
     column = db.catalog.column(ref)
     base = f"index/{ref.table}/{ref.column}"
     values = load_array(root, entries[f"{base}/values"], mmap_mode=mmap_mode)
-    rowids = None
-    if index_meta["has_rowids"]:
-        rowids = load_array(
-            root, entries[f"{base}/rowids"], mmap_mode=mmap_mode
-        )
     dtype = column.values.dtype
-    pivots, cuts, flags = _pivots_in(
+    pivots, cuts = _pivots_in(
         dtype,
         load_array(root, entries[f"{base}/pivots"]),
         load_array(root, entries[f"{base}/cuts"]),
-        load_array(root, entries[f"{base}/flags"]),
     )
-    piece_map = PieceMap.from_state(len(values), pivots, cuts, flags, dtype)
+    piece_map = PieceMap.from_state(len(values), pivots, cuts, dtype)
     index = CrackerIndex.from_state(
         column,
         values,
-        rowids,
         piece_map,
         clock=db.clock,
         tape=tape,
         copy_charged=bool(index_meta["copy_charged"]),
     )
     return ref, index
+
+
+def _options(config: dict, known: set[str]) -> dict:
+    """A stored strategy config without its retired options.
+
+    Raises:
+        PersistError: on an unknown option, or a retired one holding a
+            value other than the only one it allowed.
+    """
+    options = {}
+    for key, value in config.items():
+        if key in known:
+            options[key] = value
+            continue
+        allowed = _RETIRED_OPTIONS.get(key)
+        # ``type`` too: True == 1, yet latch_granularity=True never was.
+        if (
+            key not in _RETIRED_OPTIONS
+            or type(value) is not type(allowed)
+            or value != allowed
+        ):
+            raise PersistError(
+                f"snapshot config sets {key}={value!r}, which this "
+                "version cannot restore"
+            )
+    return options
 
 
 def _restore_strategy(
@@ -462,7 +473,8 @@ def _restore_strategy(
     if name == "holistic":
         from repro.holistic.kernel import HolisticConfig, HolisticKernel
 
-        kernel = HolisticKernel(db, HolisticConfig(**config))
+        known = {f.name for f in dataclasses.fields(HolisticConfig)}
+        kernel = HolisticKernel(db, HolisticConfig(**_options(config, known)))
         kernel.tape.restore_state(
             _tape_from_arrays(
                 root,
@@ -492,10 +504,7 @@ def _restore_strategy(
 
         strategy = AdaptiveStrategy(
             db,
-            variant=config["variant"],
-            track_rowids=config["track_rowids"],
-            seed=config["seed"],
-            stop_piece_size=config["stop_piece_size"],
+            **_options(config, {"variant", "seed", "stop_piece_size"}),
         )
         for index_meta in meta["indexes"]:
             scope = f"{index_meta['table']}/{index_meta['column']}"

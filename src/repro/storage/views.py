@@ -40,19 +40,14 @@ class RangeView:
     """A contiguous slice of a (cracked or sorted) value array.
 
     Creating the view is O(1); reading :meth:`values` slices lazily.
-    ``rowids`` carries the cracker map (base-table positions aligned
-    with the value array) when the index maintains one.
+    The slice holds values only: a cracked or sorted copy keeps no
+    base-table positions (tuple reconstruction is a sideways map's
+    job, :mod:`repro.cracking.sideways`).
     """
 
-    __slots__ = ("_array", "start", "end", "_rowids", "count")
+    __slots__ = ("_array", "start", "end", "count")
 
-    def __init__(
-        self,
-        array: np.ndarray,
-        start: int,
-        end: int,
-        rowids: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, array: np.ndarray, start: int, end: int) -> None:
         if start < 0 or end < start or end > len(array):
             raise QueryError(
                 f"invalid view bounds [{start}, {end}) over {len(array)} rows"
@@ -60,7 +55,6 @@ class RangeView:
         self._array = array
         self.start = start
         self.end = end
-        self._rowids = rowids
         #: Eager attribute, not a property: `.count` is read on every
         #: query result and the property frame costs more than the
         #: subtraction.
@@ -69,10 +63,8 @@ class RangeView:
     def values(self) -> np.ndarray:
         return self._array[self.start : self.end]
 
-    def positions(self) -> np.ndarray | None:
-        if self._rowids is None:
-            return None
-        return self._rowids[self.start : self.end]
+    def positions(self) -> None:
+        return None
 
     def __repr__(self) -> str:
         return f"RangeView([{self.start}, {self.end}), count={self.count})"

@@ -110,18 +110,6 @@ def test_ensure_cuts_handles_existing_and_duplicate_pivots(small_column):
     index.check_invariants()
 
 
-def test_ensure_cuts_on_sorted_piece_uses_binary_search(small_column):
-    index = CrackerIndex(small_column, clock=SimClock())
-    index.sort_piece_at(0)
-    cracked_before = index.clock.total_charge.elements_cracked
-    index.ensure_cuts([1e7, 4e7, 7e7])
-    # Sorted piece: positional splits, zero element movement.
-    assert (
-        index.clock.total_charge.elements_cracked == cracked_before
-    )
-    index.check_invariants()
-
-
 def test_tuner_perform_batch(small_column):
     from repro.holistic.tuner import AuxiliaryTuner
 

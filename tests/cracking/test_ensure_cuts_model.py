@@ -3,15 +3,14 @@
 A tuning batch runs the same physical pass as a window of selects and
 prices the pass's record piece by piece, right to left:
 
-* one pivot in an unsorted piece: ``for_crack(size)``, or
-  ``CostCharge(cracks=1)`` when the piece is empty;
-* ``k >= 2`` pivots in an unsorted piece: ``CostCharge(2 * size, 1, k)``;
-* a sorted piece: one binary search per cut, over the shrinking
-  remainder ``[previous cut, end)``.
+* one pivot in a piece: ``for_crack(size)``, or ``CostCharge(cracks=1)``
+  when the piece is empty;
+* ``k >= 2`` pivots in a piece: ``CostCharge(2 * size, 1, k)``.
 
-The model below derives positions, the final piece map, the tape and
-the clock from those rules and the base column alone, on int32-narrowed,
-int64-beyond-2^53 and float64 columns, with and without row ids.
+A piece whose rows happen to be sorted (``sort_piece_at``) is priced
+like any other.  The model below derives positions, the final piece
+map, the tape and the clock from those rules and the base column
+alone, on int32-narrowed, int64-beyond-2^53 and float64 columns.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ def batches(draw):
         # A float bound on an integer column cuts at its ceiling.
         fresh.append(draw(pivot_grid) + 0.5)
     batch = draw(st.permutations(fresh + repeats))
-    track = draw(st.booleans())
-    return dtype, values, pre_cuts, sort_picks, batch, track
+    return dtype, values, pre_cuts, sort_picks, batch
 
 
 def _key(dtype, value):
@@ -64,11 +62,9 @@ def _key(dtype, value):
     return value
 
 
-def _prepared(dtype, values, pre_cuts, sort_picks, track) -> CrackerIndex:
+def _prepared(dtype, values, pre_cuts, sort_picks) -> CrackerIndex:
     index = CrackerIndex(
-        Column("A", np.array(values, dtype=dtype)),
-        clock=SimClock(),
-        track_rowids=track,
+        Column("A", np.array(values, dtype=dtype)), clock=SimClock()
     )
     for cut in pre_cuts:
         index.ensure_cut(cut)
@@ -78,13 +74,12 @@ def _prepared(dtype, values, pre_cuts, sort_picks, track) -> CrackerIndex:
 
 
 def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
-    """Charge ``clock`` and return ``(positions, pivots, cuts, flags,
-    tape)`` as the batch charge model prescribes, from the pre-batch
-    piece map and the base values."""
+    """Charge ``clock`` and return ``(positions, pivots, cuts, tape)``
+    as the batch charge model prescribes, from the pre-batch piece map
+    and the base values."""
     below = lambda v: sum(1 for x in values if x < v)  # noqa: E731
     pivots = index.piece_map.pivots()
     cuts = index.piece_map.cuts()
-    flags = index.piece_map.sorted_flags()
     bounds = [0, *cuts, len(values)]
     keys = [_key(dtype, value) for value in batch]
     fresh = sorted(set(keys) - set(pivots))
@@ -96,16 +91,7 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
     tape = []
     for piece in sorted(groups, reverse=True):
         group = groups[piece]
-        start, end = bounds[piece], bounds[piece + 1]
-        if flags[piece]:
-            previous = start
-            for value in group:
-                rest = end - previous
-                clock.charge(CostCharge.for_binary_search(max(1, rest)))
-                tape.append((value, below(value), rest, clock.now()))
-                previous = below(value)
-            continue
-        size = end - start
+        size = bounds[piece + 1] - bounds[piece]
         if len(group) > 1:
             charge = CostCharge(
                 elements_cracked=2 * size, pieces_touched=1, cracks=len(group)
@@ -118,12 +104,10 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
         now = clock.now()
         tape.extend((value, below(value), size, now) for value in group)
     final = sorted(set(pivots) | set(fresh))
-    final_flags = [flags[0]] + [flags[bisect_right(pivots, v)] for v in final]
     return (
         [below(key) for key in keys],
         final,
         [below(v) for v in final],
-        final_flags,
         tape,
     )
 
@@ -131,18 +115,17 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
 @settings(max_examples=150, deadline=None)
 @given(batches())
 def test_ensure_cuts_matches_the_batch_charge_model(case):
-    dtype, values, pre_cuts, sort_picks, batch, track = case
-    index = _prepared(dtype, values, pre_cuts, sort_picks, track)
-    model = _prepared(dtype, values, pre_cuts, sort_picks, track)
+    dtype, values, pre_cuts, sort_picks, batch = case
+    index = _prepared(dtype, values, pre_cuts, sort_picks)
+    model = _prepared(dtype, values, pre_cuts, sort_picks)
     copy_pending = not pre_cuts and not sort_picks
     logged = len(index.tape)
     expected = _model(dtype, values, model, batch, copy_pending, model.clock)
-    positions, pivots, cuts, flags, tape = expected
+    positions, pivots, cuts, tape = expected
 
     assert index.ensure_cuts(list(batch)) == positions
     assert index.piece_map.pivots() == pivots
     assert index.piece_map.cuts() == cuts
-    assert index.piece_map.sorted_flags() == flags
     assert [
         (r.pivot, r.position, r.piece_size, r.timestamp)
         for r in index.tape.records()[logged:]

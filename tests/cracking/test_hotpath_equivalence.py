@@ -211,17 +211,21 @@ def test_ensure_cuts_bit_identical_to_sequential(values, cut_values):
     seq_index.check_invariants()
 
 
+
 def test_ensure_cuts_sorted_piece_bit_identical(small_column):
-    seq_index = CrackerIndex(small_column, clock=SimClock())
-    seq_index.sort_piece_at(0)
-    batch_index = CrackerIndex(small_column, clock=SimClock())
-    batch_index.sort_piece_at(0)
-    cuts = [1e7, 2.5e7, 4e7, 8e7]
+    """A piece whose rows ``sort_piece_at`` sorted is cracked like any
+    other: one pivot per piece, batched, replicates sequential
+    ``ensure_cut`` calls (right to left) bit for bit."""
+    indexes = [CrackerIndex(small_column, clock=SimClock()) for _ in "ab"]
+    for index in indexes:
+        index.ensure_cut(5e7)
+        index.sort_piece_at(0)
+    seq_index, batch_index = indexes
+    cuts = [2.5e7, 8e7]
     seq_positions = [
-        seq_index.ensure_cut(v, CrackOrigin.TUNING) for v in cuts
+        seq_index.ensure_cut(v, CrackOrigin.TUNING) for v in reversed(cuts)
     ]
-    batch_positions = batch_index.ensure_cuts(cuts)
-    assert batch_positions == seq_positions
+    assert batch_index.ensure_cuts(cuts) == seq_positions[::-1]
     assert batch_index.clock.now() == seq_index.clock.now()
     assert batch_index.tape.records() == seq_index.tape.records()
     batch_index.check_invariants()

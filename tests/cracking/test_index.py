@@ -5,9 +5,12 @@ import pytest
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
+from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.errors import QueryError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
+from repro.storage.column import Column
+from repro.storage.table import Table
 
 from tests.conftest import ground_truth_count
 
@@ -113,37 +116,28 @@ def test_crack_largest_piece_targets_biggest(index, rng):
     )
 
 
-def test_sort_piece_at_marks_sorted(index):
+def test_sort_piece_at_sorts_the_piece(index):
     index.select_range(40_000_000, 60_000_000)
     piece = index.sort_piece_at(1)
-    assert piece.is_sorted
+    assert index.piece_map.piece_at_index(1) == piece  # no flag, no cut
     chunk = index.values[piece.start : piece.end]
     assert np.all(chunk[:-1] <= chunk[1:])
     index.check_invariants()
 
 
-def test_select_on_sorted_piece_uses_binary_search(index):
-    index.select_range(40_000_000, 60_000_000)
-    index.sort_piece_at(1)
-    cracked_before = index.clock.total_charge.elements_cracked
-    index.select_range(45_000_000, 50_000_000)
-    # No new element movement: the sorted piece splits positionally.
-    assert (
-        index.clock.total_charge.elements_cracked == cracked_before
-    )
-    index.check_invariants()
-
-
 def test_rowid_tracking_reconstructs(small_column):
-    index = CrackerIndex(
-        small_column, clock=SimClock(), track_rowids=True
-    )
-    view = index.select_range(10_000_000, 30_000_000)
-    positions = view.positions()
-    assert positions is not None
-    reconstructed = small_column.values[positions]
+    """A cracker index keeps values only; row ids ride as the tail of
+    a sideways map over an explicit row-id column."""
+    table = Table("R")
+    table.add_column(small_column)
+    table.add_column(Column("rowid", np.arange(small_column.row_count)))
+    rowid_map = SidewaysCrackerIndex(table, small_column.name)
+    positions = rowid_map.select_project(10_000_000, 30_000_000, "rowid")
+    view = CrackerIndex(small_column).select_range(10_000_000, 30_000_000)
+    reconstructed = small_column.values[positions.values()]
     assert np.array_equal(np.sort(reconstructed), np.sort(view.values()))
-    index.check_invariants()
+    assert view.positions() is None
+    rowid_map.check_invariants()
 
 
 def test_copy_charged_once_on_first_touch(small_column):

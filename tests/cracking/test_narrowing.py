@@ -40,13 +40,6 @@ def test_narrowed_index_answers_queries_exactly(small_column):
     index.check_invariants()
 
 
-def test_narrowed_rowids_are_int32(small_column):
-    index = CrackerIndex(small_column, track_rowids=True)
-    assert index.rowids.dtype == np.int32
-    index.select_range(2e7, 6e7)
-    index.check_invariants()
-
-
 def test_merge_widens_on_out_of_range_inserts():
     column = _column([10, 20, 30])
     index = CrackerIndex(column)

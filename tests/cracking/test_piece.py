@@ -21,8 +21,3 @@ def test_origin_enum_values():
     assert CrackOrigin.TUNING.value == "tuning"
     assert CrackOrigin.MERGE.value == "merge"
     assert CrackOrigin.SORT.value == "sort"
-
-
-def test_repr_mentions_sortedness():
-    assert "sorted" in repr(Piece(0, 10, is_sorted=True))
-    assert "sorted" not in repr(Piece(0, 10))

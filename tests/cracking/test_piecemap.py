@@ -82,25 +82,14 @@ def test_piece_sizes_and_aggregates():
     assert pieces.average_piece_size() == pytest.approx(100 / 3)
 
 
-def test_sorted_flags_inherit_on_split():
+def test_largest_piece_is_the_first_biggest():
     pieces = PieceMap(100)
-    pieces.mark_sorted(0)
-    pieces.add_crack(50.0, 40)
-    assert pieces.is_piece_sorted(0)
-    assert pieces.is_piece_sorted(1)
-    pieces.mark_unsorted(1)
-    assert not pieces.is_piece_sorted(1)
-    pieces.mark_sorted(1)
-    assert pieces.is_piece_sorted(1)
-
-
-def test_largest_unsorted_piece_skips_sorted():
-    pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.mark_sorted(1)  # the 60-row piece is sorted
-    piece = pieces.largest_unsorted_piece()
-    assert piece is not None
-    assert piece.size == 40
+    pieces.add_crack(30.0, 30)
+    pieces.add_crack(60.0, 70)
+    assert pieces.largest_piece().start == 30  # 40 rows
+    pieces.add_crack(45.0, 50)
+    piece = pieces.largest_piece()  # 30 rows at 0 and at 70
+    assert (piece.start, piece.size) == (0, 30)
 
 
 def test_apply_deltas_shifts_cuts():
@@ -174,18 +163,10 @@ def _maps_and_bounds(draw):
             )
         )
     )
-    flags = draw(
-        st.lists(
-            st.booleans(),
-            min_size=len(pivots) + 1,
-            max_size=len(pivots) + 1,
-        )
-    )
     pieces = PieceMap.from_state(
         n,
         np.array(pivots, dtype=np.float64),
         np.array(cuts, dtype=np.int64),
-        np.array(flags, dtype=bool),
     )
     between = [
         (a + b) / 2 for a, b in zip(pivots, pivots[1:]) if a < (a + b) / 2 < b
@@ -207,9 +188,7 @@ def test_locate_pair_is_two_locates(case):
     pair = pieces.locate_pair(low, high)
     assert pair == (pieces.locate(low), pieces.locate(high))
     for located in pair:
-        assert [type(field) for field in located] == [
-            int, int, int, bool, bool
-        ]
+        assert [type(field) for field in located] == [int, int, int, bool]
 
 
 def test_nan_is_never_a_pivot():
@@ -231,9 +210,4 @@ def test_nan_is_never_a_pivot():
         pieces.check_invariants()
     for pivots, cuts in (([math.nan], [60]), ([50.0, math.nan], [40, 60])):
         with pytest.raises(CrackerError, match="strictly increasing"):
-            PieceMap.from_state(
-                100,
-                np.array(pivots),
-                np.array(cuts),
-                np.zeros(len(pivots) + 1, dtype=bool),
-            )
+            PieceMap.from_state(100, np.array(pivots), np.array(cuts))

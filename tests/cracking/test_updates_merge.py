@@ -1,7 +1,6 @@
 """Unit tests for merging pending updates into cracker indexes."""
 
 import numpy as np
-import pytest
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.updates import (
@@ -10,7 +9,6 @@ from repro.cracking.updates import (
     merge_inserts,
 )
 from repro.engine.operators import apply_pending
-from repro.errors import CrackerError
 from repro.simtime.clock import SimClock
 from repro.storage.dtypes import INT64
 from repro.storage.table import Table
@@ -34,23 +32,6 @@ def test_merge_inserts_lands_in_right_pieces(small_column):
         small_column, 35_000_000, 35_000_002
     )
     assert view.count == base_count + 2
-
-
-def test_merge_inserts_clears_sorted_flag(small_column):
-    index = CrackerIndex(small_column, clock=SimClock())
-    index.select_range(30_000_000, 60_000_000)
-    index.sort_piece_at(1)
-    merge_inserts(index, np.array([45_000_000], dtype=np.int64))
-    assert not index.piece_map.is_piece_sorted(1)
-    index.check_invariants()
-
-
-def test_merge_inserts_rejects_rowid_tracking(small_column):
-    index = CrackerIndex(
-        small_column, clock=SimClock(), track_rowids=True
-    )
-    with pytest.raises(CrackerError, match="row-id"):
-        merge_inserts(index, np.array([1], dtype=np.int64))
 
 
 def test_merge_deletes_removes_single_occurrences(small_column):
@@ -134,14 +115,6 @@ def test_restaged_consumed_position_never_reaches_the_overlay(small_column):
         assert apply_pending(view, pending, low, high, SimClock()) is view
         assert np.array_equal(np.sort(view.values()), reference)
     index.check_invariants()
-
-
-def test_maintained_index_rejects_rowids(small_column):
-    pending = PendingUpdates(INT64)
-    with pytest.raises(CrackerError):
-        MaintainedCrackerIndex(
-            small_column, pending, track_rowids=True
-        )
 
 
 def test_merge_charges_clock(small_column):

@@ -56,13 +56,6 @@ def test_idle_without_knowledge_bootstraps_from_catalog(tiny_db):
     assert all(count > 0 for count in per_column)
 
 
-def test_bootstrap_can_be_disabled(tiny_db):
-    config = HolisticConfig(bootstrap_from_catalog=False)
-    kernel = HolisticKernel(tiny_db, config)
-    outcome = kernel.exploit_idle(actions=10)
-    assert outcome.actions_done == 0
-
-
 def test_idle_prefers_monitored_columns_over_catalog(tiny_db):
     kernel = HolisticKernel(tiny_db)
     kernel.select(_query(1e6, 2e6, "A2"))

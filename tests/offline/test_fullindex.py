@@ -68,17 +68,6 @@ def test_build_cost_estimate_matches_actual(small_column):
     assert estimate == pytest.approx(actual, rel=1e-9)
 
 
-def test_rowid_tracking_reconstructs(small_column):
-    index = FullIndex(small_column, SimClock(), track_rowids=True)
-    index.build()
-    view = index.select_range(10_000_000, 30_000_000)
-    positions = view.positions()
-    assert positions is not None
-    assert np.array_equal(
-        small_column.values[positions], view.values()
-    )
-
-
 def test_inverted_range_rejected(small_column):
     index = FullIndex(small_column, SimClock())
     index.build()

@@ -419,14 +419,12 @@ def test_float64_pivots_of_an_older_generation_restore_normalised():
     from repro.cracking.piecemap import PieceMap
     from repro.persist.snapshot import _pivots_in
 
-    pivots, cuts, flags = _pivots_in(
+    pivots, cuts = _pivots_in(
         np.dtype(np.int64),
         np.array([-np.inf, 3.2, 3.7, 10.0, np.inf]),
         np.array([0, 4, 4, 9, 12]),
-        np.array([False, True, False, True, True, False]),
     )
     assert pivots.dtype == np.int64
     assert pivots.tolist() == [-(2**63), 4, 10]
     assert cuts.tolist() == [0, 4, 9]
-    assert flags.tolist() == [False, True, False, False]
-    PieceMap.from_state(12, pivots, cuts, flags, np.dtype(np.int64))
+    PieceMap.from_state(12, pivots, cuts, np.dtype(np.int64))

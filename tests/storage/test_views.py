@@ -23,12 +23,6 @@ def test_range_view_slices_lazily(array):
     assert view.positions() is None
 
 
-def test_range_view_with_rowids(array):
-    rowids = np.array([4, 3, 2, 1, 0], dtype=np.int64)
-    view = RangeView(array, 1, 3, rowids)
-    assert view.positions().tolist() == [3, 2]
-
-
 def test_range_view_rejects_bad_bounds(array):
     with pytest.raises(QueryError):
         RangeView(array, -1, 3)
