@@ -7,8 +7,14 @@ have bursts of queries followed by long stretches of idle time"
 table; holistic indexing turns them into refinement work.
 
 This example replays a bursty day against *both* strategies on
-identical data and prints the per-burst cost side by side, then shows
-the "no idle time" path: hot-range boosting during a sustained burst.
+identical data and prints the per-burst cost side by side.  The
+evening rush leaves no idle time, and during it holistic does per query
+exactly what adaptive does, so a query costs what adaptive would pay on
+the same pieces; its lead there is what the earlier idle windows
+refined.  The paper's Section 3 boost for the zero-idle case (extra
+cracks on hot ranges during query processing) was measured on
+saturated workloads, lost to plain adaptive cracking in every run, and
+was removed.
 
 Run:  python examples/weblog_bursts.py
 """
@@ -58,24 +64,17 @@ def run_day(strategy_name: str, **options) -> list[float]:
 def main() -> None:
     adaptive = run_day("adaptive")
     holistic = run_day("holistic")
-    boosted = run_day(
-        "holistic", hot_column_threshold=20, hot_boost_cracks=2
-    )
 
     print("per-burst response time (projected seconds):")
-    print(
-        f"{'burst':>6} {'queries':>8} {'adaptive':>10} "
-        f"{'holistic':>10} {'holistic+boost':>15}"
-    )
+    print(f"{'burst':>6} {'queries':>8} {'adaptive':>10} {'holistic':>10}")
     for i, (size, _idle) in enumerate(DAY):
         print(
             f"{i + 1:>6} {size:>8} {adaptive[i]:>10.3f} "
-            f"{holistic[i]:>10.3f} {boosted[i]:>15.3f}"
+            f"{holistic[i]:>10.3f}"
         )
     print(
         f"{'total':>6} {sum(s for s, _ in DAY):>8} "
-        f"{sum(adaptive):>10.3f} {sum(holistic):>10.3f} "
-        f"{sum(boosted):>15.3f}"
+        f"{sum(adaptive):>10.3f} {sum(holistic):>10.3f}"
     )
     saved = sum(adaptive) - sum(holistic)
     print(
@@ -83,11 +82,12 @@ def main() -> None:
         "response time over the day"
     )
     print(
-        "the boosted kernel additionally cracks hot ranges during "
-        "the evening rush, when no idle time exists at all -- the "
-        "boost work is charged to query processing, so it trades a "
-        "little response time now for refinement that idle time "
-        "never got a chance to provide"
+        "the evening rush leaves no idle time: there holistic does "
+        "per query what adaptive does and costs what adaptive would "
+        "pay on the same pieces, so its lead in burst 4 is the earlier "
+        "idle windows' refinement; the paper's no-idle boost (extra "
+        "hot-range cracks charged to queries) was measured, lost to "
+        "plain adaptive cracking on every saturated run, and was removed"
     )
 
 

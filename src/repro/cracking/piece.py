@@ -19,8 +19,7 @@ class CrackOrigin(Enum):
 
     The distinction matters to the paper: QUERY cracks are adaptive
     indexing's only source of refinement, while TUNING cracks are the
-    auxiliary actions holistic indexing injects during idle time or
-    hot-range boosts.
+    auxiliary actions holistic indexing injects during idle time.
     """
 
     QUERY = "query"

@@ -449,7 +449,7 @@ class OnlineStrategy(IndexingStrategy):
         colt_config: ColtConfig | None = None,
     ) -> None:
         super().__init__(db)
-        self.monitor = WorkloadMonitor(db.catalog)
+        self.monitor = WorkloadMonitor()
         self.epochs = EpochManager(epoch_queries)
         self.optimizer = WhatIfOptimizer(db.catalog, db.cost_model)
         self.builder = IndexBuilder(db.catalog, db.clock)
@@ -461,7 +461,7 @@ class OnlineStrategy(IndexingStrategy):
         self, query: RangeQuery, low: Key, high: Key
     ) -> SelectionResult:
         now = self.clock.now()
-        self.monitor.record(query.ref, query.low, query.high, now)
+        self.monitor.record(query.ref, now)
         index = self.colt.index_for(query.ref)
         if index is not None:
             self.colt.note_index_use(query.ref)
@@ -477,7 +477,7 @@ class OnlineStrategy(IndexingStrategy):
 
     def select_empty(self, query: RangeQuery) -> SelectionResult:
         now = self.clock.now()
-        self.monitor.record(query.ref, query.low, query.high, now)
+        self.monitor.record(query.ref, now)
         self.epochs.observe_query(now)
         return super().select_empty(query)
 

@@ -3,8 +3,7 @@
 A kernel-integrated tuner that monitors continuously (online), refines
 partial indexes during query processing (adaptive) and spends any idle
 time on statistics-driven auxiliary refinements (offline) -- plus the
-no-knowledge catalog bootstrap and the no-idle hot-range boost of the
-paper's Section 3.
+no-knowledge catalog bootstrap of the paper's Section 3.
 """
 
 from repro.holistic.kernel import HolisticConfig, HolisticKernel

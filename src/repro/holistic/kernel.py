@@ -10,9 +10,13 @@ One strategy that unifies the three predecessors:
   spent on auxiliary refinement actions spread over the candidate
   columns by a policy, instead of all-or-nothing full builds.
 
-Plus the two special cases of §3: with **no knowledge**, the catalog
-bootstraps the candidate set; with **no idle time**, hot columns get
-extra random cracks injected during query processing itself.
+With **no knowledge** (§3's first special case), the catalog
+bootstraps the candidate set.  §3's second one, extra random cracks on
+hot ranges when there is **no idle time**, is not implemented: measured
+on saturated workloads it cost more response time than plain adaptive
+cracking in every run, so without idle time the kernel *is* adaptive
+cracking plus the monitor's counters (docs/ARCHITECTURE.md, "The
+no-idle case").
 """
 
 from __future__ import annotations
@@ -56,10 +60,6 @@ class HolisticConfig:
             ``None`` derives it from the cost model (cache bytes /
             element bytes, de-projected by the model's scale so reduced
             runs behave like paper-scale runs).
-        hot_column_threshold: queries on a column before the no-idle
-            boost kicks in; ``0`` disables the boost.
-        hot_boost_cracks: extra random cracks injected per boosted
-            query.
         batch_tuning: apply each *serial* idle window's actions as
             per-column multi-pivot crack passes instead of
             one-at-a-time cracks (the paper's "multiple tuning actions
@@ -79,22 +79,11 @@ class HolisticConfig:
 
     policy: str = "round_robin"
     cache_target_elements: int | None = None
-    hot_column_threshold: int = 0
-    hot_boost_cracks: int = 1
     batch_tuning: bool = False
     seed: int | None = 42
     num_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.hot_column_threshold < 0:
-            raise ConfigError(
-                "hot_column_threshold must be >= 0, got "
-                f"{self.hot_column_threshold}"
-            )
-        if self.hot_boost_cracks < 0:
-            raise ConfigError(
-                f"hot_boost_cracks must be >= 0: {self.hot_boost_cracks}"
-            )
         if self.num_workers < 0:
             raise ConfigError(
                 f"num_workers must be >= 0, got {self.num_workers}"
@@ -119,7 +108,7 @@ class HolisticKernel(IndexingStrategy):
                 1, int(model.constants.cache_elements() / model.scale)
             )
         self.cache_target_elements = target
-        self.monitor = WorkloadMonitor(db.catalog)
+        self.monitor = WorkloadMonitor()
         self.ranking = ColumnRanking(target)
         self.policy: TuningPolicy = make_policy(
             self.config.policy, seed=self.config.seed
@@ -135,7 +124,6 @@ class HolisticKernel(IndexingStrategy):
         self.indexes: dict[ColumnRef, CrackerIndex] = {}
         self._hints: list[WorkloadStatement] = []
         self.idle_windows = 0
-        self.boost_cracks_applied = 0
         if self.config.num_workers > 0:
             from repro.holistic.workers import TuningWorkerPool
 
@@ -208,27 +196,20 @@ class HolisticKernel(IndexingStrategy):
         self, query: RangeQuery, low: Key, high: Key
     ) -> SelectionResult:
         index = self.index_for(query.ref)
-        self.monitor.record(
-            query.ref, query.low, query.high, self.clock.now()
-        )
+        self.monitor.record(query.ref, self.clock.now())
         self.ranking.note_query(query.ref)
         if self.worker_pool is not None and self.worker_pool.is_running:
             # Workers are racing us: take piece latches for the pieces
             # this select may crack, exactly like the workers do.
             access = self.worker_pool.register_index(query.ref, index)
-            result = access.select_range(low, high)
-        else:
-            result = index.select_keys(low, high)
-        self._maybe_boost_hot_range(query, index)
-        return result
+            return access.select_range(low, high)
+        return index.select_keys(low, high)
 
     def select_empty(self, query: RangeQuery) -> SelectionResult:
         # What select_keys notes; the index first, as there: it
         # registers the column with the ranking.
         self.index_for(query.ref)
-        self.monitor.record(
-            query.ref, query.low, query.high, self.clock.now()
-        )
+        self.monitor.record(query.ref, self.clock.now())
         self.ranking.note_query(query.ref)
         return super().select_empty(query)
 
@@ -239,18 +220,11 @@ class HolisticKernel(IndexingStrategy):
     ) -> BatchExecution | None:
         """Shared cracking per column plus deferred bookkeeping.
 
-        Ineligible -- falling back to sequential execution -- when
-        tuning workers are racing foreground queries (selects must go
-        through piece latches) or the no-idle hot boost is active
-        (boost cracks mid-window change what later queries see, so
-        their order must stay sequential).
+        Ineligible -- falling back to sequential execution -- only
+        while tuning workers are racing foreground queries (selects
+        must then go through piece latches).
         """
         if self.worker_pool is not None and self.worker_pool.is_running:
-            return None
-        if (
-            self.config.hot_column_threshold > 0
-            and self.config.hot_boost_cracks > 0
-        ):
             return None
         return self.batch_execution(
             crack_windows(self.index_for, windows, len(queries))
@@ -262,32 +236,6 @@ class HolisticKernel(IndexingStrategy):
         normalised bounds, with the kernel's statistics deferred to the
         window's end (see :class:`_HolisticBatchExecution`)."""
         return _HolisticBatchExecution(self, slots)
-
-    def _maybe_boost_hot_range(
-        self, query: RangeQuery, index: CrackerIndex
-    ) -> None:
-        """The "no idle time" path: extra cracks on hot ranges."""
-        threshold = self.config.hot_column_threshold
-        if threshold <= 0 or self.config.hot_boost_cracks <= 0:
-            return
-        if not self.monitor.is_column_hot(query.ref, threshold):
-            return
-        if index.average_piece_size() <= self.cache_target_elements:
-            return
-        hot_ranges = self.monitor.hot_ranges(query.ref, threshold)
-        target = None
-        for low, high, _count in hot_ranges:
-            if low < query.high and query.low < high:
-                target = (low, high)
-                break
-        if target is None:
-            return
-        access = None
-        if self.worker_pool is not None and self.worker_pool.is_running:
-            access = self.worker_pool.register_index(query.ref, index)
-        for _ in range(self.config.hot_boost_cracks):
-            if self.tuner.crack_in_hot_range(index, *target, access=access):
-                self.boost_cracks_applied += 1
 
     def exploit_idle(
         self,
@@ -427,8 +375,7 @@ class _HolisticBatchExecution:
     query counts -- are collected with their exact sequential
     timestamps during the replay and applied in one
     :meth:`WorkloadMonitor.note_many` / :meth:`ColumnRanking.note_queries`
-    call per column at window end.  Nothing reads them mid-window
-    (the hot boost, the only mid-query reader, disables batching), so
+    call per column at window end.  Nothing reads them mid-window, so
     the deferred state is indistinguishable from sequential updates.
     """
 
@@ -438,7 +385,7 @@ class _HolisticBatchExecution:
         self._kernel = kernel
         self._slots = slots
         #: Per context (column), in first-replay order: the column's
-        #: ref and its observed lows, highs and timestamps.
+        #: ref and its queries' timestamps.
         self._noted: dict = {}
         self._acc = None
 
@@ -456,10 +403,8 @@ class _HolisticBatchExecution:
         context, bounds = self._slots[slot]
         noted = self._noted.get(context)
         if noted is None:
-            noted = self._noted[context] = (query.ref, [], [], [])
-        noted[1].append(query.low)
-        noted[2].append(query.high)
-        noted[3].append(acc.now)
+            noted = self._noted[context] = (query.ref, [])
+        noted[1].append(acc.now)
         if bounds is None:
             return context.empty()
         return context.replay(*bounds)
@@ -467,6 +412,6 @@ class _HolisticBatchExecution:
     def finish(self) -> None:
         monitor = self._kernel.monitor
         ranking = self._kernel.ranking
-        for ref, lows, highs, stamps in self._noted.values():
-            monitor.note_many(ref, lows, highs, stamps)
+        for ref, stamps in self._noted.values():
+            monitor.note_many(ref, stamps)
             ranking.note_queries(ref, len(stamps))

@@ -128,11 +128,12 @@ class AuxiliaryTuner:
         high: float,
         access=None,
     ) -> bool:
-        """One random crack confined to a hot value range.
+        """One random crack confined to the value range ``[low, high)``.
 
-        Implements the paper's "no idle time" boost: when a column and
-        value range are hot, extra cracks are injected there during
-        query processing.  With ``access`` (a
+        It was the paper's "no idle time" boost, which measured worse
+        than plain adaptive cracking and was removed; nothing in
+        ``src/`` calls it, and it stays only because
+        ``perfbench/layers.py`` names it.  With ``access`` (a
         :class:`~repro.cracking.concurrency.LatchedCrackerAccess`)
         the crack goes through piece latches, for kernels whose tuning
         workers are racing the foreground.

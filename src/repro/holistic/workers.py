@@ -251,8 +251,7 @@ class TuningWorkerPool:
         if self._running:
             return
         self._failure = None
-        if hasattr(self.clock, "begin_parallel"):
-            self.clock.begin_parallel()
+        self.clock.begin_parallel()
         self._threads = {}
         self._idents = {}
         self._restarts = {}
@@ -334,8 +333,8 @@ class TuningWorkerPool:
         """Drain, join the threads and close the parallel clock phase.
 
         Returns the phase's :class:`~repro.simtime.clock.ParallelAccount`
-        (or ``None`` on clocks without parallel accounting); per-worker
-        ``busy_s`` statistics are updated from its lanes.
+        (``None`` if the pool was not running); per-worker ``busy_s``
+        statistics are updated from its lanes.
 
         Raises:
             ConcurrencyError: if a worker thread died.  The phase has
@@ -359,13 +358,11 @@ class TuningWorkerPool:
         with self._access_lock:
             for access in self._accesses.values():
                 witness.disarm(access.index)
-        account = None
-        if hasattr(self.clock, "end_parallel"):
-            account = self.clock.end_parallel()
-            for ident, busy in account.lanes.items():
-                worker_id = self._idents.get(ident)
-                if worker_id is not None:
-                    self.stats[worker_id].busy_s += busy
+        account = self.clock.end_parallel()
+        for ident, busy in account.lanes.items():
+            worker_id = self._idents.get(ident)
+            if worker_id is not None:
+                self.stats[worker_id].busy_s += busy
         self._check_failure(account)
         return account
 
@@ -423,19 +420,12 @@ class TuningWorkerPool:
             raise ConfigError(f"budget must be >= 0, got {budget_s}")
         owns_lifecycle = not self._running
         self.start()
-        # Clocks without parallel accounting (bare Clock protocol
-        # implementations) fall back to plain now() deltas, so time
-        # budgets still terminate.
-        lanes = hasattr(self.clock, "parallel_elapsed")
-        now_before = self.clock.now()
-        elapsed_before = self._parallel_elapsed()
-        busy_before = self._parallel_busy()
+        elapsed_before = self.clock.parallel_elapsed()
+        busy_before = self.clock.parallel_busy()
         stalls_before = self.tape.stall_count()
 
         def elapsed() -> float:
-            if lanes:
-                return self._parallel_elapsed() - elapsed_before
-            return self.clock.now() - now_before
+            return self.clock.parallel_elapsed() - elapsed_before
 
         with self._window_lock:
             self._window = _Window()
@@ -455,7 +445,7 @@ class TuningWorkerPool:
             exhausted = self._plan(attempts) == 0
             self.drain()
         consumed = elapsed()
-        busy = self._parallel_busy() - busy_before if lanes else consumed
+        busy = self.clock.parallel_busy() - busy_before
         if owns_lifecycle:
             self.stop()
         report = TuningReport(
@@ -479,16 +469,6 @@ class TuningWorkerPool:
         )
         self.windows_run += 1
         return report
-
-    def _parallel_elapsed(self) -> float:
-        if hasattr(self.clock, "parallel_elapsed"):
-            return self.clock.parallel_elapsed()
-        return 0.0
-
-    def _parallel_busy(self) -> float:
-        if hasattr(self.clock, "parallel_busy"):
-            return self.clock.parallel_busy()
-        return 0.0
 
     # -- planning -------------------------------------------------------
 

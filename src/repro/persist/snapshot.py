@@ -22,9 +22,11 @@ Supported strategies: the holistic kernel and standard adaptive
 cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
 
-Older generations restore too: their per-piece sorted flags and
-``has_rowids`` marks are ignored, and a retired option that holds the
-only value it ever allowed is dropped (:data:`_RETIRED_OPTIONS`).
+Older generations restore too: their per-piece sorted flags,
+``has_rowids`` marks, monitor histograms and boost counts are ignored,
+a retired option that holds the only value it ever allowed is dropped
+(:data:`_RETIRED_OPTIONS`), and so are the removed no-idle boost's two
+options while either one is 0 (the boost was off).
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ _RETIRED_OPTIONS = {
     "track_rowids": False,
     "bootstrap_from_catalog": True,
 }
+#: The removed no-idle boost's options; it was off while either was 0.
+_BOOST_OPTIONS = ("hot_column_threshold", "hot_boost_cracks")
 
 
 def _tape_to_arrays(
@@ -233,10 +237,7 @@ def capture_state(
         if meta["strategy"]["name"] == "holistic":
             meta["monitor"] = strategy.monitor.export_state()
             meta["ranking"] = strategy.ranking.export_state()
-            meta["kernel"] = {
-                "idle_windows": strategy.idle_windows,
-                "boost_cracks_applied": strategy.boost_cracks_applied,
-            }
+            meta["kernel"] = {"idle_windows": strategy.idle_windows}
             tape_state = strategy.tape.export_state()
             meta["tapes"][SHARED_TAPE] = _tape_to_arrays(
                 tape_state, f"tape/{SHARED_TAPE}", arrays
@@ -442,13 +443,23 @@ def _options(config: dict, known: set[str]) -> dict:
     """A stored strategy config without its retired options.
 
     Raises:
-        PersistError: on an unknown option, or a retired one holding a
-            value other than the only one it allowed.
+        PersistError: on an unknown option, a retired one holding a
+            value other than the only one it allowed, or a boost that
+            was on.
     """
+    boost = [config.get(key, 0) for key in _BOOST_OPTIONS]
+    if not any(type(value) is int and value == 0 for value in boost):
+        raise PersistError(
+            f"snapshot config sets hot_column_threshold={boost[0]!r} "
+            f"with hot_boost_cracks={boost[1]!r}; the no-idle boost is "
+            "gone, so this version cannot restore it"
+        )
     options = {}
     for key, value in config.items():
         if key in known:
             options[key] = value
+            continue
+        if key in _BOOST_OPTIONS:
             continue
         allowed = _RETIRED_OPTIONS.get(key)
         # ``type`` too: True == 1, yet latch_granularity=True never was.
@@ -494,9 +505,6 @@ def _restore_strategy(
         kernel.monitor.restore_state(meta["monitor"])
         kernel.ranking.restore_state(meta["ranking"])
         kernel.idle_windows = int(meta["kernel"]["idle_windows"])
-        kernel.boost_cracks_applied = int(
-            meta["kernel"]["boost_cracks_applied"]
-        )
         return kernel
     if name == "adaptive":
         from repro.cracking.tape import CrackTape

@@ -197,10 +197,8 @@ class ServingFrontend:
         db: the shared database.
         strategy: the shared kernel -- standard adaptive cracking or a
             holistic kernel.  Stochastic adaptive variants make
-            order-dependent refinement decisions, and the holistic
-            no-idle hot boost mutates the index mid-query from shared
-            statistics; neither can keep per-client accounting
-            solo-identical, so they are rejected.
+            order-dependent refinement decisions, which cannot keep
+            per-client accounting solo-identical, so they are rejected.
         depth: per-client depth of the closed-loop
             :class:`CrossSessionWindowFormer` that forms the windows.
 
@@ -216,25 +214,14 @@ class ServingFrontend:
     ) -> None:
         self.db = db
         self.strategy = strategy
-        if isinstance(strategy, HolisticKernel):
-            config = strategy.config
-            if (
-                config.hot_column_threshold > 0
-                and config.hot_boost_cracks > 0
-            ):
-                raise ConfigError(
-                    "the holistic hot-range boost mutates the shared "
-                    "index from shared statistics mid-query; disable it "
-                    "(hot_column_threshold=0) to serve concurrently"
-                )
-        elif isinstance(strategy, AdaptiveStrategy):
+        if isinstance(strategy, AdaptiveStrategy):
             if strategy.variant != "standard":
                 raise ConfigError(
                     f"adaptive variant {strategy.variant!r} makes "
                     "order-dependent refinement decisions; only "
                     "'standard' can serve concurrently"
                 )
-        else:
+        elif not isinstance(strategy, HolisticKernel):
             raise ConfigError(
                 f"strategy {strategy.name!r} has no concurrent serving "
                 "path; use standard adaptive cracking or the holistic "

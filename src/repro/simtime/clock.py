@@ -88,6 +88,27 @@ class Clock(Protocol):
         """Let ``seconds`` of time pass (idle time)."""
         ...
 
+    @property
+    def in_parallel(self) -> bool:
+        """Whether a parallel phase (tuning workers) is open."""
+        ...
+
+    def begin_parallel(self) -> None:
+        """Open a parallel phase; phases do not nest."""
+        ...
+
+    def parallel_elapsed(self) -> float:
+        """The open phase's elapsed time so far."""
+        ...
+
+    def parallel_busy(self) -> float:
+        """The open phase's aggregate work so far."""
+        ...
+
+    def end_parallel(self) -> ParallelAccount:
+        """Close the phase and say what it cost."""
+        ...
+
 
 class SimClock:
     """Virtual clock driven by a :class:`CostModel`.

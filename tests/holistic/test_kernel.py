@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.plan import group_by_column
 from repro.engine.query import RangeQuery
 from repro.errors import ConfigError
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
@@ -65,23 +66,6 @@ def test_idle_prefers_monitored_columns_over_catalog(tiny_db):
     assert kernel.index_for(ColumnRef("R", "A1")).crack_count == 0
 
 
-def test_hot_range_boost_fires_after_threshold(tiny_db):
-    config = HolisticConfig(
-        hot_column_threshold=3, hot_boost_cracks=2, seed=1
-    )
-    kernel = HolisticKernel(tiny_db, config)
-    for _ in range(5):
-        kernel.select(_query(4e7, 4.5e7))
-    assert kernel.boost_cracks_applied > 0
-
-
-def test_hot_range_boost_disabled_by_default(tiny_db):
-    kernel = HolisticKernel(tiny_db)
-    for _ in range(10):
-        kernel.select(_query(4e7, 4.5e7))
-    assert kernel.boost_cracks_applied == 0
-
-
 def test_features_row_matches_paper(tiny_db):
     from repro.bench.features import PAPER_TABLE1
 
@@ -123,9 +107,30 @@ def test_idle_improves_future_queries(tiny_db):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        HolisticConfig(hot_column_threshold=-1)
-    with pytest.raises(ConfigError):
-        HolisticConfig(hot_boost_cracks=-1)
+        HolisticConfig(num_workers=-1)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"policy": "ranked", "batch_tuning": True},
+        {"policy": "weighted_random", "cache_target_elements": 2},
+        {"num_workers": 2, "seed": None},
+    ],
+)
+def test_windows_run_batched_unless_workers_race(tiny_db, options):
+    """A query window falls back to sequential execution only while
+    tuning workers race the foreground, whatever else is configured."""
+    kernel = HolisticKernel(tiny_db, HolisticConfig(**options))
+    queries = [_query(1e7, 3e7), _query(2e7, 6e7, "A2"), _query(5e6, 1e7)]
+    windows = group_by_column(queries, tiny_db.catalog)
+    assert kernel.begin_batch(queries, windows) is not None
+    if kernel.worker_pool is not None:
+        kernel.start_workers()
+        assert kernel.begin_batch(queries, windows) is None
+        kernel.stop_workers()
+        assert kernel.begin_batch(queries, windows) is not None
 
 
 def test_cache_target_derived_from_model_scale(tiny_db):

@@ -21,7 +21,7 @@ from repro.engine.query import RangeQuery
 from repro.errors import ConcurrencyError, ConfigError
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
 from repro.holistic.workers import TuningWorkerPool
-from repro.simtime.clock import SimClock
+from repro.simtime.clock import SimClock, WallClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
@@ -570,24 +570,9 @@ def test_session_background_tuning_requires_workers():
 
 
 def test_budget_window_terminates_on_minimal_clock():
-    """A bare Clock (no parallel-lane accounting) still bounds the
-    time-budget loop via plain now() deltas."""
-
-    class MinimalClock:
-        def __init__(self):
-            self._now = 0.0
-
-        def now(self):
-            return self._now
-
-        def charge(self, charge):
-            self._now += 1e-4
-            return 1e-4
-
-        def sleep(self, seconds):
-            self._now += seconds
-
-    db = Database(clock=MinimalClock())
+    """A budget window bounds its loop on a wall clock too, where
+    parallel elapsed time is real time rather than the max of lanes."""
+    db = Database(clock=WallClock())
     db.add_table(build_paper_table(rows=50_000, columns=1, seed=3))
     kernel = HolisticKernel(
         db, HolisticConfig(num_workers=2, cache_target_elements=2)

@@ -12,7 +12,7 @@ from repro.storage.catalog import ColumnRef
 
 @pytest.fixture
 def tuner(tiny_db) -> ColtTuner:
-    monitor = WorkloadMonitor(tiny_db.catalog)
+    monitor = WorkloadMonitor()
     optimizer = WhatIfOptimizer(tiny_db.catalog, tiny_db.cost_model)
     builder = IndexBuilder(tiny_db.catalog, tiny_db.clock)
     return ColtTuner(
@@ -25,7 +25,7 @@ def tuner(tiny_db) -> ColtTuner:
 
 def _hammer(tuner, ref, n, t0=0.0):
     for i in range(n):
-        tuner.monitor.record(ref, 0, 1_000, t0 + i * 0.01)
+        tuner.monitor.record(ref, t0 + i * 0.01)
 
 
 def test_hot_column_gets_an_index(tuner, a1):
@@ -62,7 +62,7 @@ def test_used_index_survives(tuner, a1):
 
 
 def test_max_indexes_cap(tiny_db):
-    monitor = WorkloadMonitor(tiny_db.catalog)
+    monitor = WorkloadMonitor()
     optimizer = WhatIfOptimizer(tiny_db.catalog, tiny_db.cost_model)
     builder = IndexBuilder(tiny_db.catalog, tiny_db.clock)
     tuner = ColtTuner(

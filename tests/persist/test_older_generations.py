@@ -1,13 +1,15 @@
 """Generations written by older versions restore.
 
 Earlier layouts stored a per-piece sorted-flag array and a
-``has_rowids`` mark per index, and strategy configs that named options
-since retired.  A generation in that layout is written here through
-:func:`repro.persist.format.write_generation` and must restore to the
-same pivots, cuts and answers.  A retired option is dropped only when
-it holds the one value it ever allowed; any other value, like an
-unknown option, fails the generation with :class:`PersistError`, so
-the restore walks back.
+``has_rowids`` mark per index, a range histogram per monitored column,
+the holistic kernel's boost count, and strategy configs that named
+options since retired.  A generation in that layout is written here
+through :func:`repro.persist.format.write_generation` and must restore
+to the same pivots, cuts and answers.  A retired option is dropped only
+when it holds the one value it ever allowed (for the no-idle boost's
+two options: while either is 0, so the boost was off); any other value,
+like an unknown option, fails the generation with
+:class:`PersistError`, so the restore walks back.
 """
 
 import numpy as np
@@ -46,14 +48,21 @@ def _engine(strategy: str):
 
 def _write_as_before(root, db, session, retired: dict) -> int:
     """Publish the engine's state in the older layout: a ``flags``
-    array per index, ``has_rowids: false`` and ``retired`` options in
-    the strategy config."""
+    array per index, ``has_rowids: false``, a monitor histogram per
+    column, a kernel boost count and ``retired`` options in the
+    strategy config."""
     arrays, meta, _ = capture_state(db, session.strategy, session)
     for index_meta in meta["indexes"]:
         index_meta["has_rowids"] = False
         base = f"index/{index_meta['table']}/{index_meta['column']}"
         pieces = len(arrays[f"{base}/pivots"]) + 1
         arrays[f"{base}/flags"] = np.zeros(pieces, dtype=np.bool_)
+    if meta["kernel"] is not None:
+        meta["kernel"]["boost_cracks_applied"] = 0
+        for entry in meta["monitor"]["columns"]:
+            entry["histogram"] = [entry["query_count"]] + [0] * 63
+            entry["histogram_low"] = 1.0
+            entry["histogram_width"] = 1562500.0
     meta["strategy"]["config"].update(retired)
     return write_generation(root, arrays, meta)
 
@@ -65,6 +74,8 @@ def _write_as_before(root, db, session, retired: dict) -> int:
         ("holistic", {"latch_granularity": 1}),
         ("holistic", {"bootstrap_from_catalog": True}),
         ("adaptive", {"track_rowids": False}),
+        ("holistic", {"hot_column_threshold": 0, "hot_boost_cracks": 1}),
+        ("holistic", {"hot_column_threshold": 0, "hot_boost_cracks": 5}),
     ],
 )
 def test_older_layout_restores_to_the_same_state(
@@ -89,6 +100,11 @@ def test_older_layout_restores_to_the_same_state(
             np.sort(got.values()), np.sort(expected.values())
         )
     assert restored.db.clock.now() == db.clock.now()
+    if strategy == "holistic":
+        assert (
+            restored.strategy.monitor.export_state()
+            == session.strategy.monitor.export_state()
+        )
 
 
 @pytest.mark.parametrize(
@@ -99,6 +115,7 @@ def test_older_layout_restores_to_the_same_state(
         ("holistic", {"bootstrap_from_catalog": False}),
         ("adaptive", {"track_rowids": True}),
         ("holistic", {"no_such_option": 3}),
+        ("holistic", {"hot_column_threshold": 3, "hot_boost_cracks": 2}),
     ],
 )
 def test_retired_option_with_another_value_fails_the_generation(
@@ -106,7 +123,7 @@ def test_retired_option_with_another_value_fails_the_generation(
 ):
     db, session = _engine(strategy)
     _write_as_before(tmp_path, db, session, retired)
-    (key,) = retired
+    key = next(iter(retired))
     with pytest.raises(PersistError, match=f"config sets {key}="):
         restore_snapshot(tmp_path)
 

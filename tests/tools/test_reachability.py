@@ -131,3 +131,23 @@ def test_readers_file_names_only_functions_that_exist():
     tool = _load_tool()
     known = {d.qualname for d in tool.list_defs(tool.ROOT / "src")}
     assert set(tool.load_readers(tool.READERS)) <= known
+
+
+def test_pinned_readers_name_perfbench_boundaries():
+    """A function kept only because perfbench pins it is one that
+    ``perfbench.layers.BOUNDARIES`` really names."""
+    from perfbench.layers import BOUNDARIES
+
+    tool = _load_tool()
+    boundaries = {
+        ".".join(filter(None, (module, owner, name)))
+        for _layer, module, owner, names in BOUNDARIES
+        for name in names
+    }
+    pinned = {
+        qualname
+        for qualname, reader in tool.load_readers(tool.READERS).items()
+        if reader.startswith("pinned by perfbench/layers.py")
+    }
+    assert pinned
+    assert pinned <= boundaries
