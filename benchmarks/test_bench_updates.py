@@ -59,9 +59,8 @@ def staged(cracked):
 
 
 def _store(cracked, staged) -> PendingUpdates:
-    """A store that checks its deletes against the column, as every
-    ``Table``'s does: the overlay then takes the path production takes
-    (a standalone store would make it scan for its removals)."""
+    """A store that checks its deletes against the column: the overlay
+    counts them without reading the select result."""
     inserts, positions, values = staged
     store = PendingUpdates(INT64, base=cracked[0])
     store.stage_inserts(inserts)

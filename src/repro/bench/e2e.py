@@ -147,7 +147,7 @@ def _session_fingerprint(session) -> dict[str, object]:
         for ref, index in sorted(indexes.items(), key=lambda kv: repr(kv[0]))
     )
     crack_count = sum(index.crack_count for index in indexes.values())
-    tape_records = sum(len(index.tape) for index in indexes.values())
+    tape_records = sum(index.tape.count() for index in indexes.values())
     return {
         "queries": report.query_count,
         "result_rows": int(
@@ -168,10 +168,7 @@ def _run_scenario(
     db = fresh_trickle_db(rows, seed)
     stream = _build_events(key, rows, queries, seed)
     session = db.session(strategy, **options)
-    if batch == 1:
-        stream.run(session)
-    else:
-        stream.run_windowed(session, batch)
+    stream.run_windowed(session, batch)
     return ScenarioResult(
         f"{key}/batch{batch}",
         queries,

@@ -4,8 +4,9 @@ The paper's Figure 1 is a conceptual drawing of *when* each approach
 analyzes, builds, refines and idles.  We regenerate it as a concrete
 trace: a small workload with idle windows runs under every strategy,
 and the timeline lists -- in virtual-time order -- what each kernel
-actually did (index builds, query-driven cracks, auxiliary tuning,
-unexploited idle).
+actually did (index builds, query bursts, auxiliary tuning, unexploited
+idle), closing with the crack tape's per-origin counts of
+query-driven and tuning-driven refinements.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
 from repro.workload.patterns import Exp1Pattern
-from repro.workload.stream import run_stream
+from repro.workload.stream import run_stream_batched
 from repro.bench.report import format_seconds
 
 
@@ -51,7 +52,7 @@ def _strategy_timeline(
         ),
     )
     session.hint_workload(pattern.statements())
-    report = run_stream(session, pattern.events())
+    report = run_stream_batched(session, pattern.events(), 1)
 
     # Idle windows and query bursts alternate; timestamps come from
     # the queries' finish times on the virtual clock.
@@ -97,7 +98,7 @@ def _strategy_timeline(
 
     strategy_obj = session.strategy
     tape = getattr(strategy_obj, "tape", None)
-    if tape is not None and len(tape):
+    if tape is not None and tape.count():
         query_cracks = tape.count(CrackOrigin.QUERY)
         tuning_cracks = tape.count(CrackOrigin.TUNING)
         events.append(

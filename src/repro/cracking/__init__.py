@@ -25,7 +25,7 @@ from repro.cracking.piece import CrackOrigin, Piece
 from repro.cracking.piecemap import PieceMap
 from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
-from repro.cracking.tape import CrackTape, TapeRecord
+from repro.cracking.tape import CrackTape
 from repro.cracking.updates import (
     MaintainedCrackerIndex,
     merge_deletes,
@@ -45,7 +45,6 @@ __all__ = [
     "ReadWriteLatch",
     "SidewaysCrackerIndex",
     "StochasticCrackerIndex",
-    "TapeRecord",
     "crack_in_three",
     "crack_in_two",
     "crack_in_two_batch",

@@ -17,13 +17,12 @@ queries can therefore be executed in two decoupled halves:
 * an **accounting replay** (:class:`CrackSelectBatch`) that steps
   query by query over a lightweight pure-Python shadow of the
   pre-window piece map (its pivots and cuts), emitting exactly the
-  charges and tape records sequential :meth:`CrackerIndex.select_range`
+  charges and tape counts sequential :meth:`CrackerIndex.select_range`
   calls would have produced -- the same crack-in-three fusion, the same
-  binary-search charges for pivot hits, the same piece sizes, the same
-  timestamps.
+  binary-search charges for pivot hits, the same piece sizes.
 
 Because the replay reproduces the sequential charge stream verbatim,
-per-query response times, cumulative clock totals and tape contents
+per-query response times, cumulative clock totals and tape counts
 are bit-for-bit identical to one-at-a-time execution; only wall-clock
 time changes.  The replay must be bound to a window accountant and
 driven to completion, one :meth:`CrackSelectBatch.replay_query` call
@@ -131,7 +130,7 @@ class CrackSelectBatch:
         #: The window accountant; callers :meth:`bind` one before the
         #: first replay.
         self._acc = None
-        # Detached replays (one client of a shared kernel) log onto
+        # Detached replays (one client of a shared kernel) count onto
         # their own tape instead of the index's shared one.
         self._tape = tape if tape is not None else index.tape
         self._expected = expected
@@ -190,7 +189,7 @@ class CrackSelectBatch:
             acc.charge_empty_crack()
         else:
             acc.charge_crack(size, 1)
-        self._tape.log(acc.now, self._origin, value, position, size)
+        self._tape.log(self._origin)
         return position
 
     def replay_query(self, low: Key, high: Key) -> RangeView:
@@ -209,7 +208,7 @@ class CrackSelectBatch:
 
         ``low``/``high`` are the query's range normalised into the
         column's domain, as :meth:`CrackerIndex.begin_select_batch`
-        took them.  The charges and tape records are exactly those a
+        took them.  The charges and tape counts are exactly those a
         sequential :meth:`CrackerIndex.select_keys` would have produced
         at this point of the window, including the crack-in-three
         fusion when both bounds fall into the same piece.  The
@@ -255,7 +254,7 @@ class CrackSelectBatch:
         high_pivot: bool,
     ) -> RangeView:
         """The cracking replay for queries with at least one fresh
-        bound (charges and tape records replicate sequential
+        bound (charges and tape counts replicate sequential
         :meth:`CrackerIndex.select_keys` exactly)."""
         sim = self._sim
         cuts = sim.cuts
@@ -278,13 +277,8 @@ class CrackSelectBatch:
             pos_high = self._positions[high]
             sim.add_crack_at(low_index, low, pos_low)
             sim.add_crack_at(low_index + 1, high, pos_high)
-            size = end - start
-            acc = self._acc
-            acc.charge_crack(size, 2)
-            now = acc.now
-            tape_log = self._tape.log
-            tape_log(now, self._origin, low, pos_low, size)
-            tape_log(now, self._origin, high, pos_high, size)
+            self._acc.charge_crack(end - start, 2)
+            self._tape.log(self._origin, 2)
         else:
             pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = self._cut(high, *sim.locate(high))
@@ -346,8 +340,8 @@ class DetachedCrackReplay(CrackSelectBatch):
       not apply);
     * persists across windows: re-``bind`` a fresh accountant per
       window and keep replaying;
-    * logs onto its own tape, so each client owns a solo-identical
-      crack log;
+    * counts onto its own tape, so each client owns solo-identical
+      crack counts;
     * charges its own copy-on-first-touch materialization, like the
       solo index would on the client's first crack;
     * resolves positions from a caller-maintained dict that must cover

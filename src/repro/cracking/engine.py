@@ -35,7 +35,7 @@ each split's rank and run introselect there.
   value and row-id arrays together through scratch buffers -- the
   fused cracker-map update; alignment between the two arrays is exact.
 
-Split positions, cost charges, tape records and the per-piece value
+Split positions, cost charges, tape counts and the per-piece value
 multisets are identical to the original kernel; only the (deliberately
 unspecified) element order inside a piece differs.
 

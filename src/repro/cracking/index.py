@@ -10,7 +10,7 @@ may be a row-id column.
 
 Range selects crack the pieces containing the query bounds and return a
 contiguous :class:`RangeView` -- each query refines the index a little,
-each refinement is priced through the shared clock and logged on the
+each refinement is priced through the shared clock and counted on the
 :class:`CrackTape`.
 
 Auxiliary refinements -- the cracks holistic indexing injects during
@@ -306,9 +306,7 @@ class CrackerIndex:
         )
         self._pieces.add_crack_at(index, value, position)
         self.clock.charge(charge)
-        self.tape.log(
-            self.clock.now(), origin, value, position, end - start
-        )
+        self.tape.log(origin)
         return position
 
     @_synchronized
@@ -376,11 +374,7 @@ class CrackerIndex:
             else:
                 charge = CostCharge(cracks=1)
             clock.charge(charge)
-            now = clock.now()
-            for value, position in zip(
-                record.fresh[lo:hi], record.positions[lo:hi]
-            ):
-                tape.log(now, origin, value, position, size)
+            tape.log(origin, hi - lo)
             hi = lo
         positions = record.cut_positions()
         return [positions[key] for key in keys]
@@ -453,10 +447,7 @@ class CrackerIndex:
             pieces.add_crack_at(low_index, low, pos_low)
             pieces.add_crack_at(low_index + 1, high, pos_high)
             self.clock.charge(charge)
-            now = self.clock.now()
-            size = end - start
-            self.tape.log(now, origin, low, pos_low, size)
-            self.tape.log(now, origin, high, pos_high, size)
+            self.tape.log(origin, 2)
         elif low_pivot and high_pivot:
             # The converged select: nothing to crack, two probe charges.
             self._charge_pivot_hits(2)
@@ -487,7 +478,7 @@ class CrackerIndex:
         with none (a converged window) skips the pass.  The returned
         :class:`~repro.cracking.batch.CrackSelectBatch` replays the
         accounting query by query, reproducing sequential
-        :meth:`select_range` charges, timestamps and tape records
+        :meth:`select_range` charges, timestamps and tape counts
         exactly; it reads a cut position only for a fresh bound.  The
         caller must drive one ``replay`` per window entry, in order,
         before issuing other operations on this index.
@@ -752,13 +743,7 @@ class CrackerIndex:
         witness.mutation_check(self, (piece.start,), "sort_piece_at")
         self._charge_copy_if_needed()
         self.clock.charge(sort_piece(self._array, piece.start, piece.end))
-        self.tape.log(
-            self.clock.now(),
-            CrackOrigin.SORT,
-            piece.low,
-            piece.start,
-            piece.size,
-        )
+        self.tape.log(CrackOrigin.SORT)
         return piece
 
     # -- validation ------------------------------------------------------

@@ -57,13 +57,7 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
             pieces_touched=int(np.count_nonzero(counts)),
         )
     )
-    index.tape.record(
-        index.clock.now(),
-        CrackOrigin.MERGE,
-        values.item(0),
-        0,
-        len(values),
-    )
+    index.tape.record(CrackOrigin.MERGE)
     return len(values)
 
 
@@ -115,13 +109,7 @@ def merge_deletes(index: CrackerIndex, values: np.ndarray) -> int:
             pieces_touched=sum(1 for d in deltas if d),
         )
     )
-    index.tape.record(
-        index.clock.now(),
-        CrackOrigin.MERGE,
-        values.item(0),
-        0,
-        removed_total,
-    )
+    index.tape.record(CrackOrigin.MERGE)
     return removed_total
 
 

@@ -70,7 +70,7 @@ def apply_pending(
     inserts, deletes = pending.in_range(low, high)
     if len(inserts) == 0 and len(deletes) == 0:
         return result
-    view = PendingOverlay(result, inserts, deletes, pending.verifies_deletes)
+    view = PendingOverlay(result, inserts, deletes)
     clock.charge(CostCharge.for_pending_merge(len(deletes), view.count))
     return view
 
@@ -88,7 +88,6 @@ class PendingWindow:
     """
 
     __slots__ = (
-        "_verified",
         "active",
         "_ins_lo",
         "_ins_hi",
@@ -106,7 +105,6 @@ class PendingWindow:
     ) -> None:
         """``bounds`` are a column window's normalised ranges
         (:attr:`~repro.engine.plan.ColumnWindow.bounds`)."""
-        self._verified = pending.verifies_deletes
         #: Whether this column has any pending entries to consult.
         self.active = pending.has_pending()
         if not self.active:
@@ -160,7 +158,7 @@ class PendingWindow:
         deletes = self._deletes[self._del_lo[slot] : self._del_hi[slot]]
         if len(inserts) == 0 and len(deletes) == 0:
             return result
-        view = PendingOverlay(result, inserts, deletes, self._verified)
+        view = PendingOverlay(result, inserts, deletes)
         accountant.charge_pending_merge(len(deletes), view.count)
         return view
 

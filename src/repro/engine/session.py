@@ -184,7 +184,7 @@ class Session:
         batched pass and *replay* the per-query accounting through
         :meth:`run_window`, so every query still gets its own
         :class:`QueryRecord` and the results, response times,
-        cumulative clock totals and tape contents are identical to
+        cumulative clock totals and tape counts are identical to
         calling :meth:`run_query` one query at a time.  Strategies
         without a batch path, and clocks a :class:`WindowAccountant`
         cannot price (a wall clock, a :class:`SimClock` inside a

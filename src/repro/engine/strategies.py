@@ -64,7 +64,7 @@ class BatchExecution(Protocol):
     The session's window loop (:meth:`Session.run_window`) drives it
     one query at a time, in window order: each
     :meth:`replay` call must emit exactly the clock charges (and tape
-    records, where applicable) that a sequential ``select`` of that
+    counts, where applicable) that a sequential ``select`` of that
     query would have produced at that point, so per-query accounting
     survives batching bit-for-bit.  :meth:`finish` flushes deferred
     bookkeeping (monitor/ranking updates) once the window is done.

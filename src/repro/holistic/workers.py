@@ -34,9 +34,9 @@ Five layers cooperate:
   lane, so N workers doing W seconds of aggregate refinement cost the
   timeline ~W/N seconds, reproducing the paper's multi-core scaling
   without needing real parallelism under the GIL;
-* **attribution** -- every tape record carries the id of the worker
-  that produced it, and per-worker stalls/actions are reported in the
-  window's :class:`~repro.holistic.scheduler.TuningReport`;
+* **attribution** -- each worker thread attributes its latch stalls
+  on the tape to its id, and per-worker stalls/actions are reported in
+  the window's :class:`~repro.holistic.scheduler.TuningReport`;
 * **supervision** -- the batch is the supervised unit: a crash
   mid-batch repairs the column, counts toward its quarantine and
   re-enqueues the same batch (same pivots) for the restarted worker.

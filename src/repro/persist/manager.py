@@ -3,8 +3,8 @@
 :class:`SnapshotManager` owns one snapshot root for one live engine.
 Every :meth:`~SnapshotManager.checkpoint` publishes a new generation,
 but only *dirty* arrays are rewritten: the capture layer fingerprints
-each array's backing object (piece-map versions, array identities,
-tape counters) and unchanged files are carried forward by manifest
+each array's backing object (piece-map versions, array identities)
+and unchanged files are carried forward by manifest
 reference.  A steady-state checkpoint of a converged index therefore
 writes kilobytes, not the data set.
 

@@ -6,9 +6,10 @@ everything the engine learned into
 
 * a dict of named numpy arrays -- base columns, pending-update stores,
   cracker columns (in their narrowed dtypes), piece-map pivot/cut
-  buffers, crack-tape record columns -- and
+  buffers -- and
 * a JSON-serializable ``meta`` dict -- catalog schema and statistics,
-  clock totals, monitor/ranking/session counters, strategy config.
+  clock totals, monitor/ranking/session and crack-tape counters,
+  strategy config.
 
 The *restore* half rebuilds the same objects around ``np.memmap`` views
 of the snapshot files: base columns open read-only (``mmap_mode='r'``;
@@ -23,7 +24,8 @@ cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
 
 Older generations restore too: their per-piece sorted flags,
-``has_rowids`` marks, monitor histograms and boost counts are ignored,
+``has_rowids`` marks, monitor histograms, boost counts and crack-tape
+record arrays (``tape/*``) are ignored,
 a retired option that holds the only value it ever allowed is dropped
 (:data:`_RETIRED_OPTIONS`), and so are the removed no-idle boost's two
 options while either one is 0 (the boost was off).
@@ -48,18 +50,6 @@ from repro.storage.database import Database
 from repro.storage.dtypes import largest, normalise_bound, type_by_name
 from repro.storage.table import Table
 
-#: Typed columns a crack tape flattens into (origins ride separately
-#: as a unicode array).  Generations written before ``int_pivots``
-#: lack it and restore their pivots as floats.
-_TAPE_NUMERIC = (
-    ("timestamps", np.float64),
-    ("pivots", np.float64),
-    ("int_pivots", np.int64),
-    ("positions", np.int64),
-    ("piece_sizes", np.int64),
-    ("workers", np.int64),
-)
-
 #: Tape scope name for the holistic kernel's shared tape.
 SHARED_TAPE = "__shared__"
 
@@ -74,39 +64,6 @@ _RETIRED_OPTIONS = {
 }
 #: The removed no-idle boost's options; it was off while either was 0.
 _BOOST_OPTIONS = ("hot_column_threshold", "hot_boost_cracks")
-
-
-def _tape_to_arrays(
-    state: dict, prefix: str, arrays: dict[str, np.ndarray]
-) -> dict:
-    """Pack one tape's exported record lists; returns its meta part."""
-    for key, dtype in _TAPE_NUMERIC:
-        arrays[f"{prefix}/{key}"] = np.asarray(state[key], dtype=dtype)
-    arrays[f"{prefix}/origins"] = np.asarray(state["origins"], dtype=str)
-    return {
-        "counts": state["counts"],
-        "seen": state["seen"],
-        "stalls": state["stalls"],
-    }
-
-
-def _tape_from_arrays(
-    root, manifest: dict, prefix: str, tape_meta: dict
-) -> dict:
-    """Reassemble a tape state dict from snapshot arrays + meta."""
-    entries = manifest["arrays"]
-    state = {
-        key: load_array(root, entries[name]).tolist()
-        for key, _ in _TAPE_NUMERIC
-        if (name := f"{prefix}/{key}") in entries
-    }
-    state["origins"] = [
-        str(o) for o in load_array(root, entries[f"{prefix}/origins"])
-    ]
-    state["counts"] = tape_meta["counts"]
-    state["seen"] = tape_meta["seen"]
-    state["stalls"] = tape_meta["stalls"]
-    return state
 
 
 def _strategy_meta(strategy) -> dict:
@@ -238,25 +195,12 @@ def capture_state(
             meta["monitor"] = strategy.monitor.export_state()
             meta["ranking"] = strategy.ranking.export_state()
             meta["kernel"] = {"idle_windows": strategy.idle_windows}
-            tape_state = strategy.tape.export_state()
-            meta["tapes"][SHARED_TAPE] = _tape_to_arrays(
-                tape_state, f"tape/{SHARED_TAPE}", arrays
-            )
-            token = ("tape", tape_state["seen"])
-            for key in arrays:
-                if key.startswith(f"tape/{SHARED_TAPE}/"):
-                    tokens[key] = token
+            meta["tapes"][SHARED_TAPE] = strategy.tape.export_state()
         else:
             for ref, index in indexes.items():
-                scope = f"{ref.table}/{ref.column}"
-                tape_state = index.tape.export_state()
-                meta["tapes"][scope] = _tape_to_arrays(
-                    tape_state, f"tape/{scope}", arrays
+                meta["tapes"][f"{ref.table}/{ref.column}"] = (
+                    index.tape.export_state()
                 )
-                token = ("tape", tape_state["seen"])
-                for key in arrays:
-                    if key.startswith(f"tape/{scope}/"):
-                        tokens[key] = token
     return arrays, meta, tokens
 
 
@@ -486,14 +430,7 @@ def _restore_strategy(
 
         known = {f.name for f in dataclasses.fields(HolisticConfig)}
         kernel = HolisticKernel(db, HolisticConfig(**_options(config, known)))
-        kernel.tape.restore_state(
-            _tape_from_arrays(
-                root,
-                manifest,
-                f"tape/{SHARED_TAPE}",
-                meta["tapes"][SHARED_TAPE],
-            )
-        )
+        kernel.tape.restore_state(meta["tapes"][SHARED_TAPE])
         for index_meta in meta["indexes"]:
             ref, index = _restore_index(
                 root, manifest, db, index_meta, mmap_mode, kernel.tape
@@ -517,11 +454,7 @@ def _restore_strategy(
         for index_meta in meta["indexes"]:
             scope = f"{index_meta['table']}/{index_meta['column']}"
             tape = CrackTape()
-            tape.restore_state(
-                _tape_from_arrays(
-                    root, manifest, f"tape/{scope}", meta["tapes"][scope]
-                )
-            )
+            tape.restore_state(meta["tapes"][scope])
             ref, index = _restore_index(
                 root, manifest, db, index_meta, mmap_mode, tape
             )

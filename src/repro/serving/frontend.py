@@ -180,7 +180,6 @@ class ServingReport:
     strategy: str
     clients: dict[str, SessionReport]
     windows: int = 0
-    window_sizes: list[int] = field(default_factory=list)
     #: Client failures isolated in degraded mode (aliases the
     #: front-end's cumulative list).
     faults: list[ClientFault] = field(default_factory=list)
@@ -299,7 +298,6 @@ class ServingFrontend:
             if not entries:
                 break
             self.serve_window(entries)
-            report.window_sizes.append(len(entries))
             report.windows += 1
         return report
 

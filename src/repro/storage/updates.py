@@ -66,22 +66,17 @@ class PendingUpdates:
     :class:`~repro.storage.views.PendingOverlay`) keeps the values it
     had.  That rules out an in-place append buffer, on purpose.
 
-    A store owned by a :class:`~repro.storage.table.Table` is handed
-    the column's ``base`` values and checks every delete it is given
-    against them (:attr:`verifies_deletes`), so each pending delete is
-    a distinct base row holding exactly that value -- what lets a
-    select subtract the in-range deletes without looking for them in
-    its result.  A standalone store takes deletes on trust.
+    The store is handed the column's ``base`` values and checks every
+    delete it is given against them, so each pending delete is a
+    distinct base row holding exactly that value -- what lets a select
+    subtract the in-range deletes without looking for them in its
+    result.
     """
 
-    def __init__(
-        self, ctype: ColumnType, base: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, ctype: ColumnType, base: np.ndarray) -> None:
         self._ctype = ctype
         self._largest = largest(ctype.numpy_dtype)
         self._base = base
-        #: Whether every pending delete is a checked row of the base.
-        self.verifies_deletes = base is not None
         self._insert_values = np.empty(0, dtype=ctype.numpy_dtype)
         self._delete_positions = np.empty(0, dtype=np.int64)
         self._deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
@@ -123,10 +118,9 @@ class PendingUpdates:
         actually staged (after dedup).
 
         Raises:
-            SchemaError: if positions and values differ in length, or,
-                in a table's store, if a position lies outside the
-                base column or its value is not the base row's --
-                before anything is staged.
+            SchemaError: if positions and values differ in length, or
+                if a position lies outside the base column or its value
+                is not the base row's -- before anything is staged.
         """
         pos = np.asarray(positions, dtype=np.int64)
         vals = coerce_array(np.asarray(values), self._ctype)
@@ -168,10 +162,8 @@ class PendingUpdates:
 
     def _check_base_rows(self, pos: np.ndarray, vals: np.ndarray) -> None:
         """Raise unless every ``(pos, val)`` is a row of the base column
-        and the value it holds (a standalone store has no base to ask)."""
+        and the value it holds."""
         base = self._base
-        if base is None:
-            return
         inside = (pos >= 0) & (pos < len(base))
         if not (inside.all() and (base[pos] == vals).all()):
             raise SchemaError(
@@ -216,8 +208,7 @@ class PendingUpdates:
         They are held to what staging establishes, because selects
         compute on it unchecked: inserts sorted by value, delete
         positions/values aligned, sorted by value and naming distinct
-        rows -- rows of the base column holding those values, in a
-        table's store.
+        rows -- rows of the base column holding those values.
 
         Raises:
             SchemaError: if the arrays break any of that -- before

@@ -188,17 +188,14 @@ def _surviving_runs(
 class PendingOverlay:
     """A select result seen through its column's pending updates.
 
-    Select time computes only the exact :attr:`count`.  Behind a store
-    that verified its deletes (``verified``; every
-    :class:`~repro.storage.table.Table`'s does) each in-range delete is
-    a distinct base row with a value in the range, hence a row of
-    *any* strategy's result for it: the count is base count - deletes
-    + inserts, and the result is not read.  :meth:`values` makes the
-    corrected copy on first use: the surviving runs of the base values
-    and the inserts in one ``np.concatenate``, survivors in base order,
-    one occurrence dropped per removal (the earliest).  A standalone
-    store's deletes may match nothing -- those are ignored -- so its
-    count is only known from that copy, which is then made at once.
+    Select time computes only the exact :attr:`count`.  The store
+    verified its deletes, so each in-range delete is a distinct base
+    row with a value in the range, hence a row of *any* strategy's
+    result for it: the count is base count - deletes + inserts, and
+    the result is not read.  :meth:`values` makes the corrected copy
+    on first use: the surviving runs of the base values and the
+    inserts in one ``np.concatenate``, survivors in base order, one
+    occurrence dropped per removal (the earliest).
 
     The view holds *values*: the base result, the store's in-range
     insert and delete slices.  Cracking permutes the rows of a
@@ -215,17 +212,12 @@ class PendingOverlay:
         base: SelectionResult,
         inserts: np.ndarray,
         deletes: np.ndarray,
-        verified: bool,
     ) -> None:
         self._base = base
         self._inserts = inserts
         self._removed = deletes
         self._values: np.ndarray | None = None
-        self.count = (
-            base.count - len(deletes) + len(inserts)
-            if verified or len(deletes) == 0
-            else len(self.values())
-        )
+        self.count = base.count - len(deletes) + len(inserts)
 
     def values(self) -> np.ndarray:
         """The corrected values, in the wider of the base's and the

@@ -20,7 +20,7 @@ from repro.workload.stream import (
     IdleEvent,
     QueryEvent,
     WorkloadEvent,
-    run_stream,
+    run_stream_batched,
 )
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "WorkloadEvent",
     "make_closed_loop_clients",
     "parameterized_queries",
-    "run_stream",
+    "run_stream_batched",
     "verify_table_matches",
 ]

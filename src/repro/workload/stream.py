@@ -44,36 +44,19 @@ class IdleEvent:
 WorkloadEvent = Union[QueryEvent, IdleEvent]
 
 
-def run_stream(
-    session: Session, events: Iterable[WorkloadEvent]
-) -> SessionReport:
-    """Feed a stream of events to a session; returns its report.
-
-    Raises:
-        WorkloadError: on an unknown event type.
-    """
-    for event in events:
-        if isinstance(event, QueryEvent):
-            session.run_query(event.query)
-        elif isinstance(event, IdleEvent):
-            session.idle(seconds=event.seconds, actions=event.actions)
-        else:
-            raise WorkloadError(f"unknown workload event: {event!r}")
-    return session.report
-
-
 def run_stream_batched(
     session: Session,
     events: Iterable[WorkloadEvent],
     window: int,
 ) -> SessionReport:
-    """Feed a stream to a session, batching query runs of up to
-    ``window`` consecutive queries through :meth:`Session.run_batch`.
+    """Feed a stream of events to a session; returns its report.
 
-    Idle events flush the current window first, so event order is
-    respected; a window of one goes through the plain query path.
-    Semantically identical to :func:`run_stream` -- batching only
-    amortizes the physical work (see ISSUE 4).
+    Query runs of up to ``window`` consecutive queries go through
+    :meth:`Session.run_batch`; idle events flush the current window
+    first, so event order is respected.  A window of one goes through
+    the plain query path (:meth:`Session.run_query` per query,
+    :meth:`Session.idle` per idle event), and any window answers and
+    charges the same -- batching only amortizes the physical work.
 
     Raises:
         WorkloadError: if ``window`` is not positive, or on an unknown
@@ -81,19 +64,6 @@ def run_stream_batched(
     """
     if window <= 0:
         raise WorkloadError(f"window must be positive: {window}")
-    if isinstance(events, (list, tuple)) and all(
-        isinstance(event, QueryEvent) for event in events
-    ):
-        # Pure query streams (no idle windows) batch by direct
-        # slicing, skipping the per-event buffering below.
-        queries = [event.query for event in events]
-        for start in range(0, len(queries), window):
-            chunk = queries[start : start + window]
-            if len(chunk) == 1:
-                session.run_query(chunk[0])
-            else:
-                session.run_batch(chunk)
-        return session.report
     buffer: list[RangeQuery] = []
 
     def flush() -> None:
@@ -120,14 +90,13 @@ def run_stream_batched(
 
 
 class QueryStream:
-    """A reusable workload stream with serial and windowed execution.
+    """A reusable workload stream.
 
     Wraps an event sequence (materialized on construction so it can be
-    replayed against several sessions) and exposes the two execution
-    modes side by side: :meth:`run` feeds queries one at a time;
-    :meth:`run_windowed` groups up to ``window`` consecutive queries
-    into shared-work batches (the streaming variant of
-    :meth:`Session.run_batch`).
+    replayed against several sessions); :meth:`run_windowed` groups up
+    to ``window`` consecutive queries into shared-work batches (the
+    streaming variant of :meth:`Session.run_batch`), a window of one
+    feeding queries one at a time.
     """
 
     def __init__(self, events: Iterable[WorkloadEvent]) -> None:
@@ -138,9 +107,6 @@ class QueryStream:
         return sum(
             1 for event in self.events if isinstance(event, QueryEvent)
         )
-
-    def run(self, session: Session) -> SessionReport:
-        return run_stream(session, self.events)
 
     def run_windowed(self, session: Session, window: int) -> SessionReport:
         return run_stream_batched(session, self.events, window)

@@ -53,3 +53,12 @@ def ground_truth_count(column: Column, low: float, high: float) -> int:
     """Reference result count for a range select."""
     values = column.values
     return int(np.count_nonzero((values >= low) & (values < high)))
+
+
+def base_holding(rows: dict[int, object], dtype=np.int64) -> np.ndarray:
+    """A base column holding ``rows`` (position -> value), 0 elsewhere:
+    the rows a pending store's staged deletes must name."""
+    base = np.zeros(max(rows, default=-1) + 1, dtype=dtype)
+    for position, value in rows.items():
+        base[position] = value
+    return base

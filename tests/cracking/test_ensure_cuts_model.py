@@ -9,7 +9,7 @@ prices the pass's record piece by piece, right to left:
 
 A piece whose rows happen to be sorted (``sort_piece_at``) is priced
 like any other.  The model below derives positions, the final piece
-map, the tape and the clock from those rules and the base column
+map, the tape counts and the clock from those rules and the base column
 alone, on int32-narrowed, int64-beyond-2^53 and float64 columns.
 """
 
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
+from repro.cracking.piece import CrackOrigin
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
@@ -74,7 +75,7 @@ def _prepared(dtype, values, pre_cuts, sort_picks) -> CrackerIndex:
 
 
 def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
-    """Charge ``clock`` and return ``(positions, pivots, cuts, tape)``
+    """Charge ``clock`` and return ``(positions, pivots, cuts, cracks)``
     as the batch charge model prescribes, from the pre-batch piece map
     and the base values."""
     below = lambda v: sum(1 for x in values if x < v)  # noqa: E731
@@ -88,7 +89,6 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
         groups.setdefault(bisect_right(pivots, value), []).append(value)
     if fresh and copy_pending:
         clock.charge(CostCharge(elements_materialized=len(values)))
-    tape = []
     for piece in sorted(groups, reverse=True):
         group = groups[piece]
         size = bounds[piece + 1] - bounds[piece]
@@ -101,14 +101,12 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
         else:
             charge = CostCharge(cracks=1)
         clock.charge(charge)
-        now = clock.now()
-        tape.extend((value, below(value), size, now) for value in group)
     final = sorted(set(pivots) | set(fresh))
     return (
         [below(key) for key in keys],
         final,
         [below(v) for v in final],
-        tape,
+        len(fresh),
     )
 
 
@@ -119,17 +117,14 @@ def test_ensure_cuts_matches_the_batch_charge_model(case):
     index = _prepared(dtype, values, pre_cuts, sort_picks)
     model = _prepared(dtype, values, pre_cuts, sort_picks)
     copy_pending = not pre_cuts and not sort_picks
-    logged = len(index.tape)
+    logged = index.tape.count(CrackOrigin.TUNING)
     expected = _model(dtype, values, model, batch, copy_pending, model.clock)
-    positions, pivots, cuts, tape = expected
+    positions, pivots, cuts, cracks = expected
 
     assert index.ensure_cuts(list(batch)) == positions
     assert index.piece_map.pivots() == pivots
     assert index.piece_map.cuts() == cuts
-    assert [
-        (r.pivot, r.position, r.piece_size, r.timestamp)
-        for r in index.tape.records()[logged:]
-    ] == tape
+    assert index.tape.count(CrackOrigin.TUNING) - logged == cracks
     assert index.clock.now() == model.clock.now()
     assert index.clock.total_charge == model.clock.total_charge
     index.check_invariants()

@@ -10,7 +10,8 @@ These property tests pin the contract that made the rewrite safe:
 * row-id tracking stays aligned (the cracker map reconstructs the
   cracker column);
 * the batched ``ensure_cuts`` produces bit-identical virtual-clock
-  totals and tape contents to sequential ``ensure_cut`` calls.
+  totals, piece maps and tape counts to sequential ``ensure_cut``
+  calls.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def test_ensure_cuts_bit_identical_to_sequential(values, cut_values):
     at most one new pivot, each charged as one crack of its piece.
     ``ensure_cuts`` processes pieces right-to-left, so the sequential
     reference issues its ``ensure_cut`` calls in descending value
-    order; positions, virtual-clock totals and tape contents
-    (timestamps included) must then match bit for bit.
+    order; positions, virtual-clock totals, piece maps and tape counts
+    must then match bit for bit.
     """
     column = _column(values)
     seq_index = CrackerIndex(column, clock=SimClock())
@@ -206,7 +207,10 @@ def test_ensure_cuts_bit_identical_to_sequential(values, cut_values):
     batch_positions = batch_index.ensure_cuts(distinct)
     assert batch_positions == [seq_positions[v] for v in distinct]
     assert batch_index.clock.now() == seq_index.clock.now()
-    assert batch_index.tape.records() == seq_index.tape.records()
+    assert batch_index.clock.total_charge == seq_index.clock.total_charge
+    assert batch_index.piece_map.pivots() == seq_index.piece_map.pivots()
+    assert batch_index.piece_map.cuts() == seq_index.piece_map.cuts()
+    assert batch_index.tape.export_state() == seq_index.tape.export_state()
     batch_index.check_invariants()
     seq_index.check_invariants()
 
@@ -227,5 +231,8 @@ def test_ensure_cuts_sorted_piece_bit_identical(small_column):
     ]
     assert batch_index.ensure_cuts(cuts) == seq_positions[::-1]
     assert batch_index.clock.now() == seq_index.clock.now()
-    assert batch_index.tape.records() == seq_index.tape.records()
+    assert batch_index.clock.total_charge == seq_index.clock.total_charge
+    assert batch_index.piece_map.pivots() == seq_index.piece_map.pivots()
+    assert batch_index.piece_map.cuts() == seq_index.piece_map.cuts()
+    assert batch_index.tape.export_state() == seq_index.tape.export_state()
     batch_index.check_invariants()

@@ -238,7 +238,7 @@ def test_latched_batch_matches_unlatched_ensure_cuts(small_column):
     assert access.crack_value(pivots) == len(pivots) - 6
     assert latched.piece_map.pivots() == plain.piece_map.pivots()
     assert latched.piece_map.cuts() == plain.piece_map.cuts()
-    assert len(latched.tape) == len(plain.tape)
+    assert latched.tape.export_state() == plain.tape.export_state()
 
 
 def test_latch_timeout_mid_batch_holds_nothing_and_retries(small_column):

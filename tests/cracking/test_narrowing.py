@@ -54,7 +54,7 @@ def test_maintained_index_narrowing_roundtrip():
     from repro.storage.dtypes import INT64
 
     column = _column([10, 20, 30, 40, 50])
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=column.values)
     index = MaintainedCrackerIndex(column, pending, clock=SimClock())
     assert index.values.dtype == np.int32
     pending.stage_inserts(np.array([25], dtype=np.int64))

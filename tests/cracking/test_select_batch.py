@@ -40,9 +40,7 @@ def _assert_identical(sequential: CrackerIndex, batched: CrackerIndex):
     assert sequential.clock.total_charge == batched.clock.total_charge
     assert sequential.piece_map.cuts() == batched.piece_map.cuts()
     assert sequential.piece_map.pivots() == batched.piece_map.pivots()
-    assert [repr(r) for r in sequential.tape.records()] == [
-        repr(r) for r in batched.tape.records()
-    ]
+    assert sequential.tape.export_state() == batched.tape.export_state()
     sequential.check_invariants()
     batched.check_invariants()
 
@@ -77,10 +75,11 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows):
         ranges = _ranges(rng, int(rng.integers(1, 9)))
         # replay_query owns the session's per-query overhead charge;
         # mirror the interleaving exactly on the sequential side.
-        expected = []
+        expected, expected_at = [], []
         for low, high in ranges:
             sequential.clock.charge(CostCharge(queries=1))
             expected.append(sequential.select_range(low, high))
+            expected_at.append(repr(sequential.clock.now()))
         keys = [
             normalise_range(batched.piece_map.dtype, low, high)
             for low, high in ranges
@@ -88,7 +87,7 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows):
         context, accountant = _begin(
             batched, [pair for pair in keys if pair is not None]
         )
-        got = []
+        got, got_at = [], []
         for pair in keys:
             if pair is None:
                 # An empty range: the per-query overhead alone.
@@ -96,7 +95,9 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows):
                 got.append(context.empty())
             else:
                 got.append(context.replay_query(*pair))
+            got_at.append(repr(accountant.now))
         accountant.finish()
+        assert got_at == expected_at
         context.check_consistent()
         for view_a, view_b in zip(expected, got):
             assert (view_a.start, view_a.end) == (view_b.start, view_b.end)

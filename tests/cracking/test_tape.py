@@ -1,44 +1,19 @@
 """Unit tests for the cracker tape."""
 
+import tracemalloc
+
 from repro.cracking.piece import CrackOrigin
 from repro.cracking.tape import CrackTape
 
 
 def test_record_and_count():
     tape = CrackTape()
-    tape.record(0.5, CrackOrigin.QUERY, 10.0, 4, 100)
-    tape.record(0.7, CrackOrigin.TUNING, 20.0, 9, 50)
-    tape.record(0.9, CrackOrigin.TUNING, 30.0, 2, 25)
-    assert len(tape) == 3
+    tape.record(CrackOrigin.QUERY)
+    tape.record(CrackOrigin.TUNING)
+    tape.record(CrackOrigin.TUNING)
     assert tape.count() == 3
     assert tape.count(CrackOrigin.QUERY) == 1
     assert tape.count(CrackOrigin.TUNING) == 2
-    assert tape.count(CrackOrigin.MERGE) == 0
-
-
-def test_last_and_since():
-    tape = CrackTape()
-    assert tape.last() is None
-    tape.record(0.1, CrackOrigin.QUERY, 1.0, 0, 10)
-    tape.record(0.2, CrackOrigin.QUERY, 2.0, 1, 10)
-    assert tape.last().pivot == 2.0
-    fresh = tape.since(0.15)
-    assert [r.pivot for r in fresh] == [2.0]
-
-
-def test_iteration_preserves_order():
-    tape = CrackTape()
-    for i in range(5):
-        tape.record(float(i), CrackOrigin.SORT, float(i), i, 1)
-    assert [r.position for r in tape] == [0, 1, 2, 3, 4]
-    assert [r.position for r in tape.records()] == [0, 1, 2, 3, 4]
-
-
-def test_clear_resets_counts():
-    tape = CrackTape()
-    tape.record(0.1, CrackOrigin.MERGE, 1.0, 0, 10)
-    tape.clear()
-    assert len(tape) == 0
     assert tape.count(CrackOrigin.MERGE) == 0
 
 
@@ -51,45 +26,72 @@ def test_index_integration_records_origins(small_column, sim_clock):
     index.random_crack(np.random.default_rng(0))
     assert index.tape.count(CrackOrigin.QUERY) == 2
     assert index.tape.count(CrackOrigin.TUNING) == 1
-    # Timestamps come from the shared clock, monotonically.
-    stamps = [r.timestamp for r in index.tape]
-    assert stamps == sorted(stamps)
+    assert index.tape.count() == index.crack_count == 3
 
 
 def test_worker_attribution_context():
     tape = CrackTape()
-    tape.record(0.1, CrackOrigin.QUERY, 1.0, 0, 10)
+    tape.note_stall()
     with tape.attribution(3):
         assert tape.current_worker() == 3
-        tape.record(0.2, CrackOrigin.TUNING, 2.0, 1, 9)
+        tape.note_stall()
         with tape.attribution(None):
-            tape.record(0.3, CrackOrigin.TUNING, 3.0, 2, 8)
+            assert tape.current_worker() is None
+            tape.note_stall()
+        tape.note_stall()
     assert tape.current_worker() is None
-    workers = [r.worker for r in tape.records()]
-    assert workers == [None, 3, None]
-
-
-def test_worker_repr_only_when_attributed():
-    tape = CrackTape()
-    plain = tape.record(0.1, CrackOrigin.QUERY, 1.0, 0, 10)
-    assert "worker" not in repr(plain)
-    attributed = tape.record(0.2, CrackOrigin.TUNING, 2.0, 1, 9, worker=2)
-    assert "worker=2" in repr(attributed)
-
-
-def test_default_tape_retains_everything():
-    tape = CrackTape()
-    for i in range(5):
-        tape.record(float(i), CrackOrigin.QUERY, float(i), i, 10)
-    assert len(tape) == tape.count() == 5
+    assert tape.stall_count(None) == 2
+    assert tape.stall_count(3) == 2
 
 
 def test_log_is_equivalent_to_record():
+    logged, recorded = CrackTape(), CrackTape()
+    logged.log(CrackOrigin.QUERY)
+    logged.log(CrackOrigin.QUERY, 2)
+    for _ in range(3):
+        recorded.record(CrackOrigin.QUERY)
+    assert logged.export_state() == recorded.export_state()
+    assert logged.count(CrackOrigin.QUERY) == logged.count() == 3
+
+
+def test_logging_retains_no_history():
+    """The tape is counters: 100k cracks keep its footprint constant."""
     tape = CrackTape()
-    raw = tape.log(0.5, CrackOrigin.QUERY, 10.0, 4, 100)
-    assert raw == (0.5, CrackOrigin.QUERY, 10.0, 4, 100, None)
-    assert tape.count(CrackOrigin.QUERY) == 1
-    assert tape.records()[0].pivot == 10.0
+    tape.log(CrackOrigin.QUERY)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(100_000):
+            tape.log(CrackOrigin.QUERY)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(
+        stat.size_diff
+        for stat in after.compare_to(before, "filename")
+        if stat.traceback[0].filename.endswith("tape.py")
+    )
+    assert retained < 4096
+    assert tape.count() == 100_001
+
+
+def test_export_and_restore_round_trip_the_counters():
+    tape = CrackTape()
+    tape.log(CrackOrigin.QUERY, 5)
+    tape.record(CrackOrigin.MERGE)
+    tape.note_stall(2)
+    tape.note_stall()
+    state = tape.export_state()
+    assert state == {
+        "counts": {o.value: 0 for o in CrackOrigin}
+        | {CrackOrigin.QUERY.value: 5, CrackOrigin.MERGE.value: 1},
+        "seen": 6,
+        "stalls": {"2": 1, "": 1},
+    }
+    back = CrackTape()
+    back.restore_state(state)
+    assert back.export_state() == state
+    assert back.stall_count(2) == 1 and back.stall_count(None) == 1
 
 
 def test_stall_counters_per_worker_and_total():
@@ -102,5 +104,3 @@ def test_stall_counters_per_worker_and_total():
     assert tape.stall_count(1) == 2
     assert tape.stall_count(2) == 1
     assert tape.stall_count() == 3
-    tape.clear()
-    assert tape.stall_count() == 0

@@ -54,7 +54,7 @@ def test_merge_deletes_ignores_missing_values(small_column):
 
 
 def test_maintained_index_sees_pending_inserts(small_column):
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=small_column.values)
     index = MaintainedCrackerIndex(
         small_column, pending, clock=SimClock()
     )
@@ -67,7 +67,7 @@ def test_maintained_index_sees_pending_inserts(small_column):
 
 
 def test_maintained_index_sees_pending_deletes(small_column):
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=small_column.values)
     index = MaintainedCrackerIndex(
         small_column, pending, clock=SimClock()
     )
@@ -79,7 +79,7 @@ def test_maintained_index_sees_pending_deletes(small_column):
 
 
 def test_maintained_index_leaves_out_of_range_pending(small_column):
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=small_column.values)
     index = MaintainedCrackerIndex(
         small_column, pending, clock=SimClock()
     )
@@ -89,7 +89,7 @@ def test_maintained_index_leaves_out_of_range_pending(small_column):
 
 
 def test_restaged_consumed_position_never_reaches_the_overlay(small_column):
-    """A table's store lets a consumed position be staged again, and
+    """A store lets a consumed position be staged again, and
     the row it names is then no longer in the cracker column -- the one
     pending delete that would not match a row of the result.  The
     overlay's arithmetic never meets it: the ripple select takes every
@@ -99,7 +99,6 @@ def test_restaged_consumed_position_never_reaches_the_overlay(small_column):
     table = Table("R")
     table.add_column(small_column)
     pending = table.updates_for("A1")
-    assert pending.verifies_deletes
     index = MaintainedCrackerIndex(small_column, pending, clock=SimClock())
     values, counts = np.unique(small_column.values, return_counts=True)
     unique = values[counts == 1]

@@ -71,8 +71,8 @@ def test_multiset_difference_empty_inputs():
 
 
 @pytest.fixture
-def pending() -> PendingUpdates:
-    return PendingUpdates(INT64)
+def pending(small_column) -> PendingUpdates:
+    return PendingUpdates(INT64, base=small_column.values)
 
 
 def test_apply_pending_without_deltas_is_identity(small_column, pending):
@@ -187,7 +187,7 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
 @example(  # past the threshold, whatever the search finds
     kind=(INT64, np.int64),
     values=list(range(13)) * 5,
-    removals=[i % 15 for i in range(40)],
+    removals=list(range(40)),
     inserts=[3],
 )
 @given(
@@ -195,26 +195,26 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
         [(INT32, np.int32), (INT64, np.int64), (FLOAT64, np.float64)]
     ),
     values=st.lists(st.integers(0, 12), max_size=300),
-    removals=st.lists(st.integers(0, 14), max_size=80),
+    removals=st.lists(st.integers(0, 299), max_size=80),
     inserts=st.lists(st.integers(0, 14), max_size=6),
 )
 def test_pending_overlay_matches_reference_multiset(
     kind, values, removals, inserts
 ):
     """Count and values of the overlay equal the dict-loop reference
-    plus the inserts -- duplicates, unmatched removals (13 and 14 are
-    never base values), empty sides, and removal sets on both sides of
-    the trickle threshold (32)."""
+    plus the inserts -- duplicates, empty sides, and removal sets on
+    both sides of the trickle threshold (32).  Each removal is a row of
+    the base, as the store checks."""
     ctype, dtype = kind
-    base = RangeView(np.array(values, dtype=dtype), 0, len(values))
-    pending = PendingUpdates(ctype)
+    column = np.array(values, dtype=dtype)
+    base = RangeView(column, 0, len(values))
+    rows = sorted({r % len(values) for r in removals}) if values else []
+    pending = PendingUpdates(ctype, base=column)
     pending.stage_inserts(np.array(inserts, dtype=dtype))
-    pending.stage_deletes(
-        np.arange(len(removals)), np.array(removals, dtype=dtype)
-    )
+    pending.stage_deletes(rows, column[rows])
     clock = SimClock()
     corrected = apply_pending(base, pending, 0, 15, clock)
-    if not removals and not inserts:
+    if not rows and not inserts:
         assert corrected is base
         return
     survivors = _reference_multiset_difference(
@@ -227,7 +227,7 @@ def test_pending_overlay_matches_reference_multiset(
     )
     assert corrected.values() is corrected.values()  # one copy, kept
     assert clock.total_charge.elements_materialized == corrected.count
-    assert clock.total_charge.comparisons == max(1, len(removals))
+    assert clock.total_charge.comparisons == max(1, len(rows))
     # The same select read only after the rows under it moved (what a
     # crack inside the range does): the multiset is the one selected.
     moved = apply_pending(base, pending, 0, 15, SimClock())
@@ -334,7 +334,7 @@ def test_pending_overlay_survives_a_crack_inside_its_range(small_column):
     index = CrackerIndex(small_column, clock=SimClock())
     base = index.select_range(2e7, 6e7)
     victims = base.values()[[0, 5, base.count // 2, base.count - 1]].copy()
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=victims)
     pending.stage_inserts([25_000_000, 25_000_000, 59_999_999])
     pending.stage_deletes(np.arange(len(victims)), victims)
     view = apply_pending(base, pending, 2e7, 6e7, SimClock())
@@ -361,9 +361,9 @@ def test_pending_overlay_widens_to_the_column_dtype():
     """A narrowed cracker column answers in int32; a pending insert of
     the int64 column need not fit there."""
     base = RangeView(np.array([7, 8, 9], dtype=np.int32), 0, 3)
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=np.array([8]))
     pending.stage_inserts([5_000_000_000])
-    pending.stage_deletes([0, 1], [8, 6_000_000_000])
+    pending.stage_deletes([0], [8])
     view = apply_pending(base, pending, 0, 1e10, SimClock())
     assert view.count == 3
     assert view.values().dtype == np.int64
@@ -429,24 +429,3 @@ def test_select_behind_a_table_store_does_not_read_the_result(
             [25_000_000, 25_000_000],
         ])),
     )
-
-
-def test_select_behind_a_standalone_store_reads_the_result():
-    """A standalone store takes deletes on trust; one that matches no
-    row of the result is ignored, which only a look at the result can
-    tell -- so that select still reads."""
-    pending = PendingUpdates(INT64)
-    pending.stage_deletes([0, 1], [8, 13])
-    with pytest.raises(AssertionError, match="read its result"):
-        apply_pending(_UnreadableResult(3), pending, 0, 15, SimClock())
-    window = PendingWindow(pending, [(0, 15)])
-    with pytest.raises(AssertionError, match="read its result"):
-        window.apply(0, _UnreadableResult(3), WindowAccountant(SimClock()))
-    base = RangeView(np.array([7, 8, 9], dtype=np.int64), 0, 3)
-    assert apply_pending(base, pending, 0, 15, SimClock()).count == 2
-    # Inserts alone need no look at the result on any store.
-    pending = PendingUpdates(INT64)
-    pending.stage_inserts([5])
-    assert apply_pending(
-        _UnreadableResult(3), pending, 0, 15, SimClock()
-    ).count == 4

@@ -2,7 +2,7 @@
 
 The batched pipeline's contract is *bit-for-bit* accounting
 equivalence: result multisets, per-query response times, cumulative
-clock totals and tape contents must be exactly what one-at-a-time
+clock totals and tape counts must be exactly what one-at-a-time
 execution produces, for every strategy, window size, and pending
 update mix.
 """
@@ -116,9 +116,7 @@ def _fingerprint(session, results) -> tuple:
             index = indexes[ref]
             parts.append(tuple(index.piece_map.cuts()))
             parts.append(tuple(index.piece_map.pivots()))
-            parts.append(
-                tuple(repr(record) for record in index.tape.records())
-            )
+            parts.append(repr(index.tape.export_state()))
             index.check_invariants()
     return tuple(parts)
 

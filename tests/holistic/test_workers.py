@@ -2,7 +2,7 @@
 
 Covers the serial fallback contract (``num_workers=0`` is bit-for-bit
 the pre-worker kernel), window semantics, parallel time accounting,
-worker attribution on the tape, and -- the important one -- a stress
+per-worker attribution, and -- the important one -- a stress
 test racing worker threads against foreground queries on the same
 cracker index, checked against a serial oracle.
 """
@@ -17,6 +17,7 @@ import pytest
 from repro.bench.harness import piece_map_sha256
 from repro.config import TINY
 from repro.cracking.index import CrackerIndex
+from repro.cracking.piece import CrackOrigin
 from repro.engine.query import RangeQuery
 from repro.errors import ConcurrencyError, ConfigError
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
@@ -65,7 +66,8 @@ def test_serial_kernel_has_no_pool_and_no_worker_marks(tiny_db):
     assert kernel.worker_pool is None
     kernel.select(_query(1e7, 3e7))
     kernel.exploit_idle(actions=20)
-    assert all(r.worker is None for r in kernel.tape.records())
+    assert kernel.tape.count(CrackOrigin.TUNING) > 0
+    assert kernel.tuning_summary().per_worker == {}
     with pytest.raises(ConfigError):
         kernel.start_workers()
     with pytest.raises(ConfigError):
@@ -76,8 +78,8 @@ def test_serial_fallback_reproduces_identical_tape():
     """num_workers=0 must behave exactly like the pre-worker kernel.
 
     Two fresh kernels -- default config vs. explicit num_workers=0 --
-    run the same workload and must produce identical tapes, clocks and
-    results.
+    run the same workload and must produce identical tape counts,
+    piece maps, clocks and results.
     """
     tapes = []
     for config in (HolisticConfig(), HolisticConfig(num_workers=0)):
@@ -92,10 +94,11 @@ def test_serial_fallback_reproduces_identical_tape():
             (
                 counts,
                 db.clock.now(),
-                [
-                    (r.timestamp, r.origin, r.pivot, r.position, r.worker)
-                    for r in kernel.tape.records()
-                ],
+                kernel.tape.export_state(),
+                {
+                    str(ref): (index.piece_map.pivots(), index.piece_map.cuts())
+                    for ref, index in kernel.indexes.items()
+                },
             )
         )
     assert tapes[0] == tapes[1]
@@ -114,13 +117,11 @@ def test_worker_window_refines_and_attributes_workers():
     assert summary.workers == 2
     assert summary.actions_attempted == 40
     assert set(summary.per_worker) <= {0, 1}
-    workers_on_tape = {
-        r.worker
-        for r in kernel.tape.records()
-        if r.origin.value == "tuning"
-    }
-    assert workers_on_tape <= {0, 1}
-    assert workers_on_tape  # at least one worker recorded actions
+    assert summary.per_worker  # at least one worker refined
+    # Every tuning crack on the tape is some worker's effective action.
+    assert sum(summary.per_worker.values()) == kernel.tape.count(
+        CrackOrigin.TUNING
+    )
     for index in kernel.indexes.values():
         index.check_invariants()
 
@@ -327,7 +328,7 @@ def test_same_seed_worker_windows_are_reproducible(workers):
                 sha,
                 consumed,
                 db.clock.now(),
-                len(kernel.tape),
+                kernel.tape.export_state(),
                 summary.per_column,
                 summary.per_worker,
                 summary.stalls,
@@ -392,11 +393,11 @@ def test_stress_queries_race_workers_against_serial_oracle():
     for index in kernel.indexes.values():
         index.check_invariants()
     # The workers really did run concurrently with the queries.
-    tuning_workers = {
-        r.worker
-        for r in kernel.tape.records()
-        if r.origin.value == "tuning" and r.worker is not None
-    }
+    tuning_workers = [
+        stats
+        for stats in kernel.worker_pool.worker_stats()
+        if stats.actions_effective
+    ]
     assert len(tuning_workers) >= 2
     assert not db.clock.in_parallel
 
@@ -548,9 +549,9 @@ def test_session_background_tuning_races_queries():
     kernel = session.strategy
     assert kernel.tuning_summary is not None
     tuning = [
-        r
-        for r in kernel.tape.records()
-        if r.origin.value == "tuning" and r.worker is not None
+        stats
+        for stats in kernel.worker_pool.worker_stats()
+        if stats.actions_effective
     ]
     assert tuning  # workers really refined in the background
     for index in kernel.indexes.values():

@@ -2,10 +2,12 @@
 
 Earlier layouts stored a per-piece sorted-flag array and a
 ``has_rowids`` mark per index, a range histogram per monitored column,
-the holistic kernel's boost count, and strategy configs that named
-options since retired.  A generation in that layout is written here
-through :func:`repro.persist.format.write_generation` and must restore
-to the same pivots, cuts and answers.  A retired option is dropped only
+the holistic kernel's boost count, one record array per crack-tape
+field (``tape/<scope>/*``, with or without ``int_pivots``), and
+strategy configs that named options since retired.  A generation in
+that layout is written here through
+:func:`repro.persist.format.write_generation` and must restore to the
+same pivots, cuts, tape counts and answers.  A retired option is dropped only
 when it holds the one value it ever allowed (for the no-idle boost's
 two options: while either is 0, so the boost was off); any other value,
 like an unknown option, fails the generation with
@@ -140,3 +142,50 @@ def test_unrestorable_option_walks_back_a_generation(tmp_path):
     restored = restore_snapshot(tmp_path)
     assert restored.generation == good
     assert restored.fallback_generations == [bad]
+
+
+def _tape_states(strategy) -> dict:
+    """Each tape's exported counters, keyed by its snapshot scope."""
+    if strategy.name == "holistic":
+        return {"shared": strategy.tape.export_state()}
+    return {
+        repr(ref): index.tape.export_state()
+        for ref, index in strategy.indexes.items()
+    }
+
+
+@pytest.mark.parametrize("int_pivots", [True, False])
+@pytest.mark.parametrize("strategy", ["holistic", "adaptive"])
+def test_tape_record_arrays_of_an_older_generation_are_ignored(
+    tmp_path, strategy, int_pivots
+):
+    """Older generations stored every crack-tape record as arrays next
+    to the tape's meta counters; a restore takes the counters and
+    ignores the arrays, whatever they hold."""
+    db, session = _engine(strategy)
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    records = 3
+    for scope in meta["tapes"]:
+        base = f"tape/{scope}"
+        arrays[f"{base}/timestamps"] = np.linspace(0.1, 0.3, records)
+        arrays[f"{base}/pivots"] = np.full(records, np.nan)
+        if int_pivots:
+            arrays[f"{base}/int_pivots"] = np.arange(records, dtype=np.int64)
+        arrays[f"{base}/positions"] = np.arange(records, dtype=np.int64)
+        arrays[f"{base}/piece_sizes"] = np.full(records, 9, dtype=np.int64)
+        arrays[f"{base}/workers"] = np.full(records, -1, dtype=np.int64)
+        arrays[f"{base}/origins"] = np.array(["query"] * records)
+    write_generation(tmp_path, arrays, meta)
+
+    restored = restore_snapshot(tmp_path)
+    assert restored.fallback_generations == []
+    stored = [n for n in restored.manifest["arrays"] if n.startswith("tape/")]
+    assert len(stored) == len(meta["tapes"]) * (7 if int_pivots else 6)
+    assert _tape_states(restored.strategy) == _tape_states(session.strategy)
+    assert restored.strategy.indexes.keys() == session.strategy.indexes.keys()
+    for ref in REFS:
+        live = session.strategy.indexes[ref]
+        back = restored.strategy.indexes[ref]
+        assert back.tape.count() == live.tape.count() > 0
+        assert back.piece_map.pivots() == live.piece_map.pivots()
+        assert back.piece_map.cuts() == live.piece_map.cuts()

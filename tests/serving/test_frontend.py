@@ -64,27 +64,27 @@ def test_every_client_matches_its_solo_run(strategy, pending):
         assert served == solo
 
 
-def _solo_tape(strategy) -> list:
-    """A solo kernel's crack log in time order: the holistic kernel
-    shares one tape, adaptive indexes each keep their own (a query
-    charges before it cracks, so no two columns share a timestamp)."""
+def _solo_tape_counts(strategy) -> dict:
+    """A solo kernel's per-origin crack counts: the holistic kernel
+    shares one tape, adaptive indexes each keep their own."""
     tape = getattr(strategy, "tape", None)
     if tape is not None:
-        return tape.records()
-    records = [
-        record
-        for index in strategy.indexes.values()
-        for record in index.tape.records()
-    ]
-    return sorted(records, key=lambda record: record.timestamp)
+        return tape.export_state()["counts"]
+    counts: dict[str, int] = {}
+    for index in strategy.indexes.values():
+        for origin, count in index.tape.export_state()["counts"].items():
+            counts[origin] = counts.get(origin, 0) + count
+    return counts
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "holistic"])
 def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
-    """What a lane promises beyond responses and piece maps: its crack
-    tape is its solo kernel's, record for record; its clock's work
-    counters are the solo clock's; and the shared kernel's statistics
-    count exactly the queries the solo kernels counted."""
+    """What a lane promises beyond responses: its crack tape counts
+    its solo kernel's cracks origin by origin, its shadow maps are the
+    solo piece maps, each query finishes at its solo clock reading;
+    its clock's work counters are the solo clock's; and the shared
+    kernel's statistics count exactly the queries the solo kernels
+    counted."""
     workloads = make_closed_loop_clients(
         COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,
         clients=3, queries_per_client=40, seed=23,
@@ -105,7 +105,19 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
             session.run_query(query)
         solos.append(session.strategy)
         lane = lanes[workload.client]
-        assert lane.tape.records() == _solo_tape(session.strategy)
+        assert lane.tape.export_state()["counts"] == _solo_tape_counts(
+            session.strategy
+        )
+        assert lane.shadow_state() == {
+            (ref.table, ref.column): (
+                index.piece_map.pivots(),
+                index.piece_map.cuts(),
+            )
+            for ref, index in session.strategy.indexes.items()
+        }
+        assert [r.finished_at for r in lane.report.queries] == [
+            r.finished_at for r in session.report.queries
+        ]
         assert lane.clock.total_charge == solo_db.clock.total_charge
     if strategy != "holistic":
         return
@@ -137,8 +149,12 @@ def test_run_reports_windows():
         frontend.add_client(workload.client, workload.queries)
     report = frontend.run()
     assert report.total_queries == 60
-    assert report.windows == len(report.window_sizes)
-    assert sum(report.window_sizes) == 60
+    # Every window takes depth=4 queries from each of the 3 clients.
+    assert report.windows == 5
+    assert {
+        name: len(session_report.queries)
+        for name, session_report in report.clients.items()
+    } == {workload.client: 20 for workload in workloads}
     # Every record is tagged with its lane's client.
     for name, session_report in report.clients.items():
         assert session_report.client == name

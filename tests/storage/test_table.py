@@ -9,9 +9,7 @@ from repro.errors import (
     UnknownColumnError,
 )
 from repro.storage.column import Column
-from repro.storage.dtypes import INT64
 from repro.storage.table import Table
-from repro.storage.updates import PendingUpdates
 
 
 def _column(name: str, values: list[int]) -> Column:
@@ -117,12 +115,6 @@ def test_table_store_checks_a_delete_against_the_base_column():
     assert store.delete_positions.tolist() == [0, 3]
 
 
-def test_standalone_store_takes_deletes_on_trust():
-    store = PendingUpdates(INT64)
-    assert store.stage_deletes([0, 99], [40, 7]) == 2
-    assert not store.verifies_deletes
-
-
 def test_table_store_refuses_to_delete_a_nan_row():
     """``count = base - deletes + inserts`` needs every pending delete
     to match a row of the result; a NaN row never compares equal, so
@@ -167,8 +159,3 @@ def test_restore_state_holds_arrays_to_what_staging_establishes():
     assert store.deleted_values.tolist() == [10, 40]
     # Restaging a restored position is a no-op, a fresh one is staged.
     assert store.stage_deletes([3, 1], [40, 20]) == 1
-    # A standalone store has no base to ask, but sorts and aligns.
-    loose = PendingUpdates(INT64)
-    loose.restore_state(np.array([1]), np.array([9, 2]), np.array([5, 77]))
-    with pytest.raises(SchemaError):
-        loose.restore_state(np.array([1]), np.array([9, 2]), np.array([77, 5]))

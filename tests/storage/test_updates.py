@@ -6,11 +6,12 @@ import pytest
 from repro.errors import SchemaError
 from repro.storage.dtypes import INT64
 from repro.storage.updates import PendingUpdates
+from tests.conftest import base_holding
 
 
 @pytest.fixture
 def pending() -> PendingUpdates:
-    return PendingUpdates(INT64)
+    return PendingUpdates(INT64, base=np.array([10, 20, 30]))
 
 
 def test_fresh_delta_is_empty(pending):
@@ -59,7 +60,7 @@ def test_take_deletes_consumes_range(pending):
 
 def test_clear_resets_everything(pending):
     pending.stage_inserts([1])
-    pending.stage_deletes([0], [5])
+    pending.stage_deletes([0], [10])
     pending.clear()
     assert not pending.has_pending()
 
@@ -85,7 +86,7 @@ def test_stage_inserts_stays_sorted_across_many_batches():
     from repro.storage.dtypes import INT64
     from repro.storage.updates import PendingUpdates
 
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({}))
     rng = np.random.default_rng(5)
     staged = []
     for _ in range(12):
@@ -105,7 +106,9 @@ def test_stage_deletes_keeps_positions_aligned_across_batches():
     from repro.storage.dtypes import INT64
     from repro.storage.updates import PendingUpdates
 
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(
+        INT64, base=base_holding({10: 500, 11: 100, 12: 300, 13: 50})
+    )
     pending.stage_deletes([10, 11], [500, 100])
     pending.stage_deletes([12, 13], [300, 50])
     assert pending.deleted_values.tolist() == [50, 100, 300, 500]
@@ -123,7 +126,7 @@ def test_stage_deletes_dedupes_double_staged_positions():
     from repro.storage.dtypes import INT64
     from repro.storage.updates import PendingUpdates
 
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({7: 40, 8: 60}))
     # Duplicate inside one batch.
     assert pending.stage_deletes([7, 7], [40, 40]) == 1
     # Duplicate across batches (plus one genuinely fresh position).
@@ -136,11 +139,13 @@ def test_stage_deletes_dedupes_double_staged_positions():
     assert pending.pending_delete_count == 0
 
 
-def test_store_arrays_are_copy_on_write(pending):
+def test_store_arrays_are_copy_on_write():
     """A slice of the store taken before a write keeps its values: a
     select result's pending overlay holds such slices, so staging,
     consuming and clearing replace the store's arrays and never write
     into them."""
+    base = np.concatenate([np.arange(1, 101, 2), [0, 41, 999]])
+    pending = PendingUpdates(INT64, base=base)
     pending.stage_inserts(np.arange(0, 200, 2))
     pending.stage_deletes(np.arange(50), np.arange(1, 101, 2))
     held = [

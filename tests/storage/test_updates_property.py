@@ -26,6 +26,7 @@ from repro.storage.dtypes import (
     normalise_range,
 )
 from repro.storage.updates import PendingUpdates, cut_at
+from tests.conftest import base_holding
 
 
 def _probe(method, low, high) -> list:
@@ -196,8 +197,28 @@ def _ops(pool: list) -> st.SearchStrategy:
     )
 
 
+#: Delete positions cycle through a small window so restaging a
+#: previously-consumed position actually happens.
+_DELETE_WINDOW = 7
+
+
+def _base(dtype, ops) -> np.ndarray:
+    """The base rows the ops' deletes name: a position holds the first
+    value a delete payload brings to it (a row has one value, so later
+    deletes of that position stage it again)."""
+    rows: dict[int, object] = {}
+    position = 0
+    for kind, payload in ops:
+        if kind == "delete":
+            for value in payload:
+                rows.setdefault(position % _DELETE_WINDOW, value)
+                position += 1
+    return base_holding(rows, dtype)
+
+
 def _replay(ctype, dtype, ops) -> None:
-    real = PendingUpdates(ctype)
+    base = _base(dtype, ops)
+    real = PendingUpdates(ctype, base=base)
     naive = NaivePending(ctype)
     next_position = 0
     for kind, payload in ops:
@@ -205,13 +226,11 @@ def _replay(ctype, dtype, ops) -> None:
             values = np.asarray(payload, dtype=dtype)
             assert real.stage_inserts(values) == naive.stage_inserts(values)
         elif kind == "delete":
-            values = np.asarray(payload, dtype=dtype)
-            # Positions drawn from a small window so restaging a
-            # previously-consumed position actually happens.
             positions = np.arange(
-                next_position, next_position + len(values), dtype=np.int64
-            ) % 7
-            next_position += len(values)
+                next_position, next_position + len(payload), dtype=np.int64
+            ) % _DELETE_WINDOW
+            next_position += len(payload)
+            values = base[positions]
             assert real.stage_deletes(positions, values) == (
                 naive.stage_deletes(positions, values)
             )
@@ -266,7 +285,9 @@ def test_int64_store_float_bounds_beyond_2_53() -> None:
     """The original fuzz failure: searchsorted's float64 promotion
     rounded -629131755568097452 onto the low bound and returned it
     from an interval it is not in."""
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(
+        INT64, base=base_holding({5: -629_131_755_568_097_452})
+    )
     pending.stage_deletes([5], [-629_131_755_568_097_452])
     got = _probe(
         pending.deletes_in_range, -6.291317555680974e17, 1.649365601384583e17
@@ -275,7 +296,7 @@ def test_int64_store_float_bounds_beyond_2_53() -> None:
 
 
 def test_exact_edges_at_2_53_neighbours() -> None:
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({}))
     pending.stage_inserts([2**53, 2**53 + 1, 2**53 - 1])
     # float(2^53) == 2^53 exactly: half-open [2^53, 2^53+2) keeps the
     # first two, and 2^53+1 must not be lost to rounding.
@@ -284,13 +305,13 @@ def test_exact_edges_at_2_53_neighbours() -> None:
 
 
 def test_float_store_keeps_fractional_bounds() -> None:
-    pending = PendingUpdates(FLOAT64)
+    pending = PendingUpdates(FLOAT64, base=base_holding({}, np.float64))
     pending.stage_inserts([5.25, 5.75, 6.0])
     assert _probe(pending.inserts_in_range, 5.5, 6.0) == [5.75]
 
 
 def test_python_int_bounds_stay_exact() -> None:
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({}))
     pending.stage_inserts([2**53 + 1])
     assert list(pending.inserts_in_range(2**53 + 1, 2**53 + 2)) == [
         2**53 + 1
@@ -299,14 +320,18 @@ def test_python_int_bounds_stay_exact() -> None:
 
 
 def test_take_deletes_keeps_positions_aligned() -> None:
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(
+        INT64, base=base_holding({10: 100, 11: 200, 12: 300})
+    )
     pending.stage_deletes([10, 11, 12], [100, 200, 300])
     taken = pending.take_deletes_in_range(150, 250)
     assert list(taken) == [200]
+    assert list(pending.delete_positions) == [10, 12]
     # Position 11's pair was consumed: restaging it must succeed,
     # while 10 and 12 are still staged and dedup away.
-    assert pending.stage_deletes([10, 11, 12], [100, 201, 300]) == 1
-    assert list(pending.deletes_in_range(0, 1000)) == [100, 201, 300]
+    assert pending.stage_deletes([10, 11, 12], [100, 200, 300]) == 1
+    assert list(pending.deletes_in_range(0, 1000)) == [100, 200, 300]
+    assert list(pending.delete_positions) == [10, 11, 12]
 
 
 # -- regression anchors for the NaN-high-bound fix ---------------------
@@ -320,10 +345,9 @@ def test_take_deletes_keeps_positions_aligned() -> None:
 
 
 def test_nan_high_bound_takes_nothing_int32() -> None:
-    pending = PendingUpdates(INT32)
-    pending.stage_deletes(
-        [0, 1, 2, 3], [-(2**31), -(2**31), -1, 200]
-    )
+    values = [-(2**31), -(2**31), -1, 200]
+    pending = PendingUpdates(INT32, base=np.array(values, dtype=np.int32))
+    pending.stage_deletes([0, 1, 2, 3], values)
     taken = _probe(pending.take_deletes_in_range, -(2.0**63), float("nan"))
     assert taken == []
     assert pending.pending_delete_count == 4
@@ -331,14 +355,14 @@ def test_nan_high_bound_takes_nothing_int32() -> None:
 
 
 def test_nan_high_bound_peeks_nothing_int64() -> None:
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({}))
     pending.stage_inserts([2**53 + 1, 629_131_755_568_097_452])
     assert _probe(pending.inserts_in_range, 200.0, float("nan")) == []
     assert pending.pending_insert_count == 2
 
 
 def test_nan_bounds_take_nothing_float64() -> None:
-    pending = PendingUpdates(FLOAT64)
+    pending = PendingUpdates(FLOAT64, base=base_holding({}, np.float64))
     pending.stage_inserts([1e308])
     take = pending.take_inserts_in_range
     assert _probe(take, -(2.0**63), float("nan")) == []
@@ -349,7 +373,7 @@ def test_nan_bounds_take_nothing_float64() -> None:
 def test_pending_window_nan_bounds_match_sequential() -> None:
     from repro.engine.operators import PendingWindow
 
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({7: 25}))
     pending.stage_inserts([10, 20, 30])
     pending.stage_deletes([7], [25])
     lows = [0.0, float("nan"), 15.0]
@@ -370,7 +394,7 @@ def test_pending_window_nan_bounds_match_sequential() -> None:
 
 
 def test_clear_makes_consumed_positions_restageable() -> None:
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({1: 10, 2: 20}))
     naive = NaivePending(INT64)
     for store in (pending, naive):
         store.stage_deletes([1, 2], [10, 20])
@@ -378,8 +402,8 @@ def test_clear_makes_consumed_positions_restageable() -> None:
     assert pending.pending_insert_count == 0
     assert pending.pending_delete_count == 0
     # After clear every position is restageable, exactly once.
-    assert pending.stage_deletes([1, 2, 1], [11, 21, 12]) == (
-        naive.stage_deletes([1, 2, 1], [11, 21, 12])
+    assert pending.stage_deletes([1, 2, 1], [10, 20, 10]) == (
+        naive.stage_deletes([1, 2, 1], [10, 20, 10])
     )
     assert list(pending.deletes_in_range(0, 100)) == (
         naive.deletes_in_range(0, 100)
@@ -389,7 +413,9 @@ def test_clear_makes_consumed_positions_restageable() -> None:
 def test_pending_window_agrees_with_sequential_beyond_2_53() -> None:
     from repro.engine.operators import PendingWindow
 
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(
+        INT64, base=base_holding({3: -629_131_755_568_097_452})
+    )
     pending.stage_inserts(
         [629_131_755_568_097_452, 629_131_755_568_097_453, 42]
     )
@@ -529,11 +555,10 @@ def test_cut_forms_agree_float64(values, bound) -> None:
 
 
 def _check_in_range(ctype, dtype, inserts, deletes, low, high) -> None:
-    store = PendingUpdates(ctype)
+    deletes = np.asarray(deletes, dtype=dtype)
+    store = PendingUpdates(ctype, base=deletes)
     store.stage_inserts(np.asarray(inserts, dtype=dtype))
-    store.stage_deletes(
-        np.arange(len(deletes)), np.asarray(deletes, dtype=dtype)
-    )
+    store.stage_deletes(np.arange(len(deletes)), deletes)
     keys = normalise_range(np.dtype(dtype), low, high)
     if keys is None:
         return
@@ -596,7 +621,7 @@ def test_narrow_store_is_probed_without_promotion() -> None:
     assert normalise_bound(int32, 2.0**31) == 2**31  # the top
     assert normalise_bound(int32, 2.0**31 - 0.5) == 2**31
     assert normalise_bound(int32, -(2.0**40)) == -(2**31)
-    pending = PendingUpdates(INT32)
+    pending = PendingUpdates(INT32, base=base_holding({}, np.int32))
     pending.stage_inserts([-5, 8, 2**31 - 1])
     inserts, deletes = pending.in_range(8, 2**31)
     assert inserts.dtype == deletes.dtype == int32
@@ -620,7 +645,7 @@ def test_integer_bounds_at_int64_max_clamp_exactly() -> None:
     assert _key_cut(store, 2**63) == 3
     assert _key_cut(store, np.uint64(2**63 - 1)) == 2
     assert _key_cut(store, np.uint64(2**63)) == 3
-    pending = PendingUpdates(INT64)
+    pending = PendingUpdates(INT64, base=base_holding({}))
     pending.stage_inserts(store)
     probe = pending.inserts_in_range
     assert _probe(probe, 2**63 - 1, 2**63) == [2**63 - 1]
@@ -634,7 +659,7 @@ def test_float_bound_ceiling_past_int32_max_clamps_to_the_end() -> None:
     top = 2**31 - 1
     store = np.array([-5, 0, top - 1, top], dtype=np.int32)
     assert _key_cut(store, 2147483647.5) == 4
-    pending = PendingUpdates(INT32)
+    pending = PendingUpdates(INT32, base=base_holding({}, np.int32))
     pending.stage_inserts(store)
     probe = pending.inserts_in_range
     assert _probe(probe, 0, 2147483647.5) == [0, top - 1, top]
@@ -677,18 +702,19 @@ class _IsinDeletes:
 
 def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
     rng = np.random.default_rng(16)
-    pending = PendingUpdates(INT64)
-    model = _IsinDeletes()
     # Few distinct values, so equal-value runs exercise the stable order.
+    base = rng.integers(0, 500, size=60_000)
+    pending = PendingUpdates(INT64, base=base)
+    model = _IsinDeletes()
     first = rng.permutation(50_000)[:10_000].astype(np.int64)
-    values = rng.integers(0, 500, size=len(first))
+    values = base[first]
     assert pending.stage_deletes(first, values) == model.stage(first, values)
     for size in (1, 2, 6, 16, 16, 300, 5_000, 20_000, 3, 16):
         fresh = rng.integers(0, 60_000, size=size)
         staged = rng.choice(model.positions, size=max(1, size // 3))
         batch = np.concatenate([fresh, staged, fresh[: size // 2]])
         rng.shuffle(batch)
-        values = rng.integers(0, 500, size=len(batch))
+        values = base[batch]
         assert pending.stage_deletes(batch, values) == model.stage(
             batch, values
         )
@@ -701,7 +727,8 @@ def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
             assert len(taken) == np.count_nonzero(~keep)
             model.positions = model.positions[keep]
             model.values = model.values[keep]
-    assert pending.stage_deletes(model.positions[:16], values[:16]) == 0
+    staged = model.positions[:16]
+    assert pending.stage_deletes(staged, base[staged]) == 0
 
 
 # -- PendingWindow (shared keys) vs per-query apply_pending -------------
@@ -713,9 +740,9 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
     from repro.simtime.clock import SimClock
     from repro.storage.views import MaterializedResult
 
-    pending = PendingUpdates(ctype)
-    pending.stage_inserts(np.asarray(inserts, dtype=dtype))
     deletes = np.asarray(deletes, dtype=dtype)
+    pending = PendingUpdates(ctype, base=deletes)
+    pending.stage_inserts(np.asarray(inserts, dtype=dtype))
     pending.stage_deletes(np.arange(len(deletes)), deletes)
     keys = [
         normalise_range(np.dtype(dtype), low, high) for low, high in bounds

@@ -8,7 +8,7 @@ from repro.storage.catalog import ColumnRef
 from repro.workload.stream import (
     IdleEvent,
     QueryEvent,
-    run_stream,
+    run_stream_batched,
 )
 
 
@@ -43,7 +43,7 @@ def test_idle_event_validation():
 def test_run_stream_executes_everything(tiny_db):
     session = tiny_db.session("holistic")
     events = _with_idles(_queries(4), 2, IdleEvent(actions=2))
-    report = run_stream(session, events)
+    report = run_stream_batched(session, events, 1)
     assert report.query_count == 4
     assert len(report.idles) == 3
     assert report is session.report
@@ -52,7 +52,7 @@ def test_run_stream_executes_everything(tiny_db):
 def test_run_stream_rejects_unknown_events(tiny_db):
     session = tiny_db.session("scan")
     with pytest.raises(WorkloadError, match="unknown workload event"):
-        run_stream(session, ["not-an-event"])
+        run_stream_batched(session, ["not-an-event"], 1)
 
 
 # -- windowed (batched) streams (ISSUE 4) --------------------------------
@@ -75,8 +75,6 @@ def test_run_stream_batched_matches_run_stream():
     from repro.simtime.clock import SimClock
     from repro.storage.database import Database
     from repro.storage.loader import build_paper_table
-    from repro.workload.stream import run_stream, run_stream_batched
-
     def fresh_session():
         db = Database(clock=SimClock())
         db.add_table(build_paper_table(rows=5000, columns=1, seed=4))
@@ -84,7 +82,7 @@ def test_run_stream_batched_matches_run_stream():
 
     queries = _grid_queries(20)
     events = _with_idles(queries, 7, IdleEvent(actions=3))
-    base = run_stream(fresh_session(), events)
+    base = run_stream_batched(fresh_session(), events, 1)
     batched = run_stream_batched(fresh_session(), events, window=6)
     assert [repr(r.response_s) for r in batched.queries] == [
         repr(r.response_s) for r in base.queries
@@ -95,8 +93,8 @@ def test_run_stream_batched_matches_run_stream():
 
 
 def test_run_stream_batched_query_only_fast_path(tiny_db):
-    from repro.workload.stream import run_stream_batched
-
+    """A query-only stream batches through the same buffered loop as
+    one with idle windows: 11 queries in windows of 4."""
     events = [QueryEvent(q) for q in _grid_queries(11)]
     report = run_stream_batched(
         tiny_db.session("adaptive"), events, window=4
@@ -105,8 +103,6 @@ def test_run_stream_batched_query_only_fast_path(tiny_db):
 
 
 def test_run_stream_batched_rejects_bad_window(tiny_db):
-    from repro.workload.stream import run_stream_batched
-
     with pytest.raises(WorkloadError):
         run_stream_batched(tiny_db.session("scan"), [], window=0)
 
@@ -117,7 +113,7 @@ def test_query_stream_runs_and_counts(tiny_db):
     stream = QueryStream(QueryEvent(q) for q in _grid_queries(9))
     assert stream.query_count == 9
     assert len(stream) == 9
-    base = stream.run(tiny_db.session("adaptive"))
+    base = stream.run_windowed(tiny_db.session("adaptive"), 1)
     windowed = stream.run_windowed(tiny_db.session("adaptive"), 4)
     assert [r.result_count for r in windowed.queries] == [
         r.result_count for r in base.queries
