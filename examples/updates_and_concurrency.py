@@ -29,8 +29,7 @@ def updates_demo() -> None:
     session = db.session("adaptive")
 
     # Warm the cracker index.
-    session.select("R", "A1", 40_000_000, 45_000_000)
-    baseline = session.report.queries[-1].result_count
+    baseline = session.select("R", "A1", 40_000_000, 45_000_000).count
 
     # New log records arrive: staged, not merged.
     fresh = {"A1": [42_000_000] * 500, "A2": list(range(500))}

@@ -150,9 +150,7 @@ def _session_fingerprint(session) -> dict[str, object]:
     tape_records = sum(index.tape.count() for index in indexes.values())
     return {
         "queries": report.query_count,
-        "result_rows": int(
-            sum(record.result_count for record in report.queries)
-        ),
+        "result_rows": int(report.result_rows),
         "virtual_now": repr(float(session.clock.now())),
         "total_response_s": repr(float(report.total_response_s)),
         "crack_count": crack_count,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import ScaleSpec, scale_by_name
-from repro.engine.session import Session, SessionReport
+from repro.engine.session import IdleRecord, Session, SessionReport
 from repro.errors import BenchmarkError
 from repro.simtime.clock import SimClock
 from repro.storage.database import Database
@@ -87,7 +87,10 @@ def _fresh_session(
 ) -> tuple[Database, Session]:
     db = Database(clock=SimClock(scale.cost_model()))
     db.add_table(build_paper_table(rows=scale.rows, columns=1, seed=seed))
-    return db, db.session(strategy, **options)
+    session = db.session(strategy, **options)
+    # Figure 3 plots every query's cumulative response: keep history.
+    session.report.records = []
+    return db, session
 
 
 def _pattern(scale: ScaleSpec, x: int, seed: int) -> Exp1Pattern:
@@ -132,14 +135,16 @@ def run_exp1(
         db, session = _fresh_session(scale, "holistic", seed)
         session.hint_workload(pattern.statements())
         report = run_stream_batched(session, pattern.events(), 1)
-        idles = report.idles
-        t_init = idles[0].consumed_s if idles else 0.0
+        first_idle = next(
+            (r for r in report.records if isinstance(r, IdleRecord)), None
+        )
+        t_init = first_idle.consumed_s if first_idle else 0.0
         run = StrategyRun(
             "holistic",
             x,
             report,
             t_init_s=t_init,
-            t_total_idle_s=sum(idle.consumed_s for idle in idles),
+            t_total_idle_s=report.idle_consumed_s,
         )
         result.runs[("holistic", x)] = run
 

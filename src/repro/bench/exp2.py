@@ -76,6 +76,8 @@ def run_exp2(
         build_paper_table(rows=scale.rows, columns=columns, seed=seed)
     )
     session = db.session("offline", build_policy="fit_budget")
+    # Figure 4 plots both runs' cumulative curves: keep history.
+    session.report.records = []
     session.hint_workload(pattern.statements())
     session.idle(seconds=idle_budget)
     for query in pattern.queries():
@@ -88,6 +90,7 @@ def run_exp2(
         build_paper_table(rows=scale.rows, columns=columns, seed=seed)
     )
     session = db.session("holistic", policy="round_robin")
+    session.report.records = []
     session.hint_workload(pattern.statements())
     idle_record = session.idle(
         actions=pattern.cracks_per_column * columns

@@ -108,7 +108,7 @@ def _solo_fingerprint(session, clock) -> dict[str, object]:
         report.total_response_s,
         clock.now(),
         report.query_count,
-        int(sum(record.result_count for record in report.queries)),
+        int(report.result_rows),
         piece_maps,
     )
 
@@ -119,7 +119,7 @@ def _lane_fingerprint(lane) -> dict[str, object]:
         report.total_response_s,
         lane.clock.now(),
         report.query_count,
-        int(sum(record.result_count for record in report.queries)),
+        int(report.result_rows),
         lane.shadow_state(),
     )
 

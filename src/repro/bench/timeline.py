@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.config import TINY, ScaleSpec
 from repro.cracking.piece import CrackOrigin
+from repro.engine.session import IdleRecord, QueryRecord
 from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
@@ -52,12 +53,14 @@ def _strategy_timeline(
         ),
     )
     session.hint_workload(pattern.statements())
-    report = run_stream_batched(session, pattern.events(), 1)
+    records: list[QueryRecord | IdleRecord] = []
+    session.report.records = records
+    run_stream_batched(session, pattern.events(), 1)
 
     # Idle windows and query bursts alternate; timestamps come from
     # the queries' finish times on the virtual clock.
     events: list[TimelineEvent] = []
-    idle_iter = iter(report.idles)
+    idle_iter = (r for r in records if isinstance(r, IdleRecord))
     first_idle = next(idle_iter, None)
     clock_cursor = 0.0
     if first_idle is not None:
@@ -70,7 +73,7 @@ def _strategy_timeline(
         )
         clock_cursor += first_idle.consumed_s
     burst_start = 0
-    queries = report.queries
+    queries = [r for r in records if isinstance(r, QueryRecord)]
     per_burst = 100
     while burst_start < len(queries):
         burst = queries[burst_start : burst_start + per_burst]

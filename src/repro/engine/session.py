@@ -1,8 +1,9 @@
 """Query sessions: timing, accounting and strategy dispatch.
 
-A session answers queries through one indexing strategy and records
-per-query *response times* on the shared clock.  Two paper-critical
-accounting rules live here:
+A session answers queries through one indexing strategy and sums
+their *response times* on the shared clock into running totals
+(:class:`SessionReport`); per-event records go only to a sink the
+caller hands in.  Two paper-critical accounting rules live here:
 
 * **idle time is not response time** -- the cumulative curves of
   Figures 3/4 sum query responses only; idle windows advance the clock
@@ -16,7 +17,7 @@ accounting rules live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import Sequence
 
@@ -44,7 +45,8 @@ from repro.storage.views import SelectionResult
 
 @dataclass(slots=True)
 class QueryRecord:
-    """One answered query with its timing.
+    """One answered query with its timing, as a report's history sink
+    receives it.
 
     Treated as immutable by convention; not ``frozen`` because the
     frozen-dataclass ``__init__`` (one ``object.__setattr__`` per
@@ -80,26 +82,49 @@ class IdleRecord:
 
 @dataclass(slots=True)
 class SessionReport:
-    """Aggregate view of a session's history."""
+    """A session's running totals, plus an optional history sink.
+
+    Every query and idle window updates the totals inline, so a report
+    stays the same size however long its session runs.  A caller that
+    wants per-event history hands in a list as ``records`` before the
+    events run; the session then appends one :class:`QueryRecord` per
+    query and one :class:`IdleRecord` per idle window, in event order.
+    """
 
     strategy: str
-    queries: list[QueryRecord] = field(default_factory=list)
-    idles: list[IdleRecord] = field(default_factory=list)
     #: Client name for per-client reports produced by the serving
     #: front-end; "" for plain single-client sessions.
     client: str = ""
-
-    @property
-    def query_count(self) -> int:
-        return len(self.queries)
-
-    @property
-    def total_response_s(self) -> float:
-        return self.queries[-1].cumulative_response_s if self.queries else 0.0
+    query_count: int = 0
+    #: The running cumulative response (the end of Figures 3/4's
+    #: curve); blocking-idle waits included, idle windows not.
+    total_response_s: float = 0.0
+    #: Blocking-idle debt the queries have waited out so far.
+    total_wait_s: float = 0.0
+    result_rows: int = 0
+    idle_count: int = 0
+    idle_consumed_s: float = 0.0
+    idle_debt_s: float = 0.0
+    #: The history sink; ``None`` keeps no per-event records.
+    records: list[QueryRecord | IdleRecord] | None = None
 
     def cumulative_curve(self) -> list[float]:
-        """Cumulative response seconds per query rank (Figure 3/4 y-axis)."""
-        return [record.cumulative_response_s for record in self.queries]
+        """Cumulative response seconds per query rank (Figure 3/4
+        y-axis), read from the history sink.
+
+        Raises:
+            ConfigError: if the report has no sink.
+        """
+        if self.records is None:
+            raise ConfigError(
+                "cumulative_curve() reads the history sink; set "
+                "report.records = [] before the queries run"
+            )
+        return [
+            record.cumulative_response_s
+            for record in self.records
+            if isinstance(record, QueryRecord)
+        ]
 
 
 class Session:
@@ -116,7 +141,6 @@ class Session:
         self.strategy = strategy
         self.client = client
         self.report = SessionReport(strategy=strategy.name, client=client)
-        self._cumulative_s = 0.0
         self._pending_wait_s = 0.0
         self._accountant: WindowAccountant | None = None
 
@@ -158,19 +182,19 @@ class Session:
         wait = self._pending_wait_s
         self._pending_wait_s = 0.0
         response = (finished - started) + wait
-        self._cumulative_s += response
-        self.report.queries.append(
-            QueryRecord(
-                sequence=len(self.report.queries) + 1,
-                query=query,
-                response_s=response,
-                wait_s=wait,
-                result_count=result.count,
-                cumulative_response_s=self._cumulative_s,
-                finished_at=finished,
-                client=self.client,
+        report = self.report
+        report.query_count += 1
+        report.total_response_s += response
+        report.total_wait_s += wait
+        report.result_rows += result.count
+        if report.records is not None:
+            report.records.append(
+                QueryRecord(
+                    report.query_count, query, response, wait,
+                    result.count, report.total_response_s, finished,
+                    self.client,
+                )
             )
-        )
         return result
 
     def run_batch(
@@ -182,13 +206,13 @@ class Session:
         strategies that support it (standard adaptive cracking, the
         holistic kernel) execute each group's physical work in one
         batched pass and *replay* the per-query accounting through
-        :meth:`run_window`, so every query still gets its own
-        :class:`QueryRecord` and the results, response times,
-        cumulative clock totals and tape counts are identical to
-        calling :meth:`run_query` one query at a time.  Strategies
-        without a batch path, and clocks a :class:`WindowAccountant`
-        cannot price (a wall clock, a :class:`SimClock` inside a
-        parallel phase), fall back to exactly that sequential loop.
+        :meth:`run_window`, so every query is still accounted on its
+        own and the results, response times, cumulative clock totals
+        and tape counts are identical to calling :meth:`run_query` one
+        query at a time.  Strategies without a batch path, and clocks
+        a :class:`WindowAccountant` cannot price (a wall clock, a
+        :class:`SimClock` inside a parallel phase), fall back to
+        exactly that sequential loop.
         """
         queries = list(queries)
         if not queries:
@@ -229,7 +253,7 @@ class Session:
         per-event clock charges, so all timestamps stay bit-identical)
         and settles time plus work counters on this session's clock
         once at window end.  A replay that raises settles too: the
-        clock, the records before it, the cumulative total and the
+        clock, the report's totals and records before it and the
         strategy's notes are what sequential :meth:`run_query` calls
         failing at that query leave.  Cracks the physical pass made for
         fresh bounds of later queries stay in the index uncharged.
@@ -241,15 +265,17 @@ class Session:
             accountant.rearm()
         execution.bind(accountant)
         replay = execution.replay
-        append_record = self.report.queries.append
+        report = self.report
+        records = report.records
         results: list[SelectionResult] = []
         append_result = results.append
-        sequence = len(self.report.queries)
         client = self.client
         # Blocking-idle debt is waiting time of the window's first
         # query only (and still owed if that query fails).
-        wait = self._pending_wait_s
-        cumulative = self._cumulative_s
+        owed = wait = self._pending_wait_s
+        count = report.query_count
+        cumulative = report.total_response_s
+        rows = report.result_rows
         try:
             for i, query in enumerate(queries):
                 started = accountant.now
@@ -260,20 +286,25 @@ class Session:
                 finished = accountant.now
                 response = (finished - started) + wait
                 cumulative += response
-                sequence += 1
-                # Positional: keyword arguments cost a slots dataclass's
-                # __init__ more than twice as much.
-                append_record(
-                    QueryRecord(
-                        sequence, query, response, wait, result.count,
-                        cumulative, finished, client,
+                rows += result.count
+                count += 1
+                if records is not None:
+                    # Positional: keyword arguments cost a slots
+                    # dataclass's __init__ more than twice as much.
+                    records.append(
+                        QueryRecord(
+                            count, query, response, wait, result.count,
+                            cumulative, finished, client,
+                        )
                     )
-                )
                 append_result(result)
                 wait = 0.0
         finally:
             self._pending_wait_s = wait
-            self._cumulative_s = cumulative
+            report.total_wait_s += owed - wait
+            report.query_count = count
+            report.total_response_s = cumulative
+            report.result_rows = rows
             accountant.finish()
             execution.finish()
         return results
@@ -346,6 +377,10 @@ class Session:
                 take (only meaningful to strategies that refine
                 incrementally).
 
+        Returns:
+            The window's :class:`IdleRecord`; the report keeps only
+            its totals, and the record itself if it has a sink.
+
         Raises:
             ConfigError: if neither form is given.
         """
@@ -375,15 +410,16 @@ class Session:
                 # Interruptible tuning slightly overshot; the window
                 # effectively lasted that long.
                 nominal = consumed
+        report = self.report
+        report.idle_count += 1
+        report.idle_consumed_s += consumed
+        report.idle_debt_s += debt
         record = IdleRecord(
-            sequence=len(self.report.idles) + 1,
-            nominal_s=nominal,
-            consumed_s=consumed,
-            actions_done=outcome.actions_done,
-            debt_s=debt,
-            note=outcome.note,
+            report.idle_count, nominal, consumed, outcome.actions_done,
+            debt, outcome.note,
         )
-        self.report.idles.append(record)
+        if report.records is not None:
+            report.records.append(record)
         return record
 
     # -- persistence -------------------------------------------------------------
@@ -391,20 +427,22 @@ class Session:
     def export_state(self) -> dict:
         """The session's durable accounting counters (snapshots).
 
-        Query/idle records are observability history, not engine
-        state -- a restored session starts a fresh report but keeps
-        the cumulative response curve and any outstanding blocking
-        debt, so post-restart records continue the same timeline.
+        Records are observability history, not engine state -- a
+        restored session starts without a sink but keeps the query
+        count, the cumulative response and any outstanding blocking
+        debt, so its totals continue the same timeline.
         """
+        report = self.report
         return {
-            "cumulative_s": self._cumulative_s,
+            "cumulative_s": report.total_response_s,
             "pending_wait_s": self._pending_wait_s,
-            "queries_answered": len(self.report.queries),
+            "queries_answered": report.query_count,
         }
 
     def restore_state(self, state: dict) -> None:
         """Adopt previously-exported session counters."""
-        self._cumulative_s = float(state["cumulative_s"])
+        self.report.total_response_s = float(state["cumulative_s"])
+        self.report.query_count = int(state["queries_answered"])
         self._pending_wait_s = float(state["pending_wait_s"])
 
     def __repr__(self) -> str:

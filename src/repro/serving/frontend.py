@@ -74,11 +74,11 @@ class ClientLane(Session):
     """One client of a shared kernel: a :class:`Session` on its own
     clock fork.
 
-    Besides the session's report (client-tagged query records) and
-    clock, a lane owns its solo-trajectory shadow replays (one per
-    column, created on first touch) and its crack tape -- everything a
-    solo session would have produced, kept bit-identical under
-    serving.  The front-end drives it window by window through
+    Besides the session's report (client-tagged totals, and records
+    if a sink is handed in) and clock, a lane owns its solo-trajectory
+    shadow replays (one per column, created on first touch) and its
+    crack tape -- everything a solo session would have produced, kept
+    bit-identical under serving.  The front-end drives it window by window through
     :meth:`Session.run_window`.
     """
 
@@ -93,10 +93,6 @@ class ClientLane(Session):
         self.clock = clock
         self.tape = CrackTape()
         self.replays: dict[tuple[str, str], DetachedCrackReplay] = {}
-
-    @property
-    def query_count(self) -> int:
-        return len(self.report.queries)
 
     def shadow_state(self) -> dict[tuple[str, str], tuple[list, list]]:
         """Per-column (pivots, cuts) of this client's shadow maps --
@@ -183,10 +179,6 @@ class ServingReport:
     #: Client failures isolated in degraded mode (aliases the
     #: front-end's cumulative list).
     faults: list[ClientFault] = field(default_factory=list)
-
-    @property
-    def total_queries(self) -> int:
-        return sum(len(r.queries) for r in self.clients.values())
 
 
 class ServingFrontend:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import TINY
+from repro.engine.session import QueryRecord
 from repro.simtime.clock import SimClock
 from repro.simtime.model import CostModel
 from repro.storage.catalog import ColumnRef
@@ -62,3 +63,15 @@ def base_holding(rows: dict[int, object], dtype=np.int64) -> np.ndarray:
     for position, value in rows.items():
         base[position] = value
     return base
+
+
+def recorded(session):
+    """``session`` (or a serving lane) with a history sink on its
+    report, so every query and idle window leaves a record."""
+    session.report.records = []
+    return session
+
+
+def query_records(report) -> list[QueryRecord]:
+    """The query records of ``report``'s history sink, in order."""
+    return [r for r in report.records if isinstance(r, QueryRecord)]

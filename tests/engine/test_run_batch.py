@@ -19,6 +19,7 @@ from repro.simtime.clock import SimClock, WallClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
+from tests.conftest import query_records, recorded
 
 SPAN = 100_000_000
 
@@ -82,7 +83,7 @@ def _run(
     db = _database(data_seed)
     if pending:
         _stage_pending(db, data_seed + 7)
-    session = db.session(strategy, **options)
+    session = recorded(db.session(strategy, **options))
     queries = _workload(data_seed, count) * passes
     rng = np.random.default_rng(data_seed + 11)
     results = []
@@ -99,10 +100,17 @@ def _run(
 
 def _fingerprint(session, results) -> tuple:
     report = session.report
+    records = query_records(report)
     parts = [
-        tuple(repr(r.response_s) for r in report.queries),
-        tuple(repr(r.finished_at) for r in report.queries),
-        tuple(r.result_count for r in report.queries),
+        tuple(repr(r.response_s) for r in records),
+        tuple(repr(r.finished_at) for r in records),
+        tuple(r.result_count for r in records),
+        (
+            report.query_count,
+            repr(report.total_response_s),
+            repr(report.total_wait_s),
+            int(report.result_rows),
+        ),
         repr(float(session.clock.now())),
         repr(session.clock.total_charge),
         tuple(
@@ -150,7 +158,7 @@ def _run_mixed_rw(strategy: str, window: int, **options):
     ``ensure_cut``, after ``idle()`` and after a widening
     ``ensure_values_fit``.  ``window == 1`` runs every read alone."""
     db = _database(41)
-    session = db.session(strategy, **options)
+    session = recorded(db.session(strategy, **options))
     refs = [ColumnRef("R", "A1"), ColumnRef("R", "A2")]
     grid = np.linspace(0, SPAN * 0.99, 17).tolist()
     for ref in refs:
@@ -236,9 +244,9 @@ def test_fallback_strategies_match_sequential(strategy, options):
     assert repr(batch_session.clock.now()) == repr(
         base_session.clock.now()
     )
-    assert [repr(r.response_s) for r in batch_session.report.queries] == [
-        repr(r.response_s) for r in base_session.report.queries
-    ]
+    assert [
+        repr(r.response_s) for r in query_records(batch_session.report)
+    ] == [repr(r.response_s) for r in query_records(base_session.report)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -283,7 +291,9 @@ def test_wait_debt_charged_to_first_window_query():
 
     def run(window: int):
         db = _database(3)
-        session = db.session("offline", build_policy="always_build")
+        session = recorded(
+            db.session("offline", build_policy="always_build")
+        )
         from repro.offline.whatif import WorkloadStatement
 
         session.hint_workload(
@@ -300,16 +310,16 @@ def test_wait_debt_charged_to_first_window_query():
 
     base = run(1)
     batched = run(6)
-    assert batched.queries[0].wait_s == base.queries[0].wait_s
-    assert [repr(r.response_s) for r in batched.queries] == [
-        repr(r.response_s) for r in base.queries
+    assert query_records(batched)[0].wait_s == query_records(base)[0].wait_s
+    assert [repr(r.response_s) for r in query_records(batched)] == [
+        repr(r.response_s) for r in query_records(base)
     ]
 
     # The batched fast path itself also absorbs pending wait debt on
     # the window's first query only.
     def run_adaptive(window: int):
         db = _database(3)
-        session = db.session("adaptive")
+        session = recorded(db.session("adaptive"))
         session._pending_wait_s = 0.25
         queries = _workload(3, 6)
         if window == 1:
@@ -321,10 +331,10 @@ def test_wait_debt_charged_to_first_window_query():
 
     base = run_adaptive(1)
     batched = run_adaptive(6)
-    assert batched.queries[0].wait_s == 0.25
-    assert all(r.wait_s == 0.0 for r in batched.queries[1:])
-    assert [repr(r.response_s) for r in batched.queries] == [
-        repr(r.response_s) for r in base.queries
+    assert query_records(batched)[0].wait_s == 0.25
+    assert all(r.wait_s == 0.0 for r in query_records(batched)[1:])
+    assert [repr(r.response_s) for r in query_records(batched)] == [
+        repr(r.response_s) for r in query_records(base)
     ]
 
 
@@ -345,7 +355,7 @@ def test_run_batch_on_wall_clock_counts_charges():
     def run(window: int):
         db = Database(clock=WallClock())
         db.add_table(build_paper_table(rows=2000, columns=2, seed=9))
-        session = db.session("adaptive")
+        session = recorded(db.session("adaptive"))
         if window == 1:
             for query in queries:
                 session.run_query(query)
@@ -356,8 +366,8 @@ def test_run_batch_on_wall_clock_counts_charges():
     base = run(1)
     batched = run(12)
     assert batched.clock.total_charge == base.clock.total_charge
-    assert [r.result_count for r in batched.report.queries] == [
-        r.result_count for r in base.report.queries
+    assert [r.result_count for r in query_records(batched.report)] == [
+        r.result_count for r in query_records(base.report)
     ]
 
 
@@ -369,7 +379,7 @@ def test_run_batch_in_a_parallel_phase_runs_sequentially():
 
     def run(window: int):
         db = _database(9)
-        session = db.session("adaptive")
+        session = recorded(db.session("adaptive"))
         db.clock.begin_parallel()
         if window == 1:
             for query in queries:
@@ -384,15 +394,15 @@ def test_run_batch_in_a_parallel_phase_runs_sequentially():
     batched, batched_now = run(12)
     assert repr(batched_now) == repr(base_now)
     assert batched.clock.total_charge == base.clock.total_charge
-    assert [repr(r.response_s) for r in batched.report.queries] == [
-        repr(r.response_s) for r in base.report.queries
+    assert [repr(r.response_s) for r in query_records(batched.report)] == [
+        repr(r.response_s) for r in query_records(base.report)
     ]
 
 
 def test_interleaved_batches_and_sequential_queries():
     """Windows and single queries can alternate freely on one session."""
     db = _database(21)
-    session = db.session("holistic", seed=2)
+    session = recorded(db.session("holistic", seed=2))
     queries = _workload(21, 30)
     session.run_batch(queries[:10])
     for query in queries[10:15]:
@@ -401,7 +411,7 @@ def test_interleaved_batches_and_sequential_queries():
     session.run_batch(queries[15:])
 
     base_db = _database(21)
-    base = base_db.session("holistic", seed=2)
+    base = recorded(base_db.session("holistic", seed=2))
     for query in queries[:15]:
         base.run_query(query)
     base.idle(actions=5)
@@ -409,8 +419,8 @@ def test_interleaved_batches_and_sequential_queries():
         base.run_query(query)
 
     assert repr(session.clock.now()) == repr(base.clock.now())
-    assert [repr(r.response_s) for r in session.report.queries] == [
-        repr(r.response_s) for r in base.report.queries
+    assert [repr(r.response_s) for r in query_records(session.report)] == [
+        repr(r.response_s) for r in query_records(base.report)
     ]
 
 
@@ -439,7 +449,7 @@ def _converged(strategy: str, rows: int = 3000, **options):
     """A session whose indexes have every ``_GRID`` bound cut already,
     each of the two columns queried once per grid cell."""
     db = _database(17, rows=rows)
-    session = db.session(strategy, **options)
+    session = recorded(db.session(strategy, **options))
     for column in ("A1", "A2"):
         for low, high in zip(_GRID, _GRID[1:]):
             session.select("R", column, low, high)
@@ -513,7 +523,7 @@ def test_rearmed_accountant_starts_from_the_clock():
         started = session.clock.now()
         both(_grid_window(rng, 5))
         assert session._accountant is accountant
-        first = session.report.queries[-5]
+        first = query_records(session.report)[-5]
         assert first.finished_at - first.response_s == started
         assert accountant.now == session.clock.now()
     assert _fingerprint(session, results) == _fingerprint(base, base_results)
@@ -556,7 +566,8 @@ def test_replay_raising_mid_window_settles_like_sequential(
         for query in window:
             base.run_query(query)
     monkeypatch.undo()
-    assert len(session.report.queries) == len(base.report.queries)
+    assert session.report.query_count == base.report.query_count
+    assert session.report.result_rows == base.report.result_rows
     after = _grid_window(np.random.default_rng(31), 1)[0]
     for subject in (session, base):
         subject.run_query(after)
@@ -564,11 +575,11 @@ def test_replay_raising_mid_window_settles_like_sequential(
     assert session.clock.total_charge == base.clock.total_charge
     records = [
         (repr(r.finished_at), repr(r.response_s), r.result_count)
-        for r in session.report.queries
+        for r in query_records(session.report)
     ]
     assert records == [
         (repr(r.finished_at), repr(r.response_s), r.result_count)
-        for r in base.report.queries
+        for r in query_records(base.report)
     ]
     assert repr(session.report.total_response_s) == repr(
         base.report.total_response_s

@@ -300,10 +300,12 @@ class TestLearnedState:
             if name.startswith("tape/")
         ]
         assert back.idle_windows == live.idle_windows
-        assert (
-            restored.session.export_state()["cumulative_s"]
-            == session.export_state()["cumulative_s"]
-        )
+        assert restored.session.export_state() == session.export_state()
+        # The restored report continues the count and the cumulative
+        # response before its first query, not from zero.
+        report, back_report = session.report, restored.session.report
+        assert back_report.query_count == report.query_count > 0
+        assert back_report.total_response_s == report.total_response_s
 
     def test_unsupported_strategy_is_refused(self, tmp_path):
         db = _fresh_db()

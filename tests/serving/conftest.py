@@ -7,6 +7,7 @@ import numpy as np
 from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
+from tests.conftest import query_records, recorded
 
 ROWS = 8_000
 COLUMNS = 2
@@ -34,6 +35,19 @@ def fresh_db(seed: int = 42, pending: bool = False) -> Database:
     return db
 
 
+def _accounting(report) -> dict:
+    records = query_records(report)
+    return {
+        "responses": [r.response_s for r in records],
+        "counts": [r.result_count for r in records],
+        "totals": (
+            report.query_count,
+            report.total_response_s,
+            int(report.result_rows),
+        ),
+    }
+
+
 def solo_baseline(
     strategy: str,
     queries,
@@ -45,16 +59,15 @@ def solo_baseline(
 
     Returns the quantities the serving front-end promises to keep
     bit-identical per client: per-query response times and result
-    counts, the final clock reading, sorted result values, and the
-    per-column piece-map trajectory.
+    counts, the report's totals, the final clock reading, sorted
+    result values, and the per-column piece-map trajectory.
     """
     db = fresh_db(seed=seed, pending=pending)
-    session = db.session(strategy, **options)
+    session = recorded(db.session(strategy, **options))
     results = [session.run_query(query) for query in queries]
     indexes = getattr(session.strategy, "indexes", {})
     return {
-        "responses": [r.response_s for r in session.report.queries],
-        "counts": [r.result_count for r in session.report.queries],
+        **_accounting(session.report),
         "clock_now": db.clock.now(),
         "values": [sorted(res.values().tolist()) for res in results],
         "piece_maps": {
@@ -68,10 +81,10 @@ def solo_baseline(
 
 
 def lane_state(lane, results):
-    """The serving-side counterpart of :func:`solo_baseline`."""
+    """The serving-side counterpart of :func:`solo_baseline`; the lane
+    must have been served with a history sink (:func:`recorded`)."""
     return {
-        "responses": [r.response_s for r in lane.report.queries],
-        "counts": [r.result_count for r in lane.report.queries],
+        **_accounting(lane.report),
         "clock_now": lane.clock.now(),
         "values": [sorted(res.values().tolist()) for res in results],
         "piece_maps": lane.shadow_state(),

@@ -22,6 +22,7 @@ from repro.serving import ServingFrontend
 from repro.storage.catalog import ColumnRef
 from repro.serving.window import WindowEntry
 from tests.conftest import ground_truth_count
+from tests.conftest import recorded
 from tests.serving.conftest import fresh_db, lane_state, solo_baseline
 
 REF = ColumnRef("R", "A1")
@@ -73,7 +74,7 @@ def test_malformed_entry_is_rejected_without_touching_the_window():
     db = fresh_db()
     frontend = _frontend(db)
     healthy = _queries(4)
-    frontend.add_client("good", healthy)
+    recorded(frontend.add_client("good", healthy))
     frontend.add_client("chaos")
     entries = frontend.former.next_window()
     entries.append(WindowEntry(client="chaos", sequence=1, query=_malformed()))
@@ -85,7 +86,7 @@ def test_malformed_entry_is_rejected_without_touching_the_window():
     assert frontend.faults[0].client == "chaos"
     assert "range inverted" in frontend.faults[0].error
     # The rejected entry produced no accounting on the chaos lane.
-    assert frontend.lanes["chaos"].query_count == 0
+    assert frontend.lanes["chaos"].report.query_count == 0
     # Healthy client: bit-identical to its solo run.
     collected = {"good": [r for e, r in zip(entries, results) if e.client == "good"]}
     assert lane_state(frontend.lanes["good"], collected["good"]) == (
@@ -162,7 +163,7 @@ def test_healthy_clients_stay_solo_identical_under_poison():
     healthy = _queries(6)
     db = fresh_db()
     frontend = _frontend(db)
-    frontend.add_client("good", healthy)
+    recorded(frontend.add_client("good", healthy))
     frontend.add_client("victim", _queries(6, low=3e6))
     plan = FaultPlan()
     # Replay order serves all of "good" (hits 0-5) before "victim"

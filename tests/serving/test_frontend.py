@@ -23,6 +23,7 @@ from tests.serving.conftest import (
     lane_state,
     solo_baseline,
 )
+from tests.conftest import query_records, recorded
 
 COLUMN_REFS = [ColumnRef("R", "A1"), ColumnRef("R", "A2")]
 
@@ -50,7 +51,7 @@ def test_every_client_matches_its_solo_run(strategy, pending):
     db = fresh_db(pending=pending)
     frontend = ServingFrontend(db, make_strategy(strategy, db), depth=8)
     lanes = {
-        w.client: frontend.add_client(w.client, w.queries)
+        w.client: recorded(frontend.add_client(w.client, w.queries))
         for w in workloads
     }
     collected = _serve_collecting(frontend)
@@ -93,14 +94,14 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
     kernel = make_strategy(strategy, db)
     frontend = ServingFrontend(db, kernel, depth=4)
     lanes = {
-        w.client: frontend.add_client(w.client, w.queries)
+        w.client: recorded(frontend.add_client(w.client, w.queries))
         for w in workloads
     }
     frontend.run()
     solos = []
     for workload in workloads:
         solo_db = fresh_db(pending=True)
-        session = solo_db.session(strategy)
+        session = recorded(solo_db.session(strategy))
         for query in workload.queries:
             session.run_query(query)
         solos.append(session.strategy)
@@ -115,8 +116,8 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
             )
             for ref, index in session.strategy.indexes.items()
         }
-        assert [r.finished_at for r in lane.report.queries] == [
-            r.finished_at for r in session.report.queries
+        assert [r.finished_at for r in query_records(lane.report)] == [
+            r.finished_at for r in query_records(session.report)
         ]
         assert lane.clock.total_charge == solo_db.clock.total_charge
     if strategy != "holistic":
@@ -146,19 +147,20 @@ def test_run_reports_windows():
     db = fresh_db()
     frontend = ServingFrontend(db, make_strategy("adaptive", db), depth=4)
     for workload in workloads:
-        frontend.add_client(workload.client, workload.queries)
+        recorded(frontend.add_client(workload.client, workload.queries))
     report = frontend.run()
-    assert report.total_queries == 60
     # Every window takes depth=4 queries from each of the 3 clients.
     assert report.windows == 5
     assert {
-        name: len(session_report.queries)
+        name: session_report.query_count
         for name, session_report in report.clients.items()
     } == {workload.client: 20 for workload in workloads}
     # Every record is tagged with its lane's client.
     for name, session_report in report.clients.items():
         assert session_report.client == name
-        assert all(r.client == name for r in session_report.queries)
+        records = query_records(session_report)
+        assert len(records) == 20
+        assert all(r.client == name for r in records)
 
 
 def test_shared_index_does_the_union_of_physical_work_once():
@@ -195,12 +197,15 @@ def test_mid_run_submission_extends_a_lane():
         COLUMN_REFS, DOMAIN_LOW, DOMAIN_HIGH,
         clients=1, queries_per_client=20, seed=8,
     )[0].queries
-    lane = frontend.add_client("c", queries[:10])
+    lane = recorded(frontend.add_client("c", queries[:10]))
     frontend.run()
     frontend.submit("c", queries[10:])
     frontend.run()
     solo = solo_baseline("adaptive", queries)
-    assert [r.response_s for r in lane.report.queries] == solo["responses"]
+    assert [r.response_s for r in query_records(lane.report)] == (
+        solo["responses"]
+    )
+    assert lane.report.total_response_s == solo["totals"][1]
     assert lane.clock.now() == solo["clock_now"]
 
 

@@ -23,6 +23,7 @@ from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
+from tests.conftest import query_records, recorded
 
 ROWS = 1_500
 DOMAIN_HIGH = 100_000.0
@@ -81,11 +82,11 @@ def test_any_interleaving_is_solo_identical(case, strategy):
     solo = []
     for stream in streams:
         db = _db(seed)
-        session = db.session(strategy)
+        session = recorded(db.session(strategy))
         results = [session.run_query(query) for query in stream]
         solo.append(
             (
-                [r.response_s for r in session.report.queries],
+                [r.response_s for r in query_records(session.report)],
                 [sorted(res.values().tolist()) for res in results],
                 db.clock.now(),
             )
@@ -93,7 +94,9 @@ def test_any_interleaving_is_solo_identical(case, strategy):
     # Serving: the drawn interleaving, cut into the drawn windows.
     db = _db(seed)
     frontend = ServingFrontend(db, make_strategy(strategy, db))
-    lanes = [frontend.add_client(f"c{i}") for i in range(clients)]
+    lanes = [
+        recorded(frontend.add_client(f"c{i}")) for i in range(clients)
+    ]
     cursors = [0] * clients
     entries = []
     for client in order:
@@ -111,7 +114,9 @@ def test_any_interleaving_is_solo_identical(case, strategy):
             collected[entry.client].append(result)
     for i, lane in enumerate(lanes):
         responses, values, clock_now = solo[i]
-        assert [r.response_s for r in lane.report.queries] == responses
+        assert [
+            r.response_s for r in query_records(lane.report)
+        ] == responses
         assert [
             sorted(res.values().tolist()) for res in collected[f"c{i}"]
         ] == values

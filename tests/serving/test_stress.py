@@ -19,6 +19,7 @@ from repro.engine.session import make_strategy
 from repro.serving import ServingFrontend
 from repro.storage.catalog import ColumnRef
 from repro.workload.multiclient import make_closed_loop_clients
+from tests.conftest import query_records, recorded
 from tests.serving.conftest import (
     DOMAIN_HIGH,
     DOMAIN_LOW,
@@ -50,7 +51,7 @@ def test_serving_windows_race_tuning_workers():
     )
     frontend = ServingFrontend(db, kernel, depth=4)
     lanes = {
-        w.client: frontend.add_client(w.client, w.queries)
+        w.client: recorded(frontend.add_client(w.client, w.queries))
         for w in workloads
     }
     kernel.start_workers()
@@ -58,7 +59,9 @@ def test_serving_windows_race_tuning_workers():
     report = frontend.run()
     kernel.drain_workers()
     kernel.stop_workers()
-    assert report.total_queries == sum(w.query_count for w in workloads)
+    assert sum(r.query_count for r in report.clients.values()) == sum(
+        w.query_count for w in workloads
+    )
     effective = sum(
         stats.actions_effective
         for stats in kernel.worker_pool.worker_stats()
@@ -69,10 +72,10 @@ def test_serving_windows_race_tuning_workers():
         lane = lanes[workload.client]
         baseline = solo[workload.client]
         assert [
-            r.response_s for r in lane.report.queries
+            r.response_s for r in query_records(lane.report)
         ] == baseline["responses"]
         assert [
-            r.result_count for r in lane.report.queries
+            r.result_count for r in query_records(lane.report)
         ] == baseline["counts"]
         assert lane.clock.now() == baseline["clock_now"]
         # Each client's shadow trajectory is its solo piece map even
@@ -93,7 +96,8 @@ def test_concurrent_submission_threads_feed_the_serving_loop():
     db = fresh_db()
     frontend = ServingFrontend(db, make_strategy("adaptive", db), depth=4)
     lanes = {
-        w.client: frontend.add_client(w.client) for w in workloads
+        w.client: recorded(frontend.add_client(w.client))
+        for w in workloads
     }
     started = threading.Barrier(len(workloads) + 1)
 
@@ -122,7 +126,7 @@ def test_concurrent_submission_threads_feed_the_serving_loop():
         lane = lanes[workload.client]
         baseline = solo[workload.client]
         assert [
-            r.response_s for r in lane.report.queries
+            r.response_s for r in query_records(lane.report)
         ] == baseline["responses"]
         assert lane.clock.now() == baseline["clock_now"]
 
@@ -135,7 +139,7 @@ def test_window_depth_never_changes_per_client_accounting(depth):
         db, make_strategy("holistic", db), depth=depth
     )
     lanes = {
-        w.client: frontend.add_client(w.client, w.queries)
+        w.client: recorded(frontend.add_client(w.client, w.queries))
         for w in workloads
     }
     frontend.run()
@@ -143,6 +147,6 @@ def test_window_depth_never_changes_per_client_accounting(depth):
         baseline = solo_baseline("holistic", workload.queries)
         lane = lanes[workload.client]
         assert [
-            r.response_s for r in lane.report.queries
+            r.response_s for r in query_records(lane.report)
         ] == baseline["responses"]
         assert lane.shadow_state() == baseline["piece_maps"]

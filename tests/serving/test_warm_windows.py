@@ -20,6 +20,7 @@ from repro.serving import ServingFrontend
 from repro.serving.window import WindowEntry
 from repro.storage.catalog import ColumnRef
 from repro.workload.multiclient import make_closed_loop_clients
+from tests.conftest import recorded
 from tests.serving.conftest import (
     DOMAIN_HIGH,
     DOMAIN_LOW,
@@ -123,7 +124,9 @@ def test_serving_across_a_rebuild(strategy):
     db = fresh_db()
     kernel = make_strategy(strategy, db)
     frontend = ServingFrontend(db, kernel, depth=4)
-    lanes = {w.client: frontend.add_client(w.client) for w in workloads}
+    lanes = {
+        w.client: recorded(frontend.add_client(w.client)) for w in workloads
+    }
     collected: dict[str, list] = {name: [] for name in lanes}
     for round_ in range(2):
         for workload in workloads:

@@ -17,7 +17,7 @@ from repro.storage.loader import build_paper_table
 from repro.workload.generators import UniformRangeGenerator
 from repro.storage.catalog import ColumnRef
 
-from tests.conftest import ground_truth_count
+from tests.conftest import ground_truth_count, recorded
 
 STRATEGIES = ("scan", "adaptive", "offline", "online", "holistic")
 
@@ -117,7 +117,7 @@ def test_virtual_clock_is_deterministic():
 
     def run() -> list[float]:
         db = _fresh_db()
-        session = db.session("holistic")
+        session = recorded(db.session("holistic"))
         session.idle(actions=50)
         for query in _workload(30):
             session.run_query(query)
@@ -132,7 +132,7 @@ def test_wall_clock_mode_works_end_to_end():
 
     db = Database(clock=WallClock())
     db.add_table(build_paper_table(rows=10_000, columns=1, seed=42))
-    session = db.session("adaptive")
+    session = recorded(db.session("adaptive"))
     for query in _workload(10):
         result = session.run_query(query)
         assert result.count >= 0

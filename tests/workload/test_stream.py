@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.query import RangeQuery
+from repro.engine.session import IdleRecord
 from repro.errors import WorkloadError
 from repro.storage.catalog import ColumnRef
 from repro.workload.stream import (
@@ -10,6 +11,7 @@ from repro.workload.stream import (
     QueryEvent,
     run_stream_batched,
 )
+from tests.conftest import query_records, recorded
 
 
 def _queries(n: int) -> list[RangeQuery]:
@@ -45,7 +47,7 @@ def test_run_stream_executes_everything(tiny_db):
     events = _with_idles(_queries(4), 2, IdleEvent(actions=2))
     report = run_stream_batched(session, events, 1)
     assert report.query_count == 4
-    assert len(report.idles) == 3
+    assert report.idle_count == 3
     assert report is session.report
 
 
@@ -78,18 +80,24 @@ def test_run_stream_batched_matches_run_stream():
     def fresh_session():
         db = Database(clock=SimClock())
         db.add_table(build_paper_table(rows=5000, columns=1, seed=4))
-        return db.session("holistic", seed=2)
+        return recorded(db.session("holistic", seed=2))
 
     queries = _grid_queries(20)
     events = _with_idles(queries, 7, IdleEvent(actions=3))
     base = run_stream_batched(fresh_session(), events, 1)
     batched = run_stream_batched(fresh_session(), events, window=6)
-    assert [repr(r.response_s) for r in batched.queries] == [
-        repr(r.response_s) for r in base.queries
+    assert [repr(r.response_s) for r in query_records(batched)] == [
+        repr(r.response_s) for r in query_records(base)
     ]
-    assert [repr(r.nominal_s) for r in batched.idles] == [
-        repr(r.nominal_s) for r in base.idles
+    # Idle windows keep their places between the queries.
+    assert [type(r) for r in batched.records] == [
+        type(r) for r in base.records
     ]
+    idles = [
+        [repr(r.nominal_s) for r in rep.records if isinstance(r, IdleRecord)]
+        for rep in (base, batched)
+    ]
+    assert idles[0] == idles[1] and len(idles[0]) == 3
 
 
 def test_run_stream_batched_query_only_fast_path(tiny_db):
@@ -113,8 +121,9 @@ def test_query_stream_runs_and_counts(tiny_db):
     stream = QueryStream(QueryEvent(q) for q in _grid_queries(9))
     assert stream.query_count == 9
     assert len(stream) == 9
-    base = stream.run_windowed(tiny_db.session("adaptive"), 1)
-    windowed = stream.run_windowed(tiny_db.session("adaptive"), 4)
-    assert [r.result_count for r in windowed.queries] == [
-        r.result_count for r in base.queries
+    base = stream.run_windowed(recorded(tiny_db.session("adaptive")), 1)
+    windowed = stream.run_windowed(recorded(tiny_db.session("adaptive")), 4)
+    assert [r.result_count for r in query_records(windowed)] == [
+        r.result_count for r in query_records(base)
     ]
+    assert windowed.result_rows == base.result_rows
