@@ -203,8 +203,8 @@ class CrackSelectBatch:
 
     def replay(self, low: Key, high: Key) -> RangeView:
         """Account for one window query whose per-query overhead the
-        caller already charged (the holistic wrapper charges it before
-        capturing its monitor timestamp); return its result view.
+        caller already charged (:meth:`replay_query` does); return its
+        result view.
 
         ``low``/``high`` are the query's range normalised into the
         column's domain, as :meth:`CrackerIndex.begin_select_batch`

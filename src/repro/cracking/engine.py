@@ -3,9 +3,10 @@
 These are the physical operators behind database cracking [12]:
 ``crack_in_two`` partitions a piece around one pivot (elements < pivot
 first), ``crack_in_three`` around a closed-open range (used when both
-query bounds fall into the same piece, saving one pass).  Both can
-permute an aligned row-id array (the cracker map of sideways cracking
-[13]) so tuple reconstruction stays possible after cracking.
+query bounds fall into the same piece, saving one pass).  They move
+values only: tuple reconstruction is a sideways map's job
+(:mod:`repro.cracking.sideways`, which keeps its own aligned
+partition).
 
 The kernels return the split position(s) plus a :class:`CostCharge`
 counting every element touched, which the clock prices.
@@ -14,26 +15,20 @@ Hot-path design.  The kernels are *selection*-based: a cracked piece
 is an unordered bag -- only the split position is semantically
 meaningful -- so instead of the original stable mask/fancy-index
 shuffle (two boolean gathers plus two write-backs per crack) they find
-each split's rank and run introselect there.
-
-* **value-only cracks**: ``ndarray.partition`` in place -- no
-  temporaries, no write-back; ~3x faster than any gather-based stable
-  partition.  A piece below ``SAMPLE_THRESHOLD`` rows counts its left
-  side (``< pivot``) and selects at that split.  A bigger piece does
-  not count the whole piece, because that pass is the one that pulls
-  it in from memory: a strided sample of ``SAMPLE_SIZE`` elements
-  estimates each pivot's rank, a band of six standard deviations plus
-  one stride brackets the split(s), the piece is selected at both band
-  edges, two guard elements prove that the band holds every split, and
-  only the band is counted and selected.  A band that reaches a piece
-  edge or fails a guard falls back to counting first, so no split
-  depends on the sample.  Counts stream through a ``MASK_CHUNK``-sized
-  :class:`CrackScratch` mask, so no crack allocates a mask and no
-  index keeps one the size of its largest piece.
-* **row-id-tracking cracks** (sideways cracking) always count first:
-  one ``argpartition`` produces a single permutation applied to the
-  value and row-id arrays together through scratch buffers -- the
-  fused cracker-map update; alignment between the two arrays is exact.
+each split's rank and run ``ndarray.partition`` (introselect) there,
+in place -- no temporaries, no write-back; ~3x faster than any
+gather-based stable partition.  A piece below ``SAMPLE_THRESHOLD``
+rows counts its left side (``< pivot``) and selects at that split.  A
+bigger piece does not count the whole piece, because that pass is the
+one that pulls it in from memory: a strided sample of ``SAMPLE_SIZE``
+elements estimates each pivot's rank, a band of six standard
+deviations plus one stride brackets the split(s), the piece is
+selected at both band edges, two guard elements prove that the band
+holds every split, and only the band is counted and selected.  A band
+that reaches a piece edge or fails a guard falls back to counting
+first, so no split depends on the sample.  Counts stream through a
+``MASK_CHUNK``-sized :class:`CrackScratch` mask, so no crack allocates
+a mask and no index keeps one the size of its largest piece.
 
 Split positions, cost charges, tape counts and the per-piece value
 multisets are identical to the original kernel; only the (deliberately
@@ -48,7 +43,6 @@ over the single-piece partitions above.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -76,10 +70,9 @@ class CrackScratch:
 
     One scratch serves one index (all structural operations on a
     :class:`~repro.cracking.index.CrackerIndex` run under its monitor
-    lock) or one thread (the module keeps a thread-local default for
-    callers that pass none).  Buffers are keyed by name and dtype so
-    value and row-id lanes can coexist; the classification mask never
-    grows beyond ``MASK_CHUNK`` elements.
+    lock); a kernel called without one makes its own.  Buffers are
+    keyed by name; the classification mask never grows beyond
+    ``MASK_CHUNK`` elements.
     """
 
     __slots__ = ("_buffers",)
@@ -95,18 +88,6 @@ class CrackScratch:
             buf = np.empty(capacity, dtype=dtype)
             self._buffers[name] = buf
         return buf
-
-
-_thread_local = threading.local()
-
-
-def default_scratch() -> CrackScratch:
-    """The calling thread's shared scratch (created on first use)."""
-    scratch = getattr(_thread_local, "scratch", None)
-    if scratch is None:
-        scratch = CrackScratch()
-        _thread_local.scratch = scratch
-    return scratch
 
 
 def _check_bounds(array: np.ndarray, start: int, end: int) -> None:
@@ -157,23 +138,6 @@ def _count_below(
     return count
 
 
-def _apply_permutation(
-    view: np.ndarray,
-    rview: np.ndarray | None,
-    order: np.ndarray,
-    scratch: CrackScratch,
-) -> None:
-    """Permute ``view`` (and ``rview``) by ``order`` through scratch."""
-    size = view.size
-    buf = scratch.get("permute_values", size, view.dtype)
-    np.take(view, order, out=buf[:size])
-    view[:] = buf[:size]
-    if rview is not None:
-        rbuf = scratch.get("permute_rowids", size, rview.dtype)
-        np.take(rview, order, out=rbuf[:size])
-        rview[:] = rbuf[:size]
-
-
 def _rank_band(
     view: np.ndarray, pivots: tuple[Key, ...]
 ) -> tuple[int, int] | None:
@@ -202,17 +166,14 @@ def _rank_band(
 
 
 def _partition(
-    view: np.ndarray,
-    pivots: tuple[Key, ...],
-    rview: np.ndarray | None,
-    scratch: CrackScratch,
+    view: np.ndarray, pivots: tuple[Key, ...], scratch: CrackScratch
 ) -> list[int]:
     """In-place partition of ``view`` around ascending ``pivots``.
 
     Returns the number of elements ``< pivot`` for each pivot; the
     elements between two consecutive counts are the ones between the
-    two pivots.  Without row ids this is ``ndarray.partition``
-    (in-place introselect); a piece of at least ``SAMPLE_THRESHOLD``
+    two pivots.  This is ``ndarray.partition`` (in-place
+    introselect); a piece of at least ``SAMPLE_THRESHOLD``
     rows first tries the sampled band of :func:`_rank_band`: select
     the whole piece at the band edge that leaves the smaller remainder
     and the remainder at the other, check the guard elements
@@ -220,13 +181,10 @@ def _partition(
     partition inside the band only (a band of at least the threshold
     samples again).  A band that reaches an edge or fails a guard
     falls back to counting the whole piece first, so no result depends
-    on the sample.  With row ids each selection derives one
-    ``argpartition`` permutation applied to the value and row-id arrays
-    together (the fused cracker-map update), keeping both exactly
-    aligned.
+    on the sample.
     """
     size = view.size
-    if rview is None and size >= SAMPLE_THRESHOLD:
+    if size >= SAMPLE_THRESHOLD:
         band = _rank_band(view, pivots)
         if band is not None:
             a, b = band
@@ -237,7 +195,7 @@ def _partition(
                 view.partition(a)
                 view[a + 1 :].partition(b - a - 1)
             if view[a] < pivots[0] and view[b] >= pivots[-1]:
-                inner = _partition(view[a + 1 : b], pivots, None, scratch)
+                inner = _partition(view[a + 1 : b], pivots, scratch)
                 return [a + 1 + n for n in inner]
     # Count first.  Everything left of a split is below the next pivot
     # too, so each later pivot is counted in the remainder only.
@@ -247,11 +205,7 @@ def _partition(
         rest = view[done:] if done else view
         n = done + _count_below(rest, pivot, scratch)
         if done < n < size:
-            if rview is None:
-                rest.partition(n - done - 1)
-            else:
-                order = np.argpartition(rest, n - done - 1)
-                _apply_permutation(rest, rview[done:], order, scratch)
+            rest.partition(n - done - 1)
         counts.append(n)
         done = n
     return counts
@@ -262,7 +216,6 @@ def crack_in_two(
     start: int,
     end: int,
     pivot: Key,
-    rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[int, CostCharge]:
     """Partition ``array[start:end]`` so values < pivot come first.
@@ -272,19 +225,16 @@ def crack_in_two(
         first element ``>= pivot`` after partitioning.
 
     Raises:
-        CrackerError: on invalid bounds or misaligned row ids.
+        CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     size = end - start
     if size == 0:
         return start, CostCharge(cracks=1)
     (n_left,) = _partition(
         array[start:end],
         (pivot,),
-        None if rowids is None else rowids[start:end],
-        scratch if scratch is not None else default_scratch(),
+        scratch if scratch is not None else CrackScratch(),
     )
     return start + n_left, CostCharge.for_crack(size)
 
@@ -295,7 +245,6 @@ def crack_in_three(
     end: int,
     low: Key,
     high: Key,
-    rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[int, int, CostCharge]:
     """Partition ``array[start:end]`` into ``< low | [low, high) | >= high``.
@@ -310,30 +259,22 @@ def crack_in_three(
     _check_bounds(array, start, end)
     if low > high:
         raise CrackerError(f"crack range inverted: low={low} > high={high}")
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     size = end - start
     if size == 0:
         return start, start, CostCharge(cracks=2)
     charge = CostCharge(elements_cracked=size, pieces_touched=1, cracks=2)
     if scratch is None:
-        scratch = default_scratch()
+        scratch = CrackScratch()
     # Three-way selection: splits and per-band multisets match the
     # original three-mask kernel; element order inside each band is
     # unspecified.
-    n_lo, n_below_high = _partition(
-        array[start:end],
-        (low, high),
-        None if rowids is None else rowids[start:end],
-        scratch,
-    )
+    n_lo, n_below_high = _partition(array[start:end], (low, high), scratch)
     return start + n_lo, start + n_below_high, charge
 
 
 def crack_in_two_batch(
     array: np.ndarray,
     tasks: list[tuple[int, int, Key]],
-    rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
     validate: bool = True,
 ) -> tuple[list[int], list[CostCharge]]:
@@ -349,17 +290,14 @@ def crack_in_two_batch(
     :func:`crack_in_two` calls would have produced).
 
     Raises:
-        CrackerError: on invalid bounds, overlapping pieces, or
-            misaligned row ids.
+        CrackerError: on invalid bounds or overlapping pieces.
     """
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     if not tasks:
         return [], []
     if validate:
         _check_disjoint(array, tasks, "crack_in_two_batch")
     if scratch is None:
-        scratch = default_scratch()
+        scratch = CrackScratch()
     splits: list[int] = []
     charges: list[CostCharge] = []
     for start, end, pivot in tasks:
@@ -368,12 +306,7 @@ def crack_in_two_batch(
             splits.append(start)
             charges.append(CostCharge(cracks=1))
             continue
-        (n_left,) = _partition(
-            array[start:end],
-            (pivot,),
-            None if rowids is None else rowids[start:end],
-            scratch,
-        )
+        (n_left,) = _partition(array[start:end], (pivot,), scratch)
         splits.append(start + n_left)
         charges.append(CostCharge.for_crack(size))
     return splits, charges
@@ -382,7 +315,6 @@ def crack_in_two_batch(
 def crack_spans_batch(
     array: np.ndarray,
     tasks: list[tuple[int, int, Key, Key]],
-    rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
     validate: bool = True,
 ) -> list[tuple[int, int]]:
@@ -401,11 +333,9 @@ def crack_spans_batch(
     separately (see :mod:`repro.cracking.batch`).
 
     Raises:
-        CrackerError: on invalid bounds, inverted pivots, overlapping
-            pieces, or misaligned row ids.
+        CrackerError: on invalid bounds, inverted pivots or overlapping
+            pieces.
     """
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     if not tasks:
         return []
     if validate:
@@ -416,13 +346,12 @@ def crack_spans_batch(
                     f"crack range inverted: low={low} > high={high}"
                 )
     if scratch is None:
-        scratch = default_scratch()
+        scratch = CrackScratch()
     splits: list[tuple[int, int]] = []
     for start, end, low, high in tasks:
         counts = _partition(
             array[start:end],
             (low,) if low == high else (low, high),
-            None if rowids is None else rowids[start:end],
             scratch,
         )
         splits.append((start + counts[0], start + counts[-1]))
@@ -434,27 +363,24 @@ def crack_multi(
     start: int,
     end: int,
     pivots: list[Key],
-    rowids: np.ndarray | None = None,
     scratch: CrackScratch | None = None,
 ) -> tuple[list[int], CostCharge]:
     """Partition ``array[start:end]`` around many pivots in one go.
 
     The batch optimization the paper's §3 asks for ("apply multiple
-    tuning actions in one go over a single index").  Value-only pieces
-    run a recursive selection: each step splits its segment at the
-    median remaining pivot (sampled rank on a big segment, see
-    :func:`_partition`), O(n log k) in place.  With row ids a counting
-    partition classifies every element once and scatters it once, so k
-    pivots cost two passes instead of k shrinking crack passes.  Both
-    are charged as that two-pass counting partition, ``2 * size``.
+    tuning actions in one go over a single index").  A recursive
+    selection: each step splits its segment at the median remaining
+    pivot (sampled rank on a big segment, see :func:`_partition`),
+    O(n log k) in place.  Charged as a two-pass counting partition
+    (classify every element once, scatter it once), ``2 * size``.
 
     Returns:
         ``(splits, charge)`` -- ``splits[i]`` is the absolute position
         of the first element ``>= pivots[i]``.
 
     Raises:
-        CrackerError: if bounds are invalid, pivots are not strictly
-            increasing, or row ids are misaligned.
+        CrackerError: if bounds are invalid or pivots are not strictly
+            increasing.
     """
     _check_bounds(array, start, end)
     if not pivots:
@@ -463,8 +389,6 @@ def crack_multi(
         raise CrackerError(
             f"pivots must be strictly increasing: {pivots}"
         )
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     size = end - start
     charge = CostCharge(
         elements_cracked=2 * size,  # classify pass + scatter pass
@@ -474,64 +398,39 @@ def crack_multi(
     if size == 0:
         return [start] * len(pivots), charge
     if scratch is None:
-        scratch = default_scratch()
+        scratch = CrackScratch()
     view = array[start:end]
-    if rowids is None:
-        # Unstable multi-way selection: recursively introselect at the
-        # median pivot -- O(n log k) in place, no permutation arrays.
-        splits = [0] * len(pivots)
-        stack = [(0, size, 0, len(pivots))]
-        while stack:
-            lo, hi, first, last = stack.pop()
-            if first >= last:
-                continue
-            mid = (first + last) // 2
-            (n_left,) = _partition(view[lo:hi], (pivots[mid],), None, scratch)
-            cut = lo + n_left
-            splits[mid] = start + cut
-            stack.append((lo, cut, first, mid))
-            stack.append((cut, hi, mid + 1, last))
-        return splits, charge
-    bins = np.searchsorted(np.asarray(pivots), view, side="right")
-    order = np.argsort(bins, kind="stable")
-    permuted = scratch.get("multi_values", size, view.dtype)
-    np.take(view, order, out=permuted[:size])
-    view[:] = permuted[:size]
-    rview = rowids[start:end]
-    rpermuted = scratch.get("multi_rowids", size, rview.dtype)
-    np.take(rview, order, out=rpermuted[:size])
-    rview[:] = rpermuted[:size]
-    counts = np.bincount(bins, minlength=len(pivots) + 1)
-    boundaries = start + np.cumsum(counts[:-1])
-    return [int(b) for b in boundaries], charge
+    # Unstable multi-way selection: recursively introselect at the
+    # median pivot -- O(n log k) in place, no permutation arrays.
+    splits = [0] * len(pivots)
+    stack = [(0, size, 0, len(pivots))]
+    while stack:
+        lo, hi, first, last = stack.pop()
+        if first >= last:
+            continue
+        mid = (first + last) // 2
+        (n_left,) = _partition(view[lo:hi], (pivots[mid],), scratch)
+        cut = lo + n_left
+        splits[mid] = start + cut
+        stack.append((lo, cut, first, mid))
+        stack.append((cut, hi, mid + 1, last))
+    return splits, charge
 
 
-def sort_piece(
-    array: np.ndarray,
-    start: int,
-    end: int,
-    rowids: np.ndarray | None = None,
-) -> CostCharge:
+def sort_piece(array: np.ndarray, start: int, end: int) -> CostCharge:
     """Fully sort ``array[start:end]`` in place.
 
     Used by refinement actions that finish small pieces off.  Charged
     as a sort of ``end - start`` elements.
 
     Raises:
-        CrackerError: on invalid bounds or misaligned row ids.
+        CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    if rowids is not None and len(rowids) != len(array):
-        raise CrackerError("row-id array must align with the value array")
     size = end - start
     if size <= 1:
         return CostCharge(elements_sorted=size)
-    if rowids is None:
-        array[start:end].sort(kind="quicksort")
-    else:
-        order = np.argsort(array[start:end], kind="stable")
-        array[start:end] = array[start:end][order]
-        rowids[start:end] = rowids[start:end][order]
+    array[start:end].sort(kind="quicksort")
     return CostCharge(elements_sorted=size, pieces_touched=1)
 
 

@@ -12,13 +12,16 @@ yields B's qualifying values as a contiguous view.
 (selection) column drags its tail (projection) column through every
 crack.  Maps are created lazily per projection attribute and refined
 independently -- partial sideways cracking.
+
+A map cracks with its own aligned partition
+(:func:`_partition_aligned`): the crack kernels of
+:mod:`repro.cracking.engine` move values only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cracking.engine import crack_in_three, crack_in_two
 from repro.cracking.piecemap import PieceMap
 from repro.errors import CrackerError, QueryError
 from repro.simtime.charge import CostCharge
@@ -27,6 +30,40 @@ from repro.storage.column import Column
 from repro.storage.dtypes import Key, largest, normalise_range
 from repro.storage.table import Table
 from repro.storage.views import RangeView
+
+
+def _partition_aligned(
+    head: np.ndarray,
+    tail: np.ndarray,
+    start: int,
+    end: int,
+    pivots: tuple[Key, ...],
+) -> list[int]:
+    """Partition ``head[start:end]`` around ascending ``pivots`` with
+    ``tail[start:end]`` moved alike; returns, per pivot, the absolute
+    position of the first head value ``>= pivot``.
+
+    Counts first, then selects at each split: one ``argpartition`` of
+    the remainder, applied to head and tail together, so the pair stays
+    exactly aligned.  Everything left of a split is below the next
+    pivot too, so each later pivot is counted in the remainder only.
+    """
+    view = head[start:end]
+    tail_view = tail[start:end]
+    size = end - start
+    splits = []
+    done = 0
+    for pivot in pivots:
+        rest = view[done:]
+        n = done + int(np.count_nonzero(rest < pivot))
+        if done < n < size:
+            order = np.argpartition(rest, n - done - 1)
+            rest[:] = rest[order]
+            tail_rest = tail_view[done:]
+            tail_rest[:] = tail_rest[order]
+        splits.append(start + n)
+        done = n
+    return splits
 
 
 class _MapPair:
@@ -46,11 +83,13 @@ class _MapPair:
         if at_pivot:
             charge = CostCharge.for_binary_search(self.pieces.piece_count)
             return start, charge
-        position, charge = crack_in_two(
-            self.head, start, end, value, self.tail
+        (position,) = _partition_aligned(
+            self.head, self.tail, start, end, (value,)
         )
         self.pieces.add_crack(value, position)
-        return position, charge
+        if end == start:
+            return position, CostCharge(cracks=1)
+        return position, CostCharge.for_crack(end - start)
 
     def select(self, low: Key, high: Key) -> tuple[int, int, CostCharge]:
         """Cut positions of a normalised range (``low < high``)."""
@@ -64,11 +103,14 @@ class _MapPair:
             and not (low_pivot or high_loc[3])
             and end > start
         ):
-            pos_low, pos_high, charge = crack_in_three(
-                self.head, start, end, low, high, self.tail
+            pos_low, pos_high = _partition_aligned(
+                self.head, self.tail, start, end, (low, high)
             )
             self.pieces.add_crack(low, pos_low)
             self.pieces.add_crack(high, pos_high)
+            charge = CostCharge(
+                elements_cracked=end - start, pieces_touched=1, cracks=2
+            )
             return pos_low, pos_high, charge
         pos_low, charge_low = self.ensure_cut(low)
         pos_high, charge_high = self.ensure_cut(high)

@@ -183,13 +183,25 @@ class CrackerBatchExecution:
     client's :class:`~repro.cracking.batch.DetachedCrackReplay` -- each
     query's replay emitting the sequential charge/tape stream on its
     column's context (see :mod:`repro.cracking.batch`).
+
+    With a ``kernel`` (a strategy with a ``monitor`` and a
+    ``ranking``), the replayed queries are counted per column, a query
+    whose replay raises included, and :meth:`finish` hands each count
+    to one :meth:`WorkloadMonitor.note_many` and one
+    :meth:`ColumnRanking.note_queries` call.  Nothing reads them
+    mid-window, so the deferred counts are indistinguishable from
+    sequential updates.
     """
 
-    __slots__ = ("_slots", "_acc")
+    __slots__ = ("_slots", "_acc", "_kernel", "_counts")
 
-    def __init__(self, slots: list) -> None:
+    def __init__(self, slots: list, kernel=None) -> None:
         self._slots = slots
         self._acc = None
+        self._kernel = kernel
+        #: Per context (column), in first-replay order: the column's
+        #: ref and its replayed queries.
+        self._counts: dict = {}
 
     def bind(self, accountant) -> None:
         self._acc = accountant
@@ -198,6 +210,11 @@ class CrackerBatchExecution:
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
         context, bounds = self._slots[slot]
+        if self._kernel is not None:
+            counted = self._counts.get(context)
+            if counted is None:
+                counted = self._counts[context] = [query.ref, 0]
+            counted[1] += 1
         if bounds is None:
             # An empty range: the per-query overhead alone.
             self._acc.charge_query()
@@ -205,7 +222,13 @@ class CrackerBatchExecution:
         return context.replay_query(*bounds)
 
     def finish(self) -> None:
-        return None
+        if self._kernel is None:
+            return
+        monitor = self._kernel.monitor
+        ranking = self._kernel.ranking
+        for ref, count in self._counts.values():
+            monitor.note_many(ref, count)
+            ranking.note_queries(ref, count)
 
 
 class ScanStrategy(IndexingStrategy):
@@ -460,8 +483,7 @@ class OnlineStrategy(IndexingStrategy):
     def select_keys(
         self, query: RangeQuery, low: Key, high: Key
     ) -> SelectionResult:
-        now = self.clock.now()
-        self.monitor.record(query.ref, now)
+        self.monitor.record(query.ref)
         index = self.colt.index_for(query.ref)
         if index is not None:
             self.colt.note_index_use(query.ref)
@@ -472,13 +494,12 @@ class OnlineStrategy(IndexingStrategy):
         # Epoch bookkeeping happens inside the query window: inline
         # builds delay the triggering query -- the online-indexing
         # penalty the paper describes.
-        self.epochs.observe_query(self.clock.now())
+        self.epochs.observe_query()
         return result
 
     def select_empty(self, query: RangeQuery) -> SelectionResult:
-        now = self.clock.now()
-        self.monitor.record(query.ref, now)
-        self.epochs.observe_query(now)
+        self.monitor.record(query.ref)
+        self.epochs.observe_query()
         return super().select_empty(query)
 
     def access_path(self, query: RangeQuery) -> AccessPath:

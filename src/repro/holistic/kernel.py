@@ -31,6 +31,7 @@ from repro.engine.query import RangeQuery
 from repro.engine.plan import ColumnWindow
 from repro.engine.strategies import (
     BatchExecution,
+    CrackerBatchExecution,
     IdleOutcome,
     IndexingStrategy,
     StrategyFeatures,
@@ -196,7 +197,7 @@ class HolisticKernel(IndexingStrategy):
         self, query: RangeQuery, low: Key, high: Key
     ) -> SelectionResult:
         index = self.index_for(query.ref)
-        self.monitor.record(query.ref, self.clock.now())
+        self.monitor.record(query.ref)
         self.ranking.note_query(query.ref)
         if self.worker_pool is not None and self.worker_pool.is_running:
             # Workers are racing us: take piece latches for the pieces
@@ -209,7 +210,7 @@ class HolisticKernel(IndexingStrategy):
         # What select_keys notes; the index first, as there: it
         # registers the column with the ranking.
         self.index_for(query.ref)
-        self.monitor.record(query.ref, self.clock.now())
+        self.monitor.record(query.ref)
         self.ranking.note_query(query.ref)
         return super().select_empty(query)
 
@@ -233,9 +234,9 @@ class HolisticKernel(IndexingStrategy):
     def batch_execution(self, slots: list) -> BatchExecution:
         """The window execution replaying query ``i`` of a window on
         ``slots[i]``, its column's crack replay context and its
-        normalised bounds, with the kernel's statistics deferred to the
-        window's end (see :class:`_HolisticBatchExecution`)."""
-        return _HolisticBatchExecution(self, slots)
+        normalised bounds, with the kernel's query counts deferred to
+        the window's end (see :class:`CrackerBatchExecution`)."""
+        return CrackerBatchExecution(slots, self)
 
     def exploit_idle(
         self,
@@ -364,54 +365,3 @@ class HolisticKernel(IndexingStrategy):
     def tuning_summary(self) -> TuningReport:
         """Lifetime tuning statistics across all idle windows."""
         return self.scheduler.lifetime
-
-
-class _HolisticBatchExecution:
-    """Window execution for the kernel: shared cracks, deferred stats.
-
-    Each query replays on its column's crack context, as in
-    :class:`~repro.engine.strategies.CrackerBatchExecution`; the
-    kernel's continuous statistics -- monitor observations and ranking
-    query counts -- are collected with their exact sequential
-    timestamps during the replay and applied in one
-    :meth:`WorkloadMonitor.note_many` / :meth:`ColumnRanking.note_queries`
-    call per column at window end.  Nothing reads them mid-window, so
-    the deferred state is indistinguishable from sequential updates.
-    """
-
-    __slots__ = ("_kernel", "_slots", "_noted", "_acc")
-
-    def __init__(self, kernel: HolisticKernel, slots: list) -> None:
-        self._kernel = kernel
-        self._slots = slots
-        #: Per context (column), in first-replay order: the column's
-        #: ref and its queries' timestamps.
-        self._noted: dict = {}
-        self._acc = None
-
-    def bind(self, accountant) -> None:
-        self._acc = accountant
-        for context in dict.fromkeys(context for context, _ in self._slots):
-            context.bind(accountant)
-
-    def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        # The per-query overhead is charged *before* the timestamp --
-        # the sequential order (session charges, then the kernel
-        # records the observation).
-        acc = self._acc
-        acc.charge_query()
-        context, bounds = self._slots[slot]
-        noted = self._noted.get(context)
-        if noted is None:
-            noted = self._noted[context] = (query.ref, [])
-        noted[1].append(acc.now)
-        if bounds is None:
-            return context.empty()
-        return context.replay(*bounds)
-
-    def finish(self) -> None:
-        monitor = self._kernel.monitor
-        ranking = self._kernel.ranking
-        for ref, stamps in self._noted.values():
-            monitor.note_many(ref, stamps)
-            ranking.note_queries(ref, len(stamps))

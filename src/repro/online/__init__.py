@@ -7,12 +7,11 @@ reevaluation and benefit-amortized index creation/dropping.
 
 from repro.online.colt import ColtConfig, ColtTuner, EpochDecision
 from repro.online.epoch import EpochManager
-from repro.online.monitor import ColumnActivity, WorkloadMonitor
+from repro.online.monitor import WorkloadMonitor
 
 __all__ = [
     "ColtConfig",
     "ColtTuner",
-    "ColumnActivity",
     "EpochDecision",
     "EpochManager",
     "WorkloadMonitor",

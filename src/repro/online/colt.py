@@ -59,9 +59,11 @@ class ColtConfig:
 
 @dataclass(slots=True)
 class EpochDecision:
-    """What the tuner decided at one epoch boundary."""
+    """What the tuner decided at one epoch boundary, and the closing
+    epoch's per-column query counts it decided on."""
 
     epoch: int
+    counts: dict[ColumnRef, int] = field(default_factory=dict)
     built: list[ColumnRef] = field(default_factory=list)
     dropped: list[ColumnRef] = field(default_factory=list)
 
@@ -83,7 +85,8 @@ class ColtTuner:
         self.decisions: list[EpochDecision] = []
         self._last_used_epoch: dict[ColumnRef, int] = {}
         self._dropped: set[ColumnRef] = set()
-        self._last_eval_time = 0.0
+        #: The monitor's per-column counts at the last reevaluation.
+        self._counts_seen: dict[ColumnRef, int] = {}
 
     # -- index access ----------------------------------------------------
 
@@ -99,18 +102,24 @@ class ColtTuner:
 
     # -- the epoch loop ----------------------------------------------------
 
-    def reevaluate(self, epoch: int, now: float) -> EpochDecision:
+    def reevaluate(self, epoch: int) -> EpochDecision:
         """Run one COLT reevaluation; returns the decision record."""
-        decision = EpochDecision(epoch=epoch)
-        self._drop_cold_indexes(epoch, decision)
         # Decisions follow activity *within the closing epoch*, not
         # lifetime counts -- otherwise a just-dropped index would be
         # rebuilt from stale popularity forever.
-        fresh_counts = self.monitor.epoch_counts(
-            since=self._last_eval_time
+        seen = self._counts_seen
+        counts = self.monitor.query_counts
+        decision = EpochDecision(
+            epoch=epoch,
+            counts={
+                ref: count - seen.get(ref, 0)
+                for ref, count in counts.items()
+                if count > seen.get(ref, 0)
+            },
         )
-        self._last_eval_time = now
-        candidate = self._best_candidate(fresh_counts)
+        self._counts_seen = dict(counts)
+        self._drop_cold_indexes(epoch, decision)
+        candidate = self._best_candidate(decision.counts)
         if candidate is not None:
             self.builder.build_now(candidate)
             self._dropped.discard(candidate)

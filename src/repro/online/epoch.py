@@ -11,7 +11,7 @@ from typing import Callable
 
 from repro.errors import ConfigError
 
-EpochCallback = Callable[[int, float], None]
+EpochCallback = Callable[[int], None]
 
 
 class EpochManager:
@@ -25,22 +25,20 @@ class EpochManager:
         self.epoch_queries = epoch_queries
         self.queries_seen = 0
         self.epochs_completed = 0
-        self.last_epoch_at = 0.0
         self._callbacks: list[EpochCallback] = []
 
     def on_epoch(self, callback: EpochCallback) -> None:
-        """Register a callback ``(epoch_index, timestamp) -> None``."""
+        """Register a callback ``(epoch_index) -> None``."""
         self._callbacks.append(callback)
 
-    def observe_query(self, timestamp: float) -> bool:
+    def observe_query(self) -> bool:
         """Count one query; returns True if an epoch just completed."""
         self.queries_seen += 1
         if self.queries_seen % self.epoch_queries != 0:
             return False
         self.epochs_completed += 1
-        self.last_epoch_at = timestamp
         for callback in self._callbacks:
-            callback(self.epochs_completed, timestamp)
+            callback(self.epochs_completed)
         return True
 
     def __repr__(self) -> str:

@@ -24,8 +24,8 @@ cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
 
 Older generations restore too: their per-piece sorted flags,
-``has_rowids`` marks, monitor histograms, boost counts and crack-tape
-record arrays (``tape/*``) are ignored,
+``has_rowids`` marks, monitor histograms and ``recent`` timestamps,
+boost counts and crack-tape record arrays (``tape/*``) are ignored,
 a retired option that holds the only value it ever allowed is dropped
 (:data:`_RETIRED_OPTIONS`), and so are the removed no-idle boost's two
 options while either one is 0 (the boost was off).

@@ -31,10 +31,6 @@ class SelectionResult(Protocol):
         """Qualifying values (may copy; prefer :attr:`count` if unused)."""
         ...
 
-    def positions(self) -> np.ndarray | None:
-        """Qualifying row ids in the base table, or None if untracked."""
-        ...
-
 
 class RangeView:
     """A contiguous slice of a (cracked or sorted) value array.
@@ -63,9 +59,6 @@ class RangeView:
     def values(self) -> np.ndarray:
         return self._array[self.start : self.end]
 
-    def positions(self) -> None:
-        return None
-
     def __repr__(self) -> str:
         return f"RangeView([{self.start}, {self.end}), count={self.count})"
 
@@ -83,9 +76,6 @@ class PositionsView:
     def values(self) -> np.ndarray:
         return self._array[self._positions]
 
-    def positions(self) -> np.ndarray:
-        return self._positions
-
     def __repr__(self) -> str:
         return f"PositionsView(count={self.count})"
 
@@ -93,20 +83,14 @@ class PositionsView:
 class MaterializedResult:
     """An already-copied result (e.g. merged with pending updates)."""
 
-    __slots__ = ("_values", "_positions", "count")
+    __slots__ = ("_values", "count")
 
-    def __init__(
-        self, values: np.ndarray, positions: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self._values = values
-        self._positions = positions
         self.count = len(values)
 
     def values(self) -> np.ndarray:
         return self._values
-
-    def positions(self) -> np.ndarray | None:
-        return self._positions
 
     def __repr__(self) -> str:
         return f"MaterializedResult(count={self.count})"
@@ -229,9 +213,6 @@ class PendingOverlay:
                 + [self._inserts]
             )
         return self._values
-
-    def positions(self) -> None:
-        return None
 
     def __repr__(self) -> str:
         return f"PendingOverlay(count={self.count})"

@@ -51,14 +51,6 @@ def test_crack_multi_preserves_multiset():
     assert np.array_equal(np.sort(array), expected)
 
 
-def test_crack_multi_with_rowids_stays_aligned():
-    array = _values(seed=7)
-    base = array.copy()
-    rowids = np.arange(len(array), dtype=np.int64)
-    crack_multi(array, 0, len(array), [2_500.0, 7_500.0], rowids)
-    assert np.array_equal(base[rowids], array)
-
-
 def test_crack_multi_validates_pivot_order():
     array = _values()
     with pytest.raises(CrackerError, match="strictly increasing"):

@@ -37,14 +37,6 @@ def test_crack_in_two_respects_piece_bounds():
     assert np.array_equal(array[200:], before[200:])
 
 
-def test_crack_in_two_with_rowids_stays_aligned():
-    array = _column()
-    base = array.copy()
-    rowids = np.arange(len(array), dtype=np.int64)
-    crack_in_two(array, 0, len(array), 5_000, rowids)
-    assert np.array_equal(base[rowids], array)
-
-
 def test_crack_in_two_extreme_pivots():
     array = _column()
     split, _ = crack_in_two(array, 0, len(array), -1)
@@ -70,12 +62,6 @@ def test_crack_in_two_rejects_bad_bounds():
         crack_in_two(array, 0, len(array) + 1, 5)
 
 
-def test_crack_in_two_rejects_misaligned_rowids():
-    array = _column()
-    with pytest.raises(CrackerError, match="align"):
-        crack_in_two(array, 0, 10, 5, np.arange(3))
-
-
 def test_crack_in_three_partitions_into_bands():
     array = _column()
     lo, hi, charge = crack_in_three(array, 0, len(array), 2_000, 8_000)
@@ -83,14 +69,6 @@ def test_crack_in_three_partitions_into_bands():
     assert np.all((array[lo:hi] >= 2_000) & (array[lo:hi] < 8_000))
     assert np.all(array[hi:] >= 8_000)
     assert charge.cracks == 2
-
-
-def test_crack_in_three_with_rowids_stays_aligned():
-    array = _column()
-    base = array.copy()
-    rowids = np.arange(len(array), dtype=np.int64)
-    crack_in_three(array, 0, len(array), 2_000, 8_000, rowids)
-    assert np.array_equal(base[rowids], array)
 
 
 def test_crack_in_three_rejects_inverted_range():
@@ -115,14 +93,6 @@ def test_sort_piece_sorts_subrange_only():
     assert np.array_equal(array[:100], before[:100])
     assert np.array_equal(array[300:], before[300:])
     assert charge.elements_sorted == 200
-
-
-def test_sort_piece_with_rowids():
-    array = _column()
-    base = array.copy()
-    rowids = np.arange(len(array), dtype=np.int64)
-    sort_piece(array, 0, len(array), rowids)
-    assert np.array_equal(base[rowids], array)
 
 
 def test_split_sorted_piece_binary_searches():

@@ -7,8 +7,6 @@ These property tests pin the contract that made the rewrite safe:
 * split positions are identical to sequential ``crack_in_two`` calls;
 * every piece holds exactly the same value *multiset* (element order
   inside a piece is unspecified);
-* row-id tracking stays aligned (the cracker map reconstructs the
-  cracker column);
 * the batched ``ensure_cuts`` produces bit-identical virtual-clock
   totals, piece maps and tape counts to sequential ``ensure_cut``
   calls.
@@ -52,16 +50,11 @@ def array_and_pivots(draw):
             )
         )
     )
-    track = draw(st.booleans())
-    return values, [float(p) for p in pivots], track
+    return values, [float(p) for p in pivots]
 
 
-def _fresh(values, track):
-    array = np.asarray(values, dtype=np.int64)
-    rowids = (
-        np.arange(len(array), dtype=np.int64) if track else None
-    )
-    return array, rowids
+def _fresh(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 def _piece_multisets(array, bounds):
@@ -75,31 +68,26 @@ def _piece_multisets(array, bounds):
 @settings(max_examples=60, deadline=None)
 @given(array_and_pivots())
 def test_crack_multi_matches_sequential_crack_in_two(case):
-    values, pivots, track = case
-    seq_array, seq_rowids = _fresh(values, track)
+    values, pivots = case
+    seq_array = _fresh(values)
     seq_splits = []
     start, end = 0, len(seq_array)
     for pivot in pivots:
-        split, _ = crack_in_two(seq_array, start, end, pivot, seq_rowids)
+        split, _ = crack_in_two(seq_array, start, end, pivot)
         seq_splits.append(split)
         start = split  # next pivot is larger; its band starts here
-    batch_array, batch_rowids = _fresh(values, track)
-    batch_splits, _ = crack_multi(
-        batch_array, 0, len(batch_array), pivots, batch_rowids
-    )
+    batch_array = _fresh(values)
+    batch_splits, _ = crack_multi(batch_array, 0, len(batch_array), pivots)
     assert batch_splits == seq_splits
     assert _piece_multisets(batch_array, batch_splits) == (
         _piece_multisets(seq_array, seq_splits)
     )
-    if track:
-        base = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(base[batch_rowids], batch_array)
 
 
 @settings(max_examples=60, deadline=None)
 @given(array_and_pivots())
 def test_crack_in_two_batch_matches_sequential(case):
-    values, pivots, track = case
+    values, pivots = case
     # Carve the array into disjoint pieces, one pivot per piece.
     array_len = len(values)
     edges = np.linspace(0, array_len, num=len(pivots) + 1, dtype=int)
@@ -107,15 +95,10 @@ def test_crack_in_two_batch_matches_sequential(case):
         (int(edges[i]), int(edges[i + 1]), pivots[i])
         for i in range(len(pivots))
     ]
-    seq_array, seq_rowids = _fresh(values, track)
-    seq_splits = [
-        crack_in_two(seq_array, s, e, p, seq_rowids)[0]
-        for s, e, p in tasks
-    ]
-    batch_array, batch_rowids = _fresh(values, track)
-    batch_splits, charges = crack_in_two_batch(
-        batch_array, tasks, batch_rowids
-    )
+    seq_array = _fresh(values)
+    seq_splits = [crack_in_two(seq_array, s, e, p)[0] for s, e, p in tasks]
+    batch_array = _fresh(values)
+    batch_splits, charges = crack_in_two_batch(batch_array, tasks)
     assert batch_splits == seq_splits
     assert len(charges) == len(tasks)
     for (s, e, _), charge in zip(tasks, charges):
@@ -128,33 +111,25 @@ def test_crack_in_two_batch_matches_sequential(case):
         assert np.sort(batch_array[s:split]).tolist() == (
             np.sort(seq_array[s:split]).tolist()
         )
-    if track:
-        base = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(base[batch_rowids], batch_array)
 
 
 @settings(max_examples=60, deadline=None)
 @given(array_and_pivots())
 def test_crack_in_three_matches_two_sequential_cracks(case):
-    values, pivots, track = case
+    values, pivots = case
     low = pivots[0]
     high = pivots[-1]
-    seq_array, seq_rowids = _fresh(values, track)
-    pos_low, _ = crack_in_two(seq_array, 0, len(seq_array), low, seq_rowids)
-    pos_high, _ = crack_in_two(
-        seq_array, pos_low, len(seq_array), high, seq_rowids
-    )
-    three_array, three_rowids = _fresh(values, track)
+    seq_array = _fresh(values)
+    pos_low, _ = crack_in_two(seq_array, 0, len(seq_array), low)
+    pos_high, _ = crack_in_two(seq_array, pos_low, len(seq_array), high)
+    three_array = _fresh(values)
     t_low, t_high, _ = crack_in_three(
-        three_array, 0, len(three_array), low, high, three_rowids
+        three_array, 0, len(three_array), low, high
     )
     assert (t_low, t_high) == (pos_low, pos_high)
     assert _piece_multisets(three_array, [t_low, t_high]) == (
         _piece_multisets(seq_array, [pos_low, pos_high])
     )
-    if track:
-        base = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(base[three_rowids], three_array)
 
 
 def _column(values):

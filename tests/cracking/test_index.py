@@ -135,7 +135,6 @@ def test_rowid_tracking_reconstructs(small_column):
     view = CrackerIndex(small_column).select_range(10_000_000, 30_000_000)
     reconstructed = small_column.values[positions.values()]
     assert np.array_equal(np.sort(reconstructed), np.sort(view.values()))
-    assert view.positions() is None
     rowid_map.check_invariants()
 
 

@@ -17,11 +17,11 @@ import pytest
 import repro.cracking.concurrency as concurrency
 from repro.cracking.concurrency import PieceLatchTable
 from repro.cracking.engine import (
+    CrackScratch,
     _count_below,
     crack_in_two_batch,
     crack_multi,
     crack_spans_batch,
-    default_scratch,
     split_sorted_piece,
 )
 from repro.cracking.index import CrackerIndex
@@ -79,8 +79,8 @@ B = 2**53  # float64 spacing becomes 2 here: odd ints are unrepresentable
 def test_count_below_is_exact_beyond_2_53():
     view = np.array([B + 3], dtype=np.int64)
     # Promoted, B+3 rounds (half-to-even) to B+4 and stops counting.
-    assert _count_below(view, B + 4, default_scratch()) == 1
-    assert _count_below(view, B + 3, default_scratch()) == 0
+    assert _count_below(view, B + 4, CrackScratch()) == 1
+    assert _count_below(view, B + 3, CrackScratch()) == 0
 
 
 def test_batch_kernels_are_exact_beyond_2_53():

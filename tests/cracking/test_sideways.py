@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.cracking.engine import crack_in_three, crack_in_two
 from repro.cracking.index import CrackerIndex
 from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.errors import CrackerError, QueryError
 from repro.simtime.clock import SimClock
+from repro.storage.column import Column
 from repro.storage.loader import build_paper_table
+from repro.storage.table import Table
 
 
 @pytest.fixture
@@ -42,6 +45,47 @@ def test_repeated_queries_stay_correct(index, table, rng):
         expected = _expected_projection(table, low, high, "A2")
         assert np.array_equal(np.sort(view.values()), expected)
     index.check_invariants()
+
+
+def _rowid_map(n: int = 1_000):
+    """A map whose tail is the head's row ids, and the head's values."""
+    values = np.random.default_rng(0).integers(0, 10_000, n)
+    table = Table("R")
+    table.add_column(Column("A1", values.astype(np.int64)))
+    table.add_column(Column("rowid", np.arange(n, dtype=np.int64)))
+    index = SidewaysCrackerIndex(table, "A1", clock=SimClock())
+    return index.map_for("rowid"), table.column("A1").values
+
+
+def test_single_bound_crack_keeps_the_map_aligned():
+    """A range open to the top cracks at its low bound only: every row
+    id moves with its value, and the split and charge are the value-only
+    ``crack_in_two``'s."""
+    pair, base = _rowid_map()
+    reference = base.copy()
+    split, charge = crack_in_two(reference, 0, len(reference), 5_000)
+    position, end, got = pair.select(5_000, pair.largest + 1)
+    assert (position, end) == (split, len(base))
+    assert got == charge
+    assert np.array_equal(base[pair.tail], pair.head)
+    assert np.all(pair.head[:position] < 5_000)
+    assert np.all(pair.head[position:] >= 5_000)
+
+
+def test_two_bounds_in_one_piece_keep_the_map_aligned():
+    """Both bounds in one piece crack it three ways in one pass: every
+    row id moves with its value, and the splits and charge are the
+    value-only ``crack_in_three``'s."""
+    pair, base = _rowid_map()
+    reference = base.copy()
+    lo, hi, charge = crack_in_three(
+        reference, 0, len(reference), 2_000, 8_000
+    )
+    assert pair.select(2_000, 8_000) == (lo, hi, charge)
+    assert np.array_equal(base[pair.tail], pair.head)
+    assert np.all(pair.head[:lo] < 2_000)
+    assert np.all((pair.head[lo:hi] >= 2_000) & (pair.head[lo:hi] < 8_000))
+    assert np.all(pair.head[hi:] >= 8_000)
 
 
 def test_maps_are_per_tail_and_lazy(index):

@@ -20,6 +20,7 @@ from repro.storage.table import Table
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
     PendingOverlay,
+    PositionsView,
     RangeView,
     multiset_difference,
 )
@@ -35,10 +36,13 @@ def test_scan_select_matches_ground_truth(small_column):
 
 
 def test_scan_select_returns_positions(small_column):
+    """A scan answers with the qualifying rows' positions over the
+    base array, read through ``values()``."""
     clock = SimClock()
     view = scan_select(small_column.values, 1e7, 3e7, clock)
-    positions = view.positions()
-    values = small_column.values[positions]
+    assert isinstance(view, PositionsView)
+    values = view.values()
+    assert len(values) == view.count
     assert np.all((values >= 1e7) & (values < 3e7))
 
 
@@ -381,9 +385,6 @@ class _UnreadableResult:
 
     def values(self) -> np.ndarray:
         raise AssertionError("the select read its result")
-
-    def positions(self) -> None:
-        return None
 
 
 @pytest.mark.parametrize("removals", [1, 32, 33, 200])

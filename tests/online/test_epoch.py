@@ -9,27 +9,20 @@ from repro.online.epoch import EpochManager
 def test_epoch_fires_every_n_queries():
     epochs = EpochManager(epoch_queries=3)
     fired = []
-    epochs.on_epoch(lambda e, t: fired.append((e, t)))
-    results = [epochs.observe_query(float(i)) for i in range(7)]
+    epochs.on_epoch(fired.append)
+    results = [epochs.observe_query() for _ in range(7)]
     assert results == [False, False, True, False, False, True, False]
-    assert fired == [(1, 2.0), (2, 5.0)]
+    assert fired == [1, 2]
     assert epochs.epochs_completed == 2
 
 
 def test_multiple_callbacks_all_fire():
     epochs = EpochManager(epoch_queries=1)
     hits = []
-    epochs.on_epoch(lambda e, t: hits.append("a"))
-    epochs.on_epoch(lambda e, t: hits.append("b"))
-    epochs.observe_query(0.0)
+    epochs.on_epoch(lambda e: hits.append("a"))
+    epochs.on_epoch(lambda e: hits.append("b"))
+    epochs.observe_query()
     assert hits == ["a", "b"]
-
-
-def test_last_epoch_timestamp():
-    epochs = EpochManager(epoch_queries=2)
-    epochs.observe_query(1.0)
-    epochs.observe_query(2.5)
-    assert epochs.last_epoch_at == 2.5
 
 
 def test_invalid_epoch_length_rejected():

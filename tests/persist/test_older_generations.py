@@ -1,7 +1,8 @@
 """Generations written by older versions restore.
 
 Earlier layouts stored a per-piece sorted-flag array and a
-``has_rowids`` mark per index, a range histogram per monitored column,
+``has_rowids`` mark per index, a range histogram and the ``recent``
+query timestamps per monitored column,
 the holistic kernel's boost count, one record array per crack-tape
 field (``tape/<scope>/*``, with or without ``int_pivots``), and
 strategy configs that named options since retired.  A generation in
@@ -50,9 +51,9 @@ def _engine(strategy: str):
 
 def _write_as_before(root, db, session, retired: dict) -> int:
     """Publish the engine's state in the older layout: a ``flags``
-    array per index, ``has_rowids: false``, a monitor histogram per
-    column, a kernel boost count and ``retired`` options in the
-    strategy config."""
+    array per index, ``has_rowids: false``, a monitor histogram and
+    ``recent`` timestamps per column, a kernel boost count and
+    ``retired`` options in the strategy config."""
     arrays, meta, _ = capture_state(db, session.strategy, session)
     for index_meta in meta["indexes"]:
         index_meta["has_rowids"] = False
@@ -65,6 +66,7 @@ def _write_as_before(root, db, session, retired: dict) -> int:
             entry["histogram"] = [entry["query_count"]] + [0] * 63
             entry["histogram_low"] = 1.0
             entry["histogram_width"] = 1562500.0
+            entry["recent"] = [0.001 * i for i in range(entry["query_count"])]
     meta["strategy"]["config"].update(retired)
     return write_generation(root, arrays, meta)
 

@@ -20,7 +20,6 @@ def test_range_view_slices_lazily(array):
     view = RangeView(array, 1, 4)
     assert view.count == 3
     assert view.values().tolist() == [20, 30, 40]
-    assert view.positions() is None
 
 
 def test_range_view_rejects_bad_bounds(array):
@@ -42,10 +41,9 @@ def test_positions_view(array):
     view = PositionsView(array, np.array([0, 2, 4]))
     assert view.count == 3
     assert view.values().tolist() == [10, 30, 50]
-    assert view.positions().tolist() == [0, 2, 4]
 
 
 def test_materialized_result():
     result = MaterializedResult(np.array([1, 2], dtype=np.int64))
     assert result.count == 2
-    assert result.positions() is None
+    assert result.values().tolist() == [1, 2]
