@@ -2,7 +2,8 @@
 
 The paper runs at 10^8 rows per column; pure Python cannot do that
 interactively, so experiments run at a reduced ``rows`` while the
-virtual clock projects costs back to paper scale (``paper_rows``).
+virtual clock projects costs back to paper scale
+(:data:`~repro.simtime.costs.PAPER_COLUMN_ROWS`).
 tests/simtime/test_projection.py checks that the projection is sound
 for uniform data.
 """
@@ -24,13 +25,11 @@ class ScaleSpec:
         name: scale label.
         rows: physical rows per column in this run.
         query_count: queries per experiment.
-        paper_rows: the scale costs are projected to.
     """
 
     name: str
     rows: int
     query_count: int
-    paper_rows: int = PAPER_COLUMN_ROWS
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.query_count <= 0:
@@ -42,7 +41,7 @@ class ScaleSpec:
     @property
     def projection(self) -> float:
         """Cost-model scale factor projecting this run to paper scale."""
-        return projection_scale(self.rows, self.paper_rows)
+        return projection_scale(self.rows, PAPER_COLUMN_ROWS)
 
     def cost_model(self) -> CostModel:
         """A paper-calibrated cost model projecting from this scale."""

@@ -23,8 +23,7 @@ from repro.errors import ConfigError
 from repro.offline.advisor import OfflineAdvisor
 from repro.offline.builder import IndexBuilder
 from repro.offline.whatif import WhatIfOptimizer, WorkloadStatement
-from repro.online.colt import ColtConfig, ColtTuner
-from repro.online.epoch import EpochManager
+from repro.online.colt import ColtTuner
 from repro.online.monitor import WorkloadMonitor
 from repro.storage.database import Database
 from repro.storage.dtypes import Key, normalise_range
@@ -360,21 +359,15 @@ class OfflineStrategy(IndexingStrategy):
 
     Args:
         db: the database.
-        build_policy: ``always_build`` builds every recommended index
+        build_policy: ``always_build`` builds every beneficial index
             even when the idle budget is too small (arriving queries
             wait -- the paper's Exp1 behaviour); ``fit_budget`` builds
             only indexes that fit (Exp2 behaviour).
-        max_indexes: optional cap on recommendations.
     """
 
     name = "offline"
 
-    def __init__(
-        self,
-        db: Database,
-        build_policy: str = "fit_budget",
-        max_indexes: int | None = None,
-    ) -> None:
+    def __init__(self, db: Database, build_policy: str = "fit_budget") -> None:
         super().__init__(db)
         if build_policy not in ("always_build", "fit_budget"):
             raise ConfigError(
@@ -382,9 +375,9 @@ class OfflineStrategy(IndexingStrategy):
                 "always_build, fit_budget"
             )
         self.build_policy = build_policy
-        self.max_indexes = max_indexes
-        self.optimizer = WhatIfOptimizer(db.catalog, db.cost_model)
-        self.advisor = OfflineAdvisor(self.optimizer)
+        self.advisor = OfflineAdvisor(
+            WhatIfOptimizer(db.catalog, db.cost_model)
+        )
         self.builder = IndexBuilder(db.catalog, db.clock)
         self._hints: list[WorkloadStatement] = []
         self._prepared = False
@@ -407,26 +400,17 @@ class OfflineStrategy(IndexingStrategy):
             return IdleOutcome(note="offline: nothing (left) to build")
         self._prepared = True
         start = self.clock.now()
-        advise_budget = (
-            None if self.build_policy == "always_build" else budget_s
+        picked, left_out = self.advisor.advise(
+            self._hints,
+            budget_s=None if self.build_policy == "always_build" else budget_s,
         )
-        report = self.advisor.advise(
-            self._hints, budget_s=advise_budget, max_indexes=self.max_indexes
-        )
-        refs = [rec.ref for rec in report.recommended]
-        if self.build_policy == "always_build":
-            build_report = self.builder.build_within(refs, budget_s=None)
-        else:
-            build_report = self.builder.build_within(refs, budget_s=budget_s)
-        consumed = self.clock.now() - start
+        for ref in picked:
+            self.builder.build_now(ref)
         return IdleOutcome(
-            consumed_s=consumed,
-            actions_done=len(build_report.built),
+            consumed_s=self.clock.now() - start,
+            actions_done=len(picked),
             blocking=True,
-            note=(
-                f"built {len(build_report.built)} index(es), "
-                f"skipped {len(build_report.skipped)}"
-            ),
+            note=f"built {len(picked)} index(es), skipped {len(left_out)}",
         )
 
     def select_keys(
@@ -455,30 +439,20 @@ class OfflineStrategy(IndexingStrategy):
 
 
 class OnlineStrategy(IndexingStrategy):
-    """COLT-style online tuning [16].
-
-    Args:
-        db: the database.
-        epoch_queries: reevaluation cadence.
-        colt_config: tuner knobs; defaults to :class:`ColtConfig`.
-    """
+    """COLT-style online tuning [16]; its cadence and knobs are
+    :mod:`repro.online.colt`'s constants."""
 
     name = "online"
 
-    def __init__(
-        self,
-        db: Database,
-        epoch_queries: int = 100,
-        colt_config: ColtConfig | None = None,
-    ) -> None:
+    def __init__(self, db: Database) -> None:
         super().__init__(db)
         self.monitor = WorkloadMonitor()
-        self.epochs = EpochManager(epoch_queries)
-        self.optimizer = WhatIfOptimizer(db.catalog, db.cost_model)
         self.builder = IndexBuilder(db.catalog, db.clock)
-        config = colt_config if colt_config is not None else ColtConfig()
-        self.colt = ColtTuner(self.monitor, self.optimizer, self.builder, config)
-        self.epochs.on_epoch(self.colt.reevaluate)
+        self.colt = ColtTuner(
+            self.monitor,
+            WhatIfOptimizer(db.catalog, db.cost_model),
+            self.builder,
+        )
 
     def select_keys(
         self, query: RangeQuery, low: Key, high: Key
@@ -494,12 +468,12 @@ class OnlineStrategy(IndexingStrategy):
         # Epoch bookkeeping happens inside the query window: inline
         # builds delay the triggering query -- the online-indexing
         # penalty the paper describes.
-        self.epochs.observe_query()
+        self.colt.observe_query()
         return result
 
     def select_empty(self, query: RangeQuery) -> SelectionResult:
         self.monitor.record(query.ref)
-        self.epochs.observe_query()
+        self.colt.observe_query()
         return super().select_empty(query)
 
     def access_path(self, query: RangeQuery) -> AccessPath:

@@ -1,31 +1,20 @@
 """Offline indexing substrate: what-if advisor and full-index builder.
 
 Reproduces the classic offline auto-tuning stack the paper contrasts
-with ([1, 2, 3, 5, 6, 17]): hypothetical indexes, optimizer cost
-estimates, greedy selection under a budget, and budgeted builds of
-complete sorted indexes.
+with ([1, 2, 3, 5, 6, 17]): optimizer estimates for hypothetical
+indexes, greedy selection under a budget, and builds of complete
+sorted indexes.
 """
 
-from repro.offline.advisor import AdvisorReport, OfflineAdvisor, Recommendation
-from repro.offline.builder import BuildRecord, BuildReport, IndexBuilder
+from repro.offline.advisor import OfflineAdvisor
+from repro.offline.builder import IndexBuilder
 from repro.offline.fullindex import FullIndex
-from repro.offline.whatif import (
-    Configuration,
-    HypotheticalIndex,
-    WhatIfOptimizer,
-    WorkloadStatement,
-)
+from repro.offline.whatif import WhatIfOptimizer, WorkloadStatement
 
 __all__ = [
-    "AdvisorReport",
-    "BuildRecord",
-    "BuildReport",
-    "Configuration",
     "FullIndex",
-    "HypotheticalIndex",
     "IndexBuilder",
     "OfflineAdvisor",
-    "Recommendation",
     "WhatIfOptimizer",
     "WorkloadStatement",
 ]

@@ -1,54 +1,30 @@
 """The offline index advisor.
 
 Given a representative workload sample and an idle-time budget, the
-advisor enumerates single-column candidates, scores them with the
-what-if optimizer, and greedily picks the set with the highest benefit
-that fits the budget -- the classic offline auto-tuning loop of [1, 5,
-6, 17].  The fundamental limitation the paper leans on is visible right
-here: with a budget smaller than one build cost, the advisor can
-recommend nothing useful, while holistic indexing would spend the same
-budget on partial refinements.
+advisor scores each single-column candidate once with the what-if
+optimizer, ranks the candidates by benefit per build-second and
+greedily picks those that fit the budget -- the classic offline
+auto-tuning loop of [1, 5, 6, 17].  The fundamental limitation the
+paper leans on is visible right here: with a budget smaller than one
+build cost, the advisor can recommend nothing useful, while holistic
+indexing would spend the same budget on partial refinements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError
-from repro.offline.whatif import (
-    Configuration,
-    WhatIfOptimizer,
-    WorkloadStatement,
-)
+from repro.offline.whatif import WhatIfOptimizer, WorkloadStatement
 from repro.storage.catalog import ColumnRef
 
 
-@dataclass(frozen=True, slots=True)
-class Recommendation:
-    """One recommended index with its expected economics."""
-
-    ref: ColumnRef
-    expected_benefit_s: float
-    build_cost_s: float
-
-    @property
-    def benefit_per_build_second(self) -> float:
-        if self.build_cost_s <= 0:
-            # A free build is only infinitely attractive when it buys
-            # something; a zero-benefit candidate must not outrank
-            # genuinely beneficial ones in the greedy pick.
-            return float("inf") if self.expected_benefit_s > 0 else 0.0
-        return self.expected_benefit_s / self.build_cost_s
-
-
-@dataclass(slots=True)
-class AdvisorReport:
-    """The advisor's output: what to build, in which order."""
-
-    recommended: list[Recommendation]
-    rejected: list[Recommendation]
-    budget_s: float | None
-    whatif_calls: int
+def benefit_per_build_second(benefit_s: float, build_cost_s: float) -> float:
+    """A candidate's rank key: workload seconds saved per build-second."""
+    if build_cost_s <= 0:
+        # A free build is only infinitely attractive when it buys
+        # something; a zero-benefit candidate must not outrank
+        # genuinely beneficial ones in the greedy pick.
+        return float("inf") if benefit_s > 0 else 0.0
+    return benefit_s / build_cost_s
 
 
 class OfflineAdvisor:
@@ -57,73 +33,55 @@ class OfflineAdvisor:
     def __init__(self, optimizer: WhatIfOptimizer) -> None:
         self.optimizer = optimizer
 
-    def candidates(
-        self, workload: list[WorkloadStatement]
-    ) -> list[ColumnRef]:
-        """Distinct columns referenced by the workload sample."""
-        seen: dict[ColumnRef, None] = {}
-        for statement in workload:
-            seen.setdefault(statement.ref, None)
-        return list(seen)
-
     def advise(
         self,
         workload: list[WorkloadStatement],
         budget_s: float | None = None,
-        max_indexes: int | None = None,
-    ) -> AdvisorReport:
+    ) -> tuple[list[ColumnRef], list[ColumnRef]]:
         """Pick indexes greedily by benefit per build-second.
+
+        A candidate's benefit is the weighted sum of
+        :meth:`WhatIfOptimizer.query_gain` over its own statements.
+        Candidates are ranked by a stable sort, so ties keep the
+        workload's first-seen order; the pick stops at the first
+        candidate that buys nothing and passes over any whose build no
+        longer fits the remaining budget.
 
         Args:
             workload: representative statement sample with weights.
             budget_s: total build-time budget; ``None`` = unlimited.
-            max_indexes: cap on the number of recommendations.
+
+        Returns:
+            The picked columns in build order, and the beneficial
+            candidates the budget left out.
 
         Raises:
-            ConfigError: if the budget or cap is negative.
+            ConfigError: if the budget is negative.
         """
         if budget_s is not None and budget_s < 0:
             raise ConfigError(f"budget must be >= 0, got {budget_s}")
-        if max_indexes is not None and max_indexes < 0:
-            raise ConfigError(f"max_indexes must be >= 0: {max_indexes}")
-        calls_before = self.optimizer.calls
-        config = Configuration()
-        remaining = (
-            float("inf") if budget_s is None else float(budget_s)
+        optimizer = self.optimizer
+        benefit: dict[ColumnRef, float] = {}
+        for statement in workload:
+            ref = statement.ref
+            benefit[ref] = benefit.get(ref, 0.0) + (
+                statement.weight * optimizer.query_gain(ref)
+            )
+        cost = {ref: optimizer.build_cost(ref) for ref in benefit}
+        ranked = sorted(
+            benefit,
+            key=lambda ref: benefit_per_build_second(benefit[ref], cost[ref]),
+            reverse=True,
         )
-        pool = self.candidates(workload)
-        recommended: list[Recommendation] = []
-        rejected: list[Recommendation] = []
-        while pool:
-            scored: list[Recommendation] = []
-            for ref in pool:
-                benefit = self.optimizer.index_benefit(
-                    workload, config, ref
-                )
-                cost = self.optimizer.build_cost(ref)
-                scored.append(Recommendation(ref, benefit, cost))
-            scored.sort(
-                key=lambda r: r.benefit_per_build_second, reverse=True
-            )
-            best = scored[0]
-            capped = (
-                max_indexes is not None
-                and len(recommended) >= max_indexes
-            )
-            if best.expected_benefit_s <= 0 or capped:
-                rejected.extend(scored)
+        remaining = float("inf") if budget_s is None else float(budget_s)
+        picked: list[ColumnRef] = []
+        left_out: list[ColumnRef] = []
+        for ref in ranked:
+            if benefit[ref] <= 0:
                 break
-            if best.build_cost_s > remaining:
-                rejected.append(best)
-                pool.remove(best.ref)
+            if cost[ref] > remaining:
+                left_out.append(ref)
                 continue
-            recommended.append(best)
-            config = config.with_index(best.ref)
-            remaining -= best.build_cost_s
-            pool.remove(best.ref)
-        return AdvisorReport(
-            recommended=recommended,
-            rejected=rejected,
-            budget_s=budget_s,
-            whatif_calls=self.optimizer.calls - calls_before,
-        )
+            picked.append(ref)
+            remaining -= cost[ref]
+        return picked, left_out

@@ -71,15 +71,6 @@ class FullIndex:
         self.built_at = self.clock.now()
         return seconds
 
-    def build_cost_estimate(self) -> float:
-        """Seconds a :meth:`build` would cost (without performing it)."""
-        model = getattr(self.clock, "model", None)
-        if model is None:
-            from repro.simtime.model import CostModel
-
-            model = CostModel()
-        return model.sort_seconds(self.column.row_count)
-
     def select_range(self, low: Key, high: Key) -> RangeView:
         """Answer ``low <= value < high`` with two binary searches.
 

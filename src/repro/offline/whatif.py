@@ -1,28 +1,20 @@
-"""What-if analysis: hypothetical indexes and optimizer cost estimates.
+"""What-if analysis: optimizer cost estimates for indexes not built.
 
 The earliest offline tuning tools (Chaudhuri & Narasayya, VLDB 1997 --
 the paper's [5]) introduced the "what-if" API: candidate indexes are
 *simulated*, not materialized, and the optimizer's cost estimates for a
 representative workload decide which ones to build.  This module
-reproduces that machinery on top of our cost model.
+reproduces that machinery on top of our cost model: a single-column
+index saves each query on its column the difference between a scan
+and an index probe, and costs one full sort to build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.simtime.model import CostModel
 from repro.storage.catalog import Catalog, ColumnRef
-
-
-@dataclass(frozen=True, slots=True)
-class HypotheticalIndex:
-    """A candidate single-column index that exists only on paper."""
-
-    ref: ColumnRef
-
-    def __str__(self) -> str:
-        return f"HYPO-INDEX({self.ref})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,63 +30,24 @@ class WorkloadStatement:
     weight: float = 1.0
 
 
-@dataclass(slots=True)
-class Configuration:
-    """A set of (hypothetical) indexes under evaluation."""
-
-    indexes: set[ColumnRef] = field(default_factory=set)
-
-    def with_index(self, ref: ColumnRef) -> "Configuration":
-        return Configuration(indexes=self.indexes | {ref})
-
-    def covers(self, ref: ColumnRef) -> bool:
-        return ref in self.indexes
-
-
 class WhatIfOptimizer:
-    """Optimizer-style cost estimation for workloads and configurations.
+    """Optimizer-style cost estimation for hypothetical indexes.
 
     Args:
         catalog: resolves column statistics (row counts).
         model: the calibrated cost model used for estimates.
     """
 
-    def __init__(self, catalog: Catalog, model: CostModel | None = None) -> None:
+    def __init__(self, catalog: Catalog, model: CostModel) -> None:
         self.catalog = catalog
-        self.model = model if model is not None else CostModel()
-        self.calls = 0
+        self.model = model
 
-    def statement_cost(
-        self, statement: WorkloadStatement, config: Configuration
-    ) -> float:
-        """Estimated seconds to run one statement under ``config``."""
-        self.calls += 1
-        rows = self.catalog.column(statement.ref).row_count
-        if config.covers(statement.ref):
-            return self.model.indexed_query_seconds(rows)
-        return self.model.scan_seconds(rows)
-
-    def workload_cost(
-        self, workload: list[WorkloadStatement], config: Configuration
-    ) -> float:
-        """Estimated seconds for the whole workload under ``config``."""
-        return sum(
-            self.statement_cost(stmt, config) * stmt.weight
-            for stmt in workload
-        )
-
-    def index_benefit(
-        self,
-        workload: list[WorkloadStatement],
-        config: Configuration,
-        candidate: ColumnRef,
-    ) -> float:
-        """Workload seconds saved by adding ``candidate`` to ``config``."""
-        base = self.workload_cost(workload, config)
-        with_candidate = self.workload_cost(
-            workload, config.with_index(candidate)
-        )
-        return base - with_candidate
+    def query_gain(self, ref: ColumnRef) -> float:
+        """Estimated seconds an index on ``ref`` saves one query on
+        ``ref``: a scan's cost less an index probe's."""
+        rows = self.catalog.column(ref).row_count
+        model = self.model
+        return model.scan_seconds(rows) - model.indexed_query_seconds(rows)
 
     def build_cost(self, ref: ColumnRef) -> float:
         """Estimated seconds to materialize a full index on ``ref``."""

@@ -1,9 +1,9 @@
 """COLT-style online index tuning.
 
 Reproduces the control loop of COLT (Schnaitter et al., SIGMOD 2006 --
-the paper's [16]): the workload is monitored continuously; at every
-epoch boundary the tuner re-evaluates candidate indexes with
-optimizer-style estimates, builds the most promising one if its
+the paper's [16]): the workload is monitored continuously; every
+:data:`EPOCH_QUERIES` queries the tuner re-evaluates candidate indexes
+with optimizer-style estimates, builds the most promising one if its
 amortized benefit over a planning horizon beats its build cost, and
 drops indexes that have gone cold.
 
@@ -15,46 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
 from repro.offline.builder import IndexBuilder
 from repro.offline.fullindex import FullIndex
 from repro.offline.whatif import WhatIfOptimizer
 from repro.online.monitor import WorkloadMonitor
 from repro.storage.catalog import ColumnRef
 
-
-@dataclass(slots=True)
-class ColtConfig:
-    """Tuning knobs of the online tuner.
-
-    Attributes:
-        horizon_queries: how many future queries an index is assumed to
-            serve when amortizing its build cost (COLT's planning
-            horizon).
-        max_indexes: hard cap on concurrently materialized indexes
-            (a storage budget stand-in).
-        drop_after_epochs: drop an index untouched for this many
-            epochs.
-    """
-
-    horizon_queries: int = 1_000
-    max_indexes: int = 8
-    drop_after_epochs: int = 10
-
-    def __post_init__(self) -> None:
-        if self.horizon_queries <= 0:
-            raise ConfigError(
-                f"horizon_queries must be positive: {self.horizon_queries}"
-            )
-        if self.max_indexes <= 0:
-            raise ConfigError(
-                f"max_indexes must be positive: {self.max_indexes}"
-            )
-        if self.drop_after_epochs <= 0:
-            raise ConfigError(
-                f"drop_after_epochs must be positive: "
-                f"{self.drop_after_epochs}"
-            )
+#: Queries per epoch: the reevaluation cadence.
+EPOCH_QUERIES = 100
+#: Future queries an index is assumed to serve when amortizing its
+#: build cost (COLT's planning horizon).
+HORIZON_QUERIES = 1_000
+#: Cap on concurrently materialized indexes (a storage budget
+#: stand-in).
+MAX_INDEXES = 8
+#: An index untouched for this many epochs is dropped.
+DROP_AFTER_EPOCHS = 10
 
 
 @dataclass(slots=True)
@@ -76,13 +52,13 @@ class ColtTuner:
         monitor: WorkloadMonitor,
         optimizer: WhatIfOptimizer,
         builder: IndexBuilder,
-        config: ColtConfig | None = None,
     ) -> None:
         self.monitor = monitor
         self.optimizer = optimizer
         self.builder = builder
-        self.config = config if config is not None else ColtConfig()
-        self.decisions: list[EpochDecision] = []
+        self.queries_seen = 0
+        #: Reevaluations run so far.
+        self.decisions = 0
         self._last_used_epoch: dict[ColumnRef, int] = {}
         self._dropped: set[ColumnRef] = set()
         #: The monitor's per-column counts at the last reevaluation.
@@ -98,9 +74,16 @@ class ColtTuner:
 
     def note_index_use(self, ref: ColumnRef) -> None:
         """Mark ``ref``'s index as used in the current epoch."""
-        self._last_used_epoch[ref] = len(self.decisions)
+        self._last_used_epoch[ref] = self.decisions
 
     # -- the epoch loop ----------------------------------------------------
+
+    def observe_query(self) -> None:
+        """Count one query; every :data:`EPOCH_QUERIES`-th closes an
+        epoch and reevaluates, inside that query's window."""
+        self.queries_seen += 1
+        if self.queries_seen % EPOCH_QUERIES == 0:
+            self.reevaluate(self.queries_seen // EPOCH_QUERIES)
 
     def reevaluate(self, epoch: int) -> EpochDecision:
         """Run one COLT reevaluation; returns the decision record."""
@@ -124,7 +107,7 @@ class ColtTuner:
             self.builder.build_now(candidate)
             self._dropped.discard(candidate)
             decision.built.append(candidate)
-        self.decisions.append(decision)
+        self.decisions += 1
         return decision
 
     def _built_count(self) -> int:
@@ -139,7 +122,7 @@ class ColtTuner:
             if not index.is_built or ref in self._dropped:
                 continue
             last_used = self._last_used_epoch.get(ref, 0)
-            if epoch - last_used >= self.config.drop_after_epochs:
+            if epoch - last_used >= DROP_AFTER_EPOCHS:
                 self._dropped.add(ref)
                 decision.dropped.append(ref)
 
@@ -147,7 +130,7 @@ class ColtTuner:
         self, fresh_counts: dict[ColumnRef, int]
     ) -> ColumnRef | None:
         """The hottest un-indexed column whose index pays for itself."""
-        if self._built_count() >= self.config.max_indexes:
+        if self._built_count() >= MAX_INDEXES:
             return None
         epoch_total = sum(fresh_counts.values())
         if epoch_total == 0:
@@ -157,14 +140,8 @@ class ColtTuner:
         for ref, count in fresh_counts.items():
             if self.index_for(ref) is not None:
                 continue
-            rows = self.optimizer.catalog.column(ref).row_count
-            per_query_gain = self.optimizer.model.scan_seconds(
-                rows
-            ) - self.optimizer.model.indexed_query_seconds(rows)
-            expected_queries = (
-                count / epoch_total
-            ) * self.config.horizon_queries
-            gain = per_query_gain * expected_queries
+            expected_queries = (count / epoch_total) * HORIZON_QUERIES
+            gain = self.optimizer.query_gain(ref) * expected_queries
             gain -= self.optimizer.build_cost(ref)
             if gain > best_gain:
                 best_gain = gain

@@ -154,8 +154,6 @@ class SnapshotManager:
 
 def restore_snapshot(
     root,
-    mmap_mode: str = "c",
-    cost_model=None,
     verify: bool | str = False,
     fallback: bool = True,
     exclude: Iterable[int] = (),
@@ -174,10 +172,6 @@ def restore_snapshot(
 
     Args:
         root: snapshot root directory.
-        mmap_mode: how cracker arrays are opened (default
-            copy-on-write; pass ``None`` to load everything eagerly).
-        cost_model: cost model for the rebuilt clock; must match the
-            writing side's for virtual time to stay coherent.
         verify: ``True``/``"eager"`` recomputes every array checksum
             before trusting the snapshot (a full data scan; corrupt
             generations join the walk-back); ``"lazy"`` starts a
@@ -228,13 +222,7 @@ def restore_snapshot(
                 verify_manifest(root, manifest)
             retried: list[Exception] = []
             restored = retry_call(
-                lambda: restore_state(
-                    root,
-                    generation,
-                    manifest,
-                    mmap_mode=mmap_mode,
-                    cost_model=cost_model,
-                ),
+                lambda: restore_state(root, generation, manifest),
                 retry_on=(InjectedFault, OSError),
                 on_retry=lambda attempt, error: retried.append(error),
             )

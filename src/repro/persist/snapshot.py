@@ -8,8 +8,8 @@ everything the engine learned into
   cracker columns (in their narrowed dtypes), piece-map pivot/cut
   buffers -- and
 * a JSON-serializable ``meta`` dict -- catalog schema and statistics,
-  clock totals, monitor/ranking/session and crack-tape counters,
-  strategy config.
+  clock totals and the cost model's scale, monitor/ranking/session and
+  crack-tape counters, strategy config.
 
 The *restore* half rebuilds the same objects around ``np.memmap`` views
 of the snapshot files: base columns open read-only (``mmap_mode='r'``;
@@ -23,7 +23,8 @@ Supported strategies: the holistic kernel and standard adaptive
 cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
 
-Older generations restore too: their per-piece sorted flags,
+Older generations restore too: one without ``model_scale`` prices
+at the default scale 1; their per-piece sorted flags,
 ``has_rowids`` marks, monitor histograms and ``recent`` timestamps,
 boost counts and crack-tape record arrays (``tape/*``) are ignored,
 a retired option that holds the only value it ever allowed is dropped
@@ -44,6 +45,7 @@ from repro.cracking.piecemap import PieceMap
 from repro.errors import PersistError, SchemaError
 from repro.persist.format import load_array
 from repro.simtime.clock import SimClock
+from repro.simtime.model import CostModel
 from repro.storage.catalog import ColumnRef
 from repro.storage.column import Column, ColumnStats
 from repro.storage.database import Database
@@ -151,6 +153,7 @@ def capture_state(
         "clock": db.clock.state_dict()
         if isinstance(db.clock, SimClock)
         else None,
+        "model_scale": db.cost_model.scale,
         "tables": tables_meta,
         "strategy": None,
         "session": session.export_state() if session is not None else None,
@@ -230,27 +233,19 @@ class RestoredState:
         return self.manifest["meta"].get("extra")
 
 
-def restore_state(
-    root,
-    generation: int,
-    manifest: dict,
-    mmap_mode: str = "c",
-    cost_model=None,
-) -> RestoredState:
+def restore_state(root, generation: int, manifest: dict) -> RestoredState:
     """Rebuild the engine from a loaded manifest.
+
+    The rebuilt clock prices with a cost model at the writer's scale
+    (``model_scale``; an older generation without it restores at the
+    default scale 1).  Base columns open read-only, cracker columns
+    copy-on-write.
 
     Args:
         root: snapshot root directory.
         generation: the manifest's generation (recorded on the result).
         manifest: output of :func:`repro.persist.format.
             read_current_manifest`.
-        mmap_mode: how cracker columns/maps are opened; the default
-            ``'c'`` (copy-on-write) lets future cracks mutate the
-            in-memory view without writing back.  Base columns are
-            always opened ``'r'``.
-        cost_model: optional :class:`~repro.simtime.model.CostModel`
-            for the rebuilt clock (must match the one used when the
-            snapshot was written for virtual time to stay coherent).
 
     Raises:
         PersistError: on structural corruption (missing arrays,
@@ -263,10 +258,10 @@ def restore_state(
     entries = manifest["arrays"]
 
     clock_state = meta.get("clock")
-    clock = SimClock(cost_model)
+    clock = SimClock(CostModel(scale=float(meta.get("model_scale", 1.0))))
     if clock_state is not None:
         clock.restore_state(clock_state)
-    db = Database(clock=clock, cost_model=cost_model)
+    db = Database(clock=clock)
 
     for table_meta in meta["tables"]:
         table = Table(table_meta["name"])
@@ -306,9 +301,7 @@ def restore_state(
     strategy = None
     strategy_meta = meta.get("strategy")
     if strategy_meta is not None:
-        strategy = _restore_strategy(
-            root, manifest, db, strategy_meta, mmap_mode
-        )
+        strategy = _restore_strategy(root, manifest, db, strategy_meta)
 
     session = None
     if meta.get("session") is not None:
@@ -357,14 +350,13 @@ def _restore_index(
     manifest: dict,
     db: Database,
     index_meta: dict,
-    mmap_mode: str,
     tape,
 ) -> tuple[ColumnRef, CrackerIndex]:
     entries = manifest["arrays"]
     ref = ColumnRef(index_meta["table"], index_meta["column"])
     column = db.catalog.column(ref)
     base = f"index/{ref.table}/{ref.column}"
-    values = load_array(root, entries[f"{base}/values"], mmap_mode=mmap_mode)
+    values = load_array(root, entries[f"{base}/values"], mmap_mode="c")
     dtype = column.values.dtype
     pivots, cuts = _pivots_in(
         dtype,
@@ -419,9 +411,7 @@ def _options(config: dict, known: set[str]) -> dict:
     return options
 
 
-def _restore_strategy(
-    root, manifest: dict, db: Database, strategy_meta: dict, mmap_mode: str
-):
+def _restore_strategy(root, manifest: dict, db: Database, strategy_meta: dict):
     meta = manifest["meta"]
     name = strategy_meta["name"]
     config = strategy_meta["config"]
@@ -433,7 +423,7 @@ def _restore_strategy(
         kernel.tape.restore_state(meta["tapes"][SHARED_TAPE])
         for index_meta in meta["indexes"]:
             ref, index = _restore_index(
-                root, manifest, db, index_meta, mmap_mode, kernel.tape
+                root, manifest, db, index_meta, kernel.tape
             )
             kernel.indexes[ref] = index
             kernel.ranking.register(ref, index)
@@ -456,7 +446,7 @@ def _restore_strategy(
             tape = CrackTape()
             tape.restore_state(meta["tapes"][scope])
             ref, index = _restore_index(
-                root, manifest, db, index_meta, mmap_mode, tape
+                root, manifest, db, index_meta, tape
             )
             strategy.indexes[ref] = index
         return strategy

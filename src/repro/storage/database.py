@@ -31,25 +31,18 @@ class Database:
     Args:
         clock: time source shared by every component; defaults to a
             fresh :class:`SimClock` with the paper-calibrated model.
-        cost_model: overrides the clock's model for planning estimates
-            when a custom clock is supplied.
+            Planning estimates (:attr:`cost_model`) use a
+            :class:`SimClock`'s model, else the paper-calibrated one.
     """
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        cost_model: CostModel | None = None,
-    ) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.catalog = Catalog()
-        self.clock: Clock = clock if clock is not None else SimClock(
-            cost_model
+        self.clock: Clock = clock if clock is not None else SimClock()
+        self.cost_model = (
+            self.clock.model
+            if isinstance(self.clock, SimClock)
+            else CostModel()
         )
-        if cost_model is not None:
-            self.cost_model = cost_model
-        elif isinstance(self.clock, SimClock):
-            self.cost_model = self.clock.model
-        else:
-            self.cost_model = CostModel()
 
     # -- schema shortcuts ----------------------------------------------
 

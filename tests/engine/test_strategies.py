@@ -11,6 +11,7 @@ from repro.engine.strategies import (
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
+from repro.online.colt import EPOCH_QUERIES
 from repro.storage.catalog import ColumnRef
 
 from tests.conftest import ground_truth_count
@@ -105,8 +106,8 @@ def test_offline_invalid_policy_rejected(tiny_db):
 
 
 def test_online_builds_index_for_hot_column(tiny_db):
-    strategy = OnlineStrategy(tiny_db, epoch_queries=10)
-    for i in range(25):
+    strategy = OnlineStrategy(tiny_db)
+    for i in range(EPOCH_QUERIES + 5):
         low = (i % 5) * 1e6
         result = strategy.select(_query(low, low + 1e6))
         assert result.count == _truth(tiny_db, low, low + 1e6)
@@ -114,24 +115,32 @@ def test_online_builds_index_for_hot_column(tiny_db):
 
 
 def test_online_epoch_build_delays_triggering_query(tiny_db):
-    strategy = OnlineStrategy(tiny_db, epoch_queries=5)
+    strategy = OnlineStrategy(tiny_db)
     clock = tiny_db.clock
     costs = []
-    for i in range(6):
+    for i in range(EPOCH_QUERIES + 1):
         t0 = clock.now()
         strategy.select(_query(1e6, 2e6))
         costs.append(clock.now() - t0)
-    # Query 5 triggered the epoch: it carries the inline build cost.
-    assert costs[4] > 5 * max(costs[:4])
+    # The epoch's last query triggered it: it carries the inline build
+    # cost, and the next query probes the index.
+    last = EPOCH_QUERIES - 1
+    assert costs[last] > 5 * max(costs[:last])
+    assert costs[last + 1] < min(costs[:last])
 
 
 def test_removed_options_are_rejected(tiny_db):
-    """The hybrid variant and soft indexes are gone; asking for them
-    must fail loudly rather than silently run something else."""
+    """The hybrid variant, soft indexes and the baselines' tuning
+    options are gone; asking for them must fail loudly rather than
+    silently run something else."""
     with pytest.raises(ConfigError, match="hybrid"):
         AdaptiveStrategy(tiny_db, variant="hybrid")
     with pytest.raises(TypeError, match="soft"):
         OnlineStrategy(tiny_db, soft=True)
+    with pytest.raises(TypeError, match="epoch_queries"):
+        OnlineStrategy(tiny_db, epoch_queries=10)
+    with pytest.raises(TypeError, match="max_indexes"):
+        OfflineStrategy(tiny_db, max_indexes=1)
     with pytest.raises(TypeError, match="soft"):
         tiny_db.session("online", soft=True)
 

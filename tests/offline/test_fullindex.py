@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.config import TINY
 from repro.errors import IndexingError, QueryError
 from repro.offline.fullindex import FullIndex
+from repro.offline.whatif import WhatIfOptimizer
 from repro.simtime.clock import SimClock
+from repro.storage.catalog import ColumnRef
+from repro.storage.database import Database
 
 from tests.conftest import ground_truth_count
 
@@ -61,10 +65,13 @@ def test_probe_cost_is_logarithmic(small_column):
 
 
 def test_build_cost_estimate_matches_actual(small_column):
-    clock = SimClock()
-    index = FullIndex(small_column, clock)
-    estimate = index.build_cost_estimate()
-    actual = index.build()
+    """The build charges what the what-if optimizer estimates."""
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.create_table("R").add_column(small_column)
+    estimate = WhatIfOptimizer(db.catalog, db.cost_model).build_cost(
+        ColumnRef("R", small_column.name)
+    )
+    actual = FullIndex(small_column, db.clock).build()
     assert estimate == pytest.approx(actual, rel=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Generations written by older versions restore.
 
-Earlier layouts stored a per-piece sorted-flag array and a
+Earlier layouts stored no cost-model scale (such a generation
+restores at the default scale 1), a per-piece sorted-flag array and a
 ``has_rowids`` mark per index, a range histogram and the ``recent``
 query timestamps per monitored column,
 the holistic kernel's boost count, one record array per crack-tape
@@ -18,6 +19,7 @@ like an unknown option, fails the generation with
 import numpy as np
 import pytest
 
+from repro.config import TINY
 from repro.engine.query import RangeQuery
 from repro.errors import PersistError
 from repro.persist import restore_snapshot
@@ -50,11 +52,13 @@ def _engine(strategy: str):
 
 
 def _write_as_before(root, db, session, retired: dict) -> int:
-    """Publish the engine's state in the older layout: a ``flags``
-    array per index, ``has_rowids: false``, a monitor histogram and
-    ``recent`` timestamps per column, a kernel boost count and
-    ``retired`` options in the strategy config."""
+    """Publish the engine's state in the older layout: no
+    ``model_scale``, a ``flags`` array per index, ``has_rowids:
+    false``, a monitor histogram and ``recent`` timestamps per column,
+    a kernel boost count and ``retired`` options in the strategy
+    config."""
     arrays, meta, _ = capture_state(db, session.strategy, session)
+    del meta["model_scale"]
     for index_meta in meta["indexes"]:
         index_meta["has_rowids"] = False
         base = f"index/{index_meta['table']}/{index_meta['column']}"
@@ -104,10 +108,35 @@ def test_older_layout_restores_to_the_same_state(
             np.sort(got.values()), np.sort(expected.values())
         )
     assert restored.db.clock.now() == db.clock.now()
+    assert restored.db.cost_model.scale == 1.0
     if strategy == "holistic":
         assert (
             restored.strategy.monitor.export_state()
             == session.strategy.monitor.export_state()
+        )
+
+
+def test_generation_without_model_scale_restores_at_scale_one(tmp_path):
+    """A generation written before the cost model's scale was stored
+    restores at the default scale, whatever its writer priced at."""
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.add_table(build_paper_table(rows=4000, columns=2, seed=17))
+    session = db.session("holistic", **OPTIONS["holistic"])
+    for query in _queries(3):
+        session.run_query(query)
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    assert meta["model_scale"] == TINY.projection
+    del meta["model_scale"]
+    write_generation(tmp_path, arrays, meta)
+
+    restored = restore_snapshot(tmp_path)
+    assert restored.fallback_generations == []
+    assert restored.db.cost_model.scale == 1.0
+    assert restored.db.clock.now() == db.clock.now()
+    for ref in REFS:
+        assert (
+            restored.strategy.indexes[ref].piece_map.cuts()
+            == session.strategy.indexes[ref].piece_map.cuts()
         )
 
 

@@ -25,6 +25,7 @@ from repro.bench.oracle import (
     sequential_executor,
     stage_update,
 )
+from repro.config import TINY
 from repro.engine.query import RangeQuery
 from repro.errors import PersistError
 from repro.persist import SnapshotManager, restore_snapshot
@@ -314,6 +315,32 @@ class TestLearnedState:
         manager = SnapshotManager(tmp_path, db, strategy=session.strategy)
         with pytest.raises(PersistError, match="not .*supported"):
             manager.checkpoint()
+
+
+def test_restore_keeps_the_writers_cost_model(tmp_path):
+    """A restored engine prices like the one that wrote the snapshot:
+    same model scale, same cache target, same next-select charge."""
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.add_table(build_paper_table(rows=TINY.rows, columns=1, seed=SEED))
+    session = db.session("holistic", seed=SEED)
+    session.run_query(RangeQuery(ColumnRef("R", "A1"), 1e7, 2e7))
+    SnapshotManager(
+        tmp_path, db, strategy=session.strategy, session=session
+    ).checkpoint()
+
+    restored = restore_snapshot(tmp_path)
+    assert restored.db.cost_model.scale == db.cost_model.scale
+    live, back = session.strategy.ranking, restored.strategy.ranking
+    assert back.cache_target_elements == live.cache_target_elements
+    assert back.refined_count() == live.refined_count()
+    query = RangeQuery(ColumnRef("R", "A1"), 3e7, 4e7)
+    spent = []
+    for side in (session, restored.session):
+        clock = side.db.clock
+        before = clock.now()
+        side.run_query(query)
+        spent.append(clock.now() - before)
+    assert spent[1] == spent[0]
 
 
 def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):

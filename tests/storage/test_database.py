@@ -22,7 +22,7 @@ def test_database_with_wall_clock_gets_default_model():
 
 def test_database_with_explicit_model():
     model = CostModel(scale=100.0)
-    db = Database(cost_model=model)
+    db = Database(clock=SimClock(model))
     assert db.cost_model is model
     assert db.clock.model is model
 
