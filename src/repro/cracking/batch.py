@@ -102,7 +102,6 @@ class CrackSelectBatch:
         "_sim",
         "_positions",
         "_copy_charged",
-        "_origin",
         "_acc",
         "_tape",
         "_expected",
@@ -116,7 +115,6 @@ class CrackSelectBatch:
         sim: ReplayPieceMap,
         positions: dict[Key, int],
         copy_charged: bool,
-        origin: CrackOrigin,
         expected: int,
         tape=None,
     ) -> None:
@@ -126,7 +124,6 @@ class CrackSelectBatch:
         self._sim = sim
         self._positions = positions
         self._copy_charged = copy_charged
-        self._origin = origin
         #: The window accountant; callers :meth:`bind` one before the
         #: first replay.
         self._acc = None
@@ -189,7 +186,7 @@ class CrackSelectBatch:
             acc.charge_empty_crack()
         else:
             acc.charge_crack(size, 1)
-        self._tape.log(self._origin)
+        self._tape.log(CrackOrigin.QUERY)
         return position
 
     def replay_query(self, low: Key, high: Key) -> RangeView:
@@ -278,7 +275,7 @@ class CrackSelectBatch:
             sim.add_crack_at(low_index, low, pos_low)
             sim.add_crack_at(low_index + 1, high, pos_high)
             self._acc.charge_crack(end - start, 2)
-            self._tape.log(self._origin, 2)
+            self._tape.log(CrackOrigin.QUERY, 2)
         else:
             pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = self._cut(high, *sim.locate(high))
@@ -357,7 +354,6 @@ class DetachedCrackReplay(CrackSelectBatch):
         index,
         positions: dict[Key, int],
         tape,
-        origin: CrackOrigin = CrackOrigin.QUERY,
     ) -> "DetachedCrackReplay":
         """A replay starting from the virgin (uncracked) column state."""
         sim = ReplayPieceMap(index.row_count, [], [])
@@ -366,7 +362,6 @@ class DetachedCrackReplay(CrackSelectBatch):
             sim,
             positions,
             copy_charged=False,
-            origin=origin,
             expected=0,
             tape=tape,
         )

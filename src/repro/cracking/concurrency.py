@@ -44,7 +44,6 @@ from typing import Iterable, Iterator, Sequence
 from repro import faults
 from repro.analysis import witness
 from repro.cracking.index import CrackerIndex
-from repro.cracking.piece import CrackOrigin
 from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
 from repro.simtime.clock import wall_now
 from repro.storage.views import RangeView
@@ -289,12 +288,7 @@ class LatchedCrackerAccess:
                 }
             )
 
-    def select_range(
-        self,
-        low: float,
-        high: float,
-        origin: CrackOrigin = CrackOrigin.QUERY,
-    ) -> RangeView:
+    def select_range(self, low: float, high: float) -> RangeView:
         """A cracking range select under piece latches.
 
         A :class:`~repro.errors.LatchTimeout` (real or injected) is
@@ -309,7 +303,7 @@ class LatchedCrackerAccess:
                         self._note_stall()
                     if self._keys_for(low, high) != keys:
                         continue  # pieces moved while we waited; re-latch
-                    return self.index.select_range(low, high, origin)
+                    return self.index.select_range(low, high)
             except LatchTimeout:
                 self._note_stall()
                 faults.recovered("latch.acquire", "select re-acquired")
@@ -343,7 +337,6 @@ class LatchedCrackerAccess:
         self,
         value: float | Sequence[float],
         min_piece_size: int = 1,
-        origin: CrackOrigin = CrackOrigin.TUNING,
     ) -> bool | int:
         """Latched cracks at one value, or at a batch of them in one pass.
 
@@ -381,7 +374,7 @@ class LatchedCrackerAccess:
                         if not fresh <= keys:
                             continue  # re-latch on the fresh keys
                         before = index.crack_count
-                        index.ensure_cuts(targets, origin)
+                        index.ensure_cuts(targets)
                         cracked = index.crack_count - before
                         return cracked > 0 if scalar else cracked
             except LatchTimeout:

@@ -327,11 +327,7 @@ class CrackerIndex:
         return self._cut_located(value, index, start, end, at_pivot, origin)
 
     @_synchronized
-    def ensure_cuts(
-        self,
-        values: list[object],
-        origin: CrackOrigin = CrackOrigin.TUNING,
-    ) -> list[int]:
+    def ensure_cuts(self, values: list[object]) -> list[int]:
         """Crack at many values in one go (paper §3's batch question).
 
         :meth:`_crack_pass` -- a window's physical pass -- cuts every
@@ -374,18 +370,13 @@ class CrackerIndex:
             else:
                 charge = CostCharge(cracks=1)
             clock.charge(charge)
-            tape.log(origin, hi - lo)
+            tape.log(CrackOrigin.TUNING, hi - lo)
             hi = lo
         positions = record.cut_positions()
         return [positions[key] for key in keys]
 
     @_synchronized
-    def select_range(
-        self,
-        low: object,
-        high: object,
-        origin: CrackOrigin = CrackOrigin.QUERY,
-    ) -> RangeView:
+    def select_range(self, low: object, high: object) -> RangeView:
         """Answer ``low <= value < high``, refining the index on the way.
 
         The bounds are normalised into the column's domain first
@@ -401,15 +392,10 @@ class CrackerIndex:
         bounds = normalise_range(self._pieces.dtype, low, high)
         if bounds is None:
             return RangeView(self._array, 0, 0)
-        return self.select_keys(*bounds, origin)
+        return self.select_keys(*bounds)
 
     @_synchronized
-    def select_keys(
-        self,
-        low: Key,
-        high: Key,
-        origin: CrackOrigin = CrackOrigin.QUERY,
-    ) -> RangeView:
+    def select_keys(self, low: Key, high: Key) -> RangeView:
         """:meth:`select_range` of a range already normalised into the
         column's domain (``low < high``) -- what a session passes.
 
@@ -422,7 +408,7 @@ class CrackerIndex:
         if high > self._largest:
             return RangeView(
                 self._array,
-                self.ensure_cut(low, origin),
+                self.ensure_cut(low),
                 len(self._array),
             )
         pieces = self._pieces
@@ -447,26 +433,26 @@ class CrackerIndex:
             pieces.add_crack_at(low_index, low, pos_low)
             pieces.add_crack_at(low_index + 1, high, pos_high)
             self.clock.charge(charge)
-            self.tape.log(origin, 2)
+            self.tape.log(CrackOrigin.QUERY, 2)
         elif low_pivot and high_pivot:
             # The converged select: nothing to crack, two probe charges.
             self._charge_pivot_hits(2)
             pos_low, pos_high = start, high_loc[1]
         else:
-            pos_low = self._cut_located(low, *low_loc, origin)
+            pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
             if not low_pivot:
                 # The low step inserted a cut: high's piece has moved.
                 high_loc = pieces.locate(high)
-            pos_high = self._cut_located(high, *high_loc, origin)
+            pos_high = self._cut_located(
+                high, *high_loc, CrackOrigin.QUERY
+            )
         return RangeView(self._array, pos_low, pos_high)
 
     # -- batched selects (ISSUE 4) ---------------------------------------
 
     @_synchronized
     def begin_select_batch(
-        self,
-        bounds: list[tuple[Key, Key]],
-        origin: CrackOrigin = CrackOrigin.QUERY,
+        self, bounds: list[tuple[Key, Key]]
     ) -> CrackSelectBatch:
         """Physically crack a whole window of range selects in one pass.
 
@@ -521,7 +507,7 @@ class CrackerIndex:
             )
             positions = dict(zip(record.fresh, record.positions))
         context = CrackSelectBatch(
-            self, sim, positions, copy_charged, origin, len(bounds)
+            self, sim, positions, copy_charged, len(bounds)
         )
         self._replay_cache = (self._pieces.version, context)
         return context
@@ -682,7 +668,6 @@ class CrackerIndex:
     def random_crack(
         self,
         rng: np.random.Generator,
-        origin: CrackOrigin = CrackOrigin.TUNING,
         min_piece_size: int = 2,
     ) -> int | None:
         """Apply one random crack action (paper §3).
@@ -706,13 +691,14 @@ class CrackerIndex:
         if end - start <= min_piece_size:
             return None
         witness.mutation_check(self, (start,), "random_crack")
-        return self._cut_located(value, index, start, end, at_pivot, origin)
+        return self._cut_located(
+            value, index, start, end, at_pivot, CrackOrigin.TUNING
+        )
 
     @_synchronized
     def crack_largest_piece(
         self,
         rng: np.random.Generator,
-        origin: CrackOrigin = CrackOrigin.TUNING,
         min_piece_size: int = 2,
     ) -> int | None:
         """Crack the largest piece at one of its elements.
@@ -729,7 +715,7 @@ class CrackerIndex:
         value = self._array.item(offset)
         if self._pieces.has_pivot(value):
             return None
-        return self.ensure_cut(value, origin)
+        return self.ensure_cut(value, CrackOrigin.TUNING)
 
     @_synchronized
     def sort_piece_at(self, piece_index: int) -> Piece:

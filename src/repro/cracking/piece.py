@@ -26,7 +26,6 @@ class CrackOrigin(Enum):
     TUNING = "tuning"
     MERGE = "merge"
     SORT = "sort"
-    LOAD = "load"
 
 
 @dataclass(frozen=True, slots=True)

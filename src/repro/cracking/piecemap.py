@@ -8,8 +8,8 @@ navigation with much better constants.
 
 Representation (ISSUE 3): the pivot and cut columns are
 amortized-growth **numpy buffers** navigated by ``np.searchsorted``.
-Bulk operations (``piece_sizes``, ``apply_deltas``,
-``check_invariants``, the largest-piece selector) are vectorized.
+Bulk operations (``apply_deltas``, ``check_invariants``, the
+largest-piece selector) are vectorized.
 A piece is its value range and its cuts and nothing else: a crack
 keeps no per-piece flag or statistic, because nothing reads one.
 
@@ -323,10 +323,6 @@ class PieceMap:
         return np.diff(
             self._cuts[: self._k], prepend=0, append=self._n
         )
-
-    def piece_sizes(self) -> list[int]:
-        """Sizes of all pieces, in order."""
-        return self._sizes_array().tolist()
 
     def average_piece_size(self) -> float:
         return self._n / self.piece_count if self.piece_count else 0.0

@@ -99,18 +99,13 @@ class StochasticCrackerIndex(CrackerIndex):
 
     # -- select ----------------------------------------------------------
 
-    def select_keys(
-        self,
-        low: Key,
-        high: Key,
-        origin: CrackOrigin = CrackOrigin.QUERY,
-    ) -> SelectionResult:
+    def select_keys(self, low: Key, high: Key) -> SelectionResult:
         """Stochastic select; semantics match the plain index."""
         if self.variant == "mdd1r":
             return self._select_mdd1r(low, high)
         self._shrink_piece_around(low)
         self._shrink_piece_around(high)
-        return super().select_keys(low, high, origin)
+        return super().select_keys(low, high)
 
     def _select_mdd1r(self, low: Key, high: Key) -> SelectionResult:
         """MDD1R: one random crack per touched piece, filtered result."""

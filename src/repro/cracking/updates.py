@@ -126,12 +126,7 @@ class MaintainedCrackerIndex(CrackerIndex):
         super().__init__(column, **kwargs)
         self._pending = pending
 
-    def select_keys(
-        self,
-        low: Key,
-        high: Key,
-        origin: CrackOrigin = CrackOrigin.QUERY,
-    ) -> RangeView:
+    def select_keys(self, low: Key, high: Key) -> RangeView:
         """Merge pending updates overlapping the range, then select."""
         inserts = self._pending.take_inserts_in_range(low, high)
         if len(inserts):
@@ -139,4 +134,4 @@ class MaintainedCrackerIndex(CrackerIndex):
         deletes = self._pending.take_deletes_in_range(low, high)
         if len(deletes):
             merge_deletes(self, deletes)
-        return super().select_keys(low, high, origin)
+        return super().select_keys(low, high)

@@ -40,10 +40,6 @@ class RangeQuery:
                 f"low={self.low} > high={self.high}"
             )
 
-    @property
-    def span(self) -> float:
-        return self.high - self.low
-
     def __str__(self) -> str:
         return (
             f"SELECT {self.ref.column} FROM {self.ref.table} "

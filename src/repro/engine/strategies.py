@@ -51,7 +51,6 @@ class IdleOutcome:
     query wait, which the session accounts as response time.
     """
 
-    consumed_s: float = 0.0
     actions_done: int = 0
     blocking: bool = False
     note: str = ""
@@ -399,7 +398,6 @@ class OfflineStrategy(IndexingStrategy):
         if self._prepared or not self._hints:
             return IdleOutcome(note="offline: nothing (left) to build")
         self._prepared = True
-        start = self.clock.now()
         picked, left_out = self.advisor.advise(
             self._hints,
             budget_s=None if self.build_policy == "always_build" else budget_s,
@@ -407,7 +405,6 @@ class OfflineStrategy(IndexingStrategy):
         for ref in picked:
             self.builder.build_now(ref)
         return IdleOutcome(
-            consumed_s=self.clock.now() - start,
             actions_done=len(picked),
             blocking=True,
             note=f"built {len(picked)} index(es), skipped {len(left_out)}",

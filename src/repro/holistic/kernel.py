@@ -121,6 +121,7 @@ class HolisticKernel(IndexingStrategy):
         self.scheduler = IdleScheduler(
             self.clock, self.ranking, self.policy, self.tuner
         )
+        self.lifetime = TuningReport()
         self.tape = CrackTape()
         self.indexes: dict[ColumnRef, CrackerIndex] = {}
         self._hints: list[WorkloadStatement] = []
@@ -134,7 +135,7 @@ class HolisticKernel(IndexingStrategy):
                 ranking=self.ranking,
                 policy=self.policy,
                 num_workers=self.config.num_workers,
-                min_piece_size=target,
+                tuner=self.tuner,
                 seed=self.config.seed,
             )
         else:
@@ -245,46 +246,45 @@ class HolisticKernel(IndexingStrategy):
     ) -> IdleOutcome:
         """Spend an idle window on auxiliary refinements.
 
+        An action count, when given, sizes the window; otherwise the
+        time budget does.
+
         Raises:
             ConfigError: if neither a budget nor an action count is
-                given.
+                given, or the one in use is negative.
         """
-        if budget_s is None and actions is None:
+        if actions is not None:
+            if actions < 0:
+                raise ConfigError(f"actions must be >= 0, got {actions}")
+        elif budget_s is None:
             raise ConfigError(
                 "idle window needs a time budget or an action count"
             )
+        elif budget_s < 0:
+            raise ConfigError(f"budget must be >= 0, got {budget_s}")
         self._register_candidates()
         self.idle_windows += 1
+        where = ""
         if self.worker_pool is not None:
-            report = self.worker_pool.run_window(
-                actions=actions, budget_s=budget_s
+            report = self.worker_pool.run_window(actions, budget_s)
+            where = (
+                f" on {self.config.num_workers} workers, "
+                f"{report.stalls} stalls"
             )
-            self.scheduler.lifetime.merge(report)
-            note = (
-                f"{report.actions_effective}/{report.actions_attempted} "
-                f"auxiliary actions on {report.workers} workers, "
-                f"{report.stalls} stalls ({report.stop_reason})"
-            )
-        elif actions is not None:
-            if self.config.batch_tuning:
-                report = self.scheduler.run_actions_batched(actions)
-            else:
-                report = self.scheduler.run_actions(actions)
-            note = (
-                f"{report.actions_effective}/{report.actions_attempted} "
-                f"auxiliary actions ({report.stop_reason})"
-            )
-        else:
+        elif actions is None:
             report = self.scheduler.run_budget(budget_s)
-            note = (
-                f"{report.actions_effective}/{report.actions_attempted} "
-                f"auxiliary actions ({report.stop_reason})"
-            )
+        elif self.config.batch_tuning:
+            report = self.scheduler.run_actions_batched(actions)
+        else:
+            report = self.scheduler.run_actions(actions)
+        self.lifetime.merge(report)
         return IdleOutcome(
-            consumed_s=report.consumed_s,
             actions_done=report.actions_effective,
             blocking=False,
-            note=note,
+            note=(
+                f"{report.actions_effective}/{report.actions_attempted} "
+                f"auxiliary actions{where} ({report.stop_reason})"
+            ),
         )
 
     def access_path(self, query: RangeQuery) -> AccessPath:
@@ -364,4 +364,4 @@ class HolisticKernel(IndexingStrategy):
 
     def tuning_summary(self) -> TuningReport:
         """Lifetime tuning statistics across all idle windows."""
-        return self.scheduler.lifetime
+        return self.lifetime

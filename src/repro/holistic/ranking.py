@@ -81,9 +81,6 @@ class ColumnRanking:
             state.workload_weight = workload_weight
         return state
 
-    def state(self, ref: ColumnRef) -> ColumnTuningState | None:
-        return self._states.get(ref)
-
     def states(self) -> list[ColumnTuningState]:
         return list(self._states.values())
 

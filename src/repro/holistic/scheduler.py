@@ -3,67 +3,83 @@
 Given an idle window -- expressed either as a number of refinement
 actions (the paper's Exp1 formulation: *"we assume as idle time the
 time needed to apply X random index refinement actions"*) or as a time
-budget in seconds -- the scheduler repeatedly asks the policy for a
-column and the tuner for an action, until the window closes or every
-candidate is refined to the cache target.
+budget in seconds -- the kernel spends it in one loop,
+:func:`spend_window`: step after step of tiny refinements until the
+window closes or every candidate is refined to the cache target.  The
+serial scheduler's step is one policy choice plus one action; the
+worker pool's step is one planned round of batches
+(:mod:`repro.holistic.workers`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.errors import ConfigError
 from repro.holistic.policies import TuningPolicy
 from repro.holistic.ranking import ColumnRanking
 from repro.holistic.tuner import AuxiliaryTuner
 from repro.simtime.clock import Clock
-from repro.storage.catalog import ColumnRef
-
-#: Synthetic ref under which checkpoint actions are reported, so idle
-#: windows account for durability work next to per-column refinement.
-CHECKPOINT_REF = ColumnRef("__system__", "checkpoint")
 
 
 @dataclass(slots=True)
 class TuningReport:
     """What one idle window achieved.
 
-    The last four fields are only populated by the parallel worker
-    pool (:mod:`repro.holistic.workers`); serial windows leave them at
-    their zero defaults, keeping serial reports identical to the
-    single-threaded kernel's.
+    ``stalls`` and ``busy_s`` are only populated by the parallel worker
+    pool; serial windows leave them at zero.
     """
 
     actions_attempted: int = 0
     actions_effective: int = 0
-    consumed_s: float = 0.0
-    per_column: dict[ColumnRef, int] = field(default_factory=dict)
     stop_reason: str = ""
-    per_worker: dict[int, int] = field(default_factory=dict)
     stalls: int = 0
     busy_s: float = 0.0
-    workers: int = 0
 
     def merge(self, other: "TuningReport") -> None:
         self.actions_attempted += other.actions_attempted
         self.actions_effective += other.actions_effective
-        self.consumed_s += other.consumed_s
-        for ref, count in other.per_column.items():
-            self.per_column[ref] = self.per_column.get(ref, 0) + count
-        # Keep the first non-empty stop reason: merging a report that
-        # never set one (a zero-action window, a partial worker report)
-        # must not erase the reason already recorded.
-        if not self.stop_reason:
-            self.stop_reason = other.stop_reason
-        for worker, count in other.per_worker.items():
-            self.per_worker[worker] = self.per_worker.get(worker, 0) + count
         self.stalls += other.stalls
         self.busy_s += other.busy_s
-        self.workers = max(self.workers, other.workers)
+
+
+def spend_window(
+    report: TuningReport,
+    actions: int | None,
+    budget_s: float | None,
+    elapsed: Callable[[], float],
+    step: Callable[[int], bool],
+    round_size: int = 1,
+) -> TuningReport:
+    """Spend one idle window: the kernel's idle loop.
+
+    An action window closes when ``report.actions_attempted`` reaches
+    ``actions``; each step is offered the attempts still open.  A time
+    window checks ``elapsed() < budget_s`` before each step of
+    ``round_size`` attempts, so the last step may slightly overshoot,
+    as a real kernel only notices the window closing after finishing
+    its current work.  ``step(attempts)`` makes up to ``attempts``
+    attempts, counts them on ``report`` and returns False when it found
+    nothing left to refine.
+    """
+    while True:
+        if actions is not None:
+            attempts = actions - report.actions_attempted
+            if attempts <= 0:
+                report.stop_reason = "action budget exhausted"
+                return report
+        elif elapsed() < budget_s:
+            attempts = round_size
+        else:
+            report.stop_reason = "time budget exhausted"
+            return report
+        if not step(attempts):
+            report.stop_reason = "all candidates refined"
+            return report
 
 
 class IdleScheduler:
-    """Drives auxiliary tuning through idle windows."""
+    """Drives serial auxiliary tuning through idle windows."""
 
     def __init__(
         self,
@@ -76,7 +92,6 @@ class IdleScheduler:
         self.ranking = ranking
         self.policy = policy
         self.tuner = tuner
-        self.lifetime = TuningReport()
         # Optional durability hook (repro.persist): when set, idle
         # cycles may be spent writing an incremental checkpoint instead
         # of a crack.  Serial windows only -- the parallel worker pool
@@ -84,48 +99,25 @@ class IdleScheduler:
         self.checkpointer = None
 
     def run_actions(self, actions: int) -> TuningReport:
-        """Perform up to ``actions`` refinement actions.
-
-        Raises:
-            ConfigError: if ``actions`` is negative.
-        """
-        if actions < 0:
-            raise ConfigError(f"actions must be >= 0, got {actions}")
-        report = TuningReport()
-        start = self.clock.now()
-        for _ in range(actions):
-            if not self._step(report):
-                report.stop_reason = "all candidates refined"
-                break
-        else:
-            report.stop_reason = "action budget exhausted"
-        report.consumed_s = self.clock.now() - start
-        self.lifetime.merge(report)
-        return report
+        """Perform up to ``actions`` refinement actions."""
+        return self._spend(actions, None)
 
     def run_budget(self, budget_s: float) -> TuningReport:
-        """Perform refinement actions until ``budget_s`` is used up.
+        """Perform refinement actions until ``budget_s`` is used up."""
+        return self._spend(None, budget_s)
 
-        The budget check happens *between* actions: the last action may
-        slightly overshoot, as a real kernel would only notice the
-        window closing after finishing its current crack.
-
-        Raises:
-            ConfigError: if ``budget_s`` is negative.
-        """
-        if budget_s < 0:
-            raise ConfigError(f"budget must be >= 0, got {budget_s}")
+    def _spend(
+        self, actions: int | None, budget_s: float | None
+    ) -> TuningReport:
         report = TuningReport()
         start = self.clock.now()
-        while self.clock.now() - start < budget_s:
-            if not self._step(report):
-                report.stop_reason = "all candidates refined"
-                break
-        else:
-            report.stop_reason = "time budget exhausted"
-        report.consumed_s = self.clock.now() - start
-        self.lifetime.merge(report)
-        return report
+        return spend_window(
+            report,
+            actions,
+            budget_s,
+            lambda: self.clock.now() - start,
+            lambda attempts: self._step(report),
+        )
 
     def run_actions_batched(self, actions: int) -> TuningReport:
         """Perform ``actions`` refinements, batched per column.
@@ -134,25 +126,13 @@ class IdleScheduler:
         candidates and each column receives its share as one
         multi-pivot crack pass -- cheaper than the same number of
         sequential cracks (paper §3, "in one go").
-
-        Raises:
-            ConfigError: if ``actions`` is negative.
         """
-        if actions < 0:
-            raise ConfigError(f"actions must be >= 0, got {actions}")
         report = TuningReport()
-        start = self.clock.now()
         candidates = self.ranking.unrefined_states()
-        if not candidates or actions == 0:
-            report.stop_reason = (
-                "all candidates refined" if not candidates else
-                "action budget exhausted"
-            )
-            report.consumed_s = self.clock.now() - start
-            self.lifetime.merge(report)
+        if not candidates:
+            report.stop_reason = "all candidates refined"
             return report
-        share = actions // len(candidates)
-        remainder = actions % len(candidates)
+        share, remainder = divmod(actions, len(candidates))
         for i, state in enumerate(candidates):
             quota = share + (1 if i < remainder else 0)
             if quota == 0:
@@ -161,13 +141,8 @@ class IdleScheduler:
             effective = self.tuner.perform_batch(state.index, quota)
             if effective:
                 report.actions_effective += effective
-                self.ranking.note_tuning_action(state.ref)
-                report.per_column[state.ref] = (
-                    report.per_column.get(state.ref, 0) + effective
-                )
+                self.ranking.note_tuning_action(state.ref, effective)
         report.stop_reason = "action budget exhausted"
-        report.consumed_s = self.clock.now() - start
-        self.lifetime.merge(report)
         return report
 
     def _step(self, report: TuningReport) -> bool:
@@ -177,9 +152,6 @@ class IdleScheduler:
             if checkpointer.perform(self.clock):
                 report.actions_attempted += 1
                 report.actions_effective += 1
-                report.per_column[CHECKPOINT_REF] = (
-                    report.per_column.get(CHECKPOINT_REF, 0) + 1
-                )
                 return True
         state = self.policy.choose(self.ranking)
         if state is None:
@@ -188,7 +160,4 @@ class IdleScheduler:
         if self.tuner.perform(state.index):
             report.actions_effective += 1
             self.ranking.note_tuning_action(state.ref)
-            report.per_column[state.ref] = (
-                report.per_column.get(state.ref, 0) + 1
-            )
         return True

@@ -64,43 +64,23 @@ class AuxiliaryTuner:
             )
         self.rng = np.random.default_rng(seed)
         self.min_piece_size = min_piece_size
-        self.actions_performed = 0
-        self.actions_degenerate = 0
 
     def perform(self, index: CrackerIndex) -> bool:
         """Run one action on ``index``; True if it refined anything."""
-        success = index.random_crack(
-            self.rng,
-            origin=CrackOrigin.TUNING,
-            min_piece_size=self.min_piece_size,
+        return index.random_crack(
+            self.rng, min_piece_size=self.min_piece_size
         ) is not None
-        if success:
-            self.actions_performed += 1
-        else:
-            self.actions_degenerate += 1
-        return success
 
-    def perform_latched(
-        self,
-        access,
-        count: int,
-        pivots: Sequence[Key],
-    ) -> int:
-        """Run ``count`` actions through a latched access facade.
+    def perform_latched(self, access, pivots: Sequence[Key]) -> int:
+        """Apply one planned batch through a latched access facade.
 
-        The worker-thread counterpart of :meth:`perform`, for one batch
-        of a window plan; returns how many actions refined anything.
-        The plan's ``pivots`` are applied as one multi-pivot pass that
-        latches only the target pieces
-        (:meth:`LatchedCrackerAccess.crack_value`).  Counters update
-        exactly as in the serial path.
+        The worker-thread counterpart of :meth:`perform`: the plan's
+        ``pivots`` are applied as one multi-pivot pass that latches
+        only the target pieces (:meth:`LatchedCrackerAccess.crack_value`).
+        Returns how many of them refined anything.  Stateless, so every
+        worker thread shares the kernel's tuner.
         """
-        effective = access.crack_value(
-            pivots, min_piece_size=self.min_piece_size
-        )
-        self.actions_performed += effective
-        self.actions_degenerate += count - effective
-        return effective
+        return access.crack_value(pivots, min_piece_size=self.min_piece_size)
 
     def perform_batch(self, index: CrackerIndex, count: int) -> int:
         """Apply ``count`` random cracks to ``index`` in one go.
@@ -115,11 +95,8 @@ class AuxiliaryTuner:
         if not values:
             return 0
         before = index.crack_count
-        index.ensure_cuts(values, CrackOrigin.TUNING)
-        effective = index.crack_count - before
-        self.actions_performed += effective
-        self.actions_degenerate += count - effective
-        return effective
+        index.ensure_cuts(values)
+        return index.crack_count - before
 
     def crack_in_hot_range(
         self,
@@ -144,21 +121,13 @@ class AuxiliaryTuner:
             index.piece_map.dtype, self.rng.uniform(low, high)
         )
         if access is not None:
-            success = access.crack_value(
+            return access.crack_value(
                 value, min_piece_size=self.min_piece_size
             )
-            if success:
-                self.actions_performed += 1
-            else:
-                self.actions_degenerate += 1
-            return success
         if index.piece_map.has_pivot(value):
-            self.actions_degenerate += 1
             return False
         piece = index.piece_map.piece_for_value(value)
         if piece.size <= self.min_piece_size:
-            self.actions_degenerate += 1
             return False
         index.ensure_cut(value, CrackOrigin.TUNING)
-        self.actions_performed += 1
         return True

@@ -35,8 +35,9 @@ Five layers cooperate:
   timeline ~W/N seconds, reproducing the paper's multi-core scaling
   without needing real parallelism under the GIL;
 * **attribution** -- each worker thread attributes its latch stalls
-  on the tape to its id, and per-worker stalls/actions are reported in
-  the window's :class:`~repro.holistic.scheduler.TuningReport`;
+  on the tape to its id and counts its actions in its
+  :class:`WorkerStats`, the counters a window's
+  :class:`~repro.holistic.scheduler.TuningReport` is read from;
 * **supervision** -- the batch is the supervised unit: a crash
   mid-batch repairs the column, counts toward its quarantine and
   re-enqueues the same batch (same pivots) for the restarted worker.
@@ -50,7 +51,7 @@ from __future__ import annotations
 import queue
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from repro.cracking.tape import CrackTape
 from repro.errors import ConcurrencyError, ConfigError, CrackerError
 from repro.holistic.policies import TuningPolicy
 from repro.holistic.ranking import ColumnRanking, ColumnTuningState
-from repro.holistic.scheduler import TuningReport
+from repro.holistic.scheduler import TuningReport, spend_window
 from repro.holistic.tuner import AuxiliaryTuner, random_pivots
 from repro.simtime.clock import Clock, wall_sleep
 from repro.storage.catalog import ColumnRef
@@ -105,16 +106,6 @@ class WorkerStats:
 
 
 @dataclass(slots=True)
-class _Window:
-    """Aggregates of the idle window currently being drained."""
-
-    attempted: int = 0
-    effective: int = 0
-    per_column: dict[ColumnRef, int] = field(default_factory=dict)
-    per_worker: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class _Batch:
     """One column's share of a window plan: what a worker applies in
     one pass, and what the supervisor retries."""
@@ -141,7 +132,8 @@ class TuningWorkerPool:
         ranking: the continuous column ranking plans are made against.
         policy: resource-spreading policy (shared, guarded by a lock).
         num_workers: worker thread count (>= 1).
-        min_piece_size: cache-fit stopping criterion, in rows.
+        tuner: the kernel's tuner; supplies the cache-fit stopping
+            criterion and applies each batch.
         seed: base seed.  Random pivots come from one stream per
             *column*, keyed by ``(seed, column name)`` and consumed in
             plan order, so a column's k-th pivot does not depend on the
@@ -155,7 +147,7 @@ class TuningWorkerPool:
         ranking: ColumnRanking,
         policy: TuningPolicy,
         num_workers: int,
-        min_piece_size: int = 2,
+        tuner: AuxiliaryTuner,
         seed: int | None = None,
     ) -> None:
         if num_workers < 1:
@@ -169,15 +161,11 @@ class TuningWorkerPool:
         self.ranking = ranking
         self.policy = policy
         self.num_workers = num_workers
-        self.min_piece_size = min_piece_size
+        self.tuner = tuner
         self.seed = seed
         self.stats: dict[int, WorkerStats] = {
             i: WorkerStats(worker_id=i) for i in range(num_workers)
         }
-        self._tuners = [
-            AuxiliaryTuner(min_piece_size=min_piece_size)
-            for _ in range(num_workers)
-        ]
         self._pivot_rngs: dict[ColumnRef, np.random.Generator] = {}
         self._accesses: dict[ColumnRef, LatchedCrackerAccess] = {}
         self._access_lock = threading.Lock()
@@ -194,11 +182,8 @@ class TuningWorkerPool:
         #: the pivot streams: taken once per planning round and once
         #: per completed batch.
         self._policy_lock = threading.Lock()
-        self._window_lock = threading.Lock()
-        self._window = _Window()
         self._running = False
         self._failure: BaseException | None = None
-        self.windows_run = 0
         #: Supervision: crashed workers are restarted with capped
         #: exponential backoff; columns whose batches repeatedly kill
         #: workers are quarantined (dead-lettered) after their piece
@@ -391,84 +376,66 @@ class TuningWorkerPool:
     ) -> TuningReport:
         """Drain one idle window through the workers.
 
-        Mirrors the serial :class:`IdleScheduler` semantics.  An action
-        count is planned in full against the projected ranking and
-        drained; degenerate pivots make the projection optimistic, so
-        the window keeps planning rounds until the attempts are spent
-        or a round finds the *actual* ranking with nothing left.  A
-        time budget is checked between rounds of ``num_workers``
-        attempts, so the last round may slightly overshoot.  The
-        window report's ``consumed_s`` is the parallel elapsed time
-        (max over worker lanes), and ``busy_s`` the aggregate work.
+        The kernel's idle loop (:func:`spend_window`) with one planned
+        round per step.  An action count is planned in full against the
+        projected ranking and drained; degenerate pivots make the
+        projection optimistic, so the window keeps planning rounds
+        until the attempts are spent or a round finds the *actual*
+        ranking with nothing left.  A time budget is checked between
+        rounds of ``num_workers`` attempts, in parallel elapsed time
+        (max over worker lanes).  The report counts what the workers'
+        :class:`WorkerStats` counted during the window; ``busy_s`` is
+        the aggregate work.
 
         If the pool is not already running the window owns the whole
         lifecycle (start, drain, stop); a pool started explicitly --
         e.g. to race workers against foreground queries -- stays
         running afterwards.
-
-        Raises:
-            ConfigError: if neither an action count nor a budget is
-                given, or the given one is negative.
         """
-        if actions is None and budget_s is None:
-            raise ConfigError(
-                "a worker window needs an action count or a time budget"
-            )
-        if actions is not None and actions < 0:
-            raise ConfigError(f"actions must be >= 0, got {actions}")
-        if budget_s is not None and budget_s < 0:
-            raise ConfigError(f"budget must be >= 0, got {budget_s}")
         owns_lifecycle = not self._running
         self.start()
         elapsed_before = self.clock.parallel_elapsed()
         busy_before = self.clock.parallel_busy()
         stalls_before = self.tape.stall_count()
+        attempted_before, effective_before = self._actions_done()
+        report = TuningReport()
 
-        def elapsed() -> float:
-            return self.clock.parallel_elapsed() - elapsed_before
+        def settle() -> None:
+            self.drain()
+            attempted, effective = self._actions_done()
+            report.actions_attempted = attempted - attempted_before
+            report.actions_effective = effective - effective_before
 
-        with self._window_lock:
-            self._window = _Window()
-            window = self._window
-
-        def attempts_left() -> int:
-            if actions is not None:
-                return actions - window.attempted
-            return self.num_workers if elapsed() < budget_s else 0
+        def step(attempts: int) -> bool:
+            planned = self._plan(attempts)
+            settle()
+            return planned > 0
 
         # Batches of an overlapping submit() settle first, so every
         # round here starts from the actual ranking: a round that can
         # plan nothing has then found it exhausted.
-        self.drain()
-        exhausted = False
-        while not exhausted and (attempts := attempts_left()) > 0:
-            exhausted = self._plan(attempts) == 0
-            self.drain()
-        consumed = elapsed()
-        busy = self.clock.parallel_busy() - busy_before
+        settle()
+        spend_window(
+            report,
+            actions,
+            budget_s,
+            lambda: self.clock.parallel_elapsed() - elapsed_before,
+            step,
+            round_size=self.num_workers,
+        )
+        report.busy_s = self.clock.parallel_busy() - busy_before
         if owns_lifecycle:
             self.stop()
-        report = TuningReport(
-            actions_attempted=window.attempted,
-            actions_effective=window.effective,
-            consumed_s=consumed,
-            per_column=dict(window.per_column),
-            stop_reason=(
-                "all candidates refined"
-                if exhausted
-                else (
-                    "action budget exhausted"
-                    if actions is not None
-                    else "time budget exhausted"
-                )
-            ),
-            per_worker=dict(window.per_worker),
-            stalls=self.tape.stall_count() - stalls_before,
-            busy_s=busy,
-            workers=self.num_workers,
-        )
-        self.windows_run += 1
+        report.stalls = self.tape.stall_count() - stalls_before
         return report
+
+    def _actions_done(self) -> tuple[int, int]:
+        """Attempted and effective actions over all workers' lifetimes."""
+        stats = self.stats.values()
+        return (
+            sum(s.actions_attempted for s in stats),
+            sum(s.actions_effective for s in stats),
+        )
 
     # -- planning -------------------------------------------------------
 
@@ -570,7 +537,7 @@ class TuningWorkerPool:
                 _, start, end, at_pivot = locate(value)
                 if not spans or spans[-1][0] != start:
                     spans.append([start, 0, slot])
-                if not at_pivot and end - start > self.min_piece_size:
+                if not at_pivot and end - start > self.tuner.min_piece_size:
                     spans[-1][1] = end - start
         total = sum(rows for _, rows, _ in spans)
         batches: list[_Batch] = []
@@ -657,17 +624,6 @@ class TuningWorkerPool:
         stats.actions_effective += effective
         stats.stalls += self.tape.stall_count(worker_id) - stalls_before
         self._release(batch, effective)
-        with self._window_lock:
-            window = self._window
-            window.attempted += batch.count
-            if effective:
-                window.effective += effective
-                window.per_column[state.ref] = (
-                    window.per_column.get(state.ref, 0) + effective
-                )
-                window.per_worker[worker_id] = (
-                    window.per_worker.get(worker_id, 0) + effective
-                )
 
     def _apply_batch(
         self,
@@ -678,9 +634,7 @@ class TuningWorkerPool:
         """One batch under the appropriate latches; returns how many of
         its actions refined anything."""
         faults.trip("workers.perform")
-        return self._tuners[worker_id].perform_latched(
-            access, batch.count, batch.pivots
-        )
+        return self.tuner.perform_latched(access, batch.pivots)
 
     # -- supervision ----------------------------------------------------
 

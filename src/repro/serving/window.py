@@ -62,11 +62,6 @@ class CrossSessionWindowFormer:
                 self._taken[client] = 0
             queue.extend(queries)
 
-    @property
-    def pending_count(self) -> int:
-        with self._lock:
-            return sum(len(queue) for queue in self._queues.values())
-
     def next_window(self) -> list[WindowEntry]:
         """The next in-flight set; empty when every stream is drained."""
         with self._lock:

@@ -95,12 +95,6 @@ class CostCharge:
             self.cracks += other.cracks
         return self
 
-    def copy(self) -> "CostCharge":
-        """Return an independent copy of this charge."""
-        fresh = CostCharge()
-        fresh += self
-        return fresh
-
     def as_dict(self) -> dict[str, int]:
         """Field-name to counter mapping (snapshot serialization)."""
         return {

@@ -35,10 +35,6 @@ class CatalogEntry:
     stats: ColumnStats
     element_bytes: int
 
-    @property
-    def nbytes(self) -> int:
-        return self.stats.row_count * self.element_bytes
-
 
 class Catalog:
     """All tables of a database instance."""
@@ -80,13 +76,6 @@ class Catalog:
         except KeyError:
             raise UnknownTableError(name) from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
-    @property
-    def table_names(self) -> list[str]:
-        return list(self._tables)
-
     def column(self, ref: ColumnRef) -> Column:
         """Resolve a column reference."""
         return self.table(ref.table).column(ref.column)
@@ -109,4 +98,4 @@ class Catalog:
         return found
 
     def __repr__(self) -> str:
-        return f"Catalog(tables={self.table_names})"
+        return f"Catalog(tables={list(self._tables)})"

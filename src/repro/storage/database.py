@@ -80,4 +80,4 @@ class Database:
         )
 
     def __repr__(self) -> str:
-        return f"Database(tables={self.catalog.table_names})"
+        return f"Database(tables={[t.name for t in self.catalog]})"

@@ -83,10 +83,6 @@ class Table:
             return 0
         return next(iter(self._columns.values())).row_count
 
-    @property
-    def nbytes(self) -> int:
-        return sum(col.nbytes for col in self._columns.values())
-
     def __iter__(self) -> Iterator[Column]:
         return iter(self._columns.values())
 

@@ -56,10 +56,6 @@ class BackoffPolicy:
             raise ConfigError(f"retry must be >= 0, got {retry}")
         return min(self.base_s * self.factor**retry, self.cap_s)
 
-    def delays(self) -> list[float]:
-        """The full schedule: one delay per retry this policy allows."""
-        return [self.delay_s(i) for i in range(self.max_attempts - 1)]
-
 
 def retry_call(
     fn: Callable[[], object],

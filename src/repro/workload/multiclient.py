@@ -32,10 +32,6 @@ class ClientWorkload:
     client: str
     queries: list[RangeQuery]
 
-    @property
-    def query_count(self) -> int:
-        return len(self.queries)
-
 
 def parameterized_queries(
     columns: Sequence[ColumnRef],

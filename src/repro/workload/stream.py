@@ -102,12 +102,6 @@ class QueryStream:
     def __init__(self, events: Iterable[WorkloadEvent]) -> None:
         self.events: list[WorkloadEvent] = list(events)
 
-    @property
-    def query_count(self) -> int:
-        return sum(
-            1 for event in self.events if isinstance(event, QueryEvent)
-        )
-
     def run_windowed(self, session: Session, window: int) -> SessionReport:
         return run_stream_batched(session, self.events, window)
 

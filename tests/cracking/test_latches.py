@@ -10,7 +10,6 @@ from repro.cracking.concurrency import (
     ReadWriteLatch,
 )
 from repro.cracking.index import CrackerIndex
-from repro.cracking.piece import CrackOrigin
 from repro.errors import ConcurrencyError, LatchTimeout
 from repro.faults import FaultPlan, engaged
 from repro.simtime.clock import SimClock
@@ -186,9 +185,9 @@ def test_latched_select_matches_plain_select(small_column):
 def test_latched_crack_value_contract(small_column):
     index = CrackerIndex(small_column)
     access = LatchedCrackerAccess(index, PieceLatchTable())
-    assert access.crack_value(5e7, origin=CrackOrigin.TUNING) is True
+    assert access.crack_value(5e7) is True
     # Same value again: already a pivot -> degenerate.
-    assert access.crack_value(5e7, origin=CrackOrigin.TUNING) is False
+    assert access.crack_value(5e7) is False
     # A huge min size: piece too small -> degenerate.
     assert (
         access.crack_value(2.5e7, min_piece_size=10**9) is False
@@ -212,7 +211,7 @@ def test_latched_batch_filters_degenerate_pivots(small_column):
     assert access.crack_value([1e7, 4e7, 9e7], min_piece_size=5_000) == 0
     assert index.piece_count == 5
     # ... and judged per piece: only [5e7, 8e7) (3k rows) is above 2.5k.
-    sizes = index.piece_map.piece_sizes()
+    sizes = [p.size for p in index.piece_map.pieces()]
     assert [size > 2_500 for size in sizes] == [
         False, False, False, True, False
     ]
@@ -231,7 +230,7 @@ def test_latched_batch_matches_unlatched_ensure_cuts(small_column):
     """Same cuts, same charges, same tape as the serial batch path."""
     pivots = [float(v) for v in range(5_000_000, 100_000_000, 7_000_000)]
     plain = CrackerIndex(small_column, clock=SimClock())
-    plain.ensure_cuts(pivots, CrackOrigin.TUNING)
+    plain.ensure_cuts(pivots)
     latched = CrackerIndex(small_column, clock=SimClock())
     access = LatchedCrackerAccess(latched, PieceLatchTable())
     assert access.crack_value(pivots[:6]) == 6
@@ -308,7 +307,7 @@ def test_latched_select_releases_latches_when_select_raises(small_column):
     raises (an injected fault, say) must not strand them."""
     index = CrackerIndex(small_column, clock=SimClock())
     access = LatchedCrackerAccess(index, PieceLatchTable())
-    index.select_range = lambda low, high, origin: (_ for _ in ()).throw(
+    index.select_range = lambda low, high: (_ for _ in ()).throw(
         RuntimeError("injected select failure")
     )
     with pytest.raises(RuntimeError):

@@ -78,7 +78,7 @@ def test_piece_sizes_and_aggregates():
     pieces = PieceMap(100)
     pieces.add_crack(50.0, 40)
     pieces.add_crack(75.0, 70)
-    assert pieces.piece_sizes() == [40, 30, 30]
+    assert [p.size for p in pieces.pieces()] == [40, 30, 30]
     assert pieces.average_piece_size() == pytest.approx(100 / 3)
 
 
@@ -115,7 +115,7 @@ def test_empty_pieces_are_allowed():
     pieces = PieceMap(100)
     pieces.add_crack(50.0, 40)
     pieces.add_crack(55.0, 40)  # empty piece [40, 40)
-    assert pieces.piece_sizes() == [40, 0, 60]
+    assert [p.size for p in pieces.pieces()] == [40, 0, 60]
     pieces.check_invariants()
 
 
@@ -127,7 +127,7 @@ def test_negative_row_count_rejected():
 def test_empty_map_handles_queries():
     pieces = PieceMap(0)
     assert pieces.piece_count == 1
-    assert pieces.piece_sizes() == [0]
+    assert [p.size for p in pieces.pieces()] == [0]
     assert pieces.average_piece_size() == 0.0
 
 

@@ -102,4 +102,4 @@ def test_piecemap_invariants_under_value_ordered_cracks(n, pivots):
         pieces.add_crack(pivot, position)
         pieces.check_invariants()
     assert pieces.piece_count == pieces.crack_count + 1
-    assert sum(pieces.piece_sizes()) == n
+    assert sum([p.size for p in pieces.pieces()]) == n

@@ -199,11 +199,8 @@ def test_inverted_range_leaves_the_replay_cache_untouched():
 
 def test_replay_cache_reuse_and_invalidation():
     """Consecutive fully-replayed windows reuse the shadow map -- with
-    a fresh bound, without one, and under another origin; an
-    incomplete previous replay and a foreground crack between windows
-    each force a new snapshot."""
-    from repro.cracking.piece import CrackOrigin
-
+    a fresh bound and without one; an incomplete previous replay and a
+    foreground crack between windows each force a new snapshot."""
     _, batched = _pair(rows=1200, seed=3)
     ranges = [(100, 900), (2000, 2600)]
     context, _ = _begin(batched, ranges)
@@ -216,9 +213,9 @@ def test_replay_cache_reuse_and_invalidation():
     follow_up.replay_query(3000, 3500)
     converged = [(100, 3000), (900, 3500)]
     assert _replayed(batched, converged).sim is cached_sim
-    # Another origin; its context replays none, so it stays incomplete.
-    tuning = batched.begin_select_batch(converged, CrackOrigin.TUNING)
-    assert tuning.sim is cached_sim
+    # A context that replays none stays incomplete.
+    unreplayed = batched.begin_select_batch(converged)
+    assert unreplayed.sim is cached_sim
     again = _replayed(batched, converged)
     assert again.sim is not cached_sim
     again.check_consistent()

@@ -94,6 +94,17 @@ def test_export_and_restore_round_trip_the_counters():
     assert back.stall_count(2) == 1 and back.stall_count(None) == 1
 
 
+def test_restore_ignores_an_origin_no_longer_counted():
+    """Older generations also wrote a ``"load"`` count, which nothing
+    produced; restore reads the origins it knows and drops the rest."""
+    tape = CrackTape()
+    counts = {"query": 3, "tuning": 2, "merge": 0, "sort": 0, "load": 0}
+    tape.restore_state({"counts": counts, "seen": 5, "stalls": {}})
+    assert tape.count(CrackOrigin.QUERY) == 3
+    assert tape.count(CrackOrigin.TUNING) == 2
+    assert "load" not in tape.export_state()["counts"]
+
+
 def test_stall_counters_per_worker_and_total():
     tape = CrackTape()
     assert tape.stall_count() == 0

@@ -280,9 +280,9 @@ def test_holistic_monitor_and_ranking_state_match():
     base = base_session.strategy
     batch = batch_session.strategy
     assert batch.monitor.export_state() == base.monitor.export_state()
+    seen = {s.ref: s.queries_seen for s in batch.ranking.states()}
     for state in base.ranking.states():
-        other = batch.ranking.state(state.ref)
-        assert other.queries_seen == state.queries_seen
+        assert seen[state.ref] == state.queries_seen
 
 
 def test_wait_debt_charged_to_first_window_query():
@@ -589,6 +589,6 @@ def test_replay_raising_mid_window_settles_like_sequential(
         assert kernel.monitor.export_state() == (
             reference.monitor.export_state()
         )
+        seen = {s.ref: s.queries_seen for s in kernel.ranking.states()}
         for state in reference.ranking.states():
-            other = kernel.ranking.state(state.ref)
-            assert other.queries_seen == state.queries_seen
+            assert seen[state.ref] == state.queries_seen

@@ -71,9 +71,10 @@ def test_offline_builds_on_first_idle_only(tiny_db):
     assert outcome.actions_done == 1
     # Second window: nothing left to do (Table 1: offline exploits
     # only a-priori idle time).
+    before = strategy.clock.now()
     second = strategy.exploit_idle(budget_s=100.0)
     assert second.actions_done == 0
-    assert second.consumed_s == 0.0
+    assert strategy.clock.now() == before
 
 
 def test_offline_fit_budget_skips_unaffordable(tiny_db):

@@ -39,10 +39,9 @@ def test_round_robin_skips_refined(ranking):
     # Shrink A2 below the target by marking it refined artificially:
     # register a tiny column in its place.
     tiny = generate_uniform_column("A2", rows=5, seed=9)
-    ranking.register(
+    state = ranking.register(
         ColumnRef("R", "A2"), CrackerIndex(tiny, clock=SimClock())
     )
-    state = ranking.state(ColumnRef("R", "A2"))
     state.index = CrackerIndex(tiny, clock=SimClock())
     chosen = [policy.choose(ranking).ref.column for _ in range(4)]
     assert "A2" not in chosen

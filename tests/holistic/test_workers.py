@@ -40,6 +40,13 @@ def _query(low, high, column="A1"):
     return RangeQuery(ColumnRef("R", column), low, high)
 
 
+def _idle(kernel, **window):
+    """``exploit_idle`` and the clock time its window consumed."""
+    before = kernel.clock.now()
+    outcome = kernel.exploit_idle(**window)
+    return outcome, kernel.clock.now() - before
+
+
 # -- configuration -------------------------------------------------------
 
 
@@ -58,6 +65,7 @@ def test_pool_requires_at_least_one_worker(tiny_db):
             ranking=kernel.ranking,
             policy=kernel.policy,
             num_workers=0,
+            tuner=kernel.tuner,
         )
 
 
@@ -67,7 +75,8 @@ def test_serial_kernel_has_no_pool_and_no_worker_marks(tiny_db):
     kernel.select(_query(1e7, 3e7))
     kernel.exploit_idle(actions=20)
     assert kernel.tape.count(CrackOrigin.TUNING) > 0
-    assert kernel.tuning_summary().per_worker == {}
+    summary = kernel.tuning_summary()
+    assert (summary.stalls, summary.busy_s) == (0, 0.0)
     with pytest.raises(ConfigError):
         kernel.start_workers()
     with pytest.raises(ConfigError):
@@ -110,18 +119,18 @@ def test_serial_fallback_reproduces_identical_tape():
 def test_worker_window_refines_and_attributes_workers():
     db = _db()
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
-    outcome = kernel.exploit_idle(actions=40)
+    outcome, consumed = _idle(kernel, actions=40)
     assert outcome.actions_done > 0
-    assert outcome.consumed_s > 0
+    assert consumed > 0
     summary = kernel.tuning_summary()
-    assert summary.workers == 2
+    stats = kernel.worker_pool.worker_stats()
+    assert [s.worker_id for s in stats] == [0, 1]
     assert summary.actions_attempted == 40
-    assert set(summary.per_worker) <= {0, 1}
-    assert summary.per_worker  # at least one worker refined
+    effective = [s.actions_effective for s in stats]
+    assert any(effective)  # at least one worker refined
     # Every tuning crack on the tape is some worker's effective action.
-    assert sum(summary.per_worker.values()) == kernel.tape.count(
-        CrackOrigin.TUNING
-    )
+    assert sum(effective) == kernel.tape.count(CrackOrigin.TUNING)
+    assert sum(effective) == summary.actions_effective
     for index in kernel.indexes.values():
         index.check_invariants()
 
@@ -131,8 +140,7 @@ def test_parallel_window_is_faster_than_serial_window():
     for workers in (1, 4):
         db = _db()
         kernel = HolisticKernel(db, HolisticConfig(num_workers=workers))
-        outcome = kernel.exploit_idle(actions=64)
-        consumed[workers] = outcome.consumed_s
+        outcome, consumed[workers] = _idle(kernel, actions=64)
         assert outcome.actions_done > 0
     assert consumed[4] < consumed[1]
 
@@ -140,10 +148,10 @@ def test_parallel_window_is_faster_than_serial_window():
 def test_budget_window_with_workers_consumes_roughly_budget():
     db = _db()
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
-    outcome = kernel.exploit_idle(budget_s=0.05)
+    outcome, consumed = _idle(kernel, budget_s=0.05)
     # Budget is checked between batches; the window may overshoot by
     # at most one batch but must not stop early while unrefined.
-    assert outcome.consumed_s >= 0.05 or "refined" in outcome.note
+    assert consumed >= 0.05 or "refined" in outcome.note
     assert outcome.actions_done > 0
 
 
@@ -260,9 +268,9 @@ def test_ranked_window_is_planned_against_projected_piece_counts():
         _db(columns=3), HolisticConfig(num_workers=2, policy="ranked")
     )
     kernel.exploit_idle(actions=60)
-    summary = kernel.tuning_summary()
-    assert len(summary.per_column) == 3
-    assert max(summary.per_column.values()) <= 20
+    credited = [s.tuning_actions for s in kernel.ranking.states()]
+    assert all(credited)
+    assert max(credited) <= 20
     assert [s.planned for s in kernel.ranking.states()] == [0, 0, 0]
 
 
@@ -313,9 +321,7 @@ def test_same_seed_worker_windows_are_reproducible(workers):
                 num_workers=workers, cache_target_elements=64, seed=11
             ),
         )
-        consumed = [
-            kernel.exploit_idle(actions=48).consumed_s for _ in range(4)
-        ]
+        consumed = [_idle(kernel, actions=48)[1] for _ in range(4)]
         sha = piece_map_sha256(
             (str(ref), index.piece_map.cuts(), index.piece_map.pivots())
             for ref, index in sorted(
@@ -329,8 +335,8 @@ def test_same_seed_worker_windows_are_reproducible(workers):
                 consumed,
                 db.clock.now(),
                 kernel.tape.export_state(),
-                summary.per_column,
-                summary.per_worker,
+                [s.tuning_actions for s in kernel.ranking.states()],
+                kernel.worker_pool.worker_stats(),
                 summary.stalls,
             )
         )
@@ -418,7 +424,8 @@ def test_stress_contended_single_column_counts_stalls():
     summary = kernel.tuning_summary()
     assert summary.stalls == kernel.tape.stall_count()
     assert summary.actions_attempted == 400
-    assert len(summary.per_worker) > 1
+    stats = kernel.worker_pool.worker_stats()
+    assert sum(1 for s in stats if s.actions_effective) > 1
 
 
 def test_explicit_lifecycle_folds_worker_time_into_clock():
@@ -578,7 +585,7 @@ def test_budget_window_terminates_on_minimal_clock():
     kernel = HolisticKernel(
         db, HolisticConfig(num_workers=2, cache_target_elements=2)
     )
-    outcome = kernel.exploit_idle(budget_s=0.001)
+    outcome, consumed = _idle(kernel, budget_s=0.001)
     # A tiny budget must not refine the whole 50k-row column.
     assert outcome.actions_done < 200
-    assert outcome.consumed_s >= 0.001
+    assert consumed >= 0.001

@@ -129,14 +129,15 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
             for c in monitor.export_state()["columns"]
         }
 
+    def seen(strategy) -> dict:
+        return {s.ref: s.queries_seen for s in strategy.ranking.states()}
+
     served = query_counts(kernel.monitor)
     solo_counts = [query_counts(solo.monitor) for solo in solos]
     for ref in COLUMN_REFS:
         key = (ref.table, ref.column)
         assert served[key] == sum(counts[key] for counts in solo_counts)
-        assert kernel.ranking.state(ref).queries_seen == sum(
-            solo.ranking.state(ref).queries_seen for solo in solos
-        )
+        assert seen(kernel)[ref] == sum(seen(solo)[ref] for solo in solos)
 
 
 def test_run_reports_windows():

@@ -60,7 +60,7 @@ def test_serving_windows_race_tuning_workers():
     kernel.drain_workers()
     kernel.stop_workers()
     assert sum(r.query_count for r in report.clients.values()) == sum(
-        w.query_count for w in workloads
+        len(w.queries) for w in workloads
     )
     effective = sum(
         stats.actions_effective
@@ -104,7 +104,7 @@ def test_concurrent_submission_threads_feed_the_serving_loop():
     def feed(workload):
         started.wait()
         # Trickle the stream in small chunks to interleave with serving.
-        for i in range(0, workload.query_count, 5):
+        for i in range(0, len(workload.queries), 5):
             frontend.submit(workload.client, workload.queries[i : i + 5])
 
     threads = [
@@ -115,7 +115,7 @@ def test_concurrent_submission_threads_feed_the_serving_loop():
     started.wait()
     # Serve until the producers are done and every queue is drained.
     while any(thread.is_alive() for thread in threads) or (
-        frontend.former.pending_count
+        any(frontend.former._queues.values())
     ):
         entries = frontend.former.next_window()
         if entries:

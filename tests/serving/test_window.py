@@ -29,7 +29,7 @@ def test_closed_loop_takes_depth_per_client_round_robin():
     window = former.next_window()
     assert [(e.client, e.sequence) for e in window] == [("a", 4)]
     assert former.next_window() == []
-    assert former.pending_count == 0
+    assert not any(former._queues.values())
 
 
 def test_closed_loop_preserves_per_client_order():

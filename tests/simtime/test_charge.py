@@ -42,7 +42,8 @@ def test_add_rejects_other_types():
 
 def test_copy_is_independent():
     original = CostCharge(seeks=2)
-    clone = original.copy()
+    clone = CostCharge()
+    clone += original
     clone.seeks += 1
     assert original.seeks == 2
     assert clone.seeks == 3

