@@ -7,8 +7,8 @@ matter how many other cracks happen before or after.  A window of
 queries can therefore be executed in two decoupled halves:
 
 * a **physical pass** (:meth:`CrackerIndex.begin_select_batch`) cracks
-  every *fresh* bound of the window -- one not yet a pivot of the
-  shadow map below -- in one grouped sweep: one shared
+  every *fresh* bound of the window -- one not yet in the piece map's
+  ``cut_of`` -- in one grouped sweep: one shared
   ``crack_spans_batch`` dispatch for pieces taking one pivot or one
   query's bound pair, ``crack_multi`` counting partitions for denser
   pieces, one ``insert_cracks_bulk`` piece-map splice -- touching each
@@ -76,12 +76,6 @@ class ReplayPieceMap:
         end = cuts[i] if i < len(pivots) else self.n
         return i, start, end, at_pivot
 
-    def has_pivot(self, value: Key) -> bool:
-        """:meth:`locate`'s ``at_pivot`` alone."""
-        pivots = self.pivots
-        i = bisect_right(pivots, value)
-        return i > 0 and pivots[i - 1] == value
-
     def add_crack_at(self, i: int, value: Key, position: int) -> None:
         self.pivots.insert(i, value)
         self.cuts.insert(i, position)
@@ -113,16 +107,13 @@ class CrackSelectBatch:
         self,
         index,
         sim: ReplayPieceMap,
-        positions: dict[Key, int],
         copy_charged: bool,
         expected: int,
         tape=None,
     ) -> None:
         self._index = index
         self._largest = index._largest
-        self._values = index.values
         self._sim = sim
-        self._positions = positions
         self._copy_charged = copy_charged
         #: The window accountant; callers :meth:`bind` one before the
         #: first replay.
@@ -132,16 +123,7 @@ class CrackSelectBatch:
         self._tape = tape if tape is not None else index.tape
         self._expected = expected
         self._done = 0
-        # Repeated warm predicates (parameterized workloads) resolve
-        # to the same [pos_low, pos_high) slice; cut positions are
-        # absolute and stable under cracking, and RangeViews are
-        # immutable, so identical slices share one view object.  The
-        # dict lives on the index (it stays valid across windows) and
-        # is reset whenever the cracker column is replaced (update
-        # merges, widening, rebuild) -- see CrackerIndex.span_views.
-        self._view_cache: dict[tuple[int, int], RangeView] = (
-            index.span_views()
-        )
+        self.refresh_arrays()
 
     def bind(self, accountant) -> None:
         """Route this context's charges through ``accountant``."""
@@ -283,17 +265,27 @@ class CrackSelectBatch:
         return RangeView(self._values, pos_low, pos_high)
 
     def refresh_arrays(self) -> None:
-        """Re-capture the index's physical array and view cache.
+        """Capture the index's physical array, view cache and
+        position map (its piece map's ``cut_of``, which the physical
+        pass has filled).
 
-        Defensive re-sync for long-lived (detached) replays: result
-        views must always slice the index's *current* arrays.  Note
-        this does not make replays safe across update merges that
-        shift cut positions -- the shadow map and the caller's
-        positions would be stale too; serving-eligible strategies
-        never merge mid-run (see :mod:`repro.serving`).
+        Repeated warm predicates resolve to the same
+        ``[pos_low, pos_high)`` slice, and RangeViews are immutable, so
+        identical slices share one view object from a dict on the
+        index (:meth:`CrackerIndex.span_views`).  Long-lived
+        (detached) replays re-capture all three per window: views must
+        slice the index's *current* arrays, and a rebuild replaces the
+        piece map.  Replays are still not safe across update merges
+        that shift cut positions -- the shadow map would be stale;
+        serving-eligible strategies never merge mid-run (see
+        :mod:`repro.serving`).
         """
-        self._values = self._index.values
-        self._view_cache = self._index.span_views()
+        index = self._index
+        self._values = index.values
+        self._view_cache: dict[tuple[int, int], RangeView] = (
+            index.span_views()
+        )
+        self._positions: dict[Key, int] = index.piece_map.cut_of
 
     def check_consistent(self) -> None:
         """Verify the replay converged onto the physical state.
@@ -341,33 +333,22 @@ class DetachedCrackReplay(CrackSelectBatch):
       crack counts;
     * charges its own copy-on-first-touch materialization, like the
       solo index would on the client's first crack;
-    * resolves positions from a caller-maintained dict that must cover
-      every bound the client queries (the serving front-end feeds it
-      from :meth:`CrackerIndex.crack_bounds_batch` each window).
+    * resolves positions from the index's current piece map, whose
+      cuts must cover every bound the client queries (the serving
+      front-end cracks the missing ones with
+      :meth:`CrackerIndex.crack_bounds_batch` each window).
     """
 
     __slots__ = ()
 
     @classmethod
-    def solo(
-        cls,
-        index,
-        positions: dict[Key, int],
-        tape,
-    ) -> "DetachedCrackReplay":
+    def solo(cls, index, tape) -> "DetachedCrackReplay":
         """A replay starting from the virgin (uncracked) column state."""
         sim = ReplayPieceMap(index.row_count, [], [])
-        return cls(
-            index,
-            sim,
-            positions,
-            copy_charged=False,
-            expected=0,
-            tape=tape,
-        )
+        return cls(index, sim, copy_charged=False, expected=0, tape=tape)
 
     def bind(self, accountant) -> None:
         super().bind(accountant)
-        # Always serve views over the index's current arrays (e.g.
-        # after a widening that preserved cut positions).
+        # Always serve views over the index's current arrays and
+        # piece map (e.g. after a widening or a rebuild).
         self.refresh_arrays()

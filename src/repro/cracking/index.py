@@ -73,32 +73,16 @@ def _synchronized(method):
 
 class CrackPass(NamedTuple):
     """The record of one physical multi-pivot pass
-    (:meth:`CrackerIndex._crack_pass`).
-
-    ``values``, ``starts`` and ``at_pivot`` are the pass's locate of
-    every value it was given: a value already a pivot has its cut
-    position in ``starts``.  The other fields describe each distinct
-    fresh value, ascending: its pre-pass piece index, start and end,
-    and the position the pass cut it at.
+    (:meth:`CrackerIndex._crack_pass`): each distinct fresh value,
+    ascending, with its pre-pass piece index, start and end.  The
+    positions the pass cut them at are in the piece map's
+    :attr:`~repro.cracking.piecemap.PieceMap.cut_of`.
     """
 
-    values: np.ndarray
-    starts: np.ndarray
-    at_pivot: np.ndarray
     fresh: list[Key]
     pieces: list[int]
     piece_starts: list[int]
     piece_ends: list[int]
-    positions: list[int]
-
-    def cut_positions(self) -> dict[Key, int]:
-        """The cut position of every distinct value, hits included."""
-        hits = self.at_pivot
-        positions = dict(
-            zip(self.values[hits].tolist(), self.starts[hits].tolist())
-        )
-        positions.update(zip(self.fresh, self.positions))
-        return positions
 
 
 class CrackerIndex:
@@ -263,12 +247,7 @@ class CrackerIndex:
     def _charge_pivot_hits(self, count: int) -> None:
         """Price ``count`` piece-map probes that found their value
         already a cut: one binary search over the pieces each."""
-        clock = self.clock
-        if isinstance(clock, SimClock):
-            clock.charge_probes(self.piece_count, count)
-        else:
-            for _ in range(count):
-                clock.charge(CostCharge.for_binary_search(self.piece_count))
+        self.clock.charge_probes(self._pieces.piece_count, count)
 
     def _pivot_key(self, value: object) -> Key:
         """``value`` as a pivot of this column (see
@@ -372,8 +351,8 @@ class CrackerIndex:
             clock.charge(charge)
             tape.log(CrackOrigin.TUNING, hi - lo)
             hi = lo
-        positions = record.cut_positions()
-        return [positions[key] for key in keys]
+        cut_of = self._pieces.cut_of
+        return [cut_of[key] for key in keys]
 
     @_synchronized
     def select_range(self, low: object, high: object) -> RangeView:
@@ -412,6 +391,11 @@ class CrackerIndex:
                 len(self._array),
             )
         pieces = self._pieces
+        cut_of = pieces.cut_of
+        if low in cut_of and high in cut_of:
+            # The converged select: nothing to crack, two probe charges.
+            self._charge_pivot_hits(2)
+            return RangeView(self._array, cut_of[low], cut_of[high])
         low_loc, high_loc = pieces.locate_pair(low, high)
         witness.mutation_check(
             self,
@@ -434,10 +418,6 @@ class CrackerIndex:
             pieces.add_crack_at(low_index + 1, high, pos_high)
             self.clock.charge(charge)
             self.tape.log(CrackOrigin.QUERY, 2)
-        elif low_pivot and high_pivot:
-            # The converged select: nothing to crack, two probe charges.
-            self._charge_pivot_hits(2)
-            pos_low, pos_high = start, high_loc[1]
         else:
             pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
             if not low_pivot:
@@ -458,10 +438,10 @@ class CrackerIndex:
 
         ``bounds`` are the window's ranges, normalised into the
         column's domain (a window replays its empty ranges without the
-        index).  Every bound is first located on the replay's shadow of
-        the pre-window piece map; :meth:`_crack_pass` cuts the *fresh*
-        bounds -- those not yet a pivot -- now, silently, and a window
-        with none (a converged window) skips the pass.  The returned
+        index).  Every bound is first looked up in the piece map's
+        ``cut_of``; :meth:`_crack_pass` cuts the *fresh* bounds --
+        those not yet a pivot -- now, silently, and a window with none
+        (a converged window) skips the pass.  The returned
         :class:`~repro.cracking.batch.CrackSelectBatch` replays the
         accounting query by query, reproducing sequential
         :meth:`select_range` charges, timestamps and tape counts
@@ -486,55 +466,44 @@ class CrackerIndex:
             sim = ReplayPieceMap.snapshot(self._pieces)
         # One scan checks every range and collects the fresh bounds
         # (a top is never a pivot), before the cache is touched.
-        has_pivot = sim.has_pivot
+        cut_of = self._pieces.cut_of
         largest = self._largest
         fresh = []
         for low, high in bounds:
             if not low < high:
                 raise QueryError(f"range inverted: low={low} > high={high}")
-            if not has_pivot(low):
+            if low not in cut_of:
                 fresh.append(low)
-            if high <= largest and not has_pivot(high):
+            if high <= largest and high not in cut_of:
                 fresh.append(high)
         self._replay_cache = None
         copy_charged = self._copy_charged
-        positions: dict[Key, int] = {}
         if fresh:
-            record = self._crack_pass(
+            self._crack_pass(
                 np.array(fresh, dtype=self._pieces.dtype),
                 "batched crack pass",
                 False,
             )
-            positions = dict(zip(record.fresh, record.positions))
-        context = CrackSelectBatch(
-            self, sim, positions, copy_charged, len(bounds)
-        )
+        context = CrackSelectBatch(self, sim, copy_charged, len(bounds))
         self._replay_cache = (self._pieces.version, context)
         return context
 
     @_synchronized
-    def crack_bounds_batch(
-        self, bounds: list[tuple[Key, Key]]
-    ) -> dict[Key, int]:
-        """Silently crack a window's bounds; return every cut position.
+    def crack_bounds_batch(self, bounds: list[tuple[Key, Key]]) -> None:
+        """Silently crack a window's bounds.
 
         The physical half of a cross-session serving window: the pass
         of :meth:`begin_select_batch` without a replay context -- per-
         client :class:`~repro.cracking.batch.DetachedCrackReplay`
-        shadows account for it.  The mapping covers **every** distinct
-        bound, pivots included: a bound warm in the shared index can
-        still be fresh in a client's shadow map.
+        shadows account for it and read every bound's position from
+        the piece map's ``cut_of``.
 
         Raises:
             QueryError: if any range is inverted.
         """
         values = self._window_bounds(bounds)
-        if len(values) == 0:
-            return {}
-        # Cracking the fresh bounds moves no existing cut, so a bound
-        # that was already a pivot answers from the pass's own locate.
-        record = self._crack_pass(values, "batched crack pass", False)
-        return record.cut_positions()
+        if len(values):
+            self._crack_pass(values, "batched crack pass", False)
 
     def _window_bounds(self, bounds: list[tuple[Key, Key]]) -> np.ndarray:
         """Every bound a window's physical pass must see cut, in the
@@ -582,7 +551,7 @@ class CrackerIndex:
         indices, starts, ends, at_pivot = pieces.locate_many(values)
         fresh_at = np.flatnonzero(~at_pivot)
         if not len(fresh_at):
-            return CrackPass(values, starts, at_pivot, [], [], [], [], [])
+            return CrackPass([], [], [], [])
         fresh_values, first = np.unique(values[fresh_at], return_index=True)
         fresh_at = fresh_at[first]
         fresh_pieces = indices[fresh_at]
@@ -633,14 +602,7 @@ class CrackerIndex:
                 fresh_positions[last] = high
         pieces.insert_cracks_bulk(fresh_values, fresh_positions)
         return CrackPass(
-            values,
-            starts,
-            at_pivot,
-            fresh_list,
-            fresh_pieces.tolist(),
-            fresh_starts,
-            fresh_ends,
-            fresh_positions.tolist(),
+            fresh_list, fresh_pieces.tolist(), fresh_starts, fresh_ends
         )
 
     # -- update support --------------------------------------------------

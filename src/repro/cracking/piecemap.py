@@ -19,11 +19,18 @@ whether the value is already a pivot.  A range select
 asks for both of its bounds at once (:meth:`locate_pair`): one
 ``searchsorted`` dispatch over a two-key buffer the map owns.
 
+Beside the two arrays the map keeps :attr:`PieceMap.cut_of`, a dict
+from each pivot to its cut position: the one pivot -> position lookup
+of the engine.  A select whose bounds are both cuts (the converged
+select), a window's fresh bounds and a served lane's replays all read
+their positions there, with no binary search.
+
 Invariants (checked by :meth:`PieceMap.check_invariants` and the
 property tests):
 
 * ``pivots`` is strictly increasing (so none of them is NaN);
 * ``cuts`` is non-decreasing, each within ``[0, n]``;
+* ``cut_of == dict(zip(pivots, cuts))``;
 * piece ``i`` spans positions ``[cuts[i-1], cuts[i])`` (sentinels 0 and
   ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf).
 
@@ -61,6 +68,7 @@ class PieceMap:
         "_cuts_addr",
         "_pair",
         "_version",
+        "cut_of",
     )
 
     def __init__(
@@ -79,6 +87,9 @@ class PieceMap:
         #: monitor lock, so one per map suffices).
         self._pair = np.empty(2, dtype=dtype)
         self._version = 0
+        #: Pivot -> cut position of every crack.  Mutated in place
+        #: only: replays hold a reference to it.
+        self.cut_of: dict[Key, int] = {}
 
     def _cache_addresses(self) -> None:
         """Cache buffer base addresses for the memmove insert path.
@@ -125,6 +136,7 @@ class PieceMap:
         piece_map._cuts = np.empty(capacity, dtype=np.int64)
         piece_map._cuts[:k] = cuts
         piece_map._cache_addresses()
+        piece_map._refill_cut_of()
         piece_map.check_invariants()
         if not (piece_map._pivots[:k] == pivots).all():
             raise CrackerError(f"pivots are not all {dtype} values")
@@ -299,6 +311,12 @@ class PieceMap:
         self._cuts = cut_buf
         self._k = total
         self._cache_addresses()
+        self.cut_of.update(
+            zip(
+                np.asarray(pivots, dtype=pivot_buf.dtype).tolist(),
+                positions.tolist(),
+            )
+        )
         self._version += 1
 
     def piece_index_for_value(self, value: Key) -> int:
@@ -368,6 +386,7 @@ class PieceMap:
             )
         self._pivots[i] = pivot
         self._cuts[i] = position
+        self.cut_of[pivot] = position
         self._k = k + 1
         self._version += 1
 
@@ -444,8 +463,15 @@ class PieceMap:
         k = self._k
         if k:
             self._cuts[:k] += shifts[:k]
+            self._refill_cut_of()
         self._n += int(shifts[-1])
         self._version += 1
+
+    def _refill_cut_of(self) -> None:
+        """Rebuild :attr:`cut_of` from the arrays, in place."""
+        cut_of = self.cut_of
+        cut_of.clear()
+        cut_of.update(zip(self.pivots(), self.cuts()))
 
     # -- validation ----------------------------------------------------
 
@@ -466,6 +492,8 @@ class PieceMap:
             raise CrackerError("cuts not non-decreasing")
         if k and (cuts[0] < 0 or cuts[-1] > self._n):
             raise CrackerError("cut positions outside [0, n]")
+        if self.cut_of != dict(zip(self.pivots(), self.cuts())):
+            raise CrackerError("cut_of disagrees with the pivots and cuts")
 
     def __repr__(self) -> str:
         return (

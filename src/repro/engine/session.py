@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.engine.operators import PendingWindow, apply_pending, pending_slots
 from repro.engine.plan import PlannedQuery, group_by_column
 from repro.engine.query import RangeQuery
@@ -35,11 +37,11 @@ from repro.engine.strategies import (
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
 from repro.simtime.accounting import WindowAccountant
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.dtypes import normalise_range
+from repro.storage.updates import PendingUpdates
 from repro.storage.views import SelectionResult
 
 
@@ -143,6 +145,12 @@ class Session:
         self.report = SessionReport(strategy=strategy.name, client=client)
         self._pending_wait_s = 0.0
         self._accountant: WindowAccountant | None = None
+        #: (table, column) -> (dtype, delta store) of every column
+        #: queried so far.  Never stale: the catalog only adds tables
+        #: and columns, and a column's delta store is made with it.
+        self._resolved: dict[
+            tuple[str, str], tuple[np.dtype, PendingUpdates]
+        ] = {}
 
     # -- workload knowledge -------------------------------------------------
 
@@ -162,23 +170,31 @@ class Session:
     def run_query(self, query: RangeQuery) -> SelectionResult:
         """Answer one range query, normalising its bounds once, here,
         where its column is resolved."""
-        started = self.clock.now()
-        self.clock.charge(CostCharge(queries=1))
+        clock = self.clock
+        started = clock.now()
+        clock.charge_query()
         ref = query.ref
-        table = self.db.catalog.table(ref.table)
-        bounds = normalise_range(
-            table.column(ref.column).ctype.numpy_dtype, query.low, query.high
-        )
+        key = (ref.table, ref.column)
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            # An unknown table or column raises here.
+            table = self.db.catalog.table(ref.table)
+            resolved = self._resolved[key] = (
+                table.column(ref.column).ctype.numpy_dtype,
+                table.updates_for(ref.column),
+            )
+        dtype, pending = resolved
+        bounds = normalise_range(dtype, query.low, query.high)
         if bounds is None:
             result = self.strategy.select_empty(query)
         else:
             result = apply_pending(
                 self.strategy.select_keys(query, *bounds),
-                table.updates_for(ref.column),
+                pending,
                 *bounds,
-                self.clock,
+                clock,
             )
-        finished = self.clock.now()
+        finished = clock.now()
         wait = self._pending_wait_s
         self._pending_wait_s = 0.0
         response = (finished - started) + wait

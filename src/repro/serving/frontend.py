@@ -4,8 +4,8 @@ N clients submit range queries against **one** shared kernel; a window
 former coalesces their in-flight queries into cross-session windows;
 each window cracks, in one silent physical pass per column
 (:meth:`CrackerIndex.crack_bounds_batch`), the ranges with a bound
-whose cut position the front-end has not yet seen -- a converged
-window has none and skips the pass -- and then replays every
+that is not yet a cut of the shared index -- a converged window has
+none and skips the pass -- and then replays every
 client's accounting on that client's own *lane* -- a
 :class:`~repro.engine.session.Session` on a private
 :class:`~repro.simtime.clock.SimClock` fork, replaying through the
@@ -49,7 +49,6 @@ import numpy as np
 
 from repro import faults
 from repro.cracking.batch import DetachedCrackReplay
-from repro.cracking.piecemap import PieceMap
 from repro.cracking.tape import CrackTape
 from repro.engine.operators import pending_slots
 from repro.engine.plan import group_by_column
@@ -220,15 +219,6 @@ class ServingFrontend:
             )
         self.former = CrossSessionWindowFormer(depth)
         self.lanes: dict[str, ClientLane] = {}
-        #: Per-column order-independent cut positions accumulated over
-        #: every window's physical pass; each lane's replays resolve
-        #: their fresh bounds here.  A bound found here is already a
-        #: cut of the piece map in ``_mapped`` (a piece map never drops
-        #: a pivot), so its window skips the physical pass.
-        self._positions: dict[tuple[str, str], dict[Key, int]] = {}
-        #: Per column, the :class:`PieceMap` whose cuts ``_positions``
-        #: holds.
-        self._mapped: dict[tuple[str, str], PieceMap] = {}
         self.windows_served = 0
         #: Client failures isolated in degraded mode, across every
         #: window this front-end has served.
@@ -383,24 +373,20 @@ class ServingFrontend:
                     )
                     latches.enter_context(access.exclusive())
             for window in windows:
-                key = (window.ref.table, window.ref.column)
-                index = indexes[key]
-                positions = self._positions.setdefault(key, {})
-                if self._mapped.get(key) is not index.piece_map:
-                    # A rebuilt, repaired or restored index: the cuts
-                    # the map remembers are not in its array.  Cleared
-                    # in place -- the lanes' replays hold this dict.
-                    positions.clear()
-                    self._mapped[key] = index.piece_map
+                index = indexes[(window.ref.table, window.ref.column)]
+                # A range whose bounds are all cuts of the index's
+                # current piece map (a top is never one) needs no pass;
+                # each lane's replays read every position there.
+                cut_of = index.piece_map.cut_of
                 top = largest(index.piece_map.dtype)
                 unknown = [
                     (low, high)
                     for low, high in window.ranges
-                    if low not in positions
-                    or (high <= top and high not in positions)
+                    if low not in cut_of
+                    or (high <= top and high not in cut_of)
                 ]
                 if unknown:
-                    positions.update(index.crack_bounds_batch(unknown))
+                    index.crack_bounds_batch(unknown)
             # One pending-updates consultation per column, shared by
             # every client; each lane's overlays charge its own clock.
             pending = pending_slots(self.db.catalog, windows, len(entries))
@@ -442,7 +428,7 @@ class ServingFrontend:
             replay = replays.get(key)
             if replay is None:
                 replay = replays[key] = _ServedReplay.solo(
-                    indexes[key], self._positions[key], lane.tape
+                    indexes[key], lane.tape
                 )
                 replay._frontend = self
                 replay._client = name

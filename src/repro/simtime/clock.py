@@ -84,6 +84,14 @@ class Clock(Protocol):
         """Account for work; return the seconds it was priced at."""
         ...
 
+    def charge_query(self) -> None:
+        """``charge(CostCharge(queries=1))``: a query's fixed overhead."""
+        ...
+
+    def charge_probes(self, n: int, count: int) -> None:
+        """``count`` ``charge(CostCharge.for_binary_search(n))`` events."""
+        ...
+
     def sleep(self, seconds: float) -> None:
         """Let ``seconds`` of time pass (idle time)."""
         ...
@@ -173,6 +181,16 @@ class SimClock:
             self._now += seconds
             self.total_charge += charge
         return seconds
+
+    def charge_query(self) -> None:
+        """``charge(CostCharge(queries=1))`` -- the per-query overhead
+        -- without building the charge, bit-identically, as
+        :meth:`charge_probes` prices its probes."""
+        if self._parallel:
+            self.charge(CostCharge(queries=1))
+            return
+        self._now += (self.model.constants.query_overhead_ns * 1) / _NS_PER_S
+        self.total_charge.queries += 1
 
     def charge_probes(self, n: int, count: int) -> None:
         """``count`` consecutive ``charge(CostCharge.for_binary_search(n))``
@@ -326,6 +344,14 @@ class WallClock:
     def charge(self, charge: CostCharge) -> float:
         self.total_charge += charge
         return 0.0
+
+    def charge_query(self) -> None:
+        self.total_charge.queries += 1
+
+    def charge_probes(self, n: int, count: int) -> None:
+        total = self.total_charge
+        total.comparisons += max(1, int(n).bit_length()) * count
+        total.seeks += count
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:

@@ -82,6 +82,9 @@ class PendingUpdates:
         self._deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
         #: ``_delete_positions`` in ascending order (membership probes).
         self._staged_positions = np.empty(0, dtype=np.int64)
+        #: Key buffer of :meth:`in_range`, like ``PieceMap._pair``: a
+        #: session answers one query at a time.
+        self._pair = np.empty(2, dtype=ctype.numpy_dtype)
 
     # -- staging -------------------------------------------------------
 
@@ -236,7 +239,7 @@ class PendingUpdates:
         self._staged_positions = staged
 
     def has_pending(self) -> bool:
-        return self.pending_insert_count > 0 or self.pending_delete_count > 0
+        return len(self._insert_values) > 0 or len(self._deleted_values) > 0
 
     # The probes take a range already normalised to the column's domain
     # (``storage.dtypes.normalise_range``): keys the stores compare
@@ -263,7 +266,9 @@ class PendingUpdates:
             )
         inserts = self._insert_values
         deletes = self._deleted_values
-        keys = np.array((low, high), dtype=inserts.dtype)
+        keys = self._pair
+        keys[0] = low
+        keys[1] = high
         ins_lo, ins_hi = inserts.searchsorted(keys).tolist()
         del_lo, del_hi = deletes.searchsorted(keys).tolist()
         return inserts[ins_lo:ins_hi], deletes[del_lo:del_hi]

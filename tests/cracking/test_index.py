@@ -203,8 +203,9 @@ def test_select_with_a_pivot_bound_is_two_ensure_cuts(
 
 
 def test_pivot_hits_reach_a_plain_clock_as_charges(small_column):
-    """Only ``SimClock`` prices probes in place; any other clock sees
-    the same events through ``charge()``."""
+    """Every clock is handed pivot hits through ``charge_probes``; a
+    clock that spells it as the ``Clock`` protocol defines it, one
+    binary-search ``charge()`` per probe, sees exactly those events."""
 
     class Recorder:
         def __init__(self) -> None:
@@ -216,6 +217,10 @@ def test_pivot_hits_reach_a_plain_clock_as_charges(small_column):
         def charge(self, charge: CostCharge) -> float:
             self.charges.append(charge)
             return 0.0
+
+        def charge_probes(self, n: int, count: int) -> None:
+            for _ in range(count):
+                self.charge(CostCharge.for_binary_search(n))
 
         def sleep(self, seconds: float) -> None:
             raise AssertionError("an index never sleeps")

@@ -103,3 +103,59 @@ def test_piecemap_invariants_under_value_ordered_cracks(n, pivots):
         pieces.check_invariants()
     assert pieces.piece_count == pieces.crack_count + 1
     assert sum([p.size for p in pieces.pieces()]) == n
+
+
+_MAP_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(-1_000, 1_000)),
+        st.tuples(
+            st.just("bulk"),
+            st.lists(st.integers(-1_000, 1_000), max_size=8),
+        ),
+        st.tuples(st.just("deltas"), st.integers(0, 2**32)),
+        st.tuples(st.just("restore"), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+@given(st.integers(min_value=0, max_value=400), _MAP_STEPS)
+@settings(max_examples=80, deadline=None)
+def test_cut_of_tracks_every_mutation(n, steps):
+    """``cut_of`` is ``dict(zip(pivots, cuts))`` after every
+    mutation; ``apply_deltas`` refills the dict its holders see, and
+    only a restored map is a new one."""
+    pieces = PieceMap(n, dtype=np.dtype(np.int64))
+    for kind, arg in steps:
+        held = pieces.cut_of
+        if kind == "add":
+            index, start, end, at_pivot = pieces.locate(arg)
+            if not at_pivot:
+                pieces.add_crack_at(index, arg, (start + end) // 2)
+        elif kind == "bulk":
+            fresh = sorted({v for v in arg if not pieces.has_pivot(v)})
+            positions = [
+                (start + end) // 2
+                for _, start, end, _ in map(pieces.locate, fresh)
+            ]
+            pieces.insert_cracks_bulk(
+                np.array(fresh, dtype=np.int64), np.array(positions)
+            )
+        elif kind == "deltas":
+            rng = np.random.default_rng(arg)
+            sizes = [piece.size for piece in pieces.pieces()]
+            pieces.apply_deltas(
+                [int(rng.integers(-size, 4)) for size in sizes]
+            )
+        else:
+            pieces = PieceMap.from_state(
+                pieces.row_count,
+                np.array(pieces.pivots(), dtype=np.int64),
+                np.array(pieces.cuts(), dtype=np.int64),
+                np.dtype(np.int64),
+            )
+            assert pieces.cut_of is not held
+            held = pieces.cut_of
+        assert pieces.cut_of is held
+        assert pieces.cut_of == dict(zip(pieces.pivots(), pieces.cuts()))
+        pieces.check_invariants()

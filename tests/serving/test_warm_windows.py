@@ -1,11 +1,11 @@
 """Served windows whose bounds are already cut skip the physical pass.
 
-The front-end remembers every cut position a window's pass returned,
-per column and per piece map; a range whose bounds are all remembered
-(a top counts as known) never reaches
-:meth:`CrackerIndex.crack_bounds_batch`.  The map is forgotten when the
-index's piece map is replaced (a rebuild), and served views always
-slice the index's current arrays.
+A range whose bounds are all cuts of the shared index's piece map (a
+top counts as known) never reaches
+:meth:`CrackerIndex.crack_bounds_batch`, and every lane reads its
+positions from that map's ``cut_of``.  A rebuild replaces the piece
+map, so its cuts are forgotten with it, and served views always slice
+the index's current arrays.
 """
 
 from __future__ import annotations
@@ -145,6 +145,33 @@ def test_serving_across_a_rebuild(strategy):
         served = lane_state(lanes[workload.client], collected[workload.client])
         assert served == solo
     kernel.index_for(A1).check_invariants()
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "holistic"])
+def test_lanes_read_positions_from_the_rebuilt_map(strategy, passes):
+    """After a rebuild between windows, the first window cracks its
+    bounds again and every lane's replay resolves positions from the
+    new piece map's ``cut_of``, not the old one's."""
+    db = fresh_db()
+    kernel = make_strategy(strategy, db)
+    frontend = ServingFrontend(db, kernel)
+    ranges = [(1_000, 5_000_000), (20_000_000, 30_000_000)]
+    for client in ("a", "b"):
+        frontend.add_client(client)
+        _serve(frontend, client, ranges)
+    index = kernel.index_for(A1)
+    old = index.piece_map.cut_of
+    index.rebuild()
+    assert index.piece_map.cut_of == {}
+    for client in ("a", "b"):
+        results = _serve(frontend, client, ranges)
+        replay = frontend.lanes[client].replays[("R", "A1")]
+        assert replay._positions is index.piece_map.cut_of
+        assert replay._positions is not old
+        for (low, high), result in zip(ranges, results):
+            assert sorted(result.values().tolist()) == _oracle(db, low, high)
+    assert len(passes) == 2
+    index.check_invariants()
 
 
 def test_served_views_follow_a_widened_column():

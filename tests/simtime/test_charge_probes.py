@@ -1,8 +1,10 @@
-"""``SimClock.charge_probes(n, k)`` is ``k`` binary-search charges.
+"""``SimClock.charge_probes(n, k)`` is ``k`` binary-search charges,
+and ``SimClock.charge_query()`` is ``charge(CostCharge(queries=1))``.
 
-The converged select prices its piece-map probes in place instead of
-building a :class:`CostCharge` per probe; every reading the clock can
-give must stay bit-identical to the per-event path.
+The converged select prices its per-query overhead and its piece-map
+probes in place instead of building a :class:`CostCharge` per event;
+every reading the clock can give must stay bit-identical to the
+per-event path.
 """
 
 import threading
@@ -44,7 +46,10 @@ def _replay(clock: SimClock, events, in_place: bool) -> None:
                 for _ in range(count):
                     clock.charge(CostCharge.for_binary_search(n))
         elif kind == "query":
-            clock.charge(CostCharge(queries=1))
+            if in_place:
+                clock.charge_query()
+            else:
+                clock.charge(CostCharge(queries=1))
         elif kind == "restore":
             # Replaces ``total_charge`` with a fresh object.
             clock.restore_state(clock.state_dict())
