@@ -25,7 +25,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     package_dir={"": "src"},
     packages=find_packages("src"),

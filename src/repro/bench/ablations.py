@@ -13,6 +13,9 @@ degrades on.
 A3 -- *the cache-fit stopping criterion*: holistic tuning with
 different cache targets, showing refinement past L1-sized pieces stops
 paying (paper §3, Modeling).
+
+A4 -- *batched idle tuning*: one pivot at a time vs all of a piece's
+pivots "in one go", for the same action budget (paper §3).
 """
 
 from __future__ import annotations

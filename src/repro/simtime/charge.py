@@ -9,8 +9,8 @@ calibrated to the paper's testbed) or simply ignored by the wall clock
 (real time flows by itself).
 
 This is the seam that makes the reproduction honest: the same algorithm
-run produces both real measurements (pytest-benchmark) and a projection
-onto the paper's 10^8-row, 2011-i7 scale.
+run produces both real measurements (``perfbench``'s stopwatch) and a
+projection onto the paper's 10^8-row, 2011-i7 scale.
 
 Charges sit on the refinement hot path (one or more per crack), so the
 arithmetic below is hand-unrolled rather than driven by

@@ -33,6 +33,13 @@ def test_holistic_improves_with_more_idle_time(result):
     assert h100 < h10
 
 
+def test_scan_dwarfs_offline(result):
+    """The scan/offline gap widens with the query count: ~240x at the
+    paper's 10^4 queries, still above 3x at tiny's 200."""
+    scan = result.run_for("scan", 10).total_s
+    assert scan > 3 * result.run_for("offline", 10).total_s
+
+
 def test_scan_and_adaptive_ignore_idle_time(result):
     """Neither baseline can exploit idle windows (paper §4)."""
     assert ("scan", None) in result.runs

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.ablations import (
+    ablation_batch_tuning,
+    ablation_cache_target,
     ablation_policies,
     ablation_stochastic,
     ablation_text,
@@ -67,6 +69,24 @@ def test_ablation_policies_runs_all(tiny_db):
         "weighted_random",
     ]
     assert all(r.total_response_s > 0 for r in rows)
+
+
+@pytest.mark.slow
+def test_ablation_cache_target_coarse_pieces_hurt():
+    """A3: stopping refinement at very coarse pieces must cost more
+    than refining down to cache-sized ones."""
+    rows = ablation_cache_target(TINY, seed=42, idle_actions=500)
+    assert rows[-1].total_response_s >= rows[0].total_response_s
+
+
+@pytest.mark.slow
+def test_ablation_batch_tuning_spends_less_idle_time():
+    """A4: refining a piece for all its pivots "in one go" spends less
+    virtual idle time than one pivot at a time, for the same action
+    budget."""
+    rows = ablation_batch_tuning(TINY, seed=42, idle_actions=300)
+    idle = {row.label: float(row.detail.split()[3]) for row in rows}
+    assert idle["batched"] < idle["sequential"]
 
 
 def test_ablation_text_renders():

@@ -89,3 +89,51 @@ def test_wall_clock_session_tallies_what_a_sim_clock_prices():
                 session.run_query(query)
     assert sim.clock.total_charge.queries == 3 * len(_grid())
     assert wall.clock.total_charge == sim.clock.total_charge
+
+
+def _converged():
+    """A holistic session whose ``R.A1`` grid bounds are all cuts, that
+    grid and the column's index."""
+    session = _session(SimClock(TINY.cost_model()))
+    queries = _grid(("A1",))
+    for query in queries:
+        session.run_query(query)
+    return session, queries, session.strategy.index_for(ColumnRef("R", "A1"))
+
+
+def test_converged_select_lays_pending_rows_over_without_a_crack():
+    """Pending inserts and deletes inside a converged range change the
+    answer, not the index: both bounds are still cuts."""
+    session, queries, index = _converged()
+    values = session.db.column("R", "A1").values
+    store = session.db.table("R").updates_for("A1")
+    inserts = np.array([int(query.low) + 1 for query in queries])
+    store.stage_inserts(inserts)
+    positions = np.array([
+        np.flatnonzero((values >= query.low) & (values < query.high))[0]
+        for query in queries[::2]
+    ])
+    deleted = values[positions]
+    store.stage_deletes(positions, deleted)
+    cracks = index.crack_count
+    for query in queries:
+        expected = sum(
+            sign * int(np.count_nonzero(
+                (array >= query.low) & (array < query.high)
+            ))
+            for sign, array in ((1, values), (1, inserts), (-1, deleted))
+        )
+        assert session.run_query(query).count == expected
+    assert index.crack_count == cracks
+
+
+def test_one_fresh_bound_costs_one_cut():
+    """A converged range whose high bound moves inside its piece cuts
+    that piece once and nothing else."""
+    session, queries, index = _converged()
+    rng = np.random.default_rng(31)
+    for query in queries:
+        cracks = index.crack_count
+        fresh = float(rng.uniform(query.low + 1, query.high - 1))
+        session.run_query(RangeQuery(query.ref, query.low, fresh))
+        assert index.crack_count == cracks + 1
