@@ -93,7 +93,7 @@ class CrackSelectBatch:
         "_index",
         "_largest",
         "_values",
-        "_sim",
+        "sim",
         "_positions",
         "_copy_charged",
         "_acc",
@@ -113,7 +113,8 @@ class CrackSelectBatch:
     ) -> None:
         self._index = index
         self._largest = index._largest
-        self._sim = sim
+        #: The shadow map this replay steps.
+        self.sim = sim
         self._copy_charged = copy_charged
         #: The window accountant; callers :meth:`bind` one before the
         #: first replay.
@@ -140,10 +141,6 @@ class CrackSelectBatch:
         """
         return self._done >= self._expected
 
-    @property
-    def sim(self) -> ReplayPieceMap:
-        return self._sim
-
     def _charge_copy_if_needed(self) -> None:
         if self._copy_charged:
             return
@@ -158,11 +155,11 @@ class CrackSelectBatch:
         """Replay of :meth:`CrackerIndex._cut_located` for one bound."""
         acc = self._acc
         if at_pivot:
-            acc.charge_binary(self._sim.piece_count)
+            acc.charge_binary(self.sim.piece_count)
             return start
         self._charge_copy_if_needed()
         position = self._positions[value]
-        self._sim.add_crack_at(i, value, position)
+        self.sim.add_crack_at(i, value, position)
         size = end - start
         if size == 0:
             acc.charge_empty_crack()
@@ -194,7 +191,7 @@ class CrackSelectBatch:
         piece lookups inline :meth:`ReplayPieceMap.locate` -- this path
         runs twice per query of every batched window.
         """
-        sim = self._sim
+        sim = self.sim
         pivots = sim.pivots
         cuts = sim.cuts
         low_index = bisect_right(pivots, low)
@@ -235,7 +232,7 @@ class CrackSelectBatch:
         """The cracking replay for queries with at least one fresh
         bound (charges and tape counts replicate sequential
         :meth:`CrackerIndex.select_keys` exactly)."""
-        sim = self._sim
+        sim = self.sim
         cuts = sim.cuts
         k = len(sim.pivots)
         start = cuts[low_index - 1] if low_index > 0 else 0
@@ -281,11 +278,11 @@ class CrackSelectBatch:
         :mod:`repro.serving`).
         """
         index = self._index
-        self._values = index.values
+        self._values = index._array
         self._view_cache: dict[tuple[int, int], RangeView] = (
             index.span_views()
         )
-        self._positions: dict[Key, int] = index.piece_map.cut_of
+        self._positions: dict[Key, int] = index._pieces.cut_of
 
     def check_consistent(self) -> None:
         """Verify the replay converged onto the physical state.
@@ -298,7 +295,7 @@ class CrackSelectBatch:
                 disagree -- an accounting bug.
         """
         real = self._index.piece_map
-        if self._sim.pivots != real.pivots() or self._sim.cuts != real.cuts():
+        if self.sim.pivots != real.pivots() or self.sim.cuts != real.cuts():
             raise CrackerError(
                 "batched select replay diverged from the physical pass"
             )

@@ -67,7 +67,7 @@ class PieceMap:
         "_pivots_addr",
         "_cuts_addr",
         "_pair",
-        "_version",
+        "version",
         "cut_of",
     )
 
@@ -86,7 +86,9 @@ class PieceMap:
         #: Key buffer of :meth:`locate_pair` (callers hold the index's
         #: monitor lock, so one per map suffices).
         self._pair = np.empty(2, dtype=dtype)
-        self._version = 0
+        #: Monotonic mutation counter (bumped by every structural
+        #: change); lets callers cache derived views of the map.
+        self.version = 0
         #: Pivot -> cut position of every crack.  Mutated in place
         #: only: replays hold a reference to it.
         self.cut_of: dict[Key, int] = {}
@@ -155,12 +157,6 @@ class PieceMap:
     @property
     def crack_count(self) -> int:
         return self._k
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (bumped by every structural
-        change); lets callers cache derived views of the map."""
-        return self._version
 
     @property
     def dtype(self) -> np.dtype:
@@ -317,7 +313,7 @@ class PieceMap:
                 positions.tolist(),
             )
         )
-        self._version += 1
+        self.version += 1
 
     def piece_index_for_value(self, value: Key) -> int:
         """Index of the piece whose value interval contains ``value``."""
@@ -388,7 +384,7 @@ class PieceMap:
         self._cuts[i] = position
         self.cut_of[pivot] = position
         self._k = k + 1
-        self._version += 1
+        self.version += 1
 
     def add_crack(self, pivot: Key, position: int) -> None:
         """Record that the column was cracked at ``pivot``/``position``.
@@ -465,7 +461,7 @@ class PieceMap:
             self._cuts[:k] += shifts[:k]
             self._refill_cut_of()
         self._n += int(shifts[-1])
-        self._version += 1
+        self.version += 1
 
     def _refill_cut_of(self) -> None:
         """Rebuild :attr:`cut_of` from the arrays, in place."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engine.plan import ColumnWindow
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock
-from repro.storage.dtypes import Key, largest
+from repro.storage.dtypes import Key
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import (
     PendingOverlay,
@@ -80,11 +81,12 @@ class PendingWindow:
 
     Sequential execution probes each delta store once per query
     (:meth:`PendingUpdates.in_range`); a window probes each store once
-    with all its normalised bounds, lows and highs together (two
-    vectorized ``searchsorted`` calls a window), and hands each query
-    its ready-made slices.  Charges are emitted per query through
-    :meth:`apply` and are identical to sequential
-    :func:`apply_pending` calls.
+    with the probe keys its plan collected
+    (:class:`~repro.engine.plan.ColumnWindow`), lows and highs together
+    (two vectorized ``searchsorted`` calls a window), and hands each
+    query its ready-made slices.  Charges are emitted per query through
+    :meth:`apply` and are identical to sequential :func:`apply_pending`
+    calls.
     """
 
     __slots__ = (
@@ -98,44 +100,26 @@ class PendingWindow:
         "overlaps",
     )
 
-    def __init__(
-        self,
-        pending: PendingUpdates,
-        bounds: list[tuple[Key, Key] | None],
-    ) -> None:
-        """``bounds`` are a column window's normalised ranges
-        (:attr:`~repro.engine.plan.ColumnWindow.bounds`)."""
+    def __init__(self, window: ColumnWindow) -> None:
+        """Probe ``window``'s delta store with its plan's keys."""
+        inserts = window.pending.insert_values
+        deletes = window.pending.deleted_values
         #: Whether this column has any pending entries to consult.
-        self.active = pending.has_pending()
+        self.active = len(inserts) > 0 or len(deletes) > 0
         if not self.active:
             return
-        inserts = pending.insert_values
-        deletes = pending.deleted_values
         self._inserts = inserts
         self._deletes = deletes
-        # An empty range probes as [0, 0); a top probes as the largest
-        # value and then takes the whole tail.
-        top = largest(inserts.dtype)
-        lows: list[Key] = []
-        highs: list[Key] = []
-        ends = []
-        for slot, pair in enumerate(bounds):
-            low, high = (0, 0) if pair is None else pair
-            if high > top:
-                ends.append(slot)
-                high = top
-            lows.append(low)
-            highs.append(high)
-        keys = np.array(lows + highs, dtype=inserts.dtype)
+        keys = np.array(window.keys, dtype=inserts.dtype)
         # Plain ints slice faster than numpy scalars, once per read.
         ins = inserts.searchsorted(keys).tolist()
         dels = deletes.searchsorted(keys).tolist()
-        size = len(bounds)
-        for slot in ends:
-            ins[size + slot] = len(inserts)
-            dels[size + slot] = len(deletes)
-        self._ins_lo, self._ins_hi = ins[:size], ins[size:]
-        self._del_lo, self._del_hi = dels[:size], dels[size:]
+        for slot in window.tops:
+            # A top probed as the largest value; it takes the whole tail.
+            ins[2 * slot + 1] = len(inserts)
+            dels[2 * slot + 1] = len(deletes)
+        self._ins_lo, self._ins_hi = ins[0::2], ins[1::2]
+        self._del_lo, self._del_hi = dels[0::2], dels[1::2]
         #: Per window entry, whether a pending entry is in its range;
         #: the others skip :meth:`apply`, like the sequential path's
         #: empty-slice early return.
@@ -151,9 +135,7 @@ class PendingWindow:
     ) -> SelectionResult:
         """Correct the ``slot``-th window query's result, charging the
         window accountant as sequential :func:`apply_pending` would
-        charge the clock."""
-        if not self.active:
-            return result
+        charge the clock; for an ``active`` window only."""
         inserts = self._inserts[self._ins_lo[slot] : self._ins_hi[slot]]
         deletes = self._deletes[self._del_lo[slot] : self._del_hi[slot]]
         if len(inserts) == 0 and len(deletes) == 0:
@@ -164,22 +146,18 @@ class PendingWindow:
 
 
 def pending_slots(
-    catalog, windows, count: int
+    windows: list[ColumnWindow], count: int
 ) -> list[tuple[PendingWindow, int] | None]:
     """Per slot of a ``count``-query window, its pending-update overlay.
 
-    One :class:`PendingWindow` per column of ``windows`` (each a
-    :class:`~repro.engine.plan.ColumnWindow`); a slot gets
-    ``(window, slot within the column)``, or ``None`` when no pending
-    entry is in its range -- it then skips the merge entirely, like
-    the sequential path's early return.
+    One :class:`PendingWindow` per column of ``windows`` whose delta
+    store holds pending entries; a slot gets ``(window, slot within the column)``,
+    or ``None`` when no pending entry is in its range -- it then skips
+    the merge entirely, like the sequential path's early return.
     """
     slots: list[tuple[PendingWindow, int] | None] = [None] * count
     for window in windows:
-        pending = catalog.table(window.ref.table).updates_for(
-            window.ref.column
-        )
-        consulted = PendingWindow(pending, window.bounds)
+        consulted = PendingWindow(window)
         if consulted.active:
             for slot, (i, overlaps) in enumerate(
                 zip(window.indices, consulted.overlaps)

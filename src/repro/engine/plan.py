@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from repro.engine.query import RangeQuery
 from repro.simtime.model import CostModel
 from repro.storage.catalog import Catalog, ColumnRef
-from repro.storage.dtypes import Key, normalise_range
+from repro.storage.dtypes import Key, largest, normalise_range
+from repro.storage.updates import PendingUpdates
 
 
 class AccessPath(Enum):
@@ -45,58 +48,89 @@ class PlannedQuery:
         )
 
 
+#: Each column queried so far: its dtype, delta store and the dtype's
+#: :func:`~repro.storage.dtypes.largest` value.  Never stale: the
+#: catalog only adds columns, and a column's delta store is made with it.
+Resolved = dict[ColumnRef, tuple[np.dtype, PendingUpdates, Key]]
+
+
+def resolve_column(
+    resolved: Resolved, catalog: Catalog, ref: ColumnRef
+) -> tuple[np.dtype, PendingUpdates, Key]:
+    """Look ``ref`` up in ``catalog`` (an unknown one raises) and
+    remember it in ``resolved``."""
+    table = catalog.table(ref.table)
+    dtype = table.column(ref.column).ctype.numpy_dtype
+    entry = resolved[ref] = (
+        dtype, table.updates_for(ref.column), largest(dtype)
+    )
+    return entry
+
+
 @dataclass(slots=True)
 class ColumnWindow:
-    """One column's share of a batched query window.
+    """One column's share of a batched query window: its plan.
 
-    The group plan of ISSUE 4: a window of range queries is planned
-    once per column -- ``indices`` are the window slots (positions in
-    the original query list, in order), ``bounds`` each query's
-    range normalised into the column's domain
-    (:func:`~repro.storage.dtypes.normalise_range`; ``None`` for a
-    range no value can lie in) and ``ranges`` the non-empty ones, in
-    window order -- ready for the shared cracking pass and the batched
-    pending-update probes.
+    ``indices`` are the window slots (positions in the original query
+    list, in order), ``bounds`` each query's range normalised into the
+    column's domain (:func:`~repro.storage.dtypes.normalise_range`;
+    ``None`` for a range no value can lie in) and ``ranges`` the
+    non-empty ones, in window order -- ready for the shared cracking
+    pass.  ``dtype``, ``pending`` and ``top`` are the column's resolved
+    entry (:data:`Resolved`), and ``keys`` and ``tops`` are what the
+    delta store's probe (:class:`~repro.engine.operators.PendingWindow`)
+    searches: per slot a low and a high key, ``(0, 0)`` for an empty
+    range and ``top`` for a top, whose slots ``tops`` lists.
     """
 
     ref: ColumnRef
+    dtype: np.dtype
+    pending: PendingUpdates
+    top: Key
     indices: list[int]
     bounds: list[tuple[Key, Key] | None]
     ranges: list[tuple[Key, Key]]
+    keys: list[Key]
+    tops: list[int]
 
 
 def group_by_column(
-    queries: Sequence[RangeQuery], catalog: Catalog
+    queries: Sequence[RangeQuery], catalog: Catalog, resolved: Resolved
 ) -> list[ColumnWindow]:
-    """Group a query window by column, preserving window order.
+    """Plan a query window by column, preserving window order.
 
     Returns one :class:`ColumnWindow` per distinct column, in order of
     first appearance; each window's entries keep their original
     relative order, so per-column replays interleave back into the
-    sequential execution order exactly.  Every column is resolved in
-    ``catalog`` here, once, so an unknown one fails before anything
-    cracks; each query is normalised as it is grouped.
+    sequential execution order exactly.  Every column is resolved here,
+    once -- through ``resolved``, else in ``catalog`` -- so an unknown
+    one fails before anything cracks; each query is normalised, and
+    its probe keys collected, as it is grouped.
     """
-    # Keyed by the raw (table, column) pair: hashing the tuple of
-    # interned strings skips the generated ColumnRef.__hash__ frame on
-    # this per-query path.
-    grouped: dict[tuple, tuple] = {}
+    grouped: dict[ColumnRef, ColumnWindow] = {}
     for i, query in enumerate(queries):
         ref = query.ref
-        key = (ref.table, ref.column)
-        group = grouped.get(key)
-        if group is None:
-            group = grouped[key] = (
-                ColumnWindow(ref, [], [], []),
-                catalog.column(ref).values.dtype,
+        window = grouped.get(ref)
+        if window is None:
+            column = resolved.get(ref)
+            if column is None:
+                column = resolve_column(resolved, catalog, ref)
+            window = grouped[ref] = ColumnWindow(
+                ref, *column, [], [], [], [], []
             )
-        window, dtype = group
-        pair = normalise_range(dtype, query.low, query.high)
+        pair = normalise_range(window.dtype, query.low, query.high)
         window.indices.append(i)
         window.bounds.append(pair)
-        if pair is not None:
+        if pair is None:
+            window.keys += (0, 0)  # probes as [0, 0)
+        else:
             window.ranges.append(pair)
-    return [window for window, _ in grouped.values()]
+            if pair[1] > window.top:
+                window.tops.append(len(window.bounds) - 1)
+                window.keys += (pair[0], window.top)
+            else:
+                window.keys += pair
+    return list(grouped.values())
 
 
 def estimate_path_cost(

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.engine.operators import PendingWindow, apply_pending, pending_slots
-from repro.engine.plan import PlannedQuery, group_by_column
+from repro.engine.plan import (
+    PlannedQuery,
+    Resolved,
+    group_by_column,
+    resolve_column,
+)
 from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
     AdaptiveStrategy,
@@ -41,7 +44,6 @@ from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.dtypes import normalise_range
-from repro.storage.updates import PendingUpdates
 from repro.storage.views import SelectionResult
 
 
@@ -145,12 +147,9 @@ class Session:
         self.report = SessionReport(strategy=strategy.name, client=client)
         self._pending_wait_s = 0.0
         self._accountant: WindowAccountant | None = None
-        #: (table, column) -> (dtype, delta store) of every column
-        #: queried so far.  Never stale: the catalog only adds tables
-        #: and columns, and a column's delta store is made with it.
-        self._resolved: dict[
-            tuple[str, str], tuple[np.dtype, PendingUpdates]
-        ] = {}
+        #: Every column queried so far, resolved once for
+        #: :meth:`run_query` and the window plans alike.
+        self._resolved: Resolved = {}
 
     # -- workload knowledge -------------------------------------------------
 
@@ -173,17 +172,13 @@ class Session:
         clock = self.clock
         started = clock.now()
         clock.charge_query()
-        ref = query.ref
-        key = (ref.table, ref.column)
-        resolved = self._resolved.get(key)
+        resolved = self._resolved.get(query.ref)
         if resolved is None:
             # An unknown table or column raises here.
-            table = self.db.catalog.table(ref.table)
-            resolved = self._resolved[key] = (
-                table.column(ref.column).ctype.numpy_dtype,
-                table.updates_for(ref.column),
+            resolved = resolve_column(
+                self._resolved, self.db.catalog, query.ref
             )
-        dtype, pending = resolved
+        dtype, pending, _ = resolved
         bounds = normalise_range(dtype, query.low, query.high)
         if bounds is None:
             result = self.strategy.select_empty(query)
@@ -238,17 +233,16 @@ class Session:
         # has been cracked yet, or the already-processed columns would
         # carry silent (uncharged, unlogged) cracks and break
         # batch==sequential equivalence for the rest of the session.
-        windows = group_by_column(queries, self.db.catalog)
+        windows = group_by_column(queries, self.db.catalog, self._resolved)
         clock = self.clock
         execution = None
         if isinstance(clock, SimClock) and not clock.in_parallel:
             execution = self.strategy.begin_batch(queries, windows)
         if execution is None:
             return [self.run_query(query) for query in queries]
+        # The probe is built for a window that replays only.
         return self.run_window(
-            queries,
-            execution,
-            pending_slots(self.db.catalog, windows, len(queries)),
+            queries, execution, pending_slots(windows, len(queries))
         )
 
     def run_window(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol, Sequence
 
 from repro.cracking.index import CrackerIndex
@@ -172,6 +173,10 @@ def crack_windows(
     return slots
 
 
+#: The crack replay context of a slot.
+_context = itemgetter(0)
+
+
 class CrackerBatchExecution:
     """Shared cracking for a window over plain cracker indexes.
 
@@ -203,7 +208,8 @@ class CrackerBatchExecution:
 
     def bind(self, accountant) -> None:
         self._acc = accountant
-        for context in dict.fromkeys(context for context, _ in self._slots):
+        # One bind a context; map and itemgetter add no frame a slot.
+        for context in dict.fromkeys(map(_context, self._slots)):
             context.bind(accountant)
 
     def replay(self, slot: int, query: RangeQuery) -> SelectionResult:

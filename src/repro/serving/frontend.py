@@ -51,7 +51,7 @@ from repro import faults
 from repro.cracking.batch import DetachedCrackReplay
 from repro.cracking.tape import CrackTape
 from repro.engine.operators import pending_slots
-from repro.engine.plan import group_by_column
+from repro.engine.plan import Resolved, group_by_column
 from repro.engine.query import RangeQuery
 from repro.engine.session import Session, SessionReport
 from repro.engine.strategies import AdaptiveStrategy, IndexingStrategy
@@ -61,7 +61,7 @@ from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
-from repro.storage.dtypes import Key, largest
+from repro.storage.dtypes import Key
 from repro.storage.views import (
     MaterializedResult,
     PositionsView,
@@ -91,9 +91,9 @@ class ClientLane(Session):
         super().__init__(db, strategy, client=name)
         self.clock = clock
         self.tape = CrackTape()
-        self.replays: dict[tuple[str, str], DetachedCrackReplay] = {}
+        self.replays: dict[ColumnRef, DetachedCrackReplay] = {}
 
-    def shadow_state(self) -> dict[tuple[str, str], tuple[list, list]]:
+    def shadow_state(self) -> dict[ColumnRef, tuple[list, list]]:
         """Per-column (pivots, cuts) of this client's shadow maps --
         the client's solo piece-map trajectory."""
         return {
@@ -220,6 +220,9 @@ class ServingFrontend:
         self.former = CrossSessionWindowFormer(depth)
         self.lanes: dict[str, ClientLane] = {}
         self.windows_served = 0
+        #: Every column served so far, resolved once (see
+        #: :func:`~repro.engine.plan.group_by_column`).
+        self._resolved: Resolved = {}
         #: Client failures isolated in degraded mode, across every
         #: window this front-end has served.
         self.faults: list[ClientFault] = []
@@ -348,7 +351,7 @@ class ServingFrontend:
         queries = [entry.query for entry in entries]
         # Resolves every column before the first crack: an unknown
         # column must fail with the shared index untouched.
-        windows = group_by_column(queries, self.db.catalog)
+        windows = group_by_column(queries, self.db.catalog, self._resolved)
         bounds: list = [None] * len(entries)
         for window in windows:
             for i, pair in zip(window.indices, window.bounds):
@@ -358,8 +361,8 @@ class ServingFrontend:
             pool = None
         with ExitStack() as latches:
             indexes = {
-                (w.ref.table, w.ref.column): self.strategy.index_for(w.ref)
-                for w in windows
+                window.ref: self.strategy.index_for(window.ref)
+                for window in windows
             }
             if pool is not None:
                 # Workers are racing: exclude them from every one of
@@ -367,18 +370,16 @@ class ServingFrontend:
                 # cracks land between windows, never mid-replay.  The
                 # table latches stack in sorted column order -- the
                 # deterministic order the latch witness enforces.
-                for key in sorted(indexes):
-                    access = pool.register_index(
-                        ColumnRef(*key), indexes[key]
-                    )
+                for ref in sorted(indexes):
+                    access = pool.register_index(ref, indexes[ref])
                     latches.enter_context(access.exclusive())
             for window in windows:
-                index = indexes[(window.ref.table, window.ref.column)]
+                index = indexes[window.ref]
                 # A range whose bounds are all cuts of the index's
                 # current piece map (a top is never one) needs no pass;
                 # each lane's replays read every position there.
                 cut_of = index.piece_map.cut_of
-                top = largest(index.piece_map.dtype)
+                top = window.top
                 unknown = [
                     (low, high)
                     for low, high in window.ranges
@@ -389,7 +390,7 @@ class ServingFrontend:
                     index.crack_bounds_batch(unknown)
             # One pending-updates consultation per column, shared by
             # every client; each lane's overlays charge its own clock.
-            pending = pending_slots(self.db.catalog, windows, len(entries))
+            pending = pending_slots(windows, len(entries))
             by_client: dict[str, list[int]] = {}
             for i, entry in enumerate(entries):
                 by_client.setdefault(entry.client, []).append(i)
@@ -412,7 +413,7 @@ class ServingFrontend:
         queries: list[RangeQuery],
         bounds: list,
         overlays: list,
-        indexes: dict[tuple[str, str], object],
+        indexes: dict[ColumnRef, object],
     ) -> list[SelectionResult]:
         """Replay one client's share of the window on its lane: the
         strategy's batch execution over the lane's replay of each
@@ -424,11 +425,10 @@ class ServingFrontend:
         slots = []
         for query, pair in zip(queries, bounds):
             ref = query.ref
-            key = (ref.table, ref.column)
-            replay = replays.get(key)
+            replay = replays.get(ref)
             if replay is None:
-                replay = replays[key] = _ServedReplay.solo(
-                    indexes[key], lane.tape
+                replay = replays[ref] = _ServedReplay.solo(
+                    indexes[ref], lane.tape
                 )
                 replay._frontend = self
                 replay._client = name

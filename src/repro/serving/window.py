@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.engine.query import RangeQuery
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True, slots=True)
-class WindowEntry:
-    """One in-flight query: which client, which position in its stream."""
+class WindowEntry(NamedTuple):
+    """One in-flight query: which client, which position in its
+    stream.  A named tuple: the former builds one per served query."""
 
     client: str
     sequence: int

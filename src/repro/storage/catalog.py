@@ -9,16 +9,16 @@ their sizes and value ranges and start spreading tuning actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import DuplicateObjectError, UnknownTableError
 from repro.storage.column import Column, ColumnStats
 from repro.storage.table import Table
 
 
-@dataclass(frozen=True, slots=True)
-class ColumnRef:
-    """A fully qualified column reference."""
+class ColumnRef(NamedTuple):
+    """A fully qualified column reference; a named tuple, so the
+    dictionaries keyed by it hash and compare it in C."""
 
     table: str
     column: str

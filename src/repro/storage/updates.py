@@ -30,23 +30,26 @@ def cut_at(store: np.ndarray, key: Key) -> int:
 
 
 def _splice(
-    store: np.ndarray, slots: np.ndarray, fresh: np.ndarray
-) -> np.ndarray:
+    slots: np.ndarray, *columns: tuple[np.ndarray, np.ndarray]
+) -> list[np.ndarray]:
     """``np.insert(store, slots, fresh)`` for ascending ``slots``, as a
-    new array.
+    new array, for each ``(store, fresh)`` pair of aligned ``columns``.
 
     The ``i``-th fresh entry lands ``i`` places right of its slot (the
     fresh entries before it each shifted it by one), and the store
-    fills the places in between in order -- two fancy assignments where
-    ``np.insert``'s generic index handling cost twice as much per
-    16-row batch.
+    fills the places in between in order -- two fancy assignments per
+    column over one landing mask, where ``np.insert``'s generic index
+    handling cost twice as much per 16-row batch.
     """
     landing = slots + np.arange(len(slots))
-    merged = np.empty(len(store) + len(slots), dtype=store.dtype)
-    merged[landing] = fresh
-    between = np.ones(len(merged), dtype=bool)
+    between = np.ones(len(columns[0][0]) + len(slots), dtype=bool)
     between[landing] = False
-    merged[between] = store
+    merged = []
+    for store, fresh in columns:
+        spliced = np.empty(len(between), dtype=store.dtype)
+        spliced[landing] = fresh
+        spliced[between] = store
+        merged.append(spliced)
     return merged
 
 
@@ -55,14 +58,14 @@ class PendingUpdates:
 
     Inserts are (value) records appended to the column; deletes are
     base-array positions with their values.  Both are kept sorted by
-    value so range lookups are logarithmic; the staged positions are
-    also kept sorted on their own, so staging can tell a position that
-    is already staged without re-sorting the store.
+    value so range lookups are logarithmic: :attr:`insert_values`,
+    :attr:`deleted_values` and the aligned :attr:`delete_positions`,
+    read-only to everyone else.
 
     The store is copy-on-write: staging, consumption and
     :meth:`clear` *replace* its arrays and never write into them, so a
-    slice handed out earlier (:meth:`inserts_in_range`, the
-    :attr:`insert_values` property, a select result's
+    slice handed out earlier (:meth:`inserts_in_range`, one of the
+    arrays, a select result's
     :class:`~repro.storage.views.PendingOverlay`) keeps the values it
     had.  That rules out an in-place append buffer, on purpose.
 
@@ -77,11 +80,12 @@ class PendingUpdates:
         self._ctype = ctype
         self._largest = largest(ctype.numpy_dtype)
         self._base = base
-        self._insert_values = np.empty(0, dtype=ctype.numpy_dtype)
-        self._delete_positions = np.empty(0, dtype=np.int64)
-        self._deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
-        #: ``_delete_positions`` in ascending order (membership probes).
-        self._staged_positions = np.empty(0, dtype=np.int64)
+        #: The staged insert values, sorted.
+        self.insert_values = np.empty(0, dtype=ctype.numpy_dtype)
+        #: Base positions aligned with :attr:`deleted_values`.
+        self.delete_positions = np.empty(0, dtype=np.int64)
+        #: The staged deleted values, sorted.
+        self.deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
         #: Key buffer of :meth:`in_range`, like ``PieceMap._pair``: a
         #: session answers one query at a time.
         self._pair = np.empty(2, dtype=ctype.numpy_dtype)
@@ -100,9 +104,9 @@ class PendingUpdates:
         fresh = np.sort(coerce_array(np.asarray(values), self._ctype))
         if len(fresh) == 0:
             return 0
-        staged = self._insert_values
-        self._insert_values = _splice(
-            staged, staged.searchsorted(fresh), fresh
+        staged = self.insert_values
+        (self.insert_values,) = _splice(
+            staged.searchsorted(fresh), (staged, fresh)
         )
         return len(fresh)
 
@@ -135,31 +139,37 @@ class PendingUpdates:
         if len(pos) == 0:
             return 0
         self._check_base_rows(pos, vals)
-        # Both sides are unique by invariant, so a batch costs its own
-        # sort plus one binary search per position -- not a re-sort of
-        # everything staged so far.
-        fresh, first_seen = np.unique(pos, return_index=True)
-        staged = self._staged_positions
-        slots = staged.searchsorted(fresh)
-        if len(staged):
-            unstaged = staged.take(slots, mode="clip") != fresh
-            if not unstaged.all():
-                fresh = fresh[unstaged]
-                first_seen = first_seen[unstaged]
-                slots = slots[unstaged]
-                if len(fresh) == 0:
-                    return 0
-        if len(fresh) != len(pos):
-            keep = np.sort(first_seen)
-            pos = pos[keep]
-            vals = vals[keep]
-        self._staged_positions = _splice(staged, slots, fresh)
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        slots = self._deleted_values.searchsorted(vals)
-        self._deleted_values = _splice(self._deleted_values, slots, vals)
-        self._delete_positions = _splice(
-            self._delete_positions, slots, pos[order]
+        pos = pos[order]
+        staged = self.deleted_values
+        slots = staged.searchsorted(vals)
+        # Every delete is a base row, so a position can only repeat
+        # with its own value: within the batch (the stable sort kept
+        # batch order among equal values, so np.unique keeps the first
+        # occurrence) or in that value's run of staged deletes.
+        runs = staged.searchsorted(vals, "right") - slots
+        repeats = vals[1:] == vals[:-1]
+        if runs.any() or repeats.any():
+            fresh = np.ones(len(pos), dtype=bool)
+            if repeats.any():
+                fresh[:] = False
+                fresh[np.unique(pos, return_index=True)[1]] = True
+            # Each distinct value's run, gathered with one vectorized
+            # index: a low-cardinality column has long runs.
+            first = np.concatenate(([True], ~repeats))
+            lengths = runs[first]
+            if lengths.any():
+                ends = np.cumsum(lengths)
+                gathered = np.arange(ends[-1]) + np.repeat(
+                    slots[first] - ends + lengths, lengths
+                )
+                fresh &= ~np.isin(pos, self.delete_positions[gathered])
+            pos, vals, slots = pos[fresh], vals[fresh], slots[fresh]
+            if len(pos) == 0:
+                return 0
+        self.deleted_values, self.delete_positions = _splice(
+            slots, (staged, vals), (self.delete_positions, pos)
         )
         return len(pos)
 
@@ -179,26 +189,11 @@ class PendingUpdates:
 
     @property
     def pending_insert_count(self) -> int:
-        return len(self._insert_values)
+        return len(self.insert_values)
 
     @property
     def pending_delete_count(self) -> int:
-        return len(self._deleted_values)
-
-    @property
-    def insert_values(self) -> np.ndarray:
-        """The staged insert values, sorted (no copy -- do not mutate)."""
-        return self._insert_values
-
-    @property
-    def deleted_values(self) -> np.ndarray:
-        """The staged deleted values, sorted (no copy -- do not mutate)."""
-        return self._deleted_values
-
-    @property
-    def delete_positions(self) -> np.ndarray:
-        """Base positions aligned with :attr:`deleted_values` (no copy)."""
-        return self._delete_positions
+        return len(self.deleted_values)
 
     def restore_state(
         self,
@@ -233,13 +228,12 @@ class PendingUpdates:
                 "and name each deleted row once"
             )
         self._check_base_rows(pos, vals)
-        self._insert_values = inserts
-        self._delete_positions = pos
-        self._deleted_values = vals
-        self._staged_positions = staged
+        self.insert_values = inserts
+        self.delete_positions = pos
+        self.deleted_values = vals
 
     def has_pending(self) -> bool:
-        return len(self._insert_values) > 0 or len(self._deleted_values) > 0
+        return len(self.insert_values) > 0 or len(self.deleted_values) > 0
 
     # The probes take a range already normalised to the column's domain
     # (``storage.dtypes.normalise_range``): keys the stores compare
@@ -247,12 +241,12 @@ class PendingUpdates:
 
     def inserts_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Pending inserted values v with ``low <= v < high`` (sorted)."""
-        store = self._insert_values
+        store = self.insert_values
         return store[cut_at(store, low) : cut_at(store, high)]
 
     def deletes_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Pending deleted values v with ``low <= v < high`` (sorted)."""
-        store = self._deleted_values
+        store = self.deleted_values
         return store[cut_at(store, low) : cut_at(store, high)]
 
     def in_range(self, low: Key, high: Key) -> tuple[np.ndarray, np.ndarray]:
@@ -264,8 +258,8 @@ class PendingUpdates:
                 self.inserts_in_range(low, high),
                 self.deletes_in_range(low, high),
             )
-        inserts = self._insert_values
-        deletes = self._deleted_values
+        inserts = self.insert_values
+        deletes = self.deleted_values
         keys = self._pair
         keys[0] = low
         keys[1] = high
@@ -282,37 +276,32 @@ class PendingUpdates:
         merging a value range takes exactly the pending entries it is
         about to absorb.
         """
-        lo = cut_at(self._insert_values, low)
-        hi = cut_at(self._insert_values, high)
-        taken = self._insert_values[lo:hi].copy()
-        self._insert_values = np.delete(
-            self._insert_values, np.s_[lo:hi]
+        lo = cut_at(self.insert_values, low)
+        hi = cut_at(self.insert_values, high)
+        taken = self.insert_values[lo:hi].copy()
+        self.insert_values = np.delete(
+            self.insert_values, np.s_[lo:hi]
         )
         return taken
 
     def take_deletes_in_range(self, low: Key, high: Key) -> np.ndarray:
         """Remove and return pending deleted values in ``[low, high)``."""
-        lo = cut_at(self._deleted_values, low)
-        hi = cut_at(self._deleted_values, high)
-        taken = self._deleted_values[lo:hi].copy()
-        self._deleted_values = np.delete(
-            self._deleted_values, np.s_[lo:hi]
+        lo = cut_at(self.deleted_values, low)
+        hi = cut_at(self.deleted_values, high)
+        taken = self.deleted_values[lo:hi].copy()
+        self.deleted_values = np.delete(
+            self.deleted_values, np.s_[lo:hi]
         )
-        gone = self._delete_positions[lo:hi]
-        self._staged_positions = np.delete(
-            self._staged_positions, self._staged_positions.searchsorted(gone)
-        )
-        self._delete_positions = np.delete(
-            self._delete_positions, np.s_[lo:hi]
+        self.delete_positions = np.delete(
+            self.delete_positions, np.s_[lo:hi]
         )
         return taken
 
     def clear(self) -> None:
         """Drop all pending entries (after a full rebuild)."""
-        self._insert_values = np.empty(0, dtype=self._ctype.numpy_dtype)
-        self._delete_positions = np.empty(0, dtype=np.int64)
-        self._deleted_values = np.empty(0, dtype=self._ctype.numpy_dtype)
-        self._staged_positions = np.empty(0, dtype=np.int64)
+        self.insert_values = np.empty(0, dtype=self._ctype.numpy_dtype)
+        self.delete_positions = np.empty(0, dtype=np.int64)
+        self.deleted_values = np.empty(0, dtype=self._ctype.numpy_dtype)
 
     def __repr__(self) -> str:
         return (

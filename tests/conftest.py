@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from repro.config import TINY
+from repro.engine.operators import PendingWindow
+from repro.engine.plan import group_by_column
 from repro.engine.session import QueryRecord
 from repro.simtime.clock import SimClock
 from repro.simtime.model import CostModel
-from repro.storage.catalog import ColumnRef
+from repro.storage.catalog import Catalog, ColumnRef
 from repro.storage.column import Column
 from repro.storage.database import Database
+from repro.storage.dtypes import largest
 from repro.storage.loader import build_paper_table, generate_uniform_column
 
 
@@ -63,6 +68,29 @@ def base_holding(rows: dict[int, object], dtype=np.int64) -> np.ndarray:
     for position, value in rows.items():
         base[position] = value
     return base
+
+
+class _Bounds(NamedTuple):
+    """What a window plan reads of a query, with bounds left as given:
+    an inverted pair plans as an empty range."""
+
+    ref: ColumnRef
+    low: object
+    high: object
+
+
+def planned_probe(pending, bounds) -> PendingWindow:
+    """The pending-update probe a window plan builds over ``pending``,
+    a column's delta store, for raw ``(low, high)`` ``bounds``: the
+    plan normalises each pair into the store's dtype and collects its
+    probe keys, as a session window's does."""
+    ref = ColumnRef("R", "A1")
+    dtype = pending.insert_values.dtype
+    resolved = {ref: (dtype, pending, largest(dtype))}
+    (window,) = group_by_column(
+        [_Bounds(ref, low, high) for low, high in bounds], Catalog(), resolved
+    )
+    return PendingWindow(window)
 
 
 def recorded(session):

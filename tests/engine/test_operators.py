@@ -6,12 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
-from repro.engine.operators import (
-    PendingWindow,
-    apply_pending,
-    project,
-    scan_select,
-)
+from repro.engine.operators import apply_pending, project, scan_select
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
@@ -25,7 +20,7 @@ from repro.storage.views import (
     multiset_difference,
 )
 
-from tests.conftest import ground_truth_count
+from tests.conftest import ground_truth_count, planned_probe
 
 
 def test_scan_select_matches_ground_truth(small_column):
@@ -160,7 +155,7 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
         normalise_range(values.dtype, low, high)
         for low, high in zip(lows, highs)
     ]
-    window = PendingWindow(pending, bounds)
+    window = planned_probe(pending, zip(lows, highs))
     assert window.active
 
     sequential_clock = SimClock()
@@ -300,7 +295,7 @@ def test_table_store_overlay_matches_reference_multiset(
         normalise_range(column.values.dtype, low, high)
         for low, high in bounds
     ]
-    window = PendingWindow(pending, keys)
+    window = planned_probe(pending, bounds)
     sequential_clock, batch_clock = SimClock(), SimClock()
     accountant = WindowAccountant(batch_clock)
     for slot, ((low, high), pair) in enumerate(zip(bounds, keys)):
@@ -411,7 +406,7 @@ def test_select_behind_a_table_store_does_not_read_the_result(
     spy = _UnreadableResult(len(in_range))
     clock = SimClock()
     assert apply_pending(spy, pending, low, high, clock).count == expected
-    window = PendingWindow(pending, [(low, high)])
+    window = planned_probe(pending, [(low, high)])
     batch_clock = SimClock()
     accountant = WindowAccountant(batch_clock)
     assert window.apply(0, spy, accountant).count == expected

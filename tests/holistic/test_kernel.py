@@ -124,7 +124,7 @@ def test_windows_run_batched_unless_workers_race(tiny_db, options):
     tuning workers race the foreground, whatever else is configured."""
     kernel = HolisticKernel(tiny_db, HolisticConfig(**options))
     queries = [_query(1e7, 3e7), _query(2e7, 6e7, "A2"), _query(5e6, 1e7)]
-    windows = group_by_column(queries, tiny_db.catalog)
+    windows = group_by_column(queries, tiny_db.catalog, {})
     assert kernel.begin_batch(queries, windows) is not None
     if kernel.worker_pool is not None:
         kernel.start_workers()

@@ -112,10 +112,10 @@ def test_stage_deletes_keeps_positions_aligned_across_batches():
     pending.stage_deletes([10, 11], [500, 100])
     pending.stage_deletes([12, 13], [300, 50])
     assert pending.deleted_values.tolist() == [50, 100, 300, 500]
-    assert pending._delete_positions.tolist() == [13, 11, 12, 10]
+    assert pending.delete_positions.tolist() == [13, 11, 12, 10]
     taken = pending.take_deletes_in_range(90, 310)
     assert taken.tolist() == [100, 300]
-    assert pending._delete_positions.tolist() == [13, 10]
+    assert pending.delete_positions.tolist() == [13, 10]
 
 
 def test_stage_deletes_dedupes_double_staged_positions():
@@ -133,7 +133,7 @@ def test_stage_deletes_dedupes_double_staged_positions():
     assert pending.stage_deletes([7, 8], [40, 60]) == 1
     assert pending.pending_delete_count == 2
     assert pending.deleted_values.tolist() == [40, 60]
-    assert pending._delete_positions.tolist() == [7, 8]
+    assert pending.delete_positions.tolist() == [7, 8]
     taken = pending.take_deletes_in_range(0, 100)
     assert taken.tolist() == [40, 60]
     assert pending.pending_delete_count == 0
@@ -185,7 +185,14 @@ def test_splice_equals_np_insert(store, slots, dtype):
     store = np.array(store, dtype=dtype)
     slots = np.array(slots, dtype=np.intp)
     fresh = np.arange(100, 100 + len(slots)).astype(dtype)
-    merged = _splice(store, slots, fresh)
+    positions = np.arange(len(store))
+    merged, aligned = _splice(
+        slots, (store, fresh), (positions, -1 - np.arange(len(slots)))
+    )
     assert merged.dtype == dtype
     assert merged.tolist() == np.insert(store, slots, fresh).tolist()
     assert not np.shares_memory(merged, store)
+    # A second column spliced at the same slots lands alongside.
+    assert aligned.tolist() == np.insert(
+        positions, slots, -1 - np.arange(len(slots))
+    ).tolist()

@@ -26,7 +26,7 @@ from repro.storage.dtypes import (
     normalise_range,
 )
 from repro.storage.updates import PendingUpdates, cut_at
-from tests.conftest import base_holding
+from tests.conftest import base_holding, planned_probe
 
 
 def _probe(method, low, high) -> list:
@@ -254,10 +254,12 @@ def _replay(ctype, dtype, ops) -> None:
             assert got == want, (kind, low, high)
         assert real.pending_insert_count == naive.pending_insert_count
         assert real.pending_delete_count == naive.pending_delete_count
-        # The membership index is the staged positions, sorted.
-        assert real._staged_positions.tolist() == sorted(
-            real.delete_positions.tolist()
-        )
+        # No position is staged twice, and positions stay aligned
+        # with their values.
+        positions = real.delete_positions.tolist()
+        assert len(set(positions)) == len(positions)
+        assert len(positions) == len(real.deleted_values)
+        assert (base[real.delete_positions] == real.deleted_values).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,20 +373,12 @@ def test_nan_bounds_take_nothing_float64() -> None:
 
 
 def test_pending_window_nan_bounds_match_sequential() -> None:
-    from repro.engine.operators import PendingWindow
-
     pending = PendingUpdates(INT64, base=base_holding({7: 25}))
     pending.stage_inserts([10, 20, 30])
     pending.stage_deletes([7], [25])
     lows = [0.0, float("nan"), 15.0]
     highs = [float("nan"), 100.0, 100.0]
-    window = PendingWindow(
-        pending,
-        [
-            normalise_range(INT64.numpy_dtype, low, high)
-            for low, high in zip(lows, highs)
-        ],
-    )
+    window = planned_probe(pending, zip(lows, highs))
     for i, (low, high) in enumerate(zip(lows, highs)):
         seq_ins = _probe(pending.inserts_in_range, low, high)
         seq_del = _probe(pending.deletes_in_range, low, high)
@@ -411,8 +405,6 @@ def test_clear_makes_consumed_positions_restageable() -> None:
 
 
 def test_pending_window_agrees_with_sequential_beyond_2_53() -> None:
-    from repro.engine.operators import PendingWindow
-
     pending = PendingUpdates(
         INT64, base=base_holding({3: -629_131_755_568_097_452})
     )
@@ -422,13 +414,7 @@ def test_pending_window_agrees_with_sequential_beyond_2_53() -> None:
     pending.stage_deletes([3], [-629_131_755_568_097_452])
     lows = [-6.291317555680974e17, 0.0, 6.291317555680974e17]
     highs = [1.649365601384583e17, 1e18, 6.29131755568097472e17]
-    window = PendingWindow(
-        pending,
-        [
-            normalise_range(INT64.numpy_dtype, low, high)
-            for low, high in zip(lows, highs)
-        ],
-    )
+    window = planned_probe(pending, zip(lows, highs))
     for i, (low, high) in enumerate(zip(lows, highs)):
         seq_ins = _probe(pending.inserts_in_range, low, high)
         seq_del = _probe(pending.deletes_in_range, low, high)
@@ -735,7 +721,7 @@ def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
 
 
 def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
-    from repro.engine.operators import PendingWindow, apply_pending
+    from repro.engine.operators import apply_pending
     from repro.simtime.accounting import WindowAccountant
     from repro.simtime.clock import SimClock
     from repro.storage.views import MaterializedResult
@@ -747,7 +733,7 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
     keys = [
         normalise_range(np.dtype(dtype), low, high) for low, high in bounds
     ]
-    window = PendingWindow(pending, keys)
+    window = planned_probe(pending, bounds)
     assert window.active == pending.has_pending()
     sequential_clock, batch_clock = SimClock(), SimClock()
     accountant = WindowAccountant(batch_clock)
