@@ -147,7 +147,9 @@ def _session_fingerprint(session) -> dict[str, object]:
         for ref, index in sorted(indexes.items(), key=lambda kv: repr(kv[0]))
     )
     crack_count = sum(index.crack_count for index in indexes.values())
-    tape_records = sum(index.tape.count() for index in indexes.values())
+    # Per distinct tape: the holistic kernel's indexes share one.
+    tapes = {index.tape for index in indexes.values()}
+    tape_records = sum(tape.count() for tape in tapes)
     return {
         "queries": report.query_count,
         "result_rows": int(report.result_rows),

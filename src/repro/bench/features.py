@@ -1,8 +1,9 @@
 """Table 1: the feature matrix of the four indexing approaches.
 
-Unlike the paper's hand-written table, these rows are *introspected*
-from the running strategies -- each strategy reports its own
-capabilities, so the matrix is guaranteed to describe the code.
+Each row is a running strategy's ``features()`` literal: the
+approach's capabilities as the paper classifies them, not what this
+code builds -- online's idle-time tick is COLT's, and this reproduction
+builds inline at epoch boundaries, so an idle window passes it unused.
 """
 
 from __future__ import annotations

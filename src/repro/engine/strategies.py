@@ -5,7 +5,8 @@ making its own physical-design decisions.  They present one interface
 (select / exploit_idle / prepare / features) so the bench harness can
 swap them symmetrically, exactly as the paper compares them.  The
 holistic strategy -- the paper's contribution -- lives in
-:mod:`repro.holistic.kernel` and plugs into the same interface.
+:mod:`repro.holistic.kernel`: it is :class:`AdaptiveStrategy` plus a
+monitor, a ranking and idle-time actions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.offline.builder import IndexBuilder
 from repro.offline.whatif import WhatIfOptimizer, WorkloadStatement
 from repro.online.colt import ColtTuner
 from repro.online.monitor import WorkloadMonitor
+from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.dtypes import Key, normalise_range
 from repro.storage.views import MaterializedResult, SelectionResult
@@ -155,24 +157,6 @@ class IndexingStrategy(ABC):
         return IdleOutcome(note="idle time not exploitable")
 
 
-def crack_windows(
-    index_for, windows: list[ColumnWindow], count: int
-) -> list:
-    """One session window's physical passes, one per column.
-
-    Returns, per slot of the ``count``-query window, its column's
-    :meth:`CrackerIndex.begin_select_batch` replay context (of index
-    ``index_for(ref)``) and the slot's normalised bounds -- the slots a
-    cracker :class:`BatchExecution` is built from.
-    """
-    slots: list = [None] * count
-    for window in windows:
-        context = index_for(window.ref).begin_select_batch(window.ranges)
-        for i, bounds in zip(window.indices, window.bounds):
-            slots[i] = (context, bounds)
-    return slots
-
-
 #: The crack replay context of a slot.
 _context = itemgetter(0)
 
@@ -182,10 +166,11 @@ class CrackerBatchExecution:
 
     Built from one ``(crack replay context, normalised bounds)`` pair
     per query -- a :meth:`CrackerIndex.begin_select_batch` context for
-    one session's window (see :func:`crack_windows`), or a served
-    client's :class:`~repro.cracking.batch.DetachedCrackReplay` -- each
-    query's replay emitting the sequential charge/tape stream on its
-    column's context (see :mod:`repro.cracking.batch`).
+    one session's window (see :meth:`AdaptiveStrategy.begin_batch`),
+    or a served client's
+    :class:`~repro.cracking.batch.DetachedCrackReplay` -- each query's
+    replay emitting the sequential charge/tape stream on its column's
+    context (see :mod:`repro.cracking.batch`).
 
     With a ``kernel`` (a strategy with a ``monitor`` and a
     ``ranking``), the replayed queries are counted per column, a query
@@ -263,11 +248,20 @@ _ADAPTIVE_VARIANTS = ("standard", "ddc", "ddr", "mdd1r")
 class AdaptiveStrategy(IndexingStrategy):
     """Database cracking [12]: indexes emerge from query processing.
 
+    The holistic kernel (:mod:`repro.holistic.kernel`) extends it with
+    monitoring and idle-time tuning.
+
     Args:
         db: the database.
         variant: ``standard`` (plain cracking) or ``ddc``/``ddr``/
             ``mdd1r`` (stochastic cracking [10]).
         seed: seed for stochastic variants.
+        stop_piece_size: piece size, in rows, at which stochastic
+            recursion stops; ``None`` takes the cache size.
+
+    Raises:
+        ConfigError: on an unknown variant or a ``stop_piece_size``
+            below 2.
     """
 
     name = "adaptive"
@@ -286,20 +280,19 @@ class AdaptiveStrategy(IndexingStrategy):
                 f"unknown adaptive variant {variant!r}; supported: "
                 f"{', '.join(_ADAPTIVE_VARIANTS)}"
             )
+        if stop_piece_size is None:
+            # Stochastic recursion stops at cache-resident pieces.
+            stop_piece_size = max(2, db.cost_model.cache_rows())
+        elif stop_piece_size < 2:
+            raise ConfigError(
+                f"stop_piece_size must be >= 2, got {stop_piece_size}"
+            )
         self.variant = variant
         self.seed = seed
-        if stop_piece_size is None:
-            # Stochastic recursion stops at cache-resident pieces; at a
-            # reduced scale the threshold de-projects with the model so
-            # the variants keep their paper-scale behaviour.
-            model = db.cost_model
-            stop_piece_size = max(
-                2, int(model.constants.cache_elements() / model.scale)
-            )
         self.stop_piece_size = stop_piece_size
-        self.indexes: dict[object, object] = {}
+        self.indexes: dict[ColumnRef, CrackerIndex] = {}
 
-    def index_for(self, ref):
+    def index_for(self, ref: ColumnRef) -> CrackerIndex:
         """Get or lazily create the cracker index on ``ref``."""
         index = self.indexes.get(ref)
         if index is None:
@@ -314,8 +307,12 @@ class AdaptiveStrategy(IndexingStrategy):
                     stop_piece_size=self.stop_piece_size,
                     clock=self.clock,
                 )
-            self.indexes[ref] = index
+            self.adopt_index(ref, index)
         return index
+
+    def adopt_index(self, ref: ColumnRef, index: CrackerIndex) -> None:
+        """Add ``index``, created or restored, as the index on ``ref``."""
+        self.indexes[ref] = index
 
     def select_keys(
         self, query: RangeQuery, low: Key, high: Key
@@ -327,7 +324,8 @@ class AdaptiveStrategy(IndexingStrategy):
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
     ) -> BatchExecution | None:
-        """Shared cracking per column; ``standard`` cracking only.
+        """Shared cracking, one physical pass per column; ``standard``
+        cracking only.
 
         Stochastic variants keep their own per-query refinement
         decisions (random auxiliary cracks) that depend on execution
@@ -335,9 +333,14 @@ class AdaptiveStrategy(IndexingStrategy):
         """
         if self.variant != "standard":
             return None
-        return self.batch_execution(
-            crack_windows(self.index_for, windows, len(queries))
-        )
+        slots: list = [None] * len(queries)
+        for window in windows:
+            context = self.index_for(window.ref).begin_select_batch(
+                window.ranges
+            )
+            for i, bounds in zip(window.indices, window.bounds):
+                slots[i] = (context, bounds)
+        return self.batch_execution(slots)
 
     def batch_execution(self, slots: list) -> BatchExecution:
         """The window execution replaying query ``i`` of a window on

@@ -3,8 +3,10 @@
 One strategy that unifies the three predecessors:
 
 * **adaptive**: selects crack the touched column, as in database
-  cracking (queries are hints on how to store the data);
-* **online**: a continuous monitor records every query; statistics
+  cracking (queries are hints on how to store the data) -- the kernel
+  *is* :class:`~repro.engine.strategies.AdaptiveStrategy` (standard
+  cracking), and keeps only what it adds;
+* **online**: a continuous monitor counts every query; the counts
   feed a continuously-maintained ranking of candidate columns;
 * **offline**: idle windows -- a-priori or between query bursts -- are
   spent on auxiliary refinement actions spread over the candidate
@@ -14,9 +16,9 @@ With **no knowledge** (§3's first special case), the catalog
 bootstraps the candidate set.  §3's second one, extra random cracks on
 hot ranges when there is **no idle time**, is not implemented: measured
 on saturated workloads it cost more response time than plain adaptive
-cracking in every run, so without idle time the kernel *is* adaptive
-cracking plus the monitor's counters (docs/ARCHITECTURE.md, "The
-no-idle case").
+cracking in every run, so without idle time the kernel is adaptive
+cracking by inheritance plus the monitor's and the ranking's counters
+(docs/ARCHITECTURE.md, "The no-idle case").
 """
 
 from __future__ import annotations
@@ -26,16 +28,14 @@ from typing import Sequence
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.tape import CrackTape
-from repro.engine.plan import AccessPath
-from repro.engine.query import RangeQuery
 from repro.engine.plan import ColumnWindow
+from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
+    AdaptiveStrategy,
     BatchExecution,
     CrackerBatchExecution,
     IdleOutcome,
-    IndexingStrategy,
     StrategyFeatures,
-    crack_windows,
 )
 from repro.errors import ConfigError
 from repro.holistic.policies import TuningPolicy, make_policy
@@ -91,8 +91,10 @@ class HolisticConfig:
             )
 
 
-class HolisticKernel(IndexingStrategy):
-    """Offline, online and adaptive indexing in the same kernel."""
+class HolisticKernel(AdaptiveStrategy):
+    """Offline, online and adaptive indexing in the same kernel:
+    standard adaptive cracking that counts every query and spends idle
+    windows on the columns its ranking picks."""
 
     name = "holistic"
 
@@ -101,13 +103,9 @@ class HolisticKernel(IndexingStrategy):
     ) -> None:
         super().__init__(db)
         self.config = config if config is not None else HolisticConfig()
-        model = db.cost_model
-        if self.config.cache_target_elements is not None:
-            target = self.config.cache_target_elements
-        else:
-            target = max(
-                1, int(model.constants.cache_elements() / model.scale)
-            )
+        target = self.config.cache_target_elements
+        if target is None:
+            target = max(1, db.cost_model.cache_rows())
         self.cache_target_elements = target
         self.monitor = WorkloadMonitor()
         self.ranking = ColumnRanking(target)
@@ -123,7 +121,6 @@ class HolisticKernel(IndexingStrategy):
         )
         self.lifetime = TuningReport()
         self.tape = CrackTape()
-        self.indexes: dict[ColumnRef, CrackerIndex] = {}
         self._hints: list[WorkloadStatement] = []
         self.idle_windows = 0
         if self.config.num_workers > 0:
@@ -145,36 +142,30 @@ class HolisticKernel(IndexingStrategy):
 
     def index_for(self, ref: ColumnRef) -> CrackerIndex:
         """Get or lazily create the cracker index on ``ref``."""
+        # Not inherited: perfbench/layers.py wraps it by name.
         index = self.indexes.get(ref)
         if index is None:
             column = self.db.catalog.column(ref)
             index = CrackerIndex(column, clock=self.clock, tape=self.tape)
-            self.indexes[ref] = index
-            self.ranking.register(ref, index)
-            if self.worker_pool is not None:
-                self.worker_pool.register_index(ref, index)
+            self.adopt_index(ref, index)
         return index
 
-    def _candidate_refs(self) -> list[ColumnRef]:
-        """Columns worth tuning, by decreasing knowledge quality.
+    def adopt_index(self, ref: ColumnRef, index: CrackerIndex) -> None:
+        """Add ``index`` to the ranking and the worker pool too."""
+        super().adopt_index(ref, index)
+        self.ranking.register(ref, index)
+        if self.worker_pool is not None:
+            self.worker_pool.register_index(ref, index)
 
-        Preference order implements §3: explicit workload hints, then
+    def _register_candidates(self) -> None:
+        """Index the columns worth tuning, by decreasing knowledge
+        quality.
+
+        Preference order implements §3: explicit workload hints (a
+        column weighted by the sum of its statements' weights), then
         monitored activity, then -- the "no knowledge" case -- the
         whole catalog.
         """
-        if self._hints:
-            seen: dict[ColumnRef, None] = {}
-            for statement in self._hints:
-                seen.setdefault(statement.ref, None)
-            return list(seen)
-        observed = self.monitor.observed_columns()
-        if observed:
-            return observed
-        return [entry.ref for entry in self.db.catalog.entries()]
-
-    def _register_candidates(self) -> None:
-        for ref in self._candidate_refs():
-            self.index_for(ref)
         if self._hints:
             weights: dict[ColumnRef, float] = {}
             for statement in self._hints:
@@ -183,6 +174,12 @@ class HolisticKernel(IndexingStrategy):
                 )
             for ref, weight in weights.items():
                 self.ranking.register(ref, self.index_for(ref), weight)
+            return
+        refs = self.monitor.observed_columns() or [
+            entry.ref for entry in self.db.catalog.entries()
+        ]
+        for ref in refs:
+            self.index_for(ref)
 
     # -- the strategy interface ----------------------------------------------
 
@@ -190,8 +187,7 @@ class HolisticKernel(IndexingStrategy):
         self._hints = list(statements)
 
     def select(self, query: RangeQuery) -> SelectionResult:
-        # Not inherited: perfbench/layers.py wraps HolisticKernel.select
-        # by name.
+        # Not inherited: perfbench/layers.py wraps it by name.
         return super().select(query)
 
     def select_keys(
@@ -220,23 +216,16 @@ class HolisticKernel(IndexingStrategy):
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
     ) -> BatchExecution | None:
-        """Shared cracking per column plus deferred bookkeeping.
-
-        Ineligible -- falling back to sequential execution -- only
-        while tuning workers are racing foreground queries (selects
-        must then go through piece latches).
-        """
+        """Adaptive cracking's window, or ``None`` -- the sequential
+        path, through piece latches -- while tuning workers race."""
+        # Not inherited: perfbench/layers.py wraps it by name.
         if self.worker_pool is not None and self.worker_pool.is_running:
             return None
-        return self.batch_execution(
-            crack_windows(self.index_for, windows, len(queries))
-        )
+        return super().begin_batch(queries, windows)
 
     def batch_execution(self, slots: list) -> BatchExecution:
-        """The window execution replaying query ``i`` of a window on
-        ``slots[i]``, its column's crack replay context and its
-        normalised bounds, with the kernel's query counts deferred to
-        the window's end (see :class:`CrackerBatchExecution`)."""
+        """Adaptive cracking's window execution, the kernel's query
+        counts deferred to the window's end."""
         return CrackerBatchExecution(slots, self)
 
     def exploit_idle(
@@ -286,9 +275,6 @@ class HolisticKernel(IndexingStrategy):
                 f"auxiliary actions{where} ({report.stop_reason})"
             ),
         )
-
-    def access_path(self, query: RangeQuery) -> AccessPath:
-        return AccessPath.CRACKER
 
     def features(self) -> StrategyFeatures:
         return StrategyFeatures(

@@ -42,6 +42,7 @@ import numpy as np
 from repro import faults
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piecemap import PieceMap
+from repro.cracking.tape import CrackTape
 from repro.errors import PersistError, SchemaError
 from repro.persist.format import load_array
 from repro.simtime.clock import SimClock
@@ -70,30 +71,26 @@ _BOOST_OPTIONS = ("hot_column_threshold", "hot_boost_cracks")
 
 def _strategy_meta(strategy) -> dict:
     name = getattr(strategy, "name", None)
+    if name not in ("holistic", "adaptive"):
+        raise PersistError(
+            f"strategy {name!r} is not snapshot-supported "
+            "(supported: holistic, adaptive[standard])"
+        )
+    if strategy.variant != "standard":
+        raise PersistError(
+            f"adaptive variant {strategy.variant!r} is not "
+            "snapshot-supported (stochastic refinement state is "
+            "not serializable); use 'standard'"
+        )
     if name == "holistic":
-        return {
-            "name": "holistic",
-            "config": dataclasses.asdict(strategy.config),
+        config = dataclasses.asdict(strategy.config)
+    else:
+        config = {
+            "variant": strategy.variant,
+            "seed": strategy.seed,
+            "stop_piece_size": strategy.stop_piece_size,
         }
-    if name == "adaptive":
-        if strategy.variant != "standard":
-            raise PersistError(
-                f"adaptive variant {strategy.variant!r} is not "
-                "snapshot-supported (stochastic refinement state is "
-                "not serializable); use 'standard'"
-            )
-        return {
-            "name": "adaptive",
-            "config": {
-                "variant": strategy.variant,
-                "seed": strategy.seed,
-                "stop_piece_size": strategy.stop_piece_size,
-            },
-        }
-    raise PersistError(
-        f"strategy {name!r} is not snapshot-supported "
-        "(supported: holistic, adaptive[standard])"
-    )
+    return {"name": name, "config": config}
 
 
 def capture_state(
@@ -169,11 +166,6 @@ def capture_state(
         meta["strategy"] = _strategy_meta(strategy)
         indexes = strategy.indexes
         for ref, index in indexes.items():
-            if not isinstance(index, CrackerIndex):
-                raise PersistError(
-                    f"index on {ref} is {type(index).__name__}, not "
-                    "snapshot-supported"
-                )
             base = f"index/{ref.table}/{ref.column}"
             piece_map = index.piece_map
             with index.lock:
@@ -415,39 +407,34 @@ def _restore_strategy(root, manifest: dict, db: Database, strategy_meta: dict):
     meta = manifest["meta"]
     name = strategy_meta["name"]
     config = strategy_meta["config"]
+    shared = None
     if name == "holistic":
         from repro.holistic.kernel import HolisticConfig, HolisticKernel
 
         known = {f.name for f in dataclasses.fields(HolisticConfig)}
-        kernel = HolisticKernel(db, HolisticConfig(**_options(config, known)))
-        kernel.tape.restore_state(meta["tapes"][SHARED_TAPE])
-        for index_meta in meta["indexes"]:
-            ref, index = _restore_index(
-                root, manifest, db, index_meta, kernel.tape
-            )
-            kernel.indexes[ref] = index
-            kernel.ranking.register(ref, index)
-            if kernel.worker_pool is not None:
-                kernel.worker_pool.register_index(ref, index)
-        kernel.monitor.restore_state(meta["monitor"])
-        kernel.ranking.restore_state(meta["ranking"])
-        kernel.idle_windows = int(meta["kernel"]["idle_windows"])
-        return kernel
-    if name == "adaptive":
-        from repro.cracking.tape import CrackTape
+        strategy = HolisticKernel(db, HolisticConfig(**_options(config, known)))
+        shared = strategy.tape
+        shared.restore_state(meta["tapes"][SHARED_TAPE])
+    elif name == "adaptive":
         from repro.engine.strategies import AdaptiveStrategy
 
         strategy = AdaptiveStrategy(
             db,
             **_options(config, {"variant", "seed", "stop_piece_size"}),
         )
-        for index_meta in meta["indexes"]:
-            scope = f"{index_meta['table']}/{index_meta['column']}"
+    else:
+        raise PersistError(f"snapshot names unknown strategy {name!r}")
+    for index_meta in meta["indexes"]:
+        tape = shared
+        if tape is None:
             tape = CrackTape()
+            scope = f"{index_meta['table']}/{index_meta['column']}"
             tape.restore_state(meta["tapes"][scope])
-            ref, index = _restore_index(
-                root, manifest, db, index_meta, tape
-            )
-            strategy.indexes[ref] = index
-        return strategy
-    raise PersistError(f"snapshot names unknown strategy {name!r}")
+        strategy.adopt_index(
+            *_restore_index(root, manifest, db, index_meta, tape)
+        )
+    if shared is not None:
+        strategy.monitor.restore_state(meta["monitor"])
+        strategy.ranking.restore_state(meta["ranking"])
+        strategy.idle_windows = int(meta["kernel"]["idle_windows"])
+    return strategy

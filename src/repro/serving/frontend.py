@@ -56,7 +56,6 @@ from repro.engine.query import RangeQuery
 from repro.engine.session import Session, SessionReport
 from repro.engine.strategies import AdaptiveStrategy, IndexingStrategy
 from repro.errors import ConfigError
-from repro.holistic.kernel import HolisticKernel
 from repro.serving.window import CrossSessionWindowFormer, WindowEntry
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
@@ -185,8 +184,8 @@ class ServingFrontend:
 
     Args:
         db: the shared database.
-        strategy: the shared kernel -- standard adaptive cracking or a
-            holistic kernel.  Stochastic adaptive variants make
+        strategy: the shared kernel -- standard adaptive cracking,
+            the holistic kernel included.  Stochastic variants make
             order-dependent refinement decisions, which cannot keep
             per-client accounting solo-identical, so they are rejected.
         depth: per-client depth of the closed-loop
@@ -204,18 +203,17 @@ class ServingFrontend:
     ) -> None:
         self.db = db
         self.strategy = strategy
-        if isinstance(strategy, AdaptiveStrategy):
-            if strategy.variant != "standard":
-                raise ConfigError(
-                    f"adaptive variant {strategy.variant!r} makes "
-                    "order-dependent refinement decisions; only "
-                    "'standard' can serve concurrently"
-                )
-        elif not isinstance(strategy, HolisticKernel):
+        if not isinstance(strategy, AdaptiveStrategy):
             raise ConfigError(
                 f"strategy {strategy.name!r} has no concurrent serving "
                 "path; use standard adaptive cracking or the holistic "
                 "kernel"
+            )
+        if strategy.variant != "standard":
+            raise ConfigError(
+                f"adaptive variant {strategy.variant!r} makes "
+                "order-dependent refinement decisions; only "
+                "'standard' can serve concurrently"
             )
         self.former = CrossSessionWindowFormer(depth)
         self.lanes: dict[str, ClientLane] = {}

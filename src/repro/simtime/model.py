@@ -44,6 +44,11 @@ class CostModel:
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
 
+    def cache_rows(self) -> int:
+        """The modelled cache size in rows, de-projected by ``scale``
+        so a reduced run keeps its paper-scale behaviour."""
+        return int(self.constants.cache_elements() / self.scale)
+
     def seconds(self, charge: CostCharge) -> float:
         """Price ``charge`` and return the virtual seconds it costs."""
         return self.nanoseconds(charge) / _NS_PER_S

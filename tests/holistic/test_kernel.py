@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.plan import group_by_column
 from repro.engine.query import RangeQuery
+from repro.engine.strategies import AdaptiveStrategy
 from repro.errors import ConfigError
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
 from repro.offline.whatif import WorkloadStatement
@@ -149,3 +150,13 @@ def test_tuning_summary_aggregates(tiny_db):
     kernel.exploit_idle(actions=5)
     assert kernel.tuning_summary().actions_attempted == 10
     assert kernel.idle_windows == 2
+
+
+def test_kernel_is_adaptive_cracking_by_inheritance():
+    """Plain cracking is written once: the kernel inherits adaptive's
+    access path and window pass, and overrides only what it adds or
+    what perfbench/layers.py wraps by name."""
+    assert issubclass(HolisticKernel, AdaptiveStrategy)
+    assert "access_path" not in HolisticKernel.__dict__
+    for pinned in ("select", "begin_batch", "exploit_idle", "index_for"):
+        assert pinned in HolisticKernel.__dict__
