@@ -54,7 +54,7 @@ def table1_text() -> str:
     body = format_table(headers, rows)
     return (
         "Table 1: features of offline, online, adaptive and holistic "
-        f"indexing (introspected from the strategies)\n{body}"
+        f"indexing\n{body}"
     )
 
 

@@ -109,20 +109,21 @@ def piece_map_sha256(
 def _fingerprint_pairs(
     current: dict[str, object], committed: dict[str, object]
 ) -> Iterator[tuple[str, dict | None, dict | None]]:
-    """``(label, fresh, committed)`` fingerprints of every scenario both
-    documents have: one per scenario, or one per client where serve
-    records several."""
-    committed_scenarios = committed.get("scenarios", {})
-    for name, data in current.get("scenarios", {}).items():
-        base = committed_scenarios.get(name)
-        if base is None:
-            continue
-        if "fingerprints" in data:
-            expected = base.get("fingerprints", {})
-            for client, fingerprint in data["fingerprints"].items():
-                yield f"{name}.{client}", fingerprint, expected.get(client)
+    """``(label, fresh, committed)`` fingerprints of every scenario the
+    committed document has: one per scenario, or one per client where
+    serve records several.  ``fresh`` is ``None`` for a scenario or
+    client the run no longer produces."""
+    current_scenarios = current.get("scenarios", {})
+    for name, base in committed.get("scenarios", {}).items():
+        data = current_scenarios.get(name)
+        if data is None:
+            yield name, None, None
+        elif "fingerprints" in base:
+            fresh = data.get("fingerprints", {})
+            for client, fingerprint in base["fingerprints"].items():
+                yield f"{name}.{client}", fresh.get(client), fingerprint
         else:
-            yield name, data.get("fingerprint"), base.get("fingerprint")
+            yield name, data.get("fingerprint", {}), base.get("fingerprint")
 
 
 def fingerprint_drift(
@@ -134,15 +135,21 @@ def fingerprint_drift(
     and the seed alone (piece maps hash as cuts and pivots, not as
     physical layout).  Documents with different configs are therefore
     not compared, and neither is a scenario or fingerprint the
-    committed document does not have.
+    committed document does not have.  A committed scenario or client
+    the run no longer produces is one failure.
     """
     if committed.get("config", {}) != current.get("config", {}):
         return []
     failures: list[str] = []
     for label, fresh, expected in _fingerprint_pairs(current, committed):
+        if fresh is None:
+            failures.append(
+                f"{label}: in the committed baseline but missing from "
+                "this run"
+            )
+            continue
         if expected is None:
             continue
-        fresh = fresh or {}
         for key in {**expected, **fresh}:
             if expected.get(key) != fresh.get(key):
                 failures.append(

@@ -15,10 +15,8 @@ inserts/deletes interleaved into the stream:
 
 Each mix also runs the naive sorted-array reference engine, and every
 engine run must reproduce the reference's per-query result multisets
-bit for bit (:mod:`repro.bench.oracle`).  Two more scenarios ride
-along: a ``float64`` column (F1) flows through the vectorized crack
-kernels in every mix, and sideways cracking's multi-column
-select-project must agree with the scan positional join.  A
+bit for bit (:mod:`repro.bench.oracle`).  A ``float64`` column (F1)
+flows through the vectorized crack kernels in every mix.  A
 COLT-vs-holistic shootout under workload drift (virtual time) closes
 the suite.  How fast the mixed path is, is ``perfbench``'s question
 (``mixed_rw``).
@@ -38,14 +36,12 @@ from __future__ import annotations
 from repro.bench.harness import ScenarioResult, Suite, oracle_scenario
 from repro.bench.oracle import (
     OracleRun,
-    TraceFingerprint,
     reference_results,
     replay_batched,
     replay_maintained,
     replay_sequential,
     replay_serving,
 )
-from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.engine.session import make_strategy
 from repro.serving import ServingFrontend
 from repro.simtime.clock import SimClock
@@ -55,7 +51,6 @@ from repro.storage.loader import (
     build_paper_table,
     generate_uniform_float_column,
 )
-from repro.workload.generators import UniformRangeGenerator
 from repro.workload.patterns import MixedPattern
 
 DEFAULT_ROWS = 120_000
@@ -203,52 +198,6 @@ def _run_shootout(
     return result, session.report.total_response_s, db.clock.now()
 
 
-def _sideways_scenarios(
-    rows: int, queries: int, seed: int
-) -> tuple[ScenarioResult, ScenarioResult, bool]:
-    """Sideways select-project against the positional join.
-
-    ``sideways/cracked/select_project`` answers ``SELECT A2 WHERE low
-    <= A1 < high`` from a cracker map; ``sideways/scan/select_project``
-    is the baseline positional join (full predicate scan + gather).
-    Both fingerprints must agree -- the multi-column analogue of the
-    oracle gate.
-    """
-    table = build_paper_table(rows=rows, columns=2, seed=seed + 3)
-    generator = UniformRangeGenerator(
-        ColumnRef("R", "A1"),
-        _VALUE_LOW,
-        _VALUE_HIGH,
-        selectivity=_SELECTIVITY,
-        seed=seed + 31,
-    )
-    bounds = [(q.low, q.high) for q in generator.queries(queries)]
-    head = table.column("A1").values
-    tail = table.column("A2").values
-
-    scan = TraceFingerprint()
-    for low, high in bounds:
-        scan.note_query(tail[(head >= low) & (head < high)])
-
-    index = SidewaysCrackerIndex(table, "A1", clock=SimClock())
-    side = TraceFingerprint()
-    for low, high in bounds:
-        side.note_query(index.select_project(low, high, "A2").values())
-    index.check_invariants()
-
-    scan_fp, side_fp = scan.as_dict(), side.as_dict()
-    agree = scan_fp["result_sha256"] == side_fp["result_sha256"]
-    return (
-        oracle_scenario(
-            "sideways/scan/select_project", queries, scan_fp, agree
-        ),
-        oracle_scenario(
-            "sideways/cracked/select_project", queries, side_fp, agree
-        ),
-        agree,
-    )
-
-
 def run_mixed(
     rows: int = DEFAULT_ROWS,
     ops: int = DEFAULT_OPS,
@@ -290,10 +239,6 @@ def run_mixed(
             "virtual_total_response_s": response_s,
             "virtual_now": now,
         }
-    scan_result, side_result, sideways_ok = _sideways_scenarios(
-        rows, max(ops // 2, 20), seed
-    )
-    results += [scan_result, side_result]
     scenarios = {result.name: result for result in results}
 
     matches = {
@@ -322,7 +267,6 @@ def run_mixed(
             for name, result in sorted(scenarios.items())
         },
         "oracle_matches_reference": matches,
-        "sideways_equals_scan": sideways_ok,
         "shootout": {
             "workload": "drifting hot window, 80/20 read/write",
             "online": {
@@ -366,28 +310,18 @@ def mixed_text(result: dict[str, object]) -> str:
             "COLT-vs-holistic under drift: online cumulative response = "
             f"{ratio:.2f}x holistic's"
         )
-    lines.append(
-        "sideways == scan fingerprints: "
-        + ("yes" if result.get("sideways_equals_scan") else "NO")
-    )
     return "\n".join(lines)
 
 
 def _gate(document: dict[str, object]) -> list[str]:
     """In-run correctness: every engine path must reproduce the serial
-    reference, and sideways must agree with the positional join."""
-    failures = [
+    reference."""
+    return [
         f"{name}: result fingerprint diverged from the serial "
         "reference engine within this run"
         for name, ok in document.get("oracle_matches_reference", {}).items()
         if not ok
     ]
-    if not document.get("sideways_equals_scan", True):
-        failures.append(
-            "sideways/cracked/select_project: fingerprint diverged from "
-            "the scan positional join"
-        )
-    return failures
 
 
 SUITE = Suite(

@@ -23,7 +23,6 @@ from repro.cracking.engine import (
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin, Piece
 from repro.cracking.piecemap import PieceMap
-from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
 from repro.cracking.tape import CrackTape
 from repro.cracking.updates import (
@@ -43,7 +42,6 @@ __all__ = [
     "PieceLatchTable",
     "PieceMap",
     "ReadWriteLatch",
-    "SidewaysCrackerIndex",
     "StochasticCrackerIndex",
     "crack_in_three",
     "crack_in_two",

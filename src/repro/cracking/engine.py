@@ -4,9 +4,8 @@ These are the physical operators behind database cracking [12]:
 ``crack_in_two`` partitions a piece around one pivot (elements < pivot
 first), ``crack_in_three`` around a closed-open range (used when both
 query bounds fall into the same piece, saving one pass).  They move
-values only: tuple reconstruction is a sideways map's job
-(:mod:`repro.cracking.sideways`, which keeps its own aligned
-partition).
+values only: every query is a single-column range select, so nothing
+else has to stay aligned with a cracked piece.
 
 The kernels return the split position(s) plus a :class:`CostCharge`
 counting every element touched, which the clock prices.

@@ -3,10 +3,9 @@
 This reproduces MonetDB's database-cracking module [12], the substrate
 the paper's holistic prototype was hand-tuned from.  The index is a
 physical copy of the column (the *cracker column*) plus a
-:class:`PieceMap` of its pivots and cuts, and nothing else.  Tuple
-reconstruction drags a tail column along with the cracks: that is a
-:class:`~repro.cracking.sideways.SidewaysCrackerIndex` map, whose tail
-may be a row-id column.
+:class:`PieceMap` of its pivots and cuts, and nothing else: the
+kernel's queries are single-column range selects, so no base-table
+positions ride along with the cracks.
 
 Range selects crack the pieces containing the query bounds and return a
 contiguous :class:`RangeView` -- each query refines the index a little,

@@ -1,6 +1,6 @@
 """Query engine: queries, operators, plans, strategies and sessions."""
 
-from repro.engine.operators import apply_pending, project, scan_select
+from repro.engine.operators import apply_pending, scan_select
 from repro.engine.plan import AccessPath, PlannedQuery, estimate_path_cost
 from repro.engine.query import RangeQuery
 from repro.engine.session import (
@@ -40,6 +40,5 @@ __all__ = [
     "estimate_path_cost",
     "make_strategy",
     "multiset_difference",
-    "project",
     "scan_select",
 ]

@@ -1,8 +1,7 @@
 """Physical operators shared by all indexing strategies.
 
 ``scan_select`` is the no-index baseline (MonetDB's tight predicate
-loop over a column); ``project`` materializes qualifying values;
-``apply_pending`` corrects any strategy's result for updates still
+loop over a column); ``apply_pending`` corrects any strategy's result for updates still
 sitting in the column's delta store, so every strategy stays correct
 under trickle inserts/deletes without owning merge logic itself.
 """
@@ -43,13 +42,6 @@ def scan_select(
         )
     )
     return PositionsView(values, positions)
-
-
-def project(result: SelectionResult, clock: Clock) -> np.ndarray:
-    """Materialize a result's values (the query's projection list)."""
-    values = result.values()
-    clock.charge(CostCharge(elements_materialized=len(values)))
-    return values
 
 
 def apply_pending(

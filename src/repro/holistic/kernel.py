@@ -101,8 +101,9 @@ class HolisticKernel(AdaptiveStrategy):
     def __init__(
         self, db: Database, config: HolisticConfig | None = None
     ) -> None:
-        super().__init__(db)
-        self.config = config if config is not None else HolisticConfig()
+        config = config if config is not None else HolisticConfig()
+        super().__init__(db, seed=config.seed)
+        self.config = config
         target = self.config.cache_target_elements
         if target is None:
             target = max(1, db.cost_model.cache_rows())

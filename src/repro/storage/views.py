@@ -37,8 +37,7 @@ class RangeView:
 
     Creating the view is O(1); reading :meth:`values` slices lazily.
     The slice holds values only: a cracked or sorted copy keeps no
-    base-table positions (tuple reconstruction is a sideways map's
-    job, :mod:`repro.cracking.sideways`).
+    base-table positions.
     """
 
     __slots__ = ("_array", "start", "end", "count")

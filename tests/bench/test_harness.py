@@ -67,6 +67,24 @@ def test_fingerprint_drift_skips_what_the_committed_document_lacks():
     assert len(fingerprint_drift(unfingerprinted, current)) == 3
 
 
+def test_fingerprint_drift_reports_what_the_run_no_longer_produces():
+    committed = _document()
+    committed["scenarios"]["two"] = {"unit": "queries"}
+    committed["scenarios"]["serve"] = {
+        "fingerprints": {"client-0": {"state": "a"}, "client-1": {"state": "b"}}
+    }
+    current = json.loads(json.dumps(committed))
+    del current["scenarios"]["one"], current["scenarios"]["two"]
+    del current["scenarios"]["serve"]["fingerprints"]["client-1"]
+    failures = fingerprint_drift(current, committed)
+    assert [f.split(":")[0] for f in failures] == [
+        "one",
+        "two",
+        "serve.client-1",
+    ]
+    assert all(f.endswith("missing from this run") for f in failures)
+
+
 def test_fingerprint_drift_is_skipped_across_configs():
     committed = _document()
     moved = _document(state="def")

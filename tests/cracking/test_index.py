@@ -5,12 +5,10 @@ import pytest
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.cracking.sideways import SidewaysCrackerIndex
 from repro.errors import QueryError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
-from repro.storage.table import Table
 
 from tests.conftest import ground_truth_count
 
@@ -122,20 +120,6 @@ def test_sort_piece_at_sorts_the_piece(index):
     chunk = index.values[piece.start : piece.end]
     assert np.all(chunk[:-1] <= chunk[1:])
     index.check_invariants()
-
-
-def test_rowid_tracking_reconstructs(small_column):
-    """A cracker index keeps values only; row ids ride as the tail of
-    a sideways map over an explicit row-id column."""
-    table = Table("R")
-    table.add_column(small_column)
-    table.add_column(Column("rowid", np.arange(small_column.row_count)))
-    rowid_map = SidewaysCrackerIndex(table, small_column.name)
-    positions = rowid_map.select_project(10_000_000, 30_000_000, "rowid")
-    view = CrackerIndex(small_column).select_range(10_000_000, 30_000_000)
-    reconstructed = small_column.values[positions.values()]
-    assert np.array_equal(np.sort(reconstructed), np.sort(view.values()))
-    rowid_map.check_invariants()
 
 
 def test_copy_charged_once_on_first_touch(small_column):

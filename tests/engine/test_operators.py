@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
-from repro.engine.operators import apply_pending, project, scan_select
+from repro.engine.operators import apply_pending, scan_select
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
@@ -39,15 +39,6 @@ def test_scan_select_returns_positions(small_column):
     values = view.values()
     assert len(values) == view.count
     assert np.all((values >= 1e7) & (values < 3e7))
-
-
-def test_project_materializes_and_charges(small_column):
-    clock = SimClock()
-    view = scan_select(small_column.values, 1e7, 3e7, clock)
-    before = clock.total_charge.elements_materialized
-    values = project(view, clock)
-    assert len(values) == view.count
-    assert clock.total_charge.elements_materialized == before + view.count
 
 
 def test_multiset_difference_removes_one_occurrence_each():

@@ -160,3 +160,8 @@ def test_kernel_is_adaptive_cracking_by_inheritance():
     assert "access_path" not in HolisticKernel.__dict__
     for pinned in ("select", "begin_batch", "exploit_idle", "index_for"):
         assert pinned in HolisticKernel.__dict__
+
+
+def test_kernel_seed_is_the_config_seed(tiny_db):
+    assert HolisticKernel(tiny_db, HolisticConfig(seed=7)).seed == 7
+    assert HolisticKernel(tiny_db).seed == HolisticConfig().seed
