@@ -22,10 +22,13 @@ take today:
 * :func:`replay_sequential` -- ``Session.run_query`` (per-query
   ``apply_pending`` consultation);
 * :func:`replay_batched` -- ``Session.run_batch`` windows (the shared
-  physical pass + ``CrackSelectBatch`` replay of ``cracking/batch``);
+  physical pass, then ``Session.run_window`` over the
+  ``CrackSelectBatch`` replay of ``cracking/batch``);
 * :func:`replay_serving` -- ``ServingFrontend.serve_window`` with the
-  window's queries dealt across client lanes (``DetachedCrackReplay``);
-  tuning workers may race the loop, started by the caller;
+  window's queries dealt across client lanes, each lane's share run
+  through the same ``Session.run_window`` over its own
+  ``DetachedCrackReplay`` per column; tuning workers may race the
+  loop, started by the caller;
 * :func:`replay_maintained` -- ``MaintainedCrackerIndex``, the ripple
   merge path that physically consumes the delta stores
   (``take_*_in_range`` + ``merge_inserts``/``merge_deletes``).

@@ -1,14 +1,15 @@
 """Batched range selects over one cracker index.
 
-The session-loop amortization (ISSUE 4) rests on one property of
-cracking: a cut's position is *order independent*.  Cracking at value
-``v`` always lands at the number of elements ``< v`` in the column, no
-matter how many other cracks happen before or after.  A window of
-queries can therefore be executed in two decoupled halves:
+Window execution rests on one property of cracking: a cut's position
+is *order independent*.  Cracking at value ``v`` always lands at the
+number of elements ``< v`` in the column, no matter how many other
+cracks happen before or after.  A window of queries can therefore be
+executed in two decoupled halves:
 
-* a **physical pass** (:meth:`CrackerIndex.begin_select_batch`) cracks
-  every *fresh* bound of the window -- one not yet in the piece map's
-  ``cut_of`` -- in one grouped sweep: one shared
+* a **physical pass** (:meth:`CrackerIndex.begin_select_batch` for a
+  session window, :meth:`CrackerIndex.crack_bounds_batch` for a served
+  one) cracks every *fresh* bound of the window -- one not yet in the
+  piece map's ``cut_of`` -- in one grouped sweep: one shared
   ``crack_spans_batch`` dispatch for pieces taking one pivot or one
   query's bound pair, ``crack_multi`` counting partitions for denser
   pieces, one ``insert_cracks_bulk`` piece-map splice -- touching each
@@ -16,10 +17,12 @@ queries can therefore be executed in two decoupled halves:
   effects.  A converged window has no fresh bound and skips the pass;
 * an **accounting replay** (:class:`CrackSelectBatch`) that steps
   query by query over a lightweight pure-Python shadow of the
-  pre-window piece map (its pivots and cuts), emitting exactly the
-  charges and tape counts sequential :meth:`CrackerIndex.select_range`
-  calls would have produced -- the same crack-in-three fusion, the same
-  binary-search charges for pivot hits, the same piece sizes.
+  pre-window piece map (its pivots, as a sorted list and a set, and
+  its cuts), emitting exactly the charges and tape counts sequential
+  :meth:`CrackerIndex.select_keys` calls would have produced.  A read
+  whose two bounds are shadow pivots is priced in one step; only a
+  read with a fresh bound is bisected and replayed crack by crack --
+  the same crack-in-three fusion, the same piece sizes.
 
 Because the replay reproduces the sequential charge stream verbatim,
 per-query response times, cumulative clock totals and tape counts
@@ -27,8 +30,8 @@ are bit-for-bit identical to one-at-a-time execution; only wall-clock
 time changes.  The replay must be bound to a window accountant and
 driven to completion, one :meth:`CrackSelectBatch.replay_query` call
 per window entry in window order, before the index is used again --
-the session's window loop (:meth:`Session.run_window`) is the only
-intended caller.
+the window loop (:meth:`Session.run_window`) is the only intended
+caller, for session windows and served client lanes alike.
 """
 
 from __future__ import annotations
@@ -48,15 +51,17 @@ class ReplayPieceMap:
     semantics exactly (bisect on plain lists instead of numpy
     searchsorted -- faster for the one-value lookups the replay makes)
     without ever touching the real map, which the physical pass has
-    already advanced to its end-of-window state.
+    already advanced to its end-of-window state.  ``pivot_set`` holds
+    the pivots again, so whether a bound is one is a hash hit.
     """
 
-    __slots__ = ("n", "pivots", "cuts")
+    __slots__ = ("n", "pivots", "cuts", "pivot_set")
 
     def __init__(self, n: int, pivots: list[Key], cuts: list[int]) -> None:
         self.n = n
         self.pivots = pivots
         self.cuts = cuts
+        self.pivot_set = set(pivots)
 
     @classmethod
     def snapshot(cls, piece_map) -> "ReplayPieceMap":
@@ -79,14 +84,15 @@ class ReplayPieceMap:
     def add_crack_at(self, i: int, value: Key, position: int) -> None:
         self.pivots.insert(i, value)
         self.cuts.insert(i, position)
+        self.pivot_set.add(value)
 
 
 class CrackSelectBatch:
     """Replay handle for one column's window of range selects.
 
     Created by :meth:`CrackerIndex.begin_select_batch` after the
-    physical pass; :meth:`replay` must then be called once per window
-    entry, in window order.
+    physical pass; :meth:`replay_query` must then be called once per
+    window entry, in window order.
     """
 
     __slots__ = (
@@ -171,95 +177,80 @@ class CrackSelectBatch:
     def replay_query(self, low: Key, high: Key) -> RangeView:
         """Account for one window query; return its result view.
 
-        Owns the whole per-query charge stream: the
-        ``CostCharge(queries=1)`` overhead, then :meth:`replay`.
+        ``low``/``high`` are the query's range normalised into the
+        column's domain, as :meth:`CrackerIndex.begin_select_batch`
+        took them.  Owns the query's whole charge stream: the
+        ``CostCharge(queries=1)`` overhead, then exactly the charges
+        and tape counts a sequential :meth:`CrackerIndex.select_keys`
+        would have produced at this point of the window.  A read whose
+        two bounds are pivots of the shadow map -- two hits in its
+        pivot set -- is priced in one step
+        (:meth:`WindowAccountant.charge_warm_select`) and answered from
+        the index's span-view cache; only a read with a fresh bound
+        reaches the bisect replay, :meth:`replay`.
         """
+        pivot_set = self.sim.pivot_set
+        if low in pivot_set and high in pivot_set:
+            self._acc.charge_warm_select(len(pivot_set) + 1)
+            self._done += 1
+            positions = self._positions
+            span = (positions[low], positions[high])
+            view = self._view_cache.get(span)
+            if view is None:
+                view = self._view_cache[span] = RangeView(
+                    self._values, span[0], span[1]
+                )
+            return view
         self._acc.charge_query()
         return self.replay(low, high)
 
     def replay(self, low: Key, high: Key) -> RangeView:
-        """Account for one window query whose per-query overhead the
-        caller already charged (:meth:`replay_query` does); return its
+        """The bisect replay of one window query whose per-query
+        overhead :meth:`replay_query` already charged; return its
         result view.
 
-        ``low``/``high`` are the query's range normalised into the
-        column's domain, as :meth:`CrackerIndex.begin_select_batch`
-        took them.  The charges and tape counts are exactly those a
-        sequential :meth:`CrackerIndex.select_keys` would have produced
-        at this point of the window, including the crack-in-three
-        fusion when both bounds fall into the same piece.  The
-        piece lookups inline :meth:`ReplayPieceMap.locate` -- this path
-        runs twice per query of every batched window.
+        Correct for any range, and reached for those with a fresh
+        bound: each bound is located on the shadow map, a fresh one is
+        cut there at its order-independent position (the two fused
+        into a crack-in-three when they fall into the same non-empty
+        piece), and a pivot is priced as a binary search.
         """
         sim = self.sim
         pivots = sim.pivots
         cuts = sim.cuts
+        k = len(pivots)
         low_index = bisect_right(pivots, low)
         low_pivot = low_index > 0 and pivots[low_index - 1] == low
-        high_index = bisect_right(pivots, high)
-        high_pivot = high_index > 0 and pivots[high_index - 1] == high
-        if low_pivot and high_pivot:
-            self._acc.charge_binary_pair(len(pivots) + 1)
-            self._done += 1
-            span = (
-                cuts[low_index - 1] if low_index > 0 else 0,
-                cuts[high_index - 1],
-            )
-            view = self._view_cache.get(span)
-            if view is None:
-                view = RangeView(self._values, span[0], span[1])
-                self._view_cache[span] = view
-            return view
-        return self._replay_located(
-            low, high, low_index, low_pivot, high_index, high_pivot
-        )
+        start = cuts[low_index - 1] if low_index > 0 else 0
+        end = cuts[low_index] if low_index < k else sim.n
+        if high > self._largest:
+            # A top (never a pivot) is the end of the column, as in
+            # select_keys: one cut, at low.
+            pos_low = self._cut(low, low_index, start, end, low_pivot)
+            pos_high = len(self._values)
+        else:
+            high_index = bisect_right(pivots, high)
+            # Same slot: no pivot lies in (low, high], so high is
+            # fresh too.
+            if low_index == high_index and not low_pivot and end > start:
+                self._charge_copy_if_needed()
+                pos_low = self._positions[low]
+                pos_high = self._positions[high]
+                sim.add_crack_at(low_index, low, pos_low)
+                sim.add_crack_at(low_index + 1, high, pos_high)
+                self._acc.charge_crack(end - start, 2)
+                self._tape.log(CrackOrigin.QUERY, 2)
+            else:
+                pos_low = self._cut(low, low_index, start, end, low_pivot)
+                pos_high = self._cut(high, *sim.locate(high))
+        self._done += 1
+        return RangeView(self._values, pos_low, pos_high)
 
     def empty(self) -> RangeView:
         """The answer to a window query whose range is empty: no probe,
         no charge, no tape, and no replay slot (the physical pass never
         saw it)."""
         return RangeView(self._values, 0, 0)
-
-    def _replay_located(
-        self,
-        low: Key,
-        high: Key,
-        low_index: int,
-        low_pivot: bool,
-        high_index: int,
-        high_pivot: bool,
-    ) -> RangeView:
-        """The cracking replay for queries with at least one fresh
-        bound (charges and tape counts replicate sequential
-        :meth:`CrackerIndex.select_keys` exactly)."""
-        sim = self.sim
-        cuts = sim.cuts
-        k = len(sim.pivots)
-        start = cuts[low_index - 1] if low_index > 0 else 0
-        end = cuts[low_index] if low_index < k else sim.n
-        if high > self._largest:
-            # A top (never a pivot, so it always lands here) is the end
-            # of the column, as in select_keys: one cut, at low.
-            pos_low = self._cut(low, low_index, start, end, low_pivot)
-            pos_high = len(self._values)
-        elif (
-            low_index == high_index
-            and not low_pivot
-            and not high_pivot
-            and end > start
-        ):
-            self._charge_copy_if_needed()
-            pos_low = self._positions[low]
-            pos_high = self._positions[high]
-            sim.add_crack_at(low_index, low, pos_low)
-            sim.add_crack_at(low_index + 1, high, pos_high)
-            self._acc.charge_crack(end - start, 2)
-            self._tape.log(CrackOrigin.QUERY, 2)
-        else:
-            pos_low = self._cut(low, low_index, start, end, low_pivot)
-            pos_high = self._cut(high, *sim.locate(high))
-        self._done += 1
-        return RangeView(self._values, pos_low, pos_high)
 
     def refresh_arrays(self) -> None:
         """Capture the index's physical array, view cache and
@@ -270,9 +261,10 @@ class CrackSelectBatch:
         ``[pos_low, pos_high)`` slice, and RangeViews are immutable, so
         identical slices share one view object from a dict on the
         index (:meth:`CrackerIndex.span_views`).  Long-lived
-        (detached) replays re-capture all three per window: views must
-        slice the index's *current* arrays, and a rebuild replaces the
-        piece map.  Replays are still not safe across update merges
+        (detached) replays re-capture all three when a window binds
+        them after the index replaced its array or its piece map:
+        views must slice the index's *current* arrays, and a rebuild
+        replaces the piece map.  Replays are still not safe across update merges
         that shift cut positions -- the shadow map would be stale;
         serving-eligible strategies never merge mid-run (see
         :mod:`repro.serving`).
@@ -288,17 +280,24 @@ class CrackSelectBatch:
         """Verify the replay converged onto the physical state.
 
         Debug/test helper: after a full replay the shadow map must
-        equal the real (already advanced) piece map.
+        equal the real (already advanced) piece map, and its pivot set
+        must hold exactly its pivots.
 
         Raises:
             CrackerError: when the replay and the physical pass
-                disagree -- an accounting bug.
+                disagree, or the shadow's pivot set and list do -- an
+                accounting bug.
         """
+        sim = self.sim
         real = self._index.piece_map
-        if self.sim.pivots != real.pivots() or self.sim.cuts != real.cuts():
+        if sim.pivots != real.pivots() or sim.cuts != real.cuts():
             raise CrackerError(
                 "batched select replay diverged from the physical pass"
             )
+        if len(sim.pivot_set) != len(sim.pivots) or sim.pivot_set != set(
+            sim.pivots
+        ):
+            raise CrackerError("shadow pivot set differs from its pivots")
 
 
 class DetachedCrackReplay(CrackSelectBatch):
@@ -325,7 +324,8 @@ class DetachedCrackReplay(CrackSelectBatch):
     * never converges onto the physical map (``check_consistent`` does
       not apply);
     * persists across windows: re-``bind`` a fresh accountant per
-      window and keep replaying;
+      window (which re-captures the index's arrays if they were
+      replaced) and keep replaying;
     * counts onto its own tape, so each client owns solo-identical
       crack counts;
     * charges its own copy-on-first-touch materialization, like the
@@ -345,7 +345,12 @@ class DetachedCrackReplay(CrackSelectBatch):
         return cls(index, sim, copy_charged=False, expected=0, tape=tape)
 
     def bind(self, accountant) -> None:
-        super().bind(accountant)
-        # Always serve views over the index's current arrays and
-        # piece map (e.g. after a widening or a rebuild).
-        self.refresh_arrays()
+        self._acc = accountant
+        # Serve views over the index's current arrays and piece map: a
+        # widening or a rebuild replaces them.
+        index = self._index
+        if (
+            self._values is not index._array
+            or self._positions is not index._pieces.cut_of
+        ):
+            self.refresh_arrays()

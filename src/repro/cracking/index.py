@@ -492,10 +492,10 @@ class CrackerIndex:
         """Silently crack a window's bounds.
 
         The physical half of a cross-session serving window: the pass
-        of :meth:`begin_select_batch` without a replay context -- per-
-        client :class:`~repro.cracking.batch.DetachedCrackReplay`
-        shadows account for it and read every bound's position from
-        the piece map's ``cut_of``.
+        of :meth:`begin_select_batch` without a replay context.  Each
+        client lane's :class:`~repro.cracking.batch.DetachedCrackReplay`
+        of the column accounts for it in that lane's window loop and
+        reads every bound's position from the piece map's ``cut_of``.
 
         Raises:
             QueryError: if any range is inverted.

@@ -18,7 +18,7 @@ caller hands in.  Two paper-critical accounting rules live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from operator import itemgetter
 from typing import Sequence
 
 from repro.engine.operators import PendingWindow, apply_pending, pending_slots
@@ -31,11 +31,11 @@ from repro.engine.plan import (
 from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
     AdaptiveStrategy,
-    BatchExecution,
     IndexingStrategy,
     OfflineStrategy,
     OnlineStrategy,
     ScanStrategy,
+    WindowSlot,
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
@@ -45,6 +45,10 @@ from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.dtypes import normalise_range
 from repro.storage.views import SelectionResult
+
+
+#: The replay context of a window slot.
+_context = itemgetter(0)
 
 
 @dataclass(slots=True)
@@ -215,13 +219,14 @@ class Session:
 
         The window is grouped by column and planned once per group;
         strategies that support it (standard adaptive cracking, the
-        holistic kernel) execute each group's physical work in one
-        batched pass and *replay* the per-query accounting through
-        :meth:`run_window`, so every query is still accounted on its
-        own and the results, response times, cumulative clock totals
-        and tape counts are identical to calling :meth:`run_query` one
-        query at a time.  Strategies without a batch path, and clocks
-        a :class:`WindowAccountant` cannot price (a wall clock, a
+        holistic kernel) crack each group's fresh bounds in one
+        physical pass and return one replay slot per query
+        (:meth:`~IndexingStrategy.begin_batch`), which :meth:`run_window`
+        replays, so every query is still accounted on its own and the
+        results, response times, cumulative clock totals and tape
+        counts are identical to calling :meth:`run_query` one query at
+        a time.  Strategies without a batch path, and clocks a
+        :class:`WindowAccountant` cannot price (a wall clock, a
         :class:`SimClock` inside a parallel phase), fall back to
         exactly that sequential loop.
         """
@@ -235,46 +240,52 @@ class Session:
         # batch==sequential equivalence for the rest of the session.
         windows = group_by_column(queries, self.db.catalog, self._resolved)
         clock = self.clock
-        execution = None
+        slots = None
         if isinstance(clock, SimClock) and not clock.in_parallel:
-            execution = self.strategy.begin_batch(queries, windows)
-        if execution is None:
+            slots = self.strategy.begin_batch(queries, windows)
+        if slots is None:
             return [self.run_query(query) for query in queries]
         # The probe is built for a window that replays only.
         return self.run_window(
-            queries, execution, pending_slots(windows, len(queries))
+            queries, slots, pending_slots(windows, len(queries))
         )
 
     def run_window(
         self,
         queries: Sequence[RangeQuery],
-        execution: BatchExecution,
+        slots: Sequence[WindowSlot],
         pending: Sequence[tuple[PendingWindow, int] | None],
     ) -> list[SelectionResult]:
-        """The window loop: replay ``execution`` query by query.
+        """The window loop, for session windows and served client
+        lanes alike: replay query ``i`` on ``slots[i]``.
 
-        ``execution`` did the window's physical work (a strategy's
-        :meth:`~IndexingStrategy.begin_batch`, or a serving lane's
-        replays over the shared index) and owns each query's whole
-        charge stream, ``CostCharge(queries=1)`` overhead included;
+        A slot is a replay context and the query's normalised bounds
+        (a strategy's :meth:`~IndexingStrategy.begin_batch`, or a
+        serving lane's replays over the shared index, did the window's
+        physical work); the context's ``replay_query`` owns the query's
+        whole charge stream, ``CostCharge(queries=1)`` overhead
+        included, and an empty range costs that overhead alone.
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
         The session's one :class:`WindowAccountant` prices every
         charge inline (same arithmetic, same left-fold order as
         per-event clock charges, so all timestamps stay bit-identical)
         and settles time plus work counters on this session's clock
-        once at window end.  A replay that raises settles too: the
-        clock, the report's totals and records before it and the
-        strategy's notes are what sequential :meth:`run_query` calls
-        failing at that query leave.  Cracks the physical pass made for
-        fresh bounds of later queries stay in the index uncharged.
+        once at window end, where the strategy notes the replayed
+        reads (:meth:`~IndexingStrategy.note_window`).  A replay that
+        raises settles too: the clock, the report's totals and records
+        before it and the strategy's notes (the failed read included)
+        are what sequential :meth:`run_query` calls failing at that
+        query leave.  Cracks the physical pass made for fresh bounds of
+        later queries stay in the index uncharged.
         """
         accountant = self._accountant
         if accountant is None:
             accountant = self._accountant = WindowAccountant(self.clock)
         else:
             accountant.rearm()
-        execution.bind(accountant)
-        replay = execution.replay
+        # One bind a context; map and itemgetter add no frame a slot.
+        for context in dict.fromkeys(map(_context, slots)):
+            context.bind(accountant)
         report = self.report
         records = report.records
         results: list[SelectionResult] = []
@@ -283,14 +294,19 @@ class Session:
         # Blocking-idle debt is waiting time of the window's first
         # query only (and still owed if that query fails).
         owed = wait = self._pending_wait_s
-        count = report.query_count
+        first = count = report.query_count
         cumulative = report.total_response_s
         rows = report.result_rows
         try:
-            for i, query in enumerate(queries):
+            for query, (context, bounds), slotted in zip(
+                queries, slots, pending
+            ):
                 started = accountant.now
-                result = replay(i, query)
-                slotted = pending[i]
+                if bounds is None:
+                    accountant.charge_query()
+                    result = context.empty()
+                else:
+                    result = context.replay_query(*bounds)
                 if slotted is not None:
                     result = slotted[0].apply(slotted[1], result, accountant)
                 finished = accountant.now
@@ -316,7 +332,8 @@ class Session:
             report.total_response_s = cumulative
             report.result_rows = rows
             accountant.finish()
-            execution.finish()
+            # The replayed reads, and the one that raised if any.
+            self.strategy.note_window(queries[: count - first + 1])
         return results
 
     def explain(

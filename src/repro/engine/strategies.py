@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Protocol, Sequence
+from typing import Any, Sequence
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
@@ -59,35 +58,10 @@ class IdleOutcome:
     note: str = ""
 
 
-class BatchExecution(Protocol):
-    """A strategy's shared-work plan for one window of queries.
-
-    The session's window loop (:meth:`Session.run_window`) drives it
-    one query at a time, in window order: each
-    :meth:`replay` call must emit exactly the clock charges (and tape
-    counts, where applicable) that a sequential ``select`` of that
-    query would have produced at that point, so per-query accounting
-    survives batching bit-for-bit.  :meth:`finish` flushes deferred
-    bookkeeping (monitor/ranking updates) once the window is done.
-    """
-
-    def bind(self, accountant) -> None:
-        """Route the window's charges through the session's accountant
-        (see :mod:`repro.simtime.accounting`)."""
-        ...
-
-    def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        """Account for the ``slot``-th window query; return its result.
-
-        Owns the query's whole charge stream, starting with the
-        ``CostCharge(queries=1)`` per-query overhead the sequential
-        session loop charges before dispatching to the strategy.
-        """
-        ...
-
-    def finish(self) -> None:
-        """Flush deferred end-of-window bookkeeping."""
-        ...
+#: One read of a replayed window: its column's crack replay context and
+#: its bounds normalised into the column's domain (``None`` for a range
+#: no value can lie in).
+WindowSlot = tuple[Any, tuple[Key, Key] | None]
 
 
 class IndexingStrategy(ABC):
@@ -127,15 +101,22 @@ class IndexingStrategy(ABC):
         self,
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
-    ) -> BatchExecution | None:
+    ) -> list[WindowSlot] | None:
         """Start a shared-work execution of a query window.
 
-        Strategies that can amortize a window return a
-        :class:`BatchExecution`; the default ``None`` tells the
-        session to fall back to sequential ``run`` calls (which is
+        Strategies that can amortize a window do its physical work now
+        and return one ``(replay context, normalised bounds)`` slot per
+        query for the session's window loop
+        (:meth:`~repro.engine.session.Session.run_window`); the default
+        ``None`` tells the session to fall back to sequential
+        :meth:`~repro.engine.session.Session.run_query` calls (which is
         always semantically equivalent).
         """
         return None
+
+    def note_window(self, queries: Sequence[RangeQuery]) -> None:
+        """Bookkeeping for the reads a window loop replayed, once at
+        the window's end (default: none)."""
 
     @abstractmethod
     def features(self) -> StrategyFeatures:
@@ -155,69 +136,6 @@ class IndexingStrategy(ABC):
     ) -> IdleOutcome:
         """Use an idle window (default: cannot exploit idle time)."""
         return IdleOutcome(note="idle time not exploitable")
-
-
-#: The crack replay context of a slot.
-_context = itemgetter(0)
-
-
-class CrackerBatchExecution:
-    """Shared cracking for a window over plain cracker indexes.
-
-    Built from one ``(crack replay context, normalised bounds)`` pair
-    per query -- a :meth:`CrackerIndex.begin_select_batch` context for
-    one session's window (see :meth:`AdaptiveStrategy.begin_batch`),
-    or a served client's
-    :class:`~repro.cracking.batch.DetachedCrackReplay` -- each query's
-    replay emitting the sequential charge/tape stream on its column's
-    context (see :mod:`repro.cracking.batch`).
-
-    With a ``kernel`` (a strategy with a ``monitor`` and a
-    ``ranking``), the replayed queries are counted per column, a query
-    whose replay raises included, and :meth:`finish` hands each count
-    to one :meth:`WorkloadMonitor.note_many` and one
-    :meth:`ColumnRanking.note_queries` call.  Nothing reads them
-    mid-window, so the deferred counts are indistinguishable from
-    sequential updates.
-    """
-
-    __slots__ = ("_slots", "_acc", "_kernel", "_counts")
-
-    def __init__(self, slots: list, kernel=None) -> None:
-        self._slots = slots
-        self._acc = None
-        self._kernel = kernel
-        #: Per context (column), in first-replay order: the column's
-        #: ref and its replayed queries.
-        self._counts: dict = {}
-
-    def bind(self, accountant) -> None:
-        self._acc = accountant
-        # One bind a context; map and itemgetter add no frame a slot.
-        for context in dict.fromkeys(map(_context, self._slots)):
-            context.bind(accountant)
-
-    def replay(self, slot: int, query: RangeQuery) -> SelectionResult:
-        context, bounds = self._slots[slot]
-        if self._kernel is not None:
-            counted = self._counts.get(context)
-            if counted is None:
-                counted = self._counts[context] = [query.ref, 0]
-            counted[1] += 1
-        if bounds is None:
-            # An empty range: the per-query overhead alone.
-            self._acc.charge_query()
-            return context.empty()
-        return context.replay_query(*bounds)
-
-    def finish(self) -> None:
-        if self._kernel is None:
-            return
-        monitor = self._kernel.monitor
-        ranking = self._kernel.ranking
-        for ref, count in self._counts.values():
-            monitor.note_many(ref, count)
-            ranking.note_queries(ref, count)
 
 
 class ScanStrategy(IndexingStrategy):
@@ -323,9 +241,11 @@ class AdaptiveStrategy(IndexingStrategy):
         self,
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
-    ) -> BatchExecution | None:
+    ) -> list[WindowSlot] | None:
         """Shared cracking, one physical pass per column; ``standard``
-        cracking only.
+        cracking only.  Query ``i``'s slot is its column's
+        :class:`~repro.cracking.batch.CrackSelectBatch` and its
+        normalised bounds.
 
         Stochastic variants keep their own per-query refinement
         decisions (random auxiliary cracks) that depend on execution
@@ -340,13 +260,7 @@ class AdaptiveStrategy(IndexingStrategy):
             )
             for i, bounds in zip(window.indices, window.bounds):
                 slots[i] = (context, bounds)
-        return self.batch_execution(slots)
-
-    def batch_execution(self, slots: list) -> BatchExecution:
-        """The window execution replaying query ``i`` of a window on
-        ``slots[i]``, its column's crack replay context and its
-        normalised bounds (see :class:`CrackerBatchExecution`)."""
-        return CrackerBatchExecution(slots)
+        return slots
 
     def access_path(self, query: RangeQuery) -> AccessPath:
         return AccessPath.CRACKER

@@ -32,10 +32,9 @@ from repro.engine.plan import ColumnWindow
 from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
     AdaptiveStrategy,
-    BatchExecution,
-    CrackerBatchExecution,
     IdleOutcome,
     StrategyFeatures,
+    WindowSlot,
 )
 from repro.errors import ConfigError
 from repro.holistic.policies import TuningPolicy, make_policy
@@ -216,7 +215,7 @@ class HolisticKernel(AdaptiveStrategy):
         self,
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
-    ) -> BatchExecution | None:
+    ) -> list[WindowSlot] | None:
         """Adaptive cracking's window, or ``None`` -- the sequential
         path, through piece latches -- while tuning workers race."""
         # Not inherited: perfbench/layers.py wraps it by name.
@@ -224,10 +223,21 @@ class HolisticKernel(AdaptiveStrategy):
             return None
         return super().begin_batch(queries, windows)
 
-    def batch_execution(self, slots: list) -> BatchExecution:
-        """Adaptive cracking's window execution, the kernel's query
-        counts deferred to the window's end."""
-        return CrackerBatchExecution(slots, self)
+    def note_window(self, queries: Sequence[RangeQuery]) -> None:
+        """Count a window's replayed reads: one
+        :meth:`WorkloadMonitor.note_many` and one
+        :meth:`ColumnRanking.note_queries` call a column, in order of
+        first appearance.  Nothing reads the counts mid-window, so the
+        deferred counts are indistinguishable from sequential ones."""
+        counts: dict[ColumnRef, int] = {}
+        for query in queries:
+            ref = query.ref
+            counts[ref] = counts.get(ref, 0) + 1
+        monitor = self.monitor
+        ranking = self.ranking
+        for ref, count in counts.items():
+            monitor.note_many(ref, count)
+            ranking.note_queries(ref, count)
 
     def exploit_idle(
         self,

@@ -1,16 +1,18 @@
 """The concurrent multi-client serving front-end (ISSUE 5).
 
 N clients submit range queries against **one** shared kernel; a window
-former coalesces their in-flight queries into cross-session windows;
-each window cracks, in one silent physical pass per column
-(:meth:`CrackerIndex.crack_bounds_batch`), the ranges with a bound
-that is not yet a cut of the shared index -- a converged window has
-none and skips the pass -- and then replays every
-client's accounting on that client's own *lane* -- a
-:class:`~repro.engine.session.Session` on a private
-:class:`~repro.simtime.clock.SimClock` fork, replaying through the
-strategy's own batch execution over a detached shadow replay per
-column (:class:`~repro.cracking.batch.DetachedCrackReplay`).
+former coalesces their in-flight queries into cross-session windows.
+One pass over a window validates its entries and deals them to their
+clients' *lanes*; each column's ranges with a bound that is not yet a
+cut of the shared index are cracked in one silent physical pass
+(:meth:`CrackerIndex.crack_bounds_batch`) -- a converged window has
+none and skips it -- and then every lane replays its share through
+the one window loop, :meth:`~repro.engine.session.Session.run_window`.
+A lane is a :class:`~repro.engine.session.Session` on a private
+:class:`~repro.simtime.clock.SimClock` fork whose replay slots are its
+own shadow replay per column
+(:class:`~repro.cracking.batch.DetachedCrackReplay`), so a converged
+read is priced in one step there, as in a session window.
 
 The core invariant, the multi-tenant generalization of ISSUE 4's
 batch==sequential guarantee:
@@ -49,9 +51,10 @@ import numpy as np
 
 from repro import faults
 from repro.cracking.batch import DetachedCrackReplay
+from repro.cracking.index import CrackerIndex
 from repro.cracking.tape import CrackTape
 from repro.engine.operators import pending_slots
-from repro.engine.plan import Resolved, group_by_column
+from repro.engine.plan import ColumnWindow, Resolved, group_by_column
 from repro.engine.query import RangeQuery
 from repro.engine.session import Session, SessionReport
 from repro.engine.strategies import AdaptiveStrategy, IndexingStrategy
@@ -76,8 +79,9 @@ class ClientLane(Session):
     if a sink is handed in) and clock, a lane owns its solo-trajectory
     shadow replays (one per column, created on first touch) and its
     crack tape -- everything a solo session would have produced, kept
-    bit-identical under serving.  The front-end drives it window by window through
-    :meth:`Session.run_window`.
+    bit-identical under serving.  The front-end deals each window's
+    reads to their lanes, one ``(replay, bounds)`` slot a read, and
+    runs every lane's share through :meth:`Session.run_window`.
     """
 
     def __init__(
@@ -103,18 +107,30 @@ class ClientLane(Session):
 
 class _ServedReplay(DetachedCrackReplay):
     """A client's column replay behind the ``serving.replay`` fault
-    ladder: a failed replay is retried once solo, and if the retry
-    also blows up the query is answered by a base-column scan.  Either
-    way the incident is recorded as a :class:`ClientFault` and only
-    this client's accounting can deviate -- the injected trip fires
-    *before* the replay touches any state, so healthy clients (and the
-    clean path) stay bit-identical to solo."""
+    ladder, tripped once per served read, converged or not: a failed
+    read is retried once solo -- a failed bisect replay alone, its
+    overhead already charged -- and if the retry also blows up the
+    query is answered by a base-column scan.  Either way the incident
+    is recorded as a :class:`ClientFault` and only this client's
+    accounting can deviate -- the injected trip fires *before* the
+    replay touches any state, so healthy clients (and the clean path)
+    stay bit-identical to solo."""
 
     __slots__ = ("_frontend", "_client", "_ref")
 
-    def replay(self, low: Key, high: Key) -> SelectionResult:
+    def replay_query(self, low: Key, high: Key) -> SelectionResult:
         try:
             faults.trip("serving.replay")
+            return DetachedCrackReplay.replay_query(self, low, high)
+        except Exception as exc:
+            return self._recover(
+                DetachedCrackReplay.replay_query, low, high, exc
+            )
+
+    def replay(self, low: Key, high: Key) -> SelectionResult:
+        # A read with a fresh bound, its overhead already charged: a
+        # failure here retries the bisect replay alone.
+        try:
             return DetachedCrackReplay.replay(self, low, high)
         except Exception as exc:
             return self._recover(DetachedCrackReplay.replay, low, high, exc)
@@ -125,8 +141,12 @@ class _ServedReplay(DetachedCrackReplay):
             result = replay(self, low, high)
             action = "retried_solo"
         except Exception as exc:
-            # The last resort bypasses the index entirely; pending
-            # updates are merged by the caller as for a crack result.
+            # The last resort bypasses the index entirely and costs the
+            # per-query overhead alone (replay_query charged it before a
+            # bisect replay); pending updates are merged by the caller
+            # as for a crack result.
+            if replay is DetachedCrackReplay.replay_query:
+                self._acc.charge_query()
             values = self._frontend.db.catalog.column(self._ref).values
             mask = (values >= low) & (values < high)
             result = PositionsView(values, np.flatnonzero(mask))
@@ -145,6 +165,21 @@ class _ServedReplay(DetachedCrackReplay):
             "serving.replay", f"client {self._client!r}: {action}"
         )
         return result
+
+
+class _Deal:
+    """One lane's share of a window: its reads in window order, their
+    positions in the window, and the replay and pending-update slots
+    the lane's window loop runs them on."""
+
+    __slots__ = ("lane", "queries", "positions", "slots", "pending")
+
+    def __init__(self, lane: ClientLane) -> None:
+        self.lane = lane
+        self.queries: list[RangeQuery] = []
+        self.positions: list[int] = []
+        self.slots: list = []
+        self.pending: list = []
 
 
 @dataclass(slots=True)
@@ -289,10 +324,11 @@ class ServingFrontend:
     ) -> list[SelectionResult]:
         """Execute one formed window; results align with ``entries``.
 
-        One silent physical pass per column cracks the union of every
-        client's bounds not cut yet (under the columns' table latches
-        while tuning workers race), then each client's slice of the
-        window replays on its own lane in stream order.
+        One pass validates the window and deals its reads to their
+        lanes.  One silent physical pass per column then cracks the
+        union of every client's bounds not cut yet (under the columns'
+        table latches while tuning workers race), and each client's
+        share replays on its own lane in stream order.
 
         Degraded mode: a malformed entry (inverted range smuggled past
         :class:`RangeQuery` validation) is rejected *per entry* -- it
@@ -306,131 +342,129 @@ class ServingFrontend:
         """
         if not entries:
             return []
-        for entry in entries:
-            if entry.client not in self.lanes:
-                raise ConfigError(
-                    f"window entry from unknown client {entry.client!r}"
-                )
-        results: list[SelectionResult | None] = [None] * len(entries)
-        live: list[int] = []
+        lanes = self.lanes
+        deals: dict[str, _Deal] = {}
+        queries: list[RangeQuery] = []
+        owners: list[_Deal] = []
+        rejected: list[int] = []
         for i, entry in enumerate(entries):
+            client = entry.client
+            deal = deals.get(client)
+            if deal is None and client not in lanes:
+                raise ConfigError(
+                    f"window entry from unknown client {client!r}"
+                )
             query = entry.query
             if query.low > query.high:
-                column = self.db.catalog.column(query.ref)
-                self.faults.append(
-                    ClientFault(
-                        client=entry.client,
-                        query=query,
-                        kind="malformed",
-                        action="rejected",
-                        error=(
-                            f"range inverted: low={query.low} > "
-                            f"high={query.high}"
-                        ),
-                    )
-                )
-                results[i] = MaterializedResult(
-                    np.empty(0, dtype=column.values.dtype)
-                )
-            else:
-                live.append(i)
-        if live:
-            served = self._serve_entries([entries[i] for i in live])
-            for slot, result in zip(live, served):
-                results[slot] = result
+                rejected.append(i)
+                continue
+            if deal is None:
+                deal = deals[client] = _Deal(lanes[client])
+            deal.queries.append(query)
+            deal.positions.append(i)
+            queries.append(query)
+            owners.append(deal)
+        results: list[SelectionResult | None] = [None] * len(entries)
+        for i in rejected:
+            results[i] = self._reject(entries[i])
+        if queries:
+            self._serve_reads(queries, owners, deals, results)
         self.windows_served += 1
         return results  # type: ignore[return-value]
 
-    def _serve_entries(
-        self, entries: list[WindowEntry]
-    ) -> list[SelectionResult]:
-        """The physical pass + per-lane replay of a window's valid
-        entries."""
-        queries = [entry.query for entry in entries]
+    def _reject(self, entry: WindowEntry) -> SelectionResult:
+        """A malformed entry's fault and empty answer."""
+        query = entry.query
+        self.faults.append(
+            ClientFault(
+                client=entry.client,
+                query=query,
+                kind="malformed",
+                action="rejected",
+                error=f"range inverted: low={query.low} > high={query.high}",
+            )
+        )
+        column = self.db.catalog.column(query.ref)
+        return MaterializedResult(np.empty(0, dtype=column.values.dtype))
+
+    def _serve_reads(
+        self,
+        queries: list[RangeQuery],
+        owners: list[_Deal],
+        deals: dict[str, _Deal],
+        results: list,
+    ) -> None:
+        """Plan a window's valid reads (``owners[i]`` dealt read
+        ``i``), then crack and replay them, under the columns' table
+        latches while tuning workers race."""
         # Resolves every column before the first crack: an unknown
         # column must fail with the shared index untouched.
         windows = group_by_column(queries, self.db.catalog, self._resolved)
-        bounds: list = [None] * len(entries)
+        indexes: dict[ColumnRef, CrackerIndex] = {}
         for window in windows:
-            for i, pair in zip(window.indices, window.bounds):
-                bounds[i] = pair
+            indexes[window.ref] = self.strategy.index_for(window.ref)
         pool = getattr(self.strategy, "worker_pool", None)
-        if pool is not None and not pool.is_running:
-            pool = None
+        if pool is None or not pool.is_running:
+            self._replay_reads(windows, indexes, owners, deals, results)
+            return
+        # Workers are racing: exclude them from every one of this
+        # window's columns for the whole window, so their cracks land
+        # between windows, never mid-replay.  The table latches stack
+        # in sorted column order -- the deterministic order the latch
+        # witness enforces.
         with ExitStack() as latches:
-            indexes = {
-                window.ref: self.strategy.index_for(window.ref)
-                for window in windows
-            }
-            if pool is not None:
-                # Workers are racing: exclude them from every one of
-                # this window's columns for the whole window, so their
-                # cracks land between windows, never mid-replay.  The
-                # table latches stack in sorted column order -- the
-                # deterministic order the latch witness enforces.
-                for ref in sorted(indexes):
-                    access = pool.register_index(ref, indexes[ref])
-                    latches.enter_context(access.exclusive())
-            for window in windows:
-                index = indexes[window.ref]
-                # A range whose bounds are all cuts of the index's
-                # current piece map (a top is never one) needs no pass;
-                # each lane's replays read every position there.
-                cut_of = index.piece_map.cut_of
-                top = window.top
-                unknown = [
-                    (low, high)
-                    for low, high in window.ranges
-                    if low not in cut_of
-                    or (high <= top and high not in cut_of)
-                ]
-                if unknown:
-                    index.crack_bounds_batch(unknown)
-            # One pending-updates consultation per column, shared by
-            # every client; each lane's overlays charge its own clock.
-            pending = pending_slots(windows, len(entries))
-            by_client: dict[str, list[int]] = {}
-            for i, entry in enumerate(entries):
-                by_client.setdefault(entry.client, []).append(i)
-            results: list[SelectionResult | None] = [None] * len(entries)
-            for name, slots in by_client.items():
-                served = self._serve_lane(
-                    name,
-                    [queries[i] for i in slots],
-                    [bounds[i] for i in slots],
-                    [pending[i] for i in slots],
-                    indexes,
-                )
-                for i, result in zip(slots, served):
-                    results[i] = result
-        return results  # type: ignore[return-value]
+            for ref in sorted(indexes):
+                access = pool.register_index(ref, indexes[ref])
+                latches.enter_context(access.exclusive())
+            self._replay_reads(windows, indexes, owners, deals, results)
 
-    def _serve_lane(
+    def _replay_reads(
         self,
-        name: str,
-        queries: list[RangeQuery],
-        bounds: list,
-        overlays: list,
-        indexes: dict[ColumnRef, object],
-    ) -> list[SelectionResult]:
-        """Replay one client's share of the window on its lane: the
-        strategy's batch execution over the lane's replay of each
-        query's column (created on the client's first touch of it,
-        from the virgin column state), through the lane's window
-        loop."""
-        lane = self.lanes[name]
-        replays = lane.replays
-        slots = []
-        for query, pair in zip(queries, bounds):
-            ref = query.ref
-            replay = replays.get(ref)
-            if replay is None:
-                replay = replays[ref] = _ServedReplay.solo(
-                    indexes[ref], lane.tape
-                )
-                replay._frontend = self
-                replay._client = name
-                replay._ref = ref
-            slots.append((replay, pair))
-        execution = self.strategy.batch_execution(slots)
-        return lane.run_window(queries, execution, overlays)
+        windows: list[ColumnWindow],
+        indexes: dict[ColumnRef, CrackerIndex],
+        owners: list[_Deal],
+        deals: dict[str, _Deal],
+        results: list,
+    ) -> None:
+        """The physical pass and every lane's replay of a planned
+        window.  A read's slot is its lane's replay of its column
+        (created on the client's first touch of it, from the virgin
+        column state) and its normalised bounds."""
+        for window in windows:
+            # A range whose bounds are all cuts of the index's current
+            # piece map (a top is never one) needs no pass; each lane's
+            # replays read every position there.
+            cut_of = indexes[window.ref].piece_map.cut_of
+            top = window.top
+            unknown = []
+            for low, high in window.ranges:
+                if low not in cut_of or (high <= top and high not in cut_of):
+                    unknown.append((low, high))
+            if unknown:
+                indexes[window.ref].crack_bounds_batch(unknown)
+        # One pending-updates consultation per column, shared by every
+        # client; each lane's overlays charge its own clock.
+        pending = pending_slots(windows, len(owners))
+        slots: list = [None] * len(owners)
+        for window in windows:
+            ref = window.ref
+            for i, bounds in zip(window.indices, window.bounds):
+                lane = owners[i].lane
+                replay = lane.replays.get(ref)
+                if replay is None:
+                    replay = lane.replays[ref] = _ServedReplay.solo(
+                        indexes[ref], lane.tape
+                    )
+                    replay._frontend = self
+                    replay._client = lane.client
+                    replay._ref = ref
+                slots[i] = (replay, bounds)
+        for deal, slot, slotted in zip(owners, slots, pending):
+            deal.slots.append(slot)
+            deal.pending.append(slotted)
+        for deal in deals.values():
+            served = deal.lane.run_window(
+                deal.queries, deal.slots, deal.pending
+            )
+            for i, result in zip(deal.positions, served):
+                results[i] = result

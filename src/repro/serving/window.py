@@ -36,6 +36,9 @@ class WindowEntry(NamedTuple):
     query: RangeQuery
 
 
+_new_entry = tuple.__new__
+
+
 class CrossSessionWindowFormer:
     """Closed-loop former: round-robin, up to ``depth`` per client.
 
@@ -72,17 +75,22 @@ class CrossSessionWindowFormer:
                 start = clients.index(self._resume_from)
             entries: list[WindowEntry] = []
             last_served: str | None = None
+            append = entries.append
             for offset in range(len(clients)):
                 client = clients[(start + offset) % len(clients)]
                 queue = self._queues[client]
                 take = min(self.depth, len(queue))
-                if take > 0:
-                    last_served = client
-                for _ in range(take):
-                    sequence = self._taken[client]
-                    self._taken[client] = sequence + 1
-                    entries.append(
-                        WindowEntry(client, sequence, queue.popleft())
+                if take == 0:
+                    continue
+                last_served = client
+                first = self._taken[client]
+                self._taken[client] = first + take
+                popleft = queue.popleft
+                for sequence in range(first, first + take):
+                    # tuple.__new__ builds the named tuple without its
+                    # Python-level __new__.
+                    append(
+                        _new_entry(WindowEntry, (client, sequence, popleft()))
                     )
             if last_served is not None:
                 index = clients.index(last_served)

@@ -121,9 +121,10 @@ class WindowAccountant:
     def charge_binary_pair(self, n: int) -> None:
         """Two consecutive ``for_binary_search(n)`` charges in one call.
 
-        The both-bounds-already-pivots fast path of a batched select:
-        one method dispatch, two identical left-fold advances (the
-        priced seconds are computed once -- both events are equal).
+        One method dispatch, two identical left-fold advances (the
+        priced seconds are computed once -- both events are equal).  A
+        converged window read is priced by :meth:`charge_warm_select`
+        instead, which folds the per-query overhead in too.
         """
         steps = max(1, int(n).bit_length())
         seconds = self._binary_cost(steps)
@@ -142,7 +143,9 @@ class WindowAccountant:
         now = self.now + self._query_seconds
         self._queries += 1
         steps = max(1, int(n).bit_length())
-        seconds = self._binary_cost(steps)
+        seconds = self._binary_seconds.get(steps)
+        if seconds is None:
+            seconds = self._binary_cost(steps)
         now += seconds
         self.now = now + seconds
         self._comparisons += 2 * steps

@@ -267,6 +267,19 @@ def test_warm_view_cache_shares_objects_and_survives_windows():
     assert again.replay_query(100, 700) is second
 
 
+def test_consistency_check_covers_the_shadow_pivot_set():
+    """A converged read is decided by the shadow's pivot set, so the
+    replay's consistency check holds it to the pivot list too."""
+    _, batched = _pair(rows=1000, seed=9)
+    context, _ = _begin(batched, [(100, 700), (100, 700)])
+    context.replay_query(100, 700)
+    context.replay_query(100, 700)
+    context.check_consistent()
+    context.sim.pivot_set.add(400)
+    with pytest.raises(CrackerError, match="pivot set"):
+        context.check_consistent()
+
+
 def test_crack_spans_batch_matches_crack_in_three():
     rng = np.random.default_rng(11)
     base = rng.integers(0, 10_000, size=6000).astype(np.int64)

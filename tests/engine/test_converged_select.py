@@ -7,18 +7,19 @@ must tally what a virtual-clock one prices.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
 from repro.config import TINY
 from repro.engine.query import RangeQuery
+from repro.engine.session import make_strategy
+from repro.serving import ServingFrontend
 from repro.simtime.clock import SimClock, WallClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
 from repro.storage.views import PendingOverlay
+from tests.callcount import count_calls
 
 #: Python-level calls of one converged ``Session.run_query`` per
 #: strategy, the column's delta store empty.  The holistic kernel adds
@@ -28,7 +29,13 @@ CONVERGED_CALLS = {"holistic": 19, "adaptive": 17}
 #: Python-level calls of one converged holistic ``Session.run_batch``
 #: with pending rows in every range, by (reads, columns): the window
 #: plans each column once and replays each read.
-WINDOW_CALLS = {(1, 1): 42, (4, 2): 91}
+WINDOW_CALLS = {(1, 1): 35, (4, 2): 72}
+
+#: Python-level calls of one converged served window on the holistic
+#: kernel, by (reads, clients): the front-end deals the window to the
+#: clients' lanes in one pass, and each lane replays its share through
+#: the session window loop.
+SERVED_CALLS = {(32, 4): 297, (4, 1): 49}
 
 
 def _grid(columns=("A1", "A2"), points=24) -> list[RangeQuery]:
@@ -48,23 +55,6 @@ def _session(clock, strategy="holistic"):
     return db.session(strategy)
 
 
-def _calls(function, *args) -> int:
-    """Python-level calls made by ``function(*args)``, itself included."""
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call":
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        function(*args)
-    finally:
-        sys.setprofile(None)
-    return count
-
-
 @pytest.mark.parametrize("strategy", ["holistic", "adaptive"])
 def test_converged_select_cost_is_bounded(strategy):
     """A structural cost guard: once every grid bound is a cut, a
@@ -77,7 +67,9 @@ def test_converged_select_cost_is_bounded(strategy):
         session.run_query(query)
     index = session.strategy.index_for(ColumnRef("R", "A1"))
     cracks = index.crack_count
-    counts = [_calls(session.run_query, query) for query in _grid()]
+    counts = [
+        count_calls(session.run_query, query)[0] for query in _grid()
+    ]
     assert index.crack_count == cracks
     assert max(counts) <= CONVERGED_CALLS[strategy]
     assert len(set(counts)) == 1
@@ -119,7 +111,7 @@ def test_converged_window_cost_is_bounded():
             assert all(
                 isinstance(r, PendingOverlay) for r in results
             ), "every range holds pending rows"
-        calls = _calls(batched.run_batch, window)
+        calls, _ = count_calls(batched.run_batch, window)
         sequential_now = sequential.clock.now()
         for query in window:
             sequential.run_query(query)
@@ -131,6 +123,72 @@ def test_converged_window_cost_is_bounded():
             == sequential.report.total_response_s
         )
         assert batched.clock.total_charge == sequential.clock.total_charge
+
+
+def _share(client: int, clients: int, reads: int) -> list[RangeQuery]:
+    """Client ``client``'s share of a converged window: ``reads``
+    distinct grid ranges over both columns, disjoint from the other
+    clients' shares."""
+    grid = _grid()
+    return [
+        grid[(client + clients * k) * 7 % len(grid)] for k in range(reads)
+    ]
+
+
+@pytest.mark.parametrize("shape", sorted(SERVED_CALLS))
+def test_converged_served_window_cost_is_bounded(shape):
+    """A structural cost guard for a converged served window of
+    ``reads`` reads from ``clients`` clients, every bound already in
+    each client's shadow map: each client's reads are answered and
+    priced exactly as its own ``run_query`` calls, and the window makes
+    no more calls than those clients' shares run as session windows."""
+    reads, clients = shape
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.add_table(build_paper_table(rows=10_000, columns=2, seed=5))
+    frontend = ServingFrontend(db, make_strategy("holistic", db))
+    sequential = [
+        _session(SimClock(TINY.cost_model())) for _ in range(clients)
+    ]
+    windowed = [
+        _session(SimClock(TINY.cost_model())) for _ in range(clients)
+    ]
+    # Twice over the grid: the second pass replays only converged
+    # reads, so every price and view a converged read needs is cached.
+    warm = _grid() + _grid()
+    for client in range(clients):
+        frontend.add_client(f"c{client}", warm)
+        for session in (sequential[client], windowed[client]):
+            for query in warm:
+                session.run_query(query)
+    frontend.run()
+    shares = [_share(client, clients, reads // clients) for client in range(clients)]
+    for client, share in enumerate(shares):
+        frontend.submit(f"c{client}", share)
+    entries = frontend.former.next_window()
+    assert len(entries) == reads
+    calls, results = count_calls(frontend.serve_window, entries)
+    window_calls = 0
+    for client, share in enumerate(shares):
+        lane = frontend.lanes[f"c{client}"]
+        session = sequential[client]
+        expected = [session.run_query(query) for query in share]
+        served = [
+            result
+            for entry, result in zip(entries, results)
+            if entry.client == f"c{client}"
+        ]
+        assert [r.count for r in served] == [r.count for r in expected]
+        assert [sorted(r.values().tolist()) for r in served] == [
+            sorted(r.values().tolist()) for r in expected
+        ]
+        assert lane.clock.now() == session.clock.now()
+        assert lane.clock.total_charge == session.clock.total_charge
+        assert (
+            lane.report.total_response_s == session.report.total_response_s
+        )
+        window_calls += count_calls(windowed[client].run_batch, share)[0]
+    assert calls <= SERVED_CALLS[shape], (shape, calls)
+    assert calls <= window_calls, (calls, window_calls)
 
 
 def test_wall_clock_session_tallies_what_a_sim_clock_prices():

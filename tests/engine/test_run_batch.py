@@ -537,7 +537,11 @@ def test_replay_raising_mid_window_settles_like_sequential(
 ):
     """A window whose third replay raises leaves the clock, records,
     cumulative total, monitor and ranking exactly as a sequential
-    session failing at the same query -- and so does the next query."""
+    session failing at the same query -- and so does the next query.
+
+    The window is converged, so every read is priced in one step inside
+    ``replay_query``; the injected failure raises there, once the read
+    is priced, and the sequential one once its select is priced."""
     from repro.cracking.batch import CrackSelectBatch
     from repro.cracking.index import CrackerIndex
 
@@ -551,13 +555,14 @@ def test_replay_raising_mid_window_settles_like_sequential(
 
         def failing(self, *args):
             calls.append(args)
+            result = method(self, *args)
             if len(calls) == 3:
                 raise RuntimeError("injected replay failure")
-            return method(self, *args)
+            return result
 
         monkeypatch.setattr(cls, name, failing)
 
-    fail_third(CrackSelectBatch, "replay")
+    fail_third(CrackSelectBatch, "replay_query")
     with pytest.raises(RuntimeError):
         session.run_batch(window)
     monkeypatch.undo()

@@ -20,6 +20,7 @@ from repro.engine.session import make_strategy
 from repro.faults import FaultPlan, engaged
 from repro.serving import ServingFrontend
 from repro.storage.catalog import ColumnRef
+from repro.storage.dtypes import normalise_range
 from repro.serving.window import WindowEntry
 from tests.conftest import ground_truth_count
 from tests.conftest import recorded
@@ -203,3 +204,109 @@ def test_genuine_replay_errors_are_not_credited_as_recovered(monkeypatch):
     assert plan.summary()["recovered"] == 0
     for query, result in zip(queries, collected["a"]):
         assert result.count == ground_truth_count(column, query.low, query.high)
+    # The retry replays the failed bisect replay alone: the read's
+    # per-query overhead is charged once.
+    assert frontend.lanes["a"].clock.total_charge.queries == len(queries)
+
+
+# -- converged served reads ----------------------------------------------
+
+
+def _converged_rounds(plan: FaultPlan):
+    """Serve ``good`` and ``victim`` their streams once, then the same
+    streams again with ``plan`` engaged.  Every non-empty read of the
+    second round is converged -- both bounds already pivots of its
+    lane's shadow map -- so the ladder trips on the one-step path.
+
+    Returns the database, the front-end, both streams and both rounds'
+    results per client.  The victim's stream holds one empty range,
+    which no replay serves."""
+    streams = {
+        "good": _queries(6),
+        "victim": [*_queries(5, low=3e6), RangeQuery(REF, 4e6, 4e6)],
+    }
+    db = fresh_db()
+    frontend = _frontend(db)
+    for name, stream in streams.items():
+        recorded(frontend.add_client(name, stream))
+    first = _serve_collecting(frontend)
+    dtype = db.column("R", "A1").values.dtype
+    for name, stream in streams.items():
+        frontend.submit(name, stream)
+        pivots = frontend.lanes[name].replays[REF].sim.pivot_set
+        for query in stream:
+            bounds = normalise_range(dtype, query.low, query.high)
+            assert bounds is None or set(bounds) <= pivots
+    with engaged(plan):
+        second = _serve_collecting(frontend)
+    return db, frontend, streams, first, second
+
+
+def _assert_served_exactly(db, frontend, streams, first, second, solo):
+    """Every second-round answer equals the oracle, and each client in
+    ``solo`` is bit-identical to its solo run over both rounds."""
+    values = db.column("R", "A1").values
+    for name, stream in streams.items():
+        for query, result in zip(stream, second[name]):
+            mask = (values >= query.low) & (values < query.high)
+            assert sorted(result.values().tolist()) == sorted(
+                values[mask].tolist()
+            )
+    for name in solo:
+        assert lane_state(
+            frontend.lanes[name], first[name] + second[name]
+        ) == solo_baseline("holistic", streams[name] * 2)
+
+
+def test_every_non_empty_converged_read_trips_the_ladder_once():
+    plan = FaultPlan()  # engaged, but nothing armed
+    db, frontend, streams, first, second = _converged_rounds(plan)
+    assert plan.hits("serving.replay") == 11  # 6 + 5; the empty one none
+    assert frontend.faults == []
+    _assert_served_exactly(
+        db, frontend, streams, first, second, solo=("good", "victim")
+    )
+
+
+def test_poisoned_converged_read_is_retried_solo():
+    plan = FaultPlan()
+    # The second round is one window that starts with "good" (hits
+    # 0-5); hit 6 is the victim's first converged read.
+    plan.arm("serving.replay", at=6)
+    db, frontend, streams, first, second = _converged_rounds(plan)
+    assert plan.injected == 1
+    assert plan.unrecovered() == []
+    assert [(f.client, f.kind, f.action) for f in frontend.faults] == [
+        ("victim", "poison", "retried_solo")
+    ]
+    assert plan.hits("serving.replay") == 11 + 1  # the retry trips again
+    # The trip fires before the read is priced, so the retried read
+    # leaves the victim solo-identical too.
+    _assert_served_exactly(
+        db, frontend, streams, first, second, solo=("good", "victim")
+    )
+
+
+def test_genuine_error_on_a_converged_read_is_not_credited(monkeypatch):
+    real_replay_query = DetachedCrackReplay.replay_query
+    raised = []
+
+    def flaky(replay, low, high):
+        if replay._client == "victim" and faults.active() and not raised:
+            raised.append((low, high))
+            raise RuntimeError("genuine replay bug")
+        return real_replay_query(replay, low, high)
+
+    monkeypatch.setattr(DetachedCrackReplay, "replay_query", flaky)
+    plan = FaultPlan()  # engaged, but nothing armed
+    db, frontend, streams, first, second = _converged_rounds(plan)
+    assert len(raised) == 1
+    assert [(f.client, f.action) for f in frontend.faults] == [
+        ("victim", "retried_solo")
+    ]
+    assert plan.injected == 0
+    assert plan.summary()["recovered"] == 0
+    assert plan.hits("serving.replay") == 11 + 1
+    _assert_served_exactly(
+        db, frontend, streams, first, second, solo=("good",)
+    )

@@ -121,3 +121,9 @@ def test_any_interleaving_is_solo_identical(case, strategy):
             sorted(res.values().tolist()) for res in collected[f"c{i}"]
         ] == values
         assert lane.clock.now() == clock_now
+        # Every lane's shadow keeps its pivot set equal to its pivots:
+        # the converged-read step tests membership in the set.
+        for replay in lane.replays.values():
+            sim = replay.sim
+            assert len(sim.pivot_set) == len(sim.pivots)
+            assert sim.pivot_set == set(sim.pivots)
