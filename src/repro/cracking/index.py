@@ -243,11 +243,6 @@ class CrackerIndex:
                 CostCharge(elements_materialized=self.row_count)
             )
 
-    def _charge_pivot_hits(self, count: int) -> None:
-        """Price ``count`` piece-map probes that found their value
-        already a cut: one binary search over the pieces each."""
-        self.clock.charge_probes(self._pieces.piece_count, count)
-
     def _pivot_key(self, value: object) -> Key:
         """``value`` as a pivot of this column (see
         :func:`~repro.storage.dtypes.normalise_bound`).
@@ -276,7 +271,8 @@ class CrackerIndex:
         :meth:`PieceMap.locate` with no intervening mutation.
         """
         if at_pivot:
-            self._charge_pivot_hits(1)
+            # A pivot hit: one binary search over the pieces.
+            self.clock.charge_probes(self._pieces.piece_count, 1)
             return start
         self._charge_copy_if_needed()
         position, charge = crack_in_two(
@@ -392,8 +388,9 @@ class CrackerIndex:
         pieces = self._pieces
         cut_of = pieces.cut_of
         if low in cut_of and high in cut_of:
-            # The converged select: nothing to crack, two probe charges.
-            self._charge_pivot_hits(2)
+            # The converged select: nothing to crack, two probes over
+            # the pieces, one more than the pivots ``cut_of`` holds.
+            self.clock.charge_probes(len(cut_of) + 1, 2)
             return RangeView(self._array, cut_of[low], cut_of[high])
         low_loc, high_loc = pieces.locate_pair(low, high)
         witness.mutation_check(

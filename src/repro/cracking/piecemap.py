@@ -367,18 +367,18 @@ class PieceMap:
             # ctypes.memmove (cached base addresses) instead of an
             # overlapping slice assignment: numpy detects the overlap
             # and materializes a temporary copy of the tail on every
-            # insert, which dominated the crack profile.
-            tail8 = (k - i) * 8
-            offset8 = i * 8
+            # insert, which dominated the crack profile.  A pivot is
+            # the dtype's width (4 bytes for int32), a cut 8.
+            width = self._pivots.itemsize
             ctypes.memmove(
-                self._pivots_addr + offset8 + 8,
-                self._pivots_addr + offset8,
-                tail8,
+                self._pivots_addr + (i + 1) * width,
+                self._pivots_addr + i * width,
+                (k - i) * width,
             )
             ctypes.memmove(
-                self._cuts_addr + offset8 + 8,
-                self._cuts_addr + offset8,
-                tail8,
+                self._cuts_addr + (i + 1) * 8,
+                self._cuts_addr + i * 8,
+                (k - i) * 8,
             )
         self._pivots[i] = pivot
         self._cuts[i] = position

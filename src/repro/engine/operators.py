@@ -58,11 +58,10 @@ def apply_pending(
     ``count`` now, pending inserts appended and pending deletes
     subtracted when ``values()`` is first read.
     """
-    if not pending.has_pending():
+    overlap = pending.overlap(low, high)
+    if overlap is None:
         return result
-    inserts, deletes = pending.in_range(low, high)
-    if len(inserts) == 0 and len(deletes) == 0:
-        return result
+    inserts, deletes = overlap
     view = PendingOverlay(result, inserts, deletes)
     clock.charge(CostCharge.for_pending_merge(len(deletes), view.count))
     return view
@@ -72,7 +71,7 @@ class PendingWindow:
     """One column's pending-update consultation for a query window.
 
     Sequential execution probes each delta store once per query
-    (:meth:`PendingUpdates.in_range`); a window probes each store once
+    (:meth:`PendingUpdates.overlap`); a window probes each store once
     with the probe keys its plan collected
     (:class:`~repro.engine.plan.ColumnWindow`), lows and highs together
     (two vectorized ``searchsorted`` calls a window), and hands each

@@ -102,9 +102,8 @@ def _key(limits: tuple[int, int] | None, bound: object) -> Key | None:
         key = float(bound)  # type: ignore[arg-type]
         if key != key:
             return None
-        if key >= top:
-            return top
-        return low if key <= low else math.ceil(key)
+        # normalise_range inlines this expression: change both together.
+        return top if key >= top else low if key <= low else math.ceil(key)
     exact = operator.index(bound)  # type: ignore[arg-type]
     return low if exact < low else top if exact > top else exact
 
@@ -122,8 +121,16 @@ def normalise_range(
     the per-query overhead alone -- no probe, no crack, no charge.
     """
     limits = _INT_LIMITS.get(dtype)
-    lo = _key(limits, low)
-    hi = _key(limits, high)
+    if limits is None or type(low) is not float or type(high) is not float:
+        lo, hi = _key(limits, low), _key(limits, high)
+    elif low != low or high != high:
+        return None
+    else:
+        # Float bounds on an integer column, a session's usual range,
+        # keyed in this frame: :func:`_key`'s float expression, inlined.
+        floor, top = limits
+        lo = top if low >= top else floor if low <= floor else math.ceil(low)
+        hi = top if high >= top else floor if high <= floor else math.ceil(high)
     if lo is None or hi is None or not lo < hi:
         return None
     return lo, hi

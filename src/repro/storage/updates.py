@@ -14,6 +14,8 @@ pending deletes in range).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import SchemaError
@@ -78,7 +80,6 @@ class PendingUpdates:
 
     def __init__(self, ctype: ColumnType, base: np.ndarray) -> None:
         self._ctype = ctype
-        self._largest = largest(ctype.numpy_dtype)
         self._base = base
         #: The staged insert values, sorted.
         self.insert_values = np.empty(0, dtype=ctype.numpy_dtype)
@@ -86,9 +87,9 @@ class PendingUpdates:
         self.delete_positions = np.empty(0, dtype=np.int64)
         #: The staged deleted values, sorted.
         self.deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
-        #: Key buffer of :meth:`in_range`, like ``PieceMap._pair``: a
-        #: session answers one query at a time.
-        self._pair = np.empty(2, dtype=ctype.numpy_dtype)
+        #: The buffer views :meth:`overlap` bisects, remade when it
+        #: finds an array replaced.
+        self._insert_view = self._delete_view = memoryview(b"")
 
     # -- staging -------------------------------------------------------
 
@@ -228,12 +229,10 @@ class PendingUpdates:
                 "and name each deleted row once"
             )
         self._check_base_rows(pos, vals)
+        self._insert_view = self._delete_view = memoryview(b"")
         self.insert_values = inserts
         self.delete_positions = pos
         self.deleted_values = vals
-
-    def has_pending(self) -> bool:
-        return len(self.insert_values) > 0 or len(self.deleted_values) > 0
 
     # The probes take a range already normalised to the column's domain
     # (``storage.dtypes.normalise_range``): keys the stores compare
@@ -249,22 +248,31 @@ class PendingUpdates:
         store = self.deleted_values
         return store[cut_at(store, low) : cut_at(store, high)]
 
-    def in_range(self, low: Key, high: Key) -> tuple[np.ndarray, np.ndarray]:
+    def overlap(
+        self, low: Key, high: Key
+    ) -> tuple[np.ndarray, np.ndarray] | None:
         """``(inserts_in_range(low, high), deletes_in_range(low, high))``
-        -- what a select overlays, with each store probed once for both
-        keys."""
-        if high > self._largest:
-            return (
-                self.inserts_in_range(low, high),
-                self.deletes_in_range(low, high),
-            )
-        inserts = self.insert_values
-        deletes = self.deleted_values
-        keys = self._pair
-        keys[0] = low
-        keys[1] = high
-        ins_lo, ins_hi = inserts.searchsorted(keys).tolist()
-        del_lo, del_hi = deletes.searchsorted(keys).tolist()
+        -- what a sequential read overlays -- or ``None`` if both are
+        empty.  Each array is bisected through a view of its buffer,
+        remade here when a write has replaced the array.  Staging leaves
+        a view on the array it replaced until the next probe; every
+        other write drops the views it outdates."""
+        inserts, deletes = self.insert_values, self.deleted_values
+        if not (len(inserts) or len(deletes)):
+            return None
+        ins, dels = self._insert_view, self._delete_view
+        if ins.obj is not inserts:
+            ins = self._insert_view = memoryview(inserts)
+        if dels.obj is not deletes:
+            dels = self._delete_view = memoryview(deletes)
+        ins_lo = ins_hi = bisect_left(ins, low)
+        if ins_lo < len(ins) and ins[ins_lo] < high:
+            ins_hi = bisect_left(ins, high, ins_lo + 1)
+        del_lo = del_hi = bisect_left(dels, low)
+        if del_lo < len(dels) and dels[del_lo] < high:
+            del_hi = bisect_left(dels, high, del_lo + 1)
+        if ins_lo == ins_hi and del_lo == del_hi:
+            return None
         return inserts[ins_lo:ins_hi], deletes[del_lo:del_hi]
 
     # -- consumption ---------------------------------------------------
@@ -279,6 +287,7 @@ class PendingUpdates:
         lo = cut_at(self.insert_values, low)
         hi = cut_at(self.insert_values, high)
         taken = self.insert_values[lo:hi].copy()
+        self._insert_view = memoryview(b"")
         self.insert_values = np.delete(
             self.insert_values, np.s_[lo:hi]
         )
@@ -289,6 +298,7 @@ class PendingUpdates:
         lo = cut_at(self.deleted_values, low)
         hi = cut_at(self.deleted_values, high)
         taken = self.deleted_values[lo:hi].copy()
+        self._delete_view = memoryview(b"")
         self.deleted_values = np.delete(
             self.deleted_values, np.s_[lo:hi]
         )
@@ -299,6 +309,7 @@ class PendingUpdates:
 
     def clear(self) -> None:
         """Drop all pending entries (after a full rebuild)."""
+        self._insert_view = self._delete_view = memoryview(b"")
         self.insert_values = np.empty(0, dtype=self._ctype.numpy_dtype)
         self.delete_positions = np.empty(0, dtype=np.int64)
         self.deleted_values = np.empty(0, dtype=self._ctype.numpy_dtype)

@@ -12,19 +12,36 @@ from __future__ import annotations
 import sys
 
 
-def count_calls(function, *args) -> tuple[int, object]:
+class Calls(int):
+    """A call count that also holds the ``module:qualname`` of every
+    function entered, in order, so a failed budget prints the path."""
+
+    path: list[str]
+
+    def __new__(cls, path: list[str]) -> "Calls":
+        calls = super().__new__(cls, len(path))
+        calls.path = path
+        return calls
+
+    def __repr__(self) -> str:
+        return f"{int(self)} calls: " + " > ".join(self.path)
+
+
+def count_calls(function, *args) -> tuple[Calls, object]:
     """The Python-level calls ``function(*args)`` makes, itself
     included, and what it returns."""
-    count = 0
+    path: list[str] = []
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "call":
-            count += 1
+            code = frame.f_code
+            # ``co_qualname`` is new in Python 3.11.
+            name = getattr(code, "co_qualname", code.co_name)
+            path.append(f"{frame.f_globals.get('__name__')}:{name}")
 
     sys.setprofile(profile)
     try:
         result = function(*args)
     finally:
         sys.setprofile(None)
-    return count, result
+    return Calls(path), result

@@ -211,3 +211,24 @@ def test_nan_is_never_a_pivot():
     for pivots, cuts in (([math.nan], [60]), ([50.0, math.nan], [40, 60])):
         with pytest.raises(CrackerError, match="strictly increasing"):
             PieceMap.from_state(100, np.array(pivots), np.array(cuts))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+def test_sequential_cracks_shift_pivots_of_every_width(dtype):
+    """Regression: the insert's tail shift moved 8 bytes an element,
+    so an int32 map's pivots came apart (and a map more than half
+    full wrote past its pivot buffer).  Cracks inserted front to back
+    grow the map past two reallocations."""
+    pieces = PieceMap(1_000, dtype=np.dtype(dtype))
+    for step, pivot in enumerate(range(900, 0, -20)):
+        pieces.add_crack_at(0, pivot, pivot)
+        pieces.check_invariants()
+        assert pieces.pivots() == list(range(pivot, 901, 20))
+        assert pieces.cuts() == pieces.pivots()
+        assert pieces.crack_count == step + 1
+    for pivot in range(910, 1_000, 20):
+        pieces.add_crack(pivot, pivot)
+    pieces.add_crack(15, 15)
+    pieces.check_invariants()
+    assert pieces.pivots() == [15, *range(20, 901, 20), *range(910, 1_000, 20)]
+    assert pieces.cuts() == pieces.pivots()

@@ -110,7 +110,7 @@ def test_restaged_consumed_position_never_reaches_the_overlay(small_column):
     for _ in range(2):
         assert pending.stage_deletes([row], [victim]) == 1
         view = index.select_range(low, high)
-        assert not pending.has_pending()
+        assert pending.pending_insert_count == pending.pending_delete_count == 0
         assert apply_pending(view, pending, low, high, SimClock()) is view
         assert np.array_equal(np.sort(view.values()), reference)
     index.check_invariants()

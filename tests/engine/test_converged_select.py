@@ -7,6 +7,8 @@ must tally what a virtual-clock one prices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,18 +26,24 @@ from tests.callcount import count_calls
 #: Python-level calls of one converged ``Session.run_query`` per
 #: strategy, the column's delta store empty.  The holistic kernel adds
 #: its monitor and ranking bookkeeping to plain cracking's path.
-CONVERGED_CALLS = {"holistic": 19, "adaptive": 17}
+CONVERGED_CALLS = {"holistic": 15, "adaptive": 13}
+
+#: Python-level calls of one converged holistic ``Session.run_query``
+#: by where the column's pending rows lie: the probe that finds none in
+#: range is the same one call as an empty store's; rows in range add
+#: the overlay and its charge.
+PENDING_CALLS = {"outside": 15, "inside": 22}
 
 #: Python-level calls of one converged holistic ``Session.run_batch``
 #: with pending rows in every range, by (reads, columns): the window
 #: plans each column once and replays each read.
-WINDOW_CALLS = {(1, 1): 35, (4, 2): 72}
+WINDOW_CALLS = {(1, 1): 33, (4, 2): 64}
 
 #: Python-level calls of one converged served window on the holistic
 #: kernel, by (reads, clients): the front-end deals the window to the
 #: clients' lanes in one pass, and each lane replays its share through
 #: the session window loop.
-SERVED_CALLS = {(32, 4): 297, (4, 1): 49}
+SERVED_CALLS = {(32, 4): 233, (4, 1): 41}
 
 
 def _grid(columns=("A1", "A2"), points=24) -> list[RangeQuery]:
@@ -71,8 +79,42 @@ def test_converged_select_cost_is_bounded(strategy):
         count_calls(session.run_query, query)[0] for query in _grid()
     ]
     assert index.crack_count == cracks
-    assert max(counts) <= CONVERGED_CALLS[strategy]
     assert len(set(counts)) == 1
+    assert counts[0] <= CONVERGED_CALLS[strategy], repr(counts[0])
+
+
+def test_converged_select_cost_does_not_grow_with_the_delta_store():
+    """A converged read costs the same calls whether the column's
+    delta store is empty or holds 10^4 pending rows outside the range,
+    and a fixed number more with pending rows inside it."""
+    session, queries, _ = _converged()
+    query = queries[3]
+    store = session.db.table("R").updates_for("A1")
+    rows = [session.db.column("R", "A1").values]
+
+    def calls() -> int:
+        count, result = count_calls(session.run_query, query)
+        values = np.concatenate(rows)
+        assert result.count == np.count_nonzero(
+            (values >= query.low) & (values < query.high)
+        )
+        return count
+
+    empty = calls()
+    assert empty <= CONVERGED_CALLS["holistic"], repr(empty)
+    # Half below the range, half at or above its high bound.
+    steps = np.arange(5_000) * 3
+    rows.append(np.concatenate([
+        math.ceil(query.low) - 1 - steps, math.ceil(query.high) + steps
+    ]))
+    store.stage_inserts(rows[-1])
+    outside = calls()
+    assert outside == empty, (repr(outside), repr(empty))
+    assert outside <= PENDING_CALLS["outside"], repr(outside)
+    rows.append(np.array([math.ceil(query.low) + 1]))
+    store.stage_inserts(rows[-1])
+    inside = calls()
+    assert inside <= PENDING_CALLS["inside"], repr(inside)
 
 
 def test_converged_window_cost_is_bounded():

@@ -14,6 +14,7 @@ from repro.storage.dtypes import (
     INT64,
     coerce_array,
     largest,
+    normalise_bound,
     normalise_range,
     type_by_name,
     type_for_array,
@@ -167,3 +168,30 @@ def test_normalise_range_keeps_exactly_the_values_in_range(
         if kind is int:
             info = np.iinfo(dtype)
             assert info.min <= lo and hi <= info.max + 1
+
+
+_FLOAT_BOUNDS = st.one_of(
+    st.sampled_from([b for b in _BOUND_POOL if type(b) is float]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.mark.parametrize(
+    "ctype", [INT32, INT64, FLOAT64], ids=lambda ctype: ctype.name
+)
+@settings(max_examples=400, deadline=None)
+@given(low=_FLOAT_BOUNDS, high=st.one_of(_FLOAT_BOUNDS, _BOUNDS))
+def test_normalise_range_keys_each_bound_as_normalise_bound(
+    ctype, low, high
+):
+    """The range normaliser keys float bounds on an integer column in
+    its own frame; its keys, and their types, are still exactly what
+    :func:`normalise_bound` gives each bound."""
+    dtype = ctype.numpy_dtype
+    keys = (normalise_bound(dtype, low), normalise_bound(dtype, high))
+    got = normalise_range(dtype, low, high)
+    if None in keys or not keys[0] < keys[1]:
+        assert got is None, (low, high, got)
+    else:
+        assert got == keys, (low, high)
+        assert [type(key) for key in got] == [type(key) for key in keys]

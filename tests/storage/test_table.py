@@ -109,7 +109,8 @@ def test_table_store_checks_a_delete_against_the_base_column():
     ):
         with pytest.raises(SchemaError):
             store.stage_deletes(positions, values)
-        assert not store.has_pending()  # nothing staged before the raise
+        # Nothing staged before the raise.
+        assert store.pending_insert_count == store.pending_delete_count == 0
     assert store.stage_deletes([3, 0], [40, 10]) == 2
     assert store.deleted_values.tolist() == [10, 40]
     assert store.delete_positions.tolist() == [0, 3]
@@ -127,7 +128,7 @@ def test_table_store_refuses_to_delete_a_nan_row():
         store.stage_deletes([1], [np.nan])
     with pytest.raises(SchemaError, match="NaN"):
         store.stage_deletes([0, 1], [1.5, np.nan])
-    assert not store.has_pending()
+    assert store.pending_insert_count == store.pending_delete_count == 0
     assert store.stage_deletes([0], [1.5]) == 1
 
 

@@ -15,7 +15,6 @@ def pending() -> PendingUpdates:
 
 
 def test_fresh_delta_is_empty(pending):
-    assert not pending.has_pending()
     assert pending.pending_insert_count == 0
     assert pending.pending_delete_count == 0
 
@@ -62,7 +61,7 @@ def test_clear_resets_everything(pending):
     pending.stage_inserts([1])
     pending.stage_deletes([0], [10])
     pending.clear()
-    assert not pending.has_pending()
+    assert pending.pending_insert_count == pending.pending_delete_count == 0
 
 
 def test_duplicate_values_kept_as_multiset(pending):

@@ -12,7 +12,10 @@ through ``normalise_range`` first, as a session's do.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -537,23 +540,43 @@ def test_cut_forms_agree_float64(values, bound) -> None:
     _check_cut_forms(np.sort(np.asarray(values, dtype=np.float64)), bound)
 
 
-# -- in_range: the once-normalised two-store probe == the two probes ---
+# -- overlap: a sequential read's probe == the two pinned probes ------
+#
+# ``overlap`` bisects buffer views of the store's arrays, cached per
+# array and remade when a write replaces one.
+
+
+def _check_overlap(store, bounds) -> None:
+    """``store.overlap`` agrees with the pinned probes on every
+    normalised ``(low, high)`` of ``bounds``: ``None`` exactly when
+    both are empty, else the same slices."""
+    dtype = store.insert_values.dtype
+    for low, high in bounds:
+        keys = normalise_range(dtype, low, high)
+        if keys is None:
+            continue
+        want = (store.inserts_in_range(*keys), store.deletes_in_range(*keys))
+        got = store.overlap(*keys)
+        if got is None:
+            assert not len(want[0]) and not len(want[1]), (low, high)
+            continue
+        assert got[0].dtype == got[1].dtype == dtype
+        assert [got[0].tolist(), got[1].tolist()] == [
+            want[0].tolist(),
+            want[1].tolist(),
+        ], (low, high)
 
 
 def _check_in_range(ctype, dtype, inserts, deletes, low, high) -> None:
     deletes = np.asarray(deletes, dtype=dtype)
     store = PendingUpdates(ctype, base=deletes)
+    _check_overlap(store, [(low, high)])  # an empty store
     store.stage_inserts(np.asarray(inserts, dtype=dtype))
+    _check_overlap(store, [(low, high)])
     store.stage_deletes(np.arange(len(deletes)), deletes)
-    keys = normalise_range(np.dtype(dtype), low, high)
-    if keys is None:
-        return
-    got_inserts, got_deletes = store.in_range(*keys)
-    assert got_inserts.dtype == got_deletes.dtype == dtype
-    assert (got_inserts.tolist(), got_deletes.tolist()) == (
-        store.inserts_in_range(*keys).tolist(),
-        store.deletes_in_range(*keys).tolist(),
-    ), (low, high)
+    _check_overlap(store, [(low, high)])
+    store.clear()
+    _check_overlap(store, [(low, high)])
 
 
 _RANGE_BOUND = st.sampled_from(_CUT_BOUNDS)
@@ -598,6 +621,88 @@ def test_in_range_is_both_range_probes_float64(
     _check_in_range(FLOAT64, np.float64, inserts, deletes, low, high)
 
 
+#: Probe bounds of the write-sequence test: tops, +-inf, NaN and ints
+#: beyond 2^53 among them.
+_PROBES = st.lists(
+    st.tuples(_RANGE_BOUND, _RANGE_BOUND), min_size=1, max_size=4
+)
+
+
+def _writes(pool: list) -> st.SearchStrategy:
+    values = st.lists(st.sampled_from(pool), max_size=6)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), values),
+            st.tuples(st.just("delete"), values),
+            st.tuples(st.just("take"), st.tuples(_RANGE_BOUND, _RANGE_BOUND)),
+            st.tuples(st.just("clear"), st.just(None)),
+            st.tuples(st.just("save"), st.just(None)),
+            st.tuples(st.just("restore"), st.just(None)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+def _check_overlap_after_writes(ctype, dtype, writes, probes):
+    """Every write replaces the store's arrays; a probe right after it
+    must see the new ones.  The whole domain is always probed too: it
+    holds every non-NaN row."""
+    probes = [*probes, (-math.inf, math.inf)]
+    rows = [v for kind, vs in writes if kind == "delete" for v in vs]
+    # NaN equals no base row, so a delete never names one.
+    rows = [v for v in rows if v == v]
+    base = np.asarray(rows, dtype=dtype)
+    store = PendingUpdates(ctype, base=base)
+    saved = (np.empty(0, dtype=dtype), np.empty(0, np.int64), base[:0])
+    staged = 0
+    _check_overlap(store, probes)
+    for kind, payload in writes:
+        if kind == "insert":
+            store.stage_inserts(np.asarray(payload, dtype=dtype))
+        elif kind == "delete":
+            payload = [v for v in payload if v == v]
+            positions = np.arange(staged, staged + len(payload))
+            staged += len(payload)
+            store.stage_deletes(positions, base[positions])
+        elif kind == "take":
+            keys = normalise_range(np.dtype(dtype), *payload)
+            if keys is not None:
+                store.take_inserts_in_range(*keys)
+                store.take_deletes_in_range(*keys)
+        elif kind == "clear":
+            store.clear()
+        elif kind == "save":
+            saved = (
+                store.insert_values.copy(),
+                store.delete_positions.copy(),
+                store.deleted_values.copy(),
+            )
+        else:
+            store.restore_state(*saved)
+        _check_overlap(store, probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(writes=_writes(_INT64_POOL), probes=_PROBES)
+def test_overlap_follows_every_write_int64(writes, probes):
+    _check_overlap_after_writes(INT64, np.int64, writes, probes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(writes=_writes(_INT32_POOL), probes=_PROBES)
+def test_overlap_follows_every_write_int32(writes, probes):
+    _check_overlap_after_writes(INT32, np.int32, writes, probes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    writes=_writes(_FLOAT_STORE_POOL + [float("nan")]), probes=_PROBES
+)
+def test_overlap_follows_every_write_float64(writes, probes):
+    _check_overlap_after_writes(FLOAT64, np.float64, writes, probes)
+
+
 def test_narrow_store_is_probed_without_promotion() -> None:
     """A key is a Python int inside the store's dtype, so probing an
     int32 store never copies it into int64; a bound past the top is
@@ -609,7 +714,7 @@ def test_narrow_store_is_probed_without_promotion() -> None:
     assert normalise_bound(int32, -(2.0**40)) == -(2**31)
     pending = PendingUpdates(INT32, base=base_holding({}, np.int32))
     pending.stage_inserts([-5, 8, 2**31 - 1])
-    inserts, deletes = pending.in_range(8, 2**31)
+    inserts, deletes = pending.overlap(8, 2**31)
     assert inserts.dtype == deletes.dtype == int32
     assert inserts.tolist() == [8, 2**31 - 1]
 
@@ -734,7 +839,9 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
         normalise_range(np.dtype(dtype), low, high) for low, high in bounds
     ]
     window = planned_probe(pending, bounds)
-    assert window.active == pending.has_pending()
+    assert window.active == bool(
+        pending.pending_insert_count or pending.pending_delete_count
+    )
     sequential_clock, batch_clock = SimClock(), SimClock()
     accountant = WindowAccountant(batch_clock)
     for slot, pair in enumerate(keys):
