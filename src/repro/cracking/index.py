@@ -368,7 +368,6 @@ class CrackerIndex:
             return RangeView(self._array, 0, 0)
         return self.select_keys(*bounds)
 
-    @_synchronized
     def select_keys(self, low: Key, high: Key) -> RangeView:
         """:meth:`select_range` of a range already normalised into the
         column's domain (``low < high``) -- what a session passes.
@@ -377,52 +376,60 @@ class CrackerIndex:
         crack-in-three pass handles them together (one pass instead of
         two), exactly as MonetDB's select operator does.  A ``high``
         past the column's top cuts at ``low`` only: the range runs to
-        the end of the column.
+        the end of the column.  A converged range is answered with the
+        view :meth:`span_views` files for it on its first visit.
         """
-        if high > self._largest:
-            return RangeView(
-                self._array,
-                self.ensure_cut(low),
-                len(self._array),
+        # The monitor lock in the body, not through _synchronized: one
+        # frame less on every read.
+        with self.lock:
+            pieces = self._pieces
+            cut_of = pieces.cut_of
+            pos_low = cut_of.get(low)
+            pos_high = cut_of.get(high)
+            if pos_low is not None and pos_high is not None:
+                # The converged select: nothing to crack, two probes
+                # over the pieces, one more than the pivots in cut_of.
+                self.clock.charge_probes(len(cut_of) + 1, 2)
+                view = self._span_views.get((pos_low, pos_high))
+                if view is None or self._span_views_array is not self._array:
+                    view = RangeView(self._array, pos_low, pos_high)
+                    self.span_views()[pos_low, pos_high] = view
+                return view
+            if high > self._largest:
+                return RangeView(
+                    self._array, self.ensure_cut(low), len(self._array)
+                )
+            low_loc, high_loc = pieces.locate_pair(low, high)
+            witness.mutation_check(
+                self,
+                lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[3]],
+                "select_range",
             )
-        pieces = self._pieces
-        cut_of = pieces.cut_of
-        if low in cut_of and high in cut_of:
-            # The converged select: nothing to crack, two probes over
-            # the pieces, one more than the pivots ``cut_of`` holds.
-            self.clock.charge_probes(len(cut_of) + 1, 2)
-            return RangeView(self._array, cut_of[low], cut_of[high])
-        low_loc, high_loc = pieces.locate_pair(low, high)
-        witness.mutation_check(
-            self,
-            lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[3]],
-            "select_range",
-        )
-        low_index, start, end, low_pivot = low_loc
-        high_pivot = high_loc[3]
-        if (
-            low_index == high_loc[0]
-            and not low_pivot
-            and not high_pivot
-            and end > start
-        ):
-            self._charge_copy_if_needed()
-            pos_low, pos_high, charge = crack_in_three(
-                self._array, start, end, low, high, scratch=self._scratch
-            )
-            pieces.add_crack_at(low_index, low, pos_low)
-            pieces.add_crack_at(low_index + 1, high, pos_high)
-            self.clock.charge(charge)
-            self.tape.log(CrackOrigin.QUERY, 2)
-        else:
-            pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
-            if not low_pivot:
-                # The low step inserted a cut: high's piece has moved.
-                high_loc = pieces.locate(high)
-            pos_high = self._cut_located(
-                high, *high_loc, CrackOrigin.QUERY
-            )
-        return RangeView(self._array, pos_low, pos_high)
+            low_index, start, end, low_pivot = low_loc
+            high_pivot = high_loc[3]
+            if (
+                low_index == high_loc[0]
+                and not low_pivot
+                and not high_pivot
+                and end > start
+            ):
+                self._charge_copy_if_needed()
+                pos_low, pos_high, charge = crack_in_three(
+                    self._array, start, end, low, high, scratch=self._scratch
+                )
+                pieces.add_crack_at(low_index, low, pos_low)
+                pieces.add_crack_at(low_index + 1, high, pos_high)
+                self.clock.charge(charge)
+                self.tape.log(CrackOrigin.QUERY, 2)
+            else:
+                pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
+                if not low_pivot:
+                    # The low step inserted a cut: high's piece has moved.
+                    high_loc = pieces.locate(high)
+                pos_high = self._cut_located(
+                    high, *high_loc, CrackOrigin.QUERY
+                )
+            return RangeView(self._array, pos_low, pos_high)
 
     # -- batched selects (ISSUE 4) ---------------------------------------
 

@@ -27,6 +27,9 @@ class CrackOrigin(Enum):
     MERGE = "merge"
     SORT = "sort"
 
+    # Singletons: their identity hash keys the tape's counts frame-free.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Piece:

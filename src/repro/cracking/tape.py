@@ -26,9 +26,9 @@ class CrackTape:
     """Per-origin refinement counters and per-worker latch stalls."""
 
     def __init__(self) -> None:
-        #: Keyed by ``CrackOrigin.value`` -- string hashing is cheaper
-        #: than enum hashing on the per-crack path.
-        self._counts: dict[str, int] = {o.value: 0 for o in CrackOrigin}
+        #: Keyed by member: reading ``origin.value`` costs two frames a
+        #: crack; the values name the counts only in snapshots.
+        self._counts: dict[CrackOrigin, int] = dict.fromkeys(CrackOrigin, 0)
         self._seen = 0
         self._stalls: dict[int | None, int] = {}
         self._lock = threading.Lock()
@@ -88,11 +88,11 @@ class CrackTape:
     def log(self, origin: CrackOrigin, actions: int = 1) -> None:
         """Count ``actions`` refinements of ``origin``."""
         if not self._concurrent:
-            self._counts[origin.value] += actions
+            self._counts[origin] += actions
             self._seen += actions
             return
         with self._lock:
-            self._counts[origin.value] += actions
+            self._counts[origin] += actions
             self._seen += actions
 
     #: Update merges count under this name; ``perfbench/layers.py``
@@ -103,7 +103,7 @@ class CrackTape:
         """Number of actions seen, optionally filtered by origin."""
         if origin is None:
             return self._seen
-        return self._counts[origin.value]
+        return self._counts[origin]
 
     # -- persistence -----------------------------------------------------
 
@@ -112,7 +112,7 @@ class CrackTape:
         worker ``None`` (foreground/serial) is keyed ``""``."""
         with self._lock:
             return {
-                "counts": dict(self._counts),
+                "counts": {o.value: n for o, n in self._counts.items()},
                 "seen": self._seen,
                 "stalls": {
                     ("" if k is None else str(k)): v
@@ -124,8 +124,7 @@ class CrackTape:
         """Adopt previously-exported counters (snapshot restore)."""
         with self._lock:
             self._counts = {
-                o.value: int(state["counts"].get(o.value, 0))
-                for o in CrackOrigin
+                o: int(state["counts"].get(o.value, 0)) for o in CrackOrigin
             }
             self._seen = int(state["seen"])
             self._stalls = {

@@ -6,8 +6,8 @@ One strategy that unifies the three predecessors:
   cracking (queries are hints on how to store the data) -- the kernel
   *is* :class:`~repro.engine.strategies.AdaptiveStrategy` (standard
   cracking), and keeps only what it adds;
-* **online**: a continuous monitor counts every query; the counts
-  feed a continuously-maintained ranking of candidate columns;
+* **online**: a continuous monitor counts every query; a
+  continuously-maintained ranking of candidate columns reads it;
 * **offline**: idle windows -- a-priori or between query bursts -- are
   spent on auxiliary refinement actions spread over the candidate
   columns by a policy, instead of all-or-nothing full builds.
@@ -17,7 +17,7 @@ bootstraps the candidate set.  §3's second one, extra random cracks on
 hot ranges when there is **no idle time**, is not implemented: measured
 on saturated workloads it cost more response time than plain adaptive
 cracking in every run, so without idle time the kernel is adaptive
-cracking by inheritance plus the monitor's and the ranking's counters
+cracking by inheritance plus the monitor's count
 (docs/ARCHITECTURE.md, "The no-idle case").
 """
 
@@ -108,7 +108,7 @@ class HolisticKernel(AdaptiveStrategy):
             target = max(1, db.cost_model.cache_rows())
         self.cache_target_elements = target
         self.monitor = WorkloadMonitor()
-        self.ranking = ColumnRanking(target)
+        self.ranking = ColumnRanking(target, self.monitor)
         self.policy: TuningPolicy = make_policy(
             self.config.policy, seed=self.config.seed
         )
@@ -195,7 +195,6 @@ class HolisticKernel(AdaptiveStrategy):
     ) -> SelectionResult:
         index = self.index_for(query.ref)
         self.monitor.record(query.ref)
-        self.ranking.note_query(query.ref)
         if self.worker_pool is not None and self.worker_pool.is_running:
             # Workers are racing us: take piece latches for the pieces
             # this select may crack, exactly like the workers do.
@@ -208,7 +207,6 @@ class HolisticKernel(AdaptiveStrategy):
         # registers the column with the ranking.
         self.index_for(query.ref)
         self.monitor.record(query.ref)
-        self.ranking.note_query(query.ref)
         return super().select_empty(query)
 
     def begin_batch(
@@ -225,19 +223,15 @@ class HolisticKernel(AdaptiveStrategy):
 
     def note_window(self, queries: Sequence[RangeQuery]) -> None:
         """Count a window's replayed reads: one
-        :meth:`WorkloadMonitor.note_many` and one
-        :meth:`ColumnRanking.note_queries` call a column, in order of
+        :meth:`WorkloadMonitor.note_many` call a column, in order of
         first appearance.  Nothing reads the counts mid-window, so the
         deferred counts are indistinguishable from sequential ones."""
         counts: dict[ColumnRef, int] = {}
         for query in queries:
             ref = query.ref
             counts[ref] = counts.get(ref, 0) + 1
-        monitor = self.monitor
-        ranking = self.ranking
         for ref, count in counts.items():
-            monitor.note_many(ref, count)
-            ranking.note_queries(ref, count)
+            self.monitor.note_many(ref, count)
 
     def exploit_idle(
         self,

@@ -11,9 +11,9 @@ combines two continuously-maintained signals:
   frequency (with a bootstrap weight so never-queried columns still
   rank when knowledge says they matter).
 
-The ranking is updated in O(1) per query and per crack; reading the
-best column is one scalar pass over the columns, which is tiny next to
-any crack action.
+It reads the query counts of the kernel's :class:`WorkloadMonitor`
+and counts tuning actions in O(1); reading the best column is one
+scalar pass over the columns, tiny next to any crack action.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.cracking.index import CrackerIndex
 from repro.errors import ConfigError
+from repro.online.monitor import WorkloadMonitor
 from repro.storage.catalog import ColumnRef
 
 
@@ -31,7 +32,6 @@ class ColumnTuningState:
 
     ref: ColumnRef
     index: CrackerIndex
-    queries_seen: int = 0
     tuning_actions: int = 0
     workload_weight: float = 1.0
     #: Cracks a worker-pool window plan has promised this column and
@@ -51,15 +51,20 @@ class ColumnRanking:
     Args:
         cache_target_elements: piece size (rows) below which further
             refinement is considered useless (the cache-fit criterion).
+        monitor: the kernel's workload monitor, whose per-column query
+            counts are the frequency signal.
     """
 
-    def __init__(self, cache_target_elements: int) -> None:
+    def __init__(
+        self, cache_target_elements: int, monitor: WorkloadMonitor
+    ) -> None:
         if cache_target_elements < 1:
             raise ConfigError(
                 "cache_target_elements must be >= 1, got "
                 f"{cache_target_elements}"
             )
         self.cache_target_elements = cache_target_elements
+        self.monitor = monitor
         self._states: dict[ColumnRef, ColumnTuningState] = {}
 
     # -- registration ----------------------------------------------------
@@ -93,19 +98,12 @@ class ColumnRanking:
     # -- signal updates ----------------------------------------------------
 
     def note_query(self, ref: ColumnRef) -> None:
-        state = self._states.get(ref)
-        if state is not None:
-            state.queries_seen += 1
+        """:meth:`WorkloadMonitor.record` (perfbench wraps the name)."""
+        self.monitor.record(ref)
 
     def note_queries(self, ref: ColumnRef, count: int) -> None:
-        """Record ``count`` queries on ``ref`` in one step.
-
-        The batched form of :meth:`note_query` used by windowed
-        execution: one bookkeeping update per column per window.
-        """
-        state = self._states.get(ref)
-        if state is not None:
-            state.queries_seen += count
+        """:meth:`WorkloadMonitor.note_many` (perfbench wraps it)."""
+        self.monitor.note_many(ref, count)
 
     def note_tuning_action(self, ref: ColumnRef, count: int = 1) -> None:
         state = self._states.get(ref)
@@ -129,8 +127,8 @@ class ColumnRanking:
         avg = state.average_piece_size()
         if avg <= self.cache_target_elements:
             return 0.0
-        frequency_weight = state.queries_seen + state.workload_weight
-        return frequency_weight * avg
+        queries = self.monitor.query_counts.get(state.ref, 0)
+        return (queries + state.workload_weight) * avg
 
     def ranked(self) -> list[tuple[ColumnTuningState, float]]:
         """All candidates with positive score, best first.
@@ -183,14 +181,16 @@ class ColumnRanking:
 
         Index objects are not serialized here -- the snapshot layer
         restores them separately and re-registers, then folds these
-        counters back in with :meth:`restore_state`.
+        counters back in with :meth:`restore_state`.  ``queries_seen``
+        is the monitor's count.
         """
+        counts = self.monitor.query_counts
         return {
             "columns": [
                 {
                     "table": state.ref.table,
                     "column": state.ref.column,
-                    "queries_seen": state.queries_seen,
+                    "queries_seen": counts.get(state.ref, 0),
                     "tuning_actions": state.tuning_actions,
                     "workload_weight": state.workload_weight,
                 }
@@ -203,13 +203,13 @@ class ColumnRanking:
 
         Columns in the snapshot that are not registered yet are
         skipped -- registration is driven by the restored index set,
-        which is the authoritative candidate list.
+        which is the authoritative candidate list.  The monitor
+        restores ``queries_seen``.
         """
         for entry in state["columns"]:
             ref = ColumnRef(entry["table"], entry["column"])
             tracked = self._states.get(ref)
             if tracked is None:
                 continue
-            tracked.queries_seen = int(entry["queries_seen"])
             tracked.tuning_actions = int(entry["tuning_actions"])
             tracked.workload_weight = float(entry["workload_weight"])

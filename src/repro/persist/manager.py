@@ -308,8 +308,9 @@ class IncrementalCheckpointer:
         total = 0
         ranking = getattr(strategy, "ranking", None)
         if ranking is not None:
+            counts = ranking.monitor.query_counts
             for state in ranking.states():
-                total += state.queries_seen + state.tuning_actions
+                total += counts.get(state.ref, 0) + state.tuning_actions
         tape = getattr(strategy, "tape", None)
         if tape is not None:
             total += tape.count()

@@ -28,7 +28,6 @@ advanced by others) until :meth:`finish` has synced it.
 
 from __future__ import annotations
 
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 
 _NS_PER_S = 1e9
@@ -49,7 +48,6 @@ class WindowAccountant:
         "_crack_ns",
         "_materialize_ns",
         "_probe_ns",
-        "_seek_ns",
         "_piece_ns",
         "_query_ns",
         "_crack_overhead_ns",
@@ -74,22 +72,21 @@ class WindowAccountant:
         self._crack_ns = constants.crack_ns_per_element
         self._materialize_ns = constants.materialize_ns_per_element
         self._probe_ns = constants.probe_ns_per_comparison
-        self._seek_ns = constants.seek_ns
         self._piece_ns = constants.piece_overhead_ns
         self._query_ns = constants.query_overhead_ns
         self._crack_overhead_ns = constants.crack_overhead_ns
         self._scale = model.scale
         self._query_seconds = (self._query_ns * 1) / _NS_PER_S
-        #: Memoized binary-search pricing keyed by step count -- the
-        #: same few depths recur thousands of times per run.
-        self._binary_seconds: dict[int, float] = {}
+        #: Binary-search seconds by step count: the clock's own table
+        #: for these constants (:meth:`SimClock.prices`).
+        self._binary_seconds = clock.prices()
         self.rearm()
 
     def rearm(self) -> None:
         """Start a window at the clock's current reading with zeroed
-        counters.  The prices and their memo stay: a clock's cost
-        model is fixed."""
-        self.now = self.clock.now()
+        counters.  The prices stay: a clock's cost model is fixed.  A
+        window runs outside parallel phases: the reading is ``_now``."""
+        self.now = self.clock._now
         self._scanned = self._cracked = self._materialized = 0
         self._comparisons = self._seeks = self._pieces = 0
         self._queries = self._cracks = 0
@@ -103,18 +100,10 @@ class WindowAccountant:
         self.now += self._query_seconds
         self._queries += 1
 
-    def _binary_cost(self, steps: int) -> float:
-        seconds = self._binary_seconds.get(steps)
-        if seconds is None:
-            seconds = self._binary_seconds[steps] = (
-                self._probe_ns * steps + self._seek_ns * 1
-            ) / _NS_PER_S
-        return seconds
-
     def charge_binary(self, n: int) -> None:
         """``CostCharge.for_binary_search(n)``."""
         steps = max(1, int(n).bit_length())
-        self.now += self._binary_cost(steps)
+        self.now += self._binary_seconds[steps]
         self._comparisons += steps
         self._seeks += 1
 
@@ -127,7 +116,7 @@ class WindowAccountant:
         instead, which folds the per-query overhead in too.
         """
         steps = max(1, int(n).bit_length())
-        seconds = self._binary_cost(steps)
+        seconds = self._binary_seconds[steps]
         self.now += seconds
         self.now += seconds
         self._comparisons += 2 * steps
@@ -143,9 +132,7 @@ class WindowAccountant:
         now = self.now + self._query_seconds
         self._queries += 1
         steps = max(1, int(n).bit_length())
-        seconds = self._binary_seconds.get(steps)
-        if seconds is None:
-            seconds = self._binary_cost(steps)
+        seconds = self._binary_seconds[steps]
         now += seconds
         self.now = now + seconds
         self._comparisons += 2 * steps
@@ -207,14 +194,8 @@ class WindowAccountant:
 
     def finish(self) -> None:
         """Sync the window's time and counters onto the clock."""
-        total = CostCharge(
-            elements_scanned=self._scanned,
-            elements_cracked=self._cracked,
-            elements_materialized=self._materialized,
-            comparisons=self._comparisons,
-            seeks=self._seeks,
-            pieces_touched=self._pieces,
-            queries=self._queries,
-            cracks=self._cracks,
+        self.clock.settle_batch(
+            self.now, self._scanned, self._cracked, self._materialized,
+            self._comparisons, self._seeks, self._pieces, self._queries,
+            self._cracks,
         )
-        self.clock.settle_batch(self.now, total)

@@ -136,6 +136,21 @@ class SimClock:
         self._lane_lock = threading.Lock()
         self._lane_tls = threading.local()
         self._lane_seq = 0
+        self._priced: object = None  # the constants prices() priced last
+        self.prices()
+
+    def prices(self) -> tuple[float, ...]:
+        """Binary-search seconds by step count (a piece count has under
+        64 bits) and per-query seconds, repriced on new constants."""
+        c = self.model.constants
+        if c is not self._priced:
+            self._priced = c
+            self._query_seconds = (c.query_overhead_ns * 1) / _NS_PER_S
+            self._binary_seconds = tuple(
+                (c.probe_ns_per_comparison * steps + c.seek_ns * 1) / _NS_PER_S
+                for steps in range(65)
+            )
+        return self._binary_seconds
 
     def current_lane(self) -> int:
         """This thread's stable lane id (allocated on first use).
@@ -184,12 +199,14 @@ class SimClock:
 
     def charge_query(self) -> None:
         """``charge(CostCharge(queries=1))`` -- the per-query overhead
-        -- without building the charge, bit-identically, as
-        :meth:`charge_probes` prices its probes."""
+        -- without building the charge, bit-identically, priced by
+        :meth:`prices` as :meth:`charge_probes` is."""
         if self._parallel:
             self.charge(CostCharge(queries=1))
             return
-        self._now += (self.model.constants.query_overhead_ns * 1) / _NS_PER_S
+        if self.model.constants is not self._priced:
+            self.prices()
+        self._now += self._query_seconds
         self.total_charge.queries += 1
 
     def charge_probes(self, n: int, count: int) -> None:
@@ -197,31 +214,35 @@ class SimClock:
         events -- the piece-map probes of a converged select -- without
         building the charges, bit-identically: the event is priced as
         :meth:`CostModel.nanoseconds` prices it (same terms, same order,
-        the model read now, not remembered), time advances by ``count``
-        separate additions, never by ``count * seconds``, and the
-        counters land on whatever ``total_charge`` is at this moment.
+        by :meth:`prices` for the model's current constants), time
+        advances by ``count`` separate additions, never by ``count *
+        seconds``, and the counters land on ``total_charge`` as it is.
         """
         if self._parallel:
             for _ in range(count):
                 self.charge(CostCharge.for_binary_search(n))
             return
-        steps = max(1, int(n).bit_length())
-        constants = self.model.constants
-        seconds = (
-            constants.probe_ns_per_comparison * steps + constants.seek_ns * 1
-        ) / _NS_PER_S
+        if self.model.constants is not self._priced:
+            self.prices()
+        steps = int(n).bit_length() or 1
+        seconds = self._binary_seconds[steps]
         for _ in range(count):
             self._now += seconds
         self.total_charge.comparisons += steps * count
         self.total_charge.seeks += count
 
-    def settle_batch(self, now: float, charge: CostCharge) -> None:
+    def settle_batch(
+        self, now: float, scanned: int, cracked: int, materialized: int,
+        comparisons: int, seeks: int, pieces: int, queries: int,
+        cracks: int,
+    ) -> None:
         """Apply a window accountant's amortized settlement.
 
         ``now`` must be the left-fold of per-event priced seconds over
         the current reading (what repeated :meth:`charge` calls would
         have produced -- see :mod:`repro.simtime.accounting`); the
-        aggregate ``charge`` lands in ``total_charge`` in one update.
+        window's aggregate counters -- the :class:`CostCharge` fields
+        of those names -- land in ``total_charge`` in one update.
 
         Raises:
             ConfigError: inside a parallel phase, or if ``now`` runs
@@ -236,7 +257,15 @@ class SimClock:
                 f"batch settlement runs time backwards: {now} < {self._now}"
             )
         self._now = now
-        self.total_charge += charge
+        total = self.total_charge
+        total.elements_scanned += scanned
+        total.elements_cracked += cracked
+        total.elements_materialized += materialized
+        total.comparisons += comparisons
+        total.seeks += seeks
+        total.pieces_touched += pieces
+        total.queries += queries
+        total.cracks += cracks
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:

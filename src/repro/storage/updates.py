@@ -207,7 +207,8 @@ class PendingUpdates:
         They are held to what staging establishes, because selects
         compute on it unchecked: inserts sorted by value, delete
         positions/values aligned, sorted by value and naming distinct
-        rows -- rows of the base column holding those values.
+        rows -- rows of the base column holding those values.  Sorted
+        is ``np.sort``'s order: ascending, any NaN at the end.
 
         Raises:
             SchemaError: if the arrays break any of that -- before
@@ -219,8 +220,8 @@ class PendingUpdates:
         staged = np.sort(pos)
         if (
             len(pos) != len(vals)
-            or (inserts[1:] < inserts[:-1]).any()
-            or (vals[1:] < vals[:-1]).any()
+            or not np.array_equal(np.sort(inserts), inserts, equal_nan=True)
+            or not np.array_equal(np.sort(vals), vals, equal_nan=True)
             or (staged[1:] == staged[:-1]).any()
         ):
             raise SchemaError(

@@ -9,27 +9,35 @@ question.
 
 from __future__ import annotations
 
+import gc
 import sys
+from collections import Counter
 
 
 class Calls(int):
-    """A call count that also holds the ``module:qualname`` of every
-    function entered, in order, so a failed budget prints the path."""
+    """A call count that also holds how often each function
+    (``module:qualname``) was entered, so a failed budget prints where
+    the calls went."""
 
-    path: list[str]
+    functions: Counter[str]
 
     def __new__(cls, path: list[str]) -> "Calls":
         calls = super().__new__(cls, len(path))
-        calls.path = path
+        calls.functions = Counter(path)
         return calls
 
     def __repr__(self) -> str:
-        return f"{int(self)} calls: " + " > ".join(self.path)
+        return f"{int(self)} calls: " + ", ".join(
+            f"{name} x{count}"
+            for name, count in self.functions.most_common()
+        )
 
 
 def count_calls(function, *args) -> tuple[Calls, object]:
     """The Python-level calls ``function(*args)`` makes, itself
-    included, and what it returns."""
+    included, and what it returns.  The garbage collector is off
+    meanwhile: a collection would count the callbacks other libraries
+    hang on it (hypothesis times every collection)."""
     path: list[str] = []
 
     def profile(frame, event, arg):
@@ -39,9 +47,13 @@ def count_calls(function, *args) -> tuple[Calls, object]:
             name = getattr(code, "co_qualname", code.co_name)
             path.append(f"{frame.f_globals.get('__name__')}:{name}")
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = function(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return Calls(path), result

@@ -118,11 +118,12 @@ def test_scheduler_batched_spreads_budget():
     from repro.holistic.ranking import ColumnRanking
     from repro.holistic.scheduler import IdleScheduler
     from repro.holistic.tuner import AuxiliaryTuner
+    from repro.online.monitor import WorkloadMonitor
     from repro.storage.catalog import ColumnRef
     from repro.storage.loader import generate_uniform_column
 
     clock = SimClock()
-    ranking = ColumnRanking(cache_target_elements=10)
+    ranking = ColumnRanking(10, WorkloadMonitor())
     for i in range(1, 4):
         column = generate_uniform_column(f"A{i}", rows=5_000, seed=i)
         ranking.register(

@@ -11,6 +11,12 @@ from repro.cracking.piecemap import PieceMap
 from repro.errors import CrackerError
 
 
+def _crack(pieces: PieceMap, pivot, position: int) -> None:
+    """Record a crack as the index does: :meth:`PieceMap.locate` gives
+    the insertion slot :meth:`PieceMap.add_crack_at` takes."""
+    pieces.add_crack_at(pieces.locate(pivot)[0], pivot, position)
+
+
 def test_fresh_map_is_one_piece():
     pieces = PieceMap(100)
     assert pieces.piece_count == 1
@@ -23,7 +29,7 @@ def test_fresh_map_is_one_piece():
 
 def test_add_crack_splits_piece():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 42)
+    _crack(pieces, 50.0, 42)
     assert pieces.piece_count == 2
     left = pieces.piece_at_index(0)
     right = pieces.piece_at_index(1)
@@ -35,9 +41,9 @@ def test_add_crack_splits_piece():
 
 def test_cracks_keep_value_and_position_order():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.add_crack(25.0, 20)
-    pieces.add_crack(75.0, 70)
+    _crack(pieces, 50.0, 40)
+    _crack(pieces, 25.0, 20)
+    _crack(pieces, 75.0, 70)
     assert pieces.pivots() == [25.0, 50.0, 75.0]
     assert pieces.cuts() == [20, 40, 70]
     pieces.check_invariants()
@@ -45,22 +51,23 @@ def test_cracks_keep_value_and_position_order():
 
 def test_duplicate_pivot_rejected():
     pieces = PieceMap(10)
-    pieces.add_crack(5.0, 4)
-    with pytest.raises(CrackerError, match="already recorded"):
-        pieces.add_crack(5.0, 4)
+    _crack(pieces, 5.0, 4)
+    with pytest.raises(CrackerError, match="out of order"):
+        _crack(pieces, 5.0, 4)
+    assert (pieces.pivots(), pieces.cuts()) == ([5.0], [4])
 
 
 def test_out_of_piece_position_rejected():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
+    _crack(pieces, 50.0, 40)
     # pivot 60 belongs to the right piece [40, 100); position 10 is not.
     with pytest.raises(CrackerError, match="outside"):
-        pieces.add_crack(60.0, 10)
+        _crack(pieces, 60.0, 10)
 
 
 def test_piece_for_value_navigation():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
+    _crack(pieces, 50.0, 40)
     assert pieces.piece_for_value(10.0).start == 0
     assert pieces.piece_for_value(50.0).start == 40
     assert pieces.piece_for_value(99.0).start == 40
@@ -68,7 +75,7 @@ def test_piece_for_value_navigation():
 
 def test_has_pivot_and_position_of_pivot():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
+    _crack(pieces, 50.0, 40)
     assert pieces.has_pivot(50.0)
     assert not pieces.has_pivot(49.0)
     assert pieces.locate(50.0)[1] == 40
@@ -76,26 +83,26 @@ def test_has_pivot_and_position_of_pivot():
 
 def test_piece_sizes_and_aggregates():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.add_crack(75.0, 70)
+    _crack(pieces, 50.0, 40)
+    _crack(pieces, 75.0, 70)
     assert [p.size for p in pieces.pieces()] == [40, 30, 30]
     assert pieces.average_piece_size() == pytest.approx(100 / 3)
 
 
 def test_largest_piece_is_the_first_biggest():
     pieces = PieceMap(100)
-    pieces.add_crack(30.0, 30)
-    pieces.add_crack(60.0, 70)
+    _crack(pieces, 30.0, 30)
+    _crack(pieces, 60.0, 70)
     assert pieces.largest_piece().start == 30  # 40 rows
-    pieces.add_crack(45.0, 50)
+    _crack(pieces, 45.0, 50)
     piece = pieces.largest_piece()  # 30 rows at 0 and at 70
     assert (piece.start, piece.size) == (0, 30)
 
 
 def test_apply_deltas_shifts_cuts():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.add_crack(75.0, 70)
+    _crack(pieces, 50.0, 40)
+    _crack(pieces, 75.0, 70)
     pieces.apply_deltas([5, 0, -3])
     assert pieces.cuts() == [45, 75]
     assert pieces.row_count == 102
@@ -104,7 +111,7 @@ def test_apply_deltas_shifts_cuts():
 
 def test_apply_deltas_validates_length_and_sizes():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
+    _crack(pieces, 50.0, 40)
     with pytest.raises(CrackerError, match="deltas"):
         pieces.apply_deltas([1])
     with pytest.raises(CrackerError, match="below zero"):
@@ -113,8 +120,8 @@ def test_apply_deltas_validates_length_and_sizes():
 
 def test_empty_pieces_are_allowed():
     pieces = PieceMap(100)
-    pieces.add_crack(50.0, 40)
-    pieces.add_crack(55.0, 40)  # empty piece [40, 40)
+    _crack(pieces, 50.0, 40)
+    _crack(pieces, 55.0, 40)  # empty piece [40, 40)
     assert [p.size for p in pieces.pieces()] == [40, 0, 60]
     pieces.check_invariants()
 
@@ -195,11 +202,9 @@ def test_nan_is_never_a_pivot():
     """NaN compares false with everything, so ``any(a >= b)`` let it
     through every ordering check and ``check_invariants`` passed."""
     empty, cut = PieceMap(100), PieceMap(100)
-    cut.add_crack(50.0, 40)
+    _crack(cut, 50.0, 40)
     for pieces in (empty, cut):
         before = (pieces.pivots(), pieces.cuts())
-        with pytest.raises(CrackerError, match="out of order"):
-            pieces.add_crack(math.nan, 60)
         with pytest.raises(CrackerError, match="out of order"):
             pieces.add_crack_at(pieces.crack_count, math.nan, 60)
         with pytest.raises(CrackerError, match="pivot ordering"):
@@ -227,8 +232,8 @@ def test_sequential_cracks_shift_pivots_of_every_width(dtype):
         assert pieces.cuts() == pieces.pivots()
         assert pieces.crack_count == step + 1
     for pivot in range(910, 1_000, 20):
-        pieces.add_crack(pivot, pivot)
-    pieces.add_crack(15, 15)
+        _crack(pieces, pivot, pivot)
+    _crack(pieces, 15, 15)
     pieces.check_invariants()
     assert pieces.pivots() == [15, *range(20, 901, 20), *range(910, 1_000, 20)]
     assert pieces.cuts() == pieces.pivots()

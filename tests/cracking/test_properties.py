@@ -99,7 +99,7 @@ def test_piecemap_invariants_under_value_ordered_cracks(n, pivots):
         piece = pieces.piece_for_value(pivot)
         # A position consistent with value order inside the piece.
         position = piece.start + piece.size // 2
-        pieces.add_crack(pivot, position)
+        pieces.add_crack_at(pieces.locate(pivot)[0], pivot, position)
         pieces.check_invariants()
     assert pieces.piece_count == pieces.crack_count + 1
     assert sum([p.size for p in pieces.pieces()]) == n

@@ -247,6 +247,25 @@ def test_converged_window_answers_views_of_a_widened_array():
     )
 
 
+def test_converged_select_answers_views_of_a_widened_array():
+    """A converged sequential select shares the span-view cache too:
+    its second visit files the range's view, later visits answer with
+    it, and a widening empties the cache (the view slices the int64
+    array, not the int32 one it replaced)."""
+    _, index = _pair(rows=1000, seed=13)
+    index.select_keys(100, 700)  # cracks
+    filed = index.select_keys(100, 700)
+    assert index.select_keys(100, 700) is filed
+    assert index.span_views()[filed.start, filed.end] is filed
+    index.ensure_values_fit(np.array([2**40]))
+    view = index.select_keys(100, 700)
+    assert view.values().dtype == np.int64
+    assert np.shares_memory(view.values(), index.values)
+    assert sorted(view.values().tolist()) == sorted(
+        v for v in index.column.values.tolist() if 100 <= v < 700
+    )
+
+
 def test_incomplete_replay_is_not_reused():
     _, batched = _pair(rows=800, seed=5)
     context, _ = _begin(batched, [(100, 200), (300, 400)])

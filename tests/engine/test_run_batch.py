@@ -280,9 +280,7 @@ def test_holistic_monitor_and_ranking_state_match():
     base = base_session.strategy
     batch = batch_session.strategy
     assert batch.monitor.export_state() == base.monitor.export_state()
-    seen = {s.ref: s.queries_seen for s in batch.ranking.states()}
-    for state in base.ranking.states():
-        assert seen[state.ref] == state.queries_seen
+    assert batch.ranking.export_state() == base.ranking.export_state()
 
 
 def test_wait_debt_charged_to_first_window_query():
@@ -594,6 +592,6 @@ def test_replay_raising_mid_window_settles_like_sequential(
         assert kernel.monitor.export_state() == (
             reference.monitor.export_state()
         )
-        seen = {s.ref: s.queries_seen for s in kernel.ranking.states()}
-        for state in reference.ranking.states():
-            assert seen[state.ref] == state.queries_seen
+        assert kernel.ranking.export_state() == (
+            reference.ranking.export_state()
+        )

@@ -12,6 +12,7 @@ from repro.holistic.policies import (
     make_policy,
 )
 from repro.holistic.ranking import ColumnRanking
+from repro.online.monitor import WorkloadMonitor
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.loader import generate_uniform_column
@@ -19,7 +20,7 @@ from repro.storage.loader import generate_uniform_column
 
 @pytest.fixture
 def ranking() -> ColumnRanking:
-    ranking = ColumnRanking(cache_target_elements=10)
+    ranking = ColumnRanking(10, WorkloadMonitor())
     for i in range(1, 4):
         name = f"A{i}"
         column = generate_uniform_column(name, rows=1_000, seed=i)
@@ -48,7 +49,7 @@ def test_round_robin_skips_refined(ranking):
 
 
 def test_round_robin_empty_ranking():
-    ranking = ColumnRanking(cache_target_elements=10)
+    ranking = ColumnRanking(10, WorkloadMonitor())
     assert RoundRobinPolicy().choose(ranking) is None
 
 
@@ -66,7 +67,7 @@ def test_weighted_random_prefers_heavy(ranking):
 
 
 def test_weighted_random_empty_ranking():
-    ranking = ColumnRanking(cache_target_elements=10)
+    ranking = ColumnRanking(10, WorkloadMonitor())
     assert WeightedRandomPolicy(seed=0).choose(ranking) is None
 
 

@@ -12,6 +12,7 @@ from repro.holistic.policies import RoundRobinPolicy
 from repro.holistic.ranking import ColumnRanking
 from repro.holistic.scheduler import IdleScheduler
 from repro.holistic.tuner import AuxiliaryTuner
+from repro.online.monitor import WorkloadMonitor
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
@@ -20,7 +21,7 @@ from repro.storage.loader import build_paper_table, generate_uniform_column
 
 def _scheduler(columns=3, rows=5_000, target=10):
     clock = SimClock()
-    ranking = ColumnRanking(cache_target_elements=target)
+    ranking = ColumnRanking(target, WorkloadMonitor())
     for i in range(1, columns + 1):
         name = f"A{i}"
         column = generate_uniform_column(name, rows=rows, seed=i)

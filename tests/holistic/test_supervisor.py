@@ -358,7 +358,7 @@ def test_quarantined_best_with_live_unrefined_candidate_is_stuck():
     kernel.index_for(a1)
     kernel.index_for(a2)
     for _ in range(3):  # make A1 strictly the ranked best
-        kernel.ranking.note_query(a1)
+        kernel.monitor.record(a1)
     pool.dead_letter.append(a1)
     kernel.start_workers()
     try:

@@ -130,7 +130,10 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
         }
 
     def seen(strategy) -> dict:
-        return {s.ref: s.queries_seen for s in strategy.ranking.states()}
+        return {
+            ColumnRef(c["table"], c["column"]): c["queries_seen"]
+            for c in strategy.ranking.export_state()["columns"]
+        }
 
     served = query_counts(kernel.monitor)
     solo_counts = [query_counts(solo.monitor) for solo in solos]

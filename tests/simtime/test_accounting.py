@@ -88,12 +88,18 @@ def test_accountant_now_tracks_mid_window():
 def test_settle_batch_rejects_backwards_time_and_parallel_phases():
     clock = SimClock()
     clock.sleep(5.0)
+    nothing = (0,) * 8
     with pytest.raises(ConfigError):
-        clock.settle_batch(1.0, CostCharge())
+        clock.settle_batch(1.0, *nothing)
     clock.begin_parallel()
     with pytest.raises(ConfigError):
-        clock.settle_batch(10.0, CostCharge())
+        clock.settle_batch(10.0, *nothing)
     clock.end_parallel()
-    clock.settle_batch(6.0, CostCharge(queries=3))
+    # scanned, cracked, materialized, comparisons, seeks, pieces,
+    # queries, cracks
+    clock.settle_batch(6.0, 1, 2, 3, 4, 5, 6, 7, 8)
     assert clock.now() == 6.0
-    assert clock.total_charge.queries == 3
+    assert clock.total_charge == CostCharge(
+        elements_scanned=1, elements_cracked=2, elements_materialized=3,
+        comparisons=4, seeks=5, pieces_touched=6, queries=7, cracks=8,
+    )

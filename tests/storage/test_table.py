@@ -160,3 +160,27 @@ def test_restore_state_holds_arrays_to_what_staging_establishes():
     assert store.deleted_values.tolist() == [10, 40]
     # Restaging a restored position is a no-op, a fresh one is staged.
     assert store.stage_deletes([3, 1], [40, 20]) == 1
+
+
+def test_restore_state_holds_float_stores_to_sorted_order():
+    """Regression: ``a[1:] < a[:-1]`` is false at every NaN, so an
+    unsorted float store such as ``[5, nan, 1]`` was adopted and its
+    two range probes answered differently.  Sorted is what ``np.sort``
+    leaves: ascending, any NaN at the end."""
+    table = Table("R")
+    table.add_column(Column("F", np.array([1.5, 2.5, 3.5])))
+    store = table.updates_for("F")
+    no_deletes = (np.array([], dtype=np.int64), np.array([]))
+    for inserts in ([5.0, np.nan, 1.0], [np.nan, 1.0], [1.0, np.nan, 0.5]):
+        with pytest.raises(SchemaError):
+            store.restore_state(np.array(inserts), *no_deletes)
+        assert store.pending_insert_count == 0
+    for deleted in ([2.5, 1.5], [3.5, np.nan, 1.5]):
+        with pytest.raises(SchemaError):
+            store.restore_state(
+                np.array([]), np.arange(len(deleted)), np.array(deleted)
+            )
+    store.restore_state(np.array([1.0, 5.0, np.nan, np.nan]), *no_deletes)
+    assert store.inserts_in_range(0.0, 10.0).tolist() == [1.0, 5.0]
+    inserts, _ = store.overlap(0.0, 10.0)
+    assert inserts.tolist() == [1.0, 5.0]
