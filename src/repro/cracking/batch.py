@@ -16,13 +16,13 @@ executed in two decoupled halves:
   piece once instead of once per query, with **no** clock or tape side
   effects.  A converged window has no fresh bound and skips the pass;
 * an **accounting replay** (:class:`CrackSelectBatch`) that steps
-  query by query over a lightweight pure-Python shadow of the
-  pre-window piece map (its pivots, as a sorted list and a set, and
-  its cuts), emitting exactly the charges and tape counts sequential
-  :meth:`CrackerIndex.select_keys` calls would have produced.  A read
-  whose two bounds are shadow pivots is priced in one step; only a
-  read with a fresh bound is bisected and replayed crack by crack --
-  the same crack-in-three fusion, the same piece sizes.
+  query by query over a shadow of the pre-window piece map (a
+  :meth:`PieceMap.copy`), emitting exactly the charges and tape
+  counts sequential :meth:`CrackerIndex.select_keys` calls would have
+  produced.  A read whose two bounds are in the shadow's ``cut_of``
+  is priced in one step; only a read with a fresh bound is bisected
+  and replayed crack by crack -- the same crack-in-three fusion, the
+  same piece sizes.
 
 Because the replay reproduces the sequential charge stream verbatim,
 per-query response times, cumulative clock totals and tape counts
@@ -36,55 +36,11 @@ caller, for session windows and served client lanes alike.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from repro.cracking.piece import CrackOrigin
+from repro.cracking.piecemap import PieceMap
 from repro.errors import CrackerError
 from repro.storage.dtypes import Key
 from repro.storage.views import RangeView
-
-
-class ReplayPieceMap:
-    """Pure-Python shadow of a :class:`PieceMap` for accounting replay.
-
-    Mirrors :meth:`PieceMap.locate` / :meth:`PieceMap.add_crack_at`
-    semantics exactly (bisect on plain lists instead of numpy
-    searchsorted -- faster for the one-value lookups the replay makes)
-    without ever touching the real map, which the physical pass has
-    already advanced to its end-of-window state.  ``pivot_set`` holds
-    the pivots again, so whether a bound is one is a hash hit.
-    """
-
-    __slots__ = ("n", "pivots", "cuts", "pivot_set")
-
-    def __init__(self, n: int, pivots: list[Key], cuts: list[int]) -> None:
-        self.n = n
-        self.pivots = pivots
-        self.cuts = cuts
-        self.pivot_set = set(pivots)
-
-    @classmethod
-    def snapshot(cls, piece_map) -> "ReplayPieceMap":
-        return cls(piece_map.row_count, piece_map.pivots(), piece_map.cuts())
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.pivots) + 1
-
-    def locate(self, value: Key) -> tuple[int, int, int, bool]:
-        """``(piece_index, start, end, at_pivot)``."""
-        pivots = self.pivots
-        i = bisect_right(pivots, value)
-        at_pivot = i > 0 and pivots[i - 1] == value
-        cuts = self.cuts
-        start = cuts[i - 1] if i > 0 else 0
-        end = cuts[i] if i < len(pivots) else self.n
-        return i, start, end, at_pivot
-
-    def add_crack_at(self, i: int, value: Key, position: int) -> None:
-        self.pivots.insert(i, value)
-        self.cuts.insert(i, position)
-        self.pivot_set.add(value)
 
 
 class CrackSelectBatch:
@@ -112,7 +68,7 @@ class CrackSelectBatch:
     def __init__(
         self,
         index,
-        sim: ReplayPieceMap,
+        sim: PieceMap,
         copy_charged: bool,
         expected: int,
         tape=None,
@@ -184,14 +140,14 @@ class CrackSelectBatch:
         and tape counts a sequential :meth:`CrackerIndex.select_keys`
         would have produced at this point of the window.  A read whose
         two bounds are pivots of the shadow map -- two hits in its
-        pivot set -- is priced in one step
+        ``cut_of`` -- is priced in one step
         (:meth:`WindowAccountant.charge_warm_select`) and answered from
         the index's span-view cache; only a read with a fresh bound
         reaches the bisect replay, :meth:`replay`.
         """
-        pivot_set = self.sim.pivot_set
-        if low in pivot_set and high in pivot_set:
-            self._acc.charge_warm_select(len(pivot_set) + 1)
+        cut_of = self.sim.cut_of
+        if low in cut_of and high in cut_of:
+            self._acc.charge_warm_select(len(cut_of) + 1)
             self._done += 1
             positions = self._positions
             span = (positions[low], positions[high])
@@ -216,23 +172,17 @@ class CrackSelectBatch:
         piece), and a pivot is priced as a binary search.
         """
         sim = self.sim
-        pivots = sim.pivots
-        cuts = sim.cuts
-        k = len(pivots)
-        low_index = bisect_right(pivots, low)
-        low_pivot = low_index > 0 and pivots[low_index - 1] == low
-        start = cuts[low_index - 1] if low_index > 0 else 0
-        end = cuts[low_index] if low_index < k else sim.n
+        low_loc, high_loc = sim.locate_pair(low, high)
+        low_index, start, end, low_pivot = low_loc
         if high > self._largest:
             # A top (never a pivot) is the end of the column, as in
             # select_keys: one cut, at low.
             pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = len(self._values)
         else:
-            high_index = bisect_right(pivots, high)
             # Same slot: no pivot lies in (low, high], so high is
             # fresh too.
-            if low_index == high_index and not low_pivot and end > start:
+            if low_index == high_loc[0] and not low_pivot and end > start:
                 self._charge_copy_if_needed()
                 pos_low = self._positions[low]
                 pos_high = self._positions[high]
@@ -280,24 +230,21 @@ class CrackSelectBatch:
         """Verify the replay converged onto the physical state.
 
         Debug/test helper: after a full replay the shadow map must
-        equal the real (already advanced) piece map, and its pivot set
-        must hold exactly its pivots.
+        equal the real (already advanced) piece map and keep its own
+        invariants (its ``cut_of`` decides a converged read).
 
         Raises:
             CrackerError: when the replay and the physical pass
-                disagree, or the shadow's pivot set and list do -- an
+                disagree, or the shadow's ``cut_of`` and lists do -- an
                 accounting bug.
         """
         sim = self.sim
         real = self._index.piece_map
-        if sim.pivots != real.pivots() or sim.cuts != real.cuts():
+        if sim.pivots() != real.pivots() or sim.cuts() != real.cuts():
             raise CrackerError(
                 "batched select replay diverged from the physical pass"
             )
-        if len(sim.pivot_set) != len(sim.pivots) or sim.pivot_set != set(
-            sim.pivots
-        ):
-            raise CrackerError("shadow pivot set differs from its pivots")
+        sim.check_invariants()
 
 
 class DetachedCrackReplay(CrackSelectBatch):
@@ -341,7 +288,7 @@ class DetachedCrackReplay(CrackSelectBatch):
     @classmethod
     def solo(cls, index, tape) -> "DetachedCrackReplay":
         """A replay starting from the virgin (uncracked) column state."""
-        sim = ReplayPieceMap(index.row_count, [], [])
+        sim = PieceMap(index.row_count, dtype=index.piece_map.dtype)
         return cls(index, sim, copy_charged=False, expected=0, tape=tape)
 
     def bind(self, accountant) -> None:

@@ -45,7 +45,7 @@ from repro import faults
 from repro.analysis import witness
 from repro.cracking.index import CrackerIndex
 from repro.errors import ConcurrencyError, ConfigError, LatchTimeout
-from repro.simtime.clock import wall_now
+from repro.simtime.clock import wall_now, wall_sleep
 from repro.storage.views import RangeView
 
 
@@ -380,6 +380,9 @@ class LatchedCrackerAccess:
             except LatchTimeout:
                 self._note_stall()
                 faults.recovered("latch.acquire", "crack re-acquired")
+                # Yield before re-latching: a thread waiting on a piece
+                # this batch just released gets to take it first.
+                wall_sleep(0)
                 continue
         raise ConcurrencyError(
             f"crack at {value} could not stabilise its piece latches "

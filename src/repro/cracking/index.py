@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.cracking.batch import CrackSelectBatch, ReplayPieceMap
+from repro.cracking.batch import CrackSelectBatch
 from repro.cracking.engine import (
     CrackScratch,
     crack_in_three,
@@ -466,7 +466,7 @@ class CrackerIndex:
         ):
             sim = cached[1].sim
         else:
-            sim = ReplayPieceMap.snapshot(self._pieces)
+            sim = self._pieces.copy()
         # One scan checks every range and collects the fresh bounds
         # (a top is never a pivot), before the cache is touched.
         cut_of = self._pieces.cut_of

@@ -3,23 +3,26 @@
 MonetDB's cracker index keeps an AVL tree mapping pivot values to the
 position of the first element ``>= pivot``.  Because the cracked column
 is range-partitioned, pivot order and position order coincide, so two
-parallel sorted arrays with binary search give the same O(log k)
+parallel sorted sequences with binary search give the same O(log k)
 navigation with much better constants.
 
-Representation (ISSUE 3): the pivot and cut columns are
-amortized-growth **numpy buffers** navigated by ``np.searchsorted``.
-Bulk operations (``apply_deltas``, ``check_invariants``, the
-largest-piece selector) are vectorized.
+Representation: the pivots and the cuts are two plain Python **lists**
+of Python scalars, navigated by :func:`bisect.bisect_right` and grown
+by ``list.insert``.  Every crack makes one lookup (:meth:`locate`) and
+one insert (:meth:`add_crack_at`), and on lists both stay in Python
+objects: no numpy scalar is boxed or unboxed on the way.  The bulk
+operations (:meth:`locate_many`, :meth:`insert_cracks_bulk`,
+:meth:`apply_deltas`, :meth:`from_state`) convert to numpy arrays at
+their boundary; they run once per window pass, update merge or
+restore, not once per crack.
 A piece is its value range and its cuts and nothing else: a crack
 keeps no per-piece flag or statistic, because nothing reads one.
 
-The single-value navigation path used by every crack is fused into
-:meth:`locate`: one binary search yields the piece index, bounds and
-whether the value is already a pivot.  A range select
-asks for both of its bounds at once (:meth:`locate_pair`): one
-``searchsorted`` dispatch over a two-key buffer the map owns.
+:meth:`locate` answers the piece index, bounds and whether the value is
+already a pivot from one binary search; a range select asks for both
+of its bounds at once (:meth:`locate_pair`).
 
-Beside the two arrays the map keeps :attr:`PieceMap.cut_of`, a dict
+Beside the two lists the map keeps :attr:`PieceMap.cut_of`, a dict
 from each pivot to its cut position: the one pivot -> position lookup
 of the engine.  A select whose bounds are both cuts (the converged
 select), a window's fresh bounds and a served lane's replays all read
@@ -34,17 +37,20 @@ property tests):
 * piece ``i`` spans positions ``[cuts[i-1], cuts[i])`` (sentinels 0 and
   ``n``) and values ``[pivots[i-1], pivots[i])`` (sentinels -inf/+inf).
 
-Pivots are stored in the column's own dtype and compared exactly:
-they are range bounds the session normalised into the column's domain
-(:func:`repro.storage.dtypes.normalise_range`), so an int64 pivot
-beyond 2^53 is the integer it was asked for.  The top of an integer
+A pivot is a value of the column's dtype, held as the Python scalar of
+that value (an ``int`` for an integer dtype, a ``float`` for float64)
+and compared exactly: an int64 pivot beyond 2^53 is the integer it was
+asked for, and a float bound on an integer map is compared with the
+integers as it is, not rounded first.  The pivots are range bounds the
+session normalised into the column's domain
+(:func:`repro.storage.dtypes.normalise_range`); the top of an integer
 dtype (``max + 1``, the end of the column) is never a pivot.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+from bisect import bisect_right
 from typing import Iterator
 
 import numpy as np
@@ -53,20 +59,18 @@ from repro.errors import CrackerError
 from repro.cracking.piece import Piece
 from repro.storage.dtypes import Key
 
-_INITIAL_CAPACITY = 16
-
 
 class PieceMap:
     """Crack boundaries of a column of ``n`` rows."""
 
     __slots__ = (
         "_n",
-        "_k",
         "_pivots",
         "_cuts",
-        "_pivots_addr",
-        "_cuts_addr",
-        "_pair",
+        "_dtype",
+        "_scalar",
+        "_lowest",
+        "_highest",
         "version",
         "cut_of",
     )
@@ -79,28 +83,23 @@ class PieceMap:
         if n < 0:
             raise CrackerError(f"row count must be >= 0, got {n}")
         self._n = n
-        self._k = 0  # number of cracks (pivots/cuts in use)
-        self._pivots = np.empty(_INITIAL_CAPACITY, dtype=dtype)
-        self._cuts = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._cache_addresses()
-        #: Key buffer of :meth:`locate_pair` (callers hold the index's
-        #: monitor lock, so one per map suffices).
-        self._pair = np.empty(2, dtype=dtype)
+        self._pivots: list[Key] = []
+        self._cuts: list[int] = []
+        self._dtype = dtype = np.dtype(dtype)
+        # A pivot is ``_scalar(pivot)`` in ``[_lowest, _highest]``.
+        if dtype.kind == "f":
+            self._scalar = float
+            self._lowest, self._highest = -math.inf, math.inf
+        else:
+            limits = np.iinfo(dtype)
+            self._scalar = int
+            self._lowest, self._highest = int(limits.min), int(limits.max)
         #: Monotonic mutation counter (bumped by every structural
         #: change); lets callers cache derived views of the map.
         self.version = 0
         #: Pivot -> cut position of every crack.  Mutated in place
         #: only: replays hold a reference to it.
         self.cut_of: dict[Key, int] = {}
-
-    def _cache_addresses(self) -> None:
-        """Cache buffer base addresses for the memmove insert path.
-
-        Recomputed whenever a buffer is reallocated: building the
-        ``.ctypes`` interface per insert costs more than the insert.
-        """
-        self._pivots_addr = self._pivots.ctypes.data
-        self._cuts_addr = self._cuts.ctypes.data
 
     @classmethod
     def from_state(
@@ -114,35 +113,36 @@ class PieceMap:
 
         ``pivots``/``cuts`` are the ``k`` crack boundaries, exactly as
         :meth:`pivots`/:meth:`cuts` export them, with ``pivots`` in the
-        map's ``dtype``.
-        Buffers are reallocated with growth headroom and addresses
-        recached; the version
-        counter restarts at 0 (it orders mutations within one process
-        lifetime only).
+        map's ``dtype``.  The version counter restarts at 0 (it orders
+        mutations within one process lifetime only).
 
         Raises:
             CrackerError: when the arrays violate the map invariants.
         """
         pivots = np.asarray(pivots)
         cuts = np.asarray(cuts, dtype=np.int64)
-        k = len(pivots)
-        if len(cuts) != k:
+        if len(cuts) != len(pivots):
             raise CrackerError(
-                f"piece-map state misaligned: {k} pivots, {len(cuts)} cuts"
+                f"piece-map state misaligned: {len(pivots)} pivots, "
+                f"{len(cuts)} cuts"
             )
         piece_map = cls(n, dtype=dtype)
-        capacity = max(_INITIAL_CAPACITY, k)
-        piece_map._k = k
-        piece_map._pivots = np.empty(capacity, dtype=dtype)
-        piece_map._pivots[:k] = pivots
-        piece_map._cuts = np.empty(capacity, dtype=np.int64)
-        piece_map._cuts[:k] = cuts
-        piece_map._cache_addresses()
-        piece_map._refill_cut_of()
+        stored = pivots.astype(piece_map._dtype)
+        piece_map._pivots = stored.tolist()
+        piece_map._cuts = cuts.tolist()
+        piece_map.cut_of.update(zip(piece_map._pivots, piece_map._cuts))
         piece_map.check_invariants()
-        if not (piece_map._pivots[:k] == pivots).all():
+        if not (stored == pivots).all():
             raise CrackerError(f"pivots are not all {dtype} values")
         return piece_map
+
+    def copy(self) -> "PieceMap":
+        """An independent map with the same pieces (version 0)."""
+        twin = PieceMap(self._n, dtype=self._dtype)
+        twin._pivots = self._pivots.copy()
+        twin._cuts = self._cuts.copy()
+        twin.cut_of.update(self.cut_of)
+        return twin
 
     # -- inspection ----------------------------------------------------
 
@@ -152,24 +152,24 @@ class PieceMap:
 
     @property
     def piece_count(self) -> int:
-        return self._k + 1
+        return len(self._pivots) + 1
 
     @property
     def crack_count(self) -> int:
-        return self._k
+        return len(self._pivots)
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype the pivots are stored (and compared) in."""
-        return self._pivots.dtype
+        """The dtype whose values the pivots are."""
+        return self._dtype
 
     def pivots(self) -> list[Key]:
         """The pivot values, in increasing order (copy)."""
-        return self._pivots[: self._k].tolist()
+        return self._pivots.copy()
 
     def cuts(self) -> list[int]:
         """The cut positions aligned with :meth:`pivots` (copy)."""
-        return self._cuts[: self._k].tolist()
+        return self._cuts.copy()
 
     def piece_at_index(self, index: int) -> Piece:
         """The ``index``-th piece, in position/value order.
@@ -177,28 +177,17 @@ class PieceMap:
         Raises:
             CrackerError: if ``index`` is out of range.
         """
-        k = self._k
+        k = len(self._pivots)
         if index < 0 or index > k:
             raise CrackerError(
                 f"piece index {index} out of range "
                 f"[0, {self.piece_count})"
             )
-        start = int(self._cuts[index - 1]) if index > 0 else 0
-        end = int(self._cuts[index]) if index < k else self._n
-        low = self._pivots.item(index - 1) if index > 0 else -math.inf
-        high = self._pivots.item(index) if index < k else math.inf
+        start = self._cuts[index - 1] if index > 0 else 0
+        end = self._cuts[index] if index < k else self._n
+        low = self._pivots[index - 1] if index > 0 else -math.inf
+        high = self._pivots[index] if index < k else math.inf
         return Piece(start, end, low, high)
-
-    def _located(self, i: int, value: Key) -> tuple[int, int, int, bool]:
-        """What :meth:`locate` reports for ``value`` once its binary
-        search has answered ``i``; plain Python scalars."""
-        cuts = self._cuts
-        return (
-            i,
-            cuts.item(i - 1) if i > 0 else 0,
-            cuts.item(i) if i < self._k else self._n,
-            i > 0 and self._pivots.item(i - 1) == value,
-        )
 
     def locate(self, value: Key) -> tuple[int, int, int, bool]:
         """One-binary-search lookup of the piece containing ``value``.
@@ -210,25 +199,49 @@ class PieceMap:
         returned is then the one *at or right of* the pivot, whose
         ``start`` is exactly the pivot's cut position.
         """
-        i = self._pivots[: self._k].searchsorted(value, side="right")
-        return self._located(int(i), value)
+        pivots = self._pivots
+        cuts = self._cuts
+        i = bisect_right(pivots, value)
+        return (
+            i,
+            cuts[i - 1] if i else 0,
+            cuts[i] if i < len(cuts) else self._n,
+            i > 0 and pivots[i - 1] == value,
+        )
 
     def locate_pair(
         self, low: Key, high: Key
     ) -> tuple[tuple[int, int, int, bool], tuple[int, int, int, bool]]:
-        """``(locate(low), locate(high))`` from one binary-search
-        dispatch -- both bounds of a range select.
-
-        Not re-entrant: the two keys travel in a buffer the map owns,
-        so callers serialise (the cracker index's monitor lock does).
-        """
-        keys = self._pair
-        keys[0] = low
-        keys[1] = high
-        i, j = (
-            self._pivots[: self._k].searchsorted(keys, side="right").tolist()
+        """``(locate(low), locate(high))`` -- both bounds of a range
+        select, in one call."""
+        pivots = self._pivots
+        cuts = self._cuts
+        k = len(cuts)
+        n = self._n
+        i = bisect_right(pivots, low)
+        j = bisect_right(pivots, high)
+        return (
+            (
+                i,
+                cuts[i - 1] if i else 0,
+                cuts[i] if i < k else n,
+                i > 0 and pivots[i - 1] == low,
+            ),
+            (
+                j,
+                cuts[j - 1] if j else 0,
+                cuts[j] if j < k else n,
+                j > 0 and pivots[j - 1] == high,
+            ),
         )
-        return self._located(i, low), self._located(j, high)
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pivots (in the map's dtype) and cuts as numpy arrays:
+        the bulk operations' boundary."""
+        return (
+            np.array(self._pivots, dtype=self._dtype),
+            np.array(self._cuts, dtype=np.int64),
+        )
 
     def locate_many(
         self, values: np.ndarray
@@ -237,19 +250,20 @@ class PieceMap:
 
         Returns ``(piece_indices, starts, ends, at_pivot)``
         arrays aligned with ``values`` -- one ``searchsorted`` over
-        the pivot column instead of one binary search per value.
+        the pivots instead of one binary search per value.
         ``starts`` is each containing piece's start position (for
         ``at_pivot`` entries that is exactly the pivot's cut position,
         as in :meth:`locate`).
         """
-        k = self._k
-        indices = self._pivots[:k].searchsorted(values, side="right")
+        k = len(self._pivots)
+        pivots, cuts = self._arrays()
+        indices = pivots.searchsorted(values, side="right")
         if k:
             left = np.maximum(indices - 1, 0)
-            at_pivot = (indices > 0) & (self._pivots[left] == values)
-            starts = np.where(indices > 0, self._cuts[left], 0)
+            at_pivot = (indices > 0) & (pivots[left] == values)
+            starts = np.where(indices > 0, cuts[left], 0)
             ends = np.where(
-                indices < k, self._cuts[np.minimum(indices, k - 1)], self._n
+                indices < k, cuts[np.minimum(indices, k - 1)], self._n
             )
         else:
             at_pivot = np.zeros(len(values), dtype=bool)
@@ -265,22 +279,21 @@ class PieceMap:
         ``pivots`` must be strictly increasing, none of them already
         recorded, with ``positions`` aligned, exactly as repeated
         :meth:`add_crack` calls would arrange.  One ``np.insert`` per
-        column replaces per-crack binary searches and tail shifts --
+        sequence replaces per-crack binary searches and inserts --
         the piece-map half of a batched physical pass.
 
         Raises:
             CrackerError: if the splice would violate the piece-map
                 invariants.
         """
-        fresh = len(pivots)
-        if fresh == 0:
+        if len(pivots) == 0:
             return
-        k = self._k
+        pivots = np.asarray(pivots, dtype=self._dtype)
         positions = np.asarray(positions, dtype=np.int64)
-        slots = self._pivots[:k].searchsorted(pivots, side="left")
-        new_pivots = np.insert(self._pivots[:k], slots, pivots)
-        new_cuts = np.insert(self._cuts[:k], slots, positions)
-        total = k + fresh
+        old_pivots, old_cuts = self._arrays()
+        slots = old_pivots.searchsorted(pivots, side="left")
+        new_pivots = np.insert(old_pivots, slots, pivots)
+        new_cuts = np.insert(old_cuts, slots, positions)
         # Not ``any(>=)``: NaN compares false both ways, and a lone NaN
         # has no neighbour to compare with.
         if (
@@ -296,28 +309,14 @@ class PieceMap:
             raise CrackerError(
                 "bulk crack insert breaks cut ordering"
             )
-        capacity = self._pivots.size
-        while capacity < total:
-            capacity *= 2
-        pivot_buf = np.empty(capacity, dtype=self._pivots.dtype)
-        cut_buf = np.empty(capacity, dtype=np.int64)
-        pivot_buf[:total] = new_pivots
-        cut_buf[:total] = new_cuts
-        self._pivots = pivot_buf
-        self._cuts = cut_buf
-        self._k = total
-        self._cache_addresses()
-        self.cut_of.update(
-            zip(
-                np.asarray(pivots, dtype=pivot_buf.dtype).tolist(),
-                positions.tolist(),
-            )
-        )
+        self._pivots = new_pivots.tolist()
+        self._cuts = new_cuts.tolist()
+        self.cut_of.update(zip(pivots.tolist(), positions.tolist()))
         self.version += 1
 
     def piece_index_for_value(self, value: Key) -> int:
         """Index of the piece whose value interval contains ``value``."""
-        return self.locate(value)[0]
+        return bisect_right(self._pivots, value)
 
     def piece_for_value(self, value: Key) -> Piece:
         """The piece whose value interval contains ``value``."""
@@ -332,59 +331,20 @@ class PieceMap:
         for i in range(self.piece_count):
             yield self.piece_at_index(i)
 
-    def _sizes_array(self) -> np.ndarray:
-        """Piece sizes as an int64 array (vectorized, O(k))."""
-        return np.diff(
-            self._cuts[: self._k], prepend=0, append=self._n
-        )
+    def _sizes(self) -> list[int]:
+        """Piece sizes, in order."""
+        bounds = [0, *self._cuts, self._n]
+        return [end - start for start, end in zip(bounds, bounds[1:])]
 
     def average_piece_size(self) -> float:
         return self._n / self.piece_count if self.piece_count else 0.0
 
     def largest_piece(self) -> Piece:
         """The first biggest piece."""
-        return self.piece_at_index(int(np.argmax(self._sizes_array())))
+        sizes = self._sizes()
+        return self.piece_at_index(sizes.index(max(sizes)))
 
     # -- mutation ------------------------------------------------------
-
-    def _grow(self) -> None:
-        capacity = 2 * self._pivots.size
-        pivots = np.empty(capacity, dtype=self._pivots.dtype)
-        cuts = np.empty(capacity, dtype=np.int64)
-        k = self._k
-        pivots[:k] = self._pivots[:k]
-        cuts[:k] = self._cuts[:k]
-        self._pivots = pivots
-        self._cuts = cuts
-        self._cache_addresses()
-
-    def _insert_crack(self, i: int, pivot: Key, position: int) -> None:
-        """Insert a validated crack at slot ``i`` (buffer shifts)."""
-        k = self._k
-        if k == self._pivots.size:
-            self._grow()
-        if i < k:
-            # ctypes.memmove (cached base addresses) instead of an
-            # overlapping slice assignment: numpy detects the overlap
-            # and materializes a temporary copy of the tail on every
-            # insert, which dominated the crack profile.  A pivot is
-            # the dtype's width (4 bytes for int32), a cut 8.
-            width = self._pivots.itemsize
-            ctypes.memmove(
-                self._pivots_addr + (i + 1) * width,
-                self._pivots_addr + i * width,
-                (k - i) * width,
-            )
-            ctypes.memmove(
-                self._cuts_addr + (i + 1) * 8,
-                self._cuts_addr + i * 8,
-                (k - i) * 8,
-            )
-        self._pivots[i] = pivot
-        self._cuts[i] = position
-        self.cut_of[pivot] = position
-        self._k = k + 1
-        self.version += 1
 
     def add_crack(self, pivot: Key, position: int) -> None:
         """Record that the column was cracked at ``pivot``/``position``.
@@ -395,9 +355,8 @@ class PieceMap:
             CrackerError: if the pivot already exists or the position
                 violates the piece-ordering invariants.
         """
-        k = self._k
-        i = int(self._pivots[:k].searchsorted(pivot, side="left"))
-        if i < k and self._pivots[i] == pivot:
+        i = bisect_right(self._pivots, pivot)
+        if i and self._pivots[i - 1] == pivot:
             raise CrackerError(f"pivot {pivot!r} already recorded")
         self.add_crack_at(i, pivot, position)
 
@@ -410,26 +369,39 @@ class PieceMap:
 
         Raises:
             CrackerError: if the pivot is not a value of the map's
-                dtype (a fraction on an integer map, NaN), or it or the
-                position violates the piece-ordering invariants.
+                dtype (a fraction on an integer map, NaN, a value
+                outside an integer dtype's range), or it or the
+                position violates the piece-ordering invariants; the
+                map is then unchanged.
         """
-        k = self._k
+        pivots = self._pivots
+        cuts = self._cuts
+        k = len(pivots)
+        try:
+            key = self._scalar(pivot)
+        except (ValueError, OverflowError, TypeError):
+            key = None
         if (
-            self._pivots.dtype.type(pivot) != pivot
-            or (i > 0 and self._pivots[i - 1] >= pivot)
-            or (i < k and pivot >= self._pivots[i])
+            key is None
+            or key != pivot
+            or not self._lowest <= key <= self._highest
+            or (i > 0 and pivots[i - 1] >= key)
+            or (i < k and key >= pivots[i])
         ):
             raise CrackerError(
                 f"pivot {pivot!r} out of order for insertion slot {i}"
             )
-        left_bound = int(self._cuts[i - 1]) if i > 0 else 0
-        right_bound = int(self._cuts[i]) if i < k else self._n
+        left_bound = cuts[i - 1] if i > 0 else 0
+        right_bound = cuts[i] if i < k else self._n
         if not left_bound <= position <= right_bound:
             raise CrackerError(
                 f"cut position {position} for pivot {pivot!r} outside "
                 f"containing piece [{left_bound}, {right_bound}]"
             )
-        self._insert_crack(i, pivot, position)
+        pivots.insert(i, key)
+        cuts.insert(i, position)
+        self.cut_of[key] = position
+        self.version += 1
 
     def apply_deltas(self, deltas: list[int]) -> None:
         """Grow/shrink each piece by ``deltas[i]`` rows, shifting cuts.
@@ -447,7 +419,7 @@ class PieceMap:
                 f"{len(deltas)} deltas for {self.piece_count} pieces"
             )
         delta_arr = np.asarray(deltas, dtype=np.int64)
-        sizes = self._sizes_array()
+        sizes = np.array(self._sizes(), dtype=np.int64)
         shrunk = sizes + delta_arr < 0
         if np.any(shrunk):
             index = int(np.argmax(shrunk))
@@ -456,18 +428,16 @@ class PieceMap:
                 f"{int(sizes[index])}-row piece below zero"
             )
         shifts = np.cumsum(delta_arr)
-        k = self._k
+        k = len(self._cuts)
         if k:
-            self._cuts[:k] += shifts[:k]
-            self._refill_cut_of()
+            self._cuts = (
+                np.array(self._cuts, dtype=np.int64) + shifts[:k]
+            ).tolist()
+            cut_of = self.cut_of
+            cut_of.clear()
+            cut_of.update(zip(self._pivots, self._cuts))
         self._n += int(shifts[-1])
         self.version += 1
-
-    def _refill_cut_of(self) -> None:
-        """Rebuild :attr:`cut_of` from the arrays, in place."""
-        cut_of = self.cut_of
-        cut_of.clear()
-        cut_of.update(zip(self.pivots(), self.cuts()))
 
     # -- validation ----------------------------------------------------
 
@@ -477,18 +447,25 @@ class PieceMap:
         Raises:
             CrackerError: on any violation.
         """
-        k = self._k
-        pivots = self._pivots[:k]
-        cuts = self._cuts[:k]
+        pivots, cuts = self._pivots, self._cuts
+        scalar = self._scalar
+        if len(pivots) != len(cuts):
+            raise CrackerError("pivots and cuts misaligned")
+        if any(type(p) is not scalar for p in pivots) or any(
+            type(c) is not int for c in cuts
+        ):
+            raise CrackerError("pivots or cuts are not Python scalars")
         # Not ``any(>=)``: NaN compares false both ways, and a lone NaN
         # has no neighbour to compare with.
-        if np.isnan(pivots).any() or not (pivots[:-1] < pivots[1:]).all():
+        if any(p != p for p in pivots) or not all(
+            a < b for a, b in zip(pivots, pivots[1:])
+        ):
             raise CrackerError("pivots not strictly increasing")
-        if np.any(cuts[:-1] > cuts[1:]):
+        if not all(a <= b for a, b in zip(cuts, cuts[1:])):
             raise CrackerError("cuts not non-decreasing")
-        if k and (cuts[0] < 0 or cuts[-1] > self._n):
+        if cuts and (cuts[0] < 0 or cuts[-1] > self._n):
             raise CrackerError("cut positions outside [0, n]")
-        if self.cut_of != dict(zip(self.pivots(), self.cuts())):
+        if self.cut_of != dict(zip(pivots, cuts)):
             raise CrackerError("cut_of disagrees with the pivots and cuts")
 
     def __repr__(self) -> str:

@@ -100,7 +100,7 @@ class ClientLane(Session):
         """Per-column (pivots, cuts) of this client's shadow maps --
         the client's solo piece-map trajectory."""
         return {
-            key: (list(replay.sim.pivots), list(replay.sim.cuts))
+            key: (replay.sim.pivots(), replay.sim.cuts())
             for key, replay in sorted(self.replays.items())
         }
 

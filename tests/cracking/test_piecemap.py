@@ -237,3 +237,46 @@ def test_sequential_cracks_shift_pivots_of_every_width(dtype):
     pieces.check_invariants()
     assert pieces.pivots() == [15, *range(20, 901, 20), *range(910, 1_000, 20)]
     assert pieces.cuts() == pieces.pivots()
+
+
+@pytest.mark.parametrize(
+    "dtype, pivot",
+    [
+        (np.int32, 2**31),
+        (np.int32, -(2**31) - 1),
+        (np.int32, math.nan),
+        (np.int32, math.inf),
+        (np.int32, 7.5),
+        (np.int64, 2**63),
+        (np.int64, math.nan),
+        (np.int64, -math.inf),
+        (np.int64, float(2**63)),
+        (np.float64, math.nan),
+        pytest.param(np.float64, 2**1100, id="float64-2**1100"),
+        (np.float64, 2**53 + 1),
+    ],
+)
+def test_a_pivot_outside_the_dtype_is_a_cracker_error(dtype, pivot):
+    """Regression: an integer map raised ``OverflowError`` for a pivot
+    past its dtype's range and ``ValueError`` for NaN, where
+    ``add_crack_at`` documents ``CrackerError``."""
+    pieces = PieceMap(100, dtype=np.dtype(dtype))
+    _crack(pieces, 5, 40)
+    before = (pieces.pivots(), pieces.cuts(), dict(pieces.cut_of))
+    version = pieces.version
+    with pytest.raises(CrackerError, match="out of order"):
+        pieces.add_crack_at(pieces.crack_count, pivot, 60)
+    assert (pieces.pivots(), pieces.cuts(), dict(pieces.cut_of)) == before
+    assert pieces.version == version
+    pieces.check_invariants()
+
+
+@pytest.mark.parametrize(
+    "dtype, pivot",
+    [(np.int32, 2**31 - 1), (np.int64, 2**63 - 1), (np.int64, 2**53 + 1)],
+)
+def test_the_largest_integer_of_a_dtype_is_a_pivot(dtype, pivot):
+    pieces = PieceMap(100, dtype=np.dtype(dtype))
+    _crack(pieces, pivot, 60)
+    assert pieces.pivots() == [pivot]
+    assert type(pieces.pivots()[0]) is int

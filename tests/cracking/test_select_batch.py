@@ -286,16 +286,16 @@ def test_warm_view_cache_shares_objects_and_survives_windows():
     assert again.replay_query(100, 700) is second
 
 
-def test_consistency_check_covers_the_shadow_pivot_set():
-    """A converged read is decided by the shadow's pivot set, so the
+def test_consistency_check_covers_the_shadow_cut_of():
+    """A converged read is decided by the shadow's ``cut_of``, so the
     replay's consistency check holds it to the pivot list too."""
     _, batched = _pair(rows=1000, seed=9)
     context, _ = _begin(batched, [(100, 700), (100, 700)])
     context.replay_query(100, 700)
     context.replay_query(100, 700)
     context.check_consistent()
-    context.sim.pivot_set.add(400)
-    with pytest.raises(CrackerError, match="pivot set"):
+    context.sim.cut_of[400] = 500
+    with pytest.raises(CrackerError, match="cut_of"):
         context.check_consistent()
 
 

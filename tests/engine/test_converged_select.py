@@ -40,10 +40,23 @@ PENDING_CALLS = {"outside": 12, "inside": 19}
 #: Python-level calls of one ``Session.run_query`` per strategy whose
 #: two fresh bounds fall in one piece of a cracked column: one
 #: crack-in-three, priced through a ``CostCharge`` and counted once on
-#: the tape.  A crack that outgrows the piece map's buffers makes
-#: ``GROW_CALLS`` more: it reallocates them.
-FRESH_CALLS = {"holistic": 36, "adaptive": 35}
-GROW_CALLS = 6
+#: the tape.
+FRESH_CALLS = {"holistic": 32, "adaptive": 31}
+
+#: Python-level calls of one ``Session.run_query`` per strategy whose
+#: two fresh bounds fall in two different pieces: two cracks, each
+#: located, priced and logged on its own.
+TWO_PIECE_CALLS = {"holistic": 47, "adaptive": 46}
+
+#: Python-level calls of one idle action of the ``ranked`` policy on an
+#: 8-column table whose columns were all queried: the ranking scores
+#: every column, the tuner cracks the best one once.
+RANKED_IDLE_CALLS = 95
+
+#: Python-level calls of the first ``Session.run_query`` on a column,
+#: by row count: the index is built (the column copied, narrowed to
+#: int32) and cracked at both bounds.
+FIRST_TOUCH_CALLS = {10_000: 64, 1_000_000: 75}
 
 #: Python-level calls of one converged holistic ``Session.run_batch``
 #: with pending rows in every range, by (reads, columns): the window
@@ -117,9 +130,66 @@ def test_fresh_bound_select_cost_is_bounded(strategy):
         counts.append(calls)
     usual = Counter(counts).most_common(1)[0][0]
     assert usual <= FRESH_CALLS[strategy], repr(usual)
-    assert max(counts) <= FRESH_CALLS[strategy] + GROW_CALLS, repr(
-        max(counts)
+    assert max(counts) <= FRESH_CALLS[strategy], repr(max(counts))
+
+
+@pytest.mark.parametrize("strategy", ["holistic", "adaptive"])
+def test_two_piece_select_cost_is_bounded(strategy):
+    """A structural cost guard for the cracking read whose bounds lie
+    in two different pieces: each bound is cracked on its own, and the
+    high bound is located again after the low crack."""
+    session = _session(SimClock(TINY.cost_model()), strategy)
+    for query in _grid():
+        session.run_query(query)
+    index = session.strategy.index_for(ColumnRef("R", "A1"))
+    values = session.db.column("R", "A1").values
+    grid = _grid(("A1",))
+    counts = []
+    for left, right in zip(grid, grid[1:]):
+        query = RangeQuery(left.ref, left.low + 1e5, right.low + 2e5)
+        cracks = index.crack_count
+        calls, result = count_calls(session.run_query, query)
+        assert index.crack_count == cracks + 2
+        assert result.count == np.count_nonzero(
+            (values >= query.low) & (values < query.high)
+        )
+        counts.append(calls)
+    assert max(counts) <= TWO_PIECE_CALLS[strategy], repr(max(counts))
+
+
+def test_ranked_idle_action_cost_is_bounded():
+    """A structural cost guard for one idle action of the ``ranked``
+    policy at 8 columns: one ranking pass and one tuning crack."""
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.add_table(build_paper_table(rows=10_000, columns=8, seed=5))
+    session = db.session("holistic", policy="ranked")
+    for query in _grid([f"A{i}" for i in range(1, 9)], points=6):
+        session.run_query(query)
+    indexes = session.strategy.indexes.values()
+    for _ in range(8):
+        cracks = sum(index.crack_count for index in indexes)
+        calls, record = count_calls(session.idle, None, 1)
+        assert record.actions_done == 1
+        assert sum(index.crack_count for index in indexes) == cracks + 1
+        assert calls <= RANKED_IDLE_CALLS, repr(calls)
+
+
+@pytest.mark.parametrize("rows", sorted(FIRST_TOUCH_CALLS))
+def test_first_touch_cost_is_bounded(rows):
+    """A structural cost guard for a column's first read, which
+    builds the column's cracker index and cracks it at both bounds."""
+    db = Database(clock=SimClock(TINY.cost_model()))
+    db.add_table(build_paper_table(rows=rows, columns=1, seed=5))
+    session = db.session("holistic")
+    query = RangeQuery(ColumnRef("R", "A1"), 1e7, 2e7)
+    calls, result = count_calls(session.run_query, query)
+    values = db.column("R", "A1").values
+    assert result.count == np.count_nonzero(
+        (values >= query.low) & (values < query.high)
     )
+    index = session.strategy.index_for(ColumnRef("R", "A1"))
+    assert index.crack_count == 2
+    assert calls <= FIRST_TOUCH_CALLS[rows], repr(calls)
 
 
 def test_converged_select_cost_does_not_grow_with_the_delta_store():

@@ -233,7 +233,7 @@ def _converged_rounds(plan: FaultPlan):
     dtype = db.column("R", "A1").values.dtype
     for name, stream in streams.items():
         frontend.submit(name, stream)
-        pivots = frontend.lanes[name].replays[REF].sim.pivot_set
+        pivots = frontend.lanes[name].replays[REF].sim.cut_of.keys()
         for query in stream:
             bounds = normalise_range(dtype, query.low, query.high)
             assert bounds is None or set(bounds) <= pivots

@@ -187,7 +187,7 @@ def test_shared_index_does_the_union_of_physical_work_once():
         for lane in lanes:
             replay = lane.replays.get(key)
             if replay is not None:
-                client_pivots.update(replay.sim.pivots)
+                client_pivots.update(replay.sim.pivots())
         # The shared index holds exactly the union of every client's
         # cracks -- each distinct bound cracked once, not once per
         # client.
