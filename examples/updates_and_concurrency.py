@@ -74,10 +74,9 @@ def concurrency_demo() -> None:
     index = session.strategy.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
     print(f"50 queries raced 200 background cracks, {wrong} wrong answers")
-    print(
-        f"index ended consistent with {index.piece_count} pieces; "
-        f"{index.tape.stall_count()} latch stalls recorded"
-    )
+    # The latch-stall count (index.tape.stall_count()) depends on
+    # thread timing, so it is not printed.
+    print(f"index ended consistent with {index.piece_count} pieces")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,10 @@ executed in two decoupled halves:
   and replayed crack by crack -- the same crack-in-three fusion, the
   same piece sizes.
 
-Because the replay reproduces the sequential charge stream verbatim,
-per-query response times, cumulative clock totals and tape counts
-are bit-for-bit identical to one-at-a-time execution; only wall-clock
-time changes.  The replay must be bound to a window accountant and
+Because the replay emits the sequential charges and virtual time is
+an integer sum, per-query response times, cumulative clock totals and
+tape counts equal one-at-a-time execution's; only wall-clock time
+changes.  The replay must be bound to a window accountant and
 driven to completion, one :meth:`CrackSelectBatch.replay_query` call
 per window entry in window order, before the index is used again --
 the window loop (:meth:`Session.run_window`) is the only intended

@@ -41,6 +41,7 @@ from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
+from repro.simtime.model import PS_PER_S
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.dtypes import normalise_range
@@ -267,10 +268,9 @@ class Session:
         included, and an empty range costs that overhead alone.
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
         The session's one :class:`WindowAccountant` prices every
-        charge inline (same arithmetic, same left-fold order as
-        per-event clock charges, so all timestamps stay bit-identical)
-        and settles time plus work counters on this session's clock
-        once at window end, where the strategy notes the replayed
+        charge inline in integer picoseconds, as the clock would, and
+        settles time plus work counters on this session's clock once
+        at window end, where the strategy notes the replayed
         reads (:meth:`~IndexingStrategy.note_window`).  A replay that
         raises settles too: the clock, the report's totals and records
         before it and the strategy's notes (the failed read included)
@@ -297,11 +297,12 @@ class Session:
         first = count = report.query_count
         cumulative = report.total_response_s
         rows = report.result_rows
+        # Readings in float seconds, as ``clock.now()`` gives them.
+        started = accountant.now / PS_PER_S
         try:
             for query, (context, bounds), slotted in zip(
                 queries, slots, pending
             ):
-                started = accountant.now
                 if bounds is None:
                     accountant.charge_query()
                     result = context.empty()
@@ -309,8 +310,9 @@ class Session:
                     result = context.replay_query(*bounds)
                 if slotted is not None:
                     result = slotted[0].apply(slotted[1], result, accountant)
-                finished = accountant.now
+                finished = accountant.now / PS_PER_S
                 response = (finished - started) + wait
+                started = finished
                 cumulative += response
                 rows += result.count
                 count += 1

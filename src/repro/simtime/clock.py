@@ -7,6 +7,9 @@ advances virtual time according to the calibrated cost model; under a
 lets the same experiment code produce both the paper-scale projection
 and genuine wall-clock measurements.
 
+Time is kept as integer picoseconds, so charges add exactly in any
+order; :meth:`Clock.now` and every report read it as float seconds.
+
 Parallel phases model the paper's idle-core claim: between
 :meth:`SimClock.begin_parallel` and :meth:`SimClock.end_parallel`,
 charges accumulate on per-thread *lanes* instead of advancing the
@@ -25,7 +28,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
-from repro.simtime.model import _NS_PER_S, CostModel
+from repro.simtime.model import PS_PER_S, CostModel
 
 
 def wall_now() -> float:
@@ -60,11 +63,8 @@ class ParallelAccount:
         busy_s: aggregate work across all lanes (the serial-equivalent
             cost; ``busy_s / elapsed_s`` is the achieved speedup).
         lanes: per-lane busy seconds, keyed by the clock's stable lane
-            id (see :meth:`SimClock.current_lane`).  Lane ids are used
-            instead of raw thread idents because the OS reuses idents:
-            a short-lived thread's ident can be handed to a later
-            thread, silently merging two lanes and overstating the
-            phase's elapsed time.
+            id (:meth:`SimClock.current_lane`; the OS reuses thread
+            idents, which would merge two threads' lanes).
     """
 
     elapsed_s: float = 0.0
@@ -128,29 +128,16 @@ class SimClock:
 
     def __init__(self, model: CostModel | None = None) -> None:
         self.model = model if model is not None else CostModel()
-        self._now = 0.0
+        #: Virtual time and a parallel phase's lanes, in integer
+        #: picoseconds; ``_now`` stays at the phase's base until the
+        #: phase ends.
+        self._now = 0
         self.total_charge = CostCharge()
         self._parallel = False
-        self._parallel_base = 0.0
-        self._lanes: dict[int, float] = {}
+        self._lanes: dict[int, int] = {}
         self._lane_lock = threading.Lock()
         self._lane_tls = threading.local()
         self._lane_seq = 0
-        self._priced: object = None  # the constants prices() priced last
-        self.prices()
-
-    def prices(self) -> tuple[float, ...]:
-        """Binary-search seconds by step count (a piece count has under
-        64 bits) and per-query seconds, repriced on new constants."""
-        c = self.model.constants
-        if c is not self._priced:
-            self._priced = c
-            self._query_seconds = (c.query_overhead_ns * 1) / _NS_PER_S
-            self._binary_seconds = tuple(
-                (c.probe_ns_per_comparison * steps + c.seek_ns * 1) / _NS_PER_S
-                for steps in range(65)
-            )
-        return self._binary_seconds
 
     def current_lane(self) -> int:
         """This thread's stable lane id (allocated on first use).
@@ -181,68 +168,58 @@ class SimClock:
 
     def now(self) -> float:
         if self._parallel:
-            lane = self._lanes.get(self.current_lane(), 0.0)
-            return self._parallel_base + lane
-        return self._now
+            lane = self._lanes.get(self.current_lane(), 0)
+            return (self._now + lane) / PS_PER_S
+        return self._now / PS_PER_S
 
     def charge(self, charge: CostCharge) -> float:
-        seconds = self.model.seconds(charge)
+        ps = self.model.picoseconds(charge)
         if self._parallel:
-            lane = self.current_lane()
-            with self._lane_lock:
-                self._lanes[lane] = self._lanes.get(lane, 0.0) + seconds
-                self.total_charge += charge
+            self._to_lane(ps, charge)
         else:
-            self._now += seconds
+            self._now += ps
             self.total_charge += charge
-        return seconds
+        return ps / PS_PER_S
+
+    def _to_lane(self, ps: int, charge: CostCharge | None) -> None:
+        """Add ``ps`` (and ``charge``'s work) to this thread's lane."""
+        lane = self.current_lane()
+        with self._lane_lock:
+            self._lanes[lane] = self._lanes.get(lane, 0) + ps
+            if charge is not None:
+                self.total_charge += charge
 
     def charge_query(self) -> None:
         """``charge(CostCharge(queries=1))`` -- the per-query overhead
-        -- without building the charge, bit-identically, priced by
-        :meth:`prices` as :meth:`charge_probes` is."""
+        -- without building the charge."""
         if self._parallel:
             self.charge(CostCharge(queries=1))
-            return
-        if self.model.constants is not self._priced:
-            self.prices()
-        self._now += self._query_seconds
-        self.total_charge.queries += 1
+        else:
+            self._now += self.model.query_ps
+            self.total_charge.queries += 1
 
     def charge_probes(self, n: int, count: int) -> None:
-        """``count`` consecutive ``charge(CostCharge.for_binary_search(n))``
-        events -- the piece-map probes of a converged select -- without
-        building the charges, bit-identically: the event is priced as
-        :meth:`CostModel.nanoseconds` prices it (same terms, same order,
-        by :meth:`prices` for the model's current constants), time
-        advances by ``count`` separate additions, never by ``count *
-        seconds``, and the counters land on ``total_charge`` as it is.
-        """
-        if self._parallel:
-            for _ in range(count):
-                self.charge(CostCharge.for_binary_search(n))
-            return
-        if self.model.constants is not self._priced:
-            self.prices()
+        """``count`` ``charge(CostCharge.for_binary_search(n))`` events
+        (a converged select's probes) without building the charges."""
         steps = int(n).bit_length() or 1
-        seconds = self._binary_seconds[steps]
-        for _ in range(count):
-            self._now += seconds
-        self.total_charge.comparisons += steps * count
-        self.total_charge.seeks += count
+        if self._parallel:
+            self.charge(CostCharge(comparisons=steps * count, seeks=count))
+        else:
+            model = self.model
+            self._now += (model.probe_ps * steps + model.seek_ps) * count
+            total = self.total_charge
+            total.comparisons += steps * count
+            total.seeks += count
 
     def settle_batch(
-        self, now: float, scanned: int, cracked: int, materialized: int,
+        self, now: int, scanned: int, cracked: int, materialized: int,
         comparisons: int, seeks: int, pieces: int, queries: int,
         cracks: int,
     ) -> None:
-        """Apply a window accountant's amortized settlement.
-
-        ``now`` must be the left-fold of per-event priced seconds over
-        the current reading (what repeated :meth:`charge` calls would
-        have produced -- see :mod:`repro.simtime.accounting`); the
-        window's aggregate counters -- the :class:`CostCharge` fields
-        of those names -- land in ``total_charge`` in one update.
+        """Apply a window accountant's settlement: ``now`` is the
+        window's end in integer picoseconds, and the window's counters
+        -- the :class:`CostCharge` fields of those names -- land in
+        ``total_charge`` in one update.
 
         Raises:
             ConfigError: inside a parallel phase, or if ``now`` runs
@@ -270,12 +247,11 @@ class SimClock:
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ConfigError(f"cannot sleep a negative time: {seconds}")
+        ps = round(seconds * PS_PER_S)
         if self._parallel:
-            lane = self.current_lane()
-            with self._lane_lock:
-                self._lanes[lane] = self._lanes.get(lane, 0.0) + seconds
+            self._to_lane(ps, None)
         else:
-            self._now += seconds
+            self._now += ps
 
     # -- parallel phases (idle-core tuning) -----------------------------
 
@@ -292,19 +268,18 @@ class SimClock:
         """
         if self._parallel:
             raise ConfigError("parallel phases cannot nest")
-        self._parallel_base = self._now
         self._lanes = {}
         self._parallel = True
 
     def parallel_elapsed(self) -> float:
         """The phase's elapsed time so far: the maximum lane."""
         with self._lane_lock:
-            return max(self._lanes.values(), default=0.0)
+            return max(self._lanes.values(), default=0) / PS_PER_S
 
     def parallel_busy(self) -> float:
         """The phase's aggregate work so far: the sum of all lanes."""
         with self._lane_lock:
-            return sum(self._lanes.values())
+            return sum(self._lanes.values()) / PS_PER_S
 
     def end_parallel(self) -> ParallelAccount:
         """Close the phase; advance time by the maximum lane.
@@ -318,10 +293,12 @@ class SimClock:
             lanes = dict(self._lanes)
             self._lanes = {}
         self._parallel = False
-        elapsed = max(lanes.values(), default=0.0)
-        self._now = self._parallel_base + elapsed
+        elapsed = max(lanes.values(), default=0)
+        self._now += elapsed
         return ParallelAccount(
-            elapsed_s=elapsed, busy_s=sum(lanes.values()), lanes=lanes
+            elapsed_s=elapsed / PS_PER_S,
+            busy_s=sum(lanes.values()) / PS_PER_S,
+            lanes={lane: ps / PS_PER_S for lane, ps in lanes.items()},
         )
 
     # -- persistence -----------------------------------------------------
@@ -329,21 +306,23 @@ class SimClock:
     def state_dict(self) -> dict[str, Any]:
         """Plain-structure dump of the clock's durable state.
 
-        Safe to call while a parallel phase is open: ``_now`` equals the
-        phase's base then (lanes only fold in at ``end_parallel``), so
+        Safe to call while a parallel phase is open: ``_now`` is the
+        phase's base then (lanes only add in at ``end_parallel``), so
         the captured timeline is the last settled point.  In-flight
         lane time is deliberately *not* captured -- a checkpoint taken
         while workers race records the state as of the window's start,
         which is exactly what a crash would leave behind.
         """
         return {
-            "now": self._parallel_base if self._parallel else self._now,
+            "now_ps": self._now,
             "total_charge": self.total_charge.as_dict(),
             "lane_seq": self._lane_seq,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a previously-exported clock state (snapshot restore).
+        """Adopt a previously-exported clock state (snapshot restore);
+        an older generation's float ``now`` seconds round to the
+        nearest picosecond.
 
         Raises:
             ConfigError: inside a parallel phase (settle it first).
@@ -352,7 +331,10 @@ class SimClock:
             raise ConfigError(
                 "cannot restore clock state inside a parallel phase"
             )
-        self._now = float(state["now"])
+        if "now_ps" in state:
+            self._now = int(state["now_ps"])
+        else:
+            self._now = round(float(state["now"]) * PS_PER_S)
         self.total_charge = CostCharge.from_dict(state["total_charge"])
         # Lane ids already handed to live threads stay valid; the
         # sequence only ever moves forward.

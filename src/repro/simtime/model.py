@@ -1,7 +1,7 @@
 """Pricing of :class:`~repro.simtime.charge.CostCharge` records.
 
 The :class:`CostModel` converts logical work counters into virtual
-nanoseconds using the calibrated constants of
+picoseconds using the calibrated constants of
 :mod:`repro.simtime.costs`.  A ``scale`` factor projects runs executed at
 a reduced data size onto the paper's 10^8-row scale: piece dynamics of
 cracking on uniform data are scale-invariant in *relative* terms (after
@@ -21,12 +21,14 @@ from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
 from repro.simtime.costs import PAPER_CONSTANTS, CostConstants
 
-_NS_PER_S = 1e9
+#: Picoseconds per second and per nanosecond.
+PS_PER_S = 10**12
+_PS_PER_NS = 1_000
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CostModel:
-    """Prices cost charges in virtual seconds.
+    """Prices cost charges in virtual picoseconds.
 
     Args:
         constants: per-operation nanosecond constants; defaults to the
@@ -35,14 +37,41 @@ class CostModel:
             onto the paper scale.  ``scale=1`` prices the run at its
             actual size; ``scale=100`` projects a 10^6-row run onto
             10^8 rows.
+
+    The ``*_ps`` attributes are the per-unit prices, element prices at
+    ``scale``, each rounded to integer picoseconds once here (exact at
+    the shipped scales and the paper's constants), so a charge costs
+    ``sum(counter * price)`` and charges add up in any order.
     """
 
     constants: CostConstants = field(default_factory=lambda: PAPER_CONSTANTS)
     scale: float = 1.0
+    scan_ps: int = field(init=False, repr=False, compare=False)
+    crack_ps: int = field(init=False, repr=False, compare=False)
+    merge_ps: int = field(init=False, repr=False, compare=False)
+    materialize_ps: int = field(init=False, repr=False, compare=False)
+    probe_ps: int = field(init=False, repr=False, compare=False)
+    seek_ps: int = field(init=False, repr=False, compare=False)
+    piece_ps: int = field(init=False, repr=False, compare=False)
+    query_ps: int = field(init=False, repr=False, compare=False)
+    crack_overhead_ps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
+        c, s = self.constants, self.scale
+        for name, ns in (
+            ("scan_ps", c.scan_ns_per_element * s),
+            ("crack_ps", c.crack_ns_per_element * s),
+            ("merge_ps", c.merge_ns_per_element * s),
+            ("materialize_ps", c.materialize_ns_per_element * s),
+            ("probe_ps", c.probe_ns_per_comparison),
+            ("seek_ps", c.seek_ns),
+            ("piece_ps", c.piece_overhead_ns),
+            ("query_ps", c.query_overhead_ns),
+            ("crack_overhead_ps", c.crack_overhead_ns),
+        ):
+            object.__setattr__(self, name, round(ns * _PS_PER_NS))
 
     def cache_rows(self) -> int:
         """The modelled cache size in rows, de-projected by ``scale``
@@ -51,60 +80,34 @@ class CostModel:
 
     def seconds(self, charge: CostCharge) -> float:
         """Price ``charge`` and return the virtual seconds it costs."""
-        return self.nanoseconds(charge) / _NS_PER_S
+        return self.picoseconds(charge) / PS_PER_S
 
-    def nanoseconds(self, charge: CostCharge) -> float:
-        """Price ``charge`` in virtual nanoseconds.
-
-        Zero counters are skipped: hot-path charges carry two or three
-        non-zero fields, and this method runs once per crack.  The
-        accumulation order matches the original field order exactly so
-        virtual-clock totals stay bit-identical.
-        """
-        c = self.constants
-        s = self.scale
-        ns = 0.0
-        if charge.elements_scanned:
-            ns += c.scan_ns_per_element * charge.elements_scanned * s
-        if charge.elements_cracked:
-            ns += c.crack_ns_per_element * charge.elements_cracked * s
-        if charge.elements_merged:
-            ns += c.merge_ns_per_element * charge.elements_merged * s
-        if charge.elements_materialized:
-            ns += (
-                c.materialize_ns_per_element
-                * charge.elements_materialized
-                * s
-            )
-        if charge.elements_sorted:
-            ns += self._sort_ns(charge.elements_sorted)
-        if charge.comparisons:
-            ns += c.probe_ns_per_comparison * charge.comparisons
-        if charge.seeks:
-            ns += c.seek_ns * charge.seeks
-        if charge.pieces_touched:
-            ns += c.piece_overhead_ns * charge.pieces_touched
-        if charge.queries:
-            ns += c.query_overhead_ns * charge.queries
-        if charge.cracks:
-            ns += c.crack_overhead_ns * charge.cracks
-        return ns
-
-    def _sort_ns(self, n: int) -> float:
-        if n <= 0:
-            return 0.0
-        projected = n * self.scale
-        return (
-            self.constants.sort_ns_per_element_log
-            * projected
-            * math.log2(max(2.0, projected))
+    def picoseconds(self, charge: CostCharge) -> int:
+        """Price ``charge`` in integer picoseconds: each counter times
+        its price, plus a sort's ``n log n`` term rounded once."""
+        ps = (
+            charge.elements_scanned * self.scan_ps
+            + charge.elements_cracked * self.crack_ps
+            + charge.elements_merged * self.merge_ps
+            + charge.elements_materialized * self.materialize_ps
+            + charge.comparisons * self.probe_ps
+            + charge.seeks * self.seek_ps
+            + charge.pieces_touched * self.piece_ps
+            + charge.queries * self.query_ps
+            + charge.cracks * self.crack_overhead_ps
         )
+        if charge.elements_sorted > 0:
+            projected = charge.elements_sorted * self.scale
+            ps += round(
+                self.constants.sort_ns_per_element_log
+                * _PS_PER_NS
+                * projected
+                * math.log2(max(2.0, projected))
+            )
+        return ps
 
-    # ------------------------------------------------------------------
-    # Convenience estimators used by planners / the holistic ranking
-    # scheme.  These price *hypothetical* operations without running
-    # them, which is exactly what an optimizer-style what-if call needs.
-    # ------------------------------------------------------------------
+    # -- what-if estimators: planners and the holistic ranking price
+    # -- hypothetical operations without running them.
 
     def scan_seconds(self, n: int) -> float:
         """Estimated cost of scan-selecting over ``n`` elements."""
@@ -124,10 +127,8 @@ class CostModel:
 
     def indexed_query_seconds(self, n: int) -> float:
         """Estimated cost of a range query on a fully sorted column."""
-        probes = CostCharge.for_binary_search(max(1, n))
-        probes += CostCharge.for_binary_search(max(1, n))
-        probes += CostCharge(queries=1)
-        return self.seconds(probes)
+        probe = CostCharge.for_binary_search(max(1, n))
+        return self.seconds(probe + probe + CostCharge(queries=1))
 
 
 def projection_scale(actual_rows: int, paper_rows: int) -> float:

@@ -53,6 +53,12 @@ TWO_PIECE_CALLS = {"holistic": 47, "adaptive": 46}
 #: every column, the tuner cracks the best one once.
 RANKED_IDLE_CALLS = 95
 
+#: The same for the ``round_robin`` policy, which takes the next
+#: column without scoring any, and for ``weighted_random``, which
+#: draws a column by its weight.
+ROUND_ROBIN_IDLE_CALLS = 60
+WEIGHTED_RANDOM_IDLE_CALLS = 113
+
 #: Python-level calls of the first ``Session.run_query`` on a column,
 #: by row count: the index is built (the column copied, narrowed to
 #: int32) and cracked at both bounds.
@@ -157,12 +163,12 @@ def test_two_piece_select_cost_is_bounded(strategy):
     assert max(counts) <= TWO_PIECE_CALLS[strategy], repr(max(counts))
 
 
-def test_ranked_idle_action_cost_is_bounded():
-    """A structural cost guard for one idle action of the ``ranked``
-    policy at 8 columns: one ranking pass and one tuning crack."""
+def _idle_action_calls(policy: str):
+    """The calls of eight one-action idle windows of ``policy`` at 8
+    columns, each checked to crack once."""
     db = Database(clock=SimClock(TINY.cost_model()))
     db.add_table(build_paper_table(rows=10_000, columns=8, seed=5))
-    session = db.session("holistic", policy="ranked")
+    session = db.session("holistic", policy=policy)
     for query in _grid([f"A{i}" for i in range(1, 9)], points=6):
         session.run_query(query)
     indexes = session.strategy.indexes.values()
@@ -171,7 +177,28 @@ def test_ranked_idle_action_cost_is_bounded():
         calls, record = count_calls(session.idle, None, 1)
         assert record.actions_done == 1
         assert sum(index.crack_count for index in indexes) == cracks + 1
+        yield calls
+
+
+def test_ranked_idle_action_cost_is_bounded():
+    """A structural cost guard for one idle action of the ``ranked``
+    policy at 8 columns: one ranking pass and one tuning crack."""
+    for calls in _idle_action_calls("ranked"):
         assert calls <= RANKED_IDLE_CALLS, repr(calls)
+
+
+@pytest.mark.parametrize(
+    "policy,budget",
+    [
+        ("round_robin", ROUND_ROBIN_IDLE_CALLS),
+        ("weighted_random", WEIGHTED_RANDOM_IDLE_CALLS),
+    ],
+)
+def test_unranked_idle_action_cost_is_bounded(policy, budget):
+    """The same guard for the other two policies: one column choice
+    and one tuning crack."""
+    for calls in _idle_action_calls(policy):
+        assert calls <= budget, repr(calls)
 
 
 @pytest.mark.parametrize("rows", sorted(FIRST_TOUCH_CALLS))

@@ -523,7 +523,7 @@ def test_rearmed_accountant_starts_from_the_clock():
         assert session._accountant is accountant
         first = query_records(session.report)[-5]
         assert first.finished_at - first.response_s == started
-        assert accountant.now == session.clock.now()
+        assert accountant.now == session.clock._now
     assert _fingerprint(session, results) == _fingerprint(base, base_results)
 
 

@@ -3,10 +3,11 @@
 Earlier layouts stored no cost-model scale (such a generation
 restores at the default scale 1), a per-piece sorted-flag array and a
 ``has_rowids`` mark per index, a range histogram and the ``recent``
-query timestamps per monitored column,
-the holistic kernel's boost count, one record array per crack-tape
-field (``tape/<scope>/*``, with or without ``int_pivots``), and
-strategy configs that named options since retired.  A generation in
+query timestamps per monitored column, the holistic kernel's boost
+count, the clock's time in float seconds, one record array per
+crack-tape field (``tape/<scope>/*``, with or without
+``int_pivots``), and strategy configs that named options since
+retired.  A generation in
 that layout is written here through
 :func:`repro.persist.format.write_generation` and must restore to the
 same pivots, cuts, tape counts and answers.  A retired option is dropped only
@@ -55,10 +56,11 @@ def _write_as_before(root, db, session, retired: dict) -> int:
     """Publish the engine's state in the older layout: no
     ``model_scale``, a ``flags`` array per index, ``has_rowids:
     false``, a monitor histogram and ``recent`` timestamps per column,
-    a kernel boost count and ``retired`` options in the strategy
-    config."""
+    a kernel boost count, ``retired`` options in the strategy config
+    and the clock's ``now`` in float seconds."""
     arrays, meta, _ = capture_state(db, session.strategy, session)
     del meta["model_scale"]
+    meta["clock"]["now"] = meta["clock"].pop("now_ps") / 10**12
     for index_meta in meta["indexes"]:
         index_meta["has_rowids"] = False
         base = f"index/{index_meta['table']}/{index_meta['column']}"

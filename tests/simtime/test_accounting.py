@@ -1,13 +1,20 @@
-"""Window accountants: amortized pricing must be bit-identical."""
+"""Window accountants: amortized pricing must equal per-event
+charging, and a window's reading must not depend on its event order."""
 
 from __future__ import annotations
 
-import pytest
+from itertools import permutations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import TINY
 from repro.errors import ConfigError
 from repro.simtime.accounting import WindowAccountant
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
+from repro.simtime.model import PS_PER_S
 
 
 def _charged_clock() -> SimClock:
@@ -67,7 +74,7 @@ def test_window_accountant_is_bit_identical_to_per_event_charging():
     clock = _charged_clock()
     accountant = WindowAccountant(clock)
     _drive(accountant)
-    assert repr(accountant.now) == repr(reference.now())
+    assert accountant.now == reference._now
     accountant.finish()
     assert repr(clock.now()) == repr(reference.now())
     assert clock.total_charge == reference.total_charge
@@ -82,7 +89,7 @@ def test_accountant_now_tracks_mid_window():
     # The clock itself only moves on finish.
     assert clock.now() == 0.0
     accountant.finish()
-    assert clock.now() == accountant.now
+    assert clock._now == accountant.now
 
 
 def test_settle_batch_rejects_backwards_time_and_parallel_phases():
@@ -90,16 +97,108 @@ def test_settle_batch_rejects_backwards_time_and_parallel_phases():
     clock.sleep(5.0)
     nothing = (0,) * 8
     with pytest.raises(ConfigError):
-        clock.settle_batch(1.0, *nothing)
+        clock.settle_batch(1 * PS_PER_S, *nothing)
     clock.begin_parallel()
     with pytest.raises(ConfigError):
-        clock.settle_batch(10.0, *nothing)
+        clock.settle_batch(10 * PS_PER_S, *nothing)
     clock.end_parallel()
     # scanned, cracked, materialized, comparisons, seeks, pieces,
     # queries, cracks
-    clock.settle_batch(6.0, 1, 2, 3, 4, 5, 6, 7, 8)
+    clock.settle_batch(6 * PS_PER_S, 1, 2, 3, 4, 5, 6, 7, 8)
     assert clock.now() == 6.0
     assert clock.total_charge == CostCharge(
         elements_scanned=1, elements_cracked=2, elements_materialized=3,
         comparisons=4, seeks=5, pieces_touched=6, queries=7, cracks=8,
     )
+
+
+#: Every accountant event by method name: its argument count and the
+#: ``CostCharge`` records that per-event charging would make for it.
+_EVENTS = {
+    "charge_query": (0, lambda: [CostCharge(queries=1)]),
+    "charge_binary": (1, lambda n: [CostCharge.for_binary_search(n)]),
+    "charge_binary_pair": (
+        1, lambda n: [CostCharge.for_binary_search(n)] * 2
+    ),
+    "charge_warm_select": (
+        1,
+        lambda n: [CostCharge(queries=1)]
+        + [CostCharge.for_binary_search(n)] * 2,
+    ),
+    "charge_scan_query": (
+        2, lambda s, m: [CostCharge(queries=1), CostCharge.for_scan(s, m)]
+    ),
+    "charge_crack": (
+        2,
+        lambda size, cracks: [
+            CostCharge(
+                elements_cracked=size, pieces_touched=1, cracks=cracks
+            )
+        ],
+    ),
+    "charge_empty_crack": (0, lambda: [CostCharge(cracks=1)]),
+    "charge_materialize": (
+        1, lambda rows: [CostCharge(elements_materialized=rows)]
+    ),
+    "charge_scan": (2, lambda s, m: [CostCharge.for_scan(s, m)]),
+    "charge_pending_merge": (
+        2, lambda d, m: [CostCharge.for_pending_merge(d, m)]
+    ),
+}
+
+_WINDOWS = st.lists(
+    st.sampled_from(sorted(_EVENTS)).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.tuples(*[st.integers(0, 10**6)] * _EVENTS[name][0]),
+        )
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _settle(window) -> SimClock:
+    """A tiny-scale clock with a non-zero start after ``window``'s
+    events went through one accountant."""
+    clock = SimClock(TINY.cost_model())
+    clock.charge(CostCharge.for_scan(12345, 678))
+    accountant = WindowAccountant(clock)
+    for name, args in window:
+        getattr(accountant, name)(*args)
+    accountant.finish()
+    return clock
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WINDOWS, st.data())
+def test_any_order_of_a_window_settles_to_its_priced_sum(window, data):
+    clock = _settle(window)
+    reordered = _settle(data.draw(st.permutations(window)))
+    assert reordered.now() == clock.now()
+    assert reordered.total_charge == clock.total_charge
+
+    start = _settle([])
+    charges = [
+        charge for name, args in window for charge in _EVENTS[name][1](*args)
+    ]
+    model = start.model
+    assert clock._now == start._now + sum(map(model.picoseconds, charges))
+    total = start.total_charge
+    for charge in charges:
+        total += charge
+    assert clock.total_charge == total
+
+
+def test_every_order_of_six_events_settles_to_one_reading():
+    """All 720 orderings of one window settle to one ``now``."""
+    window = [
+        ("charge_query", ()),
+        ("charge_warm_select", (65,)),
+        ("charge_crack", (1000, 1)),
+        ("charge_crack", (512, 2)),
+        ("charge_materialize", (4096,)),
+        ("charge_pending_merge", (9, 200)),
+    ]
+    readings = {_settle(order).now() for order in permutations(window)}
+    assert len(readings) == 1, sorted(readings)

@@ -17,9 +17,9 @@ from repro.simtime.clock import SimClock
 from repro.simtime.costs import CostConstants
 from repro.simtime.model import CostModel
 
-# Constants whose products and sums round: a reordered or fused
-# accumulation (``k * seconds``, probe + seek swapped) shows in the
-# last bit.
+# Fractional-nanosecond constants, each a picosecond price of its own:
+# a probe priced without its seek, or a query priced as a probe,
+# shows in the reading.
 _AWKWARD = CostConstants(
     probe_ns_per_comparison=0.1, seek_ns=0.3, query_overhead_ns=0.7
 )

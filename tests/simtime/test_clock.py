@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import TINY
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock, WallClock
@@ -37,6 +38,34 @@ def test_sim_clock_sleep_moves_time_without_charges():
 def test_sim_clock_rejects_negative_sleep():
     with pytest.raises(ConfigError):
         SimClock().sleep(-1.0)
+
+
+def test_older_clock_state_restores_float_seconds_to_picoseconds():
+    """A clock state from before time was integer picoseconds holds
+    float ``now`` seconds; it rounds to the nearest picosecond."""
+    now = 0.3385298839999926
+    clock = SimClock()
+    clock.restore_state({"now": now, "total_charge": {}, "lane_seq": 2})
+    assert clock._now == round(now * 10**12) == 338_529_884_000
+    assert clock.now() == 0.338529884
+    assert clock.state_dict()["now_ps"] == clock._now
+
+
+def test_clock_state_round_trips_exactly_from_a_parallel_phase():
+    clock = SimClock(TINY.cost_model())
+    clock.charge(CostCharge.for_crack(1234))
+    clock.sleep(3.3e-7)
+    base = clock._now
+    clock.begin_parallel()
+    clock.charge(CostCharge.for_scan(99))
+    state = clock.state_dict()
+    clock.end_parallel()
+    # Captured inside the phase: the phase's base, not the lane.
+    assert state["now_ps"] == base < clock._now
+    back = SimClock(TINY.cost_model())
+    back.restore_state(state)
+    assert back._now == base
+    assert back.state_dict() == state
 
 
 def test_wall_clock_progresses_on_its_own():

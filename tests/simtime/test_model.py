@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.config import scale_by_name, available_scales
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
 from repro.simtime.model import CostModel, projection_scale
@@ -84,3 +85,19 @@ def test_crack_estimate_is_linear_in_piece():
     large = model.crack_seconds(100_000)
     # Linear term dominates; overheads add a constant.
     assert large > 50 * small / 2
+
+
+@pytest.mark.parametrize("name", available_scales())
+def test_per_unit_prices_are_exact_picoseconds_at_every_shipped_scale(name):
+    """Rounding each price to whole picoseconds loses nothing at the
+    shipped scales and the paper's constants."""
+    model = scale_by_name(name).cost_model()
+    scale = int(model.scale)
+    assert scale == model.scale
+    assert (
+        model.scan_ps, model.crack_ps, model.merge_ps, model.materialize_ps
+    ) == (6746 * scale, 6500 * scale, 8000 * scale, 4000 * scale)
+    assert (
+        model.probe_ps, model.seek_ps, model.piece_ps, model.query_ps,
+        model.crack_overhead_ps,
+    ) == (150_000, 400_000, 200_000, 1_000_000, 500_000)
