@@ -22,7 +22,7 @@ the same for all of them live here, once:
 
 A suite module is then its scenario functions, its ``run_*`` sweep,
 its text renderer and its in-run gate, bound together in one ``SUITE``
-value (docs/ARCHITECTURE.md, "adding a suite").
+value (docs/ARCHITECTURE.md, "Adding a suite").
 """
 
 from __future__ import annotations

@@ -175,13 +175,11 @@ class CrackSelectBatch:
         low_loc, high_loc = sim.locate_pair(low, high)
         low_index, start, end, low_pivot = low_loc
         if high > self._largest:
-            # A top (never a pivot) is the end of the column, as in
-            # select_keys: one cut, at low.
+            # A top is the end of the column, as in select_keys: one cut.
             pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = len(self._values)
         else:
-            # Same slot: no pivot lies in (low, high], so high is
-            # fresh too.
+            # Same slot: no pivot lies in (low, high], so high is fresh.
             if low_index == high_loc[0] and not low_pivot and end > start:
                 self._charge_copy_if_needed()
                 pos_low = self._positions[low]
@@ -192,7 +190,9 @@ class CrackSelectBatch:
                 self._tape.log(CrackOrigin.QUERY, 2)
             else:
                 pos_low = self._cut(low, low_index, start, end, low_pivot)
-                pos_high = self._cut(high, *sim.locate(high))
+                if not low_pivot:  # high's piece moved one slot right
+                    high_loc = (high_loc[0] + 1, *high_loc[1:])
+                pos_high = self._cut(high, *high_loc)
         self._done += 1
         return RangeView(self._values, pos_low, pos_high)
 

@@ -265,7 +265,8 @@ class CrackerIndex:
         at_pivot: bool,
         origin: CrackOrigin,
     ) -> int:
-        """Crack at an already-located ``value``; caller holds the lock.
+        """Crack at an already-located ``value``; the caller holds the
+        lock and, unless ``at_pivot``, has charged the column's copy.
 
         ``index``/``start``/``end``/``at_pivot`` come from
         :meth:`PieceMap.locate` with no intervening mutation.
@@ -274,7 +275,6 @@ class CrackerIndex:
             # A pivot hit: one binary search over the pieces.
             self.clock.charge_probes(self._pieces.piece_count, 1)
             return start
-        self._charge_copy_if_needed()
         position, charge = crack_in_two(
             self._array, start, end, value, scratch=self._scratch
         )
@@ -298,6 +298,7 @@ class CrackerIndex:
         index, start, end, at_pivot = self._pieces.locate(value)
         if not at_pivot:
             witness.mutation_check(self, (start,), "ensure_cut")
+            self._charge_copy_if_needed()
         return self._cut_located(value, index, start, end, at_pivot, origin)
 
     @_synchronized
@@ -406,14 +407,10 @@ class CrackerIndex:
                 "select_range",
             )
             low_index, start, end, low_pivot = low_loc
-            high_pivot = high_loc[3]
-            if (
-                low_index == high_loc[0]
-                and not low_pivot
-                and not high_pivot
-                and end > start
-            ):
-                self._charge_copy_if_needed()
+            # One bound at least is fresh: both pivots returned above.
+            self._charge_copy_if_needed()
+            # Same slot: no pivot lies in (low, high], so high is fresh.
+            if low_index == high_loc[0] and not low_pivot and end > start:
                 pos_low, pos_high, charge = crack_in_three(
                     self._array, start, end, low, high, scratch=self._scratch
                 )
@@ -424,8 +421,9 @@ class CrackerIndex:
             else:
                 pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
                 if not low_pivot:
-                    # The low step inserted a cut: high's piece has moved.
-                    high_loc = pieces.locate(high)
+                    # The low cut took slot low_index: high's piece is
+                    # one slot right, unchanged (an empty one included).
+                    high_loc = (high_loc[0] + 1, *high_loc[1:])
                 pos_high = self._cut_located(
                     high, *high_loc, CrackOrigin.QUERY
                 )
@@ -656,6 +654,7 @@ class CrackerIndex:
         if end - start <= min_piece_size:
             return None
         witness.mutation_check(self, (start,), "random_crack")
+        self._charge_copy_if_needed()
         return self._cut_located(
             value, index, start, end, at_pivot, CrackOrigin.TUNING
         )

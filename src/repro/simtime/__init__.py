@@ -1,11 +1,11 @@
 """Virtual time: cost charges, calibrated cost model, and clocks.
 
 This package is the substitution layer (docs/ARCHITECTURE.md,
-"``repro.simtime`` -- virtual time"): the paper measured wall-clock time inside the MonetDB kernel on a 2011
-i7; we count logical work (:class:`CostCharge`) and price it with a
-:class:`CostModel` calibrated against the paper's published anchors,
-driving a deterministic :class:`SimClock`.  A :class:`WallClock` is
-provided for genuine measurements of the numpy kernels.
+"The substitution layer"): the paper measured wall-clock time inside
+the MonetDB kernel on a 2011 i7; we count logical work (a
+:class:`CostCharge`) and price it with a :class:`CostModel` calibrated
+against the paper's anchors, driving a deterministic :class:`SimClock`;
+a :class:`WallClock` measures the numpy kernels for real.
 """
 
 from repro.simtime.charge import CostCharge
