@@ -1,4 +1,4 @@
-"""End-to-end correctness gate: batched == sequential (ISSUE 4).
+"""End-to-end correctness gate: batched == sequential.
 
 Each scenario runs the same query stream through the **whole session
 loop** -- strategy dispatch, cracking, pending-update consultation,

@@ -5,10 +5,10 @@ mix through **all** of the kernel's execution paths, with sustained
 inserts/deletes interleaved into the stream:
 
 * ``adaptive/sequential`` -- per-query cracking + ``apply_pending``;
-* ``adaptive/batched``   -- the shared-work batch loop (ISSUE 4);
+* ``adaptive/batched``   -- the shared-work batch loop;
 * ``maintained/ripple``  -- ``MaintainedCrackerIndex``: delta stores
   physically consumed by ripple merges on every overlapping select;
-* ``holistic/serving``   -- the multi-client serving loop (ISSUE 5),
+* ``holistic/serving``   -- the multi-client serving loop,
   updates staged between windows;
 * ``holistic_workers/serving`` -- the same with ``num_workers>0``
   tuning workers racing the serving loop.

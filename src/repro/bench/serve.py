@@ -1,4 +1,4 @@
-"""Concurrent-serving correctness gate: serve == solo (ISSUE 5).
+"""Concurrent-serving correctness gate: serve == solo.
 
 Where ``e2e`` checks one session's batched loop, this suite checks the
 **multi-tenant** case: N concurrent clients served by one shared

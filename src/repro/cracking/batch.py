@@ -114,12 +114,12 @@ class CrackSelectBatch:
     def _cut(
         self, value: Key, i: int, start: int, end: int, at_pivot: bool
     ) -> int:
-        """Replay of :meth:`CrackerIndex._cut_located` for one bound."""
+        """Replay of :meth:`CrackerIndex._cut_located` for one bound;
+        :meth:`replay` charged the copy a fresh bound needs."""
         acc = self._acc
         if at_pivot:
             acc.charge_binary(self.sim.piece_count)
             return start
-        self._charge_copy_if_needed()
         position = self._positions[value]
         self.sim.add_crack_at(i, value, position)
         size = end - start
@@ -174,14 +174,16 @@ class CrackSelectBatch:
         sim = self.sim
         low_loc, high_loc = sim.locate_pair(low, high)
         low_index, start, end, low_pivot = low_loc
-        if high > self._largest:
+        top = high > self._largest
+        if not (low_pivot and (top or high_loc[3])):
+            self._charge_copy_if_needed()
+        if top:
             # A top is the end of the column, as in select_keys: one cut.
             pos_low = self._cut(low, low_index, start, end, low_pivot)
             pos_high = len(self._values)
         else:
             # Same slot: no pivot lies in (low, high], so high is fresh.
             if low_index == high_loc[0] and not low_pivot and end > start:
-                self._charge_copy_if_needed()
                 pos_low = self._positions[low]
                 pos_high = self._positions[high]
                 sim.add_crack_at(low_index, low, pos_low)
@@ -250,12 +252,13 @@ class CrackSelectBatch:
 class DetachedCrackReplay(CrackSelectBatch):
     """A persistent per-client accounting replay over a shared index.
 
-    The concurrent serving front-end (ISSUE 5) runs many clients
-    against **one** physical cracker index: the index accumulates the
-    union of every client's (and every tuning worker's) cracks, while
-    each client carries a detached replay whose shadow map evolves only
-    through that client's own queries -- the exact piece-boundary
-    trajectory of the client running *alone* against a fresh index.
+    The concurrent serving front-end (:mod:`repro.serving`) runs many
+    clients against **one** physical cracker index: the index
+    accumulates the union of every client's (and every tuning
+    worker's) cracks, while each client carries a detached replay
+    whose shadow map evolves only through that client's own queries
+    -- the exact piece-boundary trajectory of the client running
+    *alone* against a fresh index.
 
     This works because a crack's position is order independent: the cut
     for value ``v`` always lands at the number of elements ``< v``, no

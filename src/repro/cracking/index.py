@@ -429,7 +429,7 @@ class CrackerIndex:
                 )
             return RangeView(self._array, pos_low, pos_high)
 
-    # -- batched selects (ISSUE 4) ---------------------------------------
+    # -- batched selects -------------------------------------------------
 
     @_synchronized
     def begin_select_batch(

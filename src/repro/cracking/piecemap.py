@@ -117,9 +117,9 @@ class PieceMap:
         mutations within one process lifetime only).
 
         Raises:
-            CrackerError: when the arrays violate the map invariants.
+            CrackerError: when the arrays violate the map invariants or
+                the pivots are in another dtype.
         """
-        pivots = np.asarray(pivots)
         cuts = np.asarray(cuts, dtype=np.int64)
         if len(cuts) != len(pivots):
             raise CrackerError(
@@ -127,13 +127,12 @@ class PieceMap:
                 f"{len(cuts)} cuts"
             )
         piece_map = cls(n, dtype=dtype)
-        stored = pivots.astype(piece_map._dtype)
-        piece_map._pivots = stored.tolist()
+        if pivots.dtype != piece_map._dtype:
+            raise CrackerError(f"pivots are {pivots.dtype}, not {dtype}")
+        piece_map._pivots = pivots.tolist()
         piece_map._cuts = cuts.tolist()
         piece_map.cut_of.update(zip(piece_map._pivots, piece_map._cuts))
         piece_map.check_invariants()
-        if not (stored == pivots).all():
-            raise CrackerError(f"pivots are not all {dtype} values")
         return piece_map
 
     def copy(self) -> "PieceMap":

@@ -173,13 +173,11 @@ class AdaptiveStrategy(IndexingStrategy):
         db: the database.
         variant: ``standard`` (plain cracking) or ``ddc``/``ddr``/
             ``mdd1r`` (stochastic cracking [10]).
-        seed: seed for stochastic variants.
-        stop_piece_size: piece size, in rows, at which stochastic
-            recursion stops; ``None`` takes the cache size.
+        seed: seed for stochastic variants, whose recursion stops at
+            cache-resident pieces.
 
     Raises:
-        ConfigError: on an unknown variant or a ``stop_piece_size``
-            below 2.
+        ConfigError: on an unknown variant.
     """
 
     name = "adaptive"
@@ -189,7 +187,6 @@ class AdaptiveStrategy(IndexingStrategy):
         db: Database,
         variant: str = "standard",
         seed: int | None = None,
-        stop_piece_size: int | None = None,
     ) -> None:
         super().__init__(db)
         variant = variant.lower()
@@ -198,16 +195,8 @@ class AdaptiveStrategy(IndexingStrategy):
                 f"unknown adaptive variant {variant!r}; supported: "
                 f"{', '.join(_ADAPTIVE_VARIANTS)}"
             )
-        if stop_piece_size is None:
-            # Stochastic recursion stops at cache-resident pieces.
-            stop_piece_size = max(2, db.cost_model.cache_rows())
-        elif stop_piece_size < 2:
-            raise ConfigError(
-                f"stop_piece_size must be >= 2, got {stop_piece_size}"
-            )
         self.variant = variant
         self.seed = seed
-        self.stop_piece_size = stop_piece_size
         self.indexes: dict[ColumnRef, CrackerIndex] = {}
 
     def index_for(self, ref: ColumnRef) -> CrackerIndex:
@@ -222,7 +211,7 @@ class AdaptiveStrategy(IndexingStrategy):
                     column,
                     variant=self.variant,
                     seed=self.seed,
-                    stop_piece_size=self.stop_piece_size,
+                    stop_piece_size=max(2, self.db.cost_model.cache_rows()),
                     clock=self.clock,
                 )
             self.adopt_index(ref, index)

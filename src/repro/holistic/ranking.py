@@ -181,16 +181,14 @@ class ColumnRanking:
 
         Index objects are not serialized here -- the snapshot layer
         restores them separately and re-registers, then folds these
-        counters back in with :meth:`restore_state`.  ``queries_seen``
-        is the monitor's count.
+        counters back in with :meth:`restore_state`.  Query counts are
+        the monitor's, which exports them itself.
         """
-        counts = self.monitor.query_counts
         return {
             "columns": [
                 {
                     "table": state.ref.table,
                     "column": state.ref.column,
-                    "queries_seen": counts.get(state.ref, 0),
                     "tuning_actions": state.tuning_actions,
                     "workload_weight": state.workload_weight,
                 }
@@ -203,8 +201,7 @@ class ColumnRanking:
 
         Columns in the snapshot that are not registered yet are
         skipped -- registration is driven by the restored index set,
-        which is the authoritative candidate list.  The monitor
-        restores ``queries_seen``.
+        which is the authoritative candidate list.
         """
         for entry in state["columns"]:
             ref = ColumnRef(entry["table"], entry["column"])

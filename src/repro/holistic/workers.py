@@ -354,7 +354,7 @@ class TuningWorkerPool:
     def _check_failure(self, account=None) -> None:
         # The failure stays sticky: a second drain()/stop() must keep
         # failing until clear_failure() -- silently reporting success
-        # after a fatal worker death was a real bug (ISSUE 8).
+        # after a fatal worker death hid the failure from the caller.
         if self._failure is not None:
             failure = self._failure
             error = ConcurrencyError(f"tuning worker died: {failure!r}")
@@ -495,7 +495,7 @@ class TuningWorkerPool:
         unrefined candidate exists that the policy refuses to rotate to
         (the ranked policy re-offering a dead-lettered best column
         forever), submitted actions would silently become no-ops -- the
-        exact bug class ISSUE 8's satellite fixed for dead workers --
+        exact bug class the sticky failure above closes for dead workers --
         so that is a fatal, sticky failure.
         """
         for _ in range(len(self.ranking) + 1):

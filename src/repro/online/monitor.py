@@ -56,13 +56,7 @@ class WorkloadMonitor:
         return {"total_queries": self.total_queries, "columns": columns}
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a previously-exported monitor state (snapshot restore).
-
-        Entries written before the monitor stopped keeping them also
-        carry ``coverage``, ``first_seen``, ``last_seen``,
-        ``histogram``, ``histogram_low``, ``histogram_width`` and
-        ``recent`` (timestamps); they are ignored.
-        """
+        """Adopt a previously-exported monitor state (snapshot restore)."""
         self.total_queries = int(state["total_queries"])
         self.query_counts = {
             ColumnRef(entry["table"], entry["column"]): int(

@@ -46,7 +46,7 @@ from repro import faults
 from repro.errors import PersistError
 
 #: Bump on any incompatible manifest/layout change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 CURRENT_FILE = "CURRENT"
 MANIFEST_FILE = "manifest.json"

@@ -23,13 +23,11 @@ Supported strategies: the holistic kernel and standard adaptive
 cracking.  Anything else raises :class:`~repro.errors.PersistError` --
 better loud than a snapshot that silently drops learned state.
 
-Older generations restore too: one without ``model_scale`` prices
-at the default scale 1; their per-piece sorted flags,
-``has_rowids`` marks, monitor histograms and ``recent`` timestamps,
-boost counts and crack-tape record arrays (``tape/*``) are ignored,
-a retired option that holds the only value it ever allowed is dropped
-(:data:`_RETIRED_OPTIONS`), and so are the removed no-idle boost's two
-options while either one is 0 (the boost was off).
+Only generations in the current format restore: the format check in
+:func:`~repro.persist.format.read_manifest` refuses an older one, and
+a generation that names an unknown option or clock counter, or stores
+pivots in a dtype other than its column's, is corrupt.  Each raises
+:class:`~repro.errors.PersistError`, so a restore walks back.
 """
 
 from __future__ import annotations
@@ -43,30 +41,18 @@ from repro import faults
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piecemap import PieceMap
 from repro.cracking.tape import CrackTape
-from repro.errors import PersistError, SchemaError
+from repro.errors import CrackerError, PersistError, SchemaError
 from repro.persist.format import load_array
 from repro.simtime.clock import SimClock
 from repro.simtime.model import CostModel
 from repro.storage.catalog import ColumnRef
 from repro.storage.column import Column, ColumnStats
 from repro.storage.database import Database
-from repro.storage.dtypes import largest, normalise_bound, type_by_name
+from repro.storage.dtypes import type_by_name
 from repro.storage.table import Table
 
 #: Tape scope name for the holistic kernel's shared tape.
 SHARED_TAPE = "__shared__"
-
-#: Options older generations name that no longer exist, each with the
-#: only value it allowed.  A restore drops them; any other value, like
-#: any unknown option, fails the generation.
-_RETIRED_OPTIONS = {
-    "action": "random_crack",
-    "latch_granularity": 1,
-    "track_rowids": False,
-    "bootstrap_from_catalog": True,
-}
-#: The removed no-idle boost's options; it was off while either was 0.
-_BOOST_OPTIONS = ("hot_column_threshold", "hot_boost_cracks")
 
 
 def _strategy_meta(strategy) -> dict:
@@ -85,11 +71,7 @@ def _strategy_meta(strategy) -> dict:
     if name == "holistic":
         config = dataclasses.asdict(strategy.config)
     else:
-        config = {
-            "variant": strategy.variant,
-            "seed": strategy.seed,
-            "stop_piece_size": strategy.stop_piece_size,
-        }
+        config = {"variant": strategy.variant, "seed": strategy.seed}
     return {"name": name, "config": config}
 
 
@@ -229,8 +211,7 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
     """Rebuild the engine from a loaded manifest.
 
     The rebuilt clock prices with a cost model at the writer's scale
-    (``model_scale``; an older generation without it restores at the
-    default scale 1).  Base columns open read-only, cracker columns
+    (``model_scale``).  Base columns open read-only, cracker columns
     copy-on-write.
 
     Args:
@@ -241,7 +222,8 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
 
     Raises:
         PersistError: on structural corruption (missing arrays,
-            mismatched lengths, unknown strategy).
+            mismatched lengths, a piece map that fails its checks, an
+            unknown strategy, option or clock counter).
     """
     # Transient IO failures surface here, before any state is built;
     # repro.persist.manager.restore_snapshot retries this whole call.
@@ -249,10 +231,14 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
     meta = manifest["meta"]
     entries = manifest["arrays"]
 
-    clock_state = meta.get("clock")
-    clock = SimClock(CostModel(scale=float(meta.get("model_scale", 1.0))))
-    if clock_state is not None:
-        clock.restore_state(clock_state)
+    clock = SimClock(CostModel(scale=float(meta["model_scale"])))
+    if meta["clock"] is not None:
+        try:
+            clock.restore_state(meta["clock"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise PersistError(
+                f"snapshot clock state is corrupt: {error!r}"
+            ) from None
     db = Database(clock=clock)
 
     for table_meta in meta["tables"]:
@@ -315,28 +301,6 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
     )
 
 
-def _pivots_in(
-    dtype: np.dtype, pivots: np.ndarray, cuts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A piece map's exported arrays with its pivots in ``dtype``.
-
-    Generations written before pivots kept the column's dtype stored
-    them as float64; they are normalised on load like any bound.  A
-    pivot that lands on its predecessor's key, or past the column's
-    top, opened an empty piece: it is dropped, and the pieces it split
-    merge.
-    """
-    if pivots.dtype == dtype:
-        return pivots, cuts
-    keys = [normalise_bound(dtype, pivot) for pivot in pivots.tolist()]
-    keep = [
-        i
-        for i, key in enumerate(keys)
-        if key <= largest(dtype) and (i == 0 or key != keys[i - 1])
-    ]
-    return np.array([keys[i] for i in keep], dtype=dtype), cuts[keep]
-
-
 def _restore_index(
     root,
     manifest: dict,
@@ -349,58 +313,43 @@ def _restore_index(
     column = db.catalog.column(ref)
     base = f"index/{ref.table}/{ref.column}"
     values = load_array(root, entries[f"{base}/values"], mmap_mode="c")
-    dtype = column.values.dtype
-    pivots, cuts = _pivots_in(
-        dtype,
-        load_array(root, entries[f"{base}/pivots"]),
-        load_array(root, entries[f"{base}/cuts"]),
-    )
-    piece_map = PieceMap.from_state(len(values), pivots, cuts, dtype)
-    index = CrackerIndex.from_state(
-        column,
-        values,
-        piece_map,
-        clock=db.clock,
-        tape=tape,
-        copy_charged=bool(index_meta["copy_charged"]),
-    )
+    try:
+        piece_map = PieceMap.from_state(
+            len(values),
+            load_array(root, entries[f"{base}/pivots"]),
+            load_array(root, entries[f"{base}/cuts"]),
+            column.values.dtype,
+        )
+        index = CrackerIndex.from_state(
+            column,
+            values,
+            piece_map,
+            clock=db.clock,
+            tape=tape,
+            copy_charged=bool(index_meta["copy_charged"]),
+        )
+    except CrackerError as error:
+        # A cracking read trusts its piece map: one that fails its own
+        # checks sends the restore back a generation.
+        raise PersistError(
+            f"snapshot index {base!r} is corrupt: {error}"
+        ) from None
     return ref, index
 
 
 def _options(config: dict, known: set[str]) -> dict:
-    """A stored strategy config without its retired options.
+    """A stored strategy config, checked against the options ``known``.
 
     Raises:
-        PersistError: on an unknown option, a retired one holding a
-            value other than the only one it allowed, or a boost that
-            was on.
+        PersistError: on an option this version does not have.
     """
-    boost = [config.get(key, 0) for key in _BOOST_OPTIONS]
-    if not any(type(value) is int and value == 0 for value in boost):
+    unknown = sorted(config.keys() - known)
+    if unknown:
         raise PersistError(
-            f"snapshot config sets hot_column_threshold={boost[0]!r} "
-            f"with hot_boost_cracks={boost[1]!r}; the no-idle boost is "
-            "gone, so this version cannot restore it"
+            f"snapshot config sets {unknown[0]}={config[unknown[0]]!r}, "
+            "which this version cannot restore"
         )
-    options = {}
-    for key, value in config.items():
-        if key in known:
-            options[key] = value
-            continue
-        if key in _BOOST_OPTIONS:
-            continue
-        allowed = _RETIRED_OPTIONS.get(key)
-        # ``type`` too: True == 1, yet latch_granularity=True never was.
-        if (
-            key not in _RETIRED_OPTIONS
-            or type(value) is not type(allowed)
-            or value != allowed
-        ):
-            raise PersistError(
-                f"snapshot config sets {key}={value!r}, which this "
-                "version cannot restore"
-            )
-    return options
+    return config
 
 
 def _restore_strategy(root, manifest: dict, db: Database, strategy_meta: dict):
@@ -420,7 +369,7 @@ def _restore_strategy(root, manifest: dict, db: Database, strategy_meta: dict):
 
         strategy = AdaptiveStrategy(
             db,
-            **_options(config, {"variant", "seed", "stop_piece_size"}),
+            **_options(config, {"variant", "seed"}),
         )
     else:
         raise PersistError(f"snapshot names unknown strategy {name!r}")

@@ -1,4 +1,4 @@
-"""The concurrent multi-client serving front-end (ISSUE 5).
+"""The concurrent multi-client serving front-end.
 
 N clients submit range queries against **one** shared kernel; a window
 former coalesces their in-flight queries into cross-session windows.
@@ -14,8 +14,8 @@ own shadow replay per column
 (:class:`~repro.cracking.batch.DetachedCrackReplay`), so a converged
 read is priced in one step there, as in a session window.
 
-The core invariant, the multi-tenant generalization of ISSUE 4's
-batch==sequential guarantee:
+The core invariant, the multi-tenant generalization of a session
+window's batch==sequential guarantee:
 
     **per-client accounting is bit-for-bit what that client would have
     measured running alone against a fresh kernel**, no matter how the

@@ -1,6 +1,6 @@
 """Cross-session window forming: coalescing in-flight client queries.
 
-The serving front-end's leverage over one-session batching (ISSUE 4)
+The serving front-end's leverage over one session's windows
 is that concurrent clients' in-flight queries can share one physical
 cracking pass.  A *window former* decides which submitted queries are
 in flight together; the front-end then executes the formed window

@@ -105,13 +105,10 @@ class CostCharge:
     def from_dict(cls, state: dict) -> "CostCharge":
         """Rebuild a charge from :meth:`as_dict` output.
 
-        Unknown keys are ignored so older snapshots stay loadable when
-        new counters are added.
+        Raises:
+            TypeError: on a key that names no counter.
         """
-        known = {field.name for field in fields(cls)}
-        return cls(
-            **{k: int(v) for k, v in state.items() if k in known}
-        )
+        return cls(**{k: int(v) for k, v in state.items()})
 
     @classmethod
     def for_scan(cls, n: int, materialized: int = 0) -> "CostCharge":

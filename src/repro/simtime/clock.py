@@ -158,7 +158,7 @@ class SimClock:
     def fork(self) -> "SimClock":
         """An independent zero-origin clock sharing this clock's model.
 
-        Serving lanes (ISSUE 5): each client of the concurrent serving
+        Serving lanes: each client of the concurrent serving
         front-end accounts its queries on its own serial fork, so
         per-client time is what that client would have measured running
         alone, while the parent clock keeps tracking shared work
@@ -320,21 +320,18 @@ class SimClock:
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a previously-exported clock state (snapshot restore);
-        an older generation's float ``now`` seconds round to the
-        nearest picosecond.
+        """Adopt a previously-exported clock state (snapshot restore).
 
         Raises:
             ConfigError: inside a parallel phase (settle it first).
+            KeyError: on a state without ``now_ps``.
+            TypeError: on a counter :class:`CostCharge` does not have.
         """
         if self._parallel:
             raise ConfigError(
                 "cannot restore clock state inside a parallel phase"
             )
-        if "now_ps" in state:
-            self._now = int(state["now_ps"])
-        else:
-            self._now = round(float(state["now"]) * PS_PER_S)
+        self._now = int(state["now_ps"])
         self.total_charge = CostCharge.from_dict(state["total_charge"])
         # Lane ids already handed to live threads stay valid; the
         # sequence only ever moves forward.

@@ -111,7 +111,7 @@ def multiset_difference(
 
     Order of the surviving values is preserved, and for each removal
     value the *earliest* occurrences are dropped.  Removal entries
-    with no match are ignored.  Vectorized (ISSUE 4): a stable argsort
+    with no match are ignored.  Vectorized: a stable argsort
     aligns equal values, ``searchsorted`` finds each removal value's
     run, and a difference-array marks the first ``count`` entries of
     every run -- no Python-level loop over the data.

@@ -1,7 +1,7 @@
 """Multi-client traffic generation for the serving front-end.
 
-The concurrent serving scenario (ISSUE 5) needs N clients with
-independent query streams over a shared database.  Clients are
+The concurrent serving scenario (:mod:`repro.serving`) needs N
+clients with independent query streams over a shared database.  Clients are
 **closed loop**: every client always has its next query ready (think a
 connection pool issuing back-to-back requests), and the window former
 takes up to ``depth`` in-flight queries per client per window.

@@ -1,8 +1,8 @@
 """Equivalence of the batch/vectorized kernels with sequential cracks.
 
-ISSUE 3 rewrote the crack kernels for throughput (selection-based
+The crack kernels are written for throughput (selection-based
 partitioning, batched classification, vectorized sorted-piece cuts).
-These property tests pin the contract that made the rewrite safe:
+These property tests pin the contract that keeps them safe:
 
 * split positions are identical to sequential ``crack_in_two`` calls;
 * every piece holds exactly the same value *multiset* (element order

@@ -100,7 +100,7 @@ def test_apply_pending_out_of_range_deltas_ignored(small_column, pending):
     assert corrected is view
 
 
-# -- vectorized multiset difference & pending windows (ISSUE 4) ----------
+# -- vectorized multiset difference & pending windows --------------------
 
 
 def _reference_multiset_difference(values, removals):
@@ -170,7 +170,7 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
     assert batch_clock.total_charge == sequential_clock.total_charge
 
 
-# -- the pending overlay is a view (ISSUE 21) ----------------------------
+# -- the pending overlay is a view ---------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,7 +360,7 @@ def test_pending_overlay_widens_to_the_column_dtype():
     assert view.values().tolist() == [7, 9, 5_000_000_000]
 
 
-# -- a verified delete needs no scan (ISSUE 23) --------------------------
+# -- a verified delete needs no scan -------------------------------------
 
 
 class _UnreadableResult:

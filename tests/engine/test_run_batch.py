@@ -1,4 +1,4 @@
-"""Batched execution (ISSUE 4): ``run_batch`` == sequential ``run_query``.
+"""Batched execution: ``run_batch`` == sequential ``run_query``.
 
 The batched pipeline's contract is *bit-for-bit* accounting
 equivalence: result multisets, per-query response times, cumulative

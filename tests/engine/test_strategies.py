@@ -53,18 +53,6 @@ def test_adaptive_unknown_variant_rejected(tiny_db):
         AdaptiveStrategy(tiny_db, variant="nope")
 
 
-@pytest.mark.parametrize("variant", ["standard", "ddr"])
-def test_adaptive_rejects_stop_piece_size_below_two(tiny_db, variant):
-    """At construction, for every variant: not at the first select,
-    after its query overhead was charged."""
-    for size in (1, 0, -5):
-        with pytest.raises(ConfigError, match="stop_piece_size"):
-            tiny_db.session("adaptive", variant=variant, stop_piece_size=size)
-    assert tiny_db.clock.now() == 0.0
-    strategy = AdaptiveStrategy(tiny_db, variant=variant, stop_piece_size=2)
-    assert strategy.stop_piece_size == 2
-
-
 def test_adaptive_keeps_one_index_per_column(tiny_db):
     strategy = AdaptiveStrategy(tiny_db)
     strategy.select(_query(1e6, 2e6, "A1"))

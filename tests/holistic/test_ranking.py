@@ -194,7 +194,6 @@ def _assert_scores_read_the_monitor(kernel) -> None:
         {
             "table": state.ref.table,
             "column": state.ref.column,
-            "queries_seen": counts.get(state.ref, 0),
             "tuning_actions": state.tuning_actions,
             "workload_weight": state.workload_weight,
         }

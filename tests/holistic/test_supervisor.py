@@ -1,7 +1,7 @@
 """Tests for the supervised crash handling of the tuning worker pool.
 
 The supervised unit is the *batch* -- one column's share of a window
-plan.  Covers the self-healing ladder of ISSUE 8 at that grain: a
+plan.  Covers the workers' self-healing ladder at that grain: a
 worker that crashes mid-batch is restarted with backoff, handed the
 same batch (same pivots) again and the fault is credited as recovered;
 a column whose batches repeatedly kill workers is quarantined -- only

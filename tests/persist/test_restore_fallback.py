@@ -26,7 +26,9 @@ from repro.persist.format import (
     list_generations,
     quick_verify_manifest,
     read_manifest,
+    write_generation,
 )
+from repro.persist.snapshot import capture_state
 from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
@@ -187,6 +189,49 @@ def test_corrupt_pending_deletes_walk_back(tmp_path):
     assert result.count == np.count_nonzero((values >= 2e7) & (values < 5e7))
     with pytest.raises(PersistError, match="pending/R/A1"):
         restore_snapshot(tmp_path, fallback=False)
+
+
+def test_swapped_pivots_walk_back(tmp_path):
+    """Two pivots swapped in place keep the file's size, so only a
+    checksum sees them; without one the piece map's own check does,
+    and the restore falls back a generation however it verifies."""
+    clean, newest = _two_generations(tmp_path, None)
+    entry = read_manifest(tmp_path, newest)["arrays"]["index/R/A1/pivots"]
+    assert int(entry["generation"]) == newest
+    path = tmp_path / entry["file"]
+    pivots = np.load(path)
+    pivots[[0, 1]] = pivots[[1, 0]]
+    with path.open("wb") as handle:
+        np.save(handle, pivots)
+
+    with pytest.raises(PersistError, match="index/R/A1"):
+        restore_snapshot(tmp_path, fallback=False)
+    for verify in (False, "lazy", "eager"):
+        restored = restore_snapshot(tmp_path, verify=verify)
+        assert restored.generation == clean
+        assert restored.fallback_generations == [newest]
+        if restored.verifier is not None:
+            assert restored.verifier.wait(60.0) is True
+        _assert_answers(restored)
+
+
+def test_unknown_clock_counter_walks_back(tmp_path):
+    """A clock total that names a counter this version does not have
+    is corrupt, like an unknown option."""
+    db, session = _fresh_session()
+    _run_queries(session, 4)
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    clean = write_generation(tmp_path, arrays, meta)
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    meta["clock"]["total_charge"]["no_such_counter"] = 1
+    newest = write_generation(tmp_path, arrays, meta)
+
+    with pytest.raises(PersistError, match="clock state"):
+        restore_snapshot(tmp_path, fallback=False)
+    restored = restore_snapshot(tmp_path)
+    assert restored.generation == clean
+    assert restored.fallback_generations == [newest]
+    assert restored.db.clock.now() == db.clock.now()
 
 
 def test_background_verifier_passes_on_a_clean_snapshot(tmp_path):

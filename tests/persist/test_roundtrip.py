@@ -399,20 +399,28 @@ def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
     index.check_invariants()
 
 
-def test_float64_pivots_of_an_older_generation_restore_normalised():
-    """A generation written when pivots were float64 restores with its
-    pivots normalised like any bound; one that lands on its
-    predecessor's key, or past the top, opened an empty piece and is
-    dropped, its two pieces merged."""
-    from repro.cracking.piecemap import PieceMap
-    from repro.persist.snapshot import _pivots_in
+def test_pivots_in_another_dtype_fail_the_generation(tmp_path):
+    """Pivots are stored in their column's dtype; a generation with
+    float64 pivots for an integer column, as format 1 wrote them, is
+    corrupt, and the restore walks back past it."""
+    from repro.persist.format import write_generation
+    from repro.persist.snapshot import capture_state
 
-    pivots, cuts = _pivots_in(
-        np.dtype(np.int64),
-        np.array([-np.inf, 3.2, 3.7, 10.0, np.inf]),
-        np.array([0, 4, 4, 9, 12]),
-    )
-    assert pivots.dtype == np.int64
-    assert pivots.tolist() == [-(2**63), 4, 10]
-    assert cuts.tolist() == [0, 4, 9]
-    PieceMap.from_state(12, pivots, cuts, np.dtype(np.int64))
+    db = _fresh_db()
+    session = db.session("adaptive")
+    session.run_query(RangeQuery(ColumnRef("R", "A1"), 3e7, 6e7))
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    clean = write_generation(tmp_path, arrays, meta)
+    name = "index/R/A1/pivots"
+    assert arrays[name].dtype.kind == "i"
+    arrays[name] = arrays[name].astype(np.float64)
+    newest = write_generation(tmp_path, arrays, meta)
+
+    with pytest.raises(PersistError, match="float64"):
+        restore_snapshot(tmp_path, fallback=False)
+    restored = restore_snapshot(tmp_path)
+    assert restored.generation == clean
+    assert restored.fallback_generations == [newest]
+    live = session.strategy.indexes[ColumnRef("R", "A1")].piece_map
+    back = restored.strategy.indexes[ColumnRef("R", "A1")].piece_map
+    assert (back.pivots(), back.cuts()) == (live.pivots(), live.cuts())

@@ -1,6 +1,6 @@
 """Degraded-mode serving: client faults isolated, healthy lanes exact.
 
-The front-end's fault ladder (ISSUE 8): a malformed query is rejected
+The front-end's fault ladder: a malformed query is rejected
 per entry without touching the shared index; a poison replay is
 retried once solo and, if the retry also dies, answered by a base-
 column scan.  In every case only the faulting client's accounting may

@@ -129,18 +129,11 @@ def test_lanes_keep_solo_tapes_charges_and_kernel_statistics(strategy):
             for c in monitor.export_state()["columns"]
         }
 
-    def seen(strategy) -> dict:
-        return {
-            ColumnRef(c["table"], c["column"]): c["queries_seen"]
-            for c in strategy.ranking.export_state()["columns"]
-        }
-
     served = query_counts(kernel.monitor)
     solo_counts = [query_counts(solo.monitor) for solo in solos]
     for ref in COLUMN_REFS:
         key = (ref.table, ref.column)
         assert served[key] == sum(counts[key] for counts in solo_counts)
-        assert seen(kernel)[ref] == sum(seen(solo)[ref] for solo in solos)
 
 
 def test_run_reports_windows():

@@ -4,8 +4,8 @@ For ANY interleaving of K clients' query streams into cross-session
 windows -- any window boundaries, any per-window client mix, as long
 as each client's own order is preserved -- every client's results and
 response times are bit-identical to that client running alone against
-a fresh kernel.  This is the multi-tenant generalization of ISSUE 4's
-batch==sequential property, and it is exactly what makes the shared
+a fresh kernel.  This is the multi-tenant generalization of a session
+window's batch==sequential property, and it is exactly what makes the shared
 physical index safe: crack positions are order independent.
 """
 

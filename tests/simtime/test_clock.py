@@ -40,17 +40,6 @@ def test_sim_clock_rejects_negative_sleep():
         SimClock().sleep(-1.0)
 
 
-def test_older_clock_state_restores_float_seconds_to_picoseconds():
-    """A clock state from before time was integer picoseconds holds
-    float ``now`` seconds; it rounds to the nearest picosecond."""
-    now = 0.3385298839999926
-    clock = SimClock()
-    clock.restore_state({"now": now, "total_charge": {}, "lane_seq": 2})
-    assert clock._now == round(now * 10**12) == 338_529_884_000
-    assert clock.now() == 0.338529884
-    assert clock.state_dict()["now_ps"] == clock._now
-
-
 def test_clock_state_round_trips_exactly_from_a_parallel_phase():
     clock = SimClock(TINY.cost_model())
     clock.charge(CostCharge.for_crack(1234))

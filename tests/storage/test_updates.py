@@ -76,7 +76,7 @@ def test_insert_dtype_coercion(pending):
     assert pending.inserts_in_range(0, 10).dtype == np.int64
 
 
-# -- incremental staging (ISSUE 4) ---------------------------------------
+# -- incremental staging -------------------------------------------------
 
 
 def test_stage_inserts_stays_sorted_across_many_batches():

@@ -5,12 +5,16 @@ so it is held to the tree mechanically: every code name and file it
 cites exists, every link and docstring citation into it resolves, no
 heading is named after an issue rather than after what the code does,
 and it stays short enough that a new number replaces an old one.  The
-tree is read as text; nothing is imported.
+code is held to the same reader: no comment or docstring under ``src``
+cites an issue or pull request by number, which names no place to
+look.  The tree is read as text; nothing is imported.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +47,7 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LINK = re.compile(r"docs/ARCHITECTURE\.md#([\w-]+)")
 _CITATION = re.compile(r'\(docs/ARCHITECTURE\.md,\s+"([^"]+)"\)')
 _BOLD_LEAD = re.compile(r"^(?:[-*] |\d+\. )?\*\*(.+?)\*\*")
+_NUMBERED = re.compile(r"\b(?:(?i:issue)|PR)\s*#?\d+")
 
 
 def _sections(text: str) -> list[tuple[str, list[str]]]:
@@ -190,6 +195,20 @@ def issue_headings(text: str) -> list[str]:
     ]
 
 
+def numbered_citations() -> list[str]:
+    """``path:line`` of each comment or string under ``src`` that
+    cites an issue or pull request by number."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type in (tokenize.COMMENT, tokenize.STRING):
+                if _NUMBERED.search(token.string):
+                    line = token.start[0]
+                    found.append(f"{path.relative_to(ROOT)}:{line}")
+    return found
+
+
 def _doc() -> str:
     return DOC.read_text(encoding="utf-8")
 
@@ -216,3 +235,7 @@ def test_no_heading_names_an_issue():
 
 def test_the_doc_stays_short():
     assert len(_doc().splitlines()) <= MAX_LINES
+
+
+def test_no_comment_or_docstring_cites_an_issue_number():
+    assert numbered_citations() == []

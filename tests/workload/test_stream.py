@@ -57,7 +57,7 @@ def test_run_stream_rejects_unknown_events(tiny_db):
         run_stream_batched(session, ["not-an-event"], 1)
 
 
-# -- windowed (batched) streams (ISSUE 4) --------------------------------
+# -- windowed (batched) streams ------------------------------------------
 
 
 def _grid_queries(count: int, seed: int = 5) -> list[RangeQuery]:
