@@ -4,13 +4,13 @@ Each scenario runs the same query stream through the **whole session
 loop** -- strategy dispatch, cracking, pending-update consultation,
 per-query accounting -- at several window sizes: ``1`` is the classic
 one-query-at-a-time loop, larger windows go through
-:meth:`Session.run_batch`'s shared-work pipeline.
+:meth:`Session.run_batch`, which resolves a window's columns before
+any read and then answers each read as ``run_query`` does.
 
 Every scenario emits a *semantic fingerprint* (final virtual clock
 reading, cumulative response time, result-row total, crack counts and
-a hash of all piece maps).  Batched execution is accounting-replay
-equivalent to sequential execution, so fingerprints must be identical
-across window sizes of one strategy -- ``holistic_workers`` included,
+a hash of all piece maps).  Fingerprints must be identical across
+window sizes of one strategy -- ``holistic_workers`` included,
 whose idle windows the tuning worker pool drains; the suite verifies
 that on every run.  How fast the loop is, is ``perfbench``'s question
 (``warm_steady``, ``burst_idle_workers``).

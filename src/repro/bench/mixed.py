@@ -5,7 +5,7 @@ mix through **all** of the kernel's execution paths, with sustained
 inserts/deletes interleaved into the stream:
 
 * ``adaptive/sequential`` -- per-query cracking + ``apply_pending``;
-* ``adaptive/batched``   -- the shared-work batch loop;
+* ``adaptive/batched``   -- ``Session.run_batch`` windows;
 * ``maintained/ripple``  -- ``MaintainedCrackerIndex``: delta stores
   physically consumed by ripple merges on every overlapping select;
 * ``holistic/serving``   -- the multi-client serving loop,

@@ -21,12 +21,13 @@ take today:
 
 * :func:`replay_sequential` -- ``Session.run_query`` (per-query
   ``apply_pending`` consultation);
-* :func:`replay_batched` -- ``Session.run_batch`` windows (the shared
-  physical pass, then ``Session.run_window`` over the
-  ``CrackSelectBatch`` replay of ``cracking/batch``);
+* :func:`replay_batched` -- ``Session.run_batch`` windows (the
+  window's columns resolved first, then each read as ``run_query``
+  answers it);
 * :func:`replay_serving` -- ``ServingFrontend.serve_window`` with the
   window's queries dealt across client lanes, each lane's share run
-  through the same ``Session.run_window`` over its own
+  through ``Session.run_window`` (the shared physical pass, then the
+  replay of ``cracking/batch``) over its own
   ``DetachedCrackReplay`` per column; tuning workers may race the
   loop, started by the caller;
 * :func:`replay_maintained` -- ``MaintainedCrackerIndex``, the ripple
@@ -380,7 +381,10 @@ def replay_batched(
     window: int = 24,
     label: str = "batched",
 ) -> OracleRun:
-    """Drive the trace through ``Session.run_batch`` windows."""
+    """Drive the trace through ``Session.run_batch`` windows: a
+    window's columns resolved first, then each read answered as
+    ``Session.run_query`` answers it, so a differing digest points at
+    the window's column resolution or result handling."""
 
     def execute(ops: list[TraceOp]) -> list:
         return session.run_batch([_range_query(op) for op in ops])

@@ -1,37 +1,40 @@
-"""Batched range selects over one cracker index.
+"""Batched range selects over one cracker index, for served lanes.
 
 Window execution rests on one property of cracking: a cut's position
 is *order independent*.  Cracking at value ``v`` always lands at the
 number of elements ``< v`` in the column, no matter how many other
-cracks happen before or after.  A window of queries can therefore be
-executed in two decoupled halves:
+cracks happen before or after.  A served window of many clients'
+queries can therefore be executed in two decoupled halves:
 
-* a **physical pass** (:meth:`CrackerIndex.begin_select_batch` for a
-  session window, :meth:`CrackerIndex.crack_bounds_batch` for a served
-  one) cracks every *fresh* bound of the window -- one not yet in the
+* a **physical pass** (:meth:`CrackerIndex.crack_bounds_batch`)
+  cracks every *fresh* bound of the window -- one not yet in the
   piece map's ``cut_of`` -- in one grouped sweep: one shared
   ``crack_spans_batch`` dispatch for pieces taking one pivot or one
   query's bound pair, ``crack_multi`` counting partitions for denser
   pieces, one ``insert_cracks_bulk`` piece-map splice -- touching each
   piece once instead of once per query, with **no** clock or tape side
   effects.  A converged window has no fresh bound and skips the pass;
-* an **accounting replay** (:class:`CrackSelectBatch`) that steps
-  query by query over a shadow of the pre-window piece map (a
-  :meth:`PieceMap.copy`), emitting exactly the charges and tape
-  counts sequential :meth:`CrackerIndex.select_keys` calls would have
-  produced.  A read whose two bounds are in the shadow's ``cut_of``
-  is priced in one step; only a read with a fresh bound is bisected
-  and replayed crack by crack -- the same crack-in-three fusion, the
-  same piece sizes.
+* an **accounting replay** a client lane and column
+  (:class:`DetachedCrackReplay`) that steps the lane's reads over its
+  own shadow piece map, emitting exactly the charges and tape counts
+  the client's sequential :meth:`CrackerIndex.select_keys` calls would
+  have produced running alone.  A read whose two bounds are in the
+  shadow's ``cut_of`` is priced in one step; only a read with a fresh
+  bound is bisected and replayed crack by crack -- the same
+  crack-in-three fusion, the same piece sizes.
 
 Because the replay emits the sequential charges and virtual time is
 an integer sum, per-query response times, cumulative clock totals and
 tape counts equal one-at-a-time execution's; only wall-clock time
-changes.  The replay must be bound to a window accountant and
-driven to completion, one :meth:`CrackSelectBatch.replay_query` call
-per window entry in window order, before the index is used again --
-the window loop (:meth:`Session.run_window`) is the only intended
-caller, for session windows and served client lanes alike.
+changes.  The replay must be bound to a window accountant and driven
+one :meth:`CrackSelectBatch.replay_query` call per window entry in
+window order; the served lane's window loop
+(:meth:`Session.run_window`) is the only intended caller.  A session
+window does not replay: :meth:`Session.run_batch` answers each read
+with the sequential select.  :meth:`CrackerIndex.begin_select_batch`
+(one pass plus a :class:`CrackSelectBatch` over a
+:meth:`PieceMap.copy` of the pre-window map) has no caller outside
+the tests and ``perfbench``'s trace list.
 """
 
 from __future__ import annotations

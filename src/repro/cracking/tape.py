@@ -121,11 +121,18 @@ class CrackTape:
             }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt previously-exported counters (snapshot restore)."""
+        """Adopt counters :meth:`export_state` wrote (snapshot restore).
+
+        Raises:
+            KeyError: on a state missing a counter or an origin's count.
+            ValueError: on a count of an origin the tape does not have.
+        """
+        counts = state["counts"]
+        unknown = counts.keys() - {o.value for o in CrackOrigin}
+        if unknown:
+            raise ValueError(f"tape counts no origin {min(unknown)!r}")
         with self._lock:
-            self._counts = {
-                o: int(state["counts"].get(o.value, 0)) for o in CrackOrigin
-            }
+            self._counts = {o: int(counts[o.value]) for o in CrackOrigin}
             self._seen = int(state["seen"])
             self._stalls = {
                 (None if key == "" else int(key)): int(value)

@@ -63,7 +63,7 @@ def apply_pending(
         return result
     inserts, deletes = overlap
     view = PendingOverlay(result, inserts, deletes)
-    clock.charge(CostCharge.for_pending_merge(len(deletes), view.count))
+    clock.charge_pending_merge(len(deletes), view.count)
     return view
 
 

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from repro.engine.operators import PendingWindow, apply_pending, pending_slots
-from repro.engine.plan import (
-    PlannedQuery,
-    Resolved,
-    group_by_column,
-    resolve_column,
-)
+from repro.engine.operators import PendingWindow, apply_pending
+from repro.engine.plan import PlannedQuery, Resolved, resolve_column
 from repro.engine.query import RangeQuery
 from repro.engine.strategies import (
     AdaptiveStrategy,
@@ -40,7 +35,6 @@ from repro.engine.strategies import (
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
 from repro.simtime.accounting import WindowAccountant
-from repro.simtime.clock import SimClock
 from repro.simtime.model import PS_PER_S
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
@@ -153,7 +147,7 @@ class Session:
         self._pending_wait_s = 0.0
         self._accountant: WindowAccountant | None = None
         #: Every column queried so far, resolved once for
-        #: :meth:`run_query` and the window plans alike.
+        #: :meth:`run_query` and :meth:`run_batch` alike.
         self._resolved: Resolved = {}
 
     # -- workload knowledge -------------------------------------------------
@@ -216,40 +210,25 @@ class Session:
     def run_batch(
         self, queries: Sequence[RangeQuery]
     ) -> list[SelectionResult]:
-        """Answer a window of range queries with shared work.
+        """Answer a window of range queries, each as :meth:`run_query`
+        answers it, in window order, on any clock.
 
-        The window is grouped by column and planned once per group;
-        strategies that support it (standard adaptive cracking, the
-        holistic kernel) crack each group's fresh bounds in one
-        physical pass and return one replay slot per query
-        (:meth:`~IndexingStrategy.begin_batch`), which :meth:`run_window`
-        replays, so every query is still accounted on its own and the
-        results, response times, cumulative clock totals and tape
-        counts are identical to calling :meth:`run_query` one query at
-        a time.  Strategies without a batch path, and clocks a
-        :class:`WindowAccountant` cannot price (a wall clock, a
-        :class:`SimClock` inside a parallel phase), fall back to
-        exactly that sequential loop.
+        Every column of the window is resolved first: an unknown table
+        or column raises before any read runs, so nothing is cracked,
+        charged or counted for the reads before it.  Results, response
+        times, clock totals, tape counts and the strategy's notes are
+        then those of one-at-a-time execution, because that is what
+        runs.  A failing read leaves what a sequential loop failing at
+        it leaves.  Served client lanes share a window's physical pass
+        (:meth:`run_window`); a session window does not, as its
+        per-window plan cost more than the shared pass saved.
         """
-        queries = list(queries)
-        if not queries:
-            return []
-        # Resolves every window's column BEFORE the strategy's physical
-        # pass: an unknown table/column must fail here, while nothing
-        # has been cracked yet, or the already-processed columns would
-        # carry silent (uncharged, unlogged) cracks and break
-        # batch==sequential equivalence for the rest of the session.
-        windows = group_by_column(queries, self.db.catalog, self._resolved)
-        clock = self.clock
-        slots = None
-        if isinstance(clock, SimClock) and not clock.in_parallel:
-            slots = self.strategy.begin_batch(queries, windows)
-        if slots is None:
-            return [self.run_query(query) for query in queries]
-        # The probe is built for a window that replays only.
-        return self.run_window(
-            queries, slots, pending_slots(windows, len(queries))
-        )
+        resolved = self._resolved
+        for query in queries:
+            if query.ref not in resolved:
+                # An unknown table or column raises here.
+                resolve_column(resolved, self.db.catalog, query.ref)
+        return [self.run_query(query) for query in queries]
 
     def run_window(
         self,
@@ -257,15 +236,15 @@ class Session:
         slots: Sequence[WindowSlot],
         pending: Sequence[tuple[PendingWindow, int] | None],
     ) -> list[SelectionResult]:
-        """The window loop, for session windows and served client
-        lanes alike: replay query ``i`` on ``slots[i]``.
+        """A served client lane's window loop: replay query ``i`` on
+        ``slots[i]``.
 
         A slot is a replay context and the query's normalised bounds
-        (a strategy's :meth:`~IndexingStrategy.begin_batch`, or a
-        serving lane's replays over the shared index, did the window's
-        physical work); the context's ``replay_query`` owns the query's
-        whole charge stream, ``CostCharge(queries=1)`` overhead
-        included, and an empty range costs that overhead alone.
+        (the serving front-end's pass over the shared index did the
+        window's physical work); the context's ``replay_query`` owns
+        the query's whole charge stream, ``CostCharge(queries=1)``
+        overhead included, and an empty range costs that overhead
+        alone.
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
         The session's one :class:`WindowAccountant` prices every
         charge inline in integer picoseconds, as the clock would, and

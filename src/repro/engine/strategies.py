@@ -18,7 +18,7 @@ from typing import Any, Sequence
 from repro.cracking.index import CrackerIndex
 from repro.cracking.stochastic import StochasticCrackerIndex
 from repro.engine.operators import scan_select
-from repro.engine.plan import AccessPath, ColumnWindow
+from repro.engine.plan import AccessPath
 from repro.engine.query import RangeQuery
 from repro.errors import ConfigError
 from repro.offline.advisor import OfflineAdvisor
@@ -96,23 +96,6 @@ class IndexingStrategy(ABC):
         probe, no crack, no charge -- only the bookkeeping a strategy
         keeps for every query (none here)."""
         return MaterializedResult(self.db.catalog.column(query.ref).values[:0])
-
-    def begin_batch(
-        self,
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> list[WindowSlot] | None:
-        """Start a shared-work execution of a query window.
-
-        Strategies that can amortize a window do its physical work now
-        and return one ``(replay context, normalised bounds)`` slot per
-        query for the session's window loop
-        (:meth:`~repro.engine.session.Session.run_window`); the default
-        ``None`` tells the session to fall back to sequential
-        :meth:`~repro.engine.session.Session.run_query` calls (which is
-        always semantically equivalent).
-        """
-        return None
 
     def note_window(self, queries: Sequence[RangeQuery]) -> None:
         """Bookkeeping for the reads a window loop replayed, once at
@@ -225,31 +208,6 @@ class AdaptiveStrategy(IndexingStrategy):
         self, query: RangeQuery, low: Key, high: Key
     ) -> SelectionResult:
         return self.index_for(query.ref).select_keys(low, high)
-
-    def begin_batch(
-        self,
-        queries: Sequence[RangeQuery],
-        windows: list[ColumnWindow],
-    ) -> list[WindowSlot] | None:
-        """Shared cracking, one physical pass per column; ``standard``
-        cracking only.  Query ``i``'s slot is its column's
-        :class:`~repro.cracking.batch.CrackSelectBatch` and its
-        normalised bounds.
-
-        Stochastic variants keep their own per-query refinement
-        decisions (random auxiliary cracks) that depend on execution
-        order, so they fall back to the sequential path.
-        """
-        if self.variant != "standard":
-            return None
-        slots: list = [None] * len(queries)
-        for window in windows:
-            context = self.index_for(window.ref).begin_select_batch(
-                window.ranges
-            )
-            for i, bounds in zip(window.indices, window.bounds):
-                slots[i] = (context, bounds)
-        return slots
 
     def access_path(self, query: RangeQuery) -> AccessPath:
         return AccessPath.CRACKER

@@ -214,12 +214,24 @@ class HolisticKernel(AdaptiveStrategy):
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
     ) -> list[WindowSlot] | None:
-        """Adaptive cracking's window, or ``None`` -- the sequential
-        path, through piece latches -- while tuning workers race."""
-        # Not inherited: perfbench/layers.py wraps it by name.
+        """Crack a window's fresh bounds in one physical pass a column
+        and return one ``(replay context, bounds)`` slot a query, or
+        ``None`` while tuning workers race.
+
+        No session path calls it: a session window reads sequentially
+        and served lanes crack through the front-end.  It stays because
+        ``perfbench/layers.py`` wraps it by name (ROADMAP item 1a).
+        """
         if self.worker_pool is not None and self.worker_pool.is_running:
             return None
-        return super().begin_batch(queries, windows)
+        slots: list = [None] * len(queries)
+        for window in windows:
+            context = self.index_for(window.ref).begin_select_batch(
+                window.ranges
+            )
+            for i, bounds in zip(window.indices, window.bounds):
+                slots[i] = (context, bounds)
+        return slots
 
     def note_window(self, queries: Sequence[RangeQuery]) -> None:
         """Count a window's replayed reads: one

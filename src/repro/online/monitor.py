@@ -56,7 +56,17 @@ class WorkloadMonitor:
         return {"total_queries": self.total_queries, "columns": columns}
 
     def restore_state(self, state: dict) -> None:
-        """Adopt a previously-exported monitor state (snapshot restore)."""
+        """Adopt a state :meth:`export_state` wrote (snapshot restore).
+
+        Raises:
+            ValueError: on a state or column entry whose keys are not
+                the ones :meth:`export_state` writes.
+        """
+        if state.keys() != {"total_queries", "columns"} or any(
+            entry.keys() != {"table", "column", "query_count"}
+            for entry in state["columns"]
+        ):
+            raise ValueError("monitor state has keys export_state never wrote")
         self.total_queries = int(state["total_queries"])
         self.query_counts = {
             ColumnRef(entry["table"], entry["column"]): int(

@@ -221,13 +221,33 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
             read_current_manifest`.
 
     Raises:
-        PersistError: on structural corruption (missing arrays,
-            mismatched lengths, a piece map that fails its checks, an
-            unknown strategy, option or clock counter).
+        PersistError: on structural corruption (a missing meta key or
+            array, mismatched lengths, a piece map that fails its
+            checks, an unknown strategy, option or clock counter, a
+            tape or monitor state other than the one this version
+            writes).
     """
     # Transient IO failures surface here, before any state is built;
     # repro.persist.manager.restore_snapshot retries this whole call.
     faults.trip("persist.restore")
+    try:
+        db, strategy, session = _rebuild(root, manifest)
+    except KeyError as error:
+        raise PersistError(f"snapshot lacks {error.args[0]!r}") from None
+    except ValueError as error:
+        raise PersistError(f"snapshot state is corrupt: {error}") from None
+    return RestoredState(
+        db=db,
+        strategy=strategy,
+        session=session,
+        generation=generation,
+        manifest=manifest,
+    )
+
+
+def _rebuild(root, manifest: dict) -> tuple[Database, object, object]:
+    """The database, strategy and session a manifest describes; a
+    missing meta key or array raises ``KeyError``."""
     meta = manifest["meta"]
     entries = manifest["arrays"]
 
@@ -245,14 +265,12 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
         table = Table(table_meta["name"])
         for column_meta in table_meta["columns"]:
             name = column_meta["name"]
-            key = f"column/{table.name}/{name}"
-            try:
-                values = load_array(root, entries[key], mmap_mode="r")
-            except KeyError:
-                raise PersistError(f"snapshot lacks array {key!r}") from None
             column = Column(
                 name,
-                values,
+                load_array(
+                    root, entries[f"column/{table.name}/{name}"],
+                    mmap_mode="r",
+                ),
                 ctype=type_by_name(column_meta["ctype"]),
                 stats=ColumnStats(
                     row_count=int(column_meta["row_count"]),
@@ -291,14 +309,7 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
 
         session = Session(database=db, strategy=strategy)
         session.restore_state(meta["session"])
-
-    return RestoredState(
-        db=db,
-        strategy=strategy,
-        session=session,
-        generation=generation,
-        manifest=manifest,
-    )
+    return db, strategy, session
 
 
 def _restore_index(

@@ -12,7 +12,7 @@ A lane is a :class:`~repro.engine.session.Session` on a private
 :class:`~repro.simtime.clock.SimClock` fork whose replay slots are its
 own shadow replay per column
 (:class:`~repro.cracking.batch.DetachedCrackReplay`), so a converged
-read is priced in one step there, as in a session window.
+read is priced in one step there.
 
 The core invariant, the multi-tenant generalization of a session
 window's batch==sequential guarantee:

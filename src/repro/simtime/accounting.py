@@ -6,8 +6,9 @@ routes its charges through a :class:`WindowAccountant` instead, which
 adds each event's ``sum(counter * price)`` inline and settles the
 window's time and work counters on the clock in one update
 (:meth:`WindowAccountant.finish`).  Integer sums are exact in any
-order, so every reading equals the per-event path's.  A wall clock, or
-a :class:`SimClock` inside a parallel phase, gets no window at all.
+order, so every reading equals the per-event path's.  Served client
+lanes are its one user: each lane is a :class:`SimClock` fork that
+never opens a parallel phase.
 
 The accountant's :attr:`now` (integer picoseconds) is the session's
 clock reading for the duration of a window; the real clock must not be
@@ -116,7 +117,7 @@ class WindowAccountant:
         self._materialized += materialized
 
     def charge_pending_merge(self, deletes: int, materialized: int) -> None:
-        """``CostCharge.for_pending_merge(deletes, materialized)``."""
+        """:meth:`SimClock.charge_pending_merge`."""
         comparisons = max(1, deletes)
         model = self._model
         self.now += (

@@ -132,15 +132,3 @@ class CostCharge:
         """Charge for a binary search over ``n`` ordered elements."""
         steps = max(1, int(n).bit_length())
         return cls(comparisons=steps, seeks=1)
-
-    @classmethod
-    def for_pending_merge(cls, deletes: int, materialized: int) -> "CostCharge":
-        """Charge for folding pending updates into a query result.
-
-        One comparison per pending delete (minimum one for the range
-        probe) plus the materialization of the corrected result.
-        """
-        return cls(
-            comparisons=max(1, deletes),
-            elements_materialized=materialized,
-        )

@@ -92,13 +92,14 @@ class Clock(Protocol):
         """``count`` ``charge(CostCharge.for_binary_search(n))`` events."""
         ...
 
-    def sleep(self, seconds: float) -> None:
-        """Let ``seconds`` of time pass (idle time)."""
+    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
+        """A pending-update merge into a read's result: one comparison
+        per pending delete (at least one, the range probe) and the
+        corrected result's materialization."""
         ...
 
-    @property
-    def in_parallel(self) -> bool:
-        """Whether a parallel phase (tuning workers) is open."""
+    def sleep(self, seconds: float) -> None:
+        """Let ``seconds`` of time pass (idle time)."""
         ...
 
     def begin_parallel(self) -> None:
@@ -211,6 +212,27 @@ class SimClock:
             total.comparisons += steps * count
             total.seeks += count
 
+    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
+        """A pending-update merge, priced from the model's per-unit
+        prices without building the charge."""
+        comparisons = max(1, deletes)
+        if self._parallel:
+            self.charge(
+                CostCharge(
+                    comparisons=comparisons,
+                    elements_materialized=materialized,
+                )
+            )
+        else:
+            model = self.model
+            self._now += (
+                model.probe_ps * comparisons
+                + model.materialize_ps * materialized
+            )
+            total = self.total_charge
+            total.comparisons += comparisons
+            total.elements_materialized += materialized
+
     def settle_batch(
         self, now: int, scanned: int, cracked: int, materialized: int,
         comparisons: int, seeks: int, pieces: int, queries: int,
@@ -254,11 +276,6 @@ class SimClock:
             self._now += ps
 
     # -- parallel phases (idle-core tuning) -----------------------------
-
-    @property
-    def in_parallel(self) -> bool:
-        """Whether a parallel phase is currently open."""
-        return self._parallel
 
     def begin_parallel(self) -> None:
         """Open a parallel phase: charges go to per-thread lanes.
@@ -361,16 +378,17 @@ class WallClock:
         total.comparisons += max(1, int(n).bit_length()) * count
         total.seeks += count
 
+    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
+        total = self.total_charge
+        total.comparisons += max(1, deletes)
+        total.elements_materialized += materialized
+
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ConfigError(f"cannot sleep a negative time: {seconds}")
         time.sleep(seconds)  # repro: allow[determinism] -- WallClock is the wall-time carrier
 
     # -- parallel phases: wall time overlaps by itself -------------------
-
-    @property
-    def in_parallel(self) -> bool:
-        return self._parallel_start is not None
 
     def begin_parallel(self) -> None:
         """Open a parallel phase (wall time already runs in parallel).

@@ -56,7 +56,7 @@ def run_stream_batched(
     first, so event order is respected.  A window of one goes through
     the plain query path (:meth:`Session.run_query` per query,
     :meth:`Session.idle` per idle event), and any window answers and
-    charges the same -- batching only amortizes the physical work.
+    charges the same.
 
     Raises:
         WorkloadError: if ``window`` is not positive, or on an unknown
@@ -94,9 +94,8 @@ class QueryStream:
 
     Wraps an event sequence (materialized on construction so it can be
     replayed against several sessions); :meth:`run_windowed` groups up
-    to ``window`` consecutive queries into shared-work batches (the
-    streaming variant of :meth:`Session.run_batch`), a window of one
-    feeding queries one at a time.
+    to ``window`` consecutive queries into :meth:`Session.run_batch`
+    windows, a window of one feeding queries one at a time.
     """
 
     def __init__(self, events: Iterable[WorkloadEvent]) -> None:

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import pytest
+
 from repro.cracking.piece import CrackOrigin
 from repro.cracking.tape import CrackTape
 
@@ -94,15 +96,20 @@ def test_export_and_restore_round_trip_the_counters():
     assert back.stall_count(2) == 1 and back.stall_count(None) == 1
 
 
-def test_restore_ignores_an_origin_no_longer_counted():
-    """Older generations also wrote a ``"load"`` count, which nothing
-    produced; restore reads the origins it knows and drops the rest."""
+def test_restore_refuses_format_1_origin_counts():
+    """Format 1 also wrote a ``"load"`` count, which nothing produced,
+    and a missing origin used to default to 0: restore takes exactly
+    the origins :meth:`CrackTape.export_state` writes."""
     tape = CrackTape()
-    counts = {"query": 3, "tuning": 2, "merge": 0, "sort": 0, "load": 0}
-    tape.restore_state({"counts": counts, "seen": 5, "stalls": {}})
-    assert tape.count(CrackOrigin.QUERY) == 3
-    assert tape.count(CrackOrigin.TUNING) == 2
-    assert "load" not in tape.export_state()["counts"]
+    counts = {"query": 3, "tuning": 2, "merge": 0, "sort": 0}
+    with pytest.raises(ValueError, match="load"):
+        tape.restore_state(
+            {"counts": {**counts, "load": 0}, "seen": 5, "stalls": {}}
+        )
+    del counts["sort"]
+    with pytest.raises(KeyError):
+        tape.restore_state({"counts": counts, "seen": 5, "stalls": {}})
+    assert tape.export_state() == CrackTape().export_state()
 
 
 def test_stall_counters_per_worker_and_total():

@@ -35,7 +35,7 @@ CONVERGED_CALLS = {"holistic": 12, "adaptive": 11}
 #: by where the column's pending rows lie, the range read converged
 #: before: the probe that finds none in range is the same one call as
 #: an empty store's; rows in range add the overlay and its charge.
-PENDING_CALLS = {"outside": 12, "inside": 18}
+PENDING_CALLS = {"outside": 12, "inside": 14}
 
 #: Python-level calls of one ``Session.run_query`` per strategy whose
 #: two fresh bounds fall in one piece of a cracked column: one
@@ -67,13 +67,13 @@ FIRST_TOUCH_CALLS = {10_000: 62, 1_000_000: 73}
 
 #: Python-level calls of one converged holistic ``Session.run_batch``
 #: with pending rows in every range, by (reads, columns): the window
-#: plans each column once and replays each read.
-WINDOW_CALLS = {(1, 1): 29, (4, 2): 59}
+#: resolves its columns and answers each read as ``run_query`` does.
+WINDOW_CALLS = {(1, 1): 16, (4, 2): 58}
 
 #: Python-level calls of one converged served window on the holistic
 #: kernel, by (reads, clients): the front-end deals the window to the
 #: clients' lanes in one pass, and each lane replays its share through
-#: the session window loop.
+#: the lanes' window loop, ``Session.run_window``.
 SERVED_CALLS = {(32, 4): 213, (4, 1): 37}
 
 
@@ -231,16 +231,10 @@ def test_idle_action_calls_do_not_grow_with_catalog_width():
     assert wide <= 1.5 * narrow, (narrow, wide)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 5: a wall-clock window runs query by query",
-)
 def test_wall_clock_window_cost_is_within_the_sim_clock_window():
     """A converged ``run_batch`` of 4 reads on one column makes no
-    more calls on a ``WallClock`` than on a ``SimClock`` (56 against
-    34 today: only a clock a window accountant prices shares the
-    pass)."""
+    more calls on a ``WallClock`` than on a ``SimClock``: both answer
+    each read with the sequential select."""
 
     def calls(clock) -> int:
         session = _session(clock)
@@ -328,8 +322,8 @@ def test_converged_window_cost_is_bounded():
     }
     for shape, window in windows.items():
         for _ in range(2):
-            # The first pass warms the replay's shadow map; the second
-            # is counted.
+            # The first pass files each range's view; the second is
+            # counted.
             results = batched.run_batch(window)
             expected = [sequential.run_query(query) for query in window]
             assert [r.count for r in results] == [
@@ -422,12 +416,16 @@ def test_converged_served_window_cost_is_bounded(shape):
 
 
 def test_wall_clock_session_tallies_what_a_sim_clock_prices():
-    """``WallClock.charge_query``/``charge_probes`` only count, like
-    its ``charge``; the counters end equal to a ``SimClock``'s over the
-    same cold-then-converged stream."""
+    """``WallClock.charge_query``/``charge_probes``/
+    ``charge_pending_merge`` only count, like its ``charge``; the
+    counters end equal to a ``SimClock``'s over the same
+    cold-then-converged stream, with pending rows in range."""
     sim = _session(SimClock(TINY.cost_model()))
     wall = _session(WallClock())
     for session in (sim, wall):
+        session.db.table("R").updates_for("A1").stage_inserts(
+            [int(query.low) + 1 for query in _grid()]
+        )
         for _ in range(3):
             for query in _grid():
                 session.run_query(query)

@@ -1,10 +1,10 @@
-"""Batched execution: ``run_batch`` == sequential ``run_query``.
+"""Session windows: ``run_batch`` == sequential ``run_query``.
 
-The batched pipeline's contract is *bit-for-bit* accounting
-equivalence: result multisets, per-query response times, cumulative
-clock totals and tape counts must be exactly what one-at-a-time
-execution produces, for every strategy, window size, and pending
-update mix.
+A session window resolves its columns, then answers each read as
+``run_query`` does.  Its contract is *bit-for-bit* equivalence: result
+multisets, per-query response times, cumulative clock totals and tape
+counts must be exactly what one-at-a-time execution produces, for
+every strategy, window size, pending update mix and clock.
 """
 
 from __future__ import annotations
@@ -132,8 +132,6 @@ def _fingerprint(session, results) -> tuple:
 STRATEGIES = [
     ("scan", {}),
     ("adaptive", {}),
-    # Stochastic cracking has no batch plan: its windows fall back to
-    # the sequential loop, pending updates included.
     ("adaptive", {"variant": "ddr", "seed": 2}),
     ("holistic", {"seed": 5}),
 ]
@@ -234,8 +232,8 @@ def test_mixed_rw_windows_match_sequential(strategy, options):
     ],
 )
 def test_fallback_strategies_match_sequential(strategy, options):
-    """Strategies without a batch plan fall back to the sequential
-    loop and stay trivially identical."""
+    """Stochastic cracking, online and offline windows are the
+    sequential loop too."""
     base_session, base_results = _run(strategy, 1, 13, False, **options)
     batch_session, batch_results = _run(strategy, 16, 13, False, **options)
     assert [r.count for r in batch_results] == [
@@ -261,8 +259,7 @@ def test_property_batch_equals_sequential(
     seed, window, strategy, pending, writes
 ):
     """Also with writes staged between windows: the second pass's
-    converged windows replay on cached shadow maps and a re-armed
-    accountant against a changing delta store."""
+    converged windows read against a changing delta store."""
     options = {"seed": 3} if strategy == "holistic" else {}
     options.update(count=30, passes=2, writes=window if writes else 0)
     base_session, base_results = _run(strategy, 1, seed, pending, **options)
@@ -313,8 +310,8 @@ def test_wait_debt_charged_to_first_window_query():
         repr(r.response_s) for r in query_records(base)
     ]
 
-    # The batched fast path itself also absorbs pending wait debt on
-    # the window's first query only.
+    # A cracking window also charges pending wait debt to its first
+    # query only.
     def run_adaptive(window: int):
         db = _database(3)
         session = recorded(db.session("adaptive"))
@@ -345,8 +342,7 @@ def test_empty_batch_is_a_noop():
 
 
 def test_run_batch_on_wall_clock_counts_charges():
-    """A wall clock has no cost model to price a window with, so the
-    window runs query by query and tallies the same work counters as
+    """On a wall clock a window tallies the same work counters as
     sequential execution."""
     queries = _workload(9, 12)
 
@@ -370,9 +366,8 @@ def test_run_batch_on_wall_clock_counts_charges():
 
 
 def test_run_batch_in_a_parallel_phase_runs_sequentially():
-    """Inside a parallel phase a SimClock charges per-thread lanes, which
-    a window accountant cannot settle: the window runs as sequential
-    ``run_query`` calls, charge for charge."""
+    """Inside a parallel phase a SimClock charges per-thread lanes; a
+    window charges them as sequential ``run_query`` calls do."""
     queries = _workload(9, 12)
 
     def run(window: int):
@@ -395,6 +390,53 @@ def test_run_batch_in_a_parallel_phase_runs_sequentially():
     assert [repr(r.response_s) for r in query_records(batched.report)] == [
         repr(r.response_s) for r in query_records(base.report)
     ]
+
+
+@pytest.mark.parametrize("clock", ["wall", "parallel"])
+def test_run_batch_answers_and_charges_like_run_query(clock):
+    """Holistic windows over columns with pending rows, on a
+    ``WallClock`` and on a ``SimClock`` inside a parallel phase, give
+    the answers, work counters, piece maps, tape counts and monitor
+    counts of the same reads through ``run_query`` -- and, on the
+    ``SimClock``, the same phase time."""
+    queries = _workload(15, 24) * 2
+
+    def run(window: int):
+        db = Database(clock=WallClock() if clock == "wall" else SimClock())
+        db.add_table(build_paper_table(rows=3000, columns=2, seed=15))
+        _stage_pending(db, 22)
+        session = db.session("holistic", seed=5)
+        if clock == "parallel":
+            db.clock.begin_parallel()
+        results = []
+        for start in range(0, len(queries), window):
+            chunk = queries[start : start + window]
+            if window == 1:
+                results.append(session.run_query(chunk[0]))
+            else:
+                results.extend(session.run_batch(chunk))
+        elapsed = None
+        if clock == "parallel":
+            elapsed = db.clock.end_parallel().elapsed_s
+        kernel = session.strategy
+        return (
+            [sorted(result.values().tolist()) for result in results],
+            db.clock.total_charge,
+            session.report.query_count,
+            session.report.result_rows,
+            {
+                ref: (
+                    index.piece_map.pivots(),
+                    index.piece_map.cuts(),
+                    index.tape.export_state(),
+                )
+                for ref, index in kernel.indexes.items()
+            },
+            kernel.monitor.export_state(),
+            elapsed,
+        )
+
+    assert run(8) == run(1)
 
 
 def test_interleaved_batches_and_sequential_queries():
@@ -469,78 +511,13 @@ def _grid_window(rng, count: int) -> list[RangeQuery]:
 @pytest.mark.parametrize(
     "strategy,options", [("adaptive", {}), ("holistic", {"seed": 5})]
 )
-def test_converged_windows_reuse_their_accountant(
-    monkeypatch, strategy, options
-):
-    """A session builds one accountant, on its first window; converged
-    windows after it re-arm that one and answer as sequential."""
-    from repro.simtime.accounting import WindowAccountant
-
-    built = []
-    init = WindowAccountant.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(WindowAccountant, "__init__", spy)
-    windows = [_grid_window(np.random.default_rng(i), 6) for i in range(6)]
-    session = _converged(strategy, **options)
-    base = _converged(strategy, **options)
-    results, base_results = [], []
-    for window in windows:
-        results.extend(session.run_batch(window))
-        base_results.extend(base.run_query(query) for query in window)
-    assert built == [session._accountant]
-    assert _fingerprint(session, results) == _fingerprint(base, base_results)
-
-
-def test_rearmed_accountant_starts_from_the_clock():
-    """The one accountant of a session is re-armed, not rebuilt, after
-    an idle window and after a sequential query, and each window then
-    starts from the clock's reading."""
-    rng = np.random.default_rng(23)
-    session = _converged("holistic", seed=5)
-    base = _converged("holistic", seed=5)
-    results, base_results = [], []
-
-    def both(window) -> None:
-        results.extend(session.run_batch(window))
-        base_results.extend(base.run_query(query) for query in window)
-
-    both(_grid_window(rng, 5))
-    accountant = session._accountant
-    for step in ("idle", "query", "idle"):
-        if step == "idle":
-            session.idle(actions=4)
-            base.idle(actions=4)
-        else:
-            query = _grid_window(rng, 1)[0]
-            results.append(session.run_query(query))
-            base_results.append(base.run_query(query))
-        started = session.clock.now()
-        both(_grid_window(rng, 5))
-        assert session._accountant is accountant
-        first = query_records(session.report)[-5]
-        assert first.finished_at - first.response_s == started
-        assert accountant.now == session.clock._now
-    assert _fingerprint(session, results) == _fingerprint(base, base_results)
-
-
-@pytest.mark.parametrize(
-    "strategy,options", [("adaptive", {}), ("holistic", {"seed": 5})]
-)
 def test_replay_raising_mid_window_settles_like_sequential(
     monkeypatch, strategy, options
 ):
-    """A window whose third replay raises leaves the clock, records,
-    cumulative total, monitor and ranking exactly as a sequential
-    session failing at the same query -- and so does the next query.
-
-    The window is converged, so every read is priced in one step inside
-    ``replay_query``; the injected failure raises there, once the read
-    is priced, and the sequential one once its select is priced."""
-    from repro.cracking.batch import CrackSelectBatch
+    """A window whose third read's select raises leaves the clock,
+    records, cumulative total, monitor and ranking exactly as a
+    sequential session failing at the same query -- and so does the
+    next query.  The failure is injected once the select is priced."""
     from repro.cracking.index import CrackerIndex
 
     window = _grid_window(np.random.default_rng(29), 4)
@@ -555,12 +532,12 @@ def test_replay_raising_mid_window_settles_like_sequential(
             calls.append(args)
             result = method(self, *args)
             if len(calls) == 3:
-                raise RuntimeError("injected replay failure")
+                raise RuntimeError("injected select failure")
             return result
 
         monkeypatch.setattr(cls, name, failing)
 
-    fail_third(CrackSelectBatch, "replay_query")
+    fail_third(CrackerIndex, "select_keys")
     with pytest.raises(RuntimeError):
         session.run_batch(window)
     monkeypatch.undo()

@@ -121,8 +121,9 @@ def test_config_validation():
     ],
 )
 def test_windows_run_batched_unless_workers_race(tiny_db, options):
-    """A query window falls back to sequential execution only while
-    tuning workers race the foreground, whatever else is configured."""
+    """The kernel's window pass (``begin_batch``, which no session
+    calls any more) declines only while tuning workers race the
+    foreground, whatever else is configured."""
     kernel = HolisticKernel(tiny_db, HolisticConfig(**options))
     queries = [_query(1e7, 3e7), _query(2e7, 6e7, "A2"), _query(5e6, 1e7)]
     windows = group_by_column(queries, tiny_db.catalog, {})
@@ -154,8 +155,8 @@ def test_tuning_summary_aggregates(tiny_db):
 
 def test_kernel_is_adaptive_cracking_by_inheritance():
     """Plain cracking is written once: the kernel inherits adaptive's
-    access path and window pass, and overrides only what it adds or
-    what perfbench/layers.py wraps by name."""
+    access path, and overrides only what it adds or what
+    perfbench/layers.py wraps by name."""
     assert issubclass(HolisticKernel, AdaptiveStrategy)
     assert "access_path" not in HolisticKernel.__dict__
     for pinned in ("select", "begin_batch", "exploit_idle", "index_for"):

@@ -30,6 +30,12 @@ from repro.storage.loader import build_paper_table
 from tests.conftest import ground_truth_count
 
 
+def _assert_no_phase_open(db: Database) -> None:
+    """The clock has no parallel phase open: ending one is refused."""
+    with pytest.raises(ConfigError):
+        db.clock.end_parallel()
+
+
 def _db(columns=3, rows=10_000, seed=42) -> Database:
     db = Database(clock=SimClock(TINY.cost_model()))
     db.add_table(build_paper_table(rows=rows, columns=columns, seed=seed))
@@ -170,7 +176,7 @@ def test_clock_leaves_parallel_phase_after_window():
     db = _db()
     kernel = HolisticKernel(db, HolisticConfig(num_workers=3))
     kernel.exploit_idle(actions=30)
-    assert not db.clock.in_parallel
+    _assert_no_phase_open(db)
     assert kernel.worker_pool is not None
     assert not kernel.worker_pool.is_running
 
@@ -405,7 +411,7 @@ def test_stress_queries_race_workers_against_serial_oracle():
         if stats.actions_effective
     ]
     assert len(tuning_workers) >= 2
-    assert not db.clock.in_parallel
+    _assert_no_phase_open(db)
 
 
 def test_stress_contended_single_column_counts_stalls():
@@ -506,7 +512,7 @@ def test_stop_preserves_settled_account_when_worker_died():
     assert [s.worker_id for s in error.worker_stats] == [0, 1]
     # The phase really was closed: no dangling parallel state, and a
     # retried stop() is an honest no-op.
-    assert not db.clock.in_parallel
+    _assert_no_phase_open(db)
     assert pool.stop() is None
 
 
@@ -552,7 +558,7 @@ def test_session_background_tuning_races_queries():
             assert result.count == ground_truth_count(column, low, high)
     finally:
         session.finish_background_tuning()
-    assert not db.clock.in_parallel
+    _assert_no_phase_open(db)
     kernel = session.strategy
     assert kernel.tuning_summary is not None
     tuning = [

@@ -74,10 +74,11 @@ def test_monitor_state_round_trip(monitor, a1):
     assert clone.export_state() == monitor.export_state()
 
 
-def test_restore_ignores_keys_the_monitor_no_longer_keeps(monitor, a1):
-    """A snapshot entry written before ``coverage``/``first_seen``/
-    ``last_seen``, the range histogram and the ``recent`` timestamps
-    were dropped restores to the same counts."""
+def test_restore_refuses_format_1_monitor_keys(monitor, a1):
+    """A format-1 entry also carried ``coverage``/``first_seen``/
+    ``last_seen``, a range histogram and ``recent`` timestamps:
+    restore takes exactly the keys
+    :meth:`WorkloadMonitor.export_state` writes."""
     monitor.record(a1)
     monitor.record(a1)
     state = monitor.export_state()
@@ -92,5 +93,13 @@ def test_restore_ignores_keys_the_monitor_no_longer_keeps(monitor, a1):
         recent=[0.1, 0.2],
     )
     clone = WorkloadMonitor()
-    clone.restore_state({**state, "columns": [old_entry]})
+    for shape in (
+        {**state, "columns": [old_entry]},
+        {**state, "recent": [0.1, 0.2]},
+        {"columns": state["columns"]},
+    ):
+        with pytest.raises(ValueError):
+            clone.restore_state(shape)
+    assert clone.export_state() == WorkloadMonitor().export_state()
+    clone.restore_state(state)
     assert clone.export_state() == state

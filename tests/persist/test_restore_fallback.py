@@ -234,6 +234,69 @@ def test_unknown_clock_counter_walks_back(tmp_path):
     assert restored.db.clock.now() == db.clock.now()
 
 
+#: Per strategy, what a generation can lack: a meta key (a path of
+#: keys into the meta) or an array of the manifest.
+_MISSING = {
+    "holistic": [
+        ("model_scale",),
+        ("clock",),
+        ("tables",),
+        ("tables", 0, "columns", 0, "row_count"),
+        ("indexes",),
+        ("indexes", 0, "copy_charged"),
+        ("tapes", "__shared__"),
+        ("tapes", "__shared__", "counts", "query"),
+        ("monitor",),
+        ("ranking",),
+        ("kernel",),
+        ("kernel", "idle_windows"),
+        ("session", "queries_answered"),
+        "column/R/A1",
+        "pending/R/A1/ins",
+        "pending/R/A1/delpos",
+        "pending/R/A1/delval",
+        "index/R/A1/values",
+        "index/R/A1/pivots",
+        "index/R/A1/cuts",
+    ],
+    "adaptive": [("tapes", "R/A1"), ("tapes", "R/A1", "seen")],
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_MISSING))
+def test_every_missing_key_walks_back(tmp_path, strategy):
+    """A generation lacking any meta key or array the restore reads is
+    corrupt: restoring it alone raises ``PersistError``, never a
+    ``KeyError``, and a restore walks back past every such generation
+    to the intact one."""
+    db = Database(clock=SimClock())
+    db.add_table(build_paper_table(rows=ROWS, columns=2, seed=42))
+    session = db.session(strategy)
+    _run_queries(session, 4)
+    db.table("R").updates_for("A1").stage_inserts([5e6 + 1])
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    clean = write_generation(tmp_path, arrays, meta)
+    broken = []
+    for missing in _MISSING[strategy]:
+        arrays, meta, _ = capture_state(db, session.strategy, session)
+        if isinstance(missing, str):
+            del arrays[missing]
+        else:
+            *path, key = missing
+            holder = meta
+            for step in path:
+                holder = holder[step]
+            del holder[key]
+        broken.append(write_generation(tmp_path, arrays, meta))
+        with pytest.raises(PersistError):
+            restore_snapshot(tmp_path, fallback=False)
+    restored = restore_snapshot(tmp_path)
+    assert restored.generation == clean
+    assert restored.fallback_generations == broken[::-1]
+    assert restored.db.clock.now() == db.clock.now()
+    _assert_answers(restored)
+
+
 def test_background_verifier_passes_on_a_clean_snapshot(tmp_path):
     clean, newest = _two_generations(tmp_path, None)
     restored = restore_snapshot(tmp_path, verify="lazy")

@@ -63,8 +63,8 @@ def _sequential_reference(clock: SimClock) -> None:
     clock.charge(
         CostCharge(elements_scanned=100, elements_materialized=3)
     )
-    clock.charge(CostCharge.for_pending_merge(0, 55))
-    clock.charge(CostCharge.for_pending_merge(9, 200))
+    clock.charge(CostCharge(comparisons=1, elements_materialized=55))
+    clock.charge(CostCharge(comparisons=9, elements_materialized=200))
 
 
 def test_window_accountant_is_bit_identical_to_per_event_charging():
@@ -142,7 +142,10 @@ _EVENTS = {
     ),
     "charge_scan": (2, lambda s, m: [CostCharge.for_scan(s, m)]),
     "charge_pending_merge": (
-        2, lambda d, m: [CostCharge.for_pending_merge(d, m)]
+        2,
+        lambda d, m: [
+            CostCharge(comparisons=max(1, d), elements_materialized=m)
+        ],
     ),
 }
 

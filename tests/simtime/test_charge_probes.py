@@ -1,8 +1,11 @@
 """``SimClock.charge_probes(n, k)`` is ``k`` binary-search charges,
-and ``SimClock.charge_query()`` is ``charge(CostCharge(queries=1))``.
+``SimClock.charge_query()`` is ``charge(CostCharge(queries=1))`` and
+``SimClock.charge_pending_merge(d, m)`` is one comparison per pending
+delete (at least one) plus ``m`` materialized rows.
 
-The converged select prices its per-query overhead and its piece-map
-probes in place instead of building a :class:`CostCharge` per event;
+The converged select prices its per-query overhead, its piece-map
+probes and a pending-row merge in place instead of building a
+:class:`CostCharge` per event;
 every reading the clock can give must stay bit-identical to the
 per-event path.
 """
@@ -30,6 +33,9 @@ _EVENTS = st.lists(
             st.just("probes"), st.integers(0, 2**40), st.integers(1, 5)
         ),
         st.tuples(st.just("query"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("merge"), st.integers(0, 10**6), st.integers(0, 10**6)
+        ),
         st.tuples(st.just("restore"), st.just(0), st.just(0)),
         st.tuples(st.just("remodel"), st.just(0), st.just(0)),
     ),
@@ -50,6 +56,15 @@ def _replay(clock: SimClock, events, in_place: bool) -> None:
                 clock.charge_query()
             else:
                 clock.charge(CostCharge(queries=1))
+        elif kind == "merge":
+            if in_place:
+                clock.charge_pending_merge(n, count)
+            else:
+                clock.charge(
+                    CostCharge(
+                        comparisons=max(1, n), elements_materialized=count
+                    )
+                )
         elif kind == "restore":
             # Replaces ``total_charge`` with a fresh object.
             clock.restore_state(clock.state_dict())
@@ -90,7 +105,11 @@ def test_in_place_probes_keep_lane_accounts(first, second):
                 args=(
                     clock,
                     # A phase refuses restore_state; the model is shared.
-                    [e for e in events if e[0] in ("probes", "query")],
+                    [
+                        e
+                        for e in events
+                        if e[0] in ("probes", "query", "merge")
+                    ],
                     in_place,
                 ),
             )

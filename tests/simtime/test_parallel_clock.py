@@ -18,7 +18,8 @@ def test_serial_charges_unchanged_by_phase_support():
     clock = SimClock(CostModel())
     seconds = _charge_seconds(clock, 1_000_000)
     assert clock.now() == pytest.approx(seconds)
-    assert not clock.in_parallel
+    with pytest.raises(ConfigError):  # no phase is open
+        clock.end_parallel()
 
 
 def test_phase_advances_by_max_lane():
@@ -122,8 +123,7 @@ def test_wall_clock_phase_reports_real_time():
     with pytest.raises(ConfigError):
         clock.end_parallel()
     clock.begin_parallel()
-    assert clock.in_parallel
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError):  # the phase is open
         clock.begin_parallel()
     account = clock.end_parallel()
     assert account.elapsed_s >= 0.0
