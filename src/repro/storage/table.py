@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from repro.errors import (
     DuplicateObjectError,
     SchemaError,
     UnknownColumnError,
 )
 from repro.storage.column import Column
+from repro.storage.dtypes import coerce_array
 from repro.storage.updates import PendingUpdates
 
 
@@ -102,11 +101,14 @@ class Table:
         """Stage an insert of rows given per-column value arrays.
 
         Every column of the table must be present in ``rows`` and all
-        arrays must be the same length.  Returns the number of rows
-        staged.
+        arrays must be the same length.  Every name is resolved and
+        every array coerced before any column stages, so a refused
+        insert stages nothing.  Returns the number of rows staged.
 
         Raises:
-            SchemaError: on a missing column or ragged arrays.
+            SchemaError: on a missing column, ragged arrays or values
+                a column's type cannot hold.
+            UnknownColumnError: on a name the table has no column of.
         """
         missing = set(self._columns) - set(rows)
         if missing:
@@ -114,14 +116,17 @@ class Table:
                 f"insert into {self.name!r} missing columns: "
                 f"{sorted(missing)}"
             )
-        lengths = {name: len(np.asarray(vals)) for name, vals in rows.items()}
-        if len(set(lengths.values())) > 1:
-            raise SchemaError(f"ragged insert into {self.name!r}: {lengths}")
-        staged = 0
+        arrays = {}
         for name, values in rows.items():
             if name not in self._columns:
                 raise UnknownColumnError(self.name, name)
-            staged = self._updates[name].stage_inserts(values)
+            arrays[name] = coerce_array(values, self._columns[name].ctype)
+        if len(set(map(len, arrays.values()))) > 1:
+            lengths = {name: len(array) for name, array in arrays.items()}
+            raise SchemaError(f"ragged insert into {self.name!r}: {lengths}")
+        staged = 0
+        for name, array in arrays.items():
+            staged = self._updates[name].stage_inserts(array)
         return staged
 
     def __repr__(self) -> str:

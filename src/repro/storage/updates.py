@@ -6,10 +6,13 @@ et al., SIGMOD 2007, cited as [11] by the paper) -- updates are staged
 in per-column delta structures and merged into indexes lazily, when a
 query actually touches the affected value range.
 
-:class:`PendingUpdates` holds the pending insert and delete sets for
-one column.  Queries consult it to stay correct before the merge
-happens (`select` results = index result + pending inserts in range -
-pending deletes in range).
+:class:`PendingUpdates` holds one column's pending inserts (sorted
+values) and deletes (sorted values plus the set of their base rows;
+the rows aligned with the values, equal values by ascending row, are
+derived on demand).  A write batch costs its own size plus one copy of
+the value array it joins.  Queries consult the store to stay correct
+before the merge happens (`select` results = index result + pending
+inserts in range - pending deletes in range).
 """
 
 from __future__ import annotations
@@ -31,45 +34,50 @@ def cut_at(store: np.ndarray, key: Key) -> int:
     return int(store.searchsorted(key))
 
 
-def _splice(
-    slots: np.ndarray, *columns: tuple[np.ndarray, np.ndarray]
-) -> list[np.ndarray]:
-    """``np.insert(store, slots, fresh)`` for ascending ``slots``, as a
-    new array, for each ``(store, fresh)`` pair of aligned ``columns``.
+def _splice(store: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The sorted ``store`` with the sorted ``fresh`` merged in, as a
+    new array: ``np.insert(store, store.searchsorted(fresh), fresh)``.
 
     The ``i``-th fresh entry lands ``i`` places right of its slot (the
     fresh entries before it each shifted it by one), and the store
-    fills the places in between in order -- two fancy assignments per
-    column over one landing mask, where ``np.insert``'s generic index
-    handling cost twice as much per 16-row batch.
+    fills the places in between in order -- two fancy assignments over
+    one landing mask, where ``np.insert``'s generic index handling cost
+    twice as much per 16-row batch.  The mask is filled in place:
+    ``np.ones`` runs through two Python-level numpy calls.
     """
-    landing = slots + np.arange(len(slots))
-    between = np.ones(len(columns[0][0]) + len(slots), dtype=bool)
+    landing = store.searchsorted(fresh) + np.arange(len(fresh))
+    between = np.empty(len(store) + len(fresh), dtype=bool)
+    between.fill(True)
     between[landing] = False
-    merged = []
-    for store, fresh in columns:
-        spliced = np.empty(len(between), dtype=store.dtype)
-        spliced[landing] = fresh
-        spliced[between] = store
-        merged.append(spliced)
-    return merged
+    spliced = np.empty(len(between), dtype=store.dtype)
+    spliced[landing] = fresh
+    spliced[between] = store
+    return spliced
 
 
 class PendingUpdates:
     """Pending inserts and deletes for a single column.
 
-    Inserts are (value) records appended to the column; deletes are
-    base-array positions with their values.  Both are kept sorted by
-    value so range lookups are logarithmic: :attr:`insert_values`,
-    :attr:`deleted_values` and the aligned :attr:`delete_positions`,
-    read-only to everyone else.
+    Inserts are values appended to the column, kept sorted in
+    :attr:`insert_values`.  Deletes are base rows: their values are
+    kept sorted in :attr:`deleted_values` and the rows themselves in a
+    set, which is all a batch needs to drop the rows already staged.
+    Both arrays are read-only to everyone else, and range lookups
+    bisect them.  :attr:`delete_positions` derives the rows aligned
+    with :attr:`deleted_values` on demand (equal values by ascending
+    row) for snapshots and range consumption; no read needs them.  The
+    set costs 60-140 bytes a staged row (a hash slot and an int object,
+    as the set grows) where an aligned ``int64`` array cost 8; in
+    exchange a delete batch makes one splice, not two, and finds its
+    repeats in O(batch).
 
     The store is copy-on-write: staging, consumption and
     :meth:`clear` *replace* its arrays and never write into them, so a
     slice handed out earlier (:meth:`inserts_in_range`, one of the
     arrays, a select result's
     :class:`~repro.storage.views.PendingOverlay`) keeps the values it
-    had.  That rules out an in-place append buffer, on purpose.
+    had.  That rules out an in-place append buffer, on purpose.  The
+    row set is private and changes in place.
 
     The store is handed the column's ``base`` values and checks every
     delete it is given against them, so each pending delete is a
@@ -83,10 +91,10 @@ class PendingUpdates:
         self._base = base
         #: The staged insert values, sorted.
         self.insert_values = np.empty(0, dtype=ctype.numpy_dtype)
-        #: Base positions aligned with :attr:`deleted_values`.
-        self.delete_positions = np.empty(0, dtype=np.int64)
         #: The staged deleted values, sorted.
         self.deleted_values = np.empty(0, dtype=ctype.numpy_dtype)
+        #: The base rows behind :attr:`deleted_values`.
+        self._deleted_rows: set[int] = set()
         #: The buffer views :meth:`overlap` bisects, remade when it
         #: finds an array replaced.
         self._insert_view = self._delete_view = memoryview(b"")
@@ -102,28 +110,19 @@ class PendingUpdates:
         re-sorting the whole store on every call -- staging ``k``
         batches is linear per batch, not ``N log N``.
         """
-        fresh = np.sort(coerce_array(np.asarray(values), self._ctype))
-        if len(fresh) == 0:
-            return 0
-        staged = self.insert_values
-        (self.insert_values,) = _splice(
-            staged.searchsorted(fresh), (staged, fresh)
-        )
+        fresh = np.sort(coerce_array(values, self._ctype))
+        if len(fresh):
+            self.insert_values = _splice(self.insert_values, fresh)
         return len(fresh)
 
     def stage_deletes(self, positions: object, values: object) -> int:
         """Stage base-array positions (with their values) for deletion.
 
-        Both arrays are kept aligned and sorted by value across
-        staging batches (the merge splices each batch in, as
-        :meth:`stage_inserts` does), so a range consumption always
-        removes matching (position, value) pairs.
-
-        A base position can only die once: duplicates within the batch
-        and positions already staged are dropped here, so a row deleted
-        twice before any merge is not double-counted when a range
-        consumption later removes it.  Returns how many positions were
-        actually staged (after dedup).
+        A base position can only die once: a position already staged,
+        or repeated in the batch after its first occurrence, is dropped
+        by one set lookup a row, so no range consumption removes a row
+        twice.  The rest are sorted by value and spliced into
+        :attr:`deleted_values`.  Returns how many positions were staged.
 
         Raises:
             SchemaError: if positions and values differ in length, or
@@ -131,7 +130,7 @@ class PendingUpdates:
                 is not the base row's -- before anything is staged.
         """
         pos = np.asarray(positions, dtype=np.int64)
-        vals = coerce_array(np.asarray(values), self._ctype)
+        vals = coerce_array(values, self._ctype)
         if len(pos) != len(vals):
             raise SchemaError(
                 f"positions ({len(pos)}) and values ({len(vals)}) "
@@ -140,46 +139,32 @@ class PendingUpdates:
         if len(pos) == 0:
             return 0
         self._check_base_rows(pos, vals)
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        pos = pos[order]
-        staged = self.deleted_values
-        slots = staged.searchsorted(vals)
-        # Every delete is a base row, so a position can only repeat
-        # with its own value: within the batch (the stable sort kept
-        # batch order among equal values, so np.unique keeps the first
-        # occurrence) or in that value's run of staged deletes.
-        runs = staged.searchsorted(vals, "right") - slots
-        repeats = vals[1:] == vals[:-1]
-        if runs.any() or repeats.any():
-            fresh = np.ones(len(pos), dtype=bool)
-            if repeats.any():
-                fresh[:] = False
-                fresh[np.unique(pos, return_index=True)[1]] = True
-            # Each distinct value's run, gathered with one vectorized
-            # index: a low-cardinality column has long runs.
-            first = np.concatenate(([True], ~repeats))
-            lengths = runs[first]
-            if lengths.any():
-                ends = np.cumsum(lengths)
-                gathered = np.arange(ends[-1]) + np.repeat(
-                    slots[first] - ends + lengths, lengths
-                )
-                fresh &= ~np.isin(pos, self.delete_positions[gathered])
-            pos, vals, slots = pos[fresh], vals[fresh], slots[fresh]
-            if len(pos) == 0:
-                return 0
-        self.deleted_values, self.delete_positions = _splice(
-            slots, (staged, vals), (self.delete_positions, pos)
+        staged = self._deleted_rows
+        fresh = []
+        for i, row in enumerate(pos.tolist()):
+            if row not in staged:
+                staged.add(row)
+                fresh.append(i)
+        if not fresh:
+            return 0
+        if len(fresh) < len(vals):
+            vals = vals[fresh]
+        # Stable, so equal values keep batch order (only the sign of a
+        # zero tells them apart).
+        self.deleted_values = _splice(
+            self.deleted_values, np.sort(vals, kind="stable")
         )
-        return len(pos)
+        return len(fresh)
 
     def _check_base_rows(self, pos: np.ndarray, vals: np.ndarray) -> None:
         """Raise unless every ``(pos, val)`` is a row of the base column
         and the value it holds."""
         base = self._base
-        inside = (pos >= 0) & (pos < len(base))
-        if not (inside.all() and (base[pos] == vals).all()):
+        # A negative position wraps past every length as uint64.
+        if not (
+            (pos.view(np.uint64) < len(base)).all()
+            and (base[pos] == vals).all()
+        ):
             raise SchemaError(
                 "every delete must name a row of the base column "
                 f"({len(base)} rows) and the value that row holds "
@@ -196,6 +181,14 @@ class PendingUpdates:
     def pending_delete_count(self) -> int:
         return len(self.deleted_values)
 
+    @property
+    def delete_positions(self) -> np.ndarray:
+        """The staged base rows aligned with :attr:`deleted_values`,
+        equal values by ascending row: a new array on every read."""
+        rows = np.fromiter(self._deleted_rows, np.int64)
+        rows.sort()
+        return rows[np.argsort(self._base[rows], kind="stable")]
+
     def restore_state(
         self,
         insert_values: np.ndarray,
@@ -208,7 +201,8 @@ class PendingUpdates:
         compute on it unchecked: inserts sorted by value, delete
         positions/values aligned, sorted by value and naming distinct
         rows -- rows of the base column holding those values.  Sorted
-        is ``np.sort``'s order: ascending, any NaN at the end.
+        is ``np.sort``'s order: ascending, any NaN at the end.  The row
+        set is built from the positions adopted.
 
         Raises:
             SchemaError: if the arrays break any of that -- before
@@ -217,12 +211,12 @@ class PendingUpdates:
         inserts = np.asarray(insert_values, dtype=self._ctype.numpy_dtype)
         pos = np.asarray(delete_positions, dtype=np.int64)
         vals = np.asarray(deleted_values, dtype=self._ctype.numpy_dtype)
-        staged = np.sort(pos)
+        rows = set(pos.tolist())
         if (
             len(pos) != len(vals)
             or not np.array_equal(np.sort(inserts), inserts, equal_nan=True)
             or not np.array_equal(np.sort(vals), vals, equal_nan=True)
-            or (staged[1:] == staged[:-1]).any()
+            or len(rows) != len(pos)
         ):
             raise SchemaError(
                 f"restored pending arrays ({len(pos)} delete positions, "
@@ -232,8 +226,8 @@ class PendingUpdates:
         self._check_base_rows(pos, vals)
         self._insert_view = self._delete_view = memoryview(b"")
         self.insert_values = inserts
-        self.delete_positions = pos
         self.deleted_values = vals
+        self._deleted_rows = rows
 
     # The probes take a range already normalised to the column's domain
     # (``storage.dtypes.normalise_range``): keys the stores compare
@@ -295,16 +289,17 @@ class PendingUpdates:
         return taken
 
     def take_deletes_in_range(self, low: Key, high: Key) -> np.ndarray:
-        """Remove and return pending deleted values in ``[low, high)``."""
+        """Remove and return pending deleted values in ``[low, high)``;
+        their rows may be staged again."""
         lo = cut_at(self.deleted_values, low)
         hi = cut_at(self.deleted_values, high)
         taken = self.deleted_values[lo:hi].copy()
+        self._deleted_rows.difference_update(
+            self.delete_positions[lo:hi].tolist()
+        )
         self._delete_view = memoryview(b"")
         self.deleted_values = np.delete(
             self.deleted_values, np.s_[lo:hi]
-        )
-        self.delete_positions = np.delete(
-            self.delete_positions, np.s_[lo:hi]
         )
         return taken
 
@@ -312,8 +307,8 @@ class PendingUpdates:
         """Drop all pending entries (after a full rebuild)."""
         self._insert_view = self._delete_view = memoryview(b"")
         self.insert_values = np.empty(0, dtype=self._ctype.numpy_dtype)
-        self.delete_positions = np.empty(0, dtype=np.int64)
         self.deleted_values = np.empty(0, dtype=self._ctype.numpy_dtype)
+        self._deleted_rows = set()
 
     def __repr__(self) -> str:
         return (

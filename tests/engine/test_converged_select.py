@@ -77,6 +77,15 @@ WINDOW_CALLS = {(1, 1): 16, (4, 2): 58}
 SERVED_CALLS = {(32, 4): 213, (4, 1): 37}
 
 
+#: Python-level calls of one 16-row write batch on a column whose
+#: delta store holds 10^4 pending rows of each kind, and of a 2-column
+#: ``Table.insert_rows`` of 16 rows.  A batch is coerced, sorted and
+#: spliced into its value store once; a delete also checks its rows
+#: against the base column, then against the staged-row set one row
+#: at a time, however many repeat.  ``insert_rows`` coerces every
+#: column before any stages.
+WRITE_CALLS = {"stage_inserts": 5, "stage_deletes": 8, "insert_rows": 13}
+
 def _grid(columns=("A1", "A2"), points=24) -> list[RangeQuery]:
     """Grid ranges over the paper domain; a fresh ``ColumnRef`` per
     query, as a caller builds them."""
@@ -298,6 +307,31 @@ def test_converged_select_cost_does_not_grow_with_the_delta_store():
     inside = calls()
     assert inside <= PENDING_CALLS["inside"], repr(inside)
 
+
+
+def test_write_batch_cost_is_bounded():
+    """A write batch's calls do not depend on the store it joins: one
+    coerce, one sort and one splice, plus a delete's row checks."""
+    table = build_paper_table(rows=20_000, columns=2, seed=5)
+    store = table.updates_for("A1")
+    values = table.column("A1").values
+    rng = np.random.default_rng(3)
+    store.stage_inserts(rng.integers(1, 10**8, size=10_000))
+    store.stage_deletes(np.arange(10_000), values[:10_000])
+    batch = rng.integers(1, 10**8, size=16)
+    calls, staged = count_calls(store.stage_inserts, batch)
+    assert staged == 16
+    assert calls <= WRITE_CALLS["stage_inserts"], repr(calls)
+    # 14 fresh rows, one staged before and one repeated in the batch.
+    rows = np.concatenate([np.arange(10_000, 10_014), [9_999, 10_000]])
+    calls, staged = count_calls(store.stage_deletes, rows, values[rows])
+    assert staged == 14
+    assert calls <= WRITE_CALLS["stage_deletes"], repr(calls)
+    calls, staged = count_calls(
+        table.insert_rows, {"A1": batch, "A2": batch}
+    )
+    assert staged == 16
+    assert calls <= WRITE_CALLS["insert_rows"], repr(calls)
 
 def test_converged_window_cost_is_bounded():
     """A structural cost guard for a converged window with pending

@@ -81,6 +81,30 @@ def test_insert_rows_rejects_ragged_input():
         table.insert_rows({"A1": [10], "A2": [20, 30]})
 
 
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ({"A1": [1, 2], "A2": [3, 4], "Z": [5, 6]}, UnknownColumnError),
+        ({"A1": [1, 2], "A2": [3.5, 4]}, SchemaError),
+        ({"A1": [1, 2], "A2": [[3, 4]]}, SchemaError),
+    ],
+)
+def test_refused_insert_stages_no_column(rows, error):
+    """Every name is resolved and every array coerced before a column
+    stages: a refused insert leaves all pending counts at zero.  (A1,
+    and A2 before an unknown Z, used to be staged already.)"""
+    table = Table("R")
+    table.add_column(_column("A1", [1]))
+    table.add_column(_column("A2", [2]))
+    with pytest.raises(error):
+        table.insert_rows(rows)
+    assert [
+        table.updates_for(name).pending_insert_count
+        for name in table.column_names
+    ] == [0, 0]
+    assert table.insert_rows({"A1": [1, 2], "A2": [3, 4]}) == 2
+
+
 def test_empty_table_name_rejected():
     with pytest.raises(SchemaError):
         Table("")

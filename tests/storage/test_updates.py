@@ -183,15 +183,14 @@ def test_splice_equals_np_insert(store, slots, dtype):
 
     store = np.array(store, dtype=dtype)
     slots = np.array(slots, dtype=np.intp)
-    fresh = np.arange(100, 100 + len(slots)).astype(dtype)
-    positions = np.arange(len(store))
-    merged, aligned = _splice(
-        slots, (store, fresh), (positions, -1 - np.arange(len(slots)))
+    # Sorted fresh values that land at ``slots``: one below the entry
+    # they go before, or past the end.
+    fresh = np.array(
+        [store[slot] - 1 if slot < len(store) else 999 for slot in slots],
+        dtype=dtype,
     )
+    assert store.searchsorted(fresh).tolist() == slots.tolist()
+    merged = _splice(store, fresh)
     assert merged.dtype == dtype
     assert merged.tolist() == np.insert(store, slots, fresh).tolist()
     assert not np.shares_memory(merged, store)
-    # A second column spliced at the same slots lands alongside.
-    assert aligned.tolist() == np.insert(
-        positions, slots, -1 - np.arange(len(slots))
-    ).tolist()

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchemaError
 from repro.storage.dtypes import (
     FLOAT64,
     INT32,
@@ -771,7 +772,8 @@ def test_signed_bound_arrays_probe_a_narrow_store_without_promotion() -> None:
 
 class _IsinDeletes:
     """The dedup stage_deletes used to do: first-seen ``np.unique``
-    inside the batch, ``np.isin`` against everything staged."""
+    inside the batch, ``np.isin`` against everything staged.  Rows stay
+    aligned with the sorted values, equal values by ascending row."""
 
     def __init__(self) -> None:
         self.positions = np.empty(0, dtype=np.int64)
@@ -782,13 +784,11 @@ class _IsinDeletes:
         keep = np.sort(first_seen)
         pos, vals = pos[keep], vals[keep]
         fresh = ~np.isin(pos, self.positions)
-        pos, vals = pos[fresh], vals[fresh]
-        order = np.argsort(vals, kind="stable")
-        pos, vals = pos[order], vals[order]
-        slots = np.searchsorted(self.values, vals, side="left")
-        self.values = np.insert(self.values, slots, vals)
-        self.positions = np.insert(self.positions, slots, pos)
-        return len(pos)
+        positions = np.concatenate([self.positions, pos[fresh]])
+        values = np.concatenate([self.values, vals[fresh]])
+        order = np.lexsort((positions, values))
+        self.positions, self.values = positions[order], values[order]
+        return np.count_nonzero(fresh)
 
 
 def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
@@ -820,6 +820,136 @@ def test_stage_deletes_dedup_matches_isin_model_at_10k_rows() -> None:
             model.values = model.values[keep]
     staged = model.positions[:16]
     assert pending.stage_deletes(staged, base[staged]) == 0
+
+
+# -- the delete store: sorted values, a row set, derived positions ------
+#
+# ``delete_positions`` is derived from the row set on every read; after
+# any interleaving of staging, consumption, clear and restore it names
+# distinct base rows aligned with ``deleted_values``, equal values by
+# ascending row.
+
+#: Base rows of the delete-store test; a stage names rows among them.
+_ROWS = 8
+
+
+def _delete_writes() -> st.SearchStrategy:
+    rows = st.lists(st.integers(0, _ROWS - 1), max_size=6)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("stage"), rows),
+            st.tuples(st.just("take"), st.tuples(_RANGE_BOUND, _RANGE_BOUND)),
+            st.tuples(st.just("clear"), st.just(None)),
+            st.tuples(st.just("save"), st.just(None)),
+            st.tuples(st.just("restore"), st.just(None)),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+
+def _check_delete_store(store: PendingUpdates, base: np.ndarray) -> None:
+    positions = store.delete_positions
+    values = store.deleted_values
+    assert len(set(positions.tolist())) == len(positions) == len(values)
+    assert (base[positions] == values).all()
+    pairs = list(zip(values.tolist(), positions.tolist()))
+    assert pairs == sorted(pairs)
+
+
+def _replay_deletes(ctype, dtype, base_values, writes) -> None:
+    base = np.asarray(base_values, dtype=dtype)
+    store = PendingUpdates(ctype, base=base)
+    saved = (base[:0], np.empty(0, np.int64), base[:0])
+    for kind, payload in writes:
+        before = store.delete_positions
+        if kind == "stage":
+            rows = np.asarray(payload, dtype=np.int64)
+            # A zero is staged with the other sign: it equals the row.
+            values = np.where(base[rows] == 0, -base[rows], base[rows])
+            if np.isnan(base[rows].astype(np.float64)).any():
+                # A NaN row equals nothing: the batch is refused whole.
+                with pytest.raises(SchemaError):
+                    store.stage_deletes(rows, values)
+                assert store.delete_positions.tolist() == before.tolist()
+            else:
+                fresh = set(payload) - set(before.tolist())
+                assert store.stage_deletes(rows, values) == len(fresh)
+        elif kind == "take":
+            keys = normalise_range(np.dtype(dtype), *payload)
+            if keys is not None:
+                lo, hi = (cut_at(store.deleted_values, key) for key in keys)
+                rows = before[lo:hi]
+                taken = store.take_deletes_in_range(*keys)
+                assert not set(rows.tolist()) & set(
+                    store.delete_positions.tolist()
+                )
+                # A consumed row can be staged again.
+                assert store.stage_deletes(rows, base[rows]) == len(rows)
+                again = store.take_deletes_in_range(*keys)
+                assert again.tolist() == taken.tolist()
+        elif kind == "clear":
+            store.clear()
+        elif kind == "save":
+            saved = (
+                store.insert_values, before, store.deleted_values.copy()
+            )
+        else:
+            store.restore_state(*saved)
+            assert store.delete_positions.tolist() == saved[1].tolist()
+            # A restored row is staged: staging it again stages nothing.
+            rows = saved[1]
+            assert store.stage_deletes(rows, base[rows]) == 0
+        _check_delete_store(store, base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.lists(
+        st.sampled_from(_INT64_POOL), min_size=_ROWS, max_size=_ROWS
+    ),
+    writes=_delete_writes(),
+)
+def test_delete_store_follows_every_write_int64(base, writes) -> None:
+    _replay_deletes(INT64, np.int64, base, writes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.lists(
+        st.sampled_from(_INT32_POOL), min_size=_ROWS, max_size=_ROWS
+    ),
+    writes=_delete_writes(),
+)
+def test_delete_store_follows_every_write_int32(base, writes) -> None:
+    _replay_deletes(INT32, np.int32, base, writes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.lists(
+        st.sampled_from(_FLOAT_POOL + [float("nan")]),
+        min_size=_ROWS,
+        max_size=_ROWS,
+    ),
+    writes=_delete_writes(),
+)
+def test_delete_store_follows_every_write_float64(base, writes) -> None:
+    _replay_deletes(FLOAT64, np.float64, base, writes)
+
+
+def test_signed_zero_rows_delete_and_nan_rows_do_not() -> None:
+    base = np.array([0.0, -0.0, float("nan"), 1.5])
+    store = PendingUpdates(FLOAT64, base=base)
+    assert store.stage_deletes([1, 0, 1], [0.0, -0.0, -0.0]) == 2
+    assert store.delete_positions.tolist() == [0, 1]
+    # Each row keeps the value its batch gave, in batch order.
+    assert np.signbit(store.deleted_values).tolist() == [False, True]
+    with pytest.raises(SchemaError):
+        store.stage_deletes([3, 2], [1.5, float("nan")])
+    assert store.pending_delete_count == 2
+    assert _probe(store.take_deletes_in_range, 0.0, 1.0) == [-0.0, 0.0]
+    assert store.stage_deletes([0, 1], base[[0, 1]]) == 2
 
 
 # -- PendingWindow (shared keys) vs per-query apply_pending -------------
