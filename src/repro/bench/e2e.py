@@ -1,19 +1,19 @@
-"""End-to-end correctness gate: batched == sequential.
+"""End-to-end fingerprint gate: one session loop per strategy.
 
-Each scenario runs the same query stream through the **whole session
+Each scenario runs one query stream through the **whole session
 loop** -- strategy dispatch, cracking, pending-update consultation,
-per-query accounting -- at several window sizes: ``1`` is the classic
-one-query-at-a-time loop, larger windows go through
-:meth:`Session.run_batch`, which resolves a window's columns before
-any read and then answers each read as ``run_query`` does.
+per-query accounting -- with :func:`~repro.workload.stream.run_stream`:
+``Session.run_query`` per query, ``Session.idle`` per idle event.
+``holistic_workers`` is the one stream with idle windows, which the
+tuning worker pool drains.
 
 Every scenario emits a *semantic fingerprint* (final virtual clock
 reading, cumulative response time, result-row total, crack counts and
-a hash of all piece maps).  Fingerprints must be identical across
-window sizes of one strategy -- ``holistic_workers`` included,
-whose idle windows the tuning worker pool drains; the suite verifies
-that on every run.  How fast the loop is, is ``perfbench``'s question
-(``warm_steady``, ``burst_idle_workers``).
+a hash of all piece maps); ``--check`` compares them with the
+committed document, worker-drained idle windows included.  A scenario
+keeps its ``<strategy>/batch1`` name so that the committed
+fingerprints stay comparable.  How fast the loop is, is
+``perfbench``'s question (``warm_steady``, ``burst_idle_workers``).
 
 Usage::
 
@@ -35,15 +35,17 @@ from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
-from repro.workload.stream import IdleEvent, QueryEvent, QueryStream
+from repro.workload.stream import (
+    IdleEvent,
+    QueryEvent,
+    WorkloadEvent,
+    run_stream,
+)
 
 DEFAULT_ROWS = 200_000
 DEFAULT_QUERIES = 16_000
 QUICK_ROWS = 50_000
 QUICK_QUERIES = 1_000
-
-#: Window sizes of the sweep; 1 is the sequential baseline.
-BATCH_SIZES = (1, 8, 64)
 
 _COLUMNS = 2
 _VALUE_LOW = 1
@@ -52,15 +54,14 @@ _SELECTIVITY = 0.001
 
 #: The workload models a production mix: most queries are
 #: *parameterized* -- predicates snapped to a finite grid of prepared
-#: bounds (dashboards, templated reports), the classic burst-of-
-#: similar-selects scenario batching targets -- and the rest explore
+#: bounds (dashboards, templated reports) -- and the rest explore
 #: uniformly (ad-hoc analysis).
 _GRID_POINTS = 320
 _GRID_FRACTION = 0.95
 
 #: Steady-state trickle-update delta store: every query consults the
-#: per-column pending sets (satellite: vectorized ``apply_pending``);
-#: sized so a realistic minority of queries overlap a pending entry.
+#: per-column pending sets; sized so a realistic minority of queries
+#: overlap a pending entry.
 _PENDING_INSERTS = 50
 _PENDING_DELETES = 25
 
@@ -82,7 +83,7 @@ def strategy_options(key: str, seed: int) -> tuple[str, dict[str, object]]:
     raise ValueError(f"unknown bench strategy {key!r}")
 
 
-def _build_events(key: str, rows: int, queries: int, seed: int) -> QueryStream:
+def _build_events(key: str, queries: int, seed: int) -> list[WorkloadEvent]:
     rng = np.random.default_rng(seed + 1)
     span = _VALUE_HIGH - _VALUE_LOW
     width = span * _SELECTIVITY
@@ -94,7 +95,7 @@ def _build_events(key: str, rows: int, queries: int, seed: int) -> QueryStream:
     )
     parameterized = rng.random(size=queries) < _GRID_FRACTION
     lows = np.where(parameterized, grid_lows, uniform_lows)
-    events = []
+    events: list[WorkloadEvent] = []
     with_idle = key == "holistic_workers"
     for i in range(queries):
         ref = ColumnRef("R", f"A{int(columns[i])}")
@@ -102,7 +103,7 @@ def _build_events(key: str, rows: int, queries: int, seed: int) -> QueryStream:
         events.append(QueryEvent(RangeQuery(ref, low, low + width)))
         if with_idle and (i + 1) % _WORKER_IDLE_EVERY == 0:
             events.append(IdleEvent(actions=_WORKER_IDLE_ACTIONS))
-    return QueryStream(events)
+    return events
 
 
 def fresh_trickle_db(rows: int, seed: int) -> Database:
@@ -111,8 +112,7 @@ def fresh_trickle_db(rows: int, seed: int) -> Database:
     Models the paper's trickle-update scenario in steady state: the
     delta store holds updates that have not been merged yet, so every
     query pays a pending-updates consultation (and in-range queries a
-    merge) -- the path the batched pipeline consults once per column
-    per window.  ``bench serve`` runs over the same database.
+    merge).  ``bench serve`` runs over the same database.
     """
     db = Database(clock=SimClock())
     db.add_table(build_paper_table(rows=rows, columns=_COLUMNS, seed=seed))
@@ -137,8 +137,7 @@ def _session_fingerprint(session) -> dict[str, object]:
 
     Covers the session accounting (virtual clock, cumulative response,
     result rows) and, for cracking strategies, every index's piece-map
-    state -- the quantities the batched pipeline promises to keep
-    bit-for-bit identical to sequential execution.
+    state -- what the committed document pins bit for bit.
     """
     report = session.report
     indexes = getattr(session.strategy, "indexes", None) or {}
@@ -162,15 +161,14 @@ def _session_fingerprint(session) -> dict[str, object]:
 
 
 def _run_scenario(
-    key: str, batch: int, rows: int, queries: int, seed: int
+    key: str, rows: int, queries: int, seed: int
 ) -> ScenarioResult:
     strategy, options = strategy_options(key, seed)
     db = fresh_trickle_db(rows, seed)
-    stream = _build_events(key, rows, queries, seed)
     session = db.session(strategy, **options)
-    stream.run_windowed(session, batch)
+    run_stream(session, _build_events(key, queries, seed))
     return ScenarioResult(
-        f"{key}/batch{batch}",
+        f"{key}/batch1",
         queries,
         "queries",
         _session_fingerprint(session),
@@ -182,7 +180,6 @@ def run_e2e(
     queries: int = DEFAULT_QUERIES,
     seed: int = 42,
     mode: str = "full",
-    batch_sizes: tuple[int, ...] = BATCH_SIZES,
     strategies: tuple[str, ...] = (
         "scan",
         "adaptive",
@@ -190,21 +187,10 @@ def run_e2e(
         "holistic_workers",
     ),
 ) -> dict[str, object]:
-    """Run the full sweep once; return the JSON-ready document."""
-    scenarios = {
-        f"{key}/batch{batch}": _run_scenario(key, batch, rows, queries, seed)
-        for key in strategies
-        for batch in batch_sizes
-    }
-    sequential = batch_sizes[0]
-    equivalence = {
-        key: all(
-            scenarios[f"{key}/batch{batch}"].fingerprint
-            == scenarios[f"{key}/batch{sequential}"].fingerprint
-            for batch in batch_sizes
-        )
-        for key in strategies
-    }
+    """Run every strategy once; return the JSON-ready document."""
+    scenarios = [
+        _run_scenario(key, rows, queries, seed) for key in strategies
+    ]
     return {
         "schema": "e2e-v2",
         "config": {
@@ -213,12 +199,8 @@ def run_e2e(
             "columns": _COLUMNS,
             "seed": seed,
             "mode": mode,
-            "batch_sizes": list(batch_sizes),
         },
-        "scenarios": {
-            name: result.as_dict() for name, result in scenarios.items()
-        },
-        "batch_equals_sequential": equivalence,
+        "scenarios": {result.name: result.as_dict() for result in scenarios},
     }
 
 
@@ -226,7 +208,7 @@ def e2e_text(result: dict[str, object]) -> str:
     """Human-readable rendering of an e2e run."""
     config = result["config"]
     lines = [
-        "End-to-end batch == sequential gate "
+        "End-to-end session fingerprints "
         f"({config['rows']:,} rows x {config['columns']} columns, "
         f"{config['queries']:,} queries, mode={config['mode']})",
         f"{'scenario':<26} {'result rows':>12} {'cracks':>8} "
@@ -239,32 +221,16 @@ def e2e_text(result: dict[str, object]) -> str:
             f"{fingerprint['crack_count']:>8,} "
             f"{float(fingerprint['total_response_s']):>20.6f}"
         )
-    lines.append("")
-    lines.append(
-        "batch == sequential fingerprints: "
-        + ", ".join(
-            f"{key}={'yes' if ok else 'NO'}"
-            for key, ok in result.get("batch_equals_sequential", {}).items()
-        )
-    )
     return "\n".join(lines)
-
-
-def _gate(document: dict[str, object]) -> list[str]:
-    """In-run correctness: batched must fingerprint like sequential."""
-    return [
-        f"{key}: batched fingerprint diverged from sequential "
-        "within this run"
-        for key, ok in document.get("batch_equals_sequential", {}).items()
-        if not ok
-    ]
 
 
 SUITE = Suite(
     name="e2e",
     run=run_e2e,
     text=e2e_text,
-    gate=_gate,
+    # No in-run claim: the fingerprints are checked against the
+    # committed document.
+    gate=lambda document: [],
     full_sizes=(DEFAULT_ROWS, DEFAULT_QUERIES),
     quick_sizes=(QUICK_ROWS, QUICK_QUERIES),
 )

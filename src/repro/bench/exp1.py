@@ -26,7 +26,7 @@ from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
 from repro.workload.patterns import Exp1Pattern
-from repro.workload.stream import run_stream_batched
+from repro.workload.stream import run_stream
 from repro.bench.report import (
     curve_at_ranks,
     format_seconds,
@@ -123,7 +123,7 @@ def run_exp1(
     for strategy in ("scan", "adaptive"):
         db, session = _fresh_session(scale, strategy, seed)
         pattern = _pattern(scale, x_values[0], seed)
-        report = run_stream_batched(session, pattern.events(), 1)
+        report = run_stream(session, pattern.events())
         result.runs[(strategy, None)] = StrategyRun(
             strategy, None, report
         )
@@ -134,7 +134,7 @@ def run_exp1(
         # Holistic: exploits every idle window.
         db, session = _fresh_session(scale, "holistic", seed)
         session.hint_workload(pattern.statements())
-        report = run_stream_batched(session, pattern.events(), 1)
+        report = run_stream(session, pattern.events())
         first_idle = next(
             (r for r in report.records if isinstance(r, IdleRecord)), None
         )

@@ -2,8 +2,8 @@
 
 ``e2e``, ``serve``, ``mixed``, ``snapshot`` and ``chaos`` each run a
 matrix of scenarios once, fingerprint what every scenario computed,
-apply an in-run gate (batch == sequential, serve == solo, engine ==
-reference, ...) and can compare the fingerprints with a committed
+apply an in-run gate (serve == solo, engine == reference, ...; e2e
+has none) and can compare the fingerprints with a committed
 ``BENCH_<suite>_quick.json``.  None of them reads a wall clock: how
 fast the kernel is, is ``perfbench``'s question.  The parts that are
 the same for all of them live here, once:
@@ -173,7 +173,7 @@ class Suite:
         text: human-readable rendering of a document.
         gate: the in-run correctness failures of a document (empty
             when it is sound) -- claims that need no baseline, such as
-            ``batch == sequential`` or ``engine == reference``.
+            ``serve == solo`` or ``engine == reference``.
         full_sizes: default ``(rows, ops)``.
         quick_sizes: ``(rows, ops)`` under ``--quick``.
     """

@@ -4,8 +4,8 @@ This suite sweeps read/write mixes from 95/5 to 50/50 and pushes every
 mix through **all** of the kernel's execution paths, with sustained
 inserts/deletes interleaved into the stream:
 
-* ``adaptive/sequential`` -- per-query cracking + ``apply_pending``;
-* ``adaptive/batched``   -- ``Session.run_batch`` windows;
+* ``adaptive/sequential`` -- per-query cracking + ``apply_pending``
+  (a ``Session.run_batch`` window answers each read this way too);
 * ``maintained/ripple``  -- ``MaintainedCrackerIndex``: delta stores
   physically consumed by ripple merges on every overlapping select;
 * ``holistic/serving``   -- the multi-client serving loop,
@@ -37,7 +37,6 @@ from repro.bench.harness import ScenarioResult, Suite, oracle_scenario
 from repro.bench.oracle import (
     OracleRun,
     reference_results,
-    replay_batched,
     replay_maintained,
     replay_sequential,
     replay_serving,
@@ -129,16 +128,6 @@ def _run_mode(
         run = replay_sequential(
             db, db.session("adaptive"), trace, expected, reference, name
         )
-    elif mode == "adaptive/batched":
-        run = replay_batched(
-            db,
-            db.session("adaptive"),
-            trace,
-            expected,
-            reference,
-            window=_WINDOW,
-            label=name,
-        )
     elif mode == "maintained/ripple":
         run = replay_maintained(db, trace, expected, reference, name)
     elif mode in ("holistic/serving", "holistic_workers/serving"):
@@ -176,7 +165,6 @@ def _run_mode(
 _MODES = (
     "reference/naive",
     "adaptive/sequential",
-    "adaptive/batched",
     "maintained/ripple",
     "holistic/serving",
     "holistic_workers/serving",

@@ -16,14 +16,11 @@ buffers consecutive queries into windows, flushes the open window
 before every update (so each query sees exactly the updates staged
 before it in trace order), stages updates through
 :func:`stage_update`, hands each window to an *executor* and each
-result to an *observer*.  Four executors cover every path a query can
-take today:
+result to an *observer*.  Three executors cover every path a query
+can take today:
 
 * :func:`replay_sequential` -- ``Session.run_query`` (per-query
   ``apply_pending`` consultation);
-* :func:`replay_batched` -- ``Session.run_batch`` windows (the
-  window's columns resolved first, then each read as ``run_query``
-  answers it);
 * :func:`replay_serving` -- ``ServingFrontend.serve_window`` with the
   window's queries dealt across client lanes, each lane's share run
   through ``Session.run_window`` (the shared physical pass, then the
@@ -369,28 +366,6 @@ def replay_sequential(
     """Drive the trace through ``Session.run_query``, one op at a time."""
     differ = _Differ(expected, reference, label)
     drive_trace(db, trace, sequential_executor(session), differ.observe)
-    return differ.finish(_strategy_indexes(session.strategy))
-
-
-def replay_batched(
-    db: Database,
-    session,
-    trace: list[TraceOp],
-    expected: list[np.ndarray],
-    reference: dict[str, object],
-    window: int = 24,
-    label: str = "batched",
-) -> OracleRun:
-    """Drive the trace through ``Session.run_batch`` windows: a
-    window's columns resolved first, then each read answered as
-    ``Session.run_query`` answers it, so a differing digest points at
-    the window's column resolution or result handling."""
-
-    def execute(ops: list[TraceOp]) -> list:
-        return session.run_batch([_range_query(op) for op in ops])
-
-    differ = _Differ(expected, reference, label)
-    drive_trace(db, trace, execute, differ.observe, window=window)
     return differ.finish(_strategy_indexes(session.strategy))
 
 

@@ -1,7 +1,7 @@
 """Concurrent-serving correctness gate: serve == solo.
 
-Where ``e2e`` checks one session's batched loop, this suite checks the
-**multi-tenant** case: N concurrent clients served by one shared
+Where ``e2e`` fingerprints one session's query loop, this suite checks
+the **multi-tenant** case: N concurrent clients served by one shared
 kernel through the cross-session window former, against the same N
 clients run as sequential solo sessions, each on its own fresh kernel.
 

@@ -20,7 +20,7 @@ from repro.simtime.clock import SimClock
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
 from repro.workload.patterns import Exp1Pattern
-from repro.workload.stream import run_stream_batched
+from repro.workload.stream import run_stream
 from repro.bench.report import format_seconds
 
 
@@ -55,7 +55,7 @@ def _strategy_timeline(
     session.hint_workload(pattern.statements())
     records: list[QueryRecord | IdleRecord] = []
     session.report.records = records
-    run_stream_batched(session, pattern.events(), 1)
+    run_stream(session, pattern.events())
 
     # Idle windows and query bursts alternate; timestamps come from
     # the queries' finish times on the virtual clock.

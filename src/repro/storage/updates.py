@@ -22,7 +22,13 @@ from bisect import bisect_left
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.storage.dtypes import ColumnType, Key, coerce_array, largest
+from repro.storage.dtypes import (
+    INT64,
+    ColumnType,
+    Key,
+    coerce_array,
+    largest,
+)
 
 
 def cut_at(store: np.ndarray, key: Key) -> int:
@@ -125,11 +131,12 @@ class PendingUpdates:
         :attr:`deleted_values`.  Returns how many positions were staged.
 
         Raises:
-            SchemaError: if positions and values differ in length, or
-                if a position lies outside the base column or its value
-                is not the base row's -- before anything is staged.
+            SchemaError: if a position is not an integer, if
+                positions and values differ in length, or if a position
+                lies outside the base column or its value is not the
+                base row's -- before anything is staged.
         """
-        pos = np.asarray(positions, dtype=np.int64)
+        pos = coerce_array(positions, INT64)
         vals = coerce_array(values, self._ctype)
         if len(pos) != len(vals):
             raise SchemaError(

@@ -20,7 +20,7 @@ from repro.workload.stream import (
     IdleEvent,
     QueryEvent,
     WorkloadEvent,
-    run_stream_batched,
+    run_stream,
 )
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "WorkloadEvent",
     "make_closed_loop_clients",
     "parameterized_queries",
-    "run_stream_batched",
+    "run_stream",
     "verify_table_matches",
 ]

@@ -1,4 +1,4 @@
-"""The end-to-end batch == sequential gate."""
+"""The end-to-end session fingerprint gate."""
 
 from __future__ import annotations
 
@@ -13,58 +13,41 @@ _TINY = dict(rows=2000, queries=48)
 def _tiny_doc(**overrides):
     config = {**_TINY, **overrides}
     return run_e2e(
-        batch_sizes=(1, 8),
-        strategies=("adaptive", "holistic", "holistic_workers"),
-        **config,
+        strategies=("adaptive", "holistic", "holistic_workers"), **config
     )
 
 
-def test_run_e2e_document_shape_and_equivalence():
+def test_run_e2e_document_shape():
     doc = _tiny_doc()
     assert doc["schema"] == "e2e-v2"
+    assert set(doc) == {"schema", "config", "scenarios"}
+    assert set(doc["config"]) == {"rows", "queries", "columns", "seed", "mode"}
+    # One run a strategy, under its ``batch1`` name.
     assert set(doc["scenarios"]) == {
         "adaptive/batch1",
-        "adaptive/batch8",
         "holistic/batch1",
-        "holistic/batch8",
         "holistic_workers/batch1",
-        "holistic_workers/batch8",
     }
     for data in doc["scenarios"].values():
         assert set(data) == {"ops", "unit", "fingerprint"}
         assert data["ops"] == 48
         assert data["fingerprint"]["queries"] == 48
-    # The headline correctness proof: batch == sequential fingerprints,
-    # idle windows drained by the worker pool included.
-    assert doc["batch_equals_sequential"] == {
-        "adaptive": True,
-        "holistic": True,
-        "holistic_workers": True,
-    }
     assert "holistic_workers/batch1" in e2e_text(doc)
-
-
-def test_fingerprints_identical_across_batch_sizes():
-    doc = _tiny_doc()
-    for strategy in ("adaptive", "holistic", "holistic_workers"):
-        batch1 = doc["scenarios"][f"{strategy}/batch1"]["fingerprint"]
-        batch8 = doc["scenarios"][f"{strategy}/batch8"]["fingerprint"]
-        assert batch8 == batch1
 
 
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
+    # No in-run claim: only drift from a committed document fails.
+    assert SUITE.gate(doc) == []
     assert check_regression(SUITE, doc, doc) == []
     diverged = json.loads(json.dumps(doc))
-    diverged["scenarios"]["adaptive/batch1"]["fingerprint"][
+    diverged["scenarios"]["holistic_workers/batch1"]["fingerprint"][
         "state_sha256"
     ] = "bogus"
-    failures = check_regression(SUITE, doc, diverged)
-    assert any("fingerprint diverged" in f for f in failures)
-    broken = json.loads(json.dumps(doc))
-    broken["batch_equals_sequential"]["adaptive"] = False
-    failures = check_regression(SUITE, broken, doc)
-    assert any("diverged from sequential" in f for f in failures)
+    (failure,) = check_regression(SUITE, doc, diverged)
+    assert failure.startswith(
+        "holistic_workers/batch1.state_sha256: fingerprint diverged"
+    )
 
 
 def test_run_e2e_command_writes_output(tmp_path):
@@ -79,7 +62,7 @@ def test_run_e2e_command_writes_output(tmp_path):
         check_path=None,
     )
     assert exit_code == 0
-    assert "batch == sequential" in text
+    assert "session fingerprints" in text
     document = json.loads(out.read_text())
     assert document["config"]["rows"] == 2000
     # Round-trip the check gate against the file it just wrote.

@@ -21,7 +21,6 @@ def test_run_mixed_document_shape():
     for mode in (
         "reference/naive",
         "adaptive/sequential",
-        "adaptive/batched",
         "maintained/ripple",
         "holistic/serving",
         "holistic_workers/serving",
@@ -85,7 +84,7 @@ def test_check_regression_flags_fingerprint_drift():
 
 def test_check_regression_flags_in_run_divergence():
     doc = _tiny_doc(mixes=(0.2,))
-    doc["oracle_matches_reference"]["mix20/adaptive/batched"] = False
+    doc["oracle_matches_reference"]["mix20/adaptive/sequential"] = False
     failures = check_regression(SUITE, doc, doc)
     assert any("diverged from the serial reference" in f for f in failures)
 

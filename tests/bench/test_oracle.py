@@ -20,7 +20,6 @@ from repro.bench.oracle import (
     TraceFingerprint,
     drive_trace,
     reference_results,
-    replay_batched,
     replay_maintained,
     replay_sequential,
     replay_serving,
@@ -101,10 +100,6 @@ def test_all_drivers_match_reference() -> None:
     db = _db()
     runs["sequential"] = replay_sequential(
         db, db.session("adaptive"), trace, expected, reference
-    )
-    db = _db()
-    runs["batched"] = replay_batched(
-        db, db.session("adaptive"), trace, expected, reference, window=16
     )
     db = _db()
     frontend = ServingFrontend(db, make_strategy("holistic", db, seed=5))

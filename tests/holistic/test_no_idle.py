@@ -2,8 +2,8 @@
 
 The kernel extends standard adaptive cracking with a monitor, a
 ranking and idle-time tuning, and none of them touches a select's
-charges or a piece map.  The same stream run through both, one query
-at a time or in windows, must answer, price and crack identically.
+charges or a piece map.  The same stream run through both must
+answer, price and crack identically.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ _query = st.tuples(
     _bound,
     st.sampled_from((False, False, False, True)),
 )
-#: (queries, batched): ``run_batch`` or one ``run_query`` a query.
-_window = st.tuples(st.lists(_query, min_size=1, max_size=8), st.booleans())
 
 
 def _range_query(ref, a, b, inverted) -> RangeQuery:
@@ -69,20 +67,18 @@ def _session(strategy: str, seed: int):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 1_000),
-    windows=st.lists(_window, min_size=1, max_size=6),
+    specs=st.lists(_query, min_size=1, max_size=48),
 )
-def test_holistic_without_idle_time_is_adaptive(seed, windows):
+def test_holistic_without_idle_time_is_adaptive(seed, specs):
     sessions = [_session(name, seed) for name in ("holistic", "adaptive")]
-    answers = []
-    for session in sessions:
-        results = []
-        for spec, batched in windows:
-            queries = [_range_query(*query) for query in spec]
-            if batched:
-                results.extend(session.run_batch(queries))
-            else:
-                results.extend(session.run_query(q) for q in queries)
-        answers.append([sorted(r.values().tolist()) for r in results])
+    queries = [_range_query(*spec) for spec in specs]
+    answers = [
+        [
+            sorted(session.run_query(query).values().tolist())
+            for query in queries
+        ]
+        for session in sessions
+    ]
     holistic, adaptive = sessions
     assert answers[0] == answers[1]
     assert holistic.clock.now() == adaptive.clock.now()

@@ -44,6 +44,16 @@ def test_stage_deletes_requires_aligned_arrays(pending):
         pending.stage_deletes([1, 2], [10])
 
 
+def test_stage_deletes_refuses_a_fractional_position(pending):
+    """A fractional position names no row: it is refused, not
+    truncated to row 1, and nothing is staged."""
+    with pytest.raises(SchemaError, match="fractional"):
+        pending.stage_deletes([1.5], [20])
+    assert pending.pending_delete_count == 0
+    assert pending.delete_positions.tolist() == []
+    assert pending.stage_deletes([1], [20]) == 1
+
+
 def test_deletes_in_range(pending):
     pending.stage_deletes([0, 1, 2], [10, 20, 30])
     assert pending.deletes_in_range(15, 35).tolist() == [20, 30]
