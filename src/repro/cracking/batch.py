@@ -26,7 +26,7 @@ queries can therefore be executed in two decoupled halves:
 Because the replay emits the sequential charges and virtual time is
 an integer sum, per-query response times, cumulative clock totals and
 tape counts equal one-at-a-time execution's; only wall-clock time
-changes.  The replay must be bound to a window accountant and driven
+changes.  The replay must be bound to the clock it charges and driven
 one :meth:`CrackSelectBatch.replay_query` call per window entry in
 window order; the served lane's window loop
 (:meth:`Session.run_window`) is the only intended caller.  A session
@@ -61,7 +61,7 @@ class CrackSelectBatch:
         "sim",
         "_positions",
         "_copy_charged",
-        "_acc",
+        "_clock",
         "_tape",
         "_expected",
         "_done",
@@ -81,9 +81,9 @@ class CrackSelectBatch:
         #: The shadow map this replay steps.
         self.sim = sim
         self._copy_charged = copy_charged
-        #: The window accountant; callers :meth:`bind` one before the
+        #: The clock charged; callers :meth:`bind` one before the
         #: first replay.
-        self._acc = None
+        self._clock = None
         # Detached replays (one client of a shared kernel) count onto
         # their own tape instead of the index's shared one.
         self._tape = tape if tape is not None else index.tape
@@ -91,9 +91,9 @@ class CrackSelectBatch:
         self._done = 0
         self.refresh_arrays()
 
-    def bind(self, accountant) -> None:
-        """Route this context's charges through ``accountant``."""
-        self._acc = accountant
+    def bind(self, clock) -> None:
+        """Charge this context's events to ``clock``."""
+        self._clock = clock
 
     @property
     def is_complete(self) -> bool:
@@ -112,24 +112,23 @@ class CrackSelectBatch:
         self._copy_charged = True
         rows = self._index.row_count
         if rows:
-            self._acc.charge_materialize(rows)
+            self._clock.charge_materialize(rows)
 
     def _cut(
         self, value: Key, i: int, start: int, end: int, at_pivot: bool
     ) -> int:
         """Replay of :meth:`CrackerIndex._cut_located` for one bound;
         :meth:`replay` charged the copy a fresh bound needs."""
-        acc = self._acc
+        clock = self._clock
         if at_pivot:
-            acc.charge_binary(self.sim.piece_count)
+            clock.charge_probes(self.sim.piece_count, 1)
             return start
         position = self._positions[value]
         self.sim.add_crack_at(i, value, position)
-        size = end - start
-        if size == 0:
-            acc.charge_empty_crack()
+        if end > start:
+            clock.charge_crack(end - start, 1)
         else:
-            acc.charge_crack(size, 1)
+            clock.charge_empty_crack()
         self._tape.log(CrackOrigin.QUERY)
         return position
 
@@ -139,18 +138,17 @@ class CrackSelectBatch:
         ``low``/``high`` are the query's range normalised into the
         column's domain, as :meth:`CrackerIndex.begin_select_batch`
         took them.  Owns the query's whole charge stream: the
-        ``CostCharge(queries=1)`` overhead, then exactly the charges
-        and tape counts a sequential :meth:`CrackerIndex.select_keys`
-        would have produced at this point of the window.  A read whose
-        two bounds are pivots of the shadow map -- two hits in its
-        ``cut_of`` -- is priced in one step
-        (:meth:`WindowAccountant.charge_warm_select`) and answered from
+        per-query overhead, then exactly the charges and tape counts a
+        sequential :meth:`CrackerIndex.select_keys` would have produced
+        at this point of the window.  A read whose two bounds are
+        pivots of the shadow map -- two hits in its ``cut_of`` -- is
+        priced in one step (``charge_warm_select``) and answered from
         the index's span-view cache; only a read with a fresh bound
         reaches the bisect replay, :meth:`replay`.
         """
         cut_of = self.sim.cut_of
         if low in cut_of and high in cut_of:
-            self._acc.charge_warm_select(len(cut_of) + 1)
+            self._clock.charge_warm_select(len(cut_of) + 1)
             self._done += 1
             positions = self._positions
             span = (positions[low], positions[high])
@@ -160,7 +158,7 @@ class CrackSelectBatch:
                     self._values, span[0], span[1]
                 )
             return view
-        self._acc.charge_query()
+        self._clock.charge_query()
         return self.replay(low, high)
 
     def replay(self, low: Key, high: Key) -> RangeView:
@@ -191,7 +189,7 @@ class CrackSelectBatch:
                 pos_high = self._positions[high]
                 sim.add_crack_at(low_index, low, pos_low)
                 sim.add_crack_at(low_index + 1, high, pos_high)
-                self._acc.charge_crack(end - start, 2)
+                self._clock.charge_crack(end - start, 2)
                 self._tape.log(CrackOrigin.QUERY, 2)
             else:
                 pos_low = self._cut(low, low_index, start, end, low_pivot)
@@ -276,7 +274,7 @@ class DetachedCrackReplay(CrackSelectBatch):
 
     * never converges onto the physical map (``check_consistent`` does
       not apply);
-    * persists across windows: re-``bind`` a fresh accountant per
+    * persists across windows: re-``bind`` the lane's clock every
       window (which re-captures the index's arrays if they were
       replaced) and keep replaying;
     * counts onto its own tape, so each client owns solo-identical
@@ -297,8 +295,8 @@ class DetachedCrackReplay(CrackSelectBatch):
         sim = PieceMap(index.row_count, dtype=index.piece_map.dtype)
         return cls(index, sim, copy_charged=False, expected=0, tape=tape)
 
-    def bind(self, accountant) -> None:
-        self._acc = accountant
+    def bind(self, clock) -> None:
+        self._clock = clock
         # Serve views over the index's current arrays and piece map: a
         # widening or a rebuild replaces them.
         index = self._index

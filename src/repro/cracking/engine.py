@@ -7,8 +7,8 @@ query bounds fall into the same piece, saving one pass).  They move
 values only: every query is a single-column range select, so nothing
 else has to stay aligned with a cracked piece.
 
-The kernels return the split position(s) plus a :class:`CostCharge`
-counting every element touched, which the clock prices.
+The kernels return the split position(s) only; the index that calls
+one knows the piece it cracked and charges the event to its clock.
 
 Hot-path design.  The kernels are *selection*-based: a cracked piece
 is an unordered bag -- only the split position is semantically
@@ -29,9 +29,9 @@ first, so no split depends on the sample.  Counts stream through a
 ``MASK_CHUNK``-sized :class:`CrackScratch` mask, so no crack allocates
 a mask and no index keeps one the size of its largest piece.
 
-Split positions, cost charges, tape counts and the per-piece value
-multisets are identical to the original kernel; only the (deliberately
-unspecified) element order inside a piece differs.
+Split positions and the per-piece value multisets are identical to
+the original kernel; only the (deliberately unspecified) element order
+inside a piece differs.
 
 ``crack_in_two_batch`` and ``crack_spans_batch`` crack many disjoint
 pieces in one call -- the physical half of the paper's "multiple
@@ -46,7 +46,6 @@ import math
 import numpy as np
 
 from repro.errors import CrackerError
-from repro.simtime.charge import CostCharge
 from repro.storage.dtypes import Key
 
 #: Pieces at/above this many rows evaluate their classification mask
@@ -216,26 +215,25 @@ def crack_in_two(
     end: int,
     pivot: Key,
     scratch: CrackScratch | None = None,
-) -> tuple[int, CostCharge]:
+) -> int:
     """Partition ``array[start:end]`` so values < pivot come first.
 
     Returns:
-        ``(split, charge)`` -- ``split`` is the absolute position of the
-        first element ``>= pivot`` after partitioning.
+        The absolute position of the first element ``>= pivot`` after
+        partitioning.
 
     Raises:
         CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    size = end - start
-    if size == 0:
-        return start, CostCharge(cracks=1)
+    if end == start:
+        return start
     (n_left,) = _partition(
         array[start:end],
         (pivot,),
         scratch if scratch is not None else CrackScratch(),
     )
-    return start + n_left, CostCharge.for_crack(size)
+    return start + n_left
 
 
 def crack_in_three(
@@ -245,12 +243,12 @@ def crack_in_three(
     low: Key,
     high: Key,
     scratch: CrackScratch | None = None,
-) -> tuple[int, int, CostCharge]:
+) -> tuple[int, int]:
     """Partition ``array[start:end]`` into ``< low | [low, high) | >= high``.
 
     Returns:
-        ``(split_low, split_high, charge)`` -- absolute positions of the
-        first element ``>= low`` and the first ``>= high``.
+        ``(split_low, split_high)`` -- absolute positions of the first
+        element ``>= low`` and the first ``>= high``.
 
     Raises:
         CrackerError: if ``low > high`` or bounds are invalid.
@@ -258,17 +256,15 @@ def crack_in_three(
     _check_bounds(array, start, end)
     if low > high:
         raise CrackerError(f"crack range inverted: low={low} > high={high}")
-    size = end - start
-    if size == 0:
-        return start, start, CostCharge(cracks=2)
-    charge = CostCharge(elements_cracked=size, pieces_touched=1, cracks=2)
+    if end == start:
+        return start, start
     if scratch is None:
         scratch = CrackScratch()
     # Three-way selection: splits and per-band multisets match the
     # original three-mask kernel; element order inside each band is
     # unspecified.
     n_lo, n_below_high = _partition(array[start:end], (low, high), scratch)
-    return start + n_lo, start + n_below_high, charge
+    return start + n_lo, start + n_below_high
 
 
 def crack_in_two_batch(
@@ -276,39 +272,33 @@ def crack_in_two_batch(
     tasks: list[tuple[int, int, Key]],
     scratch: CrackScratch | None = None,
     validate: bool = True,
-) -> tuple[list[int], list[CostCharge]]:
+) -> list[int]:
     """Crack many disjoint pieces, each around its own pivot.
 
     ``tasks`` is a list of ``(start, end, pivot)`` triples describing
     pairwise-disjoint pieces of ``array``; each is partitioned exactly
     as :func:`crack_in_two` would, in task order.
 
-    Returns ``(splits, charges)`` aligned with ``tasks``: the absolute
-    position of the first element ``>= pivot`` of each piece, and the
-    per-piece :class:`CostCharge` (identical to what sequential
-    :func:`crack_in_two` calls would have produced).
+    Returns the absolute position of the first element ``>= pivot`` of
+    each piece, aligned with ``tasks``.
 
     Raises:
         CrackerError: on invalid bounds or overlapping pieces.
     """
     if not tasks:
-        return [], []
+        return []
     if validate:
         _check_disjoint(array, tasks, "crack_in_two_batch")
     if scratch is None:
         scratch = CrackScratch()
     splits: list[int] = []
-    charges: list[CostCharge] = []
     for start, end, pivot in tasks:
-        size = end - start
-        if size == 0:
+        if end == start:
             splits.append(start)
-            charges.append(CostCharge(cracks=1))
             continue
         (n_left,) = _partition(array[start:end], (pivot,), scratch)
         splits.append(start + n_left)
-        charges.append(CostCharge.for_crack(size))
-    return splits, charges
+    return splits
 
 
 def crack_spans_batch(
@@ -327,9 +317,7 @@ def crack_spans_batch(
     around its two.
 
     Returns ``(split_low, split_high)`` per task: the absolute
-    positions of the first element ``>= low`` and ``>= high``.  No
-    cost accounting -- callers of this kernel replay charges
-    separately (see :mod:`repro.cracking.batch`).
+    positions of the first element ``>= low`` and ``>= high``.
 
     Raises:
         CrackerError: on invalid bounds, inverted pivots or overlapping
@@ -363,19 +351,20 @@ def crack_multi(
     end: int,
     pivots: list[Key],
     scratch: CrackScratch | None = None,
-) -> tuple[list[int], CostCharge]:
+) -> list[int]:
     """Partition ``array[start:end]`` around many pivots in one go.
 
     The batch optimization the paper's §3 asks for ("apply multiple
     tuning actions in one go over a single index").  A recursive
     selection: each step splits its segment at the median remaining
     pivot (sampled rank on a big segment, see :func:`_partition`),
-    O(n log k) in place.  Charged as a two-pass counting partition
-    (classify every element once, scatter it once), ``2 * size``.
+    O(n log k) in place.  Its caller prices it as a two-pass counting
+    partition (classify every element once, scatter it once),
+    ``2 * size``.
 
     Returns:
-        ``(splits, charge)`` -- ``splits[i]`` is the absolute position
-        of the first element ``>= pivots[i]``.
+        ``splits`` -- ``splits[i]`` is the absolute position of the
+        first element ``>= pivots[i]``.
 
     Raises:
         CrackerError: if bounds are invalid or pivots are not strictly
@@ -383,19 +372,14 @@ def crack_multi(
     """
     _check_bounds(array, start, end)
     if not pivots:
-        return [], CostCharge()
+        return []
     if not all(a < b for a, b in zip(pivots, pivots[1:])):
         raise CrackerError(
             f"pivots must be strictly increasing: {pivots}"
         )
     size = end - start
-    charge = CostCharge(
-        elements_cracked=2 * size,  # classify pass + scatter pass
-        pieces_touched=1,
-        cracks=len(pivots),
-    )
     if size == 0:
-        return [start] * len(pivots), charge
+        return [start] * len(pivots)
     if scratch is None:
         scratch = CrackScratch()
     view = array[start:end]
@@ -413,29 +397,25 @@ def crack_multi(
         splits[mid] = start + cut
         stack.append((lo, cut, first, mid))
         stack.append((cut, hi, mid + 1, last))
-    return splits, charge
+    return splits
 
 
-def sort_piece(array: np.ndarray, start: int, end: int) -> CostCharge:
+def sort_piece(array: np.ndarray, start: int, end: int) -> None:
     """Fully sort ``array[start:end]`` in place.
 
-    Used by refinement actions that finish small pieces off.  Charged
-    as a sort of ``end - start`` elements.
+    Used by refinement actions that finish small pieces off.
 
     Raises:
         CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    size = end - start
-    if size <= 1:
-        return CostCharge(elements_sorted=size)
-    array[start:end].sort(kind="quicksort")
-    return CostCharge(elements_sorted=size, pieces_touched=1)
+    if end - start > 1:
+        array[start:end].sort(kind="quicksort")
 
 
 def split_sorted_piece(
     array: np.ndarray, start: int, end: int, pivot: Key
-) -> tuple[int, CostCharge]:
+) -> int:
     """Find the crack position inside an already-sorted piece.
 
     No data moves: a binary search locates the first element
@@ -445,6 +425,4 @@ def split_sorted_piece(
         CrackerError: on invalid bounds.
     """
     _check_bounds(array, start, end)
-    offset = int(array[start:end].searchsorted(pivot, side="left"))
-    charge = CostCharge.for_binary_search(max(1, end - start))
-    return start + offset, charge
+    return start + int(array[start:end].searchsorted(pivot, side="left"))

@@ -49,7 +49,6 @@ from repro.cracking.piece import CrackOrigin, Piece
 from repro.cracking.piecemap import PieceMap
 from repro.cracking.tape import CrackTape
 from repro.errors import CrackerError, QueryError
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock, SimClock
 from repro.storage.column import Column
 from repro.storage.dtypes import Key, largest, normalise_bound, normalise_range
@@ -239,9 +238,7 @@ class CrackerIndex:
             return
         self._copy_charged = True
         if self.row_count:
-            self.clock.charge(
-                CostCharge(elements_materialized=self.row_count)
-            )
+            self.clock.charge_materialize(self.row_count)
 
     def _pivot_key(self, value: object) -> Key:
         """``value`` as a pivot of this column (see
@@ -275,11 +272,14 @@ class CrackerIndex:
             # A pivot hit: one binary search over the pieces.
             self.clock.charge_probes(self._pieces.piece_count, 1)
             return start
-        position, charge = crack_in_two(
+        position = crack_in_two(
             self._array, start, end, value, scratch=self._scratch
         )
         self._pieces.add_crack_at(index, value, position)
-        self.clock.charge(charge)
+        if end > start:
+            self.clock.charge_crack(end - start, 1)
+        else:
+            self.clock.charge_empty_crack()
         self.tape.log(origin)
         return position
 
@@ -309,11 +309,11 @@ class CrackerIndex:
         fresh value; its record is priced piece by piece, right to
         left, each piece's cuts logged in ascending order:
 
-        * a piece taking one pivot: one crack of the piece
-          (``CostCharge.for_crack``; an empty piece, the crack alone);
-        * a piece taking ``k >= 2``: one counting partition,
-          ``CostCharge(2 * size, 1, k)`` -- a classify and a scatter
-          pass, cheaper than ``k`` sequential :meth:`ensure_cut` calls.
+        * a piece taking one pivot: one crack of the piece (an empty
+          piece, the crack alone);
+        * a piece taking ``k >= 2``: one counting partition of ``2 *
+          size`` elements -- a classify and a scatter pass, cheaper
+          than ``k`` sequential :meth:`ensure_cut` calls.
 
         Pivot hits are free.  Returns the cut position of every value
         (normalised as in :meth:`ensure_cut`), in input order.
@@ -327,7 +327,7 @@ class CrackerIndex:
         )
         clock, tape = self.clock, self.tape
         if record.fresh and not copy_charged and self.row_count:
-            clock.charge(CostCharge(elements_materialized=self.row_count))
+            clock.charge_materialize(self.row_count)
         pieces = record.pieces
         hi = len(pieces)
         while hi:
@@ -335,16 +335,11 @@ class CrackerIndex:
             start, end = record.piece_starts[lo], record.piece_ends[lo]
             size = end - start
             if hi - lo > 1:
-                charge = CostCharge(
-                    elements_cracked=2 * size,
-                    pieces_touched=1,
-                    cracks=hi - lo,
-                )
+                clock.charge_crack(2 * size, hi - lo)
             elif size:
-                charge = CostCharge.for_crack(size)
+                clock.charge_crack(size, 1)
             else:
-                charge = CostCharge(cracks=1)
-            clock.charge(charge)
+                clock.charge_empty_crack()
             tape.log(CrackOrigin.TUNING, hi - lo)
             hi = lo
         cut_of = self._pieces.cut_of
@@ -411,12 +406,12 @@ class CrackerIndex:
             self._charge_copy_if_needed()
             # Same slot: no pivot lies in (low, high], so high is fresh.
             if low_index == high_loc[0] and not low_pivot and end > start:
-                pos_low, pos_high, charge = crack_in_three(
+                pos_low, pos_high = crack_in_three(
                     self._array, start, end, low, high, scratch=self._scratch
                 )
                 pieces.add_crack_at(low_index, low, pos_low)
                 pieces.add_crack_at(low_index + 1, high, pos_high)
-                self.clock.charge(charge)
+                self.clock.charge_crack(end - start, 2)
                 self.tape.log(CrackOrigin.QUERY, 2)
             else:
                 pos_low = self._cut_located(low, *low_loc, CrackOrigin.QUERY)
@@ -584,7 +579,7 @@ class CrackerIndex:
                     (start, end, fresh_list[lo], fresh_list[hi - 1])
                 )
             else:
-                splits, _charge = crack_multi(
+                splits = crack_multi(
                     self._array,
                     start,
                     end,
@@ -692,7 +687,9 @@ class CrackerIndex:
         piece = self._pieces.piece_at_index(piece_index)
         witness.mutation_check(self, (piece.start,), "sort_piece_at")
         self._charge_copy_if_needed()
-        self.clock.charge(sort_piece(self._array, piece.start, piece.end))
+        sort_piece(self._array, piece.start, piece.end)
+        # A piece of one row is already sorted: no piece is touched.
+        self.clock.charge_sort(piece.size, int(piece.size > 1))
         self.tape.log(CrackOrigin.SORT)
         return piece
 
@@ -718,7 +715,7 @@ class CrackerIndex:
         self._scratch = CrackScratch()
         self._replay_cache = None
         if rows:
-            self.clock.charge(CostCharge(elements_materialized=rows))
+            self.clock.charge_materialize(rows)
 
     @_synchronized
     def check_invariants(self) -> None:

@@ -27,7 +27,6 @@ import numpy as np
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin, Piece
 from repro.errors import ConfigError
-from repro.simtime.charge import CostCharge
 from repro.storage.dtypes import Key
 from repro.storage.views import MaterializedResult, SelectionResult
 
@@ -126,12 +125,8 @@ class StochasticCrackerIndex(CrackerIndex):
             if chunks
             else np.empty(0, dtype=self._array.dtype)
         )
-        self.clock.charge(
-            CostCharge(
-                elements_scanned=scanned,
-                elements_materialized=len(result),
-                pieces_touched=max(0, last - first + 1),
-            )
+        self.clock.charge_scan(
+            scanned, len(result), max(0, last - first + 1)
         )
         # One random refinement per touched *large* piece keeps future
         # selects cheap without paying full query-bound cracks now.

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.cracking.index import CrackerIndex
 from repro.cracking.piece import CrackOrigin
-from repro.simtime.charge import CostCharge
 from repro.storage.dtypes import Key
 from repro.storage.updates import PendingUpdates
 from repro.storage.views import RangeView
@@ -51,12 +50,7 @@ def merge_inserts(index: CrackerIndex, values: np.ndarray) -> int:
     merged = np.concatenate(segments)
     index._array = merged  # noqa: SLF001 - deliberate kernel-internal move
     pieces.apply_deltas([int(c) for c in counts])
-    index.clock.charge(
-        CostCharge(
-            elements_merged=len(merged),
-            pieces_touched=int(np.count_nonzero(counts)),
-        )
-    )
+    index.clock.charge_merge(len(merged), int(np.count_nonzero(counts)))
     index.tape.record(CrackOrigin.MERGE)
     return len(values)
 
@@ -103,12 +97,7 @@ def merge_deletes(index: CrackerIndex, values: np.ndarray) -> int:
     merged = np.concatenate(segments) if segments else old[:0]
     index._array = merged  # noqa: SLF001 - deliberate kernel-internal move
     pieces.apply_deltas(deltas)
-    index.clock.charge(
-        CostCharge(
-            elements_merged=len(old),
-            pieces_touched=sum(1 for d in deltas if d),
-        )
-    )
+    index.clock.charge_merge(len(old), sum(1 for d in deltas if d))
     index.tape.record(CrackOrigin.MERGE)
     return removed_total
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.plan import ColumnWindow
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock
 from repro.storage.dtypes import Key
 from repro.storage.updates import PendingUpdates
@@ -35,12 +34,7 @@ def scan_select(
     """
     mask = (values >= low) & (values < high)
     positions = np.flatnonzero(mask)
-    clock.charge(
-        CostCharge(
-            elements_scanned=len(values),
-            elements_materialized=len(positions),
-        )
-    )
+    clock.charge_scan(len(values), len(positions))
     return PositionsView(values, positions)
 
 
@@ -122,17 +116,17 @@ class PendingWindow:
         ]
 
     def apply(
-        self, slot: int, result: SelectionResult, accountant
+        self, slot: int, result: SelectionResult, clock: Clock
     ) -> SelectionResult:
-        """Correct the ``slot``-th window query's result, charging the
-        window accountant as sequential :func:`apply_pending` would
-        charge the clock; for an ``active`` window only."""
+        """Correct the ``slot``-th window query's result, charging
+        ``clock`` as sequential :func:`apply_pending` would; for an
+        ``active`` window only."""
         inserts = self._inserts[self._ins_lo[slot] : self._ins_hi[slot]]
         deletes = self._deletes[self._del_lo[slot] : self._del_hi[slot]]
         if len(inserts) == 0 and len(deletes) == 0:
             return result
         view = PendingOverlay(result, inserts, deletes)
-        accountant.charge_pending_merge(len(deletes), view.count)
+        clock.charge_pending_merge(len(deletes), view.count)
         return view
 
 

@@ -34,7 +34,6 @@ from repro.engine.strategies import (
 )
 from repro.errors import ConfigError
 from repro.offline.whatif import WorkloadStatement
-from repro.simtime.accounting import WindowAccountant
 from repro.simtime.model import PS_PER_S
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
@@ -145,7 +144,6 @@ class Session:
         self.client = client
         self.report = SessionReport(strategy=strategy.name, client=client)
         self._pending_wait_s = 0.0
-        self._accountant: WindowAccountant | None = None
         #: Every column queried so far, resolved once for
         #: :meth:`run_query` and :meth:`run_batch` alike.
         self._resolved: Resolved = {}
@@ -242,29 +240,24 @@ class Session:
         A slot is a replay context and the query's normalised bounds
         (the serving front-end's pass over the shared index did the
         window's physical work); the context's ``replay_query`` owns
-        the query's whole charge stream, ``CostCharge(queries=1)``
-        overhead included, and an empty range costs that overhead
-        alone.
+        the query's whole charge stream, per-query overhead included,
+        and an empty range costs that overhead alone.
         ``pending`` is :func:`~repro.engine.operators.pending_slots`.
-        The session's one :class:`WindowAccountant` prices every
-        charge inline in integer picoseconds, as the clock would, and
-        settles time plus work counters on this session's clock once
-        at window end, where the strategy notes the replayed
-        reads (:meth:`~IndexingStrategy.note_window`).  A replay that
-        raises settles too: the clock, the report's totals and records
-        before it and the strategy's notes (the failed read included)
-        are what sequential :meth:`run_query` calls failing at that
-        query leave.  Cracks the physical pass made for fresh bounds of
+        Every context is bound to this session's clock, a lane's
+        :class:`~repro.simtime.clock.SimClock` fork that never opens a
+        parallel phase, so each read's events move it directly and
+        its reading is its integer ``_now``.  At window end the
+        strategy notes the replayed reads
+        (:meth:`~IndexingStrategy.note_window`), the one that raised
+        included if a replay raises; the clock and the report's totals
+        and records are then what sequential :meth:`run_query` calls
+        failing at that query leave.  Cracks the physical pass made for fresh bounds of
         later queries stay in the index uncharged.
         """
-        accountant = self._accountant
-        if accountant is None:
-            accountant = self._accountant = WindowAccountant(self.clock)
-        else:
-            accountant.rearm()
+        clock = self.clock
         # One bind a context; map and itemgetter add no frame a slot.
         for context in dict.fromkeys(map(_context, slots)):
-            context.bind(accountant)
+            context.bind(clock)
         report = self.report
         records = report.records
         results: list[SelectionResult] = []
@@ -277,19 +270,19 @@ class Session:
         cumulative = report.total_response_s
         rows = report.result_rows
         # Readings in float seconds, as ``clock.now()`` gives them.
-        started = accountant.now / PS_PER_S
+        started = clock._now / PS_PER_S
         try:
             for query, (context, bounds), slotted in zip(
                 queries, slots, pending
             ):
                 if bounds is None:
-                    accountant.charge_query()
+                    clock.charge_query()
                     result = context.empty()
                 else:
                     result = context.replay_query(*bounds)
                 if slotted is not None:
-                    result = slotted[0].apply(slotted[1], result, accountant)
-                finished = accountant.now / PS_PER_S
+                    result = slotted[0].apply(slotted[1], result, clock)
+                finished = clock._now / PS_PER_S
                 response = (finished - started) + wait
                 started = finished
                 cumulative += response
@@ -312,7 +305,6 @@ class Session:
             report.query_count = count
             report.total_response_s = cumulative
             report.result_rows = rows
-            accountant.finish()
             # The replayed reads, and the one that raised if any.
             self.strategy.note_window(queries[: count - first + 1])
         return results

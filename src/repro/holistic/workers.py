@@ -584,11 +584,8 @@ class TuningWorkerPool:
 
     def _worker_loop(self, worker_id: int) -> None:
         # Register under the clock's stable lane id (thread idents are
-        # recycled by the OS; see SimClock.current_lane).
-        if hasattr(self.clock, "current_lane"):
-            self._idents[self.clock.current_lane()] = worker_id
-        else:
-            self._idents[threading.get_ident()] = worker_id
+        # recycled by the OS; see Clock.current_lane).
+        self._idents[self.clock.current_lane()] = worker_id
         line = self._queues[worker_id]
         while True:
             batch = line.get()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IndexingError, QueryError
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import Clock, SimClock
 from repro.storage.column import Column
 from repro.storage.dtypes import Key
@@ -65,11 +64,10 @@ class FullIndex:
         if self._sorted is not None:
             return 0.0
         self._sorted = np.sort(self.column.values, kind="quicksort")
-        seconds = self.clock.charge(
-            CostCharge.for_sort(self.column.row_count)
-        )
+        started = self.clock.now()
+        self.clock.charge_sort(self.column.row_count, 0)
         self.built_at = self.clock.now()
-        return seconds
+        return self.built_at - started
 
     def select_range(self, low: Key, high: Key) -> RangeView:
         """Answer ``low <= value < high`` with two binary searches.
@@ -92,9 +90,7 @@ class FullIndex:
         model = getattr(self.clock, "model", None)
         scale = model.scale if model is not None else 1.0
         n = max(1, int(len(values) * scale))
-        self.clock.charge(
-            CostCharge.for_binary_search(n) + CostCharge.for_binary_search(n)
-        )
+        self.clock.charge_probes(n, 2)
         return RangeView(values, start, end)
 
     def __repr__(self) -> str:

@@ -48,7 +48,6 @@ from repro.persist.snapshot import (
     restore_state,
 )
 from repro.persist.verify import BackgroundVerifier
-from repro.simtime.charge import CostCharge
 from repro.util.retry import retry_call
 
 
@@ -336,7 +335,5 @@ class IncrementalCheckpointer:
         # bytes that actually hit disk (carried arrays are free).
         written_elements = result.bytes_written // 8
         if written_elements:
-            clock.charge(
-                CostCharge(elements_materialized=written_elements)
-            )
+            clock.charge_materialize(written_elements)
         return True

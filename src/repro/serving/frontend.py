@@ -146,7 +146,7 @@ class _ServedReplay(DetachedCrackReplay):
             # bisect replay); pending updates are merged by the caller
             # as for a crack result.
             if replay is DetachedCrackReplay.replay_query:
-                self._acc.charge_query()
+                self._clock.charge_query()
             values = self._frontend.db.catalog.column(self._ref).values
             mask = (values >= low) & (values < high)
             result = PositionsView(values, np.flatnonzero(mask))

@@ -1,11 +1,13 @@
-"""Virtual time: cost charges, calibrated cost model, and clocks.
+"""Virtual time: cost counters, calibrated cost model, and clocks.
 
 This package is the substitution layer (docs/ARCHITECTURE.md,
-"The substitution layer"): the paper measured wall-clock time inside
-the MonetDB kernel on a 2011 i7; we count logical work (a
-:class:`CostCharge`) and price it with a :class:`CostModel` calibrated
-against the paper's anchors, driving a deterministic :class:`SimClock`;
-a :class:`WallClock` measures the numpy kernels for real.
+"The substitution layer"): the paper measured wall-clock time inside the
+MonetDB kernel on a 2011 i7; we count logical work (a
+:class:`CostCharge`) through a :class:`Clock`'s named event methods,
+which price each event once from a :class:`CostModel` calibrated
+against the paper's anchors and drive a deterministic
+:class:`SimClock`; a :class:`WallClock` counts the same work and
+measures the numpy kernels for real.
 """
 
 from repro.simtime.charge import CostCharge

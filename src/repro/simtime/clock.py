@@ -1,22 +1,17 @@
 """Clocks: virtual (cost-model driven) and wall (perf_counter) time.
 
-All engine components take a clock and report their work as cost
-charges via :meth:`Clock.charge`.  Under a :class:`SimClock` the charge
-advances virtual time according to the calibrated cost model; under a
-:class:`WallClock` charges are counted but time flows by itself.  This
-lets the same experiment code produce both the paper-scale projection
-and genuine wall-clock measurements.
-
-Time is kept as integer picoseconds, so charges add exactly in any
-order; :meth:`Clock.now` and every report read it as float seconds.
+The engine reports each unit of work through its clock's named event
+methods (:meth:`Clock.charge_crack`, ...) or :meth:`Clock.charge` with
+a whole :class:`CostCharge`.  Each event is priced once, here, from the
+:class:`CostModel`'s integer-picosecond per-unit prices, so charges add
+exactly in any order.  A :class:`SimClock` advances virtual time by the
+price; a :class:`WallClock` prices nothing and lets time flow by itself.
 
 Parallel phases model the paper's idle-core claim: between
 :meth:`SimClock.begin_parallel` and :meth:`SimClock.end_parallel`,
 charges accumulate on per-thread *lanes* instead of advancing the
 shared timeline, and the phase advances virtual time by the **maximum**
-lane (wall-clock is the slowest worker, not the sum of all workers).
-The sum of all lanes is still reported as busy time, so experiments can
-quote both elapsed seconds and aggregate CPU work.
+lane; the sum of all lanes is reported as busy time.
 """
 
 from __future__ import annotations
@@ -24,10 +19,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
+from repro.simtime.costs import CostConstants
 from repro.simtime.model import PS_PER_S, CostModel
 
 
@@ -72,69 +68,28 @@ class ParallelAccount:
     lanes: dict[int, float] = field(default_factory=dict)
 
 
-@runtime_checkable
-class Clock(Protocol):
-    """Minimal clock interface used throughout the engine."""
+class Clock:
+    """Counts work and prices it.
 
-    def now(self) -> float:
-        """Current time in seconds (virtual or wall)."""
-        ...
-
-    def charge(self, charge: CostCharge) -> float:
-        """Account for work; return the seconds it was priced at."""
-        ...
-
-    def charge_query(self) -> None:
-        """``charge(CostCharge(queries=1))``: a query's fixed overhead."""
-        ...
-
-    def charge_probes(self, n: int, count: int) -> None:
-        """``count`` ``charge(CostCharge.for_binary_search(n))`` events."""
-        ...
-
-    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
-        """A pending-update merge into a read's result: one comparison
-        per pending delete (at least one, the range probe) and the
-        corrected result's materialization."""
-        ...
-
-    def sleep(self, seconds: float) -> None:
-        """Let ``seconds`` of time pass (idle time)."""
-        ...
-
-    def begin_parallel(self) -> None:
-        """Open a parallel phase; phases do not nest."""
-        ...
-
-    def parallel_elapsed(self) -> float:
-        """The open phase's elapsed time so far."""
-        ...
-
-    def parallel_busy(self) -> float:
-        """The open phase's aggregate work so far."""
-        ...
-
-    def end_parallel(self) -> ParallelAccount:
-        """Close the phase and say what it cost."""
-        ...
-
-
-class SimClock:
-    """Virtual clock driven by a :class:`CostModel`.
-
-    Time only moves when work is charged or idle time is injected,
-    which makes experiments deterministic and lets a 10^6-row run
-    report 10^8-row seconds.
+    One method per event shape adds the event's price to the clock and
+    its counters to :attr:`total_charge` in one call, exactly as
+    ``charge(CostCharge(<the same counters>))`` would; inside a
+    :class:`SimClock`'s parallel phase it goes to the calling thread's
+    lane instead.  A subclass says what time is: ``now()``,
+    ``sleep(seconds)`` and the parallel phases (``begin_parallel``,
+    ``parallel_elapsed``, ``parallel_busy``, ``end_parallel``).
     """
 
-    def __init__(self, model: CostModel | None = None) -> None:
-        self.model = model if model is not None else CostModel()
+    #: Whether a parallel phase routes events to per-thread lanes.
+    _parallel = False
+
+    def __init__(self, model: CostModel) -> None:
+        self.model = model
         #: Virtual time and a parallel phase's lanes, in integer
         #: picoseconds; ``_now`` stays at the phase's base until the
         #: phase ends.
         self._now = 0
         self.total_charge = CostCharge()
-        self._parallel = False
         self._lanes: dict[int, int] = {}
         self._lane_lock = threading.Lock()
         self._lane_tls = threading.local()
@@ -156,6 +111,175 @@ class SimClock:
             self._lane_tls.lane = lane
         return lane
 
+    def charge(self, charge: CostCharge) -> float:
+        """Account for ``charge``; return the seconds it was priced at."""
+        ps = self.model.picoseconds(charge)
+        if self._parallel:
+            self._to_lane(ps, charge)
+        else:
+            self._now += ps
+            self.total_charge += charge
+        return ps / PS_PER_S
+
+    def _to_lane(self, ps: int, charge: CostCharge | None) -> None:
+        """Add ``ps`` (and ``charge``'s work) to this thread's lane."""
+        lane = self.current_lane()
+        with self._lane_lock:
+            self._lanes[lane] = self._lanes.get(lane, 0) + ps
+            if charge is not None:
+                self.total_charge += charge
+
+    # -- events: one method per charged shape ---------------------------
+
+    def charge_query(self) -> None:
+        """A query's fixed overhead: ``queries=1``."""
+        ps = self.model.query_ps
+        if self._parallel:
+            return self._to_lane(ps, CostCharge(queries=1))
+        self._now += ps
+        self.total_charge.queries += 1
+
+    def charge_probes(self, n: int, count: int) -> None:
+        """``count`` binary searches over ``n`` ordered elements: a
+        comparison per bit of ``n`` (at least one) and a seek each."""
+        steps = (int(n).bit_length() or 1) * count
+        ps = self.model.probe_ps * steps + self.model.seek_ps * count
+        if self._parallel:
+            charge = CostCharge(comparisons=steps, seeks=count)
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.comparisons += steps
+        total.seeks += count
+
+    def charge_warm_select(self, n: int) -> None:
+        """A select whose two bounds are cuts: :meth:`charge_query`
+        plus two probes over ``n`` pieces, in one call."""
+        steps = 2 * (int(n).bit_length() or 1)
+        model = self.model
+        ps = model.query_ps + model.probe_ps * steps + 2 * model.seek_ps
+        if self._parallel:
+            charge = CostCharge(comparisons=steps, seeks=2, queries=1)
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.queries += 1
+        total.comparisons += steps
+        total.seeks += 2
+
+    def charge_crack(self, elements: int, cracks: int) -> None:
+        """``cracks`` cuts of one piece in a pass moving ``elements``:
+        a crack-in-two or -three reads its piece once, a multi-pivot
+        pass twice."""
+        model = self.model
+        ps = model.crack_ps * elements + model.piece_ps
+        ps += model.crack_overhead_ps * cracks
+        if self._parallel:
+            charge = CostCharge(
+                elements_cracked=elements, pieces_touched=1, cracks=cracks
+            )
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.elements_cracked += elements
+        total.pieces_touched += 1
+        total.cracks += cracks
+
+    def charge_empty_crack(self) -> None:
+        """A crack-in-two of an empty piece: the crack alone."""
+        ps = self.model.crack_overhead_ps
+        if self._parallel:
+            return self._to_lane(ps, CostCharge(cracks=1))
+        self._now += ps
+        self.total_charge.cracks += 1
+
+    def charge_materialize(self, rows: int) -> None:
+        """``rows`` elements copied out (a first-touch copy, a
+        checkpoint's bytes)."""
+        ps = self.model.materialize_ps * rows
+        if self._parallel:
+            return self._to_lane(ps, CostCharge(elements_materialized=rows))
+        self._now += ps
+        self.total_charge.elements_materialized += rows
+
+    def charge_scan(
+        self, scanned: int, materialized: int, pieces: int = 0
+    ) -> None:
+        """A predicate scan over ``scanned`` elements of ``pieces``
+        pieces, ``materialized`` of them copied out."""
+        model = self.model
+        ps = model.scan_ps * scanned + model.materialize_ps * materialized
+        ps += model.piece_ps * pieces
+        if self._parallel:
+            charge = CostCharge(
+                elements_scanned=scanned,
+                elements_materialized=materialized,
+                pieces_touched=pieces,
+            )
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.elements_scanned += scanned
+        total.elements_materialized += materialized
+        total.pieces_touched += pieces
+
+    def charge_sort(self, elements: int, pieces: int) -> None:
+        """One sort of ``elements`` elements over ``pieces`` pieces
+        (:meth:`CostModel.sort_ps`)."""
+        ps = self.model.sort_ps(elements) + self.model.piece_ps * pieces
+        if self._parallel:
+            charge = CostCharge(
+                elements_sorted=elements, pieces_touched=pieces
+            )
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.elements_sorted += elements
+        total.pieces_touched += pieces
+
+    def charge_merge(self, elements: int, pieces: int) -> None:
+        """An update merge rewriting ``elements`` elements and changing
+        ``pieces`` pieces."""
+        ps = self.model.merge_ps * elements + self.model.piece_ps * pieces
+        if self._parallel:
+            charge = CostCharge(
+                elements_merged=elements, pieces_touched=pieces
+            )
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.elements_merged += elements
+        total.pieces_touched += pieces
+
+    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
+        """A pending-update merge into a read's result: one comparison
+        per pending delete (at least one, the range probe) and the
+        corrected result's materialization."""
+        comparisons = max(1, deletes)
+        model = self.model
+        ps = model.probe_ps * comparisons + model.materialize_ps * materialized
+        if self._parallel:
+            charge = CostCharge(
+                comparisons=comparisons, elements_materialized=materialized
+            )
+            return self._to_lane(ps, charge)
+        self._now += ps
+        total = self.total_charge
+        total.comparisons += comparisons
+        total.elements_materialized += materialized
+
+
+class SimClock(Clock):
+    """Virtual clock driven by a :class:`CostModel`.
+
+    Time only moves when work is charged or idle time is injected,
+    which makes experiments deterministic and lets a 10^6-row run
+    report 10^8-row seconds.
+    """
+
+    def __init__(self, model: CostModel | None = None) -> None:
+        super().__init__(model if model is not None else CostModel())
+
     def fork(self) -> "SimClock":
         """An independent zero-origin clock sharing this clock's model.
 
@@ -174,74 +298,19 @@ class SimClock:
         return self._now / PS_PER_S
 
     def charge(self, charge: CostCharge) -> float:
-        ps = self.model.picoseconds(charge)
-        if self._parallel:
-            self._to_lane(ps, charge)
-        else:
-            self._now += ps
-            self.total_charge += charge
-        return ps / PS_PER_S
-
-    def _to_lane(self, ps: int, charge: CostCharge | None) -> None:
-        """Add ``ps`` (and ``charge``'s work) to this thread's lane."""
-        lane = self.current_lane()
-        with self._lane_lock:
-            self._lanes[lane] = self._lanes.get(lane, 0) + ps
-            if charge is not None:
-                self.total_charge += charge
-
-    def charge_query(self) -> None:
-        """``charge(CostCharge(queries=1))`` -- the per-query overhead
-        -- without building the charge."""
-        if self._parallel:
-            self.charge(CostCharge(queries=1))
-        else:
-            self._now += self.model.query_ps
-            self.total_charge.queries += 1
-
-    def charge_probes(self, n: int, count: int) -> None:
-        """``count`` ``charge(CostCharge.for_binary_search(n))`` events
-        (a converged select's probes) without building the charges."""
-        steps = int(n).bit_length() or 1
-        if self._parallel:
-            self.charge(CostCharge(comparisons=steps * count, seeks=count))
-        else:
-            model = self.model
-            self._now += (model.probe_ps * steps + model.seek_ps) * count
-            total = self.total_charge
-            total.comparisons += steps * count
-            total.seeks += count
-
-    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
-        """A pending-update merge, priced from the model's per-unit
-        prices without building the charge."""
-        comparisons = max(1, deletes)
-        if self._parallel:
-            self.charge(
-                CostCharge(
-                    comparisons=comparisons,
-                    elements_materialized=materialized,
-                )
-            )
-        else:
-            model = self.model
-            self._now += (
-                model.probe_ps * comparisons
-                + model.materialize_ps * materialized
-            )
-            total = self.total_charge
-            total.comparisons += comparisons
-            total.elements_materialized += materialized
+        """:meth:`Clock.charge`; pinned by perfbench (ROADMAP 1a),
+        whose trace list resolves it in this class's own namespace."""
+        return Clock.charge(self, charge)
 
     def settle_batch(
         self, now: int, scanned: int, cracked: int, materialized: int,
         comparisons: int, seeks: int, pieces: int, queries: int,
         cracks: int,
     ) -> None:
-        """Apply a window accountant's settlement: ``now`` is the
-        window's end in integer picoseconds, and the window's counters
-        -- the :class:`CostCharge` fields of those names -- land in
-        ``total_charge`` in one update.
+        """Move the clock to ``now`` (integer picoseconds) and add the
+        :class:`CostCharge` counters of those names to
+        ``total_charge`` in one update.  Pinned by perfbench (ROADMAP
+        1a); nothing in the engine calls it.
 
         Raises:
             ConfigError: inside a parallel phase, or if ``now`` runs
@@ -271,9 +340,8 @@ class SimClock:
             raise ConfigError(f"cannot sleep a negative time: {seconds}")
         ps = round(seconds * PS_PER_S)
         if self._parallel:
-            self._to_lane(ps, None)
-        else:
-            self._now += ps
+            return self._to_lane(ps, None)
+        self._now += ps
 
     # -- parallel phases (idle-core tuning) -----------------------------
 
@@ -355,33 +423,29 @@ class SimClock:
         self._lane_seq = max(self._lane_seq, int(state["lane_seq"]))
 
 
-class WallClock:
+#: A wall clock's prices: every per-unit price is zero, so its events
+#: count work and never move virtual time.
+_UNPRICED = CostModel(
+    CostConstants(
+        scan_ns_per_element=0.0, crack_ns_per_element=0.0,
+        sort_ns_per_element_log=0.0, merge_ns_per_element=0.0,
+        materialize_ns_per_element=0.0, probe_ns_per_comparison=0.0,
+        seek_ns=0.0, piece_overhead_ns=0.0, query_overhead_ns=0.0,
+        crack_overhead_ns=0.0,
+    )
+)
+
+
+class WallClock(Clock):
     """Real-time clock; charges are tallied but do not move time."""
 
     def __init__(self) -> None:
+        super().__init__(_UNPRICED)
         self._origin = time.perf_counter()  # repro: allow[determinism] -- WallClock *is* the wall-time carrier; experiments opt into it explicitly
-        self.total_charge = CostCharge()
         self._parallel_start: float | None = None
 
     def now(self) -> float:
         return time.perf_counter() - self._origin  # repro: allow[determinism] -- WallClock is the wall-time carrier
-
-    def charge(self, charge: CostCharge) -> float:
-        self.total_charge += charge
-        return 0.0
-
-    def charge_query(self) -> None:
-        self.total_charge.queries += 1
-
-    def charge_probes(self, n: int, count: int) -> None:
-        total = self.total_charge
-        total.comparisons += max(1, int(n).bit_length()) * count
-        total.seeks += count
-
-    def charge_pending_merge(self, deletes: int, materialized: int) -> None:
-        total = self.total_charge
-        total.comparisons += max(1, deletes)
-        total.elements_materialized += materialized
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:

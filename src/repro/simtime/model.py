@@ -1,4 +1,4 @@
-"""Pricing of :class:`~repro.simtime.charge.CostCharge` records.
+"""Per-unit prices of logical work.
 
 The :class:`CostModel` converts logical work counters into virtual
 picoseconds using the calibrated constants of
@@ -78,14 +78,10 @@ class CostModel:
         so a reduced run keeps its paper-scale behaviour."""
         return int(self.constants.cache_elements() / self.scale)
 
-    def seconds(self, charge: CostCharge) -> float:
-        """Price ``charge`` and return the virtual seconds it costs."""
-        return self.picoseconds(charge) / PS_PER_S
-
     def picoseconds(self, charge: CostCharge) -> int:
         """Price ``charge`` in integer picoseconds: each counter times
-        its price, plus a sort's ``n log n`` term rounded once."""
-        ps = (
+        its price, plus a sort's ``n log n`` term (:meth:`sort_ps`)."""
+        return (
             charge.elements_scanned * self.scan_ps
             + charge.elements_cracked * self.crack_ps
             + charge.elements_merged * self.merge_ps
@@ -95,40 +91,51 @@ class CostModel:
             + charge.pieces_touched * self.piece_ps
             + charge.queries * self.query_ps
             + charge.cracks * self.crack_overhead_ps
+            + self.sort_ps(charge.elements_sorted)
         )
-        if charge.elements_sorted > 0:
-            projected = charge.elements_sorted * self.scale
-            ps += round(
-                self.constants.sort_ns_per_element_log
-                * _PS_PER_NS
-                * projected
-                * math.log2(max(2.0, projected))
-            )
-        return ps
+
+    def sort_ps(self, n: int) -> int:
+        """One sort of ``n`` elements: ``n log n`` at the projected
+        size, rounded to integer picoseconds once per sort."""
+        if n <= 0:
+            return 0
+        projected = n * self.scale
+        return round(
+            self.constants.sort_ns_per_element_log
+            * _PS_PER_NS
+            * projected
+            * math.log2(max(2.0, projected))
+        )
+
+    def search_ps(self, n: int) -> int:
+        """One binary search over ``n`` ordered elements: a comparison
+        per bit of ``n`` (at least one) and a seek."""
+        return self.probe_ps * (int(n).bit_length() or 1) + self.seek_ps
 
     # -- what-if estimators: planners and the holistic ranking price
     # -- hypothetical operations without running them.
 
     def scan_seconds(self, n: int) -> float:
         """Estimated cost of scan-selecting over ``n`` elements."""
-        return self.seconds(CostCharge.for_scan(n) + CostCharge(queries=1))
+        return (n * self.scan_ps + self.query_ps) / PS_PER_S
 
     def sort_seconds(self, n: int) -> float:
         """Estimated cost of fully sorting ``n`` elements."""
-        return self.seconds(CostCharge.for_sort(n))
+        return self.sort_ps(n) / PS_PER_S
 
     def crack_seconds(self, piece_size: int) -> float:
         """Estimated cost of one crack over a piece of ``piece_size``."""
-        return self.seconds(CostCharge.for_crack(piece_size))
+        return (
+            piece_size * self.crack_ps + self.piece_ps + self.crack_overhead_ps
+        ) / PS_PER_S
 
     def probe_seconds(self, n: int) -> float:
         """Estimated cost of one binary-search probe over ``n`` rows."""
-        return self.seconds(CostCharge.for_binary_search(max(1, n)))
+        return self.search_ps(max(1, n)) / PS_PER_S
 
     def indexed_query_seconds(self, n: int) -> float:
         """Estimated cost of a range query on a fully sorted column."""
-        probe = CostCharge.for_binary_search(max(1, n))
-        return self.seconds(probe + probe + CostCharge(queries=1))
+        return (2 * self.search_ps(max(1, n)) + self.query_ps) / PS_PER_S
 
 
 def projection_scale(actual_rows: int, paper_rows: int) -> float:

@@ -131,12 +131,18 @@ class PendingUpdates:
         :attr:`deleted_values`.  Returns how many positions were staged.
 
         Raises:
-            SchemaError: if a position is not an integer, if
-                positions and values differ in length, or if a position
-                lies outside the base column or its value is not the
-                base row's -- before anything is staged.
+            SchemaError: if a position is not an integer (a boolean
+                is not one), if positions and values differ in length,
+                or if a position lies outside the base column or its
+                value is not the base row's -- before anything is
+                staged.
         """
-        pos = coerce_array(positions, INT64)
+        pos = np.asarray(positions)
+        if pos.dtype.kind == "b":
+            raise SchemaError(
+                "a delete position is a row number, not a boolean"
+            )
+        pos = coerce_array(pos, INT64)
         vals = coerce_array(values, self._ctype)
         if len(pos) != len(vals):
             raise SchemaError(

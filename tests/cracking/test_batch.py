@@ -6,7 +6,6 @@ import pytest
 from repro.cracking.engine import crack_multi
 from repro.cracking.index import CrackerIndex
 from repro.errors import CrackerError
-from repro.simtime.charge import CostCharge
 from repro.simtime.clock import SimClock
 
 
@@ -19,7 +18,7 @@ def _values(n: int = 2_000, seed: int = 0) -> np.ndarray:
 def test_crack_multi_partitions_every_band():
     array = _values()
     pivots = [2_000.0, 5_000.0, 8_000.0]
-    splits, charge = crack_multi(array, 0, len(array), pivots)
+    splits = crack_multi(array, 0, len(array), pivots)
     assert len(splits) == 3
     bounds = [0, *splits, len(array)]
     lows = [-np.inf, *pivots]
@@ -29,14 +28,12 @@ def test_crack_multi_partitions_every_band():
         if len(chunk):
             assert chunk.min() >= low
             assert chunk.max() < high
-    assert charge.cracks == 3
-    assert charge.elements_cracked == 2 * len(array)
 
 
 def test_crack_multi_matches_sequential_split_positions():
     pivots = [1_000.0, 4_000.0, 9_000.0]
     batch = _values(seed=3)
-    splits, _ = crack_multi(batch, 0, len(batch), pivots)
+    splits = crack_multi(batch, 0, len(batch), pivots)
     reference = np.sort(_values(seed=3))
     expected = [
         int(np.searchsorted(reference, p, side="left")) for p in pivots
@@ -61,11 +58,8 @@ def test_crack_multi_validates_pivot_order():
 
 def test_crack_multi_empty_inputs():
     array = _values()
-    splits, charge = crack_multi(array, 0, len(array), [])
-    assert splits == []
-    assert charge == CostCharge()
-    splits, _ = crack_multi(array, 10, 10, [5.0])
-    assert splits == [10]
+    assert crack_multi(array, 0, len(array), []) == []
+    assert crack_multi(array, 10, 10, [5.0]) == [10]
 
 
 def test_ensure_cuts_equivalent_to_sequential(small_column):

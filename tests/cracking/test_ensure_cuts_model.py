@@ -3,8 +3,8 @@
 A tuning batch runs the same physical pass as a window of selects and
 prices the pass's record piece by piece, right to left:
 
-* one pivot in a piece: ``for_crack(size)``, or ``CostCharge(cracks=1)``
-  when the piece is empty;
+* one pivot in a piece: ``CostCharge(size, 1, 1)`` (cracked, pieces,
+  cracks), or ``CostCharge(cracks=1)`` when the piece is empty;
 * ``k >= 2`` pivots in a piece: ``CostCharge(2 * size, 1, k)``.
 
 A piece whose rows happen to be sorted (``sort_piece_at``) is priced
@@ -97,7 +97,9 @@ def _model(dtype, values, index: CrackerIndex, batch, copy_pending, clock):
                 elements_cracked=2 * size, pieces_touched=1, cracks=len(group)
             )
         elif size:
-            charge = CostCharge.for_crack(size)
+            charge = CostCharge(
+                elements_cracked=size, pieces_touched=1, cracks=1
+            )
         else:
             charge = CostCharge(cracks=1)
         clock.charge(charge)

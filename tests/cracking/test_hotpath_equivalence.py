@@ -73,11 +73,11 @@ def test_crack_multi_matches_sequential_crack_in_two(case):
     seq_splits = []
     start, end = 0, len(seq_array)
     for pivot in pivots:
-        split, _ = crack_in_two(seq_array, start, end, pivot)
+        split = crack_in_two(seq_array, start, end, pivot)
         seq_splits.append(split)
         start = split  # next pivot is larger; its band starts here
     batch_array = _fresh(values)
-    batch_splits, _ = crack_multi(batch_array, 0, len(batch_array), pivots)
+    batch_splits = crack_multi(batch_array, 0, len(batch_array), pivots)
     assert batch_splits == seq_splits
     assert _piece_multisets(batch_array, batch_splits) == (
         _piece_multisets(seq_array, seq_splits)
@@ -96,14 +96,10 @@ def test_crack_in_two_batch_matches_sequential(case):
         for i in range(len(pivots))
     ]
     seq_array = _fresh(values)
-    seq_splits = [crack_in_two(seq_array, s, e, p)[0] for s, e, p in tasks]
+    seq_splits = [crack_in_two(seq_array, s, e, p) for s, e, p in tasks]
     batch_array = _fresh(values)
-    batch_splits, charges = crack_in_two_batch(batch_array, tasks)
+    batch_splits = crack_in_two_batch(batch_array, tasks)
     assert batch_splits == seq_splits
-    assert len(charges) == len(tasks)
-    for (s, e, _), charge in zip(tasks, charges):
-        assert charge.cracks == 1
-        assert charge.elements_cracked == (e - s if e > s else 0)
     for (s, e, _), split in zip(tasks, batch_splits):
         assert np.sort(batch_array[s:e]).tolist() == (
             np.sort(seq_array[s:e]).tolist()
@@ -120,10 +116,10 @@ def test_crack_in_three_matches_two_sequential_cracks(case):
     low = pivots[0]
     high = pivots[-1]
     seq_array = _fresh(values)
-    pos_low, _ = crack_in_two(seq_array, 0, len(seq_array), low)
-    pos_high, _ = crack_in_two(seq_array, pos_low, len(seq_array), high)
+    pos_low = crack_in_two(seq_array, 0, len(seq_array), low)
+    pos_high = crack_in_two(seq_array, pos_low, len(seq_array), high)
     three_array = _fresh(values)
-    t_low, t_high, _ = crack_in_three(
+    t_low, t_high = crack_in_three(
         three_array, 0, len(three_array), low, high
     )
     assert (t_low, t_high) == (pos_low, pos_high)

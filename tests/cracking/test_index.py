@@ -187,33 +187,17 @@ def test_select_with_a_pivot_bound_is_two_ensure_cuts(
 
 
 def test_pivot_hits_reach_a_plain_clock_as_charges(small_column):
-    """Every clock is handed pivot hits through ``charge_probes``; a
-    clock that spells it as the ``Clock`` protocol defines it, one
-    binary-search ``charge()`` per probe, sees exactly those events."""
-
-    class Recorder:
-        def __init__(self) -> None:
-            self.charges: list[CostCharge] = []
-
-        def now(self) -> float:
-            return 0.0
-
-        def charge(self, charge: CostCharge) -> float:
-            self.charges.append(charge)
-            return 0.0
-
-        def charge_probes(self, n: int, count: int) -> None:
-            for _ in range(count):
-                self.charge(CostCharge.for_binary_search(n))
-
-        def sleep(self, seconds: float) -> None:
-            raise AssertionError("an index never sleeps")
-
-    clock = Recorder()
+    """A pivot hit is one binary search over the pieces and nothing
+    else: three of them add three probes' counters to the clock's
+    total and move it by their price."""
+    clock = SimClock()
     index = CrackerIndex(small_column, clock=clock)
     index.select_range(10_000_000.0, 30_000_000.0)
-    del clock.charges[:]
+    before, start = CostCharge(), clock._now
+    before += clock.total_charge
     index.select_range(10_000_000.0, 30_000_000.0)
     index.ensure_cut(10_000_000.0)
-    probe = CostCharge.for_binary_search(index.piece_count)
-    assert clock.charges == [probe, probe, probe]
+    steps = index.piece_count.bit_length()
+    before += CostCharge(comparisons=3 * steps, seeks=3)
+    assert clock.total_charge == before
+    assert clock._now - start == 3 * clock.model.search_ps(index.piece_count)

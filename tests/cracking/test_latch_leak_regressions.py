@@ -89,7 +89,7 @@ def test_batch_kernels_are_exact_beyond_2_53():
     values = [B + 3, B + 5, B + 5, B + 3]
     array = np.array(values, dtype=np.int64)
     # Promoted, B+3 rounds to B+4 and would not count below it.
-    splits, _ = crack_in_two_batch(array, [(0, 2, B + 4), (2, 4, B + 4)])
+    splits = crack_in_two_batch(array, [(0, 2, B + 4), (2, 4, B + 4)])
     assert splits == [1, 3]
     assert array.tolist() == [B + 3, B + 5, B + 3, B + 5]
     array = np.array(values, dtype=np.int64)
@@ -101,7 +101,7 @@ def test_batch_kernels_are_exact_beyond_2_53():
 
 def test_split_sorted_piece_is_exact_beyond_2_53():
     array = np.array([B + 1, B + 3, B + 5], dtype=np.int64)
-    split, _ = split_sorted_piece(array, 0, 3, B + 4)
+    split = split_sorted_piece(array, 0, 3, B + 4)
     # First element >= B+4 is B+5 at index 2.  The promoted search saw
     # [B, B+4, B+4] and answered 1.
     assert split == 2
@@ -109,7 +109,7 @@ def test_split_sorted_piece_is_exact_beyond_2_53():
 
 def test_crack_multi_is_exact_beyond_2_53():
     array = np.array([B + 5, B + 1, B + 3, B - 2], dtype=np.int64)
-    splits, _ = crack_multi(array, 0, 4, [B + 4])
+    splits = crack_multi(array, 0, 4, [B + 4])
     assert splits == [3]
     assert sorted(array[: splits[0]].tolist()) == [B - 2, B + 1, B + 3]
     assert array[splits[0]] == B + 5

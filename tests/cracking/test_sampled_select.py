@@ -133,12 +133,12 @@ def _kernels(pivots):
         return [*first, half, *second]
 
     return {
-        "crack_in_two": lambda a: [crack_in_two(a, 0, len(a), low)[0]],
+        "crack_in_two": lambda a: [crack_in_two(a, 0, len(a), low)],
         "crack_in_three": lambda a: list(
-            crack_in_three(a, 0, len(a), low, high)[:2]
+            crack_in_three(a, 0, len(a), low, high)
         ),
         "crack_spans_batch": spans,
-        "crack_multi": lambda a: crack_multi(a, 0, len(a), pivots)[0],
+        "crack_multi": lambda a: crack_multi(a, 0, len(a), pivots),
     }
 
 
@@ -220,7 +220,7 @@ def test_every_branch_is_taken_and_exact(monkeypatch, array, pivots, branch):
     with mock.patch.object(engine, "SAMPLE_THRESHOLD", 1 << 30):
         reference_splits = crack_multi(
             reference, 0, len(reference), list(pivots)
-        )[0]
+        )
     cracked = array.copy()
     kernel = _kernels(list(pivots))[
         "crack_in_two" if len(pivots) == 1 else "crack_in_three"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.cracking.engine import crack_in_three, crack_spans_batch
 from repro.cracking.index import CrackerIndex
 from repro.errors import CrackerError, QueryError
-from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.dtypes import normalise_range
 from repro.storage.loader import generate_uniform_column
@@ -26,13 +25,11 @@ def _pair(rows: int = 1500, seed: int = 0):
 
 
 def _begin(index: CrackerIndex, bounds):
-    """A window's replay context over normalised ``bounds``, bound to a
-    fresh window accountant on the index's clock; returns ``(context,
-    accountant)``."""
+    """A window's replay context over normalised ``bounds``, bound to
+    the index's clock."""
     context = index.begin_select_batch(bounds)
-    accountant = WindowAccountant(index.clock)
-    context.bind(accountant)
-    return context, accountant
+    context.bind(index.clock)
+    return context
 
 
 def _assert_identical(sequential: CrackerIndex, batched: CrackerIndex):
@@ -84,19 +81,18 @@ def test_select_batch_replay_equals_sequential_selects(seed, rows):
             normalise_range(batched.piece_map.dtype, low, high)
             for low, high in ranges
         ]
-        context, accountant = _begin(
+        context = _begin(
             batched, [pair for pair in keys if pair is not None]
         )
         got, got_at = [], []
         for pair in keys:
             if pair is None:
                 # An empty range: the per-query overhead alone.
-                accountant.charge_query()
+                batched.clock.charge_query()
                 got.append(context.empty())
             else:
                 got.append(context.replay_query(*pair))
-            got_at.append(accountant.now)
-        accountant.finish()
+            got_at.append(batched.clock._now)
         assert got_at == expected_at
         context.check_consistent()
         for view_a, view_b in zip(expected, got):
@@ -111,10 +107,9 @@ def test_begin_select_batch_rejects_inverted_ranges():
 
 
 def _replayed(index: CrackerIndex, bounds):
-    context, accountant = _begin(index, bounds)
+    context = _begin(index, bounds)
     for pair in bounds:
         context.replay_query(*pair)
-    accountant.finish()
     return context
 
 
@@ -203,12 +198,12 @@ def test_replay_cache_reuse_and_invalidation():
     foreground crack between windows each force a new snapshot."""
     _, batched = _pair(rows=1200, seed=3)
     ranges = [(100, 900), (2000, 2600)]
-    context, _ = _begin(batched, ranges)
+    context = _begin(batched, ranges)
     for low, high in ranges:
         context.replay_query(low, high)
     assert context.is_complete
     cached_sim = context.sim
-    follow_up, _ = _begin(batched, [(3000, 3500)])  # a fresh bound
+    follow_up = _begin(batched, [(3000, 3500)])  # a fresh bound
     assert follow_up.sim is cached_sim  # reused, no snapshot
     follow_up.replay_query(3000, 3500)
     converged = [(100, 3000), (900, 3500)]
@@ -221,7 +216,7 @@ def test_replay_cache_reuse_and_invalidation():
     again.check_consistent()
     # A foreground crack invalidates the cached shadow map.
     batched.ensure_cut(4321)
-    third, _ = _begin(batched, [(4500, 4600)])
+    third = _begin(batched, [(4500, 4600)])
     assert third.sim is not again.sim
     third.replay_query(4500, 4600)
     third.check_consistent()
@@ -237,9 +232,8 @@ def test_converged_window_answers_views_of_a_widened_array():
     assert batched.values.dtype == np.int32
     batched.ensure_values_fit(np.array([2**40]))
     assert batched.values.dtype == np.int64
-    context, accountant = _begin(batched, [(100, 700)])
+    context = _begin(batched, [(100, 700)])
     view = context.replay_query(100, 700)
-    accountant.finish()
     assert view.values().dtype == np.int64
     assert np.shares_memory(view.values(), batched.values)
     assert sorted(view.values().tolist()) == sorted(
@@ -268,21 +262,21 @@ def test_converged_select_answers_views_of_a_widened_array():
 
 def test_incomplete_replay_is_not_reused():
     _, batched = _pair(rows=800, seed=5)
-    context, _ = _begin(batched, [(100, 200), (300, 400)])
+    context = _begin(batched, [(100, 200), (300, 400)])
     context.replay_query(100, 200)  # second entry never replayed
     assert not context.is_complete
-    fresh, _ = _begin(batched, [(500, 600)])
+    fresh = _begin(batched, [(500, 600)])
     assert fresh.sim is not context.sim
 
 
 def test_warm_view_cache_shares_objects_and_survives_windows():
     _, batched = _pair(rows=1000, seed=9)
-    context, _ = _begin(batched, [(100, 700)] * 3)
+    context = _begin(batched, [(100, 700)] * 3)
     context.replay_query(100, 700)  # cracks: fresh bounds
     second = context.replay_query(100, 700)  # warm: both pivots
     third = context.replay_query(100, 700)
     assert third is second  # identical warm slice -> one view object
-    again, _ = _begin(batched, [(100, 700)])
+    again = _begin(batched, [(100, 700)])
     assert again.replay_query(100, 700) is second
 
 
@@ -290,7 +284,7 @@ def test_consistency_check_covers_the_shadow_cut_of():
     """A converged read is decided by the shadow's ``cut_of``, so the
     replay's consistency check holds it to the pivot list too."""
     _, batched = _pair(rows=1000, seed=9)
-    context, _ = _begin(batched, [(100, 700), (100, 700)])
+    context = _begin(batched, [(100, 700), (100, 700)])
     context.replay_query(100, 700)
     context.replay_query(100, 700)
     context.check_consistent()
@@ -312,7 +306,7 @@ def test_crack_spans_batch_matches_crack_in_three():
         low = float(rng.uniform(0, 10_000))
         high = low if rng.random() < 0.4 else low + float(rng.uniform(0, 3000))
         tasks.append((start, end, low, high))
-        pos_low, pos_high, _charge = crack_in_three(
+        pos_low, pos_high = crack_in_three(
             reference, start, end, low, high
         )
         expected.append((pos_low, pos_high))

@@ -39,31 +39,31 @@ PENDING_CALLS = {"outside": 12, "inside": 14}
 
 #: Python-level calls of one ``Session.run_query`` per strategy whose
 #: two fresh bounds fall in one piece of a cracked column: one
-#: crack-in-three, priced through a ``CostCharge`` and counted once on
-#: the tape.
-FRESH_CALLS = {"holistic": 31, "adaptive": 30}
+#: crack-in-three, priced by one clock event and counted once on the
+#: tape.
+FRESH_CALLS = {"holistic": 28, "adaptive": 27}
 
 #: Python-level calls of one ``Session.run_query`` per strategy whose
 #: two fresh bounds fall in two different pieces: both bounds located
 #: in one call, the column's copy checked once, two cracks, each
 #: priced and logged on its own.
-TWO_PIECE_CALLS = {"holistic": 43, "adaptive": 42}
+TWO_PIECE_CALLS = {"holistic": 35, "adaptive": 34}
 
 #: Python-level calls of one idle action of the ``ranked`` policy on an
 #: 8-column table whose columns were all queried: the ranking scores
 #: every column, the tuner cracks the best one once.
-RANKED_IDLE_CALLS = 94
+RANKED_IDLE_CALLS = 90
 
 #: The same for the ``round_robin`` policy, which takes the next
 #: column without scoring any, and for ``weighted_random``, which
 #: draws a column by its weight.
-ROUND_ROBIN_IDLE_CALLS = 59
-WEIGHTED_RANDOM_IDLE_CALLS = 112
+ROUND_ROBIN_IDLE_CALLS = 55
+WEIGHTED_RANDOM_IDLE_CALLS = 108
 
 #: Python-level calls of the first ``Session.run_query`` on a column,
 #: by row count: the index is built (the column copied, narrowed to
 #: int32) and cracked at both bounds.
-FIRST_TOUCH_CALLS = {10_000: 62, 1_000_000: 73}
+FIRST_TOUCH_CALLS = {10_000: 56, 1_000_000: 67}
 
 #: Python-level calls of one converged holistic ``Session.run_batch``
 #: with pending rows in every range, by (reads, columns): the window
@@ -73,8 +73,8 @@ WINDOW_CALLS = {(1, 1): 16, (4, 2): 58}
 #: Python-level calls of one converged served window on the holistic
 #: kernel, by (reads, clients): the front-end deals the window to the
 #: clients' lanes in one pass, and each lane replays its share through
-#: the lanes' window loop, ``Session.run_window``.
-SERVED_CALLS = {(32, 4): 213, (4, 1): 37}
+#: the lanes' window loop, ``Session.run_window``, on its own clock.
+SERVED_CALLS = {(32, 4): 201, (4, 1): 34, (64, 8): 389}
 
 
 #: Python-level calls of one 16-row write batch on a column whose
@@ -220,7 +220,7 @@ def test_unranked_idle_action_cost_is_bounded(policy, budget):
 )
 def test_idle_action_calls_do_not_grow_with_catalog_width():
     """One ``ranked`` idle action at 256 columns makes at most 1.5x
-    the calls of one at 8 columns (1,582 against 94 today: the ranking
+    the calls of one at 8 columns (1,578 against 90 today: the ranking
     scores every column on every action)."""
 
     def calls(width: int) -> int:
@@ -363,9 +363,9 @@ def test_converged_window_cost_is_bounded():
 
 
 def _share(client: int, clients: int, reads: int) -> list[RangeQuery]:
-    """Client ``client``'s share of a converged window: ``reads``
-    distinct grid ranges over both columns, disjoint from the other
-    clients' shares."""
+    """Client ``client``'s share of a converged window: ``reads`` grid
+    ranges over both columns, strided across the clients (a range
+    repeats once ``reads * clients`` passes the grid's 48)."""
     grid = _grid()
     return [
         grid[(client + clients * k) * 7 % len(grid)] for k in range(reads)
@@ -429,21 +429,43 @@ def test_converged_served_window_cost_is_bounded(shape):
 
 
 def test_wall_clock_session_tallies_what_a_sim_clock_prices():
-    """``WallClock.charge_query``/``charge_probes``/
-    ``charge_pending_merge`` only count, like its ``charge``; the
-    counters end equal to a ``SimClock``'s over the same
-    cold-then-converged stream, with pending rows in range."""
-    sim = _session(SimClock(TINY.cost_model()))
-    wall = _session(WallClock())
-    for session in (sim, wall):
-        session.db.table("R").updates_for("A1").stage_inserts(
+    """A ``WallClock`` runs the ``SimClock``'s event methods at zero
+    prices: it only counts, and its counters end equal to a
+    ``SimClock``'s over the same stream: an idle action after a cold
+    read, a cold-then-converged grid with pending rows in range, fresh
+    cracks inside converged pieces and a served lane's window.  A
+    lane's clock is a ``SimClock`` on either side, so it ends at the
+    same reading.  Both sides plan with the default cost model, the
+    one a ``WallClock`` database gets."""
+    tallies = []
+    for clock in (SimClock(), WallClock()):
+        db = Database(clock=clock)
+        db.add_table(build_paper_table(rows=40_000, columns=2, seed=5))
+        session = db.session("holistic")
+        db.table("R").updates_for("A1").stage_inserts(
             [int(query.low) + 1 for query in _grid()]
         )
+        session.run_query(_grid()[0])
+        assert session.idle(actions=1).actions_done == 1
         for _ in range(3):
             for query in _grid():
                 session.run_query(query)
-    assert sim.clock.total_charge.queries == 3 * len(_grid())
-    assert wall.clock.total_charge == sim.clock.total_charge
+        for query in _grid(("A1",)):
+            session.run_query(
+                RangeQuery(query.ref, query.low + 1e5, query.high - 1e5)
+            )
+        frontend = ServingFrontend(session.db, session.strategy)
+        frontend.add_client("c0", _grid(("A2",))[::3])
+        frontend.run()
+        lane = frontend.lanes["c0"].clock
+        tallies.append(
+            (clock.total_charge, lane.total_charge, lane.now(), clock._now)
+        )
+    sim, wall = tallies
+    assert sim[0].queries == 3 * len(_grid()) + len(_grid(("A1",))) + 1
+    assert sim[0].cracks > 2 * len(_grid()) and sim[1].queries == 8
+    assert wall[:3] == sim[:3]
+    assert wall[3] == 0 < sim[3]
 
 
 def _converged():

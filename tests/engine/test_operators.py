@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cracking.index import CrackerIndex
 from repro.engine.operators import apply_pending, scan_select
-from repro.simtime.accounting import WindowAccountant
 from repro.simtime.clock import SimClock
 from repro.storage.column import Column
 from repro.storage.dtypes import FLOAT64, INT32, INT64, normalise_range
@@ -151,7 +150,6 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
 
     sequential_clock = SimClock()
     batch_clock = SimClock()
-    accountant = WindowAccountant(batch_clock)
     overlaps = window.overlaps
     for slot, (low, high) in enumerate(bounds):
         base = scan_select(values, low, high, SimClock())
@@ -159,13 +157,12 @@ def test_pending_window_matches_sequential_apply_pending(tiny_db, a1):
             base, pending, low, high, sequential_clock
         )
         if overlaps[slot]:
-            got = window.apply(slot, base, accountant)
+            got = window.apply(slot, base, batch_clock)
         else:
             got = base
         assert sorted(got.values().tolist()) == sorted(
             expected.values().tolist()
         )
-    accountant.finish()
     assert repr(batch_clock.now()) == repr(sequential_clock.now())
     assert batch_clock.total_charge == sequential_clock.total_charge
 
@@ -288,7 +285,6 @@ def test_table_store_overlay_matches_reference_multiset(
     ]
     window = planned_probe(pending, bounds)
     sequential_clock, batch_clock = SimClock(), SimClock()
-    accountant = WindowAccountant(batch_clock)
     for slot, ((low, high), pair) in enumerate(zip(bounds, keys)):
         reference = sorted(v for v in alive if low <= v < high)
         selected = np.array(
@@ -302,7 +298,7 @@ def test_table_store_overlay_matches_reference_multiset(
             moved = apply_pending(base, pending, *pair, SimClock())
         batched = base
         if window.active and window.overlaps[slot]:
-            batched = window.apply(slot, base, accountant)
+            batched = window.apply(slot, base, batch_clock)
         assert (batched is base) == (view is base), (low, high)
         assert view.count == len(reference), (low, high)
         assert sorted(view.values().tolist()) == reference, (low, high)
@@ -311,7 +307,6 @@ def test_table_store_overlay_matches_reference_multiset(
         selected[:] = selected[::-1].copy()  # what a crack inside does
         assert moved.count == len(reference)
         assert sorted(moved.values().tolist()) == reference, (low, high)
-    accountant.finish()
     assert repr(batch_clock.now()) == repr(sequential_clock.now())
     assert batch_clock.total_charge == sequential_clock.total_charge
 
@@ -399,9 +394,7 @@ def test_select_behind_a_table_store_does_not_read_the_result(
     assert apply_pending(spy, pending, low, high, clock).count == expected
     window = planned_probe(pending, [(low, high)])
     batch_clock = SimClock()
-    accountant = WindowAccountant(batch_clock)
-    assert window.apply(0, spy, accountant).count == expected
-    accountant.finish()
+    assert window.apply(0, spy, batch_clock).count == expected
     assert batch_clock.total_charge == clock.total_charge
     # The reader pays the one scan, and gets the reference multiset.
     base = scan_select(small_column.values, low, high, SimClock())

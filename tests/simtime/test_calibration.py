@@ -17,7 +17,11 @@ from repro.simtime.costs import (
     PAPER_SCAN_TOTAL_S,
     PAPER_SORT_S,
 )
-from repro.simtime.model import CostModel
+from repro.simtime.model import PS_PER_S, CostModel
+
+
+def _seconds(model: CostModel, charge: CostCharge) -> float:
+    return model.picoseconds(charge) / PS_PER_S
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +68,8 @@ def test_anchor_adaptive_total_analytic(model):
     n, q = PAPER_COLUMN_ROWS, PAPER_QUERY_COUNT
     harmonic = sum(1.0 / k for k in range(2, q + 2))
     moved = 2.0 * n * harmonic
-    total = model.seconds(
+    total = _seconds(
+        model,
         CostCharge(
             elements_cracked=int(moved),
             elements_materialized=n,  # first-touch column copy

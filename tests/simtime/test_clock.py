@@ -42,11 +42,11 @@ def test_sim_clock_rejects_negative_sleep():
 
 def test_clock_state_round_trips_exactly_from_a_parallel_phase():
     clock = SimClock(TINY.cost_model())
-    clock.charge(CostCharge.for_crack(1234))
+    clock.charge_crack(1234, 1)
     clock.sleep(3.3e-7)
     base = clock._now
     clock.begin_parallel()
-    clock.charge(CostCharge.for_scan(99))
+    clock.charge_scan(99, 0)
     state = clock.state_dict()
     clock.end_parallel()
     # Captured inside the phase: the phase's base, not the lane.

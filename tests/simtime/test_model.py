@@ -7,12 +7,16 @@ import pytest
 from repro.config import scale_by_name, available_scales
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
-from repro.simtime.model import CostModel, projection_scale
+from repro.simtime.model import PS_PER_S, CostModel, projection_scale
+
+
+def _seconds(model: CostModel, charge: CostCharge) -> float:
+    return model.picoseconds(charge) / PS_PER_S
 
 
 def test_scan_pricing_matches_constants():
     model = CostModel()
-    seconds = model.seconds(CostCharge(elements_scanned=1_000_000))
+    seconds = _seconds(model, CostCharge(elements_scanned=1_000_000))
     expected = 1_000_000 * model.constants.scan_ns_per_element / 1e9
     assert seconds == pytest.approx(expected)
 
@@ -20,7 +24,7 @@ def test_scan_pricing_matches_constants():
 def test_sort_pricing_uses_n_log_n():
     model = CostModel()
     n = 1 << 20
-    seconds = model.seconds(CostCharge(elements_sorted=n))
+    seconds = _seconds(model, CostCharge(elements_sorted=n))
     expected = (
         model.constants.sort_ns_per_element_log * n * math.log2(n) / 1e9
     )
@@ -31,8 +35,8 @@ def test_scale_projects_element_counts_linearly():
     base = CostModel(scale=1.0)
     projected = CostModel(scale=100.0)
     charge = CostCharge(elements_scanned=10_000)
-    assert projected.seconds(charge) == pytest.approx(
-        100.0 * base.seconds(charge)
+    assert _seconds(projected, charge) == pytest.approx(
+        100.0 * _seconds(base, charge)
     )
 
 
@@ -41,18 +45,18 @@ def test_scale_projects_sort_superlinearly():
     projected = CostModel(scale=100.0)
     charge = CostCharge(elements_sorted=10_000)
     # N log N: 100x the elements must cost more than 100x the time.
-    assert projected.seconds(charge) > 100.0 * base.seconds(charge)
+    assert _seconds(projected, charge) > 100.0 * _seconds(base, charge)
 
 
 def test_comparisons_are_not_scaled():
     base = CostModel(scale=1.0)
     projected = CostModel(scale=100.0)
     charge = CostCharge(comparisons=50, seeks=2, queries=1)
-    assert projected.seconds(charge) == pytest.approx(base.seconds(charge))
+    assert _seconds(projected, charge) == pytest.approx(_seconds(base, charge))
 
 
 def test_zero_charge_costs_nothing():
-    assert CostModel().seconds(CostCharge()) == 0.0
+    assert _seconds(CostModel(), CostCharge()) == 0.0
 
 
 def test_invalid_scale_rejected():

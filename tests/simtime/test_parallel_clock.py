@@ -7,7 +7,11 @@ import pytest
 from repro.errors import ConfigError
 from repro.simtime.charge import CostCharge
 from repro.simtime.clock import ParallelAccount, SimClock, WallClock
-from repro.simtime.model import CostModel
+from repro.simtime.model import PS_PER_S, CostModel
+
+
+def _seconds(model: CostModel, charge: CostCharge) -> float:
+    return model.picoseconds(charge) / PS_PER_S
 
 
 def _charge_seconds(clock, elements):
@@ -38,11 +42,11 @@ def test_phase_advances_by_max_lane():
     for t in threads:
         t.join()
     account = clock.end_parallel()
-    expected_max = CostModel().seconds(
-        CostCharge(elements_scanned=4_000_000)
+    expected_max = _seconds(
+        CostModel(), CostCharge(elements_scanned=4_000_000)
     )
-    expected_sum = CostModel().seconds(
-        CostCharge(elements_scanned=5_000_000)
+    expected_sum = _seconds(
+        CostModel(), CostCharge(elements_scanned=5_000_000)
     )
     assert account.elapsed_s == pytest.approx(expected_max)
     assert account.busy_s == pytest.approx(expected_sum)

@@ -54,6 +54,17 @@ def test_stage_deletes_refuses_a_fractional_position(pending):
     assert pending.stage_deletes([1], [20]) == 1
 
 
+def test_stage_deletes_refuses_a_boolean_position(pending):
+    """A boolean names no row either: ``True`` is refused, not taken
+    as row 1, and nothing is staged."""
+    for positions in ([True], np.array([False, True])):
+        with pytest.raises(SchemaError, match="boolean"):
+            pending.stage_deletes(positions, [20] * len(positions))
+    assert pending.pending_delete_count == 0
+    assert pending.delete_positions.tolist() == []
+    assert pending.stage_deletes([1], [20]) == 1
+
+
 def test_deletes_in_range(pending):
     pending.stage_deletes([0, 1, 2], [10, 20, 30])
     assert pending.deletes_in_range(15, 35).tolist() == [20, 30]

@@ -957,7 +957,6 @@ def test_signed_zero_rows_delete_and_nan_rows_do_not() -> None:
 
 def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
     from repro.engine.operators import apply_pending
-    from repro.simtime.accounting import WindowAccountant
     from repro.simtime.clock import SimClock
     from repro.storage.views import MaterializedResult
 
@@ -973,7 +972,6 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
         pending.pending_insert_count or pending.pending_delete_count
     )
     sequential_clock, batch_clock = SimClock(), SimClock()
-    accountant = WindowAccountant(batch_clock)
     for slot, pair in enumerate(keys):
         # Every delete is a base row, as the engine guarantees.
         base = MaterializedResult(deletes.copy())
@@ -985,10 +983,9 @@ def _window_vs_sequential(ctype, dtype, inserts, deletes, bounds) -> None:
         )
         got = base
         if window.active and window.overlaps[slot]:
-            got = window.apply(slot, base, accountant)
+            got = window.apply(slot, base, batch_clock)
         assert (got is base) == (want is base), pair
         assert got.values().tolist() == want.values().tolist(), pair
-    accountant.finish()
     assert repr(batch_clock.now()) == repr(sequential_clock.now())
     assert batch_clock.total_charge == sequential_clock.total_charge
 
