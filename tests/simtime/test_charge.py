@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simtime.charge import CostCharge
+from repro.simtime.clock import SimClock
 
 
 def test_default_charge_is_zero():
@@ -24,6 +25,23 @@ def test_addition_leaves_operands_untouched():
     a += b
     assert a.elements_scanned == 8
     assert b.elements_scanned == 3
+
+
+def test_for_binary_search_scales_with_log():
+    """A binary-search probe counts one comparison per bit of the
+    searched size and one seek, whatever the size."""
+    small, large = SimClock(), SimClock()
+    small.charge_probes(16, 1)
+    large.charge_probes(1 << 20, 1)
+    assert small.total_charge.comparisons < large.total_charge.comparisons
+    assert small.total_charge.seeks == large.total_charge.seeks == 1
+
+
+def test_for_binary_search_handles_degenerate_sizes():
+    for n in (0, 1):
+        clock = SimClock()
+        clock.charge_probes(n, 1)
+        assert clock.total_charge.comparisons >= 1
 
 
 def test_inplace_addition_accumulates():

@@ -5,9 +5,9 @@ delete (at least one) plus ``m`` materialized rows.
 
 The converged select prices its per-query overhead, its piece-map
 probes and a pending-row merge in place instead of building a
-:class:`CostCharge` per event;
-every reading the clock can give must stay bit-identical to the
-per-event path.
+:class:`CostCharge` per event; every reading the clock can give must
+stay bit-identical to the per-event path, also after the clock's
+state is restored or its model replaced between events.
 """
 
 import threading
@@ -50,7 +50,11 @@ def _replay(clock: SimClock, events, in_place: bool) -> None:
                 clock.charge_probes(n, count)
             else:
                 for _ in range(count):
-                    clock.charge(CostCharge.for_binary_search(n))
+                    clock.charge(
+                        CostCharge(
+                            comparisons=max(1, n.bit_length()), seeks=1
+                        )
+                    )
         elif kind == "query":
             if in_place:
                 clock.charge_query()
