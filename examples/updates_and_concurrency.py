@@ -7,9 +7,10 @@ implemented in this library:
 * trickle inserts/deletes staged in delta stores and overlaid on a
   query's result when it touches their value range -- the cracker
   column itself is never rebuilt;
-* piece-level latching for concurrent cracking: background tuning
-  workers crack the column while foreground queries read and crack
-  it, each under the latches of the pieces it restructures.
+* piece-level latching for concurrent cracking: in an idle window,
+  tuning workers crack the columns side by side, each under the
+  latches of the pieces it restructures, and the queries that follow
+  read the refined index.
 
 Run:  python examples/updates_and_concurrency.py
 """
@@ -53,29 +54,30 @@ def updates_demo() -> None:
 
 
 def concurrency_demo() -> None:
-    print("\n=== concurrency: tuning workers racing live queries ===")
+    print("\n=== concurrency: tuning workers draining an idle window ===")
     db = Database(clock=SimClock(SCALE.cost_model()))
     db.add_table(build_paper_table(rows=SCALE.rows, columns=1, seed=3))
     session = db.session("holistic", num_workers=2)
     values = db.column("R", "A1").values
-
-    # The workers crack A1 in the background while queries crack it
-    # in the foreground; both sides latch the pieces they split.
-    session.start_background_tuning(200)
     rng = np.random.default_rng(0)
     wrong = 0
-    for _ in range(50):
-        low = float(rng.uniform(1, 9e7))
-        result = session.select("R", "A1", low, low + 1e6)
-        expected = np.count_nonzero((values >= low) & (values < low + 1e6))
-        wrong += result.count != expected
-    session.finish_background_tuning()
+    for burst in range(5):
+        for _ in range(10):
+            low = float(rng.uniform(1, 9e7))
+            result = session.select("R", "A1", low, low + 1e6)
+            expected = np.count_nonzero(
+                (values >= low) & (values < low + 1e6)
+            )
+            wrong += result.count != expected
+        # Between bursts the two workers split A1's planned cracks at
+        # piece boundaries and apply them side by side; the window
+        # ends when both are done, before the next query runs.
+        record = session.idle(actions=40)
+        print(f"idle window {burst}: {record.note}")
 
     index = session.strategy.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
-    print(f"50 queries raced 200 background cracks, {wrong} wrong answers")
-    # The latch-stall count (index.tape.stall_count()) depends on
-    # thread timing, so it is not printed.
+    print(f"50 queries between 5 worker windows, {wrong} wrong answers")
     print(f"index ended consistent with {index.piece_count} pieces")
 
 

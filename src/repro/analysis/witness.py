@@ -15,12 +15,13 @@ witness is enabled:
 * same-group multi-acquisitions must take piece keys in ascending
   order (the sorted-key protocol of
   :meth:`~repro.cracking.concurrency.PieceLatchTable.write_pieces`);
-* :class:`~repro.cracking.index.CrackerIndex` mutation entry points
-  call :func:`mutation_check`, which asserts that the calling thread
-  holds the covering piece write latch (or the whole-table latch) for
-  every index that has been *armed* -- armed meaning a
-  :class:`~repro.holistic.workers.TuningWorkerPool` is actively racing
-  it, which is exactly when an unlatched mutation is a data race.
+* the :class:`~repro.cracking.index.CrackerIndex` mutation entry
+  points a tuning worker reaches call :func:`mutation_check`, which
+  asserts that the calling thread holds the covering piece write latch
+  (or the whole-table latch) for every index that has been *armed* --
+  armed meaning a :class:`~repro.holistic.workers.TuningWorkerPool` is
+  running on it, which is exactly when an unlatched mutation is a data
+  race between workers.
 
 Design constraints mirror :mod:`repro.faults`: with no witness enabled
 the hooks cost one module-global read and a ``None`` check, so
@@ -347,8 +348,8 @@ def enabled(strict: bool = False) -> Iterator[LatchWitness]:
 def arm(index: "CrackerIndex", table: "PieceLatchTable") -> None:
     """Start enforcing latched mutation on ``index``.
 
-    Called by the worker pool when it starts racing an index; a no-op
-    unless a witness is enabled.
+    Called by the worker pool when it starts running on an index; a
+    no-op unless a witness is enabled.
     """
     if _active is None:
         return

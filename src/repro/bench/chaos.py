@@ -17,7 +17,8 @@ self-healing kernel, stated as three machine-checkable gates:
 Scenario families:
 
 * ``serving/*`` -- the multi-client serving loop (2 oracle lanes, a
-  holistic kernel) under worker crashes (supervised restart), repeated
+  holistic kernel; with workers, an idle window they drain after every
+  served window) under worker crashes (supervised restart), repeated
   crashes driving column quarantine, latch timeouts, poison replays
   (solo retry, then base-column scan fallback) and malformed queries
   smuggled past validation by a third "chaos" client;
@@ -78,9 +79,9 @@ QUICK_OPS = 240
 _COLUMNS = ("A1", "A2", "A3")
 _WINDOW = 24
 _CLIENTS = 2
-#: Tuning actions submitted per served window while workers race, plus
-#: a tail batch before drain -- keeps workers busy for the whole trace
-#: so armed worker/latch fault hits are certain to occur.
+#: Tuning actions of the idle window after every served window, plus
+#: a tail window -- keeps workers busy for the whole trace so armed
+#: worker/latch fault hits are certain to occur.
 _PUMP_ACTIONS = 8
 _TAIL_ACTIONS = 64
 #: Inject one malformed entry every Nth window in the malformed
@@ -151,28 +152,26 @@ def _serving_scenario(
     plan = FaultPlan(seed=seed)
     if arm is not None:
         arm(plan)
-    pump = (lambda: kernel.submit_tuning(_PUMP_ACTIONS)) if workers else None
+    pump = (
+        (lambda: kernel.exploit_idle(actions=_PUMP_ACTIONS))
+        if workers
+        else None
+    )
     with engaged(plan):
+        run = replay_serving(
+            db,
+            frontend,
+            trace,
+            expected,
+            reference,
+            clients=_CLIENTS,
+            window=_WINDOW,
+            label=name,
+            malform_every=malform_every,
+            pump=pump,
+        )
         if workers:
-            kernel.start_workers()
-        try:
-            run = replay_serving(
-                db,
-                frontend,
-                trace,
-                expected,
-                reference,
-                clients=_CLIENTS,
-                window=_WINDOW,
-                label=name,
-                malform_every=malform_every,
-                pump=pump,
-            )
-        finally:
-            if workers:
-                kernel.submit_tuning(_TAIL_ACTIONS)
-                kernel.drain_workers()
-                kernel.stop_workers()
+            kernel.exploit_idle(actions=_TAIL_ACTIONS)
     detail: dict[str, object] = {
         "client_faults": [
             {

@@ -9,9 +9,7 @@ inserts/deletes interleaved into the stream:
 * ``maintained/ripple``  -- ``MaintainedCrackerIndex``: delta stores
   physically consumed by ripple merges on every overlapping select;
 * ``holistic/serving``   -- the multi-client serving loop,
-  updates staged between windows;
-* ``holistic_workers/serving`` -- the same with ``num_workers>0``
-  tuning workers racing the serving loop.
+  updates staged between windows.
 
 Each mix also runs the naive sorted-array reference engine, and every
 engine run must reproduce the reference's per-query result multisets
@@ -70,7 +68,6 @@ _BATCH_SIZE = 16
 _BURST = 4
 _WINDOW = 24
 _CLIENTS = 2
-_TUNING_ACTIONS = 400
 
 
 def _fresh_db(rows: int, seed: int) -> Database:
@@ -130,31 +127,18 @@ def _run_mode(
         )
     elif mode == "maintained/ripple":
         run = replay_maintained(db, trace, expected, reference, name)
-    elif mode in ("holistic/serving", "holistic_workers/serving"):
-        workers = mode == "holistic_workers/serving"
-        options: dict[str, object] = {"seed": seed}
-        if workers:
-            options["num_workers"] = 2
-        kernel = make_strategy("holistic", db, **options)
-        frontend = ServingFrontend(db, kernel)
-        if workers:
-            kernel.start_workers()
-            kernel.submit_tuning(_TUNING_ACTIONS)
-        try:
-            run = replay_serving(
-                db,
-                frontend,
-                trace,
-                expected,
-                reference,
-                clients=_CLIENTS,
-                window=_WINDOW,
-                label=name,
-            )
-        finally:
-            if workers:
-                kernel.drain_workers()
-                kernel.stop_workers()
+    elif mode == "holistic/serving":
+        kernel = make_strategy("holistic", db, seed=seed)
+        run = replay_serving(
+            db,
+            ServingFrontend(db, kernel),
+            trace,
+            expected,
+            reference,
+            clients=_CLIENTS,
+            window=_WINDOW,
+            label=name,
+        )
     else:
         raise ValueError(f"unknown mixed mode {mode!r}")
     return oracle_scenario(
@@ -167,7 +151,6 @@ _MODES = (
     "adaptive/sequential",
     "maintained/ripple",
     "holistic/serving",
-    "holistic_workers/serving",
 )
 
 

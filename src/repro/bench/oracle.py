@@ -25,8 +25,8 @@ can take today:
   window's queries dealt across client lanes, each lane's share run
   through ``Session.run_window`` (the shared physical pass, then the
   replay of ``cracking/batch``) over its own
-  ``DetachedCrackReplay`` per column; tuning workers may race the
-  loop, started by the caller;
+  ``DetachedCrackReplay`` per column; the caller's ``pump`` may spend
+  an idle window between served windows;
 * :func:`replay_maintained` -- ``MaintainedCrackerIndex``, the ripple
   merge path that physically consumes the delta stores
   (``take_*_in_range`` + ``merge_inserts``/``merge_deletes``).
@@ -387,8 +387,8 @@ def replay_serving(
     ``clients`` lanes.  Two hooks serve ``bench chaos``:
     ``malform_every`` appends a malformed entry from a separate
     ``chaos`` client to every Nth window (its result must come back
-    empty); ``pump`` is called once per served window (used to keep
-    tuning workers fed).
+    empty); ``pump`` is called after every served window (an idle
+    window the tuning workers drain).
     """
     differ = _Differ(expected, reference, label)
     drive_trace(

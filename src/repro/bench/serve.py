@@ -9,9 +9,8 @@ Every serving scenario emits one *semantic fingerprint per client*
 (query/result totals, cumulative response time, lane clock reading and
 a hash of the client's piece-map trajectory) and the suite verifies
 each equals the fingerprint of that client's solo run -- the serving
-front-end's bit-for-bit invariant, with and without tuning workers
-racing the serving loop.  How fast serving is, is ``perfbench``'s
-question (``serve_clients``).
+front-end's bit-for-bit invariant.  How fast serving is, is
+``perfbench``'s question (``serve_clients``).
 
 Usage::
 
@@ -52,7 +51,7 @@ _SELECTIVITY = 0.001
 _GRID_POINTS = 320
 _GRID_FRACTION = 0.95
 
-_STRATEGIES = ("adaptive", "holistic", "holistic_workers")
+_STRATEGIES = ("adaptive", "holistic")
 
 
 def _workloads(clients: int, queries: int, seed: int) -> list[ClientWorkload]:
@@ -160,14 +159,7 @@ def _run_serve(
         )
         for workload in workloads
     }
-    workers = key == "holistic_workers"
-    if workers:
-        kernel.start_workers()
-        kernel.submit_tuning(clients * queries // 4)
     report = frontend.run()
-    if workers:
-        kernel.drain_workers()
-        kernel.stop_workers()
     return ScenarioResult(
         f"{key}/serve/clients{clients}",
         clients * queries,
@@ -189,12 +181,7 @@ def run_serve(
     client_counts: tuple[int, ...] | None = None,
     strategies: tuple[str, ...] = _STRATEGIES,
 ) -> dict[str, object]:
-    """Run the sweep once; return the JSON-ready document.
-
-    The ``holistic_workers`` serving scenario's per-client fingerprints
-    are compared against the plain ``holistic`` solo run: background
-    tuning must not move a single client's accounting.
-    """
+    """Run the sweep once; return the JSON-ready document."""
     if client_counts is None:
         client_counts = (
             QUICK_CLIENT_COUNTS if mode == "quick" else CLIENT_COUNTS
@@ -202,16 +189,9 @@ def run_serve(
     scenarios: dict[str, ScenarioResult] = {}
     equivalence: dict[str, bool] = {}
     for key in strategies:
-        solo_key = "holistic" if key == "holistic_workers" else key
         for clients in client_counts:
-            # One solo baseline per (strategy, client count), run even
-            # when only the workers variant is in the sweep.
-            solo = scenarios.get(f"{solo_key}/solo/clients{clients}")
-            if solo is None:
-                solo = _run_solo(
-                    solo_key, clients, rows, queries_per_client, seed
-                )
-                scenarios[solo.name] = solo
+            solo = _run_solo(key, clients, rows, queries_per_client, seed)
+            scenarios[solo.name] = solo
             serve = _run_serve(key, clients, rows, queries_per_client, seed)
             scenarios[serve.name] = serve
             equivalence[serve.name] = (

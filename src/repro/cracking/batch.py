@@ -264,7 +264,7 @@ class DetachedCrackReplay(CrackSelectBatch):
     This works because a crack's position is order independent: the cut
     for value ``v`` always lands at the number of elements ``< v``, no
     matter which other cracks -- from other clients, other windows, or
-    background tuning -- happen around it.  The physical union therefore
+    idle-time tuning -- happen around it.  The physical union therefore
     serves every client's solo piece boundaries, and the replay's
     charges (which depend only on the shadow's piece sizes and the
     order-independent positions) reproduce the solo charge stream

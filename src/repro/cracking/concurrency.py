@@ -4,14 +4,14 @@
 -- the paper's [7]) observes that cracking turns read-only selects into
 structural writers, and resolves it with short-lived latches on the
 pieces a select is about to crack.  This module is that protocol, used
-by real threads -- the parallel tuning workers of
-:mod:`repro.holistic.workers` and the queries racing them:
+by the parallel tuning workers of :mod:`repro.holistic.workers`, which
+share an idle window's indexes:
 
 * :class:`ReadWriteLatch` -- a condition-variable read/write latch that
   reports whether an acquisition had to wait (a *contention stall*);
-* :class:`PieceLatchTable` -- blocking read/write latches keyed by a
+* :class:`PieceLatchTable` -- blocking write latches keyed by a
   piece's start position, plus a table-level latch so whole-index
-  actions (rebuilds, served windows) can exclude piece-level traffic;
+  actions (a supervisor's rebuild) can exclude piece-level traffic;
 * :class:`LatchedCrackerAccess` -- a facade over one
   :class:`CrackerIndex` that latches the pieces an operation will
   restructure before running it, revalidating after acquisition
@@ -147,8 +147,8 @@ class PieceLatchTable:
 
     The latch for a piece is keyed by the piece's start position, so
     each piece has its own.  A table-level read/write latch layers on
-    top so whole-index operations (rebuilds, served windows) can
-    exclude all piece-level traffic without enumerating keys.
+    top so whole-index operations (a supervisor's rebuild) can exclude
+    all piece-level traffic without enumerating keys.
     """
 
     def __init__(
@@ -168,10 +168,8 @@ class PieceLatchTable:
         self.acquire_timeout_s = acquire_timeout_s
         self._latches: dict[int, ReadWriteLatch] = {}
         self._mutex = threading.Lock()
-        #: Table latches of *different* indexes may stack (the serving
-        #: frontend excludes workers from every column of a window at
-        #: once); the witness key orders those acquisitions, so owners
-        #: that stack tables must sort by it.
+        #: Orders table-latch acquisitions of *different* indexes for
+        #: the latch witness: owners that stack tables must sort by it.
         self.witness_key = witness_key
         self._table = ReadWriteLatch(
             witness_group="latch.table", witness_key=witness_key
@@ -227,22 +225,6 @@ class PieceLatchTable:
                 self.stats.releases += len(held)
 
     @contextmanager
-    def read_piece(self, key: int) -> Iterator[bool]:
-        """Read-latch one piece; yields True if the acquisition stalled."""
-        stalled = self._table.acquire_read()
-        try:
-            latch = self._latch(key)
-            stalled = latch.acquire_read() or stalled
-            try:
-                yield self._note(stalled)
-            finally:
-                latch.release_read()
-                with self._mutex:
-                    self.stats.releases += 1
-        finally:
-            self._table.release_read()
-
-    @contextmanager
     def exclusive(self) -> Iterator[bool]:
         """Latch the whole table (all pieces); yields True if stalled."""
         stalled = self._table.acquire_write()
@@ -257,9 +239,9 @@ class PieceLatchTable:
 class LatchedCrackerAccess:
     """Piece-latched access to one :class:`CrackerIndex` for threads.
 
-    Foreground queries and tuning workers go through this facade while
-    a worker pool is active: each operation latches the piece(s) it
-    may restructure, revalidates the piece location
+    Tuning workers go through this facade while a worker pool runs:
+    each operation latches the piece(s) it may restructure, revalidates
+    the piece location
     after acquisition (another thread's crack can move a value into a
     newly created piece with a different latch key) and only then runs
     the underlying index operation.  Stalls are reported to the index's
@@ -290,6 +272,10 @@ class LatchedCrackerAccess:
 
     def select_range(self, low: float, high: float) -> RangeView:
         """A cracking range select under piece latches.
+
+        No kernel path calls it, as no query runs beside tuning
+        workers; it stays because ``perfbench/layers.py`` names it
+        (ROADMAP item 1a).
 
         A :class:`~repro.errors.LatchTimeout` (real or injected) is
         transient: the attempt is counted as a contention stall and the

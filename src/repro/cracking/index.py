@@ -297,7 +297,6 @@ class CrackerIndex:
         value = self._pivot_key(value)
         index, start, end, at_pivot = self._pieces.locate(value)
         if not at_pivot:
-            witness.mutation_check(self, (start,), "ensure_cut")
             self._charge_copy_if_needed()
         return self._cut_located(value, index, start, end, at_pivot, origin)
 
@@ -321,9 +320,7 @@ class CrackerIndex:
         keys = [self._pivot_key(value) for value in values]
         copy_charged = self._copy_charged
         record = self._crack_pass(
-            np.array(keys, dtype=self._pieces.dtype),
-            "ensure_cuts",
-            piece_latched=True,
+            np.array(keys, dtype=self._pieces.dtype), "ensure_cuts"
         )
         clock, tape = self.clock, self.tape
         if record.fresh and not copy_charged and self.row_count:
@@ -396,11 +393,6 @@ class CrackerIndex:
                     self._array, self.ensure_cut(low), len(self._array)
                 )
             low_loc, high_loc = pieces.locate_pair(low, high)
-            witness.mutation_check(
-                self,
-                lambda: [loc[1] for loc in (low_loc, high_loc) if not loc[3]],
-                "select_range",
-            )
             low_index, start, end, low_pivot = low_loc
             # One bound at least is fresh: both pivots returned above.
             self._charge_copy_if_needed()
@@ -478,7 +470,6 @@ class CrackerIndex:
             self._crack_pass(
                 np.array(fresh, dtype=self._pieces.dtype),
                 "batched crack pass",
-                False,
             )
         context = CrackSelectBatch(self, sim, copy_charged, len(bounds))
         self._replay_cache = (self._pieces.version, context)
@@ -499,7 +490,7 @@ class CrackerIndex:
         """
         values = self._window_bounds(bounds)
         if len(values):
-            self._crack_pass(values, "batched crack pass", False)
+            self._crack_pass(values, "batched crack pass")
 
     def _window_bounds(self, bounds: list[tuple[Key, Key]]) -> np.ndarray:
         """Every bound a window's physical pass must see cut, in the
@@ -523,9 +514,7 @@ class CrackerIndex:
             if not low < high:
                 raise QueryError(f"range inverted: low={low} > high={high}")
 
-    def _crack_pass(
-        self, values: np.ndarray, what: str, piece_latched: bool
-    ) -> "CrackPass":
+    def _crack_pass(self, values: np.ndarray, what: str) -> "CrackPass":
         """Crack at every fresh value in ``values``, silently.
 
         Caller holds the lock; ``values`` are keys in the column's
@@ -536,12 +525,9 @@ class CrackerIndex:
         ``crack_multi`` the denser ones, and one
         :meth:`PieceMap.insert_cracks_bulk` splice records every cut.
         Nothing is charged or logged; the first crack marks the base
-        copy as made (the caller's accounting charges it).
-
-        ``piece_latched`` is the concurrency contract the witness
-        checks: a worker batch holds the write latches of exactly the
-        pieces it splits; a window (``False``) cracks across the whole
-        column under the table-level exclusive latch.
+        copy as made (the caller's accounting charges it).  The witness
+        checks that a worker batch holds the write latches of exactly
+        the pieces it splits.
         """
         pieces = self._pieces
         indices, starts, ends, at_pivot = pieces.locate_many(values)
@@ -559,11 +545,7 @@ class CrackerIndex:
         cut_points = np.flatnonzero(np.diff(fresh_pieces)) + 1
         group_bounds = [0, *cut_points.tolist(), len(fresh_values)]
         witness.mutation_check(
-            self,
-            (lambda: [fresh_starts[lo] for lo in group_bounds[:-1]])
-            if piece_latched
-            else None,
-            what,
+            self, lambda: [fresh_starts[lo] for lo in group_bounds[:-1]], what
         )
         self._copy_charged = True
         fresh_positions = np.empty(len(fresh_values), dtype=np.int64)
@@ -648,7 +630,6 @@ class CrackerIndex:
             return None
         if end - start <= min_piece_size:
             return None
-        witness.mutation_check(self, (start,), "random_crack")
         self._charge_copy_if_needed()
         return self._cut_located(
             value, index, start, end, at_pivot, CrackOrigin.TUNING
@@ -724,7 +705,7 @@ class CrackerIndex:
         O(n); used by tests and the property-based suite, never on the
         hot path.  Takes the monitor lock like every other structural
         reader: a crack shifts the piece map's tail before it writes
-        the new slot, so an unlocked check racing a tuning worker sees
+        the new slot, so an unlocked check beside a tuning worker sees
         a duplicated pivot and reports corruption that is not there.
 
         Raises:

@@ -321,45 +321,6 @@ class Session:
         estimate = estimate_path_cost(path, rows, self.db.cost_model)
         return PlannedQuery(query, path, estimate)
 
-    # -- background tuning -------------------------------------------------------
-
-    def start_background_tuning(self, actions: int) -> None:
-        """Race the strategy's tuning workers against this session.
-
-        Queues ``actions`` auxiliary refinements on the strategy's
-        worker pool and leaves it running, so subsequent
-        :meth:`run_query` calls execute concurrently with background
-        index refinement (the paper's idle-core scenario).  Only
-        meaningful for strategies with tuning workers -- the holistic
-        kernel configured with ``num_workers >= 1``.
-
-        Raises:
-            ConfigError: if the strategy has no tuning workers.
-        """
-        strategy = self.strategy
-        if not hasattr(strategy, "start_workers"):
-            raise ConfigError(
-                f"strategy {strategy.name!r} has no tuning workers"
-            )
-        strategy.start_workers()
-        strategy.submit_tuning(actions)
-
-    def finish_background_tuning(self) -> None:
-        """Drain queued background tuning and stop the workers.
-
-        Folds the workers' parallel time into the session clock.
-
-        Raises:
-            ConfigError: if the strategy has no tuning workers.
-        """
-        strategy = self.strategy
-        if not hasattr(strategy, "stop_workers"):
-            raise ConfigError(
-                f"strategy {strategy.name!r} has no tuning workers"
-            )
-        strategy.drain_workers()
-        strategy.stop_workers()
-
     # -- idle time ---------------------------------------------------------------
 
     def idle(

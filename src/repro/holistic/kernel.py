@@ -195,11 +195,6 @@ class HolisticKernel(AdaptiveStrategy):
     ) -> SelectionResult:
         index = self.index_for(query.ref)
         self.monitor.record(query.ref)
-        if self.worker_pool is not None and self.worker_pool.is_running:
-            # Workers are racing us: take piece latches for the pieces
-            # this select may crack, exactly like the workers do.
-            access = self.worker_pool.register_index(query.ref, index)
-            return access.select_range(low, high)
         return index.select_keys(low, high)
 
     def select_empty(self, query: RangeQuery) -> SelectionResult:
@@ -213,17 +208,14 @@ class HolisticKernel(AdaptiveStrategy):
         self,
         queries: Sequence[RangeQuery],
         windows: list[ColumnWindow],
-    ) -> list[WindowSlot] | None:
+    ) -> list[WindowSlot]:
         """Crack a window's fresh bounds in one physical pass a column
-        and return one ``(replay context, bounds)`` slot a query, or
-        ``None`` while tuning workers race.
+        and return one ``(replay context, bounds)`` slot a query.
 
         No session path calls it: a session window reads sequentially
         and served lanes crack through the front-end.  It stays because
         ``perfbench/layers.py`` wraps it by name (ROADMAP item 1a).
         """
-        if self.worker_pool is not None and self.worker_pool.is_running:
-            return None
         slots: list = [None] * len(queries)
         for window in windows:
             context = self.index_for(window.ref).begin_select_batch(
@@ -316,52 +308,6 @@ class HolisticKernel(AdaptiveStrategy):
         generation instead of a crack.  Pass ``None`` to detach.
         """
         self.scheduler.checkpointer = checkpointer
-
-    # -- worker lifecycle -----------------------------------------------------
-
-    def _require_pool(self):
-        if self.worker_pool is None:
-            raise ConfigError(
-                "kernel has no worker pool; configure num_workers >= 1"
-            )
-        return self.worker_pool
-
-    def start_workers(self) -> None:
-        """Start the tuning workers so they race foreground queries.
-
-        While running, foreground selects and idle windows go through
-        piece latches; tuning actions submitted with
-        :meth:`submit_tuning` drain in the background.
-
-        Raises:
-            ConfigError: if the kernel was configured without workers.
-        """
-        self._require_pool().start()
-
-    def submit_tuning(self, actions: int) -> None:
-        """Queue ``actions`` auxiliary refinements on running workers.
-
-        Raises:
-            ConfigError: without a running worker pool.
-        """
-        self._register_candidates()
-        self._require_pool().submit(actions)
-
-    def drain_workers(self) -> None:
-        """Block until all queued tuning actions are done.
-
-        Raises:
-            ConfigError: if the kernel was configured without workers.
-        """
-        self._require_pool().drain()
-
-    def stop_workers(self) -> None:
-        """Drain, stop the workers and fold their time into the clock.
-
-        Raises:
-            ConfigError: if the kernel was configured without workers.
-        """
-        self._require_pool().stop()
 
     # -- introspection ---------------------------------------------------------
 

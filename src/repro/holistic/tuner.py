@@ -103,27 +103,19 @@ class AuxiliaryTuner:
         index: CrackerIndex,
         low: float,
         high: float,
-        access=None,
     ) -> bool:
         """One random crack confined to the value range ``[low, high)``.
 
         It was the paper's "no idle time" boost, which measured worse
         than plain adaptive cracking and was removed; nothing in
         ``src/`` calls it, and it stays only because
-        ``perfbench/layers.py`` names it.  With ``access`` (a
-        :class:`~repro.cracking.concurrency.LatchedCrackerAccess`)
-        the crack goes through piece latches, for kernels whose tuning
-        workers are racing the foreground.
+        ``perfbench/layers.py`` names it.
         """
         if high <= low:
             return False
         value = normalise_bound(
             index.piece_map.dtype, self.rng.uniform(low, high)
         )
-        if access is not None:
-            return access.crack_value(
-                value, min_piece_size=self.min_piece_size
-            )
         if index.piece_map.has_pivot(value):
             return False
         piece = index.piece_map.piece_for_value(value)

@@ -1,15 +1,15 @@
 """Parallel idle-time tuning workers: the paper's idle-core claim.
 
-The paper's headline argument is that modern machines have idle CPU
-cores *while queries run*, and that a holistic kernel should spend
-them on continuous index refinement -- "multiple tuning actions in one
+The paper counts idle CPU cores as an idle resource a holistic kernel
+should spend on index refinement -- "multiple tuning actions in one
 go" where possible.  This module provides that machinery: a
-:class:`TuningWorkerPool` of real ``threading`` workers that drain
-auxiliary refinement concurrently -- with each other and with
-foreground query processing -- using the piece-level read/write latches
-of :mod:`repro.cracking.concurrency`, following the recipes of
-"Concurrency Control for Adaptive Indexing" (Graefe et al.) and "Main
-Memory Adaptive Indexing for Multi-core Systems" (Alvarez et al.).
+:class:`TuningWorkerPool` of real ``threading`` workers that drain an
+idle window's auxiliary refinement concurrently with each other, using
+the piece-level latches of :mod:`repro.cracking.concurrency`, after
+"Main Memory Adaptive Indexing for Multi-core Systems" (Alvarez et
+al.).  The pool runs only inside :meth:`TuningWorkerPool.run_window`,
+which the idle window waits on: no query, served window or snapshot
+ever sees it running.
 
 Five layers cooperate:
 
@@ -25,7 +25,7 @@ Five layers cooperate:
   cracking".  Nothing about a window depends on thread timing;
 * **latches** -- a worker applies a batch as *one* latched multi-pivot
   pass (:meth:`LatchedCrackerAccess.crack_value`), so latches only
-  arbitrate against foreground queries and overlapping ``submit``s;
+  arbitrate between sibling batches and the supervisor's repairs;
   conflicting accesses wait and are counted as contention stalls on
   the crack tape;
 * **lanes** -- under a :class:`~repro.simtime.clock.SimClock` the pool
@@ -222,19 +222,13 @@ class TuningWorkerPool:
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def is_running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         """Open a parallel clock phase and accept batches.
 
         A worker's thread is spawned when its queue gets its first
         batch, so a window that finds nothing to refine costs no
-        thread.  Idempotent while running.
+        thread.
         """
-        if self._running:
-            return
         self._failure = None
         self.clock.begin_parallel()
         self._threads = {}
@@ -242,7 +236,7 @@ class TuningWorkerPool:
         self._restarts = {}
         self._running = True
         with self._access_lock:
-            # Latch-sanitizer scope: while workers race these indexes,
+            # Latch-sanitizer scope: while workers share these indexes,
             # every mutation must arrive under its covering latch.
             for access in self._accesses.values():
                 witness.arm(access.index, access.table)
@@ -258,9 +252,10 @@ class TuningWorkerPool:
         thread.start()
         return thread
 
-    def submit(self, actions: int) -> None:
+    def submit(self, actions: int) -> int:
         """Plan ``actions`` refinement attempts and hand the batches to
-        the workers (fewer when the projected ranking runs out first).
+        the workers; returns how many were planned (fewer when the
+        projected ranking runs out first).
 
         Raises:
             ConfigError: if the pool is not running or ``actions`` < 0.
@@ -269,7 +264,7 @@ class TuningWorkerPool:
             raise ConfigError("worker pool is not running; call start()")
         if actions < 0:
             raise ConfigError(f"actions must be >= 0, got {actions}")
-        self._plan(actions)
+        return self._plan(actions)
 
     def drain(self) -> None:
         """Block until every submitted batch has been processed.
@@ -377,7 +372,8 @@ class TuningWorkerPool:
         """Drain one idle window through the workers.
 
         The kernel's idle loop (:func:`spend_window`) with one planned
-        round per step.  An action count is planned in full against the
+        round per step: :meth:`submit` plans it, :meth:`drain` waits
+        for it.  An action count is planned in full against the
         projected ranking and drained; degenerate pivots make the
         projection optimistic, so the window keeps planning rounds
         until the attempts are spent or a round finds the *actual*
@@ -387,44 +383,36 @@ class TuningWorkerPool:
         :class:`WorkerStats` counted during the window; ``busy_s`` is
         the aggregate work.
 
-        If the pool is not already running the window owns the whole
-        lifecycle (start, drain, stop); a pool started explicitly --
-        e.g. to race workers against foreground queries -- stays
-        running afterwards.
+        The window owns the pool's whole lifecycle: it starts the pool
+        and stops it before returning, also when a fatal worker failure
+        raises out of it (as :meth:`stop`'s ``ConcurrencyError``).
         """
-        owns_lifecycle = not self._running
         self.start()
-        elapsed_before = self.clock.parallel_elapsed()
-        busy_before = self.clock.parallel_busy()
-        stalls_before = self.tape.stall_count()
-        attempted_before, effective_before = self._actions_done()
-        report = TuningReport()
+        try:
+            elapsed_before = self.clock.parallel_elapsed()
+            busy_before = self.clock.parallel_busy()
+            stalls_before = self.tape.stall_count()
+            attempted_before, effective_before = self._actions_done()
+            report = TuningReport()
 
-        def settle() -> None:
-            self.drain()
-            attempted, effective = self._actions_done()
-            report.actions_attempted = attempted - attempted_before
-            report.actions_effective = effective - effective_before
+            def step(attempts: int) -> bool:
+                planned = self.submit(attempts)
+                self.drain()
+                attempted, effective = self._actions_done()
+                report.actions_attempted = attempted - attempted_before
+                report.actions_effective = effective - effective_before
+                return planned > 0
 
-        def step(attempts: int) -> bool:
-            planned = self._plan(attempts)
-            settle()
-            return planned > 0
-
-        # Batches of an overlapping submit() settle first, so every
-        # round here starts from the actual ranking: a round that can
-        # plan nothing has then found it exhausted.
-        settle()
-        spend_window(
-            report,
-            actions,
-            budget_s,
-            lambda: self.clock.parallel_elapsed() - elapsed_before,
-            step,
-            round_size=self.num_workers,
-        )
-        report.busy_s = self.clock.parallel_busy() - busy_before
-        if owns_lifecycle:
+            spend_window(
+                report,
+                actions,
+                budget_s,
+                lambda: self.clock.parallel_elapsed() - elapsed_before,
+                step,
+                round_size=self.num_workers,
+            )
+            report.busy_s = self.clock.parallel_busy() - busy_before
+        finally:
             self.stop()
         report.stalls = self.tape.stall_count() - stalls_before
         return report
@@ -711,8 +699,8 @@ class TuningWorkerPool:
     def _verify_and_repair(self, state: ColumnTuningState) -> None:
         """Check the crashed column's invariants; rebuild on damage.
 
-        Holds the whole-index latch so no replacement worker or query
-        sees intermediate state -- the piece is verified and repaired
+        Holds the whole-index latch so no replacement worker sees
+        intermediate state -- the piece is verified and repaired
         *before* the latch is released, then the fault-free answer path
         resumes.
         """

@@ -91,15 +91,8 @@ def capture_state(
     have no version counter).
 
     Raises:
-        PersistError: on an unsupported strategy or a running tuning
-            worker pool (snapshots need settled index state).
+        PersistError: on an unsupported strategy.
     """
-    pool = getattr(strategy, "worker_pool", None)
-    if pool is not None and pool.is_running:
-        raise PersistError(
-            "cannot capture a snapshot while tuning workers are "
-            "running; drain and stop them first"
-        )
     arrays: dict[str, np.ndarray] = {}
     tokens: dict[str, object] = {}
     tables_meta = []

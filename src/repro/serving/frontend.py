@@ -19,8 +19,8 @@ window's batch==sequential guarantee:
 
     **per-client accounting is bit-for-bit what that client would have
     measured running alone against a fresh kernel**, no matter how the
-    former interleaves clients, how deep the windows are, or what
-    background tuning workers do to the shared index in the meantime.
+    former interleaves clients, how deep the windows are, or what idle
+    windows do to the shared index between served windows.
 
 It holds because a crack's position is order independent (the cut for
 ``v`` always lands at the number of elements ``< v``), so the shared
@@ -29,12 +29,12 @@ can serve every client's solo piece boundaries, while each client's
 shadow map evolves exactly as its solo piece map would.  The physical
 work is paid once; the per-client replays are pure accounting.
 
-Concurrency: the front-end itself is a serial loop (one window at a
-time -- concurrency between clients is *logical*, expressed by window
-coalescing), but it coexists with a running
-:class:`~repro.holistic.workers.TuningWorkerPool`: while workers are
-racing, each window holds its columns' table-level latches so worker
-cracks interleave *between* windows, never mid-replay.
+Concurrency: the front-end is a serial loop (one window at a time --
+concurrency between clients is *logical*, expressed by window
+coalescing).  Tuning workers run only inside an idle window
+(:meth:`~repro.holistic.workers.TuningWorkerPool.run_window`), which
+returns before the next served window starts, so a window takes no
+latch.
 
 Shared mutable state the serving loop does not own -- pending-update
 delta stores in particular -- must stay unmutated for the duration of
@@ -43,7 +43,6 @@ a run; stage updates between runs, as the benchmarks do.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,7 +53,7 @@ from repro.cracking.batch import DetachedCrackReplay
 from repro.cracking.index import CrackerIndex
 from repro.cracking.tape import CrackTape
 from repro.engine.operators import pending_slots
-from repro.engine.plan import ColumnWindow, Resolved, group_by_column
+from repro.engine.plan import Resolved, group_by_column
 from repro.engine.query import RangeQuery
 from repro.engine.session import Session, SessionReport
 from repro.engine.strategies import AdaptiveStrategy, IndexingStrategy
@@ -326,8 +325,7 @@ class ServingFrontend:
 
         One pass validates the window and deals its reads to their
         lanes.  One silent physical pass per column then cracks the
-        union of every client's bounds not cut yet (under the columns'
-        table latches while tuning workers race), and each client's
+        union of every client's bounds not cut yet, and each client's
         share replays on its own lane in stream order.
 
         Degraded mode: a malformed entry (inverted range smuggled past
@@ -395,41 +393,16 @@ class ServingFrontend:
         results: list,
     ) -> None:
         """Plan a window's valid reads (``owners[i]`` dealt read
-        ``i``), then crack and replay them, under the columns' table
-        latches while tuning workers race."""
+        ``i``), then run the physical pass and every lane's replay.  A
+        read's slot is its lane's replay of its column (created on the
+        client's first touch of it, from the virgin column state) and
+        its normalised bounds."""
         # Resolves every column before the first crack: an unknown
         # column must fail with the shared index untouched.
         windows = group_by_column(queries, self.db.catalog, self._resolved)
         indexes: dict[ColumnRef, CrackerIndex] = {}
         for window in windows:
             indexes[window.ref] = self.strategy.index_for(window.ref)
-        pool = getattr(self.strategy, "worker_pool", None)
-        if pool is None or not pool.is_running:
-            self._replay_reads(windows, indexes, owners, deals, results)
-            return
-        # Workers are racing: exclude them from every one of this
-        # window's columns for the whole window, so their cracks land
-        # between windows, never mid-replay.  The table latches stack
-        # in sorted column order -- the deterministic order the latch
-        # witness enforces.
-        with ExitStack() as latches:
-            for ref in sorted(indexes):
-                access = pool.register_index(ref, indexes[ref])
-                latches.enter_context(access.exclusive())
-            self._replay_reads(windows, indexes, owners, deals, results)
-
-    def _replay_reads(
-        self,
-        windows: list[ColumnWindow],
-        indexes: dict[ColumnRef, CrackerIndex],
-        owners: list[_Deal],
-        deals: dict[str, _Deal],
-        results: list,
-    ) -> None:
-        """The physical pass and every lane's replay of a planned
-        window.  A read's slot is its lane's replay of its column
-        (created on the client's first touch of it, from the virgin
-        column state) and its normalised bounds."""
         for window in windows:
             # A range whose bounds are all cuts of the index's current
             # piece map (a top is never one) needs no pass; each lane's

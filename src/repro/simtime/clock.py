@@ -395,8 +395,9 @@ class SimClock(Clock):
         phase's base then (lanes only add in at ``end_parallel``), so
         the captured timeline is the last settled point.  In-flight
         lane time is deliberately *not* captured -- a checkpoint taken
-        while workers race records the state as of the window's start,
-        which is exactly what a crash would leave behind.
+        inside a worker window would record the state as of the
+        window's start, which is exactly what a crash would leave
+        behind.
         """
         return {
             "now_ps": self._now,

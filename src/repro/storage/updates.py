@@ -138,7 +138,12 @@ class PendingUpdates:
                 staged.
         """
         pos = np.asarray(positions)
-        if pos.dtype.kind == "b":
+        # A list mixing booleans with integers converts to int64, so
+        # its elements are checked one by one; an array's dtype says it.
+        if pos.dtype.kind == "b" or (
+            isinstance(positions, (list, tuple))
+            and any(isinstance(p, (bool, np.bool_)) for p in positions)
+        ):
             raise SchemaError(
                 "a delete position is a row number, not a boolean"
             )

@@ -44,7 +44,7 @@ def test_hooks_are_free_when_disabled(small_column):
     latch.acquire_write()
     latch.release_write()
     index = CrackerIndex(small_column, clock=SimClock())
-    index.ensure_cut(5e7)
+    index.ensure_cuts([5e7])
     assert witness.active() is None
 
 
@@ -170,9 +170,10 @@ def _armed_index(column) -> tuple[CrackerIndex, PieceLatchTable]:
 
 
 def test_unlatched_mutation_is_reported(small_column):
+    """The pass tuning workers make, without its piece latches."""
     with witness.enabled() as w:
         index, _ = _armed_index(small_column)
-        index.ensure_cut(5e7)
+        index.ensure_cuts([5e7])
     assert any(v.kind == "unlatched-mutation" for v in w.violations)
     assert w.mutation_checks > 0
 
@@ -215,7 +216,7 @@ def test_table_exclusive_covers_whole_index_mutations(small_column):
 def test_unarmed_indexes_are_not_checked(small_column):
     with witness.enabled() as w:
         index = CrackerIndex(small_column, clock=SimClock())
-        index.ensure_cut(5e7)  # never armed: no violation
+        index.ensure_cuts([5e7])  # never armed: no violation
     assert w.violations == []
     assert w.mutation_checks == 0
 
@@ -224,7 +225,7 @@ def test_disarm_stops_enforcement(small_column):
     with witness.enabled() as w:
         index, _ = _armed_index(small_column)
         witness.disarm(index)
-        index.ensure_cut(5e7)
+        index.ensure_cuts([5e7])
     assert w.violations == []
 
 

@@ -1,7 +1,8 @@
 """One chaos scenario replayed under the latch witness.
 
 The quick latch-timeout scenario injects LatchTimeout into worker
-acquisitions while two tuning workers race the serving path; with the
+acquisitions while two tuning workers drain the idle windows between
+served windows; with the
 witness watching, the run must stay order-clean (injected timeouts
 abort an acquisition before it is recorded, so the protocol's latch
 bookkeeping stays balanced) and still match the fault-free reference

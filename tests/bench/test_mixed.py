@@ -23,7 +23,6 @@ def test_run_mixed_document_shape():
         "adaptive/sequential",
         "maintained/ripple",
         "holistic/serving",
-        "holistic_workers/serving",
     ):
         assert f"mix20/{mode}" in names
     assert "drift/online/sequential" in names
@@ -43,7 +42,7 @@ def test_run_mixed_document_shape():
             "result_sha256",
         }
     # The headline claim: every engine path reproduced the serial
-    # reference bit for bit, including the worker-racing path.
+    # reference bit for bit.
     assert all(doc["oracle_matches_reference"].values())
     ratio = doc["shootout"]["virtual_response_ratio_online_vs_holistic"]
     assert ratio is not None and ratio > 0

@@ -47,32 +47,6 @@ def test_run_serve_document_shape_and_equivalence():
     assert "adaptive/serve/clients3" in serve_text(doc)
 
 
-def test_workers_scenario_compares_against_plain_holistic_solo():
-    doc = run_serve(
-        client_counts=(2,),
-        strategies=("holistic", "holistic_workers"),
-        **_TINY,
-    )
-    assert "holistic_workers/solo/clients2" not in doc["scenarios"]
-    workers = doc["scenarios"]["holistic_workers/serve/clients2"]
-    solo = doc["scenarios"]["holistic/solo/clients2"]
-    # Background tuning must not move a single client's accounting.
-    assert workers["fingerprints"] == solo["fingerprints"]
-    assert doc["serve_equals_solo"]["holistic_workers/serve/clients2"]
-
-
-def test_workers_scenario_alone_still_measures_its_solo_baseline():
-    """Regression: sweeping only holistic_workers used to crash because
-    its plain-holistic solo baseline was never run."""
-    doc = run_serve(
-        client_counts=(2,),
-        strategies=("holistic_workers",),
-        **_TINY,
-    )
-    assert "holistic/solo/clients2" in doc["scenarios"]
-    assert doc["serve_equals_solo"]["holistic_workers/serve/clients2"]
-
-
 def test_check_regression_passes_against_self_and_detects_drift():
     doc = _tiny_doc()
     assert check_regression(SUITE, doc, doc) == []

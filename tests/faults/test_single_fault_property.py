@@ -1,7 +1,8 @@
 """Property: any single injected fault leaves answers bit-identical.
 
-One mixed workload -- concurrent serving windows, background tuning
-workers, mid-run and final checkpoints, then a restore -- is run once
+One mixed workload -- concurrent serving windows, an idle window the
+tuning workers drain after each, mid-run and final checkpoints, then a
+restore -- is run once
 fault-free to fix a result digest.  Hypothesis then picks an arbitrary
 registered fault point and hit index; the same workload with that one
 fault armed must produce the *same* digest (every query answered
@@ -96,8 +97,6 @@ def _run(plan: FaultPlan | None) -> str:
         )
 
         def checkpoint() -> None:
-            # Snapshots need settled index state: workers are stopped
-            # around every checkpoint.
             try:
                 manager.checkpoint()
             except PersistError:
@@ -112,13 +111,8 @@ def _run(plan: FaultPlan | None) -> str:
             entries = frontend.former.next_window()
             if not entries:
                 break
-            kernel.start_workers()
-            try:
-                results = frontend.serve_window(entries)
-                kernel.submit_tuning(4)
-                kernel.drain_workers()
-            finally:
-                kernel.stop_workers()
+            results = frontend.serve_window(entries)
+            kernel.exploit_idle(actions=4)
             for result in results:
                 _digest_result(digest, result)
             window += 1

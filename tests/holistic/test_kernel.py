@@ -122,17 +122,14 @@ def test_config_validation():
 )
 def test_windows_run_batched_unless_workers_race(tiny_db, options):
     """The kernel's window pass (``begin_batch``, which no session
-    calls any more) declines only while tuning workers race the
-    foreground, whatever else is configured."""
+    calls any more) never declines: tuning workers run only inside an
+    idle window, so none races it, whatever else is configured."""
     kernel = HolisticKernel(tiny_db, HolisticConfig(**options))
     queries = [_query(1e7, 3e7), _query(2e7, 6e7, "A2"), _query(5e6, 1e7)]
     windows = group_by_column(queries, tiny_db.catalog, {})
-    assert kernel.begin_batch(queries, windows) is not None
-    if kernel.worker_pool is not None:
-        kernel.start_workers()
-        assert kernel.begin_batch(queries, windows) is None
-        kernel.stop_workers()
-        assert kernel.begin_batch(queries, windows) is not None
+    assert len(kernel.begin_batch(queries, windows)) == len(queries)
+    kernel.exploit_idle(actions=8)
+    assert len(kernel.begin_batch(queries, windows)) == len(queries)
 
 
 def test_cache_target_derived_from_model_scale(tiny_db):

@@ -1,17 +1,19 @@
 """Tests for the supervised crash handling of the tuning worker pool.
 
 The supervised unit is the *batch* -- one column's share of a window
-plan.  Covers the workers' self-healing ladder at that grain: a
-worker that crashes mid-batch is restarted with backoff, handed the
-same batch (same pivots) again and the fault is credited as recovered;
-a column whose batches repeatedly kill workers is quarantined -- only
-its batches are dropped, their attempts re-planned on live columns --
-while the rest of the pool keeps refining; quarantining *every*
-candidate -- or running a worker slot out of restarts -- is a fatal,
-sticky failure that every ``drain()``/``stop()`` keeps reporting until
-it is acknowledged; and the pool distinguishes "all live work is done"
-(clean exhaustion) from "the policy refuses to rotate off a quarantined
-column" (stuck).
+plan.  Every test drives the pool the one way the kernel does: an idle
+window (``exploit_idle``) that starts, drains and stops it.  Covers the
+workers' self-healing ladder at that grain: a worker that crashes
+mid-batch is restarted with backoff, handed the same batch (same
+pivots) again and the fault is credited as recovered; a column whose
+batches repeatedly kill workers is quarantined -- only its batches are
+dropped, their attempts re-planned on live columns -- while the rest
+of the pool keeps refining; quarantining *every* candidate -- or
+running a worker slot out of restarts -- is a fatal failure that
+raises out of the window and stays sticky until it is acknowledged or
+the next window starts; and the pool distinguishes "all live work is
+done" (clean exhaustion) from "the policy refuses to rotate off a
+quarantined column" (stuck).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro import faults
 from repro.config import TINY
 from repro.cracking.index import CrackerIndex
 from repro.engine.query import RangeQuery
-from repro.errors import ConcurrencyError
+from repro.errors import ConcurrencyError, ConfigError
 from repro.faults import FaultPlan, engaged
 from repro.holistic.kernel import HolisticConfig, HolisticKernel
 from repro.holistic.workers import SupervisorPolicy
@@ -55,6 +57,12 @@ def _db(columns=3, rows=10_000, seed=42) -> Database:
 
 def _query(low, high, column="A1"):
     return RangeQuery(ColumnRef("R", column), low, high)
+
+
+def _assert_no_phase_open(db: Database) -> None:
+    """The clock has no parallel phase open: ending one is refused."""
+    with pytest.raises(ConfigError):
+        db.clock.end_parallel()
 
 
 def _kernel(db, **overrides) -> HolisticKernel:
@@ -91,12 +99,7 @@ def test_injected_crash_restarts_worker_and_recovers():
     plan.arm("workers.perform", at=0)
     with engaged(plan):
         kernel.select(_query(1e7, 3e7))
-        kernel.start_workers()
-        try:
-            kernel.submit_tuning(16)
-            kernel.drain_workers()  # a supervised crash must not surface
-        finally:
-            kernel.stop_workers()
+        kernel.exploit_idle(actions=16)  # a supervised crash must not surface
     assert plan.injected == 1
     assert plan.unrecovered() == []
     assert plan.summary()["recovered"] == 1
@@ -172,12 +175,7 @@ def test_repeated_crashes_quarantine_the_column():
         # candidate set from becoming fully quarantined.
         kernel.index_for(a1)
         kernel.select(_query(1e7, 3e7, "A2"))
-        kernel.start_workers()
-        try:
-            kernel.submit_tuning(24)
-            kernel.drain_workers()  # quarantine, not failure
-        finally:
-            kernel.stop_workers()
+        kernel.exploit_idle(actions=24)  # quarantine, not failure
     assert plan.injected == 2
     assert plan.unrecovered() == []
     summary = pool.supervisor_summary()
@@ -185,7 +183,7 @@ def test_repeated_crashes_quarantine_the_column():
     assert summary["dead_letter"] == ["R.A1"]
     assert summary["crashes_per_column"] == {"R.A1": 2}
     assert any("quarantined R.A1" in line for line in summary["log"])
-    # Quarantine gates background tuning only: foreground queries on
+    # Quarantine gates idle-time tuning only: foreground queries on
     # the dead-lettered column still answer correctly.
     column = db.column("R", "A1")
     result = kernel.select(_query(1e7, 3e7, "A1"))
@@ -239,17 +237,11 @@ def test_quarantining_every_candidate_is_fatal():
     plan.arm("workers.perform", at=0)
     with engaged(plan):
         kernel.select(_query(1e7, 3e7))
-        kernel.start_workers()
-        try:
-            kernel.submit_tuning(8)
-            with pytest.raises(
-                ConcurrencyError, match="every tuning candidate is quarantined"
-            ):
-                pool.drain()
-        finally:
-            with pytest.raises(ConcurrencyError):
-                pool.stop()
-            pool.clear_failure()
+        with pytest.raises(
+            ConcurrencyError, match="every tuning candidate is quarantined"
+        ):
+            kernel.exploit_idle(actions=8)
+        pool.clear_failure()
     # Losing the whole candidate set is not claimed as a recovery.
     assert plan.unrecovered() != []
 
@@ -271,15 +263,13 @@ def test_failure_is_sticky_until_cleared():
         raise RuntimeError("genuine worker bug")
 
     pool._apply_batch = explode
-    kernel.start_workers()
-    kernel.submit_tuning(8)
+    with pytest.raises(ConcurrencyError, match="tuning worker died"):
+        kernel.exploit_idle(actions=8)
+    # The window stopped the pool, and a later drain keeps reporting
+    # the loss.
+    _assert_no_phase_open(db)
     with pytest.raises(ConcurrencyError, match="tuning worker died"):
         pool.drain()
-    # Sticky: later drains and the stop keep reporting the loss.
-    with pytest.raises(ConcurrencyError, match="tuning worker died"):
-        pool.drain()
-    with pytest.raises(ConcurrencyError, match="tuning worker died"):
-        pool.stop()
     failure = pool.clear_failure()
     assert isinstance(failure, RuntimeError)
     assert pool.clear_failure() is None
@@ -299,19 +289,12 @@ def test_failure_is_sticky_but_next_lifecycle_is_clean():
         raise RuntimeError("genuine worker bug")
 
     pool._apply_batch = explode
-    kernel.start_workers()
-    kernel.submit_tuning(4)
     with pytest.raises(ConcurrencyError):
-        pool.stop()
+        kernel.exploit_idle(actions=4)
     assert isinstance(pool.clear_failure(), RuntimeError)
-    # With the crashing action gone, a fresh lifecycle drains cleanly.
+    # With the crashing action gone, a fresh window drains cleanly.
     del pool._apply_batch
-    kernel.start_workers()
-    try:
-        kernel.submit_tuning(4)
-        kernel.drain_workers()
-    finally:
-        kernel.stop_workers()
+    assert kernel.exploit_idle(actions=4).actions_done > 0
 
 
 def test_genuine_crashes_are_not_credited_to_the_fault_plan():
@@ -333,10 +316,8 @@ def test_genuine_crashes_are_not_credited_to_the_fault_plan():
     plan = FaultPlan()  # engaged but with nothing armed
     with engaged(plan):
         pool._apply_batch = explode
-        kernel.start_workers()
-        kernel.submit_tuning(2)
         with pytest.raises(ConcurrencyError):
-            pool.stop()
+            kernel.exploit_idle(actions=2)
         pool.clear_failure()
     assert plan.injected == 0
     assert plan.summary()["recovered"] == 0
@@ -347,7 +328,7 @@ def test_genuine_crashes_are_not_credited_to_the_fault_plan():
 
 def test_quarantined_best_with_live_unrefined_candidate_is_stuck():
     """The ranked policy re-offers the dead-lettered best forever; with
-    a live unrefined candidate it refuses to rotate to, submitted
+    a live unrefined candidate it refuses to rotate to, a window's
     actions would silently no-op -- that must be a sticky failure."""
     db = _db(columns=2)
     kernel = _kernel(db, cache_target_elements=8192, policy="ranked")
@@ -360,18 +341,12 @@ def test_quarantined_best_with_live_unrefined_candidate_is_stuck():
     for _ in range(3):  # make A1 strictly the ranked best
         kernel.monitor.record(a1)
     pool.dead_letter.append(a1)
-    kernel.start_workers()
-    try:
-        kernel.submit_tuning(4)
-        with pytest.raises(
-            ConcurrencyError,
-            match="every candidate the tuning policy offers is quarantined",
-        ):
-            pool.drain()
-    finally:
-        with pytest.raises(ConcurrencyError):
-            pool.stop()
-        pool.clear_failure()
+    with pytest.raises(
+        ConcurrencyError,
+        match="every candidate the tuning policy offers is quarantined",
+    ):
+        kernel.exploit_idle(actions=4)
+    assert pool.clear_failure() is not None
 
 
 def test_quarantined_remainder_with_refined_live_set_is_exhaustion():
@@ -389,10 +364,6 @@ def test_quarantined_remainder_with_refined_live_set_is_exhaustion():
     assert kernel.ranking.is_refined(states[ColumnRef("R", "A2")])
     assert not kernel.ranking.is_refined(states[a1])
     pool.dead_letter.append(a1)
-    kernel.start_workers()
-    try:
-        kernel.submit_tuning(4)
-        kernel.drain_workers()  # clean: nothing safe is left to do
-    finally:
-        kernel.stop_workers()
+    outcome = kernel.exploit_idle(actions=4)  # clean: nothing safe is left
+    assert "all candidates refined" in outcome.note
     assert pool.dead_letter == [a1]

@@ -1,9 +1,10 @@
 """The tuning worker pool under the latch witness.
 
-The pool arms every registered index when it starts while a witness is
-enabled; a full tune-and-serve run must then finish with zero order
-violations and zero unlatched mutations -- the runtime proof that the
-worker protocol matches the statically-verified latch order.
+The pool arms every registered index when an idle window starts it
+while a witness is enabled; a run of queries and worker-drained idle
+windows must then finish with zero order violations and zero unlatched
+mutations -- the runtime proof that the worker protocol matches the
+statically-verified latch order.
 """
 
 from __future__ import annotations
@@ -45,17 +46,12 @@ def test_worker_pool_run_has_zero_witness_violations():
     )
     column = db.catalog.column(ColumnRef("R", "A1"))
     with witness.enabled() as w:
-        kernel.start_workers()
-        try:
-            kernel.submit_tuning(600)
-            for i in range(30):
-                low = (i * 3_333_333) % 90_000_000
-                high = low + 5_000_000
-                result = kernel.select(_query(low, high))
-                assert result.count == ground_truth_count(column, low, high)
-            kernel.drain_workers()
-        finally:
-            kernel.stop_workers()
+        for i in range(30):
+            low = (i * 3_333_333) % 90_000_000
+            high = low + 5_000_000
+            result = kernel.select(_query(low, high))
+            assert result.count == ground_truth_count(column, low, high)
+            kernel.exploit_idle(actions=20)
     assert w.violations == [], [v.detail for v in w.violations]
     assert w.acquires == w.releases > 0
     assert w.mutation_checks > 0
@@ -67,15 +63,11 @@ def test_pool_disarms_indexes_on_stop():
         db, HolisticConfig(num_workers=2, cache_target_elements=64)
     )
     with witness.enabled() as w:
-        kernel.start_workers()
-        try:
-            kernel.submit_tuning(50)
-            kernel.drain_workers()
-        finally:
-            kernel.stop_workers()
-        # After stop the indexes are disarmed: an unlatched mutation on
-        # the now-quiescent index is legal again (single-owner mode).
-        before = len(w.violations)
-        kernel.select(_query(1e7, 3e7))
-        assert len(w.violations) == before
+        kernel.exploit_idle(actions=50)
+        # After the window the indexes are disarmed: an unlatched pass
+        # of the kind workers make is legal again on the now-quiescent
+        # index (single-owner mode).
+        checks = w.mutation_checks
+        kernel.index_for(ColumnRef("R", "A1")).ensure_cuts([3e7, 6e7])
+        assert w.mutation_checks == checks
     assert w.violations == []

@@ -2,14 +2,12 @@
 
 Covers the serial fallback contract (``num_workers=0`` is bit-for-bit
 the pre-worker kernel), window semantics, parallel time accounting,
-per-worker attribution, and -- the important one -- a stress
-test racing worker threads against foreground queries on the same
-cracker index, checked against a serial oracle.
+per-worker attribution, latch contention between workers on one
+column, and the pool's failure reporting.  The pool runs only inside
+an idle window, so no test races it against queries.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -26,8 +24,6 @@ from repro.simtime.clock import SimClock, WallClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
-
-from tests.conftest import ground_truth_count
 
 
 def _assert_no_phase_open(db: Database) -> None:
@@ -83,10 +79,6 @@ def test_serial_kernel_has_no_pool_and_no_worker_marks(tiny_db):
     assert kernel.tape.count(CrackOrigin.TUNING) > 0
     summary = kernel.tuning_summary()
     assert (summary.stalls, summary.busy_s) == (0, 0.0)
-    with pytest.raises(ConfigError):
-        kernel.start_workers()
-    with pytest.raises(ConfigError):
-        kernel.stop_workers()
 
 
 def test_serial_fallback_reproduces_identical_tape():
@@ -178,7 +170,7 @@ def test_clock_leaves_parallel_phase_after_window():
     kernel.exploit_idle(actions=30)
     _assert_no_phase_open(db)
     assert kernel.worker_pool is not None
-    assert not kernel.worker_pool.is_running
+    assert kernel.worker_pool.stop() is None  # nothing left running
 
 
 def test_session_integration_via_strategy_options():
@@ -373,45 +365,7 @@ def test_cut_set_does_not_depend_on_the_worker_count():
     assert cut_sets[0] == cut_sets[1] == cut_sets[2]
 
 
-# -- queries racing workers ---------------------------------------------
-
-
-def test_stress_queries_race_workers_against_serial_oracle():
-    """K worker threads refine while the foreground runs selects.
-
-    Every query result must match a numpy oracle on the base column,
-    and after draining, the piece map and cracker column must satisfy
-    every structural invariant.
-    """
-    rows = 20_000
-    db = _db(columns=2, rows=rows)
-    kernel = HolisticKernel(
-        db,
-        HolisticConfig(num_workers=4, cache_target_elements=64),
-    )
-    column = db.column("R", "A1")
-    rng = np.random.default_rng(99)
-    kernel.start_workers()
-    try:
-        kernel.submit_tuning(600)
-        for _ in range(120):
-            low = float(rng.uniform(0, 9.5e7))
-            high = low + float(rng.uniform(1e5, 5e6))
-            result = kernel.select(_query(low, high))
-            assert result.count == ground_truth_count(column, low, high)
-        kernel.drain_workers()
-    finally:
-        kernel.stop_workers()
-    for index in kernel.indexes.values():
-        index.check_invariants()
-    # The workers really did run concurrently with the queries.
-    tuning_workers = [
-        stats
-        for stats in kernel.worker_pool.worker_stats()
-        if stats.actions_effective
-    ]
-    assert len(tuning_workers) >= 2
-    _assert_no_phase_open(db)
+# -- workers contending with each other ---------------------------------
 
 
 def test_stress_contended_single_column_counts_stalls():
@@ -435,53 +389,18 @@ def test_stress_contended_single_column_counts_stalls():
 
 
 def test_explicit_lifecycle_folds_worker_time_into_clock():
+    """A window's start, submit, drain and stop fold the workers'
+    lanes into the clock: it advances by the longest lane only."""
     db = _db()
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
     before = db.clock.now()
-    kernel.start_workers()
-    kernel.submit_tuning(40)
-    kernel.drain_workers()
-    kernel.stop_workers()
+    kernel.exploit_idle(actions=40)
     assert db.clock.now() > before
     pool = kernel.worker_pool
     assert pool is not None
     busy = sum(stats.busy_s for stats in pool.worker_stats())
     assert busy > 0
     assert busy >= db.clock.now() - before  # lanes overlap
-
-
-def test_worker_queries_race_from_two_foreground_threads():
-    """Two foreground threads issue latched selects while workers
-    crack: exercises multi-acquirer deadlock-freedom end to end."""
-    db = _db(columns=1, rows=10_000)
-    kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
-    column = db.column("R", "A1")
-    errors: list[str] = []
-    kernel.start_workers()
-
-    def forager(seed: int) -> None:
-        rng = np.random.default_rng(seed)
-        for _ in range(40):
-            low = float(rng.uniform(0, 9e7))
-            high = low + 2e6
-            count = kernel.select(_query(low, high)).count
-            if count != ground_truth_count(column, low, high):
-                errors.append(f"wrong count for [{low}, {high})")
-
-    try:
-        kernel.submit_tuning(200)
-        threads = [
-            threading.Thread(target=forager, args=(s,)) for s in (1, 2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        kernel.drain_workers()
-    finally:
-        kernel.stop_workers()
-    assert errors == []
-    kernel.index_for(ColumnRef("R", "A1")).check_invariants()
 
 
 def test_stop_preserves_settled_account_when_worker_died():
@@ -502,10 +421,8 @@ def test_stop_preserves_settled_account_when_worker_died():
         raise RuntimeError("injected worker crash")
 
     pool._apply_batch = explode
-    kernel.start_workers()
-    kernel.submit_tuning(8)
     with pytest.raises(ConcurrencyError) as excinfo:
-        pool.stop()
+        kernel.exploit_idle(actions=8)  # the window's stop() raises
     error = excinfo.value
     assert error.account is not None
     assert error.account.elapsed_s >= 0.0
@@ -517,17 +434,21 @@ def test_stop_preserves_settled_account_when_worker_died():
 
 
 def test_drain_failure_reports_stats_without_account():
+    """The pool's primitives as a window calls them: a drain that
+    finds a fatal failure raises before the phase is settled."""
     db = _db()
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
     pool = kernel.worker_pool
+    for column in ("A1", "A2", "A3"):
+        kernel.index_for(ColumnRef("R", column))
 
     def explode(worker_id, batch, access):
         raise RuntimeError("injected worker crash")
 
     pool._apply_batch = explode
-    kernel.start_workers()
+    pool.start()
     try:
-        kernel.submit_tuning(4)
+        assert pool.submit(4) == 4
         with pytest.raises(ConcurrencyError) as excinfo:
             pool.drain()
         # drain() has not settled the phase yet: no account to attach,
@@ -540,47 +461,6 @@ def test_drain_failure_reports_stats_without_account():
         with pytest.raises(ConcurrencyError):
             pool.stop()
         assert pool.clear_failure() is not None
-
-
-# -- session-level background tuning ------------------------------------
-
-
-def test_session_background_tuning_races_queries():
-    db = _db(columns=2)
-    session = db.session("holistic", num_workers=2)
-    column = db.column("R", "A1")
-    session.start_background_tuning(120)
-    try:
-        for i in range(20):
-            low = 4e6 * i
-            high = low + 2e6
-            result = session.select("R", "A1", low, high)
-            assert result.count == ground_truth_count(column, low, high)
-    finally:
-        session.finish_background_tuning()
-    _assert_no_phase_open(db)
-    kernel = session.strategy
-    assert kernel.tuning_summary is not None
-    tuning = [
-        stats
-        for stats in kernel.worker_pool.worker_stats()
-        if stats.actions_effective
-    ]
-    assert tuning  # workers really refined in the background
-    for index in kernel.indexes.values():
-        index.check_invariants()
-
-
-def test_session_background_tuning_requires_workers():
-    db = _db()
-    scans = db.session("scan")
-    with pytest.raises(ConfigError):
-        scans.start_background_tuning(10)
-    serial = db.session("holistic")  # num_workers=0
-    with pytest.raises(ConfigError):
-        serial.start_background_tuning(10)
-    with pytest.raises(ConfigError):
-        scans.finish_background_tuning()
 
 
 def test_budget_window_terminates_on_minimal_clock():

@@ -235,43 +235,31 @@ class TestServingWindows:
 
 
 class TestTuningWorkers:
-    def test_snapshot_with_workers_racing_the_workload(self, tmp_path):
+    def test_snapshot_of_a_worker_session_round_trips(self, tmp_path):
+        """A snapshot taken after a worker-drained idle window restores
+        the worker count, and the restored kernel's windows keep the
+        answers those of an uninterrupted run."""
         trace, reference = _trace()
         cut = len(trace) // 2
 
         db = _fresh_db()
         session = db.session("holistic", seed=SEED, num_workers=2)
-        kernel = session.strategy
         fingerprint = TraceFingerprint()
-        kernel.start_workers()
-        kernel.submit_tuning(150)
-        try:
-            _replay_span(db, session, trace, fingerprint, 0, cut)
-            manager = SnapshotManager(tmp_path, db, strategy=kernel,
-                                      session=session)
-            # Snapshots need settled state: capture is refused while
-            # workers may be mid-crack.
-            with pytest.raises(PersistError, match="tuning workers"):
-                manager.checkpoint()
-            kernel.drain_workers()
-        finally:
-            kernel.stop_workers()
-        manager.checkpoint(extra={"cursor": cut})
-        del db, session, kernel, manager
+        _replay_span(db, session, trace, fingerprint, 0, cut)
+        session.idle(actions=150)
+        SnapshotManager(
+            tmp_path, db, strategy=session.strategy, session=session
+        ).checkpoint(extra={"cursor": cut})
+        del db, session
 
         restored = restore_snapshot(tmp_path)
         kernel = restored.strategy
         assert kernel.worker_pool is not None  # num_workers survived
-        kernel.start_workers()
-        kernel.submit_tuning(150)
-        try:
-            _replay_span(
-                restored.db, restored.session, trace, fingerprint, cut,
-                len(trace),
-            )
-            kernel.drain_workers()
-        finally:
-            kernel.stop_workers()
+        restored.session.idle(actions=150)
+        _replay_span(
+            restored.db, restored.session, trace, fingerprint, cut,
+            len(trace),
+        )
         _assert_digest(fingerprint, reference)
         for index in kernel.indexes.values():
             index.check_invariants()

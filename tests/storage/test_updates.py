@@ -65,6 +65,17 @@ def test_stage_deletes_refuses_a_boolean_position(pending):
     assert pending.stage_deletes([1], [20]) == 1
 
 
+def test_stage_deletes_refuses_a_boolean_inside_a_position_list(pending):
+    """A list mixing a boolean with integers converts to an int64
+    array, so ``[True, 2]`` would stage rows 1 and 2: the boolean is
+    refused element by element, and nothing is staged."""
+    for positions in ([True, 2], (2, np.True_)):
+        with pytest.raises(SchemaError, match="boolean"):
+            pending.stage_deletes(positions, [20, 30])
+    assert pending.pending_delete_count == 0
+    assert pending.stage_deletes([1, 2], [20, 30]) == 2
+
+
 def test_deletes_in_range(pending):
     pending.stage_deletes([0, 1, 2], [10, 20, 30])
     assert pending.deletes_in_range(15, 35).tolist() == [20, 30]

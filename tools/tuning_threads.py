@@ -8,23 +8,14 @@ item 15): do threads beat serial idle tuning on this machine?
 
 Every run builds a fresh database on a :class:`~repro.WallClock` over
 one shared table (2 or 8 columns), reads each column once so its
-index exists, and then measures one of two things.
-
-* **idle**: one ``idle(actions=n)`` window, for n of 100, 1,000 and
-  4,000, timed by ``perf_counter``: serial one-at-a-time cracks,
-  serial ``batch_tuning=True`` and 1 and 2 tuning workers.
-* **race**: the same ``--queries`` reads in four bursts.  ``serial``
-  spends an ``n``-action batched window before each burst; ``race1``
-  and ``race2`` queue the same 4n actions with
-  ``start_background_tuning`` before the first burst, on 1 and 2
-  workers, and finish them after the last.  The figure is the
-  cumulative wall response of the reads.
+index exists, and then times one ``idle(actions=n)`` window, for n of
+100, 1,000 and 4,000, by ``perf_counter``: serial one-at-a-time
+cracks, serial ``batch_tuning=True`` and 1 and 2 tuning workers.
 
 The configurations alternate within each repetition, and the table
 holds medians in milliseconds.  ROADMAP item 15's rule reads the
 ``2w/batch`` ratio of serial batched time over 2 workers' time (the
-threads stay at 1.2 or more) and ``race2/serial`` (the threads stay
-below 1.0).
+threads stay at 1.2 or more).
 """
 
 from __future__ import annotations
@@ -34,8 +25,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -47,18 +36,12 @@ from repro.storage.loader import build_paper_table  # noqa: E402
 ACTIONS = (100, 1_000, 4_000)
 COLUMNS = (2, 8)
 CACHE_TARGET = 1_024
-BURSTS = 4
 
 IDLE = {
     "serial": {},
     "batch": {"batch_tuning": True},
     "1w": {"num_workers": 1},
     "2w": {"num_workers": 2},
-}
-RACE = {
-    "serial": {"batch_tuning": True},
-    "race1": {"num_workers": 1},
-    "race2": {"num_workers": 2},
 }
 
 
@@ -73,17 +56,6 @@ def _session(table, options: dict):
     return session
 
 
-def _queries(table, count: int, seed: int) -> list[RangeQuery]:
-    """``count`` reads of 1 % of the domain, round robin over the
-    columns."""
-    names = [column.name for column in table]
-    lows = np.random.default_rng(seed).uniform(1.0, 9.9e7, size=count)
-    return [
-        RangeQuery(ColumnRef("R", names[i % len(names)]), low, low + 1e6)
-        for i, low in enumerate(lows.tolist())
-    ]
-
-
 def _idle_ms(table, options: dict, actions: int) -> float:
     session = _session(table, options)
     started = time.perf_counter()
@@ -91,30 +63,10 @@ def _idle_ms(table, options: dict, actions: int) -> float:
     return (time.perf_counter() - started) * 1e3
 
 
-def _race_ms(table, options: dict, actions: int, queries) -> float:
-    session = _session(table, options)
-    racing = options.get("num_workers", 0) > 0
-    if racing:
-        session.start_background_tuning(actions * BURSTS)
-    burst = len(queries) // BURSTS
-    response = 0.0
-    for start in range(0, burst * BURSTS, burst):
-        if not racing:
-            session.idle(actions=actions)
-        for query in queries[start:start + burst]:
-            started = time.perf_counter()
-            session.run_query(query)
-            response += time.perf_counter() - started
-    if racing:
-        session.finish_background_tuning()
-    return response * 1e3
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rows", type=int, default=4_000_000)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--queries", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
@@ -125,33 +77,22 @@ def main(argv: list[str] | None = None) -> int:
     header = (
         f"{'cols':>4} {'actions':>7} | "
         + " ".join(f"{name:>7}" for name in IDLE)
-        + f" {'2w/batch':>8} | "
-        + " ".join(f"{name:>7}" for name in RACE)
-        + f" {'race2/serial':>12}"
+        + f" {'2w/batch':>8}"
     )
     print(header)
     print("-" * len(header))
     for columns in COLUMNS:
         table = build_paper_table(args.rows, columns=columns, seed=args.seed)
-        queries = _queries(table, args.queries, args.seed)
         for actions in ACTIONS:
             idle = {name: [] for name in IDLE}
-            race = {name: [] for name in RACE}
             for _ in range(args.repeats):
                 for name, options in IDLE.items():
                     idle[name].append(_idle_ms(table, options, actions))
-                for name, options in RACE.items():
-                    race[name].append(
-                        _race_ms(table, options, actions, queries)
-                    )
-            idle_median = {k: statistics.median(v) for k, v in idle.items()}
-            race_median = {k: statistics.median(v) for k, v in race.items()}
+            median = {k: statistics.median(v) for k, v in idle.items()}
             print(
                 f"{columns:>4} {actions:>7} | "
-                + " ".join(f"{idle_median[k]:>7.1f}" for k in IDLE)
-                + f" {idle_median['batch'] / idle_median['2w']:>8.2f} | "
-                + " ".join(f"{race_median[k]:>7.1f}" for k in RACE)
-                + f" {race_median['race2'] / race_median['serial']:>12.2f}",
+                + " ".join(f"{median[k]:>7.1f}" for k in IDLE)
+                + f" {median['batch'] / median['2w']:>8.2f}",
                 flush=True,
             )
     return 0
