@@ -7,9 +7,9 @@ implemented in this library:
 * trickle inserts/deletes staged in delta stores and overlaid on a
   query's result when it touches their value range -- the cracker
   column itself is never rebuilt;
-* piece-level latching for concurrent cracking: in an idle window,
-  tuning workers crack the columns side by side, each under the
-  latches of the pieces it restructures, and the queries that follow
+* concurrent cracking: in an idle window, tuning workers crack the
+  columns side by side, each batch one pass under its index's lock
+  over pieces no sibling batch touches, and the queries that follow
   read the refined index.
 
 Run:  python examples/updates_and_concurrency.py

@@ -1,10 +1,10 @@
 """CLI: ``python -m repro.analysis`` -- the repo's static-analysis gate.
 
-Runs, in order: the AST lint rules (latch discipline, determinism,
-dtype promotion, fault-point coverage, waiver hygiene), the static
-lock-order analysis, and -- when available or ``--require-mypy`` --
-the strict mypy gate.  ``--check`` exits nonzero on any finding, which
-is what CI calls; ``--json`` emits the full machine-readable report.
+Runs, in order: the AST lint rules (determinism, dtype promotion,
+fault-point coverage, waiver hygiene), the static lock-order analysis,
+and -- when available or ``--require-mypy`` -- the strict mypy gate.
+``--check`` exits nonzero on any finding, which is what CI calls;
+``--json`` emits the full machine-readable report.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         for nesting in lock_report["same_class_nestings"]:
             print(
                 f"lock-order: same-class nesting on {nesting['lock']} "
-                f"(via {nesting['via']}); ordered at runtime by the "
-                "latch witness"
+                f"(via {nesting['via']}); nothing orders two holders of "
+                "one non-reentrant lock class"
             )
         if mypy_result is not None:
             print(f"mypy: {mypy_result.status}")

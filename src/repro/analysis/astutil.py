@@ -1,17 +1,8 @@
-"""Shared AST plumbing for the lint rules and the lock-order analyzer."""
+"""Shared AST plumbing for the lint rules."""
 
 from __future__ import annotations
 
 import ast
-
-
-def build_parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
-    """Child -> parent map for the whole tree."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -70,34 +61,3 @@ def resolve_call_name(
     if origin is None:
         return name
     return f"{origin}.{rest}" if rest else origin
-
-
-def call_has_no_side_effects(stmt: ast.stmt) -> bool:
-    """Whether a statement is safe to sit between acquire and try.
-
-    Safe means it cannot raise on the acquire-protection path: plain
-    assignments and annotations whose right side contains no calls,
-    awaits, subscripts or comprehensions, plus docstring expressions.
-    """
-    if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        value = stmt.value
-        if value is None:
-            return True
-        return not any(
-            isinstance(
-                inner,
-                (
-                    ast.Call,
-                    ast.Await,
-                    ast.Subscript,
-                    ast.ListComp,
-                    ast.SetComp,
-                    ast.DictComp,
-                    ast.GeneratorExp,
-                ),
-            )
-            for inner in ast.walk(value)
-        )
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-        return True
-    return isinstance(stmt, (ast.Pass, ast.Global, ast.Nonlocal))

@@ -11,8 +11,8 @@ class Finding:
     """One static-analysis violation.
 
     Attributes:
-        rule: rule identifier (``latch-discipline``, ``determinism``,
-            ``dtype-promotion``, ``fault-coverage``, ``waiver``).
+        rule: rule identifier (``determinism``, ``dtype-promotion``,
+            ``fault-coverage``, ``waiver``).
         path: file the violation is in (repo-relative when produced by
             the CLI).
         line: 1-based line of the offending node.

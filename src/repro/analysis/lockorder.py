@@ -1,32 +1,27 @@
-"""Static lock-order analysis over the latch-acquisition call graph.
+"""Static lock-order analysis over the lock-acquisition call graph.
 
-Deadlock freedom for the worker/serving planes rests on a global
-acquisition order (table latch before piece latches, latches before
-the index mutex, mutexes last).  This module recovers that order
-statically:
+Deadlock freedom for the worker threads rests on a global acquisition
+order.  This module recovers that order statically:
 
 1. every class's lock-like attributes become *lock classes*
    (``threading.Lock/RLock/Condition`` attrs are named
-   ``Class.attr``; :class:`ReadWriteLatch` instances take their
-   ``witness_group`` tag, so the table latch is ``latch.table`` and
-   every piece latch shares the class ``latch.piece``);
+   ``Class.attr``, module-level locks ``module.name``);
 2. each function is summarised as an ordered event list -- scoped
-   ``with`` acquisitions, bare ``acquire_read/acquire_write`` calls
-   (held to function end unless released), calls into other analysed
-   functions, and ``yield`` points for ``@contextmanager`` functions
-   (whose held-set-at-yield flows into their ``with`` callers);
+   ``with`` acquisitions, calls into other analysed functions, and
+   ``yield`` points for ``@contextmanager`` functions (whose
+   held-set-at-yield flows into their ``with`` callers);
 3. a fixpoint propagates held-lock contexts through the call graph,
    recording an edge ``A -> B`` whenever ``B`` is acquired while
    ``A`` is held;
 4. a cycle in the resulting order graph is a potential deadlock and
    fails the analysis.
 
-Same-lock-class nestings (two piece latches held together) cannot be
-ordered by class alone; they are reported separately and delegated to
-the runtime witness (:mod:`repro.analysis.witness`), which enforces
-the ascending-bucket-key protocol dynamically.  Calls the analyser
-cannot resolve are counted, not ignored silently -- the count is part
-of the report so the under-approximation stays visible.
+A non-reentrant lock class acquired while one of its own is held (two
+instances, or the same one twice) cannot be ordered by class alone and
+nothing orders it at run time, so such a *same-class nesting* fails
+the analysis too.  Calls the analyser cannot resolve are counted, not
+ignored silently -- the count is part of the report so the
+under-approximation stays visible.
 """
 
 from __future__ import annotations
@@ -43,8 +38,6 @@ _LOCK_CTORS = {
     "threading.RLock": True,
     "threading.Condition": False,
 }
-_ACQUIRE_METHODS = {"acquire_read": "r", "acquire_write": "w"}
-_RELEASE_METHODS = {"release_read", "release_write"}
 _MAX_PASSES = 30
 
 
@@ -53,7 +46,7 @@ _MAX_PASSES = 30
 
 @dataclass
 class Event:
-    kind: str  # with_lock | with_cm | acquire | release | call | enter_cm | yield
+    kind: str  # with_lock | with_cm | call | enter_cm | yield
     token: str | None = None  # lock class, or callee qualname
     body: list["Event"] = field(default_factory=list)
     line: int = 0
@@ -68,7 +61,6 @@ class Func:
     path: str
     is_cm: bool = False
     cm_alias: str | None = None  # qualname whose held_at_yield we inherit
-    returns_lock: str | None = None
     returns_cls: str | None = None
     synchronized_lock: str | None = None  # decorator-implied scoped lock
     events: list[Event] = field(default_factory=list)
@@ -211,9 +203,6 @@ class LockOrderAnalyzer:
             name = _dotted(value.func)
             if name is not None:
                 tail = name.split(".")[-1]
-                if tail == "ReadWriteLatch":
-                    group = _witness_group(value) or f"{info.name}.{attr}"
-                    return ("lock", group)
                 if tail and tail[0].isupper():
                     return ("type", tail)
         if isinstance(value, ast.Name) and value.id in params:
@@ -250,11 +239,7 @@ class LockOrderAnalyzer:
                 func.synchronized_lock = f"{cls}.lock"
                 self.reentrant.add(f"{cls}.lock")
         returns = _annotation_name(node.returns)
-        if returns == "ReadWriteLatch":
-            func.returns_lock = (
-                _constructed_group(node) or "latch.untagged"
-            )
-        elif returns is not None and returns[0].isupper():
+        if returns is not None and returns[0].isupper():
             func.returns_cls = returns
         self.funcs[qual] = func
         if cls is not None:
@@ -361,14 +346,9 @@ class LockOrderAnalyzer:
                 + self._events_for_block(func, stmt.orelse, env)
             )
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            # Simulate loop bodies twice: a bare acquisition repeated
-            # across iterations (write_pieces latching several buckets)
-            # must surface as a same-class nesting for the witness.
-            body = self._events_for_block(func, stmt.body, env)
-            body = body + self._events_for_block(func, stmt.body, env)
             return (
                 self._expr_events(func, stmt.iter, env)
-                + body
+                + self._events_for_block(func, stmt.body, env)
                 + self._events_for_block(func, stmt.orelse, env)
             )
         if isinstance(stmt, ast.Try):
@@ -409,39 +389,7 @@ class LockOrderAnalyzer:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute):
-                attr = node.func.attr
-                if attr in _ACQUIRE_METHODS or attr in _RELEASE_METHODS:
-                    recv = self._resolve_expr(func, node.func.value, env)
-                    if recv is not None and recv[0] == "lock":
-                        # the call into the latch implementation runs
-                        # before the latch is held, so its internal
-                        # condvar ordering is analysed under the
-                        # caller's held set
-                        impl = self.method_index.get(
-                            ("ReadWriteLatch", attr)
-                        )
-                        if impl is not None:
-                            events.append(
-                                Event(
-                                    kind="call",
-                                    token=impl,
-                                    line=node.lineno,
-                                )
-                            )
-                        kind = (
-                            "acquire"
-                            if attr in _ACQUIRE_METHODS
-                            else "release"
-                        )
-                        events.append(
-                            Event(
-                                kind=kind, token=recv[1], line=node.lineno
-                            )
-                        )
-                    else:
-                        self.unresolved += 1
-                    continue
-                if attr == "enter_context" and node.args:
+                if node.func.attr == "enter_context" and node.args:
                     inner = node.args[0]
                     if isinstance(inner, ast.Call):
                         target = self._resolve_call(func, inner, env)
@@ -498,8 +446,6 @@ class LockOrderAnalyzer:
             if target is None:
                 return None
             callee = self.funcs[target]
-            if callee.returns_lock is not None:
-                return ("lock", callee.returns_lock)
             if callee.returns_cls is not None:
                 return ("type", callee.returns_cls)
             return None
@@ -520,13 +466,6 @@ class LockOrderAnalyzer:
             base = self._resolve_expr(func, call.func.value, env)
             if base is not None and base[0] == "type":
                 return self.method_index.get((base[1], call.func.attr))
-            if base is not None and base[0] == "lock":
-                # calls on a lock object: acquire/release handled at the
-                # event layer; analyse the latch class's own method so
-                # the internal condition-variable order is covered
-                return self.method_index.get(
-                    ("ReadWriteLatch", call.func.attr)
-                )
         return None
 
     # -- fixpoint ----------------------------------------------------------
@@ -580,16 +519,6 @@ class LockOrderAnalyzer:
                 held[event.token] -= 1
                 if held[event.token] == 0:
                     del held[event.token]
-            elif event.kind == "acquire":
-                assert event.token is not None
-                self._note_acquire(func, event.token, held)
-                held[event.token] = held.get(event.token, 0) + 1
-            elif event.kind == "release":
-                assert event.token is not None
-                if held.get(event.token, 0) > 0:
-                    held[event.token] -= 1
-                    if held[event.token] == 0:
-                        del held[event.token]
             elif event.kind == "call":
                 assert event.token is not None
                 changed |= self._enter_callee(event.token, held)
@@ -655,7 +584,9 @@ class LockOrderAnalyzer:
     def report(self) -> dict[str, Any]:
         cycle = self.find_cycle()
         nodes = sorted(
-            {a for a, _ in self.edges} | {b for _, b in self.edges}
+            {a for a, _ in self.edges}
+            | {b for _, b in self.edges}
+            | set(self.same_class)
         )
         return {
             "lock_classes": nodes,
@@ -670,7 +601,7 @@ class LockOrderAnalyzer:
             "reentrant": sorted(self.reentrant),
             "unresolved_sites": self.unresolved,
             "cycle": cycle,
-            "ok": cycle is None,
+            "ok": cycle is None and not self.same_class,
         }
 
 
@@ -726,28 +657,4 @@ def _annotation_name(annotation: ast.expr | None) -> str | None:
         if base == "Optional":
             return _annotation_name(annotation.slice)
         return None
-    return None
-
-
-def _witness_group(call: ast.Call) -> str | None:
-    for keyword in call.keywords:
-        if (
-            keyword.arg == "witness_group"
-            and isinstance(keyword.value, ast.Constant)
-            and isinstance(keyword.value.value, str)
-        ):
-            return keyword.value.value
-    return None
-
-
-def _constructed_group(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> str | None:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name is not None and name.split(".")[-1] == "ReadWriteLatch":
-                group = _witness_group(node)
-                if group is not None:
-                    return group
     return None

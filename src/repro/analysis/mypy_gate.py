@@ -6,8 +6,8 @@ a notice) when mypy is not importable, unless ``required=True`` -- CI
 passes ``--require-mypy`` after installing it, so type regressions
 cannot slip through where it matters while offline checkouts still
 lint.  Scope and strictness live in ``mypy.ini`` at the repo root
-(strict for ``repro.simtime.*``, ``repro.cracking.piecemap`` and the
-witness; everything else is only imported, silently).
+(strict for ``repro.simtime.*`` and ``repro.cracking.piecemap``;
+everything else is only imported, silently).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 CHECKED_PATHS = (
     "repro/simtime",
     "repro/cracking/piecemap.py",
-    "repro/analysis/witness.py",
 )
 
 

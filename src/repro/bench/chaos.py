@@ -11,15 +11,14 @@ self-healing kernel, stated as three machine-checkable gates:
   every scenario must inject exactly the faults it armed;
 * **bounded recovery** -- the supervisor restarts a worker at most
   once per injected fault (delays and attempts are capped where the
-  recovery paths live: ``SupervisorPolicy``, ``BackoffPolicy``, the
-  latch protocol's ``MAX_RETRIES``).
+  recovery paths live: ``SupervisorPolicy``, ``BackoffPolicy``).
 
 Scenario families:
 
 * ``serving/*`` -- the multi-client serving loop (2 oracle lanes, a
   holistic kernel; with workers, an idle window they drain after every
   served window) under worker crashes (supervised restart), repeated
-  crashes driving column quarantine, latch timeouts, poison replays
+  crashes driving column quarantine, poison replays
   (solo retry, then base-column scan fallback) and malformed queries
   smuggled past validation by a third "chaos" client;
 * ``persist/*`` -- checkpoint / corrupt / restore / resume cycles: a
@@ -81,7 +80,7 @@ _WINDOW = 24
 _CLIENTS = 2
 #: Tuning actions of the idle window after every served window, plus
 #: a tail window -- keeps workers busy for the whole trace so armed
-#: worker/latch fault hits are certain to occur.
+#: worker fault hits are certain to occur.
 _PUMP_ACTIONS = 8
 _TAIL_ACTIONS = 64
 #: Inject one malformed entry every Nth window in the malformed
@@ -345,14 +344,14 @@ def run_chaos(
         ),
         (
             "serving/worker_quarantine",
-            # Five consecutive batch crashes over the three columns of
-            # a round-robin plan, each crashed batch retried: typically
-            # 2/2/1, so two columns hit the quarantine threshold and
-            # are dead-lettered; five crashes cannot take all three
-            # there, so the pool stays alive (the ranked policy would
-            # re-offer a dead-lettered best column forever, which is by
-            # design fatal).  Indices start late enough that every
-            # column has been queried and registered.
+            # Five consecutive planned batches crash over the three
+            # columns of a round-robin plan, each crashed batch
+            # retried: 2/2/1 at this seed, so two columns hit the
+            # quarantine threshold and are dead-lettered; five crashes
+            # cannot take all three there, so the pool stays alive (the
+            # ranked policy would re-offer a dead-lettered best column
+            # forever, which is by design fatal).  Indices start late
+            # enough that every column has been queried.
             dict(
                 arm=lambda p: p.arm(
                     "workers.perform", at=[10, 11, 12, 13, 14]
@@ -361,14 +360,6 @@ def run_chaos(
                 workers=2,
                 supervisor=quarantine_policy,
                 policy="round_robin",
-            ),
-        ),
-        (
-            "serving/latch_timeout",
-            dict(
-                arm=lambda p: p.arm("latch.acquire", at=[0, 2]),
-                expected_injected=2,
-                workers=2,
             ),
         ),
         (

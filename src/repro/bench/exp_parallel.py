@@ -14,15 +14,15 @@ to refine every candidate column to the cache target:
   so "one worker ~ serial" compares like with like;
 * ``workers >= 1`` drain each idle window through the
   :class:`~repro.holistic.workers.TuningWorkerPool` as planned
-  per-column batches under piece-level latches; the virtual clock
+  per-column batches, one pass each; the virtual clock
   charges each worker on its own lane and advances wall-clock by the
   slowest lane, so elapsed idle time drops toward ``busy / workers``.
   Plans are static and pivots are drawn per column at plan time, so
   every row of the sweep is a deterministic function of the seed.
 
 Reported per worker count: idle windows and virtual seconds until
-convergence, aggregate busy seconds, achieved speedup over one worker,
-effective refinement actions and latch contention stalls.
+convergence, aggregate busy seconds, achieved speedup over one worker
+and effective refinement actions.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class ParallelRun:
     busy_s: float = 0.0
     actions_attempted: int = 0
     actions_effective: int = 0
-    stalls: int = 0
     converged: bool = False
 
 
@@ -144,7 +143,6 @@ def run_parallel_sweep(
         run.busy_s = (
             summary.busy_s if summary.busy_s > 0 else run.idle_consumed_s
         )
-        run.stalls = kernel.tape.stall_count()
         result.runs[workers] = run
     return result
 
@@ -173,7 +171,6 @@ def expp_rows(result: ParallelSweepResult) -> list[list[str]]:
                 format_seconds(run.busy_s),
                 speedup,
                 str(run.actions_effective),
-                str(run.stalls),
             ]
         )
     return rows
@@ -188,7 +185,6 @@ def expp_text(result: ParallelSweepResult) -> str:
         "Idle busy",
         "Speedup",
         "Actions",
-        "Stalls",
     ]
     title = (
         f"ExpP ({result.scale.name} scale, projected to paper scale): "

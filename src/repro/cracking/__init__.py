@@ -2,15 +2,10 @@
 
 Reproduces the MonetDB cracking module the paper builds on [12], plus
 the cited extensions that define the adaptive-indexing design space:
-stochastic cracking [10], update merging [11] and piece-level
-concurrency control [7].
+stochastic cracking [10] and update merging [11].
 """
 
-from repro.cracking.concurrency import (
-    LatchedCrackerAccess,
-    PieceLatchTable,
-    ReadWriteLatch,
-)
+from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.engine import (
     CrackScratch,
     crack_in_three,
@@ -39,9 +34,7 @@ __all__ = [
     "LatchedCrackerAccess",
     "MaintainedCrackerIndex",
     "Piece",
-    "PieceLatchTable",
     "PieceMap",
-    "ReadWriteLatch",
     "StochasticCrackerIndex",
     "crack_in_three",
     "crack_in_two",

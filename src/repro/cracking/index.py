@@ -44,7 +44,6 @@ from repro.cracking.engine import (
     crack_spans_batch,
     sort_piece,
 )
-from repro.analysis import witness
 from repro.cracking.piece import CrackOrigin, Piece
 from repro.cracking.piecemap import PieceMap
 from repro.cracking.tape import CrackTape
@@ -107,10 +106,8 @@ class CrackerIndex:
         self.clock: Clock = clock if clock is not None else SimClock()
         #: Monitor lock: every structural read-modify-write on the
         #: cracker column and piece map runs under it, making the index
-        #: safe to share between tuning worker threads and foreground
-        #: queries.  Reentrant because select_range calls ensure_cut.
-        #: Piece-level concurrency semantics live one layer up, in
-        #: :class:`repro.cracking.concurrency.PieceLatchTable`.
+        #: safe to share between tuning worker threads.  Reentrant
+        #: because select_range calls ensure_cut.
         self.lock = threading.RLock()
         self._array = self._materialize_values(column)
         self._pieces = PieceMap(
@@ -319,9 +316,7 @@ class CrackerIndex:
         """
         keys = [self._pivot_key(value) for value in values]
         copy_charged = self._copy_charged
-        record = self._crack_pass(
-            np.array(keys, dtype=self._pieces.dtype), "ensure_cuts"
-        )
+        record = self._crack_pass(np.array(keys, dtype=self._pieces.dtype))
         clock, tape = self.clock, self.tape
         if record.fresh and not copy_charged and self.row_count:
             clock.charge_materialize(self.row_count)
@@ -467,10 +462,7 @@ class CrackerIndex:
         self._replay_cache = None
         copy_charged = self._copy_charged
         if fresh:
-            self._crack_pass(
-                np.array(fresh, dtype=self._pieces.dtype),
-                "batched crack pass",
-            )
+            self._crack_pass(np.array(fresh, dtype=self._pieces.dtype))
         context = CrackSelectBatch(self, sim, copy_charged, len(bounds))
         self._replay_cache = (self._pieces.version, context)
         return context
@@ -490,7 +482,7 @@ class CrackerIndex:
         """
         values = self._window_bounds(bounds)
         if len(values):
-            self._crack_pass(values, "batched crack pass")
+            self._crack_pass(values)
 
     def _window_bounds(self, bounds: list[tuple[Key, Key]]) -> np.ndarray:
         """Every bound a window's physical pass must see cut, in the
@@ -514,7 +506,7 @@ class CrackerIndex:
             if not low < high:
                 raise QueryError(f"range inverted: low={low} > high={high}")
 
-    def _crack_pass(self, values: np.ndarray, what: str) -> "CrackPass":
+    def _crack_pass(self, values: np.ndarray) -> "CrackPass":
         """Crack at every fresh value in ``values``, silently.
 
         Caller holds the lock; ``values`` are keys in the column's
@@ -525,9 +517,7 @@ class CrackerIndex:
         ``crack_multi`` the denser ones, and one
         :meth:`PieceMap.insert_cracks_bulk` splice records every cut.
         Nothing is charged or logged; the first crack marks the base
-        copy as made (the caller's accounting charges it).  The witness
-        checks that a worker batch holds the write latches of exactly
-        the pieces it splits.
+        copy as made (the caller's accounting charges it).
         """
         pieces = self._pieces
         indices, starts, ends, at_pivot = pieces.locate_many(values)
@@ -544,9 +534,6 @@ class CrackerIndex:
         # diff instead of a Python dict of lists.
         cut_points = np.flatnonzero(np.diff(fresh_pieces)) + 1
         group_bounds = [0, *cut_points.tolist(), len(fresh_values)]
-        witness.mutation_check(
-            self, lambda: [fresh_starts[lo] for lo in group_bounds[:-1]], what
-        )
         self._copy_charged = True
         fresh_positions = np.empty(len(fresh_values), dtype=np.int64)
         fresh_list = fresh_values.tolist()
@@ -666,7 +653,6 @@ class CrackerIndex:
             CrackerError: if the index is out of range.
         """
         piece = self._pieces.piece_at_index(piece_index)
-        witness.mutation_check(self, (piece.start,), "sort_piece_at")
         self._charge_copy_if_needed()
         sort_piece(self._array, piece.start, piece.end)
         # A piece of one row is already sorted: no piece is touched.
@@ -689,7 +675,6 @@ class CrackerIndex:
         copy is charged to the clock like any first-touch
         materialization.
         """
-        witness.mutation_check(self, None, "rebuild")
         self._array = self._materialize_values(self.column)
         rows = self.column.row_count
         self._pieces = PieceMap(rows, dtype=self._pieces.dtype)

@@ -63,15 +63,7 @@ class CrackerError(IndexingError):
 
 
 class ConcurrencyError(IndexingError):
-    """A latch protocol violation (:mod:`repro.cracking.concurrency`)."""
-
-
-class LatchTimeout(ConcurrencyError):
-    """A latch acquisition gave up waiting (real or injected timeout).
-
-    Transient by contract: the holder will release, so callers retry
-    the acquisition instead of failing the operation.
-    """
+    """The tuning worker pool failed (:mod:`repro.holistic.workers`)."""
 
 
 class InjectedFault(ReproError):

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a schedule of faults against *named fault
 points* -- fixed hooks compiled into the kernel's risky paths (worker
-actions, latch acquisition, serving replay, snapshot publish/restore).
+actions, serving replay, snapshot publish/restore).
 Each point counts its invocations; a :class:`FaultRule` fires at
 chosen invocation indices, either by raising
 :class:`~repro.errors.InjectedFault` (via :func:`trip`) or by asking
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,9 +44,6 @@ from repro.errors import ConfigError, InjectedFault
 FAULT_POINTS: dict[str, str] = {
     "workers.perform": (
         "a tuning worker crashes mid-refinement (holistic/workers)"
-    ),
-    "latch.acquire": (
-        "a piece-latch acquisition times out (cracking/concurrency)"
     ),
     "serving.replay": (
         "a client's query replay blows up mid-window (serving/frontend)"
@@ -199,11 +196,18 @@ class FaultPlan:
 
     # -- recovery bookkeeping ------------------------------------------
 
-    def note_recovered(self, point: str, note: str = "") -> bool:
-        """Mark the oldest unrecovered event at ``point`` recovered."""
+    def note_recovered(
+        self, point: str, note: str = "", hit: int | None = None
+    ) -> bool:
+        """Mark the oldest unrecovered event at ``point`` recovered, or
+        the one that fired at invocation ``hit``."""
         with self._lock:
             for event in self.events:
-                if event.point == point and not event.recovered:
+                if (
+                    event.point == point
+                    and not event.recovered
+                    and (hit is None or event.hit == hit)
+                ):
                     event.recovered = True
                     event.note = note
                     return True
@@ -297,26 +301,16 @@ def engaged(plan: FaultPlan) -> Iterator[FaultPlan]:
         uninstall()
 
 
-def trip(point: str, error: type[Exception] | None = None) -> None:
-    """Fault hook for error-shaped faults: raises if a rule fires.
-
-    ``error`` substitutes the raised type (e.g.
-    :class:`~repro.errors.LatchTimeout` so the injected fault exercises
-    the genuine timeout-recovery path); the instance always carries
-    ``.point``/``.hit`` for recovery bookkeeping.
-    """
+def trip(point: str) -> None:
+    """Fault hook for error-shaped faults: raises
+    :class:`~repro.errors.InjectedFault`, which carries ``.point`` and
+    ``.hit`` for recovery bookkeeping, if a rule fires."""
     plan = _active
     if plan is None:
         return
     event = plan.fire(point)
-    if event is None:
-        return
-    if error is None:
+    if event is not None:
         raise InjectedFault(point, event.hit)
-    raised = error(f"injected fault at {point!r} (hit {event.hit})")
-    raised.point = point
-    raised.hit = event.hit
-    raise raised
 
 
 def tamper(point: str) -> FaultEvent | None:
@@ -331,11 +325,12 @@ def tamper(point: str) -> FaultEvent | None:
     return plan.fire(point)
 
 
-def recovered(point: str, note: str = "") -> None:
-    """Recovery hook: credit the oldest unrecovered event at ``point``."""
+def recovered(point: str, note: str = "", hit: int | None = None) -> None:
+    """Recovery hook: credit the oldest unrecovered event at ``point``,
+    or the one that fired at invocation ``hit``."""
     plan = _active
     if plan is not None:
-        plan.note_recovered(point, note)
+        plan.note_recovered(point, note, hit)
 
 
 def recovered_matching(prefix: str, note: str = "") -> None:

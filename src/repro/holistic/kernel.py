@@ -74,7 +74,7 @@ class HolisticConfig:
             behaviour bit-for-bit; ``>= 1`` routes idle windows
             through a :class:`repro.holistic.workers.TuningWorkerPool`:
             each window is planned as per-column batches that the
-            workers apply as latched multi-pivot passes.
+            workers apply as multi-pivot passes.
     """
 
     policy: str = "round_robin"
@@ -151,11 +151,9 @@ class HolisticKernel(AdaptiveStrategy):
         return index
 
     def adopt_index(self, ref: ColumnRef, index: CrackerIndex) -> None:
-        """Add ``index`` to the ranking and the worker pool too."""
+        """Add ``index`` to the ranking too."""
         super().adopt_index(ref, index)
         self.ranking.register(ref, index)
-        if self.worker_pool is not None:
-            self.worker_pool.register_index(ref, index)
 
     def _register_candidates(self) -> None:
         """Index the columns worth tuning, by decreasing knowledge
@@ -265,10 +263,7 @@ class HolisticKernel(AdaptiveStrategy):
         where = ""
         if self.worker_pool is not None:
             report = self.worker_pool.run_window(actions, budget_s)
-            where = (
-                f" on {self.config.num_workers} workers, "
-                f"{report.stalls} stalls"
-            )
+            where = f" on {self.config.num_workers} workers"
         elif actions is None:
             report = self.scheduler.run_budget(budget_s)
         elif self.config.batch_tuning:

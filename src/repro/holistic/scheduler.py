@@ -26,20 +26,18 @@ from repro.simtime.clock import Clock
 class TuningReport:
     """What one idle window achieved.
 
-    ``stalls`` and ``busy_s`` are only populated by the parallel worker
-    pool; serial windows leave them at zero.
+    ``busy_s`` is only populated by the parallel worker pool; serial
+    windows leave it at zero.
     """
 
     actions_attempted: int = 0
     actions_effective: int = 0
     stop_reason: str = ""
-    stalls: int = 0
     busy_s: float = 0.0
 
     def merge(self, other: "TuningReport") -> None:
         self.actions_attempted += other.actions_attempted
         self.actions_effective += other.actions_effective
-        self.stalls += other.stalls
         self.busy_s += other.busy_s
 
 

@@ -72,11 +72,11 @@ class AuxiliaryTuner:
         ) is not None
 
     def perform_latched(self, access, pivots: Sequence[Key]) -> int:
-        """Apply one planned batch through a latched access facade.
+        """Apply one planned batch through a worker's access facade.
 
         The worker-thread counterpart of :meth:`perform`: the plan's
-        ``pivots`` are applied as one multi-pivot pass that latches
-        only the target pieces (:meth:`LatchedCrackerAccess.crack_value`).
+        ``pivots`` are applied as one multi-pivot pass under the
+        index's lock (:meth:`LatchedCrackerAccess.crack_value`).
         Returns how many of them refined anything.  Stateless, so every
         worker thread shares the kernel's tuner.
         """

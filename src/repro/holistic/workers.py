@@ -4,14 +4,13 @@ The paper counts idle CPU cores as an idle resource a holistic kernel
 should spend on index refinement -- "multiple tuning actions in one
 go" where possible.  This module provides that machinery: a
 :class:`TuningWorkerPool` of real ``threading`` workers that drain an
-idle window's auxiliary refinement concurrently with each other, using
-the piece-level latches of :mod:`repro.cracking.concurrency`, after
+idle window's auxiliary refinement concurrently with each other, after
 "Main Memory Adaptive Indexing for Multi-core Systems" (Alvarez et
 al.).  The pool runs only inside :meth:`TuningWorkerPool.run_window`,
 which the idle window waits on: no query, served window or snapshot
 ever sees it running.
 
-Five layers cooperate:
+Four layers cooperate:
 
 * **plans** -- the submitting thread turns an idle window's
   ``actions=N`` into a *window plan*: N policy choices against the
@@ -22,20 +21,18 @@ Five layers cooperate:
   the per-worker queues by estimated rows touched.  No two batches of
   a plan target the same piece: the partition-first chunking Alvarez
   et al. measure winning over latch-per-crack "parallel standard
-  cracking".  Nothing about a window depends on thread timing;
-* **latches** -- a worker applies a batch as *one* latched multi-pivot
-  pass (:meth:`LatchedCrackerAccess.crack_value`), so latches only
-  arbitrate between sibling batches and the supervisor's repairs;
-  conflicting accesses wait and are counted as contention stalls on
-  the crack tape;
+  cracking".  A worker applies a batch as *one* multi-pivot pass
+  under its index's lock (:meth:`LatchedCrackerAccess.crack_value`).
+  Nothing about a window depends on thread timing -- not even which
+  batch an armed ``workers.perform`` fault crashes, which the plan
+  decides too;
 * **lanes** -- under a :class:`~repro.simtime.clock.SimClock` the pool
   opens a *parallel phase*: each thread's charges accumulate on its
   own lane and the phase advances virtual time by the **maximum**
   lane, so N workers doing W seconds of aggregate refinement cost the
   timeline ~W/N seconds, reproducing the paper's multi-core scaling
   without needing real parallelism under the GIL;
-* **attribution** -- each worker thread attributes its latch stalls
-  on the tape to its id and counts its actions in its
+* **statistics** -- each worker thread counts its actions in its
   :class:`WorkerStats`, the counters a window's
   :class:`~repro.holistic.scheduler.TuningReport` is read from;
 * **supervision** -- the batch is the supervised unit: a crash
@@ -56,11 +53,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults
-from repro.analysis import witness
-from repro.cracking.concurrency import LatchedCrackerAccess, PieceLatchTable
-from repro.cracking.index import CrackerIndex
+from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.tape import CrackTape
-from repro.errors import ConcurrencyError, ConfigError, CrackerError
+from repro.errors import (
+    ConcurrencyError,
+    ConfigError,
+    CrackerError,
+    InjectedFault,
+)
 from repro.holistic.policies import TuningPolicy
 from repro.holistic.ranking import ColumnRanking, ColumnTuningState
 from repro.holistic.scheduler import TuningReport, spend_window
@@ -101,7 +101,6 @@ class WorkerStats:
     worker_id: int
     actions_attempted: int = 0
     actions_effective: int = 0
-    stalls: int = 0
     busy_s: float = 0.0
 
 
@@ -118,17 +117,19 @@ class _Batch:
     pivots: list[Key]
     #: Estimated rows the pass touches: what the static deal balances.
     weight: int
+    #: The ``workers.perform`` fault the plan drew for this batch; the
+    #: worker raises it when it starts the batch, once.
+    fault: InjectedFault | None = None
 
 
 class TuningWorkerPool:
-    """N threads applying planned refinement batches under piece latches.
+    """N threads applying planned refinement batches.
 
     Args:
         clock: the shared engine clock; parallel phases are opened on
             it while the pool runs (``SimClock`` lanes make wall-clock
             the max over workers, ``WallClock`` overlaps by itself).
-        tape: the kernel's crack tape; receives worker attribution and
-            stall counts.
+        tape: the kernel's crack tape, shared by the worker threads.
         ranking: the continuous column ranking plans are made against.
         policy: resource-spreading policy (shared, guarded by a lock).
         num_workers: worker thread count (>= 1).
@@ -167,8 +168,6 @@ class TuningWorkerPool:
             i: WorkerStats(worker_id=i) for i in range(num_workers)
         }
         self._pivot_rngs: dict[ColumnRef, np.random.Generator] = {}
-        self._accesses: dict[ColumnRef, LatchedCrackerAccess] = {}
-        self._access_lock = threading.Lock()
         # One queue per worker, filled by the plan's static deal: the
         # lanes stay balanced regardless of how the GIL schedules the
         # threads, so N workers reliably cost ~1/N the elapsed virtual
@@ -198,28 +197,6 @@ class TuningWorkerPool:
         self.rebuilds_total = 0
         self.crash_log: list[str] = []
 
-    # -- index registration --------------------------------------------
-
-    def register_index(
-        self, ref: ColumnRef, index: CrackerIndex
-    ) -> LatchedCrackerAccess:
-        """Create (or return) the latched access facade for ``ref``.
-
-        Each index gets its own latch table: piece positions of
-        different columns live in different spaces.
-        """
-        with self._access_lock:
-            access = self._accesses.get(ref)
-            if access is None:
-                table = PieceLatchTable(
-                    witness_key=f"{ref.table}.{ref.column}"
-                )
-                access = LatchedCrackerAccess(index, table)
-                self._accesses[ref] = access
-            if self._running:
-                witness.arm(access.index, access.table)
-            return access
-
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
@@ -235,11 +212,6 @@ class TuningWorkerPool:
         self._idents = {}
         self._restarts = {}
         self._running = True
-        with self._access_lock:
-            # Latch-sanitizer scope: while workers share these indexes,
-            # every mutation must arrive under its covering latch.
-            for access in self._accesses.values():
-                witness.arm(access.index, access.table)
 
     def _spawn_worker(self, worker_id: int) -> threading.Thread:
         thread = threading.Thread(
@@ -335,9 +307,6 @@ class TuningWorkerPool:
         for worker_id, line in enumerate(self._queues):
             self._join_line(worker_id, line)
         self._running = False
-        with self._access_lock:
-            for access in self._accesses.values():
-                witness.disarm(access.index)
         account = self.clock.end_parallel()
         for ident, busy in account.lanes.items():
             worker_id = self._idents.get(ident)
@@ -391,7 +360,6 @@ class TuningWorkerPool:
         try:
             elapsed_before = self.clock.parallel_elapsed()
             busy_before = self.clock.parallel_busy()
-            stalls_before = self.tape.stall_count()
             attempted_before, effective_before = self._actions_done()
             report = TuningReport()
 
@@ -414,7 +382,6 @@ class TuningWorkerPool:
             report.busy_s = self.clock.parallel_busy() - busy_before
         finally:
             self.stop()
-        report.stalls = self.tape.stall_count() - stalls_before
         return report
 
     def _actions_done(self) -> tuple[int, int]:
@@ -436,7 +403,9 @@ class TuningWorkerPool:
         batch (more when there are fewer columns than workers, see
         :meth:`_batches_for`), and the batches are dealt largest first
         to the least-loaded worker queue -- static and deterministic,
-        so lane balance owes nothing to thread timing.  Returns how
+        so lane balance owes nothing to thread timing.  Each batch's
+        ``workers.perform`` fault is drawn here too, in deal order, so
+        which batch takes hit N owes nothing to it either.  Returns how
         many attempts were planned: fewer than asked when the projected
         ranking runs out, zero when it had nothing to offer at all.
         """
@@ -466,6 +435,10 @@ class TuningWorkerPool:
         ):
             worker_id = loads.index(min(loads))
             loads[worker_id] += batch.weight
+            try:
+                faults.trip("workers.perform")
+            except InjectedFault as fault:
+                batch.fault = fault
             self._queues[worker_id].put(batch)
             if worker_id not in self._threads:
                 self._spawn_worker(worker_id)
@@ -594,31 +567,24 @@ class TuningWorkerPool:
                 line.task_done()
 
     def _perform_batch(self, worker_id: int, batch: _Batch) -> None:
-        state = batch.state
-        if state.ref in self.dead_letter:
+        fault, batch.fault = batch.fault, None
+        if fault is not None:
+            raise fault
+        if batch.state.ref in self.dead_letter:
             # Quarantined after it was planned: the attempts are not
             # spent, so a window re-plans them on live columns.
             self._release(batch)
             return
-        access = self.register_index(state.ref, state.index)
-        stalls_before = self.tape.stall_count(worker_id)
-        with self.tape.attribution(worker_id):
-            effective = self._apply_batch(worker_id, batch, access)
+        effective = self._apply_batch(batch)
         stats = self.stats[worker_id]
         stats.actions_attempted += batch.count
         stats.actions_effective += effective
-        stats.stalls += self.tape.stall_count(worker_id) - stalls_before
         self._release(batch, effective)
 
-    def _apply_batch(
-        self,
-        worker_id: int,
-        batch: _Batch,
-        access: LatchedCrackerAccess,
-    ) -> int:
-        """One batch under the appropriate latches; returns how many of
-        its actions refined anything."""
-        faults.trip("workers.perform")
+    def _apply_batch(self, batch: _Batch) -> int:
+        """One batch as one pass; returns how many of its actions
+        refined anything."""
+        access = LatchedCrackerAccess(batch.state.index)
         return self.tuner.perform_latched(access, batch.pivots)
 
     # -- supervision ----------------------------------------------------
@@ -632,10 +598,10 @@ class TuningWorkerPool:
     ) -> None:
         """React to a worker death: repair, quarantine, restart.
 
-        Runs on the dying thread, after its latches unwound.  The
-        crashed batch's column is re-verified (and rebuilt when
-        inconsistent) under the index's exclusive latch before any
-        replacement worker can touch it; repeated killers are
+        Runs on the dying thread.  The crashed batch's column is
+        re-verified (and rebuilt when inconsistent) under the index's
+        lock before any replacement worker can touch it; repeated
+        killers are
         dead-lettered; the slot is restarted with capped exponential
         backoff and handed the same batch -- same pivots, whatever the
         crashed pass already cut is a pivot hit on the retry -- until
@@ -686,26 +652,23 @@ class TuningWorkerPool:
         # column was just quarantined the replacement drops it.
         self._spawn_worker(worker_id)
         line.put(batch)
-        # Credit whichever fault point the absorbed error came from
-        # (an injected crash carries its point; genuine errors default
-        # to the worker action site).
-        point = getattr(error, "point", None)
-        faults.recovered(  # repro: allow[fault-coverage] -- dynamic credit: the name travels on the injected error, and every value it can carry is a registered literal at its trip site
-
-            point if isinstance(point, str) else "workers.perform",
-            f"worker {worker_id} restarted",
-        )
+        if isinstance(error, InjectedFault):
+            # Credit the very event this batch carried, not the oldest
+            # unrecovered one: batches crash in thread-timing order.
+            faults.recovered(
+                "workers.perform",
+                f"worker {worker_id} restarted",
+                hit=error.hit,
+            )
 
     def _verify_and_repair(self, state: ColumnTuningState) -> None:
         """Check the crashed column's invariants; rebuild on damage.
 
-        Holds the whole-index latch so no replacement worker sees
-        intermediate state -- the piece is verified and repaired
-        *before* the latch is released, then the fault-free answer path
-        resumes.
+        Check and rebuild are one critical section under the index's
+        lock, so no replacement worker sees intermediate state; then
+        the fault-free answer path resumes.
         """
-        access = self.register_index(state.ref, state.index)
-        with access.exclusive():
+        with state.index.lock:
             try:
                 state.index.check_invariants()
             except CrackerError:
@@ -718,21 +681,22 @@ class TuningWorkerPool:
                 )
 
     def supervisor_summary(self) -> dict[str, object]:
-        """JSON-ready account of supervision activity."""
+        """JSON-ready account of supervision activity; the lists are
+        sorted, as worker threads append to them in timing order."""
         with self._state_lock:
             return {
                 "restarts": self.restarts_total,
                 "rebuilds": self.rebuilds_total,
-                "dead_letter": [
+                "dead_letter": sorted(
                     f"{ref.table}.{ref.column}" for ref in self.dead_letter
-                ],
+                ),
                 "crashes_per_column": {
                     f"{ref.table}.{ref.column}": count
                     for ref, count in sorted(
                         self._crashes.items(), key=lambda kv: str(kv[0])
                     )
                 },
-                "log": list(self.crash_log),
+                "log": sorted(self.crash_log),
             }
 
     def worker_stats(self) -> list[WorkerStats]:

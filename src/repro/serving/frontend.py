@@ -33,8 +33,7 @@ Concurrency: the front-end is a serial loop (one window at a time --
 concurrency between clients is *logical*, expressed by window
 coalescing).  Tuning workers run only inside an idle window
 (:meth:`~repro.holistic.workers.TuningWorkerPool.run_window`), which
-returns before the next served window starts, so a window takes no
-latch.
+returns before the next served window starts.
 
 Shared mutable state the serving loop does not own -- pending-update
 delta stores in particular -- must stay unmutated for the duration of

@@ -32,8 +32,8 @@ def wall_now() -> float:
 
     Charged paths must not read wall time (bit-identical fingerprints
     depend on it), but a few mechanisms are *about* real time and
-    nothing else: latch-acquisition deadlines, worker idle backoff,
-    serving batch-formation windows.  Those call this helper instead of
+    nothing else: worker restart backoff, serving batch-formation
+    windows.  Those call this helper instead of
     :func:`time.monotonic` directly, so the determinism linter
     (:mod:`repro.analysis.rules.determinism`) can allow exactly one
     audited escape hatch and flag every other wall-clock read.

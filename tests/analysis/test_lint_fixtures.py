@@ -16,8 +16,6 @@ SRC_ROOT = Path(repro.__file__).resolve().parent
 
 #: fixture file -> the rule it must trip (one entry per rule family).
 EXPECTED = {
-    "bad_latch_gap.py": "latch-discipline",
-    "bad_latch_return.py": "latch-discipline",
     "bad_determinism_time.py": "determinism",
     "bad_determinism_random.py": "determinism",
     "bad_dtype_promotion.py": "dtype-promotion",
@@ -27,10 +25,13 @@ EXPECTED = {
     "bad_waiver_stale.py": "waiver",
 }
 
+#: Fixtures the lint rules pass and the lock-order analysis fails.
+LOCK_ORDER_FIXTURES = ("bad_lock_self_nesting.py",)
+
 
 def test_every_fixture_has_an_expectation():
     on_disk = {p.name for p in FIXTURES.glob("*.py")}
-    assert on_disk == set(EXPECTED)
+    assert on_disk == set(EXPECTED) | set(LOCK_ORDER_FIXTURES)
 
 
 @pytest.mark.parametrize("name,rule", sorted(EXPECTED.items()))
@@ -43,7 +44,7 @@ def test_fixture_is_flagged(name: str, rule: str):
     )
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
+@pytest.mark.parametrize("name", sorted([*EXPECTED, *LOCK_ORDER_FIXTURES]))
 def test_cli_check_exits_nonzero_on_fixture(name: str):
     code = analysis_main(
         ["--check", "--no-mypy", str(FIXTURES / name)]

@@ -7,6 +7,7 @@ from textwrap import dedent
 
 import repro
 from repro.analysis import lockorder
+from repro.analysis.__main__ import main as analysis_main
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
@@ -24,23 +25,35 @@ def test_repo_latch_graph_is_acyclic():
 
 
 def test_repo_graph_contains_the_documented_order():
-    """The core of the deadlock argument: table latch before piece
-    latches, latches before the index mutex."""
+    """The core of the deadlock argument: the index's monitor lock is
+    taken first; the tape's counter lock and the clock's lane lock
+    are leaves taken under it."""
     report = lockorder.analyze()
     edges = {(e["from"], e["to"]) for e in report["edges"]}
-    assert ("latch.table", "latch.piece") in edges
-    assert ("latch.table", "CrackerIndex.lock") in edges
-    assert ("latch.piece", "CrackerIndex.lock") in edges
+    assert ("CrackerIndex.lock", "CrackTape._lock") in edges
+    assert ("CrackerIndex.lock", "Clock._lane_lock") in edges
     # and never the reverses
-    assert ("latch.piece", "latch.table") not in edges
-    assert ("CrackerIndex.lock", "latch.table") not in edges
-    assert ("CrackerIndex.lock", "latch.piece") not in edges
+    assert ("CrackTape._lock", "CrackerIndex.lock") not in edges
+    assert ("Clock._lane_lock", "CrackerIndex.lock") not in edges
 
 
-def test_repo_reports_piece_latch_self_nesting_for_the_witness():
+def test_repo_holds_no_lock_class_twice():
     report = lockorder.analyze()
-    nested = {n["lock"] for n in report["same_class_nestings"]}
-    assert "latch.piece" in nested
+    assert report["same_class_nestings"] == []
+
+
+def test_same_class_nesting_fails_the_check():
+    """Two instances of one non-reentrant lock class, one taken inside
+    the other: nothing orders them, so the analysis fails and so does
+    the CLI gate."""
+    fixture = Path(__file__).parent / "fixtures" / "bad_lock_self_nesting.py"
+    report = lockorder.analyze([fixture])
+    assert report["cycle"] is None
+    assert [n["lock"] for n in report["same_class_nestings"]] == [
+        "Account.lock"
+    ]
+    assert not report["ok"]
+    assert analysis_main(["--check", "--no-mypy", str(fixture)]) == 1
 
 
 def test_unresolved_sites_are_counted_not_hidden():
@@ -164,46 +177,6 @@ def test_contextmanager_held_at_yield_flows_to_callers(tmp_path):
     assert report["ok"]
     edges = {(e["from"], e["to"]) for e in report["edges"]}
     assert ("Guard.outer", "Guard.inner") in edges
-
-
-def test_bare_acquire_release_pairs_scope_correctly(tmp_path):
-    """A latch released before the next acquisition must not create an
-    order edge between the two."""
-    report = _analyze_snippet(
-        tmp_path,
-        """
-        import threading
-
-        class ReadWriteLatch:
-            def __init__(self, witness_group=None):
-                self._cond = threading.Condition()
-
-            def acquire_read(self):
-                pass
-
-            def release_read(self):
-                pass
-
-        class Seq:
-            def __init__(self):
-                self.first = ReadWriteLatch(witness_group="lock.first")
-                self.second = ReadWriteLatch(witness_group="lock.second")
-
-            def one_then_two(self):
-                self.first.acquire_read()
-                try:
-                    pass
-                finally:
-                    self.first.release_read()
-                self.second.acquire_read()
-                try:
-                    pass
-                finally:
-                    self.second.release_read()
-        """,
-    )
-    edges = {(e["from"], e["to"]) for e in report["edges"]}
-    assert ("lock.first", "lock.second") not in edges
 
 
 def test_reentrant_rlock_is_not_a_same_class_nesting(tmp_path):

@@ -7,7 +7,7 @@ from textwrap import dedent
 
 import repro
 from repro.analysis.lint import LintContext, run_lint
-from repro.analysis.rules import determinism, dtype, faultpoints, latch
+from repro.analysis.rules import determinism, dtype
 from repro.analysis.source import SourceFile
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
@@ -19,114 +19,6 @@ def _ctx(root: Path | None = None) -> LintContext:
 
 def _src(code: str, path: str = "snippet.py") -> SourceFile:
     return SourceFile.parse(Path(path), text=dedent(code))
-
-
-# -- latch-discipline ----------------------------------------------------
-
-
-def test_latch_accepts_acquire_followed_by_try_finally():
-    src = _src(
-        """
-        def ok(latch):
-            stalled = latch.acquire_write()
-            try:
-                return stalled
-            finally:
-                latch.release_write()
-        """
-    )
-    assert latch.check(src, _ctx()) == []
-
-
-def test_latch_accepts_safe_statement_between_acquire_and_try():
-    src = _src(
-        """
-        def ok(latch):
-            stalled = latch.acquire_read()
-            held = []
-            try:
-                return held
-            finally:
-                latch.release_read()
-        """
-    )
-    assert latch.check(src, _ctx()) == []
-
-
-def test_latch_accepts_acquire_inside_protected_try():
-    # A nested acquire: the inner acquire's own block is followed by
-    # the inner try that releases it.
-    src = _src(
-        """
-        def ok(table, key):
-            stalled = table.outer.acquire_read()
-            try:
-                latch = table.latch(key)
-                stalled = latch.acquire_read() or stalled
-                try:
-                    return stalled
-                finally:
-                    latch.release_read()
-            finally:
-                table.outer.release_read()
-        """
-    )
-    assert latch.check(src, _ctx()) == []
-
-
-def test_latch_rejects_mode_mismatch_in_finally():
-    src = _src(
-        """
-        def bad(latch):
-            latch.acquire_write()
-            try:
-                pass
-            finally:
-                latch.release_read()
-        """
-    )
-    findings = latch.check(src, _ctx())
-    assert [f.rule for f in findings] == ["latch-discipline"]
-
-
-def test_latch_rejects_receiver_mismatch():
-    src = _src(
-        """
-        def bad(a, b):
-            a.acquire_write()
-            try:
-                pass
-            finally:
-                b.release_write()
-        """
-    )
-    assert len(latch.check(src, _ctx())) == 1
-
-
-def test_latch_accepts_try_acquire_with_bulk_release():
-    src = _src(
-        """
-        def ok(latches, owner, pieces):
-            granted = all(
-                latches.try_acquire(owner, start, "x") for start in pieces
-            )
-            try:
-                return granted
-            finally:
-                latches.release_all(owner)
-        """
-    )
-    assert latch.check(src, _ctx()) == []
-
-
-def test_latch_rejects_try_acquire_without_any_release():
-    src = _src(
-        """
-        def bad(latches, owner):
-            return latches.try_acquire(owner, 0, "x")
-        """
-    )
-    assert len(latch.check(src, _ctx())) == 1
 
 
 # -- determinism ---------------------------------------------------------
@@ -262,7 +154,7 @@ def test_dtype_compare_requires_int_array_evidence():
 def test_registry_parses_the_real_plan():
     ctx = _ctx()
     assert "workers.perform" in ctx.fault_points
-    assert "latch.acquire" in ctx.fault_points
+    assert "serving.replay" in ctx.fault_points
     assert ctx.tamper_points <= set(ctx.fault_points)
     assert len(ctx.tamper_points) >= 1
 

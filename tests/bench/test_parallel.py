@@ -56,4 +56,3 @@ def test_sweep_repeats_exactly_and_scales_on_two_columns():
     }
     one, two, four = (first.run_for(w).idle_consumed_s for w in (1, 2, 4))
     assert one > two > four
-    assert all(first.run_for(w).stalls == 0 for w in (1, 2, 4))

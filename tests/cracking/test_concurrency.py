@@ -1,143 +1,98 @@
-"""The one latch protocol's shared/exclusive semantics, and the index's
-monitor lock under a racing thread."""
+"""The index's monitor lock under racing threads: worker batches on one
+index, and an invariant check beside a cracking thread."""
 
+import sys
 import threading
 
 import numpy as np
 
-from repro.cracking.concurrency import PieceLatchTable, ReadWriteLatch
+from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.index import CrackerIndex
-from repro.errors import LatchTimeout
 from repro.simtime.clock import SimClock
 
-
-def _in_thread(fn):
-    """Run ``fn`` on another thread; return what it returned or raised."""
-    outcome: list = []
-
-    def run():
-        try:
-            outcome.append(fn())
-        except LatchTimeout as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=5)
-    return outcome[0]
+from tests.conftest import ground_truth_count
 
 
-def test_shared_latches_coexist():
-    """Readers share a latch: a second reader on another thread is
-    granted at once, without a stall."""
-    latch = ReadWriteLatch()
-    assert latch.acquire_read() is False
+def _racing(*targets) -> list[BaseException]:
+    """Run every target on its own thread with a short switch interval
+    (threads interleave inside the index's passes, not around them);
+    returns what they raised."""
+    errors: list[BaseException] = []
+
+    def guarded(target):
+        def run():
+            try:
+                target()
+            except BaseException as exc:  # surfaced to the caller
+                errors.append(exc)
+
+        return run
+
+    threads = [threading.Thread(target=guarded(t)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-
-        def second_reader():
-            stalled = latch.acquire_read(timeout_s=1.0)
-            latch.release_read()
-            return stalled
-
-        assert _in_thread(second_reader) is False
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
     finally:
-        latch.release_read()
-
-
-def test_exclusive_excludes_everyone():
-    latch = ReadWriteLatch()
-    latch.acquire_write()
-    try:
-        for acquire in (latch.acquire_read, latch.acquire_write):
-            got = _in_thread(lambda: acquire(timeout_s=0.01))
-            assert isinstance(got, LatchTimeout)
-    finally:
-        latch.release_write()
-
-
-def test_shared_blocks_exclusive_from_others():
-    latch = ReadWriteLatch()
-    latch.acquire_read()
-    try:
-        got = _in_thread(lambda: latch.acquire_write(timeout_s=0.01))
-        assert isinstance(got, LatchTimeout)
-    finally:
-        latch.release_read()
-
-
-def test_release_all_frees_pieces():
-    table = PieceLatchTable()
-    with table.write_pieces([0, 10]):
-        pass
-    assert table.stats.releases == 2
-
-    def retake():
-        with table.write_pieces([0, 10]) as stalled:
-            return stalled
-
-    assert _in_thread(retake) is False
-    with table.exclusive() as stalled:
-        assert stalled is False
-
-
-def test_reacquire_same_mode_is_idempotent():
-    """A key named twice is one grant of one latch, and the latch is
-    free again afterwards: nothing is left held by the repeat."""
-    table = PieceLatchTable()
-    with table.write_pieces([4, 4]) as stalled:
-        assert stalled is False
-    assert table.stats.grants == 1
-    assert table.stats.releases == 1
-
-    def retake():
-        with table.write_pieces([4]) as stalled:
-            return stalled
-
-    assert _in_thread(retake) is False
-
-
-def test_scheduler_defers_conflicting_queries():
-    """A writer on a piece another holder latched waits, runs only
-    after the holder leaves, and counts one conflict."""
-    table = PieceLatchTable()
-    order: list[str] = []
-    with table.write_pieces([5]):
-
-        def writer():
-            with table.write_pieces([5]) as stalled:
-                order.append("writer")
-                return stalled
-
-        thread = threading.Thread(target=lambda: order.append(writer()))
-        thread.start()
-        thread.join(timeout=0.05)
-        assert thread.is_alive()  # deferred behind the holder
-        order.append("holder done")
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert order == ["holder done", "writer", True]
-    assert table.stats.conflicts == 1
-
-
-def test_scheduler_disjoint_pieces_run_same_round():
-    """Writers on disjoint pieces hold their latches at the same time."""
-    table = PieceLatchTable()
-    both_inside = threading.Barrier(2, timeout=5)
-    stalls: list[bool] = []
-
-    def writer(key: int) -> None:
-        with table.write_pieces([key]) as stalled:
-            both_inside.wait()  # breaks unless both hold at once
-            stalls.append(stalled)
-
-    threads = [threading.Thread(target=writer, args=(k,)) for k in (1, 2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=5)
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert stalls == [False, False]
-    assert table.stats.conflicts == 0
+    return errors
+
+
+def test_crack_value_batches_from_threads_cut_what_one_pass_cuts(
+    small_column,
+):
+    """Two threads apply interleaved 16-pivot batches to one index
+    while two more read through the same access: the index ends with
+    exactly the cuts one serial ``ensure_cuts`` of every pivot and
+    bound makes, every cut is on the tape once, and every read is
+    exact."""
+    grid = np.linspace(1e5, 9.99e7, 240).tolist()
+    # Reads bound halfway between pivots, over 1 to 12 pieces.
+    mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    ranges = [
+        [(mids[i], mids[i + 1 + i % 12]) for i in range(r, 200, 2)]
+        for r in (0, 1)
+    ]
+    reference = CrackerIndex(small_column, clock=SimClock())
+    reference.ensure_cuts(
+        grid + [bound for reads in ranges for pair in reads for bound in pair]
+    )
+    # No reference piece is at the batches' floor, so no pivot of
+    # either thread can be judged degenerate whatever the order.
+    assert min(p.size for p in reference.piece_map.pieces()) > 1
+    index = CrackerIndex(small_column, clock=SimClock())
+    access = LatchedCrackerAccess(index)
+    cut = [0, 0]
+
+    def batcher(seed: int):
+        def run():
+            mine = grid[seed::2]
+            for start in range(0, len(mine), 16):
+                cut[seed] += access.crack_value(mine[start : start + 16])
+
+        return run
+
+    def reader(reads):
+        def run():
+            for low, high in reads:
+                result = access.select_range(low, high)
+                assert result.count == ground_truth_count(
+                    small_column, low, high
+                )
+
+        return run
+
+    errors = _racing(batcher(0), batcher(1), *map(reader, ranges))
+    assert errors == []
+    index.check_invariants()
+    assert index.piece_map.pivots() == reference.piece_map.pivots()
+    assert index.piece_map.cuts() == reference.piece_map.cuts()
+    assert sum(cut) == len(grid)
+    assert index.crack_count == index.tape.count()
 
 
 def test_check_invariants_beside_a_cracking_thread(small_column):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-import repro.cracking.concurrency as concurrency
+import repro.holistic.workers as workers
 from repro.cracking.engine import (
     CrackScratch,
     _count_below,
@@ -29,13 +29,12 @@ from repro.util.retry import retry_call
 # -- wall-clock routing --------------------------------------------------
 
 
-def test_concurrency_uses_the_audited_wall_helpers():
-    """Deadline math goes through simtime.clock.wall_now -- the module
-    must not import ``time`` at all (the determinism lint's contract)."""
-    assert not hasattr(concurrency, "time")
-    from repro.simtime.clock import wall_now
-
-    assert concurrency.wall_now is wall_now
+def test_workers_use_the_audited_wall_helpers():
+    """Restart backoff sleeps through simtime.clock.wall_sleep -- the
+    module must not import ``time`` at all (the determinism lint's
+    contract)."""
+    assert not hasattr(workers, "time")
+    assert workers.wall_sleep is wall_sleep
 
 
 def test_retry_default_sleep_is_the_audited_helper():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import faults
-from repro.errors import ConfigError, InjectedFault, LatchTimeout
+from repro.errors import ConfigError, InjectedFault
 from repro.faults import (
     FAULT_POINTS,
     TAMPER_POINTS,
@@ -70,16 +70,6 @@ def test_trip_fires_only_at_armed_indices():
     assert plan.hits("workers.perform") == 5
 
 
-def test_trip_substitutes_error_type_with_point_attribution():
-    plan = FaultPlan()
-    plan.arm("latch.acquire", at=0)
-    with engaged(plan):
-        with pytest.raises(LatchTimeout) as excinfo:
-            faults.trip("latch.acquire", error=LatchTimeout)
-    assert excinfo.value.point == "latch.acquire"
-    assert excinfo.value.hit == 0
-
-
 def test_times_caps_firings_with_at_none():
     plan = FaultPlan()
     plan.arm("serving.replay", at=None, times=2)
@@ -117,6 +107,21 @@ def test_recovered_credits_oldest_unrecovered_event():
     assert len(plan.unrecovered()) == 1
     assert plan.unrecovered()[0].hit == 1
     assert plan.events[0].note == "first restart"
+
+
+def test_recovered_credits_the_event_of_a_given_hit():
+    """Recovery paths that finish out of firing order credit the event
+    their error carries, and only an unrecovered one."""
+    plan = FaultPlan()
+    plan.arm("workers.perform", at=[0, 1])
+    with engaged(plan):
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                faults.trip("workers.perform")
+        faults.recovered("workers.perform", "second restart", hit=1)
+        assert not plan.note_recovered("workers.perform", hit=1)
+    assert [e.hit for e in plan.unrecovered()] == [0]
+    assert plan.events[1].note == "second restart"
 
 
 def test_recovered_matching_credits_prefix():

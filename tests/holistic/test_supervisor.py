@@ -75,16 +75,16 @@ def _kernel(db, **overrides) -> HolisticKernel:
 
 
 def _record_batches(pool) -> list:
-    """Log every batch handed to ``_apply_batch`` (before its fault
-    point), in application order."""
+    """Log every ``(worker id, batch)`` a worker starts, in start
+    order -- a batch carrying its plan's fault before it is raised."""
     applied = []
-    apply_batch = pool._apply_batch
+    perform_batch = pool._perform_batch
 
-    def recording(worker_id, batch, access):
-        applied.append(batch)
-        return apply_batch(worker_id, batch, access)
+    def recording(worker_id, batch):
+        applied.append((worker_id, batch))
+        return perform_batch(worker_id, batch)
 
-    pool._apply_batch = recording
+    pool._perform_batch = recording
     return applied
 
 
@@ -109,11 +109,13 @@ def test_injected_crash_restarts_worker_and_recovers():
     assert any("restart #1" in line for line in summary["log"])
     # The crashed batch -- the very object, so the very pivots -- was
     # applied again by the replacement worker; every other batch once.
-    ids = [id(batch) for batch in applied]
+    ids = [id(batch) for _, batch in applied]
     (retried,) = {b for b in ids if ids.count(b) == 2}
     assert len(ids) == len(set(ids)) + 1
-    assert ids[0] == retried  # hit 0 is the first batch applied
-    assert sum(b.count for b in applied) - applied[0].count == 16
+    # Hit 0 is the first batch dealt, the first one worker 0 starts.
+    first = next(batch for worker, batch in applied if worker == 0)
+    assert id(first) == retried
+    assert sum(b.count for _, b in applied) - first.count == 16
     assert all(s.planned == 0 for s in kernel.ranking.states())
     # The fault-free answer path resumes after the repair.
     result = kernel.select(_query(1e7, 3e7))
@@ -145,7 +147,7 @@ def test_crash_mid_batch_is_repaired_and_the_retry_completes_it(monkeypatch):
     outcome = kernel.exploit_idle(actions=12)
     (index,) = kernel.indexes.values()
     index.check_invariants()
-    assert len(applied) == 2 and applied[0] is applied[1]
+    assert len(applied) == 2 and applied[0][1] is applied[1][1]
     assert all(index.piece_map.has_pivot(v) for v in crashed[0])
     # The retry reports only what *it* cut; nothing is counted twice.
     assert outcome.actions_done == 12 - len(crashed[0]) // 2
@@ -158,7 +160,7 @@ def test_crash_mid_batch_is_repaired_and_the_retry_completes_it(monkeypatch):
 
 def test_repeated_crashes_quarantine_the_column():
     db = _db(columns=2)
-    kernel = _kernel(db, cache_target_elements=8192)
+    kernel = _kernel(db, cache_target_elements=4096)
     pool = kernel.worker_pool
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=16,
@@ -170,12 +172,16 @@ def test_repeated_crashes_quarantine_the_column():
     plan.arm("workers.perform", at=[0, 1])
     with engaged(plan):
         # A1 (never queried, one piece) is the only unrefined
-        # candidate, so both armed crashes are attributed to it; A2
-        # (cracked below the cache target by its select) keeps the
-        # candidate set from becoming fully quarantined.
+        # candidate, and one crack cannot refine its 10^4 rows, so
+        # each one-action window plans one A1 batch and both armed
+        # crashes are attributed to it; A2 (cracked below the cache
+        # target by its selects) keeps the candidate set from
+        # becoming fully quarantined.
         kernel.index_for(a1)
-        kernel.select(_query(1e7, 3e7, "A2"))
-        kernel.exploit_idle(actions=24)  # quarantine, not failure
+        kernel.select(_query(2e7, 4e7, "A2"))
+        kernel.select(_query(6e7, 8e7, "A2"))
+        kernel.exploit_idle(actions=1)
+        kernel.exploit_idle(actions=1)  # quarantine, not failure
     assert plan.injected == 2
     assert plan.unrecovered() == []
     summary = pool.supervisor_summary()
@@ -205,10 +211,10 @@ def test_quarantine_drops_only_the_columns_own_batches():
     a1 = ColumnRef("R", "A1")
     apply_batch = pool._apply_batch
 
-    def a1_explodes(worker_id, batch, access):
+    def a1_explodes(batch):
         if batch.state.ref == a1:
             raise RuntimeError("A1 kills its worker")
-        return apply_batch(worker_id, batch, access)
+        return apply_batch(batch)
 
     pool._apply_batch = a1_explodes
     outcome = kernel.exploit_idle(actions=30)
@@ -259,7 +265,7 @@ def test_failure_is_sticky_until_cleared():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, batch, access):
+    def explode(batch):
         raise RuntimeError("genuine worker bug")
 
     pool._apply_batch = explode
@@ -285,7 +291,7 @@ def test_failure_is_sticky_but_next_lifecycle_is_clean():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, batch, access):
+    def explode(batch):
         raise RuntimeError("genuine worker bug")
 
     pool._apply_batch = explode
@@ -310,7 +316,7 @@ def test_genuine_crashes_are_not_credited_to_the_fault_plan():
         backoff=FAST.backoff,
     )
 
-    def explode(worker_id, batch, access):
+    def explode(batch):
         raise RuntimeError("genuine worker bug")
 
     plan = FaultPlan()  # engaged but with nothing armed

@@ -2,8 +2,8 @@
 
 Covers the serial fallback contract (``num_workers=0`` is bit-for-bit
 the pre-worker kernel), window semantics, parallel time accounting,
-per-worker attribution, latch contention between workers on one
-column, and the pool's failure reporting.  The pool runs only inside
+per-worker statistics, workers sharing one column, and the pool's
+failure reporting.  The pool runs only inside
 an idle window, so no test races it against queries.
 """
 
@@ -78,7 +78,7 @@ def test_serial_kernel_has_no_pool_and_no_worker_marks(tiny_db):
     kernel.exploit_idle(actions=20)
     assert kernel.tape.count(CrackOrigin.TUNING) > 0
     summary = kernel.tuning_summary()
-    assert (summary.stalls, summary.busy_s) == (0, 0.0)
+    assert summary.busy_s == 0.0
 
 
 def test_serial_fallback_reproduces_identical_tape():
@@ -224,7 +224,7 @@ def test_exhausted_window_asks_the_policy_once_not_per_action(monkeypatch):
 
 def test_window_cost_is_per_batch_not_per_action(monkeypatch):
     """A structural cost guard: a 128-action window over 8 columns is
-    at most one latched multi-pivot pass per column and planning round,
+    at most one multi-pivot pass per column and planning round,
     with at most two policy-lock round trips per batch."""
     kernel = HolisticKernel(
         _db(columns=8), HolisticConfig(num_workers=2, policy="ranked")
@@ -274,7 +274,7 @@ def test_ranked_window_is_planned_against_projected_piece_counts():
 
 def test_a_split_column_never_shares_a_piece_between_batches():
     """Fewer columns than workers: the column's pivots are cut into
-    runs at piece boundaries, so sibling batches latch disjoint
+    runs at piece boundaries, so sibling batches cut disjoint
     pieces."""
     kernel = HolisticKernel(
         _db(columns=1),
@@ -335,11 +335,10 @@ def test_same_seed_worker_windows_are_reproducible(workers):
                 kernel.tape.export_state(),
                 [s.tuning_actions for s in kernel.ranking.states()],
                 kernel.worker_pool.worker_stats(),
-                summary.stalls,
+                (summary.actions_attempted, summary.actions_effective),
             )
         )
     assert runs[0] == runs[1]
-    assert runs[0][6] == 0  # within a plan workers never contend
 
 
 def test_cut_set_does_not_depend_on_the_worker_count():
@@ -368,9 +367,9 @@ def test_cut_set_does_not_depend_on_the_worker_count():
 # -- workers contending with each other ---------------------------------
 
 
-def test_stress_contended_single_column_counts_stalls():
-    """All workers hammer one tiny column: latch conflicts must be
-    detected (stalls counted), never corrupting the index."""
+def test_stress_contended_single_column_stays_exact():
+    """All workers hammer one tiny column: their batches take turns
+    under the index's lock and never corrupt it."""
     db = _db(columns=1, rows=2_000)
     kernel = HolisticKernel(
         db, HolisticConfig(num_workers=4, cache_target_elements=2)
@@ -382,8 +381,8 @@ def test_stress_contended_single_column_counts_stalls():
     index = kernel.index_for(ColumnRef("R", "A1"))
     index.check_invariants()
     summary = kernel.tuning_summary()
-    assert summary.stalls == kernel.tape.stall_count()
     assert summary.actions_attempted == 400
+    assert summary.actions_effective == kernel.tape.count(CrackOrigin.TUNING)
     stats = kernel.worker_pool.worker_stats()
     assert sum(1 for s in stats if s.actions_effective) > 1
 
@@ -417,7 +416,7 @@ def test_stop_preserves_settled_account_when_worker_died():
     kernel = HolisticKernel(db, HolisticConfig(num_workers=2))
     pool = kernel.worker_pool
 
-    def explode(worker_id, batch, access):
+    def explode(batch):
         raise RuntimeError("injected worker crash")
 
     pool._apply_batch = explode
@@ -442,7 +441,7 @@ def test_drain_failure_reports_stats_without_account():
     for column in ("A1", "A2", "A3"):
         kernel.index_for(ColumnRef("R", column))
 
-    def explode(worker_id, batch, access):
+    def explode(batch):
         raise RuntimeError("injected worker crash")
 
     pool._apply_batch = explode
