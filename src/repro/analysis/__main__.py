@@ -1,8 +1,8 @@
 """CLI: ``python -m repro.analysis`` -- the repo's static-analysis gate.
 
 Runs, in order: the AST lint rules (determinism, dtype promotion,
-fault-point coverage, waiver hygiene), the static lock-order analysis,
-and -- when available or ``--require-mypy`` -- the strict mypy gate.
+fault-point coverage, lock discipline, waiver hygiene) and -- when
+available or ``--require-mypy`` -- the strict mypy gate.
 ``--check`` exits nonzero on any finding, which is what CI calls;
 ``--json`` emits the full machine-readable report.
 """
@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis import lockorder
 from repro.analysis.lint import run_lint
 from repro.analysis.mypy_gate import run_mypy
 from repro.analysis.source import repo_python_files
@@ -27,7 +26,7 @@ def _default_root() -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="lint, lock-order and typing gate for the repro tree",
+        description="lint and typing gate for the repro tree",
     )
     parser.add_argument(
         "paths",
@@ -67,21 +66,19 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     findings = run_lint(paths, root=root)
-    lock_report = lockorder.analyze(paths)
     mypy_result = None
     if not args.no_mypy:
         mypy_result = run_mypy(required=args.require_mypy)
 
-    failed = bool(findings) or not lock_report["ok"]
-    if mypy_result is not None and mypy_result.failed:
-        failed = True
+    failed = bool(findings) or (
+        mypy_result is not None and mypy_result.failed
+    )
 
     if args.json:
         print(
             json.dumps(
                 {
                     "findings": [f.as_dict() for f in findings],
-                    "lock_order": lock_report,
                     "mypy": (
                         None
                         if mypy_result is None
@@ -98,22 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for finding in findings:
             print(finding.format())
-        edges = lock_report["edges"]
-        print(
-            f"lock-order: {len(lock_report['lock_classes'])} lock classes, "
-            f"{len(edges)} order edges, "
-            f"{lock_report['unresolved_sites']} unresolved sites"
-        )
-        if lock_report["cycle"] is not None:
-            print(
-                "lock-order CYCLE: " + " -> ".join(lock_report["cycle"])
-            )
-        for nesting in lock_report["same_class_nestings"]:
-            print(
-                f"lock-order: same-class nesting on {nesting['lock']} "
-                f"(via {nesting['via']}); nothing orders two holders of "
-                "one non-reentrant lock class"
-            )
         if mypy_result is not None:
             print(f"mypy: {mypy_result.status}")
             if mypy_result.output and mypy_result.status != "ok":

@@ -12,7 +12,7 @@ class Finding:
 
     Attributes:
         rule: rule identifier (``determinism``, ``dtype-promotion``,
-            ``fault-coverage``, ``waiver``).
+            ``fault-coverage``, ``lock-discipline``, ``waiver``).
         path: file the violation is in (repo-relative when produced by
             the CLI).
         line: 1-based line of the offending node.

@@ -10,9 +10,9 @@ one-known-bad-snippet-per-rule corpus a new rule must ship with.
 
 from __future__ import annotations
 
-from repro.analysis.rules import determinism, dtype, faultpoints
+from repro.analysis.rules import determinism, dtype, faultpoints, locks
 
 #: Every registered rule module, in report order.
-ALL_RULES = (determinism, dtype, faultpoints)
+ALL_RULES = (determinism, dtype, faultpoints, locks)
 
-__all__ = ["ALL_RULES", "determinism", "dtype", "faultpoints"]
+__all__ = ["ALL_RULES", "determinism", "dtype", "faultpoints", "locks"]

@@ -5,10 +5,10 @@ The cracking, simtime, holistic, engine and serving planes must be a
 pure function of (dataset seed, workload seed, simulated clock) -- a
 stray ``time.time()`` or ``random.random()`` silently breaks replay,
 the differential fingerprint oracle and crash-restart equivalence.
-Wall time is allowed only through the audited escape hatches
-``repro.simtime.clock.wall_now``/``wall_sleep`` (which carry the only
-waivers) and anywhere under ``bench/``, ``workload/`` and ``faults/``,
-whose job is to talk to the real world.
+Wall time is allowed only through the one audited escape hatch,
+``repro.simtime.clock.wall_sleep`` (retry backoff; it and the
+``WallClock`` carry the only waivers), and anywhere under ``bench/``,
+``workload/`` and ``faults/``, whose job is to talk to the real world.
 """
 
 from __future__ import annotations
@@ -113,9 +113,10 @@ def check(src: "SourceFile", ctx: "LintContext") -> list[Finding]:
                     path=str(src.path),
                     line=node.lineno,
                     message=(
-                        f"{reason}; route wall time through "
-                        "simtime.clock.wall_now/wall_sleep or thread a "
-                        "seeded generator from the config"
+                        f"{reason}; sleep through "
+                        "simtime.clock.wall_sleep, read time from the "
+                        "engine's clock, or thread a seeded generator "
+                        "from the config"
                     ),
                 )
             )

@@ -9,8 +9,8 @@ self-healing kernel, stated as three machine-checkable gates:
 * **nothing silently swallowed** -- every injected fault must be
   claimed by a recovery path (``FaultPlan.unrecovered()`` empty) and
   every scenario must inject exactly the faults it armed;
-* **bounded recovery** -- the supervisor restarts a worker at most
-  once per injected fault (delays and attempts are capped where the
+* **bounded recovery** -- the supervisor retries a worker's batch at
+  most once per injected fault (attempts are capped where the
   recovery paths live: ``SupervisorPolicy``, ``BackoffPolicy``).
 
 Scenario families:
@@ -66,7 +66,6 @@ from repro.persist import (
 )
 from repro.serving import ServingFrontend
 from repro.storage.catalog import ColumnRef
-from repro.util.retry import BackoffPolicy
 
 DEFAULT_ROWS = 60_000
 DEFAULT_OPS = 600
@@ -326,11 +325,7 @@ def run_chaos(
     trace = case[0]
 
     quarantine_policy = SupervisorPolicy(
-        max_restarts_per_worker=16,
-        quarantine_threshold=2,
-        backoff=BackoffPolicy(
-            base_s=0.0005, factor=2.0, cap_s=0.01, max_attempts=64
-        ),
+        max_restarts_per_worker=16, quarantine_threshold=2
     )
     serving_plans = [
         ("serving/faultfree", dict()),

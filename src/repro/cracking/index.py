@@ -31,7 +31,7 @@ import functools
 import math
 import threading
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +71,9 @@ def _synchronized(method):
 class CrackPass(NamedTuple):
     """The record of one physical multi-pivot pass
     (:meth:`CrackerIndex._crack_pass`): each distinct fresh value,
-    ascending, with its pre-pass piece index, start and end.  The
-    positions the pass cut them at are in the piece map's
+    ascending, with its pre-pass piece index, start and end, and
+    whether the pass made the column's base copy.  The positions the
+    pass cut them at are in the piece map's
     :attr:`~repro.cracking.piecemap.PieceMap.cut_of`.
     """
 
@@ -80,6 +81,7 @@ class CrackPass(NamedTuple):
     pieces: list[int]
     piece_starts: list[int]
     piece_ends: list[int]
+    copied: bool = False
 
 
 class CrackerIndex:
@@ -299,11 +301,45 @@ class CrackerIndex:
 
     @_synchronized
     def ensure_cuts(self, values: list[object]) -> list[int]:
-        """Crack at many values in one go (paper §3's batch question).
-
+        """Crack at many values in one go (paper §3's batch question):
         :meth:`_crack_pass` -- a window's physical pass -- cuts every
-        fresh value; its record is priced piece by piece, right to
-        left, each piece's cuts logged in ascending order:
+        fresh value and :meth:`price_pass` prices its record.
+
+        Returns the cut position of every value (normalised as in
+        :meth:`ensure_cut`), in input order.
+        """
+        keys = [self._pivot_key(value) for value in values]
+        self.price_pass(
+            self._crack_pass(np.array(keys, dtype=self._pieces.dtype))
+        )
+        cut_of = self._pieces.cut_of
+        return [cut_of[key] for key in keys]
+
+    @_synchronized
+    def tuning_pass(
+        self, values: Sequence[object], min_piece_size: int
+    ) -> CrackPass:
+        """A tuning worker's batch: drop the degenerate ``values`` --
+        one that is already a pivot, or whose piece is at/below
+        ``min_piece_size``, the contract of :meth:`random_crack` --
+        and cut the rest in one :meth:`_crack_pass`.
+
+        Nothing is charged or logged: whoever accounts for the batch
+        hands the record to :meth:`price_pass`.
+        """
+        keys = np.array(
+            [self._pivot_key(value) for value in values],
+            dtype=self._pieces.dtype,
+        )
+        _, starts, ends, at_pivot = self._pieces.locate_many(keys)
+        return self._crack_pass(
+            keys[~at_pivot & (ends - starts > min_piece_size)]
+        )
+
+    def price_pass(self, record: CrackPass) -> None:
+        """Charge and log a tuning pass's record: the base copy if the
+        pass made it, then piece by piece, right to left, each piece's
+        cuts logged in ascending order:
 
         * a piece taking one pivot: one crack of the piece (an empty
           piece, the crack alone);
@@ -311,14 +347,11 @@ class CrackerIndex:
           size`` elements -- a classify and a scatter pass, cheaper
           than ``k`` sequential :meth:`ensure_cut` calls.
 
-        Pivot hits are free.  Returns the cut position of every value
-        (normalised as in :meth:`ensure_cut`), in input order.
+        Pivot hits are free.  Reads only the record, so it needs no
+        lock.
         """
-        keys = [self._pivot_key(value) for value in values]
-        copy_charged = self._copy_charged
-        record = self._crack_pass(np.array(keys, dtype=self._pieces.dtype))
         clock, tape = self.clock, self.tape
-        if record.fresh and not copy_charged and self.row_count:
+        if record.copied and self.row_count:
             clock.charge_materialize(self.row_count)
         pieces = record.pieces
         hi = len(pieces)
@@ -334,8 +367,6 @@ class CrackerIndex:
                 clock.charge_empty_crack()
             tape.log(CrackOrigin.TUNING, hi - lo)
             hi = lo
-        cut_of = self._pieces.cut_of
-        return [cut_of[key] for key in keys]
 
     @_synchronized
     def select_range(self, low: object, high: object) -> RangeView:
@@ -517,7 +548,8 @@ class CrackerIndex:
         ``crack_multi`` the denser ones, and one
         :meth:`PieceMap.insert_cracks_bulk` splice records every cut.
         Nothing is charged or logged; the first crack marks the base
-        copy as made (the caller's accounting charges it).
+        copy as made, and the record says so (the caller's accounting
+        charges it).
         """
         pieces = self._pieces
         indices, starts, ends, at_pivot = pieces.locate_many(values)
@@ -534,6 +566,7 @@ class CrackerIndex:
         # diff instead of a Python dict of lists.
         cut_points = np.flatnonzero(np.diff(fresh_pieces)) + 1
         group_bounds = [0, *cut_points.tolist(), len(fresh_values)]
+        copied = not self._copy_charged
         self._copy_charged = True
         fresh_positions = np.empty(len(fresh_values), dtype=np.int64)
         fresh_list = fresh_values.tolist()
@@ -567,7 +600,8 @@ class CrackerIndex:
                 fresh_positions[last] = high
         pieces.insert_cracks_bulk(fresh_values, fresh_positions)
         return CrackPass(
-            fresh_list, fresh_pieces.tolist(), fresh_starts, fresh_ends
+            fresh_list, fresh_pieces.tolist(), fresh_starts, fresh_ends,
+            copied,
         )
 
     # -- update support --------------------------------------------------

@@ -7,12 +7,11 @@ memory stays constant however long a column is refined.  The counts
 feed the Figure-1 timeline (`repro.bench.timeline`), the gate
 suites' fingerprints and snapshots.
 
-Once worker threads may share the tape, counting takes a lock.
+Only one thread counts: tuning workers hand their passes back to the
+idle window's thread, which logs them.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.cracking.piece import CrackOrigin
 
@@ -25,19 +24,6 @@ class CrackTape:
         #: crack; the values name the counts only in snapshots.
         self._counts: dict[CrackOrigin, int] = dict.fromkeys(CrackOrigin, 0)
         self._seen = 0
-        self._lock = threading.Lock()
-        #: Until a worker pool marks the tape, every count happens on
-        #: one thread and the lock is skipped -- one less
-        #: acquire/release per crack.
-        self._concurrent = False
-
-    def mark_concurrent(self) -> None:
-        """Switch counting to the locked path (worker threads ahead).
-
-        One-way: once concurrent, always concurrent.  Called by the
-        tuning worker pool on construction.
-        """
-        self._concurrent = True
 
     def stall_count(self) -> int:
         """Always 0: no worker waits on another.  It stays because
@@ -48,13 +34,8 @@ class CrackTape:
 
     def log(self, origin: CrackOrigin, actions: int = 1) -> None:
         """Count ``actions`` refinements of ``origin``."""
-        if not self._concurrent:
-            self._counts[origin] += actions
-            self._seen += actions
-            return
-        with self._lock:
-            self._counts[origin] += actions
-            self._seen += actions
+        self._counts[origin] += actions
+        self._seen += actions
 
     #: Update merges count under this name; ``perfbench/layers.py``
     #: traces ``log`` and ``record`` both.
@@ -70,11 +51,10 @@ class CrackTape:
 
     def export_state(self) -> dict:
         """The counters as plain JSON-ready structures."""
-        with self._lock:
-            return {
-                "counts": {o.value: n for o, n in self._counts.items()},
-                "seen": self._seen,
-            }
+        return {
+            "counts": {o.value: n for o, n in self._counts.items()},
+            "seen": self._seen,
+        }
 
     def restore_state(self, state: dict) -> None:
         """Adopt counters :meth:`export_state` wrote (snapshot restore);
@@ -88,6 +68,5 @@ class CrackTape:
         unknown = counts.keys() - {o.value for o in CrackOrigin}
         if unknown:
             raise ValueError(f"tape counts no origin {min(unknown)!r}")
-        with self._lock:
-            self._counts = {o: int(counts[o.value]) for o in CrackOrigin}
-            self._seen = int(state["seen"])
+        self._counts = {o: int(counts[o.value]) for o in CrackOrigin}
+        self._seen = int(state["seen"])

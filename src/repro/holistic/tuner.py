@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cracking.index import CrackerIndex
+from repro.cracking.index import CrackerIndex, CrackPass
 from repro.cracking.piece import CrackOrigin
 from repro.errors import ConfigError
 from repro.storage.dtypes import Key, normalise_bound
@@ -71,14 +71,15 @@ class AuxiliaryTuner:
             self.rng, min_piece_size=self.min_piece_size
         ) is not None
 
-    def perform_latched(self, access, pivots: Sequence[Key]) -> int:
+    def perform_latched(self, access, pivots: Sequence[Key]) -> CrackPass:
         """Apply one planned batch through a worker's access facade.
 
         The worker-thread counterpart of :meth:`perform`: the plan's
         ``pivots`` are applied as one multi-pivot pass under the
         index's lock (:meth:`LatchedCrackerAccess.crack_value`).
-        Returns how many of them refined anything.  Stateless, so every
-        worker thread shares the kernel's tuner.
+        Returns the pass's unpriced record; its ``fresh`` values are
+        the pivots that refined anything.  Stateless, so every worker
+        thread shares the kernel's tuner.
         """
         return access.crack_value(pivots, min_piece_size=self.min_piece_size)
 

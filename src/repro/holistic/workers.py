@@ -10,9 +10,13 @@ al.).  The pool runs only inside :meth:`TuningWorkerPool.run_window`,
 which the idle window waits on: no query, served window or snapshot
 ever sees it running.
 
-Four layers cooperate:
+The threads only partition.  A worker takes its slot's batches in
+order and runs each as *one* multi-pivot pass under its index's lock
+(:meth:`LatchedCrackerAccess.crack_value`), handing back the pass's
+unpriced record or the exception it raised.  Everything else runs on
+the window's thread, in deal order, once the workers have drained:
 
-* **plans** -- the submitting thread turns an idle window's
+* **plans** -- :meth:`TuningWorkerPool.submit` turns an idle window's
   ``actions=N`` into a *window plan*: N policy choices against the
   projected ranking (each planned crack counts as one more piece of
   its column), the chosen columns' random pivots from per-column
@@ -21,23 +25,22 @@ Four layers cooperate:
   the per-worker queues by estimated rows touched.  No two batches of
   a plan target the same piece: the partition-first chunking Alvarez
   et al. measure winning over latch-per-crack "parallel standard
-  cracking".  A worker applies a batch as *one* multi-pivot pass
-  under its index's lock (:meth:`LatchedCrackerAccess.crack_value`).
-  Nothing about a window depends on thread timing -- not even which
-  batch an armed ``workers.perform`` fault crashes, which the plan
-  decides too;
+  cracking".  Nothing about a window depends on thread timing -- not
+  even which batch an armed ``workers.perform`` fault crashes, which
+  the plan decides too;
 * **lanes** -- under a :class:`~repro.simtime.clock.SimClock` the pool
-  opens a *parallel phase*: each thread's charges accumulate on its
-  own lane and the phase advances virtual time by the **maximum**
-  lane, so N workers doing W seconds of aggregate refinement cost the
-  timeline ~W/N seconds, reproducing the paper's multi-core scaling
-  without needing real parallelism under the GIL;
-* **statistics** -- each worker thread counts its actions in its
-  :class:`WorkerStats`, the counters a window's
+  opens a *parallel phase*, and each record is priced onto the lane of
+  the worker slot that ran it (:attr:`Clock.lane`); the phase advances
+  virtual time by the **maximum** lane, so N workers doing W seconds
+  of aggregate refinement cost the timeline ~W/N seconds, reproducing
+  the paper's multi-core scaling without needing real parallelism
+  under the GIL;
+* **statistics** -- each slot's :class:`WorkerStats` counts its
+  actions, the counters a window's
   :class:`~repro.holistic.scheduler.TuningReport` is read from;
-* **supervision** -- the batch is the supervised unit: a crash
-  mid-batch repairs the column, counts toward its quarantine and
-  re-enqueues the same batch (same pivots) for the restarted worker.
+* **supervision** -- the batch is the supervised unit: a crashed pass
+  repairs the column, counts toward its quarantine and is dealt again
+  (same pivots) to its own slot, whose thread lives on.
 
 The pool is strictly additive: a kernel with ``num_workers=0`` never
 constructs one and runs the serial scheduler bit-for-bit as before.
@@ -54,6 +57,7 @@ import numpy as np
 
 from repro import faults
 from repro.cracking.concurrency import LatchedCrackerAccess
+from repro.cracking.index import CrackPass
 from repro.cracking.tape import CrackTape
 from repro.errors import (
     ConcurrencyError,
@@ -65,10 +69,9 @@ from repro.holistic.policies import TuningPolicy
 from repro.holistic.ranking import ColumnRanking, ColumnTuningState
 from repro.holistic.scheduler import TuningReport, spend_window
 from repro.holistic.tuner import AuxiliaryTuner, random_pivots
-from repro.simtime.clock import Clock, wall_sleep
+from repro.simtime.clock import Clock
 from repro.storage.catalog import ColumnRef
 from repro.storage.dtypes import Key
-from repro.util.retry import BackoffPolicy
 
 #: Queue sentinel that tells a worker thread to exit its loop.
 _STOP = object()
@@ -79,19 +82,15 @@ class SupervisorPolicy:
     """How the pool reacts to worker crashes.
 
     Args:
-        max_restarts_per_worker: restarts a single worker slot may
-            consume before its next crash is fatal to the pool.
+        max_restarts_per_worker: crashes a single worker slot may have
+            handled (its batch dealt again) before its next crash is
+            fatal to the pool.
         quarantine_threshold: crashes attributed to one column before
             its refinement actions are dead-lettered.
-        backoff: restart delay schedule (capped exponential, indexed
-            by the worker slot's restart count).
     """
 
     max_restarts_per_worker: int = 8
     quarantine_threshold: int = 3
-    backoff: BackoffPolicy = BackoffPolicy(
-        base_s=0.001, factor=2.0, cap_s=0.05, max_attempts=64
-    )
 
 
 @dataclass(slots=True)
@@ -120,6 +119,9 @@ class _Batch:
     #: The ``workers.perform`` fault the plan drew for this batch; the
     #: worker raises it when it starts the batch, once.
     fault: InjectedFault | None = None
+    #: What the worker hands back: the pass's record, or the exception
+    #: it raised.
+    outcome: CrackPass | BaseException | None = None
 
 
 class TuningWorkerPool:
@@ -129,9 +131,9 @@ class TuningWorkerPool:
         clock: the shared engine clock; parallel phases are opened on
             it while the pool runs (``SimClock`` lanes make wall-clock
             the max over workers, ``WallClock`` overlaps by itself).
-        tape: the kernel's crack tape, shared by the worker threads.
+        tape: the kernel's crack tape.
         ranking: the continuous column ranking plans are made against.
-        policy: resource-spreading policy (shared, guarded by a lock).
+        policy: resource-spreading policy.
         num_workers: worker thread count (>= 1).
         tuner: the kernel's tuner; supplies the cache-fit stopping
             criterion and applies each batch.
@@ -157,8 +159,6 @@ class TuningWorkerPool:
             )
         self.clock = clock
         self.tape = tape
-        # Worker threads will share this tape: appends must lock.
-        tape.mark_concurrent()
         self.ranking = ranking
         self.policy = policy
         self.num_workers = num_workers
@@ -175,21 +175,16 @@ class TuningWorkerPool:
         self._queues: list[queue.Queue[object]] = [
             queue.Queue() for _ in range(num_workers)
         ]
+        #: ``(slot, batch)`` in deal order, not yet accounted for.
+        self._dealt: list[tuple[int, _Batch]] = []
         self._threads: dict[int, threading.Thread] = {}
-        self._idents: dict[int, int] = {}  # clock lane id -> worker id
-        #: Guards the policy, the ranking's ``planned`` projections and
-        #: the pivot streams: taken once per planning round and once
-        #: per completed batch.
-        self._policy_lock = threading.Lock()
         self._running = False
         self._failure: BaseException | None = None
-        #: Supervision: crashed workers are restarted with capped
-        #: exponential backoff; columns whose batches repeatedly kill
-        #: workers are quarantined (dead-lettered) after their piece
-        #: state is verified and, if inconsistent, rebuilt.
+        #: Supervision: a crashed batch's column is verified and, if
+        #: inconsistent, rebuilt; the batch is dealt again to its slot;
+        #: columns whose batches repeatedly crash are quarantined
+        #: (dead-lettered).
         self.supervisor = SupervisorPolicy()
-        self._sleep = wall_sleep  # injectable for deterministic tests
-        self._state_lock = threading.Lock()
         self._restarts: dict[int, int] = {}
         self._crashes: dict[ColumnRef, int] = {}
         self.dead_letter: list[ColumnRef] = []
@@ -209,20 +204,18 @@ class TuningWorkerPool:
         self._failure = None
         self.clock.begin_parallel()
         self._threads = {}
-        self._idents = {}
         self._restarts = {}
         self._running = True
 
-    def _spawn_worker(self, worker_id: int) -> threading.Thread:
+    def _spawn_worker(self, slot: int) -> None:
         thread = threading.Thread(
             target=self._worker_loop,
-            args=(worker_id,),
-            name=f"tuning-worker-{worker_id}",
+            args=(slot,),
+            name=f"tuning-worker-{slot}",
             daemon=True,
         )
-        self._threads[worker_id] = thread
+        self._threads[slot] = thread
         thread.start()
-        return thread
 
     def submit(self, actions: int) -> int:
         """Plan ``actions`` refinement attempts and hand the batches to
@@ -236,50 +229,49 @@ class TuningWorkerPool:
             raise ConfigError("worker pool is not running; call start()")
         if actions < 0:
             raise ConfigError(f"actions must be >= 0, got {actions}")
+        # Planning reads the piece maps: no batch may still be running.
+        self._settle()
         return self._plan(actions)
 
     def drain(self) -> None:
-        """Block until every submitted batch has been processed.
+        """Block until every submitted batch has been processed and
+        accounted for.
 
         Raises:
             ConcurrencyError: re-raising the first *fatal* worker
-                failure.  Supervised crashes (restarted workers,
+                failure.  Supervised crashes (batches dealt again,
                 quarantined columns) drain cleanly; the failure stays
                 sticky once raised, so a later ``drain()`` cannot
                 silently report success (clear it explicitly with
                 :meth:`clear_failure`).
         """
-        for worker_id, line in enumerate(self._queues):
-            self._join_line(worker_id, line)
+        self._settle()
         self._check_failure()
 
-    def _join_line(self, worker_id: int, line: queue.Queue) -> None:
-        """``line.join()`` that survives an abandoned worker.
-
-        A worker whose crash was fatal (restart budget exhausted,
-        every candidate quarantined) is not replaced; its queued
-        batches would leave ``join()`` waiting forever.  Once the pool
-        is failed and the worker thread is dead, the leftover batches
-        are dropped here so drains and stops still terminate -- the
-        sticky failure is what reports the loss.
-        """
-        while True:
-            with line.all_tasks_done:
-                if line.unfinished_tasks == 0:
-                    return
-                thread = self._threads.get(worker_id)
-                dead = thread is None or not thread.is_alive()
-                if not (self._failure is not None and dead):
-                    line.all_tasks_done.wait(0.02)
-                    continue
-            while True:
-                try:
-                    item = line.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not _STOP:
-                    self._release(item)
-                line.task_done()
+    def _settle(self) -> None:
+        """Wait for the workers, then account for every batch they
+        ran, in deal order, on this thread: a record is priced onto
+        its slot's lane (:meth:`_commit`), a crash is supervised
+        (:meth:`_supervise_crash`).  Crashed batches that are retried
+        are dealt again once the round is accounted for -- unless a
+        fatal failure came up meanwhile -- and waited for in turn."""
+        while self._dealt:
+            for line in self._queues:
+                line.join()
+            dealt, self._dealt = self._dealt, []
+            retries = []
+            for slot, batch in dealt:
+                outcome, batch.outcome = batch.outcome, None
+                self.clock.lane = slot
+                if isinstance(outcome, CrackPass):
+                    self._commit(slot, batch, outcome)
+                elif self._supervise_crash(slot, batch, outcome):
+                    retries.append((slot, batch))
+            for slot, batch in retries:
+                if self._failure is None:
+                    self._deal(slot, batch)
+                else:
+                    self._release(batch)
 
     def stop(self):
         """Drain, join the threads and close the parallel clock phase.
@@ -289,36 +281,31 @@ class TuningWorkerPool:
         statistics are updated from its lanes.
 
         Raises:
-            ConcurrencyError: if a worker thread died.  The phase has
-                already been settled by then (``end_parallel`` cannot
-                be retried), so the settled account and the updated
-                per-worker statistics ride on the error as
+            ConcurrencyError: on a fatal worker failure.  The phase
+                has already been settled by then (``end_parallel``
+                cannot be retried), so the settled account and the
+                updated per-worker statistics ride on the error as
                 ``error.account`` / ``error.worker_stats`` instead of
                 being lost.
         """
         if not self._running:
             return None
-        for worker_id, line in enumerate(self._queues):
-            self._join_line(worker_id, line)
-        for worker_id in self._threads:
-            self._queues[worker_id].put(_STOP)
-        for thread in list(self._threads.values()):
+        self._settle()
+        for slot in self._threads:
+            self._queues[slot].put(_STOP)
+        for thread in self._threads.values():
             thread.join()
-        for worker_id, line in enumerate(self._queues):
-            self._join_line(worker_id, line)
         self._running = False
         account = self.clock.end_parallel()
-        for ident, busy in account.lanes.items():
-            worker_id = self._idents.get(ident)
-            if worker_id is not None:
-                self.stats[worker_id].busy_s += busy
+        for slot, busy in account.lanes.items():
+            self.stats[slot].busy_s += busy
         self._check_failure(account)
         return account
 
     def _check_failure(self, account=None) -> None:
         # The failure stays sticky: a second drain()/stop() must keep
         # failing until clear_failure() -- silently reporting success
-        # after a fatal worker death hid the failure from the caller.
+        # after a fatal worker failure hid it from the caller.
         if self._failure is not None:
             failure = self._failure
             error = ConcurrencyError(f"tuning worker died: {failure!r}")
@@ -397,10 +384,10 @@ class TuningWorkerPool:
     def _plan(self, attempts: int) -> int:
         """Plan ``attempts`` refinements and enqueue them as batches.
 
-        Under the policy lock: one policy choice per attempt against
-        the projected ranking, then the random pivots of every chosen
-        column from that column's own stream.  Each column becomes one
-        batch (more when there are fewer columns than workers, see
+        One policy choice per attempt against the projected ranking,
+        then the random pivots of every chosen column from that
+        column's own stream.  Each column becomes one batch (more when
+        there are fewer columns than workers, see
         :meth:`_batches_for`), and the batches are dealt largest first
         to the least-loaded worker queue -- static and deterministic,
         so lane balance owes nothing to thread timing.  Each batch's
@@ -409,18 +396,17 @@ class TuningWorkerPool:
         many attempts were planned: fewer than asked when the projected
         ranking runs out, zero when it had nothing to offer at all.
         """
-        with self._policy_lock:
-            chosen: dict[ColumnRef, list] = {}  # ref -> [state, attempts]
-            for _ in range(attempts):
-                state = self._choose_state()
-                if state is None:
-                    break
-                state.planned += 1
-                chosen.setdefault(state.ref, [state, 0])[1] += 1
-            shares = [
-                (state, count, self._draw_pivots(state, count))
-                for state, count in chosen.values()
-            ]
+        chosen: dict[ColumnRef, list] = {}  # ref -> [state, attempts]
+        for _ in range(attempts):
+            state = self._choose_state()
+            if state is None:
+                break
+            state.planned += 1
+            chosen.setdefault(state.ref, [state, 0])[1] += 1
+        shares = [
+            (state, count, self._draw_pivots(state, count))
+            for state, count in chosen.values()
+        ]
         if not shares:
             return 0
         runs = -(-self.num_workers // len(shares))  # ceiling
@@ -433,20 +419,26 @@ class TuningWorkerPool:
             ),
             key=lambda batch: -batch.weight,
         ):
-            worker_id = loads.index(min(loads))
-            loads[worker_id] += batch.weight
+            slot = loads.index(min(loads))
+            loads[slot] += batch.weight
             try:
                 faults.trip("workers.perform")
             except InjectedFault as fault:
                 batch.fault = fault
-            self._queues[worker_id].put(batch)
-            if worker_id not in self._threads:
-                self._spawn_worker(worker_id)
+            self._deal(slot, batch)
         return sum(count for _, count, _ in shares)
+
+    def _deal(self, slot: int, batch: _Batch) -> None:
+        """Queue ``batch`` on worker ``slot``, spawning its thread on
+        the slot's first batch of the window."""
+        self._dealt.append((slot, batch))
+        self._queues[slot].put(batch)
+        if slot not in self._threads:
+            self._spawn_worker(slot)
 
     def _choose_state(self) -> ColumnTuningState | None:
         """Pick the next non-quarantined column, or ``None`` when the
-        (projected) ranking is exhausted.  Caller holds the policy lock.
+        (projected) ranking is exhausted.
 
         When the policy only ever offers dead-lettered columns there
         are two distinct situations.  If every *live* (non-quarantined)
@@ -488,18 +480,18 @@ class TuningWorkerPool:
         stands: that prices each batch (rows of the pieces its pass
         will partition) and, when the column is split, puts the cuts
         between runs of pivots *at piece boundaries*, so sibling
-        batches never target the same piece.
+        batches never target the same piece.  No worker runs while a
+        plan is made, so the piece maps are read without their locks.
         """
         # [piece start, rows a pass partitions there, slot of its first pivot]
         spans: list[list[int]] = []
-        with state.index.lock:
-            locate = state.index.piece_map.locate
-            for slot, value in enumerate(pivots):
-                _, start, end, at_pivot = locate(value)
-                if not spans or spans[-1][0] != start:
-                    spans.append([start, 0, slot])
-                if not at_pivot and end - start > self.tuner.min_piece_size:
-                    spans[-1][1] = end - start
+        locate = state.index.piece_map.locate
+        for slot, value in enumerate(pivots):
+            _, start, end, at_pivot = locate(value)
+            if not spans or spans[-1][0] != start:
+                spans.append([start, 0, slot])
+            if not at_pivot and end - start > self.tuner.min_piece_size:
+                spans[-1][1] = end - start
         total = sum(rows for _, rows, _ in spans)
         batches: list[_Batch] = []
         first = run_rows = done_rows = 0
@@ -523,7 +515,7 @@ class TuningWorkerPool:
         self, state: ColumnTuningState, count: int
     ) -> list[Key]:
         """``count`` ascending random pivots from the column's own
-        stream.  Caller holds the policy lock."""
+        stream."""
         ref = state.ref
         rng = self._pivot_rngs.get(ref)
         if rng is None:
@@ -536,168 +528,135 @@ class TuningWorkerPool:
     def _release(self, batch: _Batch, effective: int = 0) -> None:
         """Return a finished (or dropped) batch's reservation to the
         ranking, crediting the cracks it made."""
-        with self._policy_lock:
-            batch.state.planned -= batch.count
-            if effective:
-                self.ranking.note_tuning_action(batch.state.ref, effective)
+        batch.state.planned -= batch.count
+        if effective:
+            self.ranking.note_tuning_action(batch.state.ref, effective)
+
+    def _commit(self, slot: int, batch: _Batch, record: CrackPass) -> None:
+        """Account for a batch's pass on the clock's current lane
+        (``slot``'s): price and log it, count it in the slot's
+        statistics and release its reservation."""
+        batch.state.index.price_pass(record)
+        effective = len(record.fresh)
+        stats = self.stats[slot]
+        stats.actions_attempted += batch.count
+        stats.actions_effective += effective
+        self._release(batch, effective)
 
     # -- the workers ----------------------------------------------------
 
-    def _worker_loop(self, worker_id: int) -> None:
-        # Register under the clock's stable lane id (thread idents are
-        # recycled by the OS; see Clock.current_lane).
-        self._idents[self.clock.current_lane()] = worker_id
-        line = self._queues[worker_id]
+    def _worker_loop(self, slot: int) -> None:
+        line = self._queues[slot]
         while True:
             batch = line.get()
             try:
                 if batch is _STOP:
                     return
-                if self._failure is None:
-                    self._perform_batch(worker_id, batch)
-                else:
-                    self._release(batch)
-            except BaseException as exc:  # noqa: BLE001 - supervised
-                # The thread dies (its loop ends here); the supervisor
-                # decides whether a replacement takes over its slot and
-                # its failed batch.
-                self._supervise_crash(worker_id, line, batch, exc)
-                return
+                try:
+                    batch.outcome = self._perform_batch(slot, batch)
+                except BaseException as exc:  # noqa: BLE001 - supervised
+                    batch.outcome = exc
             finally:
                 line.task_done()
 
-    def _perform_batch(self, worker_id: int, batch: _Batch) -> None:
+    def _perform_batch(self, slot: int, batch: _Batch) -> CrackPass:
         fault, batch.fault = batch.fault, None
         if fault is not None:
             raise fault
-        if batch.state.ref in self.dead_letter:
-            # Quarantined after it was planned: the attempts are not
-            # spent, so a window re-plans them on live columns.
-            self._release(batch)
-            return
-        effective = self._apply_batch(batch)
-        stats = self.stats[worker_id]
-        stats.actions_attempted += batch.count
-        stats.actions_effective += effective
-        self._release(batch, effective)
+        return self._apply_batch(batch)
 
-    def _apply_batch(self, batch: _Batch) -> int:
-        """One batch as one pass; returns how many of its actions
-        refined anything."""
+    def _apply_batch(self, batch: _Batch) -> CrackPass:
+        """One batch as one pass; returns its unpriced record."""
         access = LatchedCrackerAccess(batch.state.index)
         return self.tuner.perform_latched(access, batch.pivots)
 
     # -- supervision ----------------------------------------------------
 
     def _supervise_crash(
-        self,
-        worker_id: int,
-        line: queue.Queue,
-        batch: _Batch,
-        error: BaseException,
-    ) -> None:
-        """React to a worker death: repair, quarantine, restart.
+        self, slot: int, batch: _Batch, error: BaseException
+    ) -> bool:
+        """React to a crashed pass: repair, quarantine, retry.
 
-        Runs on the dying thread.  The crashed batch's column is
-        re-verified (and rebuilt when inconsistent) under the index's
-        lock before any replacement worker can touch it; repeated
-        killers are
-        dead-lettered; the slot is restarted with capped exponential
-        backoff and handed the same batch -- same pivots, whatever the
-        crashed pass already cut is a pivot hit on the retry -- until
-        its budget runs out, at which point the failure becomes fatal
-        and sticky.
+        The crashed batch's column is re-verified (and rebuilt when
+        inconsistent); repeated killers are dead-lettered; the crash
+        counts against the slot's budget, and until that runs out the
+        same batch -- same pivots, whatever the crashed pass already
+        cut is a pivot hit on the retry -- is to be dealt again to the
+        slot (returns True).  A batch whose column is now quarantined
+        is dropped instead, and its attempts are re-planned on live
+        columns.  A crash past the budget is fatal and sticky.
         """
         state = batch.state
         self._verify_and_repair(state)
-        with self._state_lock:
-            crashes = self._crashes.get(state.ref, 0) + 1
-            self._crashes[state.ref] = crashes
-            threshold = self.supervisor.quarantine_threshold
-            if crashes >= threshold and state.ref not in self.dead_letter:
-                self.dead_letter.append(state.ref)
-                self.crash_log.append(
-                    f"quarantined {state.ref.table}.{state.ref.column} "
-                    f"after {crashes} worker crashes"
-                )
-            quarantined_all = all(
-                s.ref in self.dead_letter for s in self.ranking.states()
+        crashes = self._crashes.get(state.ref, 0) + 1
+        self._crashes[state.ref] = crashes
+        threshold = self.supervisor.quarantine_threshold
+        if crashes >= threshold and state.ref not in self.dead_letter:
+            self.dead_letter.append(state.ref)
+            self.crash_log.append(
+                f"quarantined {state.ref.table}.{state.ref.column} "
+                f"after {crashes} worker crashes"
             )
-            restarts = self._restarts.get(worker_id, 0)
-            if quarantined_all:
-                self._failure = ConcurrencyError(
-                    "every tuning candidate is quarantined "
-                    f"(dead letter: {[str(r) for r in self.dead_letter]}); "
-                    f"last crash: {error!r}"
-                )
-                self._failure.__cause__ = error
-            elif restarts >= self.supervisor.max_restarts_per_worker:
-                self._failure = error
-            else:
-                self._restarts[worker_id] = restarts + 1
-                self.restarts_total += 1
-        if self._failure is not None or not self._running:
+        restarts = self._restarts.get(slot, 0)
+        if all(s.ref in self.dead_letter for s in self.ranking.states()):
+            self._failure = ConcurrencyError(
+                "every tuning candidate is quarantined "
+                f"(dead letter: {[str(r) for r in self.dead_letter]}); "
+                f"last crash: {error!r}"
+            )
+            self._failure.__cause__ = error
+        elif restarts >= self.supervisor.max_restarts_per_worker:
+            self._failure = error
+        else:
+            self._restarts[slot] = restarts + 1
+            self.restarts_total += 1
+        if self._failure is not None:
             self._release(batch)
-            return
-        delay = self.supervisor.backoff.delay_s(restarts)
-        if delay > 0:
-            self._sleep(delay)
+            return False
         self.crash_log.append(
-            f"worker {worker_id} crashed ({type(error).__name__}: "
+            f"worker {slot} crashed ({type(error).__name__}: "
             f"{error}); restart #{restarts + 1}"
         )
-        # The batch is re-enqueued before this thread's task_done (our
-        # caller's finally) so a concurrent drain never observes the
-        # line transiently empty between death and retry.  If its
-        # column was just quarantined the replacement drops it.
-        self._spawn_worker(worker_id)
-        line.put(batch)
         if isinstance(error, InjectedFault):
-            # Credit the very event this batch carried, not the oldest
-            # unrecovered one: batches crash in thread-timing order.
             faults.recovered(
-                "workers.perform",
-                f"worker {worker_id} restarted",
-                hit=error.hit,
+                "workers.perform", f"worker {slot} restarted", hit=error.hit
             )
+        if state.ref in self.dead_letter:
+            self._release(batch)
+            return False
+        return True
 
     def _verify_and_repair(self, state: ColumnTuningState) -> None:
         """Check the crashed column's invariants; rebuild on damage.
-
-        Check and rebuild are one critical section under the index's
-        lock, so no replacement worker sees intermediate state; then
-        the fault-free answer path resumes.
-        """
-        with state.index.lock:
-            try:
-                state.index.check_invariants()
-            except CrackerError:
-                state.index.rebuild()
-                with self._state_lock:
-                    self.rebuilds_total += 1
-                self.crash_log.append(
-                    f"rebuilt {state.ref.table}.{state.ref.column}: "
-                    "crash left the piece map inconsistent"
-                )
+        No worker runs meanwhile, so the fault-free answer path
+        resumes on a verified column."""
+        try:
+            state.index.check_invariants()
+        except CrackerError:
+            state.index.rebuild()
+            self.rebuilds_total += 1
+            self.crash_log.append(
+                f"rebuilt {state.ref.table}.{state.ref.column}: "
+                "crash left the piece map inconsistent"
+            )
 
     def supervisor_summary(self) -> dict[str, object]:
-        """JSON-ready account of supervision activity; the lists are
-        sorted, as worker threads append to them in timing order."""
-        with self._state_lock:
-            return {
-                "restarts": self.restarts_total,
-                "rebuilds": self.rebuilds_total,
-                "dead_letter": sorted(
-                    f"{ref.table}.{ref.column}" for ref in self.dead_letter
-                ),
-                "crashes_per_column": {
-                    f"{ref.table}.{ref.column}": count
-                    for ref, count in sorted(
-                        self._crashes.items(), key=lambda kv: str(kv[0])
-                    )
-                },
-                "log": sorted(self.crash_log),
-            }
+        """JSON-ready account of supervision activity, its lists
+        sorted."""
+        return {
+            "restarts": self.restarts_total,
+            "rebuilds": self.rebuilds_total,
+            "dead_letter": sorted(
+                f"{ref.table}.{ref.column}" for ref in self.dead_letter
+            ),
+            "crashes_per_column": {
+                f"{ref.table}.{ref.column}": count
+                for ref, count in sorted(
+                    self._crashes.items(), key=lambda kv: str(kv[0])
+                )
+            },
+            "log": sorted(self.crash_log),
+        }
 
     def worker_stats(self) -> list[WorkerStats]:
         """Per-worker lifetime statistics, by worker id."""

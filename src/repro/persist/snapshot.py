@@ -143,24 +143,25 @@ def capture_state(
         for ref, index in indexes.items():
             base = f"index/{ref.table}/{ref.column}"
             piece_map = index.piece_map
-            with index.lock:
-                arrays[f"{base}/values"] = index.values
-                arrays[f"{base}/pivots"] = np.asarray(
-                    piece_map.pivots(), dtype=piece_map.dtype
-                )
-                arrays[f"{base}/cuts"] = np.asarray(
-                    piece_map.cuts(), dtype=np.int64
-                )
-                token = ("idx", piece_map.version, id(index.values))
-                for suffix in ("values", "pivots", "cuts"):
-                    tokens[f"{base}/{suffix}"] = token
-                meta["indexes"].append(
-                    {
-                        "table": ref.table,
-                        "column": ref.column,
-                        "copy_charged": index._copy_charged,
-                    }
-                )
+            # No lock: tuning workers run only inside an idle window,
+            # which returns before a capture can start.
+            arrays[f"{base}/values"] = index.values
+            arrays[f"{base}/pivots"] = np.asarray(
+                piece_map.pivots(), dtype=piece_map.dtype
+            )
+            arrays[f"{base}/cuts"] = np.asarray(
+                piece_map.cuts(), dtype=np.int64
+            )
+            token = ("idx", piece_map.version, id(index.values))
+            for suffix in ("values", "pivots", "cuts"):
+                tokens[f"{base}/{suffix}"] = token
+            meta["indexes"].append(
+                {
+                    "table": ref.table,
+                    "column": ref.column,
+                    "copy_charged": index._copy_charged,
+                }
+            )
         if meta["strategy"]["name"] == "holistic":
             meta["monitor"] = strategy.monitor.export_state()
             meta["ranking"] = strategy.ranking.export_state()

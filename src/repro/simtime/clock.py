@@ -9,14 +9,14 @@ price; a :class:`WallClock` prices nothing and lets time flow by itself.
 
 Parallel phases model the paper's idle-core claim: between
 :meth:`SimClock.begin_parallel` and :meth:`SimClock.end_parallel`,
-charges accumulate on per-thread *lanes* instead of advancing the
-shared timeline, and the phase advances virtual time by the **maximum**
-lane; the sum of all lanes is reported as busy time.
+charges accumulate on named *lanes* instead of advancing the shared
+timeline -- the caller sets :attr:`Clock.lane` to the worker slot whose
+work it is pricing -- and the phase advances virtual time by the
+**maximum** lane; the sum of all lanes is reported as busy time.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -27,27 +27,17 @@ from repro.simtime.costs import CostConstants
 from repro.simtime.model import PS_PER_S, CostModel
 
 
-def wall_now() -> float:
-    """Real monotonic seconds -- the sanctioned wall-clock read.
+def wall_sleep(seconds: float) -> None:
+    """Real sleep -- the one sanctioned wall-clock call.
 
-    Charged paths must not read wall time (bit-identical fingerprints
-    depend on it), but a few mechanisms are *about* real time and
-    nothing else: worker restart backoff, serving batch-formation
-    windows.  Those call this helper instead of
-    :func:`time.monotonic` directly, so the determinism linter
+    Charged paths must not touch wall time (bit-identical fingerprints
+    depend on it), but a retry loop's backoff is about real time and
+    nothing else.  It sleeps through this helper instead of
+    :func:`time.sleep` directly, so the determinism linter
     (:mod:`repro.analysis.rules.determinism`) can allow exactly one
     audited escape hatch and flag every other wall-clock read.
     """
-    return time.monotonic()  # repro: allow[determinism] -- the one audited wall-time read; callers use it only for real-time bounds (deadlines, backoff), never for charged accounting
-
-
-def wall_sleep(seconds: float) -> None:
-    """Real sleep -- the sanctioned wall-clock blocking wait.
-
-    Counterpart of :func:`wall_now` for worker backoff loops; see its
-    docstring for the contract.
-    """
-    time.sleep(seconds)  # repro: allow[determinism] -- the one audited real sleep; used for thread backoff, never on a charged path
+    time.sleep(seconds)  # repro: allow[determinism] -- the one audited real sleep; used for retry backoff, never on a charged path
 
 
 @dataclass(slots=True)
@@ -58,9 +48,8 @@ class ParallelAccount:
         elapsed_s: virtual wall-clock of the phase -- the maximum lane.
         busy_s: aggregate work across all lanes (the serial-equivalent
             cost; ``busy_s / elapsed_s`` is the achieved speedup).
-        lanes: per-lane busy seconds, keyed by the clock's stable lane
-            id (:meth:`SimClock.current_lane`; the OS reuses thread
-            idents, which would merge two threads' lanes).
+        lanes: per-lane busy seconds, keyed by lane name (the worker
+            slot, :attr:`Clock.lane`).
     """
 
     elapsed_s: float = 0.0
@@ -74,14 +63,17 @@ class Clock:
     One method per event shape adds the event's price to the clock and
     its counters to :attr:`total_charge` in one call, exactly as
     ``charge(CostCharge(<the same counters>))`` would; inside a
-    :class:`SimClock`'s parallel phase it goes to the calling thread's
-    lane instead.  A subclass says what time is: ``now()``,
+    :class:`SimClock`'s parallel phase it goes to lane :attr:`lane`
+    instead.  A subclass says what time is: ``now()``,
     ``sleep(seconds)`` and the parallel phases (``begin_parallel``,
     ``parallel_elapsed``, ``parallel_busy``, ``end_parallel``).
     """
 
-    #: Whether a parallel phase routes events to per-thread lanes.
+    #: Whether a parallel phase routes events to lanes.
     _parallel = False
+    #: The lane a parallel phase charges: the worker slot whose work
+    #: the (single) pricing thread is accounting.
+    lane = 0
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
@@ -91,25 +83,6 @@ class Clock:
         self._now = 0
         self.total_charge = CostCharge()
         self._lanes: dict[int, int] = {}
-        self._lane_lock = threading.Lock()
-        self._lane_tls = threading.local()
-        self._lane_seq = 0
-
-    def current_lane(self) -> int:
-        """This thread's stable lane id (allocated on first use).
-
-        Thread idents are recycled by the OS, so two sequential
-        short-lived threads could share one; a thread-local sequence
-        number keeps every thread's lane distinct for the clock's
-        lifetime.
-        """
-        lane = getattr(self._lane_tls, "lane", None)
-        if lane is None:
-            with self._lane_lock:
-                lane = self._lane_seq
-                self._lane_seq += 1
-            self._lane_tls.lane = lane
-        return lane
 
     def charge(self, charge: CostCharge) -> float:
         """Account for ``charge``; return the seconds it was priced at."""
@@ -122,12 +95,11 @@ class Clock:
         return ps / PS_PER_S
 
     def _to_lane(self, ps: int, charge: CostCharge | None) -> None:
-        """Add ``ps`` (and ``charge``'s work) to this thread's lane."""
-        lane = self.current_lane()
-        with self._lane_lock:
-            self._lanes[lane] = self._lanes.get(lane, 0) + ps
-            if charge is not None:
-                self.total_charge += charge
+        """Add ``ps`` (and ``charge``'s work) to lane :attr:`lane`."""
+        lanes = self._lanes
+        lanes[self.lane] = lanes.get(self.lane, 0) + ps
+        if charge is not None:
+            self.total_charge += charge
 
     # -- events: one method per charged shape ---------------------------
 
@@ -293,7 +265,7 @@ class SimClock(Clock):
 
     def now(self) -> float:
         if self._parallel:
-            lane = self._lanes.get(self.current_lane(), 0)
+            lane = self._lanes.get(self.lane, 0)
             return (self._now + lane) / PS_PER_S
         return self._now / PS_PER_S
 
@@ -346,7 +318,8 @@ class SimClock(Clock):
     # -- parallel phases (idle-core tuning) -----------------------------
 
     def begin_parallel(self) -> None:
-        """Open a parallel phase: charges go to per-thread lanes.
+        """Open a parallel phase: charges go to lane :attr:`lane`,
+        starting at lane 0.
 
         Raises:
             ConfigError: if a phase is already open (no nesting).
@@ -354,17 +327,16 @@ class SimClock(Clock):
         if self._parallel:
             raise ConfigError("parallel phases cannot nest")
         self._lanes = {}
+        self.lane = 0
         self._parallel = True
 
     def parallel_elapsed(self) -> float:
         """The phase's elapsed time so far: the maximum lane."""
-        with self._lane_lock:
-            return max(self._lanes.values(), default=0) / PS_PER_S
+        return max(self._lanes.values(), default=0) / PS_PER_S
 
     def parallel_busy(self) -> float:
         """The phase's aggregate work so far: the sum of all lanes."""
-        with self._lane_lock:
-            return sum(self._lanes.values()) / PS_PER_S
+        return sum(self._lanes.values()) / PS_PER_S
 
     def end_parallel(self) -> ParallelAccount:
         """Close the phase; advance time by the maximum lane.
@@ -374,9 +346,7 @@ class SimClock(Clock):
         """
         if not self._parallel:
             raise ConfigError("no parallel phase to end")
-        with self._lane_lock:
-            lanes = dict(self._lanes)
-            self._lanes = {}
+        lanes, self._lanes = self._lanes, {}
         self._parallel = False
         elapsed = max(lanes.values(), default=0)
         self._now += elapsed
@@ -402,11 +372,11 @@ class SimClock(Clock):
         return {
             "now_ps": self._now,
             "total_charge": self.total_charge.as_dict(),
-            "lane_seq": self._lane_seq,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a previously-exported clock state (snapshot restore).
+        """Adopt a previously-exported clock state (snapshot restore);
+        a ``"lane_seq"`` an earlier format-2 writer added is ignored.
 
         Raises:
             ConfigError: inside a parallel phase (settle it first).
@@ -419,9 +389,6 @@ class SimClock(Clock):
             )
         self._now = int(state["now_ps"])
         self.total_charge = CostCharge.from_dict(state["total_charge"])
-        # Lane ids already handed to live threads stay valid; the
-        # sequence only ever moves forward.
-        self._lane_seq = max(self._lane_seq, int(state["lane_seq"]))
 
 
 #: A wall clock's prices: every per-unit price is zero, so its events

@@ -1,16 +1,14 @@
 """Deterministic capped-exponential retry/backoff.
 
-The self-healing paths (worker supervisor restarts, snapshot restore
-re-reads) all need the same shape of loop: try, back off a bounded
-exponential amount, try again, give up after N attempts.  This module
-provides it once, with the two properties those callers need:
+The snapshot restore re-reads need one shape of loop: try, back off a
+bounded exponential amount, try again, give up after N attempts.  This
+module provides it, with the two properties its callers need:
 
 * **deterministic** -- no jitter; delay ``i`` is exactly
   ``min(base_s * factor**i, cap_s)``, so tests and the chaos bench can
   predict schedules;
-* **injectable time** -- ``sleep`` is a parameter, so unit tests and
-  the supervisor (which must not stall a drain on real wall-clock
-  sleeps during simulated-time runs) can substitute their own.
+* **injectable time** -- ``sleep`` is a parameter, so unit tests can
+  substitute their own.
 """
 
 from __future__ import annotations

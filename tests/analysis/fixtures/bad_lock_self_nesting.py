@@ -2,7 +2,7 @@
 
 A transfer takes its own account's lock, then the other account's.
 Nothing orders the two instances, so a transfer a->b beside a transfer
-b->a deadlocks; the lock-order analysis sees one lock class nested in
+b->a deadlocks; the lock-discipline rule sees one lock class nested in
 itself and fails the check.
 """
 

@@ -21,17 +21,16 @@ EXPECTED = {
     "bad_dtype_promotion.py": "dtype-promotion",
     "bad_dtype_scalar_probe.py": "dtype-promotion",
     "bad_fault_unregistered.py": "fault-coverage",
+    "bad_lock_cross_module_call.py": "lock-discipline",
+    "bad_lock_self_nesting.py": "lock-discipline",
     "bad_waiver_reasonless.py": "waiver",
     "bad_waiver_stale.py": "waiver",
 }
 
-#: Fixtures the lint rules pass and the lock-order analysis fails.
-LOCK_ORDER_FIXTURES = ("bad_lock_self_nesting.py",)
-
 
 def test_every_fixture_has_an_expectation():
     on_disk = {p.name for p in FIXTURES.glob("*.py")}
-    assert on_disk == set(EXPECTED) | set(LOCK_ORDER_FIXTURES)
+    assert on_disk == set(EXPECTED)
 
 
 @pytest.mark.parametrize("name,rule", sorted(EXPECTED.items()))
@@ -44,7 +43,7 @@ def test_fixture_is_flagged(name: str, rule: str):
     )
 
 
-@pytest.mark.parametrize("name", sorted([*EXPECTED, *LOCK_ORDER_FIXTURES]))
+@pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_cli_check_exits_nonzero_on_fixture(name: str):
     code = analysis_main(
         ["--check", "--no-mypy", str(FIXTURES / name)]

@@ -1,8 +1,8 @@
 """Property tests: the analyses never crash on arbitrary valid modules.
 
-The rules and the lock-order analyzer walk whatever AST they are
-given; a shape they did not anticipate must degrade to "no finding"
-or an unresolved-site count, never an exception.  Modules are grown
+The rules (the lock-discipline rule among them) walk whatever AST they
+are given; a shape they did not anticipate must degrade to "no
+finding", never an exception.  Modules are grown
 from a grammar of statement fragments that deliberately mixes in the
 constructs the analyses care about (acquires, withs, searchsorted,
 time calls, decorators, yields) at every nesting depth.
@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis import lockorder
-from repro.analysis.lint import run_lint
+from repro.analysis.lint import LintContext, run_lint
+from repro.analysis.rules import locks
 from repro.analysis.source import SourceFile
 
 SRC_ROOT = Path(repro.__file__).resolve().parent
@@ -139,14 +139,18 @@ def test_lint_never_crashes_on_grown_modules(tmp_path_factory, code):
 @settings(max_examples=80, deadline=None)
 @given(_module())
 def test_lockorder_never_crashes_on_grown_modules(tmp_path_factory, code):
+    """The lock-discipline rule alone: every finding it makes on a
+    grown module names a real line."""
     if not _valid(code):
         return
     tmp = tmp_path_factory.mktemp("grown")
     target = tmp / "grown.py"
     target.write_text(code)
-    report = lockorder.analyze([target])
-    assert isinstance(report["ok"], bool)
-    assert report["unresolved_sites"] >= 0
+    ctx = LintContext.build(SRC_ROOT)
+    findings = locks.check(SourceFile.parse(target), ctx)
+    for finding in findings:
+        assert finding.rule == locks.RULE_ID
+        assert 0 < finding.line <= code.count("\n")
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,8 +48,8 @@ def test_crack_value_batches_from_threads_cut_what_one_pass_cuts(
     """Two threads apply interleaved 16-pivot batches to one index
     while two more read through the same access: the index ends with
     exactly the cuts one serial ``ensure_cuts`` of every pivot and
-    bound makes, every cut is on the tape once, and every read is
-    exact."""
+    bound makes, every cut is on the tape once when the batches'
+    records are priced, and every read is exact."""
     grid = np.linspace(1e5, 9.99e7, 240).tolist()
     # Reads bound halfway between pivots, over 1 to 12 pieces.
     mids = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
@@ -66,13 +66,14 @@ def test_crack_value_batches_from_threads_cut_what_one_pass_cuts(
     assert min(p.size for p in reference.piece_map.pieces()) > 1
     index = CrackerIndex(small_column, clock=SimClock())
     access = LatchedCrackerAccess(index)
-    cut = [0, 0]
+    records = [[], []]
 
     def batcher(seed: int):
         def run():
             mine = grid[seed::2]
             for start in range(0, len(mine), 16):
-                cut[seed] += access.crack_value(mine[start : start + 16])
+                batch = mine[start : start + 16]
+                records[seed].append(access.crack_value(batch))
 
         return run
 
@@ -91,7 +92,12 @@ def test_crack_value_batches_from_threads_cut_what_one_pass_cuts(
     index.check_invariants()
     assert index.piece_map.pivots() == reference.piece_map.pivots()
     assert index.piece_map.cuts() == reference.piece_map.cuts()
-    assert sum(cut) == len(grid)
+    # The batches' passes are priced afterwards, on this thread, as an
+    # idle window's thread prices its workers' records.
+    passes = records[0] + records[1]
+    for record in passes:
+        index.price_pass(record)
+    assert sum(len(record.fresh) for record in passes) == len(grid)
     assert index.crack_count == index.tape.count()
 
 

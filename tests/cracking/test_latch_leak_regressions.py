@@ -30,11 +30,11 @@ from repro.util.retry import retry_call
 
 
 def test_workers_use_the_audited_wall_helpers():
-    """Restart backoff sleeps through simtime.clock.wall_sleep -- the
-    module must not import ``time`` at all (the determinism lint's
-    contract)."""
+    """The workers read no wall time: the module imports neither
+    ``time`` (the determinism lint's contract) nor, with no restart
+    backoff left, the audited ``wall_sleep``."""
     assert not hasattr(workers, "time")
-    assert workers.wall_sleep is wall_sleep
+    assert not hasattr(workers, "wall_sleep")
 
 
 def test_retry_default_sleep_is_the_audited_helper():

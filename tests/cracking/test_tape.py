@@ -98,7 +98,6 @@ def test_stall_counters_per_worker_and_total():
     total reads 0, and per-worker stall counts a format-2 tape wrote
     restore to the same origin counters with no stall counted."""
     tape = CrackTape()
-    tape.mark_concurrent()
     tape.log(CrackOrigin.TUNING, 4)
     assert tape.stall_count() == 0
     state = tape.export_state()

@@ -88,12 +88,13 @@ SERVED_CALLS = {(32, 4): 200, (4, 1): 33, (64, 8): 388}
 #: ``insert_rows`` coerces every column before any stages.
 WRITE_CALLS = {"stage_inserts": 5, "stage_deletes": 9, "insert_rows": 13}
 
-#: Python-level calls of one tuning worker batch: a 4-pivot
+#: Python-level calls of one tuning worker batch, whole: a 4-pivot
 #: ``LatchedCrackerAccess.crack_value`` over 3 pieces of a materialised
-#: 10^5-row index.  Under the index's lock each pivot is located once
-#: to drop the degenerate ones, then one ``ensure_cuts`` pass cuts the
-#: rest.
-WORKER_BATCH_CALLS = 99
+#: 10^5-row index, then the window thread's pricing of its record.
+#: Under the index's lock one vectorised locate drops the degenerate
+#: pivots and one pass cuts the rest; ``price_pass`` charges and logs
+#: it.
+WORKER_BATCH_CALLS = 95
 
 def _grid(columns=("A1", "A2"), points=24) -> list[RangeQuery]:
     """Grid ranges over the paper domain; a fresh ``ColumnRef`` per
@@ -527,13 +528,20 @@ def test_one_fresh_bound_costs_one_cut():
 
 
 def test_worker_batch_cost_is_bounded():
-    """A structural cost guard for one worker batch: a filter pass and
-    one multi-pivot ``ensure_cuts``, nothing per piece beyond that."""
+    """A structural cost guard for one worker batch: a filter, one
+    multi-pivot pass and the pricing of its record, nothing per piece
+    beyond that."""
     table = build_paper_table(rows=100_000, columns=1, seed=5)
     index = CrackerIndex(table.column("A1"), clock=SimClock(TINY.cost_model()))
     index.ensure_cuts([3e7, 6e7])
     access = LatchedCrackerAccess(index)
-    calls, cut = count_calls(access.crack_value, [1e7, 2e7, 4.5e7, 8e7])
+
+    def batch(values):
+        record = access.crack_value(values)
+        index.price_pass(record)
+        return len(record.fresh)
+
+    calls, cut = count_calls(batch, [1e7, 2e7, 4.5e7, 8e7])
     assert cut == 4
     assert index.piece_count == 7
     assert calls <= WORKER_BATCH_CALLS, repr(calls)

@@ -3,15 +3,16 @@
 The supervised unit is the *batch* -- one column's share of a window
 plan.  Every test drives the pool the one way the kernel does: an idle
 window (``exploit_idle``) that starts, drains and stops it.  Covers the
-workers' self-healing ladder at that grain: a worker that crashes
-mid-batch is restarted with backoff, handed the same batch (same
-pivots) again and the fault is credited as recovered; a column whose
+workers' self-healing ladder at that grain: a batch whose pass crashes
+is handed to the same worker slot again (same pivots) and the fault is
+credited as recovered; a column whose
 batches repeatedly kill workers is quarantined -- only its batches are
 dropped, their attempts re-planned on live columns -- while the rest
 of the pool keeps refining; quarantining *every* candidate -- or
 running a worker slot out of restarts -- is a fatal failure that
 raises out of the window and stays sticky until it is acknowledged or
-the next window starts; and the pool distinguishes "all live work is
+the next window starts; a handled crash costs the window the same
+virtual time as a fault-free run; and the pool distinguishes "all live work is
 done" (clean exhaustion) from "the policy refuses to rotate off a
 quarantined column" (stuck).
 """
@@ -32,15 +33,8 @@ from repro.simtime.clock import SimClock
 from repro.storage.catalog import ColumnRef
 from repro.storage.database import Database
 from repro.storage.loader import build_paper_table
-from repro.util.retry import BackoffPolicy
 
 from tests.conftest import ground_truth_count
-
-#: Zero-delay restarts keep the supervised tests fast.
-FAST = SupervisorPolicy(
-    backoff=BackoffPolicy(base_s=0.0, factor=2.0, cap_s=0.0, max_attempts=64)
-)
-
 
 @pytest.fixture(autouse=True)
 def _no_leftover_plan():
@@ -92,7 +86,6 @@ def test_injected_crash_restarts_worker_and_recovers():
     db = _db()
     kernel = _kernel(db)
     pool = kernel.worker_pool
-    pool.supervisor = FAST
     applied = _record_batches(pool)
     column = db.column("R", "A1")
     plan = FaultPlan()
@@ -131,19 +124,18 @@ def test_crash_mid_batch_is_repaired_and_the_retry_completes_it(monkeypatch):
     db = _db(columns=1)
     kernel = _kernel(db, num_workers=1)
     pool = kernel.worker_pool
-    pool.supervisor = FAST
     applied = _record_batches(pool)
-    ensure_cuts = CrackerIndex.ensure_cuts
+    crack_pass = CrackerIndex._crack_pass
     crashed = []
 
     def half_then_die(self, values):
         if not crashed:
-            crashed.append(list(values))
-            ensure_cuts(self, values[: len(values) // 2])
+            crashed.append(values.tolist())
+            crack_pass(self, values[: len(values) // 2])
             raise RuntimeError("died mid-batch")
-        return ensure_cuts(self, values)
+        return crack_pass(self, values)
 
-    monkeypatch.setattr(CrackerIndex, "ensure_cuts", half_then_die)
+    monkeypatch.setattr(CrackerIndex, "_crack_pass", half_then_die)
     outcome = kernel.exploit_idle(actions=12)
     (index,) = kernel.indexes.values()
     index.check_invariants()
@@ -165,7 +157,6 @@ def test_repeated_crashes_quarantine_the_column():
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=16,
         quarantine_threshold=2,
-        backoff=FAST.backoff,
     )
     a1 = ColumnRef("R", "A1")
     plan = FaultPlan()
@@ -206,7 +197,6 @@ def test_quarantine_drops_only_the_columns_own_batches():
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=16,
         quarantine_threshold=2,
-        backoff=FAST.backoff,
     )
     a1 = ColumnRef("R", "A1")
     apply_batch = pool._apply_batch
@@ -236,9 +226,7 @@ def test_quarantining_every_candidate_is_fatal():
     db = _db(columns=1)
     kernel = _kernel(db)
     pool = kernel.worker_pool
-    pool.supervisor = SupervisorPolicy(
-        quarantine_threshold=1, backoff=FAST.backoff
-    )
+    pool.supervisor = SupervisorPolicy(quarantine_threshold=1)
     plan = FaultPlan()
     plan.arm("workers.perform", at=0)
     with engaged(plan):
@@ -262,7 +250,6 @@ def test_failure_is_sticky_until_cleared():
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=1,
         quarantine_threshold=1000,
-        backoff=FAST.backoff,
     )
 
     def explode(batch):
@@ -288,7 +275,6 @@ def test_failure_is_sticky_but_next_lifecycle_is_clean():
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=0,
         quarantine_threshold=1000,
-        backoff=FAST.backoff,
     )
 
     def explode(batch):
@@ -313,7 +299,6 @@ def test_genuine_crashes_are_not_credited_to_the_fault_plan():
     pool.supervisor = SupervisorPolicy(
         max_restarts_per_worker=1,
         quarantine_threshold=1000,
-        backoff=FAST.backoff,
     )
 
     def explode(batch):
@@ -339,7 +324,6 @@ def test_quarantined_best_with_live_unrefined_candidate_is_stuck():
     db = _db(columns=2)
     kernel = _kernel(db, cache_target_elements=8192, policy="ranked")
     pool = kernel.worker_pool
-    pool.supervisor = FAST
     a1 = ColumnRef("R", "A1")
     a2 = ColumnRef("R", "A2")
     kernel.index_for(a1)
@@ -362,7 +346,6 @@ def test_quarantined_remainder_with_refined_live_set_is_exhaustion():
     db = _db(columns=2)
     kernel = _kernel(db, cache_target_elements=8192, policy="ranked")
     pool = kernel.worker_pool
-    pool.supervisor = FAST
     a1 = ColumnRef("R", "A1")
     kernel.index_for(a1)  # one piece: unrefined
     kernel.select(_query(1e7, 3e7, "A2"))  # cracked: refined at 8192
@@ -373,3 +356,46 @@ def test_quarantined_remainder_with_refined_live_set_is_exhaustion():
     outcome = kernel.exploit_idle(actions=4)  # clean: nothing safe is left
     assert "all candidates refined" in outcome.note
     assert pool.dead_letter == [a1]
+
+
+# -- virtual time -------------------------------------------------------
+
+
+def _window_account(arm_at=None):
+    """One 9-action window of 2 workers over 3 columns of 10^5 rows,
+    with ``workers.perform`` armed at hit ``arm_at`` (or not at all):
+    the window's ParallelAccount, the clock after it, and how many
+    faults were injected."""
+    db = _db(rows=100_000)
+    kernel = _kernel(db, seed=7)
+    accounts = []
+    end_parallel = db.clock.end_parallel
+
+    def settle():
+        accounts.append(end_parallel())
+        return accounts[-1]
+
+    db.clock.end_parallel = settle
+    plan = FaultPlan()
+    if arm_at is not None:
+        plan.arm("workers.perform", at=arm_at)
+    with engaged(plan):
+        kernel.exploit_idle(actions=9)
+    (account,) = accounts
+    return account, db.clock.now(), plan.injected
+
+
+def test_a_handled_crash_costs_the_window_what_a_clean_one_does():
+    """Regression: lanes were keyed by thread, so the thread that took
+    over a crashed slot charged a lane of its own and the window's
+    elapsed time -- the maximum lane -- fell (17.0 s against 34.0 s
+    here).  The crash hits the slot's second batch, after the slot has
+    priced its first; the retry lands on the slot's own lane."""
+    clean, clean_now, _ = _window_account()
+    crashed, crashed_now, injected = _window_account(arm_at=2)
+    assert injected == 1
+    assert len(clean.lanes) == len(crashed.lanes) == 2
+    assert crashed.elapsed_s == clean.elapsed_s
+    assert crashed.busy_s == clean.busy_s
+    assert crashed == clean
+    assert crashed_now == clean_now

@@ -225,36 +225,26 @@ def test_exhausted_window_asks_the_policy_once_not_per_action(monkeypatch):
 def test_window_cost_is_per_batch_not_per_action(monkeypatch):
     """A structural cost guard: a 128-action window over 8 columns is
     at most one multi-pivot pass per column and planning round,
-    with at most two policy-lock round trips per batch."""
+    with at most two reservation releases per batch."""
     kernel = HolisticKernel(
         _db(columns=8), HolisticConfig(num_workers=2, policy="ranked")
     )
     pool = kernel.worker_pool
     passes = []
-    ensure_cuts = CrackerIndex.ensure_cuts
+    crack_pass = CrackerIndex._crack_pass
     monkeypatch.setattr(
         CrackerIndex,
-        "ensure_cuts",
-        lambda self, *args: passes.append(1) or ensure_cuts(self, *args),
+        "_crack_pass",
+        lambda self, *args: passes.append(1) or crack_pass(self, *args),
     )
-
-    class CountingLock:
-        def __init__(self, lock):
-            self.lock, self.acquired = lock, 0
-
-        def __enter__(self):
-            self.acquired += 1
-            return self.lock.__enter__()
-
-        def __exit__(self, *exc_info):
-            return self.lock.__exit__(*exc_info)
-
-    pool._policy_lock = CountingLock(pool._policy_lock)
+    releases = []
+    release = pool._release
+    pool._release = lambda *args: releases.append(1) or release(*args)
     outcome = kernel.exploit_idle(actions=128)
     assert outcome.actions_done > 100
     assert kernel.tuning_summary().actions_attempted == 128
     assert 8 <= len(passes) <= 8 + pool.num_workers
-    assert pool._policy_lock.acquired <= 2 * len(passes)
+    assert len(releases) <= 2 * len(passes)
 
 
 def test_ranked_window_is_planned_against_projected_piece_counts():

@@ -10,8 +10,6 @@ stay bit-identical to the per-event path, also after the clock's
 state is restored or its model replaced between events.
 """
 
-import threading
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,38 +94,30 @@ def test_in_place_probes_equal_per_event_charges(events):
 @settings(max_examples=50, deadline=None)
 @given(_EVENTS, _EVENTS)
 def test_in_place_probes_keep_lane_accounts(first, second):
-    """Inside a parallel phase, from two threads: every lane, the
-    elapsed maximum and the busy sum match the per-event clock's."""
+    """Inside a parallel phase, on two named lanes whose events
+    interleave: every lane, the elapsed maximum, the busy sum and
+    ``now()`` on each lane match the per-event clock's."""
+    # A phase refuses restore_state; the model is shared.
+    streams = [
+        [e for e in events if e[0] in ("probes", "query", "merge")]
+        for events in (first, second)
+    ]
     accounts = []
     for in_place in (True, False):
         clock = SimClock(CostModel(_AWKWARD))
         clock.charge(CostCharge(queries=3))
         clock.begin_parallel()
-        workers = [
-            threading.Thread(
-                target=_replay,
-                args=(
-                    clock,
-                    # A phase refuses restore_state; the model is shared.
-                    [
-                        e
-                        for e in events
-                        if e[0] in ("probes", "query", "merge")
-                    ],
-                    in_place,
-                ),
-            )
-            for events in (first, second)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-            assert not worker.is_alive()
+        readings = []
+        for i in range(max(map(len, streams))):
+            for lane, stream in enumerate(streams):
+                clock.lane = lane
+                _replay(clock, stream[i : i + 1], in_place)
+                readings.append(clock.now())
         account = clock.end_parallel()
         accounts.append(
             (
-                sorted(account.lanes.values()),
+                account.lanes,
+                readings,
                 account.elapsed_s,
                 account.busy_s,
                 clock.now(),

@@ -8,8 +8,6 @@ the lanes of a parallel phase, and (counters only) on a wall clock.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,26 +155,22 @@ def test_event_method_is_its_charge(name, data):
 @settings(max_examples=50, deadline=None)
 @given(_STREAMS, _STREAMS)
 def test_event_methods_keep_lane_accounts(first, second):
-    """Inside a parallel phase, from two threads: every lane, the
-    elapsed maximum, the busy sum, the settled reading and the counters
-    equal those of the same events passed to ``charge``."""
+    """Inside a parallel phase, on two named lanes whose events
+    interleave: every lane, the elapsed maximum, the busy sum, the
+    settled reading and the counters equal those of the same events
+    passed to ``charge``."""
     accounts = []
     for by_method in (True, False):
         clock = _started()
         clock.begin_parallel()
-        workers = [
-            threading.Thread(target=_run, args=(clock, stream, by_method))
-            for stream in (first, second)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=30)
-            assert not worker.is_alive()
+        for i in range(max(len(first), len(second))):
+            for lane, stream in enumerate((first, second)):
+                clock.lane = lane
+                _run(clock, stream[i : i + 1], by_method)
         account = clock.end_parallel()
         accounts.append(
             (
-                sorted(account.lanes.values()),
+                account.lanes,
                 account.elapsed_s,
                 account.busy_s,
                 clock._now,

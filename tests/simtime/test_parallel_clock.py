@@ -1,7 +1,5 @@
 """Unit tests for the parallel-phase accounting of the clocks."""
 
-import threading
-
 import pytest
 
 from repro.errors import ConfigError
@@ -29,18 +27,9 @@ def test_serial_charges_unchanged_by_phase_support():
 def test_phase_advances_by_max_lane():
     clock = SimClock(CostModel())
     clock.begin_parallel()
-
-    def lane(elements):
+    for lane, elements in ((0, 4_000_000), (1, 1_000_000)):
+        clock.lane = lane
         _charge_seconds(clock, elements)
-
-    threads = [
-        threading.Thread(target=lane, args=(4_000_000,)),
-        threading.Thread(target=lane, args=(1_000_000,)),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
     account = clock.end_parallel()
     expected_max = _seconds(
         CostModel(), CostCharge(elements_scanned=4_000_000)
@@ -62,16 +51,11 @@ def test_lane_local_now_during_phase():
     clock.begin_parallel()
     base = clock.now()
     seconds = _charge_seconds(clock, 2_000_000)
-    # This thread sees its own lane's progress...
+    # The named lane sees its own progress...
     assert clock.now() == pytest.approx(base + seconds)
-    seen_in_thread = []
-    other = threading.Thread(
-        target=lambda: seen_in_thread.append(clock.now())
-    )
-    other.start()
-    other.join()
-    # ...while a fresh thread still sits at the phase's base time.
-    assert seen_in_thread[0] == pytest.approx(base)
+    # ...while a lane with no work yet still sits at the phase's base.
+    clock.lane = 1
+    assert clock.now() == pytest.approx(base)
     clock.end_parallel()
 
 
