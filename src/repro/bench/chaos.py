@@ -208,10 +208,11 @@ def _persist_scenario(
 
     Phase 1 replays two thirds of the trace with periodic checkpoints
     (``keep_history=True``, so older generations stay available for
-    walk-back), then publishes one more generation that the armed
-    tamper fault corrupts.  The restore path must heal -- walk back,
-    retry, or exclude -- and the resumed replay's chained digest must
-    equal the uninterrupted fault-free run's.
+    walk-back), then a fresh manager publishes one more, whole
+    generation, whose largest file (a base column: a bit flipped there
+    only a checksum sees) the armed tamper fault corrupts.  The restore
+    path must heal -- walk back, retry, or exclude -- and the resumed
+    replay's chained digest must equal the uninterrupted run's.
     """
     cut = (2 * len(trace)) // 3
     extra_ops = min(len(trace) - cut, max(len(trace) // 12, 8))
@@ -240,8 +241,8 @@ def _persist_scenario(
         # The generation walk-back falls back to: published clean, at
         # the phase-one cursor.
         manager.checkpoint(extra={"cursor": cut, "digest": digest})
-        # A little more progress so the next generation writes fresh
-        # (crackable) index arrays and carries a strictly later cursor.
+        # A little more progress so the next generation carries a
+        # strictly later cursor.
         late = cut + extra_ops
         digest_late = replay_digest(db, session, trace, cut, late, digest)
 
@@ -255,9 +256,10 @@ def _persist_scenario(
                 plan.arm(fault_point, at=0)
                 expected_injected = 1
             try:
-                manager.checkpoint(
-                    extra={"cursor": late, "digest": digest_late}
-                )
+                SnapshotManager(
+                    root, db, strategy=session.strategy, session=session,
+                    keep_history=True,
+                ).checkpoint(extra={"cursor": late, "digest": digest_late})
             except PersistError:
                 # The pointer corruption breaks the manager's own
                 # post-publish read-back -- the writer dies here, like

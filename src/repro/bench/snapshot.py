@@ -1,4 +1,4 @@
-"""Durability correctness gate: checkpointing, memmap restore, kill -9.
+"""Durability correctness gate: checkpointing, restore, kill -9.
 
 Four claims of the persist layer (:mod:`repro.persist`), checked:
 
@@ -8,7 +8,7 @@ Four claims of the persist layer (:mod:`repro.persist`), checked:
 * **Steady-state checkpoints are incremental** -- generations carry
   unchanged arrays forward instead of rewriting them (``incremental``
   section: full vs delta bytes and array counts).
-* **Restart re-cracks nothing** -- after a memmap restore of the final
+* **Restart re-cracks nothing** -- after a restore of the final
   generation, the piece maps are exactly as refined as at checkpoint
   and the crack tape has not moved (``restart.zero_recrack``).
 * **kill -9 loses nothing committed** -- a child process replays the
@@ -389,7 +389,7 @@ def run_snapshot(
             "delta_bytes": delta.bytes_written,
         }
 
-        # Warm restart: memmap restore of the final generation must
+        # Warm restart: restoring the final generation must
         # bring back every piece and leave the tape where it was.
         restored_kernel = restore_snapshot(root).strategy
         zero_recrack = (
@@ -452,7 +452,7 @@ def snapshot_text(result: dict[str, object]) -> str:
         f"({inc['delta_arrays_carried']} arrays carried forward)"
     )
     lines.append(
-        "re-cracks on memmap restore: "
+        "re-cracks on restore: "
         + ("0" if result["restart"]["zero_recrack"] else "NONZERO")
     )
     crash = result.get("crash")
@@ -479,7 +479,7 @@ def _gate(document: dict[str, object]) -> list[str]:
     ]
     if not document.get("restart", {}).get("zero_recrack", False):
         failures.append(
-            "restart: memmap restore re-cracked pieces "
+            "restart: restore re-cracked pieces "
             "(piece maps or tape moved)"
         )
     crash = document.get("crash")

@@ -135,48 +135,43 @@ class CrackerIndex:
     def from_state(
         cls,
         column: Column,
-        values: np.ndarray,
         piece_map: PieceMap,
         clock: Clock | None = None,
         tape: CrackTape | None = None,
         copy_charged: bool = True,
     ) -> "CrackerIndex":
-        """Rebuild an index around restored buffers (snapshot restore).
+        """Rebuild an index from its piece map (snapshot restore).
 
-        ``values`` is adopted as-is -- typically an ``np.memmap`` view
-        in copy-on-write mode, so restoring is O(metadata) and later
-        cracks fault pages in lazily.  The narrowing decision (int32
-        cracker column) was made when the snapshot was written and
-        rides along in the array dtype.  ``copy_charged``
-        preserves whether the base-copy materialization charge was
-        already paid (it is part of the restored clock totals).
+        Cracking reorders a column and never changes its content, so
+        the column copied as a live index copies it, then sorted,
+        agrees with every piece map of that column: O(n log n),
+        uncharged (the restored clock holds what the live index paid).
+        Each cut must be where a binary search of it puts its pivot.
+        ``copy_charged`` preserves whether the base-copy
+        materialization charge was already paid.
 
         Raises:
-            CrackerError: when the buffers disagree with the column or
-                piece map.
+            CrackerError: when the piece map disagrees with the column.
         """
-        if len(values) != column.row_count:
-            raise CrackerError(
-                f"cracker column has {len(values)} rows, base column "
-                f"{column.row_count}"
-            )
+        index = cls(column, clock, tape)
+        values = index._array
+        values.sort()
         if piece_map.row_count != len(values):
             raise CrackerError(
-                f"piece map covers {piece_map.row_count} rows, cracker "
+                f"piece map covers {piece_map.row_count} rows, the "
                 f"column {len(values)}"
             )
-        index = cls.__new__(cls)
-        index.column = column
-        index.clock = clock if clock is not None else SimClock()
-        index.lock = threading.RLock()
-        index._array = values
+        pivots = np.asarray(piece_map.pivots(), dtype=piece_map.dtype)
+        above = np.zeros(len(pivots), dtype=bool)
+        if values.dtype == np.int32:
+            # Search in the column's own dtype, not a widened copy: a
+            # pivot past int32's top lies above every row.
+            above = pivots > _INT32_MAX
+            pivots = np.clip(pivots, _INT32_MIN, _INT32_MAX).astype(np.int32)
+        found = np.where(above, len(values), np.searchsorted(values, pivots))
+        if not np.array_equal(found, piece_map.cuts()):
+            raise CrackerError("piece map cuts disagree with the column")
         index._pieces = piece_map
-        index._largest = largest(column.ctype.numpy_dtype)
-        index._scratch = CrackScratch()
-        index._replay_cache = None
-        index._span_views = {}
-        index._span_views_array = values
-        index.tape = tape if tape is not None else CrackTape()
         index._copy_charged = copy_charged
         return index
 

@@ -57,13 +57,16 @@ class CrackTape:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt counters :meth:`export_state` wrote (snapshot restore);
-        a ``"stalls"`` map an earlier format-2 writer added is ignored.
+        """Adopt counters :meth:`export_state` wrote (snapshot restore).
 
         Raises:
-            KeyError: on a state missing a counter or an origin's count.
-            ValueError: on a count of an origin the tape does not have.
+            KeyError: on a state missing an origin's count.
+            ValueError: on a state whose keys are not the ones
+                :meth:`export_state` writes, or a count of an origin
+                the tape does not have.
         """
+        if state.keys() != {"counts", "seen"}:
+            raise ValueError("tape state has keys export_state never wrote")
         counts = state["counts"]
         unknown = counts.keys() - {o.value for o in CrackOrigin}
         if unknown:

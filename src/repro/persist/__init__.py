@@ -1,9 +1,9 @@
-"""Durable index lifecycle: versioned snapshots and memmap restore.
+"""Durable index lifecycle: versioned snapshots and restore.
 
-Everything the engine *learned* -- cracked columns, piece maps,
-pending-update stores, workload statistics, virtual-clock totals --
-can be checkpointed into a versioned, checksummed generation directory
-and restored after a crash with ``np.memmap`` in O(metadata), so a
+Everything the engine *learned* -- piece maps, pending-update stores,
+workload statistics, virtual-clock totals -- can be checkpointed into
+a versioned, checksummed generation directory and restored after a
+crash, each cracker column sorted from its base column, so a
 restarted kernel resumes convergence instead of re-cracking from
 scratch.  See :mod:`repro.persist.format` for the on-disk protocol and
 :mod:`repro.persist.manager` for the lifecycle API.

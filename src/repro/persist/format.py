@@ -11,7 +11,7 @@ a ``CURRENT`` pointer file::
         ...
       gen-000003/
         manifest.json      # may reference arrays back in gen-000001
-        index__R__A1__values.npy
+        index__R__A1__cuts.npy
 
 Each generation is *self-describing*: its ``manifest.json`` records,
 for every logical array, the root-relative file it lives in, its dtype,
@@ -46,7 +46,7 @@ from repro import faults
 from repro.errors import PersistError
 
 #: Bump on any incompatible manifest/layout change.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 CURRENT_FILE = "CURRENT"
 MANIFEST_FILE = "manifest.json"

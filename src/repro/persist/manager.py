@@ -175,7 +175,7 @@ def restore_snapshot(
             before trusting the snapshot (a full data scan; corrupt
             generations join the walk-back); ``"lazy"`` starts a
             :class:`~repro.persist.verify.BackgroundVerifier` instead
-            and keeps restore O(metadata) -- check
+            and keeps that scan off the restart path -- check
             ``restored.verifier`` and, on failure, re-restore with the
             bad generation in ``exclude``.
         fallback: walk back to older generations when the newest is

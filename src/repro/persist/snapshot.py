@@ -4,20 +4,19 @@ The *capture* half walks a :class:`~repro.storage.database.Database`
 plus (optionally) its indexing strategy and session and flattens
 everything the engine learned into
 
-* a dict of named numpy arrays -- base columns, pending-update stores,
-  cracker columns (in their narrowed dtypes), piece-map pivot/cut
-  buffers -- and
+* a dict of named numpy arrays -- base columns, pending-update stores
+  and each index's piece-map pivots and cuts (no cracker column:
+  cracking reorders a column, it never changes its content) -- and
 * a JSON-serializable ``meta`` dict -- catalog schema and statistics,
   clock totals and the cost model's scale, monitor/ranking/session and
   crack-tape counters, strategy config.
 
-The *restore* half rebuilds the same objects around ``np.memmap`` views
-of the snapshot files: base columns open read-only (``mmap_mode='r'``;
+The *restore* half opens base columns read-only (``mmap_mode='r'``;
 their catalog statistics come from the manifest, so nothing scans
-them), cracker columns open copy-on-write (``mmap_mode='c'``;
-later cracks fault pages in lazily and never touch the snapshot).
-Restart cost is therefore O(metadata), and no crack ever re-runs: the
-piece maps come back exactly as refined as they were at checkpoint.
+them) and sorts each indexed one into its cracker column
+(:meth:`~repro.cracking.index.CrackerIndex.from_state`).  No crack
+ever re-runs: the piece maps come back exactly as refined as they
+were at checkpoint.
 
 Supported strategies: the holistic kernel and standard adaptive
 cracking.  Anything else raises :class:`~repro.errors.PersistError` --
@@ -25,8 +24,8 @@ better loud than a snapshot that silently drops learned state.
 
 Only generations in the current format restore: the format check in
 :func:`~repro.persist.format.read_manifest` refuses an older one, and
-a generation that names an unknown option or clock counter, or stores
-pivots in a dtype other than its column's, is corrupt.  Each raises
+a generation that names an unknown option or clock counter, or whose
+pivots or cuts disagree with their column, is corrupt.  Each raises
 :class:`~repro.errors.PersistError`, so a restore walks back.
 """
 
@@ -145,16 +144,15 @@ def capture_state(
             piece_map = index.piece_map
             # No lock: tuning workers run only inside an idle window,
             # which returns before a capture can start.
-            arrays[f"{base}/values"] = index.values
             arrays[f"{base}/pivots"] = np.asarray(
                 piece_map.pivots(), dtype=piece_map.dtype
             )
             arrays[f"{base}/cuts"] = np.asarray(
                 piece_map.cuts(), dtype=np.int64
             )
-            token = ("idx", piece_map.version, id(index.values))
-            for suffix in ("values", "pivots", "cuts"):
-                tokens[f"{base}/{suffix}"] = token
+            # A held map, not an id: ids recycle, rebuild() restarts at 0.
+            token = ("idx", piece_map, piece_map.version)
+            tokens[f"{base}/pivots"] = tokens[f"{base}/cuts"] = token
             meta["indexes"].append(
                 {
                     "table": ref.table,
@@ -205,8 +203,8 @@ def restore_state(root, generation: int, manifest: dict) -> RestoredState:
     """Rebuild the engine from a loaded manifest.
 
     The rebuilt clock prices with a cost model at the writer's scale
-    (``model_scale``).  Base columns open read-only, cracker columns
-    copy-on-write.
+    (``model_scale``).  Base columns open read-only; each cracker
+    column is its base column sorted.
 
     Args:
         root: snapshot root directory.
@@ -317,17 +315,15 @@ def _restore_index(
     ref = ColumnRef(index_meta["table"], index_meta["column"])
     column = db.catalog.column(ref)
     base = f"index/{ref.table}/{ref.column}"
-    values = load_array(root, entries[f"{base}/values"], mmap_mode="c")
     try:
         piece_map = PieceMap.from_state(
-            len(values),
+            column.row_count,
             load_array(root, entries[f"{base}/pivots"]),
             load_array(root, entries[f"{base}/cuts"]),
             column.values.dtype,
         )
         index = CrackerIndex.from_state(
             column,
-            values,
             piece_map,
             clock=db.clock,
             tape=tape,

@@ -2,8 +2,8 @@
 
 Eager restore verification (:func:`~repro.persist.format.
 verify_manifest`) re-hashes every array before the engine comes up,
-which costs a full data scan and defeats the O(metadata) memmap
-restart.  :class:`BackgroundVerifier` moves that scan onto a daemon
+a full scan of every base column on the restart path.
+:class:`BackgroundVerifier` moves that scan onto a daemon
 thread: the engine starts serving immediately off the structurally
 validated snapshot (:func:`~repro.persist.format.
 quick_verify_manifest` has already ruled out torn and missing files),

@@ -375,18 +375,20 @@ class SimClock(Clock):
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Adopt a previously-exported clock state (snapshot restore);
-        a ``"lane_seq"`` an earlier format-2 writer added is ignored.
+        """Adopt a previously-exported clock state (snapshot restore).
 
         Raises:
             ConfigError: inside a parallel phase (settle it first).
-            KeyError: on a state without ``now_ps``.
+            ValueError: on a state whose keys are not the ones
+                :meth:`state_dict` writes.
             TypeError: on a counter :class:`CostCharge` does not have.
         """
         if self._parallel:
             raise ConfigError(
                 "cannot restore clock state inside a parallel phase"
             )
+        if state.keys() != {"now_ps", "total_charge"}:
+            raise ValueError("clock state has keys state_dict never wrote")
         self._now = int(state["now_ps"])
         self.total_charge = CostCharge.from_dict(state["total_charge"])
 

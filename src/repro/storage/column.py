@@ -44,8 +44,8 @@ class Column:
         values: 1-D array-like of the column's values.
         ctype: explicit type; inferred from ``values`` when omitted.
         stats: known catalog statistics.  Computing them scans the
-            whole array, which defeats an O(metadata) ``np.memmap``
-            restore; the snapshot manifest supplies them instead.
+            whole array, so a snapshot restore takes them from its
+            manifest instead.
     """
 
     def __init__(

@@ -68,7 +68,6 @@ def test_repo_locks_are_the_documented_set():
                     made.add((str(path.relative_to(SRC_ROOT)), name))
     assert made == {
         ("cracking/index.py", "self.lock"),
-        ("cracking/index.py", "index.lock"),
         ("faults/plan.py", "self._lock"),
         ("faults/plan.py", "_install_lock"),
         ("serving/window.py", "self._lock"),

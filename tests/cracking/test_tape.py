@@ -84,24 +84,23 @@ def test_restore_refuses_format_1_origin_counts():
     tape = CrackTape()
     counts = {"query": 3, "tuning": 2, "merge": 0, "sort": 0}
     with pytest.raises(ValueError, match="load"):
-        tape.restore_state(
-            {"counts": {**counts, "load": 0}, "seen": 5, "stalls": {}}
-        )
+        tape.restore_state({"counts": {**counts, "load": 0}, "seen": 5})
     del counts["sort"]
     with pytest.raises(KeyError):
-        tape.restore_state({"counts": counts, "seen": 5, "stalls": {}})
+        tape.restore_state({"counts": counts, "seen": 5})
     assert tape.export_state() == CrackTape().export_state()
 
 
 def test_stall_counters_per_worker_and_total():
     """No worker waits on another, so the tape counts no stalls: the
-    total reads 0, and per-worker stall counts a format-2 tape wrote
-    restore to the same origin counters with no stall counted."""
+    total reads 0, and a state carrying the per-worker ``"stalls"`` map
+    a format-2 tape wrote is refused, counters untouched."""
     tape = CrackTape()
     tape.log(CrackOrigin.TUNING, 4)
     assert tape.stall_count() == 0
     state = tape.export_state()
     older = CrackTape()
-    older.restore_state({**state, "stalls": {"1": 2, "2": 1, "": 1}})
-    assert older.export_state() == state
+    with pytest.raises(ValueError, match="export_state never wrote"):
+        older.restore_state({**state, "stalls": {"1": 2, "2": 1, "": 1}})
+    assert older.export_state() == CrackTape().export_state()
     assert older.stall_count() == 0

@@ -18,6 +18,7 @@ from repro.cracking.concurrency import LatchedCrackerAccess
 from repro.cracking.index import CrackerIndex
 from repro.engine.query import RangeQuery
 from repro.engine.session import make_strategy
+from repro.persist import SnapshotManager, restore_snapshot
 from repro.serving import ServingFrontend
 from repro.simtime.clock import SimClock, WallClock
 from repro.storage.catalog import ColumnRef
@@ -95,6 +96,15 @@ WRITE_CALLS = {"stage_inserts": 5, "stage_deletes": 9, "insert_rows": 13}
 #: pivots and one pass cuts the rest; ``price_pass`` charges and logs
 #: it.
 WORKER_BATCH_CALLS = 95
+
+#: Calls into ``repro`` of one ``SnapshotManager.checkpoint`` of a
+#: converged 2-column holistic database after one more crack on
+#: ``R.A1``, the generation before it published by the same manager,
+#: and of the ``restore_snapshot`` of what it published.  The rest of
+#: their calls (``json``, ``pathlib``, ``numpy.save``/``load``) vary
+#: with the Python and numpy versions, so they are not budgeted.
+CHECKPOINT_CALLS = 89
+RESTORE_CALLS = 645
 
 def _grid(columns=("A1", "A2"), points=24) -> list[RangeQuery]:
     """Grid ranges over the paper domain; a fresh ``ColumnRef`` per
@@ -545,3 +555,33 @@ def test_worker_batch_cost_is_bounded():
     assert cut == 4
     assert index.piece_count == 7
     assert calls <= WORKER_BATCH_CALLS, repr(calls)
+
+
+def _own(calls) -> int:
+    """How many of ``calls`` entered a function of ``repro`` itself."""
+    return sum(
+        count
+        for name, count in calls.functions.items()
+        if name.startswith("repro.")
+    )
+
+
+def test_checkpoint_and_restore_cost_is_bounded(tmp_path):
+    """A structural cost guard for durability on a converged database:
+    the checkpoint after one more crack and the restore of what it
+    wrote, each counted in calls into ``repro``."""
+    session = _session(SimClock(TINY.cost_model()))
+    for _ in range(2):
+        for query in _grid():
+            session.run_query(query)
+    manager = SnapshotManager(
+        tmp_path, session.db, strategy=session.strategy, session=session
+    )
+    manager.checkpoint()
+    session.run_query(RangeQuery(ColumnRef("R", "A1"), 1.5e6, 2.5e6))
+    calls, result = count_calls(manager.checkpoint)
+    assert result.generation == 2
+    restore_calls, restored = count_calls(restore_snapshot, tmp_path)
+    assert restored.generation == 2
+    assert _own(calls) <= CHECKPOINT_CALLS, repr(calls)
+    assert _own(restore_calls) <= RESTORE_CALLS, repr(restore_calls)

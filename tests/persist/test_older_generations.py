@@ -1,7 +1,7 @@
 """Generations in an older layout are refused.
 
 A snapshot is read by the code that writes it.  The format check
-refuses a generation written in format 1, and a generation whose
+refuses a generation written in format 1 or 2, and a generation whose
 strategy config names an option this version does not have -- one an
 older version had and retired, at the value it allowed, or one no
 version had -- is corrupt.  Either raises :class:`PersistError`, so a
@@ -49,16 +49,27 @@ def _publish(root, db, session, options: dict | None = None) -> int:
     return write_generation(root, arrays, meta)
 
 
-def test_format_one_generation_is_refused_and_walked_back(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_format_generation_is_refused_and_walked_back(
+    tmp_path, version
+):
+    """Formats 1 and 2 also stored each cracker column, which format 3
+    rebuilds from its base column; a generation in either is refused
+    however whole it is."""
     db, session = _engine("holistic")
     good = _publish(tmp_path, db, session)
-    old = _publish(tmp_path, db, session)
+    arrays, meta, _ = capture_state(db, session.strategy, session)
+    for ref, index in session.strategy.indexes.items():
+        arrays[f"index/{ref.table}/{ref.column}/values"] = index.values
+    old = write_generation(tmp_path, arrays, meta)
     path = tmp_path / generation_name(old) / MANIFEST_FILE
     manifest = json.loads(path.read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     path.write_text(json.dumps(manifest))
 
-    with pytest.raises(PersistError, match="format 1 is not supported"):
+    with pytest.raises(
+        PersistError, match=f"format {version} is not supported"
+    ):
         restore_snapshot(tmp_path, fallback=False)
     restored = restore_snapshot(tmp_path)
     assert restored.generation == good

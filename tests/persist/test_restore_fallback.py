@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.bench.oracle import ReferenceEngine
+from repro.cracking.piecemap import PieceMap
 from repro.engine.query import RangeQuery
 from repro.errors import PersistError
-from repro.faults import FaultPlan, engaged
+from repro.faults import FaultPlan, engaged, flip_bit
 from repro.persist import SnapshotManager, restore_snapshot
 from repro.persist.format import (
     CURRENT_FILE,
@@ -60,8 +62,12 @@ def _run_queries(session, count: int, low: float = 4e6, step: float = 9e6):
         )
 
 
-def _two_generations(tmp_path, plan: FaultPlan | None):
-    """Checkpoint a clean generation, then a (possibly tampered) one."""
+def _two_generations(
+    tmp_path, plan: FaultPlan | None, whole: bool = False
+):
+    """Checkpoint a clean generation, then a (possibly tampered) one:
+    incremental (pending stores and the changed piece maps), or with
+    ``whole`` written by a fresh manager, base columns included."""
     db, session = _fresh_session()
     manager = SnapshotManager(
         tmp_path, db, strategy=session.strategy, session=session,
@@ -70,6 +76,11 @@ def _two_generations(tmp_path, plan: FaultPlan | None):
     _run_queries(session, 4)
     clean = manager.checkpoint(extra={"mark": "clean"}).generation
     _run_queries(session, 4, low=6e6)
+    if whole:
+        manager = SnapshotManager(
+            tmp_path, db, strategy=session.strategy, session=session,
+            keep_history=True,
+        )
     if plan is None:
         tampered = manager.checkpoint(extra={"mark": "tampered"}).generation
     else:
@@ -119,9 +130,11 @@ def test_torn_snapshot_without_fallback_dies(tmp_path):
 
 
 def test_bitflip_evades_quick_check_until_lazy_verify(tmp_path):
+    """The flip lands in a base column (the largest file a whole
+    generation writes), which only a checksum reads back."""
     plan = FaultPlan()
     plan.arm("persist.publish.bitflip", at=0)
-    clean, tampered = _two_generations(tmp_path, plan)
+    clean, tampered = _two_generations(tmp_path, plan, whole=True)
     with engaged(plan):
         # A flipped payload bit is invisible to the structural check:
         # the corrupt generation restores...
@@ -145,7 +158,7 @@ def test_bitflip_evades_quick_check_until_lazy_verify(tmp_path):
 def test_eager_verify_walks_past_the_bitflip(tmp_path):
     plan = FaultPlan()
     plan.arm("persist.publish.bitflip", at=0)
-    clean, tampered = _two_generations(tmp_path, plan)
+    clean, tampered = _two_generations(tmp_path, plan, whole=True)
     with engaged(plan):
         restored = restore_snapshot(tmp_path, verify="eager")
     assert restored.generation == clean
@@ -215,6 +228,54 @@ def test_swapped_pivots_walk_back(tmp_path):
         _assert_answers(restored)
 
 
+def _cuts_file(tmp_path, generation: int):
+    """The file of ``generation``'s own stored ``R.A1`` cuts."""
+    entry = read_manifest(tmp_path, generation)["arrays"]["index/R/A1/cuts"]
+    assert int(entry["generation"]) == generation
+    return tmp_path / entry["file"]
+
+
+def _assert_walked_back(tmp_path, clean: int, newest: int) -> None:
+    """Restoring ``newest`` alone fails on its index; a restore without
+    checksums walks back to ``clean`` and answers like the reference."""
+    with pytest.raises(PersistError, match="index/R/A1"):
+        restore_snapshot(tmp_path, fallback=False)
+    restored = restore_snapshot(tmp_path)
+    assert restored.generation == clean
+    assert restored.fallback_generations == [newest]
+    reference = ReferenceEngine(restored.db, [REF])
+    for low in (2e7, 4.5e6, 6.1e7):
+        result = restored.session.run_query(RangeQuery(REF, low, low + 1e7))
+        assert np.array_equal(
+            np.sort(result.values()), reference.query(REF, low, low + 1e7)
+        )
+    _assert_answers(restored)
+
+
+def test_cut_moved_inside_its_piece_walks_back(tmp_path):
+    """A cut moved by one row that keeps the piece map well formed:
+    ``PieceMap.from_state`` accepts it, but the sorted column puts that
+    pivot one row away, so the generation is corrupt."""
+    clean, newest = _two_generations(tmp_path, None)
+    path = _cuts_file(tmp_path, newest)
+    cuts = np.load(path)
+    cuts[np.flatnonzero(np.diff(cuts) >= 2)[0]] += 1
+    pivots = np.load(str(path).replace("cuts", "pivots"))
+    PieceMap.from_state(ROWS, pivots, cuts, pivots.dtype)
+    with path.open("wb") as handle:
+        np.save(handle, cuts)
+    _assert_walked_back(tmp_path, clean, newest)
+
+
+def test_flipped_cut_walks_back_before_any_checksum(tmp_path):
+    """A bit flipped in a stored cut is caught by the restore itself,
+    before any checksum is computed."""
+    clean, newest = _two_generations(tmp_path, None)
+    path = _cuts_file(tmp_path, newest)
+    flip_bit(path, offset=path.stat().st_size - 8)  # the last cut's low byte
+    _assert_walked_back(tmp_path, clean, newest)
+
+
 def test_unknown_clock_counter_walks_back(tmp_path):
     """A clock total that names a counter this version does not have
     is corrupt, like an unknown option."""
@@ -255,7 +316,6 @@ _MISSING = {
         "pending/R/A1/ins",
         "pending/R/A1/delpos",
         "pending/R/A1/delval",
-        "index/R/A1/values",
         "index/R/A1/pivots",
         "index/R/A1/cuts",
     ],

@@ -28,7 +28,7 @@ from repro.bench.oracle import (
 from repro.config import TINY
 from repro.engine.query import RangeQuery
 from repro.errors import PersistError
-from repro.persist import SnapshotManager, restore_snapshot
+from repro.persist import SnapshotManager, read_manifest, restore_snapshot
 from repro.serving import ServingFrontend
 from repro.serving.window import WindowEntry
 from repro.simtime.clock import SimClock
@@ -151,10 +151,11 @@ class TestMidTraceRoundTrip:
         assert memmap_backed(column.values)
         assert not column.values.flags.writeable
         for index in restored.strategy.indexes.values():
-            # Cracker columns are copy-on-write views: writable in
-            # memory, never written back to the snapshot files.
-            assert isinstance(index.values, np.memmap)
+            # A cracker column is rebuilt in memory from its base
+            # column, sorted: no snapshot file backs it.
+            assert not memmap_backed(index.values)
             assert index.values.flags.writeable
+            assert np.all(index.values[:-1] <= index.values[1:])
 
     def test_repeated_bounds_do_not_recrack_after_restore(self, tmp_path):
         db = _fresh_db()
@@ -387,6 +388,38 @@ def test_pivots_beyond_2_53_round_trip_exactly(tmp_path):
     index.check_invariants()
 
 
+def test_a_narrowed_column_restores_pivots_past_int32(tmp_path):
+    """An int64 column that fits int32 is cracked, and restored, as
+    int32; its cut check searches in int32, so pivots past either end
+    of int32 and rows at both of its ends must restore exactly."""
+    from repro.storage.column import Column
+    from repro.storage.table import Table
+
+    top, bottom = 2**31 - 1, -(2**31)
+    table = Table("R")
+    table.add_column(Column("B", np.array([top, bottom, 5, 7, top, 0, -3])))
+    db = Database(clock=SimClock())
+    db.add_table(table)
+    ref = ColumnRef("R", "B")
+    session = db.session("adaptive")
+    for low, high in [(-(2**40), 2**40), (-(2**33), 6), (3, top),
+                      (top, 2**35), (1, 2**31)]:
+        session.run_query(RangeQuery(ref, low, high))
+    live = session.strategy.indexes[ref]
+    assert live.values.dtype == np.int32
+    assert min(live.piece_map.pivots()) < bottom
+    assert max(live.piece_map.pivots()) > top
+    SnapshotManager(
+        tmp_path, db, strategy=session.strategy, session=session
+    ).checkpoint()
+
+    index = restore_snapshot(tmp_path, fallback=False).strategy.indexes[ref]
+    assert index.values.dtype == np.int32
+    assert index.piece_map.pivots() == live.piece_map.pivots()
+    assert index.piece_map.cuts() == live.piece_map.cuts()
+    index.check_invariants()
+
+
 def test_pivots_in_another_dtype_fail_the_generation(tmp_path):
     """Pivots are stored in their column's dtype; a generation with
     float64 pivots for an integer column, as format 1 wrote them, is
@@ -412,3 +445,39 @@ def test_pivots_in_another_dtype_fail_the_generation(tmp_path):
     live = session.strategy.indexes[ColumnRef("R", "A1")].piece_map
     back = restored.strategy.indexes[ColumnRef("R", "A1")].piece_map
     assert (back.pivots(), back.cuts()) == (live.pivots(), live.cuts())
+
+
+def test_checkpoint_after_one_more_crack_writes_no_column(tmp_path):
+    """A generation stores each index as its pivots and cuts: once both
+    columns of a database have converged, the checkpoint after one
+    more crack rewrites that index's piece map and the pending stores,
+    and no array as long as a column."""
+    db = _fresh_db()
+    session = db.session("holistic")
+    lows = np.linspace(0, 9e7, 24).tolist()
+    for _ in range(2):
+        for column in COLUMNS:
+            for low in lows:
+                session.run_query(
+                    RangeQuery(ColumnRef("R", column), low, low + 5e5)
+                )
+    manager = SnapshotManager(
+        tmp_path, db, strategy=session.strategy, session=session
+    )
+    manager.checkpoint()
+    cracks = session.strategy.tape.count()
+    session.run_query(RangeQuery(ColumnRef("R", "A1"), 1.5e6, 2.5e6))
+    assert session.strategy.tape.count() == cracks + 2
+    result = manager.checkpoint()
+    entries = read_manifest(tmp_path, result.generation)["arrays"]
+    fresh = {
+        name: entry["shape"]
+        for name, entry in entries.items()
+        if entry["generation"] == result.generation
+    }
+    assert sorted(name for name in fresh if name.startswith("index/")) == [
+        "index/R/A1/cuts", "index/R/A1/pivots",
+    ]
+    assert result.arrays_written == len(fresh) == 8
+    assert all(shape[0] < ROWS for shape in fresh.values()), fresh
+    assert not any(name.endswith("/values") for name in entries)

@@ -57,20 +57,21 @@ def test_clock_state_round_trips_exactly_from_a_parallel_phase():
     assert back.state_dict() == state
 
 
-def test_clock_state_with_an_older_lane_seq_restores_the_same_clock():
+def test_clock_state_with_an_older_lane_seq_is_refused():
     """A format-2 state written while lanes were keyed by thread
-    carries ``lane_seq``; it restores to the same reading and counters,
-    and the key is not written again."""
+    carries ``lane_seq``; restore takes only what ``state_dict``
+    writes, so it is refused and the clock is left as it was."""
     clock = SimClock(TINY.cost_model())
     clock.charge_crack(1234, 1)
     clock.charge_query()
     state = clock.state_dict()
     assert "lane_seq" not in state
     back = SimClock(TINY.cost_model())
-    back.restore_state({**state, "lane_seq": 7})
+    with pytest.raises(ValueError, match="state_dict never wrote"):
+        back.restore_state({**state, "lane_seq": 7})
+    assert back.state_dict() == SimClock(TINY.cost_model()).state_dict()
+    back.restore_state(state)
     assert back.now() == clock.now()
-    assert back.total_charge == clock.total_charge
-    assert back.state_dict() == state
 
 
 def test_wall_clock_progresses_on_its_own():
